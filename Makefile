@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test race race-all test-race fuzz-smoke bench bench-join bench-stream bench-serve bench-warmstart bench-partition bench-execute bench-kernels profile-serve profile-trace smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test determinism race race-all test-race fuzz-smoke bench bench-join bench-stream bench-serve bench-warmstart bench-partition bench-execute bench-kernels profile-serve profile-trace smoke-metrics
 
 all: check
 
-check: fmt vet lint build test staticcheck govulncheck
+check: fmt vet lint build test determinism staticcheck govulncheck
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -43,6 +43,18 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Byte-determinism gate: the whole experiment suite (every engine on the
+# synchronous tuning schedule) run twice must print identical reports. Any
+# change that makes a synchronous run depend on goroutine scheduling, map
+# order or the clock turns this red.
+determinism:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/tasterbench" ./cmd/tasterbench; \
+	"$$d/tasterbench" -experiment all -benchjson=false > "$$d/a.txt"; \
+	"$$d/tasterbench" -experiment all -benchjson=false > "$$d/b.txt"; \
+	cmp "$$d/a.txt" "$$d/b.txt"; \
+	echo "determinism: two runs of -experiment all are byte-identical"
 
 # The concurrency suite under the race detector: morsel-executor determinism,
 # the concurrent serving path, and the partitioned ingest/query/spill storm.

@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // asyncTestEngine builds an engine on the default asynchronous tuning
@@ -119,16 +121,35 @@ func TestAsyncExecuteDrainDeterministic(t *testing.T) {
 	}
 }
 
-// TestSyncModeDeterministic: Config.Synchronous preserves the pre-refactor
-// engine byte for byte — the inline tune→evict/promote→execute→admit round
-// on the calling goroutine. Two sequential runs must produce identical
-// report streams including tuning activity (evictions, windows), which is
-// what the figure experiments rely on.
+// assertSnapshotLive fails unless the published snapshot describes the live
+// warehouse and the tuner's current window — what every mutating entry point
+// must leave behind, since every query plans and reports from the snapshot.
+func assertSnapshotLive(t *testing.T, e *Engine, after string) {
+	t.Helper()
+	e.tuneMu.Lock()
+	defer e.tuneMu.Unlock()
+	snap := e.snap.Load()
+	if !snap.wh.SameContents(e.wh.View()) {
+		t.Fatalf("after %s: published snapshot does not describe the live warehouse", after)
+	}
+	if snap.window != e.tn.Window() {
+		t.Fatalf("after %s: published window %d, tuner window %d", after, snap.window, e.tn.Window())
+	}
+}
+
+// TestSyncModeDeterministic: Config.Synchronous is the tuning round scheduled
+// inline — round → execute → admit on the calling goroutine. Two sequential
+// runs must produce identical report streams including tuning activity
+// (evictions, windows), which is what the figure experiments rely on. Along
+// the way the inline schedule must keep the published snapshot current after
+// every mutating entry point, and count its rounds and rearrangements into
+// TuningStats exactly as its per-query reports list them.
 func TestSyncModeDeterministic(t *testing.T) {
 	run := func() []string {
 		e := testEngine(ModeTaster) // Synchronous: true
 		mix := mixedQueries(e)
 		var out []string
+		var served, created, evicted, promoted, refreshed int64
 		for round := 0; round < 3; round++ {
 			for _, mk := range mix {
 				res, err := e.Execute(mk())
@@ -136,8 +157,47 @@ func TestSyncModeDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				out = append(out, reportFingerprint(res.Report), resultFingerprint(res))
+				assertSnapshotLive(t, e, "Execute: "+res.Report.PlanDesc)
+				served++
+				created += int64(len(res.Report.CreatedSynopses))
+				evicted += int64(len(res.Report.Evicted))
+				promoted += int64(len(res.Report.Promoted))
+				refreshed += int64(len(res.Report.Refreshed))
+			}
+			if round == 0 {
+				// Shrink mid-run so later rounds evict, then restore.
+				e.SetStorageBudget(e.Catalog().TotalBytes() / 64)
+				assertSnapshotLive(t, e, "SetStorageBudget")
+				e.SetStorageBudget(e.Catalog().TotalBytes())
 			}
 		}
+		if created == 0 || promoted == 0 || evicted == 0 {
+			t.Fatalf("run exercised no admission/promotion/eviction: created %d promoted %d evicted %d",
+				created, promoted, evicted)
+		}
+		st := e.TuningStats()
+		if st.Rounds != served || st.Observations != served {
+			t.Fatalf("rounds %d observations %d, want %d (one inline round per query)", st.Rounds, st.Observations, served)
+		}
+		if st.Evicted != evicted || st.Promoted != promoted || st.Refreshed != refreshed {
+			t.Fatalf("TuningStats %+v disagrees with the reports: evicted %d promoted %d refreshed %d",
+				st, evicted, promoted, refreshed)
+		}
+		if st.Admitted == 0 || st.Admitted > created {
+			t.Fatalf("admitted %d of %d created byproducts", st.Admitted, created)
+		}
+
+		if _, err := e.Ingest("sales", salesDelta(1000, 40)); err != nil {
+			t.Fatal(err)
+		}
+		assertSnapshotLive(t, e, "Ingest")
+		sales, _ := e.Catalog().Table("sales")
+		smp := synopses.BuildSampleFromTable("hint", sales,
+			synopses.NewDistinctSampler(0.01, 10, []int{0}, 3), []string{"sales.product"})
+		if _, err := e.PinSample("sales", smp, []string{"sales.product"}, []string{"sales.qty"}, stats.DefaultAccuracy); err != nil {
+			t.Fatal(err)
+		}
+		assertSnapshotLive(t, e, "PinSample")
 		return out
 	}
 	a, b := run(), run()

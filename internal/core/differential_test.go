@@ -86,13 +86,13 @@ func runDifferentialStreamFull(t *testing.T, mode Mode, partitionRows, workers i
 		Workers:        workers,
 		PartitionRows:  partitionRows,
 		DisablePruning: disablePrune,
-		DisableKernels: disableKernels,
 		// Serve within 15% drift: appends are 5% batches, so a strict
 		// fresh-only policy would disqualify everything after the first
 		// append and the reuse path would go untested.
 		MaxStaleness: 0.15,
 		Synchronous:  true,
 	})
+	e.disableKernels = disableKernels
 	if planParallelism > 0 {
 		e.pl.Parallelism = planParallelism
 	}
@@ -302,9 +302,9 @@ func runNaNQueries(t *testing.T, workers int, disablePrune, disableKernels bool)
 		Workers:        workers,
 		PartitionRows:  97,
 		DisablePruning: disablePrune,
-		DisableKernels: disableKernels,
 		Synchronous:    true,
 	})
+	e.disableKernels = disableKernels
 	var run diffRun
 	for _, sql := range nanQueries {
 		q, err := sqlparser.Parse(sql, cat)

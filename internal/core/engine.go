@@ -4,17 +4,17 @@
 // metadata store — the full §III execution workflow — while a tuner decides
 // which synopses the quota-bounded warehouse keeps.
 //
-// Concurrency model: Engine is safe for concurrent use, and in the default
-// asynchronous ModeTaster configuration the serving path is lock-free with
-// respect to tuning. Queries plan, choose and execute against an immutable
-// tuning snapshot (warehouse view + the tuner's published keep/gain state)
-// loaded with one atomic pointer read; each served query enqueues a plan
-// observation on a bounded channel, and a background tuning service drains
-// those observations in batches, runs the §V tuning round, applies
-// evictions/promotions/byproduct admissions, and publishes a new snapshot
-// RCU-style. Execute never takes the tuning mutex. Config.Synchronous
-// restores the inline round (tune-before-execute under tuneMu) for
-// byte-deterministic experiments; see docs/ARCHITECTURE.md for the full
+// Concurrency model: Engine is safe for concurrent use. Every query, in
+// every mode, is one pipeline: load the published tuning snapshot (warehouse
+// view + the tuner's keep/gain state) with one atomic pointer read, plan
+// against its view, choose through the mode's policy, execute, and hand the
+// observation to the tuning round. There is one round (roundLocked: admit
+// byproducts, fold observations, select S*, apply evictions/promotions,
+// publish a new snapshot RCU-style) and two schedules for it. By default a
+// background service drains queued observations into batched rounds, so
+// Execute never takes the tuning mutex. Config.Synchronous runs the same
+// round inline on the calling goroutine, before execution and under tuneMu,
+// for byte-deterministic experiments; see docs/ARCHITECTURE.md for the full
 // design. Each *planner.Query value must be used by one Execute call at a
 // time (the engine assigns its ID and defaults its accuracy in place).
 package core
@@ -60,7 +60,13 @@ const (
 )
 
 // String returns the mode name.
-func (m Mode) String() string { return [...]string{"taster", "quickr", "exact", "offline"}[m] }
+func (m Mode) String() string {
+	names := [...]string{"taster", "quickr", "exact", "offline"}
+	if int(m) >= len(names) {
+		return fmt.Sprintf("mode(%d)", uint8(m))
+	}
+	return names[m]
+}
 
 // Config configures an Engine.
 type Config struct {
@@ -107,13 +113,6 @@ type Config struct {
 	// the partition experiment runs the same workload with pruning on and
 	// off and reports the scan-byte and simulated-time ratio.
 	DisablePruning bool
-	// DisableKernels forces the executor's filters onto the interpreted
-	// Eval fallback instead of the compiled selection-vector kernels. The
-	// kernels are bit-identical to the interpreter by contract, so this
-	// switch exists only for differential testing and benchmarking; it is
-	// invisible to the planner (plan choice keys on the predicate's static
-	// expr.KernelCompilable shape, never on this runtime switch).
-	DisableKernels bool
 	// MaxStaleness bounds synopsis staleness under online ingestion: a
 	// materialized synopsis that has missed more than this fraction of its
 	// source rows (see meta.Entry.Staleness) is disqualified from answering
@@ -121,9 +120,9 @@ type Config struct {
 	// refresh builds win as data drifts. 0 (the default) serves only fully
 	// fresh synopses; negative disables the bound.
 	MaxStaleness float64
-	// Synchronous disables the asynchronous tuning service in ModeTaster:
-	// every Execute runs the full tuning round inline under the tuning
-	// mutex, exactly as before the snapshot-publish refactor. Plan choice,
+	// Synchronous schedules ModeTaster's tuning round inline instead of on
+	// the background service: every Execute runs the round on the calling
+	// goroutine, under the tuning mutex, before it executes. Plan choice,
 	// materialization, eviction and promotion then see the current query's
 	// own observation, which makes sequential runs byte-deterministic — the
 	// experiments and the paper-figure reproductions rely on it. The
@@ -138,8 +137,10 @@ type Config struct {
 	// construction — ingests bump table epochs and warehouse rearrangements
 	// bump the snapshot identity, so stale entries are never consulted. 0
 	// (the default) means 4096 entries; negative disables caching.
-	// Synchronous and baseline modes never cache (their tuning rounds
-	// consume the plan set's query identity inline).
+	// Synchronous and baseline modes never cache: a workload that tunes
+	// inline publishes a new snapshot identity on most queries, so every
+	// entry would pin a plan set (and the sample payloads it references)
+	// that no later query can hit.
 	PlanCacheSize int
 	// ObservationQueue bounds the asynchronous tuning service's observation
 	// channel (default 1024). When the queue is full — the tuner is behind
@@ -190,12 +191,12 @@ type Report struct {
 	CreatedSynopses []uint64
 	// Refreshed lists created synopses that replaced a stale stored copy.
 	// Under asynchronous tuning admissions happen in the background, so
-	// refreshes are not attributable to the creating query; they surface in
-	// TuningStats instead and this field stays empty.
+	// refreshes are not attributable to the creating query and this field
+	// stays empty; TuningStats counts them under both schedules.
 	Refreshed []uint64
 	// Evicted/Promoted list the warehouse rearrangements of this query's
-	// inline tuning round (synchronous mode only; the asynchronous service
-	// accounts them in TuningStats).
+	// inline tuning round (synchronous mode only; TuningStats counts them
+	// under both schedules).
 	Evicted        []uint64
 	Promoted       []uint64
 	EstimatedCost  float64 // planner's estimate for the chosen plan
@@ -235,21 +236,31 @@ type Engine struct {
 	reports *reportRing
 
 	// tuneMu serializes the tuner's window state and every warehouse/
-	// metadata rearrangement (the background service's batches, elastic
-	// budget changes, pinned-hint installs, and synchronous-mode inline
-	// rounds). In the default asynchronous ModeTaster configuration the
-	// Execute path never acquires it — queries read the published snapshot
-	// instead.
+	// metadata rearrangement (tuning rounds under either schedule, elastic
+	// budget changes, pinned-hint installs, ingest republishes). In the
+	// default asynchronous ModeTaster configuration the Execute path never
+	// acquires it — queries read the published snapshot instead.
 	tuneMu sync.Mutex
+	// stats is the one outcome record every round and admission counts into
+	// (under tuneMu).
+	stats TuningStats
 
 	// snap is the RCU-published tuning snapshot the lock-free serving path
 	// reads; snapVersion (under tuneMu) numbers publishes.
 	snap        atomic.Pointer[tuningSnapshot]
 	snapVersion uint64
 
-	// svc is the background tuning service (nil in synchronous mode and in
-	// the baseline modes, which run no tuner).
-	svc *tuningService
+	// choose is the mode's plan-choice policy, selected once at Open.
+	choose choosePolicy
+	// svc is the background tuning service, the asynchronous schedule of the
+	// tuning round; inline marks the synchronous schedule (Execute runs the
+	// round itself). Baseline modes run no tuner: svc is nil, inline false.
+	svc    *tuningService
+	inline bool
+	// disableKernels is a test hook: it forces the executor's filters onto
+	// the interpreted Eval fallback, the reference the compiled kernels are
+	// differentially tested against.
+	disableKernels bool
 
 	// planCache memoizes plan sets for the lock-free serving path (nil when
 	// disabled or in modes without the asynchronous service).
@@ -367,6 +378,8 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 		wh:      wh,
 		pl:      pl,
 		tn:      tuner.New(cfg.Tuner, store, wh),
+		choose:  policyFor(cfg.Mode),
+		inline:  cfg.Mode == ModeTaster && cfg.Synchronous,
 		reports: newReportRing(cfg.ReportCap),
 		vecPool: storage.NewVecPool(),
 		db:      db,
@@ -399,8 +412,8 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 		if n > 0 && cfg.Mode == ModeTaster {
 			// Seed the published keep/gain state from the restored window so
 			// the lock-free serving path can materialize and protect the
-			// recovered set from the first query on (synchronous rounds
-			// recompute it per query anyway). Retune mutates nothing.
+			// recovered set from the first query on (inline rounds recompute
+			// it per query anyway). Retune mutates nothing.
 			dec := e.tn.Retune()
 			keep, gains = dec.Keep, dec.Gains
 		}
@@ -464,113 +477,37 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 		q.Exact = true
 	}
 
-	// Asynchronous Taster: one snapshot load covers planning AND plan
-	// choice, so both see the same instant of tuning state.
-	var snap *tuningSnapshot
-	var ps *planner.PlanSet
-	switch {
-	case e.svc != nil && e.planCache != nil:
-		// Fast path: the cache key embeds the query's canonical signature,
-		// every bound table's epoch, and the snapshot identity, so a hit is
-		// guaranteed to be the plan set a cold PlanWith against this exact
-		// state would rebuild. Only candidate enumeration is skipped —
-		// plan choice below still scores against the live published gains,
-		// and the benefit window still records this repetition.
-		snap = e.snap.Load()
-		if err = q.Validate(); err != nil {
-			return nil, err
-		}
-		key := planner.CacheKey(q, snap.ident)
-		if hit, ok := e.planCache.Get(key); ok {
-			ps = hit
-			e.pl.RecordReuseBenefits(ps, q.ID)
-		} else if ps, err = e.pl.PlanWith(q, snap.wh); err == nil {
-			e.planCache.Put(key, ps)
-		}
-	case e.svc != nil:
-		snap = e.snap.Load()
-		ps, err = e.pl.PlanWith(q, snap.wh)
-	default:
-		ps, err = e.pl.Plan(q)
-	}
+	// One snapshot load covers planning AND plan choice, so both see the
+	// same instant of tuning state.
+	snap := e.snap.Load()
+	ps, err := e.planSet(q, snap)
 	if err != nil {
 		return nil, err
 	}
 
 	rep := Report{QueryID: q.ID, Mode: e.cfg.Mode, EstimatedExact: ps.Exact.Cost}
+	// The query's contribution to the tuning window. Only values — q may be
+	// reused by a later Execute while the observation is still queued.
+	seen := tuner.Observation{QueryID: q.ID, ExactCost: ps.Exact.Cost}
 
 	var dec tuner.Decision
-	switch {
-	case e.cfg.Mode == ModeTaster && e.svc != nil:
-		// Lock-free serving: score candidates against the published keep
-		// set and gains; materialize exactly the creates the last published
-		// S* wants. The observation (and with it this query's influence on
-		// the window) is enqueued after execution.
-		dec = chooseFromSnapshot(ps, snap)
-		rep.Window = snap.window
-	case e.cfg.Mode == ModeTaster:
-		// Synchronous mode: tuning mutates the sliding window and
-		// rearranges the warehouse inline; it is the serialization point of
-		// the engine. Evictions and promotions apply under the same
-		// critical section so concurrent queries never see a half-applied
-		// synopsis set.
-		//taster:locked synchronous ModeTaster is the documented serialization point; the lock-free contract applies to the e.svc != nil branch, which never reaches here
+	if e.inline {
+		// Synchronous schedule: the round runs here, before execution, over
+		// this query's own observation, so plan choice, evictions and
+		// promotions already account for it. It is the serialization point
+		// of a synchronous engine.
+		//taster:locked the inline schedule of the tuning round (Config.Synchronous) is the documented serialization point; the lock-free contract covers the asynchronous schedule, where inline is false
 		e.tuneMu.Lock()
-		roundStart := e.clock.Now() //taster:clock round timing is observability-only; the round's decisions never read it
-		dec = e.tn.Tune(ps)
-		for _, id := range dec.Evict {
-			if err := e.wh.Delete(id); err == nil {
-				e.store.SetLocation(id, meta.LocNone)
-				rep.Evicted = append(rep.Evicted, id)
-			}
-		}
-		for _, id := range dec.Promote {
-			if err := e.wh.Promote(id); err == nil {
-				e.store.SetLocation(id, meta.LocWarehouse)
-				rep.Promoted = append(rep.Promoted, id)
-			}
-		}
-		rep.Window = e.tn.Window()
-		if e.mx != nil {
-			e.mx.TuningRounds.Inc()
-			e.mx.TuningBatchSize.Observe(1)
-			e.mx.TuningRoundSeconds.Observe(e.clock.Since(roundStart).Seconds()) //taster:clock round timing is observability-only; the round's decisions never read it
-		}
-		if e.db != nil && len(rep.Evicted)+len(rep.Promoted) > 0 {
-			// The round rearranged the warehouse (promotions spilled
-			// payload files, evictions removed them): index the new layout
-			// in the manifest before serving continues.
-			e.noteCheckpointLocked()
-		}
+		dec, rep.Evicted, rep.Promoted = e.roundLocked([]*observation{{obs: seen}}, ps)
+		snap = e.snap.Load() // the round's own publish
 		e.tuneMu.Unlock()
-	case e.cfg.Mode == ModeQuickr:
-		// Quickr: best per-query plan with no reuse and no materialization.
-		// The paper's Quickr implements only the sampler operators — no
-		// sketch-joins — so sketch plans are out of scope for this mode.
-		dec.Chosen = ps.Exact
-		for _, c := range ps.Candidates {
-			if _, isSketch := c.Root.(*plan.SketchJoin); isSketch {
-				continue
-			}
-			if len(c.Uses) == 0 && c.Cost < dec.Chosen.Cost {
-				dec.Chosen = c
-			}
-		}
-		rep.Window = e.windowLen()
-	case e.cfg.Mode == ModeOffline:
-		// BlinkDB-style: reuse a pre-built sample when one matches, else
-		// run exact; never sample at query time.
-		dec.Chosen = ps.Exact
-		for _, c := range ps.Candidates {
-			if len(c.Creates) == 0 && c.Cost < dec.Chosen.Cost {
-				dec.Chosen = c
-			}
-		}
-		rep.Window = e.windowLen()
-	default:
-		dec.Chosen = ps.Exact
-		rep.Window = e.windowLen()
+	} else {
+		// Score candidates against the published state; under ModeTaster
+		// that materializes exactly the creates the last published S* wants,
+		// and this query's influence on the window follows after execution.
+		dec = e.choose(ps, snap)
 	}
+	rep.Window = snap.window
 
 	rep.PlanDesc = dec.Chosen.Desc
 	rep.EstimatedCost = dec.Chosen.Cost
@@ -584,7 +521,7 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	ctx.Pool = e.vecPool // engine-wide: recycles batches across queries
 	ctx.Workers = e.cfg.Workers
 	ctx.DisablePrune = e.cfg.DisablePruning
-	ctx.DisableKernels = e.cfg.DisableKernels
+	ctx.DisableKernels = e.disableKernels
 	if e.mx != nil {
 		ctx.Obs = &e.mx.Exec
 	}
@@ -645,32 +582,18 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 		rep.CreatedSynopses = append(rep.CreatedSynopses, id)
 	}
 	if e.svc != nil {
-		// Asynchronous: hand the byproducts and the plan observation to the
-		// tuning service; admission, window accounting, set selection and
-		// the snapshot publish all happen off this query's critical path.
-		// Only values are enqueued — q may be reused by a later Execute.
-		e.svc.enqueue(&observation{
-			obs:   tuner.Observation{QueryID: q.ID, ExactCost: ps.Exact.Cost},
-			uses:  dec.Chosen.Uses,
-			built: built,
-		})
+		// Asynchronous schedule: hand the byproducts and the plan observation
+		// to the tuning service; admission, window accounting, set selection
+		// and the snapshot publish all happen off this query's critical path.
+		e.svc.enqueue(&observation{obs: seen, uses: dec.Chosen.Uses, built: built})
 	} else if len(built) > 0 {
-		// Inline byproduct admission runs only when no tuning service
-		// exists (synchronous mode again — the svc branch above enqueued
-		// instead and the lock-free path never reaches here).
-		//taster:locked synchronous-mode inline admission; the e.svc != nil serving path enqueues and never takes this branch
+		// Synchronous schedule: the round already ran, so only the byproducts
+		// remain (baseline policies materialize nothing and never get here).
+		//taster:locked inline admission of the synchronous schedule; the asynchronous serving path enqueues above and never takes this branch
 		e.tuneMu.Lock()
-		changed := false
-		for _, b := range built {
-			stored, refreshed := e.admitLocked(b.item, b.id, b.srcEpoch, b.srcByTable)
-			changed = changed || stored
-			if refreshed {
-				rep.Refreshed = append(rep.Refreshed, b.id)
-			}
-		}
-		if e.db != nil && changed {
-			e.noteCheckpointLocked()
-		}
+		rep.Refreshed = e.admitBuiltLocked(built)
+		e.republishLocked()
+		e.noteCheckpointLocked()
 		e.tuneMu.Unlock()
 	}
 
@@ -702,6 +625,32 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	return res, nil
 }
 
+// planSet returns q's candidate set against the snapshot's warehouse view —
+// the engine's one planning entry. With a plan cache the key embeds the
+// query's canonical signature, every bound table's epoch and the snapshot
+// identity, so a hit is guaranteed to be the plan set a cold PlanWith against
+// this exact state would rebuild. Only candidate enumeration is skipped:
+// plan choice still scores against the live published gains, and the benefit
+// window still records this repetition.
+func (e *Engine) planSet(q *planner.Query, snap *tuningSnapshot) (*planner.PlanSet, error) {
+	if e.planCache == nil {
+		return e.pl.PlanWith(q, snap.wh)
+	}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	key := planner.CacheKey(q, snap.ident)
+	if ps, ok := e.planCache.Get(key); ok {
+		e.pl.RecordReuseBenefits(ps, q.ID)
+		return ps, nil
+	}
+	ps, err := e.pl.PlanWith(q, snap.wh)
+	if err == nil {
+		e.planCache.Put(key, ps)
+	}
+	return ps, err
+}
+
 // MetricsSnapshot samples the engine's metrics registry and fills in the
 // engine-level gauges the registry cannot know (warehouse occupancy,
 // plan-cache residency, published snapshot version). Safe to call
@@ -716,17 +665,6 @@ func (e *Engine) MetricsSnapshot() obs.MetricsSnapshot {
 	}
 	s.BufferBytes, s.WarehouseBytes = e.wh.Usage()
 	return s
-}
-
-// windowLen reads the tuner's current window length under the tuning lock.
-// Only the non-Taster baseline modes (Quickr, Offline, Exact) call this
-// from Execute — the asynchronous serving path reads the window from the
-// published snapshot instead.
-func (e *Engine) windowLen() int {
-	//taster:locked report-only read for baseline modes; the lock-free ModeTaster serving path reads snap.window and never calls windowLen
-	e.tuneMu.Lock()
-	defer e.tuneMu.Unlock()
-	return e.tn.Window()
 }
 
 // admitLocked places a freshly built synopsis in the buffer, overflowing to
@@ -827,10 +765,10 @@ func boundVersion(src plan.Node) (epoch uint64, byTable map[string]int64) {
 // the engine's online data-evolution entry point. It is safe under
 // concurrent Execute: the catalog swaps in a new immutable table version
 // under its own lock (running queries keep the snapshot they resolved), and
-// the metadata store updates epochs under the store lock. Under
-// asynchronous tuning it also republishes the tuning snapshot, so the
-// serving path's refresh credits see the new staleness immediately rather
-// than at the next observation batch. Returns the table's new epoch.
+// the metadata store updates epochs under the store lock. It also
+// republishes the tuning snapshot, so the serving path's refresh credits see
+// the new staleness immediately rather than at the next tuning round.
+// Returns the table's new epoch.
 func (e *Engine) Ingest(table string, delta *storage.Table) (uint64, error) {
 	// Mark affected synopses BEFORE the new version is published: a query
 	// planning in between sees old data with stale-marked synopses (which
@@ -852,21 +790,14 @@ func (e *Engine) Ingest(table string, delta *storage.Table) (uint64, error) {
 		e.mx.IngestBatches.Inc()
 		e.mx.IngestRows.Add(added)
 	}
-	if e.svc != nil || e.db != nil {
-		e.tuneMu.Lock()
-		if e.svc != nil {
-			e.republishLocked()
-		}
-		if e.db != nil {
-			// The observed table version is durable state: a crash that
-			// recovered a pre-ingest manifest would report the affected
-			// synopses fresh against the old row counts — the stale-serving
-			// bug the freshness epochs exist to prevent, reintroduced
-			// across restarts.
-			e.noteCheckpointLocked()
-		}
-		e.tuneMu.Unlock()
-	}
+	e.tuneMu.Lock()
+	e.republishLocked()
+	// The observed table version is durable state: a crash that recovered a
+	// pre-ingest manifest would report the affected synopses fresh against
+	// the old row counts — the stale-serving bug the freshness epochs exist
+	// to prevent, reintroduced across restarts.
+	e.noteCheckpointLocked()
+	e.tuneMu.Unlock()
 	return nt.Epoch(), nil
 }
 
@@ -886,9 +817,9 @@ func assemble(op exec.Operator, batches []*storage.Batch) *Result {
 
 // SetStorageBudget changes the warehouse quota at runtime and immediately
 // retunes, evicting the lowest-gain synopses until the warehouse fits —
-// the paper's storage elasticity (§V, §VI-D). Under asynchronous tuning the
-// re-evaluated keep set is published as a fresh snapshot before returning,
-// so queries planned after the call serve against the new budget.
+// the paper's storage elasticity (§V, §VI-D). The re-evaluated keep set is
+// published as a fresh snapshot before returning, so queries planned after
+// the call serve against the new budget.
 func (e *Engine) SetStorageBudget(bytes int64) {
 	e.tuneMu.Lock()
 	defer e.tuneMu.Unlock()
@@ -932,20 +863,15 @@ func (e *Engine) SetStorageBudget(bytes int64) {
 			e.store.SetLocation(it.ID, meta.LocNone)
 		}
 	}
-	if e.svc != nil {
-		e.publishLocked(dec.Keep, dec.Gains)
-	}
-	if e.db != nil {
-		e.noteCheckpointLocked()
-	}
+	e.publishLocked(dec.Keep, dec.Gains)
+	e.noteCheckpointLocked()
 }
 
 // PinSample registers an offline-built sample (user hints, §V): it is
 // placed directly in the warehouse, marked pinned, and the tuner will never
 // evict it. stratCols/aggCols/accuracy describe what queries it can serve.
 // Pinning is synchronous in every mode — the hint is servable the moment
-// the call returns (under asynchronous tuning via an immediate snapshot
-// republish).
+// the call returns (an immediate snapshot republish).
 func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols []string, acc stats.AccuracySpec) (uint64, error) {
 	e.tuneMu.Lock()
 	defer e.tuneMu.Unlock()
@@ -997,9 +923,7 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 		rows = int64(tbl.NumRows())
 	}
 	e.store.SetFreshness(id, tbl.Epoch(), map[string]int64{table: rows})
-	if e.svc != nil {
-		e.republishLocked()
-	}
+	e.republishLocked()
 	if e.db != nil {
 		// A pinned hint should be durable the moment the call returns: its
 		// payload was spilled by PutWarehouse/Refresh above, so only the
@@ -1097,9 +1021,7 @@ func (e *Engine) PinPartitionedSample(table string, prob float64, stratCols, agg
 		ids = append(ids, id)
 	}
 	e.store.ObservePartitions(table, counts)
-	if e.svc != nil {
-		e.republishLocked()
-	}
+	e.republishLocked()
 	if e.db != nil {
 		if err := e.checkpointLocked(false); err != nil {
 			return ids, fmt.Errorf("core: pinned partitioned sample on %s installed but not yet durable: %w", table, err)

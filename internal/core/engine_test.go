@@ -301,3 +301,9 @@ func TestReportsAccumulate(t *testing.T) {
 		}
 	}
 }
+
+func TestModeStringOutOfRange(t *testing.T) {
+	if got := Mode(7).String(); got != "mode(7)" {
+		t.Fatalf("Mode(7).String() = %q", got)
+	}
+}

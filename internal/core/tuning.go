@@ -15,11 +15,12 @@ import (
 // reads: the warehouse view the last tuning round left behind, the selected
 // synopsis set S* with its marginal gains, per-member staleness as of the
 // publish, and the sliding-window length. A new snapshot is swapped in
-// atomically (RCU-style) after every background batch, elastic budget
-// change, pinned-hint install or ingest; readers holding an older snapshot
-// keep a coherent — merely slightly stale — view of the world, which is
-// exactly the staleness budget asynchronous tuning trades for a lock-free
-// hot path. All fields are read-only after publish.
+// atomically (RCU-style) after every tuning round, inline admission, elastic
+// budget change, pinned-hint install or ingest, in every mode and under both
+// tuning schedules; readers holding an older snapshot keep a coherent —
+// merely slightly stale — view of the world, which is exactly the staleness
+// budget asynchronous tuning trades for a lock-free hot path. All fields are
+// read-only after publish.
 //
 //taster:immutable
 type tuningSnapshot struct {
@@ -44,29 +45,10 @@ type tuningSnapshot struct {
 	viewStale map[uint64]float64
 }
 
-// chooseFromSnapshot runs the §V plan-choice rule against published state:
-// the same scoring as the synchronous round, with synopsis presence and
-// staleness read from the snapshot instead of live stores. Materialization
-// is gated on the published S* — a synopsis first seen by this query
-// becomes materializable only after a background round has selected it,
-// which delays warmup by one batch and is the price of never tuning on the
-// critical path.
-func chooseFromSnapshot(ps *planner.PlanSet, snap *tuningSnapshot) tuner.Decision {
-	chosen := tuner.ChoosePlan(ps, snap.keep, snap.gains, snap.window, snap.wh.Has,
-		func(id uint64) float64 { return snap.staleness[id] })
-	dec := tuner.Decision{Chosen: chosen, Keep: snap.keep, Gains: snap.gains}
-	for _, cs := range chosen.Creates {
-		if snap.keep[cs.Entry.Desc.ID] {
-			dec.Materialize = append(dec.Materialize, cs)
-		}
-	}
-	return dec
-}
-
 // republishLocked re-publishes the snapshot from current warehouse/store
 // state, carrying forward the last published keep/gain sets — the idiom
-// every non-round publisher (Ingest, PinSample, Quiesce) uses. Caller
-// holds tuneMu.
+// every non-round publisher (Ingest, PinSample, Quiesce, the synchronous
+// schedule's inline admission) uses. Caller holds tuneMu.
 func (e *Engine) republishLocked() {
 	prev := e.snap.Load()
 	e.publishLocked(prev.keep, prev.gains)
@@ -151,18 +133,20 @@ type observation struct {
 	built []builtSynopsis
 }
 
-// TuningStats is the background tuning service's cumulative accounting.
+// TuningStats is the engine's cumulative tuning accounting: every round
+// counts into it, whichever schedule ran it.
 type TuningStats struct {
-	// Rounds is the number of batches tuned (== snapshot publishes from the
-	// service; elastic/pin/ingest publishes are not rounds).
+	// Rounds is the number of tuning rounds run: one per drained batch under
+	// the asynchronous service, one per query under Config.Synchronous
+	// (elastic/pin/ingest publishes are not rounds).
 	Rounds int64
 	// Observations is the number of served queries folded into the window.
 	Observations int64
 	// Dropped counts observations shed because the queue was full; their
 	// byproducts were discarded and their window contribution lost.
 	Dropped int64
-	// Admitted/Refreshed/Evicted/Promoted count warehouse rearrangements
-	// applied by the service.
+	// Admitted/Refreshed/Evicted/Promoted count the warehouse
+	// rearrangements rounds and byproduct admissions applied.
 	Admitted  int64
 	Refreshed int64
 	Evicted   int64
@@ -176,10 +160,9 @@ type TuningStats struct {
 	PlanCacheEvictions int64
 }
 
-// tuningService is the engine's background tuner: a single goroutine
-// draining the bounded observation queue into batched tuning rounds. One
-// round = admissions, window observations, one set selection, the derived
-// evictions/promotions, and exactly one snapshot publish.
+// tuningService is the asynchronous schedule of the engine's tuning round:
+// a single goroutine draining the bounded observation queue into batches
+// and running Engine.roundLocked on each.
 type tuningService struct {
 	eng     *Engine
 	obsCh   chan *observation
@@ -188,9 +171,6 @@ type tuningService struct {
 	exited  chan struct{}
 	closed  sync.Once
 	dropped atomic.Int64
-
-	// stats fields below are written under eng.tuneMu.
-	stats TuningStats
 }
 
 func newTuningService(e *Engine, queue int) *tuningService {
@@ -314,60 +294,76 @@ func (s *tuningService) gather(head *observation) []*observation {
 	return batch
 }
 
-// runBatch applies one asynchronous tuning round under the tuning mutex:
-// byproduct admissions first (so set selection sees them materialized),
-// then the batched §V round, then the warehouse rearrangement, and finally
-// one snapshot publish that makes the whole rearrangement visible to the
-// serving path at once — queries never observe a half-applied synopsis set.
+// runBatch is the asynchronous schedule's call site of the round: a drained
+// batch of already-served queries, tuned off every query's critical path.
 func (s *tuningService) runBatch(batch []*observation) {
-	e := s.eng
-	e.tuneMu.Lock()
-	defer e.tuneMu.Unlock()
+	s.eng.tuneMu.Lock()
+	defer s.eng.tuneMu.Unlock()
+	s.eng.roundLocked(batch, nil)
+}
+
+// roundLocked is the engine's one §V tuning round, run by both schedules
+// (the service's drained batches after execution; Execute's inline
+// one-observation batch before it): byproduct admissions first (so set
+// selection sees them materialized), then the tuner's round — fold the
+// observations, select S*, and when ps is given choose its plan and exempt
+// that plan's inputs — then the whole warehouse rearrangement in one
+// ApplyMoves call, and finally one snapshot publish that makes it visible
+// to the serving path at once: queries never observe a half-applied
+// synopsis set. Returns the decision and the ids actually evicted and
+// promoted. Caller holds tuneMu.
+func (e *Engine) roundLocked(batch []*observation, ps *planner.PlanSet) (dec tuner.Decision, evicted, promoted []uint64) {
 	roundStart := e.clock.Now() //taster:clock round timing is observability-only; the round's decisions never read it
 
 	protect := make(map[uint64]bool)
 	obs := make([]tuner.Observation, 0, len(batch))
 	for _, o := range batch {
-		for _, b := range o.built {
-			stored, refreshed := e.admitLocked(b.item, b.id, b.srcEpoch, b.srcByTable)
-			if stored {
-				s.stats.Admitted++
-			}
-			if refreshed {
-				s.stats.Refreshed++
-			}
-		}
+		e.admitBuiltLocked(o.built)
 		for _, id := range o.uses {
 			protect[id] = true
 		}
 		obs = append(obs, o.obs)
 	}
 
-	dec := e.tn.TuneBatch(obs, protect)
-	// One warehouse call applies the whole rearrangement (single lock hold,
-	// single view publish) instead of re-copying the tiers per synopsis.
-	evicted, promoted := e.wh.ApplyMoves(dec.Evict, dec.Promote)
+	dec = e.tn.TuneBatch(obs, protect, ps)
+	evicted, promoted = e.wh.ApplyMoves(dec.Evict, dec.Promote)
 	for _, id := range evicted {
 		e.store.SetLocation(id, meta.LocNone)
 	}
 	for _, id := range promoted {
 		e.store.SetLocation(id, meta.LocWarehouse)
 	}
-	s.stats.Evicted += int64(len(evicted))
-	s.stats.Promoted += int64(len(promoted))
-	s.stats.Rounds++
-	s.stats.Observations += int64(len(batch))
+	e.stats.Evicted += int64(len(evicted))
+	e.stats.Promoted += int64(len(promoted))
+	e.stats.Rounds++
+	e.stats.Observations += int64(len(batch))
 	if e.mx != nil {
 		e.mx.TuningRounds.Inc()
 		e.mx.TuningBatchSize.Observe(float64(len(batch)))
 		e.mx.TuningRoundSeconds.Observe(e.clock.Since(roundStart).Seconds()) //taster:clock round timing is observability-only; the round's decisions never read it
 	}
 	e.publishLocked(dec.Keep, dec.Gains)
-	if e.db != nil {
-		// Durable index of this round's layout; payload files were written
-		// at spill time, so one manifest write checkpoints the whole round.
-		e.noteCheckpointLocked()
+	// Durable index of this round's layout; payload files were written at
+	// spill time, so one manifest write checkpoints the whole round.
+	e.noteCheckpointLocked()
+	return dec, evicted, promoted
+}
+
+// admitBuiltLocked admits one query's byproducts (see admitLocked), counting
+// them into the tuning stats; it returns the ids that replaced a stale
+// stored copy. Caller holds tuneMu.
+func (e *Engine) admitBuiltLocked(built []builtSynopsis) (refreshed []uint64) {
+	for _, b := range built {
+		stored, fresh := e.admitLocked(b.item, b.id, b.srcEpoch, b.srcByTable)
+		if stored {
+			e.stats.Admitted++
+		}
+		if fresh {
+			e.stats.Refreshed++
+			refreshed = append(refreshed, b.id)
+		}
 	}
+	return refreshed
 }
 
 // Drain blocks until every observation enqueued before the call has been
@@ -389,12 +385,9 @@ func (e *Engine) Drain() {
 // Quiesce drains the tuning pipeline and then republishes the snapshot
 // from current store/warehouse state. After it returns, the published
 // tuning state reflects every completed query and ingest — experiments use
-// it as the settle point before reading results. No-op for synchronous and
-// baseline engines.
+// it as the settle point before reading results. Engines without the
+// background service are always settled; for them it only republishes.
 func (e *Engine) Quiesce() {
-	if e.svc == nil {
-		return
-	}
 	e.Drain()
 	e.tuneMu.Lock()
 	e.republishLocked()
@@ -430,16 +423,15 @@ func (e *Engine) Close() error {
 	return e.persistErr
 }
 
-// TuningStats returns the background service's cumulative accounting (zero
-// value for synchronous and baseline engines).
+// TuningStats returns the engine's cumulative tuning accounting (baseline
+// engines run no rounds; only their SnapshotVersion moves).
 func (e *Engine) TuningStats() TuningStats {
-	if e.svc == nil {
-		return TuningStats{}
-	}
 	e.tuneMu.Lock()
-	st := e.svc.stats
+	st := e.stats
 	e.tuneMu.Unlock()
-	st.Dropped = e.svc.dropped.Load()
+	if e.svc != nil {
+		st.Dropped = e.svc.dropped.Load()
+	}
 	st.SnapshotVersion = e.snap.Load().version
 	if e.planCache != nil {
 		cs := e.planCache.Stats()

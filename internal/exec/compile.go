@@ -74,8 +74,12 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 	case *plan.Aggregate:
 		// Scan→sample→filter→join→aggregate chains — single-table and
 		// left-deep join plans alike — run on the morsel-driven parallel
-		// executor; every other shape (sketch-joins, projections) keeps the
-		// Volcano operators.
+		// executor. That is every aggregate the planner emits: a sketch-join
+		// plan is rooted at a SketchJoin (which aggregates itself) and nothing
+		// emits a Project, so no planned query reaches the HashAggOp below
+		// (core's TestPlannerRootsRunOnTheMorselSpine). It stays for
+		// hand-built plans and as the reference the morsel path is tested
+		// against.
 		if pipe, ok := matchParallelAgg(t); ok {
 			return NewParallelAggOp(pipe, seed, ctx)
 		}

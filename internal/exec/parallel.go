@@ -39,8 +39,8 @@ type parallelPipeline struct {
 }
 
 // matchParallelAgg recognizes the pipeline shape. It returns ok=false for
-// trees with sketch-joins, projections or nested samplers — those keep the
-// Volcano path.
+// aggregates over sketch-joins, projections or nested samplers — shapes the
+// planner never emits, left to the Volcano HashAggOp.
 func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, bool) {
 	p := &parallelPipeline{agg: a}
 	n := a.Child

@@ -156,9 +156,9 @@ func Serving(wl string, cfg Config) (*ServingResult, error) {
 }
 
 // servingMeasure is one servingRun's outcome: closed-loop throughput, the
-// per-query latency percentiles over the timed loop, and the async tuning
-// accounting (zero value for synchronous engines, which run neither the
-// service nor the plan cache).
+// per-query latency percentiles over the timed loop, and the tuning
+// accounting (synchronous engines run no plan cache and shed nothing, so
+// only their round counters move).
 type servingMeasure struct {
 	qps       float64
 	p50Millis float64

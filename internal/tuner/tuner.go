@@ -134,8 +134,8 @@ type Observation struct {
 
 // observe folds one completed planning round into the sliding window:
 // window-length adaptation (if enabled) followed by the history append.
-// entries is the round's metadata snapshot — a batch shares one snapshot
-// across its observations, a synchronous round reads its own.
+// entries is the round's metadata snapshot, shared by every observation of
+// the batch.
 func (t *Tuner) observe(o Observation, entries []*meta.Entry) {
 	if t.cfg.Adaptive {
 		t.adaptWindow(entries)
@@ -168,49 +168,14 @@ func deriveActions(entries []*meta.Entry, keep map[uint64]bool, exempt map[uint6
 	}
 }
 
-// Tune runs one synchronous tuning round (paper §V): adapt w, select S*,
-// choose the plan, and derive eviction/promotion actions. The metadata
-// store is read once per round — a single consistent snapshot shared by
-// window adaptation and set selection — rather than re-cloned per lookup,
-// keeping the serialized tuning path cheap. This is the engine's
-// synchronous-mode round; the asynchronous pipeline uses TuneBatch and
-// leaves plan choice to the serving path (ChoosePlan against the published
-// snapshot).
-func (t *Tuner) Tune(ps *planner.PlanSet) Decision {
-	entries := t.store.Entries()
-	t.observe(Observation{QueryID: ps.Query.ID, ExactCost: ps.Exact.Cost}, entries)
-
-	_, quota := t.wh.Quotas()
-	keep, marginal := t.selectSet(entries, t.windowRecords(t.w), quota)
-
-	chosen := t.choosePlan(ps, keep, marginal)
-	dec := Decision{Chosen: chosen, Keep: keep, Gains: marginal}
-	for _, cs := range chosen.Creates {
-		if keep[cs.Entry.Desc.ID] {
-			dec.Materialize = append(dec.Materialize, cs)
-		}
-	}
-
-	inUse := make(map[uint64]bool, len(chosen.Uses))
-	for _, id := range chosen.Uses {
-		inUse[id] = true
-	}
-	deriveActions(entries, keep, inUse, &dec)
-	return dec
-}
-
-// TuneBatch runs one asynchronous tuning round over a batch of served
-// queries (the engine's background service drains its observation queue
-// into these). Every observation is folded into the sliding window in
-// arrival order, then a single set selection covers the batch — the
-// batching is what keeps tuning off the per-query critical path without
-// starving the window of observations. protect lists synopsis IDs that
-// recently-chosen plans read; they are exempt from eviction this round
-// exactly like the synchronous round exempts the chosen plan's inputs.
-// The decision carries no Chosen/Materialize: under the asynchronous
-// pipeline the serving path makes those calls against the published
-// snapshot (ChoosePlan).
-func (t *Tuner) TuneBatch(batch []Observation, protect map[uint64]bool) Decision {
+// round is the one §V tuning round every entry point runs: fold the batch
+// into the sliding window in arrival order (adapting w), select S* once,
+// choose the plan for ps when one is given, and derive the eviction and
+// promotion actions. The metadata store is read once — a single consistent
+// snapshot shared by window adaptation and set selection. exempt lists
+// synopses that plans already chosen read (see deriveActions); the plan
+// chosen for ps adds its own inputs to it.
+func (t *Tuner) round(batch []Observation, exempt map[uint64]bool, ps *planner.PlanSet) Decision {
 	entries := t.store.Entries()
 	for _, o := range batch {
 		t.observe(o, entries)
@@ -218,20 +183,41 @@ func (t *Tuner) TuneBatch(batch []Observation, protect map[uint64]bool) Decision
 	_, quota := t.wh.Quotas()
 	keep, marginal := t.selectSet(entries, t.windowRecords(t.w), quota)
 	dec := Decision{Keep: keep, Gains: marginal}
-	deriveActions(entries, keep, protect, &dec)
+	if ps != nil {
+		dec = Choose(ps, keep, marginal, t.w, t.wh.Has, t.store.Staleness)
+		if exempt == nil {
+			exempt = make(map[uint64]bool, len(dec.Chosen.Uses))
+		}
+		for _, id := range dec.Chosen.Uses {
+			exempt[id] = true
+		}
+	}
+	deriveActions(entries, keep, exempt, &dec)
 	return dec
 }
 
+// Tune runs one round for a single planned query: its observation is folded
+// before S* is selected, so plan choice and the derived actions see the
+// query's own contribution to the window.
+func (t *Tuner) Tune(ps *planner.PlanSet) Decision {
+	return t.round([]Observation{{QueryID: ps.Query.ID, ExactCost: ps.Exact.Cost}}, nil, ps)
+}
+
+// TuneBatch runs one round over a batch of observations — the engine's
+// entry point for both tuning schedules. The asynchronous service passes a
+// drained batch of already-served queries, the synopses their plans read as
+// protect, and no plan set (the serving path chose against the published
+// snapshot); the inline schedule passes the one query about to run and its
+// plan set, and executes the Chosen plan the decision carries.
+func (t *Tuner) TuneBatch(batch []Observation, protect map[uint64]bool, ps *planner.PlanSet) Decision {
+	return t.round(batch, protect, ps)
+}
+
 // Retune re-evaluates the warehouse against the (possibly changed) quota —
-// the storage-elasticity entry point (paper §V). It returns the synopses to
-// evict.
+// the storage-elasticity entry point (paper §V): a round with nothing to
+// fold. It returns the synopses to evict.
 func (t *Tuner) Retune() Decision {
-	entries := t.store.Entries()
-	_, quota := t.wh.Quotas()
-	keep, marginal := t.selectSet(entries, t.windowRecords(t.w), quota)
-	dec := Decision{Keep: keep, Gains: marginal}
-	deriveActions(entries, keep, nil, &dec)
-	return dec
+	return t.round(nil, nil, nil)
 }
 
 // windowRecords returns the last n history records.
@@ -242,23 +228,17 @@ func (t *Tuner) windowRecords(n int) []queryRecord {
 	return t.history[len(t.history)-n:]
 }
 
-// choosePlan scores candidates by immediate cost minus the amortized future
-// gain of the reusable synopses they create (the "promote plans that
-// generate reusable synopses" half of §V). The amortization divides the
-// window gain by w: deferring a build to a later query forfeits roughly one
-// query's worth of the synopsis' benefit, not the whole window's — counting
-// the full gain would let speculative builds starve already-materialized
-// synopses.
-func (t *Tuner) choosePlan(ps *planner.PlanSet, keep map[uint64]bool, marginal map[uint64]float64) planner.Candidate {
-	return ChoosePlan(ps, keep, marginal, t.w, t.wh.Has, t.store.Staleness)
-}
-
-// ChoosePlan is the §V plan-selection rule as a pure function of published
-// tuning state, so the engine's lock-free serving path can run it against
-// an immutable snapshot (keep set, marginal gains, window length, synopsis
-// presence and staleness as of the last publish) without touching the
-// tuner. The synchronous round funnels through it too, reading live state,
-// so both paths score candidates identically.
+// ChoosePlan is the §V plan-selection rule as a pure function of tuning
+// state, so the engine's lock-free serving path can run it against an
+// immutable snapshot (keep set, marginal gains, window length, synopsis
+// presence and staleness as of the last publish) and the round can run it
+// against live state, scoring candidates identically. A candidate scores its
+// immediate cost minus the amortized future gain of the reusable synopses it
+// creates (the "promote plans that generate reusable synopses" half of §V).
+// The amortization divides the window gain by w: deferring a build to a
+// later query forfeits roughly one query's worth of the synopsis' benefit,
+// not the whole window's — counting the full gain would let speculative
+// builds starve already-materialized synopses.
 func ChoosePlan(ps *planner.PlanSet, keep map[uint64]bool, marginal map[uint64]float64,
 	w int, has func(uint64) bool, staleness func(uint64) float64) planner.Candidate {
 	if w < 1 {
@@ -289,6 +269,19 @@ func ChoosePlan(ps *planner.PlanSet, keep map[uint64]bool, marginal map[uint64]f
 		}
 	}
 	return best
+}
+
+// Choose wraps ChoosePlan into the decision a query executes on: the chosen
+// plan plus the subset of its creates worth materializing (members of S*).
+func Choose(ps *planner.PlanSet, keep map[uint64]bool, marginal map[uint64]float64,
+	w int, has func(uint64) bool, staleness func(uint64) float64) Decision {
+	dec := Decision{Chosen: ChoosePlan(ps, keep, marginal, w, has, staleness), Keep: keep, Gains: marginal}
+	for _, cs := range dec.Chosen.Creates {
+		if keep[cs.Entry.Desc.ID] {
+			dec.Materialize = append(dec.Materialize, cs)
+		}
+	}
+	return dec
 }
 
 // selectSet runs the Leskovec et al. cost-effective greedy: both the
@@ -382,7 +375,6 @@ func (t *Tuner) greedy(universe, pinned []*meta.Entry, window []queryRecord, bud
 	for {
 		bestIdx := -1
 		bestScore := 0.0
-		bestGain := 0.0
 		for i, e := range remaining {
 			if e == nil || keep[e.Desc.ID] {
 				continue
@@ -409,7 +401,7 @@ func (t *Tuner) greedy(universe, pinned []*meta.Entry, window []queryRecord, bud
 				score = g / float64(size)
 			}
 			if score > bestScore {
-				bestScore, bestGain, bestIdx = score, g, i
+				bestScore, bestIdx = score, i
 			}
 		}
 		if bestIdx < 0 {
@@ -418,7 +410,6 @@ func (t *Tuner) greedy(universe, pinned []*meta.Entry, window []queryRecord, bud
 		e := remaining[bestIdx]
 		remaining[bestIdx] = nil
 		got := addEntry(e)
-		_ = bestGain
 		marginal[e.Desc.ID] = got
 		total += got
 	}

@@ -125,15 +125,16 @@ type Options struct {
 	// recovered synopses instead of re-tasting the workload. Empty (the
 	// default) keeps everything in memory and restarts cold.
 	WarehouseDir string
-	// SynchronousTuning runs the self-tuning round inline on every query
-	// (tune → evict/promote → execute → admit, all on the calling
-	// goroutine) instead of the default asynchronous pipeline. Sequential
-	// runs then become byte-deterministic — the right setting for
-	// reproducible experiments and demos. The default (false) keeps tuning
-	// off the query critical path entirely: queries serve lock-free against
-	// an atomically published tuning snapshot and a background service
-	// applies retention decisions between queries; use Drain/Quiesce when a
-	// test or benchmark needs the tuner caught up.
+	// SynchronousTuning schedules the self-tuning round inline on every
+	// query (tune → evict/promote → execute → admit, all on the calling
+	// goroutine) instead of on the default background service; it is the
+	// same round either way. Sequential runs then become byte-deterministic
+	// — the right setting for reproducible experiments and demos. The
+	// default (false) keeps tuning off the query critical path entirely:
+	// queries serve lock-free against an atomically published tuning
+	// snapshot and a background service applies retention decisions between
+	// queries; use Drain/Quiesce when a test or benchmark needs the tuner
+	// caught up.
 	SynchronousTuning bool
 	// PlanCacheSize bounds the serving fast path's plan-set cache, in
 	// entries: with the default asynchronous tuning, a repeated query
@@ -317,7 +318,8 @@ func (e *Engine) Drain() { e.inner.Drain() }
 
 // Quiesce drains the background tuner and republishes its state from the
 // current warehouse and metadata, so subsequent queries serve fully
-// caught-up tuning decisions. No-op with SynchronousTuning.
+// caught-up tuning decisions. With SynchronousTuning there is nothing to
+// drain: every query's round has already run.
 func (e *Engine) Quiesce() { e.inner.Quiesce() }
 
 // Close stops the background tuning service and, with WarehouseDir set,
