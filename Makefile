@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test determinism race race-all test-race fuzz-smoke bench bench-join bench-stream bench-serve bench-warmstart bench-partition bench-execute bench-kernels profile-serve profile-trace smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness determinism race race-all test-race fuzz-smoke bench bench-join bench-stream bench-serve bench-warmstart bench-partition bench-execute bench-kernels profile-serve profile-trace smoke-metrics
 
 all: check
 
-check: fmt vet lint build test determinism staticcheck govulncheck
+check: fmt vet lint build test bench-harness determinism staticcheck govulncheck
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -43,6 +43,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness (benchmark/, BENCHMARK.json) is a nested module, so
+# the root build and test never compile it: vet and test it in place, or a
+# change to a package its probes call breaks it unseen.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Byte-determinism gate: the whole experiment suite (every engine on the
 # synchronous tuning schedule) run twice must print identical reports. Any

@@ -324,16 +324,35 @@ func TestObservationQueueShedsNotBlocks(t *testing.T) {
 		Seed:             7,
 		ObservationQueue: 1,
 	})
+	for i := 0; i < 2; i++ { // two queries the service does get to tune
+		if _, err := e.Execute(catQuery(e)); err != nil {
+			t.Fatal(err)
+		}
+		e.Drain()
+	}
 	e.Close() // service stopped: the queue can only fill
 	for i := 0; i < 4; i++ {
 		if _, err := e.Execute(catQuery(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d := e.TuningStats().Dropped; d != 3 { // 1 queued + 3 shed
-		t.Fatalf("dropped = %d, want 3", d)
+	st := e.TuningStats()
+	if st.Dropped != 3 { // 1 queued + 3 shed
+		t.Fatalf("dropped = %d, want 3", st.Dropped)
 	}
 	e.Drain() // must not hang against a stopped service
+
+	// A shed observation leaves nothing behind: the engine's per-query tuning
+	// state is the window, and it holds exactly the folded queries.
+	_, _, window := e.tn.Checkpoint()
+	if int64(len(window)) != st.Observations || st.Observations != 2 {
+		t.Fatalf("window holds %d records, TuningStats.Observations = %d, want 2 each", len(window), st.Observations)
+	}
+	for i, o := range window {
+		if o.QueryID != i {
+			t.Fatalf("window record %d is query %d, want the tuned queries 0 and 1 only", i, o.QueryID)
+		}
+	}
 }
 
 // TestTuneOverheadChargedOnlyInTaster: the simulated tuning overhead is

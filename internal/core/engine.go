@@ -486,9 +486,10 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	}
 
 	rep := Report{QueryID: q.ID, Mode: e.cfg.Mode, EstimatedExact: ps.Exact.Cost}
-	// The query's contribution to the tuning window. Only values — q may be
-	// reused by a later Execute while the observation is still queued.
-	seen := tuner.Observation{QueryID: q.ID, ExactCost: ps.Exact.Cost}
+	// The query's record in the tuning window. Only values and the plan set's
+	// read-only reuse costs — q may be reused by a later Execute while the
+	// observation is still queued.
+	seen := tuner.Observation{QueryID: q.ID, ExactCost: ps.Exact.Cost, Reuse: ps.ReuseCost}
 
 	var dec tuner.Decision
 	if e.inline {
@@ -630,8 +631,8 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 // query's canonical signature, every bound table's epoch and the snapshot
 // identity, so a hit is guaranteed to be the plan set a cold PlanWith against
 // this exact state would rebuild. Only candidate enumeration is skipped:
-// plan choice still scores against the live published gains, and the benefit
-// window still records this repetition.
+// plan choice still scores against the live published gains, and the query's
+// observation carries the plan set's reuse costs into the window either way.
 func (e *Engine) planSet(q *planner.Query, snap *tuningSnapshot) (*planner.PlanSet, error) {
 	if e.planCache == nil {
 		return e.pl.PlanWith(q, snap.wh)
@@ -641,7 +642,6 @@ func (e *Engine) planSet(q *planner.Query, snap *tuningSnapshot) (*planner.PlanS
 	}
 	key := planner.CacheKey(q, snap.ident)
 	if ps, ok := e.planCache.Get(key); ok {
-		e.pl.RecordReuseBenefits(ps, q.ID)
 		return ps, nil
 	}
 	ps, err := e.pl.PlanWith(q, snap.wh)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -460,5 +461,60 @@ func TestIngestFreshnessSurvivesCrash(t *testing.T) {
 	defer e2.Close()
 	if got := e2.Store().Staleness(builtID); got < wantStale-1e-9 {
 		t.Fatalf("staleness after crash-recovery = %v, want >= %v (stale-serving regression)", got, wantStale)
+	}
+}
+
+// TestManifestPerQueryStateFollowsTheWindow: the only per-query state a
+// checkpoint carries is the tuner's window, so after any number of distinct
+// queries — each asks for its own accuracy, so each interns a descriptor of
+// its own — the manifest holds at
+// most MaxWindow window records and no query list on any entry.
+func TestManifestPerQueryStateFollowsTheWindow(t *testing.T) {
+	const queries = 200
+	dir := t.TempDir()
+	e, err := persistEngine(testCatalog(), dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sales, _ := e.Catalog().Table("sales")
+	for i := 0; i < queries; i++ {
+		_, err := e.Execute(&planner.Query{
+			Tables:   []planner.TableRef{{Name: "sales", Table: sales}},
+			GroupBy:  []string{"sales.product"},
+			Aggs:     []plan.AggSpec{{Kind: stats.Sum, Col: "sales.qty"}},
+			Accuracy: stats.AccuracySpec{RelError: 0.1 + float64(i)/1000, Confidence: 0.95},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	maxWindow := e.cfg.Tuner.MaxWindow
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, ok, err := e.db.LoadManifest()
+	if err != nil || !ok {
+		t.Fatalf("manifest: ok=%v err=%v", ok, err)
+	}
+	if len(m.Entries) < queries {
+		t.Fatalf("manifest holds %d entries; %d distinct queries must have interned at least one each", len(m.Entries), queries)
+	}
+	if len(m.History) == 0 || len(m.History) > maxWindow {
+		t.Fatalf("manifest holds %d window records, want 1..%d", len(m.History), maxWindow)
+	}
+	reuse := 0
+	for _, r := range m.History {
+		reuse += len(r.Reuse)
+	}
+	if reuse == 0 {
+		t.Fatal("window records carry no reuse costs: a restart would evict the whole warehouse")
+	}
+	// Every query id in the file belongs to a window record.
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), `"query_id"`); n != len(m.History) {
+		t.Fatalf("manifest mentions %d query ids, want one per window record (%d)", n, len(m.History))
 	}
 }

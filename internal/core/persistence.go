@@ -48,8 +48,8 @@ func (d diskSpiller) Load(id uint64) (*warehouse.Payload, error) {
 func (d diskSpiller) Remove(id uint64) error { return d.db.RemoveItem(id) }
 
 // recoverLocked replays the warehouse directory's manifest into an empty
-// engine: metadata entries (descriptors, benefit histories, freshness),
-// observed table versions, the tuner's sliding window, the query-id
+// engine: metadata entries (descriptors, freshness), observed table
+// versions, the tuner's sliding window with its reuse costs, the query-id
 // high-water mark, and both warehouse tiers. Crash windows resolve to a
 // consistent view — a manifest entry whose payload file is missing,
 // truncated or checksum-broken is dropped (its metadata reverts to
@@ -78,11 +78,11 @@ func (e *Engine) recoverLocked() (int, error) {
 	}
 
 	for _, rec := range m.Entries {
-		d, benefits, builtBy, err := rec.Entry()
+		d, builtBy, err := rec.Entry()
 		if err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)
 		}
-		if err := e.store.Restore(d, benefits, builtBy); err != nil {
+		if err := e.store.Restore(d, builtBy); err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)
 		}
 	}
@@ -273,11 +273,12 @@ func itemPayload(it *warehouse.Item) (*warehouse.Payload, error) {
 	return &warehouse.Payload{Sample: s}, nil
 }
 
-// windowRecords converts tuner observations to manifest rows.
+// windowRecords converts tuner observations to manifest rows, field for
+// field; the reuse-cost lists are shared, read-only on both sides.
 func windowRecords(obs []tuner.Observation) []persist.WindowRecord {
 	out := make([]persist.WindowRecord, len(obs))
 	for i, o := range obs {
-		out[i] = persist.WindowRecord{QueryID: o.QueryID, ExactCost: o.ExactCost}
+		out[i] = persist.WindowRecord(o)
 	}
 	return out
 }
@@ -286,7 +287,7 @@ func windowRecords(obs []tuner.Observation) []persist.WindowRecord {
 func windowObservations(recs []persist.WindowRecord) []tuner.Observation {
 	out := make([]tuner.Observation, len(recs))
 	for i, r := range recs {
-		out[i] = tuner.Observation{QueryID: r.QueryID, ExactCost: r.ExactCost}
+		out[i] = tuner.Observation(r)
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 )
 
@@ -48,18 +47,6 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		}
 		return NewFilterOp(child, t.Pred, ctx), nil
 
-	case *plan.Project:
-		child, err := Compile(t.Child, seed, ctx)
-		if err != nil {
-			return nil, err
-		}
-		names := make([]string, len(t.Exprs))
-		exprs := make([]expr.Expr, len(t.Exprs))
-		for i, ne := range t.Exprs {
-			names[i], exprs[i] = ne.Name, ne.E
-		}
-		return NewProjectOp(child, names, exprs, ctx)
-
 	case *plan.Join:
 		left, err := Compile(t.Left, seed, ctx)
 		if err != nil {
@@ -75,9 +62,9 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		// Scan→sample→filter→join→aggregate chains — single-table and
 		// left-deep join plans alike — run on the morsel-driven parallel
 		// executor. That is every aggregate the planner emits: a sketch-join
-		// plan is rooted at a SketchJoin (which aggregates itself) and nothing
-		// emits a Project, so no planned query reaches the HashAggOp below
-		// (core's TestPlannerRootsRunOnTheMorselSpine). It stays for
+		// plan is rooted at a SketchJoin (which aggregates itself), so no
+		// planned query reaches the HashAggOp below (core's
+		// TestPlannerRootsRunOnTheMorselSpine). It stays for
 		// hand-built plans and as the reference the morsel path is tested
 		// against.
 		if pipe, ok := matchParallelAgg(t); ok {

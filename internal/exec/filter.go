@@ -94,62 +94,3 @@ func (f *FilterOp) Close() error { return f.Child.Close() }
 
 // Schema implements Operator.
 func (f *FilterOp) Schema() storage.Schema { return f.Child.Schema() }
-
-// ProjectOp computes named expressions per batch.
-type ProjectOp struct {
-	Child  Operator
-	Exprs  []projExpr
-	schema storage.Schema
-	ctx    *Context
-}
-
-type projExpr struct {
-	name string
-	e    expr.Expr
-}
-
-// NewProjectOp builds a projection operator; output types are resolved
-// against the child schema.
-func NewProjectOp(child Operator, names []string, exprs []expr.Expr, ctx *Context) (*ProjectOp, error) {
-	in := child.Schema()
-	schema := make(storage.Schema, len(exprs))
-	pes := make([]projExpr, len(exprs))
-	for i, e := range exprs {
-		t, err := e.Type(in)
-		if err != nil {
-			return nil, err
-		}
-		schema[i] = storage.Col{Name: names[i], Typ: t}
-		pes[i] = projExpr{name: names[i], e: e}
-	}
-	return &ProjectOp{Child: child, Exprs: pes, schema: schema, ctx: ctx}, nil
-}
-
-// Open implements Operator.
-func (p *ProjectOp) Open() error { return p.Child.Open() }
-
-// Next implements Operator.
-func (p *ProjectOp) Next() (*storage.Batch, error) {
-	b, err := p.Child.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	// Eval is selection-oblivious; resolve any attached selection first.
-	b = b.Materialize(p.ctx.Pool)
-	out := &storage.Batch{Schema: p.schema, Vecs: make([]*storage.Vector, len(p.Exprs))}
-	for i, pe := range p.Exprs {
-		v, err := pe.e.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		out.Vecs[i] = v
-	}
-	p.ctx.Stats.CPUTuples += int64(b.Len())
-	return out, nil
-}
-
-// Close implements Operator.
-func (p *ProjectOp) Close() error { return p.Child.Close() }
-
-// Schema implements Operator.
-func (p *ProjectOp) Schema() storage.Schema { return p.schema }

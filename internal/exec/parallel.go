@@ -39,7 +39,7 @@ type parallelPipeline struct {
 }
 
 // matchParallelAgg recognizes the pipeline shape. It returns ok=false for
-// aggregates over sketch-joins, projections or nested samplers — shapes the
+// aggregates over sketch-joins or nested samplers — shapes the
 // planner never emits, left to the Volcano HashAggOp.
 func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, bool) {
 	p := &parallelPipeline{agg: a}

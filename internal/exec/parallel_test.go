@@ -75,22 +75,6 @@ func TestParallelAggCompilesForPipelineShapes(t *testing.T) {
 	if _, ok := op.(*ParallelAggOp); !ok {
 		t.Fatalf("join aggregate compiled to %T, want *ParallelAggOp", op)
 	}
-
-	// Projection spines keep the Volcano path.
-	proj, err := plan.NewProject(&plan.Scan{Table: tbl}, []plan.NamedExpr{
-		{Name: "amount", E: &expr.Col{Name: "orders.amount"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := &plan.Aggregate{Child: proj, Aggs: []plan.AggSpec{{Kind: stats.Sum, Col: "amount"}}}
-	op, err = Compile(pr, 1, NewContext(0.95))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*ParallelAggOp); ok {
-		t.Fatal("projection aggregate must not use the parallel executor")
-	}
 }
 
 func TestParallelAggMatchesSequentialVolcanoExact(t *testing.T) {

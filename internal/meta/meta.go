@@ -1,9 +1,11 @@
 // Package meta implements Taster's synopsis-centric metadata store
 // (paper §III): descriptors for every synopsis that ever appeared in a
-// candidate plan (materialized or not), per-synopsis lists of recent queries
-// that could exploit it with their estimated costs, and the base-relation
-// index plus subsumption matcher used to map query subplans onto
-// materialized synopses (paper §IV-A).
+// candidate plan (materialized or not), their freshness, and the
+// base-relation index plus subsumption matcher used to map query subplans
+// onto materialized synopses (paper §IV-A). The paper's item (d) — which
+// recent queries could exploit a synopsis, at what cost — is the same
+// information held query-major in the tuner's sliding window (package
+// tuner), so nothing here is written per query.
 package meta
 
 import (
@@ -113,27 +115,9 @@ func (d *Descriptor) Label() string {
 	return fmt.Sprintf("#%d %s over %s", d.ID, d.Kind, strings.Join(d.Sig.Tables, "⋈"))
 }
 
-// QueryBenefit records what one query would save if the synopsis existed
-// (paper §III metadata item (d)).
-type QueryBenefit struct {
-	QueryID   int
-	CostWith  float64 // estimated cost of the best plan using this synopsis
-	CostExact float64 // estimated cost of the exact (no-synopsis) plan
-}
-
-// Gain returns the non-negative saving.
-func (b QueryBenefit) Gain() float64 {
-	if g := b.CostExact - b.CostWith; g > 0 {
-		return g
-	}
-	return 0
-}
-
-// Entry couples a descriptor with its recent-query benefit list and
-// freshness bookkeeping.
+// Entry couples a descriptor with its freshness bookkeeping.
 type Entry struct {
-	Desc     Descriptor
-	Benefits []QueryBenefit
+	Desc Descriptor
 	// UnseenRows counts source rows appended after the synopsis was built.
 	// It is *derived* — per source table, the excess of the observed (or
 	// in-flight) row count over what the build scanned — and computed into
@@ -172,28 +156,15 @@ func stalenessFrom(buildRows, unseen int64) float64 {
 // read-only.
 func (e *Entry) BuiltByTable() map[string]int64 { return e.builtBy }
 
-// BenefitFor returns the benefit recorded for a specific query (ok=false if
-// the query cannot use this synopsis).
-func (e *Entry) BenefitFor(queryID int) (QueryBenefit, bool) {
-	for i := len(e.Benefits) - 1; i >= 0; i-- {
-		if e.Benefits[i].QueryID == queryID {
-			return e.Benefits[i], true
-		}
-	}
-	return QueryBenefit{}, false
-}
-
 // snap returns a copy of the entry that is safe to read after the store
-// lock is released: descriptor scalars are copied, the benefit list is
-// cloned, and the derived unseen-row count is computed in. Descriptor
-// slices (StratCols, AggCols, ...) are never mutated after Intern, so
-// sharing them is safe. Read accessors return snapshots so concurrent
-// planners (which append benefits and flip locations) never race with the
-// tuner walking the universe. Caller holds at least the read lock.
+// lock is released: descriptor scalars are copied and the derived unseen-row
+// count is computed in. Descriptor slices (StratCols, AggCols, ...) are never
+// mutated after Intern, so sharing them is safe. Read accessors return
+// snapshots so tuning rounds (which flip locations) never race with
+// planners and the tuner reading them. Caller holds at least the read lock.
 func (s *Store) snap(e *Entry) *Entry {
 	return &Entry{
 		Desc:       e.Desc,
-		Benefits:   append([]QueryBenefit(nil), e.Benefits...),
 		UnseenRows: s.unseenLocked(e),
 		builtBy:    e.builtBy,
 	}
@@ -265,6 +236,10 @@ type Store struct {
 	byID       map[uint64]*Entry
 	byIdentity map[string]uint64
 	byIndexKey map[string][]uint64
+	// resident holds the ids of materialized or pinned entries — the ones a
+	// tuning round must see whatever its window mentions — so reading them
+	// does not scan every descriptor ever interned.
+	resident map[uint64]struct{}
 	// tables tracks the last published epoch and row count of every
 	// ingested base relation (updated by ObserveVersion); pending counts
 	// rows of appends that are marked but not yet published (MarkUnseen).
@@ -285,6 +260,7 @@ func NewStore() *Store {
 		byID:       make(map[uint64]*Entry),
 		byIdentity: make(map[string]uint64),
 		byIndexKey: make(map[string][]uint64),
+		resident:   make(map[uint64]struct{}),
 		tables:     make(map[string]tableVersion),
 		pending:    make(map[string]int64),
 		parts:      make(map[string][]int64),
@@ -315,11 +291,10 @@ func (s *Store) Intern(d Descriptor) *Entry {
 // Restore reinstates a recovered entry under its original ID — the warm-
 // restart path replaying a persisted manifest. Unlike Intern it preserves
 // the descriptor verbatim (location, sizes, freshness, pin) and installs
-// the benefit history and per-table build rows; the ID allocator advances
-// past the restored ID so later interns never collide. Restoring an ID or
-// identity that already exists is an error: recovery runs against an empty
-// store.
-func (s *Store) Restore(d Descriptor, benefits []QueryBenefit, builtByTable map[string]int64) error {
+// the per-table build rows; the ID allocator advances past the restored ID
+// so later interns never collide. Restoring an ID or identity that already
+// exists is an error: recovery runs against an empty store.
+func (s *Store) Restore(d Descriptor, builtByTable map[string]int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d.ID == 0 {
@@ -332,7 +307,7 @@ func (s *Store) Restore(d Descriptor, benefits []QueryBenefit, builtByTable map[
 	if prev, dup := s.byIdentity[key]; dup {
 		return fmt.Errorf("meta: restore: identity of #%d already held by #%d", d.ID, prev)
 	}
-	e := &Entry{Desc: d, Benefits: append([]QueryBenefit(nil), benefits...)}
+	e := &Entry{Desc: d}
 	if len(builtByTable) > 0 {
 		built := make(map[string]int64, len(builtByTable))
 		for t, rows := range builtByTable {
@@ -344,10 +319,21 @@ func (s *Store) Restore(d Descriptor, benefits []QueryBenefit, builtByTable map[
 	s.byIdentity[key] = d.ID
 	ik := d.Sig.IndexKey()
 	s.byIndexKey[ik] = append(s.byIndexKey[ik], d.ID)
+	s.trackLocked(e)
 	if d.ID > s.nextID {
 		s.nextID = d.ID
 	}
 	return nil
+}
+
+// trackLocked keeps the resident set in step with e's location and pin.
+// Caller holds the write lock.
+func (s *Store) trackLocked(e *Entry) {
+	if e.Desc.Location != LocNone || e.Desc.Pinned {
+		s.resident[e.Desc.ID] = struct{}{}
+	} else {
+		delete(s.resident, e.Desc.ID)
+	}
 }
 
 // NextID returns the ID allocator's high-water mark (the last assigned ID);
@@ -397,27 +383,13 @@ func (s *Store) Get(id uint64) (*Entry, bool) {
 	return s.snap(e), true
 }
 
-// RecordBenefit appends a query-benefit observation for the synopsis,
-// keeping at most keep entries (the tuner's window upper bound).
-func (s *Store) RecordBenefit(id uint64, b QueryBenefit, keep int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.byID[id]
-	if !ok {
-		return
-	}
-	e.Benefits = append(e.Benefits, b)
-	if keep > 0 && len(e.Benefits) > keep {
-		e.Benefits = e.Benefits[len(e.Benefits)-keep:]
-	}
-}
-
 // SetLocation updates where the synopsis lives.
 func (s *Store) SetLocation(id uint64, loc Location) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.byID[id]; ok {
 		e.Desc.Location = loc
+		s.trackLocked(e)
 	}
 }
 
@@ -590,11 +562,12 @@ func (s *Store) SetPinned(id uint64, pinned bool) {
 	defer s.mu.Unlock()
 	if e, ok := s.byID[id]; ok {
 		e.Desc.Pinned = pinned
+		s.trackLocked(e)
 	}
 }
 
 // Entries returns snapshots of all entries sorted by ID (a stable,
-// race-free view for the tuner).
+// race-free view for checkpoints).
 func (s *Store) Entries() []*Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -606,9 +579,33 @@ func (s *Store) Entries() []*Entry {
 	return out
 }
 
+// Working returns one consistent read of the entries a tuning round works
+// on: snapshots of the given ids (unknown ones omitted, duplicates folded)
+// plus every materialized or pinned entry, sorted by ID. Its cost follows
+// len(ids) and the warehouse, not the number of descriptors interned.
+func (s *Store) Working(ids []uint64) []*Entry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	pick := make(map[uint64]*Entry, len(s.resident)+len(ids))
+	for id := range s.resident {
+		pick[id] = s.byID[id]
+	}
+	for _, id := range ids {
+		if e, ok := s.byID[id]; ok {
+			pick[id] = e
+		}
+	}
+	out := make([]*Entry, 0, len(pick))
+	for _, e := range pick {
+		out = append(out, s.snap(e))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Desc.ID < out[j].Desc.ID })
+	return out
+}
+
 // Materialized returns entries currently in the buffer or warehouse.
 func (s *Store) Materialized() []*Entry {
-	all := s.Entries()
+	all := s.Working(nil)
 	out := all[:0:0]
 	for _, e := range all {
 		if e.Desc.Location != LocNone {

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -48,28 +49,38 @@ func TestInternDedupes(t *testing.T) {
 	}
 }
 
-func TestBenefitsWindow(t *testing.T) {
+func TestWorkingSet(t *testing.T) {
 	s := NewStore()
-	e := s.Intern(baseDesc())
-	for q := 0; q < 10; q++ {
-		s.RecordBenefit(e.Desc.ID, QueryBenefit{QueryID: q, CostWith: 1, CostExact: 5}, 4)
+	var ids []uint64
+	for _, strat := range []string{"a", "b", "c", "d"} {
+		d := baseDesc()
+		d.StratCols = []string{strat}
+		ids = append(ids, s.Intern(d).Desc.ID)
 	}
-	got, _ := s.Get(e.Desc.ID)
-	if len(got.Benefits) != 4 {
-		t.Fatalf("benefits kept = %d, want 4", len(got.Benefits))
+	s.SetLocation(ids[1], LocWarehouse)
+	s.SetPinned(ids[2], true)
+	got := func(ask ...uint64) (out []uint64) {
+		for _, e := range s.Working(ask) {
+			out = append(out, e.Desc.ID)
+		}
+		return out
 	}
-	if got.Benefits[0].QueryID != 6 {
-		t.Fatalf("oldest kept = %d, want 6", got.Benefits[0].QueryID)
+	// Asked ids (duplicates folded, unknown ones dropped) plus the
+	// materialized and pinned entries, each once, ascending.
+	if w := got(ids[3], ids[1], ids[3], 999); !reflect.DeepEqual(w, []uint64{ids[1], ids[2], ids[3]}) {
+		t.Fatalf("Working = %v", w)
 	}
-	b, ok := got.BenefitFor(8)
-	if !ok || b.Gain() != 4 {
-		t.Fatalf("BenefitFor(8) = %+v %v", b, ok)
+	s.SetLocation(ids[1], LocNone)
+	s.SetPinned(ids[2], false)
+	if w := got(); len(w) != 0 {
+		t.Fatalf("Working after eviction and unpin = %v, want none", w)
 	}
-	if _, ok := got.BenefitFor(2); ok {
-		t.Fatal("evicted benefit must not resolve")
+	if err := s.Restore(Descriptor{ID: 50, Kind: plan.UniformSample, Location: LocBuffer}, nil); err != nil {
+		t.Fatal(err)
 	}
-	// Recording against unknown id is a no-op.
-	s.RecordBenefit(999, QueryBenefit{}, 4)
+	if w := got(); !reflect.DeepEqual(w, []uint64{50}) {
+		t.Fatalf("Working after restoring a materialized entry = %v", w)
+	}
 }
 
 func TestLocationAndSize(t *testing.T) {

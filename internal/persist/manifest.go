@@ -5,18 +5,19 @@ import (
 
 	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/plan"
+	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/stats"
 )
 
 // ManifestVersion is the current manifest format version.
-const ManifestVersion = 1
+const ManifestVersion = 2
 
 // Manifest is the engine checkpoint the warehouse directory carries: the
 // warehouse item index plus everything a restarted engine needs to keep
-// serving the workload as if it had never stopped — synopsis descriptors
-// with their benefit histories (the tuner's gain inputs), observed table
-// versions (so bounded staleness still holds), the sliding-window state,
-// and the query-id high-water mark. Payload bytes live in the per-item
+// serving the workload as if it had never stopped — synopsis descriptors,
+// observed table versions (so bounded staleness still holds), the sliding
+// window with each query's reuse costs (the tuner's gain inputs), and the
+// query-id high-water mark. Payload bytes live in the per-item
 // files; the manifest only indexes them.
 type Manifest struct {
 	Version int `json:"version"`
@@ -24,8 +25,7 @@ type Manifest struct {
 	// interned after restart never collide with recovered ones.
 	NextSynopsisID uint64 `json:"next_synopsis_id"`
 	// QueryCount is the engine's query-id high-water mark; window records
-	// and benefit lists reference query ids, so restarted queries must not
-	// reuse them.
+	// reference query ids, so restarted queries must not reuse them.
 	QueryCount int64 `json:"query_count"`
 	// Window/SinceAdapt/History checkpoint the tuner's sliding window.
 	Window     int            `json:"window"`
@@ -36,16 +36,19 @@ type Manifest struct {
 	// Items indexes the materialized synopses (payloads in item files).
 	Items []ItemRecord `json:"items,omitempty"`
 	// Entries carries every synopsis descriptor the metadata store knew,
-	// materialized or not — candidate benefit histories drive the tuner's
-	// gains, so dropping them would make the first post-restart round evict
-	// the entire recovered warehouse.
+	// materialized or not — window records name candidates by id, so a
+	// restarted store must intern them under the same ids.
 	Entries []EntryRecord `json:"entries,omitempty"`
 }
 
-// WindowRecord is one sliding-window observation.
+// WindowRecord is one sliding-window observation: the query's exact cost and
+// its cost with each candidate synopsis (ascending synopsis id). Dropping
+// the reuse costs would make the first post-restart round see no benefiting
+// query and evict the entire recovered warehouse.
 type WindowRecord struct {
-	QueryID   int     `json:"query_id"`
-	ExactCost float64 `json:"exact_cost"`
+	QueryID   int                 `json:"query_id"`
+	ExactCost float64             `json:"exact_cost"`
+	Reuse     []planner.ReuseCost `json:"reuse,omitempty"`
 }
 
 // TableVersion is a base relation's observed (epoch, rows).
@@ -107,14 +110,6 @@ type EntryRecord struct {
 	BuildEpoch uint64           `json:"build_epoch,omitempty"`
 	BuildRows  int64            `json:"build_rows,omitempty"`
 	BuiltBy    map[string]int64 `json:"built_by,omitempty"`
-	Benefits   []BenefitRecord  `json:"benefits,omitempty"`
-}
-
-// BenefitRecord is one recorded query benefit.
-type BenefitRecord struct {
-	QueryID   int     `json:"query_id"`
-	CostWith  float64 `json:"cost_with"`
-	CostExact float64 `json:"cost_exact"`
 }
 
 // EntryRecordOf converts a metadata-store entry snapshot to its wire form.
@@ -151,22 +146,17 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 		}
 		rec.Filter = b
 	}
-	for _, b := range e.Benefits {
-		rec.Benefits = append(rec.Benefits, BenefitRecord{
-			QueryID: b.QueryID, CostWith: b.CostWith, CostExact: b.CostExact,
-		})
-	}
 	return rec, nil
 }
 
-// Entry converts the wire form back to descriptor, benefits and per-table
-// build rows, ready for meta.Store.Restore.
-func (r EntryRecord) Entry() (meta.Descriptor, []meta.QueryBenefit, map[string]int64, error) {
+// Entry converts the wire form back to descriptor and per-table build rows,
+// ready for meta.Store.Restore.
+func (r EntryRecord) Entry() (meta.Descriptor, map[string]int64, error) {
 	if r.Kind > uint8(plan.SketchJoinSynopsis) {
-		return meta.Descriptor{}, nil, nil, fmt.Errorf("persist: entry #%d: unknown synopsis kind %d", r.ID, r.Kind)
+		return meta.Descriptor{}, nil, fmt.Errorf("persist: entry #%d: unknown synopsis kind %d", r.ID, r.Kind)
 	}
 	if r.Location > uint8(meta.LocWarehouse) {
-		return meta.Descriptor{}, nil, nil, fmt.Errorf("persist: entry #%d: unknown location %d", r.ID, r.Location)
+		return meta.Descriptor{}, nil, fmt.Errorf("persist: entry #%d: unknown location %d", r.ID, r.Location)
 	}
 	d := meta.Descriptor{
 		ID:   r.ID,
@@ -193,15 +183,9 @@ func (r EntryRecord) Entry() (meta.Descriptor, []meta.QueryBenefit, map[string]i
 	if len(r.Filter) > 0 {
 		e, err := DecodeExpr(r.Filter)
 		if err != nil {
-			return meta.Descriptor{}, nil, nil, fmt.Errorf("persist: entry #%d filter: %w", r.ID, err)
+			return meta.Descriptor{}, nil, fmt.Errorf("persist: entry #%d filter: %w", r.ID, err)
 		}
 		d.FilterPred = e
 	}
-	var benefits []meta.QueryBenefit
-	for _, b := range r.Benefits {
-		benefits = append(benefits, meta.QueryBenefit{
-			QueryID: b.QueryID, CostWith: b.CostWith, CostExact: b.CostExact,
-		})
-	}
-	return d, benefits, r.BuiltBy, nil
+	return d, r.BuiltBy, nil
 }

@@ -54,49 +54,6 @@ func (f *Filter) Children() []Node { return []Node{f.Child} }
 // String implements Node.
 func (f *Filter) String() string { return "Filter(" + f.Pred.String() + ")" }
 
-// NamedExpr pairs a projection expression with its output name.
-type NamedExpr struct {
-	Name string
-	E    expr.Expr
-}
-
-// Project computes expressions over its input.
-type Project struct {
-	Child Node
-	Exprs []NamedExpr
-
-	schema storage.Schema // resolved lazily
-}
-
-// NewProject builds a projection, resolving output types against the child.
-func NewProject(child Node, exprs []NamedExpr) (*Project, error) {
-	schema := make(storage.Schema, 0, len(exprs))
-	in := child.Schema()
-	for _, ne := range exprs {
-		t, err := ne.E.Type(in)
-		if err != nil {
-			return nil, fmt.Errorf("plan: project %s: %w", ne.Name, err)
-		}
-		schema = append(schema, storage.Col{Name: ne.Name, Typ: t})
-	}
-	return &Project{Child: child, Exprs: exprs, schema: schema}, nil
-}
-
-// Schema implements Node.
-func (p *Project) Schema() storage.Schema { return p.schema }
-
-// Children implements Node.
-func (p *Project) Children() []Node { return []Node{p.Child} }
-
-// String implements Node.
-func (p *Project) String() string {
-	parts := make([]string, len(p.Exprs))
-	for i, ne := range p.Exprs {
-		parts[i] = ne.E.String() + " AS " + ne.Name
-	}
-	return "Project(" + strings.Join(parts, ", ") + ")"
-}
-
 // Join is an inner equi-join on LeftKeys[i] = RightKeys[i].
 type Join struct {
 	Left, Right Node

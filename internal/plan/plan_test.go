@@ -62,25 +62,6 @@ func TestSchemas(t *testing.T) {
 	}
 }
 
-func TestProjectTypeResolution(t *testing.T) {
-	r := mkTable("r", "x", "v")
-	p, err := NewProject(&Scan{Table: r}, []NamedExpr{
-		{Name: "double_v", E: &expr.Bin{Op: expr.Mul, L: &expr.Col{Name: "r.v"}, R: expr.Int(2)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schema()[0].Typ != storage.Int64 || p.Schema()[0].Name != "double_v" {
-		t.Fatalf("project schema = %v", p.Schema())
-	}
-	_, err = NewProject(&Scan{Table: r}, []NamedExpr{
-		{Name: "bad", E: &expr.Col{Name: "nope"}},
-	})
-	if err == nil {
-		t.Fatal("want error for unknown column")
-	}
-}
-
 func TestSynopsisOpSchemaAddsWeight(t *testing.T) {
 	r := mkTable("r", "x")
 	op := &SynopsisOp{Child: &Scan{Table: r}, Kind: UniformSample, P: 0.1}

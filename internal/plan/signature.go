@@ -18,8 +18,8 @@ type Signature struct {
 	Output    []string // sorted output column names
 }
 
-// SignatureOf derives the signature of a subplan by walking it. Projections
-// restrict Output; filters and joins accumulate predicates.
+// SignatureOf derives the signature of a subplan by walking it: filters and
+// joins accumulate predicates, Output is the subplan's schema.
 func SignatureOf(n Node) Signature {
 	var sig Signature
 	collect(n, &sig)

@@ -116,9 +116,7 @@ func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
 	rc.scanSynopsis(desc.EstSizeBytes, outRows)
 	rc.aggWork(scanEst{rows: math.Max(outRows*sel, 1), width: joinOut.width + 8})
 	reuseCost := rc.seconds(p.Model, p.Parallelism)
-	if prev, ok := ps.ReuseCost[entry.Desc.ID]; !ok || reuseCost < prev {
-		ps.ReuseCost[entry.Desc.ID] = reuseCost
-	}
+	ps.noteReuse(entry.Desc.ID, reuseCost)
 
 	// Reuse candidates from materialized join-result samples.
 	need := append(append([]string(nil), q.GroupBy...), q.aggCols()...)
@@ -436,9 +434,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	rc.aggWork(scanEst{rows: rOut.rows, width: rOut.width})
 	rc.serializeCPU()
 	reuseCost := rc.seconds(p.Model, p.Parallelism)
-	if prev, ok := ps.ReuseCost[entry.Desc.ID]; !ok || reuseCost < prev {
-		ps.ReuseCost[entry.Desc.ID] = reuseCost
-	}
+	ps.noteReuse(entry.Desc.ID, reuseCost)
 
 	// Reuse candidate when a matching sketch is materialized.
 	req := meta.Requirements{Sig: buildSig, Filter: sh.factFilter, Accuracy: q.Accuracy}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/tasterdb/taster/internal/expr"
-	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/plan"
 )
@@ -166,20 +165,4 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// RecordReuseBenefits replays a cached plan set's benefit records for a new
-// query occurrence: the tail of PlanWith, extracted so the engine's cache
-// hit path credits candidate synopses exactly as a cold planning pass would
-// — the sliding benefit window must see every repetition of the workload,
-// cached or not, or the tuner would stop selecting the synopses the hottest
-// templates depend on.
-func (p *Planner) RecordReuseBenefits(ps *PlanSet, queryID int) {
-	for id, reuse := range ps.ReuseCost {
-		p.Store.RecordBenefit(id, meta.QueryBenefit{
-			QueryID:   queryID,
-			CostWith:  reuse,
-			CostExact: ps.Exact.Cost,
-		}, p.BenefitKeep)
-	}
 }

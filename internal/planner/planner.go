@@ -1,8 +1,10 @@
 package planner
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -37,15 +39,23 @@ type Candidate struct {
 	Desc    string
 }
 
+// ReuseCost is what a query would cost if synopsis ID existed — the quantity
+// the tuner's gain function consumes (paper §III metadata item (d)). The
+// JSON names are its form in a checkpointed window (persist.WindowRecord).
+type ReuseCost struct {
+	ID   uint64  `json:"id"`
+	Cost float64 `json:"cost"`
+}
+
 // PlanSet is the planner's output for one query: the exact plan plus every
-// approximate candidate, and the hypothetical reuse cost per candidate
-// synopsis (what the query would cost if that synopsis existed) — the
-// quantity the tuner's gain function consumes.
+// approximate candidate, and the query's hypothetical reuse cost per
+// candidate synopsis in ascending synopsis-id order. A plan set is read-only
+// once PlanWith returns: plan-cache hits and the tuner's window share it.
 type PlanSet struct {
 	Query      *Query
 	Exact      Candidate
 	Candidates []Candidate
-	ReuseCost  map[uint64]float64
+	ReuseCost  []ReuseCost
 
 	// wh is the immutable warehouse view this plan set was generated
 	// against: every reuse candidate binds items from it, so the set is
@@ -59,9 +69,6 @@ type Planner struct {
 	Store *meta.Store
 	WH    *warehouse.Manager
 	Model storage.CostModel
-	// BenefitKeep bounds the per-synopsis benefit history (≥ the tuner's
-	// maximum window length).
-	BenefitKeep int
 	// Seed drives sampler seeds derived per synopsis.
 	Seed uint64
 	// Parallelism is the intra-query worker count the morsel-driven executor
@@ -102,7 +109,6 @@ func New(store *meta.Store, wh *warehouse.Manager, model storage.CostModel) *Pla
 		Store:       store,
 		WH:          wh,
 		Model:       model,
-		BenefitKeep: 64,
 		Parallelism: 1,
 		est:         estimator{model: model},
 		mgCache:     make(map[string]int),
@@ -149,7 +155,7 @@ func (p *Planner) PlanWith(q *Query, view *warehouse.View) (*PlanSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps := &PlanSet{Query: q, Exact: exact, ReuseCost: make(map[uint64]float64), wh: view}
+	ps := &PlanSet{Query: q, Exact: exact, wh: view}
 	ps.Candidates = append(ps.Candidates, exact)
 
 	if q.Exact || !q.approximableAggs() || !q.Accuracy.Valid() {
@@ -161,17 +167,20 @@ func (p *Planner) PlanWith(q *Query, view *warehouse.View) (*PlanSet, error) {
 		p.addJoinSampleCandidates(q, ps)
 		p.addSketchJoinCandidates(q, ps)
 	}
-
-	// Record what this query would save for every candidate synopsis —
-	// the metadata the tuner's gain function is computed from (§III, §V).
-	for id, reuse := range ps.ReuseCost {
-		p.Store.RecordBenefit(id, meta.QueryBenefit{
-			QueryID:   q.ID,
-			CostWith:  reuse,
-			CostExact: exact.Cost,
-		}, p.BenefitKeep)
-	}
 	return ps, nil
+}
+
+// noteReuse records that the query would cost `cost` with synopsis id
+// materialized, keeping the cheapest cost per synopsis and the list sorted.
+func (ps *PlanSet) noteReuse(id uint64, cost float64) {
+	i, found := slices.BinarySearchFunc(ps.ReuseCost, id, func(rc ReuseCost, id uint64) int {
+		return cmp.Compare(rc.ID, id)
+	})
+	if !found {
+		ps.ReuseCost = slices.Insert(ps.ReuseCost, i, ReuseCost{ID: id, Cost: cost})
+	} else if cost < ps.ReuseCost[i].Cost {
+		ps.ReuseCost[i].Cost = cost
+	}
 }
 
 // samplerConfig decides between uniform and distinct sampling and sets the
@@ -512,9 +521,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 
 	// Hypothetical reuse cost (drives the tuner's gain for this synopsis).
 	reuseCost := p.costBaseSampleReuse(q, fact, factFilter, desc.EstSizeBytes, outRows*sel)
-	if prev, ok := ps.ReuseCost[entry.Desc.ID]; !ok || reuseCost < prev {
-		ps.ReuseCost[entry.Desc.ID] = reuseCost
-	}
+	ps.noteReuse(entry.Desc.ID, reuseCost)
 
 	// Reuse candidates for every matching materialized sample. The match
 	// requires only the stratification needed for group coverage (grouping
@@ -601,15 +608,13 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 			Desc: fmt.Sprintf("reuse sample #%d on %s", m.Entry.Desc.ID, fact.Name),
 		})
 		// Credit the stored sample with this query's savings, exactly as the
-		// partitioned path below credits its set: without the benefit record
+		// partitioned path below credits its set: without the reuse cost
 		// the synchronous tuner cannot see the query as already covered, and
 		// a hypothetical build descriptor (a different intern whenever the
 		// stored sampler configuration differs from the query-sized one, e.g.
 		// a pinned hint) collects the full window gain as build credit and
 		// outbids the cheaper reuse.
-		if prev, ok := ps.ReuseCost[m.Entry.Desc.ID]; !ok || cost < prev {
-			ps.ReuseCost[m.Entry.Desc.ID] = cost
-		}
+		ps.noteReuse(m.Entry.Desc.ID, cost)
 	}
 
 	p.addPartitionedSampleReuse(q, ps, fact, req, sel, selAll, coverGroups, factOnSpine)
@@ -732,14 +737,12 @@ func (p *Planner) addPartitionedSampleReuse(q *Query, ps *PlanSet, fact TableRef
 		Desc: fmt.Sprintf("reuse %d-part sample on %s", parts, fact.Name),
 	})
 	// Credit the partition set with this query's savings. Without the
-	// benefit records the tuner's greedy cannot see the query as already
+	// reuse costs the tuner's greedy cannot see the query as already
 	// covered, and a hypothetical whole-table build — a fresh descriptor,
 	// never the interned twin of a partition-scoped one — collects the full
 	// window gain as build credit and outbids the cheaper merged reuse.
 	for _, id := range uses {
-		if prev, ok := ps.ReuseCost[id]; !ok || cost < prev {
-			ps.ReuseCost[id] = cost
-		}
+		ps.noteReuse(id, cost)
 	}
 }
 

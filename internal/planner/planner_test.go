@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,18 +172,40 @@ func TestCandidatesIncludeBuildPlans(t *testing.T) {
 		t.Fatalf("missing candidates (base=%v join=%v sketch=%v):\n%v",
 			hasBase, hasJoin, hasSketch, descs(ps))
 	}
-	// Benefits must be recorded for every candidate synopsis.
-	if len(store.Entries()) < 3 {
-		t.Fatalf("interned synopses = %d", len(store.Entries()))
+	// The plan set must carry a reuse cost for every candidate synopsis, in
+	// ascending id order, each beating the exact plan.
+	entries := store.Entries()
+	if len(entries) < 3 {
+		t.Fatalf("interned synopses = %d", len(entries))
 	}
-	for _, e := range store.Entries() {
-		if len(e.Benefits) == 0 {
-			t.Fatalf("synopsis %s has no recorded benefit", e.Desc.Label())
+	if len(ps.ReuseCost) != len(entries) {
+		t.Fatalf("reuse costs for %d synopses, interned %d", len(ps.ReuseCost), len(entries))
+	}
+	for i, rc := range ps.ReuseCost {
+		if rc.ID != entries[i].Desc.ID {
+			t.Fatalf("reuse cost %d is for synopsis #%d, want #%d (ascending, one per candidate)", i, rc.ID, entries[i].Desc.ID)
 		}
-		if b := e.Benefits[0]; b.CostWith >= b.CostExact {
-			t.Fatalf("synopsis %s: reuse cost %v must beat exact %v",
-				e.Desc.Label(), b.CostWith, b.CostExact)
+		if rc.Cost >= ps.Exact.Cost {
+			t.Fatalf("synopsis %s: reuse cost %v must beat exact %v", entries[i].Desc.Label(), rc.Cost, ps.Exact.Cost)
 		}
+	}
+}
+
+// Planning is a read of the metadata store apart from interning descriptors
+// it has not seen: planning a query again must leave every entry as it was,
+// so a second planner over an engine's store cannot leak into live tuning.
+func TestPlanWithWritesNothingButInterns(t *testing.T) {
+	p, store, wh := testPlanner()
+	q := joinQuery()
+	if _, err := p.PlanWith(q, wh.View()); err != nil {
+		t.Fatal(err)
+	}
+	before := store.Entries()
+	if _, err := p.PlanWith(q, wh.View()); err != nil {
+		t.Fatal(err)
+	}
+	if after := store.Entries(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("planning a known query changed the metadata store:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 

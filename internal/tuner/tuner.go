@@ -5,7 +5,10 @@
 // algorithm of Leskovec et al. (the (1−1/e)/2 guarantee comes from running
 // both the plain-benefit and benefit-per-byte greedy variants and keeping
 // the better set). The future workload Q⁺ is approximated by a sliding
-// window Q⁻ of the last w queries whose length adapts online.
+// window Q⁻ of the last w queries whose length adapts online. The window is
+// one structure owned here: each record carries the query's cost under every
+// candidate synopsis — the paper's §III metadata item (d), held query-major
+// instead of per synopsis in the metadata store.
 package tuner
 
 import (
@@ -24,19 +27,13 @@ type Config struct {
 	Alpha float64
 	// Adaptive enables online window-length adaptation (§V).
 	Adaptive bool
-	// MaxWindow caps w (and the benefit history the tuner may consult).
+	// MaxWindow caps w (and the window records the tuner keeps).
 	MaxWindow int
 }
 
 // DefaultConfig mirrors the paper's defaults (w=10, α=0.25, adaptive).
 func DefaultConfig() Config {
 	return Config{Window: 10, Alpha: 0.25, Adaptive: true, MaxWindow: 64}
-}
-
-// queryRecord is one past query in the sliding window.
-type queryRecord struct {
-	ID        int
-	ExactCost float64
 }
 
 // Tuner owns the window state and the synopsis retention decisions.
@@ -46,7 +43,7 @@ type Tuner struct {
 	wh    *warehouse.Manager
 
 	w          int
-	history    []queryRecord // most recent last, capped at MaxWindow
+	history    []Observation // most recent last, capped at MaxWindow
 	sinceAdapt int           // queries since the last window adaptation
 }
 
@@ -68,14 +65,10 @@ func New(cfg Config, store *meta.Store, wh *warehouse.Manager) *Tuner {
 func (t *Tuner) Window() int { return t.w }
 
 // Checkpoint snapshots the sliding-window state for persistence: the
-// adapted window length, the adaptation counter, and the history records
-// (oldest first) as plain observations.
+// adapted window length, the adaptation counter, and the window records
+// (oldest first).
 func (t *Tuner) Checkpoint() (window, sinceAdapt int, history []Observation) {
-	history = make([]Observation, len(t.history))
-	for i, r := range t.history {
-		history[i] = Observation{QueryID: r.ID, ExactCost: r.ExactCost}
-	}
-	return t.w, t.sinceAdapt, history
+	return t.w, t.sinceAdapt, append([]Observation(nil), t.history...)
 }
 
 // Restore reinstates a checkpointed sliding window (warm restart): without
@@ -93,13 +86,10 @@ func (t *Tuner) Restore(window, sinceAdapt int, history []Observation) {
 	}
 	t.w = window
 	t.sinceAdapt = sinceAdapt
-	t.history = t.history[:0]
 	if len(history) > t.cfg.MaxWindow {
 		history = history[len(history)-t.cfg.MaxWindow:]
 	}
-	for _, o := range history {
-		t.history = append(t.history, queryRecord{ID: o.QueryID, ExactCost: o.ExactCost})
-	}
+	t.history = append(t.history[:0], history...)
 }
 
 // Decision is the tuner's verdict for one query.
@@ -122,14 +112,19 @@ type Decision struct {
 	Gains map[uint64]float64
 }
 
-// Observation is one served query's contribution to the sliding window:
-// plain values, deliberately not a *planner.PlanSet — the asynchronous
+// Observation is one served query's record in the sliding window: its exact
+// cost and what it would cost with each candidate synopsis materialized.
+// Plain values, deliberately not a *planner.PlanSet — the asynchronous
 // engine queues observations past the end of Execute, and retaining the
 // caller's Query (which a later Execute may legally mutate in place) would
 // turn the documented one-Execute-at-a-time contract into a data race.
 type Observation struct {
 	QueryID   int
 	ExactCost float64
+	// Reuse is the plan set's ReuseCost: ascending synopsis id, shared
+	// read-only with the plan set (and, through the plan cache, with every
+	// repetition of the query).
+	Reuse []planner.ReuseCost
 }
 
 // observe folds one completed planning round into the sliding window:
@@ -140,7 +135,7 @@ func (t *Tuner) observe(o Observation, entries []*meta.Entry) {
 	if t.cfg.Adaptive {
 		t.adaptWindow(entries)
 	}
-	t.history = append(t.history, queryRecord{ID: o.QueryID, ExactCost: o.ExactCost})
+	t.history = append(t.history, o)
 	if len(t.history) > t.cfg.MaxWindow {
 		t.history = t.history[len(t.history)-t.cfg.MaxWindow:]
 	}
@@ -172,16 +167,25 @@ func deriveActions(entries []*meta.Entry, keep map[uint64]bool, exempt map[uint6
 // into the sliding window in arrival order (adapting w), select S* once,
 // choose the plan for ps when one is given, and derive the eviction and
 // promotion actions. The metadata store is read once — a single consistent
-// snapshot shared by window adaptation and set selection. exempt lists
-// synopses that plans already chosen read (see deriveActions); the plan
-// chosen for ps adds its own inputs to it.
+// snapshot of the synopses the window and the batch mention plus everything
+// materialized or pinned, shared by window adaptation and set selection.
+// exempt lists synopses that plans already chosen read (see deriveActions);
+// the plan chosen for ps adds its own inputs to it.
 func (t *Tuner) round(batch []Observation, exempt map[uint64]bool, ps *planner.PlanSet) Decision {
-	entries := t.store.Entries()
+	var ids []uint64
+	for _, obs := range [][]Observation{t.history, batch} {
+		for _, o := range obs {
+			for _, rc := range o.Reuse {
+				ids = append(ids, rc.ID)
+			}
+		}
+	}
+	entries := t.store.Working(ids)
 	for _, o := range batch {
 		t.observe(o, entries)
 	}
 	_, quota := t.wh.Quotas()
-	keep, marginal := t.selectSet(entries, t.windowRecords(t.w), quota)
+	keep, marginal := selectSet(entries, t.windowRecords(t.w), quota)
 	dec := Decision{Keep: keep, Gains: marginal}
 	if ps != nil {
 		dec = Choose(ps, keep, marginal, t.w, t.wh.Has, t.store.Staleness)
@@ -200,7 +204,7 @@ func (t *Tuner) round(batch []Observation, exempt map[uint64]bool, ps *planner.P
 // before S* is selected, so plan choice and the derived actions see the
 // query's own contribution to the window.
 func (t *Tuner) Tune(ps *planner.PlanSet) Decision {
-	return t.round([]Observation{{QueryID: ps.Query.ID, ExactCost: ps.Exact.Cost}}, nil, ps)
+	return t.round([]Observation{{QueryID: ps.Query.ID, ExactCost: ps.Exact.Cost, Reuse: ps.ReuseCost}}, nil, ps)
 }
 
 // TuneBatch runs one round over a batch of observations — the engine's
@@ -221,7 +225,7 @@ func (t *Tuner) Retune() Decision {
 }
 
 // windowRecords returns the last n history records.
-func (t *Tuner) windowRecords(n int) []queryRecord {
+func (t *Tuner) windowRecords(n int) []Observation {
 	if n > len(t.history) {
 		n = len(t.history)
 	}
@@ -284,53 +288,54 @@ func Choose(ps *planner.PlanSet, keep map[uint64]bool, marginal map[uint64]float
 	return dec
 }
 
+// hit is one window query a synopsis would speed up: the query's position
+// in the window and its cost with the synopsis.
+type hit struct {
+	pos  int
+	cost float64
+}
+
 // selectSet runs the Leskovec et al. cost-effective greedy: both the
 // benefit-greedy and benefit-per-byte-greedy variants, returning whichever
 // final set has the higher total gain. Pinned synopses are always included
-// (their bytes count against the quota first).
-func (t *Tuner) selectSet(entries []*meta.Entry, window []queryRecord, budget int64) (map[uint64]bool, map[uint64]float64) {
-	universe, pinned := t.universe(entries, window)
+// (their bytes count against the quota first); the rest of the universe is
+// the synopses some window query could use. Per synopsis, hits are in window
+// order — float sums over them are reproducible.
+func selectSet(entries []*meta.Entry, window []Observation, budget int64) (map[uint64]bool, map[uint64]float64) {
+	hits := make(map[uint64][]hit)
+	for pos, r := range window {
+		for _, rc := range r.Reuse {
+			hits[rc.ID] = append(hits[rc.ID], hit{pos, rc.Cost})
+		}
+	}
+	var universe, pinned []*meta.Entry
+	for _, e := range entries {
+		if e.Desc.Pinned {
+			pinned = append(pinned, e)
+		} else if len(hits[e.Desc.ID]) > 0 {
+			universe = append(universe, e)
+		}
+	}
 
-	bestA, gainA, margA := t.greedy(universe, pinned, window, budget, false)
-	bestB, gainB, margB := t.greedy(universe, pinned, window, budget, true)
+	bestA, gainA, margA := greedy(universe, pinned, hits, window, budget, false)
+	bestB, gainB, margB := greedy(universe, pinned, hits, window, budget, true)
 	if gainB > gainA {
 		return bestB, margB
 	}
 	return bestA, margA
 }
 
-// universe collects the synopses with any benefit inside the window, plus
-// pinned ones.
-func (t *Tuner) universe(all []*meta.Entry, window []queryRecord) (entries []*meta.Entry, pinned []*meta.Entry) {
-	ids := make(map[int]bool, len(window))
-	for _, r := range window {
-		ids[r.ID] = true
-	}
-	for _, e := range all {
-		if e.Desc.Pinned {
-			pinned = append(pinned, e)
-			continue
-		}
-		for _, b := range e.Benefits {
-			if ids[b.QueryID] {
-				entries = append(entries, e)
-				break
-			}
-		}
-	}
-	return entries, pinned
-}
-
 // greedy builds S by repeatedly adding the synopsis with the highest
 // marginal gain (optionally per byte) until the quota is exhausted.
-func (t *Tuner) greedy(universe, pinned []*meta.Entry, window []queryRecord, budget int64, perByte bool) (map[uint64]bool, float64, map[uint64]float64) {
+func greedy(universe, pinned []*meta.Entry, hits map[uint64][]hit, window []Observation, budget int64, perByte bool) (map[uint64]bool, float64, map[uint64]float64) {
 	keep := make(map[uint64]bool)
 	marginal := make(map[uint64]float64)
 
-	// best[q] = cheapest known cost for query q given the current S.
-	best := make(map[int]float64, len(window))
-	for _, r := range window {
-		best[r.ID] = r.ExactCost
+	// best[pos] = cheapest known cost for the window's pos-th query given the
+	// current S.
+	best := make([]float64, len(window))
+	for pos, r := range window {
+		best[pos] = r.ExactCost
 	}
 	// A synopsis that is not yet materialized only delivers its gain after
 	// some future query pays to build it; discounting its benefits keeps
@@ -351,14 +356,11 @@ func (t *Tuner) greedy(universe, pinned []*meta.Entry, window []queryRecord, bud
 	addEntry := func(e *meta.Entry) float64 {
 		gain := 0.0
 		f := factor(e)
-		for _, b := range e.Benefits {
-			cur, ok := best[b.QueryID]
-			if !ok {
-				continue
-			}
-			if c := cur - (cur-b.CostWith)*f; b.CostWith < cur {
+		for _, h := range hits[e.Desc.ID] {
+			cur := best[h.pos]
+			if c := cur - (cur-h.cost)*f; h.cost < cur {
 				gain += cur - c
-				best[b.QueryID] = c
+				best[h.pos] = c
 			}
 		}
 		keep[e.Desc.ID] = true
@@ -388,9 +390,9 @@ func (t *Tuner) greedy(universe, pinned []*meta.Entry, window []queryRecord, bud
 			}
 			g := 0.0
 			f := factor(e)
-			for _, b := range e.Benefits {
-				if cur, ok := best[b.QueryID]; ok && b.CostWith < cur {
-					g += (cur - b.CostWith) * f
+			for _, h := range hits[e.Desc.ID] {
+				if cur := best[h.pos]; h.cost < cur {
+					g += (cur - h.cost) * f
 				}
 			}
 			if g <= 0 {
@@ -427,10 +429,6 @@ func (t *Tuner) adaptWindow(entries []*meta.Entry) {
 		return
 	}
 	t.sinceAdapt = 0
-	byID := make(map[uint64]*meta.Entry, len(entries))
-	for _, e := range entries {
-		byID[e.Desc.ID] = e
-	}
 
 	newQuery := t.history[len(t.history)-1] // the most recent completed query
 	prior := t.history[:len(t.history)-1]
@@ -455,28 +453,18 @@ func (t *Tuner) adaptWindow(entries []*meta.Entry) {
 		if n > len(prior) {
 			n = len(prior)
 		}
-		keep, _ := t.selectSet(entries, prior[len(prior)-n:], quota)
-		cost := t.estimatedCostGiven(newQuery, keep, byID)
+		keep, _ := selectSet(entries, prior[len(prior)-n:], quota)
+		// The new query's estimated cost under that set: its exact cost
+		// unless a member helps.
+		cost := newQuery.ExactCost
+		for _, rc := range newQuery.Reuse {
+			if keep[rc.ID] && rc.Cost < cost {
+				cost = rc.Cost
+			}
+		}
 		if cost < bestCost-1e-12 {
 			bestCost, bestW = cost, wc
 		}
 	}
 	t.w = bestW
-}
-
-// estimatedCostGiven returns the estimated cost of the query under synopsis
-// set S (exact cost when no member helps), resolving entries from the
-// tuning round's snapshot.
-func (t *Tuner) estimatedCostGiven(q queryRecord, keep map[uint64]bool, byID map[uint64]*meta.Entry) float64 {
-	cost := q.ExactCost
-	for id := range keep {
-		e, ok := byID[id]
-		if !ok {
-			continue
-		}
-		if b, ok := e.BenefitFor(q.ID); ok && b.CostWith < cost {
-			cost = b.CostWith
-		}
-	}
-	return cost
 }

@@ -11,21 +11,26 @@ import (
 	"github.com/tasterdb/taster/internal/warehouse"
 )
 
-// harness: synthetic metadata with controllable benefits.
+// harness: synthetic metadata, and plan sets with controllable reuse costs.
 type harness struct {
 	store *meta.Store
 	wh    *warehouse.Manager
 	t     *Tuner
+	// reuse is what each query would cost with each synopsis, by query id;
+	// planSet hands it to the tuner the way the planner does.
+	reuse map[int][]planner.ReuseCost
 }
 
 func newHarness(quota int64, cfg Config) *harness {
 	store := meta.NewStore()
 	wh := warehouse.NewManager(1<<20, quota)
-	return &harness{store: store, wh: wh, t: New(cfg, store, wh)}
+	return &harness{store: store, wh: wh, t: New(cfg, store, wh), reuse: make(map[int][]planner.ReuseCost)}
 }
 
-// synopsis interns a descriptor of the given size with benefits for queries.
-func (h *harness) synopsis(name string, size int64, benefits map[int][2]float64) *meta.Entry {
+// synopsis interns a descriptor of the given size; costWith maps the queries
+// that could use it to their cost with it. Synopses are interned in
+// ascending id order, so every query's list stays sorted as the planner's is.
+func (h *harness) synopsis(name string, size int64, costWith map[int]float64) *meta.Entry {
 	d := meta.Descriptor{
 		Kind:         plan.DistinctSample,
 		Sig:          plan.Signature{Tables: []string{name}},
@@ -33,32 +38,39 @@ func (h *harness) synopsis(name string, size int64, benefits map[int][2]float64)
 		Accuracy:     stats.DefaultAccuracy,
 	}
 	e := h.store.Intern(d)
-	for q, c := range benefits {
-		h.store.RecordBenefit(e.Desc.ID, meta.QueryBenefit{QueryID: q, CostWith: c[0], CostExact: c[1]}, 64)
+	for q, c := range costWith {
+		h.reuse[q] = append(h.reuse[q], planner.ReuseCost{ID: e.Desc.ID, Cost: c})
 	}
 	return e
 }
 
-func planSet(qid int, exactCost float64, cands ...planner.Candidate) *planner.PlanSet {
+// planSet is the plan set of query qid: the exact plan, the given
+// candidates, and the reuse costs registered through synopsis.
+func (h *harness) planSet(qid int, exactCost float64, cands ...planner.Candidate) *planner.PlanSet {
 	exact := planner.Candidate{Cost: exactCost, Desc: "exact"}
-	ps := &planner.PlanSet{
+	return &planner.PlanSet{
 		Query:      &planner.Query{ID: qid},
 		Exact:      exact,
 		Candidates: append([]planner.Candidate{exact}, cands...),
+		ReuseCost:  h.reuse[qid],
 	}
-	return ps
+}
+
+// selected runs set selection over the tuner's current window.
+func (h *harness) selected(budget int64) (map[uint64]bool, map[uint64]float64) {
+	return selectSet(h.store.Entries(), h.t.windowRecords(h.t.w), budget)
 }
 
 func TestGreedyRespectsQuota(t *testing.T) {
 	h := newHarness(100, DefaultConfig())
 	// Three synopses: a (size 60, gain 10), b (size 60, gain 9), c (size 40, gain 8).
-	a := h.synopsis("a", 60, map[int][2]float64{0: {0, 10}})
-	b := h.synopsis("b", 60, map[int][2]float64{1: {1, 10}})
-	c := h.synopsis("c", 40, map[int][2]float64{2: {2, 10}})
+	a := h.synopsis("a", 60, map[int]float64{0: 0})
+	b := h.synopsis("b", 60, map[int]float64{1: 1})
+	c := h.synopsis("c", 40, map[int]float64{2: 2})
 	for q := 0; q < 3; q++ {
-		h.t.Tune(planSet(q, 10))
+		h.t.Tune(h.planSet(q, 10))
 	}
-	keep, _ := h.t.selectSet(h.store.Entries(), h.t.windowRecords(h.t.w), 100)
+	keep, _ := h.selected(100)
 	size := int64(0)
 	for id := range keep {
 		e, _ := h.store.Get(id)
@@ -77,10 +89,10 @@ func TestGreedySubmodularSharing(t *testing.T) {
 	// Two synopses serving the SAME query: marginal gain of the second
 	// must shrink to its incremental value only.
 	h := newHarness(1000, DefaultConfig())
-	a := h.synopsis("a", 10, map[int][2]float64{0: {2, 10}}) // saves 8
-	b := h.synopsis("b", 10, map[int][2]float64{0: {1, 10}}) // saves 9
-	h.t.Tune(planSet(0, 10))
-	keep, marginal := h.t.selectSet(h.store.Entries(), h.t.windowRecords(h.t.w), 1000)
+	a := h.synopsis("a", 10, map[int]float64{0: 2}) // saves 8
+	b := h.synopsis("b", 10, map[int]float64{0: 1}) // saves 9
+	h.t.Tune(h.planSet(0, 10))
+	keep, marginal := h.selected(1000)
 	if !keep[b.Desc.ID] {
 		t.Fatal("b (bigger saving) must be selected")
 	}
@@ -97,9 +109,9 @@ func TestGreedySubmodularSharing(t *testing.T) {
 
 func TestTuneChoosesReusePlan(t *testing.T) {
 	h := newHarness(1<<20, DefaultConfig())
-	e := h.synopsis("s", 100, map[int][2]float64{5: {1, 10}})
+	e := h.synopsis("s", 100, map[int]float64{5: 1})
 	reuse := planner.Candidate{Cost: 1, Uses: []uint64{e.Desc.ID}, Desc: "reuse"}
-	dec := h.t.Tune(planSet(5, 10, reuse))
+	dec := h.t.Tune(h.planSet(5, 10, reuse))
 	if dec.Chosen.Desc != "reuse" {
 		t.Fatalf("chose %q, want reuse", dec.Chosen.Desc)
 	}
@@ -108,18 +120,18 @@ func TestTuneChoosesReusePlan(t *testing.T) {
 func TestTunePrefersBuildingKeptSynopses(t *testing.T) {
 	h := newHarness(1<<20, DefaultConfig())
 	// The synopsis pays off over several recent queries.
-	e := h.synopsis("s", 100, map[int][2]float64{
-		0: {1, 10}, 1: {1, 10}, 2: {1, 10},
+	e := h.synopsis("s", 100, map[int]float64{
+		0: 1, 1: 1, 2: 1,
 	})
 	for q := 0; q < 2; q++ {
-		h.t.Tune(planSet(q, 10))
+		h.t.Tune(h.planSet(q, 10))
 	}
 	build := planner.Candidate{
 		Cost:    11, // slightly above exact: building costs extra now
 		Creates: []planner.CreateSpec{{Entry: e}},
 		Desc:    "build",
 	}
-	dec := h.t.Tune(planSet(2, 10, build))
+	dec := h.t.Tune(h.planSet(2, 10, build))
 	if dec.Chosen.Desc != "build" {
 		t.Fatalf("chose %q; future gain must justify building", dec.Chosen.Desc)
 	}
@@ -134,12 +146,12 @@ func TestTunePrefersBuildingKeptSynopses(t *testing.T) {
 func TestEvictionOfUselessSynopses(t *testing.T) {
 	h := newHarness(1<<20, DefaultConfig())
 	// Materialized synopsis with benefits only for long-gone queries.
-	old := h.synopsis("old", 100, map[int][2]float64{-50: {1, 10}})
+	old := h.synopsis("old", 100, map[int]float64{-50: 1})
 	h.store.SetLocation(old.Desc.ID, meta.LocWarehouse)
-	fresh := h.synopsis("fresh", 100, map[int][2]float64{0: {1, 10}})
+	fresh := h.synopsis("fresh", 100, map[int]float64{0: 1})
 	h.store.SetLocation(fresh.Desc.ID, meta.LocBuffer)
 
-	dec := h.t.Tune(planSet(0, 10))
+	dec := h.t.Tune(h.planSet(0, 10))
 	if len(dec.Evict) != 1 || dec.Evict[0] != old.Desc.ID {
 		t.Fatalf("evict = %v, want [old]", dec.Evict)
 	}
@@ -153,7 +165,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	p := h.synopsis("pinned", 1000, nil) // way over quota
 	h.store.SetPinned(p.Desc.ID, true)
 	h.store.SetLocation(p.Desc.ID, meta.LocWarehouse)
-	dec := h.t.Tune(planSet(0, 10))
+	dec := h.t.Tune(h.planSet(0, 10))
 	for _, id := range dec.Evict {
 		if id == p.Desc.ID {
 			t.Fatal("pinned synopsis evicted")
@@ -166,12 +178,12 @@ func TestPinnedNeverEvicted(t *testing.T) {
 
 func TestRetuneAfterQuotaShrink(t *testing.T) {
 	h := newHarness(200, DefaultConfig())
-	a := h.synopsis("a", 100, map[int][2]float64{0: {1, 10}})
-	b := h.synopsis("b", 100, map[int][2]float64{1: {5, 10}})
+	a := h.synopsis("a", 100, map[int]float64{0: 1})
+	b := h.synopsis("b", 100, map[int]float64{1: 5})
 	h.store.SetLocation(a.Desc.ID, meta.LocWarehouse)
 	h.store.SetLocation(b.Desc.ID, meta.LocWarehouse)
-	h.t.Tune(planSet(0, 10))
-	h.t.Tune(planSet(1, 10))
+	h.t.Tune(h.planSet(0, 10))
+	h.t.Tune(h.planSet(1, 10))
 	// Both fit at quota 200; shrink to 100 → keep only a (gain 9 > 5).
 	h.wh.SetWarehouseQuota(100)
 	dec := h.t.Retune()
@@ -189,13 +201,56 @@ func TestAdaptiveWindowMoves(t *testing.T) {
 	h := newHarness(1000, cfg)
 	// A synopsis that helps every query: larger windows see more of its
 	// benefits, so w should not collapse.
-	e := h.synopsis("s", 10, nil)
+	all := make(map[int]float64)
 	for q := 0; q < 40; q++ {
-		h.store.RecordBenefit(e.Desc.ID, meta.QueryBenefit{QueryID: q, CostWith: 1, CostExact: 10}, 64)
-		h.t.Tune(planSet(q, 10))
+		all[q] = 1
+	}
+	h.synopsis("s", 10, all)
+	for q := 0; q < 40; q++ {
+		h.t.Tune(h.planSet(q, 10))
 	}
 	if h.t.Window() < 2 || h.t.Window() > cfg.MaxWindow {
 		t.Fatalf("window %d out of bounds", h.t.Window())
+	}
+}
+
+// The window holds each query's reuse costs itself, so a synopsis is credited
+// for every query of the window however long the window is. (A per-synopsis
+// list capped at 64 used to drop the oldest of them once Window > 16 raised
+// MaxWindow past the cap.)
+func TestGainCountsEveryWindowQuery(t *testing.T) {
+	const w = 72
+	h := newHarness(1000, Config{Window: w})
+	if h.t.cfg.MaxWindow != 4*w || h.t.cfg.Adaptive {
+		t.Fatalf("config = %+v, want fixed window, MaxWindow %d", h.t.cfg, 4*w)
+	}
+	all := make(map[int]float64)
+	for q := 0; q < w; q++ {
+		all[q] = 1
+	}
+	e := h.synopsis("s", 10, all)
+	var dec Decision
+	for q := 0; q < w; q++ {
+		dec = h.t.Tune(h.planSet(q, 10))
+	}
+	// Every query saves 10−1, discounted by 0.5 while unmaterialized.
+	if got, want := dec.Gains[e.Desc.ID], float64(w)*4.5; got != want {
+		t.Fatalf("marginal gain = %v, want %v (all %d window queries)", got, want, w)
+	}
+}
+
+// Window records are told apart by position, not query id: a caller that
+// tunes several plan sets under one id (the benchmark's probes do) gets one
+// record, and one credit, per call.
+func TestDuplicateQueryIDsAreSeparateRecords(t *testing.T) {
+	h := newHarness(1000, DefaultConfig())
+	e := h.synopsis("s", 10, map[int]float64{3: 1})
+	var dec Decision
+	for i := 0; i < 3; i++ {
+		dec = h.t.Tune(h.planSet(3, 10))
+	}
+	if got := dec.Gains[e.Desc.ID]; got != 3*4.5 {
+		t.Fatalf("marginal gain = %v, want %v", got, 3*4.5)
 	}
 }
 
@@ -204,7 +259,7 @@ func TestWindowedHistoryBounded(t *testing.T) {
 	cfg.MaxWindow = 16
 	h := newHarness(1000, cfg)
 	for q := 0; q < 100; q++ {
-		h.t.Tune(planSet(q, 1))
+		h.t.Tune(h.planSet(q, 1))
 	}
 	if len(h.t.history) > 16 {
 		t.Fatalf("history length %d exceeds MaxWindow", len(h.t.history))
@@ -220,7 +275,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestChoosePlanIgnoresAlreadyMaterialized(t *testing.T) {
 	h := newHarness(1<<20, DefaultConfig())
-	e := h.synopsis("s", 100, map[int][2]float64{0: {1, 10}})
+	e := h.synopsis("s", 100, map[int]float64{0: 1})
 	h.store.SetLocation(e.Desc.ID, meta.LocWarehouse)
 	// Simulate it being in the warehouse manager too.
 	if err := h.wh.PutWarehouse(&warehouse.Item{ID: e.Desc.ID, Size: 100}); err != nil {
@@ -228,7 +283,7 @@ func TestChoosePlanIgnoresAlreadyMaterialized(t *testing.T) {
 	}
 	// A "build" plan for an already-materialized synopsis gets no bonus.
 	build := planner.Candidate{Cost: 9.5, Creates: []planner.CreateSpec{{Entry: e}}, Desc: "build"}
-	dec := h.t.Tune(planSet(0, 10, build))
+	dec := h.t.Tune(h.planSet(0, 10, build))
 	// build still wins on raw cost (9.5 < 10) but not via bonus; verify the
 	// decision is deterministic and sane.
 	if dec.Chosen.Desc != "build" {
@@ -241,14 +296,14 @@ func TestTuneNeverEvictsChosenPlanInputs(t *testing.T) {
 	// quota) in the same round its reuse plan is chosen. Evicting it would
 	// delete the chosen plan's input before execution.
 	h := newHarness(100, DefaultConfig())
-	e := h.synopsis("s", 100, map[int][2]float64{7: {1, 10}})
+	e := h.synopsis("s", 100, map[int]float64{7: 1})
 	h.store.SetLocation(e.Desc.ID, meta.LocWarehouse)
 	if err := h.wh.PutWarehouse(&warehouse.Item{ID: e.Desc.ID, Size: 100}); err != nil {
 		t.Fatal(err)
 	}
 	h.wh.SetWarehouseQuota(50) // elastic shrink: the synopsis no longer fits S*
 	reuse := planner.Candidate{Cost: 1, Uses: []uint64{e.Desc.ID}, Desc: "reuse"}
-	dec := h.t.Tune(planSet(7, 10, reuse))
+	dec := h.t.Tune(h.planSet(7, 10, reuse))
 	if dec.Chosen.Desc != "reuse" {
 		t.Fatalf("chose %q, want reuse", dec.Chosen.Desc)
 	}
@@ -262,7 +317,7 @@ func TestTuneNeverEvictsChosenPlanInputs(t *testing.T) {
 	}
 	// The exemption is one round only: a later round without the reuse plan
 	// evicts it normally.
-	dec = h.t.Tune(planSet(8, 10))
+	dec = h.t.Tune(h.planSet(8, 10))
 	found := false
 	for _, id := range dec.Evict {
 		found = found || id == e.Desc.ID
@@ -274,27 +329,27 @@ func TestTuneNeverEvictsChosenPlanInputs(t *testing.T) {
 
 func TestChoosePlanCreditsRefreshOfStaleSynopsis(t *testing.T) {
 	h := newHarness(1<<20, DefaultConfig())
-	e := h.synopsis("s", 100, map[int][2]float64{
-		0: {1, 10}, 1: {1, 10}, 2: {1, 10},
+	e := h.synopsis("s", 100, map[int]float64{
+		0: 1, 1: 1, 2: 1,
 	})
 	h.store.SetLocation(e.Desc.ID, meta.LocWarehouse)
 	if err := h.wh.PutWarehouse(&warehouse.Item{ID: e.Desc.ID, Size: 100}); err != nil {
 		t.Fatal(err)
 	}
 	for q := 0; q < 2; q++ {
-		h.t.Tune(planSet(q, 10))
+		h.t.Tune(h.planSet(q, 10))
 	}
 	build := planner.Candidate{Cost: 10.4, Creates: []planner.CreateSpec{{Entry: e}}, Desc: "build"}
 	// Fully fresh: the already-materialized synopsis earns no build credit,
 	// so the slightly-above-exact build loses.
-	if dec := h.t.Tune(planSet(2, 10, build)); dec.Chosen.Desc != "exact" {
+	if dec := h.t.Tune(h.planSet(2, 10, build)); dec.Chosen.Desc != "exact" {
 		t.Fatalf("fresh: chose %q, want exact", dec.Chosen.Desc)
 	}
 	// Mostly stale: the refresh recovers the stale fraction of the future
 	// gain, which outweighs the small extra build cost.
 	h.store.SetFreshness(e.Desc.ID, 0, map[string]int64{"s": 100})
 	h.store.ObserveVersion("s", 1, 400) // staleness 0.75
-	if dec := h.t.Tune(planSet(3, 10, build)); dec.Chosen.Desc != "build" {
+	if dec := h.t.Tune(h.planSet(3, 10, build)); dec.Chosen.Desc != "build" {
 		t.Fatalf("stale: chose %q, want refresh build", dec.Chosen.Desc)
 	}
 }
@@ -302,9 +357,9 @@ func TestChoosePlanCreditsRefreshOfStaleSynopsis(t *testing.T) {
 func TestGainNonNegative(t *testing.T) {
 	h := newHarness(1000, DefaultConfig())
 	// Benefit worse than exact: gain must clamp to 0, synopsis not selected.
-	h.synopsis("bad", 10, map[int][2]float64{0: {20, 10}})
-	h.t.Tune(planSet(0, 10))
-	keep, _ := h.t.selectSet(h.store.Entries(), h.t.windowRecords(h.t.w), 1000)
+	h.synopsis("bad", 10, map[int]float64{0: 20})
+	h.t.Tune(h.planSet(0, 10))
+	keep, _ := h.selected(1000)
 	if len(keep) != 0 {
 		t.Fatalf("harmful synopsis selected: %v", keep)
 	}
