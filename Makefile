@@ -74,21 +74,26 @@ race-all:
 
 test-race: race
 
-# Ten-second smoke runs of the three coverage-guided fuzz targets: the
-# persistence decoders (arbitrary bytes must never panic) and the
-# partition-sample merge (statistical invariants under random inputs).
+# Ten-second smoke runs of the coverage-guided fuzz targets: the
+# persistence decoders (arbitrary bytes must never panic), the
+# partition-sample merge (statistical invariants under random inputs) and the
+# join key index (lookups equal a Go map's for any key words).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzDecodeExpr$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzMergePartitionSamples$$' -fuzztime 10s ./internal/synopses
+	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # One pass over the grouped-join benchmarks: exercises the partitioned
-# parallel hash join end to end (CI runs this as a smoke test).
+# parallel hash join end to end (CI runs this as a smoke test), then the
+# fixed-key index alone — build ns/row and probe ns/probe over a dense
+# 150 k-key dimension, 150 k sparse keys and a 133-of-20 k filtered build.
 bench-join:
 	$(GO) test -run xxx -bench Join -benchtime 1x .
+	$(GO) test ./internal/exec -run NONE -bench 'BenchmarkJoin(Build|Probe)' -benchtime 20x
 
 # Streaming-ingestion smoke: runs the error-vs-staleness experiment at a
 # tiny scale and emits BENCH_streaming.json (CI collects it as the perf

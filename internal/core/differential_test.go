@@ -40,10 +40,13 @@ var diffStreamCfg = workload.StreamConfig{
 
 // diffRun is one engine's observable output over the stream: every result
 // row, every confidence interval, and the per-query synopsis-reuse count.
+// sim is each query's simulated cost; it varies with layout and pruning by
+// design, so only the comparisons that hold those fixed read it.
 type diffRun struct {
 	rows [][]storage.Value
 	ivs  [][]stats.Interval
 	used []int
+	sim  []float64
 }
 
 // runDifferentialStream replays the fixed stream through a fresh engine.
@@ -115,6 +118,7 @@ func runDifferentialStreamFull(t *testing.T, mode Mode, partitionRows, workers i
 		run.rows = append(run.rows, res.Rows...)
 		run.ivs = append(run.ivs, res.Intervals...)
 		run.used = append(run.used, len(res.Report.UsedSynopses))
+		run.sim = append(run.sim, res.Report.SimSeconds)
 	}
 	return run
 }
@@ -317,6 +321,7 @@ func runNaNQueries(t *testing.T, workers int, disablePrune, disableKernels bool)
 		}
 		run.rows = append(run.rows, res.Rows...)
 		run.used = append(run.used, len(res.Report.UsedSynopses))
+		run.sim = append(run.sim, res.Report.SimSeconds)
 	}
 	return run
 }

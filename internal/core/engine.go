@@ -272,6 +272,10 @@ type Engine struct {
 	// capacity from scratch each time; the engine-wide pool keeps warm
 	// backing arrays across the whole serving workload.
 	vecPool *storage.VecPool
+	// joinCache keeps built join tables across queries, keyed by build
+	// subtree text and bound table versions (exec.JoinCache): a dimension
+	// table is hashed once per version, not once per query.
+	joinCache *exec.JoinCache
 
 	// db is the warehouse directory's disk store (nil without
 	// Config.WarehouseDir); persistErr remembers the first failed
@@ -382,9 +386,12 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 		inline:  cfg.Mode == ModeTaster && cfg.Synchronous,
 		reports: newReportRing(cfg.ReportCap),
 		vecPool: storage.NewVecPool(),
-		db:      db,
-		mx:      cfg.Metrics,
-		clock:   cfg.Clock,
+		// Every cacheable build is over base tables, so the catalog's size is
+		// the scale of what could ever be worth keeping.
+		joinCache: exec.NewJoinCache(cat.TotalBytes()),
+		db:        db,
+		mx:        cfg.Metrics,
+		clock:     cfg.Clock,
 	}
 	if e.clock == nil {
 		// Synchronous runs are the byte-deterministic configuration; freezing
@@ -399,6 +406,7 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 	}
 	if e.mx != nil {
 		e.vecPool.Obs = &e.mx.Pool
+		e.joinCache.Obs = &e.mx.JoinCache
 	}
 	// Replay the manifest before the engine escapes: recovery runs
 	// single-threaded, so no lock ordering applies yet.
@@ -520,6 +528,7 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	// regardless of interleaving.
 	ctx := exec.NewContext(q.Accuracy.Confidence)
 	ctx.Pool = e.vecPool // engine-wide: recycles batches across queries
+	ctx.Joins = e.joinCache
 	ctx.Workers = e.cfg.Workers
 	ctx.DisablePrune = e.cfg.DisablePruning
 	ctx.DisableKernels = e.disableKernels

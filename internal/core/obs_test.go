@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,8 @@ import (
 // obsRun replays the fixed differential stream through an engine with the
 // full observability layer on — metrics registry wired into pool, plan
 // cache, executor and disk hooks, plus per-query tracing — and returns the
-// run's observable output alongside the engine metrics and a sample trace.
+// run's observable output alongside the engine metrics and every query's
+// trace, concatenated in stream order.
 func obsRun(t *testing.T, workers int, disablePrune bool) (diffRun, obs.MetricsSnapshot, string) {
 	t.Helper()
 	w := workload.TPCH(0.004, 3)
@@ -56,12 +58,11 @@ func obsRun(t *testing.T, workers int, disablePrune bool) (diffRun, obs.MetricsS
 		if err != nil {
 			t.Fatalf("%v\nSQL: %s", err, op.SQL)
 		}
-		if res.Trace != "" {
-			trace = res.Trace
-		}
+		trace += res.Trace
 		run.rows = append(run.rows, res.Rows...)
 		run.ivs = append(run.ivs, res.Intervals...)
 		run.used = append(run.used, len(res.Report.UsedSynopses))
+		run.sim = append(run.sim, res.Report.SimSeconds)
 	}
 	return run, e.MetricsSnapshot(), trace
 }
@@ -69,16 +70,25 @@ func obsRun(t *testing.T, workers int, disablePrune bool) (diffRun, obs.MetricsS
 // TestDifferentialObsOnVsOff is the observability layer's answer-neutrality
 // proof: the full self-tuning engine with metrics AND tracing enabled must
 // produce byte-identical rows, intervals and synopsis-reuse profiles to the
-// bare engine — across worker counts 1/4/8 and with pruning on and off. The
-// metrics side must also be non-vacuous: the run has to have actually
-// counted queries, pool traffic and tuning rounds, and at least one query
-// must have rendered a trace.
+// bare engine — across worker counts 1/4/8 and with pruning on and off —
+// and, the two engines sharing layout and pruning, bit-identical simulated
+// cost per query. The stream takes join build sides through every state of
+// the join cache (first sight, admission, hit, a new table version), so the
+// equality covers a traced run whose build subtrees were compiled and
+// wrapped but never opened. The metrics side must also be non-vacuous: the
+// run has to have actually counted queries, pool traffic, tuning rounds and
+// join-cache traffic, and the traces must show a cached build.
 func TestDifferentialObsOnVsOff(t *testing.T) {
 	for _, prune := range []bool{false, true} {
 		for _, workers := range []int{1, 4, 8} {
 			bare := runDifferentialStreamFull(t, ModeTaster, 797, workers, prune, false, 0)
 			instr, snap, trace := obsRun(t, workers, prune)
 			mustEqualRuns(t, "obs on-vs-off", bare, instr)
+			for i := range bare.sim {
+				if math.Float64bits(bare.sim[i]) != math.Float64bits(instr.sim[i]) {
+					t.Fatalf("query %d: SimSeconds %v bare vs %v instrumented", i, bare.sim[i], instr.sim[i])
+				}
+			}
 
 			if snap.QueriesServed != int64(diffStreamCfg.Queries) {
 				t.Fatalf("QueriesServed = %d, want %d", snap.QueriesServed, diffStreamCfg.Queries)
@@ -104,15 +114,22 @@ func TestDifferentialObsOnVsOff(t *testing.T) {
 			if prune && snap.PrunedPartitions != 0 {
 				t.Fatalf("pruning disabled but PrunedPartitions = %d", snap.PrunedPartitions)
 			}
+			if snap.JoinCacheMisses == 0 || snap.JoinCacheAdmissions == 0 || snap.JoinCacheHits == 0 || snap.JoinCacheBytes == 0 {
+				t.Fatalf("join-cache counters stayed zero: hits %d misses %d admissions %d bytes %d",
+					snap.JoinCacheHits, snap.JoinCacheMisses, snap.JoinCacheAdmissions, snap.JoinCacheBytes)
+			}
 			if trace == "" {
 				t.Fatal("tracing enabled but no query rendered a trace")
+			}
+			if !strings.Contains(trace, "(cached rows=") {
+				t.Fatalf("join-cache hits were counted but no trace marks a cached build:\n%s", trace)
 			}
 			if !strings.Contains(trace, "rows=") || !strings.Contains(trace, "batches=") {
 				t.Fatalf("trace missing stat line:\n%s", trace)
 			}
 			// Frozen clock under Synchronous: durations must render as 0s,
 			// or the trace would not be byte-reproducible.
-			if strings.Contains(trace, "time=") && !strings.Contains(trace, "time=0s") {
+			if strings.Count(trace, "time=") != strings.Count(trace, "time=0s") {
 				t.Fatalf("synchronous trace carries nonzero durations:\n%s", trace)
 			}
 		}

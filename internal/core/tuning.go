@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/tasterdb/taster/internal/exec"
 	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/tuner"
@@ -158,6 +159,9 @@ type TuningStats struct {
 	PlanCacheHits      int64
 	PlanCacheMisses    int64
 	PlanCacheEvictions int64
+	// JoinCache accounts the executor's built-join-table cache: hits,
+	// misses, admissions, evictions and the bytes resident now.
+	JoinCache exec.JoinCacheStats
 }
 
 // tuningService is the asynchronous schedule of the engine's tuning round:
@@ -439,5 +443,6 @@ func (e *Engine) TuningStats() TuningStats {
 		st.PlanCacheMisses = cs.Misses
 		st.PlanCacheEvictions = cs.Evictions
 	}
+	st.JoinCache = e.joinCache.Stats()
 	return st
 }

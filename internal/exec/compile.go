@@ -56,7 +56,12 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewHashJoinOp(left, right, t.LeftKeys, t.RightKeys, ctx)
+		j, err := NewHashJoinOp(left, right, t.LeftKeys, t.RightKeys, ctx)
+		if err != nil {
+			return nil, err
+		}
+		j.node = t
+		return j, nil
 
 	case *plan.Aggregate:
 		// Scan→sample→filter→join→aggregate chains — single-table and

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
+	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
 )
@@ -102,23 +104,80 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys []string) (*join
 // partition count — only which sub-table owns the key changes. Probe results
 // are therefore byte-identical for any partition/worker count.
 type joinTable struct {
-	spec  *joinSpec
 	rows  *storage.Batch // all build rows concatenated, in input order
 	parts []map[string][]int32
 
-	// The spec.fixedKey fast path replaces parts with a CSR layout keyed by
-	// the single key column's fixedWord encoding: fixedIdx maps a word to a
-	// dense key id, and key k's match list is fixedRows[fixedOffs[k]:
-	// fixedOffs[k+1]] — one index array and one offset array total, no
-	// per-key slice allocations. Match lists are identical to the byte-keyed
-	// tables' (the word encoding is injective within the key type); only the
-	// build/probe hashing cost changes.
-	fixedIdx  map[uint64]int32
-	fixedOffs []int32
+	// The fixed-key fast path (joinSpec.fixedKey) replaces parts with a CSR
+	// layout keyed by the single key column's fixedWord encoding: every
+	// key's match list is one contiguous run of fixedRows, found through one
+	// of two map-free indexes built in the same integer passes as the runs
+	// (buildFixedJoinTable picks by the observed key span). Match lists are
+	// identical to the byte-keyed tables' (the word encoding is injective
+	// within the key type); only the build/probe hashing cost changes.
 	fixedRows []int32
+
+	// Dense-range index (denseOffs non-nil): the ordered words span at most
+	// denseSpanFactor× the build rows (or less than denseSpanFloor), and key
+	// w's run is fixedRows[denseOffs[k]:denseOffs[k+1]] with k =
+	// orderedWord(w) − denseMin. Every surrogate key of the generated
+	// workloads lands here.
+	denseMin  uint64
+	denseOffs []int32
+
+	// Open-addressing index (otherwise): power-of-two slots sized once from
+	// the row count, Fibonacci hashing, linear probing, no growth. A slot
+	// carries its key's run bounds inline, so a probe touches one cache line
+	// before the run itself.
+	slots     []wordSlot
+	slotShift uint
+
+	// shared marks a table owned by a JoinCache: it outlives the query that
+	// built it and is probed by concurrent queries, so its rows are not
+	// pool memory and release leaves it alone.
+	shared bool
 }
 
+// wordSlot is one open-addressing slot: key word w owns
+// fixedRows[lo:hi]. Every present key has at least one row, so hi == 0 marks
+// an empty slot.
+type wordSlot struct {
+	w      uint64
+	lo, hi int32
+}
+
+const (
+	// denseSpanFactor bounds the dense index's offset array at this many
+	// entries per build row; sparser key sets take the open-addressing index.
+	denseSpanFactor = 4
+	// denseSpanFloor admits any span below it whatever the row count. A
+	// selective build-side filter leaves few rows scattered over the
+	// dimension's whole key range, but the probe side is still the fact
+	// table: zeroing a 256 KB offset array once costs less than hashing
+	// every probe row (BenchmarkJoinProbe: 3.4 vs 12.6 ns per probe).
+	denseSpanFloor = 1 << 16
+	// fibMul is 2^64/φ: multiplying by it and keeping the top bits spreads
+	// consecutive and strided keys evenly over a power-of-two table.
+	fibMul = 0x9E3779B97F4A7C15
+)
+
+// orderedWord flips the sign bit of a fixedWord, so int64 keys compare (and
+// subtract) in unsigned space as they do signed: a key range straddling
+// zero stays a short span, and MinInt64..MaxInt64 is span 2^64−1 with no
+// overflow anywhere. For float64 and bool words it is merely a bijection,
+// which is all the index needs.
+func orderedWord(w uint64) uint64 { return w ^ (1 << 63) }
+
 func (t *joinTable) empty() bool { return t == nil || t.rows == nil || t.rows.Len() == 0 }
+
+// release returns a query-owned table's build rows to the pool; the rows of
+// a cache-owned table stay with the cache.
+func (t *joinTable) release(p *storage.VecPool) {
+	if t == nil || t.shared || t.rows == nil {
+		return
+	}
+	p.Release(t.rows)
+	t.rows = nil
+}
 
 func (t *joinTable) lookup(key []byte) []int32 {
 	if len(t.parts) == 1 {
@@ -127,12 +186,27 @@ func (t *joinTable) lookup(key []byte) []int32 {
 	return t.parts[fnv1a(key)%uint64(len(t.parts))][string(key)]
 }
 
+// lookupWord returns the ascending build rows whose key encodes to w (nil
+// when there are none).
 func (t *joinTable) lookupWord(w uint64) []int32 {
-	k, ok := t.fixedIdx[w]
-	if !ok {
-		return nil
+	if t.denseOffs != nil {
+		// A word below denseMin wraps to a huge k and fails the bound check.
+		k := orderedWord(w) - t.denseMin
+		if k >= uint64(len(t.denseOffs)-1) {
+			return nil
+		}
+		return t.fixedRows[t.denseOffs[k]:t.denseOffs[k+1]]
 	}
-	return t.fixedRows[t.fixedOffs[k]:t.fixedOffs[k+1]]
+	mask := uint64(len(t.slots) - 1)
+	for s := (w * fibMul) >> t.slotShift; ; s = (s + 1) & mask {
+		sl := &t.slots[s]
+		if sl.hi == 0 {
+			return nil
+		}
+		if sl.w == w {
+			return t.fixedRows[sl.lo:sl.hi]
+		}
+	}
 }
 
 // fnv1a hashes key bytes to a partition; any stable byte hash works, the
@@ -149,8 +223,9 @@ func fnv1a(b []byte) uint64 {
 // drainBuild materializes an operator's full output in input order, charging
 // shuffle bytes (the build side of a hash join is exchanged in the simulated
 // cluster). Consumed batches are released: the joinTable keeps only the
-// copied concatenation.
-func drainBuild(op Operator, ctx *Context) (*storage.Batch, error) {
+// copied concatenation, which comes from the run's pool — or, with keep set,
+// from the heap, because a JoinCache is about to own it past this query.
+func drainBuild(op Operator, ctx *Context, keep bool) (*storage.Batch, error) {
 	// Collect first, copy second: the concatenation is then allocated at its
 	// final size in one shot (row-at-a-time appends from zero capacity paid a
 	// realloc cascade per query) and copied column-major.
@@ -168,7 +243,12 @@ func drainBuild(op Operator, ctx *Context) (*storage.Batch, error) {
 		bufs = append(bufs, b)
 		total += b.Rows()
 	}
-	rows := ctx.Pool.GetBatch(op.Schema(), total)
+	var rows *storage.Batch
+	if keep {
+		rows = storage.NewBatch(op.Schema(), total)
+	} else {
+		rows = ctx.Pool.GetBatch(op.Schema(), total)
+	}
 	for _, b := range bufs {
 		for c, v := range rows.Vecs {
 			if b.Sel != nil {
@@ -189,7 +269,7 @@ func drainBuild(op Operator, ctx *Context) (*storage.Batch, error) {
 // partition's map by walking the rows in index order, so every match list is
 // ascending no matter which worker built it.
 func buildJoinTable(spec *joinSpec, rows *storage.Batch, workers int) *joinTable {
-	t := &joinTable{spec: spec, rows: rows}
+	t := &joinTable{rows: rows}
 	n := rows.Len()
 	if n == 0 {
 		return t
@@ -198,7 +278,7 @@ func buildJoinTable(spec *joinSpec, rows *storage.Batch, workers int) *joinTable
 		workers = 1
 	}
 	if spec.fixedKey {
-		buildFixedJoinTable(t, rows)
+		buildFixedJoinTable(t, rows.Vecs[spec.rightKeys[0]])
 		return t
 	}
 	if workers == 1 {
@@ -277,53 +357,96 @@ func buildJoinTable(spec *joinSpec, rows *storage.Batch, workers int) *joinTable
 }
 
 // buildFixedJoinTable is buildJoinTable's spec.fixedKey variant: a CSR build
-// keyed by the single key column's fixedWord instead of groupKey bytes.
-// fixedWord mirrors groupKey's per-type encoding (two's complement,
-// Float64bits, 0/1), so word equality is exactly byte-key equality within
-// the type and every match list comes out identical — ascending row order
-// falls out of the forward fill pass. The build is three O(n) integer passes
-// with a single map and three flat arrays; it is not worth parallelizing, so
-// the workers argument of the byte-keyed build has no analogue here.
-func buildFixedJoinTable(t *joinTable, rows *storage.Batch) {
-	n := rows.Len()
-	kv := rows.Vecs[t.spec.rightKeys[0]]
+// keyed by the key column's fixedWord instead of groupKey bytes. fixedWord
+// mirrors groupKey's per-type encoding (two's complement, Float64bits, 0/1),
+// so word equality is exactly byte-key equality within the type and every
+// match list comes out identical — ascending row order falls out of the
+// forward fill pass. The build is three O(n) integer passes over flat arrays
+// with no Go map anywhere; it is not worth parallelizing, so the workers
+// argument of the byte-keyed build has no analogue here.
+func buildFixedJoinTable(t *joinTable, kv *storage.Vector) {
+	n := kv.Len()
 
-	// Pass 1: assign dense key ids in first-appearance order.
-	idx := make(map[uint64]int32, 1024)
-	keyOf := make([]int32, n)
-	nk := int32(0)
+	// Pass 1: the ordered key span decides the index layout.
+	lo, hi := orderedWord(fixedWord(kv, 0)), orderedWord(fixedWord(kv, 0))
+	for i := 1; i < n; i++ {
+		w := orderedWord(fixedWord(kv, i))
+		if w < lo {
+			lo = w
+		}
+		if w > hi {
+			hi = w
+		}
+	}
+	t.fixedRows = make([]int32, n)
+	if span := hi - lo; span < uint64(n)*denseSpanFactor || span < denseSpanFloor {
+		buildDenseIndex(t, kv, lo, int(span)+1)
+	} else {
+		buildSlotIndex(t, kv)
+	}
+}
+
+// buildDenseIndex lays the runs out in key order behind an offset array
+// indexed by orderedWord − min.
+func buildDenseIndex(t *joinTable, kv *storage.Vector, min uint64, nk int) {
+	n := kv.Len()
+	// Pass 2: count key k into offs[k+2], then prefix-sum, leaving offs[k+1]
+	// at the start of k's run. Pass 3 fills through offs[k+1], which walks it
+	// to the end of k's run — the start of k+1's — so the array finishes as
+	// the exclusive offsets with no cursor copy.
+	offs := make([]int32, nk+2)
+	for i := 0; i < n; i++ {
+		offs[orderedWord(fixedWord(kv, i))-min+2]++
+	}
+	for k := 2; k < len(offs); k++ {
+		offs[k] += offs[k-1]
+	}
+	for i := 0; i < n; i++ {
+		k := orderedWord(fixedWord(kv, i)) - min + 1
+		t.fixedRows[offs[k]] = int32(i)
+		offs[k]++
+	}
+	t.denseMin, t.denseOffs = min, offs[:nk+1]
+}
+
+// buildSlotIndex lays the runs out in slot order behind an open-addressing
+// table of at least 2n slots (load ≤ 1/2, so a probe always meets an empty
+// slot and the table never grows).
+func buildSlotIndex(t *joinTable, kv *storage.Vector) {
+	n := kv.Len()
+	nSlots := 1 << bits.Len(uint(2*n-1))
+	slots := make([]wordSlot, nSlots)
+	shift := uint(64 - bits.TrailingZeros(uint(nSlots)))
+	mask := uint64(nSlots - 1)
+
+	// Pass 2: claim a slot per distinct word, counting its rows in hi.
+	slotOf := make([]int32, n)
 	for i := 0; i < n; i++ {
 		w := fixedWord(kv, i)
-		k, ok := idx[w]
-		if !ok {
-			k = nk
-			nk++
-			idx[w] = k
+		s := (w * fibMul) >> shift
+		for slots[s].hi != 0 && slots[s].w != w {
+			s = (s + 1) & mask
 		}
-		keyOf[i] = k
+		slots[s].w = w
+		slots[s].hi++
+		slotOf[i] = int32(s)
 	}
-
-	// Pass 2: per-key counts -> exclusive prefix offsets.
-	offs := make([]int32, nk+1)
-	for _, k := range keyOf {
-		offs[k+1]++
+	// Counts -> run starts, in slot order (any fixed order works: a run's
+	// position never shows, only its contents do).
+	var at int32
+	for s := range slots {
+		if c := slots[s].hi; c != 0 {
+			slots[s].lo, slots[s].hi = at, at
+			at += c
+		}
 	}
-	for k := int32(0); k < nk; k++ {
-		offs[k+1] += offs[k]
+	// Pass 3: fill each run in ascending row order; hi walks from the run's
+	// start to its end.
+	for i, s := range slotOf {
+		t.fixedRows[slots[s].hi] = int32(i)
+		slots[s].hi++
 	}
-
-	// Pass 3: fill each key's region in ascending row order, using a cursor
-	// copy of the offsets.
-	cur := make([]int32, nk)
-	copy(cur, offs[:nk])
-	rowIdx := make([]int32, n)
-	for i := 0; i < n; i++ {
-		k := keyOf[i]
-		rowIdx[cur[k]] = int32(i)
-		cur[k]++
-	}
-
-	t.fixedIdx, t.fixedOffs, t.fixedRows = idx, offs, rowIdx
+	t.slots, t.slotShift = slots, shift
 }
 
 // joinProber streams probe batches against a built joinTable, emitting joined
@@ -466,6 +589,9 @@ func (p *joinProber) flush(out *storage.Batch) {
 type HashJoinOp struct {
 	Left, Right Operator
 
+	// node is the plan join this operator was compiled from (nil when
+	// assembled by hand); its build subtree's text keys the join cache.
+	node *plan.Join
 	spec *joinSpec
 	ctx  *Context
 
@@ -488,14 +614,10 @@ func NewHashJoinOp(left, right Operator, leftKeys, rightKeys []string, ctx *Cont
 // sampler byproduct may be pending below it.
 func (j *HashJoinOp) Open() error {
 	j.probeOpen = false
-	if err := j.Right.Open(); err != nil {
+	var err error
+	if j.table, err = runBuild(j.node, j.Right, j.spec, 1, j.ctx); err != nil {
 		return err
 	}
-	rows, err := drainBuild(j.Right, j.ctx)
-	if err != nil {
-		return err
-	}
-	j.table = buildJoinTable(j.spec, rows, 1)
 	if j.table.empty() && len(j.ctx.MaterializeSamples) == 0 {
 		return nil
 	}
@@ -541,15 +663,12 @@ func (j *HashJoinOp) Next() (*storage.Batch, error) {
 	return out, err
 }
 
-// Close implements Operator. The build-side concatenation is pool-owned
-// (drainBuild); releasing it here recycles the largest per-query allocation
-// of the join. Emitted output only ever holds copies, never references into
-// it.
+// Close implements Operator. A query-owned build-side concatenation is pool
+// memory (drainBuild); releasing it here recycles the largest per-query
+// allocation of the join. Emitted output only ever holds copies, never
+// references into it.
 func (j *HashJoinOp) Close() error {
-	if j.table != nil && j.table.rows != nil {
-		j.ctx.Pool.Release(j.table.rows)
-		j.table.rows = nil
-	}
+	j.table.release(j.ctx.Pool)
 	errL := j.Left.Close()
 	errR := j.Right.Close()
 	if errL != nil {

@@ -1,0 +1,274 @@
+package exec
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/tasterdb/taster/internal/storage"
+)
+
+// checkJoinIndex builds the fixed-key index over kv and holds lookupWord to
+// a naive word → ascending-rows map: every present word returns exactly its
+// rows, and every absent probe (the neighbours of each key, the extremes,
+// and the caller's extras) returns nothing. It returns the built table so
+// callers can assert which layout the key span selected.
+func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64) *joinTable {
+	t.Helper()
+	ref := make(map[uint64][]int32)
+	for i := 0; i < kv.Len(); i++ {
+		w := fixedWord(kv, i)
+		ref[w] = append(ref[w], int32(i))
+	}
+	tab := &joinTable{}
+	buildFixedJoinTable(tab, kv)
+
+	for w, want := range ref {
+		got := tab.lookupWord(w)
+		if len(got) != len(want) {
+			t.Fatalf("word %#x: %d rows, want %d", w, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("word %#x: rows %v, want %v", w, got, want)
+			}
+		}
+		absent = append(absent, w-1, w+1, ^w)
+	}
+	absent = append(absent, 0, 1, 1<<63, 1<<63-1, math.MaxUint64)
+	for _, w := range absent {
+		if _, present := ref[w]; present {
+			continue
+		}
+		if got := tab.lookupWord(w); len(got) != 0 {
+			t.Fatalf("absent word %#x returned rows %v", w, got)
+		}
+	}
+	return tab
+}
+
+func int64Vec(keys []int64) *storage.Vector {
+	v := storage.NewVector(storage.Int64, len(keys))
+	v.I64 = append(v.I64, keys...)
+	return v
+}
+
+// TestJoinIndexMatchesMap is the index's property test: over key vectors of
+// every shape the planner can hand the build — and a few it cannot — the
+// map-free index answers exactly like a Go map.
+func TestJoinIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	perm := func(n int, key func(i int) int64) []int64 {
+		keys := make([]int64, n)
+		for i, p := range rng.Perm(n) {
+			keys[i] = key(p)
+		}
+		return keys
+	}
+
+	t.Run("dense surrogate keys", func(t *testing.T) {
+		tab := checkJoinIndex(t, int64Vec(perm(5000, func(i int) int64 { return int64(i) + 1 })), nil)
+		if tab.denseOffs == nil {
+			t.Fatal("a 1..n key column must take the dense-range index")
+		}
+	})
+	t.Run("dense with duplicates and gaps", func(t *testing.T) {
+		keys := make([]int64, 6000)
+		for i := range keys {
+			keys[i] = 100 + 2*int64(rng.Intn(900))
+		}
+		tab := checkJoinIndex(t, int64Vec(keys), nil)
+		if tab.denseOffs == nil {
+			t.Fatal("span 1800 over 6000 rows must take the dense-range index")
+		}
+	})
+	t.Run("dense straddling zero", func(t *testing.T) {
+		tab := checkJoinIndex(t, int64Vec(perm(4001, func(i int) int64 { return int64(i) - 2000 })), nil)
+		if tab.denseOffs == nil {
+			t.Fatal("-2000..2000 is a short span once the sign bit is ordered")
+		}
+	})
+	t.Run("sparse", func(t *testing.T) {
+		keys := make([]int64, 5000)
+		for i := range keys {
+			keys[i] = rng.Int63() - rng.Int63()
+		}
+		copy(keys[4000:], keys[:1000]) // duplicates far apart in row order
+		tab := checkJoinIndex(t, int64Vec(keys), nil)
+		if tab.slots == nil {
+			t.Fatal("random 63-bit keys must take the open-addressing index")
+		}
+	})
+	t.Run("int64 extremes together", func(t *testing.T) {
+		// Span 2^64-1: the span test must not overflow into a dense layout.
+		keys := []int64{math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
+		tab := checkJoinIndex(t, int64Vec(keys), nil)
+		if tab.slots == nil {
+			t.Fatal("MinInt64 and MaxInt64 together must take the open-addressing index")
+		}
+	})
+	t.Run("selective subset", func(t *testing.T) {
+		// 133 of 20 000 surrogate keys survive a build-side filter: far more
+		// span than rows, but under the floor.
+		keys := perm(20000, func(i int) int64 { return int64(i) + 1 })[:133]
+		tab := checkJoinIndex(t, int64Vec(keys), nil)
+		if tab.denseOffs == nil {
+			t.Fatal("133 keys spread over 20 000 must take the dense-range index (span floor)")
+		}
+		// The same survivors of a 20 M-key dimension are past it.
+		for i := range keys {
+			keys[i] *= 1000
+		}
+		tab = checkJoinIndex(t, int64Vec(keys), nil)
+		if tab.slots == nil {
+			t.Fatal("133 keys spread over 20 000 000 must take the open-addressing index")
+		}
+	})
+	t.Run("single row", func(t *testing.T) {
+		checkJoinIndex(t, int64Vec([]int64{42}), nil)
+	})
+	t.Run("float64 bit patterns", func(t *testing.T) {
+		negZero := math.Copysign(0, -1)
+		nan2 := math.Float64frombits(0x7ff8000000000002) // a second NaN payload
+		v := storage.NewVector(storage.Float64, 0)
+		v.F64 = append(v.F64, 0, negZero, math.NaN(), nan2, math.Inf(1), math.Inf(-1), 1.5, -1.5, 0, negZero, math.NaN())
+		for i := 0; i < 500; i++ {
+			v.F64 = append(v.F64, rng.NormFloat64())
+		}
+		// 0 and -0, and the two NaN payloads, are distinct keys, as in groupKey.
+		checkJoinIndex(t, v, []uint64{math.Float64bits(2.5)})
+	})
+	t.Run("bool", func(t *testing.T) {
+		v := storage.NewVector(storage.Bool, 0)
+		for i := 0; i < 300; i++ {
+			v.B = append(v.B, rng.Intn(3) == 0)
+		}
+		tab := checkJoinIndex(t, v, nil)
+		if tab.denseOffs == nil {
+			t.Fatal("a bool key column must take the dense-range index")
+		}
+		allTrue := storage.NewVector(storage.Bool, 0)
+		allTrue.B = append(allTrue.B, true, true, true)
+		checkJoinIndex(t, allTrue, nil)
+	})
+}
+
+// FuzzJoinIndex drives the same check from arbitrary bytes: each 8-byte group
+// is one key word, reinterpreted per the type selector, so the fuzzer reaches
+// span boundaries, probe-chain collisions and float bit patterns on its own.
+func FuzzJoinIndex(f *testing.F) {
+	word := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	f.Add(word(1, 2, 3, 2, 1), uint8(0))
+	f.Add(word(1<<63, 1<<63-1, 0, math.MaxUint64), uint8(0))
+	f.Add(word(math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.NaN())), uint8(1))
+	f.Add(word(0, 1, 1, 0), uint8(2))
+	f.Add(word(7, 7+1<<16-1, 7+1<<16), uint8(0)) // either side of the dense span floor
+	f.Fuzz(func(t *testing.T, data []byte, typ uint8) {
+		n := len(data) / 8
+		if n == 0 {
+			return
+		}
+		var v *storage.Vector
+		switch typ % 3 {
+		case 0:
+			v = storage.NewVector(storage.Int64, n)
+		case 1:
+			v = storage.NewVector(storage.Float64, n)
+		default:
+			v = storage.NewVector(storage.Bool, n)
+		}
+		for i := 0; i < n; i++ {
+			w := binary.LittleEndian.Uint64(data[8*i:])
+			switch v.Typ {
+			case storage.Int64:
+				v.I64 = append(v.I64, int64(w))
+			case storage.Float64:
+				v.F64 = append(v.F64, math.Float64frombits(w))
+			default:
+				v.B = append(v.B, w&1 == 1)
+			}
+		}
+		checkJoinIndex(t, v, nil)
+	})
+}
+
+type joinIndexShape struct {
+	name string
+	keys *storage.Vector
+	// probeMax, when set, draws probe words from 1..probeMax — the fact
+	// side's whole key domain — instead of from the build keys.
+	probeMax int
+}
+
+// joinIndexShapes are the build sides the benchmark workloads produce — a
+// whole dimension table keyed 1..n, and a selective build-side filter's
+// survivors (both dense-range) — plus the shape they do not: as many keys
+// with no locality (open addressing).
+func joinIndexShapes() []joinIndexShape {
+	rng := rand.New(rand.NewSource(29))
+	dense := make([]int64, 150_000)
+	sparse := make([]int64, 150_000)
+	for i := range dense {
+		dense[i] = int64(i) + 1
+		sparse[i] = rng.Int63()
+	}
+	subset := make([]int64, 133)
+	for i, p := range rng.Perm(20_000)[:133] {
+		subset[i] = int64(p) + 1
+	}
+	return []joinIndexShape{
+		{name: "dense150k", keys: int64Vec(dense)},
+		{name: "sparse150k", keys: int64Vec(sparse)},
+		{name: "subset133of20k", keys: int64Vec(subset), probeMax: 20_000},
+	}
+}
+
+// BenchmarkJoinBuild times the fixed-key index build alone (the CSR passes,
+// no row copy), reporting ns per build row.
+func BenchmarkJoinBuild(b *testing.B) {
+	for _, sh := range joinIndexShapes() {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildFixedJoinTable(&joinTable{}, sh.keys)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.keys.Len()), "ns/row")
+		})
+	}
+}
+
+var benchJoinSink int
+
+// BenchmarkJoinProbe times lookupWord over 65 536 probe words (all present
+// for the whole-table shapes; the subset build misses 99 % of the time, as
+// its query does), reporting ns per probe.
+func BenchmarkJoinProbe(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	for _, sh := range joinIndexShapes() {
+		tab := &joinTable{}
+		buildFixedJoinTable(tab, sh.keys)
+		probes := make([]uint64, 1<<16)
+		for i := range probes {
+			if sh.probeMax > 0 {
+				probes[i] = uint64(rng.Intn(sh.probeMax) + 1)
+			} else {
+				probes[i] = fixedWord(sh.keys, rng.Intn(sh.keys.Len()))
+			}
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, w := range probes {
+					benchJoinSink += len(tab.lookupWord(w))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(probes)), "ns/probe")
+		})
+	}
+}

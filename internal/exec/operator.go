@@ -11,6 +11,12 @@
 // morsels of the probe side from a shared dispenser and merge per-worker
 // partial hash tables, with per-morsel RNG streams split deterministically
 // from the query seed so results are byte-identical at any worker count.
+//
+// Fixed-width single-column join keys are indexed without a Go map (a dense
+// offset array or an open-addressing table behind joinTable.lookupWord), and
+// a build side made only of scans, filters and joins is built once per table
+// version: JoinCache keeps the immutable table and the cost the build
+// charged, and a later run replays the cost instead of rebuilding.
 package exec
 
 import (
@@ -109,6 +115,12 @@ type Context struct {
 	// out (storage.VecPool documents the contract). A nil pool degrades every
 	// pool-aware operator to plain allocation, so results never depend on it.
 	Pool *storage.VecPool
+	// Joins keeps built join tables across runs (see JoinCache). Nil — the
+	// NewContext default — builds every join's table per run; the engine
+	// threads its own cache here beside Pool. A cached table is immutable
+	// and cache-owned, so runs and morsel workers share it without locking
+	// and never release its rows.
+	Joins *JoinCache
 	// Obs receives the executor's dispatch counters (kernel-vs-fallback
 	// filter batches, zone-pruned partitions). Metrics are write-only from
 	// execution — nothing here reads them back — and every hook is safe on

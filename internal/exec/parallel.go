@@ -216,10 +216,7 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 	emptyJoin := false
 	for k := len(p.joins) - 1; k >= 0; k-- {
 		js := p.joins[k]
-		if err := js.build.Open(); err != nil {
-			return nil, err
-		}
-		built, err := drainBuild(js.build, p.ctx)
+		table, err := runBuild(js.node, js.build, js.spec, workers, p.ctx)
 		cerr := js.build.Close()
 		if err != nil {
 			return nil, err
@@ -227,7 +224,7 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 		if cerr != nil {
 			return nil, cerr
 		}
-		js.table = buildJoinTable(js.spec, built, workers)
+		js.table = table
 		if js.table.empty() {
 			emptyJoin = true
 			if !materializes {
@@ -327,13 +324,11 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 
 // Close implements Operator.
 func (p *ParallelAggOp) Close() error {
-	// Build-side concatenations are pool-owned (drainBuild); recycle them.
-	// Probe output only ever holds copies, never references into them.
+	// Query-owned build-side concatenations are pool memory (drainBuild);
+	// recycle them. Probe output only ever holds copies, never references
+	// into them.
 	for _, js := range p.joins {
-		if js.table != nil && js.table.rows != nil {
-			p.ctx.Pool.Release(js.table.rows)
-			js.table.rows = nil
-		}
+		js.table.release(p.ctx.Pool)
 	}
 	return nil
 }

@@ -72,6 +72,25 @@ func (t *tracedOp) Intervals() [][]stats.Interval {
 	return nil
 }
 
+// markCached records, under tracing, that the build subtree rooted at n was
+// answered from the join cache: its operators were compiled and trace-wrapped
+// but never opened, and their zero counters would read as a build that
+// produced nothing. The root carries the cached table's row count, so the
+// enclosing join's rows-in is what a fresh build would have reported.
+func markCached(n plan.Node, rows int64, ctx *Context) {
+	if ctx.TraceNodes == nil {
+		return
+	}
+	plan.Walk(n, func(m plan.Node) {
+		if tn := ctx.TraceNodes[m]; tn != nil {
+			tn.Cached = true
+		}
+	})
+	if tn := ctx.TraceNodes[n]; tn != nil {
+		tn.RowsOut = rows
+	}
+}
+
 // BuildTraceTree assembles the per-query trace tree for a compiled plan:
 // every node Compile traced carries its recorded counters; nodes whose work
 // ran inside a fused operator (morsel pipelines, pruning-fused scans)

@@ -10,10 +10,11 @@ package obs
 // Construct with NewMetrics — the zero value's histograms have no buckets
 // and ignore observations.
 type Metrics struct {
-	// PlanCache, Pool, Exec and Disk are the hook groups leaf packages
-	// receive as pointers (each is nil-safe, so an engine without metrics
-	// threads nil and every hook call is one pointer test).
+	// PlanCache, JoinCache, Pool, Exec and Disk are the hook groups leaf
+	// packages receive as pointers (each is nil-safe, so an engine without
+	// metrics threads nil and every hook call is one pointer test).
 	PlanCache PlanCacheObs
+	JoinCache JoinCacheObs
 	Pool      PoolObs
 	Exec      ExecObs
 	Disk      DiskObs
@@ -73,6 +74,61 @@ func (o *PlanCacheObs) Miss() {
 func (o *PlanCacheObs) Evict() {
 	if o != nil {
 		o.Evictions.Inc()
+	}
+}
+
+// JoinCacheObs counts the executor's join-table cache traffic: lookups that
+// found a resident table (Hits) or did not (Misses, first sights included),
+// builds made resident (Admissions), tables dropped from the LRU tail or
+// displaced by a replaced base table (Evictions), and the bytes resident
+// now. Incremented inside the cache's mutex; atomic for the same reason as
+// PlanCacheObs.
+//
+// A hit skips the build subtree altogether, and the executor's dispatch
+// counters count work actually done: ExecObs.KernelFilterBatches,
+// FallbackFilterBatches and PrunedPartitions (the benchmark's
+// exec.kernel_filter_share and exec.pruned_partitions) fall by whatever the
+// skipped build-side filters and scans would have added.
+type JoinCacheObs struct {
+	Hits          Counter
+	Misses        Counter
+	Admissions    Counter
+	Evictions     Counter
+	ResidentBytes Gauge
+}
+
+// Hit records a lookup served from a resident table.
+func (o *JoinCacheObs) Hit() {
+	if o != nil {
+		o.Hits.Inc()
+	}
+}
+
+// Miss records a lookup that found no resident table.
+func (o *JoinCacheObs) Miss() {
+	if o != nil {
+		o.Misses.Inc()
+	}
+}
+
+// Admit records a built table made resident.
+func (o *JoinCacheObs) Admit() {
+	if o != nil {
+		o.Admissions.Inc()
+	}
+}
+
+// Evict records a resident table dropped.
+func (o *JoinCacheObs) Evict() {
+	if o != nil {
+		o.Evictions.Inc()
+	}
+}
+
+// Resident records the bytes of built tables now resident.
+func (o *JoinCacheObs) Resident(n int64) {
+	if o != nil {
+		o.ResidentBytes.Set(n)
 	}
 }
 
@@ -191,6 +247,11 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		PlanCacheHits:         m.PlanCache.Hits.Value(),
 		PlanCacheMisses:       m.PlanCache.Misses.Value(),
 		PlanCacheEvictions:    m.PlanCache.Evictions.Value(),
+		JoinCacheHits:         m.JoinCache.Hits.Value(),
+		JoinCacheMisses:       m.JoinCache.Misses.Value(),
+		JoinCacheAdmissions:   m.JoinCache.Admissions.Value(),
+		JoinCacheEvictions:    m.JoinCache.Evictions.Value(),
+		JoinCacheBytes:        m.JoinCache.ResidentBytes.Value(),
 		TuningRounds:          m.TuningRounds.Value(),
 		TuningShed:            m.TuningShed.Value(),
 		TuningQueueDepth:      m.TuningQueueDepth.Value(),
@@ -227,6 +288,12 @@ type MetricsSnapshot struct {
 	PlanCacheMisses    int64
 	PlanCacheEvictions int64
 	PlanCacheEntries   int64 // (engine)
+
+	JoinCacheHits       int64
+	JoinCacheMisses     int64
+	JoinCacheAdmissions int64
+	JoinCacheEvictions  int64
+	JoinCacheBytes      int64
 
 	TuningRounds       int64
 	TuningShed         int64
@@ -297,6 +364,11 @@ func (s MetricsSnapshot) Families() []Family {
 		c("taster_plan_cache_misses_total", "Plan-cache misses (cold candidate enumeration).", s.PlanCacheMisses),
 		c("taster_plan_cache_evictions_total", "Plan-cache LRU evictions.", s.PlanCacheEvictions),
 		g("taster_plan_cache_entries", "Plan-cache entries currently resident.", s.PlanCacheEntries),
+		c("taster_join_cache_hits_total", "Join builds served from a cached table.", s.JoinCacheHits),
+		c("taster_join_cache_misses_total", "Join builds that ran (first sights included).", s.JoinCacheMisses),
+		c("taster_join_cache_admissions_total", "Built join tables made resident in the cache.", s.JoinCacheAdmissions),
+		c("taster_join_cache_evictions_total", "Cached join tables dropped.", s.JoinCacheEvictions),
+		g("taster_join_cache_bytes", "Bytes of built join tables resident in the cache.", s.JoinCacheBytes),
 		c("taster_tuning_rounds_total", "Tuning rounds run (batched and inline).", s.TuningRounds),
 		c("taster_tuning_observations_shed_total", "Observations dropped at a full tuning queue.", s.TuningShed),
 		g("taster_tuning_queue_depth", "Observation-queue occupancy after the last enqueue.", s.TuningQueueDepth),

@@ -31,6 +31,12 @@ func TestCounterNilSafety(t *testing.T) {
 	pc.Hit()
 	pc.Miss()
 	pc.Evict()
+	var jc *JoinCacheObs
+	jc.Hit()
+	jc.Miss()
+	jc.Admit()
+	jc.Evict()
+	jc.Resident(10)
 	var po *PoolObs
 	po.Get()
 	po.Put()
@@ -92,6 +98,12 @@ func TestHookGroups(t *testing.T) {
 	m.PlanCache.Hit()
 	m.PlanCache.Miss()
 	m.PlanCache.Evict()
+	m.JoinCache.Hit()
+	m.JoinCache.Miss()
+	m.JoinCache.Miss()
+	m.JoinCache.Admit()
+	m.JoinCache.Evict()
+	m.JoinCache.Resident(4096)
 	m.Pool.Get()
 	m.Pool.Put()
 	m.Pool.Miss()
@@ -112,6 +124,11 @@ func TestHookGroups(t *testing.T) {
 		{"PlanCacheHits", s.PlanCacheHits, 2},
 		{"PlanCacheMisses", s.PlanCacheMisses, 1},
 		{"PlanCacheEvictions", s.PlanCacheEvictions, 1},
+		{"JoinCacheHits", s.JoinCacheHits, 1},
+		{"JoinCacheMisses", s.JoinCacheMisses, 2},
+		{"JoinCacheAdmissions", s.JoinCacheAdmissions, 1},
+		{"JoinCacheEvictions", s.JoinCacheEvictions, 1},
+		{"JoinCacheBytes", s.JoinCacheBytes, 4096},
 		{"PoolBatchGets", s.PoolBatchGets, 1},
 		{"PoolBatchPuts", s.PoolBatchPuts, 1},
 		{"PoolAllocMisses", s.PoolAllocMisses, 1},
@@ -154,8 +171,8 @@ func TestClocks(t *testing.T) {
 // in the httpexport golden test.
 func TestFamiliesStable(t *testing.T) {
 	fams := MetricsSnapshot{}.Families()
-	if len(fams) != 30 {
-		t.Fatalf("Families() returned %d series, want 30", len(fams))
+	if len(fams) != 35 {
+		t.Fatalf("Families() returned %d series, want 35", len(fams))
 	}
 	seen := make(map[string]bool, len(fams))
 	for _, f := range fams {

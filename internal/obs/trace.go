@@ -16,9 +16,14 @@ import (
 // scan's pruning) — they appear in the tree for plan shape but carry no
 // per-operator counters of their own; the enclosing traced operator
 // accounts their work.
+//
+// Cached nodes are a join build subtree the engine's join cache answered:
+// its operators never ran in this query. The subtree's root keeps the cached
+// table's row count in RowsOut; the nodes below it carry nothing.
 type TraceNode struct {
 	Name         string
 	Fused        bool
+	Cached       bool
 	RowsIn       int64
 	RowsOut      int64
 	PhysRows     int64
@@ -34,6 +39,9 @@ type TraceNode struct {
 //	└─ Filter(amount < 100)  rows=431/1000 sel=43.1% batches=2 time=800µs
 //	   └─ Scan(sales)  (fused)
 //
+// A join build side served by the join cache renders as
+// "Scan(orders)  (cached rows=150000)", nodes below its root as "(cached)".
+//
 // Output is deterministic for a deterministic execution under a frozen
 // clock (durations render as 0s).
 func (n *TraceNode) Render() string {
@@ -41,16 +49,21 @@ func (n *TraceNode) Render() string {
 		return ""
 	}
 	var sb strings.Builder
-	n.render(&sb, "", "")
+	n.render(&sb, "", "", false)
 	return sb.String()
 }
 
-func (n *TraceNode) render(sb *strings.Builder, prefix, childPrefix string) {
+func (n *TraceNode) render(sb *strings.Builder, prefix, childPrefix string, underCached bool) {
 	sb.WriteString(prefix)
 	sb.WriteString(n.Name)
-	if n.Fused {
+	switch {
+	case n.Cached && underCached:
+		sb.WriteString("  (cached)")
+	case n.Cached:
+		fmt.Fprintf(sb, "  (cached rows=%d)", n.RowsOut)
+	case n.Fused:
 		sb.WriteString("  (fused)")
-	} else {
+	default:
 		fmt.Fprintf(sb, "  %s", n.statLine())
 	}
 	sb.WriteByte('\n')
@@ -60,7 +73,7 @@ func (n *TraceNode) render(sb *strings.Builder, prefix, childPrefix string) {
 		if last {
 			branch, cont = "└─ ", "   "
 		}
-		c.render(sb, childPrefix+branch, childPrefix+cont)
+		c.render(sb, childPrefix+branch, childPrefix+cont, n.Cached)
 	}
 }
 

@@ -41,13 +41,19 @@ func TestTraceRenderSiblings(t *testing.T) {
 			{Name: "ScanA", RowsOut: 4, Batches: 1, Materialized: 2,
 				Children: []*TraceNode{{Name: "Leaf", Fused: true}}},
 			{Name: "ScanB", RowsOut: 6, Batches: 1},
+			// A join build side the join cache answered: the root shows the
+			// cached table's rows, the nodes below it ran nothing.
+			{Name: "FilterC", Cached: true, RowsOut: 7,
+				Children: []*TraceNode{{Name: "ScanC", Cached: true}}},
 		},
 	}
 	got := root.Render()
 	for _, line := range []string{
 		"├─ ScanA  rows=4 batches=1 built=2 time=0s",
 		"│  └─ Leaf  (fused)", // continuation bar under a non-last sibling
-		"└─ ScanB  rows=6 batches=1 time=0s",
+		"├─ ScanB  rows=6 batches=1 time=0s",
+		"└─ FilterC  (cached rows=7)",
+		"   └─ ScanC  (cached)",
 	} {
 		if !strings.Contains(got, line) {
 			t.Errorf("Render output missing %q:\n%s", line, got)

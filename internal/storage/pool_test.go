@@ -15,7 +15,9 @@ func poolSchema() Schema {
 }
 
 // TestVecPoolRecycle: a released batch's backing arrays come back on the next
-// GetBatch, empty and type-correct.
+// GetBatch, empty and type-correct. The identity of the backing array is only
+// asserted without the race detector, under which sync.Pool drops Puts at
+// random; a batch recycled or fresh must be pooled, empty and typed alike.
 func TestVecPoolRecycle(t *testing.T) {
 	p := NewVecPool()
 	b := p.GetBatch(poolSchema(), 8)
@@ -42,7 +44,7 @@ func TestVecPoolRecycle(t *testing.T) {
 		}
 	}
 	b2.Vecs[0].I64 = append(b2.Vecs[0].I64, 9)
-	if &b2.Vecs[0].I64[0] != arr {
+	if &b2.Vecs[0].I64[0] != arr && !raceEnabled {
 		t.Error("int64 backing array was not recycled")
 	}
 }
