@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness determinism race race-all test-race fuzz-smoke bench bench-join bench-stream bench-serve bench-warmstart bench-partition bench-execute bench-kernels profile-serve profile-trace smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke determinism race race-all test-race fuzz-smoke bench bench-join bench-stream bench-serve bench-warmstart bench-partition bench-execute bench-kernels profile-serve profile-trace smoke-metrics
 
 all: check
 
-check: fmt vet lint build test bench-harness determinism staticcheck govulncheck
+check: fmt vet lint build test bench-harness bench-smoke determinism staticcheck govulncheck
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -49,6 +49,20 @@ test:
 # change to a package its probes call breaks it unseen.
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The declared benchmark (BENCHMARK.json) end to end at test scale: each
+# workload is built from source and run exactly as the driver runs it, only
+# with --smoke, and must end in a result record — the last stdout line — that
+# says correct:true and failed:0. About 11 s per workload, build included.
+bench-smoke:
+	@set -e; for w in dash_repeat explore_cold scan_exact; do \
+		rec=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 18 --trace 0 --smoke | tail -n 1); \
+		if echo "$$rec" | grep -q '"correct":true' && echo "$$rec" | grep -q '"failed":0[,}]'; then \
+			echo "bench-smoke: $$w ok"; \
+		else \
+			echo "bench-smoke: $$w: want correct:true and failed:0, got: $$rec"; exit 1; \
+		fi; \
+	done
 
 # Byte-determinism gate: the whole experiment suite (every engine on the
 # synchronous tuning schedule) run twice must print identical reports. Any

@@ -901,27 +901,7 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 	if s.Strategy == "uniform" || s.Strategy == "variational" {
 		desc.Kind = plan.UniformSample
 	}
-	entry := e.store.Intern(desc)
-	id := entry.Desc.ID
-	e.store.SetPinned(id, true)
-	it := warehouse.NewSampleItem(id, s)
-	it.Pinned = true
-	loc := meta.LocWarehouse
-	if e.wh.Has(id) {
-		// Re-pinning an already-stored sample (e.g. a rebuilt hint after
-		// ingestion) refreshes the stored copy in place.
-		res, err := e.wh.Refresh(it)
-		if err != nil {
-			return 0, fmt.Errorf("core: pinning sample: %w", err)
-		}
-		if res == warehouse.AdmitBuffer {
-			loc = meta.LocBuffer
-		}
-	} else if err := e.wh.PutWarehouse(it); err != nil {
-		return 0, fmt.Errorf("core: pinning sample: %w", err)
-	}
-	e.store.SetActualSize(id, it.Size)
-	e.store.SetLocation(id, loc)
+	id := e.store.Intern(desc).Desc.ID
 	// Freshness is anchored to the rows the sample actually scanned (its
 	// validated SourceRows), matching the admit path's plan-bound
 	// convention: an ingest racing the offline build — or a hint built from
@@ -931,7 +911,9 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 	if rows <= 0 {
 		rows = int64(tbl.NumRows())
 	}
-	e.store.SetFreshness(id, tbl.Epoch(), map[string]int64{table: rows})
+	if err := e.installPinnedLocked(id, s, table, tbl.Epoch(), rows); err != nil {
+		return 0, fmt.Errorf("core: pinning sample: %w", err)
+	}
 	e.republishLocked()
 	if e.db != nil {
 		// A pinned hint should be durable the moment the call returns: its
@@ -945,6 +927,32 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 		}
 	}
 	return id, nil
+}
+
+// installPinnedLocked stores a pinned sample under synopsis id and records
+// its size, location and freshness (rows of table seen as of epoch). An id
+// that is already stored — a hint rebuilt after ingestion — is refreshed in
+// place; a new one goes straight to the warehouse.
+func (e *Engine) installPinnedLocked(id uint64, s *synopses.Sample, table string, epoch uint64, rows int64) error {
+	e.store.SetPinned(id, true)
+	it := warehouse.NewSampleItem(id, s)
+	it.Pinned = true
+	loc := meta.LocWarehouse
+	if e.wh.Has(id) {
+		res, err := e.wh.Refresh(it)
+		if err != nil {
+			return err
+		}
+		if res == warehouse.AdmitBuffer {
+			loc = meta.LocBuffer
+		}
+	} else if err := e.wh.PutWarehouse(it); err != nil {
+		return err
+	}
+	e.store.SetActualSize(id, it.Size)
+	e.store.SetLocation(id, loc)
+	e.store.SetFreshness(id, epoch, map[string]int64{table: rows})
+	return nil
 }
 
 // PinPartitionedSample builds and pins one uniform mini-sample per partition
@@ -999,34 +1007,17 @@ func (e *Engine) PinPartitionedSample(table string, prob float64, stratCols, agg
 			Pinned:    true,
 			Partition: scope,
 		}
-		entry := e.store.Intern(desc)
-		id := entry.Desc.ID
+		id := e.store.Intern(desc).Desc.ID
 		s := synopses.BuildPartitionSample(fmt.Sprintf("synopsis_%d", id), tbl, pi, prob, seed, stratCols)
-		it := warehouse.NewSampleItem(id, s)
-		it.Pinned = true
-		e.store.SetPinned(id, true)
-		loc := meta.LocWarehouse
-		if e.wh.Has(id) {
-			// Re-pinning after ingestion refreshes the stored copy in place —
-			// typically only the tail partition's descriptor resolves to a
-			// stored item with different contents; untouched partitions
-			// rebuild byte-identically and the refresh is a no-op overwrite.
-			res, err := e.wh.Refresh(it)
-			if err != nil {
-				return ids, fmt.Errorf("core: pinning partition %d sample on %s: %w", pi+1, table, err)
-			}
-			if res == warehouse.AdmitBuffer {
-				loc = meta.LocBuffer
-			}
-		} else if err := e.wh.PutWarehouse(it); err != nil {
+		// Re-pinning after ingestion typically changes only the tail
+		// partition's contents; untouched partitions rebuild byte-identically
+		// and their refresh is a no-op overwrite. Freshness is the
+		// partition's own row count: partition-scoped staleness compares it
+		// against the observed layout, so an append landing elsewhere
+		// contributes nothing.
+		if err := e.installPinnedLocked(id, s, table, tbl.Epoch(), counts[pi]); err != nil {
 			return ids, fmt.Errorf("core: pinning partition %d sample on %s: %w", pi+1, table, err)
 		}
-		e.store.SetActualSize(id, it.Size)
-		e.store.SetLocation(id, loc)
-		// Freshness is the partition's own row count: partition-scoped
-		// staleness compares it against the observed layout, so an append
-		// landing elsewhere contributes nothing.
-		e.store.SetFreshness(id, tbl.Epoch(), map[string]int64{table: counts[pi]})
 		ids = append(ids, id)
 	}
 	e.store.ObservePartitions(table, counts)

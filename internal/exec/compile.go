@@ -66,20 +66,15 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 	case *plan.Aggregate:
 		// Scan→sample→filter→join→aggregate chains — single-table and
 		// left-deep join plans alike — run on the morsel-driven parallel
-		// executor. That is every aggregate the planner emits: a sketch-join
-		// plan is rooted at a SketchJoin (which aggregates itself), so no
-		// planned query reaches the HashAggOp below (core's
-		// TestPlannerRootsRunOnTheMorselSpine). It stays for
-		// hand-built plans and as the reference the morsel path is tested
-		// against.
-		if pipe, ok := matchParallelAgg(t); ok {
-			return NewParallelAggOp(pipe, seed, ctx)
-		}
-		child, err := Compile(t.Child, seed, ctx)
+		// executor. That is every aggregate the planner emits (a sketch-join
+		// plan is rooted at a SketchJoin, which aggregates itself; core's
+		// TestPlannerRootsRunOnTheMorselSpine), so any other shape is an
+		// error here, not a second executor.
+		pipe, err := matchParallelAgg(t)
 		if err != nil {
 			return nil, err
 		}
-		return NewHashAggOp(child, t.GroupBy, t.Aggs, ctx)
+		return NewParallelAggOp(pipe, seed, ctx)
 
 	case *plan.SynopsisOp:
 		child, err := Compile(t.Child, seed, ctx)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -535,6 +536,13 @@ func TestCompileUnknownNode(t *testing.T) {
 	ctx := NewContext(0.95)
 	if _, err := Compile(nil, 1, ctx); err == nil {
 		t.Fatal("want error for nil node")
+	}
+	// An aggregate the morsel spine cannot run is an error naming the node
+	// that broke the shape — there is no second executor to fall back to.
+	inner := &plan.Aggregate{Child: &plan.Scan{Table: ordersTable()}, Aggs: []plan.AggSpec{{Kind: stats.Count}}}
+	outer := &plan.Aggregate{Child: inner, Aggs: []plan.AggSpec{{Kind: stats.Count}}}
+	if _, err := Compile(outer, 1, ctx); err == nil || !strings.Contains(err.Error(), "*plan.Aggregate") {
+		t.Fatalf("aggregate over aggregate: err = %v, want one naming *plan.Aggregate", err)
 	}
 }
 

@@ -578,6 +578,40 @@ func (p *joinProber) flush(out *storage.Batch) {
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]
 }
 
+// probe is the one probe loop, shared by the Volcano HashJoinOp and the
+// per-morsel morselProbeOp: it streams child against the built table,
+// charging probe shuffle bytes and output CPU to ctx. Over an empty table —
+// only reached by a run that materializes a sampler byproduct, plain empty
+// joins short-circuit before probing — it drains child so samplers below the
+// join still observe their stream, and emits nothing.
+func (p *joinProber) probe(child Operator, ctx *Context) (*storage.Batch, error) {
+	if p.table.empty() {
+		for {
+			b, err := child.Next()
+			if err != nil || b == nil {
+				return nil, err
+			}
+			ctx.Stats.ShuffleBytes += batchBytes(b)
+			ctx.Pool.Release(b)
+		}
+	}
+	out, err := p.next(func() (*storage.Batch, error) {
+		b, err := child.Next()
+		if b != nil {
+			// The prober walks rows by physical index; resolve any selection
+			// first (the dense batch's bytes equal the selection's SelBytes,
+			// so the shuffle charge is order-independent).
+			b = b.Materialize(ctx.Pool)
+			ctx.Stats.ShuffleBytes += batchBytes(b)
+		}
+		return b, err
+	})
+	if out != nil {
+		ctx.Stats.CPUTuples += int64(out.Len())
+	}
+	return out, err
+}
+
 // HashJoinOp is the Volcano inner equi-join: it builds a hash table over the
 // right input, then streams the left input against it in bounded chunks. An
 // empty build side short-circuits: the probe side is never opened, so an
@@ -631,36 +665,10 @@ func (j *HashJoinOp) Open() error {
 
 // Next implements Operator.
 func (j *HashJoinOp) Next() (*storage.Batch, error) {
-	if j.table.empty() {
-		if !j.probeOpen {
-			return nil, nil
-		}
-		// Materializing run over an empty build: drain the probe side so
-		// sampler byproducts below the join are still built, emit nothing.
-		for {
-			b, err := j.Left.Next()
-			if err != nil || b == nil {
-				return nil, err
-			}
-			j.ctx.Stats.ShuffleBytes += batchBytes(b)
-			j.ctx.Pool.Release(b)
-		}
+	if !j.probeOpen {
+		return nil, nil // empty build side, nothing to materialize below
 	}
-	out, err := j.prober.next(func() (*storage.Batch, error) {
-		b, err := j.Left.Next()
-		if b != nil {
-			// The prober walks rows by physical index; resolve any selection
-			// first (the dense batch's bytes equal the selection's SelBytes,
-			// so the shuffle charge is order-independent).
-			b = b.Materialize(j.ctx.Pool)
-			j.ctx.Stats.ShuffleBytes += batchBytes(b)
-		}
-		return b, err
-	})
-	if out != nil {
-		j.ctx.Stats.CPUTuples += int64(out.Len())
-	}
-	return out, err
+	return j.prober.probe(j.Left, j.ctx)
 }
 
 // Close implements Operator. A query-owned build-side concatenation is pool

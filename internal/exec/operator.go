@@ -1,16 +1,25 @@
 // Package exec implements the physical, batch-at-a-time (Volcano-with-
-// vectors) execution engine: scans, filters, projections, hash joins,
-// weighted hash aggregation with single-pass error tracking, the sampler
-// operators (pipelined, with materialization as a byproduct — paper §III),
-// the sketch-join operator, and the compiler from logical plans.
+// vectors) execution engine: scans, filters, hash joins, weighted hash
+// aggregation with single-pass error tracking, the sampler operators
+// (pipelined, with materialization as a byproduct — paper §III), the
+// sketch-join operator, and the compiler from logical plans.
 //
-// Scan→sample→filter→join→aggregate chains — the hot path of every grouped
-// aggregation, single-table or join-shaped — compile to the morsel-driven
-// ParallelAggOp instead of the Volcano operators: join build sides are hashed
-// once into partitioned shared tables, workers claim fixed-size row-range
-// morsels of the probe side from a shared dispenser and merge per-worker
-// partial hash tables, with per-morsel RNG streams split deterministically
-// from the query seed so results are byte-identical at any worker count.
+// Scan→sample→filter→join→aggregate chains — every aggregate a planner
+// emits, single-table or join-shaped — compile to the morsel-driven
+// ParallelAggOp, and Compile has no other lowering for an Aggregate: join
+// build sides are hashed once into partitioned shared tables, workers claim
+// fixed-size row-range morsels of the probe side from a shared dispenser and
+// merge per-worker partial hash tables, with per-morsel RNG streams split
+// deterministically from the query seed so results are byte-identical at any
+// worker count.
+//
+// The Volcano pair stays for stated reasons only. HashAggOp is reference-only:
+// no plan compiles to it; join_test.go, parallel_test.go and the root
+// bench_test.go build it by hand as the oracle the morsel path must equal.
+// HashJoinOp runs the join subtrees under a sketch-join's probe side (and any
+// join inside a build side), and is the join half of the same oracle. Both
+// share their inner loops with the morsel path (aggTable, joinProber.probe),
+// so the reference costs no second algorithm.
 //
 // Fixed-width single-column join keys are indexed without a Go map (a dense
 // offset array or an open-addressing table behind joinTable.lookupWord), and

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,10 +39,10 @@ type parallelPipeline struct {
 	agg     *plan.Aggregate
 }
 
-// matchParallelAgg recognizes the pipeline shape. It returns ok=false for
-// aggregates over sketch-joins or nested samplers — shapes the
-// planner never emits, left to the Volcano HashAggOp.
-func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, bool) {
+// matchParallelAgg recognizes the pipeline shape. Anything else under an
+// aggregate — a sketch-join, a second sampler, another aggregate — is a
+// shape no planner emits and nothing compiles: the error names the node.
+func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, error) {
 	p := &parallelPipeline{agg: a}
 	n := a.Child
 	var down []plan.Node // top-down spine nodes
@@ -55,7 +56,7 @@ func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, bool) {
 			n = t.Left
 		case *plan.SynopsisOp:
 			if p.sampler != nil || t.Kind == plan.SketchJoinSynopsis {
-				return nil, false
+				return nil, fmt.Errorf("exec: cannot compile an aggregate over %s: at most one sample-kind sampler fits the morsel spine", t)
 			}
 			p.sampler = t
 			down = append(down, t)
@@ -69,7 +70,7 @@ func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, bool) {
 			p.leafFree = t.InBuffer
 			p.leafBytes = t.Sample.Rows.Bytes()
 		default:
-			return nil, false
+			return nil, fmt.Errorf("exec: cannot compile an aggregate over %T: the morsel spine is Scan|SynopsisScan → {Sampler|Filter|Join}*", n)
 		}
 		if p.leaf != nil {
 			break
@@ -79,7 +80,7 @@ func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, bool) {
 	for i := len(down) - 1; i >= 0; i-- {
 		p.chain = append(p.chain, down[i])
 	}
-	return p, true
+	return p, nil
 }
 
 // pipelineJoinState is one join of the spine: its compiled build-side
@@ -415,7 +416,7 @@ func buildMorselChain(pipe *parallelPipeline, joins []*pipelineJoinState, morsel
 
 // morselProbeOp probes one morsel's stream against a join's shared hash
 // table with a morsel-local prober, charging probe shuffle and output CPU to
-// the morsel's context exactly as the Volcano HashJoinOp does.
+// the morsel's context (joinProber.probe, the loop HashJoinOp runs too).
 type morselProbeOp struct {
 	child  Operator
 	st     *pipelineJoinState
@@ -430,36 +431,7 @@ func (o *morselProbeOp) Open() error {
 }
 
 // Next implements Operator.
-func (o *morselProbeOp) Next() (*storage.Batch, error) {
-	if o.st.table.empty() {
-		// Only reachable when the pipeline materializes a sampler byproduct
-		// (plain empty joins early-out before the pool starts): drain the
-		// child so samplers below this join still observe their stream, and
-		// emit nothing.
-		for {
-			b, err := o.child.Next()
-			if err != nil || b == nil {
-				return nil, err
-			}
-			o.ctx.Stats.ShuffleBytes += batchBytes(b)
-			o.ctx.Pool.Release(b)
-		}
-	}
-	out, err := o.prober.next(func() (*storage.Batch, error) {
-		b, err := o.child.Next()
-		if b != nil {
-			// Prober walks physical indices: resolve selections first, like
-			// the Volcano HashJoinOp (same bytes either way).
-			b = b.Materialize(o.ctx.Pool)
-			o.ctx.Stats.ShuffleBytes += batchBytes(b)
-		}
-		return b, err
-	})
-	if out != nil {
-		o.ctx.Stats.CPUTuples += int64(out.Len())
-	}
-	return out, err
-}
+func (o *morselProbeOp) Next() (*storage.Batch, error) { return o.prober.probe(o.child, o.ctx) }
 
 // Close implements Operator.
 func (o *morselProbeOp) Close() error { return o.child.Close() }

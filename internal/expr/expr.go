@@ -200,11 +200,6 @@ const (
 
 func (o CmpOp) String() string { return [...]string{"=", "<>", "<", "<=", ">", ">="}[o] }
 
-// negate returns the complementary operator (NOT a op b).
-func (o CmpOp) negate() CmpOp {
-	return [...]CmpOp{NE, EQ, GE, GT, LE, LT}[o]
-}
-
 // Cmp compares two expressions, producing a Bool vector.
 type Cmp struct {
 	Op   CmpOp

@@ -457,18 +457,13 @@ func (s *Store) observeVersionLocked(table string, epoch uint64, totalRows int64
 	}
 }
 
-// PublishAppend atomically records a published table version AND releases
-// the in-flight mark of the append that produced it. Doing both under one
-// lock ensures no reader ever sees the appended rows counted twice (once
-// in the observed gap, once in pending).
-func (s *Store) PublishAppend(table string, epoch uint64, totalRows, addedRows int64) {
-	s.PublishAppendParts(table, epoch, totalRows, addedRows, nil)
-}
-
-// PublishAppendParts is PublishAppend carrying the new version's partition
-// layout (per-partition row counts in partition order; nil = unknown).
-// Recording the layout in the same critical section keeps partition-scoped
-// staleness consistent with whole-table staleness at every instant.
+// PublishAppendParts atomically records a published table version, its
+// partition layout (per-partition row counts in partition order; nil =
+// unknown) AND releases the in-flight mark of the append that produced it.
+// Doing all three under one lock ensures no reader ever sees the appended
+// rows counted twice (once in the observed gap, once in pending), and keeps
+// partition-scoped staleness consistent with whole-table staleness at every
+// instant.
 func (s *Store) PublishAppendParts(table string, epoch uint64, totalRows, addedRows int64, partRows []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -506,14 +501,6 @@ func (s *Store) observePartitionsLocked(table string, partRows []int64) {
 	if len(partRows) > len(prev) || (len(partRows) == len(prev) && total >= prevTotal) {
 		s.parts[table] = append([]int64(nil), partRows...)
 	}
-}
-
-// PartitionLayout returns the last observed per-partition row counts of a
-// base relation (nil when never observed). Read-only for callers.
-func (s *Store) PartitionLayout(table string) []int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.parts[table]
 }
 
 // Staleness returns the fraction of source rows the synopsis has not seen

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -65,49 +66,6 @@ func fixtureSample() *synopses.Sample {
 	}
 }
 
-func fixtureCM() *synopses.CMSketch {
-	s := synopses.NewCMSketchWD(64, 4, 99)
-	for i := uint64(0); i < 500; i++ {
-		s.Add(i%37, float64(i%5)+0.5)
-	}
-	return s
-}
-
-func fixtureAMS() *synopses.AMS {
-	a := synopses.NewAMS(16, 5, 7)
-	for i := uint64(0); i < 300; i++ {
-		a.Add(i%23, 1)
-	}
-	return a
-}
-
-func fixtureFM() *synopses.FM {
-	f := synopses.NewFM(64, 3)
-	for i := uint64(0); i < 1000; i++ {
-		f.Add(i)
-	}
-	return f
-}
-
-func fixtureBloom() *synopses.Bloom {
-	b := synopses.NewBloom(200, 0.01, 5)
-	for i := uint64(0); i < 150; i++ {
-		b.Add(i * 7)
-	}
-	return b
-}
-
-func fixtureSS() *synopses.SpaceSaving {
-	// Capacity above the distinct-key count: SpaceSaving's eviction picks
-	// min-count victims in map order, so an evicting fixture would not be
-	// deterministic enough for a golden byte test.
-	s := synopses.NewSpaceSaving(16)
-	for i := uint64(0); i < 100; i++ {
-		s.Inc(i % 13)
-	}
-	return s
-}
-
 func fixtureSketchJoin() *synopses.SketchJoin {
 	sj := synopses.NewSketchJoinWD(128, 4, []string{"sales.product", "sales.store"}, "sales.qty", 42)
 	b := storage.NewBuilder("t", storage.Schema{
@@ -129,43 +87,30 @@ func fixtureSketchJoin() *synopses.SketchJoin {
 	return sj
 }
 
-// fixturePartitioned builds a deterministic partitioned-sample bundle (kind
-// 8): per-partition chunk-aligned mini-samples of a 3-partition table. The
-// embedded samples carry v2 (partition-aware) table envelopes, so this
-// fixture pins that layout in the golden CRCs and seeds the fuzzer with it.
-func fixturePartitioned() *synopses.PartitionedSample {
-	b := storage.NewBuilder("pt", storage.Schema{
-		{Name: "pt.k", Typ: storage.Int64},
-		{Name: "pt.v", Typ: storage.Float64},
-	})
-	for i := 0; i < 300; i++ {
-		b.Int(0, int64(i%23))
-		b.Float(1, float64(i%11)+0.5)
-	}
-	tbl := b.Build(1).Repartition(128)
-	parts := make([]*synopses.Sample, tbl.Partitions())
-	for i := range parts {
-		parts[i] = synopses.BuildPartitionSample("pt_s", tbl, i, 0.2, 42, []string{"pt.k"})
-	}
-	return &synopses.PartitionedSample{Table: "pt", PartRows: 128, Parts: parts}
-}
-
-// fixtures returns one instance of every synopsis type.
+// fixtures returns one instance of each stored synopsis kind.
 func fixtures() map[string]Synopsis {
 	return map[string]Synopsis{
-		"sample":       fixtureSample(),
-		"cmsketch":     fixtureCM(),
-		"ams":          fixtureAMS(),
-		"fm":           fixtureFM(),
-		"bloom":        fixtureBloom(),
-		"heavyhitters": fixtureSS(),
-		"sketchjoin":   fixtureSketchJoin(),
-		"partitioned":  fixturePartitioned(),
+		"sample":     fixtureSample(),
+		"sketchjoin": fixtureSketchJoin(),
 	}
+}
+
+// retiredKinds are the codec kind bytes whose record types left the engine
+// (bare count-min, AMS, Flajolet-Martin, Bloom, heavy hitters, partitioned-
+// sample bundle). testdata/fuzz/FuzzDecode keeps one real record of each as
+// the fuzzer's negative corpus.
+var retiredKinds = []byte{2, 3, 4, 5, 6, 8}
+
+// retiredRecord returns a well-formed envelope (magic, current version) of a
+// retired kind over a valid sample payload.
+func retiredRecord(kind byte) []byte {
+	enc := Encode(fixtureSample())
+	enc[5] = kind
+	return enc
 }
 
 // TestSizeBytesEqualsEncodedLength is the SizeBytes unification contract:
-// storage quotas charge exactly what disk stores, for every synopsis type.
+// storage quotas charge exactly what disk stores, for both stored kinds.
 func TestSizeBytesEqualsEncodedLength(t *testing.T) {
 	for name, s := range fixtures() {
 		enc := Encode(s)
@@ -200,14 +145,8 @@ func TestCodecRoundTrip(t *testing.T) {
 // force a deliberate version bump.
 // Regenerated for codec version 2 (partition-aware table layout).
 var goldenCRC = map[string]uint32{
-	"sample":       0xa5a4db1d,
-	"cmsketch":     0x54e515ce,
-	"ams":          0x4553ba84,
-	"fm":           0x35945572,
-	"bloom":        0x830316fc,
-	"heavyhitters": 0x3b79f647,
-	"sketchjoin":   0xda5006a8,
-	"partitioned":  0xfe927199,
+	"sample":     0xa5a4db1d,
+	"sketchjoin": 0xda5006a8,
 }
 
 func TestCodecGolden(t *testing.T) {
@@ -243,6 +182,17 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Decode(nil); err == nil {
 		t.Error("nil decoded")
+	}
+}
+
+// TestDecodeRejectsRetiredKinds: a well-formed record carrying a retired kind
+// byte is an error, never a panic and never a misread as a live kind.
+func TestDecodeRejectsRetiredKinds(t *testing.T) {
+	for _, kind := range retiredKinds {
+		s, err := Decode(retiredRecord(kind))
+		if err == nil || !strings.Contains(err.Error(), "unknown synopsis kind") {
+			t.Errorf("kind %d: decoded to %T, err %v; want the unknown-kind error", kind, s, err)
+		}
 	}
 }
 

@@ -8,14 +8,17 @@ import (
 // FuzzDecode throws arbitrary bytes at the synopsis decoder: it must never
 // panic, and whenever it accepts an input, re-encoding the decoded value
 // must reproduce a decodable record of the same type (the codec's image is
-// closed under round-trips). Seeds cover every synopsis kind — see
-// testdata/fuzz/FuzzDecode and the f.Add calls below.
+// closed under round-trips). Seeds cover both stored kinds and every retired
+// kind byte — see testdata/fuzz/FuzzDecode and the f.Add calls below.
 func FuzzDecode(f *testing.F) {
 	for _, s := range fixtures() {
 		f.Add(Encode(s))
 	}
+	for _, kind := range retiredKinds {
+		f.Add(retiredRecord(kind))
+	}
 	// Adversarial seeds: truncations and header mutations of a valid record.
-	enc := Encode(fixtureCM())
+	enc := Encode(fixtureSketchJoin())
 	f.Add(enc[:4])
 	f.Add(enc[:len(enc)-1])
 	mut := append([]byte(nil), enc...)

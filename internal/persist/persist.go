@@ -1,15 +1,18 @@
 // Package persist implements the synopsis warehouse's persistent tier: a
-// versioned binary codec for every synopsis type plus warehouse item
-// metadata, and a crash-safe disk store (one payload file per item plus a
-// manifest written via write-temp-fsync-rename) that warehouse.Manager and
-// core.Engine use to spill, reload and recover materialized synopses.
+// versioned binary codec for the two synopsis kinds a warehouse item holds
+// (samples and sketch-joins) plus warehouse item metadata, and a crash-safe
+// disk store (one payload file per item plus a manifest written via
+// write-temp-fsync-rename) that warehouse.Manager and core.Engine use to
+// spill, reload and recover materialized synopses.
 //
-// The codec is the contract behind SizeBytes(): every synopsis's quota
-// charge equals the byte length persist.Encode produces for it, so the
-// tuner's storage accounting is exactly what disk stores. Encoded records
-// are self-describing (magic, version, kind — see internal/synopses
-// codec.go), which lets Decode dispatch without out-of-band typing and lets
-// recovery reject foreign or corrupt files cleanly.
+// The codec is the contract behind SizeBytes(): a synopsis's quota charge
+// equals the byte length persist.Encode produces for it, so the tuner's
+// storage accounting is exactly what disk stores. Encoded records are
+// self-describing (magic, version, kind — see internal/synopses codec.go),
+// which lets Decode dispatch without out-of-band typing and lets recovery
+// reject foreign or corrupt files cleanly. Kind bytes 2–6 and 8 are retired
+// (record types no plan could produce): Decode rejects them as unknown, and
+// the numbers are never reused.
 package persist
 
 import (
@@ -18,34 +21,21 @@ import (
 	"github.com/tasterdb/taster/internal/synopses"
 )
 
-// Synopsis is any serializable synopsis value.
+// Synopsis is a stored synopsis value: *synopses.Sample or
+// *synopses.SketchJoin.
 type Synopsis interface {
-	// SizeBytes reports the serialized size; for every type in this
-	// repository it equals len(Encode(x)).
+	// SizeBytes reports the serialized size; it equals len(Encode(x)).
 	SizeBytes() int64
 }
 
-// Encode serializes any synopsis type into its versioned binary record.
-// It panics on an unknown type — callers pass values produced by this
-// repository's planner/executor, so an unknown type is a programming error,
-// not input corruption.
+// Encode serializes a synopsis into its versioned binary record. It panics
+// on any other type — callers pass what a warehouse item holds, so an
+// unknown type is a programming error, not input corruption.
 func Encode(s Synopsis) []byte {
 	switch x := s.(type) {
 	case *synopses.Sample:
 		return x.Encode()
-	case *synopses.CMSketch:
-		return x.Encode()
-	case *synopses.AMS:
-		return x.Encode()
-	case *synopses.FM:
-		return x.Encode()
-	case *synopses.Bloom:
-		return x.Encode()
-	case *synopses.SpaceSaving:
-		return x.Encode()
 	case *synopses.SketchJoin:
-		return x.Encode()
-	case *synopses.PartitionedSample:
 		return x.Encode()
 	}
 	panic(fmt.Sprintf("persist: Encode: unknown synopsis type %T", s))
@@ -61,20 +51,8 @@ func Decode(b []byte) (Synopsis, error) {
 	switch kind {
 	case synopses.KindSample:
 		return synopses.DecodeSample(b)
-	case synopses.KindCMSketch:
-		return synopses.DecodeCMSketch(b)
-	case synopses.KindAMS:
-		return synopses.DecodeAMS(b)
-	case synopses.KindFM:
-		return synopses.DecodeFM(b)
-	case synopses.KindBloom:
-		return synopses.DecodeBloom(b)
-	case synopses.KindHeavyHitters:
-		return synopses.DecodeSpaceSaving(b)
 	case synopses.KindSketchJoin:
 		return synopses.DecodeSketchJoin(b)
-	case synopses.KindPartitionedSample:
-		return synopses.DecodePartitionedSample(b)
 	}
 	return nil, fmt.Errorf("persist: unknown synopsis kind %d", kind)
 }

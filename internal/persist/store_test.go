@@ -42,7 +42,7 @@ func TestItemFileValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := Encode(fixtureCM())
+	payload := Encode(fixtureSketchJoin())
 	if err := st.WriteItem(3, payload); err != nil {
 		t.Fatal(err)
 	}

@@ -328,17 +328,3 @@ func Walk(n Node, visit func(Node)) {
 		Walk(c, visit)
 	}
 }
-
-// BaseTables returns the sorted names of all base tables under n.
-func BaseTables(n Node) []string {
-	var out []string
-	Walk(n, func(m Node) {
-		if s, ok := m.(*Scan); ok {
-			out = append(out, s.Table.Name)
-		}
-		if s, ok := m.(*SynopsisScan); ok {
-			out = append(out, "synopsis:"+s.Label)
-		}
-	})
-	return expr.DedupCols(out)
-}

@@ -102,17 +102,6 @@ func TestSignatureCanonical(t *testing.T) {
 	}
 }
 
-func TestFilterPredicateReconstruction(t *testing.T) {
-	agg, _, _ := samplePlan()
-	pred := FilterPredicate(agg)
-	if pred == nil || pred.String() != "r.y > 1" {
-		t.Fatalf("pred = %v", pred)
-	}
-	if FilterPredicate(&Scan{Table: mkTable("t", "a")}) != nil {
-		t.Fatal("scan has no filters")
-	}
-}
-
 func TestOutputAndColSupersets(t *testing.T) {
 	if !OutputSuperset([]string{"a", "b", "c"}, []string{"a", "c"}) {
 		t.Fatal("superset")
@@ -125,12 +114,8 @@ func TestOutputAndColSupersets(t *testing.T) {
 	}
 }
 
-func TestBaseTablesAndWalk(t *testing.T) {
+func TestWalkVisitsEveryNode(t *testing.T) {
 	agg, _, _ := samplePlan()
-	tables := BaseTables(agg)
-	if len(tables) != 2 || tables[0] != "r" || tables[1] != "s" {
-		t.Fatalf("base tables = %v", tables)
-	}
 	count := 0
 	Walk(agg, func(Node) { count++ })
 	if count != 5 { // agg, join, filter, scan r, scan s

@@ -83,18 +83,6 @@ func eqSlices(a, b []string) bool {
 	return true
 }
 
-// FilterPredicate reconstructs the conjunction of all filters under n
-// (nil when the subplan has no filters).
-func FilterPredicate(n Node) expr.Expr {
-	var preds []expr.Expr
-	Walk(n, func(m Node) {
-		if f, ok := m.(*Filter); ok {
-			preds = append(preds, expr.Conjuncts(f.Pred)...)
-		}
-	})
-	return expr.AndAll(preds)
-}
-
 // OutputSuperset reports whether candidate's output columns cover all of
 // required (after sorting/dedup). Used for projection subsumption.
 func OutputSuperset(candidate, required []string) bool {

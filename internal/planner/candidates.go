@@ -132,25 +132,17 @@ func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
 		Accuracy:  q.Accuracy,
 	}
 	for _, m := range p.Store.MatchSamples(req) {
-		item, inBuffer, ok := ps.wh.Get(m.Entry.Desc.ID)
-		if !ok || item.Kind() != warehouse.SampleItem {
+		b, ok := p.bind(ps, m.Entry, warehouse.SampleItem)
+		if !ok {
 			continue
 		}
-		if !p.payloadCurrent(m.Entry.Desc.ID, item) {
-			continue // live staleness metadata describes a newer build
-		}
-		stale := m.Entry.Staleness()
-		if !p.stalenessAllowed(stale) {
-			continue
-		}
-		sampleRows := float64(item.Rows)
 		// Coverage feasibility under this query's filters (from item
 		// metadata — no payload fault for infeasible candidates).
+		sampleRows := float64(b.item.Rows)
 		if sampleRows*sel/float64(coverGroups) < float64(p.feasibilityRows(p.requiredK(q))) {
 			continue
 		}
-		wasLoaded := item.Loaded()
-		smp, err := item.Sample()
+		smp, err := b.item.Sample()
 		if err != nil {
 			continue // backing file lost or corrupt; next round re-tastes
 		}
@@ -158,14 +150,14 @@ func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
 			SynopsisID: m.Entry.Desc.ID,
 			Sample:     smp,
 			Label:      fmt.Sprintf("join %v", sig.Tables),
-			InBuffer:   inBuffer,
+			InBuffer:   b.inBuffer,
 		}
 		rfull := p.finishPlan(q, ss, m.CompensateFilter)
 		var rcost planCost
-		if !inBuffer {
-			rcost.scanSynopsis(item.Size, sampleRows)
-			if !wasLoaded {
-				rcost.loadSynopsis(item.Size)
+		if !b.inBuffer {
+			rcost.scanSynopsis(b.item.Size, sampleRows)
+			if !b.loaded {
+				rcost.loadSynopsis(b.item.Size)
 			}
 		} else {
 			rcost.cpuTuples += int64(sampleRows)
@@ -176,7 +168,7 @@ func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
 		rcost.aggWork(scanEst{rows: math.Max(sampleRows*sel, 1), width: joinOut.width + 8})
 		ps.Candidates = append(ps.Candidates, Candidate{
 			Root: rfull,
-			Cost: rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(stale),
+			Cost: rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(b.stale),
 			Uses: []uint64{m.Entry.Desc.ID},
 			Desc: fmt.Sprintf("reuse join sample #%d", m.Entry.Desc.ID),
 		})
@@ -404,18 +396,14 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 		return n
 	}
 
-	// Probe-side cost, shared by both variants.
-	probeEstimate := func(cost *planCost) scanEst {
-		pp := &Planner{Store: p.Store, WH: p.WH, Model: p.Model, Parallelism: p.Parallelism, est: p.est, mgCache: map[string]int{}, mgEpochs: map[string]uint64{}}
-		return pp.costFilteredJoinTree(probeQ, nil, cost)
-	}
-
 	// Build-inline candidate.
 	buildPlan := mkNode(nil)
 	var cost planCost
 	cost.scanTable(sh.fact)
 	cost.cpuTuples += int64(float64(sh.fact.Table.NumRows()) * 4) // d CM updates per row
-	probeOut := probeEstimate(&cost)
+	// The probe side is costed on this planner, like every other scan, so
+	// its pruning setting is the one exec runs the probe scans with.
+	probeOut := p.costFilteredJoinTree(probeQ, nil, &cost)
 	cost.sketchProbeWork(probeOut.rows)
 	cost.aggWork(scanEst{rows: probeOut.rows, width: probeOut.width})
 	cost.serializeCPU() // the whole sketch-join plan runs on the Volcano path
@@ -429,7 +417,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	// Hypothetical reuse cost.
 	var rc planCost
 	rc.warehouseBytes += desc.EstSizeBytes
-	rOut := probeEstimate(&rc)
+	rOut := p.costFilteredJoinTree(probeQ, nil, &rc)
 	rc.sketchProbeWork(rOut.rows)
 	rc.aggWork(scanEst{rows: rOut.rows, width: rOut.width})
 	rc.serializeCPU()
@@ -439,37 +427,29 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	// Reuse candidate when a matching sketch is materialized.
 	req := meta.Requirements{Sig: buildSig, Filter: sh.factFilter, Accuracy: q.Accuracy}
 	for _, m := range p.Store.MatchSketchJoins(req, sh.buildKeys, sh.aggCol) {
-		item, _, ok := ps.wh.Get(m.Entry.Desc.ID)
-		if !ok || item.Kind() != warehouse.SketchItem {
-			continue
-		}
-		if !p.payloadCurrent(m.Entry.Desc.ID, item) {
-			continue // live staleness metadata describes a newer build
-		}
 		// Sketches cannot be compensated, so the staleness bound applies to
 		// them just like to samples (a stale sketch undercounts new rows).
-		stale := m.Entry.Staleness()
-		if !p.stalenessAllowed(stale) {
+		b, ok := p.bind(ps, m.Entry, warehouse.SketchItem)
+		if !ok {
 			continue
 		}
-		wasLoaded := item.Loaded()
-		sk, err := item.Sketch()
+		sk, err := b.item.Sketch()
 		if err != nil {
 			continue // backing file lost or corrupt; next round re-tastes
 		}
 		node := mkNode(&synopsesSketch{id: m.Entry.Desc.ID, sk: sk})
 		var rcost planCost
-		rcost.warehouseBytes += item.Size
-		if !wasLoaded {
-			rcost.loadSynopsis(item.Size)
+		rcost.warehouseBytes += b.item.Size
+		if !b.loaded {
+			rcost.loadSynopsis(b.item.Size)
 		}
-		ro := probeEstimate(&rcost)
+		ro := p.costFilteredJoinTree(probeQ, nil, &rcost)
 		rcost.sketchProbeWork(ro.rows)
 		rcost.aggWork(scanEst{rows: ro.rows, width: ro.width})
 		rcost.serializeCPU()
 		ps.Candidates = append(ps.Candidates, Candidate{
 			Root: node,
-			Cost: rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(stale),
+			Cost: rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(b.stale),
 			Uses: []uint64{m.Entry.Desc.ID},
 			Desc: fmt.Sprintf("reuse sketch-join #%d on %s", m.Entry.Desc.ID, sh.fact.Name),
 		})

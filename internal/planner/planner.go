@@ -294,18 +294,44 @@ func (p *Planner) prunedScanCharge(t TableRef, filter expr.Expr) (bytes, rows in
 	return bytes, rows
 }
 
-// payloadCurrent reports whether the item a reuse candidate would bind from
-// the plan-set's snapshot view is still the live stored copy. The staleness
-// gate reads *live* metadata, which describes the latest build; if a
-// background refresh swapped in a newer payload after our snapshot was
-// published (or the copy was evicted), live metadata and the bound payload
-// describe different builds and the gate would be meaningless — a stale
-// pre-refresh sample could slip past Config.MaxStaleness on fresh
-// metadata. Skipping restores the pre-snapshot gating exactly; the next
-// query, planning against the republished view, reuses the fresh copy.
-func (p *Planner) payloadCurrent(id uint64, bound *warehouse.Item) bool {
-	cur, _, ok := p.WH.Get(id)
-	return ok && cur == bound
+// bound is a stored synopsis that passed bind: the item a reuse candidate
+// reads, and what costing needs to know about how it was found.
+type bound struct {
+	item     *warehouse.Item
+	inBuffer bool    // tier: the in-memory buffer, else the warehouse
+	loaded   bool    // payload resident when bound; if not, reuse pays a fault-in
+	stale    float64 // fraction of source rows the synopsis has never seen
+}
+
+// bind is the one gate between a metadata match and a reuse candidate: the
+// entry's synopsis must be in the plan set's warehouse view as the expected
+// kind, still be the live stored copy, and be within the staleness bound.
+//
+// The liveness check exists because the staleness gate reads *live*
+// metadata, which describes the latest build; if a background refresh
+// swapped in a newer payload after the snapshot was published (or the copy
+// was evicted), live metadata and the bound payload describe different
+// builds and the gate would be meaningless — a stale pre-refresh sample
+// could slip past Config.MaxStaleness on fresh metadata. Skipping restores
+// the pre-snapshot gating exactly; the next query, planning against the
+// republished view, reuses the fresh copy.
+//
+// bind never faults a spilled payload in: callers resolve it (item.Sample /
+// item.Sketch) only once their own feasibility checks have passed.
+func (p *Planner) bind(ps *PlanSet, e *meta.Entry, kind warehouse.ItemKind) (bound, bool) {
+	id := e.Desc.ID
+	item, inBuffer, ok := ps.wh.Get(id)
+	if !ok || item.Kind() != kind {
+		return bound{}, false
+	}
+	if cur, _, ok := p.WH.Get(id); !ok || cur != item {
+		return bound{}, false
+	}
+	stale := e.Staleness()
+	if !p.stalenessAllowed(stale) {
+		return bound{}, false
+	}
+	return bound{item: item, inBuffer: inBuffer, loaded: item.Loaded(), stale: stale}, true
 }
 
 // stalenessAllowed applies the bounded-staleness policy: may a synopsis
@@ -540,84 +566,14 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		Accuracy:  q.Accuracy,
 	}
 	for _, m := range p.Store.MatchSamples(req) {
-		item, inBuffer, ok := ps.wh.Get(m.Entry.Desc.ID)
-		if !ok || item.Kind() != warehouse.SampleItem {
+		b, ok := p.bind(ps, m.Entry, warehouse.SampleItem)
+		if !ok {
 			continue
 		}
-		if !p.payloadCurrent(m.Entry.Desc.ID, item) {
-			continue
-		}
-		// Bounded staleness: a sample missing too large a fraction of the
-		// (evolved) base relation cannot serve within the freshness bound.
-		stale := m.Entry.Staleness()
-		if !p.stalenessAllowed(stale) {
-			continue
-		}
-		// Coverage feasibility for THIS query's filters: the stored sample
-		// must leave enough expected rows in the thinnest result group.
-		// Item metadata carries the row count, so infeasible candidates are
-		// rejected without faulting a spilled payload off disk.
-		sampleRows := float64(item.Rows)
-		if sampleRows*selAll/float64(coverGroups) < float64(p.feasibilityRows(p.requiredK(q))) {
-			continue
-		}
-		// Resolve the payload last: a disk-resident sample faults in here —
-		// outside every engine lock — and the fault is charged below based
-		// on whether the payload was cached when this plan set bound it.
-		wasLoaded := item.Loaded()
-		smp, err := item.Sample()
-		if err != nil {
-			continue // backing file lost or corrupt; next round re-tastes
-		}
-		ss := &plan.SynopsisScan{
-			SynopsisID: m.Entry.Desc.ID,
-			Sample:     smp,
-			Label:      fact.Name,
-			InBuffer:   inBuffer,
-		}
-		var rbranch plan.Node = ss
-		if m.CompensateFilter != nil {
-			rbranch = &plan.Filter{Child: rbranch, Pred: m.CompensateFilter}
-		}
-		rroot, err := p.joinTree(q, map[string]plan.Node{fact.Name: rbranch}, true)
-		if err != nil {
-			continue
-		}
-		rfull := p.finishPlan(q, rroot, nil)
-		// sampleRows computed above for the coverage check.
-		var rcost planCost
-		if !inBuffer {
-			rcost.warehouseBytes += item.Size
-			if !wasLoaded {
-				rcost.loadSynopsis(item.Size)
-			}
-		}
-		if factOnSpine {
-			rcost.cpuTuples += int64(sampleRows)
-		} else {
-			rcost.serialTuples += int64(sampleRows)
-		}
-		rOverrides := map[string]scanEst{fact.Name: {rows: sampleRows * sel, width: fact.Table.AvgRowBytes() + 8}}
-		rout := p.costFilteredJoinTree(q, rOverrides, &rcost)
-		rcost.aggWork(rout)
-		cost := rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(stale)
-		ps.Candidates = append(ps.Candidates, Candidate{
-			Root: rfull,
-			Cost: cost,
-			Uses: []uint64{m.Entry.Desc.ID},
-			Desc: fmt.Sprintf("reuse sample #%d on %s", m.Entry.Desc.ID, fact.Name),
-		})
-		// Credit the stored sample with this query's savings, exactly as the
-		// partitioned path below credits its set: without the reuse cost
-		// the synchronous tuner cannot see the query as already covered, and
-		// a hypothetical build descriptor (a different intern whenever the
-		// stored sampler configuration differs from the query-sized one, e.g.
-		// a pinned hint) collects the full window gain as build credit and
-		// outbids the cheaper reuse.
-		ps.noteReuse(m.Entry.Desc.ID, cost)
+		p.addSampleReuse(q, ps, fact, []bound{b}, m.CompensateFilter, b.stale,
+			fmt.Sprintf("reuse sample #%d on %s", b.item.ID, fact.Name), sel, selAll, coverGroups)
 	}
-
-	p.addPartitionedSampleReuse(q, ps, fact, req, sel, selAll, coverGroups, factOnSpine)
+	p.addPartitionedSampleReuse(q, ps, fact, req, sel, selAll, coverGroups)
 }
 
 // addPartitionedSampleReuse adds the reuse candidate built from a complete
@@ -628,7 +584,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 // one partition over the bound disqualifies the set, but appends landing
 // in other partitions never do. The candidate's cost penalty uses the
 // build-rows-weighted mean staleness across partitions.
-func (p *Planner) addPartitionedSampleReuse(q *Query, ps *PlanSet, fact TableRef, req meta.Requirements, sel, selAll float64, coverGroups int, factOnSpine bool) {
+func (p *Planner) addPartitionedSampleReuse(q *Query, ps *PlanSet, fact TableRef, req meta.Requirements, sel, selAll float64, coverGroups int) {
 	parts := fact.Table.Partitions()
 	if parts < 2 {
 		return
@@ -640,84 +596,93 @@ func (p *Planner) addPartitionedSampleReuse(q *Query, ps *PlanSet, fact TableRef
 	// Every partition sample must share one sampler configuration, or the
 	// merged Horvitz-Thompson weights would mix estimators.
 	first := &matches[0].Entry.Desc
-	var (
-		samples            []*synopses.Sample
-		uses               []uint64
-		totalRows          int64
-		whBytes, loadBytes int64
-		staleNum, staleDen float64
-		inBufAll           = true
-		compensate         bool
-	)
+	members := make([]bound, 0, parts)
+	var staleNum, staleDen float64
+	var compensate expr.Expr
 	for _, m := range matches {
 		d := &m.Entry.Desc
 		if d.Kind != first.Kind || d.P != first.P || d.Delta != first.Delta ||
 			strings.Join(d.StratCols, ",") != strings.Join(first.StratCols, ",") {
 			return
 		}
-		item, inBuffer, ok := ps.wh.Get(d.ID)
-		if !ok || item.Kind() != warehouse.SampleItem {
-			return
-		}
-		if !p.payloadCurrent(d.ID, item) {
-			return
-		}
-		stale := m.Entry.Staleness()
-		if !p.stalenessAllowed(stale) {
+		b, ok := p.bind(ps, m.Entry, warehouse.SampleItem)
+		if !ok {
 			return
 		}
 		w := float64(d.BuildRows)
 		if w <= 0 {
 			w = 1
 		}
-		staleNum += stale * w
+		staleNum += b.stale * w
 		staleDen += w
-		totalRows += item.Rows
-		if !inBuffer {
-			inBufAll = false
-			whBytes += item.Size
-			if !item.Loaded() {
-				loadBytes += item.Size
+		members = append(members, b)
+		if m.CompensateFilter != nil {
+			compensate = m.CompensateFilter // the query's own fact filter
+		}
+	}
+	p.addSampleReuse(q, ps, fact, members, compensate, staleNum/staleDen,
+		fmt.Sprintf("reuse %d-part sample on %s", parts, fact.Name), sel, selAll, coverGroups)
+}
+
+// addSampleReuse adds the candidate that answers the fact relation from
+// stored samples: one member for a whole-table sample, a complete partition
+// set (in partition order) otherwise. stale is the staleness the cost
+// penalty applies — the member's own, or the set's weighted mean.
+func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, members []bound, compensate expr.Expr, stale float64, desc string, sel, selAll float64, coverGroups int) {
+	var rcost planCost
+	var totalRows int64
+	inBuffer := true
+	for _, b := range members {
+		totalRows += b.item.Rows
+		if !b.inBuffer {
+			inBuffer = false
+			rcost.warehouseBytes += b.item.Size
+			if !b.loaded {
+				rcost.loadSynopsis(b.item.Size)
 			}
 		}
-		smp, err := item.Sample()
+	}
+	// Coverage feasibility for THIS query's filters: the stored rows must
+	// leave enough expected rows in the thinnest result group. Item
+	// metadata carries the row count, so infeasible candidates are rejected
+	// without faulting a spilled payload off disk.
+	sampleRows := float64(totalRows)
+	if sampleRows*selAll/float64(coverGroups) < float64(p.feasibilityRows(p.requiredK(q))) {
+		return
+	}
+	// Resolve the payloads last: a disk-resident sample faults in here —
+	// outside every engine lock — and the fault was charged above based on
+	// whether the payload was cached when this plan set bound it.
+	samples := make([]*synopses.Sample, len(members))
+	uses := make([]uint64, len(members))
+	for i, b := range members {
+		smp, err := b.item.Sample()
 		if err != nil {
 			return // backing file lost or corrupt; next round re-tastes
 		}
-		samples = append(samples, smp)
-		uses = append(uses, d.ID)
-		if m.CompensateFilter != nil {
-			compensate = true
+		samples[i], uses[i] = smp, b.item.ID
+	}
+	smp := samples[0]
+	if len(samples) > 1 {
+		var err error
+		if smp, err = synopses.MergePartitionSamples(fmt.Sprintf("partmerge_%s", fact.Name), samples); err != nil {
+			return
 		}
 	}
-	// Coverage feasibility on the merged sample, as for whole-table reuse.
-	if float64(totalRows)*selAll/float64(coverGroups) < float64(p.feasibilityRows(p.requiredK(q))) {
-		return
-	}
-	merged, err := synopses.MergePartitionSamples(fmt.Sprintf("partmerge_%s", fact.Name), samples)
-	if err != nil {
-		return
-	}
-	ss := &plan.SynopsisScan{
+	var rbranch plan.Node = &plan.SynopsisScan{
 		SynopsisID: uses[0],
-		Sample:     merged,
+		Sample:     smp,
 		Label:      fact.Name,
-		InBuffer:   inBufAll,
+		InBuffer:   inBuffer,
 	}
-	var rbranch plan.Node = ss
-	if compensate && req.Filter != nil {
-		rbranch = &plan.Filter{Child: rbranch, Pred: req.Filter}
+	if compensate != nil {
+		rbranch = &plan.Filter{Child: rbranch, Pred: compensate}
 	}
 	rroot, err := p.joinTree(q, map[string]plan.Node{fact.Name: rbranch}, true)
 	if err != nil {
 		return
 	}
-	rfull := p.finishPlan(q, rroot, nil)
-	var rcost planCost
-	rcost.warehouseBytes += whBytes
-	rcost.loadSynopsis(loadBytes)
-	sampleRows := float64(totalRows)
-	if factOnSpine {
+	if fact.Name == q.Tables[0].Name { // on the morsel-parallel spine
 		rcost.cpuTuples += int64(sampleRows)
 	} else {
 		rcost.serialTuples += int64(sampleRows)
@@ -725,22 +690,20 @@ func (p *Planner) addPartitionedSampleReuse(q *Query, ps *PlanSet, fact TableRef
 	rOverrides := map[string]scanEst{fact.Name: {rows: sampleRows * sel, width: fact.Table.AvgRowBytes() + 8}}
 	rout := p.costFilteredJoinTree(q, rOverrides, &rcost)
 	rcost.aggWork(rout)
-	stale := 0.0
-	if staleDen > 0 {
-		stale = staleNum / staleDen
-	}
 	cost := rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(stale)
 	ps.Candidates = append(ps.Candidates, Candidate{
-		Root: rfull,
+		Root: p.finishPlan(q, rroot, nil),
 		Cost: cost,
 		Uses: uses,
-		Desc: fmt.Sprintf("reuse %d-part sample on %s", parts, fact.Name),
+		Desc: desc,
 	})
-	// Credit the partition set with this query's savings. Without the
-	// reuse costs the tuner's greedy cannot see the query as already
-	// covered, and a hypothetical whole-table build — a fresh descriptor,
-	// never the interned twin of a partition-scoped one — collects the full
-	// window gain as build credit and outbids the cheaper merged reuse.
+	// Credit the stored samples with this query's savings. Without the
+	// reuse cost the tuner's greedy cannot see the query as already covered,
+	// and a hypothetical build descriptor — a different intern whenever the
+	// stored sampler configuration differs from the query-sized one (a
+	// pinned hint), and never the interned twin of a partition-scoped one —
+	// collects the full window gain as build credit and outbids the cheaper
+	// reuse.
 	for _, id := range uses {
 		ps.noteReuse(id, cost)
 	}

@@ -416,3 +416,147 @@ func TestPlanCostParallelismFactor(t *testing.T) {
 		t.Fatalf("sketch-join cost must be parallelism-invariant: %v vs %v", c1, c8)
 	}
 }
+
+// memSpiller is an in-memory warehouse.Spiller: with it attached the
+// warehouse tier drops payloads after "writing" them, like the disk tier.
+type memSpiller map[uint64]*warehouse.Payload
+
+func (m memSpiller) Spill(id uint64, p *warehouse.Payload) error { m[id] = p; return nil }
+func (m memSpiller) Load(id uint64) (*warehouse.Payload, error)  { return m[id], nil }
+func (m memSpiller) Remove(id uint64) error                      { delete(m, id); return nil }
+
+// TestBind drives the one gate every reuse loop binds a stored synopsis
+// through: view presence, item kind, payload identity against the live
+// warehouse, the staleness bound, and what it reports about the item's tier
+// and residency.
+func TestBind(t *testing.T) {
+	sample := func() *synopses.Sample {
+		return synopses.BuildSampleFromTable("s", productsTable(), synopses.NewUniformSampler(0.5, 1), nil)
+	}
+	sketch := synopses.NewSketchJoinWD(8, 2, []string{"sales.product"}, "sales.amount", 1)
+	wh := warehouse.NewManagerWithSpiller(1<<20, 1<<20, memSpiller{})
+	p := New(meta.NewStore(), wh, storage.DefaultCostModel())
+	const resident, spilled, sketched, refreshed, absent = 1, 2, 3, 4, 5
+	if wh.Admit(warehouse.NewSampleItem(resident, sample())) != warehouse.AdmitBuffer {
+		t.Fatal("fixture: sample not admitted to the buffer")
+	}
+	for _, it := range []*warehouse.Item{
+		warehouse.NewSampleItem(spilled, sample()),
+		warehouse.NewSketchItem(sketched, sketch),
+		warehouse.NewSampleItem(refreshed, sample()),
+	} {
+		if err := wh.PutWarehouse(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps := &PlanSet{wh: wh.View()}
+	// A refresh after the plan set took its view: the live copy of
+	// `refreshed` is no longer the item the view holds.
+	if _, err := wh.Refresh(warehouse.NewSampleItem(refreshed, sample())); err != nil {
+		t.Fatal(err)
+	}
+
+	entry := func(id uint64, unseen int64) *meta.Entry {
+		return &meta.Entry{Desc: meta.Descriptor{ID: id, BuildRows: 100}, UnseenRows: unseen}
+	}
+	for _, tc := range []struct {
+		name         string
+		e            *meta.Entry
+		kind         warehouse.ItemKind
+		maxStaleness float64
+		ok           bool
+		want         bound // item excluded; compared field by field below
+	}{
+		{name: "absent from the view", e: entry(absent, 0), kind: warehouse.SampleItem},
+		{name: "wrong kind: sample asked as sketch", e: entry(resident, 0), kind: warehouse.SketchItem},
+		{name: "wrong kind: sketch asked as sample", e: entry(sketched, 0), kind: warehouse.SampleItem},
+		{name: "payload superseded in the live warehouse", e: entry(refreshed, 0), kind: warehouse.SampleItem},
+		{name: "over the staleness bound", e: entry(resident, 100), kind: warehouse.SampleItem, maxStaleness: 0.25},
+		{name: "any staleness under the default bound of zero", e: entry(resident, 1), kind: warehouse.SampleItem},
+		{name: "within the staleness bound", e: entry(resident, 25), kind: warehouse.SampleItem, maxStaleness: 0.25,
+			ok: true, want: bound{inBuffer: true, loaded: true, stale: 0.2}},
+		{name: "bound disabled", e: entry(resident, 300), kind: warehouse.SampleItem, maxStaleness: -1,
+			ok: true, want: bound{inBuffer: true, loaded: true, stale: 0.75}},
+		{name: "resident in the buffer", e: entry(resident, 0), kind: warehouse.SampleItem,
+			ok: true, want: bound{inBuffer: true, loaded: true}},
+		{name: "spilled in the warehouse", e: entry(spilled, 0), kind: warehouse.SampleItem,
+			ok: true, want: bound{}},
+		{name: "sketch", e: entry(sketched, 0), kind: warehouse.SketchItem,
+			ok: true, want: bound{}},
+	} {
+		p.MaxStaleness = tc.maxStaleness
+		got, ok := p.bind(ps, tc.e, tc.kind)
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if want, _, _ := ps.wh.Get(tc.e.Desc.ID); got.item != want {
+			t.Errorf("%s: bound item is not the view's", tc.name)
+		}
+		if got.inBuffer != tc.want.inBuffer || got.loaded != tc.want.loaded || got.stale != tc.want.stale {
+			t.Errorf("%s: bound = {inBuffer:%v loaded:%v stale:%v}, want {inBuffer:%v loaded:%v stale:%v}", tc.name,
+				got.inBuffer, got.loaded, got.stale, tc.want.inBuffer, tc.want.loaded, tc.want.stale)
+		}
+	}
+	// bind itself never faults a payload in: the spilled item is still cold.
+	if it, _, _ := ps.wh.Get(spilled); it.Loaded() {
+		t.Error("bind faulted a spilled payload in")
+	}
+}
+
+// TestSketchJoinProbeCostHonoursDisablePruning: a sketch-join candidate's
+// probe side is costed by the planner the executor's settings were given to.
+// With a zone-prunable filter on a partitioned probe table, turning pruning
+// off must make every sketch-join cost dearer (the probe scan reads all four
+// partitions instead of one).
+func TestSketchJoinProbeCostHonoursDisablePruning(t *testing.T) {
+	b := storage.NewBuilder("products", storage.Schema{
+		{Name: "products.id", Typ: storage.Int64},
+		{Name: "products.category", Typ: storage.Int64},
+	})
+	for i := 0; i < 40000; i++ {
+		b.Int(0, int64(i))
+		b.Int(1, int64(i%5))
+	}
+	products := b.Build(4) // ids ascend, so each partition's zone is one id range
+	sketchCosts := func(disablePruning bool) map[string]float64 {
+		p, _, _ := testPlanner()
+		p.DisablePruning = disablePruning
+		q := joinQuery()
+		q.Tables[1].Table = products
+		q.Filter = &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "products.id"}, R: expr.Int(50)}
+		if _, ok := p.sketchEligible(q); !ok {
+			t.Fatal("fixture query must be sketch-eligible")
+		}
+		ps, err := p.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs := map[string]float64{}
+		for _, c := range ps.Candidates {
+			if strings.Contains(c.Desc, "sketch-join") {
+				costs[c.Desc] = c.Cost
+				for _, cr := range c.Creates {
+					for _, rc := range ps.ReuseCost {
+						if rc.ID == cr.Entry.Desc.ID {
+							costs["hypothetical reuse of "+c.Desc] = rc.Cost
+						}
+					}
+				}
+			}
+		}
+		if len(costs) != 2 {
+			t.Fatalf("want the sketch-join build candidate and its reuse cost, got %v", costs)
+		}
+		return costs
+	}
+	pruned, unpruned := sketchCosts(false), sketchCosts(true)
+	for desc, c := range pruned {
+		if unpruned[desc] <= c {
+			t.Errorf("%s: cost %v with pruning disabled, %v with it on; disabling must cost more", desc, unpruned[desc], c)
+		}
+	}
+}

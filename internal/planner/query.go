@@ -87,9 +87,6 @@ func (q *Query) FactTable() TableRef { return q.factTable() }
 // TableOf exposes column ownership resolution.
 func (q *Query) TableOf(col string) string { return q.tableOf(col) }
 
-// JoinKeysOf exposes a table's join-key columns.
-func (q *Query) JoinKeysOf(name string) []string { return q.joinKeysOf(name) }
-
 // FilterForTable exposes a table's single-table filter conjunction.
 func (q *Query) FilterForTable(name string) expr.Expr { return q.filterForTable(name) }
 

@@ -65,25 +65,6 @@ func UniformProbability(k, minGroup int) (p float64, ok bool) {
 	return p, p <= maxUniformP
 }
 
-// DistinctParams returns (p, δ) for the distinct sampler: δ guarantees k
-// rows per stratum outright, and p thins the heavy strata. p is chosen so
-// large groups still contribute ≥k probabilistic rows and is capped at 0.1
-// to retain the performance win; δ = k.
-func DistinctParams(k, avgGroup int) (p float64, delta int) {
-	delta = k
-	if avgGroup <= 0 {
-		return 0.05, delta
-	}
-	p = float64(k) / float64(avgGroup)
-	if p > maxUniformP {
-		p = maxUniformP
-	}
-	if p < 0.001 {
-		p = 0.001
-	}
-	return p, delta
-}
-
 // CMGeometry converts an accuracy spec into count-min sketch dimensions:
 // ε = RelError scaled down (CM error is relative to the L1 norm N, which is
 // much larger than any single group's value, so ε must be far below the

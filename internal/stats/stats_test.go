@@ -246,24 +246,6 @@ func TestUniformProbability(t *testing.T) {
 	}
 }
 
-func TestDistinctParams(t *testing.T) {
-	p, d := DistinctParams(100, 10000)
-	if d != 100 {
-		t.Fatalf("delta = %d", d)
-	}
-	if p != 0.01 {
-		t.Fatalf("p = %v, want k/avgGroup = 0.01", p)
-	}
-	p, _ = DistinctParams(500, 1000)
-	if p != maxUniformP {
-		t.Fatalf("p must cap at 0.1, got %v", p)
-	}
-	p, _ = DistinctParams(1, 1e9)
-	if p < 0.001 {
-		t.Fatalf("p must floor at 0.001, got %v", p)
-	}
-}
-
 func TestCMGeometry(t *testing.T) {
 	eps, delta := CMGeometry(AccuracySpec{RelError: 0.1, Confidence: 0.95})
 	if eps != 0.002 {

@@ -323,13 +323,6 @@ func (r *Reader) Bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// Rest returns every unconsumed byte.
-func (r *Reader) Rest() []byte {
-	b := r.b[r.off:]
-	r.off = len(r.b)
-	return b
-}
-
 // appendU32 appends v little-endian.
 func appendU32(dst []byte, v uint32) []byte {
 	var tmp [4]byte

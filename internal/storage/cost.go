@@ -102,14 +102,6 @@ func (m CostModel) ScanSeconds(bytes int64) float64 {
 	return m.SeekSeconds + float64(bytes)/m.ScanBytesPerSec
 }
 
-// WarehouseScanSeconds returns the cost of reading a materialized synopsis.
-func (m CostModel) WarehouseScanSeconds(bytes int64) float64 {
-	if bytes <= 0 {
-		return m.SeekSeconds
-	}
-	return m.SeekSeconds + float64(bytes)/(m.ScanBytesPerSec*m.WarehouseReadFrac)
-}
-
 // WriteSeconds returns the cost of persisting n bytes to the warehouse.
 // HDFS writes with replication are slower than reads; we charge 2×.
 func (m CostModel) WriteSeconds(bytes int64) float64 {

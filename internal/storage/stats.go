@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math"
-	"sort"
 )
 
 // ColumnStats summarizes one column. The planner uses these to size samplers
@@ -248,40 +247,4 @@ func appendValueKey(key []byte, v *Vector, i int) []byte {
 		}
 	}
 	return key
-}
-
-// TopValues returns up to k (value, count) pairs for a column ordered by
-// descending frequency — used in tests and for skew diagnostics.
-func (t *Table) TopValues(col string, k int) []ValueCount {
-	i := t.schema.Index(col)
-	if i < 0 {
-		return nil
-	}
-	freq := make(map[Value]int)
-	for _, part := range t.parts {
-		c := part.cols[i]
-		for r := 0; r < c.Len(); r++ {
-			freq[c.Get(r)]++
-		}
-	}
-	out := make([]ValueCount, 0, len(freq))
-	for v, f := range freq {
-		out = append(out, ValueCount{Value: v, Count: f})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Count != out[b].Count {
-			return out[a].Count > out[b].Count
-		}
-		return out[a].Value.Less(out[b].Value)
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// ValueCount pairs a value with its frequency.
-type ValueCount struct {
-	Value Value
-	Count int
 }

@@ -182,14 +182,6 @@ func TestGroupCountAndMinGroup(t *testing.T) {
 	}
 }
 
-func TestTopValues(t *testing.T) {
-	tbl := buildTestTable(t, 9) // names a,b,c × 3 each
-	top := tbl.TopValues("t.name", 2)
-	if len(top) != 2 || top[0].Count != 3 {
-		t.Fatalf("top = %+v", top)
-	}
-}
-
 func TestVectorGatherSlice(t *testing.T) {
 	v := NewVector(Int64, 0)
 	for i := int64(0); i < 10; i++ {

@@ -104,23 +104,6 @@ func NewTable(name string, schema Schema, cols []*Vector, partitions int) (*Tabl
 	return newTableChunked(name, schema, cols, rows, per), nil
 }
 
-// NewTablePartRows builds a table from fully populated column vectors,
-// chunked into partitions of at most partRows rows each (0 = one unbounded
-// partition). This is the PartitionRows-configured constructor.
-func NewTablePartRows(name string, schema Schema, cols []*Vector, partRows int) (*Table, error) {
-	if err := checkCols(name, schema, cols); err != nil {
-		return nil, err
-	}
-	rows := 0
-	if len(cols) > 0 {
-		rows = cols[0].Len()
-	}
-	if partRows < 0 {
-		partRows = 0
-	}
-	return newTableChunked(name, schema, cols, rows, partRows), nil
-}
-
 func checkCols(name string, schema Schema, cols []*Vector) error {
 	if len(cols) != len(schema) {
 		return fmt.Errorf("storage: table %s: %d columns for %d schema entries", name, len(cols), len(schema))
@@ -192,14 +175,8 @@ func (t *Table) NumRows() int { return t.rows }
 // Partitions returns the partition count.
 func (t *Table) Partitions() int { return len(t.parts) }
 
-// PartRows returns the per-partition row capacity (0 = unbounded).
-func (t *Table) PartRows() int { return t.partRows }
-
 // Partition returns partition p.
 func (t *Table) Partition(p int) *Partition { return t.parts[p] }
-
-// PartitionEpoch returns the epoch of the last append touching partition p.
-func (t *Table) PartitionEpoch(p int) uint64 { return t.parts[p].epoch }
 
 // PartitionRowCounts returns the per-partition row counts in partition
 // order — the layout vector that per-partition freshness tracking records.

@@ -64,14 +64,8 @@ func NewCMSketchWD(w, d int, seed uint64) *CMSketch {
 // Width returns the number of counters per row.
 func (s *CMSketch) Width() int { return s.w }
 
-// Depth returns the number of rows (hash functions).
-func (s *CMSketch) Depth() int { return s.d }
-
 // Seed returns the hash seed; merges require equal seeds and dimensions.
 func (s *CMSketch) Seed() uint64 { return s.seed }
-
-// N returns the L1 norm of all inserted weights.
-func (s *CMSketch) N() float64 { return s.n }
 
 // Add inserts key with the given non-negative weight.
 func (s *CMSketch) Add(key uint64, weight float64) {
@@ -102,12 +96,6 @@ func (s *CMSketch) Estimate(key uint64) float64 {
 		return 0
 	}
 	return est
-}
-
-// ErrorBound returns the additive error bound εN implied by the sketch
-// geometry and current load.
-func (s *CMSketch) ErrorBound() float64 {
-	return math.E / float64(s.w) * s.n
 }
 
 // ExpectedErrorBound returns a load-aware expected overestimation bound for
@@ -144,23 +132,12 @@ func (s *CMSketch) Merge(o *CMSketch) error {
 	return nil
 }
 
-// SizeBytes returns the serialized size — exactly len(Encode()) — charged
-// against storage quotas.
-func (s *CMSketch) SizeBytes() int64 {
-	return EnvelopeBytes + s.payloadBytes()
-}
-
-// payloadBytes is the envelope-free payload size: w, d, seed, n + cells.
+// payloadBytes is the serialized size of the sketch body: w, d, seed, n +
+// cells.
 func (s *CMSketch) payloadBytes() int64 { return 32 + int64(8*len(s.cells)) }
 
-// Encode serializes the sketch (versioned envelope + payload).
-func (s *CMSketch) Encode() []byte {
-	buf := appendEnvelope(make([]byte, 0, s.SizeBytes()), KindCMSketch)
-	return s.appendPayload(buf)
-}
-
-// appendPayload writes the envelope-free sketch body; the sketch-join codec
-// nests it inside its own record.
+// appendPayload writes the sketch body. A CM sketch has no record of its own:
+// the sketch-join codec nests two bodies inside its record.
 func (s *CMSketch) appendPayload(buf []byte) []byte {
 	buf = storage.AppendU64(buf, uint64(s.w))
 	buf = storage.AppendU64(buf, uint64(s.d))
@@ -172,16 +149,7 @@ func (s *CMSketch) appendPayload(buf []byte) []byte {
 	return buf
 }
 
-// DecodeCMSketch reverses Encode.
-func DecodeCMSketch(b []byte) (*CMSketch, error) {
-	r, err := envelopePayload(b, KindCMSketch)
-	if err != nil {
-		return nil, err
-	}
-	return decodeCMPayload(r)
-}
-
-// decodeCMPayload reads one envelope-free sketch body from r.
+// decodeCMPayload reads one sketch body from r.
 func decodeCMPayload(r *storage.Reader) (*CMSketch, error) {
 	w64, err := r.U64()
 	if err != nil {

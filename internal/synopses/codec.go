@@ -6,17 +6,18 @@ import (
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// Versioned binary codec envelope shared by every synopsis type. Each
-// synopsis's Encode produces a fully self-describing record:
+// Versioned binary codec envelope shared by the two stored synopsis kinds,
+// Sample and SketchJoin. Each one's Encode produces a fully self-describing
+// record:
 //
 //	[4]byte magic "TSYN" | u8 version | u8 kind | u16 reserved | payload
 //
 // The kind byte lets internal/persist sniff a stored payload and dispatch
 // to the right decoder; the version byte gates format evolution (decoders
 // reject versions they do not understand instead of misreading them).
-// SizeBytes() of every synopsis equals len(Encode()) exactly — storage
-// quotas charge what disk actually stores (asserted in internal/persist's
-// codec tests).
+// SizeBytes() of both kinds equals len(Encode()) exactly — storage quotas
+// charge what disk actually stores (asserted in internal/persist's codec
+// tests).
 
 // EnvelopeBytes is the fixed size of the codec envelope.
 const EnvelopeBytes = 8
@@ -26,16 +27,13 @@ const EnvelopeBytes = 8
 // epochs in the header) inside sample payloads.
 const CodecVersion = 2
 
-// Codec kind bytes identifying each synopsis type inside the envelope.
+// Codec kind bytes identifying the synopsis type inside the envelope. Kinds
+// 2–6 and 8 belonged to record types no plan could produce (bare count-min,
+// AMS, Flajolet-Martin, Bloom, heavy hitters, partitioned-sample bundle);
+// they are retired — never reused, and rejected by persist.Decode as unknown.
 const (
-	KindSample            byte = 1
-	KindCMSketch          byte = 2
-	KindAMS               byte = 3
-	KindFM                byte = 4
-	KindBloom             byte = 5
-	KindHeavyHitters      byte = 6
-	KindSketchJoin        byte = 7
-	KindPartitionedSample byte = 8
+	KindSample     byte = 1
+	KindSketchJoin byte = 7
 )
 
 var codecMagic = [4]byte{'T', 'S', 'Y', 'N'}

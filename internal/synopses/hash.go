@@ -1,8 +1,11 @@
-// Package synopses implements every summary structure Taster materializes:
-// count-min sketches (counts and sums), Bloom filters, Flajolet-Martin
-// distinct-count sketches, AMS F2 sketches, SpaceSaving heavy hitters,
-// uniform / distinct / stratified samples with Horvitz-Thompson weights,
-// VerdictDB-style variational subsampling, and the sketch-join synopsis.
+// Package synopses implements the summary structures a Taster plan can
+// produce or read: uniform and distinct samples with Horvitz-Thompson
+// weights (mergeable per partition), the sketch-join synopsis over two
+// count-min planes (counts and sums), and — for the offline baselines only —
+// stratified samples and VerdictDB-style variational subsampling.
+//
+// The two stored kinds, Sample and SketchJoin, are what warehouse.Item holds
+// and what the codec (codec.go) serializes.
 //
 // All structures are single-pass ("pipelineable") and mergeable
 // ("partitionable"), the two requirements paper §II imposes.
@@ -20,17 +23,7 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// hashBytes returns the FNV-1a hash of b seeded with seed.
-func hashBytes(b []byte, seed uint64) uint64 {
-	h := uint64(fnvOffset) ^ seed
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// hashString is hashBytes for strings without allocation.
+// hashString returns the FNV-1a hash of s seeded with seed.
 func hashString(s string, seed uint64) uint64 {
 	h := uint64(fnvOffset) ^ seed
 	for i := 0; i < len(s); i++ {
@@ -69,27 +62,8 @@ func SeedFromString(s string, seed uint64) uint64 {
 	return mix64(hashString(s, seed))
 }
 
-// HashValue hashes a single storage value with a seed. Int64(5) and
-// Float64(5.0) hash differently: key identity is typed.
-func HashValue(v storage.Value, seed uint64) uint64 {
-	switch v.Typ {
-	case storage.Int64:
-		return mix64(uint64(v.I) ^ mix64(seed) ^ 0x1)
-	case storage.Float64:
-		return mix64(math.Float64bits(v.F) ^ mix64(seed) ^ 0x2)
-	case storage.String:
-		return hashString(v.S, seed)
-	case storage.Bool:
-		x := uint64(0x3)
-		if v.B {
-			x = 0x4
-		}
-		return mix64(x ^ mix64(seed))
-	}
-	return 0
-}
-
-// HashVectorElem hashes element i of a vector without boxing.
+// HashVectorElem hashes element i of a vector with a seed, without boxing.
+// Int64(5) and Float64(5.0) hash differently: key identity is typed.
 func HashVectorElem(v *storage.Vector, i int, seed uint64) uint64 {
 	switch v.Typ {
 	case storage.Int64:
@@ -119,8 +93,8 @@ func RowKey(vecs []*storage.Vector, cols []int, i int, seed uint64) uint64 {
 }
 
 // pairwise is a family of pairwise-independent hash functions over uint64,
-// h_i(x) = (a_i·x + b_i) with a final mix, indexed by row. CM sketches and
-// AMS sketches draw their per-row hashes from it.
+// h_i(x) = (a_i·x + b_i) with a final mix, indexed by row. CM sketches draw
+// their per-row hashes from it.
 type pairwise struct {
 	a, b []uint64
 }
@@ -143,12 +117,4 @@ func newPairwise(d int, seed uint64) pairwise {
 // at returns h_row(x).
 func (p pairwise) at(row int, x uint64) uint64 {
 	return mix64(p.a[row]*x + p.b[row])
-}
-
-// sign returns ±1 from h_row(x) for AMS sketches.
-func (p pairwise) sign(row int, x uint64) int64 {
-	if p.at(row, x)&1 == 1 {
-		return 1
-	}
-	return -1
 }

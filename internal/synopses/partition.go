@@ -91,86 +91,6 @@ func BuildPartitionSample(name string, tbl *storage.Table, part int, p float64, 
 	return BuildUniformRangeSample(name, tbl, lo, hi, p, seed, stratCols)
 }
 
-// PartitionedSample bundles the per-partition mini-samples of one table in
-// partition order. It is itself a synopsis (kind 8 in the persist codec):
-// the disk tier can spill or fault it as one record, and Merged answers
-// whole-table queries.
-type PartitionedSample struct {
-	Table    string
-	PartRows int // the table's per-partition row capacity when built
-	Parts    []*Sample
-}
-
-// Merged concatenates the per-partition samples, in partition order, into
-// one whole-table sample. Under the chunk-aligned discipline the result is
-// bit-identical to a sample built over the unpartitioned table.
-func (ps *PartitionedSample) Merged(name string) (*Sample, error) {
-	return MergeSamples(name, ps.Parts)
-}
-
-// SizeBytes returns the serialized size (== len(Encode())).
-func (ps *PartitionedSample) SizeBytes() int64 {
-	n := int64(EnvelopeBytes) + 4 + int64(len(ps.Table)) + 4 + 4
-	for _, p := range ps.Parts {
-		n += 4 + p.SizeBytes()
-	}
-	return n
-}
-
-// Encode serializes the partitioned sample: table metadata followed by each
-// part's own self-describing record, length-prefixed.
-func (ps *PartitionedSample) Encode() []byte {
-	buf := appendEnvelope(make([]byte, 0, ps.SizeBytes()), KindPartitionedSample)
-	buf = storage.AppendStr(buf, ps.Table)
-	buf = storage.AppendU32(buf, uint32(ps.PartRows))
-	buf = storage.AppendU32(buf, uint32(len(ps.Parts)))
-	for _, p := range ps.Parts {
-		enc := p.Encode()
-		buf = storage.AppendU32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
-	}
-	return buf
-}
-
-// DecodePartitionedSample reverses Encode.
-func DecodePartitionedSample(b []byte) (*PartitionedSample, error) {
-	r, err := envelopePayload(b, KindPartitionedSample)
-	if err != nil {
-		return nil, err
-	}
-	ps := &PartitionedSample{}
-	if ps.Table, err = r.Str(); err != nil {
-		return nil, err
-	}
-	pr, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	ps.PartRows = int(pr)
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > r.Remaining() {
-		return nil, fmt.Errorf("synopses: corrupt partitioned sample part count %d", n)
-	}
-	ps.Parts = make([]*Sample, n)
-	for i := range ps.Parts {
-		ln, err := r.U32()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.Bytes(int(ln))
-		if err != nil {
-			return nil, err
-		}
-		if ps.Parts[i], err = DecodeSample(raw); err != nil {
-			return nil, fmt.Errorf("synopses: partitioned sample part %d: %w", i, err)
-		}
-	}
-	return ps, nil
-}
-
 // MergePartitionSamples is MergeSamples with the associativity guarantee
 // spelled out: merging [a, b, c] equals merging [merge([a, b]), c] equals
 // merging [a, merge([b, c])], because concatenation in part order and

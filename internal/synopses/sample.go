@@ -23,10 +23,6 @@ type Decision struct {
 type Sampler interface {
 	// Decide examines row i of the given column vectors.
 	Decide(vecs []*storage.Vector, row int) Decision
-	// MemBytes reports the construction-time memory footprint.
-	MemBytes() int64
-	// Describe returns a short human-readable description.
-	Describe() string
 }
 
 // rng is a small deterministic counter-based PRNG (SplitMix64) so sample
@@ -69,40 +65,22 @@ func (s *UniformSampler) Decide(_ []*storage.Vector, _ int) Decision {
 	return Decision{}
 }
 
-// MemBytes implements Sampler; the uniform sampler is O(1).
-func (s *UniformSampler) MemBytes() int64 { return 16 }
-
-// Describe implements Sampler.
-func (s *UniformSampler) Describe() string { return fmt.Sprintf("uniform(p=%.4g)", s.P) }
-
 // DistinctSampler is Γ^D_{p,A,δ}: it passes at least δ rows for every
 // distinct combination of the stratification columns A (weight 1), and
 // subsequent rows of the same combination with probability p (weight 1/p).
-// Per-key counting goes through a KeyCounter: exact in tests, sketch-backed
-// (logarithmic space, paper §II) in production mode.
+// Per-key counts are exact (one map entry per distinct combination).
 type DistinctSampler struct {
 	P         float64
 	Delta     int
-	StratIdxs []int // column positions of A in the input vectors
-	counter   KeyCounter
+	StratIdxs []int             // column positions of A in the input vectors
+	counts    map[uint64]uint64 // rows seen per distinct combination, exact
 	rnd       *rng
 	seed      uint64
 }
 
 // NewDistinctSampler returns a distinct sampler over the given stratification
-// column positions using an exact counter.
+// column positions.
 func NewDistinctSampler(p float64, delta int, stratIdxs []int, seed uint64) *DistinctSampler {
-	return newDistinctSampler(p, delta, stratIdxs, NewExactCounter(), seed)
-}
-
-// NewDistinctSamplerSketch is NewDistinctSampler with a CM-sketch-backed
-// counter of the given geometry, bounding memory like the paper's
-// heavy-hitters implementation.
-func NewDistinctSamplerSketch(p float64, delta int, stratIdxs []int, w, d int, seed uint64) *DistinctSampler {
-	return newDistinctSampler(p, delta, stratIdxs, NewCMCounter(w, d, seed), seed)
-}
-
-func newDistinctSampler(p float64, delta int, stratIdxs []int, c KeyCounter, seed uint64) *DistinctSampler {
 	if p <= 0 {
 		p = 0.01
 	}
@@ -112,7 +90,7 @@ func newDistinctSampler(p float64, delta int, stratIdxs []int, c KeyCounter, see
 	if delta < 1 {
 		delta = 1
 	}
-	return &DistinctSampler{P: p, Delta: delta, StratIdxs: stratIdxs, counter: c, rnd: newRng(seed), seed: seed}
+	return &DistinctSampler{P: p, Delta: delta, StratIdxs: stratIdxs, counts: make(map[uint64]uint64), rnd: newRng(seed), seed: seed}
 }
 
 // PartitionDelta returns the per-instance minimum row requirement when the
@@ -128,22 +106,14 @@ func PartitionDelta(delta, d int) int {
 // Decide implements Sampler.
 func (s *DistinctSampler) Decide(vecs []*storage.Vector, row int) Decision {
 	key := RowKey(vecs, s.StratIdxs, row, s.seed)
-	cnt := s.counter.Inc(key)
-	if cnt <= uint64(s.Delta) {
+	s.counts[key]++
+	if s.counts[key] <= uint64(s.Delta) {
 		return Decision{Pass: true, Weight: 1}
 	}
 	if s.rnd.next() < s.P {
 		return Decision{Pass: true, Weight: 1 / s.P}
 	}
 	return Decision{}
-}
-
-// MemBytes implements Sampler.
-func (s *DistinctSampler) MemBytes() int64 { return s.counter.SizeBytes() + 32 }
-
-// Describe implements Sampler.
-func (s *DistinctSampler) Describe() string {
-	return fmt.Sprintf("distinct(p=%.4g, δ=%d, |A|=%d)", s.P, s.Delta, len(s.StratIdxs))
 }
 
 // Sample is a materialized weighted sample of some relation (base table or

@@ -90,26 +90,3 @@ func VariationalSample(name string, tbl *storage.Table, p float64, seed uint64) 
 		Seed:       seed,
 	}
 }
-
-// VariationalVariance estimates Var(θ̂) of a full-sample estimator from the
-// per-subsample estimates θ̂_j, each computed over a subsample of size
-// subSize, with sampleSize rows in the full sample: the b-out-of-n bootstrap
-// rescaling Var(θ̂_n) ≈ (b/n)·Var_j(θ̂_b,j).
-func VariationalVariance(subEstimates []float64, subSize, sampleSize int) float64 {
-	m := len(subEstimates)
-	if m < 2 || subSize < 1 || sampleSize < 1 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range subEstimates {
-		mean += v
-	}
-	mean /= float64(m)
-	varSum := 0.0
-	for _, v := range subEstimates {
-		d := v - mean
-		varSum += d * d
-	}
-	sampleVar := varSum / float64(m-1)
-	return sampleVar * float64(subSize) / float64(sampleSize)
-}

@@ -174,9 +174,9 @@ func (it *Item) load() (*Payload, error) {
 	return p, nil
 }
 
-// EagerLoad faults the payload in immediately (recovery pre-warms items
-// that were cached at checkpoint time, so post-restart plan costs match the
-// uninterrupted engine's).
+// EagerLoad faults the payload in immediately, whatever the item's kind.
+// Tests use it to prove a restored item loadable; the engine faults lazily
+// through Sample/Sketch.
 func (it *Item) EagerLoad() error {
 	_, err := it.load()
 	return err
