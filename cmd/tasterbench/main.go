@@ -1,189 +1,95 @@
 // Command tasterbench regenerates the paper's evaluation (§VI): every
 // figure and table, printed as ASCII tables of simulated cluster seconds,
-// plus the streaming-ingestion experiment (error vs. staleness bound).
+// plus the streaming-ingestion, restart-recovery and partition-pruning
+// reports.
 //
 // Usage:
 //
-//	tasterbench [-experiment all|fig3|fig4|fig5|fig6|fig7|fig8|fig9|tablei|streaming|serving|warmstart|partition]
+//	tasterbench [-experiment all|fig3|fig4|fig5|fig6|fig7|fig8|fig9|tablei|streaming|warmstart|partition]
 //	            [-workload tpch|tpcds|instacart] [-sf 0.004] [-queries 200]
-//	            [-seed 42] [-benchjson=true]
-//	            [-cpuprofile serve.cpu.pprof] [-memprofile serve.mem.pprof]
-//	            [-trace serve.trace] [-metrics-addr :9090]
+//	            [-seed 42]
 //
-// -metrics-addr serves the engine metrics registry live while the run is in
-// flight: Prometheus text on /metrics, expvar-style JSON on /debug/vars. The
-// registry is threaded into the engines the wall-clock experiments build, so
-// `curl localhost:9090/metrics` during `make bench-serve` shows real serving
-// counters. -trace writes a runtime/trace of the whole run for `go tool
-// trace` (scheduler, GC and contention timelines — the profile pair's
-// complement).
+// The command prints its report and writes no file. Every experiment runs
+// its engines on the synchronous tuning schedule and reports simulated
+// seconds only, so the output is a pure function of the flags: `make
+// determinism` runs each report twice and compares the bytes. Wall time is
+// measured by benchmark/ (see benchmark/README.md), not here.
 //
-// The serving experiment is the concurrent-throughput sweep (inline vs.
-// asynchronous tuning across client counts); it measures wall time, so it
-// is excluded from -experiment all and its numbers are machine-relative.
-// The warmstart experiment measures restart recovery from a persistent
-// warehouse directory: cold-start vs warm-start latency over the fig3
-// workload, plus a byte-fidelity check against an uninterrupted engine.
-// The partition experiment A/Bs zone-map partition pruning on a
-// time-clustered event table under selective range predicates, reporting
-// the scan-byte and simulated-seconds ratios (answers are bit-equal).
-//
-// Unless -benchjson=false, every run also writes a BENCH_<experiment>.json
-// perf summary (wall seconds plus the rendered report) to the working
-// directory for trajectory/CI collection.
+// The streaming experiment sweeps the staleness bound over an interleaved
+// append/query stream. The warmstart experiment measures restart recovery
+// from a persistent warehouse directory: cold-start vs warm-start latency
+// over the fig3 workload, plus a byte-fidelity check against an
+// uninterrupted engine. The partition experiment A/Bs zone-map partition
+// pruning on a time-clustered event table under selective range predicates,
+// reporting the scan-byte and simulated-seconds ratios (answers are
+// bit-equal). -experiment all is the figures and Table I; those three run by
+// name.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
-	"time"
 
 	"github.com/tasterdb/taster/internal/experiments"
-	"github.com/tasterdb/taster/internal/obs"
-	"github.com/tasterdb/taster/internal/obs/httpexport"
 )
+
+// experimentNames is every value -experiment accepts, in the order the usage
+// line prints them; main_test.go holds it to run's switch and to the package
+// comment above.
+const experimentNames = "all|fig3|fig4|fig5|fig6|fig7|fig8|fig9|tablei|streaming|warmstart|partition"
 
 func main() {
 	var (
-		exp         = flag.String("experiment", "all", "which experiment to run")
-		wl          = flag.String("workload", "tpch", "workload for fig3/streaming (tpch|tpcds|instacart)")
-		sf          = flag.Float64("sf", 0.004, "workload scale factor")
-		queries     = flag.Int("queries", 200, "query sequence length")
-		seed        = flag.Int64("seed", 42, "random seed")
-		benchjson   = flag.Bool("benchjson", true, "write a BENCH_<experiment>.json perf summary")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile  = flag.String("memprofile", "", "write an allocation profile at exit to this file")
-		tracefile   = flag.String("trace", "", "write a runtime/trace of the run to this file (go tool trace)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live engine metrics on this address (/metrics, /debug/vars)")
+		exp     = flag.String("experiment", "all", "which experiment to run ("+experimentNames+")")
+		wl      = flag.String("workload", "tpch", "workload for fig3/streaming/warmstart (tpch|tpcds|instacart)")
+		sf      = flag.Float64("sf", 0.004, "workload scale factor")
+		queries = flag.Int("queries", 200, "query sequence length")
+		seed    = flag.Int64("seed", 42, "random seed")
 	)
 	flag.Parse()
-	cfg := experiments.Config{SF: *sf, Queries: *queries, Seed: *seed}
-
-	if *metricsAddr != "" {
-		mx := obs.NewMetrics()
-		cfg.Metrics = mx
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, httpexport.Handler(mx.Snapshot)); err != nil {
-				fmt.Fprintln(os.Stderr, "tasterbench: metrics-addr:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "tasterbench: serving metrics on %s (/metrics, /debug/vars)\n", *metricsAddr)
-	}
-
-	if *tracefile != "" {
-		f, err := os.Create(*tracefile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tasterbench: trace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := trace.Start(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tasterbench: trace:", err)
-			os.Exit(1)
-		}
-		defer trace.Stop()
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tasterbench: cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tasterbench: cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	start := time.Now()
-	out, data, err := run(*exp, *wl, cfg)
+	out, err := run(*exp, *wl, experiments.Config{SF: *sf, Queries: *queries, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tasterbench:", err)
 		os.Exit(1)
 	}
-	if *memprofile != "" {
-		runtime.GC() // settle retained heap so the profile shows live objects
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tasterbench: memprofile:", err)
-			os.Exit(1)
-		}
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "tasterbench: memprofile:", err)
-			os.Exit(1)
-		}
-		f.Close()
-	}
 	fmt.Print(out)
-	if *benchjson {
-		if err := writeSummary(*exp, *wl, cfg, time.Since(start).Seconds(), out, data); err != nil {
-			fmt.Fprintln(os.Stderr, "tasterbench: bench summary:", err)
-			os.Exit(1)
-		}
-	}
 }
 
-// writeSummary emits the machine-readable perf record of one run in the
-// shared experiments.BenchEnvelope schema (every BENCH_*.json artifact has
-// the same shape, so CI diffs are mechanical). data carries the experiment's
-// structured result when it exposes one.
-func writeSummary(exp, wl string, cfg experiments.Config, wall float64, report string, data any) error {
-	env := experiments.NewBenchEnvelope(exp, wl, cfg, wall, report, data)
-	b, err := json.MarshalIndent(env, "", "  ")
-	if err != nil {
-		return err
-	}
-	name := fmt.Sprintf("BENCH_%s.json", exp)
-	return os.WriteFile(name, append(b, '\n'), 0o644)
-}
-
-// run executes one experiment, returning the rendered report plus (when the
-// experiment exposes one) its structured result for the bench envelope.
-func run(exp, wl string, cfg experiments.Config) (string, any, error) {
+// run executes one experiment and returns its rendered report.
+func run(exp, wl string, cfg experiments.Config) (string, error) {
 	type tabler interface{ Table() string }
-	wrap := func(f tabler, err error) (string, any, error) {
+	render := func(f tabler, err error) (string, error) {
 		if err != nil {
-			return "", nil, err
+			return "", err
 		}
-		return f.Table(), f, nil
+		return f.Table(), nil
 	}
 	switch exp {
 	case "all":
-		out, err := experiments.RunAll(cfg)
-		return out, nil, err
+		return experiments.RunAll(cfg)
 	case "fig3":
-		return wrap(experiments.Figure3(wl, cfg))
+		return render(experiments.Figure3(wl, cfg))
 	case "fig4":
-		return wrap(experiments.Figure4(cfg))
+		return render(experiments.Figure4(cfg))
 	case "fig5":
-		return wrap(experiments.Figure5(cfg))
+		return render(experiments.Figure5(cfg))
 	case "fig6":
-		return wrap(experiments.Figure6(cfg))
+		return render(experiments.Figure6(cfg))
 	case "fig7":
-		return wrap(experiments.Figure7(cfg))
+		return render(experiments.Figure7(cfg))
 	case "fig8":
-		return wrap(experiments.Figure8(cfg))
+		return render(experiments.Figure8(cfg))
 	case "fig9":
-		return wrap(experiments.Figure9(cfg))
+		return render(experiments.Figure9(cfg))
 	case "tablei":
-		return wrap(experiments.TableI(cfg))
+		return render(experiments.TableI(cfg))
 	case "streaming":
-		return wrap(experiments.Streaming(wl, cfg))
-	case "serving":
-		return wrap(experiments.Serving(wl, cfg))
+		return render(experiments.Streaming(wl, cfg))
 	case "warmstart":
-		return wrap(experiments.WarmStart(wl, cfg))
+		return render(experiments.WarmStart(wl, cfg))
 	case "partition":
-		return wrap(experiments.Partition(cfg))
+		return render(experiments.Partition(cfg))
 	}
-	return "", nil, fmt.Errorf("unknown experiment %q", exp)
+	return "", fmt.Errorf("unknown experiment %q (want one of %s)", exp, experimentNames)
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/sqlparser"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/tuner"
 	"github.com/tasterdb/taster/internal/workload"
 )
 
@@ -264,5 +266,88 @@ func TestPlanCacheStorm(t *testing.T) {
 	}
 	if st.PlanCacheMisses == 0 {
 		t.Fatalf("storm never missed (stats %+v)", st)
+	}
+}
+
+// servedHitShare warms a serving-shaped engine until a full pass neither
+// rearranges the warehouse nor misses the plan cache (bounded), then lets
+// `clients` goroutines jointly drain six passes over the query list and
+// returns the plan-cache hit share of that closed loop alone. The settings
+// are benchmark/'s dash_repeat ones: Workers 1, a fixed window of 2× the
+// distinct shapes and a 4× storage budget, so the keep set — and with it the
+// snapshot identity that keys the cache — goes quiescent once warm.
+func servedHitShare(t *testing.T, clients int) float64 {
+	t.Helper()
+	w := workload.TPCH(0.002, 7)
+	sqls := w.Queries(12, 7)
+	bytes, rows := w.CostScale()
+	e := New(w.Catalog, Config{
+		Mode:          ModeTaster,
+		StorageBudget: bytes * 4,
+		BufferSize:    bytes,
+		CostModel:     storage.ScaledCostModel(bytes, rows),
+		Seed:          7,
+		Workers:       1,
+		Tuner:         tuner.Config{Window: 2 * len(sqls), Alpha: 0.25, MaxWindow: 2 * len(sqls)},
+	})
+	defer e.Close()
+	exec1 := func(sql string) {
+		q, err := sqlparser.Parse(sql, w.Catalog)
+		if err != nil {
+			t.Errorf("parse: %v\nSQL: %s", err, sql)
+			return
+		}
+		if _, err := e.Execute(q); err != nil {
+			t.Errorf("execute: %v\nSQL: %s", err, sql)
+		}
+	}
+
+	prevMoves, prevMisses := int64(-1), int64(-1)
+	for pass := 0; pass < 12; pass++ {
+		for _, sql := range sqls {
+			exec1(sql)
+		}
+		e.Quiesce()
+		st := e.TuningStats()
+		moves := st.Admitted + st.Refreshed + st.Evicted + st.Promoted
+		if moves == prevMoves && st.PlanCacheMisses == prevMisses {
+			break
+		}
+		prevMoves, prevMisses = moves, st.PlanCacheMisses
+	}
+	warm := e.TuningStats()
+
+	total := 6 * len(sqls)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < total; i = int(next.Add(1)) - 1 {
+				exec1(sqls[i%len(sqls)])
+			}
+		}()
+	}
+	wg.Wait()
+	e.Quiesce()
+	st := e.TuningStats()
+	hits := st.PlanCacheHits - warm.PlanCacheHits
+	return float64(hits) / float64(hits+st.PlanCacheMisses-warm.PlanCacheMisses)
+}
+
+// TestPlanCacheHitShareSurvivesSecondClient: warmed to quiescence, a second
+// closed-loop client must not shred the plan cache. The historical failure
+// was a 26 % two-client hit share between 81 % and 89 % neighbours, from
+// timing the loop one pass before the snapshot identity stopped advancing;
+// residual rearrangements under contention still cost a few misses, hence a
+// slack band rather than equality.
+func TestPlanCacheHitShareSurvivesSecondClient(t *testing.T) {
+	one, two := servedHitShare(t, 1), servedHitShare(t, 2)
+	if one == 0 {
+		t.Fatal("one warmed client never hit the plan cache; the comparison is vacuous")
+	}
+	if two < one-0.25 {
+		t.Fatalf("two-client plan-cache hit share %.0f%% collapsed below the one-client %.0f%%", 100*two, 100*one)
 	}
 }

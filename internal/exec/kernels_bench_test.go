@@ -10,7 +10,8 @@ import (
 	"github.com/tasterdb/taster/internal/synopses"
 )
 
-// Per-stage microbenchmarks of the vectorized hot path (`make bench-kernels`):
+// Per-stage microbenchmarks of the vectorized hot path, run by hand (`go test
+// ./internal/exec -run NONE -bench 'BenchmarkFilter|BenchmarkAgg'`):
 // the filter stage (compiled selection kernels vs the interpreted Eval
 // fallback) and aggTable.observe (the hoisted agg-major loop vs a row-major
 // reference that re-derives the weight/aggregate dispatch per row, i.e. the

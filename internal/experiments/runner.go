@@ -4,7 +4,8 @@
 // adaptivity), Fig. 7 (user hints), Fig. 8 (window length), Fig. 9 (storage
 // elasticity) and Table I (instacart templates). Results report simulated
 // cluster seconds (the paper's I/O-bound regime, via storage.ScaledCostModel)
-// alongside measured wall time.
+// and nothing measured on the host: no experiment reads a clock, so every
+// report is a pure function of its Config.
 package experiments
 
 import (
@@ -13,7 +14,6 @@ import (
 	"strings"
 
 	"github.com/tasterdb/taster/internal/core"
-	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/sqlparser"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/workload"
@@ -25,12 +25,6 @@ type Config struct {
 	SF      float64 // workload scale factor (default 0.004)
 	Queries int     // length of the query sequence (default 200, like §VI-A)
 	Seed    int64
-	// Metrics, when non-nil, is threaded into the engines the wall-clock
-	// experiments construct (currently the Serving sweep), so a live
-	// -metrics-addr export surface has real counters to show while a bench
-	// runs. The figure experiments stay metrics-free: they are the
-	// byte-reproducibility baseline.
-	Metrics *obs.Metrics `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
@@ -63,7 +57,7 @@ func loadWorkload(name string, cfg Config) (*workload.Workload, error) {
 // fraction of the dataset size. Experiments run the tuner synchronously:
 // every figure replays a fixed query sequence and must be byte-identical
 // across runs, which the inline tuning round guarantees (the asynchronous
-// pipeline's throughput is measured separately by the Serving experiment).
+// pipeline's throughput is benchmark/'s dash_repeat workload).
 func newEngine(w *workload.Workload, mode core.Mode, budgetFrac float64, seed uint64) *core.Engine {
 	bytes, rows := w.CostScale()
 	return core.New(w.Catalog, core.Config{
