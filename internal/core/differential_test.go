@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/sqlparser"
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
@@ -54,7 +55,7 @@ type diffRun struct {
 // huge value yields a single monolithic partition).
 func runDifferentialStream(t *testing.T, mode Mode, partitionRows, workers int, disablePrune bool) diffRun {
 	t.Helper()
-	return runDifferentialStreamFull(t, mode, partitionRows, workers, disablePrune, false, 0)
+	return runDifferentialStreamPinned(t, mode, partitionRows, workers, disablePrune, 0)
 }
 
 // runDifferentialStreamPinned additionally pins the planner's parallelism
@@ -65,14 +66,6 @@ func runDifferentialStream(t *testing.T, mode Mode, partitionRows, workers int, 
 // is the chosen plan's EXECUTION, and pinning parallelism isolates exactly
 // that claim.
 func runDifferentialStreamPinned(t *testing.T, mode Mode, partitionRows, workers int, disablePrune bool, planParallelism float64) diffRun {
-	t.Helper()
-	return runDifferentialStreamFull(t, mode, partitionRows, workers, disablePrune, false, planParallelism)
-}
-
-// runDifferentialStreamFull additionally exposes the kernel-disable switch:
-// disableKernels forces every filter onto the interpreted Eval fallback, the
-// reference semantics the compiled selection kernels must match bit-for-bit.
-func runDifferentialStreamFull(t *testing.T, mode Mode, partitionRows, workers int, disablePrune, disableKernels bool, planParallelism float64) diffRun {
 	t.Helper()
 	w := workload.TPCH(0.004, 3)
 	ops, err := w.Stream(diffStreamCfg)
@@ -95,7 +88,6 @@ func runDifferentialStreamFull(t *testing.T, mode Mode, partitionRows, workers i
 		MaxStaleness: 0.15,
 		Synchronous:  true,
 	})
-	e.disableKernels = disableKernels
 	if planParallelism > 0 {
 		e.pl.Parallelism = planParallelism
 	}
@@ -236,20 +228,6 @@ func TestDifferentialPruningSoundEndToEnd(t *testing.T) {
 	mustEqualRuns(t, "prune on-vs-off", on, off)
 }
 
-// TestDifferentialKernelsStream: the compiled selection-vector kernels must be
-// bit-identical to the interpreted Eval path over the full randomized stream —
-// in both engine modes, with appends landing mid-stream. The planner is NOT
-// pinned: plan costing keys on the predicate's static KernelCompilable shape,
-// never on the runtime switch, so both engines must choose identical plans and
-// any divergence here is a real kernel bug, not a plan-choice artifact.
-func TestDifferentialKernelsStream(t *testing.T) {
-	for _, mode := range []Mode{ModeExact, ModeTaster} {
-		on := runDifferentialStreamFull(t, mode, 797, 4, false, false, 0)
-		off := runDifferentialStreamFull(t, mode, 797, 4, false, true, 0)
-		mustEqualRuns(t, "kernels on-vs-off", on, off)
-	}
-}
-
 // nanCatalog builds a table whose float column carries the full IEEE bestiary
 // — NaN, ±Inf, −0.0 — interleaved with ordinary values, plus int, string and
 // group columns. This is the data the kernel NaN contract bites on: ordered
@@ -283,18 +261,20 @@ func nanCatalog() *storage.Catalog {
 // float compares (NaN must vanish), <> (NaN must survive), fused integer
 // conjuncts, string IN, and a BETWEEN that folds specials into a SUM so the
 // NaN propagates into the aggregate state where a single bit of drift shows.
+// Every query carries a COUNT(*): that is the cell the oracle below can
+// reproduce exactly, whatever order the engine folds its floats in.
 var nanQueries = []string{
 	`SELECT grp, SUM(metric), COUNT(*) FROM mets WHERE metric > 10 GROUP BY grp`,
 	`SELECT COUNT(*) FROM mets WHERE metric <> 50.5`,
 	`SELECT grp, COUNT(*) FROM mets WHERE metric <= 0 GROUP BY grp`,
-	`SELECT SUM(metric) FROM mets WHERE qty >= 10 AND qty < 60 AND grp = 3`,
+	`SELECT SUM(metric), COUNT(*) FROM mets WHERE qty >= 10 AND qty < 60 AND grp = 3`,
 	`SELECT grp, COUNT(*) FROM mets WHERE tag IN ('alpha', '') GROUP BY grp`,
-	`SELECT SUM(metric), AVG(qty) FROM mets WHERE grp BETWEEN 2 AND 5`,
-	`SELECT grp, SUM(qty) FROM mets WHERE metric < 1000000 GROUP BY grp`,
+	`SELECT SUM(metric), AVG(qty), COUNT(*) FROM mets WHERE grp BETWEEN 2 AND 5`,
+	`SELECT grp, SUM(qty), COUNT(*) FROM mets WHERE metric < 1000000 GROUP BY grp`,
 }
 
 // runNaNQueries executes the fixed NaN query set on a fresh exact-mode engine.
-func runNaNQueries(t *testing.T, workers int, disablePrune, disableKernels bool) diffRun {
+func runNaNQueries(t *testing.T, workers int, disablePrune bool) diffRun {
 	t.Helper()
 	cat := nanCatalog()
 	e := New(cat, Config{
@@ -308,7 +288,6 @@ func runNaNQueries(t *testing.T, workers int, disablePrune, disableKernels bool)
 		DisablePruning: disablePrune,
 		Synchronous:    true,
 	})
-	e.disableKernels = disableKernels
 	var run diffRun
 	for _, sql := range nanQueries {
 		q, err := sqlparser.Parse(sql, cat)
@@ -326,21 +305,103 @@ func runNaNQueries(t *testing.T, workers int, disablePrune, disableKernels bool)
 	return run
 }
 
-// TestDifferentialKernelsNaN: the ISSUE's acceptance matrix — kernels on vs
-// off over NaN-bearing columns at workers 1, 4 and 8, pruning on and off —
-// must be bit-equal everywhere, and every worker count must agree with every
-// other. Float rows compare Float64bits-strict, so a kernel that mis-sorts a
-// NaN row — or perturbs a NaN payload through the aggregate — cannot hide.
-func TestDifferentialKernelsNaN(t *testing.T) {
-	for _, prune := range []bool{false, true} {
-		var kernelRuns []diffRun
-		for _, workers := range []int{1, 4, 8} {
-			on := runNaNQueries(t, workers, prune, false)
-			off := runNaNQueries(t, workers, prune, true)
-			mustEqualRuns(t, "nan kernels on-vs-off", on, off)
-			kernelRuns = append(kernelRuns, on)
+// nanOracleCell is what the oracle knows about one result row of the NaN
+// query set: its group key (grouped queries) and its COUNT(*) cell.
+type nanOracleCell struct {
+	grouped  bool
+	key      int64
+	countCol int
+	count    float64
+}
+
+// nanOracle answers the NaN query set the slow way, sharing no code with the
+// engine's filter path: each query's WHERE runs through expr.EvalBool — the
+// interpreter — over every row of a fresh nanCatalog, and a plain loop counts
+// the surviving rows per grp. Cells come out in the engine's row order
+// (queries in order, groups ascending, empty groups absent).
+func nanOracle(t *testing.T) []nanOracleCell {
+	t.Helper()
+	cat := nanCatalog()
+	tbl, err := cat.Table("mets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []nanOracleCell
+	for _, sql := range nanQueries {
+		q, err := sqlparser.Parse(sql, cat)
+		if err != nil {
+			t.Fatalf("%v\nSQL: %s", err, sql)
 		}
-		mustEqualRuns(t, "nan workers 1 vs 4", kernelRuns[0], kernelRuns[1])
-		mustEqualRuns(t, "nan workers 1 vs 8", kernelRuns[0], kernelRuns[2])
+		countCol := -1
+		for k, a := range q.Aggs {
+			if a.Kind == stats.Count && a.Col == "" {
+				countCol = len(q.GroupBy) + k
+			}
+		}
+		if countCol < 0 || len(q.GroupBy) > 1 || (len(q.GroupBy) == 1 && q.GroupBy[0] != "mets.grp") {
+			t.Fatalf("oracle needs COUNT(*) and at most GROUP BY grp\nSQL: %s", sql)
+		}
+		counts := make(map[int64]int)
+		total := 0
+		for p := 0; p < tbl.Partitions(); p++ {
+			for _, b := range tbl.Scan(p, storage.BatchSize) {
+				idx, err := expr.EvalBool(q.Filter, b)
+				if err != nil {
+					t.Fatalf("%v\nSQL: %s", err, sql)
+				}
+				for _, i := range idx {
+					counts[b.Vecs[0].I64[i]]++
+					total++
+				}
+			}
+		}
+		if len(q.GroupBy) == 0 {
+			cells = append(cells, nanOracleCell{countCol: countCol, count: float64(total)})
+			continue
+		}
+		for grp := int64(0); grp < 8; grp++ {
+			if n := counts[grp]; n > 0 {
+				cells = append(cells, nanOracleCell{grouped: true, key: grp, countCol: countCol, count: float64(n)})
+			}
+		}
+	}
+	return cells
+}
+
+// mustMatchNaNOracle holds a run's group keys and COUNT(*) cells to the
+// oracle's, exactly: a kernel that mis-sorts one NaN row changes a count.
+func mustMatchNaNOracle(t *testing.T, label string, run diffRun, want []nanOracleCell) {
+	t.Helper()
+	if len(run.rows) != len(want) {
+		t.Fatalf("%s: engine returned %d rows, oracle %d", label, len(run.rows), len(want))
+	}
+	for i, c := range want {
+		row := run.rows[i]
+		if c.grouped && row[0].I != c.key {
+			t.Fatalf("%s: row %d: group key %d, oracle %d", label, i, row[0].I, c.key)
+		}
+		if got := row[c.countCol].F; got != c.count {
+			t.Fatalf("%s: row %d: COUNT(*) = %v, oracle %v", label, i, got, c.count)
+		}
+	}
+}
+
+// TestDifferentialKernelsNaN: over NaN-bearing columns at workers 1, 4 and 8,
+// pruning on and off, every run must agree bit-for-bit with every other —
+// float rows compare Float64bits-strict, so a NaN payload perturbed through
+// the aggregate cannot hide — and every run's row selection must equal the
+// interpreter oracle's.
+func TestDifferentialKernelsNaN(t *testing.T) {
+	want := nanOracle(t)
+	var runs []diffRun
+	for _, prune := range []bool{false, true} {
+		for _, workers := range []int{1, 4, 8} {
+			run := runNaNQueries(t, workers, prune)
+			mustMatchNaNOracle(t, "nan engine-vs-oracle", run, want)
+			runs = append(runs, run)
+		}
+	}
+	for _, run := range runs[1:] {
+		mustEqualRuns(t, "nan workers x pruning", runs[0], run)
 	}
 }

@@ -257,10 +257,6 @@ type Engine struct {
 	// round itself). Baseline modes run no tuner: svc is nil, inline false.
 	svc    *tuningService
 	inline bool
-	// disableKernels is a test hook: it forces the executor's filters onto
-	// the interpreted Eval fallback, the reference the compiled kernels are
-	// differentially tested against.
-	disableKernels bool
 
 	// planCache memoizes plan sets for the lock-free serving path (nil when
 	// disabled or in modes without the asynchronous service).
@@ -531,7 +527,6 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	ctx.Joins = e.joinCache
 	ctx.Workers = e.cfg.Workers
 	ctx.DisablePrune = e.cfg.DisablePruning
-	ctx.DisableKernels = e.disableKernels
 	if e.mx != nil {
 		ctx.Obs = &e.mx.Exec
 	}

@@ -39,13 +39,13 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		if sc, ok := t.Child.(*plan.Scan); ok && !ctx.DisablePrune {
 			ts := NewTableScan(sc.Table, ctx)
 			ts.Prune = t.Pred
-			return NewFilterOp(traceWrap(ts, sc, ctx), t.Pred, ctx), nil
+			return NewFilterOp(traceWrap(ts, sc, ctx), t.Pred, ctx)
 		}
 		child, err := Compile(t.Child, seed, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return NewFilterOp(child, t.Pred, ctx), nil
+		return NewFilterOp(child, t.Pred, ctx)
 
 	case *plan.Join:
 		left, err := Compile(t.Left, seed, ctx)

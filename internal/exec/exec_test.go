@@ -357,6 +357,7 @@ func TestSketchJoinOpInlineBuild(t *testing.T) {
 		Aggs: []plan.AggSpec{
 			{Kind: stats.Count},
 			{Kind: stats.Sum, Col: "orders.amount"},
+			{Kind: stats.Count, Col: "cust.region"}, // a probe-side string column: still the count plane
 		},
 	}
 	op, err := Compile(node, 5, ctx)
@@ -390,6 +391,9 @@ func TestSketchJoinOpInlineBuild(t *testing.T) {
 		}
 		if math.Abs(r[2].F-wantSum)/wantSum > 0.05 {
 			t.Fatalf("region %v sum = %v, want ≈%v", r[0], r[2].F, wantSum)
+		}
+		if r[3].F != r[1].F {
+			t.Fatalf("region %v COUNT(cust.region) = %v, COUNT(*) = %v", r[0], r[3].F, r[1].F)
 		}
 	}
 	if len(ctx.Stats.BuiltSketches) != 1 {
@@ -433,6 +437,47 @@ func TestSketchJoinOpReuseMaterialized(t *testing.T) {
 	}
 	if len(ctx.Stats.BuiltSketches) != 0 {
 		t.Fatal("reuse path must not record a new sketch")
+	}
+}
+
+// TestCountOverColumnIsCountStar: storage has no NULLs, so COUNT(col) folds
+// no column — on the aggregation spine (grouped and not) and as a sketch-join
+// whose build-side aggregate column is a string — and equals COUNT(*) exactly
+// under its own alias.
+func TestCountOverColumnIsCountStar(t *testing.T) {
+	counts := []plan.AggSpec{{Kind: stats.Count, Col: "cust.region"}, {Kind: stats.Count}}
+	for _, groupBy := range [][]string{nil, {"cust.region"}} {
+		agg := &plan.Aggregate{Child: &plan.Scan{Table: customersTable()}, GroupBy: groupBy, Aggs: counts}
+		op, err := Compile(agg, 1, NewContext(0.95))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := op.Schema().Names(); got[len(got)-2] != "count_cust_region" {
+			t.Fatalf("columns = %v", got)
+		}
+		out, err := Run(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range allRows(out) {
+			n := len(r)
+			if want := float64(10 / (1 + len(groupBy))); r[n-2].F != want || r[n-1].F != want {
+				t.Fatalf("group by %v: row %v, want both counts %v", groupBy, r, want)
+			}
+		}
+	}
+
+	node := &plan.SketchJoin{
+		Probe:     &plan.Scan{Table: ordersTable()},
+		Build:     &plan.Scan{Table: customersTable()},
+		ProbeKeys: []string{"orders.cust"},
+		BuildKeys: []string{"cust.id"},
+		AggCol:    "cust.region",
+		Aggs:      counts,
+	}
+	rows := allRows(runPlan(t, node, NewContext(0.95)))
+	if len(rows) != 1 || rows[0][0].F != rows[0][1].F || math.Abs(rows[0][0].F-1000) > 50 {
+		t.Fatalf("sketch-join counts = %v, want both ≈1000 and equal", rows)
 	}
 }
 

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
+	"github.com/tasterdb/taster/internal/plan"
+	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
 )
 
@@ -48,7 +51,10 @@ func TestFilterChargesEvaluatedRows(t *testing.T) {
 	}}
 	ctx := NewContext(0.95)
 	pred := &expr.Cmp{Op: expr.GE, L: &expr.Col{Name: "v"}, R: expr.Int(10)}
-	f := NewFilterOp(feed, pred, ctx)
+	f, err := NewFilterOp(feed, pred, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, err := Run(f)
 	if err != nil {
 		t.Fatal(err)
@@ -63,5 +69,33 @@ func TestFilterChargesEvaluatedRows(t *testing.T) {
 	if ctx.Stats.CPUTuples != 12 {
 		t.Fatalf("CPUTuples = %d, want 12 (rows evaluated, not %d survivors)",
 			ctx.Stats.CPUTuples, survived)
+	}
+}
+
+// TestFilterRefusesWhatKernelsCannotRun: there is no second evaluator to
+// degrade to, so a predicate outside the kernel subset is a construction
+// error naming the reason — from the operator and through Compile.
+func TestFilterRefusesWhatKernelsCannotRun(t *testing.T) {
+	tbl := ordersTable()
+	pred := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: &expr.Col{Name: "orders.cust"}}
+	ctx := NewContext(0.95)
+	if _, err := NewFilterOp(NewTableScan(tbl, ctx), pred, ctx); err == nil || !strings.Contains(err.Error(), "compares two columns") {
+		t.Fatalf("NewFilterOp = %v, want the compile error", err)
+	}
+	if _, err := Compile(&plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: pred}, 1, ctx); err == nil {
+		t.Fatal("Compile accepted a filter no kernel can run")
+	}
+	// On the morsel spine the chain is built per morsel, so the same error
+	// surfaces from the run — as an error, never a worker panic.
+	agg := &plan.Aggregate{
+		Child: &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: pred},
+		Aggs:  []plan.AggSpec{{Kind: stats.Count}},
+	}
+	op, err := Compile(agg, 1, ctx)
+	if err == nil {
+		_, err = Run(op)
+	}
+	if err == nil || !strings.Contains(err.Error(), "compares two columns") {
+		t.Fatalf("aggregate over an uncompilable filter = %v, want the compile error", err)
 	}
 }

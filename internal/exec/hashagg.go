@@ -20,7 +20,7 @@ type aggSpec struct {
 	aggs    []plan.AggSpec
 
 	groupIdx  []int
-	aggIdx    []int // column index per agg, -1 for COUNT(*)
+	aggIdx    []int // column index per agg, -1 for COUNT
 	weightIdx int
 	schema    storage.Schema
 }
@@ -43,11 +43,16 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec) (*
 			if idx < 0 {
 				return nil, fmt.Errorf("exec: aggregate: column %q not in %v", ag.Col, in.Names())
 			}
-			if !in[idx].Typ.Numeric() && ag.Kind != stats.Count {
-				return nil, fmt.Errorf("exec: %s over non-numeric column %q", ag.Kind, ag.Col)
-			}
 		} else if ag.Kind != stats.Count {
 			return nil, fmt.Errorf("exec: %s requires a column", ag.Kind)
+		}
+		if ag.Kind == stats.Count {
+			// Storage has no NULLs and a COUNT accumulator reads only the
+			// row weights, so COUNT(col) is COUNT(*) under its own alias: it
+			// folds no column, whatever the column's type.
+			idx = -1
+		} else if !in[idx].Typ.Numeric() {
+			return nil, fmt.Errorf("exec: %s over non-numeric column %q", ag.Kind, ag.Col)
 		}
 		s.aggIdx = append(s.aggIdx, idx)
 		s.schema = append(s.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
@@ -270,15 +275,12 @@ func (t *aggTable) resolveGroups(b *storage.Batch, sel []int32) []*aggGroup {
 }
 
 // observeSingle folds one aggregate column of the batch into a single
-// accumulator — the ungrouped fast path. All dispatch (COUNT(*) vs column,
+// accumulator — the ungrouped fast path. All dispatch (COUNT vs column,
 // column type, weighted vs not, selection vs dense) happens before the row
-// loop; each loop body is Observe over raw slice reads. The non-numeric
-// default keeps the interpreted path's Vector.Float behaviour (it panics on
-// non-numeric columns, which resolveAggSpec rules out for everything but
-// COUNT over a column — whose y values it faithfully reproduces... by
-// panicking identically if ever reached with a string column).
+// loop; each loop body is Observe over raw slice reads. resolveAggSpec binds
+// only numeric columns, so the two typed arms are exhaustive.
 func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, ci int, wcol []float64) {
-	if ci < 0 { // COUNT(*): y = 1 per row
+	if ci < 0 { // COUNT: y = 1 per row
 		switch {
 		case wcol == nil && sel == nil:
 			n := b.Len()
@@ -342,25 +344,6 @@ func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, c
 				acc.Observe(float64(col[i]), wcol[i])
 			}
 		}
-	default:
-		if sel == nil {
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				w := 1.0
-				if wcol != nil {
-					w = wcol[i]
-				}
-				acc.Observe(v.Float(i), w)
-			}
-		} else {
-			for _, i := range sel {
-				w := 1.0
-				if wcol != nil {
-					w = wcol[i]
-				}
-				acc.Observe(v.Float(int(i)), w)
-			}
-		}
 	}
 }
 
@@ -368,7 +351,7 @@ func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, c
 // live row's group (live-row position aligned with sel), k selects the
 // aggregate.
 func observeGrouped(gs []*aggGroup, k int, b *storage.Batch, sel []int32, ci int, wcol []float64) {
-	if ci < 0 { // COUNT(*): y = 1 per row
+	if ci < 0 { // COUNT: y = 1 per row
 		switch {
 		case wcol == nil && sel == nil:
 			for _, g := range gs {
@@ -429,24 +412,6 @@ func observeGrouped(gs []*aggGroup, k int, b *storage.Batch, sel []int32, ci int
 		default:
 			for j, i := range sel {
 				gs[j].accs[k].Observe(float64(col[i]), wcol[i])
-			}
-		}
-	default:
-		if sel == nil {
-			for j, g := range gs {
-				w := 1.0
-				if wcol != nil {
-					w = wcol[j]
-				}
-				g.accs[k].Observe(v.Float(j), w)
-			}
-		} else {
-			for j, i := range sel {
-				w := 1.0
-				if wcol != nil {
-					w = wcol[i]
-				}
-				gs[j].accs[k].Observe(v.Float(int(i)), w)
 			}
 		}
 	}

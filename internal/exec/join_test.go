@@ -477,8 +477,11 @@ func TestParallelMultiJoinEmptyInnerMatchesVolcano(t *testing.T) {
 	// filter predicate as its zone-prune expression.
 	vcust := NewTableScan(customersTable(), vctx)
 	vcust.Prune = emptyCust.Pred
-	vj1, err := NewHashJoinOp(NewTableScan(fact, vctx),
-		NewFilterOp(vcust, emptyCust.Pred, vctx), // empty build
+	vfilt, err := NewFilterOp(vcust, emptyCust.Pred, vctx) // empty build
+	if err != nil {
+		t.Fatal(err)
+	}
+	vj1, err := NewHashJoinOp(NewTableScan(fact, vctx), vfilt,
 		[]string{"orders.cust"}, []string{"cust.id"}, vctx)
 	if err != nil {
 		t.Fatal(err)
@@ -565,9 +568,12 @@ func TestEmptyBuildStillMaterializesSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vj, err := NewHashJoinOp(sop,
-		NewFilterOp(NewTableScan(customersTable(), vctx),
-			&expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(-1)}, vctx),
+	vfilt, err := NewFilterOp(NewTableScan(customersTable(), vctx),
+		&expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(-1)}, vctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vj, err := NewHashJoinOp(sop, vfilt,
 		[]string{"orders.cust"}, []string{"cust.id"}, vctx)
 	if err != nil {
 		t.Fatal(err)

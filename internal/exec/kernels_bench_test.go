@@ -12,8 +12,8 @@ import (
 
 // Per-stage microbenchmarks of the vectorized hot path, run by hand (`go test
 // ./internal/exec -run NONE -bench 'BenchmarkFilter|BenchmarkAgg'`):
-// the filter stage (compiled selection kernels vs the interpreted Eval
-// fallback) and aggTable.observe (the hoisted agg-major loop vs a row-major
+// the filter stage (the compiled selection kernels) and aggTable.observe (the
+// hoisted agg-major loop vs a row-major
 // reference that re-derives the weight/aggregate dispatch per row, i.e. the
 // pre-hoisting loop structure). Each benchmark reports ns/row so the stages
 // compare on one scale; the *_rowmajor numbers are the regression baseline the
@@ -61,9 +61,9 @@ func reportPerRow(b *testing.B, rowsPerOp int) {
 // refine a dense batch into a selection vector, no row gather.
 func BenchmarkFilterKernel(b *testing.B) {
 	batch := benchAggBatch(false)
-	prog, ok := expr.CompileFilter(benchPred(), batch.Schema)
-	if !ok {
-		b.Fatal("benchmark predicate fell outside the kernel subset")
+	prog, err := expr.CompileFilter(benchPred(), batch.Schema)
+	if err != nil {
+		b.Fatal(err)
 	}
 	out := make([]int32, 0, benchRows)
 	var sc expr.Scratch
@@ -73,26 +73,6 @@ func BenchmarkFilterKernel(b *testing.B) {
 	}
 	reportPerRow(b, benchRows)
 	if len(out) == 0 {
-		b.Fatal("predicate selected nothing")
-	}
-}
-
-// BenchmarkFilterEval measures the interpreted fallback the kernels replace:
-// Eval the predicate tree to boolean vectors, collect true indices.
-func BenchmarkFilterEval(b *testing.B) {
-	batch := benchAggBatch(false)
-	pred := benchPred()
-	var idx []int
-	var err error
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		idx, err = expr.EvalBoolInto(pred, batch, idx[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportPerRow(b, benchRows)
-	if len(idx) == 0 {
 		b.Fatal("predicate selected nothing")
 	}
 }

@@ -14,8 +14,8 @@
 // worker count.
 //
 // The Volcano pair stays for stated reasons only. HashAggOp is reference-only:
-// no plan compiles to it; join_test.go, parallel_test.go and the root
-// bench_test.go build it by hand as the oracle the morsel path must equal.
+// no plan compiles to it; join_test.go and parallel_test.go build it by hand
+// as the oracle the morsel path must equal.
 // HashJoinOp runs the join subtrees under a sketch-join's probe side (and any
 // join inside a build side), and is the join half of the same oracle. Both
 // share their inner loops with the morsel path (aggTable, joinProber.probe),
@@ -112,13 +112,6 @@ type Context struct {
 	// it never changes results, only the scan-byte and tuple charges — so the
 	// flag exists for A/B cost measurement and the pruning soundness tests.
 	DisablePrune bool
-	// DisableKernels forces every filter onto the interpreted Eval fallback
-	// instead of the compiled selection-vector kernels. The two paths are
-	// bit-identical — results and cost counters — so the flag exists only for
-	// the differential harness and kernel benchmarks. It is deliberately
-	// invisible to the planner: plan choice keys on the static
-	// expr.KernelCompilable, never on this switch.
-	DisableKernels bool
 	// Pool recycles batch/vector memory between operators of this run. Batches
 	// transfer ownership downstream; the final consumer releases after copying
 	// out (storage.VecPool documents the contract). A nil pool degrades every
@@ -130,8 +123,8 @@ type Context struct {
 	// and cache-owned, so runs and morsel workers share it without locking
 	// and never release its rows.
 	Joins *JoinCache
-	// Obs receives the executor's dispatch counters (kernel-vs-fallback
-	// filter batches, zone-pruned partitions). Metrics are write-only from
+	// Obs receives the executor's dispatch counters (filter batches,
+	// zone-pruned partitions). Metrics are write-only from
 	// execution — nothing here reads them back — and every hook is safe on
 	// the nil default, so an engine without a metrics registry threads nil
 	// and pays one pointer test per batch. Morsel workers share the pointer;

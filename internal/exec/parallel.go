@@ -348,8 +348,7 @@ func (p *ParallelAggOp) runMorsel(i, nMorsels, morselRows int, keep []bool) mors
 		Stats:              &RunStats{},
 		MaterializeSamples: p.ctx.MaterializeSamples,
 		Pool:               p.ctx.Pool, // sync.Pool-backed: safe across workers
-		DisableKernels:     p.ctx.DisableKernels,
-		Obs:                p.ctx.Obs, // atomic counters: safe across workers
+		Obs:                p.ctx.Obs,  // atomic counters: safe across workers
 	}
 	root, err := buildMorselChain(p.pipe, p.joins, i, nMorsels, p.seed, mctx)
 	if err != nil {
@@ -398,7 +397,11 @@ func buildMorselChain(pipe *parallelPipeline, joins []*pipelineJoinState, morsel
 	for _, n := range pipe.chain {
 		switch t := n.(type) {
 		case *plan.Filter:
-			cur = NewFilterOp(cur, t.Pred, mctx)
+			op, err := NewFilterOp(cur, t.Pred, mctx)
+			if err != nil {
+				return nil, err
+			}
+			cur = op
 		case *plan.Join:
 			cur = &morselProbeOp{child: cur, st: joins[ji], ctx: mctx}
 			ji++

@@ -64,7 +64,9 @@ func NewSketchJoinOp(node *plan.SketchJoin, probe, build Operator, seed uint64, 
 	}
 	for _, ag := range node.Aggs {
 		idx := -1
-		if ag.Col != "" && ag.Col != node.AggCol {
+		// COUNT(col) is COUNT(*) (see resolveAggSpec): it reads the sketch's
+		// count plane and no column on either side.
+		if ag.Kind != stats.Count && ag.Col != "" && ag.Col != node.AggCol {
 			idx = ps.Index(ag.Col)
 			if idx < 0 {
 				return nil, fmt.Errorf("exec: sketch join: aggregate column %q neither build agg nor probe column", ag.Col)
@@ -117,6 +119,12 @@ func (s *SketchJoinOp) Open() error {
 		aggIdx = bs.Index(s.Node.AggCol)
 		if aggIdx < 0 {
 			return fmt.Errorf("exec: sketch join: build agg column %q not in %v", s.Node.AggCol, bs.Names())
+		}
+		// The planner names the build column of every aggregate, COUNT
+		// included, and only COUNT may name a non-numeric one (Validate
+		// refuses the rest): such a sketch carries counts and no sums.
+		if !bs[aggIdx].Typ.Numeric() {
+			aggIdx = -1
 		}
 	}
 	wIdx := bs.Index(synopses.WeightCol)

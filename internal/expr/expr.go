@@ -446,16 +446,10 @@ func (e *In) String() string {
 // Columns implements Expr.
 func (e *In) Columns(dst []string) []string { return e.E.Columns(dst) }
 
-// EvalBool evaluates a boolean expression and returns the selection vector of
-// matching row indices — the filter operator's hot path.
+// EvalBool evaluates a boolean expression with the interpreter and returns
+// the indices of the matching rows. No query runs it: it is the reference the
+// kernel and zone-map tests compare the compiled evaluator against.
 func EvalBool(e Expr, b *storage.Batch) ([]int, error) {
-	return EvalBoolInto(e, b, nil)
-}
-
-// EvalBoolInto is EvalBool appending into a caller-provided scratch slice, so
-// a filter operator can reuse one selection buffer across batches. Callers
-// pass scratch[:0]; the result aliases scratch when capacity suffices.
-func EvalBoolInto(e Expr, b *storage.Batch, scratch []int) ([]int, error) {
 	v, err := e.Eval(b)
 	if err != nil {
 		return nil, err
@@ -463,10 +457,7 @@ func EvalBoolInto(e Expr, b *storage.Batch, scratch []int) ([]int, error) {
 	if v.Typ != storage.Bool {
 		return nil, fmt.Errorf("expr: filter expression %s is %s, want BOOLEAN", e, v.Typ)
 	}
-	idx := scratch
-	if idx == nil {
-		idx = make([]int, 0, len(v.B))
-	}
+	idx := make([]int, 0, len(v.B))
 	for i, ok := range v.B {
 		if ok {
 			idx = append(idx, i)

@@ -1,27 +1,35 @@
 package expr
 
 import (
+	"fmt"
+
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// This file compiles the column-vs-constant subset of boolean expressions
-// into selection-vector kernels: typed tight loops that refine a []int32 of
-// candidate physical row indices in place of the tree-walking interpreter.
-// The interpreter allocates one boolean storage.Vector per Cmp node and one
-// per connective, touches every row once per node, and re-dispatches on type
-// per row; the kernels hoist the type and operator dispatch out of the row
-// loop, allocate nothing per batch (intermediate selections come from a
-// reusable Scratch), and fuse conjunctions so later conjuncts only look at
-// rows that survived earlier ones.
+// This file compiles boolean expressions into selection-vector kernels: typed
+// tight loops that refine a []int32 of candidate physical row indices. It is
+// the engine's only filter evaluator — exec.FilterOp runs nothing else, and
+// planner.Query.Validate admits a query only if its filters compile here, so
+// "the front door accepted it" and "exec can run it" are one predicate. The
+// kernels hoist the type and operator dispatch out of the row loop, allocate
+// nothing per batch (intermediate selections come from a reusable Scratch),
+// and fuse conjunctions so later conjuncts only look at rows that survived
+// earlier ones.
+//
+// What compiles: a column compared with a constant of its type class (numeric
+// with numeric, string with string, bool with bool; either operand order), a
+// column IN a literal list holding at least one value of its type class, and
+// AND / OR / NOT over those. Everything else — column-vs-column, arithmetic
+// operands, string-vs-number, an unknown column, a bare column or constant —
+// is a compile error naming the sub-expression and the reason.
 //
 // Semantics contract: a compiled Filter selects exactly the rows for which
 // Eval's boolean vector is true, bit-for-bit, including the IEEE edge cases —
 // NaN compares false under every operator except <>, Value.Equal's strict
 // same-type equality governs IN, and int64-vs-int64 comparisons stay in
 // integer domain (never coerced through float64, which would fold values
-// above 2^53). Eval remains both the fallback for expression shapes outside
-// this subset (column-vs-column, arithmetic, boolean columns under ordered
-// operators) and the differential oracle the kernel tests compare against.
+// above 2^53). Eval runs in no query: it is the oracle this file's table
+// tests and fuzzers (and zone_test.go) hold the kernels to.
 //
 // Selection-vector convention, shared with the exec package: a selection is
 // an ascending list of physical row indices; nil means "every row of the
@@ -34,27 +42,15 @@ import (
 // Filter is a compiled predicate program over a fixed input schema.
 type Filter struct{ root selNode }
 
-// CompileFilter compiles a boolean expression into selection kernels.
-// ok=false means the expression is outside the compilable subset (or
-// references columns missing from the schema) and the caller must fall back
-// to Eval.
-func CompileFilter(e Expr, s storage.Schema) (*Filter, bool) {
-	n, ok := compileNode(e, s)
-	if !ok {
-		return nil, false
+// CompileFilter compiles a boolean expression into selection kernels over
+// schema s. The error names the first sub-expression outside the compilable
+// subset and says why (see the file comment for what compiles).
+func CompileFilter(e Expr, s storage.Schema) (*Filter, error) {
+	n, err := compileNode(e, s)
+	if err != nil {
+		return nil, err
 	}
-	return &Filter{root: n}, true
-}
-
-// KernelCompilable reports whether CompileFilter succeeds for e over s. It is
-// a static property of the expression shape — the planner's cost model uses
-// it to price a filter as vectorized or interpreted, and it deliberately
-// ignores the runtime kernel-disable switch so that switch can never change
-// plan choice (the differential harness runs kernels on and off against the
-// same plans).
-func KernelCompilable(e Expr, s storage.Schema) bool {
-	_, ok := CompileFilter(e, s)
-	return ok
+	return &Filter{root: n}, nil
 }
 
 // Refine runs the program over one batch: in lists the candidate physical
@@ -97,33 +93,47 @@ type selNode interface {
 
 // ---- compilation ----
 
-func compileNode(e Expr, s storage.Schema) (selNode, bool) {
+func compileNode(e Expr, s storage.Schema) (selNode, error) {
 	switch t := e.(type) {
 	case *Logic:
-		l, ok := compileNode(t.L, s)
-		if !ok {
-			return nil, false
+		l, err := compileNode(t.L, s)
+		if err != nil {
+			return nil, err
 		}
-		r, ok := compileNode(t.R, s)
-		if !ok {
-			return nil, false
+		r, err := compileNode(t.R, s)
+		if err != nil {
+			return nil, err
 		}
 		if t.Op == And {
-			return &andNode{kids: flattenAnd(l, r)}, true
+			return &andNode{kids: flattenAnd(l, r)}, nil
 		}
-		return &orNode{kids: flattenOr(l, r)}, true
+		return &orNode{kids: flattenOr(l, r)}, nil
 	case *Not:
-		k, ok := compileNode(t.E, s)
-		if !ok {
-			return nil, false
+		k, err := compileNode(t.E, s)
+		if err != nil {
+			return nil, err
 		}
-		return &notNode{kid: k}, true
+		return &notNode{kid: k}, nil
 	case *Cmp:
 		return compileCmp(t, s)
 	case *In:
 		return compileIn(t, s)
 	}
-	return nil, false
+	return nil, fmt.Errorf("expr: filter %v: not a boolean predicate", e)
+}
+
+// sameClass reports whether a value of type b can be compared with a column
+// of type a: the numeric types mix, every other type only with itself.
+func sameClass(a, b storage.Type) bool { return a == b || (a.Numeric() && b.Numeric()) }
+
+// columnIndex resolves a filter's column against the schema; in is the
+// sub-expression the error names.
+func columnIndex(in Expr, c *Col, s storage.Schema) (int, error) {
+	ci := s.Index(c.Name)
+	if ci < 0 {
+		return 0, fmt.Errorf("expr: filter %s: unknown column %q in schema %v", in, c.Name, s.Names())
+	}
+	return ci, nil
 }
 
 // flattenAnd/flattenOr merge nested same-connective nodes into one n-ary
@@ -179,14 +189,30 @@ func splitColConst(e *Cmp) (*Col, storage.Value, CmpOp, bool) {
 	return nil, storage.Value{}, 0, false
 }
 
-func compileCmp(e *Cmp, s storage.Schema) (selNode, bool) {
+// cmpShapeError says why a comparison is not column-vs-constant.
+func cmpShapeError(e *Cmp) error {
+	_, lcol := e.L.(*Col)
+	_, rcol := e.R.(*Col)
+	_, lbin := e.L.(*Bin)
+	_, rbin := e.R.(*Bin)
+	why := "does not compare a column with a constant"
+	switch {
+	case lbin || rbin:
+		why = "has an arithmetic operand"
+	case lcol && rcol:
+		why = "compares two columns"
+	}
+	return fmt.Errorf("expr: filter %s: %s; only a column compared with a constant is supported", e, why)
+}
+
+func compileCmp(e *Cmp, s storage.Schema) (selNode, error) {
 	col, c, op, ok := splitColConst(e)
 	if !ok {
-		return nil, false
+		return nil, cmpShapeError(e)
 	}
-	ci := s.Index(col.Name)
-	if ci < 0 {
-		return nil, false
+	ci, err := columnIndex(e, col, s)
+	if err != nil {
+		return nil, err
 	}
 	n := &cmpNode{col: ci, op: op}
 	// The kind dispatch mirrors Eval's: int64-vs-int64 compares in integer
@@ -211,9 +237,9 @@ func compileCmp(e *Cmp, s storage.Schema) (selNode, bool) {
 		n.rf = cmpBoolResult(false, c.B, op)
 		n.rt = cmpBoolResult(true, c.B, op)
 	default:
-		return nil, false
+		return nil, fmt.Errorf("expr: filter %s: cannot compare %s column %q with a %s constant", e, s[ci].Typ, col.Name, c.Typ)
 	}
-	return n, true
+	return n, nil
 }
 
 func cmpBoolResult(x, c bool, op CmpOp) bool {
@@ -226,16 +252,25 @@ func cmpBoolResult(x, c bool, op CmpOp) bool {
 	return cmpOrd(b2i(x), b2i(c), op)
 }
 
-func compileIn(e *In, s storage.Schema) (selNode, bool) {
+func compileIn(e *In, s storage.Schema) (selNode, error) {
 	col, ok := e.E.(*Col)
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("expr: filter %s: IN over an expression; only a column is supported", e)
 	}
-	ci := s.Index(col.Name)
-	if ci < 0 {
-		return nil, false
+	ci, err := columnIndex(e, col, s)
+	if err != nil {
+		return nil, err
 	}
 	n := &inNode{col: ci, typ: s[ci].Typ}
+	// A list with no value of the column's type class (strings against a
+	// number, or an empty list) is a typing mistake, not an empty answer.
+	matchable := false
+	for _, v := range e.Vals {
+		matchable = matchable || sameClass(n.typ, v.Typ)
+	}
+	if !matchable {
+		return nil, fmt.Errorf("expr: filter %s: the list holds no %s value for column %q", e, n.typ, col.Name)
+	}
 	// Value.Equal is strict same-type equality, so values of any other type
 	// in the list can never match and are dropped at compile time.
 	switch n.typ {
@@ -267,10 +302,8 @@ func compileIn(e *In, s storage.Schema) (selNode, bool) {
 				}
 			}
 		}
-	default:
-		return nil, false
 	}
-	return n, true
+	return n, nil
 }
 
 // ---- leaf kernels ----

@@ -3,6 +3,7 @@ package expr
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/storage"
@@ -66,9 +67,9 @@ func oracleSelect(t testing.TB, e Expr, b *storage.Batch, in []int32) []int32 {
 // (in = nil) and under a sparse candidate selection.
 func checkKernel(t testing.TB, e Expr, b *storage.Batch) {
 	t.Helper()
-	f, ok := CompileFilter(e, b.Schema)
-	if !ok {
-		t.Fatalf("CompileFilter(%s): not compilable", e)
+	f, err := CompileFilter(e, b.Schema)
+	if err != nil {
+		t.Fatalf("CompileFilter(%s): %v", e, err)
 	}
 	var sc Scratch
 	sparse := make([]int32, 0, b.Len())
@@ -159,32 +160,59 @@ func TestKernelIn(t *testing.T) {
 	checkKernel(t, &In{E: &Col{Name: "b"}, Vals: []storage.Value{
 		storage.BoolValue(false),
 	}}, b)
-	checkKernel(t, &In{E: &Col{Name: "i"}, Vals: nil}, b)
 }
 
-func TestKernelCompilableBoundary(t *testing.T) {
+// TestCompileFilterBoundary pins what the only evaluator admits and, for what
+// it refuses, that the error names the sub-expression and the reason — the
+// message a user reads at the front door (planner.Query.Validate).
+func TestCompileFilterBoundary(t *testing.T) {
 	s := kernelSchema
 	compilable := []Expr{
 		&Cmp{Op: LT, L: &Col{Name: "f"}, R: Float(1)},
 		&Logic{Op: And, L: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(1)}, R: &Cmp{Op: EQ, L: &Col{Name: "s"}, R: Str("x")}},
+		&Logic{Op: Or, L: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Float(1)}, R: &Cmp{Op: EQ, L: &Col{Name: "f"}, R: Int(1)}},
 		&Not{E: &In{E: &Col{Name: "i"}, Vals: []storage.Value{storage.IntValue(1)}}},
+		// Same type class, no value of the exact type: admitted, matches nothing.
+		&In{E: &Col{Name: "i"}, Vals: []storage.Value{storage.FloatValue(1)}},
 	}
 	for _, e := range compilable {
-		if !KernelCompilable(e, s) {
-			t.Errorf("want compilable: %s", e)
+		if _, err := CompileFilter(e, s); err != nil {
+			t.Errorf("want compilable: %s: %v", e, err)
 		}
 	}
-	notCompilable := []Expr{
-		&Cmp{Op: LT, L: &Col{Name: "i"}, R: &Col{Name: "f"}},                     // col vs col
-		&Cmp{Op: LT, L: &Bin{Op: Add, L: &Col{Name: "i"}, R: Int(1)}, R: Int(2)}, // arithmetic operand
-		&Cmp{Op: LT, L: &Col{Name: "missing"}, R: Int(1)},                        // unknown column
-		&Cmp{Op: EQ, L: &Col{Name: "s"}, R: Int(1)},                              // type mismatch
-		&In{E: &Bin{Op: Add, L: &Col{Name: "i"}, R: Int(1)}, Vals: nil},          // IN over expression
-		&Logic{Op: And, L: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(1)}, R: &Cmp{Op: LT, L: &Col{Name: "i"}, R: &Col{Name: "i"}}},
+	colVsCol := &Cmp{Op: LT, L: &Col{Name: "i"}, R: &Col{Name: "i"}}
+	refused := []struct {
+		e    Expr
+		want []string // substrings of the error
+	}{
+		{&Cmp{Op: LT, L: &Col{Name: "i"}, R: &Col{Name: "f"}}, []string{"i < f", "compares two columns"}},
+		{&Cmp{Op: LT, L: &Bin{Op: Add, L: &Col{Name: "i"}, R: Int(1)}, R: Int(2)}, []string{"(i + 1) < 2", "arithmetic"}},
+		{&Cmp{Op: LT, L: Int(1), R: Int(2)}, []string{"1 < 2", "does not compare a column with a constant"}},
+		{&Cmp{Op: LT, L: &Col{Name: "missing"}, R: Int(1)}, []string{"missing < 1", `unknown column "missing"`}},
+		{&Cmp{Op: EQ, L: &Col{Name: "s"}, R: Int(1)}, []string{"s = 1", `VARCHAR column "s"`, "BIGINT constant"}},
+		{&Cmp{Op: EQ, L: &Col{Name: "f"}, R: Str("abc")}, []string{"f = 'abc'", `DOUBLE column "f"`, "VARCHAR constant"}},
+		{&Cmp{Op: EQ, L: &Col{Name: "b"}, R: Int(1)}, []string{"b = 1", `BOOLEAN column "b"`}},
+		{&In{E: &Bin{Op: Add, L: &Col{Name: "i"}, R: Int(1)}, Vals: nil}, []string{"IN over an expression"}},
+		{&In{E: &Col{Name: "missing"}, Vals: []storage.Value{storage.IntValue(1)}}, []string{`unknown column "missing"`}},
+		{&In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.IntValue(5), storage.IntValue(6)}}, []string{"s IN (5, 6)", `no VARCHAR value for column "s"`}},
+		{&In{E: &Col{Name: "f"}, Vals: []storage.Value{storage.StringValue("a")}}, []string{"f IN ('a')", `no DOUBLE value for column "f"`}},
+		{&In{E: &Col{Name: "i"}, Vals: nil}, []string{"i IN ()", "no BIGINT value"}},
+		{&Col{Name: "b"}, []string{"not a boolean predicate"}},
+		{&Bin{Op: Add, L: &Col{Name: "i"}, R: Int(1)}, []string{"(i + 1)", "not a boolean predicate"}},
+		// The first refused sub-expression is the one named, wherever it sits.
+		{&Logic{Op: And, L: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(1)}, R: colVsCol}, []string{"filter i < i:"}},
+		{&Not{E: &Logic{Op: Or, L: colVsCol, R: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(1)}}}, []string{"filter i < i:"}},
 	}
-	for _, e := range notCompilable {
-		if KernelCompilable(e, s) {
-			t.Errorf("want not compilable: %s", e)
+	for _, c := range refused {
+		_, err := CompileFilter(c.e, s)
+		if err == nil {
+			t.Errorf("want refused: %s", c.e)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("CompileFilter(%s) = %q, want it to mention %q", c.e, err, w)
+			}
 		}
 	}
 }
@@ -201,9 +229,9 @@ func TestKernelScratchReuse(t *testing.T) {
 			L: &Cmp{Op: NE, L: &Col{Name: "f"}, R: Float(42)},
 			R: &In{E: &Col{Name: "b"}, Vals: []storage.Value{storage.BoolValue(true)}}},
 	}
-	f, ok := CompileFilter(e, b.Schema)
-	if !ok {
-		t.Fatal("not compilable")
+	f, err := CompileFilter(e, b.Schema)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var sc Scratch
 	want := oracleSelect(t, e, b, nil)

@@ -85,10 +85,10 @@ func (o *PlanCacheObs) Evict() {
 // PlanCacheObs.
 //
 // A hit skips the build subtree altogether, and the executor's dispatch
-// counters count work actually done: ExecObs.KernelFilterBatches,
-// FallbackFilterBatches and PrunedPartitions (the benchmark's
-// exec.kernel_filter_share and exec.pruned_partitions) fall by whatever the
-// skipped build-side filters and scans would have added.
+// counters count work actually done: ExecObs.KernelFilterBatches and
+// PrunedPartitions (the benchmark's exec.kernel_filter_share denominator and
+// exec.pruned_partitions) fall by whatever the skipped build-side filters and
+// scans would have added.
 type JoinCacheObs struct {
 	Hits          Counter
 	Misses        Counter
@@ -164,28 +164,20 @@ func (o *PoolObs) Miss() {
 	}
 }
 
-// ExecObs counts executor dispatch decisions: how many filter batches ran
-// on the compiled selection-vector kernels vs the interpreted fallback, and
-// how many partitions zone-map pruning skipped. Counters only — the
-// executor's outputs must not depend on the metrics layer, and these are
-// written from morsel workers concurrently (atomics make that safe).
+// ExecObs counts executor work: how many batches the filters' compiled
+// selection-vector kernels evaluated, and how many partitions zone-map
+// pruning skipped. Counters only — the executor's outputs must not depend on
+// the metrics layer, and these are written from morsel workers concurrently
+// (atomics make that safe).
 type ExecObs struct {
-	KernelFilterBatches   Counter
-	FallbackFilterBatches Counter
-	PrunedPartitions      Counter
+	KernelFilterBatches Counter
+	PrunedPartitions    Counter
 }
 
-// Kernel records one filter batch dispatched to the compiled kernels.
+// Kernel records one filter batch evaluated by the compiled kernels.
 func (o *ExecObs) Kernel() {
 	if o != nil {
 		o.KernelFilterBatches.Inc()
-	}
-}
-
-// Fallback records one filter batch on the interpreted Eval path.
-func (o *ExecObs) Fallback() {
-	if o != nil {
-		o.FallbackFilterBatches.Inc()
 	}
 }
 
@@ -239,37 +231,36 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		return MetricsSnapshot{}
 	}
 	return MetricsSnapshot{
-		QueriesServed:         m.QueriesServed.Value(),
-		QueryErrors:           m.QueryErrors.Value(),
-		QueryLatencySeconds:   m.QueryLatencySeconds.Snapshot(),
-		IngestBatches:         m.IngestBatches.Value(),
-		IngestRows:            m.IngestRows.Value(),
-		PlanCacheHits:         m.PlanCache.Hits.Value(),
-		PlanCacheMisses:       m.PlanCache.Misses.Value(),
-		PlanCacheEvictions:    m.PlanCache.Evictions.Value(),
-		JoinCacheHits:         m.JoinCache.Hits.Value(),
-		JoinCacheMisses:       m.JoinCache.Misses.Value(),
-		JoinCacheAdmissions:   m.JoinCache.Admissions.Value(),
-		JoinCacheEvictions:    m.JoinCache.Evictions.Value(),
-		JoinCacheBytes:        m.JoinCache.ResidentBytes.Value(),
-		TuningRounds:          m.TuningRounds.Value(),
-		TuningShed:            m.TuningShed.Value(),
-		TuningQueueDepth:      m.TuningQueueDepth.Value(),
-		TuningBatchSize:       m.TuningBatchSize.Snapshot(),
-		TuningRoundSeconds:    m.TuningRoundSeconds.Snapshot(),
-		SnapshotPublishes:     m.SnapshotPublishes.Value(),
-		SnapshotIdentCarries:  m.SnapshotIdentCarries.Value(),
-		WarehouseSpills:       m.Disk.Spills.Value(),
-		WarehouseFaultIns:     m.Disk.FaultIns.Value(),
-		ManifestWrites:        m.Disk.ManifestWrites.Value(),
-		DiskWriteBytes:        m.Disk.WriteBytes.Value(),
-		DiskReadBytes:         m.Disk.ReadBytes.Value(),
-		PoolBatchGets:         m.Pool.BatchGets.Value(),
-		PoolBatchPuts:         m.Pool.BatchPuts.Value(),
-		PoolAllocMisses:       m.Pool.AllocMisses.Value(),
-		KernelFilterBatches:   m.Exec.KernelFilterBatches.Value(),
-		FallbackFilterBatches: m.Exec.FallbackFilterBatches.Value(),
-		PrunedPartitions:      m.Exec.PrunedPartitions.Value(),
+		QueriesServed:        m.QueriesServed.Value(),
+		QueryErrors:          m.QueryErrors.Value(),
+		QueryLatencySeconds:  m.QueryLatencySeconds.Snapshot(),
+		IngestBatches:        m.IngestBatches.Value(),
+		IngestRows:           m.IngestRows.Value(),
+		PlanCacheHits:        m.PlanCache.Hits.Value(),
+		PlanCacheMisses:      m.PlanCache.Misses.Value(),
+		PlanCacheEvictions:   m.PlanCache.Evictions.Value(),
+		JoinCacheHits:        m.JoinCache.Hits.Value(),
+		JoinCacheMisses:      m.JoinCache.Misses.Value(),
+		JoinCacheAdmissions:  m.JoinCache.Admissions.Value(),
+		JoinCacheEvictions:   m.JoinCache.Evictions.Value(),
+		JoinCacheBytes:       m.JoinCache.ResidentBytes.Value(),
+		TuningRounds:         m.TuningRounds.Value(),
+		TuningShed:           m.TuningShed.Value(),
+		TuningQueueDepth:     m.TuningQueueDepth.Value(),
+		TuningBatchSize:      m.TuningBatchSize.Snapshot(),
+		TuningRoundSeconds:   m.TuningRoundSeconds.Snapshot(),
+		SnapshotPublishes:    m.SnapshotPublishes.Value(),
+		SnapshotIdentCarries: m.SnapshotIdentCarries.Value(),
+		WarehouseSpills:      m.Disk.Spills.Value(),
+		WarehouseFaultIns:    m.Disk.FaultIns.Value(),
+		ManifestWrites:       m.Disk.ManifestWrites.Value(),
+		DiskWriteBytes:       m.Disk.WriteBytes.Value(),
+		DiskReadBytes:        m.Disk.ReadBytes.Value(),
+		PoolBatchGets:        m.Pool.BatchGets.Value(),
+		PoolBatchPuts:        m.Pool.BatchPuts.Value(),
+		PoolAllocMisses:      m.Pool.AllocMisses.Value(),
+		KernelFilterBatches:  m.Exec.KernelFilterBatches.Value(),
+		PrunedPartitions:     m.Exec.PrunedPartitions.Value(),
 	}
 }
 
@@ -317,7 +308,10 @@ type MetricsSnapshot struct {
 	PoolBatchPuts   int64
 	PoolAllocMisses int64
 
-	KernelFilterBatches   int64
+	KernelFilterBatches int64
+	// FallbackFilterBatches is always 0: the interpreted filter path is gone
+	// and nothing sets it. The field stays because benchmark/probes.go reads
+	// it for exec.kernel_filter_share; a benchmark PR removes both.
 	FallbackFilterBatches int64
 	PrunedPartitions      int64
 }
@@ -387,8 +381,7 @@ func (s MetricsSnapshot) Families() []Family {
 		c("taster_pool_batch_gets_total", "Pooled batches acquired from the vector pool.", s.PoolBatchGets),
 		c("taster_pool_batch_puts_total", "Pooled batches released back to the vector pool.", s.PoolBatchPuts),
 		c("taster_pool_alloc_misses_total", "Fresh allocations the pool free lists could not serve.", s.PoolAllocMisses),
-		c("taster_exec_kernel_filter_batches_total", "Filter batches dispatched to the compiled selection-vector kernels.", s.KernelFilterBatches),
-		c("taster_exec_fallback_filter_batches_total", "Filter batches on the interpreted Eval fallback.", s.FallbackFilterBatches),
+		c("taster_exec_kernel_filter_batches_total", "Filter batches evaluated by the compiled selection-vector kernels.", s.KernelFilterBatches),
 		c("taster_exec_pruned_partitions_total", "Partitions skipped by zone-map pruning.", s.PrunedPartitions),
 	}
 }

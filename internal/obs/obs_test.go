@@ -43,7 +43,6 @@ func TestCounterNilSafety(t *testing.T) {
 	po.Miss()
 	var eo *ExecObs
 	eo.Kernel()
-	eo.Fallback()
 	eo.Pruned(3)
 	var do *DiskObs
 	do.ItemWrite(10)
@@ -108,7 +107,6 @@ func TestHookGroups(t *testing.T) {
 	m.Pool.Put()
 	m.Pool.Miss()
 	m.Exec.Kernel()
-	m.Exec.Fallback()
 	m.Exec.Pruned(4)
 	m.Exec.Pruned(0) // no-op: nothing pruned
 	m.Disk.ItemWrite(100)
@@ -133,7 +131,6 @@ func TestHookGroups(t *testing.T) {
 		{"PoolBatchPuts", s.PoolBatchPuts, 1},
 		{"PoolAllocMisses", s.PoolAllocMisses, 1},
 		{"KernelFilterBatches", s.KernelFilterBatches, 1},
-		{"FallbackFilterBatches", s.FallbackFilterBatches, 1},
 		{"PrunedPartitions", s.PrunedPartitions, 4},
 		{"WarehouseSpills", s.WarehouseSpills, 1},
 		{"WarehouseFaultIns", s.WarehouseFaultIns, 1},
@@ -171,8 +168,8 @@ func TestClocks(t *testing.T) {
 // in the httpexport golden test.
 func TestFamiliesStable(t *testing.T) {
 	fams := MetricsSnapshot{}.Families()
-	if len(fams) != 35 {
-		t.Fatalf("Families() returned %d series, want 35", len(fams))
+	if len(fams) != 34 {
+		t.Fatalf("Families() returned %d series, want 34", len(fams))
 	}
 	seen := make(map[string]bool, len(fams))
 	for _, f := range fams {

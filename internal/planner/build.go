@@ -104,7 +104,7 @@ func (p *Planner) costFilteredJoinTree(q *Query, overrides map[string]scanEst, c
 		serial := t.Name != q.Tables[0].Name
 		cost.scanBase(bytes, rows, serial)
 		if f := q.filterForTable(t.Name); f != nil {
-			cost.filterWork(float64(rows), expr.KernelCompilable(f, t.Table.Schema()), serial)
+			cost.filterWork(float64(rows), serial)
 		}
 		return p.est.tableEst(t, q.filterForTable(t.Name))
 	}

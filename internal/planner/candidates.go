@@ -94,13 +94,9 @@ func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
 	var cost planCost
 	joinEstOut := p.costUnfilteredJoinTree(q, &cost)
 	cost.samplerWork(joinEstOut.rows, true) // sampler above the join root: on the spine
-	// Filters lifted above the sampler evaluate over the sample stream; each
-	// is priced by its own table's schema (the joined schema keeps the
-	// qualified column names, so compilability carries over).
-	for _, t := range q.Tables {
-		if f := q.filterForTable(t.Name); f != nil {
-			cost.filterWork(outRows, expr.KernelCompilable(f, t.Table.Schema()), false)
-		}
+	// Filters lifted above the sampler evaluate over the sample stream.
+	for range singleFilters {
+		cost.filterWork(outRows, false)
 	}
 	// sel computed above for the sampler configuration.
 	cost.aggWork(scanEst{rows: math.Max(outRows*sel, 1), width: joinOut.width + 8})
@@ -163,7 +159,7 @@ func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
 			rcost.cpuTuples += int64(sampleRows)
 		}
 		if m.CompensateFilter != nil {
-			rcost.filterWork(sampleRows, expr.KernelCompilable(m.CompensateFilter, smp.Rows.Schema()), false)
+			rcost.filterWork(sampleRows, false)
 		}
 		rcost.aggWork(scanEst{rows: math.Max(sampleRows*sel, 1), width: joinOut.width + 8})
 		ps.Candidates = append(ps.Candidates, Candidate{

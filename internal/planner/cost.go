@@ -87,13 +87,11 @@ type planCost struct {
 	diskLoadBytes int64
 	cpuTuples     int64
 	serialTuples  int64
-	// vecTuples/serialVecTuples carry filter work running on the compiled
-	// selection-kernel path (expr.KernelCompilable predicates): per tuple it
-	// costs only the model's VectorizedFrac of the interpreted rate.
-	// Interpreter-bound filter work charges into cpuTuples/serialTuples at
-	// full rate. The split keys on the predicate's static shape, never on the
-	// runtime kernel-disable switch, so disabling kernels for a differential
-	// run cannot change plan choice.
+	// vecTuples/serialVecTuples carry filter work, on the morsel spine and
+	// on serially drained branches. Every filter runs as compiled selection
+	// kernels (Validate admits nothing else), so per tuple it costs only the
+	// model's VectorizedFrac of the row-at-a-time rate the other CPU buckets
+	// are priced at.
 	vecTuples       int64
 	serialVecTuples int64
 	shuffleBytes    int64
@@ -159,20 +157,14 @@ func (c *planCost) samplerWork(inRows float64, spine bool) {
 	}
 }
 
-// filterWork charges evaluating a filter predicate over its input rows.
-// vectorized says the predicate compiles to selection kernels (charged at the
-// model's vectorized fraction); serial says the filter sits on a serially
-// drained branch rather than the morsel-parallel spine.
-func (c *planCost) filterWork(rows float64, vectorized, serial bool) {
-	switch {
-	case vectorized && serial:
+// filterWork charges evaluating a filter predicate over its input rows;
+// seconds prices it at the model's vectorized fraction. serial says the filter
+// sits on a serially drained branch rather than the morsel-parallel spine.
+func (c *planCost) filterWork(rows float64, serial bool) {
+	if serial {
 		c.serialVecTuples += int64(rows)
-	case vectorized:
+	} else {
 		c.vecTuples += int64(rows)
-	case serial:
-		c.serialTuples += int64(rows)
-	default:
-		c.cpuTuples += int64(rows)
 	}
 }
 

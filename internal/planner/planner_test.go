@@ -89,6 +89,56 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unknown join table must fail")
 	}
+
+	// The typed half: each case edits a valid join query into one binding
+	// exec could not honour; the error must say which.
+	col := func(n string) *expr.Col { return &expr.Col{Name: n} }
+	refused := []struct {
+		name string
+		edit func(q *Query)
+		want string
+	}{
+		{"join keys of different types", func(q *Query) { q.Joins[0].LeftCol = "sales.amount" },
+			"sales.amount is DOUBLE but products.id is BIGINT"},
+		{"unknown join column", func(q *Query) { q.Joins[0].RightCol = "products.nope" }, `unknown column "products.nope"`},
+		{"unknown aggregate column", func(q *Query) { q.Aggs[0].Col = "sales.nope" }, `unknown column "sales.nope"`},
+		{"aggregate column of no table", func(q *Query) { q.Aggs[0].Col = "amount" }, "belongs to no table"},
+		{"string compared with a number", func(q *Query) {
+			q.Filter = &expr.Cmp{Op: expr.EQ, L: col("products.category"), R: expr.Str("x")}
+		}, `BIGINT column "products.category" with a VARCHAR constant`},
+		{"arithmetic", func(q *Query) {
+			q.Filter = &expr.Cmp{Op: expr.LT, L: &expr.Bin{Op: expr.Add, L: col("sales.amount"), R: expr.Int(1)}, R: expr.Int(2)}
+		}, "arithmetic"},
+		{"cross-table column-vs-column residual", func(q *Query) {
+			q.Filter = &expr.Cmp{Op: expr.LT, L: col("sales.product"), R: col("products.id")}
+		}, "compares two columns"},
+		{"filter on a column of no table", func(q *Query) {
+			q.Filter = &expr.Cmp{Op: expr.LT, L: col("nope.x"), R: expr.Int(1)}
+		}, `unknown column "nope.x"`},
+	}
+	for _, c := range refused {
+		q := joinQuery()
+		c.edit(q)
+		if err := q.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error mentioning %q", c.name, err, c.want)
+		}
+	}
+	// OR, NOT and IN are inside the kernel subset, per table and across
+	// tables (the residual compiles against the joined schema).
+	ok := joinQuery()
+	ok.Filter = expr.AndAll([]expr.Expr{
+		&expr.Not{E: &expr.In{E: col("sales.store"), Vals: []storage.Value{storage.IntValue(3)}}},
+		&expr.Logic{Op: expr.Or,
+			L: &expr.Cmp{Op: expr.GT, L: col("sales.amount"), R: expr.Int(10)},
+			R: &expr.Cmp{Op: expr.EQ, L: col("products.category"), R: expr.Int(2)}},
+	})
+	if err := ok.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ok.Aggs = append(ok.Aggs, plan.AggSpec{Kind: stats.Count, Col: "products.id"})
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("COUNT over a column: %v", err)
+	}
 }
 
 func TestQueryHelpers(t *testing.T) {

@@ -58,7 +58,14 @@ type Query struct {
 	Exact bool
 }
 
-// Validate sanity-checks the IR.
+// Validate is the typed front door: it admits a query only if every binding
+// exec will rely on holds, so nothing past it can fail on the query's types.
+// Tables are bound; each join predicate's two columns exist and share a type
+// (keys of different types can never be equal); SUM / AVG / MIN / MAX read a
+// numeric column, COUNT any column; and every filter conjunct exec will run —
+// a table's own against that table's schema, a cross-table residual against
+// the joined schema — compiles with expr.CompileFilter, the engine's only
+// filter evaluator, whose error names the offending sub-expression.
 func (q *Query) Validate() error {
 	if len(q.Tables) == 0 {
 		return fmt.Errorf("planner: query has no tables")
@@ -66,19 +73,67 @@ func (q *Query) Validate() error {
 	if len(q.Aggs) == 0 {
 		return fmt.Errorf("planner: query has no aggregates (only aggregate queries are supported)")
 	}
-	names := make(map[string]bool, len(q.Tables))
+	var joined storage.Schema
 	for _, t := range q.Tables {
 		if t.Table == nil {
 			return fmt.Errorf("planner: table %q not bound", t.Name)
 		}
-		names[t.Name] = true
+		joined = append(joined, t.Table.Schema()...)
 	}
 	for _, j := range q.Joins {
-		if !names[j.LeftTable] || !names[j.RightTable] {
-			return fmt.Errorf("planner: join %s references unknown table", j.Canonical())
+		lt, err := q.colType(j.LeftTable, j.LeftCol)
+		if err != nil {
+			return fmt.Errorf("planner: join %s: %w", j.Canonical(), err)
+		}
+		rt, err := q.colType(j.RightTable, j.RightCol)
+		if err != nil {
+			return fmt.Errorf("planner: join %s: %w", j.Canonical(), err)
+		}
+		if lt != rt {
+			return fmt.Errorf("planner: join %s: %s is %s but %s is %s; join keys must share a type",
+				j.Canonical(), j.LeftCol, lt, j.RightCol, rt)
+		}
+	}
+	for _, a := range q.Aggs {
+		if a.Col == "" {
+			continue // COUNT(*); exec refuses any other column-less aggregate
+		}
+		typ, err := q.colType(q.tableOf(a.Col), a.Col)
+		if err != nil {
+			return fmt.Errorf("planner: %s(%s): %w", a.Kind, a.Col, err)
+		}
+		if a.Kind != stats.Count && !typ.Numeric() {
+			return fmt.Errorf("planner: %s over %s column %q; only COUNT reads a non-numeric column", a.Kind, typ, a.Col)
+		}
+	}
+	// A conjunction compiles exactly when each conjunct does, and exec runs a
+	// conjunct against its table's schema or, for a cross-table residual, the
+	// joined one. CompileFilter's error already names the filter and the
+	// reason.
+	for _, c := range expr.Conjuncts(q.Filter) {
+		sch := joined
+		if ref, ok := q.ref(conjunctTable(c, q)); ok {
+			sch = ref.Table.Schema()
+		}
+		if _, err := expr.CompileFilter(c, sch); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// colType returns the type of a column of one of the query's tables.
+func (q *Query) colType(table, col string) (storage.Type, error) {
+	ref, ok := q.ref(table)
+	if !ok {
+		return 0, fmt.Errorf("column %q belongs to no table of the query", col)
+	}
+	sch := ref.Table.Schema()
+	i := sch.Index(col)
+	if i < 0 {
+		return 0, fmt.Errorf("unknown column %q in table %q", col, table)
+	}
+	return sch[i].Typ, nil
 }
 
 // FactTable exposes the fact-table choice to other packages (baselines).

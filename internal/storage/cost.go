@@ -23,12 +23,10 @@ type CostModel struct {
 	// entirely, which is exactly the discount ChoosePlan needs to prefer
 	// warm copies over cold disk hits. Zero falls back to ScanBytesPerSec.
 	DiskLoadBytesPerSec float64
-	// VectorizedTupleFrac is the per-tuple cost of work running on the
-	// vectorized selection-kernel path, as a fraction of the interpreted
-	// per-tuple rate. The planner prices a filter by its static shape
-	// (expr.KernelCompilable): compilable predicates pay this fraction,
-	// interpreter-bound ones pay full rate. Zero falls back to 0.25, the
-	// measured filter-kernel speedup ballpark.
+	// VectorizedTupleFrac is the per-tuple cost of filter work — every filter
+	// runs on the selection-kernel path — as a fraction of the row-at-a-time
+	// rate TuplesPerSec prices all other operator work at. Zero falls back to
+	// 0.25, the measured filter-kernel speedup ballpark.
 	VectorizedTupleFrac float64
 }
 

@@ -183,41 +183,6 @@ func (p *VecPool) Release(b *Batch) {
 	p.batches.Put(b)
 }
 
-// GatherPooled is Batch.Gather into pool-backed vectors: the returned batch
-// is pooled (recycle with Release). A nil pool degrades to plain Gather.
-func (b *Batch) GatherPooled(idx []int, p *VecPool) *Batch {
-	if p == nil {
-		return b.Gather(idx)
-	}
-	out := p.GetBatch(b.Schema, len(idx))
-	for c, v := range b.Vecs {
-		out.Vecs[c].gatherAppend(v, idx)
-	}
-	return out
-}
-
-// gatherAppend appends src[idx[0]], src[idx[1]], ... onto v (same type).
-func (v *Vector) gatherAppend(src *Vector, idx []int) {
-	switch v.Typ {
-	case Int64:
-		for _, i := range idx {
-			v.I64 = append(v.I64, src.I64[i])
-		}
-	case Float64:
-		for _, i := range idx {
-			v.F64 = append(v.F64, src.F64[i])
-		}
-	case String:
-		for _, i := range idx {
-			v.Str = append(v.Str, src.Str[i])
-		}
-	case Bool:
-		for _, i := range idx {
-			v.B = append(v.B, src.B[i])
-		}
-	}
-}
-
 // Materialize resolves a batch's selection vector into a dense batch holding
 // exactly the live rows, in selection order. The input batch is consumed:
 // its vectors (if pooled) and its selection buffer return to the pool. A

@@ -88,37 +88,6 @@ func TestVecPoolNilSafe(t *testing.T) {
 	}
 }
 
-// TestGatherPooled: pooled gather matches plain gather value-for-value.
-func TestGatherPooled(t *testing.T) {
-	src := NewBatch(poolSchema(), 4)
-	for i := int64(0); i < 4; i++ {
-		src.Vecs[0].I64 = append(src.Vecs[0].I64, i)
-		src.Vecs[1].F64 = append(src.Vecs[1].F64, float64(i)/2)
-		src.Vecs[2].Str = append(src.Vecs[2].Str, string(rune('a'+i)))
-		src.Vecs[3].B = append(src.Vecs[3].B, i%2 == 0)
-	}
-	idx := []int{3, 1}
-	p := NewVecPool()
-	got := src.GatherPooled(idx, p)
-	want := src.Gather(idx)
-	if !got.Pooled() {
-		t.Fatal("GatherPooled output must be pooled")
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("len %d, want %d", got.Len(), want.Len())
-	}
-	for r := 0; r < want.Len(); r++ {
-		for c := range want.Vecs {
-			if !got.Vecs[c].Get(r).Equal(want.Vecs[c].Get(r)) {
-				t.Fatalf("row %d col %d: %v vs %v", r, c, got.Vecs[c].Get(r), want.Vecs[c].Get(r))
-			}
-		}
-	}
-	if nilGather := src.GatherPooled(idx, nil); nilGather.Pooled() {
-		t.Fatal("nil-pool GatherPooled must not mark pooled")
-	}
-}
-
 // TestVecPoolConcurrent: hammering Get/Release from many goroutines must be
 // race-free (run under -race) and never hand the same live vector out twice.
 func TestVecPoolConcurrent(t *testing.T) {
