@@ -17,9 +17,12 @@ vet:
 # tasterlint is the repo's own static-analysis suite (detrand, mapiter,
 # locksafe, snapshotimmut, poolsafe): it mechanically enforces the engine's
 # determinism, locking, immutability and pool invariants. Required in CI;
-# see "Invariants & enforcement" in docs/ARCHITECTURE.md.
+# see "Invariants & enforcement" in docs/ARCHITECTURE.md. The second line
+# holds the dead-code list to the reference scan ("Reachable only from
+# tests, kept on purpose", same document).
 lint:
 	$(GO) run ./cmd/tasterlint ./...
+	$(GO) test ./internal/lint -run TestReferenceScanMatchesKeptList -count=1
 
 # Third-party analyzers, gated on availability: the hermetic build image
 # does not ship them, so absence is a skip with a note, not a failure.

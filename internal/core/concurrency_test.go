@@ -14,8 +14,7 @@ import (
 
 // mixedQueries returns a fresh list of query constructors — Execute mutates
 // the Query in place, so every run needs its own values. The mix covers the
-// morsel-parallelized single-table path, the Volcano join path, filters and
-// an exact (MIN) query.
+// single-table spine, the join spine, filters and an exact (MIN) query.
 func mixedQueries(e *Engine) []func() *planner.Query {
 	sales, _ := e.Catalog().Table("sales")
 	products, _ := e.Catalog().Table("products")

@@ -11,13 +11,12 @@ import (
 	"github.com/tasterdb/taster/internal/workload"
 )
 
-// TestPlannerRootsRunOnTheMorselSpine pins which executor the planner's
-// output actually reaches: every candidate root emitted for the three
-// workload generators — cold (exact, inline samplers, sketch builds) and
-// against a warmed warehouse (sample and sketch reuse) — is either a
-// sketch-join or an aggregate that exec compiles to ParallelAggOp, each under
-// an optional Sort. The Volcano HashAggOp is therefore reachable only as the
-// reference the exec tests compare against.
+// TestPlannerRootsRunOnTheMorselSpine pins the executor the planner's output
+// reaches: every candidate root emitted for the three workload generators —
+// cold (exact, inline samplers, sketch builds) and against a warmed
+// warehouse (sample and sketch reuse) — is an aggregate or a sketch-join,
+// under an optional Sort, and exec compiles either to the one PipelineOp.
+// There is no other executor for a plan to reach.
 func TestPlannerRootsRunOnTheMorselSpine(t *testing.T) {
 	for _, w := range []*workload.Workload{
 		workload.TPCH(0.004, 3), workload.TPCDS(0.01, 3), workload.Instacart(0.05, 3),
@@ -57,21 +56,21 @@ func TestPlannerRootsRunOnTheMorselSpine(t *testing.T) {
 				if s, ok := root.(*plan.Sort); ok {
 					root = s.Child
 				}
-				switch n := root.(type) {
+				switch root.(type) {
 				case *plan.SketchJoin:
 					sketches++
 				case *plan.Aggregate:
-					op, err := exec.Compile(n, 1, exec.NewContext(q.Accuracy.Confidence))
-					if err != nil {
-						t.Fatalf("%s: compile %q: %v", w.Name, c.Desc, err)
-					}
-					if _, ok := op.(*exec.ParallelAggOp); !ok {
-						t.Fatalf("%s: candidate %q compiles to %T, want *exec.ParallelAggOp\n%s",
-							w.Name, c.Desc, op, plan.Format(c.Root))
-					}
 					aggs++
 				default:
 					t.Fatalf("%s: candidate %q has root %T\nSQL: %s", w.Name, c.Desc, root, sql)
+				}
+				op, err := exec.Compile(root, 1, exec.NewContext(q.Accuracy.Confidence))
+				if err != nil {
+					t.Fatalf("%s: compile %q: %v", w.Name, c.Desc, err)
+				}
+				if _, ok := op.(*exec.PipelineOp); !ok {
+					t.Fatalf("%s: candidate %q compiles to %T, want *exec.PipelineOp\n%s",
+						w.Name, c.Desc, op, plan.Format(c.Root))
 				}
 			}
 		}

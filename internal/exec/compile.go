@@ -4,9 +4,15 @@ import (
 	"fmt"
 
 	"github.com/tasterdb/taster/internal/plan"
+	"github.com/tasterdb/taster/internal/storage"
 )
 
-// Compile lowers a logical plan into a physical operator tree. The seed
+// Compile lowers a logical plan into a physical operator tree. A root is an
+// Aggregate or a SketchJoin — the two sinks of the one morsel pipeline —
+// under an optional Sort; Scan, SynopsisScan, Filter and SynopsisOp compile
+// on their own as the leaf chains of join build sides and inline sketch
+// builds. A Join compiles only as part of a pipeline's spine: anywhere else
+// it is an error, like any other shape the spine does not cover. The seed
 // drives every random choice (sampling) so runs are reproducible; the
 // context collects cost counters and materialized byproducts. With tracing
 // enabled (Context.TraceNodes non-nil) every compiled operator is wrapped
@@ -47,34 +53,15 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		}
 		return NewFilterOp(child, t.Pred, ctx)
 
-	case *plan.Join:
-		left, err := Compile(t.Left, seed, ctx)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Compile(t.Right, seed*31+7, ctx)
-		if err != nil {
-			return nil, err
-		}
-		j, err := NewHashJoinOp(left, right, t.LeftKeys, t.RightKeys, ctx)
-		if err != nil {
-			return nil, err
-		}
-		j.node = t
-		return j, nil
-
 	case *plan.Aggregate:
-		// Scan→sample→filter→join→aggregate chains — single-table and
-		// left-deep join plans alike — run on the morsel-driven parallel
-		// executor. That is every aggregate the planner emits (a sketch-join
-		// plan is rooted at a SketchJoin, which aggregates itself; core's
-		// TestPlannerRootsRunOnTheMorselSpine), so any other shape is an
-		// error here, not a second executor.
-		pipe, err := matchParallelAgg(t)
-		if err != nil {
-			return nil, err
-		}
-		return NewParallelAggOp(pipe, seed, ctx)
+		return newPipelineOp(t.Child, "an aggregate", seed, ctx, func(in storage.Schema) (sink, error) {
+			return resolveAggSpec(in, t.GroupBy, t.Aggs)
+		})
+
+	case *plan.SketchJoin:
+		return newPipelineOp(t.Probe, "a sketch-join", seed, ctx, func(in storage.Schema) (sink, error) {
+			return newSketchSink(t, in, seed, ctx)
+		})
 
 	case *plan.SynopsisOp:
 		child, err := Compile(t.Child, seed, ctx)
@@ -82,20 +69,6 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 			return nil, err
 		}
 		return NewSamplerOp(child, t, seed, ctx)
-
-	case *plan.SketchJoin:
-		probe, err := Compile(t.Probe, seed, ctx)
-		if err != nil {
-			return nil, err
-		}
-		var build Operator
-		if t.Sketch == nil && t.Build != nil {
-			build, err = Compile(t.Build, seed*131+13, ctx)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return NewSketchJoinOp(t, probe, build, seed, ctx)
 
 	case *plan.Sort:
 		child, err := Compile(t.Child, seed, ctx)

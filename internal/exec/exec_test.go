@@ -44,6 +44,17 @@ func customersTable() *storage.Table {
 	return b.Build(1)
 }
 
+// amountAbove is a filter the zone maps can reason about: orders.amount
+// equals the row index, so ordersTable's Build(3) layout clusters it into
+// three disjoint ranges and a range predicate excludes whole partitions.
+func amountAbove(v float64) expr.Expr {
+	return &expr.Cmp{
+		Op: expr.GE,
+		L:  &expr.Col{Name: "orders.amount"},
+		R:  &expr.Const{Val: storage.FloatValue(v)},
+	}
+}
+
 func runPlan(t *testing.T, n plan.Node, ctx *Context) []*storage.Batch {
 	t.Helper()
 	op, err := Compile(n, 42, ctx)
@@ -94,22 +105,35 @@ func TestFilterProject(t *testing.T) {
 	}
 }
 
+// ordersJoinCustomers is orders ⋈ cust under an aggregate — a join compiles
+// only as part of a spine.
+func ordersJoinCustomers(leftKeys, rightKeys []string, groupBy []string, aggs ...plan.AggSpec) *plan.Aggregate {
+	return &plan.Aggregate{
+		Child: &plan.Join{
+			Left:      &plan.Scan{Table: ordersTable()},
+			Right:     &plan.Scan{Table: customersTable()},
+			LeftKeys:  leftKeys,
+			RightKeys: rightKeys,
+		},
+		GroupBy: groupBy,
+		Aggs:    aggs,
+	}
+}
+
 func TestHashJoin(t *testing.T) {
 	ctx := NewContext(0.95)
-	j := &plan.Join{
-		Left:      &plan.Scan{Table: ordersTable()},
-		Right:     &plan.Scan{Table: customersTable()},
-		LeftKeys:  []string{"orders.cust"},
-		RightKeys: []string{"cust.id"},
+	agg := ordersJoinCustomers([]string{"orders.cust"}, []string{"cust.id"},
+		[]string{"cust.region"}, plan.AggSpec{Kind: stats.Count}, plan.AggSpec{Kind: stats.Max, Col: "orders.id"})
+	rows := allRows(runPlan(t, agg, ctx))
+	// Every order matches exactly one customer; both sides' columns reach the
+	// sink (a group column from the build side, an aggregate from the probe).
+	if len(rows) != 2 || rows[0][1].F+rows[1][1].F != 1000 {
+		t.Fatalf("join rows per region = %v, want two regions totalling 1000", rows)
 	}
-	rows := allRows(runPlan(t, j, ctx))
-	if len(rows) != 1000 {
-		t.Fatalf("join rows = %d, want 1000 (every order matches)", len(rows))
+	if rows[0][0].S != "east" || rows[0][2].F != 998 || rows[1][2].F != 999 {
+		t.Fatalf("joined columns wrong: %v", rows)
 	}
-	// Output schema: orders cols ++ cust cols.
-	if len(rows[0]) != 5 {
-		t.Fatalf("join width = %d", len(rows[0]))
-	}
+	// The build side (10 cust rows) and the probe input both cross an exchange.
 	if ctx.Stats.ShuffleBytes <= 0 {
 		t.Fatal("join must charge shuffle bytes")
 	}
@@ -117,16 +141,14 @@ func TestHashJoin(t *testing.T) {
 
 func TestHashJoinErrors(t *testing.T) {
 	ctx := NewContext(0.95)
-	if _, err := NewHashJoinOp(NewTableScan(ordersTable(), ctx), NewTableScan(customersTable(), ctx),
-		[]string{"nope"}, []string{"cust.id"}, ctx); err == nil {
+	count := plan.AggSpec{Kind: stats.Count}
+	if _, err := Compile(ordersJoinCustomers([]string{"nope"}, []string{"cust.id"}, nil, count), 1, ctx); err == nil {
 		t.Fatal("want unknown left key error")
 	}
-	if _, err := NewHashJoinOp(NewTableScan(ordersTable(), ctx), NewTableScan(customersTable(), ctx),
-		[]string{"orders.cust"}, []string{"nope"}, ctx); err == nil {
+	if _, err := Compile(ordersJoinCustomers([]string{"orders.cust"}, []string{"nope"}, nil, count), 1, ctx); err == nil {
 		t.Fatal("want unknown right key error")
 	}
-	if _, err := NewHashJoinOp(NewTableScan(ordersTable(), ctx), NewTableScan(customersTable(), ctx),
-		nil, nil, ctx); err == nil {
+	if _, err := Compile(ordersJoinCustomers(nil, nil, nil, count), 1, ctx); err == nil {
 		t.Fatal("want empty key error")
 	}
 }
@@ -180,19 +202,19 @@ func TestExactAggregate(t *testing.T) {
 
 func TestAggregateErrors(t *testing.T) {
 	ctx := NewContext(0.95)
-	if _, err := NewHashAggOp(NewTableScan(ordersTable(), ctx), []string{"nope"}, nil, ctx); err == nil {
+	over := func(tbl *storage.Table, groupBy []string, aggs ...plan.AggSpec) *plan.Aggregate {
+		return &plan.Aggregate{Child: &plan.Scan{Table: tbl}, GroupBy: groupBy, Aggs: aggs}
+	}
+	if _, err := Compile(over(ordersTable(), []string{"nope"}), 1, ctx); err == nil {
 		t.Fatal("want unknown group column error")
 	}
-	if _, err := NewHashAggOp(NewTableScan(ordersTable(), ctx), nil,
-		[]plan.AggSpec{{Kind: stats.Sum, Col: "nope"}}, ctx); err == nil {
+	if _, err := Compile(over(ordersTable(), nil, plan.AggSpec{Kind: stats.Sum, Col: "nope"}), 1, ctx); err == nil {
 		t.Fatal("want unknown agg column error")
 	}
-	if _, err := NewHashAggOp(NewTableScan(customersTable(), ctx), nil,
-		[]plan.AggSpec{{Kind: stats.Sum, Col: "cust.region"}}, ctx); err == nil {
+	if _, err := Compile(over(customersTable(), nil, plan.AggSpec{Kind: stats.Sum, Col: "cust.region"}), 1, ctx); err == nil {
 		t.Fatal("want non-numeric agg error")
 	}
-	if _, err := NewHashAggOp(NewTableScan(ordersTable(), ctx), nil,
-		[]plan.AggSpec{{Kind: stats.Sum}}, ctx); err == nil {
+	if _, err := Compile(over(ordersTable(), nil, plan.AggSpec{Kind: stats.Sum}), 1, ctx); err == nil {
 		t.Fatal("want missing column error")
 	}
 }
@@ -329,11 +351,11 @@ func TestJoinOfSampledSideCarriesWeights(t *testing.T) {
 		}
 	}
 	// Join schema must contain exactly one weight column, at the end.
-	jo, err := Compile(j, 3, ctx)
+	spec, err := resolveJoinSpec(synopses.SampleSchema(ordersTable().Schema()), customersTable().Schema(), j.LeftKeys, j.RightKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := jo.Schema()
+	sc := spec.schema
 	wcount := 0
 	for _, c := range sc {
 		if c.Name == synopses.WeightCol {
@@ -345,7 +367,7 @@ func TestJoinOfSampledSideCarriesWeights(t *testing.T) {
 	}
 }
 
-func TestSketchJoinOpInlineBuild(t *testing.T) {
+func TestSketchJoinInlineBuild(t *testing.T) {
 	ctx := NewContext(0.95)
 	node := &plan.SketchJoin{
 		Probe:     &plan.Scan{Table: customersTable()},
@@ -359,6 +381,7 @@ func TestSketchJoinOpInlineBuild(t *testing.T) {
 			{Kind: stats.Sum, Col: "orders.amount"},
 			{Kind: stats.Count, Col: "cust.region"}, // a probe-side string column: still the count plane
 		},
+		CMWidth: 64, CMDepth: 4, // the planner's geometry for 10 build keys
 	}
 	op, err := Compile(node, 5, ctx)
 	if err != nil {
@@ -405,9 +428,9 @@ func TestSketchJoinOpInlineBuild(t *testing.T) {
 	}
 }
 
-func TestSketchJoinOpReuseMaterialized(t *testing.T) {
+func TestSketchJoinReuseMaterialized(t *testing.T) {
 	orders := ordersTable()
-	sk, err := synopses.BuildSketchJoin(orders, []string{"orders.cust"}, "orders.amount", 0.001, 0.01, 5)
+	sk, err := synopses.BuildSketchJoin(orders, []string{"orders.cust"}, "orders.amount", 64, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,6 +497,7 @@ func TestCountOverColumnIsCountStar(t *testing.T) {
 		BuildKeys: []string{"cust.id"},
 		AggCol:    "cust.region",
 		Aggs:      counts,
+		CMWidth:   64, CMDepth: 4,
 	}
 	rows := allRows(runPlan(t, node, NewContext(0.95)))
 	if len(rows) != 1 || rows[0][0].F != rows[0][1].F || math.Abs(rows[0][0].F-1000) > 50 {
@@ -483,22 +507,39 @@ func TestCountOverColumnIsCountStar(t *testing.T) {
 
 func TestSketchJoinErrors(t *testing.T) {
 	ctx := NewContext(0.95)
-	node := &plan.SketchJoin{
-		Probe:     &plan.Scan{Table: customersTable()},
-		ProbeKeys: []string{"cust.id"},
-		BuildKeys: []string{"orders.cust"},
-		GroupBy:   []string{"cust.region"},
+	node := func() *plan.SketchJoin {
+		return &plan.SketchJoin{
+			Probe:     &plan.Scan{Table: customersTable()},
+			Build:     &plan.Scan{Table: ordersTable()},
+			ProbeKeys: []string{"cust.id"},
+			BuildKeys: []string{"orders.cust"},
+			GroupBy:   []string{"cust.region"},
+			CMWidth:   64, CMDepth: 4,
+		}
 	}
-	if _, err := NewSketchJoinOp(node, NewTableScan(customersTable(), ctx), nil, 1, ctx); err == nil {
-		t.Fatal("want error: no sketch and no build input")
+	if _, err := Compile(node(), 1, ctx); err != nil {
+		t.Fatalf("the well-formed node must compile: %v", err)
 	}
-	bad := &plan.SketchJoin{
-		Probe:     &plan.Scan{Table: customersTable()},
-		Build:     &plan.Scan{Table: ordersTable()},
-		ProbeKeys: []string{"nope"},
-	}
-	if _, err := Compile(bad, 1, ctx); err == nil {
-		t.Fatal("want unknown probe key error")
+	for _, c := range []struct {
+		name   string
+		break_ func(n *plan.SketchJoin)
+		want   string
+	}{
+		{"no sketch and no build input", func(n *plan.SketchJoin) { n.Build = nil }, "no materialized sketch"},
+		{"inline build without a width", func(n *plan.SketchJoin) { n.CMWidth = 0 }, "geometry"},
+		{"inline build without a depth", func(n *plan.SketchJoin) { n.CMDepth = 0 }, "geometry"},
+		{"unknown probe key", func(n *plan.SketchJoin) { n.ProbeKeys = []string{"nope"} }, "probe key"},
+		{"unknown build key", func(n *plan.SketchJoin) { n.BuildKeys = []string{"nope"} }, "build key"},
+		{"unknown group column", func(n *plan.SketchJoin) { n.GroupBy = []string{"nope"} }, "group column"},
+		{"probe side off the spine", func(n *plan.SketchJoin) {
+			n.Probe = &plan.Aggregate{Child: n.Probe, Aggs: []plan.AggSpec{{Kind: stats.Count}}}
+		}, "a sketch-join over *plan.Aggregate"},
+	} {
+		n := node()
+		c.break_(n)
+		if _, err := Compile(n, 1, ctx); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: err = %v, want one mentioning %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -588,6 +629,22 @@ func TestCompileUnknownNode(t *testing.T) {
 	outer := &plan.Aggregate{Child: inner, Aggs: []plan.AggSpec{{Kind: stats.Count}}}
 	if _, err := Compile(outer, 1, ctx); err == nil || !strings.Contains(err.Error(), "*plan.Aggregate") {
 		t.Fatalf("aggregate over aggregate: err = %v, want one naming *plan.Aggregate", err)
+	}
+	// A join is only ever part of a spine: a bare one, or one inside a build
+	// side (no planner emits either — joinTree is left-deep), does not compile.
+	join := ordersJoinCustomers([]string{"orders.cust"}, []string{"cust.id"}, nil).Child
+	if _, err := Compile(join, 1, ctx); err == nil || !strings.Contains(err.Error(), "*plan.Join") {
+		t.Fatalf("bare join: err = %v, want one naming *plan.Join", err)
+	}
+	bushy := &plan.Aggregate{
+		Child: &plan.Join{
+			Left: &plan.Scan{Table: regionsTable()}, Right: join,
+			LeftKeys: []string{"reg.name"}, RightKeys: []string{"cust.region"},
+		},
+		Aggs: []plan.AggSpec{{Kind: stats.Count}},
+	}
+	if _, err := Compile(bushy, 1, ctx); err == nil || !strings.Contains(err.Error(), "*plan.Join") {
+		t.Fatalf("join inside a build side: err = %v, want one naming *plan.Join", err)
 	}
 }
 

@@ -13,8 +13,11 @@ import (
 // aggSpec is the resolved column binding of one aggregation: group and
 // aggregate column positions in the input schema plus the output schema. It
 // is computed once and shared by every partial hash table of the aggregation
-// (one per morsel in the parallel executor, exactly one in the Volcano
-// operator).
+// (one per morsel, plus the table they merge into). It is the pipeline's
+// aggregate sink: when the input carries the sampler weight column the
+// accumulators switch to Horvitz-Thompson estimation with the single-pass
+// per-group variance tracking of paper §IV-B; on unweighted input the results
+// are exact (zero-width intervals).
 type aggSpec struct {
 	groupBy []string
 	aggs    []plan.AggSpec
@@ -60,6 +63,15 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec) (*
 	s.weightIdx = in.Index(synopses.WeightCol)
 	return s, nil
 }
+
+// outSchema implements sink.
+func (s *aggSpec) outSchema() storage.Schema { return s.schema }
+
+// prepare implements sink: an aggregation has nothing to build.
+func (s *aggSpec) prepare(*Context) error { return nil }
+
+// newPartial implements sink.
+func (s *aggSpec) newPartial() partial { return newAggTable(s) }
 
 type aggGroup struct {
 	keyVals []storage.Value
@@ -120,6 +132,14 @@ func (t *aggTable) newGroup(b *storage.Batch, row int) *aggGroup {
 		}
 	}
 	return g
+}
+
+// fold implements partial: the aggregation exchange charges every live row's
+// bytes as shuffle plus one CPU tuple, then observes the batch.
+func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
+	ctx.Stats.ShuffleBytes += batchBytes(b)
+	ctx.Stats.CPUTuples += int64(b.Rows())
+	t.observe(b)
 }
 
 // observe folds one batch — honoring its selection vector — into the table.
@@ -417,11 +437,11 @@ func observeGrouped(gs []*aggGroup, k int, b *storage.Batch, sel []int32, ci int
 	}
 }
 
-// merge folds o into t. Accumulator merging sums floating-point state, so
+// merge implements partial. Accumulator merging sums floating-point state, so
 // callers needing bit-reproducible output must merge partial tables in a
 // deterministic order (the morsel executor merges in morsel index order).
-func (t *aggTable) merge(o *aggTable) {
-	for key, og := range o.groups {
+func (t *aggTable) merge(o partial) {
+	for key, og := range o.(*aggTable).groups {
 		g, ok := t.groups[key]
 		if !ok {
 			t.groups[key] = og
@@ -433,10 +453,10 @@ func (t *aggTable) merge(o *aggTable) {
 	}
 }
 
-// emit renders the table as one batch with groups in deterministic (sorted)
-// order, plus the row-aligned confidence intervals. SQL semantics: a global
-// aggregate (no GROUP BY) over empty input still yields one row (COUNT 0,
-// zero-valued aggregates).
+// emit implements partial: the table as one batch with groups in
+// deterministic (sorted) order, plus the row-aligned confidence intervals.
+// SQL semantics: a global aggregate (no GROUP BY) over empty input still
+// yields one row (COUNT 0, zero-valued aggregates).
 func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval) {
 	if len(t.groups) == 0 && len(t.spec.groupBy) == 0 {
 		t.groups[""] = t.newGroup(nil, 0)
@@ -470,73 +490,3 @@ func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 	}
 	return out, intervals
 }
-
-// HashAggOp groups rows and computes aggregates. When the input carries the
-// sampler weight column it transparently switches to Horvitz-Thompson
-// estimation with the single-pass per-group variance tracking of paper
-// §IV-B; on unweighted input the results are exact (zero-width intervals).
-type HashAggOp struct {
-	Child   Operator
-	GroupBy []string
-	Aggs    []plan.AggSpec
-
-	ctx  *Context
-	spec *aggSpec
-
-	table     *aggTable
-	emitted   bool
-	intervals [][]stats.Interval
-}
-
-// NewHashAggOp resolves columns and prepares the aggregation.
-func NewHashAggOp(child Operator, groupBy []string, aggs []plan.AggSpec, ctx *Context) (*HashAggOp, error) {
-	spec, err := resolveAggSpec(child.Schema(), groupBy, aggs)
-	if err != nil {
-		return nil, err
-	}
-	return &HashAggOp{Child: child, GroupBy: groupBy, Aggs: aggs, ctx: ctx, spec: spec}, nil
-}
-
-// Open implements Operator.
-func (a *HashAggOp) Open() error {
-	a.table = newAggTable(a.spec)
-	a.emitted = false
-	a.intervals = nil
-	return a.Child.Open()
-}
-
-// Next implements Operator: drains the child, then emits one batch with all
-// groups in deterministic (sorted) order.
-func (a *HashAggOp) Next() (*storage.Batch, error) {
-	if a.emitted {
-		return nil, nil
-	}
-	for {
-		b, err := a.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		a.ctx.Stats.ShuffleBytes += batchBytes(b)
-		a.ctx.Stats.CPUTuples += int64(b.Rows())
-		a.table.observe(b)
-		a.ctx.Pool.Release(b)
-	}
-	a.emitted = true
-
-	out, intervals := a.table.emit(a.ctx.Confidence)
-	a.intervals = intervals
-	a.ctx.Stats.OutputRows += int64(out.Len())
-	return out, nil
-}
-
-// Close implements Operator.
-func (a *HashAggOp) Close() error { return a.Child.Close() }
-
-// Schema implements Operator.
-func (a *HashAggOp) Schema() storage.Schema { return a.spec.schema }
-
-// Intervals implements IntervalReporter.
-func (a *HashAggOp) Intervals() [][]stats.Interval { return a.intervals }

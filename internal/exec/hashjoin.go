@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
 )
@@ -19,8 +18,7 @@ const joinBatchRows = storage.BatchSize
 
 // joinSpec is the resolved column binding of one equi-join: key and payload
 // column positions on both sides plus the output schema. It is computed once
-// and shared by every prober of the join (one per morsel in the parallel
-// executor, exactly one in the Volcano operator).
+// and shared by every prober of the join (one per morsel).
 //
 // If either input carries a sampler weight column, the join merges them into
 // a single trailing weight column whose value is the product of the sides'
@@ -578,9 +576,9 @@ func (p *joinProber) flush(out *storage.Batch) {
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]
 }
 
-// probe is the one probe loop, shared by the Volcano HashJoinOp and the
-// per-morsel morselProbeOp: it streams child against the built table,
-// charging probe shuffle bytes and output CPU to ctx. Over an empty table —
+// probe is the one probe loop (morselProbeOp.Next runs it per morsel): it
+// streams child against the built table, charging probe shuffle bytes and
+// output CPU to ctx. Over an empty table —
 // only reached by a run that materializes a sampler byproduct, plain empty
 // joins short-circuit before probing — it drains child so samplers below the
 // join still observe their stream, and emits nothing.
@@ -611,82 +609,6 @@ func (p *joinProber) probe(child Operator, ctx *Context) (*storage.Batch, error)
 	}
 	return out, err
 }
-
-// HashJoinOp is the Volcano inner equi-join: it builds a hash table over the
-// right input, then streams the left input against it in bounded chunks. An
-// empty build side short-circuits: the probe side is never opened, so an
-// empty inner relation costs O(1) instead of a full match-free probe scan
-// (and charges no phantom shuffle bytes for it). The exception is a run that
-// materializes sampler byproducts: the probe side is then still drained —
-// emitting nothing — so a materializing SamplerOp below the join produces
-// the synopsis the tuner asked for.
-type HashJoinOp struct {
-	Left, Right Operator
-
-	// node is the plan join this operator was compiled from (nil when
-	// assembled by hand); its build subtree's text keys the join cache.
-	node *plan.Join
-	spec *joinSpec
-	ctx  *Context
-
-	table     *joinTable
-	prober    joinProber
-	probeOpen bool
-}
-
-// NewHashJoinOp resolves join key columns by name and prepares the operator.
-func NewHashJoinOp(left, right Operator, leftKeys, rightKeys []string, ctx *Context) (*HashJoinOp, error) {
-	spec, err := resolveJoinSpec(left.Schema(), right.Schema(), leftKeys, rightKeys)
-	if err != nil {
-		return nil, err
-	}
-	return &HashJoinOp{Left: left, Right: right, spec: spec, ctx: ctx}, nil
-}
-
-// Open implements Operator: it drains and hashes the right (build) input,
-// opening the left (probe) input only when the build side is non-empty or a
-// sampler byproduct may be pending below it.
-func (j *HashJoinOp) Open() error {
-	j.probeOpen = false
-	var err error
-	if j.table, err = runBuild(j.node, j.Right, j.spec, 1, j.ctx); err != nil {
-		return err
-	}
-	if j.table.empty() && len(j.ctx.MaterializeSamples) == 0 {
-		return nil
-	}
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	j.probeOpen = true
-	j.prober = joinProber{spec: j.spec, table: j.table, pool: j.ctx.Pool}
-	return nil
-}
-
-// Next implements Operator.
-func (j *HashJoinOp) Next() (*storage.Batch, error) {
-	if !j.probeOpen {
-		return nil, nil // empty build side, nothing to materialize below
-	}
-	return j.prober.probe(j.Left, j.ctx)
-}
-
-// Close implements Operator. A query-owned build-side concatenation is pool
-// memory (drainBuild); releasing it here recycles the largest per-query
-// allocation of the join. Emitted output only ever holds copies, never
-// references into it.
-func (j *HashJoinOp) Close() error {
-	j.table.release(j.ctx.Pool)
-	errL := j.Left.Close()
-	errR := j.Right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
-}
-
-// Schema implements Operator.
-func (j *HashJoinOp) Schema() storage.Schema { return j.spec.schema }
 
 // batchBytes is the live-row payload size of a batch: selection-carrying
 // batches charge exactly what their gathered equivalent would, so shuffle

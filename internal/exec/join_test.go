@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 // TestGroupKeyLengthPrefixedStrings is the regression test for the NUL
 // collision: under the old 0x00-terminated encoding the two-column keys
 // ("a\x00\x03b","c") and ("a","b\x00\x03c") serialize to identical bytes, so
-// HashAgg (and the join hash table, which shares groupKey) merged distinct
+// the aggregation (and the join hash table, which shares groupKey) merged distinct
 // keys into one group. Length-prefixed encoding keeps them apart.
 func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
 	b := storage.NewBuilder("nul", storage.Schema{
@@ -48,6 +47,23 @@ func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
 	}
 }
 
+// probeOp assembles one spine join by hand — the build side drained and
+// hashed by runBuild, the probe side streamed through the same morselProbeOp
+// (and so the same joinProber) every morsel runs — so a test can look at the
+// joined batches themselves, which a compiled plan only shows a sink.
+func probeOp(t *testing.T, probe, build Operator, probeKeys, buildKeys []string, ctx *Context) Operator {
+	t.Helper()
+	spec, err := resolveJoinSpec(probe.Schema(), build.Schema(), probeKeys, buildKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := runBuild(nil, build, spec, 1, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &morselProbeOp{child: probe, st: &pipelineJoinState{spec: spec, table: table}, ctx: ctx}
+}
+
 // TestHashJoinChunksHighFanoutOutput: a skewed build key with thousands of
 // duplicates must not inflate one output batch; the prober emits fixed-size
 // chunks and carries its probe position across Next calls.
@@ -67,11 +83,8 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 		probe.Int(0, 7)
 	}
 	ctx := NewContext(0.95)
-	j, err := NewHashJoinOp(NewTableScan(probe.Build(1), ctx), NewTableScan(build.Build(1), ctx),
+	j := probeOp(t, NewTableScan(probe.Build(1), ctx), NewTableScan(build.Build(1), ctx),
 		[]string{"p.k"}, []string{"dup.k"}, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out, err := Run(j)
 	if err != nil {
 		t.Fatal(err)
@@ -97,23 +110,22 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 }
 
 // TestHashJoinEmptyBuildEarlyOut: an empty inner relation must cost O(1) —
-// the probe side is never opened, so no base bytes, shuffle bytes or CPU
+// the probe side is never scanned, so no base bytes, shuffle bytes or CPU
 // tuples are charged for a provably match-free scan.
 func TestHashJoinEmptyBuildEarlyOut(t *testing.T) {
 	empty := storage.NewBuilder("none", storage.Schema{
 		{Name: "none.id", Typ: storage.Int64},
 	}).Build(1)
 	ctx := NewContext(0.95)
-	j, err := NewHashJoinOp(NewTableScan(bigOrders(20000), ctx), NewTableScan(empty, ctx),
-		[]string{"orders.cust"}, []string{"none.id"}, ctx)
-	if err != nil {
-		t.Fatal(err)
+	agg := &plan.Aggregate{
+		Child: &plan.Join{
+			Left: &plan.Scan{Table: bigOrders(20000)}, Right: &plan.Scan{Table: empty},
+			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"none.id"},
+		},
+		GroupBy: []string{"orders.cust"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Count}},
 	}
-	out, err := Run(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
+	if out := runPlan(t, agg, ctx); len(out) != 0 {
 		t.Fatalf("empty build produced %d batches", len(out))
 	}
 	if ctx.Stats.BaseBytes != 0 || ctx.Stats.ShuffleBytes != 0 || ctx.Stats.CPUTuples != 0 {
@@ -134,125 +146,9 @@ func regionsTable() *storage.Table {
 	return b.Build(1)
 }
 
-// volcanoFingerprint runs a hand-built Volcano operator tree and canonicalizes
-// rows plus intervals, mirroring fingerprint().
-func volcanoFingerprint(t *testing.T, op Operator) string {
-	t.Helper()
-	out, err := Run(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := fmt.Sprintf("%v", allRows(out))
-	if rep, ok := op.(IntervalReporter); ok {
-		s += fmt.Sprintf("|%v", rep.Intervals())
-	}
-	return s
-}
-
-// TestParallelJoinMatchesVolcanoExact: an exact (unsampled) join pipeline on
-// the morsel executor must reproduce the serial Volcano HashJoin+HashAgg bit
-// for bit — rows, intervals and cost counters — at every worker count.
-func TestParallelJoinMatchesVolcanoExact(t *testing.T) {
-	fact := bigOrders(20000)
-	agg := &plan.Aggregate{
-		Child: &plan.Join{
-			Left: &plan.Scan{Table: fact}, Right: &plan.Scan{Table: customersTable()},
-			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
-		},
-		GroupBy: []string{"cust.region"},
-		Aggs: []plan.AggSpec{
-			{Kind: stats.Count},
-			{Kind: stats.Sum, Col: "orders.amount"},
-		},
-	}
-
-	vctx := NewContext(0.95)
-	vj, err := NewHashJoinOp(NewTableScan(fact, vctx), NewTableScan(customersTable(), vctx),
-		[]string{"orders.cust"}, []string{"cust.id"}, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vop, err := NewHashAggOp(vj, agg.GroupBy, agg.Aggs, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := volcanoFingerprint(t, vop)
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		pctx := NewContext(0.95)
-		pctx.Workers = workers
-		pctx.MorselRows = 512
-		op, err := Compile(agg, 7, pctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := op.(*ParallelAggOp); !ok {
-			t.Fatalf("join pipeline compiled to %T", op)
-		}
-		out, err := Run(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fmt.Sprintf("%v|%v", allRows(out), op.(IntervalReporter).Intervals())
-		if got != want {
-			t.Fatalf("workers=%d: parallel join diverges from Volcano:\n%.200s\nvs\n%.200s", workers, got, want)
-		}
-		if pctx.Stats.BaseBytes != vctx.Stats.BaseBytes || pctx.Stats.CPUTuples != vctx.Stats.CPUTuples ||
-			pctx.Stats.ShuffleBytes != vctx.Stats.ShuffleBytes || pctx.Stats.OutputRows != vctx.Stats.OutputRows {
-			t.Fatalf("workers=%d: cost counters diverge: parallel %+v vs volcano %+v",
-				workers, *pctx.Stats, *vctx.Stats)
-		}
-	}
-}
-
-// TestParallelMultiJoinMatchesVolcanoExact covers a two-join spine
-// (fact ⋈ dim ⋈ dim-of-dim) with a string join key on the second hop.
-func TestParallelMultiJoinMatchesVolcanoExact(t *testing.T) {
-	fact := bigOrders(12000)
-	agg := &plan.Aggregate{
-		Child: &plan.Join{
-			Left: &plan.Join{
-				Left: &plan.Scan{Table: fact}, Right: &plan.Scan{Table: customersTable()},
-				LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
-			},
-			Right:    &plan.Scan{Table: regionsTable()},
-			LeftKeys: []string{"cust.region"}, RightKeys: []string{"reg.name"},
-		},
-		GroupBy: []string{"reg.rank"},
-		Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Avg, Col: "orders.amount"}},
-	}
-
-	vctx := NewContext(0.95)
-	vj1, err := NewHashJoinOp(NewTableScan(fact, vctx), NewTableScan(customersTable(), vctx),
-		[]string{"orders.cust"}, []string{"cust.id"}, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vj2, err := NewHashJoinOp(vj1, NewTableScan(regionsTable(), vctx),
-		[]string{"cust.region"}, []string{"reg.name"}, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vop, err := NewHashAggOp(vj2, agg.GroupBy, agg.Aggs, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := volcanoFingerprint(t, vop)
-
-	for _, workers := range []int{1, 4} {
-		pctx := NewContext(0.95)
-		pctx.Workers = workers
-		pctx.MorselRows = 1000
-		got := fingerprint(t, agg, pctx, 7)
-		if got != want {
-			t.Fatalf("workers=%d: two-join spine diverges from Volcano", workers)
-		}
-	}
-}
-
 // TestParallelJoinDeterministicAcrossWorkerCounts: with samplers on both the
 // probe spine and the build side, results must stay byte-identical at any
-// worker count (the ParallelAggOp determinism contract extended to joins).
+// worker count (the PipelineOp determinism contract extended to joins).
 func TestParallelJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 	fact := bigOrders(30000)
 	node := &plan.Aggregate{
@@ -293,14 +189,18 @@ func TestJoinBothSidesSampledWeights(t *testing.T) {
 		LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
 	}
 
-	// Bare Volcano join: every output weight is the exact product of the two
-	// uniform inverse inclusion probabilities.
+	// The joined stream itself: every output weight is the exact product of
+	// the two uniform inverse inclusion probabilities.
 	ctx := NewContext(0.95)
-	jo, err := Compile(join, 3, ctx)
+	left, err := Compile(join.Left, 3, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(jo)
+	right, err := Compile(join.Right, 3*31+7, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(probeOp(t, left, right, join.LeftKeys, join.RightKeys, ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +219,7 @@ func TestJoinBothSidesSampledWeights(t *testing.T) {
 		t.Fatal("sampled join produced no rows")
 	}
 
-	// Aggregates over the both-sides-sampled join (parallel executor) must
+	// Aggregates over the both-sides-sampled join must
 	// bracket the exact per-region sums within their intervals. The build
 	// side uses a distinct sample stratified on the join key so no customer
 	// vanishes: a uniformly sampled build can drop whole dimension rows,
@@ -372,9 +272,9 @@ func TestJoinBothSidesSampledWeights(t *testing.T) {
 	}
 }
 
-// TestParallelJoinEmptyBuildEarlyOut: the parallel pipeline must short-
-// circuit an empty build side exactly like the Volcano operator — correct
-// aggregate semantics, no probe scan charged.
+// TestParallelJoinEmptyBuildEarlyOut: the pipeline must short-circuit an
+// empty build side at any worker count — correct aggregate semantics, no
+// probe scan charged.
 func TestParallelJoinEmptyBuildEarlyOut(t *testing.T) {
 	fact := bigOrders(20000)
 	mk := func(groupBy []string) *plan.Aggregate {
@@ -450,69 +350,6 @@ func TestParallelJoinSampleMaterialization(t *testing.T) {
 	}
 }
 
-// TestParallelMultiJoinEmptyInnerMatchesVolcano: with an empty *inner* build
-// on a two-join spine, the parallel path must drain exactly the builds the
-// nested Volcano operators would (top-down until the first empty one) so
-// cost counters stay bit-equal.
-func TestParallelMultiJoinEmptyInnerMatchesVolcano(t *testing.T) {
-	fact := bigOrders(12000)
-	emptyCust := &plan.Filter{
-		Child: &plan.Scan{Table: customersTable()},
-		Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(-1)},
-	}
-	agg := &plan.Aggregate{
-		Child: &plan.Join{
-			Left: &plan.Join{
-				Left: &plan.Scan{Table: fact}, Right: emptyCust,
-				LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
-			},
-			Right:    &plan.Scan{Table: regionsTable()},
-			LeftKeys: []string{"cust.region"}, RightKeys: []string{"reg.name"},
-		},
-		Aggs: []plan.AggSpec{{Kind: stats.Count}},
-	}
-
-	vctx := NewContext(0.95)
-	// Mirror the compiled form of Filter-over-Scan: the scan carries the
-	// filter predicate as its zone-prune expression.
-	vcust := NewTableScan(customersTable(), vctx)
-	vcust.Prune = emptyCust.Pred
-	vfilt, err := NewFilterOp(vcust, emptyCust.Pred, vctx) // empty build
-	if err != nil {
-		t.Fatal(err)
-	}
-	vj1, err := NewHashJoinOp(NewTableScan(fact, vctx), vfilt,
-		[]string{"orders.cust"}, []string{"cust.id"}, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vj2, err := NewHashJoinOp(vj1, NewTableScan(regionsTable(), vctx),
-		[]string{"cust.region"}, []string{"reg.name"}, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vop, err := NewHashAggOp(vj2, nil, agg.Aggs, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := volcanoFingerprint(t, vop)
-
-	pctx := NewContext(0.95)
-	pctx.Workers = 4
-	got := fingerprint(t, agg, pctx, 7)
-	if got != want {
-		t.Fatalf("empty-inner multi-join diverges from Volcano:\n%s\nvs\n%s", got, want)
-	}
-	if pctx.Stats.BaseBytes != vctx.Stats.BaseBytes || pctx.Stats.CPUTuples != vctx.Stats.CPUTuples ||
-		pctx.Stats.ShuffleBytes != vctx.Stats.ShuffleBytes || pctx.Stats.OutputRows != vctx.Stats.OutputRows {
-		t.Fatalf("empty-inner counters diverge: parallel %+v vs volcano %+v", *pctx.Stats, *vctx.Stats)
-	}
-	// The probe (fact) side must not have been scanned by either path.
-	if pctx.Stats.BaseBytes >= fact.Bytes() {
-		t.Fatalf("early-out did not skip the probe scan (BaseBytes=%d)", pctx.Stats.BaseBytes)
-	}
-}
-
 // TestEmptyBuildStillMaterializesSampler: when the tuner asked this pipeline
 // to materialize its sampler, an empty build side must not skip the probe
 // pass — the synopsis is a byproduct the warehouse is waiting for.
@@ -559,30 +396,6 @@ func TestEmptyBuildStillMaterializesSampler(t *testing.T) {
 	}
 	if ctx2.Stats.BaseBytes >= fact.Bytes() {
 		t.Fatalf("non-materializing empty-join run scanned the probe side (BaseBytes=%d)", ctx2.Stats.BaseBytes)
-	}
-
-	// The Volcano operator honors the same exception.
-	vctx := NewContext(0.95)
-	vctx.MaterializeSamples[syn] = "byproduct"
-	sop, err := NewSamplerOp(NewTableScan(fact, vctx), syn, 42, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vfilt, err := NewFilterOp(NewTableScan(customersTable(), vctx),
-		&expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(-1)}, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vj, err := NewHashJoinOp(sop, vfilt,
-		[]string{"orders.cust"}, []string{"cust.id"}, vctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(vj); err != nil {
-		t.Fatal(err)
-	}
-	if len(vctx.Stats.BuiltSamples) != 1 {
-		t.Fatalf("Volcano materializing run over empty build produced %d samples", len(vctx.Stats.BuiltSamples))
 	}
 }
 

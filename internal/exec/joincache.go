@@ -21,7 +21,7 @@ const joinCacheMaxEntries = 1024
 // Taster's plans sample the fact table and join the sample against whole
 // dimension tables, so once a synopsis is reused a query's residual cost is
 // the dimension-side build — over rows that cannot change until the table's
-// next version. A build subtree made only of Scan / Filter / Join nodes is
+// next version. A build subtree made only of Scan and Filter nodes is
 // a pure function of its plan text and the table versions bound into it;
 // the cache runs it once per such key and hands later queries the immutable
 // joinTable together with the cost counters the build charged, which a hit
@@ -61,7 +61,7 @@ type JoinCacheStats struct {
 }
 
 // buildCharge is the cost a build subtree charged to RunStats: the four
-// counters Scan, Filter and Join operators move. Integer sums, so replaying
+// counters Scan and Filter operators move. Integer sums, so replaying
 // them on a hit lands on the same totals in any order.
 type buildCharge struct {
 	baseBytes, warehouseBytes, cpuTuples, shuffleBytes int64
@@ -107,7 +107,7 @@ func NewJoinCache(maxBytes int64) *JoinCache {
 // and the two context bits the cached value depends on — the table layout
 // (fixed-word or byte-keyed, a property of the key types on both sides)
 // and pruning, which moves the scan charge. ok is false for a subtree that
-// holds anything but Scan, Filter and Join nodes: samplers draw from the
+// holds anything but Scan and Filter nodes: samplers draw from the
 // query seed and synopsis scans read warehouse state.
 func joinCacheKey(n plan.Node, rightKeys []string, fixedKey, disablePrune bool) (key string, tables []*storage.Table, ok bool) {
 	ok = true
@@ -115,7 +115,7 @@ func joinCacheKey(n plan.Node, rightKeys []string, fixedKey, disablePrune bool) 
 		switch t := m.(type) {
 		case *plan.Scan:
 			tables = append(tables, t.Table)
-		case *plan.Filter, *plan.Join:
+		case *plan.Filter:
 		default:
 			ok = false
 		}
@@ -237,21 +237,18 @@ func (t *joinTable) bytes() int64 {
 	return n
 }
 
-// runBuild produces the hashed build side of one join — the one path both
-// executors take (ParallelAggOp.Next for spine joins, HashJoinOp.Open for
-// the Volcano joins under sketch-join probes and nested build subtrees). It
-// opens and drains op, the compiled form of node.Right, and hashes the
-// rows; with a cache on the context and a cacheable subtree it first asks
-// the cache, and on a hit never opens op at all: the entry's charge is
-// replayed into the run's counters and, under tracing, the subtree is
-// marked cached. The caller still owns op and closes it either way. A nil
-// node (a hand-assembled HashJoinOp) has no plan text to key on and always
-// builds.
+// runBuild produces the hashed build side of one spine join
+// (PipelineOp.Next). It opens and drains op, the compiled form of
+// node.Right, and hashes the rows; with a cache on the context and a
+// cacheable subtree it first asks the cache, and on a hit never opens op at
+// all: the entry's charge is replayed into the run's counters and, under
+// tracing, the subtree is marked cached. The caller still owns op and closes
+// it either way.
 func runBuild(node *plan.Join, op Operator, spec *joinSpec, workers int, ctx *Context) (*joinTable, error) {
 	var key string
 	var tables []*storage.Table
 	admit := false
-	if ctx.Joins != nil && node != nil {
+	if ctx.Joins != nil {
 		var ok bool
 		if key, tables, ok = joinCacheKey(node.Right, node.RightKeys, spec.fixedKey, ctx.DisablePrune); ok {
 			var hit *joinCacheEntry

@@ -65,23 +65,21 @@ func (c *JoinCache) residentRows() []int {
 }
 
 // TestJoinCacheSecondSightAndReplay walks one build key through its three
-// states on both executors: first sight builds from the pool and leaves only
+// states under both sinks: first sight builds from the pool and leaves only
 // the key behind, second sight builds a cache-owned table and admits it, and
 // every later run is a hit that opens nothing — yet rows, intervals and all
 // five cost counters equal a run with no cache every time.
 func TestJoinCacheSecondSightAndReplay(t *testing.T) {
 	fact, cust := bigOrders(20000), customersTable()
 	spine := regionCount(&plan.Scan{Table: fact}, custBelow(cust, 7))
-	// A join below a Sort has no aggregate above it to put it on the morsel
-	// spine: it compiles to the Volcano HashJoinOp.
-	volcano := &plan.Sort{
-		Child: &plan.Join{
-			Left: &plan.Scan{Table: ordersTable()}, Right: custBelow(cust, 7),
-			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
-		},
-		By: []string{"orders.id"}, Limit: 50,
+	sketch := &plan.SketchJoin{
+		Probe: spine.Child, Build: &plan.Scan{Table: ordersTable()},
+		ProbeKeys: []string{"orders.id"}, BuildKeys: []string{"orders.id"},
+		GroupBy: []string{"cust.region"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Count}},
+		CMWidth: 3000, CMDepth: 4,
 	}
-	for name, root := range map[string]plan.Node{"morsel": spine, "volcano": volcano} {
+	for name, root := range map[string]plan.Node{"aggregate": spine, "sketch-join": sketch} {
 		want, _ := cachedRun(t, root, nil, nil)
 		mx := obs.NewMetrics()
 		jc := NewJoinCache(1 << 20)
@@ -107,14 +105,11 @@ func TestJoinCacheSecondSightAndReplay(t *testing.T) {
 
 // TestJoinCacheTraceMarksHits: a hit's build subtree was compiled and
 // trace-wrapped but never opened; the trace must say so instead of showing a
-// build that produced no rows, and the enclosing join must still see the
-// build's row count.
+// build that produced no rows, and its root must still carry the build's row
+// count. (The join itself is part of the fused spine on a hit and a miss
+// alike.)
 func TestJoinCacheTraceMarksHits(t *testing.T) {
-	cust := customersTable()
-	root := &plan.Join{
-		Left: &plan.Scan{Table: ordersTable()}, Right: custBelow(cust, 7),
-		LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
-	}
+	root := regionCount(&plan.Scan{Table: ordersTable()}, custBelow(customersTable(), 7))
 	jc := NewJoinCache(1 << 20)
 	var traces []string
 	for run := 0; run < 4; run++ {
@@ -130,7 +125,7 @@ func TestJoinCacheTraceMarksHits(t *testing.T) {
 		t.Fatalf("hit traces differ across runs:\n%s\nvs\n%s", traces[2], traces[3])
 	}
 	for _, want := range []string{
-		"Join(orders.cust = cust.id)  rows=700 in=1007 batches=1 time=0s",
+		"Join(orders.cust = cust.id)  (fused)",
 		"└─ Filter(cust.id < 7)  (cached rows=7)",
 		"   └─ Scan(cust)  (cached)",
 	} {
@@ -138,8 +133,8 @@ func TestJoinCacheTraceMarksHits(t *testing.T) {
 			t.Fatalf("hit trace missing %q:\n%s", want, traces[2])
 		}
 	}
-	if !strings.Contains(traces[0], "Join(orders.cust = cust.id)  rows=700 in=1007 batches=1 time=0s") {
-		t.Fatalf("a hit must leave the join's own line as the miss rendered it:\n%s", traces[0])
+	if !strings.Contains(traces[0], "└─ Filter(cust.id < 7)  rows=7/10 sel=70.0% in=10 batches=1 time=0s") {
+		t.Fatalf("a miss must render the build it ran:\n%s", traces[0])
 	}
 }
 

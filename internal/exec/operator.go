@@ -1,29 +1,26 @@
-// Package exec implements the physical, batch-at-a-time (Volcano-with-
-// vectors) execution engine: scans, filters, hash joins, weighted hash
-// aggregation with single-pass error tracking, the sampler operators
-// (pipelined, with materialization as a byproduct — paper §III), the
-// sketch-join operator, and the compiler from logical plans.
+// Package exec implements the physical, batch-at-a-time execution engine,
+// and it has one executor: the morsel-driven pipeline (PipelineOp). Every plan
+// a planner emits is a spine — Scan|SynopsisScan → {Sampler|Filter|Join}* —
+// ending in one of two sinks: weighted hash aggregation with single-pass
+// error tracking (an Aggregate root), or the sketch-join's count-min lookup
+// (a SketchJoin root, paper §II: Join+Aggregate collapsed into one
+// terminal). Compile has no other lowering for either.
 //
-// Scan→sample→filter→join→aggregate chains — every aggregate a planner
-// emits, single-table or join-shaped — compile to the morsel-driven
-// ParallelAggOp, and Compile has no other lowering for an Aggregate: join
-// build sides are hashed once into partitioned shared tables, workers claim
-// fixed-size row-range morsels of the probe side from a shared dispenser and
-// merge per-worker partial hash tables, with per-morsel RNG streams split
-// deterministically from the query seed so results are byte-identical at any
-// worker count.
+// What runs serially, once, before the worker pool starts: each join's build
+// side — a leaf chain of scan, filter and sampler operators, drained and
+// hashed into a partitioned shared table — and an inline sketch build, the
+// same kind of drain into a count-min sketch. Then workers claim fixed-size
+// row-range morsels of the probe side from a shared dispenser, run the whole
+// spine on each with worker-local state, and fold into per-morsel partial
+// sink tables that merge in morsel index order, with per-morsel RNG streams
+// split deterministically from the query seed — so results, cost counters
+// and built synopses are byte-identical at any worker count. SortOp, above a
+// sink, orders the handful of group rows it emitted.
 //
-// The Volcano pair stays for stated reasons only. HashAggOp is reference-only:
-// no plan compiles to it; join_test.go and parallel_test.go build it by hand
-// as the oracle the morsel path must equal.
-// HashJoinOp runs the join subtrees under a sketch-join's probe side (and any
-// join inside a build side), and is the join half of the same oracle. Both
-// share their inner loops with the morsel path (aggTable, joinProber.probe),
-// so the reference costs no second algorithm.
-//
+// Samplers are pipelined, with materialization as a byproduct (paper §III).
 // Fixed-width single-column join keys are indexed without a Go map (a dense
 // offset array or an open-addressing table behind joinTable.lookupWord), and
-// a build side made only of scans, filters and joins is built once per table
+// a build side made only of scans and filters is built once per table
 // version: JoinCache keeps the immutable table and the cost the build
 // charged, and a later run replays the cost instead of rebuilding.
 package exec
@@ -102,7 +99,7 @@ type Context struct {
 	MaterializeSamples map[*plan.SynopsisOp]string // node → synopsis name
 	// Workers is the intra-query parallelism degree of the morsel-driven
 	// executor; 0 means runtime.NumCPU(). Results are byte-identical for any
-	// value (see ParallelAggOp).
+	// value, whichever sink the plan ends in (see PipelineOp).
 	Workers int
 	// MorselRows overrides the morsel granularity (rows per morsel); 0 means
 	// DefaultMorselRows. Changing it changes the per-morsel sampler streams,
@@ -157,7 +154,7 @@ func NewContext(confidence float64) *Context {
 	}
 }
 
-// IntervalReporter is implemented by the terminal aggregation operators;
+// IntervalReporter is implemented by PipelineOp and by the SortOp above it;
 // after the stream is drained it reports the confidence interval of every
 // aggregate cell, row-aligned with the emitted output.
 type IntervalReporter interface {

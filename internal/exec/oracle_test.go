@@ -1,0 +1,256 @@
+package exec_test
+
+// The oracle: a naive row-at-a-time evaluator of Scan / Filter / Join /
+// Aggregate / Sort trees, the reference the executor's exact answers are held
+// to. It is deliberately a different program from the one it checks — no
+// batches, no selection vectors, no hash tables of accumulators, no morsels —
+// and it lives in package exec_test so the compiler enforces that it names
+// nothing internal/exec declares: a kernel bug, a probe bug or a merge bug in
+// the executor cannot also be a bug here.
+//
+// Semantics it shares with the engine because they are the query language's,
+// not the executor's: storage has no NULLs, so COUNT(col) is COUNT(*); join
+// keys match only within one type; groups come out ordered by their key
+// values; a global aggregate over no rows is one row of zeros; every
+// aggregate cell is a float64.
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/tasterdb/taster/internal/expr"
+	"github.com/tasterdb/taster/internal/plan"
+	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
+)
+
+// relation is the oracle's only data structure: named columns over boxed
+// rows. Below an Aggregate every cell is exact; from an Aggregate up, inexact
+// marks the SUM / AVG / MIN / MAX columns — the cells float association may
+// move in their last bits, as opposed to group keys and COUNTs.
+type relation struct {
+	schema  storage.Schema
+	rows    [][]storage.Value
+	inexact []bool
+}
+
+// oracleEval answers a plan tree. Unknown node types fail the test: the
+// oracle covers exact plans, and nothing that samples or sketches.
+func oracleEval(t testing.TB, n plan.Node) relation {
+	t.Helper()
+	switch n := n.(type) {
+	case *plan.Scan:
+		rel := relation{schema: n.Table.Schema()}
+		for p := 0; p < n.Table.Partitions(); p++ {
+			for _, b := range n.Table.Scan(p, 1024) {
+				for i := 0; i < b.Len(); i++ {
+					rel.rows = append(rel.rows, b.Row(i))
+				}
+			}
+		}
+		return rel
+
+	case *plan.Filter:
+		in := oracleEval(t, n.Child)
+		out := relation{schema: in.schema}
+		for _, row := range in.rows {
+			one := storage.NewBatch(in.schema, 1)
+			for c, v := range row {
+				one.Vecs[c].Append(v)
+			}
+			idx, err := expr.EvalBool(n.Pred, one)
+			if err != nil {
+				t.Fatalf("oracle: %s: %v", n, err)
+			}
+			if len(idx) == 1 {
+				out.rows = append(out.rows, row)
+			}
+		}
+		return out
+
+	case *plan.Join:
+		left, right := oracleEval(t, n.Left), oracleEval(t, n.Right)
+		lk, rk := columnsOf(t, left.schema, n.LeftKeys), columnsOf(t, right.schema, n.RightKeys)
+		byKey := make(map[string][]int)
+		for i, row := range right.rows {
+			k := keyText(row, rk)
+			byKey[k] = append(byKey[k], i)
+		}
+		out := relation{schema: left.schema.Concat(right.schema)}
+		for _, lrow := range left.rows {
+			for _, i := range byKey[keyText(lrow, lk)] {
+				row := append(append([]storage.Value(nil), lrow...), right.rows[i]...)
+				out.rows = append(out.rows, row)
+			}
+		}
+		return out
+
+	case *plan.Aggregate:
+		return oracleAggregate(t, n, oracleEval(t, n.Child))
+
+	case *plan.Sort:
+		in := oracleEval(t, n.Child)
+		by := columnsOf(t, in.schema, n.By)
+		sort.SliceStable(in.rows, func(a, b int) bool {
+			for k, c := range by {
+				va, vb := in.rows[a][c], in.rows[b][c]
+				if va.Equal(vb) {
+					continue
+				}
+				if k < len(n.Desc) && n.Desc[k] {
+					return vb.Less(va)
+				}
+				return va.Less(vb)
+			}
+			return false
+		})
+		if n.Limit > 0 && n.Limit < len(in.rows) {
+			in.rows = in.rows[:n.Limit]
+		}
+		return in
+	}
+	t.Fatalf("oracle: no rule for %T", n)
+	return relation{}
+}
+
+// oracleGroup is one group's running state: plain sums in row order.
+type oracleGroup struct {
+	key      []storage.Value
+	rows     float64
+	sum      []float64
+	min, max []float64
+}
+
+func oracleAggregate(t testing.TB, n *plan.Aggregate, in relation) relation {
+	t.Helper()
+	by := columnsOf(t, in.schema, n.GroupBy)
+	cols := make([]int, len(n.Aggs))
+	for k, ag := range n.Aggs {
+		cols[k] = -1
+		if ag.Kind != stats.Count {
+			cols[k] = columnsOf(t, in.schema, []string{ag.Col})[0]
+		}
+	}
+	groups := make(map[string]*oracleGroup)
+	var order []*oracleGroup
+	for _, row := range in.rows {
+		k := keyText(row, by)
+		g := groups[k]
+		if g == nil {
+			g = &oracleGroup{sum: make([]float64, len(cols)), min: make([]float64, len(cols)), max: make([]float64, len(cols))}
+			for _, c := range by {
+				g.key = append(g.key, row[c])
+			}
+			for k := range cols {
+				g.min[k], g.max[k] = math.Inf(1), math.Inf(-1)
+			}
+			groups[k] = g
+			order = append(order, g)
+		}
+		g.rows++
+		for k, c := range cols {
+			if c < 0 {
+				continue
+			}
+			y := row[c].AsFloat()
+			g.sum[k] += y
+			g.min[k] = math.Min(g.min[k], y)
+			g.max[k] = math.Max(g.max[k], y)
+		}
+	}
+	if len(order) == 0 && len(by) == 0 {
+		order = append(order, &oracleGroup{sum: make([]float64, len(cols)), min: make([]float64, len(cols)), max: make([]float64, len(cols))})
+	}
+	sort.Slice(order, func(a, b int) bool {
+		for c := range order[a].key {
+			if !order[a].key[c].Equal(order[b].key[c]) {
+				return order[a].key[c].Less(order[b].key[c])
+			}
+		}
+		return false
+	})
+
+	out := relation{schema: n.Schema(), inexact: make([]bool, len(by)+len(cols))}
+	for k, ag := range n.Aggs {
+		out.inexact[len(by)+k] = ag.Kind != stats.Count
+	}
+	for _, g := range order {
+		row := append([]storage.Value(nil), g.key...)
+		for k, ag := range n.Aggs {
+			var v float64
+			switch {
+			case ag.Kind == stats.Count:
+				v = g.rows
+			case g.rows == 0:
+				// the zero row of a global aggregate over nothing
+			case ag.Kind == stats.Sum:
+				v = g.sum[k]
+			case ag.Kind == stats.Avg:
+				v = g.sum[k] / g.rows
+			case ag.Kind == stats.Min:
+				v = g.min[k]
+			case ag.Kind == stats.Max:
+				v = g.max[k]
+			}
+			row = append(row, storage.FloatValue(v))
+		}
+		out.rows = append(out.rows, row)
+	}
+	return out
+}
+
+func columnsOf(t testing.TB, s storage.Schema, names []string) []int {
+	t.Helper()
+	idx := make([]int, len(names))
+	for k, name := range names {
+		if idx[k] = s.Index(name); idx[k] < 0 {
+			t.Fatalf("oracle: column %q not in %v", name, s.Names())
+		}
+	}
+	return idx
+}
+
+// keyText renders the chosen columns of a row as type-tagged text: values of
+// different types never produce the same key.
+func keyText(row []storage.Value, cols []int) string {
+	var sb strings.Builder
+	for _, c := range cols {
+		v := row[c]
+		fmt.Fprintf(&sb, "%d:%d:%s|", v.Typ, len(v.String()), v.String())
+	}
+	return sb.String()
+}
+
+// mustMatchOracle holds an engine answer to the oracle's: the same rows in
+// the same order, group keys and COUNT cells exactly equal, every other cell
+// within tol relative (0: exactly equal — the integer-valued fixtures, whose
+// sums no association can change).
+func mustMatchOracle(t testing.TB, label string, want relation, got []*storage.Batch, tol float64) {
+	t.Helper()
+	var rows [][]storage.Value
+	for _, b := range got {
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, b.Row(i))
+		}
+	}
+	if len(rows) != len(want.rows) {
+		t.Fatalf("%s: engine answered %d rows, oracle %d", label, len(rows), len(want.rows))
+	}
+	for i, w := range want.rows {
+		if len(rows[i]) != len(w) {
+			t.Fatalf("%s: row %d is %d wide, oracle %d", label, i, len(rows[i]), len(w))
+		}
+		for c := range w {
+			g := rows[i][c]
+			if g.Equal(w[c]) {
+				continue
+			}
+			if want.inexact == nil || !want.inexact[c] || math.Abs(g.F-w[c].F) > tol*math.Abs(w[c].F) {
+				t.Fatalf("%s: row %d column %s: engine %v, oracle %v", label, i, want.schema[c].Name, g, w[c])
+			}
+		}
+	}
+}

@@ -18,33 +18,32 @@ import (
 // claim-and-merge overhead stays negligible.
 const DefaultMorselRows = 4096
 
-// parallelPipeline is a leaf-to-aggregate operator spine the morsel executor
-// can run: Scan|SynopsisScan → {SynopsisOp | Filter | Join}* → Aggregate.
-// The spine follows each Join's left (probe) input; build (right) subtrees
-// are arbitrary plans compiled onto the Volcano operators and hashed once
-// into shared partitioned tables. The planner emits exactly this shape for
-// single-table and left-deep join plans — exact, inline sampler builds and
-// sample-reuse alike — which makes it the hot path of every grouped
-// aggregation.
-type parallelPipeline struct {
+// pipeline is a leaf-to-sink operator spine the morsel executor runs:
+// Scan|SynopsisScan → {SynopsisOp | Filter | Join}* → sink, where the sink is
+// an Aggregate's hash aggregation or a SketchJoin's count-min lookup. The
+// spine follows each Join's left (probe) input; build (right) subtrees are
+// leaf chains — scans, filters, samplers — compiled on their own, drained
+// once and hashed into shared partitioned tables. The planner emits exactly
+// this shape for every plan: exact, inline sampler builds, sample reuse and
+// sketch-joins alike.
+type pipeline struct {
 	leaf      *storage.Table // base table or the sample's row table
 	leafBase  bool           // true: charge BaseBytes; false: synopsis bytes
 	leafFree  bool           // buffer-resident synopsis: no I/O charge
 	leafBytes int64
 
-	// chain lists the spine nodes between leaf (exclusive) and aggregate
-	// (exclusive), bottom-up. At most one SynopsisOp; any number of Joins.
+	// chain lists the spine nodes between leaf and sink (both exclusive),
+	// bottom-up. At most one SynopsisOp; any number of Joins.
 	chain   []plan.Node
 	sampler *plan.SynopsisOp // the chain's sampler node, if any
-	agg     *plan.Aggregate
 }
 
-// matchParallelAgg recognizes the pipeline shape. Anything else under an
-// aggregate — a sketch-join, a second sampler, another aggregate — is a
-// shape no planner emits and nothing compiles: the error names the node.
-func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, error) {
-	p := &parallelPipeline{agg: a}
-	n := a.Child
+// matchSpine recognizes the spine shape below a sink (over names the sink
+// for the error). Anything else there — a sketch-join, a second sampler, an
+// aggregate — is a shape no planner emits and nothing compiles: the error
+// names the node.
+func matchSpine(n plan.Node, over string) (*pipeline, error) {
+	p := &pipeline{}
 	var down []plan.Node // top-down spine nodes
 	for {
 		switch t := n.(type) {
@@ -56,7 +55,7 @@ func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, error) {
 			n = t.Left
 		case *plan.SynopsisOp:
 			if p.sampler != nil || t.Kind == plan.SketchJoinSynopsis {
-				return nil, fmt.Errorf("exec: cannot compile an aggregate over %s: at most one sample-kind sampler fits the morsel spine", t)
+				return nil, fmt.Errorf("exec: cannot compile %s over %s: at most one sample-kind sampler fits the morsel spine", over, t)
 			}
 			p.sampler = t
 			down = append(down, t)
@@ -70,7 +69,7 @@ func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, error) {
 			p.leafFree = t.InBuffer
 			p.leafBytes = t.Sample.Rows.Bytes()
 		default:
-			return nil, fmt.Errorf("exec: cannot compile an aggregate over %T: the morsel spine is Scan|SynopsisScan → {Sampler|Filter|Join}*", n)
+			return nil, fmt.Errorf("exec: cannot compile %s over %T: the morsel spine is Scan|SynopsisScan → {Sampler|Filter|Join}*", over, n)
 		}
 		if p.leaf != nil {
 			break
@@ -83,6 +82,32 @@ func matchParallelAgg(a *plan.Aggregate) (*parallelPipeline, error) {
 	return p, nil
 }
 
+// sink is where a pipeline's spine ends. Every morsel folds its batches into
+// a worker-local partial, partials merge in morsel index order, and the
+// merged partial emits the operator's one output batch. Two implementations:
+// aggSpec (hash aggregation, hashagg.go) and sketchSink (the sketch-join's
+// count-min lookup, sketchsink.go).
+type sink interface {
+	outSchema() storage.Schema
+	// prepare runs once per execution, serially, before any morsel: the
+	// sketch sink drains its inline build here.
+	prepare(ctx *Context) error
+	newPartial() partial
+}
+
+// partial is one morsel's — and, merged, the whole run's — sink state.
+type partial interface {
+	// fold consumes one spine batch, honoring its selection vector, and
+	// charges the sink's per-batch cost to ctx. The caller releases b.
+	fold(b *storage.Batch, ctx *Context)
+	// merge folds o, a partial of the same sink, into the receiver. Both
+	// sinks sum floating-point state, so the order of merges is part of the
+	// result.
+	merge(o partial)
+	// emit renders the groups in key order with row-aligned intervals.
+	emit(confidence float64) (*storage.Batch, [][]stats.Interval)
+}
+
 // pipelineJoinState is one join of the spine: its compiled build-side
 // subtree, the resolved column binding, and — once the op runs — the shared
 // hash-partitioned table every probe worker reads.
@@ -93,45 +118,49 @@ type pipelineJoinState struct {
 	table *joinTable
 }
 
-// ParallelAggOp executes a matched pipeline with morsel-driven parallelism:
-// each join's build side runs once and is hashed by the worker pool into a
-// shared partitioned joinTable; then the leaf's rows are split into
-// fixed-size morsels, the pool claims morsels from an atomic dispenser, and
-// each worker runs the full scan→sample→filter→probe→partial-aggregate
-// pipeline on its morsel with worker-local state. Partial hash tables are
-// merged in morsel index order once all morsels are done.
+// PipelineOp executes a matched pipeline with morsel-driven parallelism. What
+// runs serially, once, before the pool starts: the sink's prepare (an inline
+// sketch build) and each join's build side, drained and hashed into a shared
+// partitioned joinTable. Then the leaf's rows are split into fixed-size
+// morsels, the pool claims morsels from an atomic dispenser, and each worker
+// runs the full scan→sample→filter→probe→fold pipeline on its morsel with
+// worker-local state. Partials are merged in morsel index order once all
+// morsels are done.
 //
 // Determinism contract: every morsel's sampler draws from the RNG stream
 // SplitSeed(seed, morselIdx) and the distinct sampler's per-instance
 // requirement is PartitionDelta(δ, morsels), so the set of sampled rows, the
-// merged aggregates and the materialized sample bytes depend only on
+// merged sink state and the materialized sample bytes depend only on
 // (input, seed, morsel size) — never on the worker count or on scheduling.
 // Join probes inherit the contract for free: the build table's match lists
 // are ascending build-row indices regardless of partition count, and each
 // morsel probes them in its own input order. Running with Workers=1 and
-// Workers=N yields byte-identical results; exact (unsampled) pipelines are
-// additionally byte-identical to the Volcano operators, cost counters
-// included.
-type ParallelAggOp struct {
-	pipe  *parallelPipeline
+// Workers=N yields byte-identical results, cost counters and built synopses
+// included, under either sink.
+type PipelineOp struct {
+	pipe  *pipeline
 	joins []*pipelineJoinState // spine joins, bottom-up
+	sink  sink
 	seed  uint64
 	ctx   *Context
-	spec  *aggSpec
 
 	emitted   bool
 	intervals [][]stats.Interval
 }
 
-// NewParallelAggOp compiles the spine's join build sides, binds the
-// aggregation columns against the spine's physical output schema, and
-// validates the sampler configuration up front, mirroring the Volcano
-// constructors' error behaviour.
-func NewParallelAggOp(pipe *parallelPipeline, seed uint64, ctx *Context) (*ParallelAggOp, error) {
-	// Resolve the physical schema along the spine. Build sides use the same
-	// seed derivation as the Volcano Compile path (left spine keeps the seed,
-	// every right subtree derives seed*31+7), so a sampled build side draws
-	// the same rows under either executor.
+// newPipelineOp is the one lowering that runs a spine: it matches the shape
+// below the sink, compiles the spine's join build sides, hands the spine's
+// physical output schema to bind for the sink's column binding (on an error
+// the sink it returns is not looked at), and validates the sampler and
+// filter configuration up front.
+func newPipelineOp(spine plan.Node, over string, seed uint64, ctx *Context, bind func(in storage.Schema) (sink, error)) (*PipelineOp, error) {
+	pipe, err := matchSpine(spine, over)
+	if err != nil {
+		return nil, err
+	}
+	// Resolve the physical schema along the spine. The left spine keeps the
+	// seed and every right subtree derives seed*31+7, so a sampled build side
+	// draws the same rows wherever on the spine its join sits.
 	cur := pipe.leaf.Schema()
 	var joins []*pipelineJoinState
 	for _, n := range pipe.chain {
@@ -151,7 +180,7 @@ func NewParallelAggOp(pipe *parallelPipeline, seed uint64, ctx *Context) (*Paral
 			cur = spec.schema
 		}
 	}
-	spec, err := resolveAggSpec(cur, pipe.agg.GroupBy, pipe.agg.Aggs)
+	snk, err := bind(cur)
 	if err != nil {
 		return nil, err
 	}
@@ -160,19 +189,19 @@ func NewParallelAggOp(pipe *parallelPipeline, seed uint64, ctx *Context) (*Paral
 	if _, err := buildMorselChain(pipe, joins, 0, 1, seed, NewContext(ctx.Confidence)); err != nil {
 		return nil, err
 	}
-	return &ParallelAggOp{pipe: pipe, joins: joins, seed: seed, ctx: ctx, spec: spec}, nil
+	return &PipelineOp{pipe: pipe, joins: joins, sink: snk, seed: seed, ctx: ctx}, nil
 }
 
-// morselResult is everything one morsel produced: its partial hash table,
+// morselResult is everything one morsel produced: its partial sink state,
 // its local cost counters and any per-morsel materialized sample parts.
 type morselResult struct {
-	table *aggTable
+	part  partial
 	stats RunStats
 	err   error
 }
 
 // Open implements Operator.
-func (p *ParallelAggOp) Open() error {
+func (p *PipelineOp) Open() error {
 	p.emitted = false
 	p.intervals = nil
 	return nil
@@ -180,7 +209,7 @@ func (p *ParallelAggOp) Open() error {
 
 // Next implements Operator: the first call runs the whole morsel pool and
 // emits the merged result as a single batch.
-func (p *ParallelAggOp) Next() (*storage.Batch, error) {
+func (p *PipelineOp) Next() (*storage.Batch, error) {
 	if p.emitted {
 		return nil, nil
 	}
@@ -200,19 +229,22 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 		workers = runtime.NumCPU()
 	}
 
+	// A sketch built inline is a byproduct the tuner may be waiting for, like
+	// a materializing sampler's: it is built whatever the joins below find.
+	if err := p.sink.prepare(p.ctx); err != nil {
+		return nil, err
+	}
+
 	// Run and hash every join's build side once; the resulting partitioned
-	// tables are shared read-only by all probe workers. Builds run top-down
-	// — the order the nested Volcano HashJoinOps open theirs in — so cost
-	// counters stay bit-equal to the serial path. An empty build side proves
-	// the inner join — and hence the whole pipeline input — empty, so the
-	// probe scan is normally skipped entirely (O(1) early-out, no phantom
-	// scan or shuffle charges, deeper builds never drained), matching the
-	// Volcano operator. The exception is a run with a pending sampler
-	// materialization: the sampler may sit on the probe spine or inside a
-	// deeper build subtree (the planner's fact branch is not always the
-	// spine leaf), so — like the Volcano HashJoinOp — any requested
-	// byproduct disables the early-out and every build plus the probe pass
-	// still runs.
+	// tables are shared read-only by all probe workers. Builds run top-down,
+	// so an empty one stops the rest: it proves the inner join — and hence
+	// the whole pipeline input — empty, and the probe scan is normally
+	// skipped entirely (O(1) early-out, no phantom scan or shuffle charges,
+	// deeper builds never drained). The exception is a run with a pending
+	// sampler materialization: the sampler may sit on the probe spine or
+	// inside a deeper build subtree (the planner's fact branch is not always
+	// the spine leaf), so any requested sample disables the early-out and
+	// every build plus the probe pass still runs.
 	materializes := len(p.ctx.MaterializeSamples) > 0
 	emptyJoin := false
 	for k := len(p.joins) - 1; k >= 0; k-- {
@@ -234,10 +266,7 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 		}
 	}
 	if emptyJoin && !materializes {
-		out, intervals := newAggTable(p.spec).emit(p.ctx.Confidence)
-		p.intervals = intervals
-		p.ctx.Stats.OutputRows += int64(out.Len())
-		return out, nil
+		return p.emit(p.sink.newPartial()), nil
 	}
 
 	if workers > nMorsels {
@@ -260,7 +289,7 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 		}
 	}
 
-	// Charge the leaf scan once, exactly as the Volcano scan operators do.
+	// Charge the leaf scan once, exactly as the scan operators do.
 	switch {
 	case p.pipe.leafBase:
 		p.ctx.Stats.BaseBytes += leafBytes
@@ -288,7 +317,7 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 
 	// Merge in morsel index order: float accumulation and sample
 	// concatenation stay bit-reproducible across worker counts.
-	global := newAggTable(p.spec)
+	global := p.sink.newPartial()
 	var parts []*synopses.Sample
 	for i := range results {
 		r := &results[i]
@@ -300,7 +329,7 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 		for _, bs := range r.stats.BuiltSamples {
 			parts = append(parts, bs.Sample)
 		}
-		global.merge(r.table)
+		global.merge(r.part)
 	}
 
 	if p.pipe.sampler != nil && len(parts) > 0 {
@@ -317,14 +346,19 @@ func (p *ParallelAggOp) Next() (*storage.Batch, error) {
 			BuiltSample{Op: p.pipe.sampler, Sample: merged})
 	}
 
+	return p.emit(global), nil
+}
+
+// emit renders the run's merged sink state as the operator's output.
+func (p *PipelineOp) emit(global partial) *storage.Batch {
 	out, intervals := global.emit(p.ctx.Confidence)
 	p.intervals = intervals
 	p.ctx.Stats.OutputRows += int64(out.Len())
-	return out, nil
+	return out
 }
 
 // Close implements Operator.
-func (p *ParallelAggOp) Close() error {
+func (p *PipelineOp) Close() error {
 	// Query-owned build-side concatenations are pool memory (drainBuild);
 	// recycle them. Probe output only ever holds copies, never references
 	// into them.
@@ -335,14 +369,14 @@ func (p *ParallelAggOp) Close() error {
 }
 
 // Schema implements Operator.
-func (p *ParallelAggOp) Schema() storage.Schema { return p.spec.schema }
+func (p *PipelineOp) Schema() storage.Schema { return p.sink.outSchema() }
 
 // Intervals implements IntervalReporter.
-func (p *ParallelAggOp) Intervals() [][]stats.Interval { return p.intervals }
+func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 
 // runMorsel executes the pipeline over morsel i with fully local state. keep
 // is the zone-prune survivor mask (nil = scan everything).
-func (p *ParallelAggOp) runMorsel(i, nMorsels, morselRows int, keep []bool) morselResult {
+func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool) morselResult {
 	mctx := &Context{
 		Confidence:         p.ctx.Confidence,
 		Stats:              &RunStats{},
@@ -358,7 +392,7 @@ func (p *ParallelAggOp) runMorsel(i, nMorsels, morselRows int, keep []bool) mors
 	hi := lo + morselRows
 	root.src.batches = p.pipe.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep)
 
-	table := newAggTable(p.spec)
+	part := p.sink.newPartial()
 	if err := root.op.Open(); err != nil {
 		return morselResult{err: err}
 	}
@@ -371,12 +405,10 @@ func (p *ParallelAggOp) runMorsel(i, nMorsels, morselRows int, keep []bool) mors
 		if b == nil {
 			break
 		}
-		mctx.Stats.ShuffleBytes += batchBytes(b)
-		mctx.Stats.CPUTuples += int64(b.Rows())
-		table.observe(b)
+		part.fold(b, mctx)
 		mctx.Pool.Release(b)
 	}
-	return morselResult{table: table, stats: *mctx.Stats}
+	return morselResult{part: part, stats: *mctx.Stats}
 }
 
 // morselChain couples the top operator of a per-morsel pipeline with its
@@ -390,7 +422,7 @@ type morselChain struct {
 // a morsel-local scan, then per-node Filter/Sampler/probe operators. Sampler
 // instances get the morsel's split seed and partitioned δ; probe operators
 // share the join states' pre-built hash tables.
-func buildMorselChain(pipe *parallelPipeline, joins []*pipelineJoinState, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
+func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
 	src := &morselScan{schema: pipe.leaf.Schema(), ctx: mctx}
 	var cur Operator = src
 	ji := 0
@@ -419,7 +451,8 @@ func buildMorselChain(pipe *parallelPipeline, joins []*pipelineJoinState, morsel
 
 // morselProbeOp probes one morsel's stream against a join's shared hash
 // table with a morsel-local prober, charging probe shuffle and output CPU to
-// the morsel's context (joinProber.probe, the loop HashJoinOp runs too).
+// the morsel's context (joinProber.probe). It is the engine's only join
+// driver.
 type morselProbeOp struct {
 	child  Operator
 	st     *pipelineJoinState
@@ -443,7 +476,7 @@ func (o *morselProbeOp) Close() error { return o.child.Close() }
 func (o *morselProbeOp) Schema() storage.Schema { return o.st.spec.schema }
 
 // morselScan feeds one morsel's pre-sliced batches into a per-morsel
-// pipeline. I/O is charged once by ParallelAggOp, not per morsel; CPU tuples
+// pipeline. I/O is charged once by PipelineOp, not per morsel; CPU tuples
 // are charged here like any scan.
 type morselScan struct {
 	schema  storage.Schema

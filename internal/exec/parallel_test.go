@@ -56,11 +56,11 @@ func TestParallelAggCompilesForPipelineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*ParallelAggOp); !ok {
-		t.Fatalf("single-table aggregate compiled to %T, want *ParallelAggOp", op)
+	if _, ok := op.(*PipelineOp); !ok {
+		t.Fatalf("single-table aggregate compiled to %T, want *PipelineOp", op)
 	}
 
-	// Join pipelines run on the parallel executor too (PR 2).
+	// Join pipelines run on the same executor.
 	j := &plan.Aggregate{
 		Child: &plan.Join{
 			Left: &plan.Scan{Table: tbl}, Right: &plan.Scan{Table: customersTable()},
@@ -72,45 +72,23 @@ func TestParallelAggCompilesForPipelineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*ParallelAggOp); !ok {
-		t.Fatalf("join aggregate compiled to %T, want *ParallelAggOp", op)
+	if _, ok := op.(*PipelineOp); !ok {
+		t.Fatalf("join aggregate compiled to %T, want *PipelineOp", op)
 	}
-}
 
-func TestParallelAggMatchesSequentialVolcanoExact(t *testing.T) {
-	// Exact aggregation carries no randomness, so the morsel executor must
-	// reproduce the Volcano operator bit for bit, including cost counters.
-	tbl := bigOrders(20000)
-	agg := &plan.Aggregate{
-		Child:   &plan.Scan{Table: tbl},
-		GroupBy: []string{"orders.cust"},
-		Aggs: []plan.AggSpec{
-			{Kind: stats.Count},
-			{Kind: stats.Sum, Col: "orders.amount"},
-			{Kind: stats.Avg, Col: "orders.amount"},
-		},
+	// And so does a sketch-join: the same spine under the other sink.
+	sj := &plan.SketchJoin{
+		Probe: j.Child, Build: &plan.Scan{Table: tbl},
+		ProbeKeys: []string{"orders.id"}, BuildKeys: []string{"orders.id"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Count}},
+		CMWidth: 3000, CMDepth: 4,
 	}
-	pctx := NewContext(0.95)
-	pctx.Workers = 8
-	pctx.MorselRows = 512
-	got := fingerprint(t, agg, pctx, 7)
-
-	vctx := NewContext(0.95)
-	vop, err := NewHashAggOp(NewTableScan(tbl, vctx), agg.GroupBy, agg.Aggs, vctx)
+	op, err = Compile(sj, 1, NewContext(0.95))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(vop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("%v|%v", allRows(out), vop.Intervals())
-	if got != want {
-		t.Fatalf("parallel exact aggregate diverges from Volcano:\n%.200s\nvs\n%.200s", got, want)
-	}
-	if pctx.Stats.BaseBytes != vctx.Stats.BaseBytes || pctx.Stats.CPUTuples != vctx.Stats.CPUTuples ||
-		pctx.Stats.ShuffleBytes != vctx.Stats.ShuffleBytes || pctx.Stats.OutputRows != vctx.Stats.OutputRows {
-		t.Fatalf("cost counters diverge: parallel %+v vs volcano %+v", *pctx.Stats, *vctx.Stats)
+	if _, ok := op.(*PipelineOp); !ok {
+		t.Fatalf("sketch-join compiled to %T, want *PipelineOp", op)
 	}
 }
 

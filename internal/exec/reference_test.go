@@ -1,0 +1,463 @@
+package exec_test
+
+// Exact plans against the oracle (oracle_test.go). What each test pins beyond
+// the answer — cost counters — is a closed-form expectation on the fixture:
+// orders rows are 24 bytes (three 8-byte columns), cust rows 28 (an int64 and
+// a 4-letter string at 16 bytes of header), reg rows 28.
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/tasterdb/taster/internal/exec"
+	"github.com/tasterdb/taster/internal/expr"
+	"github.com/tasterdb/taster/internal/meta"
+	"github.com/tasterdb/taster/internal/persist"
+	"github.com/tasterdb/taster/internal/plan"
+	"github.com/tasterdb/taster/internal/planner"
+	"github.com/tasterdb/taster/internal/sqlparser"
+	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
+	"github.com/tasterdb/taster/internal/warehouse"
+	"github.com/tasterdb/taster/internal/workload"
+)
+
+const (
+	ordersRowBytes = 24
+	custRowBytes   = 28
+	regRowBytes    = 28
+)
+
+// engineRun compiles and runs a plan, returning the batches and a bit-exact
+// rendering of rows and intervals (%v prints the shortest text that
+// round-trips a float64, so equal strings mean equal bits).
+func engineRun(t testing.TB, n plan.Node, ctx *exec.Context) ([]*storage.Batch, string) {
+	t.Helper()
+	op, err := exec.Compile(n, 7, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Run(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fp string
+	for _, b := range out {
+		for i := 0; i < b.Len(); i++ {
+			fp += fmt.Sprintf("%v\n", b.Row(i))
+		}
+	}
+	if rep, ok := op.(exec.IntervalReporter); ok {
+		fp += fmt.Sprintf("|%v", rep.Intervals())
+	}
+	return out, fp
+}
+
+func workerCtx(workers, morselRows int) *exec.Context {
+	ctx := exec.NewContext(0.95)
+	ctx.Workers, ctx.MorselRows = workers, morselRows
+	return ctx
+}
+
+func mustCharge(t *testing.T, label string, got *exec.RunStats, baseBytes, cpuTuples, shuffleBytes, outputRows int64) {
+	t.Helper()
+	if got.BaseBytes != baseBytes || got.CPUTuples != cpuTuples || got.ShuffleBytes != shuffleBytes ||
+		got.OutputRows != outputRows || got.WarehouseBytes != 0 {
+		t.Fatalf("%s: charged base=%d cpu=%d shuffle=%d out=%d warehouse=%d, want base=%d cpu=%d shuffle=%d out=%d warehouse=0",
+			label, got.BaseBytes, got.CPUTuples, got.ShuffleBytes, got.OutputRows, got.WarehouseBytes,
+			baseBytes, cpuTuples, shuffleBytes, outputRows)
+	}
+}
+
+// TestAggMatchesOracleExact: exact aggregation carries no randomness and the
+// fixture's values are integers, so the morsel executor must reproduce the
+// oracle exactly whatever the morsel boundaries do to the order of its sums.
+func TestAggMatchesOracleExact(t *testing.T) {
+	const n = 20000
+	agg := &plan.Aggregate{
+		Child:   &plan.Scan{Table: exec.BigOrders(n)},
+		GroupBy: []string{"orders.cust"},
+		Aggs: []plan.AggSpec{
+			{Kind: stats.Count},
+			{Kind: stats.Sum, Col: "orders.amount"},
+			{Kind: stats.Avg, Col: "orders.amount"},
+		},
+	}
+	ctx := workerCtx(8, 512)
+	out, _ := engineRun(t, agg, ctx)
+	mustMatchOracle(t, "exact aggregate", oracleEval(t, agg), out, 0)
+	// Every row is scanned once and aggregated once, and crosses the
+	// aggregation exchange whole.
+	mustCharge(t, "exact aggregate", ctx.Stats, n*ordersRowBytes, 2*n, n*ordersRowBytes, 10)
+}
+
+// TestJoinMatchesOracleExact: an exact join pipeline must reproduce the
+// oracle's nested answer — rows and cost counters — at every worker count.
+func TestJoinMatchesOracleExact(t *testing.T) {
+	const n = 20000
+	agg := &plan.Aggregate{
+		Child: &plan.Join{
+			Left: &plan.Scan{Table: exec.BigOrders(n)}, Right: &plan.Scan{Table: exec.CustomersTable()},
+			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
+		},
+		GroupBy: []string{"cust.region"},
+		Aggs: []plan.AggSpec{
+			{Kind: stats.Count},
+			{Kind: stats.Sum, Col: "orders.amount"},
+		},
+	}
+	want := oracleEval(t, agg)
+	for _, workers := range []int{1, 2, 4, 8} {
+		ctx := workerCtx(workers, 512)
+		out, _ := engineRun(t, agg, ctx)
+		label := fmt.Sprintf("workers=%d", workers)
+		mustMatchOracle(t, label, want, out, 0)
+		// Build: 10 rows scanned and exchanged. Probe: n rows scanned and
+		// exchanged, n joined rows out (every order has its customer), each
+		// aggregated once and exchanged at the joined width.
+		mustCharge(t, label, ctx.Stats,
+			n*ordersRowBytes+10*custRowBytes,
+			10+3*n,
+			10*custRowBytes+n*ordersRowBytes+n*(ordersRowBytes+custRowBytes),
+			2)
+	}
+}
+
+// TestMultiJoinMatchesOracleExact covers a two-join spine
+// (fact ⋈ dim ⋈ dim-of-dim) with a string join key on the second hop.
+func TestMultiJoinMatchesOracleExact(t *testing.T) {
+	agg := &plan.Aggregate{
+		Child: &plan.Join{
+			Left: &plan.Join{
+				Left: &plan.Scan{Table: exec.BigOrders(12000)}, Right: &plan.Scan{Table: exec.CustomersTable()},
+				LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
+			},
+			Right:    &plan.Scan{Table: exec.RegionsTable()},
+			LeftKeys: []string{"cust.region"}, RightKeys: []string{"reg.name"},
+		},
+		GroupBy: []string{"reg.rank"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Avg, Col: "orders.amount"}},
+	}
+	want := oracleEval(t, agg)
+	for _, workers := range []int{1, 4} {
+		out, _ := engineRun(t, agg, workerCtx(workers, 1000))
+		mustMatchOracle(t, fmt.Sprintf("workers=%d", workers), want, out, 0)
+	}
+}
+
+// TestMultiJoinEmptyInnerMatchesOracle: with an empty *inner* build on a
+// two-join spine the answer is the global aggregate's zero row, and builds
+// drain top-down until the first empty one — here both, the empty one being
+// the deeper — while the probe side is never scanned.
+func TestMultiJoinEmptyInnerMatchesOracle(t *testing.T) {
+	fact := exec.BigOrders(12000)
+	emptyCust := &plan.Filter{
+		Child: &plan.Scan{Table: exec.CustomersTable()},
+		Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(-1)},
+	}
+	agg := &plan.Aggregate{
+		Child: &plan.Join{
+			Left: &plan.Join{
+				Left: &plan.Scan{Table: fact}, Right: emptyCust,
+				LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
+			},
+			Right:    &plan.Scan{Table: exec.RegionsTable()},
+			LeftKeys: []string{"cust.region"}, RightKeys: []string{"reg.name"},
+		},
+		Aggs: []plan.AggSpec{{Kind: stats.Count}},
+	}
+	ctx := workerCtx(4, 0)
+	out, _ := engineRun(t, agg, ctx)
+	mustMatchOracle(t, "empty inner build", oracleEval(t, agg), out, 0)
+	// The region build: 2 rows scanned and exchanged. The customer build:
+	// cust.id < -1 zone-prunes the table's only partition, so nothing is
+	// read and the filter sees no batch. No probe.
+	mustCharge(t, "empty inner build", ctx.Stats, 2*regRowBytes, 2, 2*regRowBytes, 1)
+	if ctx.Stats.BaseBytes >= fact.Bytes() {
+		t.Fatalf("early-out did not skip the probe scan (BaseBytes=%d)", ctx.Stats.BaseBytes)
+	}
+}
+
+// TestPrunedScanMatchesUnpruned: the compiled Filter-over-Scan leaf chain
+// prunes provably excluded partitions; the rows are the oracle's either way,
+// the bytes charge only the surviving partitions.
+func TestPrunedScanMatchesUnpruned(t *testing.T) {
+	tbl := exec.OrdersTable()
+	f := &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: exec.AmountAbove(700)}
+	want := oracleEval(t, f)
+	if len(want.rows) != 300 {
+		t.Fatalf("oracle kept %d rows, want 300", len(want.rows))
+	}
+
+	on := exec.NewContext(0.95)
+	pruned, _ := engineRun(t, f, on)
+	off := exec.NewContext(0.95)
+	off.DisablePrune = true
+	full, _ := engineRun(t, f, off)
+	mustMatchOracle(t, "pruned scan", want, pruned, 0)
+	mustMatchOracle(t, "unpruned scan", want, full, 0)
+
+	if off.Stats.BaseBytes != tbl.Bytes() {
+		t.Fatalf("unpruned charge = %d, want full %d", off.Stats.BaseBytes, tbl.Bytes())
+	}
+	// amount >= 700 zone-excludes the first two of the three partitions: only
+	// the last one's bytes may be charged.
+	if last := tbl.PartitionBytes(tbl.Partitions() - 1); on.Stats.BaseBytes != last {
+		t.Fatalf("pruned charge = %d, want last partition's %d", on.Stats.BaseBytes, last)
+	}
+}
+
+// TestPruneAllPartitions: a predicate no row can satisfy prunes every
+// partition — zero rows, zero base bytes, no error.
+func TestPruneAllPartitions(t *testing.T) {
+	ctx := exec.NewContext(0.95)
+	f := &plan.Filter{Child: &plan.Scan{Table: exec.OrdersTable()}, Pred: exec.AmountAbove(1e9)}
+	out, _ := engineRun(t, f, ctx)
+	mustMatchOracle(t, "impossible predicate", oracleEval(t, f), out, 0)
+	if len(out) != 0 {
+		t.Fatalf("impossible predicate returned %d batches", len(out))
+	}
+	if ctx.Stats.BaseBytes != 0 {
+		t.Fatalf("fully pruned scan charged %d bytes", ctx.Stats.BaseBytes)
+	}
+}
+
+// TestAggPruneMatchesOracle: the morsel pipeline prunes the same partitions
+// as the leaf-chain scan — the oracle's rows with pruning on or off and at
+// any worker count, and counters that differ by exactly the pruned
+// partitions.
+func TestAggPruneMatchesOracle(t *testing.T) {
+	tbl := exec.OrdersTable()
+	agg := &plan.Aggregate{
+		Child:   &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: exec.AmountAbove(700)},
+		GroupBy: []string{"orders.cust"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Sum, Col: "orders.amount"}},
+	}
+	want := oracleEval(t, agg)
+	// Only the last partition survives the zone test: its rows are scanned
+	// and filtered, the 300 at or above 700 aggregated and exchanged.
+	last := tbl.PartitionBytes(tbl.Partitions() - 1)
+	lastRows := last / ordersRowBytes
+	for _, workers := range []int{1, 4} {
+		ctx := workerCtx(workers, 0)
+		out, _ := engineRun(t, agg, ctx)
+		label := fmt.Sprintf("pruned, workers=%d", workers)
+		mustMatchOracle(t, label, want, out, 0)
+		mustCharge(t, label, ctx.Stats, last, lastRows+lastRows+300, 300*ordersRowBytes, 10)
+	}
+	ctx := workerCtx(4, 0)
+	ctx.DisablePrune = true
+	out, _ := engineRun(t, agg, ctx)
+	mustMatchOracle(t, "unpruned", want, out, 0)
+	mustCharge(t, "unpruned", ctx.Stats, tbl.Bytes(), 1000+1000+300, 300*ordersRowBytes, 10)
+}
+
+// TestSketchJoinDeterministicAcrossWorkerCounts: the determinism contract
+// covers the sketch sink as it covers the aggregate's — probe = bare scan,
+// filter over scan, two-join spine; sketch built inline and reused — with
+// byte-identical rows, interval bits, all four cost counters and, for inline
+// builds, the persisted bytes of the built sketch at any worker count. The
+// answer itself is held to the oracle's for the Join+Aggregate pair the
+// sketch-join stands for: the sketch is sized so that no probe key collides,
+// which makes its estimates the exact per-key counts and sums, and only the
+// even order ids have build rows, so the odd customers' groups are pure
+// collision noise the sink must drop.
+func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
+	fact := exec.BigOrders(30000)
+	lb := storage.NewBuilder("lines", storage.Schema{
+		{Name: "lines.order", Typ: storage.Int64},
+		{Name: "lines.price", Typ: storage.Float64},
+	})
+	for i := 0; i < 30000; i++ {
+		lb.Int(0, int64(2*(i%1500)))
+		lb.Float(1, float64(i%97)/7) // fractional: the sum plane's cells are not integers
+	}
+	lines := lb.Build(4)
+	const width, depth = 60000, 4
+	stored, err := synopses.BuildSketchJoin(lines, []string{"lines.order"}, "lines.price", width, depth, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	aggs := []plan.AggSpec{
+		{Kind: stats.Count},
+		{Kind: stats.Sum, Col: "lines.price"},
+		{Kind: stats.Avg, Col: "lines.price"},
+		{Kind: stats.Sum, Col: "orders.amount"}, // probe-side column
+	}
+	// cust < 7 keeps a scattered 70 % of every batch: a real selection vector.
+	filtered := &plan.Filter{
+		Child: &plan.Scan{Table: fact},
+		Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(7)},
+	}
+	twoJoins := &plan.Join{
+		Left: &plan.Join{
+			Left: filtered, Right: &plan.Scan{Table: exec.CustomersTable()},
+			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
+		},
+		Right:    &plan.Scan{Table: exec.RegionsTable()},
+		LeftKeys: []string{"cust.region"}, RightKeys: []string{"reg.name"},
+	}
+	for _, probe := range []struct {
+		name    string
+		node    plan.Node
+		groupBy []string
+		groups  int
+	}{
+		{"bare scan", &plan.Scan{Table: fact}, []string{"orders.cust"}, 5},
+		{"filter over scan", filtered, nil, 1},
+		{"two-join spine", twoJoins, []string{"reg.rank", "cust.region"}, 1},
+	} {
+		want := oracleEval(t, &plan.Aggregate{
+			Child: &plan.Join{
+				Left: probe.node, Right: &plan.Scan{Table: lines},
+				LeftKeys: []string{"orders.id"}, RightKeys: []string{"lines.order"},
+			},
+			GroupBy: probe.groupBy,
+			Aggs:    aggs,
+		})
+		if len(want.rows) != probe.groups {
+			t.Fatalf("%s: oracle answers %d groups, fixture meant %d", probe.name, len(want.rows), probe.groups)
+		}
+		for _, inline := range []bool{true, false} {
+			node := &plan.SketchJoin{
+				Probe:     probe.node,
+				ProbeKeys: []string{"orders.id"},
+				BuildKeys: []string{"lines.order"},
+				AggCol:    "lines.price",
+				GroupBy:   probe.groupBy,
+				Aggs:      aggs,
+			}
+			if inline {
+				node.Build = &plan.Scan{Table: lines}
+				node.CMWidth, node.CMDepth = width, depth
+			} else {
+				node.Sketch = stored
+			}
+			label := fmt.Sprintf("%s, inline=%t", probe.name, inline)
+
+			var base, baseSketch string
+			var baseStats exec.RunStats
+			for _, workers := range []int{1, 3, 8, 16} {
+				ctx := workerCtx(workers, 512)
+				out, fp := engineRun(t, node, ctx)
+				var sketch string
+				if inline {
+					if len(ctx.Stats.BuiltSketches) != 1 || ctx.Stats.BuiltSketches[0].Op != node {
+						t.Fatalf("%s workers=%d: built sketches = %+v", label, workers, ctx.Stats.BuiltSketches)
+					}
+					sketch = string(persist.Encode(ctx.Stats.BuiltSketches[0].Sketch))
+				} else if len(ctx.Stats.BuiltSketches) != 0 {
+					t.Fatalf("%s workers=%d: reuse recorded a built sketch", label, workers)
+				}
+				st := *ctx.Stats
+				st.BuiltSamples, st.BuiltSketches = nil, nil
+				if workers == 1 {
+					mustMatchOracle(t, label, want, out, 1e-9)
+					base, baseSketch, baseStats = fp, sketch, st
+					if probe.name == "bare scan" {
+						// The sketch sink's own charge is one CPU tuple per
+						// probe row and no exchange: 30000 rows scanned and
+						// looked up; an inline build scans and adds 30000 more.
+						cpu, bytes := int64(2*30000), fact.Bytes()
+						if inline {
+							cpu, bytes = cpu+2*30000, bytes+lines.Bytes()
+						}
+						mustCharge(t, label, &st, bytes, cpu, 0, 5)
+					}
+					continue
+				}
+				if fp != base {
+					t.Fatalf("%s: workers=%d rows or intervals diverge from workers=1", label, workers)
+				}
+				if sketch != baseSketch {
+					t.Fatalf("%s: workers=%d built a different sketch than workers=1", label, workers)
+				}
+				if st.BaseBytes != baseStats.BaseBytes || st.WarehouseBytes != baseStats.WarehouseBytes ||
+					st.CPUTuples != baseStats.CPUTuples || st.ShuffleBytes != baseStats.ShuffleBytes ||
+					st.OutputRows != baseStats.OutputRows {
+					t.Fatalf("%s: workers=%d counters %+v, workers=1 %+v", label, workers, st, baseStats)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleMeetsTheCatalogs: every template of the three workload
+// generators, two instances each, planned EXACT by the planner; the exact
+// root is answered by the oracle and by the engine at workers 1 / 4 / 8 and
+// over a repartitioned copy of the catalog. Engine runs are bit-equal to
+// each other — rows and intervals; the oracle agrees cell for cell: group
+// keys and COUNTs exactly, the rest within 1e-9 relative (the generated
+// measures are not integers, and the engine sums per morsel).
+func TestOracleMeetsTheCatalogs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans and answers every workload template six ways")
+	}
+	gens := []struct {
+		name string
+		gen  func() *workload.Workload
+	}{
+		{"tpch", func() *workload.Workload { return workload.TPCH(0.002, 3) }},
+		{"tpcds", func() *workload.Workload { return workload.TPCDS(0.005, 3) }},
+		{"instacart", func() *workload.Workload { return workload.Instacart(0.02, 3) }},
+	}
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			w, retiled := g.gen(), g.gen()
+			// 797 is prime: partition boundaries land nowhere near the morsel
+			// grid.
+			retiled.Catalog.Repartition(797)
+			exactRoot := func(cat *storage.Catalog, sql string) plan.Node {
+				q, err := sqlparser.Parse(sql, cat)
+				if err != nil {
+					t.Fatalf("%v\nSQL: %s", err, sql)
+				}
+				pl := planner.New(meta.NewStore(), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
+				ps, err := pl.PlanWith(q, pl.WH.View())
+				if err != nil {
+					t.Fatalf("%v\nSQL: %s", err, sql)
+				}
+				return ps.Exact.Root
+			}
+			r := rand.New(rand.NewSource(11))
+			joins, sorts := 0, 0
+			for _, tpl := range w.Templates {
+				for i := 0; i < 2; i++ {
+					sql := tpl.Instantiate(r) + " EXACT"
+					root := exactRoot(w.Catalog, sql)
+					plan.Walk(root, func(n plan.Node) {
+						switch n.(type) {
+						case *plan.Join:
+							joins++
+						case *plan.Sort:
+							sorts++
+						}
+					})
+					want := oracleEval(t, root)
+					var base string
+					for _, workers := range []int{1, 4, 8} {
+						out, fp := engineRun(t, root, workerCtx(workers, 0))
+						label := fmt.Sprintf("%s workers=%d\nSQL: %s", tpl.Name, workers, sql)
+						mustMatchOracle(t, label, want, out, 1e-9)
+						if base == "" {
+							base = fp
+						} else if fp != base {
+							t.Fatalf("%s: engine answer differs from workers=1", label)
+						}
+					}
+					out, fp := engineRun(t, exactRoot(retiled.Catalog, sql), workerCtx(4, 0))
+					mustMatchOracle(t, tpl.Name+" retiled\nSQL: "+sql, want, out, 1e-9)
+					if fp != base {
+						t.Fatalf("%s: engine answer over the retiled catalog differs\nSQL: %s", tpl.Name, sql)
+					}
+				}
+			}
+			if joins == 0 {
+				t.Fatalf("vacuous run: %d joins, %d sorts across %d templates", joins, sorts, len(w.Templates))
+			}
+		})
+	}
+}

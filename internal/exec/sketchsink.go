@@ -1,0 +1,330 @@
+package exec
+
+import (
+	"fmt"
+
+	"github.com/tasterdb/taster/internal/plan"
+	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
+)
+
+// sketchSink is the pipeline's sketch-join sink (paper §II): the build side
+// is summarized into a count-min sketch keyed by the join key (reused from
+// the warehouse when available, built inline otherwise), and the spine's
+// probe rows look their key up in it while grouping on probe-side columns.
+// The whole Join+Aggregate pair collapses into this one terminal.
+type sketchSink struct {
+	node   *plan.SketchJoin
+	schema storage.Schema
+	seed   uint64
+
+	probeKeyIdx []int
+	groupIdx    []int
+	aggProbeIdx []int // probe-side column per agg, -1 when agg uses build side
+	weightIdx   int
+
+	// The inline build, nil when node.Sketch is already materialized: the
+	// compiled leaf chain with its key, aggregate (-1: counts only) and
+	// weight (-1: unweighted) columns.
+	build       Operator
+	buildKeyIdx []int
+	buildAggIdx int
+	buildWIdx   int
+
+	// Set by prepare: the sketch every probe row reads, and the expected
+	// overestimate of one point query against its count and sum planes.
+	sketch     *synopses.SketchJoin
+	errC, errS float64
+}
+
+// newSketchSink binds the node's columns against the probe spine's output
+// schema in and, for an inline build, compiles the build leaf chain; seed
+// keys the inline sketch's hash functions.
+func newSketchSink(node *plan.SketchJoin, in storage.Schema, seed uint64, ctx *Context) (*sketchSink, error) {
+	s := &sketchSink{node: node, seed: seed}
+	for _, k := range node.ProbeKeys {
+		i := in.Index(k)
+		if i < 0 {
+			return nil, fmt.Errorf("exec: sketch join: probe key %q not in %v", k, in.Names())
+		}
+		s.probeKeyIdx = append(s.probeKeyIdx, i)
+	}
+	for _, g := range node.GroupBy {
+		i := in.Index(g)
+		if i < 0 {
+			return nil, fmt.Errorf("exec: sketch join: group column %q not in %v", g, in.Names())
+		}
+		s.groupIdx = append(s.groupIdx, i)
+		s.schema = append(s.schema, in[i])
+	}
+	for _, ag := range node.Aggs {
+		idx := -1
+		// COUNT(col) is COUNT(*) (see resolveAggSpec): it reads the sketch's
+		// count plane and no column on either side.
+		if ag.Kind != stats.Count && ag.Col != "" && ag.Col != node.AggCol {
+			idx = in.Index(ag.Col)
+			if idx < 0 {
+				return nil, fmt.Errorf("exec: sketch join: aggregate column %q neither build agg nor probe column", ag.Col)
+			}
+		}
+		s.aggProbeIdx = append(s.aggProbeIdx, idx)
+		s.schema = append(s.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
+	}
+	s.weightIdx = in.Index(synopses.WeightCol)
+	if node.Sketch != nil {
+		return s, nil
+	}
+
+	if node.Build == nil {
+		return nil, fmt.Errorf("exec: sketch join: no materialized sketch and no build input")
+	}
+	if node.CMWidth < 1 || node.CMDepth < 1 {
+		return nil, fmt.Errorf("exec: sketch join: inline build needs a count-min geometry, got %d×%d", node.CMWidth, node.CMDepth)
+	}
+	build, err := Compile(node.Build, seed*131+13, ctx)
+	if err != nil {
+		return nil, err
+	}
+	bs := build.Schema()
+	for _, k := range node.BuildKeys {
+		i := bs.Index(k)
+		if i < 0 {
+			return nil, fmt.Errorf("exec: sketch join: build key %q not in %v", k, bs.Names())
+		}
+		s.buildKeyIdx = append(s.buildKeyIdx, i)
+	}
+	s.buildAggIdx = -1
+	if node.AggCol != "" {
+		i := bs.Index(node.AggCol)
+		if i < 0 {
+			return nil, fmt.Errorf("exec: sketch join: build agg column %q not in %v", node.AggCol, bs.Names())
+		}
+		// The planner names the build column of every aggregate, COUNT
+		// included, and only COUNT may name a non-numeric one (Validate
+		// refuses the rest): such a sketch carries counts and no sums.
+		if bs[i].Typ.Numeric() {
+			s.buildAggIdx = i
+		}
+	}
+	s.buildWIdx = bs.Index(synopses.WeightCol)
+	s.build = build
+	return s, nil
+}
+
+// outSchema implements sink.
+func (s *sketchSink) outSchema() storage.Schema { return s.schema }
+
+// prepare implements sink. An inline build is what a join's build side is:
+// the compiled leaf chain drained once, serially, before the pool starts —
+// every row costs d cell updates in each plane and the result is one small
+// shared structure, so there is nothing for morsels to split. The finished
+// sketch is recorded for the tuner to keep.
+func (s *sketchSink) prepare(ctx *Context) error {
+	s.sketch = s.node.Sketch
+	if s.build != nil {
+		s.sketch = synopses.NewSketchJoin(s.node.CMWidth, s.node.CMDepth, s.node.BuildKeys, s.node.AggCol, s.seed)
+		err := s.drainBuild(ctx)
+		if cerr := s.build.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		ctx.Stats.BuiltSketches = append(ctx.Stats.BuiltSketches, BuiltSketch{Op: s.node, Sketch: s.sketch})
+	}
+	s.errC = s.sketch.Count.ExpectedErrorBound()
+	s.errS = s.sketch.Sum.ExpectedErrorBound()
+	return nil
+}
+
+// drainBuild adds every build row to the sketch, one CPU tuple each.
+func (s *sketchSink) drainBuild(ctx *Context) error {
+	if err := s.build.Open(); err != nil {
+		return err
+	}
+	for {
+		b, err := s.build.Next()
+		if err != nil || b == nil {
+			return err
+		}
+		b = b.Materialize(ctx.Pool)
+		ctx.Stats.CPUTuples += int64(b.Len())
+		for i := 0; i < b.Len(); i++ {
+			w := 1.0
+			if s.buildWIdx >= 0 {
+				w = b.Vecs[s.buildWIdx].F64[i]
+			}
+			s.sketch.AddRow(b.Vecs, s.buildKeyIdx, s.buildAggIdx, i, w)
+		}
+		ctx.Pool.Release(b)
+	}
+}
+
+// newPartial implements sink.
+func (s *sketchSink) newPartial() partial {
+	return &sketchTable{sink: s, groups: make(map[string]*sjGroup, 64)}
+}
+
+// sjGroup is one group's running sketch-join state; every field is a sum
+// over the group's probe rows.
+type sjGroup struct {
+	keyVals []storage.Value
+	den     float64 // Σ w·count(key): COUNT(*) of the join result
+	num     float64 // Σ w·sum(key): SUM(build agg col)
+	probe   []float64
+	errDen  float64
+	errNum  float64
+	errProb []float64
+}
+
+// add folds another partial's sums for the same group into g.
+func (g *sjGroup) add(o *sjGroup) {
+	g.den += o.den
+	g.num += o.num
+	g.errDen += o.errDen
+	g.errNum += o.errNum
+	for k := range g.probe {
+		g.probe[k] += o.probe[k]
+		g.errProb[k] += o.errProb[k]
+	}
+}
+
+// sketchTable is the sketch sink's partial: groups keyed by the groupKey
+// byte encoding of the probe-side grouping columns.
+type sketchTable struct {
+	sink   *sketchSink
+	groups map[string]*sjGroup
+	key    []byte // scratch buffer
+}
+
+// fold implements partial: one sketch lookup and one CPU tuple per live
+// probe row, and — unlike the aggregate sink — no exchange: the sketch is
+// broadcast, the probe rows stay where they are.
+func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
+	s := t.sink
+	n := b.Rows()
+	ctx.Stats.CPUTuples += int64(n)
+	for j := 0; j < n; j++ {
+		i := j
+		if b.Sel != nil {
+			i = int(b.Sel[j])
+		}
+		cnt, sum := s.sketch.Estimate(b.Vecs, s.probeKeyIdx, i)
+		w := 1.0
+		if s.weightIdx >= 0 {
+			w = b.Vecs[s.weightIdx].F64[i]
+		}
+		t.key = groupKey(t.key, b.Vecs, s.groupIdx, i)
+		g, ok := t.groups[string(t.key)]
+		if !ok {
+			g = &sjGroup{
+				probe:   make([]float64, len(s.aggProbeIdx)),
+				errProb: make([]float64, len(s.aggProbeIdx)),
+			}
+			for _, gi := range s.groupIdx {
+				g.keyVals = append(g.keyVals, b.Vecs[gi].Get(i))
+			}
+			t.groups[string(t.key)] = g
+		}
+		g.den += w * cnt
+		g.num += w * sum
+		g.errDen += w * s.errC
+		g.errNum += w * s.errS
+		for k, pi := range s.aggProbeIdx {
+			if pi >= 0 {
+				pv := b.Vecs[pi].Float(i)
+				g.probe[k] += w * cnt * pv
+				g.errProb[k] += w * s.errC * abs(pv)
+			}
+		}
+	}
+}
+
+// merge implements partial. Each group's sums re-associate once per morsel
+// boundary, so merging in morsel index order keeps them bit-reproducible at
+// any worker count.
+func (t *sketchTable) merge(o partial) {
+	for key, og := range o.(*sketchTable).groups {
+		if g, ok := t.groups[key]; ok {
+			g.add(og)
+		} else {
+			t.groups[key] = og
+		}
+	}
+}
+
+// emit implements partial: groups in key order, each aggregate cell with its
+// estimate and error bound.
+func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
+	s := t.sink
+	all := make([]*sjGroup, 0, len(t.groups))
+	//taster:sorted emission order is fixed by sortRowsByValues below — group keys are unique, so the value sort is total and launders map order
+	for _, g := range t.groups {
+		all = append(all, g)
+	}
+	keys := make([][]storage.Value, len(all))
+	for i, g := range all {
+		keys[i] = g.keyVals
+	}
+	order := sortRowsByValues(keys)
+
+	out := storage.NewBatch(s.schema, len(all))
+	intervals := make([][]stats.Interval, 0, len(all))
+	for _, oi := range order {
+		g := all[oi]
+		// Sketch estimates only ever overestimate; groups whose entire mass
+		// is attributable to collision noise are spurious — drop them. The
+		// test reads the merged totals, never one morsel's share.
+		if g.den <= g.errDen && g.den < 1 {
+			continue
+		}
+		for c, v := range g.keyVals {
+			out.Vecs[c].Append(v)
+		}
+		rowIv := make([]stats.Interval, len(s.node.Aggs))
+		for k, ag := range s.node.Aggs {
+			iv := s.groupInterval(g, k, ag)
+			rowIv[k] = iv
+			out.Vecs[len(s.groupIdx)+k].F64 = append(out.Vecs[len(s.groupIdx)+k].F64, iv.Estimate)
+		}
+		intervals = append(intervals, rowIv)
+	}
+	return out, intervals
+}
+
+// groupInterval derives estimate and a conservative error bound for one
+// aggregate cell. CM bounds are one-sided (overestimates), reported here as
+// symmetric half-widths.
+func (s *sketchSink) groupInterval(g *sjGroup, k int, ag plan.AggSpec) stats.Interval {
+	switch {
+	case ag.Kind == stats.Count:
+		return stats.Interval{Estimate: g.den, HalfWidth: g.errDen}
+	case ag.Kind == stats.Sum && s.aggProbeIdx[k] < 0:
+		return stats.Interval{Estimate: g.num, HalfWidth: g.errNum}
+	case ag.Kind == stats.Sum:
+		return stats.Interval{Estimate: g.probe[k], HalfWidth: g.errProb[k]}
+	case ag.Kind == stats.Avg && s.aggProbeIdx[k] < 0:
+		if g.den == 0 {
+			return stats.Interval{}
+		}
+		r := g.num / g.den
+		hw := (g.errNum + abs(r)*g.errDen) / g.den
+		return stats.Interval{Estimate: r, HalfWidth: hw}
+	case ag.Kind == stats.Avg:
+		if g.den == 0 {
+			return stats.Interval{}
+		}
+		r := g.probe[k] / g.den
+		hw := (g.errProb[k] + abs(r)*g.errDen) / g.den
+		return stats.Interval{Estimate: r, HalfWidth: hw}
+	}
+	return stats.Interval{}
+}
+
+func abs(x float64) float64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}

@@ -67,7 +67,7 @@ func fixtureSample() *synopses.Sample {
 }
 
 func fixtureSketchJoin() *synopses.SketchJoin {
-	sj := synopses.NewSketchJoinWD(128, 4, []string{"sales.product", "sales.store"}, "sales.qty", 42)
+	sj := synopses.NewSketchJoin(128, 4, []string{"sales.product", "sales.store"}, "sales.qty", 42)
 	b := storage.NewBuilder("t", storage.Schema{
 		{Name: "sales.product", Typ: storage.Int64},
 		{Name: "sales.store", Typ: storage.Int64},

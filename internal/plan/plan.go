@@ -236,9 +236,10 @@ type SketchJoin struct {
 	GroupBy   []string // probe-side grouping columns
 	Aggs      []AggSpec
 	// CMWidth/CMDepth size the count-min planes when the sketch is built
-	// inline. The planner derives the width from the build side's distinct
-	// key count (collisions, not the εN bound, dominate point-query error
-	// when keys are few); 0 falls back to accuracy-derived geometry.
+	// inline, and both must then be at least 1 (exec refuses the node
+	// otherwise). The planner derives the width from the build side's
+	// distinct key count: collisions, not the εN bound, dominate point-query
+	// error when keys are few.
 	CMWidth int
 	CMDepth int
 }

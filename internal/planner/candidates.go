@@ -402,7 +402,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	probeOut := p.costFilteredJoinTree(probeQ, nil, &cost)
 	cost.sketchProbeWork(probeOut.rows)
 	cost.aggWork(scanEst{rows: probeOut.rows, width: probeOut.width})
-	cost.serializeCPU() // the whole sketch-join plan runs on the Volcano path
+	cost.serializeCPU() // sketch-join plans are costed as serial work (see planCost)
 	ps.Candidates = append(ps.Candidates, Candidate{
 		Root:    buildPlan,
 		Cost:    cost.seconds(p.Model, p.Parallelism),

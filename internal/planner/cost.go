@@ -71,11 +71,20 @@ func contains(xs []string, x string) bool {
 
 // planCost accumulates the simulated-seconds cost of a candidate.
 //
-// CPU work is split into two buckets: cpuTuples is pipeline work the
+// CPU work is split into two buckets: cpuTuples is spine work the
 // morsel-driven executor spreads across workers (scans, samplers, hash
-// joins, aggregation), serialTuples is Volcano-path work with no parallel
-// runtime (sketch probes). seconds divides only the former by the planner's
-// parallelism factor, so plan choice reflects which runtime a shape lands on.
+// probes, aggregation), serialTuples is work one goroutine does before the
+// pool starts (build-side drains, inline sketch builds). seconds divides only
+// the former by the planner's parallelism factor.
+//
+// The serial bucket also holds one term that no longer describes the
+// runtime: a sketch-join candidate's whole cost (serializeCPU,
+// sketchProbeWork), from when a serial operator ran those plans. Their probe
+// spine and sketch lookups ride the worker pool now, so under Parallelism > 1
+// the charge is conservative — sketch-joins look as expensive as they were,
+// not as cheap as they became. It is left alone on purpose: changing it moves
+// plan choice, and ROADMAP's cost-model item refits it against a regret
+// number instead of by argument.
 type planCost struct {
 	baseBytes      int64
 	warehouseBytes int64
@@ -168,18 +177,18 @@ func (c *planCost) filterWork(rows float64, serial bool) {
 	}
 }
 
-// sketchProbeWork charges probing a CM sketch per probe tuple. Sketch joins
-// run on the serial Volcano path, so this work does not shrink with the
-// executor's worker count.
+// sketchProbeWork charges probing a CM sketch per probe tuple, as serial
+// work: conservative since the lookups moved onto the morsel spine (see
+// planCost).
 func (c *planCost) sketchProbeWork(probeRows float64) {
 	c.serialTuples += int64(probeRows * 4) // d hash rows per probe
 }
 
 // serializeCPU reclassifies all pipeline CPU accumulated so far as serial
-// work. Sketch-join candidates use it: their whole physical plan — build
-// scan, CM updates, probe-side join tree and final aggregation — runs on the
-// Volcano operators (matchParallelAgg rejects SketchJoin shapes), so none of
-// it shrinks with the executor's worker count.
+// work. Sketch-join candidates use it for their whole physical plan — build
+// scan, CM updates, probe-side join tree and final grouping. Only the build
+// scan and CM updates still run serially; the rest is the conservative term
+// planCost describes.
 func (c *planCost) serializeCPU() {
 	c.serialTuples += c.cpuTuples
 	c.cpuTuples = 0

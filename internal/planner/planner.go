@@ -72,9 +72,11 @@ type Planner struct {
 	// Seed drives sampler seeds derived per synopsis.
 	Seed uint64
 	// Parallelism is the intra-query worker count the morsel-driven executor
-	// will run pipeline shapes (scan→sample→filter→join→aggregate) with;
-	// plan costing divides parallelizable CPU work by it while serial
-	// Volcano work (sketch probes) stays undivided. The default 1 reproduces
+	// will run a plan's spine (scan→sample→filter→join→sink) with; plan
+	// costing divides the spine's CPU work by it while serially drained work
+	// (join build sides, inline sketch builds) stays undivided. Sketch-join
+	// candidates still charge their whole cost as serial (planCost explains;
+	// ROADMAP's cost-model item owns refitting it). The default 1 reproduces
 	// serial estimates and keeps plan choice machine-independent; engines
 	// configured with an explicit worker count set it so plan choice
 	// reflects the parallel runtime.

@@ -451,8 +451,10 @@ func TestPlanCostParallelismFactor(t *testing.T) {
 		t.Fatalf("exact plan at P=8 (%v) must be cheaper than at P=1 (%v)",
 			ps8.Exact.Cost, ps1.Exact.Cost)
 	}
-	// Sketch-join candidates run entirely on the serial Volcano path, so
-	// their cost must not shrink with the parallelism factor.
+	// Sketch-join candidates are costed as wholly serial work — conservative
+	// since their probe side moved onto the morsel spine, and held fixed until
+	// the cost model is refit (planCost) — so their cost does not shrink with
+	// the parallelism factor.
 	sketchCost := func(ps *PlanSet) float64 {
 		for _, c := range ps.Candidates {
 			if strings.HasPrefix(c.Desc, "build sketch-join") {
@@ -483,7 +485,7 @@ func TestBind(t *testing.T) {
 	sample := func() *synopses.Sample {
 		return synopses.BuildSampleFromTable("s", productsTable(), synopses.NewUniformSampler(0.5, 1), nil)
 	}
-	sketch := synopses.NewSketchJoinWD(8, 2, []string{"sales.product"}, "sales.amount", 1)
+	sketch := synopses.NewSketchJoin(8, 2, []string{"sales.product"}, "sales.amount", 1)
 	wh := warehouse.NewManagerWithSpiller(1<<20, 1<<20, memSpiller{})
 	p := New(meta.NewStore(), wh, storage.DefaultCostModel())
 	const resident, spilled, sketched, refreshed, absent = 1, 2, 3, 4, 5

@@ -64,16 +64,3 @@ func UniformProbability(k, minGroup int) (p float64, ok bool) {
 	}
 	return p, p <= maxUniformP
 }
-
-// CMGeometry converts an accuracy spec into count-min sketch dimensions:
-// ε = RelError scaled down (CM error is relative to the L1 norm N, which is
-// much larger than any single group's value, so ε must be far below the
-// target relative error; the /50 heuristic keeps sketches in the paper's
-// "few MB" range while passing the 10% group-error bar in our workloads),
-// and δ = 1 − Confidence.
-func CMGeometry(spec AccuracySpec) (eps, delta float64) {
-	if !spec.Valid() {
-		spec = DefaultAccuracy
-	}
-	return spec.RelError / 50, 1 - spec.Confidence
-}

@@ -246,16 +246,6 @@ func TestUniformProbability(t *testing.T) {
 	}
 }
 
-func TestCMGeometry(t *testing.T) {
-	eps, delta := CMGeometry(AccuracySpec{RelError: 0.1, Confidence: 0.95})
-	if eps != 0.002 {
-		t.Fatalf("eps = %v", eps)
-	}
-	if math.Abs(delta-0.05) > 1e-12 {
-		t.Fatalf("delta = %v", delta)
-	}
-}
-
 // Property: the variance estimator is non-negative and scale-consistent:
 // scaling all values by c scales the SUM variance by c².
 func TestVarianceScalingQuick(t *testing.T) {

@@ -30,24 +30,11 @@ type CMSketch struct {
 	occupied int
 }
 
-// NewCMSketch returns a sketch with εN additive error at confidence 1−δ.
-func NewCMSketch(eps, delta float64, seed uint64) *CMSketch {
-	if eps <= 0 {
-		eps = 0.001
-	}
-	if delta <= 0 || delta >= 1 {
-		delta = 0.01
-	}
-	w := int(math.Ceil(math.E / eps))
-	d := int(math.Ceil(math.Log(1 / delta)))
-	if d < 1 {
-		d = 1
-	}
-	return NewCMSketchWD(w, d, seed)
-}
-
-// NewCMSketchWD returns a sketch with explicit width and depth.
-func NewCMSketchWD(w, d int, seed uint64) *CMSketch {
+// NewCMSketch returns a sketch of width w and depth d (each at least 1). The
+// εN-at-confidence-1−δ guarantee of the type comment needs w = ⌈e/ε⌉ and
+// d = ⌈ln(1/δ)⌉; the planner sizes w from the build side's distinct key count
+// instead, so that point-query collisions stay rare.
+func NewCMSketch(w, d int, seed uint64) *CMSketch {
 	if w < 1 {
 		w = 1
 	}
@@ -171,7 +158,7 @@ func decodeCMPayload(r *storage.Reader) (*CMSketch, error) {
 	if w < 1 || d < 1 || w > 1<<28 || d > 1<<10 || r.Remaining() < 8*w*d {
 		return nil, fmt.Errorf("synopses: corrupt CM sketch header (w=%d d=%d, %d payload bytes)", w, d, r.Remaining())
 	}
-	s := NewCMSketchWD(w, d, seed)
+	s := NewCMSketch(w, d, seed)
 	s.n = n
 	for i := range s.cells {
 		v, err := r.F64()

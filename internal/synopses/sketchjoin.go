@@ -21,25 +21,12 @@ type SketchJoin struct {
 	seed    uint64
 }
 
-// NewSketchJoin returns an empty sketch-join synopsis with the given CM
-// geometry (shared by the count and sum planes).
-func NewSketchJoin(eps, delta float64, keyCols []string, aggCol string, seed uint64) *SketchJoin {
+// NewSketchJoin returns an empty sketch-join whose count and sum planes are
+// w×d count-min sketches.
+func NewSketchJoin(w, d int, keyCols []string, aggCol string, seed uint64) *SketchJoin {
 	return &SketchJoin{
-		Count:   NewCMSketch(eps, delta, seed),
-		Sum:     NewCMSketch(eps, delta, seed^0xabad1dea),
-		KeyCols: append([]string(nil), keyCols...),
-		AggCol:  aggCol,
-		seed:    seed,
-	}
-}
-
-// NewSketchJoinWD returns an empty sketch-join with explicit width/depth —
-// used when the planner sizes the sketch from the build side's distinct key
-// count so that point-query collisions stay rare.
-func NewSketchJoinWD(w, d int, keyCols []string, aggCol string, seed uint64) *SketchJoin {
-	return &SketchJoin{
-		Count:   NewCMSketchWD(w, d, seed),
-		Sum:     NewCMSketchWD(w, d, seed^0xabad1dea),
+		Count:   NewCMSketch(w, d, seed),
+		Sum:     NewCMSketch(w, d, seed^0xabad1dea),
 		KeyCols: append([]string(nil), keyCols...),
 		AggCol:  aggCol,
 		seed:    seed,
@@ -152,7 +139,7 @@ func DecodeSketchJoin(b []byte) (*SketchJoin, error) {
 
 // BuildSketchJoin streams an entire table into a new sketch-join synopsis —
 // the offline/byproduct materialization path.
-func BuildSketchJoin(tbl *storage.Table, keyCols []string, aggCol string, eps, delta float64, seed uint64) (*SketchJoin, error) {
+func BuildSketchJoin(tbl *storage.Table, keyCols []string, aggCol string, w, d int, seed uint64) (*SketchJoin, error) {
 	keyIdxs := make([]int, 0, len(keyCols))
 	for _, c := range keyCols {
 		i := tbl.Schema().Index(c)
@@ -168,7 +155,7 @@ func BuildSketchJoin(tbl *storage.Table, keyCols []string, aggCol string, eps, d
 			return nil, fmt.Errorf("synopses: sketch-join: unknown aggregate column %q", aggCol)
 		}
 	}
-	sj := NewSketchJoin(eps, delta, keyCols, aggCol, seed)
+	sj := NewSketchJoin(w, d, keyCols, aggCol, seed)
 	for p := 0; p < tbl.Partitions(); p++ {
 		for _, b := range tbl.Scan(p, storage.BatchSize) {
 			for i := 0; i < b.Len(); i++ {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCMSketchExactWhenSparse(t *testing.T) {
-	s := NewCMSketchWD(1024, 4, 42)
+	s := NewCMSketch(1024, 4, 42)
 	for k := uint64(0); k < 50; k++ {
 		s.Add(k, float64(k+1))
 	}
@@ -24,7 +24,7 @@ func TestCMSketchExactWhenSparse(t *testing.T) {
 }
 
 func TestCMSketchNeverUnderestimates(t *testing.T) {
-	s := NewCMSketchWD(64, 4, 7)
+	s := NewCMSketch(64, 4, 7)
 	truth := make(map[uint64]float64)
 	r := newRng(99)
 	for i := 0; i < 20000; i++ {
@@ -42,7 +42,7 @@ func TestCMSketchNeverUnderestimates(t *testing.T) {
 func TestCMSketchErrorBound(t *testing.T) {
 	// With w = ⌈e/ε⌉ the additive error should be ≤ εN w.h.p.
 	eps, delta := 0.01, 0.01
-	s := NewCMSketch(eps, delta, 3)
+	s := NewCMSketch(int(math.Ceil(math.E/eps)), int(math.Ceil(math.Log(1/delta))), 3)
 	truth := make(map[uint64]float64)
 	r := newRng(5)
 	for i := 0; i < 100000; i++ {
@@ -63,9 +63,9 @@ func TestCMSketchErrorBound(t *testing.T) {
 }
 
 func TestCMSketchMerge(t *testing.T) {
-	a := NewCMSketchWD(256, 3, 11)
-	b := NewCMSketchWD(256, 3, 11)
-	whole := NewCMSketchWD(256, 3, 11)
+	a := NewCMSketch(256, 3, 11)
+	b := NewCMSketch(256, 3, 11)
+	whole := NewCMSketch(256, 3, 11)
 	for k := uint64(0); k < 100; k++ {
 		a.Add(k, 1)
 		b.Add(k, 2)
@@ -79,11 +79,11 @@ func TestCMSketchMerge(t *testing.T) {
 			t.Fatalf("merged estimate differs at %d", k)
 		}
 	}
-	c := NewCMSketchWD(128, 3, 11)
+	c := NewCMSketch(128, 3, 11)
 	if err := a.Merge(c); err == nil {
 		t.Fatal("want geometry mismatch error")
 	}
-	d := NewCMSketchWD(256, 3, 12)
+	d := NewCMSketch(256, 3, 12)
 	if err := a.Merge(d); err == nil {
 		t.Fatal("want seed mismatch error")
 	}
@@ -92,7 +92,7 @@ func TestCMSketchMerge(t *testing.T) {
 // TestCMSketchEncodeDecode round-trips the sketch body the sketch-join record
 // nests (a CM sketch has no record of its own).
 func TestCMSketchEncodeDecode(t *testing.T) {
-	s := NewCMSketchWD(32, 3, 9)
+	s := NewCMSketch(32, 3, 9)
 	for k := uint64(0); k < 500; k++ {
 		s.Add(k, float64(k%7))
 	}
@@ -121,7 +121,7 @@ func TestCMSketchEncodeDecode(t *testing.T) {
 // Property: CM estimates dominate true counts for arbitrary key multisets.
 func TestCMSketchDominanceQuick(t *testing.T) {
 	f := func(keys []uint8) bool {
-		s := NewCMSketchWD(64, 3, 1)
+		s := NewCMSketch(64, 3, 1)
 		truth := map[uint64]float64{}
 		for _, k := range keys {
 			s.Add(uint64(k), 1)
@@ -301,7 +301,7 @@ func TestSketchJoinEstimates(t *testing.T) {
 		}
 	}
 	tbl := b.Build(2)
-	sj, err := BuildSketchJoin(tbl, []string{"f.k"}, "f.v", 0.001, 0.01, 17)
+	sj, err := BuildSketchJoin(tbl, []string{"f.k"}, "f.v", 2719, 5, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,16 +317,16 @@ func TestSketchJoinEstimates(t *testing.T) {
 	if sj.SizeBytes() <= 0 {
 		t.Fatal("SizeBytes")
 	}
-	if _, err := BuildSketchJoin(tbl, []string{"nope"}, "f.v", 0.01, 0.01, 1); err == nil {
+	if _, err := BuildSketchJoin(tbl, []string{"nope"}, "f.v", 272, 5, 1); err == nil {
 		t.Fatal("want unknown key column error")
 	}
-	if _, err := BuildSketchJoin(tbl, []string{"f.k"}, "nope", 0.01, 0.01, 1); err == nil {
+	if _, err := BuildSketchJoin(tbl, []string{"f.k"}, "nope", 272, 5, 1); err == nil {
 		t.Fatal("want unknown agg column error")
 	}
 }
 
 func TestSketchJoinMerge(t *testing.T) {
-	mk := func() *SketchJoin { return NewSketchJoin(0.01, 0.01, []string{"k"}, "v", 9) }
+	mk := func() *SketchJoin { return NewSketchJoin(272, 5, []string{"k"}, "v", 9) }
 	a, b, whole := mk(), mk(), mk()
 	vec := []*storage.Vector{
 		{Typ: storage.Int64, I64: []int64{7}},

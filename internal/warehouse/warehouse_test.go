@@ -151,7 +151,7 @@ func TestElasticQuota(t *testing.T) {
 }
 
 func TestSketchItem(t *testing.T) {
-	sk := synopses.NewSketchJoin(0.01, 0.01, []string{"k"}, "v", 1)
+	sk := synopses.NewSketchJoin(272, 5, []string{"k"}, "v", 1)
 	it := NewSketchItem(9, sk)
 	if it.Size != sk.SizeBytes() || it.Kind() != SketchItem || !it.Loaded() {
 		t.Fatalf("item = %+v", it)
