@@ -78,15 +78,17 @@ func BenchmarkExecuteServe(b *testing.B) {
 
 // TestExecuteServeAllocBudget is the CI allocation-regression tripwire: the
 // steady-state serving path must stay under an allocs/op budget. The budget
-// is ~1.6x the measured baseline (~1.45k allocs/op with the engine-wide
-// vector pool, pooled selection vectors on the kernel filter path, and the
-// plan cache), so it tolerates noise and workload drift but fails on a
-// regression of the pooling or caching machinery itself.
+// is 15 % above the measured figure (369 allocs/op with the engine-wide
+// vector pool, pooled selection vectors and row widths, the plan cache, the
+// join cache and a spine that slices only the columns a query reads), so it
+// tolerates workload drift but fails on a regression of the pooling or
+// caching machinery itself — one more Vector header per scanned batch is
+// already ~40 allocs/op.
 func TestExecuteServeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget benchmark skipped in -short mode")
 	}
-	const budget = 2_300 // allocs per served query, steady state
+	const budget = 424 // allocs per served query, steady state
 	res := testing.Benchmark(BenchmarkExecuteServe)
 	if got := res.AllocsPerOp(); got > budget {
 		t.Fatalf("serving fast path allocates %d allocs/op, budget is %d — pooled execution or plan caching regressed", got, budget)

@@ -54,12 +54,12 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		return NewFilterOp(child, t.Pred, ctx)
 
 	case *plan.Aggregate:
-		return newPipelineOp(t.Child, "an aggregate", seed, ctx, func(in storage.Schema) (sink, error) {
+		return newPipelineOp(t.Child, "an aggregate", aggReads(t.GroupBy, t.Aggs), seed, ctx, func(in storage.Schema) (sink, error) {
 			return resolveAggSpec(in, t.GroupBy, t.Aggs)
 		})
 
 	case *plan.SketchJoin:
-		return newPipelineOp(t.Probe, "a sketch-join", seed, ctx, func(in storage.Schema) (sink, error) {
+		return newPipelineOp(t.Probe, "a sketch-join", sketchReads(t), seed, ctx, func(in storage.Schema) (sink, error) {
 			return newSketchSink(t, in, seed, ctx)
 		})
 

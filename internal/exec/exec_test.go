@@ -351,7 +351,7 @@ func TestJoinOfSampledSideCarriesWeights(t *testing.T) {
 		}
 	}
 	// Join schema must contain exactly one weight column, at the end.
-	spec, err := resolveJoinSpec(synopses.SampleSchema(ordersTable().Schema()), customersTable().Schema(), j.LeftKeys, j.RightKeys)
+	spec, err := resolveJoinSpec(synopses.SampleSchema(ordersTable().Schema()), customersTable().Schema(), j.LeftKeys, j.RightKeys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,27 +41,39 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec) (*
 	}
 	for _, ag := range aggs {
 		idx := -1
-		if ag.Col != "" {
-			idx = in.Index(ag.Col)
-			if idx < 0 {
-				return nil, fmt.Errorf("exec: aggregate: column %q not in %v", ag.Col, in.Names())
-			}
-		} else if ag.Kind != stats.Count {
-			return nil, fmt.Errorf("exec: %s requires a column", ag.Kind)
-		}
-		if ag.Kind == stats.Count {
+		switch {
+		case ag.Kind == stats.Count:
 			// Storage has no NULLs and a COUNT accumulator reads only the
 			// row weights, so COUNT(col) is COUNT(*) under its own alias: it
-			// folds no column, whatever the column's type.
-			idx = -1
-		} else if !in[idx].Typ.Numeric() {
-			return nil, fmt.Errorf("exec: %s over non-numeric column %q", ag.Kind, ag.Col)
+			// reads — and so binds — no column, whatever the column's type
+			// (planner.Query.Validate has checked the column exists).
+		case ag.Col == "":
+			return nil, fmt.Errorf("exec: %s requires a column", ag.Kind)
+		default:
+			if idx = in.Index(ag.Col); idx < 0 {
+				return nil, fmt.Errorf("exec: aggregate: column %q not in %v", ag.Col, in.Names())
+			}
+			if !in[idx].Typ.Numeric() {
+				return nil, fmt.Errorf("exec: %s over non-numeric column %q", ag.Kind, ag.Col)
+			}
 		}
 		s.aggIdx = append(s.aggIdx, idx)
 		s.schema = append(s.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
 	}
 	s.weightIdx = in.Index(synopses.WeightCol)
 	return s, nil
+}
+
+// aggReads names the spine columns an aggregation reads: its group columns
+// and the column of every aggregate but COUNT, which folds none.
+func aggReads(groupBy []string, aggs []plan.AggSpec) []string {
+	reads := append([]string(nil), groupBy...)
+	for _, ag := range aggs {
+		if ag.Kind != stats.Count && ag.Col != "" {
+			reads = append(reads, ag.Col)
+		}
+	}
+	return reads
 }
 
 // outSchema implements sink.
@@ -73,9 +85,12 @@ func (s *aggSpec) prepare(*Context) error { return nil }
 // newPartial implements sink.
 func (s *aggSpec) newPartial() partial { return newAggTable(s) }
 
+// aggGroup is one group's state: its key values and one accumulator per
+// aggregate, held by value — opening a group is one allocation for the lot,
+// and a 4 096-row morsel of a high-cardinality GROUP BY opens a thousand.
 type aggGroup struct {
 	keyVals []storage.Value
-	accs    []*stats.GroupAccumulator
+	accs    []stats.GroupAccumulator
 }
 
 // aggTable is one hash table of group accumulators — a complete aggregation
@@ -122,9 +137,9 @@ func newAggTable(spec *aggSpec) *aggTable {
 }
 
 func (t *aggTable) newGroup(b *storage.Batch, row int) *aggGroup {
-	g := &aggGroup{accs: make([]*stats.GroupAccumulator, len(t.spec.aggs))}
+	g := &aggGroup{accs: make([]stats.GroupAccumulator, len(t.spec.aggs))}
 	for k, ag := range t.spec.aggs {
-		g.accs[k] = stats.NewGroupAccumulator(ag.Kind)
+		g.accs[k] = *stats.NewGroupAccumulator(ag.Kind)
 	}
 	if b != nil {
 		for _, gi := range t.spec.groupIdx {
@@ -137,7 +152,7 @@ func (t *aggTable) newGroup(b *storage.Batch, row int) *aggGroup {
 // fold implements partial: the aggregation exchange charges every live row's
 // bytes as shuffle plus one CPU tuple, then observes the batch.
 func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
-	ctx.Stats.ShuffleBytes += batchBytes(b)
+	ctx.Stats.ShuffleBytes += b.LiveWidth()
 	ctx.Stats.CPUTuples += int64(b.Rows())
 	t.observe(b)
 }
@@ -167,7 +182,7 @@ func (t *aggTable) observe(b *storage.Batch) {
 		// column slice directly.
 		g := t.singleGroup()
 		for k := range t.spec.aggs {
-			observeSingle(g.accs[k], b, sel, t.spec.aggIdx[k], wcol)
+			observeSingle(&g.accs[k], b, sel, t.spec.aggIdx[k], wcol)
 		}
 		return
 	}
@@ -221,6 +236,11 @@ func fixedWord(v *storage.Vector, i int) uint64 {
 // the reused rowGroups scratch, indexed by live-row position). A run of equal
 // keys — common on clustered input — resolves once.
 func (t *aggTable) resolveGroups(b *storage.Batch, sel []int32) []*aggGroup {
+	if cap(t.rowGroups) < b.Rows() {
+		// One table lives for one morsel — four batches — so the scratch is
+		// sized once rather than grown.
+		t.rowGroups = make([]*aggGroup, 0, max(b.Rows(), storage.BatchSize))
+	}
 	gs := t.rowGroups[:0]
 	switch {
 	case t.fixed1 != nil:
@@ -373,11 +393,7 @@ func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, c
 func observeGrouped(gs []*aggGroup, k int, b *storage.Batch, sel []int32, ci int, wcol []float64) {
 	if ci < 0 { // COUNT: y = 1 per row
 		switch {
-		case wcol == nil && sel == nil:
-			for _, g := range gs {
-				g.accs[k].Observe(1, 1)
-			}
-		case wcol == nil:
+		case wcol == nil: // gs is already the live rows, selection or not
 			for _, g := range gs {
 				g.accs[k].Observe(1, 1)
 			}
@@ -448,7 +464,7 @@ func (t *aggTable) merge(o partial) {
 			continue
 		}
 		for k := range g.accs {
-			g.accs[k].Merge(og.accs[k])
+			g.accs[k].Merge(&og.accs[k])
 		}
 	}
 }
@@ -481,8 +497,8 @@ func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 			out.Vecs[c].Append(v)
 		}
 		rowIv := make([]stats.Interval, len(t.spec.aggs))
-		for k, acc := range g.accs {
-			iv := acc.Interval(confidence)
+		for k := range g.accs {
+			iv := g.accs[k].Interval(confidence)
 			rowIv[k] = iv
 			out.Vecs[len(t.spec.groupIdx)+k].F64 = append(out.Vecs[len(t.spec.groupIdx)+k].F64, iv.Estimate)
 		}

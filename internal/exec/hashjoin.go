@@ -18,7 +18,10 @@ const joinBatchRows = storage.BatchSize
 
 // joinSpec is the resolved column binding of one equi-join: key and payload
 // column positions on both sides plus the output schema. It is computed once
-// and shared by every prober of the join (one per morsel).
+// and shared by every prober of the join (one per morsel). The payload is
+// what something above the join reads, not what the two sides hold: the
+// build table keeps every column (its cache identity and its charge are the
+// full rows'), the probe gathers from it selectively.
 //
 // If either input carries a sampler weight column, the join merges them into
 // a single trailing weight column whose value is the product of the sides'
@@ -33,6 +36,9 @@ type joinSpec struct {
 	leftCols    []int // left columns copied to output (weight excluded)
 	rightCols   []int
 	outWeights  bool
+	// widthAdj is what a joined row's width is short of its two sides' sum:
+	// 8 when both carry a weight column, since the two merge into one.
+	widthAdj int32
 
 	// fixedKey marks a single-column join whose key type is identical and
 	// fixed-width (int64/float64/bool) on both sides: the table is then
@@ -46,8 +52,10 @@ type joinSpec struct {
 	schema storage.Schema
 }
 
-// resolveJoinSpec binds join key columns by name against both input schemas.
-func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys []string) (*joinSpec, error) {
+// resolveJoinSpec binds join key columns by name against both input schemas,
+// and the output to the columns of either side that one of the names in need
+// binds to (nil need: every column).
+func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) (*joinSpec, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("exec: hash join needs equal, non-empty key lists")
 	}
@@ -73,20 +81,20 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys []string) (*join
 	j.leftWeight = ls.Index(synopses.WeightCol)
 	j.rightWeight = rs.Index(synopses.WeightCol)
 	j.outWeights = j.leftWeight >= 0 || j.rightWeight >= 0
-	for i, c := range ls {
-		if i == j.leftWeight {
-			continue
-		}
-		j.schema = append(j.schema, c)
-		j.leftCols = append(j.leftCols, i)
+	if j.leftWeight >= 0 && j.rightWeight >= 0 {
+		j.widthAdj = 8
 	}
-	for i, c := range rs {
-		if i == j.rightWeight {
-			continue
+	payload := func(s storage.Schema, weight int) (cols []int) {
+		for _, i := range neededCols(s, need) {
+			if i != weight {
+				cols = append(cols, i)
+				j.schema = append(j.schema, s[i])
+			}
 		}
-		j.schema = append(j.schema, c)
-		j.rightCols = append(j.rightCols, i)
+		return cols
 	}
+	j.leftCols = payload(ls, j.leftWeight)
+	j.rightCols = payload(rs, j.rightWeight)
 	if j.outWeights {
 		j.schema = append(j.schema, storage.Col{Name: synopses.WeightCol, Typ: storage.Float64})
 	}
@@ -102,7 +110,10 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys []string) (*join
 // partition count — only which sub-table owns the key changes. Probe results
 // are therefore byte-identical for any partition/worker count.
 type joinTable struct {
-	rows  *storage.Batch // all build rows concatenated, in input order
+	// rows are all build rows concatenated, in input order and full-width;
+	// rows.Width holds what each costs to exchange, so a matched pair's width
+	// is two array reads.
+	rows  *storage.Batch
 	parts []map[string][]int32
 
 	// The fixed-key fast path (joinSpec.fixedKey) replaces parts with a CSR
@@ -237,23 +248,31 @@ func drainBuild(op Operator, ctx *Context, keep bool) (*storage.Batch, error) {
 		if b == nil {
 			break
 		}
-		ctx.Stats.ShuffleBytes += batchBytes(b)
+		ctx.Stats.ShuffleBytes += b.LiveWidth()
 		bufs = append(bufs, b)
 		total += b.Rows()
 	}
 	var rows *storage.Batch
 	if keep {
 		rows = storage.NewBatch(op.Schema(), total)
+		rows.Width = make([]int32, 0, total)
 	} else {
 		rows = ctx.Pool.GetBatch(op.Schema(), total)
+		rows.Width = ctx.Pool.GetSel(total)
 	}
 	for _, b := range bufs {
-		for c, v := range rows.Vecs {
-			if b.Sel != nil {
+		if b.Sel != nil {
+			for c, v := range rows.Vecs {
 				v.AppendGather(b.Vecs[c], b.Sel)
-			} else {
+			}
+			for _, i := range b.Sel {
+				rows.Width = append(rows.Width, b.Width[i])
+			}
+		} else {
+			for c, v := range rows.Vecs {
 				v.Extend(b.Vecs[c])
 			}
+			rows.Width = append(rows.Width, b.Width...)
 		}
 		ctx.Pool.Release(b)
 	}
@@ -457,7 +476,7 @@ type joinProber struct {
 	pool  *storage.VecPool
 
 	cur      *storage.Batch
-	curRow   int
+	curRow   int // position among cur's live rows
 	matches  []int32
 	matchPos int
 	pending  bool
@@ -466,8 +485,9 @@ type joinProber struct {
 	// lrows/mrows accumulate the (probe row, build row) pairs of the output
 	// chunk under construction; flush gathers them into the output batch
 	// column-major, one type dispatch per column instead of one per value.
-	// lrows indices are relative to cur, so the pairs are flushed before cur
-	// is released.
+	// lrows are physical row indices into cur — the probe walks cur under its
+	// selection and never gathers it — so the pairs are flushed before cur is
+	// released.
 	lrows []int32
 	mrows []int32
 }
@@ -489,17 +509,22 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 				}
 				return nil, nil
 			}
-			if b.Len() == 0 {
+			if b.Rows() == 0 {
+				p.pool.Release(b)
 				continue
 			}
 			p.cur, p.curRow, p.pending = b, 0, false
 		}
-		for p.curRow < p.cur.Len() {
+		for live := p.cur.Rows(); p.curRow < live; {
+			row := p.curRow
+			if p.cur.Sel != nil {
+				row = int(p.cur.Sel[row])
+			}
 			if !p.pending {
 				if p.spec.fixedKey {
-					p.matches = p.table.lookupWord(fixedWord(p.cur.Vecs[p.spec.leftKeys[0]], p.curRow))
+					p.matches = p.table.lookupWord(fixedWord(p.cur.Vecs[p.spec.leftKeys[0]], row))
 				} else {
-					p.key = groupKey(p.key, p.cur.Vecs, p.spec.leftKeys, p.curRow)
+					p.key = groupKey(p.key, p.cur.Vecs, p.spec.leftKeys, row)
 					p.matches = p.table.lookup(p.key)
 				}
 				p.matchPos = 0
@@ -508,15 +533,15 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 			if p.matchPos < len(p.matches) {
 				if out == nil {
 					out = p.pool.GetBatch(p.spec.schema, joinBatchRows)
+					out.Width = p.pool.GetSel(joinBatchRows)
 				}
 				room := joinBatchRows - out.Len() - len(p.lrows)
 				take := len(p.matches) - p.matchPos
 				if take > room {
 					take = room
 				}
-				row := int32(p.curRow)
 				for _, m := range p.matches[p.matchPos : p.matchPos+take] {
-					p.lrows = append(p.lrows, row)
+					p.lrows = append(p.lrows, int32(row))
 					p.mrows = append(p.mrows, m)
 				}
 				p.matchPos += take
@@ -542,9 +567,9 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 	}
 }
 
-// flush gathers the accumulated pairs into out column-major. Pair order is
-// exactly the row-at-a-time emit order, so output batches are byte-identical
-// to the pre-gather prober's.
+// flush gathers the accumulated pairs into out column-major — the payload
+// columns the spec names, the merged weight, and each pair's width. Pair
+// order is exactly the row-at-a-time emit order.
 func (p *joinProber) flush(out *storage.Batch) {
 	if len(p.lrows) == 0 {
 		return
@@ -554,8 +579,9 @@ func (p *joinProber) flush(out *storage.Batch) {
 		out.Vecs[col].AppendGather(p.cur.Vecs[lc], p.lrows)
 		col++
 	}
+	build := p.table.rows
 	for _, rc := range p.spec.rightCols {
-		out.Vecs[col].AppendGather(p.table.rows.Vecs[rc], p.mrows)
+		out.Vecs[col].AppendGather(build.Vecs[rc], p.mrows)
 		col++
 	}
 	if p.spec.outWeights {
@@ -567,11 +593,17 @@ func (p *joinProber) flush(out *storage.Batch) {
 				w *= p.cur.Vecs[lw].F64[row]
 			}
 			if rw >= 0 {
-				w *= p.table.rows.Vecs[rw].F64[p.mrows[i]]
+				w *= build.Vecs[rw].F64[p.mrows[i]]
 			}
 			dst = append(dst, w)
 		}
 		out.Vecs[col].F64 = dst
+	}
+	// A joined row is both its sides' rows side by side; two weight columns
+	// merge into one.
+	lwid, rwid, adj := p.cur.Width, build.Width, p.spec.widthAdj
+	for i, row := range p.lrows {
+		out.Width = append(out.Width, lwid[row]+rwid[p.mrows[i]]-adj)
 	}
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]
 }
@@ -589,18 +621,14 @@ func (p *joinProber) probe(child Operator, ctx *Context) (*storage.Batch, error)
 			if err != nil || b == nil {
 				return nil, err
 			}
-			ctx.Stats.ShuffleBytes += batchBytes(b)
+			ctx.Stats.ShuffleBytes += b.LiveWidth()
 			ctx.Pool.Release(b)
 		}
 	}
 	out, err := p.next(func() (*storage.Batch, error) {
 		b, err := child.Next()
 		if b != nil {
-			// The prober walks rows by physical index; resolve any selection
-			// first (the dense batch's bytes equal the selection's SelBytes,
-			// so the shuffle charge is order-independent).
-			b = b.Materialize(ctx.Pool)
-			ctx.Stats.ShuffleBytes += batchBytes(b)
+			ctx.Stats.ShuffleBytes += b.LiveWidth()
 		}
 		return b, err
 	})
@@ -608,21 +636,4 @@ func (p *joinProber) probe(child Operator, ctx *Context) (*storage.Batch, error)
 		ctx.Stats.CPUTuples += int64(out.Len())
 	}
 	return out, err
-}
-
-// batchBytes is the live-row payload size of a batch: selection-carrying
-// batches charge exactly what their gathered equivalent would, so shuffle
-// accounting is identical whether a filter attached a selection or gathered.
-func batchBytes(b *storage.Batch) int64 {
-	var n int64
-	if b.Sel != nil {
-		for _, v := range b.Vecs {
-			n += v.SelBytes(b.Sel)
-		}
-		return n
-	}
-	for _, v := range b.Vecs {
-		n += v.Bytes()
-	}
-	return n
 }

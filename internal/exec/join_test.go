@@ -53,7 +53,7 @@ func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
 // joined batches themselves, which a compiled plan only shows a sink.
 func probeOp(t *testing.T, probe, build Operator, probeKeys, buildKeys []string, ctx *Context) Operator {
 	t.Helper()
-	spec, err := resolveJoinSpec(probe.Schema(), build.Schema(), probeKeys, buildKeys)
+	spec, err := resolveJoinSpec(probe.Schema(), build.Schema(), probeKeys, buildKeys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

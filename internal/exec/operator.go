@@ -17,6 +17,11 @@
 // and built synopses are byte-identical at any worker count. SortOp, above a
 // sink, orders the handful of group rows it emitted.
 //
+// The spine is narrow: each level holds only the columns something above it
+// reads (newPipelineOp), and every batch row carries what its whole logical
+// row costs to exchange (storage.Batch.Width), so ShuffleBytes is the full
+// rows' whatever was copied.
+//
 // Samplers are pipelined, with materialization as a byproduct (paper §III).
 // Fixed-width single-column join keys are indexed without a Go map (a dense
 // offset array or an open-addressing table behind joinTable.lookupWord), and
@@ -56,7 +61,7 @@ type RunStats struct {
 	BaseBytes      int64 // cold bytes scanned from base tables
 	WarehouseBytes int64 // bytes scanned from materialized synopses
 	CPUTuples      int64 // tuples pushed through operators
-	ShuffleBytes   int64 // bytes exchanged for joins/aggregations
+	ShuffleBytes   int64 // full-width row bytes exchanged for joins/aggregations
 	OutputRows     int64
 
 	BuiltSamples  []BuiltSample

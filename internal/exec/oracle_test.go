@@ -8,6 +8,15 @@ package exec_test
 // nothing internal/exec declares: a kernel bug, a probe bug or a merge bug in
 // the executor cannot also be a bug here.
 //
+// It charges, too. The simulated cluster's cost rule is a property of the
+// logical plan and the full-width rows that flow through it, not of what an
+// executor chooses to copy, so the oracle states it over its own boxed rows
+// (oracleCost) and the engine's counters must equal it exactly: a scan reads
+// every partition its parent filter's zone maps cannot refute; a join
+// exchanges its build rows and its probe input; an aggregate exchanges its
+// input; a row costs 8 bytes per int64 or float64, 1 per bool, len+16 per
+// string, over all of its columns.
+//
 // Semantics it shares with the engine because they are the query language's,
 // not the executor's: storage has no NULLs, so COUNT(col) is COUNT(*); join
 // keys match only within one type; groups come out ordered by their key
@@ -35,6 +44,54 @@ type relation struct {
 	schema  storage.Schema
 	rows    [][]storage.Value
 	inexact []bool
+	cost    oracleCost // what producing the relation charged, inputs included
+}
+
+// oracleCost is the cost rule's four counters: base-table bytes scanned,
+// tuples pushed through operators, bytes exchanged, rows a sink put out.
+type oracleCost struct {
+	base, cpu, shuffle, out int64
+}
+
+func (c oracleCost) plus(o oracleCost) oracleCost {
+	return oracleCost{c.base + o.base, c.cpu + o.cpu, c.shuffle + o.shuffle, c.out + o.out}
+}
+
+// width is the bytes an exchange of the rows moves.
+func width(rows [][]storage.Value) int64 {
+	var n int64
+	for _, row := range rows {
+		for _, v := range row {
+			switch v.Typ {
+			case storage.Int64, storage.Float64:
+				n += 8
+			case storage.Bool:
+				n++
+			case storage.String:
+				n += int64(len(v.S)) + 16
+			}
+		}
+	}
+	return n
+}
+
+// scanRows reads the table's partitions, skipping those whose zone map proves
+// prune (nil: none) rejects every row; what it reads it pays for, per byte
+// and per tuple.
+func scanRows(tbl *storage.Table, prune expr.Expr) relation {
+	rel := relation{schema: tbl.Schema()}
+	for p := 0; p < tbl.Partitions(); p++ {
+		if prune != nil && expr.ZonePrunes(prune, tbl.Schema(), tbl.Zone(p)) {
+			continue
+		}
+		for _, b := range tbl.Scan(p, 1024) {
+			for i := 0; i < b.Len(); i++ {
+				rel.rows = append(rel.rows, b.Row(i))
+			}
+		}
+	}
+	rel.cost = oracleCost{base: width(rel.rows), cpu: int64(len(rel.rows))}
+	return rel
 }
 
 // oracleEval answers a plan tree. Unknown node types fail the test: the
@@ -43,19 +100,19 @@ func oracleEval(t testing.TB, n plan.Node) relation {
 	t.Helper()
 	switch n := n.(type) {
 	case *plan.Scan:
-		rel := relation{schema: n.Table.Schema()}
-		for p := 0; p < n.Table.Partitions(); p++ {
-			for _, b := range n.Table.Scan(p, 1024) {
-				for i := 0; i < b.Len(); i++ {
-					rel.rows = append(rel.rows, b.Row(i))
-				}
-			}
-		}
-		return rel
+		return scanRows(n.Table, nil)
 
 	case *plan.Filter:
-		in := oracleEval(t, n.Child)
-		out := relation{schema: in.schema}
+		// A filter directly over a scan lends it its predicate to prune by;
+		// either way the filter looks at every row that reaches it.
+		var in relation
+		if sc, ok := n.Child.(*plan.Scan); ok {
+			in = scanRows(sc.Table, n.Pred)
+		} else {
+			in = oracleEval(t, n.Child)
+		}
+		out := relation{schema: in.schema, cost: in.cost}
+		out.cost.cpu += int64(len(in.rows))
 		for _, row := range in.rows {
 			one := storage.NewBatch(in.schema, 1)
 			for c, v := range row {
@@ -72,27 +129,43 @@ func oracleEval(t testing.TB, n plan.Node) relation {
 		return out
 
 	case *plan.Join:
-		left, right := oracleEval(t, n.Left), oracleEval(t, n.Right)
+		// The build side comes first and is exchanged whole. An empty one
+		// proves the join empty, and nothing below it on the probe side is
+		// read at all: builds run top-down and the first empty one stops the
+		// plan.
+		right := oracleEval(t, n.Right)
+		right.cost.shuffle += width(right.rows)
+		if len(right.rows) == 0 {
+			return relation{schema: n.Schema(), cost: right.cost}
+		}
+		left := oracleEval(t, n.Left)
 		lk, rk := columnsOf(t, left.schema, n.LeftKeys), columnsOf(t, right.schema, n.RightKeys)
 		byKey := make(map[string][]int)
 		for i, row := range right.rows {
 			k := keyText(row, rk)
 			byKey[k] = append(byKey[k], i)
 		}
-		out := relation{schema: left.schema.Concat(right.schema)}
+		out := relation{schema: left.schema.Concat(right.schema), cost: left.cost.plus(right.cost)}
 		for _, lrow := range left.rows {
 			for _, i := range byKey[keyText(lrow, lk)] {
 				row := append(append([]storage.Value(nil), lrow...), right.rows[i]...)
 				out.rows = append(out.rows, row)
 			}
 		}
+		// The probe input is exchanged too; every joined row is a tuple.
+		out.cost.shuffle += width(left.rows)
+		out.cost.cpu += int64(len(out.rows))
 		return out
 
 	case *plan.Aggregate:
-		return oracleAggregate(t, n, oracleEval(t, n.Child))
+		in := oracleEval(t, n.Child)
+		out := oracleAggregate(t, n, in)
+		out.cost = in.cost.plus(oracleCost{cpu: int64(len(in.rows)), shuffle: width(in.rows), out: int64(len(out.rows))})
+		return out
 
 	case *plan.Sort:
 		in := oracleEval(t, n.Child)
+		in.cost.cpu += int64(len(in.rows))
 		by := columnsOf(t, in.schema, n.By)
 		sort.SliceStable(in.rows, func(a, b int) bool {
 			for k, c := range by {

@@ -36,6 +36,11 @@ type pipeline struct {
 	// bottom-up. At most one SynopsisOp; any number of Joins.
 	chain   []plan.Node
 	sampler *plan.SynopsisOp // the chain's sampler node, if any
+
+	// The leaf scan's projection: the positions and schema of the leaf columns
+	// anything on the spine reads.
+	leafCols   []int
+	leafSchema storage.Schema
 }
 
 // matchSpine recognizes the spine shape below a sink (over names the sink
@@ -149,21 +154,58 @@ type PipelineOp struct {
 }
 
 // newPipelineOp is the one lowering that runs a spine: it matches the shape
-// below the sink, compiles the spine's join build sides, hands the spine's
-// physical output schema to bind for the sink's column binding (on an error
-// the sink it returns is not looked at), and validates the sampler and
-// filter configuration up front.
-func newPipelineOp(spine plan.Node, over string, seed uint64, ctx *Context, bind func(in storage.Schema) (sink, error)) (*PipelineOp, error) {
+// below the sink, compiles the spine's join build sides, narrows every level
+// of the spine to the columns something above it reads (reads names the
+// sink's), hands the spine's physical output schema to bind for the sink's
+// column binding (on an error the sink it returns is not looked at), and
+// validates the sampler and filter configuration up front.
+//
+// A column is needed at a level when a node above that level names it: the
+// sink's group, aggregate, probe-key and weight columns, a Filter's predicate
+// columns, a Join's left keys, a sampler's stratification columns. Needs only
+// grow going down, so one top-down pass appends them to a single list and
+// remembers, per chain node, how much of the list was there before the node
+// added its own. A sampler whose output is materialized needs every column of
+// its input — the stored sample is the whole row — and so does everything
+// below it. Names bind through Schema.Index at every level, exactly as the
+// operators bind them; a name that matches nothing at a level keeps nothing
+// there. What a dropped column would have cost to exchange is not lost:
+// every batch carries its rows' full widths (storage.Batch.Width).
+func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ctx *Context, bind func(in storage.Schema) (sink, error)) (*PipelineOp, error) {
 	pipe, err := matchSpine(spine, over)
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the physical schema along the spine. The left spine keeps the
-	// seed and every right subtree derives seed*31+7, so a sampled build side
-	// draws the same rows wherever on the spine its join sits.
-	cur := pipe.leaf.Schema()
+	names := append([]string{synopses.WeightCol}, reads...)
+	above := make([]int, len(pipe.chain)) // names[:above[i]] are read above chain[i]
+	wholeBelow := -1                      // index of a materializing sampler: all below it stays whole
+	for i := len(pipe.chain) - 1; i >= 0 && wholeBelow < 0; i-- {
+		above[i] = len(names)
+		switch t := pipe.chain[i].(type) {
+		case *plan.Filter:
+			names = t.Pred.Columns(names)
+		case *plan.Join:
+			names = append(names, t.LeftKeys...)
+		case *plan.SynopsisOp:
+			names = append(names, t.StratCols...)
+			if _, ok := ctx.MaterializeSamples[t]; ok {
+				wholeBelow = i
+			}
+		}
+	}
+
+	// Resolve the physical schema along the spine, bottom-up. The left spine
+	// keeps the seed and every right subtree derives seed*31+7, so a sampled
+	// build side draws the same rows wherever on the spine its join sits.
+	var leafNeed []string // nil: every column
+	if wholeBelow < 0 {
+		leafNeed = names
+	}
+	pipe.leafCols = neededCols(pipe.leaf.Schema(), leafNeed)
+	pipe.leafSchema = projectSchema(pipe.leaf.Schema(), pipe.leafCols)
+	cur := pipe.leafSchema
 	var joins []*pipelineJoinState
-	for _, n := range pipe.chain {
+	for i, n := range pipe.chain {
 		switch t := n.(type) {
 		case *plan.SynopsisOp:
 			cur = synopses.SampleSchema(cur)
@@ -172,7 +214,11 @@ func newPipelineOp(spine plan.Node, over string, seed uint64, ctx *Context, bind
 			if err != nil {
 				return nil, err
 			}
-			spec, err := resolveJoinSpec(cur, build.Schema(), t.LeftKeys, t.RightKeys)
+			var need []string // nil: the join's output keeps every column
+			if i > wholeBelow {
+				need = names[:above[i]]
+			}
+			spec, err := resolveJoinSpec(cur, build.Schema(), t.LeftKeys, t.RightKeys, need)
 			if err != nil {
 				return nil, err
 			}
@@ -190,6 +236,33 @@ func newPipelineOp(spine plan.Node, over string, seed uint64, ctx *Context, bind
 		return nil, err
 	}
 	return &PipelineOp{pipe: pipe, joins: joins, sink: snk, seed: seed, ctx: ctx}, nil
+}
+
+// neededCols returns, ascending, the positions of s's columns that some name
+// binds to; nil names stand for every column.
+func neededCols(s storage.Schema, names []string) []int {
+	mark := make([]bool, len(s))
+	for _, n := range names {
+		if i := s.Index(n); i >= 0 {
+			mark[i] = true
+		}
+	}
+	cols := make([]int, 0, len(s))
+	for i, m := range mark {
+		if m || names == nil {
+			cols = append(cols, i)
+		}
+	}
+	return cols
+}
+
+// projectSchema is s restricted to the columns at cols.
+func projectSchema(s storage.Schema, cols []int) storage.Schema {
+	out := make(storage.Schema, len(cols))
+	for i, c := range cols {
+		out[i] = s[c]
+	}
+	return out
 }
 
 // morselResult is everything one morsel produced: its partial sink state,
@@ -390,7 +463,7 @@ func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool) morselR
 	}
 	lo := i * morselRows
 	hi := lo + morselRows
-	root.src.batches = p.pipe.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep)
+	root.src.batches = p.pipe.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep, p.pipe.leafSchema, p.pipe.leafCols)
 
 	part := p.sink.newPartial()
 	if err := root.op.Open(); err != nil {
@@ -423,7 +496,7 @@ type morselChain struct {
 // instances get the morsel's split seed and partitioned δ; probe operators
 // share the join states' pre-built hash tables.
 func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
-	src := &morselScan{schema: pipe.leaf.Schema(), ctx: mctx}
+	src := &morselScan{schema: pipe.leafSchema, ctx: mctx}
 	var cur Operator = src
 	ji := 0
 	for _, n := range pipe.chain {
@@ -460,9 +533,13 @@ type morselProbeOp struct {
 	prober joinProber
 }
 
-// Open implements Operator.
+// Open implements Operator. The prober's pair lists are sized up front: a
+// morsel is four batches long, too short to grow them from nothing.
 func (o *morselProbeOp) Open() error {
-	o.prober = joinProber{spec: o.st.spec, table: o.st.table, pool: o.ctx.Pool}
+	o.prober = joinProber{
+		spec: o.st.spec, table: o.st.table, pool: o.ctx.Pool,
+		lrows: make([]int32, 0, joinBatchRows), mrows: make([]int32, 0, joinBatchRows),
+	}
 	return o.child.Open()
 }
 

@@ -8,6 +8,7 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/exec"
@@ -43,16 +44,22 @@ func engineRun(t testing.TB, n plan.Node, ctx *exec.Context) ([]*storage.Batch, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fp string
+	return out, renderAnswer(out, op)
+}
+
+// renderAnswer is the bit-exact text of an answer: its rows, then the
+// intervals the operator reports for them.
+func renderAnswer(out []*storage.Batch, op exec.Operator) string {
+	var fp strings.Builder
 	for _, b := range out {
 		for i := 0; i < b.Len(); i++ {
-			fp += fmt.Sprintf("%v\n", b.Row(i))
+			fmt.Fprintf(&fp, "%v\n", b.Row(i))
 		}
 	}
 	if rep, ok := op.(exec.IntervalReporter); ok {
-		fp += fmt.Sprintf("|%v", rep.Intervals())
+		fmt.Fprintf(&fp, "|%v", rep.Intervals())
 	}
-	return out, fp
+	return fp.String()
 }
 
 func workerCtx(workers, morselRows int) *exec.Context {
@@ -69,6 +76,12 @@ func mustCharge(t *testing.T, label string, got *exec.RunStats, baseBytes, cpuTu
 			label, got.BaseBytes, got.CPUTuples, got.ShuffleBytes, got.OutputRows, got.WarehouseBytes,
 			baseBytes, cpuTuples, shuffleBytes, outputRows)
 	}
+}
+
+// mustChargeOracle holds an engine run's counters to the oracle's charge.
+func mustChargeOracle(t *testing.T, label string, want oracleCost, got *exec.RunStats) {
+	t.Helper()
+	mustCharge(t, label, got, want.base, want.cpu, want.shuffle, want.out)
 }
 
 // TestAggMatchesOracleExact: exact aggregation carries no randomness and the
@@ -391,7 +404,10 @@ func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 // over a repartitioned copy of the catalog. Engine runs are bit-equal to
 // each other — rows and intervals; the oracle agrees cell for cell: group
 // keys and COUNTs exactly, the rest within 1e-9 relative (the generated
-// measures are not integers, and the engine sums per morsel).
+// measures are not integers, and the engine sums per morsel). The oracle
+// charges as well, over its own full-width rows, and every engine run's cost
+// counters equal its charge exactly — the retiled run against an oracle over
+// the retiled catalog, whose partitions prune differently.
 func TestOracleMeetsTheCatalogs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans and answers every workload template six ways")
@@ -423,7 +439,7 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 				return ps.Exact.Root
 			}
 			r := rand.New(rand.NewSource(11))
-			joins, sorts := 0, 0
+			joins, sorts, emptyBuilds := 0, 0, 0
 			for _, tpl := range w.Templates {
 				for i := 0; i < 2; i++ {
 					sql := tpl.Instantiate(r) + " EXACT"
@@ -437,19 +453,26 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 						}
 					})
 					want := oracleEval(t, root)
+					if want.cost.shuffle == 0 {
+						emptyBuilds++
+					}
 					var base string
 					for _, workers := range []int{1, 4, 8} {
-						out, fp := engineRun(t, root, workerCtx(workers, 0))
+						ctx := workerCtx(workers, 0)
+						out, fp := engineRun(t, root, ctx)
 						label := fmt.Sprintf("%s workers=%d\nSQL: %s", tpl.Name, workers, sql)
 						mustMatchOracle(t, label, want, out, 1e-9)
+						mustChargeOracle(t, label, want.cost, ctx.Stats)
 						if base == "" {
 							base = fp
 						} else if fp != base {
 							t.Fatalf("%s: engine answer differs from workers=1", label)
 						}
 					}
-					out, fp := engineRun(t, exactRoot(retiled.Catalog, sql), workerCtx(4, 0))
+					ctx, tiledRoot := workerCtx(4, 0), exactRoot(retiled.Catalog, sql)
+					out, fp := engineRun(t, tiledRoot, ctx)
 					mustMatchOracle(t, tpl.Name+" retiled\nSQL: "+sql, want, out, 1e-9)
+					mustChargeOracle(t, tpl.Name+" retiled\nSQL: "+sql, oracleEval(t, tiledRoot).cost, ctx.Stats)
 					if fp != base {
 						t.Fatalf("%s: engine answer over the retiled catalog differs\nSQL: %s", tpl.Name, sql)
 					}
@@ -458,6 +481,7 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 			if joins == 0 {
 				t.Fatalf("vacuous run: %d joins, %d sorts across %d templates", joins, sorts, len(w.Templates))
 			}
+			t.Logf("%d joins, %d sorts, %d plans that exchange nothing (an empty topmost build stops them)", joins, sorts, emptyBuilds)
 		})
 	}
 }

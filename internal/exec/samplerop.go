@@ -23,6 +23,8 @@ type SamplerOp struct {
 
 	matBuilder *synopses.SampleBuilder
 	matCols    []string
+
+	pass []int32 // per-batch scratch: the passing rows' physical indices
 }
 
 // NewSamplerOp builds the sampler described by the plan node. The context's
@@ -66,7 +68,11 @@ func newSamplerOpDelta(child Operator, node *plan.SynopsisOp, delta int, seed ui
 // Open implements Operator.
 func (s *SamplerOp) Open() error { return s.Child.Open() }
 
-// Next implements Operator.
+// Next implements Operator. Decisions first, copies second: the sampler walks
+// the batch's live rows in order — under the selection, by physical index, so
+// a filtered stream draws exactly as its gathered equivalent did — collecting
+// the passing rows and their weights, and each output column is then gathered
+// once. A passing row's width grows by the weight column's 8 bytes.
 func (s *SamplerOp) Next() (*storage.Batch, error) {
 	for {
 		b, err := s.Child.Next()
@@ -77,36 +83,43 @@ func (s *SamplerOp) Next() (*storage.Batch, error) {
 			s.finishMaterialization()
 			return nil, nil
 		}
-		// The sampler's per-row decisions are keyed to dense row positions
-		// (reproducibility contract); resolve any selection so a filtered
-		// stream reads exactly as its gathered equivalent did.
-		b = b.Materialize(s.ctx.Pool)
-		n := b.Len()
+		n := b.Rows()
 		s.ctx.Stats.CPUTuples += int64(n)
+		pass := s.pass[:0]
 		out := s.ctx.Pool.GetBatch(s.schema, n/4+1)
-		wcol := len(s.schema) - 1
-		for i := 0; i < n; i++ {
+		weights := out.Vecs[len(s.schema)-1]
+		for j := 0; j < n; j++ {
+			i := j
+			if b.Sel != nil {
+				i = int(b.Sel[j])
+			}
 			var d synopses.Decision
 			if s.matBuilder != nil {
 				d = s.matBuilder.Offer(s.sampler, b.Vecs, i)
 			} else {
 				d = s.sampler.Decide(b.Vecs, i)
 			}
-			if !d.Pass {
-				continue
+			if d.Pass {
+				pass = append(pass, int32(i))
+				weights.F64 = append(weights.F64, d.Weight)
 			}
-			for c := 0; c < wcol; c++ {
-				out.Vecs[c].AppendFrom(b.Vecs[c], i)
-			}
-			out.Vecs[wcol].F64 = append(out.Vecs[wcol].F64, d.Weight)
 		}
-		// Sampling and materialization both copy rows out, so the input batch
-		// can be recycled whether or not any row passed.
-		s.ctx.Pool.Release(b)
-		if out.Len() == 0 {
+		s.pass = pass
+		if len(pass) == 0 {
 			s.ctx.Pool.Release(out)
+			s.ctx.Pool.Release(b)
 			continue
 		}
+		for c, v := range b.Vecs {
+			out.Vecs[c].AppendGather(v, pass)
+		}
+		out.Width = s.ctx.Pool.GetSel(len(pass))
+		for _, i := range pass {
+			out.Width = append(out.Width, b.Width[i]+8)
+		}
+		// Sampling and materialization both copy rows out, so the input batch
+		// can be recycled.
+		s.ctx.Pool.Release(b)
 		return out, nil
 	}
 }

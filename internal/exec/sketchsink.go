@@ -112,6 +112,20 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, seed uint64, ctx *C
 	return s, nil
 }
 
+// sketchReads names the probe-spine columns a sketch-join reads: its probe
+// keys, its group columns and the probe-side aggregate columns (an aggregate
+// over the build column reads the sketch's sum plane, and COUNT its count
+// plane).
+func sketchReads(node *plan.SketchJoin) []string {
+	reads := append(append([]string(nil), node.ProbeKeys...), node.GroupBy...)
+	for _, ag := range node.Aggs {
+		if ag.Kind != stats.Count && ag.Col != "" && ag.Col != node.AggCol {
+			reads = append(reads, ag.Col)
+		}
+	}
+	return reads
+}
+
 // outSchema implements sink.
 func (s *sketchSink) outSchema() storage.Schema { return s.schema }
 

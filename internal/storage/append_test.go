@@ -81,3 +81,46 @@ func TestCatalogAppend(t *testing.T) {
 		t.Fatal("append to unknown table accepted")
 	}
 }
+
+// TestRowWidthsFollowThePartition: a scan batch's Width is each row's payload
+// over every column — whatever the scan projects — its sum is the partition's
+// Bytes, and an append shares the array with every partition it did not
+// touch.
+func TestRowWidthsFollowThePartition(t *testing.T) {
+	sch := Schema{{Name: "t.id", Typ: Int64}, {Name: "t.s", Typ: String}, {Name: "t.b", Typ: Bool}}
+	fill := func(n int) *Table {
+		b := NewBuilder("t", sch)
+		for i := 0; i < n; i++ {
+			b.Int(0, int64(i))
+			b.Str(1, "xyz"[:i%4])
+			b.Bool(2, i%2 == 0)
+		}
+		return b.Build(1)
+	}
+	t0 := fill(10).Repartition(4)
+	var sum int64
+	for _, b := range t0.ScanRangePruned(0, 10, 3, nil, sch[2:], []int{2}) {
+		if len(b.Vecs) != 1 || b.Vecs[0].Typ != Bool || len(b.Width) != b.Len() {
+			t.Fatalf("projected batch: %d vectors, %d widths for %d rows", len(b.Vecs), len(b.Width), b.Len())
+		}
+		sum += b.LiveWidth()
+	}
+	if sum != t0.Bytes() || sum != 10*(8+16+1)+(0+1+2+3)*2+(0+1) {
+		t.Fatalf("widths sum to %d, table holds %d bytes", sum, t0.Bytes())
+	}
+	none := t0.ScanRangePruned(0, 10, 16, nil, Schema{}, []int{})
+	if len(none) != 3 || none[0].Len() != 4 || none[0].Rows() != 4 {
+		t.Fatalf("a scan of no columns must still count rows: %d batches", len(none))
+	}
+
+	t1, err := t0.Append(fill(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &t0.Partition(0).rowWidths()[0] != &t1.Partition(0).rowWidths()[0] {
+		t.Fatal("an untouched partition recomputed its row widths across versions")
+	}
+	if t1.Partitions() != 4 || len(t1.Partition(2).rowWidths()) != 4 || len(t0.Partition(2).rowWidths()) != 2 {
+		t.Fatalf("tail widths: new %d, old %d", len(t1.Partition(2).rowWidths()), len(t0.Partition(2).rowWidths()))
+	}
+}

@@ -149,7 +149,7 @@ func (p *VecPool) GetBatch(schema Schema, n int) *Batch {
 	for i, c := range schema {
 		b.Vecs[i] = p.GetVector(c.Typ, n)
 	}
-	b.Sel = nil
+	b.Sel, b.Width = nil, nil
 	b.pooled = true
 	return b
 }
@@ -173,6 +173,10 @@ func (p *VecPool) Release(b *Batch) {
 		return
 	}
 	b.pooled = false
+	// A pooled batch's widths are pool memory like its selection; scan output
+	// (not pooled) carries a view of the partition's own array.
+	p.PutSel(b.Width)
+	b.Width = nil
 	p.Obs.Put()
 	for i, v := range b.Vecs {
 		p.putVector(v)
@@ -197,6 +201,12 @@ func (b *Batch) Materialize(p *VecPool) *Batch {
 	out := p.GetBatch(b.Schema, len(b.Sel))
 	for c, v := range b.Vecs {
 		out.Vecs[c].AppendGather(v, b.Sel)
+	}
+	if b.Width != nil {
+		out.Width = p.GetSel(len(b.Sel))
+		for _, i := range b.Sel {
+			out.Width = append(out.Width, b.Width[i])
+		}
 	}
 	p.Release(b)
 	return out

@@ -23,6 +23,9 @@ type Partition struct {
 
 	bytesOnce sync.Once
 	bytes     int64
+
+	widthOnce sync.Once
+	widths    []int32
 }
 
 // Rows returns the partition's row count.
@@ -48,6 +51,45 @@ func (p *Partition) Bytes() int64 {
 		p.bytes = n
 	})
 	return p.bytes
+}
+
+// rowWidths returns every row's payload width in bytes — 8 per int64 or
+// float64, 1 per bool, len+16 per string, summed over all columns — computed
+// on first call and cached like Bytes. Scans hand slices of it out as
+// Batch.Width, so what a row costs to exchange is read, not recomputed from
+// its strings, however few of its columns a scan projects. The partition is
+// immutable, so the array is carried across every table version that shares
+// it. Σ rowWidths = Bytes, exactly: both are the same integer sum in a
+// different order.
+//
+//taster:mutator sync.Once-guarded lazy cache: the single winning writer publishes the array via Once's happens-before edge
+func (p *Partition) rowWidths() []int32 {
+	p.widthOnce.Do(func() {
+		var fixed int32
+		var strs []*Vector
+		for _, c := range p.cols {
+			switch c.Typ {
+			case Int64, Float64:
+				fixed += 8
+			case Bool:
+				fixed++
+			case String:
+				fixed += 16 // string header overhead
+				strs = append(strs, c)
+			}
+		}
+		w := make([]int32, p.rows)
+		for i := range w {
+			w[i] = fixed
+		}
+		for _, c := range strs {
+			for i, s := range c.Str {
+				w[i] += int32(len(s))
+			}
+		}
+		p.widths = w
+	})
+	return p.widths
 }
 
 // Table is an immutable columnar table *version*, horizontally divided into
@@ -357,7 +399,7 @@ func (t *Table) Scan(p, batchSize int) []*Batch {
 		if end > part.rows {
 			end = part.rows
 		}
-		out = append(out, sliceBatch(t.schema, part.cols, start, end))
+		out = append(out, sliceBatch(t.schema, part, nil, start, end))
 	}
 	return out
 }
@@ -369,13 +411,16 @@ func (t *Table) Scan(p, batchSize int) []*Batch {
 // row indices, independent of the physical partition layout, which is what
 // keeps results byte-identical across any PartitionRows setting.
 func (t *Table) ScanRange(lo, hi, batchSize int) []*Batch {
-	return t.ScanRangePruned(lo, hi, batchSize, nil)
+	return t.ScanRangePruned(lo, hi, batchSize, nil, t.schema, nil)
 }
 
 // ScanRangePruned is ScanRange restricted to partitions where keep[p] is
-// true (nil keep = all). The executor passes the zone-map pruning verdict;
-// rows of pruned partitions are skipped without being read.
-func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool) []*Batch {
+// true (nil keep = all) and to the columns at positions cols, whose schema
+// the caller passes (nil cols = every column, under t.Schema()). The executor
+// passes the zone-map pruning verdict — rows of pruned partitions are skipped
+// without being read — and the columns its spine reads; a batch's Width is
+// the full row's whatever the projection.
+func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schema, cols []int) []*Batch {
 	if lo < 0 {
 		lo = 0
 	}
@@ -404,16 +449,26 @@ func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool) []*Batch {
 			if end > e {
 				end = e
 			}
-			out = append(out, sliceBatch(t.schema, part.cols, start, end))
+			out = append(out, sliceBatch(schema, part, cols, start, end))
 		}
 	}
 	return out
 }
 
-func sliceBatch(schema Schema, cols []*Vector, start, end int) *Batch {
-	b := &Batch{Schema: schema, Vecs: make([]*Vector, len(cols))}
+// sliceBatch is the zero-copy view of part's rows [start, end) over the
+// columns at positions cols (nil = all), carrying the rows' full widths.
+func sliceBatch(schema Schema, part *Partition, cols []int, start, end int) *Batch {
+	b := &Batch{Schema: schema, Width: part.rowWidths()[start:end]}
+	if cols == nil {
+		b.Vecs = make([]*Vector, len(part.cols))
+		for i, c := range part.cols {
+			b.Vecs[i] = c.Slice(start, end)
+		}
+		return b
+	}
+	b.Vecs = make([]*Vector, len(cols))
 	for i, c := range cols {
-		b.Vecs[i] = c.Slice(start, end)
+		b.Vecs[i] = part.cols[c].Slice(start, end)
 	}
 	return b
 }

@@ -179,26 +179,6 @@ func (v *Vector) Gather(idx []int) *Vector {
 	return out
 }
 
-// SelBytes returns the in-memory size of the rows at sel, byte-identical to
-// Gather(sel).Bytes() without materializing: shuffle-byte charges on a
-// selection-carrying batch must equal the charges its gathered equivalent
-// would pay.
-func (v *Vector) SelBytes(sel []int32) int64 {
-	switch v.Typ {
-	case Int64, Float64:
-		return int64(len(sel)) * 8
-	case Bool:
-		return int64(len(sel))
-	case String:
-		var n int64
-		for _, i := range sel {
-			n += int64(len(v.Str[i])) + 16 // string header overhead
-		}
-		return n
-	}
-	return 0
-}
-
 // Bytes returns the in-memory size of the vector payload in bytes.
 func (v *Vector) Bytes() int64 {
 	switch v.Typ {
@@ -228,10 +208,20 @@ type Batch struct {
 	// live; the vectors still hold every physical row. Vectorized filters
 	// attach a Sel instead of gathering survivors into fresh vectors, so a
 	// selective predicate costs no per-batch copy. Sel-aware consumers
-	// (the aggregation tables) iterate under it; every other consumer calls
-	// Materialize first. Sel buffers come from VecPool.GetSel and are
+	// (the sinks' tables, the join prober, the sampler) iterate under it;
+	// every other consumer calls Materialize first. Sel buffers come from VecPool.GetSel and are
 	// reclaimed by Release/Materialize exactly like pooled vectors.
 	Sel []int32
+	// Width is what each physical row costs to exchange: the payload bytes of
+	// the whole logical row the batch row stands for, whether or not every
+	// column of it is among Vecs. Scans slice it from the partition's cached
+	// row widths, samplers add their weight column's 8 bytes, a join sums its
+	// two sides; cost accounting sums it over live rows (LiveWidth) instead of
+	// walking the columns, so projecting a spine down to the columns a query
+	// reads moves no simulated byte. Nil on batches nothing charges for (sink
+	// output, sort output). On a pooled batch the buffer is pool memory
+	// (GetSel), reclaimed by Release; on scan output it is table-owned.
+	Width []int32
 	// pooled marks batches whose vectors come from a VecPool free list; only
 	// those are recycled by VecPool.Release (see pool.go for the ownership
 	// contract). Scan output handing out table-owned storage stays false.
@@ -251,10 +241,12 @@ func NewBatch(schema Schema, n int) *Batch {
 }
 
 // Len returns the number of physical rows in the batch's vectors. Callers
-// iterating row data must honor Sel (or use Rows for the live count).
+// iterating row data must honor Sel (or use Rows for the live count). A batch
+// projected down to no column at all — COUNT(*) reads none — still has rows:
+// its widths say how many.
 func (b *Batch) Len() int {
 	if len(b.Vecs) == 0 {
-		return 0
+		return len(b.Width)
 	}
 	return b.Vecs[0].Len()
 }
@@ -268,6 +260,23 @@ func (b *Batch) Rows() int {
 		return len(b.Sel)
 	}
 	return b.Len()
+}
+
+// LiveWidth sums Width over the live rows: the bytes an exchange of this
+// batch moves. It equals the column-major sum of every live value's bytes
+// over the full-width row — the same integers added in another order.
+func (b *Batch) LiveWidth() int64 {
+	var n int64
+	if b.Sel != nil {
+		for _, i := range b.Sel {
+			n += int64(b.Width[i])
+		}
+		return n
+	}
+	for _, w := range b.Width {
+		n += int64(w)
+	}
+	return n
 }
 
 // AppendRow copies row i of src into b. Schemas must be compatible.
