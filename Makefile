@@ -106,16 +106,17 @@ race-all:
 test-race: race
 
 # Ten-second smoke runs of the coverage-guided fuzz targets: the
-# persistence decoders (arbitrary bytes must never panic), the
-# partition-sample merge (statistical invariants under random inputs), the
-# join key index (lookups equal a Go map's for any key words), the filter
-# kernels — the only filter evaluator — against the Eval oracle over random
-# predicate trees, and the SQL front door (arbitrary bytes parse, validate,
-# plan and compile without a panic).
+# persistence decoders (arbitrary bytes must never panic), the executor's
+# per-morsel sample merge (associativity and the SourceRows overflow guard
+# over parts drawn by the live samplers), the join key index (lookups equal
+# a Go map's for any key words), the filter kernels — the only filter
+# evaluator — against the Eval oracle over random predicate trees, and the
+# SQL front door (arbitrary bytes parse, validate, plan and compile without
+# a panic).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzDecodeExpr$$' -fuzztime 10s ./internal/persist
-	$(GO) test -run NONE -fuzz 'FuzzMergePartitionSamples$$' -fuzztime 10s ./internal/synopses
+	$(GO) test -run NONE -fuzz 'FuzzMergeSamples$$' -fuzztime 10s ./internal/synopses
 	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzKernelTree$$' -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/sqlparser

@@ -100,10 +100,8 @@ func TestAsyncExecuteDrainDeterministic(t *testing.T) {
 				}
 				e.Drain()
 				rows = append(rows, resultFingerprint(res))
+				reps = append(reps, reportFingerprint(res.Report))
 			}
-		}
-		for _, r := range e.Reports() {
-			reps = append(reps, reportFingerprint(r))
 		}
 		return reps, rows
 	}
@@ -222,6 +220,8 @@ func TestAsyncConcurrentStorm(t *testing.T) {
 	const goroutines = 8
 	const perG = 6
 	var executed atomic.Int64
+	var repMu sync.Mutex
+	var queryIDs []int
 	var wg sync.WaitGroup
 	errCh := make(chan error, goroutines*perG+16)
 	for g := 0; g < goroutines; g++ {
@@ -236,6 +236,9 @@ func TestAsyncConcurrentStorm(t *testing.T) {
 					return
 				}
 				executed.Add(1)
+				repMu.Lock()
+				queryIDs = append(queryIDs, res.Report.QueryID)
+				repMu.Unlock()
 				if len(res.Rows) == 0 {
 					errCh <- fmt.Errorf("goroutine %d query %d: empty result", g, i)
 					return
@@ -297,17 +300,7 @@ func TestAsyncConcurrentStorm(t *testing.T) {
 		}
 	}
 	// Telemetry: unique IDs, one report per query.
-	reps := e.Reports()
-	seen := make(map[int]bool, len(reps))
-	for _, r := range reps {
-		if seen[r.QueryID] {
-			t.Fatalf("duplicate query ID %d in reports", r.QueryID)
-		}
-		seen[r.QueryID] = true
-	}
-	if int64(len(reps)) != executed.Load()+1 {
-		t.Fatalf("reports = %d, want %d", len(reps), executed.Load()+1)
-	}
+	mustBeDistinctQueryIDs(t, append(queryIDs, res.Report.QueryID), int(executed.Load())+1)
 }
 
 // TestObservationQueueShedsNotBlocks: when the observation queue is full
@@ -386,35 +379,6 @@ func TestTuneOverheadChargedOnlyInTaster(t *testing.T) {
 		}
 		if math.Abs(delta-want) > 1e-9 {
 			t.Fatalf("mode %s: overhead charged %.3f, want %.1f", mode, delta, want)
-		}
-	}
-}
-
-// TestReportsRingBounded: sustained traffic must not grow telemetry without
-// bound — the ring keeps the newest ReportCap reports, oldest first.
-func TestReportsRingBounded(t *testing.T) {
-	cat := testCatalog()
-	e := New(cat, Config{
-		Mode:          ModeTaster,
-		StorageBudget: cat.TotalBytes(),
-		BufferSize:    cat.TotalBytes(),
-		CostModel:     storage.ScaledCostModel(cat.TotalBytes(), 30040),
-		Seed:          7,
-		Synchronous:   true,
-		ReportCap:     8,
-	})
-	for i := 0; i < 12; i++ {
-		if _, err := e.Execute(catQuery(e)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reps := e.Reports()
-	if len(reps) != 8 {
-		t.Fatalf("reports = %d, want cap 8", len(reps))
-	}
-	for i, r := range reps {
-		if r.QueryID != 4+i { // 12 queries, newest 8 are IDs 4..11
-			t.Fatalf("report %d has query ID %d, want %d (newest-last order)", i, r.QueryID, 4+i)
 		}
 	}
 }

@@ -143,6 +143,8 @@ func TestConcurrentTasterServing(t *testing.T) {
 
 	const goroutines = 8
 	const perG = 6
+	var repMu sync.Mutex
+	var queryIDs []int
 	var wg sync.WaitGroup
 	errCh := make(chan error, goroutines*perG)
 	for g := 0; g < goroutines; g++ {
@@ -160,6 +162,9 @@ func TestConcurrentTasterServing(t *testing.T) {
 					errCh <- err
 					return
 				}
+				repMu.Lock()
+				queryIDs = append(queryIDs, res.Report.QueryID)
+				repMu.Unlock()
 				if len(res.Rows) == 0 {
 					errCh <- fmt.Errorf("goroutine %d query %d: empty result", g, i)
 					return
@@ -189,16 +194,22 @@ func TestConcurrentTasterServing(t *testing.T) {
 		}
 	}
 	// Telemetry: one report per executed query, IDs unique.
-	reps := e.Reports()
-	seen := make(map[int]bool, len(reps))
-	for _, r := range reps {
-		if seen[r.QueryID] {
-			t.Fatalf("duplicate query ID %d in reports", r.QueryID)
+	mustBeDistinctQueryIDs(t, append(queryIDs, res.Report.QueryID), goroutines*perG+1)
+}
+
+// mustBeDistinctQueryIDs fails unless ids — the Report.QueryID of every
+// result a test collected — are want distinct values.
+func mustBeDistinctQueryIDs(t *testing.T, ids []int, want int) {
+	t.Helper()
+	seen := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("duplicate query ID %d in reports", id)
 		}
-		seen[r.QueryID] = true
+		seen[id] = true
 	}
-	if len(reps) != goroutines*perG+1 {
-		t.Fatalf("reports = %d, want %d", len(reps), goroutines*perG+1)
+	if len(ids) != want {
+		t.Fatalf("reports = %d, want %d", len(ids), want)
 	}
 }
 

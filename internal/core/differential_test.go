@@ -20,9 +20,9 @@ import (
 // Layout-obliviousness rests on three invariants the engine layers maintain:
 //   - morsel boundaries are global-row-based, never partition-based, so
 //     float accumulation order is identical for any layout;
-//   - uniform sampling draws per global row from a chunk-aligned RNG stream
-//     (synopses.ChunkRows), so a sample over [0,N) is byte-identical no
-//     matter how [0,N) is tiled into partitions;
+//   - every morsel's sampler draws from SplitSeed(seed, morselIdx) over
+//     those same global-row morsel bounds, so a sample over [0,N) is
+//     byte-identical no matter how [0,N) is tiled into partitions;
 //   - zone-map pruning only skips partitions whose zone provably rejects
 //     the filter, so the post-filter stream is unchanged.
 
@@ -176,8 +176,8 @@ const monolithicRows = 1 << 30
 // provably contain no qualifying row, never change a result.
 func TestDifferentialExactPartitionedVsMonolithic(t *testing.T) {
 	// 797 is prime: partition boundaries land nowhere near the 4096-row
-	// morsel grid or sampling chunks, so any accidental dependence on
-	// aligned layouts would surface here.
+	// morsel grid, so any accidental dependence on aligned layouts would
+	// surface here.
 	part := runDifferentialStream(t, ModeExact, 797, 4, false)
 	mono := runDifferentialStream(t, ModeExact, monolithicRows, 4, false)
 	mustEqualRuns(t, "exact part-vs-mono", part, mono)
@@ -186,7 +186,7 @@ func TestDifferentialExactPartitionedVsMonolithic(t *testing.T) {
 // TestDifferentialTasterLayoutOblivious: the full self-tuning engine —
 // sample builds, staleness accounting, plan choice, reuse — is oblivious to
 // the partition layout once pruning (the one deliberate, cost-only
-// layout-dependent behavior) is switched off. Chunk-aligned sampling makes
+// layout-dependent behavior) is switched off. Global-row morsel sampling makes
 // synopses identical for any tiling; everything downstream must follow.
 func TestDifferentialTasterLayoutOblivious(t *testing.T) {
 	part := runDifferentialStream(t, ModeTaster, 797, 4, true)

@@ -102,10 +102,10 @@ type Config struct {
 	// PartitionRows splits every catalog table into fixed-size partitions of
 	// this many rows (the last partition may be shorter; appends extend it
 	// and open new partitions past it). Each partition carries a zone map
-	// that drives partition pruning and scopes synopsis freshness, so an
-	// append touching one partition never stales synopses of its siblings.
-	// 0 (the default) leaves tables as registered — effectively monolithic.
-	// Query results are byte-identical for any value; only costs change.
+	// that lets filtered scans skip it, and an append copies only the tail
+	// partition, sharing the rest with the previous version. 0 (the default)
+	// leaves tables as registered — effectively monolithic. Query results
+	// are byte-identical for any value; only costs change.
 	PartitionRows int
 	// DisablePruning turns zone-map partition pruning off in both the
 	// executor and the planner's cost model. Pruning is sound (results are
@@ -148,10 +148,6 @@ type Config struct {
 	// the serving path: tuning fidelity degrades gracefully while query
 	// latency stays flat. Dropped counts surface in TuningStats.
 	ObservationQueue int
-	// ReportCap bounds the in-memory per-query telemetry ring (default
-	// 4096). Sustained traffic overwrites the oldest reports; Reports()
-	// always returns the newest ReportCap entries, oldest first.
-	ReportCap int
 	// Metrics, when non-nil, is the registry every engine layer writes its
 	// counters into (plan cache, pool, disk tier, executor dispatch, tuning
 	// service, serving path). The registry is strictly write-only from the
@@ -231,9 +227,6 @@ type Engine struct {
 
 	// queryCount assigns query IDs without any lock.
 	queryCount atomic.Int64
-	// reports is the capped telemetry ring; it has its own short lock and
-	// is never held across planning, tuning or execution.
-	reports *reportRing
 
 	// tuneMu serializes the tuner's window state and every warehouse/
 	// metadata rearrangement (tuning rounds under either schedule, elastic
@@ -332,9 +325,6 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 	if cfg.ObservationQueue <= 0 {
 		cfg.ObservationQueue = 1024
 	}
-	if cfg.ReportCap <= 0 {
-		cfg.ReportCap = 4096
-	}
 	if cfg.PlanCacheSize == 0 {
 		cfg.PlanCacheSize = 4096
 	}
@@ -355,14 +345,6 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 		sp = diskSpiller{db}
 	}
 	store := meta.NewStore()
-	// Register every table's partition layout up front, so partition-scoped
-	// staleness never has to fall back to its conservative layout-unknown
-	// path before the first ingest.
-	for _, name := range cat.Names() {
-		if t, err := cat.Table(name); err == nil {
-			store.ObservePartitions(name, t.PartitionRowCounts())
-		}
-	}
 	wh := warehouse.NewManagerWithSpiller(cfg.BufferSize, cfg.StorageBudget, sp)
 	pl := planner.New(store, wh, cfg.CostModel)
 	pl.Seed = cfg.Seed
@@ -380,7 +362,6 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 		tn:      tuner.New(cfg.Tuner, store, wh),
 		choose:  policyFor(cfg.Mode),
 		inline:  cfg.Mode == ModeTaster && cfg.Synchronous,
-		reports: newReportRing(cfg.ReportCap),
 		vecPool: storage.NewVecPool(),
 		// Every cacheable build is over base tables, so the catalog's size is
 		// the scale of what could ever be worth keeping.
@@ -449,10 +430,6 @@ func (e *Engine) Store() *meta.Store { return e.store }
 
 // Warehouse exposes the warehouse manager (used by experiments and hints).
 func (e *Engine) Warehouse() *warehouse.Manager { return e.wh }
-
-// Reports returns the per-query telemetry collected so far: the newest
-// Config.ReportCap reports, oldest first.
-func (e *Engine) Reports() []Report { return e.reports.list() }
 
 // Execute plans, chooses and runs one query. It is safe to call from many
 // goroutines; in the default asynchronous ModeTaster configuration it
@@ -626,7 +603,6 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 		}
 		res.Trace = exec.BuildTraceTree(dec.Chosen.Root, ctx.TraceNodes, built).Render()
 	}
-	e.reports.push(res.Report)
 	return res, nil
 }
 
@@ -785,11 +761,9 @@ func (e *Engine) Ingest(table string, delta *storage.Table) (uint64, error) {
 		e.store.MarkUnseen(table, -added) // roll the pre-mark back
 		return 0, fmt.Errorf("core: ingest into %s: %w", table, err)
 	}
-	// Publish the version, the new partition layout and the pre-mark release
-	// in one atomic store operation, so no reader ever counts the appended
-	// rows twice and partition-scoped staleness can attribute the append to
-	// exactly the partitions it landed in.
-	e.store.PublishAppendParts(table, nt.Epoch(), int64(nt.NumRows()), added, nt.PartitionRowCounts())
+	// Publish the version and the pre-mark release in one atomic store
+	// operation, so no reader ever counts the appended rows twice.
+	e.store.PublishAppend(table, nt.Epoch(), int64(nt.NumRows()), added)
 	if e.mx != nil {
 		e.mx.IngestBatches.Inc()
 		e.mx.IngestRows.Add(added)
@@ -906,9 +880,26 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 	if rows <= 0 {
 		rows = int64(tbl.NumRows())
 	}
-	if err := e.installPinnedLocked(id, s, table, tbl.Epoch(), rows); err != nil {
+	// An id that is already stored — a hint rebuilt after ingestion — is
+	// refreshed in place; a new one goes straight to the warehouse.
+	e.store.SetPinned(id, true)
+	it := warehouse.NewSampleItem(id, s)
+	it.Pinned = true
+	loc := meta.LocWarehouse
+	if e.wh.Has(id) {
+		res, err := e.wh.Refresh(it)
+		if err != nil {
+			return 0, fmt.Errorf("core: pinning sample: %w", err)
+		}
+		if res == warehouse.AdmitBuffer {
+			loc = meta.LocBuffer
+		}
+	} else if err := e.wh.PutWarehouse(it); err != nil {
 		return 0, fmt.Errorf("core: pinning sample: %w", err)
 	}
+	e.store.SetActualSize(id, it.Size)
+	e.store.SetLocation(id, loc)
+	e.store.SetFreshness(id, tbl.Epoch(), map[string]int64{table: rows})
 	e.republishLocked()
 	if e.db != nil {
 		// A pinned hint should be durable the moment the call returns: its
@@ -922,105 +913,4 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 		}
 	}
 	return id, nil
-}
-
-// installPinnedLocked stores a pinned sample under synopsis id and records
-// its size, location and freshness (rows of table seen as of epoch). An id
-// that is already stored — a hint rebuilt after ingestion — is refreshed in
-// place; a new one goes straight to the warehouse.
-func (e *Engine) installPinnedLocked(id uint64, s *synopses.Sample, table string, epoch uint64, rows int64) error {
-	e.store.SetPinned(id, true)
-	it := warehouse.NewSampleItem(id, s)
-	it.Pinned = true
-	loc := meta.LocWarehouse
-	if e.wh.Has(id) {
-		res, err := e.wh.Refresh(it)
-		if err != nil {
-			return err
-		}
-		if res == warehouse.AdmitBuffer {
-			loc = meta.LocBuffer
-		}
-	} else if err := e.wh.PutWarehouse(it); err != nil {
-		return err
-	}
-	e.store.SetActualSize(id, it.Size)
-	e.store.SetLocation(id, loc)
-	e.store.SetFreshness(id, epoch, map[string]int64{table: rows})
-	return nil
-}
-
-// PinPartitionedSample builds and pins one uniform mini-sample per partition
-// of a base table: each partition's sample is its own warehouse item with a
-// partition-scoped descriptor, so the disk tier spills and faults partitions
-// individually, an append landing in one partition leaves its siblings fully
-// fresh (partition-scoped staleness), and refreshing after ingestion
-// rebuilds only the partitions that changed. The planner serves whole-table
-// queries from the complete set merged in partition order; the chunk-aligned
-// build discipline (see synopses.BuildUniformRangeSample) makes that merge
-// bit-identical to a monolithic sample at the same seed. Returns the
-// per-partition synopsis IDs in partition order.
-//
-// A single-partition table is pinned at whole-table scope instead: a
-// Partition=1 descriptor on a monolithic table could never serve a query
-// (MatchSamples matches partition scope exactly, and the merged reuse path
-// needs at least two partitions), so its bytes would hold warehouse budget
-// with zero benefit. The one sample built covers the whole table anyway.
-func (e *Engine) PinPartitionedSample(table string, prob float64, stratCols, aggCols []string, acc stats.AccuracySpec) ([]uint64, error) {
-	e.tuneMu.Lock()
-	defer e.tuneMu.Unlock()
-	tbl, err := e.cat.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	if prob <= 0 {
-		prob = 0.01
-	}
-	if prob > 1 {
-		prob = 1
-	}
-	sig := plan.SignatureOf(&plan.Scan{Table: tbl})
-	// One shared base seed per table: the chunk-aligned discipline keys every
-	// draw to the row's global position under this seed, which is what makes
-	// the per-partition builds merge into exactly the whole-table sample.
-	seed := synopses.SeedFromString("pin-partitioned:"+table, e.cfg.Seed)
-	counts := tbl.PartitionRowCounts()
-	parts := tbl.Partitions()
-	ids := make([]uint64, 0, parts)
-	for pi := 0; pi < parts; pi++ {
-		scope := pi + 1
-		if parts == 1 {
-			scope = 0 // monolithic table: pin at whole-table scope (see godoc)
-		}
-		desc := meta.Descriptor{
-			Kind:      plan.UniformSample,
-			Sig:       sig,
-			StratCols: stratCols,
-			P:         prob,
-			AggCols:   aggCols,
-			Accuracy:  acc,
-			Pinned:    true,
-			Partition: scope,
-		}
-		id := e.store.Intern(desc).Desc.ID
-		s := synopses.BuildPartitionSample(fmt.Sprintf("synopsis_%d", id), tbl, pi, prob, seed, stratCols)
-		// Re-pinning after ingestion typically changes only the tail
-		// partition's contents; untouched partitions rebuild byte-identically
-		// and their refresh is a no-op overwrite. Freshness is the
-		// partition's own row count: partition-scoped staleness compares it
-		// against the observed layout, so an append landing elsewhere
-		// contributes nothing.
-		if err := e.installPinnedLocked(id, s, table, tbl.Epoch(), counts[pi]); err != nil {
-			return ids, fmt.Errorf("core: pinning partition %d sample on %s: %w", pi+1, table, err)
-		}
-		ids = append(ids, id)
-	}
-	e.store.ObservePartitions(table, counts)
-	e.republishLocked()
-	if e.db != nil {
-		if err := e.checkpointLocked(false); err != nil {
-			return ids, fmt.Errorf("core: pinned partitioned sample on %s installed but not yet durable: %w", table, err)
-		}
-	}
-	return ids, nil
 }

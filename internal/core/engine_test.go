@@ -105,6 +105,7 @@ func TestTasterConvergesToReuse(t *testing.T) {
 	truth := exactAnswer(t)
 
 	var first, last *Result
+	created := 0
 	for i := 0; i < 6; i++ {
 		res, err := e.Execute(catQuery(e))
 		if err != nil {
@@ -114,6 +115,7 @@ func TestTasterConvergesToReuse(t *testing.T) {
 			first = res
 		}
 		last = res
+		created += len(res.Report.CreatedSynopses)
 		// Group coverage: all 4 categories, every run.
 		if len(res.Rows) != 4 {
 			t.Fatalf("run %d: %d groups (missing groups!)", i, len(res.Rows))
@@ -136,10 +138,6 @@ func TestTasterConvergesToReuse(t *testing.T) {
 		t.Fatalf("reuse did not speed up: cold %.3f warm %.3f", coldScan, warmScan)
 	}
 	// Telemetry must show materialization happened at some point.
-	created := 0
-	for _, r := range e.Reports() {
-		created += len(r.CreatedSynopses)
-	}
 	if created == 0 {
 		t.Fatal("no synopses were materialized")
 	}
@@ -287,16 +285,11 @@ func TestFilteredQueryCompensation(t *testing.T) {
 func TestReportsAccumulate(t *testing.T) {
 	e := testEngine(ModeTaster)
 	for i := 0; i < 3; i++ {
-		if _, err := e.Execute(catQuery(e)); err != nil {
+		res, err := e.Execute(catQuery(e))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	reps := e.Reports()
-	if len(reps) != 3 {
-		t.Fatalf("reports = %d", len(reps))
-	}
-	for i, r := range reps {
-		if r.QueryID != i || r.SimSeconds <= 0 || r.PlanTree == "" {
+		if r := res.Report; r.QueryID != i || r.SimSeconds <= 0 || r.PlanTree == "" {
 			t.Fatalf("report %d malformed: %+v", i, r)
 		}
 	}

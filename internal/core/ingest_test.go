@@ -189,6 +189,45 @@ func TestIngestRefreshesPinnedSample(t *testing.T) {
 	}
 }
 
+// TestPinnedSampleStaleOnPartitionedTable: synopses are whole-table scoped
+// whatever the storage layout, so on a partitioned table one row appended to
+// the tail partition stales a pinned sample of the relation, and the
+// fresh-only policy then refuses it.
+func TestPinnedSampleStaleOnPartitionedTable(t *testing.T) {
+	cat := testCatalog()
+	e := New(cat, Config{
+		Mode:          ModeTaster,
+		StorageBudget: cat.TotalBytes(),
+		BufferSize:    cat.TotalBytes(),
+		CostModel:     storage.ScaledCostModel(cat.TotalBytes(), 30040),
+		Seed:          7,
+		PartitionRows: 9000, // sales tiles as [9000, 9000, 9000, 3000]
+		Synchronous:   true,
+	})
+	sales, _ := e.Catalog().Table("sales")
+	if sales.Partitions() != 4 {
+		t.Fatalf("test setup: sales has %d partitions, want 4", sales.Partitions())
+	}
+	id := pinSalesHint(t, e, synopses.NewDistinctSampler(0.01, 10, []int{0}, 3))
+	if s := e.Store().Staleness(id); s != 0 {
+		t.Fatalf("pinned sample stale before any append: %v", s)
+	}
+	if _, ok := runsOn(t, e, id); !ok {
+		t.Fatal("test setup: the fresh pinned sample must serve the query")
+	}
+	// qty stays inside the base distribution, so the refusal below is the
+	// staleness policy's and not a raised sample-size bar.
+	if _, err := e.Ingest("sales", salesDelta(1, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Store().Staleness(id), 1.0/30001.0; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("staleness after a one-row append = %v, want %v", got, want)
+	}
+	if _, ok := runsOn(t, e, id); ok {
+		t.Fatal("fresh-only policy served a pinned sample that has missed a row")
+	}
+}
+
 // TestIngestDeterministicAcrossWorkers: the acceptance criterion's
 // byte-identical guarantee extends to the ingest path — the same
 // query/append/query sequence yields identical rows at any worker count.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -12,82 +11,6 @@ import (
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
 )
-
-// partitionedEngine is testEngine over the shared catalog, tiled into
-// PartitionRows-sized partitions. 9000 tiles the 30000-row sales table as
-// [9000, 9000, 9000, 3000] — a short tail, so appends land inside an
-// existing partition rather than always opening a new one.
-func partitionedEngine(partRows int, maxStaleness float64) *Engine {
-	cat := testCatalog()
-	return New(cat, Config{
-		Mode:          ModeTaster,
-		StorageBudget: cat.TotalBytes(),
-		BufferSize:    cat.TotalBytes(),
-		CostModel:     storage.ScaledCostModel(cat.TotalBytes(), 30040),
-		Seed:          7,
-		PartitionRows: partRows,
-		MaxStaleness:  maxStaleness,
-		Synchronous:   true,
-	})
-}
-
-var partPinAcc = stats.AccuracySpec{RelError: 0.05, Confidence: 0.99}
-
-func pinPartitioned(t *testing.T, e *Engine) []uint64 {
-	t.Helper()
-	ids, err := e.PinPartitionedSample("sales", 0.05,
-		[]string{"sales.product"}, []string{"sales.qty", "sales.price"}, partPinAcc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ids
-}
-
-// TestPartitionedPinStalenessScoping is the PR's staleness regression: an
-// append that lands in the tail partition must leave the sibling
-// partitions' synopses fully fresh, while a whole-table synopsis of the same
-// relation (the pre-partitioning granularity) goes stale. Before
-// partition-scoped freshness epochs, ONE appended row staleness-marked every
-// synopsis of the relation.
-func TestPartitionedPinStalenessScoping(t *testing.T) {
-	e := partitionedEngine(9000, 0)
-	ids := pinPartitioned(t, e)
-	if len(ids) != 4 {
-		t.Fatalf("pinned %d per-partition samples, want 4", len(ids))
-	}
-	// A whole-table pinned sample for contrast.
-	sales, _ := e.Catalog().Table("sales")
-	whole, err := e.PinSample("sales",
-		synopses.BuildSampleFromTable("whole", sales,
-			synopses.NewDistinctSampler(0.01, 10, []int{0}, 3),
-			[]string{"sales.product"}),
-		[]string{"sales.product"}, []string{"sales.qty", "sales.price"}, partPinAcc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, id := range append(ids, whole) {
-		if s := e.Store().Staleness(id); s != 0 {
-			t.Fatalf("synopsis #%d stale before any append: %v", id, s)
-		}
-	}
-
-	// 2000 rows land in the 3000-row tail partition: [9000, 9000, 9000, 5000].
-	if _, err := e.Ingest("sales", salesDelta(2000, 40)); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 3; p++ {
-		if s := e.Store().Staleness(ids[p]); s != 0 {
-			t.Fatalf("partition %d synopsis stale after tail append: %v", p+1, s)
-		}
-	}
-	if got, want := e.Store().Staleness(ids[3]), 2000.0/5000.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("tail synopsis staleness = %v, want %v", got, want)
-	}
-	if got, want := e.Store().Staleness(whole), 2000.0/32000.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("whole-table synopsis staleness = %v, want %v", got, want)
-	}
-}
 
 // partQuery is catQuery with two fact-side aggregates: sketch-ineligible, so
 // sample reuse is the only sub-exact plan shape (the PinSample test's trick).
@@ -100,105 +23,40 @@ func partQuery(e *Engine) *planner.Query {
 	return q
 }
 
-func usedAllPartitions(res *Result, ids []uint64) bool {
-	used := make(map[uint64]bool, len(res.Report.UsedSynopses))
+// pinSalesHint pins a whole-table sample of sales, drawn by smp, that can
+// serve partQuery, and returns its synopsis id.
+func pinSalesHint(t *testing.T, e *Engine, smp synopses.Sampler) uint64 {
+	t.Helper()
+	sales, _ := e.Catalog().Table("sales")
+	id, err := e.PinSample("sales",
+		synopses.BuildSampleFromTable("hint", sales, smp, []string{"sales.product"}),
+		[]string{"sales.product"}, []string{"sales.qty", "sales.price"},
+		stats.AccuracySpec{RelError: 0.05, Confidence: 0.99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// runsOn executes partQuery and reports whether the chosen plan read
+// synopsis id.
+func runsOn(t *testing.T, e *Engine, id uint64) (*Result, bool) {
+	t.Helper()
+	res, err := e.Execute(partQuery(e))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, u := range res.Report.UsedSynopses {
-		used[u] = true
-	}
-	for _, id := range ids {
-		if !used[id] {
-			return false
+		if u == id {
+			return res, true
 		}
 	}
-	return true
-}
-
-// TestPartitionedPinServesMergedReuse: the complete per-partition sample set
-// answers a whole-table aggregate — merged in partition order — and the
-// per-partition staleness bound governs the SET: one over-bound partition
-// disqualifies it, and within the bound it keeps serving.
-func TestPartitionedPinServesMergedReuse(t *testing.T) {
-	e := partitionedEngine(9000, 0) // fresh-only
-	ids := pinPartitioned(t, e)
-	res, err := e.Execute(partQuery(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !usedAllPartitions(res, ids) {
-		t.Fatalf("merged reuse must use all %d partition samples; used=%v plan=%q",
-			len(ids), res.Report.UsedSynopses, res.Report.PlanDesc)
-	}
-	// Sanity: the merged estimate tracks the exact answer.
-	truth := exactOn(t, e)
-	for _, r := range res.Rows {
-		want := truth[r[0].I]
-		if math.Abs(r[1].F-want) > 0.2*math.Abs(want) {
-			t.Fatalf("merged-sample estimate for group %d = %v, exact %v", r[0].I, r[1].F, want)
-		}
-	}
-
-	// Under fresh-only, a tail append disqualifies the whole set. The delta
-	// keeps qty inside the base distribution (1..7) so the disqualification
-	// is attributable to the staleness policy alone — a qty far outside the
-	// base range would inflate the column's CV and raise the per-group
-	// sample-size bar, disqualifying the set for accuracy instead.
-	if _, err := e.Ingest("sales", salesDelta(2000, 4)); err != nil {
-		t.Fatal(err)
-	}
-	res, err = e.Execute(partQuery(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if usedAllPartitions(res, ids) {
-		t.Fatalf("stale tail partition served under fresh-only policy; plan=%q", res.Report.PlanDesc)
-	}
-
-	// With a staleness allowance covering 2000/5000 drift, the set serves on.
-	e2 := partitionedEngine(9000, 0.5)
-	ids2 := pinPartitioned(t, e2)
-	if _, err := e2.Ingest("sales", salesDelta(2000, 4)); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := e2.Execute(partQuery(e2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !usedAllPartitions(res2, ids2) {
-		t.Fatalf("within-bound partition set not reused; used=%v plan=%q",
-			res2.Report.UsedSynopses, res2.Report.PlanDesc)
-	}
-}
-
-// TestPinPartitionedSampleMonolithicFallsBackToWholeTable: pinning the
-// "per-partition" set on a single-partition table must degrade to one
-// whole-table sample. A Partition=1 descriptor on a monolithic table is
-// unreachable — MatchSamples matches partition scope exactly and the merged
-// reuse path needs at least two partitions — so without the fallback the
-// pinned bytes would hold warehouse budget while serving nothing.
-func TestPinPartitionedSampleMonolithicFallsBackToWholeTable(t *testing.T) {
-	e := partitionedEngine(1<<30, 0) // PartitionRows ≥ table: monolithic
-	ids := pinPartitioned(t, e)
-	if len(ids) != 1 {
-		t.Fatalf("pinned %d samples on a monolithic table, want 1", len(ids))
-	}
-	for _, ent := range e.Store().Materialized() {
-		if ent.Desc.ID == ids[0] && ent.Desc.Partition != 0 {
-			t.Fatalf("monolithic pin kept partition scope %d, want whole-table (0)", ent.Desc.Partition)
-		}
-	}
-	res, err := e.Execute(partQuery(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !usedAllPartitions(res, ids) {
-		t.Fatalf("whole-table fallback pin never served; used=%v plan=%q",
-			res.Report.UsedSynopses, res.Report.PlanDesc)
-	}
+	return res, false
 }
 
 // TestPartitionedIngestQuerySpillStorm races the partitioned engine end to
-// end: concurrent queries (zone-pruned scans, merged partition-sample
-// reuse, spill fault-ins off the tiny buffer) against appends that grow the
+// end: concurrent queries (zone-pruned scans, reuse of a pinned sample,
+// spill fault-ins off the tiny buffer) against appends that grow the
 // tail partition and open new ones, plus elastic budget churn. Run under
 // -race by the concurrency suite (`make test-race`); the asserts check the
 // engine lands coherent — answers over evolved data, a warehouse that
@@ -219,10 +77,7 @@ func TestPartitionedIngestQuerySpillStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PinPartitionedSample("sales", 0.05,
-		[]string{"sales.product"}, []string{"sales.qty", "sales.price"}, partPinAcc); err != nil {
-		t.Fatal(err)
-	}
+	pinSalesHint(t, e, synopses.NewUniformSampler(0.05, 3))
 
 	const clients, perClient = 4, 10
 	var wg sync.WaitGroup

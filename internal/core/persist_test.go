@@ -12,6 +12,7 @@ import (
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // persistEngine builds a synchronous engine over its own catalog with a
@@ -263,6 +264,68 @@ func TestCrashRecoveryTruncatedSpill(t *testing.T) {
 	}
 	if len(res.Rows) != len(truth) {
 		t.Fatalf("post-recovery query lost groups: %d != %d", len(res.Rows), len(truth))
+	}
+}
+
+// TestRecoveryDropsPartitionScopedEntry: a v2 manifest written before
+// synopses were whole-table only may carry a sample scoped to one partition
+// ("partition": n). Restored under today's whole-table descriptors it would
+// answer whole-table aggregates from one partition's rows, so recovery must
+// leave the entry out, remove its payload and open normally; the next query
+// re-tastes.
+func TestRecoveryDropsPartitionScopedEntry(t *testing.T) {
+	dir := t.TempDir()
+	cat := testCatalog()
+	e1, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := pinSalesHint(t, e1, synopses.NewUniformSampler(0.05, 3))
+	if _, ok := runsOn(t, e1, id); !ok {
+		t.Fatal("test setup: the pinned sample must serve the query before the restart")
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	item := filepath.Join(dir, fmt.Sprintf("item_%d.syn", id))
+	if _, err := os.Stat(item); err != nil {
+		t.Fatalf("test setup: pinned payload not on disk: %v", err)
+	}
+
+	// Rewrite the manifest by hand: the pinned entry becomes partition 2's.
+	// Item rows carry "tier" after the id, so the pattern names the entry.
+	path := filepath.Join(dir, "MANIFEST.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := fmt.Sprintf(`{"id":%d,"kind":`, id)
+	if n := strings.Count(string(raw), from); n != 1 {
+		t.Fatalf("test setup: %d manifest entries match %s, want 1", n, from)
+	}
+	scoped := strings.Replace(string(raw), from, fmt.Sprintf(`{"id":%d,"partition":2,"kind":`, id), 1)
+	if err := os.WriteFile(path, []byte(scoped), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatalf("open over a manifest with a partition-scoped entry: %v", err)
+	}
+	defer e2.Close()
+	if _, ok := e2.Store().Get(id); ok {
+		t.Fatalf("partition-scoped entry #%d was restored", id)
+	}
+	if e2.Warehouse().Has(id) {
+		t.Fatalf("partition-scoped item #%d was restored", id)
+	}
+	if _, err := os.Stat(item); !os.IsNotExist(err) {
+		t.Fatalf("partition-scoped payload file survived recovery (%v)", err)
+	}
+	res, ok := runsOn(t, e2, id)
+	if ok || !strings.HasPrefix(res.Report.PlanDesc, "build ") {
+		t.Fatalf("query after recovery must re-taste, got plan %q using %v",
+			res.Report.PlanDesc, res.Report.UsedSynopses)
 	}
 }
 

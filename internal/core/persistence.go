@@ -77,7 +77,16 @@ func (e *Engine) recoverLocked() (int, error) {
 		return 0, nil
 	}
 
+	// A manifest written before synopses were whole-table only may hold
+	// samples scoped to one partition. Restored, they would answer
+	// whole-table aggregates from one partition's rows: leave the entry out
+	// and drop its item below, as for a torn spill.
+	scoped := make(map[uint64]bool)
 	for _, rec := range m.Entries {
+		if rec.Partition != 0 {
+			scoped[rec.ID] = true
+			continue
+		}
 		d, builtBy, err := rec.Entry()
 		if err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)
@@ -98,6 +107,10 @@ func (e *Engine) recoverLocked() (int, error) {
 	inManifest := make(map[uint64]bool, len(m.Items))
 	for _, ir := range m.Items {
 		inManifest[ir.ID] = true
+		if scoped[ir.ID] {
+			e.dropRecovered(ir.ID)
+			continue
+		}
 		kind := warehouse.SampleItem
 		if ir.Kind == persist.KindSketch {
 			kind = warehouse.SketchItem

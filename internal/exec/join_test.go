@@ -27,7 +27,7 @@ func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
 	b.Str(1, "b\x00\x03c")
 	tbl := b.Build(1)
 
-	batch := tbl.ScanRange(0, 2, 16)[0]
+	batch := tbl.Scan(0, 16)[0]
 	k0 := string(groupKey(nil, batch.Vecs, []int{0, 1}, 0))
 	k1 := string(groupKey(nil, batch.Vecs, []int{0, 1}, 1))
 	if k0 == k1 {

@@ -94,8 +94,7 @@ func TestZonePrunesSoundProperty(t *testing.T) {
 				continue
 			}
 			pruned++
-			lo, hi := tbl.PartitionRange(p)
-			for _, b := range tbl.ScanRange(lo, hi, 64) {
+			for _, b := range tbl.Scan(p, 64) {
 				sel, err := EvalBool(pred, b)
 				if err != nil {
 					t.Fatalf("trial %d: eval %s: %v", trial, pred, err)
@@ -226,8 +225,7 @@ func TestZonePrunesSoundPropertyNaNHeavy(t *testing.T) {
 				continue
 			}
 			pruned++
-			lo, hi := tbl.PartitionRange(p)
-			for _, blk := range tbl.ScanRange(lo, hi, 64) {
+			for _, blk := range tbl.Scan(p, 64) {
 				sel, err := EvalBool(pred, blk)
 				if err != nil {
 					t.Fatalf("trial %d: eval %s: %v", trial, pred, err)

@@ -111,6 +111,17 @@ func TestMarkUnseenBeforePublish(t *testing.T) {
 	if got := s.Staleness(id); got != 0 {
 		t.Fatalf("over-rollback went negative: %v", got)
 	}
+	// A successful append publishes the version and releases its mark in
+	// one step: the rows count once, before and after.
+	s.MarkUnseen("sales", 250)
+	want := 250.0 / 1250.0
+	if got := s.Staleness(id); got != want {
+		t.Fatalf("pending staleness = %v, want %v", got, want)
+	}
+	s.PublishAppend("sales", 1, 1250, 250)
+	if got := s.Staleness(id); got != want {
+		t.Fatalf("published staleness = %v, want %v (rows counted twice?)", got, want)
+	}
 }
 
 func TestStalenessMultiTableAccumulates(t *testing.T) {

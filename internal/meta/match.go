@@ -25,11 +25,6 @@ type Requirements struct {
 	AggCols []string
 	// Accuracy is the query's accuracy requirement.
 	Accuracy stats.AccuracySpec
-	// Partition restricts the match to synopses scoped to this 1-based
-	// partition of the base relation; 0 (the default) matches only
-	// whole-table synopses, so partition-scoped entries never serve a
-	// whole-table requirement by accident.
-	Partition int
 }
 
 // Match is a usable materialized synopsis plus compensation instructions.
@@ -61,9 +56,6 @@ func (s *Store) MatchSamples(req Requirements) []Match {
 		if d.Location == LocNone {
 			continue
 		}
-		if d.Partition != req.Partition {
-			continue
-		}
 		if !d.Sig.SameRelationsAndJoins(req.Sig) {
 			continue
 		}
@@ -91,28 +83,6 @@ func (s *Store) MatchSamples(req Requirements) []Match {
 	return out
 }
 
-// MatchSamplePartitions returns one usable per-partition sample match for
-// every partition 1..parts of the base relation — the complete set the
-// planner merges (in partition order) to serve a whole-table requirement.
-// It returns nil unless *every* partition has a usable materialized
-// synopsis: a partial set cannot answer a cross-partition aggregate.
-func (s *Store) MatchSamplePartitions(req Requirements, parts int) []Match {
-	if parts <= 0 {
-		return nil
-	}
-	out := make([]Match, 0, parts)
-	for p := 1; p <= parts; p++ {
-		preq := req
-		preq.Partition = p
-		ms := s.MatchSamples(preq)
-		if len(ms) == 0 {
-			return nil
-		}
-		out = append(out, ms[0])
-	}
-	return out
-}
-
 // MatchSketchJoins returns usable materialized sketch-join synopses. Sketches
 // cannot be compensated after the fact (the per-key aggregation is baked in),
 // so the build-side filter must be exactly equivalent, and join keys and the
@@ -122,9 +92,6 @@ func (s *Store) MatchSketchJoins(req Requirements, buildKeys []string, aggCol st
 	for _, e := range s.lookupIndex(req.Sig.IndexKey()) {
 		d := &e.Desc
 		if d.Kind != plan.SketchJoinSynopsis || d.Location == LocNone {
-			continue
-		}
-		if d.Partition != req.Partition {
 			continue
 		}
 		if !d.Sig.SameRelationsAndJoins(req.Sig) {

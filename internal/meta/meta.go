@@ -61,13 +61,6 @@ type Descriptor struct {
 	// sized for these columns' variance serves queries aggregating a subset.
 	AggCols []string
 
-	// Partition scopes the synopsis to one partition of its (single) base
-	// relation: 1-based partition index, 0 = whole table. Partition-scoped
-	// synopses have partition-scoped freshness — an append that lands in a
-	// different partition leaves them at staleness 0 — and serve queries
-	// only as a complete per-partition set merged in partition order.
-	Partition int
-
 	Accuracy stats.AccuracySpec
 
 	// EstSizeBytes is the planner's size estimate before the synopsis
@@ -101,13 +94,9 @@ func (d *Descriptor) SizeBytes() int64 {
 // IdentityKey distinguishes synopses of the same subplan with different
 // kinds/configurations, used to dedupe candidate descriptors across queries.
 func (d *Descriptor) IdentityKey() string {
-	key := fmt.Sprintf("%s|%s|A=[%s]|agg=%s|aggs=[%s]|acc=%.4f@%.4f",
+	return fmt.Sprintf("%s|%s|A=[%s]|agg=%s|aggs=[%s]|acc=%.4f@%.4f",
 		d.Kind, d.Sig.Key(), strings.Join(d.StratCols, ","), d.AggCol,
 		strings.Join(d.AggCols, ","), d.Accuracy.RelError, d.Accuracy.Confidence)
-	if d.Partition > 0 {
-		key += fmt.Sprintf("|part=%d", d.Partition)
-	}
-	return key
 }
 
 // Label is a short human-readable name for logs.
@@ -173,13 +162,8 @@ func (s *Store) snap(e *Entry) *Entry {
 // unseenLocked derives the source rows the synopsis has never seen: per
 // source table, the excess of the observed row count (plus rows of any
 // append currently in flight, see MarkUnseen) over what the build scanned.
-// Partition-scoped synopses compare against their partition's observed row
-// count instead, so an append landing elsewhere contributes nothing.
 // Caller holds at least the read lock.
 func (s *Store) unseenLocked(e *Entry) int64 {
-	if e.Desc.Partition > 0 {
-		return s.unseenPartitionLocked(e, e.Desc.Partition)
-	}
 	var unseen int64
 	for t, built := range e.builtBy {
 		cur := built
@@ -187,35 +171,6 @@ func (s *Store) unseenLocked(e *Entry) int64 {
 			cur = v.rows
 		}
 		cur += s.pending[t]
-		if cur > built {
-			unseen += cur - built
-		}
-	}
-	return unseen
-}
-
-// unseenPartitionLocked is the partition-scoped staleness derivation: the
-// gap between the observed row count of partition p (1-based) and what the
-// build scanned. Appends only ever land in the tail partition (and open new
-// ones past it), so in-flight pending rows count against p only when p is
-// the tail or beyond — sibling partitions stay at zero unseen rows through
-// the entire publish window. When the table's partition layout has never
-// been observed, pending rows count conservatively.
-func (s *Store) unseenPartitionLocked(e *Entry, p int) int64 {
-	var unseen int64
-	for t, built := range e.builtBy {
-		cur := built
-		layout, known := s.parts[t]
-		if known && p <= len(layout) {
-			if layout[p-1] > cur {
-				cur = layout[p-1]
-			}
-			if p == len(layout) {
-				cur += s.pending[t]
-			}
-		} else {
-			cur += s.pending[t]
-		}
 		if cur > built {
 			unseen += cur - built
 		}
@@ -247,11 +202,6 @@ type Store struct {
 	// sees affected synopses as stale, never as fresh.
 	tables  map[string]tableVersion
 	pending map[string]int64
-	// parts tracks the last observed per-partition row counts of each base
-	// relation (partition order). Partition-scoped synopses derive their
-	// staleness from it; it is replaced wholesale on publish, never mutated,
-	// so snapshots may share it.
-	parts map[string][]int64
 }
 
 // NewStore returns an empty metadata store.
@@ -263,7 +213,6 @@ func NewStore() *Store {
 		resident:   make(map[uint64]struct{}),
 		tables:     make(map[string]tableVersion),
 		pending:    make(map[string]int64),
-		parts:      make(map[string][]int64),
 	}
 }
 
@@ -457,49 +406,16 @@ func (s *Store) observeVersionLocked(table string, epoch uint64, totalRows int64
 	}
 }
 
-// PublishAppendParts atomically records a published table version, its
-// partition layout (per-partition row counts in partition order; nil =
-// unknown) AND releases the in-flight mark of the append that produced it.
-// Doing all three under one lock ensures no reader ever sees the appended
-// rows counted twice (once in the observed gap, once in pending), and keeps
-// partition-scoped staleness consistent with whole-table staleness at every
-// instant.
-func (s *Store) PublishAppendParts(table string, epoch uint64, totalRows, addedRows int64, partRows []int64) {
+// PublishAppend atomically records a published table version AND releases
+// the in-flight mark of the append that produced it. Doing both under one
+// lock ensures no reader ever sees the appended rows counted twice (once in
+// the observed gap, once in pending).
+func (s *Store) PublishAppend(table string, epoch uint64, totalRows, addedRows int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.observeVersionLocked(table, epoch, totalRows)
-	s.observePartitionsLocked(table, partRows)
 	if s.pending[table] -= addedRows; s.pending[table] <= 0 {
 		delete(s.pending, table)
-	}
-}
-
-// ObservePartitions records a base relation's partition layout (per-
-// partition row counts in partition order). The engine calls it at open and
-// whenever it pins per-partition synopses, so partition-scoped staleness
-// never has to fall back to the conservative layout-unknown path.
-func (s *Store) ObservePartitions(table string, partRows []int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observePartitionsLocked(table, partRows)
-}
-
-func (s *Store) observePartitionsLocked(table string, partRows []int64) {
-	if partRows == nil {
-		return
-	}
-	// Appends only grow the layout (more partitions, or more rows in the
-	// tail); never let an out-of-order report regress it.
-	var total, prevTotal int64
-	for _, r := range partRows {
-		total += r
-	}
-	prev := s.parts[table]
-	for _, r := range prev {
-		prevTotal += r
-	}
-	if len(partRows) > len(prev) || (len(partRows) == len(prev) && total >= prevTotal) {
-		s.parts[table] = append([]int64(nil), partRows...)
 	}
 }
 

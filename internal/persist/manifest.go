@@ -96,10 +96,11 @@ type EntryRecord struct {
 	BuildKeys []string `json:"build_keys,omitempty"`
 	AggCol    string   `json:"agg_col,omitempty"`
 	AggCols   []string `json:"agg_cols,omitempty"`
-	// Partition scopes the synopsis to one partition of its base relation
-	// (1-based; 0 = whole table). Dropping it on recovery would promote a
-	// partition-scoped sample to whole-table scope — a correctness bug —
-	// so it round-trips verbatim.
+	// Partition is decode-only: no engine writes it any more, but an older
+	// v2 manifest may carry a sample scoped to one partition of its base
+	// relation (1-based). Recovery must not restore such an entry — every
+	// descriptor is whole-table now, so it would answer whole-table
+	// aggregates from one partition's rows.
 	Partition  int              `json:"partition,omitempty"`
 	RelError   float64          `json:"rel_error,omitempty"`
 	Confidence float64          `json:"confidence,omitempty"`
@@ -128,7 +129,6 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 		BuildKeys:  d.BuildKeys,
 		AggCol:     d.AggCol,
 		AggCols:    d.AggCols,
-		Partition:  d.Partition,
 		RelError:   d.Accuracy.RelError,
 		Confidence: d.Accuracy.Confidence,
 		EstSize:    d.EstSizeBytes,
@@ -171,7 +171,6 @@ func (r EntryRecord) Entry() (meta.Descriptor, map[string]int64, error) {
 		BuildKeys:    r.BuildKeys,
 		AggCol:       r.AggCol,
 		AggCols:      r.AggCols,
-		Partition:    r.Partition,
 		Accuracy:     stats.AccuracySpec{RelError: r.RelError, Confidence: r.Confidence},
 		EstSizeBytes: r.EstSize,
 		ActualSize:   r.ActualSize,

@@ -13,7 +13,6 @@ import (
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
-	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/warehouse"
 )
 
@@ -572,110 +571,40 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		if !ok {
 			continue
 		}
-		p.addSampleReuse(q, ps, fact, []bound{b}, m.CompensateFilter, b.stale,
-			fmt.Sprintf("reuse sample #%d on %s", b.item.ID, fact.Name), sel, selAll, coverGroups)
+		p.addSampleReuse(q, ps, fact, b, m.CompensateFilter, sel, selAll, coverGroups)
 	}
-	p.addPartitionedSampleReuse(q, ps, fact, req, sel, selAll, coverGroups)
-}
-
-// addPartitionedSampleReuse adds the reuse candidate built from a complete
-// set of partition-scoped samples of the fact relation: one usable sample
-// per partition, merged in partition order, serves the same whole-table
-// requirement as a monolithic sample (the merge is exact — see
-// synopses.MergePartitionSamples). Staleness is enforced per partition:
-// one partition over the bound disqualifies the set, but appends landing
-// in other partitions never do. The candidate's cost penalty uses the
-// build-rows-weighted mean staleness across partitions.
-func (p *Planner) addPartitionedSampleReuse(q *Query, ps *PlanSet, fact TableRef, req meta.Requirements, sel, selAll float64, coverGroups int) {
-	parts := fact.Table.Partitions()
-	if parts < 2 {
-		return
-	}
-	matches := p.Store.MatchSamplePartitions(req, parts)
-	if matches == nil {
-		return
-	}
-	// Every partition sample must share one sampler configuration, or the
-	// merged Horvitz-Thompson weights would mix estimators.
-	first := &matches[0].Entry.Desc
-	members := make([]bound, 0, parts)
-	var staleNum, staleDen float64
-	var compensate expr.Expr
-	for _, m := range matches {
-		d := &m.Entry.Desc
-		if d.Kind != first.Kind || d.P != first.P || d.Delta != first.Delta ||
-			strings.Join(d.StratCols, ",") != strings.Join(first.StratCols, ",") {
-			return
-		}
-		b, ok := p.bind(ps, m.Entry, warehouse.SampleItem)
-		if !ok {
-			return
-		}
-		w := float64(d.BuildRows)
-		if w <= 0 {
-			w = 1
-		}
-		staleNum += b.stale * w
-		staleDen += w
-		members = append(members, b)
-		if m.CompensateFilter != nil {
-			compensate = m.CompensateFilter // the query's own fact filter
-		}
-	}
-	p.addSampleReuse(q, ps, fact, members, compensate, staleNum/staleDen,
-		fmt.Sprintf("reuse %d-part sample on %s", parts, fact.Name), sel, selAll, coverGroups)
 }
 
 // addSampleReuse adds the candidate that answers the fact relation from
-// stored samples: one member for a whole-table sample, a complete partition
-// set (in partition order) otherwise. stale is the staleness the cost
-// penalty applies — the member's own, or the set's weighted mean.
-func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, members []bound, compensate expr.Expr, stale float64, desc string, sel, selAll float64, coverGroups int) {
+// the stored sample b.
+func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, compensate expr.Expr, sel, selAll float64, coverGroups int) {
 	var rcost planCost
-	var totalRows int64
-	inBuffer := true
-	for _, b := range members {
-		totalRows += b.item.Rows
-		if !b.inBuffer {
-			inBuffer = false
-			rcost.warehouseBytes += b.item.Size
-			if !b.loaded {
-				rcost.loadSynopsis(b.item.Size)
-			}
+	if !b.inBuffer {
+		rcost.warehouseBytes += b.item.Size
+		if !b.loaded {
+			rcost.loadSynopsis(b.item.Size)
 		}
 	}
 	// Coverage feasibility for THIS query's filters: the stored rows must
 	// leave enough expected rows in the thinnest result group. Item
 	// metadata carries the row count, so infeasible candidates are rejected
 	// without faulting a spilled payload off disk.
-	sampleRows := float64(totalRows)
+	sampleRows := float64(b.item.Rows)
 	if sampleRows*selAll/float64(coverGroups) < float64(p.feasibilityRows(p.requiredK(q))) {
 		return
 	}
-	// Resolve the payloads last: a disk-resident sample faults in here —
+	// Resolve the payload last: a disk-resident sample faults in here —
 	// outside every engine lock — and the fault was charged above based on
 	// whether the payload was cached when this plan set bound it.
-	samples := make([]*synopses.Sample, len(members))
-	uses := make([]uint64, len(members))
-	for i, b := range members {
-		smp, err := b.item.Sample()
-		if err != nil {
-			return // backing file lost or corrupt; next round re-tastes
-		}
-		samples[i], uses[i] = smp, b.item.ID
-	}
-	smp := samples[0]
-	if len(samples) > 1 {
-		var err error
-		if smp, err = synopses.MergePartitionSamples(fmt.Sprintf("partmerge_%s", fact.Name), samples); err != nil {
-			return
-		}
+	smp, err := b.item.Sample()
+	if err != nil {
+		return // backing file lost or corrupt; next round re-tastes
 	}
 	var rbranch plan.Node = &plan.SynopsisScan{
-		SynopsisID: uses[0],
+		SynopsisID: b.item.ID,
 		Sample:     smp,
 		Label:      fact.Name,
-		InBuffer:   inBuffer,
+		InBuffer:   b.inBuffer,
 	}
 	if compensate != nil {
 		rbranch = &plan.Filter{Child: rbranch, Pred: compensate}
@@ -692,23 +621,20 @@ func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, members [
 	rOverrides := map[string]scanEst{fact.Name: {rows: sampleRows * sel, width: fact.Table.AvgRowBytes() + 8}}
 	rout := p.costFilteredJoinTree(q, rOverrides, &rcost)
 	rcost.aggWork(rout)
-	cost := rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(stale)
+	cost := rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(b.stale)
 	ps.Candidates = append(ps.Candidates, Candidate{
 		Root: p.finishPlan(q, rroot, nil),
 		Cost: cost,
-		Uses: uses,
-		Desc: desc,
+		Uses: []uint64{b.item.ID},
+		Desc: fmt.Sprintf("reuse sample #%d on %s", b.item.ID, fact.Name),
 	})
-	// Credit the stored samples with this query's savings. Without the
-	// reuse cost the tuner's greedy cannot see the query as already covered,
-	// and a hypothetical build descriptor — a different intern whenever the
-	// stored sampler configuration differs from the query-sized one (a
-	// pinned hint), and never the interned twin of a partition-scoped one —
-	// collects the full window gain as build credit and outbids the cheaper
-	// reuse.
-	for _, id := range uses {
-		ps.noteReuse(id, cost)
-	}
+	// Credit the stored sample with this query's savings. Without the reuse
+	// cost the tuner's greedy cannot see the query as already covered, and a
+	// hypothetical build descriptor — a different intern whenever the stored
+	// sampler configuration differs from the query-sized one (a pinned hint)
+	// — collects the full window gain as build credit and outbids the
+	// cheaper reuse.
+	ps.noteReuse(b.item.ID, cost)
 }
 
 // costBaseSampleReuse estimates what the query costs if the base sample

@@ -106,17 +106,19 @@ func TestPartitionRangesCoverAllRows(t *testing.T) {
 		for _, partRows := range []int{0, 1, 3, 128} {
 			tbl := buildTestTable(t, rows).Repartition(partRows)
 			total := 0
-			prevHi := 0
-			for p := 0; p < tbl.Partitions(); p++ {
-				lo, hi := tbl.PartitionRange(p)
-				if lo != prevHi {
-					t.Fatalf("rows=%d partRows=%d p=%d: gap lo=%d prevHi=%d", rows, partRows, p, lo, prevHi)
+			for p, n := range tbl.PartitionRowCounts() {
+				if partRows > 0 && int(n) > partRows {
+					t.Fatalf("rows=%d partRows=%d p=%d: oversize partition of %d rows", rows, partRows, p, n)
 				}
-				if partRows > 0 && hi-lo > partRows {
-					t.Fatalf("rows=%d partRows=%d p=%d: oversize partition [%d,%d)", rows, partRows, p, lo, hi)
+				// The rows a scan of the partition yields are the rows counted.
+				scanned := 0
+				for _, b := range tbl.Scan(p, 128) {
+					scanned += b.Len()
 				}
-				prevHi = hi
-				total += hi - lo
+				if scanned != int(n) {
+					t.Fatalf("rows=%d partRows=%d p=%d: scan yields %d rows, count says %d", rows, partRows, p, scanned, n)
+				}
+				total += int(n)
 			}
 			if total != rows {
 				t.Fatalf("rows=%d partRows=%d: covered %d", rows, partRows, total)
@@ -287,15 +289,14 @@ func TestPartitionTilingQuick(t *testing.T) {
 			b.Int(0, int64(i))
 		}
 		tbl := b.Build(p)
-		covered := 0
-		for i := 0; i < tbl.Partitions(); i++ {
-			lo, hi := tbl.PartitionRange(i)
-			if lo > hi || hi > n {
+		covered := int64(0)
+		for _, c := range tbl.PartitionRowCounts() {
+			if c < 0 || c > int64(n) {
 				return false
 			}
-			covered += hi - lo
+			covered += c
 		}
-		return covered == n
+		return covered == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

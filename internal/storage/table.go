@@ -32,9 +32,8 @@ type Partition struct {
 func (p *Partition) Rows() int { return p.rows }
 
 // Epoch returns the version counter of the last append that touched this
-// partition. Freshness tracking is per partition: an append into the tail
-// leaves every other partition's epoch — and therefore every synopsis built
-// over it — untouched.
+// partition: an append into the tail leaves every other partition's epoch
+// untouched.
 func (p *Partition) Epoch() uint64 { return p.epoch }
 
 // Bytes returns the partition's payload size, computed on first call and
@@ -221,7 +220,7 @@ func (t *Table) Partitions() int { return len(t.parts) }
 func (t *Table) Partition(p int) *Partition { return t.parts[p] }
 
 // PartitionRowCounts returns the per-partition row counts in partition
-// order — the layout vector that per-partition freshness tracking records.
+// order.
 func (t *Table) PartitionRowCounts() []int64 {
 	out := make([]int64, len(t.parts))
 	for i, p := range t.parts {
@@ -358,11 +357,6 @@ func (t *Table) Column(i int) *Vector {
 	return t.colsView[i]
 }
 
-// PartitionRange returns the [lo, hi) global row range of partition p.
-func (t *Table) PartitionRange(p int) (lo, hi int) {
-	return t.offs[p], t.offs[p+1]
-}
-
 // PartitionBytes returns the payload size of partition p — the scan charge
 // for one partition, which is what zone-map pruning saves.
 func (t *Table) PartitionBytes(p int) int64 { return t.parts[p].Bytes() }
@@ -404,22 +398,17 @@ func (t *Table) Scan(p, batchSize int) []*Batch {
 	return out
 }
 
-// ScanRange returns batches of up to batchSize rows covering global rows
-// [lo, hi). Batches share storage with the table (zero copy) and never
-// cross a partition boundary. The morsel-driven executor uses it to hand
-// disjoint row ranges to workers: morsel boundaries are defined on global
-// row indices, independent of the physical partition layout, which is what
-// keeps results byte-identical across any PartitionRows setting.
-func (t *Table) ScanRange(lo, hi, batchSize int) []*Batch {
-	return t.ScanRangePruned(lo, hi, batchSize, nil, t.schema, nil)
-}
-
-// ScanRangePruned is ScanRange restricted to partitions where keep[p] is
-// true (nil keep = all) and to the columns at positions cols, whose schema
-// the caller passes (nil cols = every column, under t.Schema()). The executor
-// passes the zone-map pruning verdict — rows of pruned partitions are skipped
-// without being read — and the columns its spine reads; a batch's Width is
-// the full row's whatever the projection.
+// ScanRangePruned returns batches of up to batchSize rows covering global
+// rows [lo, hi), restricted to partitions where keep[p] is true (nil keep =
+// all) and to the columns at positions cols, whose schema the caller passes
+// (nil cols = every column, under t.Schema()). Batches share storage with
+// the table (zero copy) and never cross a partition boundary. The
+// morsel-driven executor uses it to hand disjoint row ranges to workers:
+// morsel boundaries are defined on global row indices, independent of the
+// physical partition layout, which is what keeps results byte-identical
+// across any PartitionRows setting. It passes the zone-map pruning verdict —
+// rows of pruned partitions are skipped without being read — and the columns
+// its spine reads; a batch's Width is the full row's whatever the projection.
 func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schema, cols []int) []*Batch {
 	if lo < 0 {
 		lo = 0

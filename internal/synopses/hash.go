@@ -1,8 +1,8 @@
 // Package synopses implements the summary structures a Taster plan can
 // produce or read: uniform and distinct samples with Horvitz-Thompson
-// weights (mergeable per partition), the sketch-join synopsis over two
-// count-min planes (counts and sums), and — for the offline baselines only —
-// stratified samples and VerdictDB-style variational subsampling.
+// weights (merged per morsel by the executor), the sketch-join synopsis over
+// two count-min planes (counts and sums), and — for the offline baselines
+// only — stratified samples and VerdictDB-style variational subsampling.
 //
 // The two stored kinds, Sample and SketchJoin, are what warehouse.Item holds
 // and what the codec (codec.go) serializes.

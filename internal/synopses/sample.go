@@ -260,11 +260,11 @@ func (sb *SampleBuilder) Build(smp Sampler, partitions int) *Sample {
 	return s
 }
 
-// MergeSamples concatenates per-partition samples of the same relation into
-// one sample ("partitionable", paper §II). Parts must share a schema and be
-// given in a deterministic order (the morsel executor passes them in morsel
-// index order); configuration metadata is taken from the first part and
-// SourceRows are summed.
+// MergeSamples concatenates the per-morsel samples a parallel sampler built
+// over one relation into one sample ("partitionable", paper §II); its one
+// caller is exec.PipelineOp, which passes the parts in morsel index order.
+// Parts must share a schema; configuration metadata is taken from the first
+// part and SourceRows are summed.
 //
 // SourceRows underpins the sample's estimation semantics (how much input
 // the weights extrapolate over), so parts are validated here: a negative

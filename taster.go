@@ -106,9 +106,10 @@ type Options struct {
 	// PartitionRows tiles every registered table into fixed-size partitions
 	// of at most this many rows. Each partition carries a zone map
 	// (per-column min/max) that lets scans skip partitions a filter provably
-	// rejects, and appends that land in one partition leave the synopses of
-	// sibling partitions fully fresh. Query answers are bit-identical for
-	// any partitioning — only cost changes. 0 keeps tables monolithic.
+	// rejects, and an append copies only the tail partition, sharing every
+	// other one with the previous table version. Query answers are
+	// bit-identical for any partitioning — only cost changes. 0 keeps
+	// tables monolithic.
 	PartitionRows int
 	// MaxStaleness is the bounded-staleness policy for reuse under online
 	// ingestion: the largest fraction of source rows a materialized synopsis
