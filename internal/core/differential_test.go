@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -403,5 +404,124 @@ func TestDifferentialKernelsNaN(t *testing.T) {
 	}
 	for _, run := range runs[1:] {
 		mustEqualRuns(t, "nan workers x pruning", runs[0], run)
+	}
+}
+
+// recodedCatalog rebuilds every table of cat with the same rows in the same
+// order but string codes assigned in another order. Each table is first
+// loaded with its rows reversed — value by value, so the copy is coded
+// afresh, in reverse first-seen order — and the result is then re-sorted back
+// into the original order by copying rows out of that copy (the Vector copy
+// methods carry its dictionary along), as two halves joined by Append.
+func recodedCatalog(t *testing.T, cat *storage.Catalog) *storage.Catalog {
+	t.Helper()
+	out := storage.NewCatalog()
+	recoded := 0
+	for _, name := range cat.Names() {
+		src, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := src.NumRows()
+		rev := storage.NewBuilder(name, src.Schema())
+		for i := n - 1; i >= 0; i-- {
+			vals := make([]storage.Value, len(src.Schema()))
+			for c := range vals {
+				vals[c] = src.Column(c).Get(i)
+			}
+			rev.AddRow(vals...)
+		}
+		reversed := rev.Build(1)
+		half := func(lo, hi int) *storage.Table {
+			b := storage.NewBuilder(name, src.Schema())
+			for i := lo; i < hi; i++ {
+				for c := range src.Schema() {
+					b.CopyFrom(c, reversed.Column(c), n-1-i)
+				}
+			}
+			return b.Build(1)
+		}
+		tbl, err := half(0, n/2).Append(half(n/2, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, col := range src.Schema() {
+			a, b := src.Column(c), tbl.Column(c)
+			if col.Typ != storage.String || a.Dict == nil || a.Dict.Len() < 2 {
+				continue
+			}
+			if b.Dict == nil {
+				t.Fatalf("%s: coded in the original, uncoded in the copy", col.Name)
+			}
+			for i := 0; i < n; i++ {
+				if a.Str[i] != b.Str[i] {
+					t.Fatalf("%s row %d: the copy holds %q for %q", col.Name, i, b.Str[i], a.Str[i])
+				}
+				if a.Code[i] != b.Code[i] {
+					recoded++
+					break
+				}
+			}
+		}
+		out.Register(tbl)
+	}
+	if recoded == 0 {
+		t.Fatal("no column's codes differ between the two catalogs; the comparison is vacuous")
+	}
+	return out
+}
+
+// TestDifferentialCodeAssignmentOblivious: dictionary codes are an
+// accelerator, never an ordering. The same rows under two different code
+// assignments — a monolithic load, and tables assembled by Append out of
+// rows copied from a reordered load — must answer every TPC-H template
+// byte-identically, exact and approximate, with the same plans and the same
+// simulated cost.
+func TestDifferentialCodeAssignmentOblivious(t *testing.T) {
+	for _, mode := range []Mode{ModeExact, ModeTaster} {
+		var runs []diffRun
+		for _, recode := range []bool{false, true} {
+			w := workload.TPCH(0.004, 3)
+			cat := w.Catalog
+			if recode {
+				cat = recodedCatalog(t, cat)
+			}
+			bytes, rows := w.CostScale()
+			e := New(cat, Config{
+				Mode:          mode,
+				StorageBudget: bytes / 2,
+				BufferSize:    bytes / 8,
+				CostModel:     storage.ScaledCostModel(bytes, rows),
+				Seed:          7,
+				Workers:       4,
+				Synchronous:   true,
+			})
+			var run diffRun
+			r := rand.New(rand.NewSource(5))
+			for pass := 0; pass < 2; pass++ {
+				for _, tpl := range w.Templates {
+					sql := tpl.Instantiate(r) + " ERROR WITHIN 10% AT CONFIDENCE 95%"
+					q, err := sqlparser.Parse(sql, cat)
+					if err != nil {
+						t.Fatalf("%v\nSQL: %s", err, sql)
+					}
+					res, err := e.Execute(q)
+					if err != nil {
+						t.Fatalf("%v\nSQL: %s", err, sql)
+					}
+					run.rows = append(run.rows, res.Rows...)
+					run.ivs = append(run.ivs, res.Intervals...)
+					run.used = append(run.used, len(res.Report.UsedSynopses))
+					run.sim = append(run.sim, res.Report.SimSeconds)
+				}
+			}
+			runs = append(runs, run)
+		}
+		mustEqualRuns(t, "code assignment", runs[0], runs[1])
+		for i := range runs[0].sim {
+			if runs[0].sim[i] != runs[1].sim[i] {
+				t.Fatalf("query %d: simulated seconds %v vs %v under another code assignment", i, runs[0].sim[i], runs[1].sim[i])
+			}
+		}
 	}
 }

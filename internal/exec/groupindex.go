@@ -1,0 +1,519 @@
+package exec
+
+import (
+	"math"
+	"math/bits"
+	"sync"
+
+	"github.com/tasterdb/taster/internal/storage"
+)
+
+// groupIndex is how both sinks find a row's group: it turns each group
+// column of a live row into one word, and the word tuple into a dense group
+// id, 0..n-1 in the order the groups were first seen. The sinks keep their
+// per-group state in flat slabs indexed by that id (aggTable.accs,
+// sketchTable.sums), so opening a group allocates nothing of its own and a
+// partial merges into another by translating ids and folding slab into slab.
+//
+// Words. An int64, float64 or bool column's word is fixedWord's encoding —
+// two's complement, IEEE bits, 0/1 — so -0.0 and every NaN payload are groups
+// of their own, as they always were. A string column's word is a
+// partial-local code (strCodes): group identity never depends on which
+// dictionary, if any, a batch's vector happened to carry.
+//
+// Ids. While every column is a string or a bool and every word is small, the
+// packed words index a dense array directly; the first word too large moves
+// the index, for good, to an open-addressing table over the tuples — the
+// join index's shape (Fibonacci hashing, linear probing, load ≤ 1/2), but
+// growable, since groups arrive unannounced. Either way the tuples are kept
+// in id order in keys, which is all emit needs to rebuild the key values and
+// all a rehash needs to rebuild the table.
+//
+// Nothing here orders anything: emit sorts on the key values, so ids — and
+// below them string codes and dictionaries — never reach an answer byte.
+type groupIndex struct {
+	cols []int          // positions of the group columns in a fold batch
+	out  storage.Schema // the group columns, as the sink's output names and types them
+	strs []strCodes     // per column: its local string codes, unused for a fixed-width column
+
+	n    int      // groups opened so far
+	keys []uint64 // group id's word tuple at keys[id*len(cols):]
+
+	// Word tuple → id+1, 0 for none. dense is indexed by the tuple's words
+	// packed denseBits apiece and is nil once a word has outgrown that;
+	// slots, allocated on the first hashed lookup, by hashWords >> shift.
+	dense     []int32
+	denseBits uint
+	slots     []int32
+	shift     uint
+
+	tuple  []uint64 // scratch: one tuple
+	merged []int32  // scratch: absorb's result
+}
+
+// resolveScratch is the working memory of one resolve call: column c's word
+// of live row j at words[c*rows+j], the rows' dense positions when several
+// columns pack into one, and the ids handed back. A partial lives for one
+// morsel and is then kept until the run merges, so the buffers are borrowed
+// per batch from a pool the morsels — and the queries — of a process share,
+// not allocated per partial.
+type resolveScratch struct {
+	words []uint64
+	pos   []uint64
+	ids   []int32
+	// floats is the borrowing sink's own per-row scratch (the sketch sink
+	// keeps two products per row between its passes).
+	floats []float64
+}
+
+var resolveScratchPool = sync.Pool{New: func() any { return new(resolveScratch) }}
+
+// borrowScratch returns scratch for a batch of n live rows over nc group
+// columns; the caller hands it back with returnScratch once it has read the
+// ids.
+func borrowScratch(n, nc int) *resolveScratch {
+	sc := resolveScratchPool.Get().(*resolveScratch)
+	if cap(sc.ids) < n {
+		sc.ids = make([]int32, max(n, storage.BatchSize))
+	}
+	if cap(sc.words) < n*nc {
+		sc.words = make([]uint64, max(n, storage.BatchSize)*nc)
+	}
+	return sc
+}
+
+func returnScratch(sc *resolveScratch) { resolveScratchPool.Put(sc) }
+
+const (
+	// denseIndexBits sizes the dense array (1 KB of int32 per partial): one
+	// string column of up to 256 values, two of 16 each — every string GROUP
+	// BY of the generated workloads.
+	denseIndexBits = 8
+	// groupSlotsMin is the hashed table's first size; it doubles whenever
+	// the groups would fill more than half of it.
+	groupSlotsMin = 64
+)
+
+// newGroupIndex indexes the group columns at positions cols of a fold batch;
+// out is the sink's output schema, which leads with those columns.
+func newGroupIndex(cols []int, out storage.Schema) groupIndex {
+	g := groupIndex{cols: cols, out: out[:len(cols)], strs: make([]strCodes, len(cols)), tuple: make([]uint64, len(cols))}
+	small := len(cols) > 0
+	for _, col := range g.out {
+		small = small && (col.Typ == storage.String || col.Typ == storage.Bool)
+	}
+	if small && denseIndexBits/len(cols) >= 2 {
+		g.denseBits = uint(denseIndexBits / len(cols))
+		g.dense = make([]int32, 1<<(g.denseBits*uint(len(cols))))
+	}
+	return g
+}
+
+// sole opens the one group of an index over no columns.
+func (g *groupIndex) sole() { g.n = 1 }
+
+// resolve returns the group id of every live row of b, in live-row order,
+// opening groups as it meets them. The ids are sc's memory.
+func (g *groupIndex) resolve(b *storage.Batch, sc *resolveScratch) []int32 {
+	n, nc := b.Rows(), len(g.cols)
+	ids := sc.ids[:n]
+	if nc == 0 {
+		g.sole()
+		clear(ids)
+		return ids
+	}
+	words := sc.words[:n*nc]
+	for c, col := range g.cols {
+		g.colWords(c, b.Vecs[col], b.Sel, words[c*n:(c+1)*n])
+	}
+	if pos := g.densePositions(words, n, sc); pos != nil {
+		for j, at := range pos {
+			id := g.dense[at]
+			if id == 0 {
+				id = g.id(g.tupleAt(words, n, j)) + 1
+			}
+			ids[j] = id - 1
+		}
+		return ids
+	}
+	if nc == 1 {
+		g.resolveHashed(words, ids)
+		return ids
+	}
+	for j := range ids {
+		ids[j] = g.id(g.tupleAt(words, n, j))
+	}
+	return ids
+}
+
+// tupleAt gathers live row j's words out of the column-major scratch.
+func (g *groupIndex) tupleAt(words []uint64, n, j int) []uint64 {
+	for c := range g.tuple {
+		g.tuple[c] = words[c*n+j]
+	}
+	return g.tuple
+}
+
+// densePositions packs every row's words into its dense-array position,
+// column by column — for one column the words are the positions. A batch
+// with a word too large for the array gets nil, and the index leaves the
+// array for good.
+func (g *groupIndex) densePositions(words []uint64, n int, sc *resolveScratch) []uint64 {
+	if g.dense == nil {
+		return nil
+	}
+	all := uint64(0)
+	for _, w := range words {
+		all |= w
+	}
+	if all>>g.denseBits != 0 {
+		g.dense = nil
+		return nil
+	}
+	pos := words[:n]
+	if nc := len(g.cols); nc > 1 {
+		if cap(sc.pos) < n {
+			sc.pos = make([]uint64, max(n, storage.BatchSize))
+		}
+		pos = sc.pos[:n]
+		copy(pos, words)
+		for c := 1; c < nc; c++ {
+			shift := uint(c) * g.denseBits
+			for j, w := range words[c*n:][:n] {
+				pos[j] |= w << (shift & 63)
+			}
+		}
+	}
+	return pos
+}
+
+// densePos packs a tuple of small words into its position in the dense
+// array; small is false when a word does not fit, or the array is gone.
+func (g *groupIndex) densePos(ws []uint64) (at uint64, small bool) {
+	if g.dense == nil {
+		return 0, false
+	}
+	for c, w := range ws {
+		if w>>g.denseBits != 0 {
+			return 0, false
+		}
+		at |= w << (uint(c) * g.denseBits)
+	}
+	return at, true
+}
+
+// colWords writes group column c's word of every live row of v into out.
+func (g *groupIndex) colWords(c int, v *storage.Vector, sel []int32, out []uint64) {
+	switch v.Typ {
+	case storage.Int64:
+		if sel == nil {
+			for j, x := range v.I64 {
+				out[j] = uint64(x)
+			}
+		} else {
+			for j, i := range sel {
+				out[j] = uint64(v.I64[i])
+			}
+		}
+	case storage.Float64:
+		if sel == nil {
+			for j, x := range v.F64 {
+				out[j] = math.Float64bits(x)
+			}
+		} else {
+			for j, i := range sel {
+				out[j] = math.Float64bits(v.F64[i])
+			}
+		}
+	case storage.Bool:
+		if sel == nil {
+			for j := range out {
+				out[j] = fixedWord(v, j)
+			}
+		} else {
+			for j, i := range sel {
+				out[j] = fixedWord(v, int(i))
+			}
+		}
+	case storage.String:
+		g.strs[c].words(v, sel, out)
+	}
+}
+
+// fixedWord encodes row i of a fixed-width column as one word, with the same
+// value identity as groupKey's byte encoding. Group columns and fixed-width
+// join keys share it.
+func fixedWord(v *storage.Vector, i int) uint64 {
+	switch v.Typ {
+	case storage.Int64:
+		return uint64(v.I64[i])
+	case storage.Float64:
+		return math.Float64bits(v.F64[i])
+	default: // Bool
+		if v.B[i] {
+			return 1
+		}
+		return 0
+	}
+}
+
+// resolveHashed is resolve's loop for a single group column past the dense
+// array: the table's hit path inline, id for a first sight.
+func (g *groupIndex) resolveHashed(words []uint64, ids []int32) {
+	for j, w := range words {
+		if len(g.slots) != 0 {
+			mask := uint64(len(g.slots) - 1)
+			hit := int32(0)
+			for s := (w * fibMul) >> g.shift; ; s = (s + 1) & mask {
+				if hit = g.slots[s]; hit == 0 || g.keys[hit-1] == w {
+					break
+				}
+			}
+			if hit != 0 {
+				ids[j] = hit - 1
+				continue
+			}
+		}
+		ids[j] = g.id(words[j : j+1])
+	}
+}
+
+// id returns the group of the word tuple ws, opening it on first sight.
+func (g *groupIndex) id(ws []uint64) int32 {
+	if at, small := g.densePos(ws); small {
+		if id := g.dense[at]; id != 0 {
+			return id - 1
+		}
+		g.dense[at] = int32(g.n) + 1
+		return g.open(ws)
+	}
+	g.dense = nil // a word outgrew it: hashed from here on
+	if 2*(g.n+1) > len(g.slots) {
+		g.rehash(max(2*len(g.slots), groupSlotsMin))
+	}
+	nc := len(ws)
+	mask := uint64(len(g.slots) - 1)
+	for s := hashWords(ws) >> g.shift; ; s = (s + 1) & mask {
+		id := int(g.slots[s])
+		if id == 0 {
+			g.slots[s] = int32(g.n) + 1
+			return g.open(ws)
+		}
+		if wordsEqual(g.keys[(id-1)*nc:id*nc], ws) {
+			return int32(id - 1)
+		}
+	}
+}
+
+// open records ws as the next group's tuple and returns its id.
+func (g *groupIndex) open(ws []uint64) int32 {
+	g.keys = append(g.keys, ws...)
+	g.n++
+	return int32(g.n - 1)
+}
+
+// rehash rebuilds the hashed table at nSlots (a power of two) from keys:
+// how it grows, and how an index that leaves the dense array gets one.
+func (g *groupIndex) rehash(nSlots int) {
+	for nSlots < 2*(g.n+1) {
+		nSlots *= 2
+	}
+	g.slots = make([]int32, nSlots)
+	g.shift = uint(64 - bits.TrailingZeros(uint(nSlots)))
+	nc := len(g.cols)
+	mask := uint64(nSlots - 1)
+	for id := 0; id < g.n; id++ {
+		s := hashWords(g.keys[id*nc:(id+1)*nc]) >> g.shift
+		for g.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		g.slots[s] = int32(id) + 1
+	}
+}
+
+// hashWords mixes a tuple so that its top bits depend on every word; for one
+// word it is the join index's w·fibMul.
+func hashWords(ws []uint64) uint64 {
+	h := ws[0] * fibMul
+	for _, w := range ws[1:] {
+		h = (h ^ w) * fibMul
+	}
+	return h
+}
+
+func wordsEqual(a, b []uint64) bool {
+	for i, w := range a {
+		if w != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// absorb opens every group of o — an index over the same columns — in g and
+// returns, by o's ids, their ids in g. Groups new to g get the next ids in
+// o's id order. The slice is scratch, valid until the next call on g.
+func (g *groupIndex) absorb(o *groupIndex) []int32 {
+	if cap(g.merged) < o.n {
+		g.merged = make([]int32, o.n)
+	}
+	ids := g.merged[:o.n]
+	nc := len(g.cols)
+	if nc == 0 {
+		if o.n > 0 {
+			g.sole()
+		}
+		clear(ids)
+		return ids
+	}
+	// o's local string codes in g's terms, once per distinct string.
+	to := make([][]uint64, nc)
+	for c, col := range g.out {
+		if col.Typ != storage.String {
+			continue
+		}
+		to[c] = make([]uint64, len(o.strs[c].vals))
+		for lc, v := range o.strs[c].vals {
+			to[c][lc] = uint64(g.strs[c].intern(v, nil))
+		}
+	}
+	for oid := range ids {
+		copy(g.tuple, o.keys[oid*nc:(oid+1)*nc])
+		for c, t := range to {
+			if t != nil {
+				g.tuple[c] = t[g.tuple[c]]
+			}
+		}
+		ids[oid] = g.id(g.tuple)
+	}
+	return ids
+}
+
+// keyRows returns every group's key values, by id: what emit sorts on and
+// prints.
+func (g *groupIndex) keyRows() [][]storage.Value {
+	nc := len(g.cols)
+	rows := make([][]storage.Value, g.n)
+	vals := make([]storage.Value, g.n*nc)
+	for id := range rows {
+		row := vals[id*nc : (id+1)*nc : (id+1)*nc]
+		for c := range row {
+			w := g.keys[id*nc+c]
+			switch g.out[c].Typ {
+			case storage.Int64:
+				row[c] = storage.IntValue(int64(w))
+			case storage.Float64:
+				row[c] = storage.FloatValue(math.Float64frombits(w))
+			case storage.Bool:
+				row[c] = storage.BoolValue(w != 0)
+			case storage.String:
+				row[c] = storage.StringValue(g.strs[c].vals[w])
+			}
+		}
+		rows[id] = row
+	}
+	return rows
+}
+
+// strCodes is one string group column's partial-local coding: distinct
+// values numbered in first-seen order. A coded vector reaches its rows'
+// local codes by array — its dictionary's codes translated lazily, one entry
+// per dictionary value the partial actually meets — and an uncoded one by a
+// map lookup per row. A partial normally sees one dictionary, its table
+// column's; it sees a second after an append extended it, and none for a
+// column past storage.MaxDictSize.
+type strCodes struct {
+	vals  []string
+	dicts []dictCodes
+
+	// byVal finds a value's local code. It is built only when strings arrive
+	// from a second source: while everything came from one dictionary (sole),
+	// a value not yet translated is a value not yet seen, because a
+	// dictionary's values are distinct.
+	byVal map[string]int32
+	sole  *storage.Dict
+}
+
+// dictCodes translates one dictionary: to[code] is the local code, -1 until
+// the partial first meets the value.
+type dictCodes struct {
+	dict *storage.Dict
+	to   []int32
+}
+
+// words writes the local code of every live row of v into out.
+func (s *strCodes) words(v *storage.Vector, sel []int32, out []uint64) {
+	if v.Dict == nil {
+		if sel == nil {
+			for j, x := range v.Str {
+				out[j] = uint64(s.intern(x, nil))
+			}
+		} else {
+			for j, i := range sel {
+				out[j] = uint64(s.intern(v.Str[i], nil))
+			}
+		}
+		return
+	}
+	to, codes := s.translation(v.Dict), v.Code
+	if sel == nil {
+		for j, c := range codes {
+			lc := to[c]
+			if lc < 0 {
+				lc = s.intern(v.Str[j], v.Dict)
+				to[c] = lc
+			}
+			out[j] = uint64(lc)
+		}
+	} else {
+		for j, i := range sel {
+			lc := to[codes[i]]
+			if lc < 0 {
+				lc = s.intern(v.Str[i], v.Dict)
+				to[codes[i]] = lc
+			}
+			out[j] = uint64(lc)
+		}
+	}
+}
+
+// translation returns the code translation for dictionary d, starting an
+// empty one on first sight.
+func (s *strCodes) translation(d *storage.Dict) []int32 {
+	for _, dc := range s.dicts {
+		if dc.dict == d {
+			return dc.to
+		}
+	}
+	to := make([]int32, d.Len())
+	for i := range to {
+		to[i] = -1
+	}
+	s.dicts = append(s.dicts, dictCodes{dict: d, to: to})
+	return to
+}
+
+// intern returns v's local code, numbering it on first sight. from is the
+// dictionary v was read through (nil: none) — see byVal.
+func (s *strCodes) intern(v string, from *storage.Dict) int32 {
+	if s.byVal == nil {
+		if len(s.vals) == 0 {
+			s.sole = from
+		}
+		if from != nil && from == s.sole {
+			s.vals = append(s.vals, v)
+			return int32(len(s.vals) - 1)
+		}
+		s.byVal = make(map[string]int32, len(s.vals)+8)
+		for lc, x := range s.vals {
+			s.byVal[x] = int32(lc)
+		}
+	}
+	lc, ok := s.byVal[v]
+	if !ok {
+		lc = int32(len(s.vals))
+		s.vals = append(s.vals, v)
+		s.byVal[v] = lc
+	}
+	return lc
+}

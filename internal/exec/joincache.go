@@ -220,11 +220,17 @@ func (c *JoinCache) removeLocked(el *list.Element) {
 	}
 }
 
-// bytes is the table's resident size: build rows, their width array and the
-// index arrays. String payloads are counted in full although the rows share
-// them with the base table, so the bound errs towards holding less.
+// bytes is the table's resident size: build rows, their width array, the
+// code arrays of their coded string columns and the index arrays. String
+// payloads are counted in full although the rows share them with the base
+// table, so the bound errs towards holding less.
 func (t *joinTable) bytes() int64 {
 	n := t.rows.LiveWidth() + int64(len(t.rows.Width))*4
+	for _, v := range t.rows.Vecs {
+		if v.Dict != nil {
+			n += int64(len(v.Code)) * 4
+		}
+	}
 	n += int64(len(t.fixedRows)+len(t.denseOffs))*4 + int64(len(t.slots))*16
 	for _, m := range t.parts {
 		// Byte-keyed sub-tables, estimated: a key string, a slice header and

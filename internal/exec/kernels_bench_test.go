@@ -78,18 +78,20 @@ func BenchmarkFilterKernel(b *testing.B) {
 }
 
 // rowMajorObserve folds a batch with the pre-hoisting loop structure: one pass
-// over rows, re-deriving the group pointer, weight-column presence and each
+// over rows, re-deriving the group, weight-column presence and each
 // aggregate's column binding inside the row loop. It is the regression
 // baseline for aggTable.observe; both produce identical accumulator state.
 func rowMajorObserve(t *aggTable, b *storage.Batch) {
 	n := b.Len()
+	row := *b
+	row.Sel = make([]int32, 1)
+	na := len(t.spec.aggs)
+	sc := borrowScratch(1, len(t.spec.groupIdx))
+	defer returnScratch(sc)
 	for i := 0; i < n; i++ {
-		var g *aggGroup
-		if len(t.spec.groupIdx) == 0 {
-			g = t.singleGroup()
-		} else {
-			g = t.canonicalGroup(b, i)
-		}
+		row.Sel[0] = int32(i)
+		g := int(t.idx.resolve(&row, sc)[0])
+		t.open()
 		w := 1.0
 		if t.spec.weightIdx >= 0 {
 			w = b.Vecs[t.spec.weightIdx].F64[i]
@@ -99,7 +101,7 @@ func rowMajorObserve(t *aggTable, b *storage.Batch) {
 			if ci := t.spec.aggIdx[k]; ci >= 0 {
 				y = b.Vecs[ci].Float(i)
 			}
-			g.accs[k].Observe(y, w)
+			t.accs[g*na+k].Observe(y, w)
 		}
 	}
 }
@@ -178,3 +180,85 @@ func TestObserveHoistingMatchesRowMajor(t *testing.T) {
 		}
 	}
 }
+
+// The three group-resolution shapes the serving profile names, each run the
+// way the executor runs it: per 4 096-row morsel a fresh partial observes
+// four scan batches and merges into the run's table. ns/row covers all of it.
+//
+//   - one low-cardinality string column (TPC-H q3/q5/q12: o_orderpriority,
+//     n_name, l_shipmode), as a table scan delivers it (dictionary-coded) and
+//     as a vector built outside any table does (uncoded);
+//   - two string columns (q1: l_returnflag, l_linestatus);
+//   - one int64 column opening ~1 000 groups in every morsel (q15/q20).
+
+const benchMorsels = 8
+
+// benchGroupTable is benchMorsels morsels of: s1 (5 strings), s2 (3 strings),
+// k (1 000 ints, every morsel sees nearly all of them), f (float payload).
+func benchGroupTable() *storage.Table {
+	tb := storage.NewBuilder("t", storage.Schema{
+		{Name: "t.s1", Typ: storage.String},
+		{Name: "t.s2", Typ: storage.String},
+		{Name: "t.k", Typ: storage.Int64},
+		{Name: "t.f", Typ: storage.Float64},
+	})
+	s1 := []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"}
+	s2 := []string{"A", "N", "R"}
+	x := uint64(1)
+	for r := 0; r < benchMorsels*DefaultMorselRows; r++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		tb.Str(0, s1[(x>>33)%5])
+		tb.Str(1, s2[(x>>40)%3])
+		tb.Int(2, int64((x>>20)%1000))
+		tb.Float(3, float64(r%100)+0.5)
+	}
+	return tb.Build(1)
+}
+
+// uncodedCopy rebuilds a batch value by value, the way an operator that does
+// not go through the Vector copy methods would: no vector keeps a dictionary.
+func uncodedCopy(b *storage.Batch) *storage.Batch {
+	out := storage.NewBatch(b.Schema, b.Len())
+	for i := 0; i < b.Len(); i++ {
+		for c, v := range b.Row(i) {
+			out.Vecs[c].Append(v)
+		}
+	}
+	return out
+}
+
+func benchMorselAgg(b *testing.B, groupBy []string, coded bool) {
+	table := benchGroupTable()
+	batches := table.Scan(0, storage.BatchSize)
+	if !coded {
+		for i, sb := range batches {
+			batches[i] = uncodedCopy(sb)
+		}
+	}
+	aggs := []plan.AggSpec{{Kind: stats.Sum, Col: "t.f"}, {Kind: stats.Count}}
+	spec, err := resolveAggSpec(table.Schema(), groupBy, aggs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perMorsel := DefaultMorselRows / storage.BatchSize
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		global := newAggTable(spec)
+		for m := 0; m < benchMorsels; m++ {
+			part := newAggTable(spec)
+			for _, sb := range batches[m*perMorsel : (m+1)*perMorsel] {
+				part.observe(sb)
+			}
+			global.merge(part)
+		}
+	}
+	reportPerRow(b, table.NumRows())
+}
+
+func BenchmarkAggGroupedString(b *testing.B)        { benchMorselAgg(b, []string{"t.s1"}, true) }
+func BenchmarkAggGroupedStringUncoded(b *testing.B) { benchMorselAgg(b, []string{"t.s1"}, false) }
+func BenchmarkAggGroupedTwoStrings(b *testing.B) {
+	benchMorselAgg(b, []string{"t.s2", "t.s1"}, true)
+}
+func BenchmarkAggGroupedManyInts(b *testing.B) { benchMorselAgg(b, []string{"t.k"}, true) }

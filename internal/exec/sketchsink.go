@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
@@ -177,93 +178,137 @@ func (s *sketchSink) drainBuild(ctx *Context) error {
 
 // newPartial implements sink.
 func (s *sketchSink) newPartial() partial {
-	return &sketchTable{sink: s, groups: make(map[string]*sjGroup, 64)}
+	return &sketchTable{sink: s, idx: newGroupIndex(s.groupIdx, s.schema)}
 }
 
-// sjGroup is one group's running sketch-join state; every field is a sum
-// over the group's probe rows.
-type sjGroup struct {
-	keyVals []storage.Value
-	den     float64 // Σ w·count(key): COUNT(*) of the join result
-	num     float64 // Σ w·sum(key): SUM(build agg col)
-	probe   []float64
-	errDen  float64
-	errNum  float64
-	errProb []float64
-}
+// sjSums is one group's running sketch-join state, a row of sketchTable's
+// slab; every cell is a sum over the group's probe rows.
+type sjSums []float64
 
-// add folds another partial's sums for the same group into g.
-func (g *sjGroup) add(o *sjGroup) {
-	g.den += o.den
-	g.num += o.num
-	g.errDen += o.errDen
-	g.errNum += o.errNum
-	for k := range g.probe {
-		g.probe[k] += o.probe[k]
-		g.errProb[k] += o.errProb[k]
-	}
-}
+// The cells of an sjSums row: four sums every group carries, then two per
+// aggregate k (zero, and never read, for an aggregate over the build column).
+const (
+	sjDen    = iota // Σ w·count(key): COUNT(*) of the join result
+	sjNum           // Σ w·sum(key): SUM(build agg col)
+	sjErrDen        // the expected overestimate inside sjDen
+	sjErrNum        // and inside sjNum
+	sjPerAgg        // cells before the per-aggregate pairs
+)
 
-// sketchTable is the sketch sink's partial: groups keyed by the groupKey
-// byte encoding of the probe-side grouping columns.
+// probe is Σ w·count(key)·y over aggregate k's probe-side column y, errProbe
+// the expected overestimate inside it.
+func (g sjSums) probe(k int) float64    { return g[sjPerAgg+2*k] }
+func (g sjSums) errProbe(k int) float64 { return g[sjPerAgg+2*k+1] }
+
+// sketchTable is the sketch sink's partial: groups are the dense ids of idx
+// (groupindex.go) over the probe-side grouping columns, and group id's sums
+// are the stride cells of sums from id*stride on.
 type sketchTable struct {
-	sink   *sketchSink
-	groups map[string]*sjGroup
-	key    []byte // scratch buffer
+	sink *sketchSink
+	idx  groupIndex
+	sums []float64
 }
+
+func (t *sketchTable) stride() int { return sjPerAgg + 2*len(t.sink.aggProbeIdx) }
 
 // fold implements partial: one sketch lookup and one CPU tuple per live
 // probe row, and — unlike the aggregate sink — no exchange: the sketch is
-// broadcast, the probe rows stay where they are.
+// broadcast, the probe rows stay where they are. Rows fold in two passes, as
+// aggTable.observe does: the row pass resolves groups, reads the sketch and
+// folds the four sums every group carries; then each probe-side aggregate
+// column folds in a loop of its own over a typed slice. Every cell still
+// adds the same terms in row order, so the sums are bit-identical to a
+// row-major fold.
 func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	s := t.sink
 	n := b.Rows()
 	ctx.Stats.CPUTuples += int64(n)
-	for j := 0; j < n; j++ {
+	if n == 0 {
+		return
+	}
+	sc := borrowScratch(n, len(s.groupIdx))
+	defer returnScratch(sc)
+	ids := t.idx.resolve(b, sc)
+	stride := t.stride()
+	if grow := t.idx.n*stride - len(t.sums); grow > 0 {
+		t.sums = append(t.sums, make([]float64, grow)...)
+	}
+	var wcol []float64
+	if s.weightIdx >= 0 {
+		wcol = b.Vecs[s.weightIdx].F64
+	}
+	// Each live row's w·count and w·errC, kept from the row pass for the
+	// per-aggregate column passes.
+	if cap(sc.floats) < 2*n {
+		sc.floats = make([]float64, 2*max(n, storage.BatchSize))
+	}
+	wc, we := sc.floats[:n], sc.floats[n:2*n]
+	for j, id := range ids {
 		i := j
 		if b.Sel != nil {
 			i = int(b.Sel[j])
 		}
 		cnt, sum := s.sketch.Estimate(b.Vecs, s.probeKeyIdx, i)
 		w := 1.0
-		if s.weightIdx >= 0 {
-			w = b.Vecs[s.weightIdx].F64[i]
+		if wcol != nil {
+			w = wcol[i]
 		}
-		t.key = groupKey(t.key, b.Vecs, s.groupIdx, i)
-		g, ok := t.groups[string(t.key)]
-		if !ok {
-			g = &sjGroup{
-				probe:   make([]float64, len(s.aggProbeIdx)),
-				errProb: make([]float64, len(s.aggProbeIdx)),
-			}
-			for _, gi := range s.groupIdx {
-				g.keyVals = append(g.keyVals, b.Vecs[gi].Get(i))
-			}
-			t.groups[string(t.key)] = g
+		g := t.sums[int(id)*stride:]
+		wc[j], we[j] = w*cnt, w*s.errC
+		g[sjDen] += wc[j]
+		g[sjNum] += w * sum
+		g[sjErrDen] += we[j]
+		g[sjErrNum] += w * s.errS
+	}
+	for k, pi := range s.aggProbeIdx {
+		if pi < 0 {
+			continue
 		}
-		g.den += w * cnt
-		g.num += w * sum
-		g.errDen += w * s.errC
-		g.errNum += w * s.errS
-		for k, pi := range s.aggProbeIdx {
-			if pi >= 0 {
-				pv := b.Vecs[pi].Float(i)
-				g.probe[k] += w * cnt * pv
-				g.errProb[k] += w * s.errC * abs(pv)
-			}
+		// newSketchSink binds aggregates to numeric columns only (Validate
+		// refuses the rest), so the two typed arms are exhaustive.
+		cells := t.sums[sjPerAgg+2*k:]
+		switch v := b.Vecs[pi]; v.Typ {
+		case storage.Float64:
+			foldProbeColumn(cells, stride, ids, b.Sel, v.F64, wc, we)
+		case storage.Int64:
+			foldProbeColumn(cells, stride, ids, b.Sel, v.I64, wc, we)
 		}
+	}
+}
+
+// foldProbeColumn folds one probe-side aggregate column: cells is the slab
+// from that aggregate's pair on, so group id's pair is cells[id*stride:].
+func foldProbeColumn[T int64 | float64](cells []float64, stride int, ids, sel []int32, col []T, wc, we []float64) {
+	for j, id := range ids {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		pv := float64(col[i])
+		g := cells[int(id)*stride:]
+		g[0] += wc[j] * pv
+		g[1] += we[j] * abs(pv)
 	}
 }
 
 // merge implements partial. Each group's sums re-associate once per morsel
 // boundary, so merging in morsel index order keeps them bit-reproducible at
-// any worker count.
+// any worker count. A group new to t takes o's sums as they are (see
+// aggTable.merge).
 func (t *sketchTable) merge(o partial) {
-	for key, og := range o.(*sketchTable).groups {
-		if g, ok := t.groups[key]; ok {
-			g.add(og)
-		} else {
-			t.groups[key] = og
+	ot := o.(*sketchTable)
+	stride, had := t.stride(), t.idx.n
+	ids := t.idx.absorb(&ot.idx)
+	t.sums = slices.Grow(t.sums, t.idx.n*stride-len(t.sums))
+	for oid, id := range ids {
+		src := ot.sums[oid*stride : (oid+1)*stride]
+		if int(id) >= had {
+			t.sums = append(t.sums, src...)
+			continue
+		}
+		dst := t.sums[int(id)*stride:]
+		for c, x := range src {
+			dst[c] += x
 		}
 	}
 }
@@ -272,28 +317,21 @@ func (t *sketchTable) merge(o partial) {
 // estimate and error bound.
 func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
 	s := t.sink
-	all := make([]*sjGroup, 0, len(t.groups))
-	//taster:sorted emission order is fixed by sortRowsByValues below — group keys are unique, so the value sort is total and launders map order
-	for _, g := range t.groups {
-		all = append(all, g)
-	}
-	keys := make([][]storage.Value, len(all))
-	for i, g := range all {
-		keys[i] = g.keyVals
-	}
-	order := sortRowsByValues(keys)
+	// Group keys are unique, so the value sort is total: ids never show.
+	keys := t.idx.keyRows()
+	stride := t.stride()
 
-	out := storage.NewBatch(s.schema, len(all))
-	intervals := make([][]stats.Interval, 0, len(all))
-	for _, oi := range order {
-		g := all[oi]
+	out := storage.NewBatch(s.schema, len(keys))
+	intervals := make([][]stats.Interval, 0, len(keys))
+	for _, id := range sortRowsByValues(keys) {
+		g := sjSums(t.sums[id*stride : (id+1)*stride])
 		// Sketch estimates only ever overestimate; groups whose entire mass
 		// is attributable to collision noise are spurious — drop them. The
 		// test reads the merged totals, never one morsel's share.
-		if g.den <= g.errDen && g.den < 1 {
+		if g[sjDen] <= g[sjErrDen] && g[sjDen] < 1 {
 			continue
 		}
-		for c, v := range g.keyVals {
+		for c, v := range keys[id] {
 			out.Vecs[c].Append(v)
 		}
 		rowIv := make([]stats.Interval, len(s.node.Aggs))
@@ -310,27 +348,28 @@ func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
 // groupInterval derives estimate and a conservative error bound for one
 // aggregate cell. CM bounds are one-sided (overestimates), reported here as
 // symmetric half-widths.
-func (s *sketchSink) groupInterval(g *sjGroup, k int, ag plan.AggSpec) stats.Interval {
+func (s *sketchSink) groupInterval(g sjSums, k int, ag plan.AggSpec) stats.Interval {
+	den, errDen := g[sjDen], g[sjErrDen]
 	switch {
 	case ag.Kind == stats.Count:
-		return stats.Interval{Estimate: g.den, HalfWidth: g.errDen}
+		return stats.Interval{Estimate: den, HalfWidth: errDen}
 	case ag.Kind == stats.Sum && s.aggProbeIdx[k] < 0:
-		return stats.Interval{Estimate: g.num, HalfWidth: g.errNum}
+		return stats.Interval{Estimate: g[sjNum], HalfWidth: g[sjErrNum]}
 	case ag.Kind == stats.Sum:
-		return stats.Interval{Estimate: g.probe[k], HalfWidth: g.errProb[k]}
+		return stats.Interval{Estimate: g.probe(k), HalfWidth: g.errProbe(k)}
 	case ag.Kind == stats.Avg && s.aggProbeIdx[k] < 0:
-		if g.den == 0 {
+		if den == 0 {
 			return stats.Interval{}
 		}
-		r := g.num / g.den
-		hw := (g.errNum + abs(r)*g.errDen) / g.den
+		r := g[sjNum] / den
+		hw := (g[sjErrNum] + abs(r)*errDen) / den
 		return stats.Interval{Estimate: r, HalfWidth: hw}
 	case ag.Kind == stats.Avg:
-		if g.den == 0 {
+		if den == 0 {
 			return stats.Interval{}
 		}
-		r := g.probe[k] / g.den
-		hw := (g.errProb[k] + abs(r)*g.errDen) / g.den
+		r := g.probe(k) / den
+		hw := (g.errProbe(k) + abs(r)*errDen) / den
 		return stats.Interval{Estimate: r, HalfWidth: hw}
 	}
 	return stats.Interval{}

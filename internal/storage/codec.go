@@ -231,7 +231,9 @@ func DecodeTable(r *Reader) (*Table, error) {
 		cols[i] = v
 	}
 	// Rebuild the recorded partition layout over the decoded columns
-	// (zero-copy slices), restoring each partition's epoch.
+	// (zero-copy slices), restoring each partition's epoch. The payload holds
+	// strings only; codes are assigned here as at any table construction.
+	cols, dicts := codedColumns(cols)
 	parts := make([]*Partition, len(partCounts))
 	lo := 0
 	for i, pr := range partCounts {
@@ -245,7 +247,7 @@ func DecodeTable(r *Reader) (*Table, error) {
 	if len(parts) == 0 {
 		parts = []*Partition{{cols: cols}}
 	}
-	t := newTableFromParts(name, schema, parts, int(partRows), epoch)
+	t := newTableFromParts(name, schema, parts, dicts, int(partRows), epoch)
 	t.colsView = cols
 	return t, nil
 }

@@ -1,0 +1,403 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// checkCoded holds one vector to the side-car invariant: uncoded, or one
+// code per string, each naming that string, in a dictionary of distinct
+// values no larger than the cap.
+func checkCoded(t *testing.T, where string, v *Vector) {
+	t.Helper()
+	if v.Typ != String || v.Dict == nil {
+		return
+	}
+	if len(v.Code) != len(v.Str) {
+		t.Fatalf("%s: %d codes for %d strings", where, len(v.Code), len(v.Str))
+	}
+	vals := v.Dict.vals
+	if len(vals) > MaxDictSize {
+		t.Fatalf("%s: dictionary of %d values exceeds the cap", where, len(vals))
+	}
+	for i, c := range v.Code {
+		if int(c) >= len(vals) || vals[c] != v.Str[i] {
+			t.Fatalf("%s: row %d: code %d does not name %q", where, i, c, v.Str[i])
+		}
+	}
+	seen := make(map[string]bool, len(vals))
+	for _, s := range vals {
+		if seen[s] {
+			t.Fatalf("%s: dictionary holds %q twice", where, s)
+		}
+		seen[s] = true
+	}
+}
+
+func checkBatch(t *testing.T, where string, b *Batch) {
+	t.Helper()
+	for c, v := range b.Vecs {
+		checkCoded(t, fmt.Sprintf("%s col %d", where, c), v)
+	}
+}
+
+// randStrings draws n strings from a vocabulary of the given size; the
+// alphabet has the awkward members — empty, NUL-embedded — up front.
+func randStrings(r *rand.Rand, n, vocab int) []string {
+	out := make([]string, n)
+	for i := range out {
+		switch k := r.Intn(vocab); k {
+		case 0:
+			out[i] = ""
+		case 1:
+			out[i] = "a\x00b"
+		default:
+			out[i] = fmt.Sprintf("v%d", k)
+		}
+	}
+	return out
+}
+
+func strTable(t *testing.T, name string, strs []string, partitions int) *Table {
+	t.Helper()
+	ids := make([]int64, len(strs))
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	tbl, err := NewTable(name, Schema{{Name: name + ".id", Typ: Int64}, {Name: name + ".s", Typ: String}},
+		[]*Vector{{Typ: Int64, I64: ids}, {Typ: String, Str: strs}}, partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestVectorCodesSurviveRandomCopies drives random sequences of the copying
+// methods over vectors drawn from two tables with different dictionaries, an
+// uncoded source and pool-recycled destinations, and checks the invariant
+// after every step: codes are carried where source and destination agree on
+// the dictionary (or the destination is empty) and dropped — never left
+// stale — anywhere else.
+func TestVectorCodesSurviveRandomCopies(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		a := strTable(t, "a", randStrings(r, 400, 9), 3)
+		b := strTable(t, "b", randStrings(r, 300, 30), 2)
+		uncoded := &Vector{Typ: String, Str: randStrings(r, 200, 12)}
+		sources := []*Vector{a.Column(1), b.Column(1), uncoded, a.Partition(1).cols[1], b.Partition(0).cols[1]}
+		for _, s := range sources[:2] {
+			if s.Dict == nil {
+				t.Fatal("a low-cardinality table column came out uncoded")
+			}
+		}
+		pool := NewVecPool()
+		schema := Schema{{Name: "s", Typ: String}}
+		live := []*Vector{NewVector(String, 0)}
+		carried := 0
+		for step := 0; step < 300; step++ {
+			src := sources[r.Intn(len(sources))]
+			dst := live[r.Intn(len(live))]
+			where := fmt.Sprintf("seed %d step %d", seed, step)
+			switch r.Intn(9) {
+			case 0:
+				lo := r.Intn(src.Len())
+				sources = append(sources, src.Slice(lo, lo+1+r.Intn(src.Len()-lo)))
+				checkCoded(t, where+" slice", sources[len(sources)-1])
+			case 1:
+				dst.AppendFrom(src, r.Intn(src.Len()))
+			case 2:
+				rows := make([]int32, r.Intn(20))
+				for i := range rows {
+					rows[i] = int32(r.Intn(src.Len()))
+				}
+				dst.AppendGather(src, rows)
+			case 3:
+				dst.Extend(src)
+			case 4:
+				idx := make([]int, r.Intn(20))
+				for i := range idx {
+					idx[i] = r.Intn(src.Len())
+				}
+				g := src.Gather(idx)
+				checkCoded(t, where+" gather", g)
+				live = append(live, g)
+			case 5:
+				dst.Append(StringValue(fmt.Sprintf("fresh%d", step)))
+			case 6: // a filter's selection resolved into pooled vectors
+				in := &Batch{Schema: schema, Vecs: []*Vector{src}}
+				for i := 0; i < src.Len(); i++ {
+					if r.Intn(3) == 0 {
+						in.Sel = append(in.Sel, int32(i))
+					}
+				}
+				if in.Sel == nil {
+					continue
+				}
+				out := in.Materialize(pool)
+				checkBatch(t, where+" materialize", out)
+				if src.Dict != nil && out.Vecs[0].Dict != src.Dict {
+					t.Fatalf("%s: Materialize into an empty vector lost the dictionary", where)
+				}
+				pool.Release(out)
+			case 7: // pool reuse: what comes back must not remember its past
+				pb := pool.GetBatch(schema, 8)
+				if v := pb.Vecs[0]; v.Dict != nil || v.Len() != 0 {
+					t.Fatalf("%s: recycled vector arrives with %d rows, dict %v", where, v.Len(), v.Dict != nil)
+				}
+				pb.Vecs[0].Extend(src)
+				checkBatch(t, where+" pooled", pb)
+				pool.Release(pb)
+			case 8:
+				live = append(live, NewVector(String, 0))
+			}
+			checkCoded(t, where+" dst", dst)
+			if dst.Dict != nil {
+				carried++
+			}
+		}
+		if carried == 0 {
+			t.Fatalf("seed %d: no destination ever carried codes; the test is vacuous", seed)
+		}
+	}
+}
+
+// tableVersion remembers a table version and what its dictionaries held when
+// it was published.
+type tableVersion struct {
+	tbl   *Table
+	dicts [][]string // per column: the dictionary's values then, nil if none
+}
+
+func snapshotVersion(tbl *Table) tableVersion {
+	v := tableVersion{tbl: tbl, dicts: make([][]string, len(tbl.dicts))}
+	for i, d := range tbl.dicts {
+		if d != nil {
+			v.dicts[i] = append([]string{}, d.vals...)
+		}
+	}
+	return v
+}
+
+func checkTable(t *testing.T, where string, tbl *Table) {
+	t.Helper()
+	for p, part := range tbl.parts {
+		for c, v := range part.cols {
+			checkCoded(t, fmt.Sprintf("%s part %d col %d", where, p, c), v)
+			if v.Len() != part.rows {
+				t.Fatalf("%s part %d col %d: %d values for %d rows", where, p, c, v.Len(), part.rows)
+			}
+		}
+	}
+	for c := range tbl.schema {
+		checkCoded(t, fmt.Sprintf("%s column view %d", where, c), tbl.Column(c))
+	}
+	if tail := tbl.parts[len(tbl.parts)-1]; tbl.dicts[1] != nil && tail.cols[1].Dict != tbl.dicts[1] {
+		t.Fatalf("%s: tail partition is not coded under the table's current dictionary", where)
+	}
+}
+
+// TestTableAppendKeepsCodes drives random append chains — deltas with and
+// without new values, deltas that overflow the cap mid-table, appends onto a
+// column that never was coded, two appends forked from one parent — and
+// checks after every step the invariant on every partition of every version
+// still held, that no published dictionary has changed, and that the
+// partitions an append did not touch are the parent's own, code arrays
+// included.
+func TestTableAppendKeepsCodes(t *testing.T) {
+	extended, overflowed := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var first *Table
+		switch seed % 3 {
+		case 0: // starts past the cap: never coded
+			strs := make([]string, MaxDictSize+50)
+			for i := range strs {
+				strs[i] = fmt.Sprintf("u%d", i)
+			}
+			first = strTable(t, "t", strs, 1).Repartition(600)
+			if first.dicts[1] != nil {
+				t.Fatal("a column past the cap was coded")
+			}
+		default:
+			first = strTable(t, "t", randStrings(r, 900, 8), 1).Repartition(600)
+		}
+		versions := []tableVersion{snapshotVersion(first)}
+		for step := 0; step < 14; step++ {
+			parent := versions[r.Intn(len(versions))].tbl // any version: forks included
+			var strs []string
+			switch r.Intn(4) {
+			case 0: // nothing new
+				strs = randStrings(r, 1+r.Intn(500), 8)
+			case 1: // a few new values
+				strs = randStrings(r, 1+r.Intn(500), 8+step*3)
+			case 2: // resampled from the parent, so the delta arrives coded
+				col := parent.Column(1)
+				nv := NewVector(String, 0)
+				for i := 0; i < 1+r.Intn(400); i++ {
+					nv.AppendFrom(col, r.Intn(col.Len()))
+				}
+				strs = nv.Str
+			case 3: // enough new values to overflow the cap
+				strs = make([]string, MaxDictSize+10)
+				for i := range strs {
+					strs[i] = fmt.Sprintf("w%d-%d", step, i)
+				}
+			}
+			next, err := parent.Append(strTable(t, "t", strs, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("seed %d step %d", seed, step)
+			checkTable(t, where, next)
+			if pd, nd := parent.dicts[1], next.dicts[1]; pd != nil {
+				switch {
+				case nd == nil:
+					overflowed++
+				case nd != pd:
+					extended++
+					if got := nd.vals[:pd.Len()]; !reflect.DeepEqual(got, pd.vals) {
+						t.Fatalf("%s: the extended dictionary renumbered old values", where)
+					}
+				}
+			} else if next.dicts[1] != nil {
+				t.Fatalf("%s: an append coded a column its parent had given up on", where)
+			}
+			// Every partition but the parent's tail is shared, not copied.
+			for p := 0; p < len(parent.parts)-1; p++ {
+				if next.parts[p] != parent.parts[p] {
+					t.Fatalf("%s: untouched partition %d was replaced", where, p)
+				}
+				pc, nc := parent.parts[p].cols[1].Code, next.parts[p].cols[1].Code
+				if len(pc) > 0 && &pc[0] != &nc[0] {
+					t.Fatalf("%s: untouched partition %d re-encoded", where, p)
+				}
+			}
+			versions = append(versions, snapshotVersion(next))
+			for vi, v := range versions {
+				checkTable(t, fmt.Sprintf("%s: version %d", where, vi), v.tbl)
+				for c, want := range v.dicts {
+					if want != nil && !reflect.DeepEqual(v.tbl.dicts[c].vals, want) {
+						t.Fatalf("%s: version %d's dictionary changed after it was published", where, vi)
+					}
+				}
+			}
+		}
+	}
+	if extended < 5 || overflowed < 5 {
+		t.Fatalf("%d appends extended a dictionary and %d overflowed one; the chains never left the easy path", extended, overflowed)
+	}
+}
+
+// TestForkedAppendsLeaveTheParentAlone appends to one parent version from
+// several goroutines while others read the parent's codes and dictionary:
+// under -race any write an append makes to shared state shows as a race.
+func TestForkedAppendsLeaveTheParentAlone(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	parent := strTable(t, "t", randStrings(r, 2000, 6), 1).Repartition(700)
+	want := snapshotVersion(parent)
+	deltas := make([]*Table, 4)
+	for i := range deltas {
+		deltas[i] = strTable(t, "t", randStrings(r, 300, 6+5*(i+1)), 1)
+	}
+	var wg sync.WaitGroup
+	forks := make([]*Table, len(deltas))
+	for i, d := range deltas {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			nt, err := parent.Append(d)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			forks[i] = nt
+		}()
+		go func() { // a reader of the parent
+			defer wg.Done()
+			for _, part := range parent.parts {
+				v := part.cols[1]
+				vals := v.Dict.vals
+				for j, c := range v.Code {
+					if vals[c] != v.Str[j] {
+						t.Errorf("parent row %d reads %q through its code", j, vals[c])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(parent.dicts[1].vals, want.dicts[1]) {
+		t.Fatal("the parent's dictionary changed under its forks")
+	}
+	for i, f := range forks {
+		if f == nil {
+			continue
+		}
+		checkTable(t, fmt.Sprintf("fork %d", i), f)
+		if f.dicts[1] == parent.dicts[1] {
+			t.Fatalf("fork %d brought new values and still shares the parent's dictionary", i)
+		}
+	}
+}
+
+// statsUncoded is Stats as it was before codes: every column counted through
+// the frequency map, whatever side-car it carries.
+func statsUncoded(tbl *Table) *TableStats {
+	ts := &TableStats{Rows: tbl.rows, Columns: make([]ColumnStats, len(tbl.schema))}
+	for i := range tbl.schema {
+		chunks := make([]*Vector, len(tbl.parts))
+		for p, part := range tbl.parts {
+			c := *part.cols[i]
+			c.Code, c.Dict = nil, nil
+			chunks[p] = &c
+		}
+		ts.Columns[i] = computeColumnStats(chunks)
+	}
+	return ts
+}
+
+// TestPerCodeStatsMatchTheFrequencyMap: counting a coded column per code is
+// the same statistics, including on a table whose dictionary holds values its
+// rows do not (a sample keeps its base table's).
+func TestPerCodeStatsMatchTheFrequencyMap(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	base := strTable(t, "t", randStrings(r, 5000, 40), 4)
+	b := NewBuilder("sample", base.Schema())
+	for i := 0; i < 60; i++ {
+		row := r.Intn(base.NumRows())
+		b.CopyFrom(0, base.Column(0), row)
+		b.CopyFrom(1, base.Column(1), row)
+	}
+	sample := b.Build(2)
+	if sample.dicts[1] != base.dicts[1] {
+		t.Fatal("a sample copied out of a table did not keep its dictionary")
+	}
+	for _, tbl := range []*Table{base, sample, strTable(t, "one", []string{"x"}, 1)} {
+		if got, want := tbl.Stats(), statsUncoded(tbl); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: per-code stats %+v, frequency-map stats %+v", tbl.Name, got.Columns, want.Columns)
+		}
+	}
+}
+
+// TestBuilderMixingCopiedAndBareStrings: a builder column that takes coded
+// rows through CopyFrom and then a bare string cannot keep the copied codes;
+// the table it builds codes the column afresh.
+func TestBuilderMixingCopiedAndBareStrings(t *testing.T) {
+	src := strTable(t, "t", []string{"a", "b", "a", "c"}, 1)
+	b := NewBuilder("t", src.Schema())
+	for row := 0; row < src.NumRows(); row++ {
+		b.CopyFrom(0, src.Column(0), row)
+		b.CopyFrom(1, src.Column(1), row)
+	}
+	b.Int(0, 99)
+	b.Str(1, "d")
+	tbl := b.Build(1)
+	checkTable(t, "mixed builder", tbl)
+	if d := tbl.dicts[1]; d == nil || d == src.dicts[1] || d.Len() != 4 {
+		t.Fatalf("mixed column should be coded afresh over its 4 values, got %v", d)
+	}
+}

@@ -80,7 +80,9 @@ func (p *VecPool) GetVector(t Type, n int) *Vector {
 
 // putVector recycles one vector. Lengths reset to zero; String payloads are
 // cleared first so recycled arrays do not pin the strings of a previous
-// batch beyond their lifetime.
+// batch beyond their lifetime, and the vector forgets its dictionary — it
+// comes back uncoded, keeping only the code array's capacity — so it never
+// reads another column's codes as its own.
 func (p *VecPool) putVector(v *Vector) {
 	if p == nil || v == nil {
 		return
@@ -93,6 +95,7 @@ func (p *VecPool) putVector(v *Vector) {
 	case String:
 		clear(v.Str)
 		v.Str = v.Str[:0]
+		v.dropCodes()
 	case Bool:
 		v.B = v.B[:0]
 	default:

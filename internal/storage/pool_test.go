@@ -134,3 +134,34 @@ func TestMaterializeCarriesWidths(t *testing.T) {
 		t.Fatal("release left the width buffer on the batch")
 	}
 }
+
+// TestVecPoolRecycledVectorForgetsCodes: a coded string vector goes back to
+// the pool without its dictionary — only the code array's capacity comes
+// back — so whatever column the recycled vector serves next, coded under
+// another dictionary or not coded at all, never reads the old column's codes
+// as its own.
+func TestVecPoolRecycledVectorForgetsCodes(t *testing.T) {
+	flags := strTable(t, "f", []string{"A", "N", "R", "N", "A"}, 1).Column(1)
+	modes := strTable(t, "m", []string{"AIR", "RAIL", "AIR"}, 1).Column(1)
+	schema := Schema{{Name: "s", Typ: String}}
+	p := NewVecPool()
+	for round, src := range []*Vector{flags, {Typ: String, Str: []string{"x", "y"}}, modes, flags} {
+		b := p.GetBatch(schema, 8)
+		v := b.Vecs[0]
+		if v.Dict != nil || len(v.Code) != 0 || v.Len() != 0 {
+			t.Fatalf("round %d: recycled vector arrives coded (dict %v, %d codes, %d rows)", round, v.Dict != nil, len(v.Code), v.Len())
+		}
+		v.Extend(src)
+		if v.Dict != src.Dict {
+			t.Fatalf("round %d: an empty pooled vector did not take its source's dictionary", round)
+		}
+		checkCoded(t, "pooled", v)
+		// A second source under another dictionary drops the codes for good.
+		v.AppendFrom(modes, 1)
+		if src.Dict != modes.Dict && v.Dict != nil {
+			t.Fatalf("round %d: codes survived a dictionary mismatch", round)
+		}
+		checkCoded(t, "pooled, mixed", v)
+		p.Release(b)
+	}
+}

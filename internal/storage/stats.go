@@ -76,38 +76,54 @@ func computeColumnStats(chunks []*Vector) ColumnStats {
 	if n == 0 {
 		return st
 	}
-	// Distinct/group statistics via a frequency map keyed by the value's
-	// canonical representation. Exact counting is fine at our scales; the
-	// paper computes the same statistics on a cluster.
-	freq := make(map[Value]int, 1024)
-	for _, c := range chunks {
-		switch c.Typ {
-		case Int64:
-			for _, v := range c.I64 {
-				freq[Value{Typ: Int64, I: v}]++
-			}
-		case Float64:
-			for _, v := range c.F64 {
-				freq[Value{Typ: Float64, F: v}]++
-			}
-		case String:
-			for _, v := range c.Str {
-				freq[Value{Typ: String, S: v}]++
-			}
-		case Bool:
-			for _, v := range c.B {
-				freq[Value{Typ: Bool, B: v}]++
-			}
-		}
-	}
-	st.Distinct = len(freq)
 	st.MinGroup = n
-	for _, f := range freq {
-		if f < st.MinGroup {
-			st.MinGroup = f
+	group := func(size int) {
+		st.Distinct++
+		st.MinGroup = min(st.MinGroup, size)
+		st.MaxGroup = max(st.MaxGroup, size)
+	}
+	if d := sharedDict(chunks); d != nil {
+		// A coded column counts per code: one array increment per row, and
+		// its value groups are the codes that occur (a sample's dictionary
+		// can hold values its rows do not).
+		counts := make([]int, d.Len())
+		for _, c := range chunks {
+			for _, code := range c.Code {
+				counts[code]++
+			}
 		}
-		if f > st.MaxGroup {
-			st.MaxGroup = f
+		for _, f := range counts {
+			if f > 0 {
+				group(f)
+			}
+		}
+	} else {
+		// Any other column: a frequency map keyed by the value's canonical
+		// representation. Exact counting is fine at our scales; the paper
+		// computes the same statistics on a cluster.
+		freq := make(map[Value]int, 1024)
+		for _, c := range chunks {
+			switch c.Typ {
+			case Int64:
+				for _, v := range c.I64 {
+					freq[Value{Typ: Int64, I: v}]++
+				}
+			case Float64:
+				for _, v := range c.F64 {
+					freq[Value{Typ: Float64, F: v}]++
+				}
+			case String:
+				for _, v := range c.Str {
+					freq[Value{Typ: String, S: v}]++
+				}
+			case Bool:
+				for _, v := range c.B {
+					freq[Value{Typ: Bool, B: v}]++
+				}
+			}
+		}
+		for _, f := range freq {
+			group(f)
 		}
 	}
 	avgGroup := float64(n) / float64(st.Distinct)
@@ -137,6 +153,19 @@ func computeColumnStats(chunks []*Vector) ColumnStats {
 		}
 	}
 	return st
+}
+
+// sharedDict returns the dictionary every chunk is coded under, nil when any
+// chunk is uncoded or two disagree (partitions on either side of an append
+// that extended the dictionary).
+func sharedDict(chunks []*Vector) *Dict {
+	d := chunks[0].Dict
+	for _, c := range chunks[1:] {
+		if c.Dict != d {
+			return nil
+		}
+	}
+	return d
 }
 
 // DistinctOf returns the distinct count of the named column, or 0 when the

@@ -115,6 +115,12 @@ type Table struct {
 	rows     int
 	epoch    uint64 // monotonically increasing version counter, bumped by Append
 
+	// dicts[i] is the dictionary new rows of string column i are coded under:
+	// the one the tail partition carries, shared with every partition since
+	// the last append that brought a new value. Nil for other types and for a
+	// column past MaxDictSize, which stays uncoded from then on.
+	dicts []*Dict
+
 	colsOnce sync.Once
 	colsView []*Vector // lazily concatenated whole-column view
 
@@ -166,9 +172,12 @@ func checkCols(name string, schema Schema, cols []*Vector) error {
 
 // newTableChunked slices monolithic columns into partitions of at most
 // partRows rows (0 = single partition). Slicing is zero-copy; the monolithic
-// vectors double as the whole-column view.
+// vectors double as the whole-column view. This is where a table's string
+// columns get their codes (codedColumns): once, over the whole column, so
+// every partition shares one dictionary.
 func newTableChunked(name string, schema Schema, cols []*Vector, rows, partRows int) *Table {
-	t := &Table{Name: name, schema: schema, rows: rows, partRows: partRows, colsView: cols}
+	cols, dicts := codedColumns(cols)
+	t := &Table{Name: name, schema: schema, rows: rows, partRows: partRows, colsView: cols, dicts: dicts}
 	step := partRows
 	if step <= 0 || step > rows {
 		step = rows
@@ -196,8 +205,8 @@ func newTableChunked(name string, schema Schema, cols []*Vector, rows, partRows 
 
 // newTableFromParts assembles a table version directly from partitions
 // (used by Append and the codec). Partitions are adopted, not copied.
-func newTableFromParts(name string, schema Schema, parts []*Partition, partRows int, epoch uint64) *Table {
-	t := &Table{Name: name, schema: schema, parts: parts, partRows: partRows, epoch: epoch}
+func newTableFromParts(name string, schema Schema, parts []*Partition, dicts []*Dict, partRows int, epoch uint64) *Table {
+	t := &Table{Name: name, schema: schema, parts: parts, dicts: dicts, partRows: partRows, epoch: epoch}
 	t.offs = make([]int, 0, len(parts)+1)
 	for _, p := range parts {
 		t.offs = append(t.offs, t.rows)
@@ -242,6 +251,15 @@ func (t *Table) Epoch() uint64 { return t.epoch }
 // partitions — so an append costs O(tail + delta), not O(table), and only
 // the partitions an append touches see their epoch bumped.
 // delta must have an identical schema.
+//
+// String columns: the delta alone is coded against the column's dictionary
+// (translated from its own codes when it has them). While it brings no new
+// value the new version shares the old one's dictionary; when it does, the
+// new version's dictionary is an extended copy — old codes keep their
+// meaning in it, so the tail clone copies its codes and takes the new
+// dictionary without re-hashing a row — and the shared partitions keep the
+// old one. A column the delta pushes past MaxDictSize, or one that never was
+// coded, takes the delta's rows uncoded.
 func (t *Table) Append(delta *Table) (*Table, error) {
 	if !t.schema.Equal(delta.schema) {
 		return nil, fmt.Errorf("storage: append to %s: schema mismatch", t.Name)
@@ -252,8 +270,12 @@ func (t *Table) Append(delta *Table) (*Table, error) {
 
 	dRows := delta.rows
 	dCols := make([]*Vector, len(t.schema))
+	dicts := make([]*Dict, len(t.schema))
 	for i := range dCols {
 		dCols[i] = delta.Column(i)
+		if t.schema[i].Typ == String {
+			dCols[i], dicts[i] = recoded(t.dicts[i], dCols[i])
+		}
 	}
 	taken := 0
 
@@ -276,8 +298,17 @@ func (t *Table) Append(delta *Table) (*Table, error) {
 			nc := make([]*Vector, len(tail.cols))
 			for i, c := range tail.cols {
 				nv := NewVector(c.Typ, c.Len()+take)
+				if c.Dict != nil {
+					nv.Code = make([]uint32, 0, c.Len()+take)
+				}
 				nv.Extend(c)
+				if nv.Dict != nil && nv.Dict == t.dicts[i] {
+					nv.Dict = dicts[i] // the same dictionary, or its extension
+				}
 				nv.Extend(dCols[i].Slice(0, take))
+				if nv.Dict == nil {
+					nv.Code = nil
+				}
 				nc[i] = nv
 			}
 			parts[n-1] = &Partition{cols: nc, rows: tail.rows + take, epoch: epoch}
@@ -304,7 +335,7 @@ func (t *Table) Append(delta *Table) (*Table, error) {
 		parts = append(parts, &Partition{cols: pc, rows: hi - lo, epoch: epoch})
 	}
 
-	return newTableFromParts(t.Name, t.schema, parts, t.partRows, epoch), nil
+	return newTableFromParts(t.Name, t.schema, parts, dicts, t.partRows, epoch), nil
 }
 
 // Repartition returns a version of the table re-chunked into partitions of
@@ -518,8 +549,15 @@ func (b *Builder) Int(i int, v int64) { b.cols[i].I64 = append(b.cols[i].I64, v)
 // Float appends a float64 to column i.
 func (b *Builder) Float(i int, v float64) { b.cols[i].F64 = append(b.cols[i].F64, v) }
 
-// Str appends a string to column i.
-func (b *Builder) Str(i int, v string) { b.cols[i].Str = append(b.cols[i].Str, v) }
+// Str appends a string to column i. A column that had been taking coded rows
+// through CopyFrom goes uncoded: a bare string has no code.
+func (b *Builder) Str(i int, v string) {
+	c := b.cols[i]
+	if c.Dict != nil {
+		c.dropCodes()
+	}
+	c.Str = append(c.Str, v)
+}
 
 // Bool appends a bool to column i.
 func (b *Builder) Bool(i int, v bool) { b.cols[i].B = append(b.cols[i].B, v) }

@@ -1,16 +1,32 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is a typed column of values. Exactly one of the data slices is in
 // use, selected by Typ. Vectors are the unit of data flow between physical
 // operators (grouped into Batches).
+//
+// A String vector may carry a dictionary side-car: when Dict is non-nil the
+// vector is coded — len(Code) == len(Str), and Code[i] is the number Dict
+// gives the value Str[i]. Str stays the truth (sizes, codecs and comparisons
+// read it) and the codes are an accelerator for consumers that only need
+// value identity: group resolution, per-code statistics. Tables assign codes
+// at construction (dict.go); the copying methods below carry them while
+// source and destination agree on the dictionary, or the destination is still
+// empty, and drop them otherwise. When Dict is nil, Code is meaningless (a
+// recycled vector keeps its capacity there).
 type Vector struct {
 	Typ Type
 	I64 []int64
 	F64 []float64
 	Str []string
 	B   []bool
+
+	Code []uint32
+	Dict *Dict
 }
 
 // NewVector returns an empty vector of the given type with capacity hint n.
@@ -55,10 +71,35 @@ func (v *Vector) Append(val Value) {
 	case Float64:
 		v.F64 = append(v.F64, val.F)
 	case String:
+		v.dropCodes()
 		v.Str = append(v.Str, val.S)
 	case Bool:
 		v.B = append(v.B, val.B)
 	}
+}
+
+// dropCodes makes a coded vector uncoded, keeping Code's capacity.
+func (v *Vector) dropCodes() {
+	v.Code, v.Dict = v.Code[:0], nil
+}
+
+// carriesCodes decides, before strings of src are appended onto v, whether
+// their codes come along: yes when src is coded and v either is still empty
+// (it adopts src's dictionary) or is coded under the same dictionary. In
+// every other case v ends up uncoded.
+func (v *Vector) carriesCodes(src *Vector) bool {
+	switch {
+	case src.Dict == nil:
+	case len(v.Str) == 0:
+		v.Code, v.Dict = v.Code[:0], src.Dict
+		return true
+	case v.Dict == src.Dict:
+		return true
+	}
+	if v.Dict != nil {
+		v.dropCodes()
+	}
+	return false
 }
 
 // AppendFrom copies value at index i of src (same type) onto v.
@@ -69,6 +110,9 @@ func (v *Vector) AppendFrom(src *Vector, i int) {
 	case Float64:
 		v.F64 = append(v.F64, src.F64[i])
 	case String:
+		if v.carriesCodes(src) {
+			v.Code = append(v.Code, src.Code[i])
+		}
 		v.Str = append(v.Str, src.Str[i])
 	case Bool:
 		v.B = append(v.B, src.B[i])
@@ -81,22 +125,29 @@ func (v *Vector) AppendFrom(src *Vector, i int) {
 func (v *Vector) AppendGather(src *Vector, rows []int32) {
 	switch v.Typ {
 	case Int64:
-		for _, r := range rows {
-			v.I64 = append(v.I64, src.I64[r])
-		}
+		v.I64 = appendGather(v.I64, src.I64, rows)
 	case Float64:
-		for _, r := range rows {
-			v.F64 = append(v.F64, src.F64[r])
-		}
+		v.F64 = appendGather(v.F64, src.F64, rows)
 	case String:
-		for _, r := range rows {
-			v.Str = append(v.Str, src.Str[r])
+		if v.carriesCodes(src) {
+			v.Code = appendGather(v.Code, src.Code, rows)
 		}
+		v.Str = appendGather(v.Str, src.Str, rows)
 	case Bool:
-		for _, r := range rows {
-			v.B = append(v.B, src.B[r])
-		}
+		v.B = appendGather(v.B, src.B, rows)
 	}
+}
+
+// appendGather grows dst once and stores through an index: a join's output
+// is mostly this loop, and append's per-element capacity check showed in it.
+func appendGather[T any](dst, src []T, rows []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
+	out := dst[n:][:len(rows)]
+	for k, r := range rows {
+		out[k] = src[r]
+	}
+	return dst
 }
 
 // Extend appends all values of src (same type) onto v.
@@ -107,6 +158,9 @@ func (v *Vector) Extend(src *Vector) {
 	case Float64:
 		v.F64 = append(v.F64, src.F64...)
 	case String:
+		if v.carriesCodes(src) {
+			v.Code = append(v.Code, src.Code...)
+		}
 		v.Str = append(v.Str, src.Str...)
 	case Bool:
 		v.B = append(v.B, src.B...)
@@ -149,6 +203,9 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 		out.F64 = v.F64[lo:hi]
 	case String:
 		out.Str = v.Str[lo:hi]
+		if v.Dict != nil {
+			out.Code, out.Dict = v.Code[lo:hi], v.Dict
+		}
 	case Bool:
 		out.B = v.B[lo:hi]
 	}
@@ -168,6 +225,12 @@ func (v *Vector) Gather(idx []int) *Vector {
 			out.F64 = append(out.F64, v.F64[i])
 		}
 	case String:
+		if v.Dict != nil {
+			out.Code, out.Dict = make([]uint32, 0, len(idx)), v.Dict
+			for _, i := range idx {
+				out.Code = append(out.Code, v.Code[i])
+			}
+		}
 		for _, i := range idx {
 			out.Str = append(out.Str, v.Str[i])
 		}
