@@ -304,19 +304,11 @@ func TestAsyncConcurrentStorm(t *testing.T) {
 }
 
 // TestObservationQueueShedsNotBlocks: when the observation queue is full
-// and the service cannot drain it (stopped here, which is the worst case),
-// Execute must keep serving at full speed and account the shed
-// observations — backpressure degrades tuning fidelity, never latency.
+// and nothing can drain it — the service stopped, the tuning mutex held, the
+// worst case — Execute must keep serving at full speed and account the shed
+// observations: backpressure degrades tuning fidelity, never latency.
 func TestObservationQueueShedsNotBlocks(t *testing.T) {
-	cat := testCatalog()
-	e := New(cat, Config{
-		Mode:             ModeTaster,
-		StorageBudget:    cat.TotalBytes(),
-		BufferSize:       cat.TotalBytes(),
-		CostModel:        storage.ScaledCostModel(cat.TotalBytes(), 30040),
-		Seed:             7,
-		ObservationQueue: 1,
-	})
+	e := asyncTestEngine()
 	for i := 0; i < 2; i++ { // two queries the service does get to tune
 		if _, err := e.Execute(catQuery(e)); err != nil {
 			t.Fatal(err)
@@ -324,14 +316,21 @@ func TestObservationQueueShedsNotBlocks(t *testing.T) {
 		e.Drain()
 	}
 	e.Close() // service stopped: the queue can only fill
-	for i := 0; i < 4; i++ {
+	e.tuneMu.Lock()
+	for i := 0; i < observationQueue; i++ {
+		if !e.svc.enqueue(&observation{}) {
+			t.Fatalf("enqueue %d of %d shed below the queue depth", i, observationQueue)
+		}
+	}
+	for i := 0; i < 3; i++ { // served with the tuning mutex held
 		if _, err := e.Execute(catQuery(e)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	e.tuneMu.Unlock()
 	st := e.TuningStats()
-	if st.Dropped != 3 { // 1 queued + 3 shed
-		t.Fatalf("dropped = %d, want 3", st.Dropped)
+	if st.Dropped != 3 {
+		t.Fatalf("dropped = %d, want the 3 served past a full queue", st.Dropped)
 	}
 	e.Drain() // must not hang against a stopped service
 
@@ -344,41 +343,6 @@ func TestObservationQueueShedsNotBlocks(t *testing.T) {
 	for i, o := range window {
 		if o.QueryID != i {
 			t.Fatalf("window record %d is query %d, want the tuned queries 0 and 1 only", i, o.QueryID)
-		}
-	}
-}
-
-// TestTuneOverheadChargedOnlyInTaster: the simulated tuning overhead is
-// the cost of running Taster's centralized tuner; charging it to the
-// baselines would inflate Exact/Quickr/Offline and misstate every speedup
-// (regression for the unconditional SimSeconds += overhead bug).
-func TestTuneOverheadChargedOnlyInTaster(t *testing.T) {
-	simWith := func(mode Mode, overhead float64) float64 {
-		cat := testCatalog()
-		e := New(cat, Config{
-			Mode:                mode,
-			StorageBudget:       cat.TotalBytes(),
-			BufferSize:          cat.TotalBytes(),
-			CostModel:           storage.ScaledCostModel(cat.TotalBytes(), 30040),
-			Seed:                7,
-			Synchronous:         true,
-			TuneOverheadSeconds: overhead,
-		})
-		defer e.Close()
-		res, err := e.Execute(catQuery(e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Report.SimSeconds
-	}
-	for _, mode := range []Mode{ModeTaster, ModeQuickr, ModeExact, ModeOffline} {
-		delta := simWith(mode, 2.0) - simWith(mode, 0)
-		want := 0.0
-		if mode == ModeTaster {
-			want = 2.0
-		}
-		if math.Abs(delta-want) > 1e-9 {
-			t.Fatalf("mode %s: overhead charged %.3f, want %.1f", mode, delta, want)
 		}
 	}
 }

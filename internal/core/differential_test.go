@@ -42,8 +42,9 @@ var diffStreamCfg = workload.StreamConfig{
 
 // diffRun is one engine's observable output over the stream: every result
 // row, every confidence interval, and the per-query synopsis-reuse count.
-// sim is each query's simulated cost; it varies with layout and pruning by
-// design, so only the comparisons that hold those fixed read it.
+// sim is each query's simulated cost; it varies with layout by design (zone
+// pruning skips different partitions), so only the comparisons that hold the
+// layout fixed read it.
 type diffRun struct {
 	rows [][]storage.Value
 	ivs  [][]stats.Interval
@@ -54,9 +55,9 @@ type diffRun struct {
 // runDifferentialStream replays the fixed stream through a fresh engine.
 // partitionRows shapes the layout (0 keeps the generator's build layout; a
 // huge value yields a single monolithic partition).
-func runDifferentialStream(t *testing.T, mode Mode, partitionRows, workers int, disablePrune bool) diffRun {
+func runDifferentialStream(t *testing.T, mode Mode, partitionRows, workers int) diffRun {
 	t.Helper()
-	return runDifferentialStreamPinned(t, mode, partitionRows, workers, disablePrune, 0)
+	return runDifferentialStreamPinned(t, mode, partitionRows, workers, 0)
 }
 
 // runDifferentialStreamPinned additionally pins the planner's parallelism
@@ -66,7 +67,7 @@ func runDifferentialStream(t *testing.T, mode Mode, partitionRows, workers int, 
 // paths — so plan CHOICE varies with Workers by design. What must never vary
 // is the chosen plan's EXECUTION, and pinning parallelism isolates exactly
 // that claim.
-func runDifferentialStreamPinned(t *testing.T, mode Mode, partitionRows, workers int, disablePrune bool, planParallelism float64) diffRun {
+func runDifferentialStreamPinned(t *testing.T, mode Mode, partitionRows, workers int, planParallelism float64) diffRun {
 	t.Helper()
 	w := workload.TPCH(0.004, 3)
 	ops, err := w.Stream(diffStreamCfg)
@@ -75,14 +76,13 @@ func runDifferentialStreamPinned(t *testing.T, mode Mode, partitionRows, workers
 	}
 	bytes, rows := w.CostScale()
 	e := New(w.Catalog, Config{
-		Mode:           mode,
-		StorageBudget:  bytes / 2,
-		BufferSize:     bytes / 8,
-		CostModel:      storage.ScaledCostModel(bytes, rows),
-		Seed:           7,
-		Workers:        workers,
-		PartitionRows:  partitionRows,
-		DisablePruning: disablePrune,
+		Mode:          mode,
+		StorageBudget: bytes / 2,
+		BufferSize:    bytes / 8,
+		CostModel:     storage.ScaledCostModel(bytes, rows),
+		Seed:          7,
+		Workers:       workers,
+		PartitionRows: partitionRows,
 		// Serve within 15% drift: appends are 5% batches, so a strict
 		// fresh-only policy would disqualify everything after the first
 		// append and the reuse path would go untested.
@@ -171,27 +171,47 @@ func mustEqualRuns(t *testing.T, label string, a, b diffRun) {
 // than the biggest table yields the pre-partitioning layout.
 const monolithicRows = 1 << 30
 
-// TestDifferentialExactPartitionedVsMonolithic: with zone-map pruning
-// active, exact answers over a finely partitioned layout must be bit-equal
-// to the monolithic engine's — pruning may only skip partitions that
-// provably contain no qualifying row, never change a result.
+// TestDifferentialExactPartitionedVsMonolithic: exact answers over a finely
+// partitioned layout must be bit-equal to the monolithic engine's — the
+// layout may move only simulated cost, never a result.
 func TestDifferentialExactPartitionedVsMonolithic(t *testing.T) {
 	// 797 is prime: partition boundaries land nowhere near the 4096-row
 	// morsel grid, so any accidental dependence on aligned layouts would
 	// surface here.
-	part := runDifferentialStream(t, ModeExact, 797, 4, false)
-	mono := runDifferentialStream(t, ModeExact, monolithicRows, 4, false)
+	part := runDifferentialStream(t, ModeExact, 797, 4)
+	mono := runDifferentialStream(t, ModeExact, monolithicRows, 4)
 	mustEqualRuns(t, "exact part-vs-mono", part, mono)
 }
 
+// TestDifferentialPruningSoundEndToEnd: zone-map pruning is always on, so
+// its soundness is shown against the monolithic engine, whose one zone per
+// table spans every value and so can prune nothing. Answers must be
+// bit-equal (pruning may only skip partitions that provably contain no
+// qualifying row), and on the partitioned layout pruning must actually have
+// pruned something, which shows up as strictly smaller simulated seconds on
+// at least one query. This is the engine-level face of the zone-map
+// soundness property tests in internal/expr and internal/exec.
+func TestDifferentialPruningSoundEndToEnd(t *testing.T) {
+	pruned := runDifferentialStream(t, ModeExact, 797, 4)
+	mono := runDifferentialStream(t, ModeExact, monolithicRows, 4)
+	mustEqualRuns(t, "prune partitioned-vs-mono", pruned, mono)
+	for i := range pruned.sim {
+		if pruned.sim[i] < mono.sim[i] {
+			return
+		}
+	}
+	t.Fatal("no query got cheaper over 797-row partitions: nothing was pruned")
+}
+
 // TestDifferentialTasterLayoutOblivious: the full self-tuning engine —
-// sample builds, staleness accounting, plan choice, reuse — is oblivious to
-// the partition layout once pruning (the one deliberate, cost-only
-// layout-dependent behavior) is switched off. Global-row morsel sampling makes
-// synopses identical for any tiling; everything downstream must follow.
+// sample builds, staleness accounting, plan choice, reuse — answers the
+// stream over 797-row partitions exactly as over monolithic tables.
+// Global-row morsel sampling makes synopses identical for any tiling;
+// pruning, the one deliberate layout-dependent behavior, moves only scan
+// charges, and on this stream no plan choice with them.
 func TestDifferentialTasterLayoutOblivious(t *testing.T) {
-	part := runDifferentialStream(t, ModeTaster, 797, 4, true)
-	mono := runDifferentialStream(t, ModeTaster, monolithicRows, 4, true)
+	part := runDifferentialStream(t, ModeTaster, 797, 4)
+	mono := runDifferentialStream(t, ModeTaster, monolithicRows, 4)
 	mustEqualRuns(t, "taster part-vs-mono", part, mono)
 	// The stream must actually exercise reuse, or the equivalence above is
 	// vacuous for the synopsis path.
@@ -209,24 +229,12 @@ func TestDifferentialTasterLayoutOblivious(t *testing.T) {
 // worker counts 1, 4 and 8 while appends land mid-stream.
 func TestDifferentialWorkersUnderIngest(t *testing.T) {
 	for _, mode := range []Mode{ModeExact, ModeTaster} {
-		w1 := runDifferentialStreamPinned(t, mode, 797, 1, false, 4)
-		w4 := runDifferentialStreamPinned(t, mode, 797, 4, false, 4)
-		w8 := runDifferentialStreamPinned(t, mode, 797, 8, false, 4)
+		w1 := runDifferentialStreamPinned(t, mode, 797, 1, 4)
+		w4 := runDifferentialStreamPinned(t, mode, 797, 4, 4)
+		w8 := runDifferentialStreamPinned(t, mode, 797, 8, 4)
 		mustEqualRuns(t, "workers 1 vs 4", w1, w4)
 		mustEqualRuns(t, "workers 1 vs 8", w1, w8)
 	}
-}
-
-// TestDifferentialPruningSoundEndToEnd: same engine, same layout, pruning
-// on vs off — answers must be bit-equal (pruning is cost-only), and on the
-// partitioned layout pruning must actually have pruned something, which
-// shows up as a strictly smaller base-scan byte charge on at least one
-// query. This is the engine-level face of the zone-map soundness property
-// tests in internal/expr and internal/exec.
-func TestDifferentialPruningSoundEndToEnd(t *testing.T) {
-	on := runDifferentialStream(t, ModeExact, 797, 4, false)
-	off := runDifferentialStream(t, ModeExact, 797, 4, true)
-	mustEqualRuns(t, "prune on-vs-off", on, off)
 }
 
 // nanCatalog builds a table whose float column carries the full IEEE bestiary
@@ -275,19 +283,18 @@ var nanQueries = []string{
 }
 
 // runNaNQueries executes the fixed NaN query set on a fresh exact-mode engine.
-func runNaNQueries(t *testing.T, workers int, disablePrune bool) diffRun {
+func runNaNQueries(t *testing.T, workers, partitionRows int) diffRun {
 	t.Helper()
 	cat := nanCatalog()
 	e := New(cat, Config{
-		Mode:           ModeExact,
-		StorageBudget:  cat.TotalBytes(),
-		BufferSize:     cat.TotalBytes(),
-		CostModel:      storage.ScaledCostModel(cat.TotalBytes(), 20000),
-		Seed:           7,
-		Workers:        workers,
-		PartitionRows:  97,
-		DisablePruning: disablePrune,
-		Synchronous:    true,
+		Mode:          ModeExact,
+		StorageBudget: cat.TotalBytes(),
+		BufferSize:    cat.TotalBytes(),
+		CostModel:     storage.ScaledCostModel(cat.TotalBytes(), 20000),
+		Seed:          7,
+		Workers:       workers,
+		PartitionRows: partitionRows,
+		Synchronous:   true,
 	})
 	var run diffRun
 	for _, sql := range nanQueries {
@@ -388,22 +395,23 @@ func mustMatchNaNOracle(t *testing.T, label string, run diffRun, want []nanOracl
 }
 
 // TestDifferentialKernelsNaN: over NaN-bearing columns at workers 1, 4 and 8,
-// pruning on and off, every run must agree bit-for-bit with every other —
-// float rows compare Float64bits-strict, so a NaN payload perturbed through
-// the aggregate cannot hide — and every run's row selection must equal the
-// interpreter oracle's.
+// in 97-row partitions (NaN-poisoned zones among them) and monolithic, every
+// run must agree bit-for-bit with every other — float rows compare
+// Float64bits-strict, so a NaN payload perturbed through the aggregate
+// cannot hide — and every run's row selection must equal the interpreter
+// oracle's.
 func TestDifferentialKernelsNaN(t *testing.T) {
 	want := nanOracle(t)
 	var runs []diffRun
-	for _, prune := range []bool{false, true} {
+	for _, partitionRows := range []int{97, monolithicRows} {
 		for _, workers := range []int{1, 4, 8} {
-			run := runNaNQueries(t, workers, prune)
+			run := runNaNQueries(t, workers, partitionRows)
 			mustMatchNaNOracle(t, "nan engine-vs-oracle", run, want)
 			runs = append(runs, run)
 		}
 	}
 	for _, run := range runs[1:] {
-		mustEqualRuns(t, "nan workers x pruning", runs[0], run)
+		mustEqualRuns(t, "nan workers x layout", runs[0], run)
 	}
 }
 

@@ -85,13 +85,6 @@ type Config struct {
 	DefaultAccuracy stats.AccuracySpec
 	// Seed drives all sampling randomness.
 	Seed uint64
-	// TuneOverheadSeconds is the per-query simulated planning+tuning
-	// overhead (the paper measures ~2 s for Taster's centralized tuner).
-	// It is charged to SimSeconds in ModeTaster only — the baselines run no
-	// tuner, and inflating them would misstate every speedup the
-	// experiments report. Negative means "use the mode default" (2.0 in
-	// ModeTaster, 0 elsewhere).
-	TuneOverheadSeconds float64
 	// Workers caps the morsel-driven executor's intra-query parallelism;
 	// 0 means runtime.NumCPU(). Results are byte-identical for any value.
 	// An explicit value (>0) additionally informs the planner's cost model:
@@ -107,12 +100,6 @@ type Config struct {
 	// leaves tables as registered — effectively monolithic. Query results
 	// are byte-identical for any value; only costs change.
 	PartitionRows int
-	// DisablePruning turns zone-map partition pruning off in both the
-	// executor and the planner's cost model. Pruning is sound (results are
-	// identical either way); the switch exists for A/B cost measurement —
-	// the partition experiment runs the same workload with pruning on and
-	// off and reports the scan-byte and simulated-time ratio.
-	DisablePruning bool
 	// MaxStaleness bounds synopsis staleness under online ingestion: a
 	// materialized synopsis that has missed more than this fraction of its
 	// source rows (see meta.Entry.Staleness) is disqualified from answering
@@ -142,12 +129,6 @@ type Config struct {
 	// entry would pin a plan set (and the sample payloads it references)
 	// that no later query can hit.
 	PlanCacheSize int
-	// ObservationQueue bounds the asynchronous tuning service's observation
-	// channel (default 1024). When the queue is full — the tuner is behind
-	// sustained traffic — new observations are dropped rather than blocking
-	// the serving path: tuning fidelity degrades gracefully while query
-	// latency stays flat. Dropped counts surface in TuningStats.
-	ObservationQueue int
 	// Metrics, when non-nil, is the registry every engine layer writes its
 	// counters into (plan cache, pool, disk tier, executor dispatch, tuning
 	// service, serving path). The registry is strictly write-only from the
@@ -162,11 +143,6 @@ type Config struct {
 	// observes the batch stream without touching it — traced and untraced
 	// runs are byte-identical (enforced by TestObsDifferential).
 	Trace bool
-	// Clock is the timing source for query latency, tuning-round durations
-	// and trace stage timings. Nil selects the wall clock, or the frozen
-	// clock under Config.Synchronous so deterministic runs stay
-	// byte-reproducible (all durations zero). Injected for tests.
-	Clock obs.Clock
 	// WarehouseDir makes the warehouse tier disk-backed and the engine
 	// restartable: synopses promoted to the warehouse are durably written
 	// there (payloads dropped from RAM, faulted back lazily on reuse), a
@@ -197,7 +173,7 @@ type Report struct {
 	Promoted       []uint64
 	EstimatedCost  float64 // planner's estimate for the chosen plan
 	EstimatedExact float64 // planner's estimate for the exact plan
-	SimSeconds     float64 // measured simulated cluster time (incl. overhead)
+	SimSeconds     float64 // measured simulated cluster time
 	ScanBytes      int64   // base-table bytes actually scanned (post zone-map pruning)
 	WallSeconds    float64
 	WarehouseBytes int64 // warehouse usage after the query
@@ -275,7 +251,8 @@ type Engine struct {
 	recovered  int
 
 	// mx is the metrics registry (Config.Metrics; nil disables the layer)
-	// and clock the injected timing source (always non-nil after Open).
+	// and clock the timing source: frozen under Config.Synchronous, the wall
+	// clock otherwise.
 	mx    *obs.Metrics
 	clock obs.Clock
 }
@@ -315,16 +292,6 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 	if cfg.StorageBudget <= 0 {
 		cfg.StorageBudget = 256 << 20
 	}
-	if cfg.TuneOverheadSeconds < 0 {
-		if cfg.Mode == ModeTaster {
-			cfg.TuneOverheadSeconds = 2.0
-		} else {
-			cfg.TuneOverheadSeconds = 0
-		}
-	}
-	if cfg.ObservationQueue <= 0 {
-		cfg.ObservationQueue = 1024
-	}
 	if cfg.PlanCacheSize == 0 {
 		cfg.PlanCacheSize = 4096
 	}
@@ -349,7 +316,6 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 	pl := planner.New(store, wh, cfg.CostModel)
 	pl.Seed = cfg.Seed
 	pl.MaxStaleness = cfg.MaxStaleness
-	pl.DisablePruning = cfg.DisablePruning
 	if cfg.Workers > 0 {
 		pl.Parallelism = float64(cfg.Workers)
 	}
@@ -368,18 +334,14 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 		joinCache: exec.NewJoinCache(cat.TotalBytes()),
 		db:        db,
 		mx:        cfg.Metrics,
-		clock:     cfg.Clock,
+		clock:     obs.Wall{},
 	}
-	if e.clock == nil {
+	if cfg.Synchronous {
 		// Synchronous runs are the byte-deterministic configuration; freezing
 		// the clock keeps their latency histograms, round timings and traces
 		// reproducible (all durations zero). Asynchronous serving measures
 		// real wall time.
-		if cfg.Synchronous {
-			e.clock = obs.Frozen{}
-		} else {
-			e.clock = obs.Wall{}
-		}
+		e.clock = obs.Frozen{}
 	}
 	if e.mx != nil {
 		e.vecPool.Obs = &e.mx.Pool
@@ -407,7 +369,7 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 	// then start the background service for asynchronous Taster mode.
 	e.publishLocked(keep, gains)
 	if cfg.Mode == ModeTaster && !cfg.Synchronous {
-		e.svc = newTuningService(e, cfg.ObservationQueue)
+		e.svc = newTuningService(e)
 		if cfg.PlanCacheSize > 0 {
 			e.planCache = planner.NewPlanCache(cfg.PlanCacheSize)
 			if e.mx != nil {
@@ -503,7 +465,6 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	ctx.Pool = e.vecPool // engine-wide: recycles batches across queries
 	ctx.Joins = e.joinCache
 	ctx.Workers = e.cfg.Workers
-	ctx.DisablePrune = e.cfg.DisablePruning
 	if e.mx != nil {
 		ctx.Obs = &e.mx.Exec
 	}
@@ -582,11 +543,6 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	res = assemble(op, batches)
 	res.Report = rep
 	res.Report.SimSeconds = ctx.Stats.SimulatedSeconds(e.cfg.CostModel)
-	if e.cfg.Mode == ModeTaster {
-		// Only the full system runs the centralized tuner; charging the
-		// overhead to the baselines would inflate them (§VI fairness).
-		res.Report.SimSeconds += e.cfg.TuneOverheadSeconds
-	}
 	res.Report.ScanBytes = ctx.Stats.BaseBytes
 	res.Report.WallSeconds = time.Since(start).Seconds()
 	res.Report.BufferBytes, res.Report.WarehouseBytes = e.wh.Usage()

@@ -18,7 +18,7 @@ import (
 // cache, executor and disk hooks, plus per-query tracing — and returns the
 // run's observable output alongside the engine metrics and every query's
 // trace, concatenated in stream order.
-func obsRun(t *testing.T, workers int, disablePrune bool) (diffRun, obs.MetricsSnapshot, string) {
+func obsRun(t *testing.T, workers, partitionRows int) (diffRun, obs.MetricsSnapshot, string) {
 	t.Helper()
 	w := workload.TPCH(0.004, 3)
 	ops, err := w.Stream(diffStreamCfg)
@@ -28,18 +28,17 @@ func obsRun(t *testing.T, workers int, disablePrune bool) (diffRun, obs.MetricsS
 	bytes, rows := w.CostScale()
 	mx := obs.NewMetrics()
 	e := New(w.Catalog, Config{
-		Mode:           ModeTaster,
-		StorageBudget:  bytes / 2,
-		BufferSize:     bytes / 8,
-		CostModel:      storage.ScaledCostModel(bytes, rows),
-		Seed:           7,
-		Workers:        workers,
-		PartitionRows:  797,
-		DisablePruning: disablePrune,
-		MaxStaleness:   0.15,
-		Synchronous:    true,
-		Metrics:        mx,
-		Trace:          true,
+		Mode:          ModeTaster,
+		StorageBudget: bytes / 2,
+		BufferSize:    bytes / 8,
+		CostModel:     storage.ScaledCostModel(bytes, rows),
+		Seed:          7,
+		Workers:       workers,
+		PartitionRows: partitionRows,
+		MaxStaleness:  0.15,
+		Synchronous:   true,
+		Metrics:       mx,
+		Trace:         true,
 	})
 	var run diffRun
 	var trace string
@@ -70,19 +69,19 @@ func obsRun(t *testing.T, workers int, disablePrune bool) (diffRun, obs.MetricsS
 // TestDifferentialObsOnVsOff is the observability layer's answer-neutrality
 // proof: the full self-tuning engine with metrics AND tracing enabled must
 // produce byte-identical rows, intervals and synopsis-reuse profiles to the
-// bare engine — across worker counts 1/4/8 and with pruning on and off —
-// and, the two engines sharing layout and pruning, bit-identical simulated
-// cost per query. The stream takes join build sides through every state of
+// bare engine — across worker counts 1/4/8, over 797-row partitions and
+// monolithic tables — and, the two engines sharing a layout, bit-identical
+// simulated cost per query. The stream takes join build sides through every state of
 // the join cache (first sight, admission, hit, a new table version), so the
 // equality covers a traced run whose build subtrees were compiled and
 // wrapped but never opened. The metrics side must also be non-vacuous: the
 // run has to have actually counted queries, pool traffic, tuning rounds and
 // join-cache traffic, and the traces must show a cached build.
 func TestDifferentialObsOnVsOff(t *testing.T) {
-	for _, prune := range []bool{false, true} {
+	for _, partitionRows := range []int{797, monolithicRows} {
 		for _, workers := range []int{1, 4, 8} {
-			bare := runDifferentialStream(t, ModeTaster, 797, workers, prune)
-			instr, snap, trace := obsRun(t, workers, prune)
+			bare := runDifferentialStream(t, ModeTaster, partitionRows, workers)
+			instr, snap, trace := obsRun(t, workers, partitionRows)
 			mustEqualRuns(t, "obs on-vs-off", bare, instr)
 			for i := range bare.sim {
 				if math.Float64bits(bare.sim[i]) != math.Float64bits(instr.sim[i]) {
@@ -108,11 +107,8 @@ func TestDifferentialObsOnVsOff(t *testing.T) {
 			if snap.KernelFilterBatches == 0 {
 				t.Fatal("filter batch counter stayed zero")
 			}
-			if !prune && workers > 1 && snap.PrunedPartitions == 0 {
-				t.Fatal("pruning enabled on a partitioned layout but no partition was ever pruned")
-			}
-			if prune && snap.PrunedPartitions != 0 {
-				t.Fatalf("pruning disabled but PrunedPartitions = %d", snap.PrunedPartitions)
+			if partitionRows != monolithicRows && workers > 1 && snap.PrunedPartitions == 0 {
+				t.Fatal("a partitioned layout but no partition was ever pruned")
 			}
 			if snap.JoinCacheMisses == 0 || snap.JoinCacheAdmissions == 0 || snap.JoinCacheHits == 0 || snap.JoinCacheBytes == 0 {
 				t.Fatalf("join-cache counters stayed zero: hits %d misses %d admissions %d bytes %d",
@@ -140,8 +136,8 @@ func TestDifferentialObsOnVsOff(t *testing.T) {
 // traces (frozen clock, deterministic execution) — the trace is part of the
 // reproducible surface, not a debug-only best effort.
 func TestObsTraceDeterministic(t *testing.T) {
-	_, _, a := obsRun(t, 4, false)
-	_, _, b := obsRun(t, 4, false)
+	_, _, a := obsRun(t, 4, 797)
+	_, _, b := obsRun(t, 4, 797)
 	if a != b {
 		t.Fatalf("traces differ across identical runs:\n--- a\n%s--- b\n%s", a, b)
 	}

@@ -177,10 +177,16 @@ type tuningService struct {
 	dropped atomic.Int64
 }
 
-func newTuningService(e *Engine, queue int) *tuningService {
+// observationQueue bounds the service's observation channel. When it is
+// full — the tuner is behind sustained traffic — new observations are shed
+// rather than blocking the serving path: tuning fidelity degrades while query
+// latency stays flat. Shed counts surface in TuningStats.Dropped.
+const observationQueue = 1024
+
+func newTuningService(e *Engine) *tuningService {
 	s := &tuningService{
 		eng:     e,
-		obsCh:   make(chan *observation, queue),
+		obsCh:   make(chan *observation, observationQueue),
 		flushCh: make(chan chan struct{}),
 		done:    make(chan struct{}),
 		exited:  make(chan struct{}),

@@ -40,9 +40,9 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		// A filter directly above a base-table scan drives zone-map pruning:
 		// the scan skips partitions whose zones prove the predicate
 		// unsatisfiable. The FilterOp stays on top, so the output stream is
-		// identical with pruning on or off — pruning only reduces the scanned
-		// bytes and tuples.
-		if sc, ok := t.Child.(*plan.Scan); ok && !ctx.DisablePrune {
+		// the unpruned scan's — pruning only reduces the scanned bytes and
+		// tuples.
+		if sc, ok := t.Child.(*plan.Scan); ok {
 			ts := NewTableScan(sc.Table, ctx)
 			ts.Prune = t.Pred
 			return NewFilterOp(traceWrap(ts, sc, ctx), t.Pred, ctx)

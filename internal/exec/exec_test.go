@@ -151,6 +151,12 @@ func TestHashJoinErrors(t *testing.T) {
 	if _, err := Compile(ordersJoinCustomers(nil, nil, nil, count), 1, ctx); err == nil {
 		t.Fatal("want empty key error")
 	}
+	// Keys of different types never match; the join refuses them, naming both
+	// columns, as planner.Query.Validate does.
+	_, err := Compile(ordersJoinCustomers([]string{"orders.cust", "orders.amount"}, []string{"cust.id", "cust.region"}, nil, count), 1, ctx)
+	if err == nil || !strings.Contains(err.Error(), "orders.amount") || !strings.Contains(err.Error(), "cust.region") {
+		t.Fatalf("mismatched key types: err = %v, want a refusal naming orders.amount and cust.region", err)
+	}
 }
 
 func TestExactAggregate(t *testing.T) {

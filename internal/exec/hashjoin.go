@@ -3,8 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
@@ -40,13 +38,12 @@ type joinSpec struct {
 	// 8 when both carry a weight column, since the two merge into one.
 	widthAdj int32
 
-	// fixedKey marks a single-column join whose key type is identical and
-	// fixed-width (int64/float64/bool) on both sides: the table is then
-	// keyed by the fixedWord encoding instead of byte strings, removing the
-	// per-probe-row key build and string hashing. The type-identity
-	// requirement keeps the match relation exactly groupKey's: word
-	// encodings of different types can collide (uint64(n) vs Float64bits),
-	// but the byte keys carry a type tag and never match across types.
+	// fixedKey marks a key that is one int64, float64 or bool column: a
+	// row's word is then that column's fixedWord. Any other key — a string
+	// column, or several columns — is numbered through the table's id map
+	// (joinTable.ids). Both sides' key columns share their types
+	// (resolveJoinSpec refuses otherwise), so the word relation is exactly
+	// groupKey's byte equality and the layout depends on the build side alone.
 	fixedKey bool
 
 	schema storage.Schema
@@ -54,7 +51,8 @@ type joinSpec struct {
 
 // resolveJoinSpec binds join key columns by name against both input schemas,
 // and the output to the columns of either side that one of the names in need
-// binds to (nil need: every column).
+// binds to (nil need: every column). Paired key columns must share a type, as
+// planner.Query.Validate demands of every query it admits.
 func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) (*joinSpec, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("exec: hash join needs equal, non-empty key lists")
@@ -74,10 +72,12 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) 
 		}
 		j.rightKeys = append(j.rightKeys, i)
 	}
-	if len(j.leftKeys) == 1 {
-		lt, rt := ls[j.leftKeys[0]].Typ, rs[j.rightKeys[0]].Typ
-		j.fixedKey = lt == rt && lt != storage.String
+	for k, li := range j.leftKeys {
+		if lc, rc := ls[li], rs[j.rightKeys[k]]; lc.Typ != rc.Typ {
+			return nil, fmt.Errorf("exec: hash join: %s is %s but %s is %s; join keys must share a type", lc.Name, lc.Typ, rc.Name, rc.Typ)
+		}
 	}
+	j.fixedKey = len(j.rightKeys) == 1 && rs[j.rightKeys[0]].Typ != storage.String
 	j.leftWeight = ls.Index(synopses.WeightCol)
 	j.rightWeight = rs.Index(synopses.WeightCol)
 	j.outWeights = j.leftWeight >= 0 || j.rightWeight >= 0
@@ -101,35 +101,33 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) 
 	return j, nil
 }
 
-// joinTable is the materialized, hashed build side of one join:
-// hash-partitioned sub-tables mapping key bytes to build row indices. Once
-// built it is immutable and safe for concurrent probing.
-//
-// Partitioning is observation-invariant: each key's match list always holds
-// every build row with that key in ascending row order, regardless of the
-// partition count — only which sub-table owns the key changes. Probe results
-// are therefore byte-identical for any partition/worker count.
+// joinTable is the materialized, indexed build side of one join. Every build
+// row's key is one word — a fixedKey's fixedWord, any other key's dense id —
+// and every word's match list is one contiguous run of matchRows: the build
+// rows with that key, in ascending row order, found through one of two
+// map-free indexes laid out in the same integer passes as the runs
+// (buildWordIndex picks by the observed word span). The build is serial, so
+// the table is the same at any worker count; once built it is immutable and
+// safe for concurrent probing.
 type joinTable struct {
 	// rows are all build rows concatenated, in input order and full-width;
 	// rows.Width holds what each costs to exchange, so a matched pair's width
 	// is two array reads.
-	rows  *storage.Batch
-	parts []map[string][]int32
+	rows *storage.Batch
 
-	// The fixed-key fast path (joinSpec.fixedKey) replaces parts with a CSR
-	// layout keyed by the single key column's fixedWord encoding: every
-	// key's match list is one contiguous run of fixedRows, found through one
-	// of two map-free indexes built in the same integer passes as the runs
-	// (buildFixedJoinTable picks by the observed key span). Match lists are
-	// identical to the byte-keyed tables' (the word encoding is injective
-	// within the key type); only the build/probe hashing cost changes.
-	fixedRows []int32
+	// ids numbers the distinct groupKey bytes of a key that is not fixed,
+	// 0..k−1 in first-seen build-row order (nil for a fixedKey table). The
+	// numbers are the words: k ≤ rows, so they always take the dense index.
+	ids map[string]int32
+
+	// matchRows holds every word's run of build rows back to back.
+	matchRows []int32
 
 	// Dense-range index (denseOffs non-nil): the ordered words span at most
 	// denseSpanFactor× the build rows (or less than denseSpanFloor), and key
-	// w's run is fixedRows[denseOffs[k]:denseOffs[k+1]] with k =
+	// w's run is matchRows[denseOffs[k]:denseOffs[k+1]] with k =
 	// orderedWord(w) − denseMin. Every surrogate key of the generated
-	// workloads lands here.
+	// workloads, and every id-numbered key, lands here.
 	denseMin  uint64
 	denseOffs []int32
 
@@ -147,7 +145,7 @@ type joinTable struct {
 }
 
 // wordSlot is one open-addressing slot: key word w owns
-// fixedRows[lo:hi]. Every present key has at least one row, so hi == 0 marks
+// matchRows[lo:hi]. Every present key has at least one row, so hi == 0 marks
 // an empty slot.
 type wordSlot struct {
 	w      uint64
@@ -188,15 +186,8 @@ func (t *joinTable) release(p *storage.VecPool) {
 	t.rows = nil
 }
 
-func (t *joinTable) lookup(key []byte) []int32 {
-	if len(t.parts) == 1 {
-		return t.parts[0][string(key)]
-	}
-	return t.parts[fnv1a(key)%uint64(len(t.parts))][string(key)]
-}
-
-// lookupWord returns the ascending build rows whose key encodes to w (nil
-// when there are none).
+// lookupWord returns the ascending build rows whose key word is w (nil when
+// there are none).
 func (t *joinTable) lookupWord(w uint64) []int32 {
 	if t.denseOffs != nil {
 		// A word below denseMin wraps to a huge k and fails the bound check.
@@ -204,7 +195,7 @@ func (t *joinTable) lookupWord(w uint64) []int32 {
 		if k >= uint64(len(t.denseOffs)-1) {
 			return nil
 		}
-		return t.fixedRows[t.denseOffs[k]:t.denseOffs[k+1]]
+		return t.matchRows[t.denseOffs[k]:t.denseOffs[k+1]]
 	}
 	mask := uint64(len(t.slots) - 1)
 	for s := (w * fibMul) >> t.slotShift; ; s = (s + 1) & mask {
@@ -213,20 +204,9 @@ func (t *joinTable) lookupWord(w uint64) []int32 {
 			return nil
 		}
 		if sl.w == w {
-			return t.fixedRows[sl.lo:sl.hi]
+			return t.matchRows[sl.lo:sl.hi]
 		}
 	}
-}
-
-// fnv1a hashes key bytes to a partition; any stable byte hash works, the
-// choice only affects load balance, never results.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // drainBuild materializes an operator's full output in input order, charging
@@ -279,115 +259,56 @@ func drainBuild(op Operator, ctx *Context, keep bool) (*storage.Batch, error) {
 	return rows, nil
 }
 
-// buildJoinTable hashes the materialized build rows into `workers`
-// hash-partitioned sub-tables using up to `workers` goroutines. Phase 1
-// splits the rows into fixed-size chunks claimed from an atomic dispenser and
-// computes each row's key bytes and partition; phase 2 builds each
-// partition's map by walking the rows in index order, so every match list is
-// ascending no matter which worker built it.
-func buildJoinTable(spec *joinSpec, rows *storage.Batch, workers int) *joinTable {
+// buildJoinTable indexes the materialized build rows: every row's key word
+// (keyWords), then the word index over them (buildWordIndex). It runs
+// serially — a handful of O(n) passes over flat arrays — so the table is
+// the same whatever the worker count.
+func buildJoinTable(spec *joinSpec, rows *storage.Batch) *joinTable {
 	t := &joinTable{rows: rows}
-	n := rows.Len()
-	if n == 0 {
+	if rows.Len() == 0 {
 		return t
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if spec.fixedKey {
-		buildFixedJoinTable(t, rows.Vecs[spec.rightKeys[0]])
-		return t
-	}
-	if workers == 1 {
-		m := make(map[string][]int32, 1024)
-		var key []byte
-		for i := 0; i < n; i++ {
-			key = groupKey(key, rows.Vecs, spec.rightKeys, i)
-			m[string(key)] = append(m[string(key)], int32(i))
-		}
-		t.parts = []map[string][]int32{m}
-		return t
-	}
-
-	keys := make([]string, n)
-	nParts := uint64(workers)
-	nChunks := (n + DefaultMorselRows - 1) / DefaultMorselRows
-	// chunkParts[c][p] lists chunk c's row indices owned by partition p
-	// (int32: build sides are bounded far below 2^31 rows by memory), so
-	// phase 2 is O(n) total instead of every partition rescanning all rows.
-	chunkParts := make([][][]int32, nChunks)
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var key []byte
-			for {
-				c := int(atomic.AddInt64(&next, 1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * DefaultMorselRows
-				hi := lo + DefaultMorselRows
-				if hi > n {
-					hi = n
-				}
-				local := make([][]int32, nParts)
-				for i := lo; i < hi; i++ {
-					key = groupKey(key, rows.Vecs, spec.rightKeys, i)
-					keys[i] = string(key)
-					p := fnv1a(key) % nParts
-					local[p] = append(local[p], int32(i))
-				}
-				chunkParts[c] = local
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Phase 2: partition p concatenates its index lists in chunk order, so
-	// every match list is ascending regardless of which worker built it.
-	t.parts = make([]map[string][]int32, workers)
-	var pnext int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(atomic.AddInt64(&pnext, 1)) - 1
-				if p >= workers {
-					return
-				}
-				m := make(map[string][]int32, n/workers+1)
-				for c := 0; c < nChunks; c++ {
-					for _, i := range chunkParts[c][p] {
-						m[keys[i]] = append(m[keys[i]], i)
-					}
-				}
-				t.parts[p] = m
-			}
-		}()
-	}
-	wg.Wait()
+	buildWordIndex(t, t.keyWords(spec))
 	return t
 }
 
-// buildFixedJoinTable is buildJoinTable's spec.fixedKey variant: a CSR build
-// keyed by the key column's fixedWord instead of groupKey bytes. fixedWord
-// mirrors groupKey's per-type encoding (two's complement, Float64bits, 0/1),
-// so word equality is exactly byte-key equality within the type and every
-// match list comes out identical — ascending row order falls out of the
-// forward fill pass. The build is three O(n) integer passes over flat arrays
-// with no Go map anywhere; it is not worth parallelizing, so the workers
-// argument of the byte-keyed build has no analogue here.
-func buildFixedJoinTable(t *joinTable, kv *storage.Vector) {
-	n := kv.Len()
+// keyWords returns every build row's key word. A fixedKey's word is its
+// column's fixedWord, which mirrors groupKey's per-type encoding (two's
+// complement, Float64bits, 0/1), so word equality is byte-key equality
+// within the type. Any other key's word is its dense id, assigned in
+// first-seen row order through t.ids over the rows' groupKey bytes — the
+// map the prober looks its own key bytes up in.
+func (t *joinTable) keyWords(spec *joinSpec) []uint64 {
+	words := make([]uint64, t.rows.Len())
+	if spec.fixedKey {
+		kv := t.rows.Vecs[spec.rightKeys[0]]
+		for i := range words {
+			words[i] = fixedWord(kv, i)
+		}
+		return words
+	}
+	t.ids = make(map[string]int32)
+	var key []byte
+	for i := range words {
+		key = groupKey(key, t.rows.Vecs, spec.rightKeys, i)
+		id, ok := t.ids[string(key)]
+		if !ok {
+			id = int32(len(t.ids))
+			t.ids[string(key)] = id
+		}
+		words[i] = uint64(id)
+	}
+	return words
+}
 
-	// Pass 1: the ordered key span decides the index layout.
-	lo, hi := orderedWord(fixedWord(kv, 0)), orderedWord(fixedWord(kv, 0))
-	for i := 1; i < n; i++ {
-		w := orderedWord(fixedWord(kv, i))
+// buildWordIndex lays out the runs of matchRows and the index over them:
+// ascending row order within every run falls out of the forward fill pass,
+// and no Go map is involved.
+func buildWordIndex(t *joinTable, words []uint64) {
+	// Pass 1: the ordered word span decides the index layout.
+	lo, hi := orderedWord(words[0]), orderedWord(words[0])
+	for _, w := range words[1:] {
+		w = orderedWord(w)
 		if w < lo {
 			lo = w
 		}
@@ -395,32 +316,32 @@ func buildFixedJoinTable(t *joinTable, kv *storage.Vector) {
 			hi = w
 		}
 	}
-	t.fixedRows = make([]int32, n)
+	n := len(words)
+	t.matchRows = make([]int32, n)
 	if span := hi - lo; span < uint64(n)*denseSpanFactor || span < denseSpanFloor {
-		buildDenseIndex(t, kv, lo, int(span)+1)
+		buildDenseIndex(t, words, lo, int(span)+1)
 	} else {
-		buildSlotIndex(t, kv)
+		buildSlotIndex(t, words)
 	}
 }
 
-// buildDenseIndex lays the runs out in key order behind an offset array
+// buildDenseIndex lays the runs out in word order behind an offset array
 // indexed by orderedWord − min.
-func buildDenseIndex(t *joinTable, kv *storage.Vector, min uint64, nk int) {
-	n := kv.Len()
-	// Pass 2: count key k into offs[k+2], then prefix-sum, leaving offs[k+1]
+func buildDenseIndex(t *joinTable, words []uint64, min uint64, nk int) {
+	// Pass 2: count word k into offs[k+2], then prefix-sum, leaving offs[k+1]
 	// at the start of k's run. Pass 3 fills through offs[k+1], which walks it
 	// to the end of k's run — the start of k+1's — so the array finishes as
 	// the exclusive offsets with no cursor copy.
 	offs := make([]int32, nk+2)
-	for i := 0; i < n; i++ {
-		offs[orderedWord(fixedWord(kv, i))-min+2]++
+	for _, w := range words {
+		offs[orderedWord(w)-min+2]++
 	}
 	for k := 2; k < len(offs); k++ {
 		offs[k] += offs[k-1]
 	}
-	for i := 0; i < n; i++ {
-		k := orderedWord(fixedWord(kv, i)) - min + 1
-		t.fixedRows[offs[k]] = int32(i)
+	for i, w := range words {
+		k := orderedWord(w) - min + 1
+		t.matchRows[offs[k]] = int32(i)
 		offs[k]++
 	}
 	t.denseMin, t.denseOffs = min, offs[:nk+1]
@@ -429,8 +350,8 @@ func buildDenseIndex(t *joinTable, kv *storage.Vector, min uint64, nk int) {
 // buildSlotIndex lays the runs out in slot order behind an open-addressing
 // table of at least 2n slots (load ≤ 1/2, so a probe always meets an empty
 // slot and the table never grows).
-func buildSlotIndex(t *joinTable, kv *storage.Vector) {
-	n := kv.Len()
+func buildSlotIndex(t *joinTable, words []uint64) {
+	n := len(words)
 	nSlots := 1 << bits.Len(uint(2*n-1))
 	slots := make([]wordSlot, nSlots)
 	shift := uint(64 - bits.TrailingZeros(uint(nSlots)))
@@ -438,8 +359,7 @@ func buildSlotIndex(t *joinTable, kv *storage.Vector) {
 
 	// Pass 2: claim a slot per distinct word, counting its rows in hi.
 	slotOf := make([]int32, n)
-	for i := 0; i < n; i++ {
-		w := fixedWord(kv, i)
+	for i, w := range words {
 		s := (w * fibMul) >> shift
 		for slots[s].hi != 0 && slots[s].w != w {
 			s = (s + 1) & mask
@@ -460,7 +380,7 @@ func buildSlotIndex(t *joinTable, kv *storage.Vector) {
 	// Pass 3: fill each run in ascending row order; hi walks from the run's
 	// start to its end.
 	for i, s := range slotOf {
-		t.fixedRows[slots[s].hi] = int32(i)
+		t.matchRows[slots[s].hi] = int32(i)
 		slots[s].hi++
 	}
 	t.slots, t.slotShift = slots, shift
@@ -521,12 +441,7 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 				row = int(p.cur.Sel[row])
 			}
 			if !p.pending {
-				if p.spec.fixedKey {
-					p.matches = p.table.lookupWord(fixedWord(p.cur.Vecs[p.spec.leftKeys[0]], row))
-				} else {
-					p.key = groupKey(p.key, p.cur.Vecs, p.spec.leftKeys, row)
-					p.matches = p.table.lookup(p.key)
-				}
+				p.matches = p.matchesOf(row)
 				p.matchPos = 0
 				p.pending = true
 			}
@@ -565,6 +480,21 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 		p.pool.Release(p.cur)
 		p.cur = nil
 	}
+}
+
+// matchesOf returns the build rows matching physical row `row` of cur: its
+// key word's run. A key that is not fixed finds its word — its build-side id
+// — through the table's id map; bytes no build row carries match nothing.
+func (p *joinProber) matchesOf(row int) []int32 {
+	if p.spec.fixedKey {
+		return p.table.lookupWord(fixedWord(p.cur.Vecs[p.spec.leftKeys[0]], row))
+	}
+	p.key = groupKey(p.key, p.cur.Vecs, p.spec.leftKeys, row)
+	id, ok := p.table.ids[string(p.key)]
+	if !ok {
+		return nil
+	}
+	return p.table.lookupWord(uint64(id))
 }
 
 // flush gathers the accumulated pairs into out column-major — the payload

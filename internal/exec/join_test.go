@@ -57,7 +57,7 @@ func probeOp(t *testing.T, probe, build Operator, probeKeys, buildKeys []string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := runBuild(nil, build, spec, 1, ctx)
+	table, err := runBuild(nil, build, spec, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,13 +103,12 @@ func NewJoinCache(maxBytes int64) *JoinCache {
 }
 
 // joinCacheKey derives the cache identity of a join's build side: the
-// subtree's plan text, every bound table version, the build key columns,
-// and the two context bits the cached value depends on — the table layout
-// (fixed-word or byte-keyed, a property of the key types on both sides)
-// and pruning, which moves the scan charge. ok is false for a subtree that
-// holds anything but Scan and Filter nodes: samplers draw from the
-// query seed and synopsis scans read warehouse state.
-func joinCacheKey(n plan.Node, rightKeys []string, fixedKey, disablePrune bool) (key string, tables []*storage.Table, ok bool) {
+// subtree's plan text, every bound table version and the build key columns.
+// Nothing else goes in: the table's layout follows from the build key types,
+// and the scan charge from the plan and the table versions. ok is false for
+// a subtree that holds anything but Scan and Filter nodes: samplers draw
+// from the query seed and synopsis scans read warehouse state.
+func joinCacheKey(n plan.Node, rightKeys []string) (key string, tables []*storage.Table, ok bool) {
 	ok = true
 	plan.Walk(n, func(m plan.Node) {
 		switch t := m.(type) {
@@ -128,7 +127,7 @@ func joinCacheKey(n plan.Node, rightKeys []string, fixedKey, disablePrune bool) 
 	for _, t := range tables {
 		fmt.Fprintf(&sb, "%s@%d ", t.Name, t.Epoch())
 	}
-	fmt.Fprintf(&sb, "K[%s] F[%t] P[%t]", strings.Join(rightKeys, ","), fixedKey, !disablePrune)
+	fmt.Fprintf(&sb, "K[%s]", strings.Join(rightKeys, ","))
 	return sb.String(), tables, true
 }
 
@@ -221,9 +220,9 @@ func (c *JoinCache) removeLocked(el *list.Element) {
 }
 
 // bytes is the table's resident size: build rows, their width array, the
-// code arrays of their coded string columns and the index arrays. String
-// payloads are counted in full although the rows share them with the base
-// table, so the bound errs towards holding less.
+// code arrays of their coded string columns, the index arrays and the id
+// map. String payloads are counted in full although the rows share them
+// with the base table, so the bound errs towards holding less.
 func (t *joinTable) bytes() int64 {
 	n := t.rows.LiveWidth() + int64(len(t.rows.Width))*4
 	for _, v := range t.rows.Vecs {
@@ -231,16 +230,9 @@ func (t *joinTable) bytes() int64 {
 			n += int64(len(v.Code)) * 4
 		}
 	}
-	n += int64(len(t.fixedRows)+len(t.denseOffs))*4 + int64(len(t.slots))*16
-	for _, m := range t.parts {
-		// Byte-keyed sub-tables, estimated: a key string, a slice header and
-		// the map's own slot per key, plus the row indices below.
-		n += int64(len(m)) * 64
-	}
-	if t.parts != nil {
-		n += int64(t.rows.Len()) * 4
-	}
-	return n
+	// The id map is estimated: a key string, its id and the map's own slot
+	// per key.
+	return n + int64(len(t.matchRows)+len(t.denseOffs))*4 + int64(len(t.slots))*16 + int64(len(t.ids))*64
 }
 
 // runBuild produces the hashed build side of one spine join
@@ -250,13 +242,13 @@ func (t *joinTable) bytes() int64 {
 // all: the entry's charge is replayed into the run's counters and, under
 // tracing, the subtree is marked cached. The caller still owns op and closes
 // it either way.
-func runBuild(node *plan.Join, op Operator, spec *joinSpec, workers int, ctx *Context) (*joinTable, error) {
+func runBuild(node *plan.Join, op Operator, spec *joinSpec, ctx *Context) (*joinTable, error) {
 	var key string
 	var tables []*storage.Table
 	admit := false
 	if ctx.Joins != nil {
 		var ok bool
-		if key, tables, ok = joinCacheKey(node.Right, node.RightKeys, spec.fixedKey, ctx.DisablePrune); ok {
+		if key, tables, ok = joinCacheKey(node.Right, node.RightKeys); ok {
 			var hit *joinCacheEntry
 			if hit, admit = ctx.Joins.lookup(key, tables); hit != nil {
 				hit.charge.replay(ctx.Stats)
@@ -273,7 +265,7 @@ func runBuild(node *plan.Join, op Operator, spec *joinSpec, workers int, ctx *Co
 	if err != nil {
 		return nil, err
 	}
-	t := buildJoinTable(spec, rows, workers)
+	t := buildJoinTable(spec, rows)
 	if admit {
 		t.shared = true
 		ctx.Joins.insert(key, tables, t, chargeSince(ctx.Stats, before))

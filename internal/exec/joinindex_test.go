@@ -4,10 +4,17 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
+
+// fixedKeyTable builds the join table of a one-column fixed-width key: the
+// build rows are kv alone.
+func fixedKeyTable(kv *storage.Vector) *joinTable {
+	return buildJoinTable(&joinSpec{rightKeys: []int{0}, fixedKey: true}, &storage.Batch{Vecs: []*storage.Vector{kv}})
+}
 
 // checkJoinIndex builds the fixed-key index over kv and holds lookupWord to
 // a naive word → ascending-rows map: every present word returns exactly its
@@ -21,8 +28,7 @@ func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64) *joinTabl
 		w := fixedWord(kv, i)
 		ref[w] = append(ref[w], int32(i))
 	}
-	tab := &joinTable{}
-	buildFixedJoinTable(tab, kv)
+	tab := fixedKeyTable(kv)
 
 	for w, want := range ref {
 		got := tab.lookupWord(w)
@@ -154,9 +160,47 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 	})
 }
 
-// FuzzJoinIndex drives the same check from arbitrary bytes: each 8-byte group
-// is one key word, reinterpreted per the type selector, so the fuzzer reaches
-// span boundaries, probe-chain collisions and float bit patterns on its own.
+// checkJoinTuples builds the table of a key that is not one fixed-width
+// column — the cols of the first nBuild rows of b — and probes it with every
+// row of b through the prober: each row's matches must be exactly the build
+// rows whose groupKey bytes equal its own, ascending, and a row whose bytes
+// no build row carries must match nothing. The numbered words must take the
+// dense index.
+func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int) {
+	t.Helper()
+	if nBuild == 0 {
+		return // an empty table is never probed
+	}
+	build := &storage.Batch{}
+	for _, v := range b.Vecs {
+		build.Vecs = append(build.Vecs, v.Slice(0, nBuild))
+	}
+	ref := make(map[string][]int32)
+	for i := 0; i < nBuild; i++ {
+		k := string(groupKey(nil, build.Vecs, cols, i))
+		ref[k] = append(ref[k], int32(i))
+	}
+	spec := &joinSpec{leftKeys: cols, rightKeys: cols}
+	p := joinProber{spec: spec, table: buildJoinTable(spec, build), cur: b}
+	if len(p.table.ids) != len(ref) || p.table.denseOffs == nil {
+		t.Fatalf("%d build keys numbered %d ids (dense index: %t)", len(ref), len(p.table.ids), p.table.denseOffs != nil)
+	}
+	for i := 0; i < b.Len(); i++ {
+		want := ref[string(groupKey(nil, b.Vecs, cols, i))]
+		if got := p.matchesOf(i); !slices.Equal(got, want) {
+			t.Fatalf("probe row %d: rows %v, want %v", i, got, want)
+		}
+	}
+}
+
+// FuzzJoinIndex drives the same checks from arbitrary bytes. Each 8-byte
+// group is one row. Without tuple it is one key word, reinterpreted per the
+// type selector, so the fuzzer reaches span boundaries, probe-chain
+// collisions and float bit patterns on its own. With tuple the row is a
+// (string, typed) pair — a string of up to two of its bytes, NULs included,
+// beside the word reinterpreted per the selector, or the string alone for
+// selector 3 mod 4 — built from the first half of the rows and probed with
+// all of them.
 func FuzzJoinIndex(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -165,25 +209,22 @@ func FuzzJoinIndex(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(word(1, 2, 3, 2, 1), uint8(0))
-	f.Add(word(1<<63, 1<<63-1, 0, math.MaxUint64), uint8(0))
-	f.Add(word(math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.NaN())), uint8(1))
-	f.Add(word(0, 1, 1, 0), uint8(2))
-	f.Add(word(7, 7+1<<16-1, 7+1<<16), uint8(0)) // either side of the dense span floor
-	f.Fuzz(func(t *testing.T, data []byte, typ uint8) {
+	f.Add(word(1, 2, 3, 2, 1), uint8(0), false)
+	f.Add(word(1<<63, 1<<63-1, 0, math.MaxUint64), uint8(0), false)
+	f.Add(word(math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.NaN())), uint8(1), false)
+	f.Add(word(0, 1, 1, 0), uint8(2), false)
+	f.Add(word(7, 7+1<<16-1, 7+1<<16), uint8(0), false) // either side of the dense span floor
+	f.Add(word(0x0100, 0x0201, 0x0100, 0x0201, 0x0302, 0x0100), uint8(0), true)
+	f.Add(word(0x0002, 0x0202, 0x000002, 0x0001), uint8(3), true) // "", NUL-embedded, same bytes
+	f.Add(word(math.Float64bits(math.NaN()), 0x7ff8000000000002, math.Float64bits(math.Copysign(0, -1)), 0), uint8(1), true)
+	f.Fuzz(func(t *testing.T, data []byte, typ uint8, tuple bool) {
 		n := len(data) / 8
 		if n == 0 {
 			return
 		}
-		var v *storage.Vector
-		switch typ % 3 {
-		case 0:
-			v = storage.NewVector(storage.Int64, n)
-		case 1:
-			v = storage.NewVector(storage.Float64, n)
-		default:
-			v = storage.NewVector(storage.Bool, n)
-		}
+		ts := [...]storage.Type{storage.Int64, storage.Float64, storage.Bool}
+		v := storage.NewVector(ts[int(typ)%3], n)
+		s := storage.NewVector(storage.String, n)
 		for i := 0; i < n; i++ {
 			w := binary.LittleEndian.Uint64(data[8*i:])
 			switch v.Typ {
@@ -194,8 +235,17 @@ func FuzzJoinIndex(f *testing.F) {
 			default:
 				v.B = append(v.B, w&1 == 1)
 			}
+			s.Str = append(s.Str, string(data[8*i+1:8*i+1+int(data[8*i]%3)]))
 		}
-		checkJoinIndex(t, v, nil)
+		if !tuple {
+			checkJoinIndex(t, v, nil)
+			return
+		}
+		cols := []int{0, 1}
+		if typ%4 == 3 {
+			cols = cols[:1]
+		}
+		checkJoinTuples(t, &storage.Batch{Vecs: []*storage.Vector{s, v}}, cols, n/2)
 	})
 }
 
@@ -230,14 +280,14 @@ func joinIndexShapes() []joinIndexShape {
 	}
 }
 
-// BenchmarkJoinBuild times the fixed-key index build alone (the CSR passes,
-// no row copy), reporting ns per build row.
+// BenchmarkJoinBuild times the fixed-key index build alone (the key words
+// and the CSR passes, no row copy), reporting ns per build row.
 func BenchmarkJoinBuild(b *testing.B) {
 	for _, sh := range joinIndexShapes() {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buildFixedJoinTable(&joinTable{}, sh.keys)
+				fixedKeyTable(sh.keys)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.keys.Len()), "ns/row")
 		})
@@ -252,8 +302,7 @@ var benchJoinSink int
 func BenchmarkJoinProbe(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sh := range joinIndexShapes() {
-		tab := &joinTable{}
-		buildFixedJoinTable(tab, sh.keys)
+		tab := fixedKeyTable(sh.keys)
 		probes := make([]uint64, 1<<16)
 		for i := range probes {
 			if sh.probeMax > 0 {

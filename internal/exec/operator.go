@@ -8,7 +8,7 @@
 //
 // What runs serially, once, before the worker pool starts: each join's build
 // side — a leaf chain of scan, filter and sampler operators, drained and
-// hashed into a partitioned shared table — and an inline sketch build, the
+// indexed into one shared join table — and an inline sketch build, the
 // same kind of drain into a count-min sketch. Then workers claim fixed-size
 // row-range morsels of the probe side from a shared dispenser, run the whole
 // spine on each with worker-local state, and fold into per-morsel partial
@@ -23,11 +23,13 @@
 // rows' whatever was copied.
 //
 // Samplers are pipelined, with materialization as a byproduct (paper §III).
-// Fixed-width single-column join keys are indexed without a Go map (a dense
-// offset array or an open-addressing table behind joinTable.lookupWord), and
-// a build side made only of scans and filters is built once per table
-// version: JoinCache keeps the immutable table and the cost the build
-// charged, and a later run replays the cost instead of rebuilding.
+// Every join table keys each build row by one word — a one-column int64,
+// float64 or bool key's own bits, any other key's dense id — and finds a
+// word's matches without a Go map (a dense offset array or an
+// open-addressing table behind joinTable.lookupWord). A build side made only
+// of scans and filters is built once per table version: JoinCache keeps the
+// immutable table and the cost the build charged, and a later run replays
+// the cost instead of rebuilding.
 package exec
 
 import (
@@ -110,10 +112,6 @@ type Context struct {
 	// DefaultMorselRows. Changing it changes the per-morsel sampler streams,
 	// so it is part of a query's reproducibility key.
 	MorselRows int
-	// DisablePrune turns zone-map partition pruning off. Pruning is sound —
-	// it never changes results, only the scan-byte and tuple charges — so the
-	// flag exists for A/B cost measurement and the pruning soundness tests.
-	DisablePrune bool
 	// Pool recycles batch/vector memory between operators of this run. Batches
 	// transfer ownership downstream; the final consumer releases after copying
 	// out (storage.VecPool documents the contract). A nil pool degrades every

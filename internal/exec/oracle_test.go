@@ -19,9 +19,9 @@ package exec_test
 //
 // Semantics it shares with the engine because they are the query language's,
 // not the executor's: storage has no NULLs, so COUNT(col) is COUNT(*); join
-// keys match only within one type; groups come out ordered by their key
-// values; a global aggregate over no rows is one row of zeros; every
-// aggregate cell is a float64.
+// keys match only within one type, floats by their bits; groups come out
+// ordered by their key values; a global aggregate over no rows is one row of
+// zeros; every aggregate cell is a float64.
 
 import (
 	"fmt"
@@ -287,12 +287,17 @@ func columnsOf(t testing.TB, s storage.Schema, names []string) []int {
 }
 
 // keyText renders the chosen columns of a row as type-tagged text: values of
-// different types never produce the same key.
+// different types never produce the same key, and a float is its bits, so
+// -0 and every NaN payload are keys of their own.
 func keyText(row []storage.Value, cols []int) string {
 	var sb strings.Builder
 	for _, c := range cols {
 		v := row[c]
-		fmt.Fprintf(&sb, "%d:%d:%s|", v.Typ, len(v.String()), v.String())
+		s := v.String()
+		if v.Typ == storage.Float64 {
+			s = fmt.Sprintf("%x", math.Float64bits(v.F))
+		}
+		fmt.Fprintf(&sb, "%d:%d:%s|", v.Typ, len(s), s)
 	}
 	return sb.String()
 }

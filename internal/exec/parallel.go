@@ -23,7 +23,7 @@ const DefaultMorselRows = 4096
 // an Aggregate's hash aggregation or a SketchJoin's count-min lookup. The
 // spine follows each Join's left (probe) input; build (right) subtrees are
 // leaf chains — scans, filters, samplers — compiled on their own, drained
-// once and hashed into shared partitioned tables. The planner emits exactly
+// once and indexed into shared join tables. The planner emits exactly
 // this shape for every plan: exact, inline sampler builds, sample reuse and
 // sketch-joins alike.
 type pipeline struct {
@@ -115,7 +115,7 @@ type partial interface {
 
 // pipelineJoinState is one join of the spine: its compiled build-side
 // subtree, the resolved column binding, and — once the op runs — the shared
-// hash-partitioned table every probe worker reads.
+// join table every probe worker reads.
 type pipelineJoinState struct {
 	node  *plan.Join
 	build Operator
@@ -125,8 +125,8 @@ type pipelineJoinState struct {
 
 // PipelineOp executes a matched pipeline with morsel-driven parallelism. What
 // runs serially, once, before the pool starts: the sink's prepare (an inline
-// sketch build) and each join's build side, drained and hashed into a shared
-// partitioned joinTable. Then the leaf's rows are split into fixed-size
+// sketch build) and each join's build side, drained and indexed into a
+// shared joinTable. Then the leaf's rows are split into fixed-size
 // morsels, the pool claims morsels from an atomic dispenser, and each worker
 // runs the full scan→sample→filter→probe→fold pipeline on its morsel with
 // worker-local state. Partials are merged in morsel index order once all
@@ -137,9 +137,9 @@ type pipelineJoinState struct {
 // requirement is PartitionDelta(δ, morsels), so the set of sampled rows, the
 // merged sink state and the materialized sample bytes depend only on
 // (input, seed, morsel size) — never on the worker count or on scheduling.
-// Join probes inherit the contract for free: the build table's match lists
-// are ascending build-row indices regardless of partition count, and each
-// morsel probes them in its own input order. Running with Workers=1 and
+// Join probes inherit the contract for free: the build table is built
+// serially, its match lists are ascending build-row indices, and each morsel
+// probes them in its own input order. Running with Workers=1 and
 // Workers=N yields byte-identical results, cost counters and built synopses
 // included, under either sink.
 type PipelineOp struct {
@@ -308,8 +308,8 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 		return nil, err
 	}
 
-	// Run and hash every join's build side once; the resulting partitioned
-	// tables are shared read-only by all probe workers. Builds run top-down,
+	// Run and index every join's build side once; the resulting tables are
+	// shared read-only by all probe workers. Builds run top-down,
 	// so an empty one stops the rest: it proves the inner join — and hence
 	// the whole pipeline input — empty, and the probe scan is normally
 	// skipped entirely (O(1) early-out, no phantom scan or shuffle charges,
@@ -322,7 +322,7 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 	emptyJoin := false
 	for k := len(p.joins) - 1; k >= 0; k-- {
 		js := p.joins[k]
-		table, err := runBuild(js.node, js.build, js.spec, workers, p.ctx)
+		table, err := runBuild(js.node, js.build, js.spec, p.ctx)
 		cerr := js.build.Close()
 		if err != nil {
 			return nil, err
@@ -355,7 +355,7 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 	// fully pruned morsel simply yields no batches. Sampler pipelines never
 	// prune: their per-morsel RNG streams are keyed to raw row positions.
 	keep, leafBytes := []bool(nil), p.pipe.leafBytes
-	if p.pipe.leafBase && p.pipe.sampler == nil && !p.ctx.DisablePrune && len(p.pipe.chain) > 0 {
+	if p.pipe.leafBase && p.pipe.sampler == nil && len(p.pipe.chain) > 0 {
 		if f, ok := p.pipe.chain[0].(*plan.Filter); ok {
 			keep, leafBytes = pruneKeep(p.pipe.leaf, f.Pred)
 			p.ctx.Obs.Pruned(prunedCount(keep))

@@ -7,6 +7,7 @@ package exec_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -193,9 +194,160 @@ func TestMultiJoinEmptyInnerMatchesOracle(t *testing.T) {
 	}
 }
 
+// joinKeyShape is one kind of join key that is not a single fixed-width
+// column: the key column types, and the key values of fact row i and
+// dimension row j. Rows from split on (0: none) reach their table by Append.
+type joinKeyShape struct {
+	name                string
+	types               []storage.Type
+	factRows, dimRows   int
+	factSplit, dimSplit int
+	fact, dim           func(i int) []storage.Value
+	// dicts is how many dictionaries the first key column's partitions carry
+	// in each table (-1: not checked).
+	dicts int
+}
+
+// keyShapeTable builds table name — a leading column, then the shape's key
+// columns k0, k1, … — from rows 0..n-1: rows before split in two
+// partitions, the rest appended.
+func keyShapeTable(t *testing.T, name string, lead storage.Col, types []storage.Type, n, split int, row func(i int) []storage.Value) *storage.Table {
+	t.Helper()
+	schema := storage.Schema{lead}
+	for k, typ := range types {
+		schema = append(schema, storage.Col{Name: fmt.Sprintf("%s.k%d", name, k), Typ: typ})
+	}
+	build := func(lo, hi, parts int) *storage.Table {
+		b := storage.NewBuilder(name, schema)
+		for i := lo; i < hi; i++ {
+			b.AddRow(row(i)...)
+		}
+		return b.Build(parts)
+	}
+	if split == 0 {
+		return build(0, n, 2)
+	}
+	tbl, err := build(0, split, 2).Append(build(split, n, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// keyDicts counts the distinct dictionaries the partitions of tbl's first key
+// column carry.
+func keyDicts(tbl *storage.Table) int {
+	seen := map[*storage.Dict]bool{}
+	for p := 0; p < tbl.Partitions(); p++ {
+		for _, b := range tbl.Scan(p, storage.BatchSize) {
+			if d := b.Vecs[1].Dict; d != nil {
+				seen[d] = true
+			}
+		}
+	}
+	return len(seen)
+}
+
+// TestJoinKeysMatchOracle: every join key that is not one fixed-width column
+// — a string column, coded, uncoded or under two dictionaries, NUL bytes
+// embedded, and multi-column keys mixing types, floats with -0 and two NaN
+// payloads among them — is numbered through the join table's id map. Its
+// answers must be the oracle's, and so must every cost counter, at workers
+// 1 / 4 / 8 and through a JoinCache's first sight, admission and hit.
+func TestJoinKeysMatchOracle(t *testing.T) {
+	strs := []string{"alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta", "iota", "kappa", "lambda", "mu"}
+	nuls := []string{"", "\x00", "a", "a\x00", "a\x00b", "\x00a", "a\x00\x00"}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002), 1.5, -1.5, math.Inf(1)}
+	str := func(s string) []storage.Value { return []storage.Value{storage.StringValue(s)} }
+	for _, sh := range []joinKeyShape{
+		{name: "coded strings", types: []storage.Type{storage.String}, factRows: 3000, dimRows: 20, dicts: 1,
+			fact: func(i int) []storage.Value { return str(strs[i%12]) },
+			dim:  func(j int) []storage.Value { return str(strs[j%10]) }},
+		{name: "uncoded strings", types: []storage.Type{storage.String}, factRows: 5000, dimRows: 4500, dicts: 0,
+			fact: func(i int) []storage.Value { return str(fmt.Sprintf("k%05d", i*7%6000)) },
+			dim:  func(j int) []storage.Value { return str(fmt.Sprintf("k%05d", j)) }},
+		{name: "two dictionaries", types: []storage.Type{storage.String}, factRows: 3000, dimRows: 30, factSplit: 2000, dimSplit: 20, dicts: 2,
+			fact: func(i int) []storage.Value { return str(strs[i%10+i/2000*(i%3)]) },
+			dim:  func(j int) []storage.Value { return str(strs[j%10+j/20*(j%3)]) }},
+		{name: "NUL-embedded strings", types: []storage.Type{storage.String}, factRows: 3000, dimRows: 12, dicts: -1,
+			fact: func(i int) []storage.Value { return str(nuls[i%7]) },
+			dim:  func(j int) []storage.Value { return str(nuls[j%6]) }},
+		{name: "int64, string", types: []storage.Type{storage.Int64, storage.String}, factRows: 3000, dimRows: 24, dicts: -1,
+			fact: func(i int) []storage.Value {
+				return []storage.Value{storage.IntValue(int64(i % 9)), storage.StringValue(strs[i%5])}
+			},
+			dim: func(j int) []storage.Value {
+				return []storage.Value{storage.IntValue(int64(j % 6)), storage.StringValue(strs[j%4])}
+			}},
+		{name: "float64, bool", types: []storage.Type{storage.Float64, storage.Bool}, factRows: 3000, dimRows: 14, dicts: -1,
+			fact: func(i int) []storage.Value {
+				return []storage.Value{storage.FloatValue(floats[i%7]), storage.BoolValue(i%3 == 0)}
+			},
+			dim: func(j int) []storage.Value {
+				return []storage.Value{storage.FloatValue(floats[j%7]), storage.BoolValue(j%2 == 0)}
+			}},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			fact := keyShapeTable(t, "jf", storage.Col{Name: "jf.amt", Typ: storage.Float64}, sh.types, sh.factRows, sh.factSplit,
+				func(i int) []storage.Value {
+					return append([]storage.Value{storage.FloatValue(float64(i % 50))}, sh.fact(i)...)
+				})
+			dim := keyShapeTable(t, "jd", storage.Col{Name: "jd.g", Typ: storage.Int64}, sh.types, sh.dimRows, sh.dimSplit,
+				func(j int) []storage.Value {
+					return append([]storage.Value{storage.IntValue(int64(j % 5))}, sh.dim(j)...)
+				})
+			if sh.dicts >= 0 && (keyDicts(fact) != sh.dicts || keyDicts(dim) != sh.dicts) {
+				t.Fatalf("fixture: key dictionaries %d (fact) and %d (dim), want %d each", keyDicts(fact), keyDicts(dim), sh.dicts)
+			}
+			var factKeys, dimKeys []string
+			for k := range sh.types {
+				factKeys = append(factKeys, fmt.Sprintf("jf.k%d", k))
+				dimKeys = append(dimKeys, fmt.Sprintf("jd.k%d", k))
+			}
+			agg := &plan.Aggregate{
+				Child: &plan.Join{
+					Left: &plan.Scan{Table: fact}, Right: &plan.Scan{Table: dim},
+					LeftKeys: factKeys, RightKeys: dimKeys,
+				},
+				GroupBy: []string{"jd.g"},
+				Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "jf.amt"}},
+			}
+			want := oracleEval(t, agg)
+			if len(want.rows) == 0 {
+				t.Fatal("fixture: no fact row finds a match")
+			}
+			var base string
+			check := func(label string, ctx *exec.Context) {
+				t.Helper()
+				out, fp := engineRun(t, agg, ctx)
+				mustMatchOracle(t, label, want, out, 0)
+				mustChargeOracle(t, label, want.cost, ctx.Stats)
+				if base == "" {
+					base = fp
+				} else if fp != base {
+					t.Fatalf("%s: answer differs from workers=1", label)
+				}
+			}
+			for _, workers := range []int{1, 4, 8} {
+				check(fmt.Sprintf("workers=%d", workers), workerCtx(workers, 512))
+			}
+			jc := exec.NewJoinCache(1 << 30)
+			for run := 0; run < 3; run++ {
+				ctx := workerCtx(4, 512)
+				ctx.Joins = jc
+				check(fmt.Sprintf("join cache run %d", run), ctx)
+			}
+			if st := jc.Stats(); st.Admissions != 1 || st.Hits != 1 {
+				t.Fatalf("join cache %+v, want one admission and one hit", st)
+			}
+		})
+	}
+}
+
 // TestPrunedScanMatchesUnpruned: the compiled Filter-over-Scan leaf chain
-// prunes provably excluded partitions; the rows are the oracle's either way,
-// the bytes charge only the surviving partitions.
+// prunes provably excluded partitions; the rows are the oracle's whatever
+// the layout, the bytes charge only the surviving partitions — all of a
+// one-partition copy, whose single zone spans every amount.
 func TestPrunedScanMatchesUnpruned(t *testing.T) {
 	tbl := exec.OrdersTable()
 	f := &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: exec.AmountAbove(700)}
@@ -203,17 +355,17 @@ func TestPrunedScanMatchesUnpruned(t *testing.T) {
 	if len(want.rows) != 300 {
 		t.Fatalf("oracle kept %d rows, want 300", len(want.rows))
 	}
+	whole := &plan.Filter{Child: &plan.Scan{Table: tbl.Repartition(0)}, Pred: f.Pred}
 
 	on := exec.NewContext(0.95)
 	pruned, _ := engineRun(t, f, on)
 	off := exec.NewContext(0.95)
-	off.DisablePrune = true
-	full, _ := engineRun(t, f, off)
+	full, _ := engineRun(t, whole, off)
 	mustMatchOracle(t, "pruned scan", want, pruned, 0)
-	mustMatchOracle(t, "unpruned scan", want, full, 0)
+	mustMatchOracle(t, "one-partition scan", want, full, 0)
 
 	if off.Stats.BaseBytes != tbl.Bytes() {
-		t.Fatalf("unpruned charge = %d, want full %d", off.Stats.BaseBytes, tbl.Bytes())
+		t.Fatalf("one-partition charge = %d, want full %d", off.Stats.BaseBytes, tbl.Bytes())
 	}
 	// amount >= 700 zone-excludes the first two of the three partitions: only
 	// the last one's bytes may be charged.
@@ -238,9 +390,9 @@ func TestPruneAllPartitions(t *testing.T) {
 }
 
 // TestAggPruneMatchesOracle: the morsel pipeline prunes the same partitions
-// as the leaf-chain scan — the oracle's rows with pruning on or off and at
-// any worker count, and counters that differ by exactly the pruned
-// partitions.
+// as the leaf-chain scan — the oracle's rows over the three-partition table
+// and a one-partition copy, at any worker count, and counters that differ by
+// exactly the pruned partitions.
 func TestAggPruneMatchesOracle(t *testing.T) {
 	tbl := exec.OrdersTable()
 	agg := &plan.Aggregate{
@@ -260,11 +412,15 @@ func TestAggPruneMatchesOracle(t *testing.T) {
 		mustMatchOracle(t, label, want, out, 0)
 		mustCharge(t, label, ctx.Stats, last, lastRows+lastRows+300, 300*ordersRowBytes, 10)
 	}
+	whole := &plan.Aggregate{
+		Child:   &plan.Filter{Child: &plan.Scan{Table: tbl.Repartition(0)}, Pred: exec.AmountAbove(700)},
+		GroupBy: agg.GroupBy,
+		Aggs:    agg.Aggs,
+	}
 	ctx := workerCtx(4, 0)
-	ctx.DisablePrune = true
-	out, _ := engineRun(t, agg, ctx)
-	mustMatchOracle(t, "unpruned", want, out, 0)
-	mustCharge(t, "unpruned", ctx.Stats, tbl.Bytes(), 1000+1000+300, 300*ordersRowBytes, 10)
+	out, _ := engineRun(t, whole, ctx)
+	mustMatchOracle(t, "one partition", want, out, 0)
+	mustCharge(t, "one partition", ctx.Stats, tbl.Bytes(), 1000+1000+300, 300*ordersRowBytes, 10)
 }
 
 // TestSketchJoinDeterministicAcrossWorkerCounts: the determinism contract

@@ -13,11 +13,12 @@ import (
 )
 
 // PartitionResult is the zone-map pruning sweep: a time-clustered fact
-// table, tiled into fixed-size partitions, is queried with selective
-// day-range aggregates by two otherwise identical engines — pruning on
-// versus off. Answers are bit-equal by construction (pruning is sound; the
-// differential harness proves it); what differs is work: bytes scanned and
-// simulated cluster seconds.
+// table is queried with selective day-range aggregates by two otherwise
+// identical engines — one tiling it into fixed-size partitions, one keeping
+// it monolithic, whose single zone map spans the whole day domain and so
+// never rules its partition out. Answers are bit-equal by construction
+// (pruning is sound; the differential harness proves it); what differs is
+// work: bytes scanned and simulated cluster seconds.
 type PartitionResult struct {
 	Rows          int
 	PartitionRows int
@@ -113,16 +114,15 @@ func Partition(cfg Config) (*PartitionResult, error) {
 		SpanFrac:      spanFrac,
 	}
 
-	run := func(disable bool) (float64, int64, [][][]storage.Value, error) {
+	run := func(partRows int) (float64, int64, [][][]storage.Value, error) {
 		cat := partitionTable(rows, cfg.Seed)
 		e := core.New(cat, core.Config{
-			Mode:           core.ModeExact,
-			StorageBudget:  cat.TotalBytes(),
-			BufferSize:     cat.TotalBytes(),
-			CostModel:      storage.ScaledCostModel(cat.TotalBytes(), int64(rows)),
-			Seed:           uint64(cfg.Seed),
-			PartitionRows:  partRows,
-			DisablePruning: disable,
+			Mode:          core.ModeExact,
+			StorageBudget: cat.TotalBytes(),
+			BufferSize:    cat.TotalBytes(),
+			CostModel:     storage.ScaledCostModel(cat.TotalBytes(), int64(rows)),
+			Seed:          uint64(cfg.Seed),
+			PartitionRows: partRows,
 		})
 		// Re-resolve: core.New retiles the catalog per PartitionRows.
 		events, _ := cat.Table("events")
@@ -148,10 +148,10 @@ func Partition(cfg Config) (*PartitionResult, error) {
 
 	var prunedRows, fullRows [][][]storage.Value
 	var err error
-	if out.FullSim, out.FullBytes, fullRows, err = run(true); err != nil {
+	if out.FullSim, out.FullBytes, fullRows, err = run(0); err != nil {
 		return nil, err
 	}
-	if out.PrunedSim, out.PrunedBytes, prunedRows, err = run(false); err != nil {
+	if out.PrunedSim, out.PrunedBytes, prunedRows, err = run(partRows); err != nil {
 		return nil, err
 	}
 	out.SimSpeedup = safeRatio(out.FullSim, out.PrunedSim)

@@ -397,8 +397,8 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	var cost planCost
 	cost.scanTable(sh.fact)
 	cost.cpuTuples += int64(float64(sh.fact.Table.NumRows()) * 4) // d CM updates per row
-	// The probe side is costed on this planner, like every other scan, so
-	// its pruning setting is the one exec runs the probe scans with.
+	// The probe side is costed like every other scan, zone pruning
+	// included, so the estimate charges the partitions exec will read.
 	probeOut := p.costFilteredJoinTree(probeQ, nil, &cost)
 	cost.sketchProbeWork(probeOut.rows)
 	cost.aggWork(scanEst{rows: probeOut.rows, width: probeOut.width})

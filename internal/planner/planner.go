@@ -80,12 +80,6 @@ type Planner struct {
 	// configured with an explicit worker count set it so plan choice
 	// reflects the parallel runtime.
 	Parallelism float64
-	// DisablePruning turns zone-map partition pruning off in scan costing,
-	// mirroring exec.Context.DisablePrune: estimated and charged scan bytes
-	// must describe the same executor behaviour or plan choice would chase a
-	// cost the run never pays (or vice versa). Results are unaffected either
-	// way; pruning is sound.
-	DisablePruning bool
 	// MaxStaleness is the bounded-staleness policy for synopsis reuse: a
 	// materialized synopsis whose staleness (fraction of source rows it has
 	// never seen) exceeds the bound is disqualified from reuse; within the
@@ -276,11 +270,11 @@ func (p *Planner) configureSampler(q *Query, strat []string, inRows float64, sel
 
 // prunedScanCharge returns the scan bytes and tuples the executor will
 // charge for a filtered base-table scan: partitions whose zone maps refute
-// the filter are skipped by the pruned scans and cost nothing. With pruning
-// disabled (or no filter) the full table is charged, exactly as before.
+// the filter are skipped by the pruned scans and cost nothing, exactly as
+// exec skips them. With no filter the full table is charged.
 func (p *Planner) prunedScanCharge(t TableRef, filter expr.Expr) (bytes, rows int64) {
 	tbl := t.Table
-	if p.DisablePruning || filter == nil {
+	if filter == nil {
 		return tbl.Bytes(), int64(tbl.NumRows())
 	}
 	sch := tbl.Schema()

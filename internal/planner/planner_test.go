@@ -558,57 +558,3 @@ func TestBind(t *testing.T) {
 		t.Error("bind faulted a spilled payload in")
 	}
 }
-
-// TestSketchJoinProbeCostHonoursDisablePruning: a sketch-join candidate's
-// probe side is costed by the planner the executor's settings were given to.
-// With a zone-prunable filter on a partitioned probe table, turning pruning
-// off must make every sketch-join cost dearer (the probe scan reads all four
-// partitions instead of one).
-func TestSketchJoinProbeCostHonoursDisablePruning(t *testing.T) {
-	b := storage.NewBuilder("products", storage.Schema{
-		{Name: "products.id", Typ: storage.Int64},
-		{Name: "products.category", Typ: storage.Int64},
-	})
-	for i := 0; i < 40000; i++ {
-		b.Int(0, int64(i))
-		b.Int(1, int64(i%5))
-	}
-	products := b.Build(4) // ids ascend, so each partition's zone is one id range
-	sketchCosts := func(disablePruning bool) map[string]float64 {
-		p, _, _ := testPlanner()
-		p.DisablePruning = disablePruning
-		q := joinQuery()
-		q.Tables[1].Table = products
-		q.Filter = &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "products.id"}, R: expr.Int(50)}
-		if _, ok := p.sketchEligible(q); !ok {
-			t.Fatal("fixture query must be sketch-eligible")
-		}
-		ps, err := p.Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		costs := map[string]float64{}
-		for _, c := range ps.Candidates {
-			if strings.Contains(c.Desc, "sketch-join") {
-				costs[c.Desc] = c.Cost
-				for _, cr := range c.Creates {
-					for _, rc := range ps.ReuseCost {
-						if rc.ID == cr.Entry.Desc.ID {
-							costs["hypothetical reuse of "+c.Desc] = rc.Cost
-						}
-					}
-				}
-			}
-		}
-		if len(costs) != 2 {
-			t.Fatalf("want the sketch-join build candidate and its reuse cost, got %v", costs)
-		}
-		return costs
-	}
-	pruned, unpruned := sketchCosts(false), sketchCosts(true)
-	for desc, c := range pruned {
-		if unpruned[desc] <= c {
-			t.Errorf("%s: cost %v with pruning disabled, %v with it on; disabling must cost more", desc, unpruned[desc], c)
-		}
-	}
-}
