@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/meta"
+	"github.com/tasterdb/taster/internal/persist"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/stats"
@@ -326,6 +328,93 @@ func TestRecoveryDropsPartitionScopedEntry(t *testing.T) {
 	if ok || !strings.HasPrefix(res.Report.PlanDesc, "build ") {
 		t.Fatalf("query after recovery must re-taste, got plan %q using %v",
 			res.Report.PlanDesc, res.Report.UsedSynopses)
+	}
+}
+
+// TestRecoveryDropsRetiredSketchPayload: a warehouse directory written while
+// sketch-joins were two count-min planes stores them as kind-7 records,
+// which nothing decodes any more. Recovery must drop such an item whether
+// the checkpoint had it loaded or lazy — restored lazily it would hold quota
+// and fail every fault-in — leaving its entry at LocNone and no file behind;
+// Open succeeds and the next query rebuilds.
+func TestRecoveryDropsRetiredSketchPayload(t *testing.T) {
+	for _, loaded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("loaded=%t", loaded), func(t *testing.T) {
+			dir := t.TempDir()
+			cat := testCatalog()
+			e1, err := persistEngine(cat, dir, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var id uint64
+			for i := 0; i < 6 && id == 0; i++ {
+				if _, err := e1.Execute(persistQuery(e1, 0)); err != nil {
+					t.Fatal(err)
+				}
+				for _, ent := range e1.Store().Materialized() {
+					if ent.Desc.Kind == plan.SketchJoinSynopsis {
+						id = ent.Desc.ID
+					}
+				}
+			}
+			if id == 0 {
+				t.Fatal("test setup: the join query materialized no sketch-join")
+			}
+			if err := e1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Hand-write the item as a kind-7 record of the size the manifest
+			// recorded, so only its kind gives it away.
+			db, err := persist.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, ok, err := db.LoadManifest()
+			if err != nil || !ok {
+				t.Fatalf("manifest: ok=%v err=%v", ok, err)
+			}
+			var rec []byte
+			for i := range m.Items {
+				if ir := &m.Items[i]; ir.ID == id {
+					ir.Loaded = loaded
+					rec = make([]byte, ir.Size)
+				}
+			}
+			if len(rec) < synopses.EnvelopeBytes {
+				t.Fatalf("test setup: no item row for sketch-join #%d", id)
+			}
+			copy(rec, "TSYN")
+			rec[4], rec[5] = synopses.CodecVersion, 7
+			if err := db.WriteItem(id, rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.WriteManifest(m); err != nil {
+				t.Fatal(err)
+			}
+
+			e2, err := persistEngine(cat, dir, true)
+			if err != nil {
+				t.Fatalf("open over a retired sketch-join payload: %v", err)
+			}
+			defer e2.Close()
+			if ent, ok := e2.Store().Get(id); !ok || ent.Desc.Location != meta.LocNone {
+				t.Fatalf("entry #%d after recovery: present %t, want it at LocNone", id, ok)
+			}
+			if e2.Warehouse().Has(id) {
+				t.Fatalf("retired item #%d was restored", id)
+			}
+			if _, err := os.Stat(db.ItemPath(id)); !os.IsNotExist(err) {
+				t.Fatalf("retired payload file survived recovery (%v)", err)
+			}
+			res, err := e2.Execute(persistQuery(e2, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(res.Report.PlanDesc, "build ") {
+				t.Fatalf("query after recovery must rebuild, got plan %q using %v", res.Report.PlanDesc, res.Report.UsedSynopses)
+			}
+		})
 	}
 }
 

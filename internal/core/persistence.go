@@ -123,8 +123,12 @@ func (e *Engine) recoverLocked() (int, error) {
 		// SizeBytes == encoded length, a size mismatch detects it and the
 		// item drops to re-taste rather than serving bytes its recorded
 		// metadata (size, rows, freshness) does not describe.
+		//
+		// A payload of a kind Decode no longer reads — a retired codec kind,
+		// such as the count-min sketch-join's — drops the same way, loaded or
+		// not: restored lazily it would hold quota and fail every fault-in.
 		payload, err := e.db.ReadItem(ir.ID)
-		if err != nil || int64(len(payload)) != ir.Size {
+		if err != nil || int64(len(payload)) != ir.Size || !persist.Known(payload) {
 			e.dropRecovered(ir.ID)
 			continue
 		}

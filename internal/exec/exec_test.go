@@ -385,9 +385,8 @@ func TestSketchJoinInlineBuild(t *testing.T) {
 		Aggs: []plan.AggSpec{
 			{Kind: stats.Count},
 			{Kind: stats.Sum, Col: "orders.amount"},
-			{Kind: stats.Count, Col: "cust.region"}, // a probe-side string column: still the count plane
+			{Kind: stats.Count, Col: "cust.region"}, // a probe-side string column: still the counts
 		},
-		CMWidth: 64, CMDepth: 4, // the planner's geometry for 10 build keys
 	}
 	op, err := Compile(node, 5, ctx)
 	if err != nil {
@@ -410,46 +409,61 @@ func TestSketchJoinInlineBuild(t *testing.T) {
 			westSum += float64(i)
 		}
 	}
+	// The payload is exact and every sum is an integer, so the answers are
+	// the join's exactly, with zero-width intervals.
 	for _, r := range rows {
-		wantCount, wantSum := 500.0, eastSum
+		wantSum := eastSum
 		if r[0].S == "west" {
 			wantSum = westSum
 		}
-		if math.Abs(r[1].F-wantCount)/wantCount > 0.05 {
-			t.Fatalf("region %v count = %v, want ≈%v", r[0], r[1].F, wantCount)
-		}
-		if math.Abs(r[2].F-wantSum)/wantSum > 0.05 {
-			t.Fatalf("region %v sum = %v, want ≈%v", r[0], r[2].F, wantSum)
-		}
-		if r[3].F != r[1].F {
-			t.Fatalf("region %v COUNT(cust.region) = %v, COUNT(*) = %v", r[0], r[3].F, r[1].F)
+		if r[1].F != 500 || r[2].F != wantSum || r[3].F != 500 {
+			t.Fatalf("region %v = %v, want counts 500 and sum %v", r[0], r[1:], wantSum)
 		}
 	}
 	if len(ctx.Stats.BuiltSketches) != 1 {
 		t.Fatal("inline build must record the sketch for retention")
 	}
+	if n := ctx.Stats.BuiltSketches[0].Sketch.Rows.NumRows(); n != 10 {
+		t.Fatalf("the payload holds %d rows, want one per customer key (10)", n)
+	}
 	ivs := op.(IntervalReporter).Intervals()
-	if len(ivs) != 2 || ivs[0][0].HalfWidth <= 0 {
+	if len(ivs) != 2 {
 		t.Fatalf("sketch intervals = %+v", ivs)
 	}
+	for _, row := range ivs {
+		for _, iv := range row {
+			if iv.HalfWidth != 0 {
+				t.Fatalf("sketch intervals = %+v, want zero half-widths", ivs)
+			}
+		}
+	}
+}
+
+// builtSketch runs an inline sketch-join once and returns the payload it
+// stored: what a reuse plan reads.
+func builtSketch(t *testing.T, node *plan.SketchJoin) *synopses.SketchJoin {
+	t.Helper()
+	ctx := NewContext(0.95)
+	runPlan(t, node, ctx)
+	if len(ctx.Stats.BuiltSketches) != 1 {
+		t.Fatalf("the inline build recorded %d sketches", len(ctx.Stats.BuiltSketches))
+	}
+	return ctx.Stats.BuiltSketches[0].Sketch
 }
 
 func TestSketchJoinReuseMaterialized(t *testing.T) {
 	orders := ordersTable()
-	sk, err := synopses.BuildSketchJoin(orders, []string{"orders.cust"}, "orders.amount", 64, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext(0.95)
 	node := &plan.SketchJoin{
 		Probe:     &plan.Scan{Table: customersTable()},
-		Sketch:    sk,
+		Build:     &plan.Scan{Table: orders},
 		ProbeKeys: []string{"cust.id"},
 		BuildKeys: []string{"orders.cust"},
 		AggCol:    "orders.amount",
 		GroupBy:   []string{"cust.region"},
 		Aggs:      []plan.AggSpec{{Kind: stats.Avg, Col: "orders.amount"}},
 	}
+	node.Sketch, node.Build = builtSketch(t, node), nil
+	ctx := NewContext(0.95)
 	rows := allRows(runPlan(t, node, ctx))
 	if len(rows) != 2 {
 		t.Fatalf("groups = %d", len(rows))
@@ -458,10 +472,15 @@ func TestSketchJoinReuseMaterialized(t *testing.T) {
 	if ctx.Stats.BaseBytes >= orders.Bytes() {
 		t.Fatalf("BaseBytes = %d includes build side; reuse must avoid it", ctx.Stats.BaseBytes)
 	}
-	// AVG(amount) per region ≈ 495 (east) / 500 (west lean).
+	// AVG(amount) per region: east's orders are those with i%10 ∈
+	// {0,2,4,6,8}, whose amounts average 499; west's average 500.
 	for _, r := range rows {
-		if r[1].F < 400 || r[1].F > 600 {
-			t.Fatalf("avg = %v", r[1].F)
+		want := 499.0
+		if r[0].S == "west" {
+			want = 500
+		}
+		if r[1].F != want {
+			t.Fatalf("region %v avg = %v, want %v", r[0], r[1].F, want)
 		}
 	}
 	if len(ctx.Stats.BuiltSketches) != 0 {
@@ -503,11 +522,10 @@ func TestCountOverColumnIsCountStar(t *testing.T) {
 		BuildKeys: []string{"cust.id"},
 		AggCol:    "cust.region",
 		Aggs:      counts,
-		CMWidth:   64, CMDepth: 4,
 	}
 	rows := allRows(runPlan(t, node, NewContext(0.95)))
-	if len(rows) != 1 || rows[0][0].F != rows[0][1].F || math.Abs(rows[0][0].F-1000) > 50 {
-		t.Fatalf("sketch-join counts = %v, want both ≈1000 and equal", rows)
+	if len(rows) != 1 || rows[0][0].F != 1000 || rows[0][1].F != 1000 {
+		t.Fatalf("sketch-join counts = %v, want both 1000", rows)
 	}
 }
 
@@ -520,7 +538,6 @@ func TestSketchJoinErrors(t *testing.T) {
 			ProbeKeys: []string{"cust.id"},
 			BuildKeys: []string{"orders.cust"},
 			GroupBy:   []string{"cust.region"},
-			CMWidth:   64, CMDepth: 4,
 		}
 	}
 	if _, err := Compile(node(), 1, ctx); err != nil {
@@ -532,8 +549,11 @@ func TestSketchJoinErrors(t *testing.T) {
 		want   string
 	}{
 		{"no sketch and no build input", func(n *plan.SketchJoin) { n.Build = nil }, "no materialized sketch"},
-		{"inline build without a width", func(n *plan.SketchJoin) { n.CMWidth = 0 }, "geometry"},
-		{"inline build without a depth", func(n *plan.SketchJoin) { n.CMDepth = 0 }, "geometry"},
+		{"sampled build input", func(n *plan.SketchJoin) {
+			n.Build = &plan.SynopsisOp{Child: n.Build, Kind: plan.UniformSample, P: 0.5}
+		}, "[orders.id orders.cust orders.amount __weight] carries __weight"},
+		{"probe key typed unlike its build key", func(n *plan.SketchJoin) { n.ProbeKeys = []string{"cust.region"} },
+			"cust.region is VARCHAR but orders.cust is BIGINT"},
 		{"unknown probe key", func(n *plan.SketchJoin) { n.ProbeKeys = []string{"nope"} }, "probe key"},
 		{"unknown build key", func(n *plan.SketchJoin) { n.BuildKeys = []string{"nope"} }, "build key"},
 		{"unknown group column", func(n *plan.SketchJoin) { n.GroupBy = []string{"nope"} }, "group column"},

@@ -14,10 +14,12 @@ import (
 // per-group state in flat slabs indexed by that id (aggTable.accs,
 // sketchTable.sums), so opening a group allocates nothing of its own and a
 // partial merges into another by translating ids and folding slab into slab.
+// The sketch sink's inline build groups the build rows by join key the same
+// way (sketchSink.buildPayload).
 //
-// Words. An int64, float64 or bool column's word is fixedWord's encoding —
-// two's complement, IEEE bits, 0/1 — so -0.0 and every NaN payload are groups
-// of their own, as they always were. A string column's word is a
+// Words. An int64, float64 or bool column's word is storage.FixedWord's
+// encoding — two's complement, IEEE bits, 0/1 — so -0.0 and every NaN payload
+// are groups of their own, as they always were. A string column's word is a
 // partial-local code (strCodes): group identity never depends on which
 // dictionary, if any, a batch's vector happened to carry.
 //
@@ -92,6 +94,9 @@ const (
 	// groupSlotsMin is the hashed table's first size; it doubles whenever
 	// the groups would fill more than half of it.
 	groupSlotsMin = 64
+	// fibMul is 2^64/φ, the multiplier of the key index's Fibonacci hashing
+	// (storage.KeyIndex).
+	fibMul = 0x9E3779B97F4A7C15
 )
 
 // newGroupIndex indexes the group columns at positions cols of a fold batch;
@@ -228,32 +233,15 @@ func (g *groupIndex) colWords(c int, v *storage.Vector, sel []int32, out []uint6
 	case storage.Bool:
 		if sel == nil {
 			for j := range out {
-				out[j] = fixedWord(v, j)
+				out[j] = storage.FixedWord(v, j)
 			}
 		} else {
 			for j, i := range sel {
-				out[j] = fixedWord(v, int(i))
+				out[j] = storage.FixedWord(v, int(i))
 			}
 		}
 	case storage.String:
 		g.strs[c].words(v, sel, out)
-	}
-}
-
-// fixedWord encodes row i of a fixed-width column as one word, with the same
-// value identity as groupKey's byte encoding. Group columns and fixed-width
-// join keys share it.
-func fixedWord(v *storage.Vector, i int) uint64 {
-	switch v.Typ {
-	case storage.Int64:
-		return uint64(v.I64[i])
-	case storage.Float64:
-		return math.Float64bits(v.F64[i])
-	default: // Bool
-		if v.B[i] {
-			return 1
-		}
-		return 0
 	}
 }
 
@@ -413,6 +401,31 @@ func (g *groupIndex) keyRows() [][]storage.Value {
 		rows[id] = row
 	}
 	return rows
+}
+
+// keyColumns returns every group's key values as typed columns, rows by id:
+// the key columns of the sketch-join payload.
+func (g *groupIndex) keyColumns() []*storage.Vector {
+	nc := len(g.cols)
+	cols := make([]*storage.Vector, nc)
+	for c := range cols {
+		v := storage.NewVector(g.out[c].Typ, g.n)
+		for id := 0; id < g.n; id++ {
+			w := g.keys[id*nc+c]
+			switch v.Typ {
+			case storage.Int64:
+				v.I64 = append(v.I64, int64(w))
+			case storage.Float64:
+				v.F64 = append(v.F64, math.Float64frombits(w))
+			case storage.Bool:
+				v.B = append(v.B, w != 0)
+			case storage.String:
+				v.Str = append(v.Str, g.strs[c].vals[w])
+			}
+		}
+		cols[c] = v
+	}
+	return cols
 }
 
 // strCodes is one string group column's partial-local coding: distinct

@@ -147,7 +147,7 @@ func (f *groupFixture) refKey(row int) string {
 	for c, v := range f.rows[row] {
 		b.Vecs[c].Append(v)
 	}
-	return string(groupKey(nil, b.Vecs, f.cols, 0))
+	return string(storage.GroupKey(nil, b.Vecs, f.cols, 0))
 }
 
 // sameValue is bit equality: the identity groupKey and fixedWord share.

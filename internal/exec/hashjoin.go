@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
@@ -38,14 +37,6 @@ type joinSpec struct {
 	// 8 when both carry a weight column, since the two merge into one.
 	widthAdj int32
 
-	// fixedKey marks a key that is one int64, float64 or bool column: a
-	// row's word is then that column's fixedWord. Any other key — a string
-	// column, or several columns — is numbered through the table's id map
-	// (joinTable.ids). Both sides' key columns share their types
-	// (resolveJoinSpec refuses otherwise), so the word relation is exactly
-	// groupKey's byte equality and the layout depends on the build side alone.
-	fixedKey bool
-
 	schema storage.Schema
 }
 
@@ -72,12 +63,9 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) 
 		}
 		j.rightKeys = append(j.rightKeys, i)
 	}
-	for k, li := range j.leftKeys {
-		if lc, rc := ls[li], rs[j.rightKeys[k]]; lc.Typ != rc.Typ {
-			return nil, fmt.Errorf("exec: hash join: %s is %s but %s is %s; join keys must share a type", lc.Name, lc.Typ, rc.Name, rc.Typ)
-		}
+	if err := keyTypesMatch("hash join", projectSchema(ls, j.leftKeys), projectSchema(rs, j.rightKeys)); err != nil {
+		return nil, err
 	}
-	j.fixedKey = len(j.rightKeys) == 1 && rs[j.rightKeys[0]].Typ != storage.String
 	j.leftWeight = ls.Index(synopses.WeightCol)
 	j.rightWeight = rs.Index(synopses.WeightCol)
 	j.outWeights = j.leftWeight >= 0 || j.rightWeight >= 0
@@ -101,78 +89,38 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) 
 	return j, nil
 }
 
-// joinTable is the materialized, indexed build side of one join. Every build
-// row's key is one word — a fixedKey's fixedWord, any other key's dense id —
-// and every word's match list is one contiguous run of matchRows: the build
-// rows with that key, in ascending row order, found through one of two
-// map-free indexes laid out in the same integer passes as the runs
-// (buildWordIndex picks by the observed word span). The build is serial, so
-// the table is the same at any worker count; once built it is immutable and
-// safe for concurrent probing.
+// keyTypesMatch refuses probe and build key columns, paired by position, of
+// different types: a key index matches a probe row by its key's word or
+// GroupKey bytes, which are equal only within one type (storage.KeyIndex).
+func keyTypesMatch(op string, probe, build storage.Schema) error {
+	if len(probe) != len(build) {
+		return fmt.Errorf("exec: %s: probe keys %v do not pair with build keys %v", op, probe.Names(), build.Names())
+	}
+	for k, pc := range probe {
+		if bc := build[k]; pc.Typ != bc.Typ {
+			return fmt.Errorf("exec: %s: %s is %s but %s is %s; join keys must share a type", op, pc.Name, pc.Typ, bc.Name, bc.Typ)
+		}
+	}
+	return nil
+}
+
+// joinTable is the materialized, indexed build side of one join: the build
+// rows and the storage.KeyIndex over their key columns, which keys every row
+// by one word and finds a word's rows — ascending — without a Go map. The
+// build is serial, so the table is the same at any worker count; once built
+// it is immutable and safe for concurrent probing.
 type joinTable struct {
 	// rows are all build rows concatenated, in input order and full-width;
 	// rows.Width holds what each costs to exchange, so a matched pair's width
 	// is two array reads.
 	rows *storage.Batch
-
-	// ids numbers the distinct groupKey bytes of a key that is not fixed,
-	// 0..k−1 in first-seen build-row order (nil for a fixedKey table). The
-	// numbers are the words: k ≤ rows, so they always take the dense index.
-	ids map[string]int32
-
-	// matchRows holds every word's run of build rows back to back.
-	matchRows []int32
-
-	// Dense-range index (denseOffs non-nil): the ordered words span at most
-	// denseSpanFactor× the build rows (or less than denseSpanFloor), and key
-	// w's run is matchRows[denseOffs[k]:denseOffs[k+1]] with k =
-	// orderedWord(w) − denseMin. Every surrogate key of the generated
-	// workloads, and every id-numbered key, lands here.
-	denseMin  uint64
-	denseOffs []int32
-
-	// Open-addressing index (otherwise): power-of-two slots sized once from
-	// the row count, Fibonacci hashing, linear probing, no growth. A slot
-	// carries its key's run bounds inline, so a probe touches one cache line
-	// before the run itself.
-	slots     []wordSlot
-	slotShift uint
+	idx  *storage.KeyIndex
 
 	// shared marks a table owned by a JoinCache: it outlives the query that
 	// built it and is probed by concurrent queries, so its rows are not
 	// pool memory and release leaves it alone.
 	shared bool
 }
-
-// wordSlot is one open-addressing slot: key word w owns
-// matchRows[lo:hi]. Every present key has at least one row, so hi == 0 marks
-// an empty slot.
-type wordSlot struct {
-	w      uint64
-	lo, hi int32
-}
-
-const (
-	// denseSpanFactor bounds the dense index's offset array at this many
-	// entries per build row; sparser key sets take the open-addressing index.
-	denseSpanFactor = 4
-	// denseSpanFloor admits any span below it whatever the row count. A
-	// selective build-side filter leaves few rows scattered over the
-	// dimension's whole key range, but the probe side is still the fact
-	// table: zeroing a 256 KB offset array once costs less than hashing
-	// every probe row (BenchmarkJoinProbe: 3.4 vs 12.6 ns per probe).
-	denseSpanFloor = 1 << 16
-	// fibMul is 2^64/φ: multiplying by it and keeping the top bits spreads
-	// consecutive and strided keys evenly over a power-of-two table.
-	fibMul = 0x9E3779B97F4A7C15
-)
-
-// orderedWord flips the sign bit of a fixedWord, so int64 keys compare (and
-// subtract) in unsigned space as they do signed: a key range straddling
-// zero stays a short span, and MinInt64..MaxInt64 is span 2^64−1 with no
-// overflow anywhere. For float64 and bool words it is merely a bijection,
-// which is all the index needs.
-func orderedWord(w uint64) uint64 { return w ^ (1 << 63) }
 
 func (t *joinTable) empty() bool { return t == nil || t.rows == nil || t.rows.Len() == 0 }
 
@@ -184,29 +132,6 @@ func (t *joinTable) release(p *storage.VecPool) {
 	}
 	p.Release(t.rows)
 	t.rows = nil
-}
-
-// lookupWord returns the ascending build rows whose key word is w (nil when
-// there are none).
-func (t *joinTable) lookupWord(w uint64) []int32 {
-	if t.denseOffs != nil {
-		// A word below denseMin wraps to a huge k and fails the bound check.
-		k := orderedWord(w) - t.denseMin
-		if k >= uint64(len(t.denseOffs)-1) {
-			return nil
-		}
-		return t.matchRows[t.denseOffs[k]:t.denseOffs[k+1]]
-	}
-	mask := uint64(len(t.slots) - 1)
-	for s := (w * fibMul) >> t.slotShift; ; s = (s + 1) & mask {
-		sl := &t.slots[s]
-		if sl.hi == 0 {
-			return nil
-		}
-		if sl.w == w {
-			return t.matchRows[sl.lo:sl.hi]
-		}
-	}
 }
 
 // drainBuild materializes an operator's full output in input order, charging
@@ -259,131 +184,9 @@ func drainBuild(op Operator, ctx *Context, keep bool) (*storage.Batch, error) {
 	return rows, nil
 }
 
-// buildJoinTable indexes the materialized build rows: every row's key word
-// (keyWords), then the word index over them (buildWordIndex). It runs
-// serially — a handful of O(n) passes over flat arrays — so the table is
-// the same whatever the worker count.
+// buildJoinTable indexes the materialized build rows by their key columns.
 func buildJoinTable(spec *joinSpec, rows *storage.Batch) *joinTable {
-	t := &joinTable{rows: rows}
-	if rows.Len() == 0 {
-		return t
-	}
-	buildWordIndex(t, t.keyWords(spec))
-	return t
-}
-
-// keyWords returns every build row's key word. A fixedKey's word is its
-// column's fixedWord, which mirrors groupKey's per-type encoding (two's
-// complement, Float64bits, 0/1), so word equality is byte-key equality
-// within the type. Any other key's word is its dense id, assigned in
-// first-seen row order through t.ids over the rows' groupKey bytes — the
-// map the prober looks its own key bytes up in.
-func (t *joinTable) keyWords(spec *joinSpec) []uint64 {
-	words := make([]uint64, t.rows.Len())
-	if spec.fixedKey {
-		kv := t.rows.Vecs[spec.rightKeys[0]]
-		for i := range words {
-			words[i] = fixedWord(kv, i)
-		}
-		return words
-	}
-	t.ids = make(map[string]int32)
-	var key []byte
-	for i := range words {
-		key = groupKey(key, t.rows.Vecs, spec.rightKeys, i)
-		id, ok := t.ids[string(key)]
-		if !ok {
-			id = int32(len(t.ids))
-			t.ids[string(key)] = id
-		}
-		words[i] = uint64(id)
-	}
-	return words
-}
-
-// buildWordIndex lays out the runs of matchRows and the index over them:
-// ascending row order within every run falls out of the forward fill pass,
-// and no Go map is involved.
-func buildWordIndex(t *joinTable, words []uint64) {
-	// Pass 1: the ordered word span decides the index layout.
-	lo, hi := orderedWord(words[0]), orderedWord(words[0])
-	for _, w := range words[1:] {
-		w = orderedWord(w)
-		if w < lo {
-			lo = w
-		}
-		if w > hi {
-			hi = w
-		}
-	}
-	n := len(words)
-	t.matchRows = make([]int32, n)
-	if span := hi - lo; span < uint64(n)*denseSpanFactor || span < denseSpanFloor {
-		buildDenseIndex(t, words, lo, int(span)+1)
-	} else {
-		buildSlotIndex(t, words)
-	}
-}
-
-// buildDenseIndex lays the runs out in word order behind an offset array
-// indexed by orderedWord − min.
-func buildDenseIndex(t *joinTable, words []uint64, min uint64, nk int) {
-	// Pass 2: count word k into offs[k+2], then prefix-sum, leaving offs[k+1]
-	// at the start of k's run. Pass 3 fills through offs[k+1], which walks it
-	// to the end of k's run — the start of k+1's — so the array finishes as
-	// the exclusive offsets with no cursor copy.
-	offs := make([]int32, nk+2)
-	for _, w := range words {
-		offs[orderedWord(w)-min+2]++
-	}
-	for k := 2; k < len(offs); k++ {
-		offs[k] += offs[k-1]
-	}
-	for i, w := range words {
-		k := orderedWord(w) - min + 1
-		t.matchRows[offs[k]] = int32(i)
-		offs[k]++
-	}
-	t.denseMin, t.denseOffs = min, offs[:nk+1]
-}
-
-// buildSlotIndex lays the runs out in slot order behind an open-addressing
-// table of at least 2n slots (load ≤ 1/2, so a probe always meets an empty
-// slot and the table never grows).
-func buildSlotIndex(t *joinTable, words []uint64) {
-	n := len(words)
-	nSlots := 1 << bits.Len(uint(2*n-1))
-	slots := make([]wordSlot, nSlots)
-	shift := uint(64 - bits.TrailingZeros(uint(nSlots)))
-	mask := uint64(nSlots - 1)
-
-	// Pass 2: claim a slot per distinct word, counting its rows in hi.
-	slotOf := make([]int32, n)
-	for i, w := range words {
-		s := (w * fibMul) >> shift
-		for slots[s].hi != 0 && slots[s].w != w {
-			s = (s + 1) & mask
-		}
-		slots[s].w = w
-		slots[s].hi++
-		slotOf[i] = int32(s)
-	}
-	// Counts -> run starts, in slot order (any fixed order works: a run's
-	// position never shows, only its contents do).
-	var at int32
-	for s := range slots {
-		if c := slots[s].hi; c != 0 {
-			slots[s].lo, slots[s].hi = at, at
-			at += c
-		}
-	}
-	// Pass 3: fill each run in ascending row order; hi walks from the run's
-	// start to its end.
-	for i, s := range slotOf {
-		t.matchRows[slots[s].hi] = int32(i)
-		slots[s].hi++
-	}
-	t.slots, t.slotShift = slots, shift
+	return &joinTable{rows: rows, idx: storage.NewKeyIndex(rows.Vecs, spec.rightKeys)}
 }
 
 // joinProber streams probe batches against a built joinTable, emitting joined
@@ -482,19 +285,9 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 	}
 }
 
-// matchesOf returns the build rows matching physical row `row` of cur: its
-// key word's run. A key that is not fixed finds its word — its build-side id
-// — through the table's id map; bytes no build row carries match nothing.
+// matchesOf returns the build rows matching physical row `row` of cur.
 func (p *joinProber) matchesOf(row int) []int32 {
-	if p.spec.fixedKey {
-		return p.table.lookupWord(fixedWord(p.cur.Vecs[p.spec.leftKeys[0]], row))
-	}
-	p.key = groupKey(p.key, p.cur.Vecs, p.spec.leftKeys, row)
-	id, ok := p.table.ids[string(p.key)]
-	if !ok {
-		return nil
-	}
-	return p.table.lookupWord(uint64(id))
+	return p.table.idx.Match(p.cur.Vecs, p.spec.leftKeys, row, &p.key)
 }
 
 // flush gathers the accumulated pairs into out column-major — the payload

@@ -28,8 +28,8 @@ func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
 	tbl := b.Build(1)
 
 	batch := tbl.Scan(0, 16)[0]
-	k0 := string(groupKey(nil, batch.Vecs, []int{0, 1}, 0))
-	k1 := string(groupKey(nil, batch.Vecs, []int{0, 1}, 1))
+	k0 := string(storage.GroupKey(nil, batch.Vecs, []int{0, 1}, 0))
+	k1 := string(storage.GroupKey(nil, batch.Vecs, []int{0, 1}, 1))
 	if k0 == k1 {
 		t.Fatalf("NUL-embedded keys collide: %q", k0)
 	}

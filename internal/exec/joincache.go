@@ -230,9 +230,7 @@ func (t *joinTable) bytes() int64 {
 			n += int64(len(v.Code)) * 4
 		}
 	}
-	// The id map is estimated: a key string, its id and the map's own slot
-	// per key.
-	return n + int64(len(t.matchRows)+len(t.denseOffs))*4 + int64(len(t.slots))*16 + int64(len(t.ids))*64
+	return n + t.idx.Bytes()
 }
 
 // runBuild produces the hashed build side of one spine join

@@ -77,7 +77,6 @@ func TestJoinCacheSecondSightAndReplay(t *testing.T) {
 		ProbeKeys: []string{"orders.id"}, BuildKeys: []string{"orders.id"},
 		GroupBy: []string{"cust.region"},
 		Aggs:    []plan.AggSpec{{Kind: stats.Count}},
-		CMWidth: 3000, CMDepth: 4,
 	}
 	for name, root := range map[string]plan.Node{"aggregate": spine, "sketch-join": sketch} {
 		want, _ := cachedRun(t, root, nil, nil)

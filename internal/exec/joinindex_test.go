@@ -13,25 +13,25 @@ import (
 // fixedKeyTable builds the join table of a one-column fixed-width key: the
 // build rows are kv alone.
 func fixedKeyTable(kv *storage.Vector) *joinTable {
-	return buildJoinTable(&joinSpec{rightKeys: []int{0}, fixedKey: true}, &storage.Batch{Vecs: []*storage.Vector{kv}})
+	return buildJoinTable(&joinSpec{rightKeys: []int{0}}, &storage.Batch{Vecs: []*storage.Vector{kv}})
 }
 
-// checkJoinIndex builds the fixed-key index over kv and holds lookupWord to
-// a naive word → ascending-rows map: every present word returns exactly its
-// rows, and every absent probe (the neighbours of each key, the extremes,
-// and the caller's extras) returns nothing. It returns the built table so
-// callers can assert which layout the key span selected.
-func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64) *joinTable {
+// checkJoinIndex builds the fixed-key table over kv and holds its index's
+// LookupWord to a naive word → ascending-rows map: every present word
+// returns exactly its rows, and every absent probe (the neighbours of each
+// key, the extremes, and the caller's extras) returns nothing. Which layout
+// each shape takes is storage's TestKeyIndexLayout.
+func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64) {
 	t.Helper()
 	ref := make(map[uint64][]int32)
 	for i := 0; i < kv.Len(); i++ {
-		w := fixedWord(kv, i)
+		w := storage.FixedWord(kv, i)
 		ref[w] = append(ref[w], int32(i))
 	}
 	tab := fixedKeyTable(kv)
 
 	for w, want := range ref {
-		got := tab.lookupWord(w)
+		got := tab.idx.LookupWord(w)
 		if len(got) != len(want) {
 			t.Fatalf("word %#x: %d rows, want %d", w, len(got), len(want))
 		}
@@ -47,11 +47,10 @@ func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64) *joinTabl
 		if _, present := ref[w]; present {
 			continue
 		}
-		if got := tab.lookupWord(w); len(got) != 0 {
+		if got := tab.idx.LookupWord(w); len(got) != 0 {
 			t.Fatalf("absent word %#x returned rows %v", w, got)
 		}
 	}
-	return tab
 }
 
 func int64Vec(keys []int64) *storage.Vector {
@@ -74,26 +73,17 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 	}
 
 	t.Run("dense surrogate keys", func(t *testing.T) {
-		tab := checkJoinIndex(t, int64Vec(perm(5000, func(i int) int64 { return int64(i) + 1 })), nil)
-		if tab.denseOffs == nil {
-			t.Fatal("a 1..n key column must take the dense-range index")
-		}
+		checkJoinIndex(t, int64Vec(perm(5000, func(i int) int64 { return int64(i) + 1 })), nil)
 	})
 	t.Run("dense with duplicates and gaps", func(t *testing.T) {
 		keys := make([]int64, 6000)
 		for i := range keys {
 			keys[i] = 100 + 2*int64(rng.Intn(900))
 		}
-		tab := checkJoinIndex(t, int64Vec(keys), nil)
-		if tab.denseOffs == nil {
-			t.Fatal("span 1800 over 6000 rows must take the dense-range index")
-		}
+		checkJoinIndex(t, int64Vec(keys), nil)
 	})
 	t.Run("dense straddling zero", func(t *testing.T) {
-		tab := checkJoinIndex(t, int64Vec(perm(4001, func(i int) int64 { return int64(i) - 2000 })), nil)
-		if tab.denseOffs == nil {
-			t.Fatal("-2000..2000 is a short span once the sign bit is ordered")
-		}
+		checkJoinIndex(t, int64Vec(perm(4001, func(i int) int64 { return int64(i) - 2000 })), nil)
 	})
 	t.Run("sparse", func(t *testing.T) {
 		keys := make([]int64, 5000)
@@ -101,35 +91,23 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 			keys[i] = rng.Int63() - rng.Int63()
 		}
 		copy(keys[4000:], keys[:1000]) // duplicates far apart in row order
-		tab := checkJoinIndex(t, int64Vec(keys), nil)
-		if tab.slots == nil {
-			t.Fatal("random 63-bit keys must take the open-addressing index")
-		}
+		checkJoinIndex(t, int64Vec(keys), nil)
 	})
 	t.Run("int64 extremes together", func(t *testing.T) {
 		// Span 2^64-1: the span test must not overflow into a dense layout.
 		keys := []int64{math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
-		tab := checkJoinIndex(t, int64Vec(keys), nil)
-		if tab.slots == nil {
-			t.Fatal("MinInt64 and MaxInt64 together must take the open-addressing index")
-		}
+		checkJoinIndex(t, int64Vec(keys), nil)
 	})
 	t.Run("selective subset", func(t *testing.T) {
 		// 133 of 20 000 surrogate keys survive a build-side filter: far more
 		// span than rows, but under the floor.
 		keys := perm(20000, func(i int) int64 { return int64(i) + 1 })[:133]
-		tab := checkJoinIndex(t, int64Vec(keys), nil)
-		if tab.denseOffs == nil {
-			t.Fatal("133 keys spread over 20 000 must take the dense-range index (span floor)")
-		}
-		// The same survivors of a 20 M-key dimension are past it.
+		checkJoinIndex(t, int64Vec(keys), nil)
+		// The same survivors of a 20 M-key dimension.
 		for i := range keys {
 			keys[i] *= 1000
 		}
-		tab = checkJoinIndex(t, int64Vec(keys), nil)
-		if tab.slots == nil {
-			t.Fatal("133 keys spread over 20 000 000 must take the open-addressing index")
-		}
+		checkJoinIndex(t, int64Vec(keys), nil)
 	})
 	t.Run("single row", func(t *testing.T) {
 		checkJoinIndex(t, int64Vec([]int64{42}), nil)
@@ -150,10 +128,7 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			v.B = append(v.B, rng.Intn(3) == 0)
 		}
-		tab := checkJoinIndex(t, v, nil)
-		if tab.denseOffs == nil {
-			t.Fatal("a bool key column must take the dense-range index")
-		}
+		checkJoinIndex(t, v, nil)
 		allTrue := storage.NewVector(storage.Bool, 0)
 		allTrue.B = append(allTrue.B, true, true, true)
 		checkJoinIndex(t, allTrue, nil)
@@ -164,8 +139,7 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 // column — the cols of the first nBuild rows of b — and probes it with every
 // row of b through the prober: each row's matches must be exactly the build
 // rows whose groupKey bytes equal its own, ascending, and a row whose bytes
-// no build row carries must match nothing. The numbered words must take the
-// dense index.
+// no build row carries must match nothing.
 func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int) {
 	t.Helper()
 	if nBuild == 0 {
@@ -177,16 +151,16 @@ func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int) {
 	}
 	ref := make(map[string][]int32)
 	for i := 0; i < nBuild; i++ {
-		k := string(groupKey(nil, build.Vecs, cols, i))
+		k := string(storage.GroupKey(nil, build.Vecs, cols, i))
 		ref[k] = append(ref[k], int32(i))
 	}
 	spec := &joinSpec{leftKeys: cols, rightKeys: cols}
 	p := joinProber{spec: spec, table: buildJoinTable(spec, build), cur: b}
-	if len(p.table.ids) != len(ref) || p.table.denseOffs == nil {
-		t.Fatalf("%d build keys numbered %d ids (dense index: %t)", len(ref), len(p.table.ids), p.table.denseOffs != nil)
+	if n := p.table.idx.Keys(); n != len(ref) {
+		t.Fatalf("%d build keys indexed as %d", len(ref), n)
 	}
 	for i := 0; i < b.Len(); i++ {
-		want := ref[string(groupKey(nil, b.Vecs, cols, i))]
+		want := ref[string(storage.GroupKey(nil, b.Vecs, cols, i))]
 		if got := p.matchesOf(i); !slices.Equal(got, want) {
 			t.Fatalf("probe row %d: rows %v, want %v", i, got, want)
 		}
@@ -296,7 +270,7 @@ func BenchmarkJoinBuild(b *testing.B) {
 
 var benchJoinSink int
 
-// BenchmarkJoinProbe times lookupWord over 65 536 probe words (all present
+// BenchmarkJoinProbe times LookupWord over 65 536 probe words (all present
 // for the whole-table shapes; the subset build misses 99 % of the time, as
 // its query does), reporting ns per probe.
 func BenchmarkJoinProbe(b *testing.B) {
@@ -308,13 +282,13 @@ func BenchmarkJoinProbe(b *testing.B) {
 			if sh.probeMax > 0 {
 				probes[i] = uint64(rng.Intn(sh.probeMax) + 1)
 			} else {
-				probes[i] = fixedWord(sh.keys, rng.Intn(sh.keys.Len()))
+				probes[i] = storage.FixedWord(sh.keys, rng.Intn(sh.keys.Len()))
 			}
 		}
 		b.Run(sh.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, w := range probes {
-					benchJoinSink += len(tab.lookupWord(w))
+					benchJoinSink += len(tab.idx.LookupWord(w))
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(probes)), "ns/probe")

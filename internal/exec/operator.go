@@ -2,19 +2,20 @@
 // and it has one executor: the morsel-driven pipeline (PipelineOp). Every plan
 // a planner emits is a spine — Scan|SynopsisScan → {Sampler|Filter|Join}* —
 // ending in one of two sinks: weighted hash aggregation with single-pass
-// error tracking (an Aggregate root), or the sketch-join's count-min lookup
+// error tracking (an Aggregate root), or the sketch-join's per-key lookup
 // (a SketchJoin root, paper §II: Join+Aggregate collapsed into one
 // terminal). Compile has no other lowering for either.
 //
 // What runs serially, once, before the worker pool starts: each join's build
 // side — a leaf chain of scan, filter and sampler operators, drained and
-// indexed into one shared join table — and an inline sketch build, the
-// same kind of drain into a count-min sketch. Then workers claim fixed-size
-// row-range morsels of the probe side from a shared dispenser, run the whole
-// spine on each with worker-local state, and fold into per-morsel partial
-// sink tables that merge in morsel index order, with per-morsel RNG streams
-// split deterministically from the query seed — so results, cost counters
-// and built synopses are byte-identical at any worker count. SortOp, above a
+// indexed into one shared join table — and an inline sketch build, the same
+// kind of drain into the build side's exact (count, sum) per join key, one
+// row per key. Then workers claim fixed-size row-range morsels of the probe
+// side from a shared dispenser, run the whole spine on each with
+// worker-local state, and fold into per-morsel partial sink tables that
+// merge in morsel index order, with per-morsel RNG streams split
+// deterministically from the query seed — so results, cost counters and
+// built synopses are byte-identical at any worker count. SortOp, above a
 // sink, orders the handful of group rows it emitted.
 //
 // The spine is narrow: each level holds only the columns something above it
@@ -26,14 +27,14 @@
 // Every join table keys each build row by one word — a one-column int64,
 // float64 or bool key's own bits, any other key's dense id — and finds a
 // word's matches without a Go map (a dense offset array or an
-// open-addressing table behind joinTable.lookupWord). A build side made only
-// of scans and filters is built once per table version: JoinCache keeps the
-// immutable table and the cost the build charged, and a later run replays
-// the cost instead of rebuilding.
+// open-addressing table behind storage.KeyIndex, through which the
+// sketch-join's per-key table is found too). A build side made only of scans
+// and filters is built once per table version: JoinCache keeps the immutable
+// table and the cost the build charged, and a later run replays the cost
+// instead of rebuilding.
 package exec
 
 import (
-	"math"
 	"sort"
 
 	"github.com/tasterdb/taster/internal/obs"
@@ -186,40 +187,6 @@ func Run(op Operator) ([]*storage.Batch, error) {
 			out = append(out, b)
 		}
 	}
-}
-
-// groupKey builds a deterministic byte key from selected columns of a row.
-func groupKey(dst []byte, vecs []*storage.Vector, cols []int, row int) []byte {
-	dst = dst[:0]
-	for _, c := range cols {
-		v := vecs[c]
-		switch v.Typ {
-		case storage.Int64:
-			x := uint64(v.I64[row])
-			dst = append(dst, 1, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-				byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-		case storage.Float64:
-			x := math.Float64bits(v.F64[row])
-			dst = append(dst, 2, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-				byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-		case storage.String:
-			// Length-prefixed, not NUL-terminated: a terminator byte lets
-			// NUL-embedded strings collide across column boundaries (e.g. the
-			// two-column keys ("a\x00\x03b","c") and ("a","b\x00\x03c") encode
-			// to the same bytes under termination).
-			s := v.Str[row]
-			n := uint32(len(s))
-			dst = append(dst, 3, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-			dst = append(dst, s...)
-		case storage.Bool:
-			if v.B[row] {
-				dst = append(dst, 4, 1)
-			} else {
-				dst = append(dst, 4, 0)
-			}
-		}
-	}
-	return dst
 }
 
 // sortRowsByValues orders row indices by the given value tuples

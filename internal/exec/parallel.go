@@ -20,7 +20,7 @@ const DefaultMorselRows = 4096
 
 // pipeline is a leaf-to-sink operator spine the morsel executor runs:
 // Scan|SynopsisScan → {SynopsisOp | Filter | Join}* → sink, where the sink is
-// an Aggregate's hash aggregation or a SketchJoin's count-min lookup. The
+// an Aggregate's hash aggregation or a SketchJoin's per-key lookup. The
 // spine follows each Join's left (probe) input; build (right) subtrees are
 // leaf chains — scans, filters, samplers — compiled on their own, drained
 // once and indexed into shared join tables. The planner emits exactly
@@ -91,7 +91,7 @@ func matchSpine(n plan.Node, over string) (*pipeline, error) {
 // a worker-local partial, partials merge in morsel index order, and the
 // merged partial emits the operator's one output batch. Two implementations:
 // aggSpec (hash aggregation, hashagg.go) and sketchSink (the sketch-join's
-// count-min lookup, sketchsink.go).
+// per-key lookup, sketchsink.go).
 type sink interface {
 	outSchema() storage.Schema
 	// prepare runs once per execution, serially, before any morsel: the

@@ -80,8 +80,7 @@ func TestParallelAggCompilesForPipelineShapes(t *testing.T) {
 	sj := &plan.SketchJoin{
 		Probe: j.Child, Build: &plan.Scan{Table: tbl},
 		ProbeKeys: []string{"orders.id"}, BuildKeys: []string{"orders.id"},
-		Aggs:    []plan.AggSpec{{Kind: stats.Count}},
-		CMWidth: 3000, CMDepth: 4,
+		Aggs: []plan.AggSpec{{Kind: stats.Count}},
 	}
 	op, err = Compile(sj, 1, NewContext(0.95))
 	if err != nil {

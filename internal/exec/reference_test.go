@@ -429,10 +429,9 @@ func TestAggPruneMatchesOracle(t *testing.T) {
 // byte-identical rows, interval bits, all four cost counters and, for inline
 // builds, the persisted bytes of the built sketch at any worker count. The
 // answer itself is held to the oracle's for the Join+Aggregate pair the
-// sketch-join stands for: the sketch is sized so that no probe key collides,
-// which makes its estimates the exact per-key counts and sums, and only the
-// even order ids have build rows, so the odd customers' groups are pure
-// collision noise the sink must drop.
+// sketch-join stands for: the payload holds the exact per-key counts and
+// sums, and only the even order ids have build rows, so the odd customers'
+// groups match nothing and the sink must drop them.
 func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 	fact := exec.BigOrders(30000)
 	lb := storage.NewBuilder("lines", storage.Schema{
@@ -441,14 +440,9 @@ func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 	})
 	for i := 0; i < 30000; i++ {
 		lb.Int(0, int64(2*(i%1500)))
-		lb.Float(1, float64(i%97)/7) // fractional: the sum plane's cells are not integers
+		lb.Float(1, float64(i%97)/7) // fractional: the per-key sums are not integers
 	}
 	lines := lb.Build(4)
-	const width, depth = 60000, 4
-	stored, err := synopses.BuildSketchJoin(lines, []string{"lines.order"}, "lines.price", width, depth, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	aggs := []plan.AggSpec{
 		{Kind: stats.Count},
@@ -490,6 +484,7 @@ func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 		if len(want.rows) != probe.groups {
 			t.Fatalf("%s: oracle answers %d groups, fixture meant %d", probe.name, len(want.rows), probe.groups)
 		}
+		var stored *synopses.SketchJoin
 		for _, inline := range []bool{true, false} {
 			node := &plan.SketchJoin{
 				Probe:     probe.node,
@@ -501,7 +496,6 @@ func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 			if inline {
 				node.Build = &plan.Scan{Table: lines}
-				node.CMWidth, node.CMDepth = width, depth
 			} else {
 				node.Sketch = stored
 			}
@@ -517,7 +511,8 @@ func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 					if len(ctx.Stats.BuiltSketches) != 1 || ctx.Stats.BuiltSketches[0].Op != node {
 						t.Fatalf("%s workers=%d: built sketches = %+v", label, workers, ctx.Stats.BuiltSketches)
 					}
-					sketch = string(persist.Encode(ctx.Stats.BuiltSketches[0].Sketch))
+					stored = ctx.Stats.BuiltSketches[0].Sketch
+					sketch = string(persist.Encode(stored))
 				} else if len(ctx.Stats.BuiltSketches) != 0 {
 					t.Fatalf("%s workers=%d: reuse recorded a built sketch", label, workers)
 				}
@@ -638,6 +633,102 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 				t.Fatalf("vacuous run: %d joins, %d sorts across %d templates", joins, sorts, len(w.Templates))
 			}
 			t.Logf("%d joins, %d sorts, %d plans that exchange nothing (an empty topmost build stops them)", joins, sorts, emptyBuilds)
+		})
+	}
+}
+
+// TestSketchJoinsMeetTheCatalogs: every sketch-join candidate the planner
+// emits for every template of the three workload generators, two instances
+// each, answered by its inline build and by the reuse of what that build
+// stored — through persist's codec, as the warehouse holds it — at workers
+// 1 / 4 / 8, against the oracle's answer to the Join+Aggregate pair it
+// stands for: group keys and COUNTs exactly, the rest within 1e-9 relative.
+// The build side is unsampled, so the per-key table is exact and every cell's
+// half-width is zero.
+func TestSketchJoinsMeetTheCatalogs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans and answers every sketch-join candidate six ways")
+	}
+	gens := []struct {
+		name string
+		gen  func() *workload.Workload
+	}{
+		{"tpch", func() *workload.Workload { return workload.TPCH(0.002, 3) }},
+		{"tpcds", func() *workload.Workload { return workload.TPCDS(0.005, 3) }},
+		{"instacart", func() *workload.Workload { return workload.Instacart(0.02, 3) }},
+	}
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			w := g.gen()
+			r := rand.New(rand.NewSource(11))
+			sketches := 0
+			for _, tpl := range w.Templates {
+				for i := 0; i < 2; i++ {
+					sql := tpl.Instantiate(r) + " ERROR WITHIN 10% AT CONFIDENCE 95%"
+					q, err := sqlparser.Parse(sql, w.Catalog)
+					if err != nil {
+						t.Fatalf("%v\nSQL: %s", err, sql)
+					}
+					pl := planner.New(meta.NewStore(), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
+					ps, err := pl.PlanWith(q, pl.WH.View())
+					if err != nil {
+						t.Fatalf("%v\nSQL: %s", err, sql)
+					}
+					for _, c := range ps.Candidates {
+						sj, ok := c.Root.(*plan.SketchJoin)
+						if !ok || sj.Build == nil {
+							continue
+						}
+						sketches++
+						want := oracleEval(t, &plan.Aggregate{
+							Child:   &plan.Join{Left: sj.Probe, Right: sj.Build, LeftKeys: sj.ProbeKeys, RightKeys: sj.BuildKeys},
+							GroupBy: sj.GroupBy,
+							Aggs:    sj.Aggs,
+						})
+						reuse := *sj
+						reuse.Build = nil
+						for _, node := range []*plan.SketchJoin{sj, &reuse} {
+							label := fmt.Sprintf("%s %s, inline=%t\nSQL: %s", tpl.Name, c.Desc, node.Build != nil, sql)
+							var base string
+							for _, workers := range []int{1, 4, 8} {
+								ctx := workerCtx(workers, 0)
+								op, err := exec.Compile(node, 7, ctx)
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								out, err := exec.Run(op)
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								mustMatchOracle(t, fmt.Sprintf("%s workers=%d", label, workers), want, out, 1e-9)
+								for _, row := range op.(exec.IntervalReporter).Intervals() {
+									for _, iv := range row {
+										if iv.HalfWidth != 0 {
+											t.Fatalf("%s workers=%d: half-width %v, want 0", label, workers, iv.HalfWidth)
+										}
+									}
+								}
+								if fp := renderAnswer(out, op); base == "" {
+									base = fp
+								} else if fp != base {
+									t.Fatalf("%s: workers=%d answer differs from workers=1", label, workers)
+								}
+								if node == sj && workers == 1 {
+									stored, err := persist.Decode(persist.Encode(ctx.Stats.BuiltSketches[0].Sketch))
+									if err != nil {
+										t.Fatalf("%s: %v", label, err)
+									}
+									reuse.Sketch = stored.(*synopses.SketchJoin)
+								}
+							}
+						}
+					}
+				}
+			}
+			if sketches == 0 {
+				t.Fatalf("vacuous run: no sketch-join candidate across %d templates", len(w.Templates))
+			}
+			t.Logf("%d sketch-join candidates, each inline and reused", sketches)
 		})
 	}
 }

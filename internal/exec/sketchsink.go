@@ -11,14 +11,13 @@ import (
 )
 
 // sketchSink is the pipeline's sketch-join sink (paper §II): the build side
-// is summarized into a count-min sketch keyed by the join key (reused from
-// the warehouse when available, built inline otherwise), and the spine's
-// probe rows look their key up in it while grouping on probe-side columns.
-// The whole Join+Aggregate pair collapses into this one terminal.
+// is summarized into its exact (count, sum) per join key (reused from the
+// warehouse when available, built inline otherwise), and the spine's probe
+// rows look their key up in it while grouping on probe-side columns. The
+// whole Join+Aggregate pair collapses into this one terminal.
 type sketchSink struct {
 	node   *plan.SketchJoin
 	schema storage.Schema
-	seed   uint64
 
 	probeKeyIdx []int
 	groupIdx    []int
@@ -26,24 +25,26 @@ type sketchSink struct {
 	weightIdx   int
 
 	// The inline build, nil when node.Sketch is already materialized: the
-	// compiled leaf chain with its key, aggregate (-1: counts only) and
-	// weight (-1: unweighted) columns.
+	// compiled leaf chain, its key columns and its aggregate column (-1:
+	// counts only).
 	build       Operator
 	buildKeyIdx []int
+	buildKeys   storage.Schema
 	buildAggIdx int
-	buildWIdx   int
 
-	// Set by prepare: the sketch every probe row reads, and the expected
-	// overestimate of one point query against its count and sum planes.
-	sketch     *synopses.SketchJoin
-	errC, errS float64
+	// sketch is what every probe row reads, set by prepare.
+	sketch *synopses.SketchJoin
 }
 
 // newSketchSink binds the node's columns against the probe spine's output
-// schema in and, for an inline build, compiles the build leaf chain; seed
-// keys the inline sketch's hash functions.
+// schema in and, for an inline build, compiles the build leaf chain. It
+// refuses what the per-key table cannot answer exactly: a probe key typed
+// unlike its build key, and a sampled build input.
 func newSketchSink(node *plan.SketchJoin, in storage.Schema, seed uint64, ctx *Context) (*sketchSink, error) {
-	s := &sketchSink{node: node, seed: seed}
+	s := &sketchSink{node: node}
+	if len(node.ProbeKeys) != len(node.BuildKeys) || len(node.ProbeKeys) == 0 {
+		return nil, fmt.Errorf("exec: sketch join needs equal, non-empty key lists, got probe %v and build %v", node.ProbeKeys, node.BuildKeys)
+	}
 	for _, k := range node.ProbeKeys {
 		i := in.Index(k)
 		if i < 0 {
@@ -61,8 +62,8 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, seed uint64, ctx *C
 	}
 	for _, ag := range node.Aggs {
 		idx := -1
-		// COUNT(col) is COUNT(*) (see resolveAggSpec): it reads the sketch's
-		// count plane and no column on either side.
+		// COUNT(col) is COUNT(*) (see resolveAggSpec): it reads the payload's
+		// counts and no column on either side.
 		if ag.Kind != stats.Count && ag.Col != "" && ag.Col != node.AggCol {
 			idx = in.Index(ag.Col)
 			if idx < 0 {
@@ -73,27 +74,32 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, seed uint64, ctx *C
 		s.schema = append(s.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
 	}
 	s.weightIdx = in.Index(synopses.WeightCol)
+	probeKeys := projectSchema(in, s.probeKeyIdx)
 	if node.Sketch != nil {
-		return s, nil
+		return s, keyTypesMatch("sketch join", probeKeys, node.Sketch.KeySchema())
 	}
 
 	if node.Build == nil {
 		return nil, fmt.Errorf("exec: sketch join: no materialized sketch and no build input")
-	}
-	if node.CMWidth < 1 || node.CMDepth < 1 {
-		return nil, fmt.Errorf("exec: sketch join: inline build needs a count-min geometry, got %d×%d", node.CMWidth, node.CMDepth)
 	}
 	build, err := Compile(node.Build, seed*131+13, ctx)
 	if err != nil {
 		return nil, err
 	}
 	bs := build.Schema()
+	if w := bs.Index(synopses.WeightCol); w >= 0 {
+		return nil, fmt.Errorf("exec: sketch join: build input %v carries %s: a sampled build has no exact per-key table", bs.Names(), bs[w].Name)
+	}
 	for _, k := range node.BuildKeys {
 		i := bs.Index(k)
 		if i < 0 {
 			return nil, fmt.Errorf("exec: sketch join: build key %q not in %v", k, bs.Names())
 		}
 		s.buildKeyIdx = append(s.buildKeyIdx, i)
+		s.buildKeys = append(s.buildKeys, storage.Col{Name: k, Typ: bs[i].Typ})
+	}
+	if err := keyTypesMatch("sketch join", probeKeys, s.buildKeys); err != nil {
+		return nil, err
 	}
 	s.buildAggIdx = -1
 	if node.AggCol != "" {
@@ -103,20 +109,18 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, seed uint64, ctx *C
 		}
 		// The planner names the build column of every aggregate, COUNT
 		// included, and only COUNT may name a non-numeric one (Validate
-		// refuses the rest): such a sketch carries counts and no sums.
+		// refuses the rest): such a payload carries counts and no sums.
 		if bs[i].Typ.Numeric() {
 			s.buildAggIdx = i
 		}
 	}
-	s.buildWIdx = bs.Index(synopses.WeightCol)
 	s.build = build
 	return s, nil
 }
 
 // sketchReads names the probe-spine columns a sketch-join reads: its probe
 // keys, its group columns and the probe-side aggregate columns (an aggregate
-// over the build column reads the sketch's sum plane, and COUNT its count
-// plane).
+// over the build column reads the payload's sums, and COUNT its counts).
 func sketchReads(node *plan.SketchJoin) []string {
 	reads := append(append([]string(nil), node.ProbeKeys...), node.GroupBy...)
 	for _, ag := range node.Aggs {
@@ -132,47 +136,87 @@ func (s *sketchSink) outSchema() storage.Schema { return s.schema }
 
 // prepare implements sink. An inline build is what a join's build side is:
 // the compiled leaf chain drained once, serially, before the pool starts —
-// every row costs d cell updates in each plane and the result is one small
-// shared structure, so there is nothing for morsels to split. The finished
-// sketch is recorded for the tuner to keep.
+// every row is one group-index lookup and one or two adds into a per-key
+// slab, and the result is one small shared table, so there is nothing for
+// morsels to split. The finished payload is recorded for the tuner to keep.
 func (s *sketchSink) prepare(ctx *Context) error {
 	s.sketch = s.node.Sketch
-	if s.build != nil {
-		s.sketch = synopses.NewSketchJoin(s.node.CMWidth, s.node.CMDepth, s.node.BuildKeys, s.node.AggCol, s.seed)
-		err := s.drainBuild(ctx)
-		if cerr := s.build.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		ctx.Stats.BuiltSketches = append(ctx.Stats.BuiltSketches, BuiltSketch{Op: s.node, Sketch: s.sketch})
+	if s.build == nil {
+		return nil
 	}
-	s.errC = s.sketch.Count.ExpectedErrorBound()
-	s.errS = s.sketch.Sum.ExpectedErrorBound()
+	sk, err := s.buildPayload(ctx)
+	if cerr := s.build.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	s.sketch = sk
+	ctx.Stats.BuiltSketches = append(ctx.Stats.BuiltSketches, BuiltSketch{Op: s.node, Sketch: sk})
 	return nil
 }
 
-// drainBuild adds every build row to the sketch, one CPU tuple each.
-func (s *sketchSink) drainBuild(ctx *Context) error {
+// buildPayload groups every build row by its join key through a groupIndex
+// — ids in first-seen row order — counting the rows, and summing the
+// aggregate column, of each key in two float64 slabs in row order. One CPU
+// tuple per build row.
+func (s *sketchSink) buildPayload(ctx *Context) (*synopses.SketchJoin, error) {
 	if err := s.build.Open(); err != nil {
-		return err
+		return nil, err
 	}
+	idx := newGroupIndex(s.buildKeyIdx, s.buildKeys)
+	var counts, sums []float64
 	for {
 		b, err := s.build.Next()
-		if err != nil || b == nil {
-			return err
+		if err != nil {
+			return nil, err
 		}
-		b = b.Materialize(ctx.Pool)
-		ctx.Stats.CPUTuples += int64(b.Len())
-		for i := 0; i < b.Len(); i++ {
-			w := 1.0
-			if s.buildWIdx >= 0 {
-				w = b.Vecs[s.buildWIdx].F64[i]
+		if b == nil {
+			break
+		}
+		if n := b.Rows(); n > 0 {
+			ctx.Stats.CPUTuples += int64(n)
+			sc := borrowScratch(n, len(s.buildKeyIdx))
+			ids := idx.resolve(b, sc)
+			grow := idx.n - len(counts)
+			counts = append(counts, make([]float64, grow)...)
+			for _, id := range ids {
+				counts[id]++
 			}
-			s.sketch.AddRow(b.Vecs, s.buildKeyIdx, s.buildAggIdx, i, w)
+			if s.buildAggIdx >= 0 {
+				sums = append(sums, make([]float64, grow)...)
+				switch v := b.Vecs[s.buildAggIdx]; v.Typ {
+				case storage.Float64:
+					sumColumn(sums, ids, b.Sel, v.F64)
+				case storage.Int64:
+					sumColumn(sums, ids, b.Sel, v.I64)
+				}
+			}
+			returnScratch(sc)
 		}
 		ctx.Pool.Release(b)
+	}
+	schema := append(s.buildKeys.Clone(), storage.Col{Name: synopses.CountCol, Typ: storage.Float64})
+	cols := append(idx.keyColumns(), &storage.Vector{Typ: storage.Float64, F64: counts})
+	if s.buildAggIdx >= 0 {
+		schema = append(schema, storage.Col{Name: synopses.SumCol, Typ: storage.Float64})
+		cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: sums})
+	}
+	rows, err := storage.NewTable("sketch-join", schema, cols, 1)
+	if err != nil {
+		return nil, err
+	}
+	return synopses.NewSketchJoin(rows, s.node.AggCol)
+}
+
+// sumColumn adds every live row's aggregate value into its key's sum.
+func sumColumn[T int64 | float64](sums []float64, ids, sel []int32, col []T) {
+	for j, id := range ids {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		sums[id] += float64(col[i])
 	}
 }
 
@@ -185,20 +229,16 @@ func (s *sketchSink) newPartial() partial {
 // slab; every cell is a sum over the group's probe rows.
 type sjSums []float64
 
-// The cells of an sjSums row: four sums every group carries, then two per
+// The cells of an sjSums row: two sums every group carries, then one per
 // aggregate k (zero, and never read, for an aggregate over the build column).
 const (
 	sjDen    = iota // Σ w·count(key): COUNT(*) of the join result
 	sjNum           // Σ w·sum(key): SUM(build agg col)
-	sjErrDen        // the expected overestimate inside sjDen
-	sjErrNum        // and inside sjNum
-	sjPerAgg        // cells before the per-aggregate pairs
+	sjPerAgg        // cells before the per-aggregate ones
 )
 
-// probe is Σ w·count(key)·y over aggregate k's probe-side column y, errProbe
-// the expected overestimate inside it.
-func (g sjSums) probe(k int) float64    { return g[sjPerAgg+2*k] }
-func (g sjSums) errProbe(k int) float64 { return g[sjPerAgg+2*k+1] }
+// probe is Σ w·count(key)·y over aggregate k's probe-side column y.
+func (g sjSums) probe(k int) float64 { return g[sjPerAgg+k] }
 
 // sketchTable is the sketch sink's partial: groups are the dense ids of idx
 // (groupindex.go) over the probe-side grouping columns, and group id's sums
@@ -209,13 +249,13 @@ type sketchTable struct {
 	sums []float64
 }
 
-func (t *sketchTable) stride() int { return sjPerAgg + 2*len(t.sink.aggProbeIdx) }
+func (t *sketchTable) stride() int { return sjPerAgg + len(t.sink.aggProbeIdx) }
 
-// fold implements partial: one sketch lookup and one CPU tuple per live
-// probe row, and — unlike the aggregate sink — no exchange: the sketch is
+// fold implements partial: one payload lookup and one CPU tuple per live
+// probe row, and — unlike the aggregate sink — no exchange: the payload is
 // broadcast, the probe rows stay where they are. Rows fold in two passes, as
-// aggTable.observe does: the row pass resolves groups, reads the sketch and
-// folds the four sums every group carries; then each probe-side aggregate
+// aggTable.observe does: the row pass resolves groups, looks the key up and
+// folds the two sums every group carries; then each probe-side aggregate
 // column folds in a loop of its own over a typed slice. Every cell still
 // adds the same terms in row order, so the sums are bit-identical to a
 // row-major fold.
@@ -237,28 +277,27 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	if s.weightIdx >= 0 {
 		wcol = b.Vecs[s.weightIdx].F64
 	}
-	// Each live row's w·count and w·errC, kept from the row pass for the
-	// per-aggregate column passes.
-	if cap(sc.floats) < 2*n {
-		sc.floats = make([]float64, 2*max(n, storage.BatchSize))
+	// Each live row's w·count, kept from the row pass for the per-aggregate
+	// column passes.
+	if cap(sc.floats) < n {
+		sc.floats = make([]float64, max(n, storage.BatchSize))
 	}
-	wc, we := sc.floats[:n], sc.floats[n:2*n]
+	wc := sc.floats[:n]
+	var key []byte
 	for j, id := range ids {
 		i := j
 		if b.Sel != nil {
 			i = int(b.Sel[j])
 		}
-		cnt, sum := s.sketch.Estimate(b.Vecs, s.probeKeyIdx, i)
+		cnt, sum := s.sketch.Lookup(b.Vecs, s.probeKeyIdx, i, &key)
 		w := 1.0
 		if wcol != nil {
 			w = wcol[i]
 		}
 		g := t.sums[int(id)*stride:]
-		wc[j], we[j] = w*cnt, w*s.errC
+		wc[j] = w * cnt
 		g[sjDen] += wc[j]
 		g[sjNum] += w * sum
-		g[sjErrDen] += we[j]
-		g[sjErrNum] += w * s.errS
 	}
 	for k, pi := range s.aggProbeIdx {
 		if pi < 0 {
@@ -266,28 +305,25 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 		}
 		// newSketchSink binds aggregates to numeric columns only (Validate
 		// refuses the rest), so the two typed arms are exhaustive.
-		cells := t.sums[sjPerAgg+2*k:]
+		cells := t.sums[sjPerAgg+k:]
 		switch v := b.Vecs[pi]; v.Typ {
 		case storage.Float64:
-			foldProbeColumn(cells, stride, ids, b.Sel, v.F64, wc, we)
+			foldProbeColumn(cells, stride, ids, b.Sel, v.F64, wc)
 		case storage.Int64:
-			foldProbeColumn(cells, stride, ids, b.Sel, v.I64, wc, we)
+			foldProbeColumn(cells, stride, ids, b.Sel, v.I64, wc)
 		}
 	}
 }
 
 // foldProbeColumn folds one probe-side aggregate column: cells is the slab
-// from that aggregate's pair on, so group id's pair is cells[id*stride:].
-func foldProbeColumn[T int64 | float64](cells []float64, stride int, ids, sel []int32, col []T, wc, we []float64) {
+// from that aggregate's cell on, so group id's cell is cells[id*stride].
+func foldProbeColumn[T int64 | float64](cells []float64, stride int, ids, sel []int32, col []T, wc []float64) {
 	for j, id := range ids {
 		i := j
 		if sel != nil {
 			i = int(sel[j])
 		}
-		pv := float64(col[i])
-		g := cells[int(id)*stride:]
-		g[0] += wc[j] * pv
-		g[1] += we[j] * abs(pv)
+		cells[int(id)*stride] += wc[j] * float64(col[i])
 	}
 }
 
@@ -313,22 +349,26 @@ func (t *sketchTable) merge(o partial) {
 	}
 }
 
-// emit implements partial: groups in key order, each aggregate cell with its
-// estimate and error bound.
+// emit implements partial: groups in key order, each aggregate cell exact —
+// a zero half-width. A group no probe row of which matched a build key is no
+// group of the join and is dropped; a global aggregate (no GROUP BY) over an
+// empty join is still one row of zeros, as the aggregate sink answers.
 func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
 	s := t.sink
+	stride := t.stride()
+	global := len(s.groupIdx) == 0
+	if global && t.idx.n == 0 {
+		t.idx.sole()
+		t.sums = make([]float64, stride)
+	}
 	// Group keys are unique, so the value sort is total: ids never show.
 	keys := t.idx.keyRows()
-	stride := t.stride()
 
 	out := storage.NewBatch(s.schema, len(keys))
 	intervals := make([][]stats.Interval, 0, len(keys))
 	for _, id := range sortRowsByValues(keys) {
 		g := sjSums(t.sums[id*stride : (id+1)*stride])
-		// Sketch estimates only ever overestimate; groups whose entire mass
-		// is attributable to collision noise are spurious — drop them. The
-		// test reads the merged totals, never one morsel's share.
-		if g[sjDen] <= g[sjErrDen] && g[sjDen] < 1 {
+		if g[sjDen] == 0 && !global {
 			continue
 		}
 		for c, v := range keys[id] {
@@ -336,48 +376,31 @@ func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
 		}
 		rowIv := make([]stats.Interval, len(s.node.Aggs))
 		for k, ag := range s.node.Aggs {
-			iv := s.groupInterval(g, k, ag)
-			rowIv[k] = iv
-			out.Vecs[len(s.groupIdx)+k].F64 = append(out.Vecs[len(s.groupIdx)+k].F64, iv.Estimate)
+			v := s.cell(g, k, ag)
+			rowIv[k] = stats.Interval{Estimate: v}
+			out.Vecs[len(s.groupIdx)+k].F64 = append(out.Vecs[len(s.groupIdx)+k].F64, v)
 		}
 		intervals = append(intervals, rowIv)
 	}
 	return out, intervals
 }
 
-// groupInterval derives estimate and a conservative error bound for one
-// aggregate cell. CM bounds are one-sided (overestimates), reported here as
-// symmetric half-widths.
-func (s *sketchSink) groupInterval(g sjSums, k int, ag plan.AggSpec) stats.Interval {
-	den, errDen := g[sjDen], g[sjErrDen]
+// cell is one aggregate's value for a group: over an unsampled build side
+// the join result's exact COUNT, SUM or AVG (0 for the AVG of an empty
+// global aggregate).
+func (s *sketchSink) cell(g sjSums, k int, ag plan.AggSpec) float64 {
+	den := g[sjDen]
+	num := g[sjNum]
+	if s.aggProbeIdx[k] >= 0 {
+		num = g.probe(k)
+	}
 	switch {
 	case ag.Kind == stats.Count:
-		return stats.Interval{Estimate: den, HalfWidth: errDen}
-	case ag.Kind == stats.Sum && s.aggProbeIdx[k] < 0:
-		return stats.Interval{Estimate: g[sjNum], HalfWidth: g[sjErrNum]}
+		return den
 	case ag.Kind == stats.Sum:
-		return stats.Interval{Estimate: g.probe(k), HalfWidth: g.errProbe(k)}
-	case ag.Kind == stats.Avg && s.aggProbeIdx[k] < 0:
-		if den == 0 {
-			return stats.Interval{}
-		}
-		r := g[sjNum] / den
-		hw := (g[sjErrNum] + abs(r)*errDen) / den
-		return stats.Interval{Estimate: r, HalfWidth: hw}
-	case ag.Kind == stats.Avg:
-		if den == 0 {
-			return stats.Interval{}
-		}
-		r := g.probe(k) / den
-		hw := (g.errProbe(k) + abs(r)*errDen) / den
-		return stats.Interval{Estimate: r, HalfWidth: hw}
+		return num
+	case ag.Kind == stats.Avg && den != 0:
+		return num / den
 	}
-	return stats.Interval{}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return 0
 }

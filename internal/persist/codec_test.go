@@ -66,23 +66,36 @@ func fixtureSample() *synopses.Sample {
 	}
 }
 
+// fixtureSketchJoin builds the payload of a two-column-key sketch-join by
+// hand: 200 build rows grouped by (product, store) in first-seen order, each
+// key's row count and quantity sum.
 func fixtureSketchJoin() *synopses.SketchJoin {
-	sj := synopses.NewSketchJoin(128, 4, []string{"sales.product", "sales.store"}, "sales.qty", 42)
-	b := storage.NewBuilder("t", storage.Schema{
+	b := storage.NewBuilder("sketch-join", storage.Schema{
 		{Name: "sales.product", Typ: storage.Int64},
 		{Name: "sales.store", Typ: storage.Int64},
-		{Name: "sales.qty", Typ: storage.Float64},
+		{Name: synopses.CountCol, Typ: storage.Float64},
+		{Name: synopses.SumCol, Typ: storage.Float64},
 	})
+	type key struct{ product, store int64 }
+	var order []key
+	count, sum := map[key]float64{}, map[key]float64{}
 	for i := 0; i < 200; i++ {
-		b.Int(0, int64(i%17))
-		b.Int(1, int64(i%3))
-		b.Float(2, float64(i%9)+0.5)
-	}
-	tbl := b.Build(1)
-	for _, batch := range tbl.Scan(0, storage.BatchSize) {
-		for i := 0; i < batch.Len(); i++ {
-			sj.AddRow(batch.Vecs, []int{0, 1}, 2, i, 1)
+		k := key{int64(i % 17), int64(i % 3)}
+		if count[k] == 0 {
+			order = append(order, k)
 		}
+		count[k]++
+		sum[k] += float64(i%9) + 0.5
+	}
+	for _, k := range order {
+		b.Int(0, k.product)
+		b.Int(1, k.store)
+		b.Float(2, count[k])
+		b.Float(3, sum[k])
+	}
+	sj, err := synopses.NewSketchJoin(b.Build(1), "sales.qty")
+	if err != nil {
+		panic(err)
 	}
 	return sj
 }
@@ -96,10 +109,11 @@ func fixtures() map[string]Synopsis {
 }
 
 // retiredKinds are the codec kind bytes whose record types left the engine
-// (bare count-min, AMS, Flajolet-Martin, Bloom, heavy hitters, partitioned-
-// sample bundle). testdata/fuzz/FuzzDecode keeps one real record of each as
-// the fuzzer's negative corpus.
-var retiredKinds = []byte{2, 3, 4, 5, 6, 8}
+// (bare count-min, AMS, Flajolet-Martin, Bloom, heavy hitters, the
+// sketch-join over count-min planes, partitioned-sample bundle).
+// testdata/fuzz/FuzzDecode keeps a real record of most as the fuzzer's
+// negative corpus.
+var retiredKinds = []byte{2, 3, 4, 5, 6, 7, 8}
 
 // retiredRecord returns a well-formed envelope (magic, current version) of a
 // retired kind over a valid sample payload.
@@ -143,10 +157,11 @@ func TestCodecRoundTrip(t *testing.T) {
 // Golden CRCs pin the byte-level format: a codec change that silently
 // alters the on-disk layout (breaking old warehouses) must fail here and
 // force a deliberate version bump.
-// Regenerated for codec version 2 (partition-aware table layout).
+// Regenerated for codec version 2 (partition-aware table layout); the
+// sketch-join's for kind 9 (the per-key table).
 var goldenCRC = map[string]uint32{
 	"sample":     0xa5a4db1d,
-	"sketchjoin": 0xda5006a8,
+	"sketchjoin": 0x9c7b7413,
 }
 
 func TestCodecGolden(t *testing.T) {
@@ -186,12 +201,21 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestDecodeRejectsRetiredKinds: a well-formed record carrying a retired kind
-// byte is an error, never a panic and never a misread as a live kind.
+// byte is an error, never a panic and never a misread as a live kind — and
+// Known, which recovery asks, says so without decoding.
 func TestDecodeRejectsRetiredKinds(t *testing.T) {
 	for _, kind := range retiredKinds {
 		s, err := Decode(retiredRecord(kind))
 		if err == nil || !strings.Contains(err.Error(), "unknown synopsis kind") {
 			t.Errorf("kind %d: decoded to %T, err %v; want the unknown-kind error", kind, s, err)
+		}
+		if Known(retiredRecord(kind)) {
+			t.Errorf("kind %d: Known", kind)
+		}
+	}
+	for name, s := range fixtures() {
+		if !Known(Encode(s)) {
+			t.Errorf("%s: not Known", name)
 		}
 	}
 }

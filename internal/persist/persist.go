@@ -10,9 +10,11 @@
 // storage accounting is exactly what disk stores. Encoded records are
 // self-describing (magic, version, kind — see internal/synopses codec.go),
 // which lets Decode dispatch without out-of-band typing and lets recovery
-// reject foreign or corrupt files cleanly. Kind bytes 2–6 and 8 are retired
-// (record types no plan could produce): Decode rejects them as unknown, and
-// the numbers are never reused.
+// reject foreign or corrupt files cleanly. Kind bytes 2–8 are retired —
+// record types no plan could produce, and kind 7, the sketch-join over
+// count-min planes that kind 9's per-key table replaced: Decode rejects them
+// as unknown, recovery drops a stored one (Known), and the numbers are never
+// reused.
 package persist
 
 import (
@@ -39,6 +41,13 @@ func Encode(s Synopsis) []byte {
 		return x.Encode()
 	}
 	panic(fmt.Sprintf("persist: Encode: unknown synopsis type %T", s))
+}
+
+// Known reports whether b's envelope — magic, version and kind — is one
+// Decode reads, without decoding the payload.
+func Known(b []byte) bool {
+	kind, err := synopses.EnvelopeKind(b)
+	return err == nil && (kind == synopses.KindSample || kind == synopses.KindSketchJoin)
 }
 
 // Decode reverses Encode, dispatching on the record's kind byte. The

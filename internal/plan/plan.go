@@ -218,9 +218,9 @@ func (s *SynopsisScan) String() string {
 }
 
 // SketchJoin replaces Join + Aggregate for eligible queries (paper §II,
-// §IV-A): the build side is summarized into a count-min sketch keyed by the
-// join key, and the probe side streams against it. Group-by columns must
-// come from the probe side.
+// §IV-A): the build side is summarized into its exact (count, sum) per join
+// key — one row per distinct key — and the probe side streams against it.
+// Group-by columns must come from the probe side.
 type SketchJoin struct {
 	Probe     Node   // scanned side (dimension/filtered side)
 	BuildDesc string // label of the summarized build subplan
@@ -235,13 +235,6 @@ type SketchJoin struct {
 	AggCol    string   // build-side aggregate column ("" = COUNT)
 	GroupBy   []string // probe-side grouping columns
 	Aggs      []AggSpec
-	// CMWidth/CMDepth size the count-min planes when the sketch is built
-	// inline, and both must then be at least 1 (exec refuses the node
-	// otherwise). The planner derives the width from the build side's
-	// distinct key count: collisions, not the εN bound, dominate point-query
-	// error when keys are few.
-	CMWidth int
-	CMDepth int
 }
 
 // Schema implements Node: same shape as the Aggregate it replaces.

@@ -8,6 +8,7 @@ import (
 	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/warehouse"
 )
@@ -351,17 +352,13 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 		AggCol:     sh.aggCol,
 		Accuracy:   q.Accuracy,
 	}
-	// Width scales with the build side's distinct key count: with few keys,
-	// collisions — not the εN tail bound — dominate point-query error. A
-	// load factor of 1/3 with d=4 inflates ≲1% of point queries by ~N/w,
-	// which stays inside the 10% group-error bar while keeping the sketch
-	// ~96 bytes/key — below the fact table whenever the key fanout exceeds
-	// a few rows (the paper's "few MB vs GB" regime holds at instacart's
-	// ~10 items/order and ~600 purchases/product).
+	// The payload is one row per distinct build key: the key, a count and a
+	// sum. The fact table's distinct key count bounds the filtered build's,
+	// and the table stays below the fact table whenever the key fanout
+	// exceeds a row or two (the paper's "few MB vs GB" regime holds at
+	// instacart's ~10 items/order and ~600 purchases/product).
 	distinctKeys := p.groupCountOf(sh.fact.Table, sh.buildKeys)
-	w := maxInt(64, 3*distinctKeys)
-	d := 4
-	desc.EstSizeBytes = int64(w*d*8*2) + 128
+	desc.EstSizeBytes = int64(distinctKeys)*(keyWidth(sh.fact.Table.Schema(), sh.buildKeys)+16) + 128
 	entry := p.Store.Intern(desc)
 
 	// Probe-side subplan: join of the remaining (filtered) tables.
@@ -380,8 +377,6 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 			AggCol:    sh.aggCol,
 			GroupBy:   sh.groupBy,
 			Aggs:      q.Aggs,
-			CMWidth:   w,
-			CMDepth:   d,
 		}
 		if sketch != nil {
 			n.SynopsisID = sketch.id
@@ -396,7 +391,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	buildPlan := mkNode(nil)
 	var cost planCost
 	cost.scanTable(sh.fact)
-	cost.cpuTuples += int64(float64(sh.fact.Table.NumRows()) * 4) // d CM updates per row
+	cost.cpuTuples += int64(float64(sh.fact.Table.NumRows()) * 4) // the per-key fold of every build row
 	// The probe side is costed like every other scan, zone pruning
 	// included, so the estimate charges the partitions exec will read.
 	probeOut := p.costFilteredJoinTree(probeQ, nil, &cost)
@@ -450,6 +445,28 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 			Desc: fmt.Sprintf("reuse sketch-join #%d on %s", m.Entry.Desc.ID, sh.fact.Name),
 		})
 	}
+}
+
+// keyWidth is the encoded bytes of one key over cols: 8 per int64 or float64
+// column, 1 per bool, and per string its length prefix and a guess of 16
+// bytes of text.
+func keyWidth(s storage.Schema, cols []string) int64 {
+	var n int64
+	for _, c := range cols {
+		typ := storage.Int64
+		if i := s.Index(c); i >= 0 {
+			typ = s[i].Typ
+		}
+		switch typ {
+		case storage.Bool:
+			n++
+		case storage.String:
+			n += 4 + 16
+		default:
+			n += 8
+		}
+	}
+	return n
 }
 
 // synopsesSketch pairs a materialized sketch with its metadata id.

@@ -177,17 +177,17 @@ func (c *planCost) filterWork(rows float64, serial bool) {
 	}
 }
 
-// sketchProbeWork charges probing a CM sketch per probe tuple, as serial
-// work: conservative since the lookups moved onto the morsel spine (see
-// planCost).
+// sketchProbeWork charges the per-key table lookup of every probe tuple, as
+// serial work: conservative since the lookups moved onto the morsel spine
+// (see planCost). The factor of four is the model's, awaiting a refit.
 func (c *planCost) sketchProbeWork(probeRows float64) {
-	c.serialTuples += int64(probeRows * 4) // d hash rows per probe
+	c.serialTuples += int64(probeRows * 4)
 }
 
 // serializeCPU reclassifies all pipeline CPU accumulated so far as serial
 // work. Sketch-join candidates use it for their whole physical plan — build
-// scan, CM updates, probe-side join tree and final grouping. Only the build
-// scan and CM updates still run serially; the rest is the conservative term
+// scan, per-key fold, probe-side join tree and final grouping. Only the build
+// scan and its fold still run serially; the rest is the conservative term
 // planCost describes.
 func (c *planCost) serializeCPU() {
 	c.serialTuples += c.cpuTuples

@@ -485,7 +485,13 @@ func TestBind(t *testing.T) {
 	sample := func() *synopses.Sample {
 		return synopses.BuildSampleFromTable("s", productsTable(), synopses.NewUniformSampler(0.5, 1), nil)
 	}
-	sketch := synopses.NewSketchJoin(8, 2, []string{"sales.product"}, "sales.amount", 1)
+	sketch, err := synopses.NewSketchJoin(storage.NewBuilder("sketch-join", storage.Schema{
+		{Name: "sales.product", Typ: storage.Int64},
+		{Name: synopses.CountCol, Typ: storage.Float64},
+	}).Build(1), "sales.amount")
+	if err != nil {
+		t.Fatal(err)
+	}
 	wh := warehouse.NewManagerWithSpiller(1<<20, 1<<20, memSpiller{})
 	p := New(meta.NewStore(), wh, storage.DefaultCostModel())
 	const resident, spilled, sketched, refreshed, absent = 1, 2, 3, 4, 5

@@ -1,0 +1,309 @@
+package storage
+
+import (
+	"math"
+	"math/bits"
+)
+
+// FixedWord encodes row i of a fixed-width column as one word, with the same
+// value identity as GroupKey's byte encoding: two's complement, IEEE bits,
+// 0/1. Group columns and fixed-width keys share it.
+func FixedWord(v *Vector, i int) uint64 {
+	switch v.Typ {
+	case Int64:
+		return uint64(v.I64[i])
+	case Float64:
+		return math.Float64bits(v.F64[i])
+	default: // Bool
+		if v.B[i] {
+			return 1
+		}
+		return 0
+	}
+}
+
+// GroupKey builds a deterministic byte key from selected columns of a row.
+func GroupKey(dst []byte, vecs []*Vector, cols []int, row int) []byte {
+	dst = dst[:0]
+	for _, c := range cols {
+		v := vecs[c]
+		switch v.Typ {
+		case Int64:
+			x := uint64(v.I64[row])
+			dst = append(dst, 1, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
+				byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
+		case Float64:
+			x := math.Float64bits(v.F64[row])
+			dst = append(dst, 2, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
+				byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
+		case String:
+			// Length-prefixed, not NUL-terminated: a terminator byte lets
+			// NUL-embedded strings collide across column boundaries (e.g. the
+			// two-column keys ("a\x00\x03b","c") and ("a","b\x00\x03c") encode
+			// to the same bytes under termination).
+			s := v.Str[row]
+			n := uint32(len(s))
+			dst = append(dst, 3, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+			dst = append(dst, s...)
+		case Bool:
+			if v.B[row] {
+				dst = append(dst, 4, 1)
+			} else {
+				dst = append(dst, 4, 0)
+			}
+		}
+	}
+	return dst
+}
+
+// KeyIndex finds rows by key. It is built once over the key columns of a set
+// of rows and returns, for any key, the ascending rows that carry it. Every
+// row's key is one word — a one-column int64, float64 or bool key's
+// FixedWord, any other key's dense id — and every word's rows are one
+// contiguous run of matchRows, found through one of two map-free indexes laid
+// out in the same integer passes as the runs (buildWordIndex picks by the
+// observed word span). The build is serial, so the index is the same whatever
+// runs beside it; once built it is immutable and safe for concurrent lookups.
+// A join's build side and a sketch-join's per-key table are both found
+// through one.
+type KeyIndex struct {
+	// fixed marks a key that is one int64, float64 or bool column: a row's
+	// word is that column's FixedWord. Any other key — a string column, or
+	// several columns — is numbered through ids.
+	fixed bool
+
+	// ids numbers the distinct GroupKey bytes of a key that is not fixed,
+	// 0..k−1 in first-seen row order (nil for a fixed key). The numbers are
+	// the words: k ≤ rows, so they always take the dense index.
+	ids map[string]int32
+
+	// matchRows holds every word's run of rows back to back.
+	matchRows []int32
+	keys      int // distinct words
+
+	// Dense-range index (denseOffs non-nil): the ordered words span at most
+	// denseSpanFactor× the rows (or less than denseSpanFloor), and key w's run
+	// is matchRows[denseOffs[k]:denseOffs[k+1]] with k = orderedWord(w) −
+	// denseMin. Every surrogate key of the generated workloads, and every
+	// id-numbered key, lands here.
+	denseMin  uint64
+	denseOffs []int32
+
+	// Open-addressing index (otherwise): power-of-two slots sized once from
+	// the row count, Fibonacci hashing, linear probing, no growth. A slot
+	// carries its key's run bounds inline, so a probe touches one cache line
+	// before the run itself.
+	slots     []wordSlot
+	slotShift uint
+}
+
+// wordSlot is one open-addressing slot: key word w owns matchRows[lo:hi].
+// Every present key has at least one row, so hi == 0 marks an empty slot.
+type wordSlot struct {
+	w      uint64
+	lo, hi int32
+}
+
+const (
+	// denseSpanFactor bounds the dense index's offset array at this many
+	// entries per row; sparser key sets take the open-addressing index.
+	denseSpanFactor = 4
+	// denseSpanFloor admits any span below it whatever the row count. A
+	// selective build-side filter leaves few rows scattered over the
+	// dimension's whole key range, but the probe side is still the fact
+	// table: zeroing a 256 KB offset array once costs less than hashing
+	// every probe row (BenchmarkJoinProbe: 3.4 vs 12.6 ns per probe).
+	denseSpanFloor = 1 << 16
+	// fibMul is 2^64/φ: multiplying by it and keeping the top bits spreads
+	// consecutive and strided keys evenly over a power-of-two table.
+	fibMul = 0x9E3779B97F4A7C15
+)
+
+// orderedWord flips the sign bit of a FixedWord, so int64 keys compare (and
+// subtract) in unsigned space as they do signed: a key range straddling zero
+// stays a short span, and MinInt64..MaxInt64 is span 2^64−1 with no overflow
+// anywhere. For float64 and bool words it is merely a bijection, which is all
+// the index needs.
+func orderedWord(w uint64) uint64 { return w ^ (1 << 63) }
+
+// NewKeyIndex indexes every row of vecs by its key over cols: its words
+// (keyWords), then the word index over them (buildWordIndex). Both are a
+// handful of O(n) passes over flat arrays.
+func NewKeyIndex(vecs []*Vector, cols []int) *KeyIndex {
+	x := &KeyIndex{fixed: len(cols) == 1 && vecs[cols[0]].Typ != String}
+	x.buildWordIndex(x.keyWords(vecs, cols))
+	return x
+}
+
+// keyWords returns every row's key word. A fixed key's word is its column's
+// FixedWord, which mirrors GroupKey's per-type encoding, so word equality is
+// byte-key equality within the type. Any other key's word is its dense id,
+// assigned in first-seen row order through x.ids over the rows' GroupKey
+// bytes — the map Match looks a probe's own key bytes up in.
+func (x *KeyIndex) keyWords(vecs []*Vector, cols []int) []uint64 {
+	words := make([]uint64, vecs[cols[0]].Len())
+	if x.fixed {
+		kv := vecs[cols[0]]
+		for i := range words {
+			words[i] = FixedWord(kv, i)
+		}
+		return words
+	}
+	x.ids = make(map[string]int32)
+	var key []byte
+	for i := range words {
+		key = GroupKey(key, vecs, cols, i)
+		id, ok := x.ids[string(key)]
+		if !ok {
+			id = int32(len(x.ids))
+			x.ids[string(key)] = id
+		}
+		words[i] = uint64(id)
+	}
+	return words
+}
+
+// buildWordIndex lays out the runs of matchRows and the index over them:
+// ascending row order within every run falls out of the forward fill pass,
+// and no Go map is involved. No rows is an empty dense range.
+func (x *KeyIndex) buildWordIndex(words []uint64) {
+	n := len(words)
+	x.matchRows = make([]int32, n)
+	if n == 0 {
+		x.denseOffs = []int32{0}
+		return
+	}
+	// Pass 1: the ordered word span decides the index layout.
+	lo, hi := orderedWord(words[0]), orderedWord(words[0])
+	for _, w := range words[1:] {
+		w = orderedWord(w)
+		if w < lo {
+			lo = w
+		}
+		if w > hi {
+			hi = w
+		}
+	}
+	if span := hi - lo; span < uint64(n)*denseSpanFactor || span < denseSpanFloor {
+		x.buildDenseIndex(words, lo, int(span)+1)
+	} else {
+		x.buildSlotIndex(words)
+	}
+}
+
+// buildDenseIndex lays the runs out in word order behind an offset array
+// indexed by orderedWord − min.
+func (x *KeyIndex) buildDenseIndex(words []uint64, min uint64, nk int) {
+	// Pass 2: count word k into offs[k+2], then prefix-sum, leaving offs[k+1]
+	// at the start of k's run. Pass 3 fills through offs[k+1], which walks it
+	// to the end of k's run — the start of k+1's — so the array finishes as
+	// the exclusive offsets with no cursor copy.
+	offs := make([]int32, nk+2)
+	for _, w := range words {
+		k := orderedWord(w) - min + 2
+		if offs[k] == 0 {
+			x.keys++
+		}
+		offs[k]++
+	}
+	for k := 2; k < len(offs); k++ {
+		offs[k] += offs[k-1]
+	}
+	for i, w := range words {
+		k := orderedWord(w) - min + 1
+		x.matchRows[offs[k]] = int32(i)
+		offs[k]++
+	}
+	x.denseMin, x.denseOffs = min, offs[:nk+1]
+}
+
+// buildSlotIndex lays the runs out in slot order behind an open-addressing
+// table of at least 2n slots (load ≤ 1/2, so a probe always meets an empty
+// slot and the table never grows).
+func (x *KeyIndex) buildSlotIndex(words []uint64) {
+	n := len(words)
+	nSlots := 1 << bits.Len(uint(2*n-1))
+	slots := make([]wordSlot, nSlots)
+	shift := uint(64 - bits.TrailingZeros(uint(nSlots)))
+	mask := uint64(nSlots - 1)
+
+	// Pass 2: claim a slot per distinct word, counting its rows in hi.
+	slotOf := make([]int32, n)
+	for i, w := range words {
+		s := (w * fibMul) >> shift
+		for slots[s].hi != 0 && slots[s].w != w {
+			s = (s + 1) & mask
+		}
+		if slots[s].hi == 0 {
+			x.keys++
+		}
+		slots[s].w = w
+		slots[s].hi++
+		slotOf[i] = int32(s)
+	}
+	// Counts -> run starts, in slot order (any fixed order works: a run's
+	// position never shows, only its contents do).
+	var at int32
+	for s := range slots {
+		if c := slots[s].hi; c != 0 {
+			slots[s].lo, slots[s].hi = at, at
+			at += c
+		}
+	}
+	// Pass 3: fill each run in ascending row order; hi walks from the run's
+	// start to its end.
+	for i, s := range slotOf {
+		x.matchRows[slots[s].hi] = int32(i)
+		slots[s].hi++
+	}
+	x.slots, x.slotShift = slots, shift
+}
+
+// LookupWord returns the ascending rows whose key word is w (nil when there
+// are none).
+func (x *KeyIndex) LookupWord(w uint64) []int32 {
+	if x.denseOffs != nil {
+		// A word below denseMin wraps to a huge k and fails the bound check.
+		k := orderedWord(w) - x.denseMin
+		if k >= uint64(len(x.denseOffs)-1) {
+			return nil
+		}
+		return x.matchRows[x.denseOffs[k]:x.denseOffs[k+1]]
+	}
+	mask := uint64(len(x.slots) - 1)
+	for s := (w * fibMul) >> x.slotShift; ; s = (s + 1) & mask {
+		sl := &x.slots[s]
+		if sl.hi == 0 {
+			return nil
+		}
+		if sl.w == w {
+			return x.matchRows[sl.lo:sl.hi]
+		}
+	}
+}
+
+// Match returns the ascending rows whose key equals row's key over cols of
+// vecs, columns typed as the indexed ones (nil when no row carries it). A key
+// that is not fixed finds its word — its id — through the id map, so key is
+// the caller's scratch for its GroupKey bytes; bytes no row carries match
+// nothing.
+func (x *KeyIndex) Match(vecs []*Vector, cols []int, row int, key *[]byte) []int32 {
+	if x.fixed {
+		return x.LookupWord(FixedWord(vecs[cols[0]], row))
+	}
+	*key = GroupKey(*key, vecs, cols, row)
+	id, ok := x.ids[string(*key)]
+	if !ok {
+		return nil
+	}
+	return x.LookupWord(uint64(id))
+}
+
+// Keys returns the number of distinct keys indexed.
+func (x *KeyIndex) Keys() int { return x.keys }
+
+// Bytes estimates the index's resident size: its arrays, and per id a key
+// string, its id and the map's own slot.
+func (x *KeyIndex) Bytes() int64 {
+	return int64(len(x.matchRows)+len(x.denseOffs))*4 + int64(len(x.slots))*16 + int64(len(x.ids))*64
+}

@@ -29,11 +29,14 @@ const CodecVersion = 2
 
 // Codec kind bytes identifying the synopsis type inside the envelope. Kinds
 // 2–6 and 8 belonged to record types no plan could produce (bare count-min,
-// AMS, Flajolet-Martin, Bloom, heavy hitters, partitioned-sample bundle);
-// they are retired — never reused, and rejected by persist.Decode as unknown.
+// AMS, Flajolet-Martin, Bloom, heavy hitters, partitioned-sample bundle), and
+// kind 7 to the sketch-join over two count-min planes that the per-key table
+// of kind 9 replaced. All are retired — never reused, rejected by
+// persist.Decode as unknown, and dropped at recovery. The version byte stays:
+// bumping it would drop every stored sample too.
 const (
 	KindSample     byte = 1
-	KindSketchJoin byte = 7
+	KindSketchJoin byte = 9
 )
 
 var codecMagic = [4]byte{'T', 'S', 'Y', 'N'}

@@ -1,14 +1,15 @@
 // Package synopses implements the summary structures a Taster plan can
 // produce or read: uniform and distinct samples with Horvitz-Thompson
-// weights (merged per morsel by the executor), the sketch-join synopsis over
-// two count-min planes (counts and sums), and — for the offline baselines
-// only — stratified samples and VerdictDB-style variational subsampling.
+// weights (merged per morsel by the executor), the sketch-join synopsis — the
+// build side's exact (count, sum) per join key, one row per key — and, for
+// the offline baselines only, stratified samples and VerdictDB-style
+// variational subsampling.
 //
 // The two stored kinds, Sample and SketchJoin, are what warehouse.Item holds
 // and what the codec (codec.go) serializes.
 //
-// All structures are single-pass ("pipelineable") and mergeable
-// ("partitionable"), the two requirements paper §II imposes.
+// Every structure is built in a single pass ("pipelineable", paper §II). The
+// samplers are also "partitionable": per-morsel parts merge.
 package synopses
 
 import (
@@ -90,31 +91,4 @@ func RowKey(vecs []*storage.Vector, cols []int, i int, seed uint64) uint64 {
 		h = mix64(h ^ HashVectorElem(vecs[c], i, seed))
 	}
 	return h
-}
-
-// pairwise is a family of pairwise-independent hash functions over uint64,
-// h_i(x) = (a_i·x + b_i) with a final mix, indexed by row. CM sketches draw
-// their per-row hashes from it.
-type pairwise struct {
-	a, b []uint64
-}
-
-// newPairwise derives d hash functions deterministically from a seed, so
-// sketches built independently (e.g. per partition) with the same seed are
-// mergeable.
-func newPairwise(d int, seed uint64) pairwise {
-	p := pairwise{a: make([]uint64, d), b: make([]uint64, d)}
-	s := seed
-	for i := 0; i < d; i++ {
-		s = mix64(s + 0x9e3779b97f4a7c15)
-		p.a[i] = s | 1 // multiplier must be odd
-		s = mix64(s + 0x9e3779b97f4a7c15)
-		p.b[i] = s
-	}
-	return p
-}
-
-// at returns h_row(x).
-func (p pairwise) at(row int, x uint64) uint64 {
-	return mix64(p.a[row]*x + p.b[row])
 }

@@ -1,143 +1,15 @@
 package synopses
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
-
-func TestCMSketchExactWhenSparse(t *testing.T) {
-	s := NewCMSketch(1024, 4, 42)
-	for k := uint64(0); k < 50; k++ {
-		s.Add(k, float64(k+1))
-	}
-	for k := uint64(0); k < 50; k++ {
-		if got := s.Estimate(k); got != float64(k+1) {
-			t.Fatalf("estimate(%d) = %v, want %v", k, got, k+1)
-		}
-	}
-	if s.n != 50*51/2 {
-		t.Fatalf("N = %v", s.n)
-	}
-}
-
-func TestCMSketchNeverUnderestimates(t *testing.T) {
-	s := NewCMSketch(64, 4, 7)
-	truth := make(map[uint64]float64)
-	r := newRng(99)
-	for i := 0; i < 20000; i++ {
-		k := uint64(r.next() * 500)
-		s.Add(k, 1)
-		truth[k]++
-	}
-	for k, f := range truth {
-		if est := s.Estimate(k); est < f {
-			t.Fatalf("CM underestimated key %d: est=%v true=%v", k, est, f)
-		}
-	}
-}
-
-func TestCMSketchErrorBound(t *testing.T) {
-	// With w = ⌈e/ε⌉ the additive error should be ≤ εN w.h.p.
-	eps, delta := 0.01, 0.01
-	s := NewCMSketch(int(math.Ceil(math.E/eps)), int(math.Ceil(math.Log(1/delta))), 3)
-	truth := make(map[uint64]float64)
-	r := newRng(5)
-	for i := 0; i < 100000; i++ {
-		k := uint64(r.next() * 10000)
-		s.Add(k, 1)
-		truth[k]++
-	}
-	bound := eps * s.n
-	violations := 0
-	for k, f := range truth {
-		if s.Estimate(k)-f > bound {
-			violations++
-		}
-	}
-	if frac := float64(violations) / float64(len(truth)); frac > delta {
-		t.Fatalf("error bound violated for %.2f%% of keys (> δ=%v)", 100*frac, delta)
-	}
-}
-
-func TestCMSketchMerge(t *testing.T) {
-	a := NewCMSketch(256, 3, 11)
-	b := NewCMSketch(256, 3, 11)
-	whole := NewCMSketch(256, 3, 11)
-	for k := uint64(0); k < 100; k++ {
-		a.Add(k, 1)
-		b.Add(k, 2)
-		whole.Add(k, 3)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 100; k++ {
-		if a.Estimate(k) != whole.Estimate(k) {
-			t.Fatalf("merged estimate differs at %d", k)
-		}
-	}
-	c := NewCMSketch(128, 3, 11)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("want geometry mismatch error")
-	}
-	d := NewCMSketch(256, 3, 12)
-	if err := a.Merge(d); err == nil {
-		t.Fatal("want seed mismatch error")
-	}
-}
-
-// TestCMSketchEncodeDecode round-trips the sketch body the sketch-join record
-// nests (a CM sketch has no record of its own).
-func TestCMSketchEncodeDecode(t *testing.T) {
-	s := NewCMSketch(32, 3, 9)
-	for k := uint64(0); k < 500; k++ {
-		s.Add(k, float64(k%7))
-	}
-	enc := s.appendPayload(nil)
-	if int64(len(enc)) != s.payloadBytes() {
-		t.Fatalf("encoded size %d != payloadBytes %d", len(enc), s.payloadBytes())
-	}
-	got, err := decodeCMPayload(storage.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 500; k++ {
-		if got.Estimate(k) != s.Estimate(k) {
-			t.Fatalf("decode mismatch at key %d", k)
-		}
-	}
-	if _, err := decodeCMPayload(storage.NewReader(enc[:10])); err == nil {
-		t.Fatal("want error for truncated payload")
-	}
-	enc[7] = 0xff // corrupt width
-	if _, err := decodeCMPayload(storage.NewReader(enc)); err == nil {
-		t.Fatal("want error for corrupt header")
-	}
-}
-
-// Property: CM estimates dominate true counts for arbitrary key multisets.
-func TestCMSketchDominanceQuick(t *testing.T) {
-	f := func(keys []uint8) bool {
-		s := NewCMSketch(64, 3, 1)
-		truth := map[uint64]float64{}
-		for _, k := range keys {
-			s.Add(uint64(k), 1)
-			truth[uint64(k)]++
-		}
-		for k, v := range truth {
-			if s.Estimate(k) < v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func sampleInput(rows int, groups int64) *storage.Table {
 	b := storage.NewBuilder("src", storage.Schema{
@@ -288,61 +160,87 @@ func TestStratifiedSample(t *testing.T) {
 	}
 }
 
+// TestSketchJoinEstimates: a probe key finds its row's exact count and sum
+// through the payload's key index — a one-column int64 key by its word, a
+// (string, int64) key through the id map — an absent key finds zeros, and a
+// decoded payload answers identically from its rebuilt index. Payloads the
+// index cannot serve exactly are refused.
 func TestSketchJoinEstimates(t *testing.T) {
-	// Build side: key k ∈ [0,100) appears k+1 times with value 2.0 each.
-	b := storage.NewBuilder("f", storage.Schema{
-		{Name: "f.k", Typ: storage.Int64},
-		{Name: "f.v", Typ: storage.Float64},
-	})
-	for k := int64(0); k < 100; k++ {
-		for i := int64(0); i <= k; i++ {
-			b.Int(0, k)
-			b.Float(1, 2)
+	// Key k stands for k+1 build rows of value 2.0 each.
+	payload := func(keys storage.Schema, withSum bool, key func(b *storage.Builder, k int)) *storage.Table {
+		schema := append(keys.Clone(), storage.Col{Name: CountCol, Typ: storage.Float64})
+		if withSum {
+			schema = append(schema, storage.Col{Name: SumCol, Typ: storage.Float64})
+		}
+		b := storage.NewBuilder("sketch-join", schema)
+		for k := 0; k < 100; k++ {
+			key(b, k)
+			b.Float(len(keys), float64(k+1))
+			if withSum {
+				b.Float(len(keys)+1, 2*float64(k+1))
+			}
+		}
+		return b.Build(1)
+	}
+	intKey := storage.Schema{{Name: "f.k", Typ: storage.Int64}}
+	tupleKey := storage.Schema{{Name: "f.s", Typ: storage.String}, {Name: "f.k", Typ: storage.Int64}}
+	byInt := func(b *storage.Builder, k int) { b.Int(0, int64(3*k)) }
+	byTuple := func(b *storage.Builder, k int) { b.Str(0, fmt.Sprintf("s%d", k%7)); b.Int(1, int64(3*k)) }
+
+	probe := storage.NewBatch(storage.Schema{{Name: "p.s", Typ: storage.String}, {Name: "p.k", Typ: storage.Int64}}, 3)
+	for _, row := range []struct {
+		s string
+		k int64
+	}{{"s0", 126}, {"s1", 126}, {"s1", 127}} {
+		probe.Vecs[0].Append(storage.StringValue(row.s))
+		probe.Vecs[1].Append(storage.IntValue(row.k))
+	}
+	for _, c := range []struct {
+		name    string
+		keys    storage.Schema
+		key     func(*storage.Builder, int)
+		cols    []int
+		withSum bool
+		want    [3][2]float64 // (count, sum) for each probe row
+	}{
+		// 126 = 3·42: key 42 has 43 rows; 127 is no key.
+		{"int64 key", intKey, byInt, []int{1}, true, [3][2]float64{{43, 86}, {43, 86}, {0, 0}}},
+		// 42 % 7 = 0: ("s0", 126) is a key, ("s1", 126) is not.
+		{"string and int64 key", tupleKey, byTuple, []int{0, 1}, true, [3][2]float64{{43, 86}, {0, 0}, {0, 0}}},
+		{"counts only", intKey, byInt, []int{1}, false, [3][2]float64{{43, 0}, {43, 0}, {0, 0}}},
+	} {
+		sj, err := NewSketchJoin(payload(c.keys, c.withSum, c.key), "f.v")
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		enc := sj.Encode()
+		if int64(len(enc)) != sj.SizeBytes() {
+			t.Fatalf("%s: len(Encode) = %d, SizeBytes = %d", c.name, len(enc), sj.SizeBytes())
+		}
+		dec, err := DecodeSketchJoin(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
+		}
+		if !slices.Equal(dec.KeySchema().Names(), c.keys.Names()) || dec.AggCol != "f.v" {
+			t.Fatalf("%s: decoded keys %v agg %q", c.name, dec.KeySchema().Names(), dec.AggCol)
+		}
+		var key []byte
+		for _, x := range []*SketchJoin{sj, dec} {
+			for i, want := range c.want {
+				if cnt, sum := x.Lookup(probe.Vecs, c.cols, i, &key); cnt != want[0] || sum != want[1] {
+					t.Fatalf("%s: probe row %d = (%v, %v), want (%v, %v)", c.name, i, cnt, sum, want[0], want[1])
+				}
+			}
 		}
 	}
-	tbl := b.Build(2)
-	sj, err := BuildSketchJoin(tbl, []string{"f.k"}, "f.v", 2719, 5, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := storage.NewBatch(storage.Schema{{Name: "p.k", Typ: storage.Int64}}, 1)
-	probe.Vecs[0].Append(storage.IntValue(42))
-	cnt, sum := sj.Estimate(probe.Vecs, []int{0}, 0)
-	if cnt < 43 || cnt > 43*1.1 {
-		t.Fatalf("count estimate = %v, want ≈43", cnt)
-	}
-	if sum < 86 || sum > 86*1.1 {
-		t.Fatalf("sum estimate = %v, want ≈86", sum)
-	}
-	if sj.SizeBytes() <= 0 {
-		t.Fatal("SizeBytes")
-	}
-	if _, err := BuildSketchJoin(tbl, []string{"nope"}, "f.v", 272, 5, 1); err == nil {
-		t.Fatal("want unknown key column error")
-	}
-	if _, err := BuildSketchJoin(tbl, []string{"f.k"}, "nope", 272, 5, 1); err == nil {
-		t.Fatal("want unknown agg column error")
-	}
-}
 
-func TestSketchJoinMerge(t *testing.T) {
-	mk := func() *SketchJoin { return NewSketchJoin(272, 5, []string{"k"}, "v", 9) }
-	a, b, whole := mk(), mk(), mk()
-	vec := []*storage.Vector{
-		{Typ: storage.Int64, I64: []int64{7}},
-		{Typ: storage.Float64, F64: []float64{3}},
+	dup := payload(intKey, true, func(b *storage.Builder, k int) { b.Int(0, int64(k/2)) })
+	if _, err := NewSketchJoin(dup, "f.v"); err == nil || !strings.Contains(err.Error(), "distinct keys") {
+		t.Fatalf("a payload with repeated keys: err = %v", err)
 	}
-	a.AddRow(vec, []int{0}, 1, 0, 1)
-	b.AddRow(vec, []int{0}, 1, 0, 1)
-	whole.AddRow(vec, []int{0}, 1, 0, 1)
-	whole.AddRow(vec, []int{0}, 1, 0, 1)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	ca, sa := a.Estimate(vec, []int{0}, 0)
-	cw, sw := whole.Estimate(vec, []int{0}, 0)
-	if ca != cw || sa != sw {
-		t.Fatalf("merged (%v,%v) != whole (%v,%v)", ca, sa, cw, sw)
+	noCount := storage.NewBuilder("sketch-join", storage.Schema{{Name: "f.k", Typ: storage.Int64}, {Name: SumCol, Typ: storage.Float64}}).Build(1)
+	if _, err := NewSketchJoin(noCount, "f.v"); err == nil || !strings.Contains(err.Error(), CountCol) {
+		t.Fatalf("a payload without counts: err = %v", err)
 	}
 }
 

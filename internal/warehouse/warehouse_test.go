@@ -151,7 +151,18 @@ func TestElasticQuota(t *testing.T) {
 }
 
 func TestSketchItem(t *testing.T) {
-	sk := synopses.NewSketchJoin(272, 5, []string{"k"}, "v", 1)
+	rows := storage.NewBuilder("sketch-join", storage.Schema{
+		{Name: "k", Typ: storage.Int64},
+		{Name: synopses.CountCol, Typ: storage.Float64},
+		{Name: synopses.SumCol, Typ: storage.Float64},
+	})
+	rows.Int(0, 7)
+	rows.Float(1, 2)
+	rows.Float(2, 6)
+	sk, err := synopses.NewSketchJoin(rows.Build(1), "v")
+	if err != nil {
+		t.Fatal(err)
+	}
 	it := NewSketchItem(9, sk)
 	if it.Size != sk.SizeBytes() || it.Kind() != SketchItem || !it.Loaded() {
 		t.Fatalf("item = %+v", it)
