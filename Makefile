@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke determinism race race-all test-race fuzz-smoke smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke determinism reach race race-all test-race fuzz-smoke smoke-metrics
 
 all: check
 
@@ -92,6 +92,32 @@ determinism:
 		cmp "$$d/a.txt" "$$d/b.txt"; \
 		echo "determinism: two runs of '$$args' are byte-identical"; \
 	done
+
+# Reachability map, not a gate and not part of check: builds tasterbench and
+# the declared benchmark with coverage over every package of the module, runs
+# the determinism reports, a TPC-H warm restart and the four benchmark
+# workloads at smoke scale into one GOCOVERDIR, and prints every function no
+# statement of which ran — outside internal/lint, cmd and benchmark, whose
+# code this traffic is not meant to reach. The benchmark runs from a scratch
+# directory, so its trace output lands there and nothing under benchmark/ is
+# written. A listed function either leaves or has a reason to stay (see
+# "Reachable only from tests" in docs/ARCHITECTURE.md). A few minutes.
+reach:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir -p "$$d/cov" "$$d/run"; \
+	$(GO) build -cover -coverpkg=github.com/tasterdb/taster/... -o "$$d/tasterbench" ./cmd/tasterbench; \
+	(cd benchmark && $(GO) build -cover -coverpkg=github.com/tasterdb/taster/... -o "$$d/bench" .); \
+	for args in \
+		"-experiment all" \
+		"-experiment streaming -workload tpch -sf 0.002 -queries 24" \
+		"-experiment warmstart -workload instacart -sf 0.002 -queries 24" \
+		"-experiment partition -queries 48" \
+		"-experiment warmstart -workload tpch"; \
+	do GOCOVERDIR="$$d/cov" "$$d/tasterbench" $$args > /dev/null; done; \
+	for w in dash_repeat explore_cold scan_exact ingest_mix; do \
+		(cd "$$d/run" && GOCOVERDIR="$$d/cov" "$$d/bench" --workload $$w --seed 1 --smoke --trace 1 > /dev/null); \
+	done; \
+	$(GO) tool covdata func -i="$$d/cov" | grep -E '[[:space:]]0\.0%$$' | \
+		grep -vE '^github.com/tasterdb/taster/(internal/lint|cmd|benchmark)/' || true
 
 # The concurrency suite under the race detector: morsel-executor determinism,
 # the concurrent serving path, and the partitioned ingest/query/spill storm.

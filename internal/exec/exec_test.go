@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -319,11 +320,14 @@ func TestSamplerErrors(t *testing.T) {
 		Delta:     5,
 		StratCols: []string{"nope"},
 	}
-	if _, err := Compile(syn, 1, ctx); err == nil {
-		t.Fatal("want unknown stratification column error")
+	over := func(n plan.Node) plan.Node {
+		return &plan.Aggregate{Child: n, Aggs: []plan.AggSpec{{Kind: stats.Count}}}
+	}
+	if _, err := Compile(over(syn), 1, ctx); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("err = %v, want an unknown stratification column error", err)
 	}
 	bad := &plan.SynopsisOp{Child: &plan.Scan{Table: ordersTable()}, Kind: plan.SketchJoinSynopsis}
-	if _, err := Compile(bad, 1, ctx); err == nil {
+	if _, err := Compile(over(bad), 1, ctx); err == nil {
 		t.Fatal("want unsupported kind error")
 	}
 }
@@ -356,7 +360,8 @@ func TestJoinOfSampledSideCarriesWeights(t *testing.T) {
 			t.Fatalf("region %v count = %v, want ≈500", r[0], r[1].F)
 		}
 	}
-	// Join schema must contain exactly one weight column, at the end.
+	// The join schema carries exactly one weight column: the probe side's,
+	// passed through where the sampled side holds it.
 	spec, err := resolveJoinSpec(synopses.SampleSchema(ordersTable().Schema()), customersTable().Schema(), j.LeftKeys, j.RightKeys, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +373,7 @@ func TestJoinOfSampledSideCarriesWeights(t *testing.T) {
 			wcount++
 		}
 	}
-	if wcount != 1 || sc[len(sc)-1].Name != synopses.WeightCol {
+	if wcount != 1 || sc.Index(synopses.WeightCol) != len(ordersTable().Schema()) {
 		t.Fatalf("join schema weights wrong: %v", sc.Names())
 	}
 }
@@ -551,7 +556,7 @@ func TestSketchJoinErrors(t *testing.T) {
 		{"no sketch and no build input", func(n *plan.SketchJoin) { n.Build = nil }, "no materialized sketch"},
 		{"sampled build input", func(n *plan.SketchJoin) {
 			n.Build = &plan.SynopsisOp{Child: n.Build, Kind: plan.UniformSample, P: 0.5}
-		}, "[orders.id orders.cust orders.amount __weight] carries __weight"},
+		}, "cannot compile *plan.SynopsisOp in a sketch-join's build side"},
 		{"probe key typed unlike its build key", func(n *plan.SketchJoin) { n.ProbeKeys = []string{"cust.region"} },
 			"cust.region is VARCHAR but orders.cust is BIGINT"},
 		{"unknown probe key", func(n *plan.SketchJoin) { n.ProbeKeys = []string{"nope"} }, "probe key"},
@@ -573,7 +578,8 @@ func TestSynopsisScanChargesWarehouseBytes(t *testing.T) {
 	tbl := ordersTable()
 	smp := synopses.BuildSampleFromTable("s", tbl, synopses.NewUniformSampler(0.2, 3), nil)
 	ctx := NewContext(0.95)
-	ss := &plan.SynopsisScan{SynopsisID: 1, Sample: smp, Label: "orders"}
+	count := []plan.AggSpec{{Kind: stats.Count}}
+	ss := &plan.Aggregate{Child: &plan.SynopsisScan{SynopsisID: 1, Sample: smp, Label: "orders"}, Aggs: count}
 	runPlan(t, ss, ctx)
 	if ctx.Stats.WarehouseBytes != smp.Rows.Bytes() {
 		t.Fatalf("WarehouseBytes = %d, want %d", ctx.Stats.WarehouseBytes, smp.Rows.Bytes())
@@ -583,7 +589,7 @@ func TestSynopsisScanChargesWarehouseBytes(t *testing.T) {
 	}
 	// Buffer-resident scans are free of I/O.
 	ctx2 := NewContext(0.95)
-	ss2 := &plan.SynopsisScan{SynopsisID: 1, Sample: smp, Label: "orders", InBuffer: true}
+	ss2 := &plan.Aggregate{Child: &plan.SynopsisScan{SynopsisID: 1, Sample: smp, Label: "orders", InBuffer: true}, Aggs: count}
 	runPlan(t, ss2, ctx2)
 	if ctx2.Stats.WarehouseBytes != 0 {
 		t.Fatal("buffer scan must be free")
@@ -656,21 +662,32 @@ func TestCompileUnknownNode(t *testing.T) {
 	if _, err := Compile(outer, 1, ctx); err == nil || !strings.Contains(err.Error(), "*plan.Aggregate") {
 		t.Fatalf("aggregate over aggregate: err = %v, want one naming *plan.Aggregate", err)
 	}
-	// A join is only ever part of a spine: a bare one, or one inside a build
-	// side (no planner emits either — joinTree is left-deep), does not compile.
+	// A join is only ever part of a spine: a bare one does not compile.
 	join := ordersJoinCustomers([]string{"orders.cust"}, []string{"cust.id"}, nil).Child
 	if _, err := Compile(join, 1, ctx); err == nil || !strings.Contains(err.Error(), "*plan.Join") {
 		t.Fatalf("bare join: err = %v, want one naming *plan.Join", err)
 	}
-	bushy := &plan.Aggregate{
-		Child: &plan.Join{
-			Left: &plan.Scan{Table: regionsTable()}, Right: join,
-			LeftKeys: []string{"reg.name"}, RightKeys: []string{"cust.region"},
-		},
-		Aggs: []plan.AggSpec{{Kind: stats.Count}},
-	}
-	if _, err := Compile(bushy, 1, ctx); err == nil || !strings.Contains(err.Error(), "*plan.Join") {
-		t.Fatalf("join inside a build side: err = %v, want one naming *plan.Join", err)
+	// A build side is σ(base table): samples live on the spine and joins are
+	// left-deep, so a sampler, a stored sample or a join there is an error
+	// naming it.
+	cust := customersTable()
+	smp := synopses.BuildSampleFromTable("s", cust, synopses.NewUniformSampler(0.5, 3), nil)
+	for _, build := range []plan.Node{
+		&plan.SynopsisOp{Child: &plan.Scan{Table: cust}, Kind: plan.UniformSample, P: 0.5},
+		&plan.SynopsisScan{SynopsisID: 1, Sample: smp, Label: "cust"},
+		join,
+	} {
+		bushy := &plan.Aggregate{
+			Child: &plan.Join{
+				Left: &plan.Scan{Table: regionsTable()}, Right: build,
+				LeftKeys: []string{"reg.name"}, RightKeys: []string{"cust.region"},
+			},
+			Aggs: []plan.AggSpec{{Kind: stats.Count}},
+		}
+		want := fmt.Sprintf("cannot compile %T in a join's build side", build)
+		if _, err := Compile(bushy, 1, ctx); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%T in a build side: err = %v, want one mentioning %q", build, err, want)
+		}
 	}
 }
 

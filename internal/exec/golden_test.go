@@ -277,7 +277,6 @@ func goldenEdges(t *testing.T, cat *storage.Catalog) []goldenEdge {
 	uniform := func(child plan.Node, p float64) *plan.SynopsisOp {
 		return &plan.SynopsisOp{Child: child, Kind: plan.UniformSample, P: p, Accuracy: stats.DefaultAccuracy}
 	}
-	bothSides := join(uniform(scan("lineitem"), 0.3), uniform(scan("orders"), 0.5), "l_orderkey", "o_orderkey")
 	joinSample := &plan.SynopsisOp{
 		Child: join(scan("lineitem"), scan("orders"), "l_orderkey", "o_orderkey"),
 		Kind:  plan.DistinctSample, P: 0.1, Delta: 4, StratCols: []string{"o_orderpriority"}, Accuracy: stats.DefaultAccuracy,
@@ -301,11 +300,6 @@ func goldenEdges(t *testing.T, cat *storage.Catalog) []goldenEdge {
 			&plan.Aggregate{Child: &plan.Filter{Child: join(scan("lineitem"), scan("orders"), "l_orderkey", "o_orderkey"),
 				Pred: &expr.Cmp{Op: expr.EQ, L: col("o_orderpriority"), R: &expr.Const{Val: storage.StringValue("1-URGENT")}}},
 				GroupBy: []string{"l_returnflag"}, Aggs: []plan.AggSpec{sum("l_quantity")}}, nil},
-		{"weights on both join sides",
-			&plan.Aggregate{Child: bothSides, GroupBy: []string{"o_orderpriority"}, Aggs: []plan.AggSpec{sum("l_extendedprice"), count}}, nil},
-		{"weights on both join sides, both materialized",
-			&plan.Aggregate{Child: bothSides, GroupBy: []string{"o_orderpriority"}, Aggs: []plan.AggSpec{sum("l_extendedprice"), count}},
-			[]*plan.SynopsisOp{bothSides.Left.(*plan.SynopsisOp), bothSides.Right.(*plan.SynopsisOp)}},
 		{"materializing sampler above a join",
 			&plan.Aggregate{Child: joinSample, GroupBy: []string{"o_orderpriority"}, Aggs: []plan.AggSpec{sum("l_extendedprice")}},
 			[]*plan.SynopsisOp{joinSample}},

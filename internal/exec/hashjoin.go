@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/tasterdb/taster/internal/storage"
-	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // joinBatchRows caps the number of joined rows emitted per output batch. A
@@ -18,24 +17,14 @@ const joinBatchRows = storage.BatchSize
 // and shared by every prober of the join (one per morsel). The payload is
 // what something above the join reads, not what the two sides hold: the
 // build table keeps every column (its cache identity and its charge are the
-// full rows'), the probe gathers from it selectively.
-//
-// If either input carries a sampler weight column, the join merges them into
-// a single trailing weight column whose value is the product of the sides'
-// weights (joining two independent samples multiplies inclusion
-// probabilities).
+// full rows'), the probe gathers from it selectively. A sampled spine's
+// weight column is a probe-side payload column like any other: the build
+// side is never sampled, so a joined row's weight is its probe row's.
 type joinSpec struct {
 	leftKeys  []int
 	rightKeys []int
-
-	leftWeight  int // index of weight col in left schema, -1 if none
-	rightWeight int
-	leftCols    []int // left columns copied to output (weight excluded)
-	rightCols   []int
-	outWeights  bool
-	// widthAdj is what a joined row's width is short of its two sides' sum:
-	// 8 when both carry a weight column, since the two merge into one.
-	widthAdj int32
+	leftCols  []int // left columns copied to output
+	rightCols []int
 
 	schema storage.Schema
 }
@@ -66,26 +55,9 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) 
 	if err := keyTypesMatch("hash join", projectSchema(ls, j.leftKeys), projectSchema(rs, j.rightKeys)); err != nil {
 		return nil, err
 	}
-	j.leftWeight = ls.Index(synopses.WeightCol)
-	j.rightWeight = rs.Index(synopses.WeightCol)
-	j.outWeights = j.leftWeight >= 0 || j.rightWeight >= 0
-	if j.leftWeight >= 0 && j.rightWeight >= 0 {
-		j.widthAdj = 8
-	}
-	payload := func(s storage.Schema, weight int) (cols []int) {
-		for _, i := range neededCols(s, need) {
-			if i != weight {
-				cols = append(cols, i)
-				j.schema = append(j.schema, s[i])
-			}
-		}
-		return cols
-	}
-	j.leftCols = payload(ls, j.leftWeight)
-	j.rightCols = payload(rs, j.rightWeight)
-	if j.outWeights {
-		j.schema = append(j.schema, storage.Col{Name: synopses.WeightCol, Typ: storage.Float64})
-	}
+	j.leftCols = neededCols(ls, need)
+	j.rightCols = neededCols(rs, need)
+	j.schema = append(projectSchema(ls, j.leftCols), projectSchema(rs, j.rightCols)...)
 	return j, nil
 }
 
@@ -291,8 +263,8 @@ func (p *joinProber) matchesOf(row int) []int32 {
 }
 
 // flush gathers the accumulated pairs into out column-major — the payload
-// columns the spec names, the merged weight, and each pair's width. Pair
-// order is exactly the row-at-a-time emit order.
+// columns the spec names and each pair's width. Pair order is exactly the
+// row-at-a-time emit order.
 func (p *joinProber) flush(out *storage.Batch) {
 	if len(p.lrows) == 0 {
 		return
@@ -307,26 +279,10 @@ func (p *joinProber) flush(out *storage.Batch) {
 		out.Vecs[col].AppendGather(build.Vecs[rc], p.mrows)
 		col++
 	}
-	if p.spec.outWeights {
-		dst := out.Vecs[col].F64
-		lw, rw := p.spec.leftWeight, p.spec.rightWeight
-		for i, row := range p.lrows {
-			w := 1.0
-			if lw >= 0 {
-				w *= p.cur.Vecs[lw].F64[row]
-			}
-			if rw >= 0 {
-				w *= build.Vecs[rw].F64[p.mrows[i]]
-			}
-			dst = append(dst, w)
-		}
-		out.Vecs[col].F64 = dst
-	}
-	// A joined row is both its sides' rows side by side; two weight columns
-	// merge into one.
-	lwid, rwid, adj := p.cur.Width, build.Width, p.spec.widthAdj
+	// A joined row is both its sides' rows side by side.
+	lwid, rwid := p.cur.Width, build.Width
 	for i, row := range p.lrows {
-		out.Width = append(out.Width, lwid[row]+rwid[p.mrows[i]]-adj)
+		out.Width = append(out.Width, lwid[row]+rwid[p.mrows[i]])
 	}
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -146,9 +145,9 @@ func regionsTable() *storage.Table {
 	return b.Build(1)
 }
 
-// TestParallelJoinDeterministicAcrossWorkerCounts: with samplers on both the
-// probe spine and the build side, results must stay byte-identical at any
-// worker count (the PipelineOp determinism contract extended to joins).
+// TestParallelJoinDeterministicAcrossWorkerCounts: with a sampler on the
+// probe spine, results must stay byte-identical at any worker count (the
+// PipelineOp determinism contract extended to joins).
 func TestParallelJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 	fact := bigOrders(30000)
 	node := &plan.Aggregate{
@@ -157,7 +156,7 @@ func TestParallelJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 				Child: &plan.SynopsisOp{Child: &plan.Scan{Table: fact}, Kind: plan.UniformSample, P: 0.25},
 				Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: expr.Int(25000)},
 			},
-			Right:    &plan.SynopsisOp{Child: &plan.Scan{Table: customersTable()}, Kind: plan.UniformSample, P: 0.8},
+			Right:    &plan.Scan{Table: customersTable()},
 			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
 		},
 		GroupBy: []string{"cust.region"},
@@ -173,101 +172,6 @@ func TestParallelJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 			base = fp
 		} else if fp != base {
 			t.Fatalf("workers=%d diverges from workers=1 on sampled join pipeline", workers)
-		}
-	}
-}
-
-// TestJoinBothSidesSampledWeights: joining two independently sampled inputs
-// must multiply their HT weights — exactly 1/(pL·pR) for uniform samplers —
-// and aggregates over the joined stream must bracket the exact answer within
-// their confidence intervals.
-func TestJoinBothSidesSampledWeights(t *testing.T) {
-	fact := bigOrders(20000)
-	join := &plan.Join{
-		Left:     &plan.SynopsisOp{Child: &plan.Scan{Table: fact}, Kind: plan.UniformSample, P: 0.5},
-		Right:    &plan.SynopsisOp{Child: &plan.Scan{Table: customersTable()}, Kind: plan.UniformSample, P: 0.8},
-		LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
-	}
-
-	// The joined stream itself: every output weight is the exact product of
-	// the two uniform inverse inclusion probabilities.
-	ctx := NewContext(0.95)
-	left, err := Compile(join.Left, 3, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := Compile(join.Right, 3*31+7, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(probeOp(t, left, right, join.LeftKeys, join.RightKeys, ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantW := 1 / (0.5 * 0.8)
-	n := 0
-	for _, b := range out {
-		wv := b.Vecs[len(b.Vecs)-1]
-		for _, w := range wv.F64 {
-			if math.Abs(w-wantW) > 1e-12 {
-				t.Fatalf("join weight = %v, want %v (product of side weights)", w, wantW)
-			}
-		}
-		n += b.Len()
-	}
-	if n == 0 {
-		t.Fatal("sampled join produced no rows")
-	}
-
-	// Aggregates over the both-sides-sampled join must
-	// bracket the exact per-region sums within their intervals. The build
-	// side uses a distinct sample stratified on the join key so no customer
-	// vanishes: a uniformly sampled build can drop whole dimension rows,
-	// whose inclusion variance the per-row HT intervals cannot observe.
-	exact := map[string]float64{}
-	for i := 0; i < 20000; i++ {
-		region := "east"
-		if (i%10)%2 == 1 {
-			region = "west"
-		}
-		exact[region] += float64(i)
-	}
-	agg := &plan.Aggregate{
-		Child: &plan.Join{
-			Left: &plan.SynopsisOp{Child: &plan.Scan{Table: fact}, Kind: plan.UniformSample, P: 0.5},
-			Right: &plan.SynopsisOp{
-				Child: &plan.Scan{Table: customersTable()},
-				Kind:  plan.DistinctSample, P: 0.3, Delta: 1, StratCols: []string{"cust.id"},
-			},
-			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
-		},
-		GroupBy: []string{"cust.region"},
-		Aggs:    []plan.AggSpec{{Kind: stats.Sum, Col: "orders.amount"}},
-	}
-	actx := NewContext(0.95)
-	actx.Workers = 4
-	aop, err := Compile(agg, 3, actx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aout, err := Run(aop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := allRows(aout)
-	if len(rows) != 2 {
-		t.Fatalf("regions = %d", len(rows))
-	}
-	ivs := aop.(IntervalReporter).Intervals()
-	for i, r := range rows {
-		iv := ivs[i][0]
-		if iv.HalfWidth <= 0 {
-			t.Fatalf("sampled join aggregate must carry CI, got %+v", iv)
-		}
-		truth := exact[r[0].S]
-		if dev := math.Abs(iv.Estimate - truth); dev > 4*iv.HalfWidth {
-			t.Fatalf("region %v: estimate %v vs exact %v exceeds 4 half-widths (%v)",
-				r[0].S, iv.Estimate, truth, iv.HalfWidth)
 		}
 	}
 }
@@ -396,43 +300,5 @@ func TestEmptyBuildStillMaterializesSampler(t *testing.T) {
 	}
 	if ctx2.Stats.BaseBytes >= fact.Bytes() {
 		t.Fatalf("non-materializing empty-join run scanned the probe side (BaseBytes=%d)", ctx2.Stats.BaseBytes)
-	}
-}
-
-// TestEmptyBuildStillMaterializesBuildSideSampler: the materializing sampler
-// can live inside a *deeper build subtree* (when the planner's fact table is
-// not the spine leaf); an empty shallower build must not early-out past it.
-func TestEmptyBuildStillMaterializesBuildSideSampler(t *testing.T) {
-	fact := bigOrders(20000)
-	syn := &plan.SynopsisOp{
-		Child: &plan.Scan{Table: fact},
-		Kind:  plan.UniformSample, P: 0.2,
-	}
-	agg := &plan.Aggregate{
-		Child: &plan.Join{
-			Left: &plan.Join{
-				Left: &plan.Scan{Table: customersTable()}, Right: syn, // sampler in the build subtree
-				LeftKeys: []string{"cust.id"}, RightKeys: []string{"orders.cust"},
-			},
-			Right: &plan.Filter{ // empty shallower build
-				Child: &plan.Scan{Table: regionsTable()},
-				Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "reg.rank"}, R: expr.Int(0)},
-			},
-			LeftKeys: []string{"cust.region"}, RightKeys: []string{"reg.name"},
-		},
-		Aggs: []plan.AggSpec{{Kind: stats.Count}},
-	}
-	ctx := NewContext(0.95)
-	ctx.Workers = 4
-	ctx.MaterializeSamples[syn] = "buildside_byproduct"
-	rows := allRows(runPlan(t, agg, ctx))
-	if len(rows) != 1 || rows[0][0].F != 0 {
-		t.Fatalf("empty-join aggregate = %v, want one zero row", rows)
-	}
-	if len(ctx.Stats.BuiltSamples) != 1 {
-		t.Fatalf("build-side sampler materialized %d samples, want 1", len(ctx.Stats.BuiltSamples))
-	}
-	if s := ctx.Stats.BuiltSamples[0].Sample; s.SourceRows != 20000 || s.Rows.NumRows() == 0 {
-		t.Fatalf("byproduct sample malformed: source=%d rows=%d", s.SourceRows, s.Rows.NumRows())
 	}
 }

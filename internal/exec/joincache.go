@@ -3,7 +3,6 @@ package exec
 import (
 	"container/list"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -21,14 +20,14 @@ const joinCacheMaxEntries = 1024
 // Taster's plans sample the fact table and join the sample against whole
 // dimension tables, so once a synopsis is reused a query's residual cost is
 // the dimension-side build — over rows that cannot change until the table's
-// next version. A build subtree made only of Scan and Filter nodes is
-// a pure function of its plan text and the table versions bound into it;
-// the cache runs it once per such key and hands later queries the immutable
-// joinTable together with the cost counters the build charged, which a hit
-// replays so simulated cost does not move by a bit.
+// next version. A build side is σ(base table) (compileBuild), a pure
+// function of its plan text and the table version it reads; the cache runs
+// it once per such key and hands later queries the immutable joinTable
+// together with the cost counters the build charged, which a hit replays so
+// simulated cost does not move by a bit.
 //
 // Invalidation is by construction, like planner.CacheKey: the key embeds
-// every bound table@epoch, so an append makes the old entries unreachable
+// the bound table@epoch, so an append makes the old entries unreachable
 // and they fall off the LRU tail. A key is admitted on its second sight: a
 // build seen once keeps using pool-recycled buffers, and only a repeat pays
 // for a cache-owned copy. Eviction is LRU under a byte bound. The mutex
@@ -60,26 +59,24 @@ type JoinCacheStats struct {
 	Bytes      int64
 }
 
-// buildCharge is the cost a build subtree charged to RunStats: the four
-// counters Scan and Filter operators move. Integer sums, so replaying
-// them on a hit lands on the same totals in any order.
+// buildCharge is the cost a build side charged to RunStats: the three
+// counters Scan and Filter operators and the drain move. Integer sums, so
+// replaying them on a hit lands on the same totals in any order.
 type buildCharge struct {
-	baseBytes, warehouseBytes, cpuTuples, shuffleBytes int64
+	baseBytes, cpuTuples, shuffleBytes int64
 }
 
 // chargeSince is the charge accumulated in s since the before snapshot.
 func chargeSince(s *RunStats, before RunStats) buildCharge {
 	return buildCharge{
-		baseBytes:      s.BaseBytes - before.BaseBytes,
-		warehouseBytes: s.WarehouseBytes - before.WarehouseBytes,
-		cpuTuples:      s.CPUTuples - before.CPUTuples,
-		shuffleBytes:   s.ShuffleBytes - before.ShuffleBytes,
+		baseBytes:    s.BaseBytes - before.BaseBytes,
+		cpuTuples:    s.CPUTuples - before.CPUTuples,
+		shuffleBytes: s.ShuffleBytes - before.ShuffleBytes,
 	}
 }
 
 func (c buildCharge) replay(s *RunStats) {
 	s.BaseBytes += c.baseBytes
-	s.WarehouseBytes += c.warehouseBytes
 	s.CPUTuples += c.cpuTuples
 	s.ShuffleBytes += c.shuffleBytes
 }
@@ -87,11 +84,10 @@ func (c buildCharge) replay(s *RunStats) {
 // joinCacheEntry is one key's state: seen once (table nil) or resident.
 type joinCacheEntry struct {
 	key string
-	// tables are the table versions bound into the build subtree, in plan
-	// order. The key names them by name@epoch, but Catalog.Register can put a
-	// different table under a name at the same epoch, so a hit also demands
-	// pointer identity.
-	tables []*storage.Table
+	// source is the table version the build side reads. The key names it by
+	// name@epoch, but Catalog.Register can put a different table under a name
+	// at the same epoch, so a hit also demands pointer identity.
+	source *storage.Table
 	table  *joinTable
 	charge buildCharge
 	bytes  int64
@@ -102,43 +98,23 @@ func NewJoinCache(maxBytes int64) *JoinCache {
 	return &JoinCache{maxBytes: maxBytes, ll: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-// joinCacheKey derives the cache identity of a join's build side: the
-// subtree's plan text, every bound table version and the build key columns.
-// Nothing else goes in: the table's layout follows from the build key types,
-// and the scan charge from the plan and the table versions. ok is false for
-// a subtree that holds anything but Scan and Filter nodes: samplers draw
-// from the query seed and synopsis scans read warehouse state.
-func joinCacheKey(n plan.Node, rightKeys []string) (key string, tables []*storage.Table, ok bool) {
-	ok = true
-	plan.Walk(n, func(m plan.Node) {
-		switch t := m.(type) {
-		case *plan.Scan:
-			tables = append(tables, t.Table)
-		case *plan.Filter:
-		default:
-			ok = false
-		}
-	})
-	if !ok {
-		return "", nil, false
-	}
-	var sb strings.Builder
-	sb.WriteString(plan.Format(n))
-	for _, t := range tables {
-		fmt.Fprintf(&sb, "%s@%d ", t.Name, t.Epoch())
-	}
-	fmt.Fprintf(&sb, "K[%s]", strings.Join(rightKeys, ","))
-	return sb.String(), tables, true
+// joinCacheKey derives the cache identity of a join's build side over the
+// table source: its plan text (the scan and any filter), the table version
+// and the build key columns. Nothing else goes in: the table's layout
+// follows from the build key types, and the scan charge from the plan and
+// the table version.
+func joinCacheKey(n plan.Node, source *storage.Table, rightKeys []string) string {
+	return fmt.Sprintf("%s%s@%d K[%s]", plan.Format(n), source.Name, source.Epoch(), strings.Join(rightKeys, ","))
 }
 
 // lookup returns the resident entry for the key, or nil on a miss together
 // with whether the caller's build should be admitted (the key has been seen
 // before). A first sight leaves the key behind so the next one admits.
-func (c *JoinCache) lookup(key string, tables []*storage.Table) (hit *joinCacheEntry, admit bool) {
+func (c *JoinCache) lookup(key string, source *storage.Table) (hit *joinCacheEntry, admit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.byKey[key]
-	if found && !slices.Equal(el.Value.(*joinCacheEntry).tables, tables) {
+	if found && el.Value.(*joinCacheEntry).source != source {
 		// A replaced table under an unchanged name@epoch: the old entry can
 		// never be right again.
 		c.removeLocked(el)
@@ -146,7 +122,7 @@ func (c *JoinCache) lookup(key string, tables []*storage.Table) (hit *joinCacheE
 	}
 	if !found {
 		c.miss()
-		c.byKey[key] = c.ll.PushFront(&joinCacheEntry{key: key, tables: tables})
+		c.byKey[key] = c.ll.PushFront(&joinCacheEntry{key: key, source: source})
 		c.trimLocked()
 		return nil, false
 	}
@@ -178,7 +154,7 @@ func (c *JoinCache) Stats() JoinCacheStats {
 
 // insert makes a built table resident under the key. When a racing build
 // got there first its copy stays and this one remains the caller's alone.
-func (c *JoinCache) insert(key string, tables []*storage.Table, t *joinTable, charge buildCharge) {
+func (c *JoinCache) insert(key string, source *storage.Table, t *joinTable, charge buildCharge) {
 	size := t.bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -188,12 +164,12 @@ func (c *JoinCache) insert(key string, tables []*storage.Table, t *joinTable, ch
 	el, found := c.byKey[key]
 	if found {
 		e := el.Value.(*joinCacheEntry)
-		if e.table != nil && slices.Equal(e.tables, tables) {
+		if e.table != nil && e.source == source {
 			return
 		}
 		c.removeLocked(el)
 	}
-	c.byKey[key] = c.ll.PushFront(&joinCacheEntry{key: key, tables: tables, table: t, charge: charge, bytes: size})
+	c.byKey[key] = c.ll.PushFront(&joinCacheEntry{key: key, source: source, table: t, charge: charge, bytes: size})
 	c.stats.Bytes += size
 	c.stats.Admissions++
 	c.Obs.Admit()
@@ -235,24 +211,22 @@ func (t *joinTable) bytes() int64 {
 
 // runBuild produces the hashed build side of one spine join
 // (PipelineOp.Next). It opens and drains op, the compiled form of
-// node.Right, and hashes the rows; with a cache on the context and a
-// cacheable subtree it first asks the cache, and on a hit never opens op at
-// all: the entry's charge is replayed into the run's counters and, under
-// tracing, the subtree is marked cached. The caller still owns op and closes
-// it either way.
+// node.Right, and hashes the rows; with a cache on the context it first asks
+// the cache, and on a hit never opens op at all: the entry's charge is
+// replayed into the run's counters and, under tracing, the build side is
+// marked cached. The caller still owns op and closes it either way.
 func runBuild(node *plan.Join, op Operator, spec *joinSpec, ctx *Context) (*joinTable, error) {
 	var key string
-	var tables []*storage.Table
+	var source *storage.Table
 	admit := false
 	if ctx.Joins != nil {
-		var ok bool
-		if key, tables, ok = joinCacheKey(node.Right, node.RightKeys); ok {
-			var hit *joinCacheEntry
-			if hit, admit = ctx.Joins.lookup(key, tables); hit != nil {
-				hit.charge.replay(ctx.Stats)
-				markCached(node.Right, int64(hit.table.rows.Len()), ctx)
-				return hit.table, nil
-			}
+		source = buildSource(node.Right)
+		key = joinCacheKey(node.Right, source, node.RightKeys)
+		var hit *joinCacheEntry
+		if hit, admit = ctx.Joins.lookup(key, source); hit != nil {
+			hit.charge.replay(ctx.Stats)
+			markCached(node.Right, int64(hit.table.rows.Len()), ctx)
+			return hit.table, nil
 		}
 	}
 	before := *ctx.Stats
@@ -266,7 +240,7 @@ func runBuild(node *plan.Join, op Operator, spec *joinSpec, ctx *Context) (*join
 	t := buildJoinTable(spec, rows)
 	if admit {
 		t.shared = true
-		ctx.Joins.insert(key, tables, t, chargeSince(ctx.Stats, before))
+		ctx.Joins.insert(key, source, t, chargeSince(ctx.Stats, before))
 	}
 	return t, nil
 }

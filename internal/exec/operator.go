@@ -7,10 +7,12 @@
 // terminal). Compile has no other lowering for either.
 //
 // What runs serially, once, before the worker pool starts: each join's build
-// side — a leaf chain of scan, filter and sampler operators, drained and
-// indexed into one shared join table — and an inline sketch build, the same
-// kind of drain into the build side's exact (count, sum) per join key, one
-// row per key. Then workers claim fixed-size row-range morsels of the probe
+// side — σ(base table), a scan with an optional filter, drained and indexed
+// into one shared join table — and an inline sketch build, the same kind of
+// drain into the build side's exact (count, sum) per join key, one row per
+// key. Samples live only on the spine: the planner puts the fact table
+// first, so no build side is ever sampled and a joined row's weight is its
+// probe row's. Then workers claim fixed-size row-range morsels of the probe
 // side from a shared dispenser, run the whole spine on each with
 // worker-local state, and fold into per-morsel partial sink tables that
 // merge in morsel index order, with per-morsel RNG streams split
@@ -28,8 +30,8 @@
 // float64 or bool key's own bits, any other key's dense id — and finds a
 // word's matches without a Go map (a dense offset array or an
 // open-addressing table behind storage.KeyIndex, through which the
-// sketch-join's per-key table is found too). A build side made only of scans
-// and filters is built once per table version: JoinCache keeps the immutable
+// sketch-join's per-key table is found too). A join's build side is built
+// once per table version: JoinCache keeps the immutable
 // table and the cost the build charged, and a later run replays the cost
 // instead of rebuilding.
 package exec

@@ -21,11 +21,12 @@ const DefaultMorselRows = 4096
 // pipeline is a leaf-to-sink operator spine the morsel executor runs:
 // Scan|SynopsisScan → {SynopsisOp | Filter | Join}* → sink, where the sink is
 // an Aggregate's hash aggregation or a SketchJoin's per-key lookup. The
-// spine follows each Join's left (probe) input; build (right) subtrees are
-// leaf chains — scans, filters, samplers — compiled on their own, drained
-// once and indexed into shared join tables. The planner emits exactly
-// this shape for every plan: exact, inline sampler builds, sample reuse and
-// sketch-joins alike.
+// spine follows each Join's left (probe) input; a build (right) input is
+// σ(base table) — a Scan or a Filter over one (compileBuild) — drained once
+// and indexed into a shared join table. Samples live only on the spine: the
+// planner puts the fact table first, so its sampler or stored sample is the
+// spine's, and it emits exactly this shape for every plan: exact, inline
+// sampler builds, sample reuse and sketch-joins alike.
 type pipeline struct {
 	leaf      *storage.Table // base table or the sample's row table
 	leafBase  bool           // true: charge BaseBytes; false: synopsis bytes
@@ -194,9 +195,7 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 		}
 	}
 
-	// Resolve the physical schema along the spine, bottom-up. The left spine
-	// keeps the seed and every right subtree derives seed*31+7, so a sampled
-	// build side draws the same rows wherever on the spine its join sits.
+	// Resolve the physical schema along the spine, bottom-up.
 	var leafNeed []string // nil: every column
 	if wholeBelow < 0 {
 		leafNeed = names
@@ -210,7 +209,7 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 		case *plan.SynopsisOp:
 			cur = synopses.SampleSchema(cur)
 		case *plan.Join:
-			build, err := Compile(t.Right, seed*31+7, ctx)
+			build, err := compileBuild(t.Right, "a join's build side", ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -313,12 +312,10 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 	// so an empty one stops the rest: it proves the inner join — and hence
 	// the whole pipeline input — empty, and the probe scan is normally
 	// skipped entirely (O(1) early-out, no phantom scan or shuffle charges,
-	// deeper builds never drained). The exception is a run with a pending
-	// sampler materialization: the sampler may sit on the probe spine or
-	// inside a deeper build subtree (the planner's fact branch is not always
-	// the spine leaf), so any requested sample disables the early-out and
-	// every build plus the probe pass still runs.
-	materializes := len(p.ctx.MaterializeSamples) > 0
+	// deeper builds never drained). The exception is a run whose spine
+	// sampler materializes: the stored sample is the sampler's whole stream,
+	// so every build plus the probe pass still runs.
+	_, materializes := p.ctx.MaterializeSamples[p.pipe.sampler]
 	emptyJoin := false
 	for k := len(p.joins) - 1; k >= 0; k-- {
 		js := p.joins[k]
@@ -512,7 +509,7 @@ func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, morsel, nMorse
 			ji++
 		case *plan.SynopsisOp:
 			delta := synopses.PartitionDelta(t.Delta, nMorsels)
-			op, err := newSamplerOpDelta(cur, t, delta, synopses.SplitSeed(seed, uint64(morsel)), mctx)
+			op, err := newSamplerOp(cur, t, delta, synopses.SplitSeed(seed, uint64(morsel)), mctx)
 			if err != nil {
 				return nil, err
 			}

@@ -27,16 +27,12 @@ type SamplerOp struct {
 	pass []int32 // per-batch scratch: the passing rows' physical indices
 }
 
-// NewSamplerOp builds the sampler described by the plan node. The context's
-// MaterializeSamples map decides whether the output is also materialized.
-func NewSamplerOp(child Operator, node *plan.SynopsisOp, seed uint64, ctx *Context) (*SamplerOp, error) {
-	return newSamplerOpDelta(child, node, node.Delta, seed, ctx)
-}
-
-// newSamplerOpDelta is NewSamplerOp with an explicit per-instance δ: when the
-// morsel executor runs one sampler instance per morsel, each instance carries
-// δ' = PartitionDelta(δ, morsels) (paper §II), not the full requirement.
-func newSamplerOpDelta(child Operator, node *plan.SynopsisOp, delta int, seed uint64, ctx *Context) (*SamplerOp, error) {
+// newSamplerOp builds one morsel's instance of the sampler described by the
+// plan node. The instance carries its own δ: the morsel executor passes
+// δ' = PartitionDelta(δ, morsels) (paper §II), not the full requirement. The
+// context's MaterializeSamples map decides whether the output is also
+// materialized.
+func newSamplerOp(child Operator, node *plan.SynopsisOp, delta int, seed uint64, ctx *Context) (*SamplerOp, error) {
 	in := child.Schema()
 	op := &SamplerOp{Child: child, Node: node, ctx: ctx}
 	op.schema = synopses.SampleSchema(in)

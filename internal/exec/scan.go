@@ -3,7 +3,6 @@ package exec
 import (
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/storage"
-	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // TableScan reads a base table partition by partition, charging cold-scan
@@ -95,51 +94,3 @@ func (s *TableScan) Close() error { return nil }
 
 // Schema implements Operator.
 func (s *TableScan) Schema() storage.Schema { return s.Table.Schema() }
-
-// SynopsisScan reads a materialized sample, charging warehouse bytes. The
-// InBuffer flag marks samples served from the in-memory buffer, which are
-// free of I/O cost (the paper's buffer is persisted RDDs).
-type SynopsisScan struct {
-	Sample   *synopses.Sample
-	InBuffer bool
-	ctx      *Context
-
-	batches []*storage.Batch
-	pos     int
-}
-
-// NewSynopsisScan returns a scan over a materialized sample.
-func NewSynopsisScan(s *synopses.Sample, inBuffer bool, ctx *Context) *SynopsisScan {
-	return &SynopsisScan{Sample: s, InBuffer: inBuffer, ctx: ctx}
-}
-
-// Open implements Operator.
-func (s *SynopsisScan) Open() error {
-	s.batches = s.batches[:0]
-	t := s.Sample.Rows
-	for p := 0; p < t.Partitions(); p++ {
-		s.batches = append(s.batches, t.Scan(p, storage.BatchSize)...)
-	}
-	s.pos = 0
-	if !s.InBuffer {
-		s.ctx.Stats.WarehouseBytes += t.Bytes()
-	}
-	return nil
-}
-
-// Next implements Operator.
-func (s *SynopsisScan) Next() (*storage.Batch, error) {
-	if s.pos >= len(s.batches) {
-		return nil, nil
-	}
-	b := s.batches[s.pos]
-	s.pos++
-	s.ctx.Stats.CPUTuples += int64(b.Len())
-	return b, nil
-}
-
-// Close implements Operator.
-func (s *SynopsisScan) Close() error { return nil }
-
-// Schema implements Operator.
-func (s *SynopsisScan) Schema() storage.Schema { return s.Sample.Rows.Schema() }

@@ -25,7 +25,7 @@ type sketchSink struct {
 	weightIdx   int
 
 	// The inline build, nil when node.Sketch is already materialized: the
-	// compiled leaf chain, its key columns and its aggregate column (-1:
+	// lowered build side, its key columns and its aggregate column (-1:
 	// counts only).
 	build       Operator
 	buildKeyIdx []int
@@ -37,10 +37,10 @@ type sketchSink struct {
 }
 
 // newSketchSink binds the node's columns against the probe spine's output
-// schema in and, for an inline build, compiles the build leaf chain. It
-// refuses what the per-key table cannot answer exactly: a probe key typed
-// unlike its build key, and a sampled build input.
-func newSketchSink(node *plan.SketchJoin, in storage.Schema, seed uint64, ctx *Context) (*sketchSink, error) {
+// schema in and, for an inline build, lowers the build side (compileBuild:
+// σ(base table), so never sampled). It refuses a probe key typed unlike its
+// build key, which the per-key table could never match.
+func newSketchSink(node *plan.SketchJoin, in storage.Schema, ctx *Context) (*sketchSink, error) {
 	s := &sketchSink{node: node}
 	if len(node.ProbeKeys) != len(node.BuildKeys) || len(node.ProbeKeys) == 0 {
 		return nil, fmt.Errorf("exec: sketch join needs equal, non-empty key lists, got probe %v and build %v", node.ProbeKeys, node.BuildKeys)
@@ -82,14 +82,11 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, seed uint64, ctx *C
 	if node.Build == nil {
 		return nil, fmt.Errorf("exec: sketch join: no materialized sketch and no build input")
 	}
-	build, err := Compile(node.Build, seed*131+13, ctx)
+	build, err := compileBuild(node.Build, "a sketch-join's build side", ctx)
 	if err != nil {
 		return nil, err
 	}
 	bs := build.Schema()
-	if w := bs.Index(synopses.WeightCol); w >= 0 {
-		return nil, fmt.Errorf("exec: sketch join: build input %v carries %s: a sampled build has no exact per-key table", bs.Names(), bs[w].Name)
-	}
 	for _, k := range node.BuildKeys {
 		i := bs.Index(k)
 		if i < 0 {
@@ -135,7 +132,7 @@ func sketchReads(node *plan.SketchJoin) []string {
 func (s *sketchSink) outSchema() storage.Schema { return s.schema }
 
 // prepare implements sink. An inline build is what a join's build side is:
-// the compiled leaf chain drained once, serially, before the pool starts —
+// σ(base table) drained once, serially, before the pool starts —
 // every row is one group-index lookup and one or two adds into a per-key
 // slab, and the result is one small shared table, so there is nothing for
 // morsels to split. The finished payload is recorded for the tuner to keep.

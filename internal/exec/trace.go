@@ -72,7 +72,7 @@ func (t *tracedOp) Intervals() [][]stats.Interval {
 	return nil
 }
 
-// markCached records, under tracing, that the build subtree rooted at n was
+// markCached records, under tracing, that the build side rooted at n was
 // answered from the join cache: its operators were compiled and trace-wrapped
 // but never opened, and their zero counters would read as a build that
 // produced nothing. The root carries the cached table's row count, so the

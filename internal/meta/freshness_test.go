@@ -32,8 +32,8 @@ func TestStalenessLifecycle(t *testing.T) {
 	if got, want := s.Staleness(id), 250.0/1250.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("staleness = %v, want %v", got, want)
 	}
-	if ep, rows, ok := s.TableVersion("sales"); !ok || ep != 1 || rows != 1250 {
-		t.Fatalf("table version = (%d, %d, %v)", ep, rows, ok)
+	if v, ok := s.TableVersions()["sales"]; !ok || v.Epoch != 1 || v.Rows != 1250 {
+		t.Fatalf("table version = (%d, %d, %v)", v.Epoch, v.Rows, ok)
 	}
 
 	// A rebuild over the grown table resets staleness.

@@ -450,15 +450,6 @@ func (s *Store) StalenessOf(ids []uint64) map[uint64]float64 {
 	return out
 }
 
-// TableVersion returns the last observed (epoch, rows) of a base relation;
-// ok is false when the relation was never ingested into.
-func (s *Store) TableVersion(table string) (epoch uint64, rows int64, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, found := s.tables[table]
-	return v.epoch, v.rows, found
-}
-
 // SetPinned marks a synopsis as pinned (user hints) or not.
 func (s *Store) SetPinned(id uint64, pinned bool) {
 	s.mu.Lock()

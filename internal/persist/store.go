@@ -57,9 +57,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 const (
 	manifestName   = "MANIFEST.json"
 	itemPrefix     = "item_"

@@ -7,7 +7,8 @@ import (
 	"github.com/tasterdb/taster/internal/plan"
 )
 
-// joinTree builds the left-deep join tree over q.Tables in order. branch
+// joinTree builds the left-deep join tree over q.Tables in order — for a
+// bound query the fact table first (factFirst), so it is the spine. branch
 // overrides replace a table's leaf subplan (used to inject samplers or
 // synopsis scans); when a table has no override and applyFilters is true,
 // its single-table filter is pushed onto its scan.
@@ -96,8 +97,9 @@ func (p *Planner) costFilteredJoinTree(q *Query, overrides map[string]scanEst, c
 		if e, ok := overrides[t.Name]; ok {
 			return e
 		}
-		// The first FROM table is the probe spine of the morsel-parallel
-		// executor; every other branch is a serially drained build side.
+		// The first table — for a bound query the fact table (factFirst) — is
+		// the probe spine of the morsel-parallel executor; every other branch
+		// is a serially drained build side.
 		// Either way the executor zone-prunes partitions the table's filter
 		// provably rejects, so charge only the surviving partitions' share.
 		bytes, rows := p.prunedScanCharge(t, q.filterForTable(t.Name))

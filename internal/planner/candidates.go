@@ -94,7 +94,7 @@ func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
 
 	var cost planCost
 	joinEstOut := p.costUnfilteredJoinTree(q, &cost)
-	cost.samplerWork(joinEstOut.rows, true) // sampler above the join root: on the spine
+	cost.samplerWork(joinEstOut.rows) // sampler above the join root
 	// Filters lifted above the sampler evaluate over the sample stream.
 	for range singleFilters {
 		cost.filterWork(outRows, false)
@@ -174,12 +174,10 @@ func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
 
 // costUnfilteredJoinTree charges the join tree with no filters pushed down.
 func (p *Planner) costUnfilteredJoinTree(q *Query, cost *planCost) scanEst {
+	// The first table is the probe spine; every other is a serially drained
+	// build side.
 	branchEst := func(t TableRef) scanEst {
-		if t.Name == q.Tables[0].Name {
-			cost.scanTable(t)
-		} else {
-			cost.scanTableSerial(t)
-		}
+		cost.scanBase(t.Table.Bytes(), int64(t.Table.NumRows()), t.Name != q.Tables[0].Name)
 		return scanEst{rows: float64(t.Table.NumRows()), width: t.Table.AvgRowBytes()}
 	}
 	cur := branchEst(q.Tables[0])

@@ -110,13 +110,6 @@ func (c *planCost) scanTable(t TableRef) {
 	c.scanBase(t.Table.Bytes(), int64(t.Table.NumRows()), false)
 }
 
-// scanTableSerial is scanTable for join build branches: their scan is
-// drained serially (drainBuild) before the morsel pool starts, so the CPU
-// never spreads across workers.
-func (c *planCost) scanTableSerial(t TableRef) {
-	c.scanBase(t.Table.Bytes(), int64(t.Table.NumRows()), true)
-}
-
 // scanBase charges a base-table scan by explicit byte and row totals — the
 // zone-prune-aware costing path passes only the surviving partitions'
 // share, mirroring what the executor's pruned scans actually charge.
@@ -155,15 +148,10 @@ func (c *planCost) aggWork(in scanEst) {
 	c.cpuTuples += int64(in.rows)
 }
 
-// samplerWork charges the pipelined sampler (one pass over its input).
-// spine says whether the sampler rides the morsel-parallel probe spine
-// (false: it sits in a serially drained build branch).
-func (c *planCost) samplerWork(inRows float64, spine bool) {
-	if spine {
-		c.cpuTuples += int64(inRows)
-	} else {
-		c.serialTuples += int64(inRows)
-	}
+// samplerWork charges the pipelined sampler (one pass over its input). A
+// sampler always rides the morsel-parallel probe spine.
+func (c *planCost) samplerWork(inRows float64) {
+	c.cpuTuples += int64(inRows)
 }
 
 // filterWork charges evaluating a filter predicate over its input rows;

@@ -146,6 +146,7 @@ func (p *Planner) PlanWith(q *Query, view *warehouse.View) (*PlanSet, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	q = q.factFirst()
 	exact, err := p.exactPlan(q)
 	if err != nil {
 		return nil, err
@@ -521,16 +522,10 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 
 	var cost planCost
 	overrides := map[string]scanEst{fact.Name: {rows: outRows * sel, width: fact.Table.AvgRowBytes() + 8}}
-	// The sampler rides the morsel-parallel probe spine only when the fact
-	// table is the join tree's leftmost leaf; otherwise the whole sampled
-	// branch is a serially drained build side.
-	factOnSpine := fact.Name == q.Tables[0].Name
-	if factOnSpine {
-		cost.scanTable(fact)
-	} else {
-		cost.scanTableSerial(fact)
-	}
-	cost.samplerWork(inRows, factOnSpine)
+	// The fact table leads the join tree, so the sampler rides the
+	// morsel-parallel probe spine.
+	cost.scanTable(fact)
+	cost.samplerWork(inRows)
 	out := p.costFilteredJoinTree(q, overrides, &cost)
 	cost.aggWork(out)
 	ps.Candidates = append(ps.Candidates, Candidate{
@@ -607,11 +602,7 @@ func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, 
 	if err != nil {
 		return
 	}
-	if fact.Name == q.Tables[0].Name { // on the morsel-parallel spine
-		rcost.cpuTuples += int64(sampleRows)
-	} else {
-		rcost.serialTuples += int64(sampleRows)
-	}
+	rcost.cpuTuples += int64(sampleRows) // the spine leaf
 	rOverrides := map[string]scanEst{fact.Name: {rows: sampleRows * sel, width: fact.Table.AvgRowBytes() + 8}}
 	rout := p.costFilteredJoinTree(q, rOverrides, &rcost)
 	rcost.aggWork(rout)
@@ -636,11 +627,7 @@ func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, 
 func (p *Planner) costBaseSampleReuse(q *Query, fact TableRef, factFilter expr.Expr, sizeBytes int64, outRows float64) float64 {
 	var cost planCost
 	cost.warehouseBytes += sizeBytes
-	if fact.Name == q.Tables[0].Name {
-		cost.cpuTuples += int64(outRows)
-	} else {
-		cost.serialTuples += int64(outRows)
-	}
+	cost.cpuTuples += int64(outRows)
 	overrides := map[string]scanEst{fact.Name: {rows: math.Max(outRows, 1), width: fact.Table.AvgRowBytes() + 8}}
 	out := p.costFilteredJoinTree(q, overrides, &cost)
 	cost.aggWork(out)

@@ -9,6 +9,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -41,7 +42,8 @@ func (j JoinPred) Canonical() string {
 
 // Query is the bound intermediate representation the planner consumes —
 // produced by the SQL binder or constructed directly by programmatic
-// callers. Tables joined left-deep in the given order.
+// callers. Tables are joined left-deep, the fact table first (factFirst):
+// the FROM order only breaks ties among the others.
 type Query struct {
 	ID      int
 	Tables  []TableRef
@@ -246,6 +248,55 @@ func (q *Query) factTable() TableRef {
 		}
 	}
 	return best
+}
+
+// factFirst returns q with its tables in the one order every join tree of
+// the query uses, set once when PlanWith binds it: the fact table first, so
+// its sampler or stored sample rides the probe spine and every build side is
+// σ(base table); then, repeatedly, the first remaining FROM table that joins
+// a table already placed. A FROM order that starts with the fact table and
+// joins each table to those before it keeps exactly its order, and q itself
+// is returned. A table that joins none of the placed ones is placed next
+// anyway, and joinTree refuses it (cross joins are unsupported).
+func (q *Query) factFirst() *Query {
+	fact := q.factTable()
+	order := []TableRef{fact}
+	placed := []string{fact.Name}
+	var rest []TableRef
+	for _, t := range q.Tables {
+		if t.Name != fact.Name {
+			rest = append(rest, t)
+		}
+	}
+	for len(rest) > 0 {
+		next := 0
+		for i, t := range rest {
+			if joinsAny(q.Joins, t.Name, placed) {
+				next = i
+				break
+			}
+		}
+		order = append(order, rest[next])
+		placed = append(placed, rest[next].Name)
+		rest = slices.Delete(rest, next, next+1)
+	}
+	if slices.Equal(order, q.Tables) {
+		return q
+	}
+	bound := *q
+	bound.Tables = order
+	return &bound
+}
+
+// joinsAny reports whether some predicate joins table to one of placed.
+func joinsAny(joins []JoinPred, table string, placed []string) bool {
+	for _, j := range joins {
+		if (j.LeftTable == table && contains(placed, j.RightTable)) ||
+			(j.RightTable == table && contains(placed, j.LeftTable)) {
+			return true
+		}
+	}
+	return false
 }
 
 // aggCols returns the non-empty aggregate columns, deduped.

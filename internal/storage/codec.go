@@ -66,7 +66,9 @@ func EncodeTable(dst []byte, t *Table) []byte {
 	dst = appendU64(dst, uint64(t.rows))
 	for _, p := range t.parts {
 		dst = appendU64(dst, uint64(p.rows))
-		dst = appendU64(dst, p.epoch)
+		// A retired per-partition epoch word, kept so stored payloads keep
+		// their bytes: written as the table's epoch, skipped on decode.
+		dst = appendU64(dst, t.epoch)
 	}
 	for _, c := range t.schema {
 		dst = appendStr(dst, c.Name)
@@ -139,21 +141,19 @@ func DecodeTable(r *Reader) (*Table, error) {
 		return nil, fmt.Errorf("storage: decode table %s: %d partitions exceed %d payload bytes", name, nparts, r.Remaining())
 	}
 	partCounts := make([]int, nparts)
-	partEpochs := make([]uint64, nparts)
 	var partSum uint64
 	for i := range partCounts {
 		pr, err := r.U64()
 		if err != nil {
 			return nil, err
 		}
-		pe, err := r.U64()
-		if err != nil {
+		if _, err := r.U64(); err != nil { // the retired partition epoch
 			return nil, err
 		}
 		if pr > nrows64 {
 			return nil, fmt.Errorf("storage: decode table %s: partition %d claims %d of %d rows", name, i, pr, nrows64)
 		}
-		partCounts[i], partEpochs[i] = int(pr), pe
+		partCounts[i] = int(pr)
 		partSum += pr
 	}
 	if partSum != nrows64 {
@@ -231,8 +231,8 @@ func DecodeTable(r *Reader) (*Table, error) {
 		cols[i] = v
 	}
 	// Rebuild the recorded partition layout over the decoded columns
-	// (zero-copy slices), restoring each partition's epoch. The payload holds
-	// strings only; codes are assigned here as at any table construction.
+	// (zero-copy slices). The payload holds strings only; codes are assigned
+	// here as at any table construction.
 	cols, dicts := codedColumns(cols)
 	parts := make([]*Partition, len(partCounts))
 	lo := 0
@@ -241,7 +241,7 @@ func DecodeTable(r *Reader) (*Table, error) {
 		for c, v := range cols {
 			pc[c] = v.Slice(lo, lo+pr)
 		}
-		parts[i] = &Partition{cols: pc, rows: pr, epoch: partEpochs[i]}
+		parts[i] = &Partition{cols: pc, rows: pr}
 		lo += pr
 	}
 	if len(parts) == 0 {
@@ -313,16 +313,6 @@ func (r *Reader) Str() (string, error) {
 	s := string(r.b[r.off : r.off+int(n)])
 	r.off += int(n)
 	return s, nil
-}
-
-// Bytes reads n raw bytes.
-func (r *Reader) Bytes(n int) ([]byte, error) {
-	if n < 0 || n > r.Remaining() {
-		return nil, fmt.Errorf("storage: byte run %d exceeds remaining %d", n, r.Remaining())
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b, nil
 }
 
 // appendU32 appends v little-endian.

@@ -7,16 +7,14 @@ import (
 )
 
 // Partition is one horizontal slice of a table version: its own column
-// vectors, a version counter bumped only when an append touches this
-// partition, and a lazily computed zone map. Partitions are immutable once
+// vectors and a lazily computed zone map. Partitions are immutable once
 // published, so they are shared structurally between table versions —
 // Append clones only the tail partition it extends.
 //
 //taster:immutable
 type Partition struct {
-	cols  []*Vector
-	rows  int
-	epoch uint64 // version of the last append that touched this partition
+	cols []*Vector
+	rows int
 
 	zoneOnce sync.Once
 	zone     *ZoneMap
@@ -30,11 +28,6 @@ type Partition struct {
 
 // Rows returns the partition's row count.
 func (p *Partition) Rows() int { return p.rows }
-
-// Epoch returns the version counter of the last append that touched this
-// partition: an append into the tail leaves every other partition's epoch
-// untouched.
-func (p *Partition) Epoch() uint64 { return p.epoch }
 
 // Bytes returns the partition's payload size, computed on first call and
 // cached (string columns make a fresh computation O(rows), and cost
@@ -248,8 +241,7 @@ func (t *Table) Epoch() uint64 { return t.epoch }
 // intact (readers holding it keep a consistent snapshot). Full partitions
 // are shared structurally with the old version; only the tail partition
 // (if it has room) is cloned and extended, and overflow rows open fresh
-// partitions — so an append costs O(tail + delta), not O(table), and only
-// the partitions an append touches see their epoch bumped.
+// partitions — so an append costs O(tail + delta), not O(table).
 // delta must have an identical schema.
 //
 // String columns: the delta alone is coded against the column's dictionary
@@ -311,7 +303,7 @@ func (t *Table) Append(delta *Table) (*Table, error) {
 				}
 				nc[i] = nv
 			}
-			parts[n-1] = &Partition{cols: nc, rows: tail.rows + take, epoch: epoch}
+			parts[n-1] = &Partition{cols: nc, rows: tail.rows + take}
 			taken = take
 		}
 	}
@@ -332,7 +324,7 @@ func (t *Table) Append(delta *Table) (*Table, error) {
 			nv.Extend(c.Slice(lo, hi))
 			pc[i] = nv
 		}
-		parts = append(parts, &Partition{cols: pc, rows: hi - lo, epoch: epoch})
+		parts = append(parts, &Partition{cols: pc, rows: hi - lo})
 	}
 
 	return newTableFromParts(t.Name, t.schema, parts, dicts, t.partRows, epoch), nil
@@ -340,10 +332,9 @@ func (t *Table) Append(delta *Table) (*Table, error) {
 
 // Repartition returns a version of the table re-chunked into partitions of
 // at most partRows rows (0 = one unbounded partition). Row contents, order
-// and the table epoch are preserved; per-partition epochs reset to the
-// table epoch (the new layout is uniformly as fresh as the table).
+// and the table epoch are preserved.
 //
-//taster:mutator construction: the epoch writes target the freshly built table before it escapes, never the receiver
+//taster:mutator construction: the epoch write targets the freshly built table before it escapes, never the receiver
 func (t *Table) Repartition(partRows int) *Table {
 	if partRows < 0 {
 		partRows = 0
@@ -354,9 +345,6 @@ func (t *Table) Repartition(partRows int) *Table {
 	}
 	nt := newTableChunked(t.Name, t.schema, cols, t.rows, partRows)
 	nt.epoch = t.epoch
-	for _, p := range nt.parts {
-		p.epoch = t.epoch
-	}
 	return nt
 }
 

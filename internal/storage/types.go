@@ -37,18 +37,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// Width returns the in-memory width in bytes of a fixed-width value of the
-// type. Strings are variable-width; callers use measured lengths instead.
-func (t Type) Width() int {
-	switch t {
-	case Int64, Float64:
-		return 8
-	case Bool:
-		return 1
-	}
-	return 0
-}
-
 // Numeric reports whether the type supports arithmetic and aggregation.
 func (t Type) Numeric() bool { return t == Int64 || t == Float64 }
 

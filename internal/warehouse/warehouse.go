@@ -294,15 +294,6 @@ func (v *View) Overflow() int64 {
 	return 0
 }
 
-// FreeWarehouse returns the remaining warehouse capacity in bytes.
-func (v *View) FreeWarehouse() int64 {
-	free := v.whQuota - v.whUsed
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
 // listOf snapshots a tier map sorted by synopsis id. Deterministic
 // enumeration matters beyond cosmetics: recovery replays the manifest and
 // fallback evictions walk these lists, and both must behave identically
@@ -546,30 +537,6 @@ func (m *Manager) PutWarehouse(it *Item) error {
 	return nil
 }
 
-// Promote moves a synopsis from the buffer to the warehouse. The caller
-// charges the simulated write cost. With a disk-backed warehouse the
-// payload is spilled; a failed durable write aborts the promotion (the
-// synopsis stays in the buffer, memory-resident).
-func (m *Manager) Promote(id uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	defer m.publishLocked()
-	it, ok := m.buffer.items[id]
-	if !ok {
-		return fmt.Errorf("warehouse: promote: synopsis #%d not in buffer", id)
-	}
-	if err := m.warehouse.put(it); err != nil {
-		return err
-	}
-	if err := m.spillLocked(it); err != nil {
-		m.warehouse.delete(id)
-		m.removeBacking(id)
-		return fmt.Errorf("warehouse: persisting synopsis #%d: %w", id, err)
-	}
-	m.buffer.delete(id)
-	return nil
-}
-
 // RestoreItem reinstates a recovered item into the named tier (recovery
 // replaying the manifest). Quota limits apply — a restart may come with a
 // smaller budget than the checkpoint was taken under, in which case the
@@ -607,10 +574,12 @@ func (m *Manager) Delete(id uint64) error {
 
 // ApplyMoves performs a tuning round's whole warehouse rearrangement —
 // evictions then promotions — under one lock hold with one view publish,
-// instead of re-copying the tiers once per synopsis. Semantics per ID
-// match Delete/Promote exactly: pinned or unmaterialized evictees and
-// unpromotable entries (not in the buffer, no warehouse room, or a failed
-// durable write) are skipped. Returns the IDs each action actually applied
+// instead of re-copying the tiers once per synopsis. An eviction is a Delete;
+// a promotion moves a synopsis from the buffer to the warehouse, spilling
+// the payload to a disk-backed warehouse (the caller charges the simulated
+// write cost). Pinned or unmaterialized evictees and unpromotable entries
+// (not in the buffer, no warehouse room, or a failed durable write — which
+// leaves the synopsis in the buffer, memory-resident) are skipped. Returns the IDs each action actually applied
 // to, so the caller can update locations for exactly those.
 func (m *Manager) ApplyMoves(evict, promote []uint64) (evicted, promoted []uint64) {
 	m.mu.Lock()
@@ -680,6 +649,3 @@ func (m *Manager) SetWarehouseQuota(quota int64) {
 // Overflow returns how many bytes the warehouse exceeds its quota by
 // (after an elastic shrink), zero when within quota.
 func (m *Manager) Overflow() int64 { return m.View().Overflow() }
-
-// FreeWarehouse returns the remaining warehouse capacity in bytes.
-func (m *Manager) FreeWarehouse() int64 { return m.View().FreeWarehouse() }

@@ -70,8 +70,8 @@ func TestQuotaEnforced(t *testing.T) {
 	if err := m.PutWarehouse(NewSampleItem(4, s)); err == nil {
 		t.Fatal("warehouse overflow must error")
 	}
-	if m.FreeWarehouse() != 0 {
-		t.Fatalf("free = %d", m.FreeWarehouse())
+	if _, used := m.Usage(); used != s.SizeBytes()*2 {
+		t.Fatalf("warehouse used = %d, want the whole quota", used)
 	}
 	// Duplicate ids rejected.
 	if err := m.PutWarehouse(NewSampleItem(2, s)); err == nil {
@@ -85,15 +85,15 @@ func TestPromote(t *testing.T) {
 	if err := m.PutBuffer(NewSampleItem(7, s)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Promote(7); err != nil {
-		t.Fatal(err)
+	if _, promoted := m.ApplyMoves(nil, []uint64{7}); len(promoted) != 1 {
+		t.Fatalf("promoted = %v, want [7]", promoted)
 	}
 	_, inBuf, ok := m.Get(7)
 	if !ok || inBuf {
 		t.Fatal("promotion must move item to warehouse")
 	}
-	if err := m.Promote(7); err == nil {
-		t.Fatal("promoting a non-buffer item must error")
+	if _, promoted := m.ApplyMoves(nil, []uint64{7}); len(promoted) != 0 {
+		t.Fatal("a non-buffer item must not be promoted")
 	}
 	bu, wu := m.Usage()
 	if bu != 0 || wu != s.SizeBytes() {
@@ -297,8 +297,8 @@ func TestSpillOnPromoteAndLazyLoad(t *testing.T) {
 	if err := m.PutBuffer(NewSampleItem(5, s)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Promote(5); err != nil {
-		t.Fatal(err)
+	if _, promoted := m.ApplyMoves(nil, []uint64{5}); len(promoted) != 1 {
+		t.Fatalf("promoted = %v, want [5]", promoted)
 	}
 	it, inBuf, ok := m.Get(5)
 	if !ok || inBuf {
@@ -354,8 +354,8 @@ func TestFailedSpillAbortsPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp.failPut = true
-	if err := big.Promote(3); err == nil {
-		t.Fatal("promote must surface a failed durable write")
+	if _, promoted := big.ApplyMoves(nil, []uint64{3}); len(promoted) != 0 {
+		t.Fatal("a failed durable write must not count as a promotion")
 	}
 	it, inBuf, ok := big.Get(3)
 	if !ok || !inBuf || !it.Loaded() {

@@ -7,7 +7,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/tasterdb/taster/internal/storage"
@@ -72,16 +71,6 @@ func (w *Workload) QueriesFromTemplates(names []string, n int, seed int64) []str
 		out[i] = t.Instantiate(r) + " ERROR WITHIN 10% AT CONFIDENCE 95%"
 	}
 	return out
-}
-
-// Template returns the named template.
-func (w *Workload) Template(name string) (Template, error) {
-	for _, t := range w.Templates {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return Template{}, fmt.Errorf("workload: unknown template %q", name)
 }
 
 // names/pools shared by the generators.

@@ -117,12 +117,6 @@ func TestQueriesFromTemplates(t *testing.T) {
 	if got := w.QueriesFromTemplates([]string{"nope"}, 5, 3); got != nil {
 		t.Fatal("unknown template must return nil")
 	}
-	if _, err := w.Template("q6"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Template("zzz"); err == nil {
-		t.Fatal("want unknown template error")
-	}
 }
 
 func TestInstacartTableIShapes(t *testing.T) {
