@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke determinism reach race race-all test-race fuzz-smoke smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke determinism reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
 
 all: check
 
@@ -118,6 +118,22 @@ reach:
 	done; \
 	$(GO) tool covdata func -i="$$d/cov" | grep -E '[[:space:]]0\.0%$$' | \
 		grep -vE '^github.com/tasterdb/taster/(internal/lint|cmd|benchmark)/' || true
+
+# docs/REACH.txt is reach's list as package.Func names — the package as its
+# path inside the module ("taster" for the root), no line numbers, sorted —
+# so an edit elsewhere in a file does not churn it. reach-list prints it;
+# reach-check regenerates it and diffs it against the checked-in file. Not a
+# gate and not part of check: a function entering or leaving the list says
+# where to look, not that something broke. After a change that moves it:
+# `make -s reach-list > docs/REACH.txt`.
+reach-list:
+	@$(MAKE) -s --no-print-directory reach | \
+		awk '{ p = $$1; sub(/^github\.com\/tasterdb\/taster\//, "", p); sub(/[^\/]*\.go:[0-9]+:$$/, "", p); \
+			sub(/\/$$/, "", p); if (p == "") p = "taster"; print p "." $$2 }' | LC_ALL=C sort -u
+
+reach-check:
+	@$(MAKE) -s --no-print-directory reach-list | diff -u docs/REACH.txt - && \
+		echo "reach-check: docs/REACH.txt matches the measured map"
 
 # The concurrency suite under the race detector: morsel-executor determinism,
 # the concurrent serving path, and the partitioned ingest/query/spill storm.

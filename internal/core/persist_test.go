@@ -331,6 +331,91 @@ func TestRecoveryDropsPartitionScopedEntry(t *testing.T) {
 	}
 }
 
+// TestRecoveryDropsJoinResultSample: an older manifest may hold a sample of
+// a join result (a signature over more than one table), from before a sample
+// lived only on the fact table's scan; meta.Store never forgets a descriptor,
+// so every checkpoint carried them. No plan reads one any more. Restored, it
+// would still collect the recovered window's reuse gain and take a place in
+// S*, so recovery must leave the entry out, remove its payload and open
+// normally.
+func TestRecoveryDropsJoinResultSample(t *testing.T) {
+	dir := t.TempDir()
+	cat := testCatalog()
+	e1, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := e1.Execute(persistQuery(e1, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Add the join-result sample by hand: an entry over sales⋈products, its
+	// payload, and a reuse cost in every window record cheap enough that a
+	// restored entry would enter S*.
+	db, err := persist.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok, err := db.LoadManifest()
+	if err != nil || !ok || len(m.History) == 0 {
+		t.Fatalf("test setup: manifest ok=%v err=%v window records=%d", ok, err, len(m.History))
+	}
+	m.NextSynopsisID++ // the last id assigned
+	id := m.NextSynopsisID
+	sales, _ := cat.Table("sales")
+	products, _ := cat.Table("products")
+	smp := synopses.BuildSampleFromTable("join", sales, synopses.NewUniformSampler(0.05, 3), nil)
+	payload := persist.Encode(smp)
+	if err := db.WriteItem(id, payload); err != nil {
+		t.Fatal(err)
+	}
+	m.Entries = append(m.Entries, persist.EntryRecord{
+		ID: id, Kind: uint8(plan.UniformSample),
+		SigTables: []string{"products", "sales"}, SigJoins: []string{"products.id=sales.product"},
+		SigOutput: append(sales.Schema().Names(), products.Schema().Names()...),
+		P:         0.05, AggCols: []string{"sales.qty"},
+		RelError: stats.DefaultAccuracy.RelError, Confidence: stats.DefaultAccuracy.Confidence,
+		EstSize: int64(len(payload)), ActualSize: int64(len(payload)), Location: uint8(meta.LocWarehouse),
+		BuiltBy: map[string]int64{"sales": int64(sales.NumRows()), "products": int64(products.NumRows())},
+	})
+	m.Items = append(m.Items, persist.ItemRecord{
+		ID: id, Tier: persist.TierWarehouse, Kind: persist.KindSample,
+		Size: int64(len(payload)), Rows: int64(smp.Rows.NumRows()),
+	})
+	for i := range m.History {
+		m.History[i].Reuse = append(m.History[i].Reuse, planner.ReuseCost{ID: id, Cost: 1e-9})
+	}
+	if err := db.WriteManifest(m); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatalf("open over a manifest with a join-result sample: %v", err)
+	}
+	defer e2.Close()
+	if _, ok := e2.Store().Get(id); ok {
+		t.Fatalf("join-result sample entry #%d was restored", id)
+	}
+	if e2.Warehouse().Has(id) {
+		t.Fatalf("join-result sample item #%d was restored", id)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("item_%d.syn", id))); !os.IsNotExist(err) {
+		t.Fatalf("join-result sample payload survived recovery (%v)", err)
+	}
+	if dec := e2.tn.Retune(); dec.Keep[id] {
+		t.Fatalf("join-result sample #%d is in S* after recovery", id)
+	}
+	if _, err := e2.Execute(persistQuery(e2, 0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoveryDropsRetiredSketchPayload: a warehouse directory written while
 // sketch-joins were two count-min planes stores them as kind-7 records,
 // which nothing decodes any more. Recovery must drop such an item whether

@@ -5,6 +5,7 @@ import (
 
 	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/persist"
+	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/tuner"
 	"github.com/tasterdb/taster/internal/warehouse"
@@ -77,14 +78,21 @@ func (e *Engine) recoverLocked() (int, error) {
 		return 0, nil
 	}
 
-	// A manifest written before synopses were whole-table only may hold
-	// samples scoped to one partition. Restored, they would answer
-	// whole-table aggregates from one partition's rows: leave the entry out
-	// and drop its item below, as for a torn spill.
-	scoped := make(map[uint64]bool)
+	// Two kinds of sample an older manifest may hold have no home any more,
+	// so recovery leaves the entry out and drops its item below, as for a
+	// torn spill:
+	//   - a sample scoped to one partition (from before synopses were
+	//     whole-table only), which would answer whole-table aggregates from
+	//     one partition's rows;
+	//   - a sample of a join result (its signature spans more than one
+	//     table), from before a sample lived only on the fact table's scan.
+	//     No plan reads one, but restored it would still collect reuse gain
+	//     from the recovered window and hold a place — and quota — in S*.
+	dropped := make(map[uint64]bool)
 	for _, rec := range m.Entries {
-		if rec.Partition != 0 {
-			scoped[rec.ID] = true
+		joinSample := plan.SynopsisKind(rec.Kind) != plan.SketchJoinSynopsis && len(rec.SigTables) > 1
+		if rec.Partition != 0 || joinSample {
+			dropped[rec.ID] = true
 			continue
 		}
 		d, builtBy, err := rec.Entry()
@@ -107,7 +115,7 @@ func (e *Engine) recoverLocked() (int, error) {
 	inManifest := make(map[uint64]bool, len(m.Items))
 	for _, ir := range m.Items {
 		inManifest[ir.ID] = true
-		if scoped[ir.ID] {
+		if dropped[ir.ID] {
 			e.dropRecovered(ir.ID)
 			continue
 		}

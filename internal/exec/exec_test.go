@@ -689,6 +689,17 @@ func TestCompileUnknownNode(t *testing.T) {
 			t.Fatalf("%T in a build side: err = %v, want one mentioning %q", build, err, want)
 		}
 	}
+	// A sample's one home is directly on the spine's Scan: a sampler above a
+	// join or above a filter is an error naming the sampler.
+	pred := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "orders.amount"}, R: expr.Int(0)}
+	for _, below := range []plan.Node{join, &plan.Filter{Child: &plan.Scan{Table: ordersTable()}, Pred: pred}} {
+		smpOp := &plan.SynopsisOp{Child: below, Kind: plan.UniformSample, P: 0.5}
+		agg := &plan.Aggregate{Child: smpOp, Aggs: []plan.AggSpec{{Kind: stats.Count}}}
+		want := fmt.Sprintf("over %s: a sample-kind sampler fits the morsel spine only directly on its Scan", smpOp)
+		if _, err := Compile(agg, 1, ctx); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("sampler above %T: err = %v, want one mentioning %q", below, err, want)
+		}
+	}
 }
 
 func TestNewContextDefaults(t *testing.T) {

@@ -2,8 +2,8 @@ package exec_test
 
 // Approximate plans and spine edges the oracle cannot reach, held to a
 // recording (testdata/spine_golden.txt): every plan the planner emits for
-// every workload template — inline-sample and join-sample builds, sketch-join
-// builds, then the reuse plans over what those builds stored — plus hand-built
+// every workload template — inline-sample builds, sketch-join builds, then
+// the reuse plans over what those builds stored — plus hand-built
 // edge shapes. Per plan the recording pins the answer fingerprint (rows and
 // interval bits), all five RunStats counters and the persist.Encode bytes of
 // every synopsis the run built. `go test ./internal/exec -run
@@ -235,7 +235,7 @@ func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
 	}
 	t.Logf("%s: plan families recorded: %v", w.Name, kinds)
 	if w.Name == "tpch" {
-		for _, k := range []string{"build distinct-sample", "build sketch-join", "reuse sample", "reuse join", "reuse sketch-join"} {
+		for _, k := range []string{"build distinct-sample", "build sketch-join", "reuse sample", "reuse sketch-join"} {
 			if kinds[k] == 0 {
 				t.Fatalf("vacuous recording: no %q plan among %v", k, kinds)
 			}
@@ -277,10 +277,6 @@ func goldenEdges(t *testing.T, cat *storage.Catalog) []goldenEdge {
 	uniform := func(child plan.Node, p float64) *plan.SynopsisOp {
 		return &plan.SynopsisOp{Child: child, Kind: plan.UniformSample, P: p, Accuracy: stats.DefaultAccuracy}
 	}
-	joinSample := &plan.SynopsisOp{
-		Child: join(scan("lineitem"), scan("orders"), "l_orderkey", "o_orderkey"),
-		Kind:  plan.DistinctSample, P: 0.1, Delta: 4, StratCols: []string{"o_orderpriority"}, Accuracy: stats.DefaultAccuracy,
-	}
 	shipdate := &expr.Cmp{Op: expr.LE, L: col("l_shipdate"), R: &expr.Const{Val: storage.IntValue(2000)}}
 	return []goldenEdge{
 		{"count-star, no filter, no group: zero columns read",
@@ -300,11 +296,6 @@ func goldenEdges(t *testing.T, cat *storage.Catalog) []goldenEdge {
 			&plan.Aggregate{Child: &plan.Filter{Child: join(scan("lineitem"), scan("orders"), "l_orderkey", "o_orderkey"),
 				Pred: &expr.Cmp{Op: expr.EQ, L: col("o_orderpriority"), R: &expr.Const{Val: storage.StringValue("1-URGENT")}}},
 				GroupBy: []string{"l_returnflag"}, Aggs: []plan.AggSpec{sum("l_quantity")}}, nil},
-		{"materializing sampler above a join",
-			&plan.Aggregate{Child: joinSample, GroupBy: []string{"o_orderpriority"}, Aggs: []plan.AggSpec{sum("l_extendedprice")}},
-			[]*plan.SynopsisOp{joinSample}},
-		{"the same sampler above a join, not materializing",
-			&plan.Aggregate{Child: joinSample, GroupBy: []string{"o_orderpriority"}, Aggs: []plan.AggSpec{sum("l_extendedprice")}}, nil},
 		{"sampler, filter above it, join above that",
 			&plan.Aggregate{Child: join(&plan.Filter{Child: uniform(scan("lineitem"), 0.2), Pred: shipdate}, scan("part"), "l_partkey", "p_partkey"),
 				GroupBy: []string{"p_brand"}, Aggs: []plan.AggSpec{sum("l_extendedprice")}}, nil},

@@ -1,10 +1,10 @@
 // Package exec implements the physical, batch-at-a-time execution engine,
 // and it has one executor: the morsel-driven pipeline (PipelineOp). Every plan
-// a planner emits is a spine — Scan|SynopsisScan → {Sampler|Filter|Join}* —
-// ending in one of two sinks: weighted hash aggregation with single-pass
-// error tracking (an Aggregate root), or the sketch-join's per-key lookup
-// (a SketchJoin root, paper §II: Join+Aggregate collapsed into one
-// terminal). Compile has no other lowering for either.
+// a planner emits is a spine — (Scan [→ Sampler] | SynopsisScan) →
+// {Filter|Join}* — ending in one of two sinks: weighted hash aggregation
+// with single-pass error tracking (an Aggregate root), or the sketch-join's
+// per-key lookup (a SketchJoin root, paper §II: Join+Aggregate collapsed
+// into one terminal). Compile has no other lowering for either.
 //
 // What runs serially, once, before the worker pool starts: each join's build
 // side — σ(base table), a scan with an optional filter, drained and indexed

@@ -19,14 +19,15 @@ import (
 const DefaultMorselRows = 4096
 
 // pipeline is a leaf-to-sink operator spine the morsel executor runs:
-// Scan|SynopsisScan → {SynopsisOp | Filter | Join}* → sink, where the sink is
-// an Aggregate's hash aggregation or a SketchJoin's per-key lookup. The
-// spine follows each Join's left (probe) input; a build (right) input is
+// (Scan [→ SynopsisOp] | SynopsisScan) → {Filter | Join}* → sink, where the
+// sink is an Aggregate's hash aggregation or a SketchJoin's per-key lookup.
+// The spine follows each Join's left (probe) input; a build (right) input is
 // σ(base table) — a Scan or a Filter over one (compileBuild) — drained once
-// and indexed into a shared join table. Samples live only on the spine: the
-// planner puts the fact table first, so its sampler or stored sample is the
-// spine's, and it emits exactly this shape for every plan: exact, inline
-// sampler builds, sample reuse and sketch-joins alike.
+// and indexed into a shared join table. A sample has one home: directly over
+// the fact table's scan at the bottom of the spine — the planner puts the
+// fact table first — built there by a sampler or read back as the leaf. The
+// planner emits exactly this shape for every plan: exact, inline sampler
+// builds, sample reuse and sketch-joins alike.
 type pipeline struct {
 	leaf      *storage.Table // base table or the sample's row table
 	leafBase  bool           // true: charge BaseBytes; false: synopsis bytes
@@ -34,7 +35,7 @@ type pipeline struct {
 	leafBytes int64
 
 	// chain lists the spine nodes between leaf and sink (both exclusive),
-	// bottom-up. At most one SynopsisOp; any number of Joins.
+	// bottom-up. A SynopsisOp can only be chain[0]; any number of Joins.
 	chain   []plan.Node
 	sampler *plan.SynopsisOp // the chain's sampler node, if any
 
@@ -45,9 +46,9 @@ type pipeline struct {
 }
 
 // matchSpine recognizes the spine shape below a sink (over names the sink
-// for the error). Anything else there — a sketch-join, a second sampler, an
-// aggregate — is a shape no planner emits and nothing compiles: the error
-// names the node.
+// for the error). Anything else there — a sketch-join, a sampler anywhere but
+// directly on the leaf Scan, an aggregate — is a shape no planner emits and
+// nothing compiles: the error names the node.
 func matchSpine(n plan.Node, over string) (*pipeline, error) {
 	p := &pipeline{}
 	var down []plan.Node // top-down spine nodes
@@ -60,8 +61,8 @@ func matchSpine(n plan.Node, over string) (*pipeline, error) {
 			down = append(down, t)
 			n = t.Left
 		case *plan.SynopsisOp:
-			if p.sampler != nil || t.Kind == plan.SketchJoinSynopsis {
-				return nil, fmt.Errorf("exec: cannot compile %s over %s: at most one sample-kind sampler fits the morsel spine", over, t)
+			if _, ok := t.Child.(*plan.Scan); !ok || t.Kind == plan.SketchJoinSynopsis {
+				return nil, fmt.Errorf("exec: cannot compile %s over %s: a sample-kind sampler fits the morsel spine only directly on its Scan", over, t)
 			}
 			p.sampler = t
 			down = append(down, t)
@@ -75,7 +76,7 @@ func matchSpine(n plan.Node, over string) (*pipeline, error) {
 			p.leafFree = t.InBuffer
 			p.leafBytes = t.Sample.Rows.Bytes()
 		default:
-			return nil, fmt.Errorf("exec: cannot compile %s over %T: the morsel spine is Scan|SynopsisScan → {Sampler|Filter|Join}*", over, n)
+			return nil, fmt.Errorf("exec: cannot compile %s over %T: the morsel spine is (Scan [→ Sampler] | SynopsisScan) → {Filter|Join}*", over, n)
 		}
 		if p.leaf != nil {
 			break
@@ -167,11 +168,12 @@ type PipelineOp struct {
 // grow going down, so one top-down pass appends them to a single list and
 // remembers, per chain node, how much of the list was there before the node
 // added its own. A sampler whose output is materialized needs every column of
-// its input — the stored sample is the whole row — and so does everything
-// below it. Names bind through Schema.Index at every level, exactly as the
-// operators bind them; a name that matches nothing at a level keeps nothing
-// there. What a dropped column would have cost to exchange is not lost:
-// every batch carries its rows' full widths (storage.Batch.Width).
+// its input — the stored sample is the whole row — and a sampler sits only
+// directly on the leaf, so the leaf then keeps every column. Names bind
+// through Schema.Index at every level, exactly as the operators bind them; a
+// name that matches nothing at a level keeps nothing there. What a dropped
+// column would have cost to exchange is not lost: every batch carries its
+// rows' full widths (storage.Batch.Width).
 func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ctx *Context, bind func(in storage.Schema) (sink, error)) (*PipelineOp, error) {
 	pipe, err := matchSpine(spine, over)
 	if err != nil {
@@ -179,8 +181,7 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 	}
 	names := append([]string{synopses.WeightCol}, reads...)
 	above := make([]int, len(pipe.chain)) // names[:above[i]] are read above chain[i]
-	wholeBelow := -1                      // index of a materializing sampler: all below it stays whole
-	for i := len(pipe.chain) - 1; i >= 0 && wholeBelow < 0; i-- {
+	for i := len(pipe.chain) - 1; i >= 0; i-- {
 		above[i] = len(names)
 		switch t := pipe.chain[i].(type) {
 		case *plan.Filter:
@@ -189,16 +190,13 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 			names = append(names, t.LeftKeys...)
 		case *plan.SynopsisOp:
 			names = append(names, t.StratCols...)
-			if _, ok := ctx.MaterializeSamples[t]; ok {
-				wholeBelow = i
-			}
 		}
 	}
 
 	// Resolve the physical schema along the spine, bottom-up.
-	var leafNeed []string // nil: every column
-	if wholeBelow < 0 {
-		leafNeed = names
+	leafNeed := names
+	if _, ok := ctx.MaterializeSamples[pipe.sampler]; ok {
+		leafNeed = nil // a materializing leaf sampler keeps every leaf column
 	}
 	pipe.leafCols = neededCols(pipe.leaf.Schema(), leafNeed)
 	pipe.leafSchema = projectSchema(pipe.leaf.Schema(), pipe.leafCols)
@@ -213,11 +211,7 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 			if err != nil {
 				return nil, err
 			}
-			var need []string // nil: the join's output keeps every column
-			if i > wholeBelow {
-				need = names[:above[i]]
-			}
-			spec, err := resolveJoinSpec(cur, build.Schema(), t.LeftKeys, t.RightKeys, need)
+			spec, err := resolveJoinSpec(cur, build.Schema(), t.LeftKeys, t.RightKeys, names[:above[i]])
 			if err != nil {
 				return nil, err
 			}

@@ -355,7 +355,7 @@ func (s *Store) SetActualSize(id uint64, size int64) {
 // summed epoch of its source tables and the per-table row counts it
 // summarized. Staleness is derived, not stored: for every source table
 // whose observed (or in-flight) row count exceeds what this build scanned
-// — an append that raced the admit, join samples and sketches included —
+// — an append that raced the admit, for samples and sketch-joins alike —
 // the gap surfaces automatically, regardless of the order this call
 // interleaves with MarkUnseen/ObserveVersion.
 func (s *Store) SetFreshness(id uint64, epoch uint64, builtByTable map[string]int64) {

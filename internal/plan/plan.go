@@ -76,20 +76,6 @@ func (j *Join) String() string {
 	return "Join(" + strings.Join(parts, " AND ") + ")"
 }
 
-// PredStrings returns the canonical, order-independent join predicate
-// strings ("a.x=b.y" with the lexically smaller side first).
-func (j *Join) PredStrings() []string {
-	out := make([]string, len(j.LeftKeys))
-	for i := range j.LeftKeys {
-		l, r := j.LeftKeys[i], j.RightKeys[i]
-		if r < l {
-			l, r = r, l
-		}
-		out[i] = l + "=" + r
-	}
-	return out
-}
-
 // AggSpec is one aggregate in an Aggregate node.
 type AggSpec struct {
 	Kind  stats.AggKind

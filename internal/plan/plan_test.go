@@ -72,33 +72,33 @@ func TestSynopsisOpSchemaAddsWeight(t *testing.T) {
 }
 
 func TestSignatureCanonical(t *testing.T) {
-	agg, _, _ := samplePlan()
-	sig := SignatureOf(agg.Child)
-	if len(sig.Tables) != 2 || sig.Tables[0] != "r" || sig.Tables[1] != "s" {
-		t.Fatalf("tables = %v", sig.Tables)
-	}
-	if len(sig.JoinPreds) != 1 || sig.JoinPreds[0] != "r.x=s.x" {
-		t.Fatalf("join preds = %v", sig.JoinPreds)
+	agg, r, s := samplePlan()
+	// A synopsis summarizes σ(base table): the join's filtered probe side.
+	sig := SignatureOf(agg.Child.(*Join).Left)
+	if len(sig.Tables) != 1 || sig.Tables[0] != "r" || len(sig.JoinPreds) != 0 {
+		t.Fatalf("tables = %v, join preds = %v", sig.Tables, sig.JoinPreds)
 	}
 	if len(sig.Filters) != 1 || sig.Filters[0] != "r.y > 1" {
 		t.Fatalf("filters = %v", sig.Filters)
 	}
-	// Flipped join side must produce the same canonical predicate.
-	agg2, _, _ := samplePlan()
-	j2 := agg2.Child.(*Join)
-	flipped := &Join{Left: j2.Right, Right: j2.Left, LeftKeys: j2.RightKeys, RightKeys: j2.LeftKeys}
-	sig2 := SignatureOf(flipped)
-	if sig2.JoinPreds[0] != sig.JoinPreds[0] {
-		t.Fatalf("flipped join pred %q != %q", sig2.JoinPreds[0], sig.JoinPreds[0])
+	if len(sig.Output) != 3 {
+		t.Fatalf("output = %v", sig.Output)
 	}
-	if !sig.SameRelationsAndJoins(sig2) {
-		t.Fatal("same relations+joins must match")
+	// Conjunct order does not change the signature.
+	a := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "r.y"}, R: expr.Int(1)}
+	b := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "r.x"}, R: expr.Int(5)}
+	ab := SignatureOf(&Filter{Child: &Scan{Table: r}, Pred: expr.AndAll([]expr.Expr{a, b})})
+	ba := SignatureOf(&Filter{Child: &Scan{Table: r}, Pred: expr.AndAll([]expr.Expr{b, a})})
+	if ab.Key() != ba.Key() {
+		t.Fatalf("commuted conjuncts: %q != %q", ab.Key(), ba.Key())
 	}
-	if sig.Key() != sig2.Key() {
-		t.Fatal("commuted joins must canonicalize to the same key")
+	// Filters are compensable; the relation is not.
+	bare := SignatureOf(&Scan{Table: r})
+	if !sig.SameRelationsAndJoins(bare) || sig.IndexKey() != bare.IndexKey() || sig.Key() == bare.Key() {
+		t.Fatal("a filtered and a bare scan of r share relations and index key, not the full key")
 	}
-	if sig.IndexKey() != sig2.IndexKey() {
-		t.Fatal("index keys must match for same tables+joins")
+	if sig.SameRelationsAndJoins(SignatureOf(&Scan{Table: s})) {
+		t.Fatal("scans of r and s must not match")
 	}
 }
 

@@ -18,8 +18,12 @@ type Signature struct {
 	Output    []string // sorted output column names
 }
 
-// SignatureOf derives the signature of a subplan by walking it: filters and
-// joins accumulate predicates, Output is the subplan's schema.
+// SignatureOf derives the signature of a subplan by walking it: scans name
+// the tables, filters accumulate predicates, Output is the subplan's schema.
+// Every synopsis summarizes σ(base table) — a sample sits directly on the
+// fact table's scan and a sketch-join's build side is σ(fact) — so the walk
+// meets only Scan and Filter. JoinPreds is filled by callers that key whole
+// queries (the planner's plan cache).
 func SignatureOf(n Node) Signature {
 	var sig Signature
 	collect(n, &sig)
@@ -35,14 +39,10 @@ func collect(n Node, sig *Signature) {
 	switch t := n.(type) {
 	case *Scan:
 		sig.Tables = append(sig.Tables, t.Table.Name)
-	case *SynopsisScan:
-		sig.Tables = append(sig.Tables, "synopsis:"+t.Label)
 	case *Filter:
 		for _, c := range expr.Conjuncts(t.Pred) {
 			sig.Filters = append(sig.Filters, c.String())
 		}
-	case *Join:
-		sig.JoinPreds = append(sig.JoinPreds, t.PredStrings()...)
 	}
 	for _, c := range n.Children() {
 		collect(c, sig)

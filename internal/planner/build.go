@@ -3,25 +3,22 @@ package planner
 import (
 	"fmt"
 
-	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 )
 
 // joinTree builds the left-deep join tree over q.Tables in order — for a
 // bound query the fact table first (factFirst), so it is the spine. branch
-// overrides replace a table's leaf subplan (used to inject samplers or
-// synopsis scans); when a table has no override and applyFilters is true,
-// its single-table filter is pushed onto its scan.
-func (p *Planner) joinTree(q *Query, overrides map[string]plan.Node, applyFilters bool) (plan.Node, error) {
+// overrides replace a table's leaf subplan (used to inject the fact table's
+// sampler or synopsis scan); a table with no override gets its single-table
+// filter pushed onto its scan.
+func (p *Planner) joinTree(q *Query, overrides map[string]plan.Node) (plan.Node, error) {
 	branch := func(t TableRef) plan.Node {
 		if n, ok := overrides[t.Name]; ok {
 			return n
 		}
 		var n plan.Node = &plan.Scan{Table: t.Table}
-		if applyFilters {
-			if f := q.filterForTable(t.Name); f != nil {
-				n = &plan.Filter{Child: n, Pred: f}
-			}
+		if f := q.filterForTable(t.Name); f != nil {
+			n = &plan.Filter{Child: n, Pred: f}
 		}
 		return n
 	}
@@ -51,17 +48,10 @@ func (p *Planner) joinTree(q *Query, overrides map[string]plan.Node, applyFilter
 
 // finishPlan adds the residual filter, aggregation and ordering above the
 // join tree.
-func (p *Planner) finishPlan(q *Query, joinRoot plan.Node, extraFilter expr.Expr) plan.Node {
+func (p *Planner) finishPlan(q *Query, joinRoot plan.Node) plan.Node {
 	root := joinRoot
-	var filters []expr.Expr
-	if extraFilter != nil {
-		filters = append(filters, extraFilter)
-	}
 	if rf := q.residualFilter(); rf != nil {
-		filters = append(filters, rf)
-	}
-	if f := expr.AndAll(filters); f != nil {
-		root = &plan.Filter{Child: root, Pred: f}
+		root = &plan.Filter{Child: root, Pred: rf}
 	}
 	root = &plan.Aggregate{Child: root, GroupBy: q.GroupBy, Aggs: q.Aggs}
 	if len(q.OrderBy) > 0 || q.Limit > 0 {
@@ -72,11 +62,11 @@ func (p *Planner) finishPlan(q *Query, joinRoot plan.Node, extraFilter expr.Expr
 
 // exactPlan builds the no-synopsis plan and its cost estimate.
 func (p *Planner) exactPlan(q *Query) (Candidate, error) {
-	root, err := p.joinTree(q, nil, true)
+	root, err := p.joinTree(q, nil)
 	if err != nil {
 		return Candidate{}, err
 	}
-	full := p.finishPlan(q, root, nil)
+	full := p.finishPlan(q, root)
 
 	var cost planCost
 	out := p.costFilteredJoinTree(q, nil, &cost)

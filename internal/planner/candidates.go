@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/meta"
@@ -12,185 +11,6 @@ import (
 	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/warehouse"
 )
-
-// addJoinSampleCandidates generates position-B plans: a sampler over the
-// *unfiltered* join result (the paper's intermediate-result synopses, §III:
-// "synopses for summarizing both base tables and intermediary results of
-// subplans (e.g., join results)"). Building one costs more than the exact
-// plan for the query at hand — the unfiltered join is wider — but once
-// materialized it serves every query over the same join pattern regardless
-// of predicate values, which is where TPC-DS's recurring
-// store_sales⋈date_dim pattern wins (paper §VI-A).
-func (p *Planner) addJoinSampleCandidates(q *Query, ps *PlanSet) {
-	// Stratify on grouping columns plus skewed equality-filter columns of
-	// every table (the push-down rule applied at the join output).
-	strat := append([]string(nil), q.GroupBy...)
-	for _, t := range q.Tables {
-		strat = append(strat, q.skewedEqFilterCols(t)...)
-	}
-	strat = expr.DedupCols(strat)
-
-	// Estimate join cardinality and group structure.
-	var probeCost planCost // throwaway accumulator for estimation
-	joinOut := p.costUnfilteredJoinTree(q, &probeCost)
-	groups := 1
-	for _, c := range strat {
-		if ref, ok := q.ref(q.tableOf(c)); ok {
-			if d := ref.Table.DistinctOf(c); d > 0 {
-				groups *= d
-			}
-		}
-		if groups > 1<<20 {
-			return // stratification space too large to sample usefully
-		}
-	}
-	coverGroups := 1
-	for _, c := range q.GroupBy {
-		if ref, ok := q.ref(q.tableOf(c)); ok {
-			if d := ref.Table.DistinctOf(c); d > 0 {
-				coverGroups *= d
-			}
-		}
-	}
-	coverMinGroup := maxInt(1, int(joinOut.rows/float64(coverGroups)/2))
-	sel := p.totalFilterSelectivity(q)
-	cfg := p.configureSampler(q, strat, joinOut.rows, sel, groups, coverMinGroup, coverGroups)
-	if !cfg.ok {
-		return
-	}
-
-	unfiltered, err := p.joinTree(q, nil, false)
-	if err != nil {
-		return
-	}
-	sig := plan.SignatureOf(unfiltered)
-	desc := meta.Descriptor{
-		Kind:      cfg.kind,
-		Sig:       sig,
-		StratCols: strat,
-		P:         cfg.p,
-		Delta:     cfg.delta,
-		AggCols:   q.aggCols(),
-		Accuracy:  q.Accuracy,
-	}
-	outRows := sampleOutRows(joinOut.rows, cfg.kind == plan.UniformSample, cfg.p, cfg.delta, groups)
-	desc.EstSizeBytes = sampleBytes(outRows, joinOut.width)
-	entry := p.Store.Intern(desc)
-
-	// Build-inline candidate: sampler over the unfiltered join, all filters
-	// applied above the sampler.
-	synNode := &plan.SynopsisOp{
-		Child: unfiltered,
-		Kind:  cfg.kind, P: cfg.p, Delta: cfg.delta,
-		StratCols: strat, Accuracy: q.Accuracy,
-	}
-	var singleFilters []expr.Expr
-	for _, t := range q.Tables {
-		if f := q.filterForTable(t.Name); f != nil {
-			singleFilters = append(singleFilters, f)
-		}
-	}
-	full := p.finishPlan(q, synNode, expr.AndAll(singleFilters))
-
-	var cost planCost
-	joinEstOut := p.costUnfilteredJoinTree(q, &cost)
-	cost.samplerWork(joinEstOut.rows) // sampler above the join root
-	// Filters lifted above the sampler evaluate over the sample stream.
-	for range singleFilters {
-		cost.filterWork(outRows, false)
-	}
-	// sel computed above for the sampler configuration.
-	cost.aggWork(scanEst{rows: math.Max(outRows*sel, 1), width: joinOut.width + 8})
-	ps.Candidates = append(ps.Candidates, Candidate{
-		Root:    full,
-		Cost:    cost.seconds(p.Model, p.Parallelism),
-		Creates: []CreateSpec{{Entry: entry, SampleNode: synNode}},
-		Desc:    fmt.Sprintf("build %s sample on join %v", cfg.kind, sig.Tables),
-	})
-
-	// Hypothetical reuse cost.
-	var rc planCost
-	rc.scanSynopsis(desc.EstSizeBytes, outRows)
-	rc.aggWork(scanEst{rows: math.Max(outRows*sel, 1), width: joinOut.width + 8})
-	reuseCost := rc.seconds(p.Model, p.Parallelism)
-	ps.noteReuse(entry.Desc.ID, reuseCost)
-
-	// Reuse candidates from materialized join-result samples.
-	need := append(append([]string(nil), q.GroupBy...), q.aggCols()...)
-	if q.Filter != nil {
-		need = append(need, q.Filter.Columns(nil)...)
-	}
-	req := meta.Requirements{
-		Sig:       sig,
-		Filter:    q.Filter,
-		NeedCols:  expr.DedupCols(need),
-		StratCols: strat,
-		AggCols:   q.aggCols(),
-		Accuracy:  q.Accuracy,
-	}
-	for _, m := range p.Store.MatchSamples(req) {
-		b, ok := p.bind(ps, m.Entry, warehouse.SampleItem)
-		if !ok {
-			continue
-		}
-		// Coverage feasibility under this query's filters (from item
-		// metadata — no payload fault for infeasible candidates).
-		sampleRows := float64(b.item.Rows)
-		if sampleRows*sel/float64(coverGroups) < float64(p.feasibilityRows(p.requiredK(q))) {
-			continue
-		}
-		smp, err := b.item.Sample()
-		if err != nil {
-			continue // backing file lost or corrupt; next round re-tastes
-		}
-		ss := &plan.SynopsisScan{
-			SynopsisID: m.Entry.Desc.ID,
-			Sample:     smp,
-			Label:      fmt.Sprintf("join %v", sig.Tables),
-			InBuffer:   b.inBuffer,
-		}
-		rfull := p.finishPlan(q, ss, m.CompensateFilter)
-		var rcost planCost
-		if !b.inBuffer {
-			rcost.scanSynopsis(b.item.Size, sampleRows)
-			if !b.loaded {
-				rcost.loadSynopsis(b.item.Size)
-			}
-		} else {
-			rcost.cpuTuples += int64(sampleRows)
-		}
-		if m.CompensateFilter != nil {
-			rcost.filterWork(sampleRows, false)
-		}
-		rcost.aggWork(scanEst{rows: math.Max(sampleRows*sel, 1), width: joinOut.width + 8})
-		ps.Candidates = append(ps.Candidates, Candidate{
-			Root: rfull,
-			Cost: rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(b.stale),
-			Uses: []uint64{m.Entry.Desc.ID},
-			Desc: fmt.Sprintf("reuse join sample #%d", m.Entry.Desc.ID),
-		})
-	}
-}
-
-// costUnfilteredJoinTree charges the join tree with no filters pushed down.
-func (p *Planner) costUnfilteredJoinTree(q *Query, cost *planCost) scanEst {
-	// The first table is the probe spine; every other is a serially drained
-	// build side.
-	branchEst := func(t TableRef) scanEst {
-		cost.scanBase(t.Table.Bytes(), int64(t.Table.NumRows()), t.Name != q.Tables[0].Name)
-		return scanEst{rows: float64(t.Table.NumRows()), width: t.Table.AvgRowBytes()}
-	}
-	cur := branchEst(q.Tables[0])
-	joined := []string{q.Tables[0].Name}
-	for _, t := range q.Tables[1:] {
-		right := branchEst(t)
-		out := p.est.joinEst(q, cur, joined, t, right)
-		cost.joinWork(right, cur, out)
-		cur = out
-		joined = append(joined, t.Name)
-	}
-	return cur
-}
 
 // sketchShape captures a validated sketch-join opportunity.
 type sketchShape struct {
@@ -361,7 +181,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 
 	// Probe-side subplan: join of the remaining (filtered) tables.
 	probeQ := &Query{Tables: sh.probe, Joins: probeJoins(q, sh), Filter: probeFilter(q, sh)}
-	probeNode, err := p.joinTree(probeQ, nil, true)
+	probeNode, err := p.joinTree(probeQ, nil)
 	if err != nil {
 		return
 	}

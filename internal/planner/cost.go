@@ -122,11 +122,6 @@ func (c *planCost) scanBase(bytes, rows int64, serial bool) {
 	}
 }
 
-func (c *planCost) scanSynopsis(bytes int64, rows float64) {
-	c.warehouseBytes += bytes
-	c.cpuTuples += int64(rows)
-}
-
 // loadSynopsis charges faulting a spilled synopsis payload back into
 // memory (disk-resident warehouse items only).
 func (c *planCost) loadSynopsis(bytes int64) {

@@ -37,8 +37,10 @@ func buildTable(n plan.Node) *storage.Table {
 
 // checkSamplesOnSpine demands the candidate's shape: every join's build side
 // and an inline sketch build are σ(base table), and the fact table is the
-// spine's leaf — scanned, sampled or read from a stored sample of it or of a
-// join over it — or, for a sketch-join, the build side.
+// spine's leaf — scanned, sampled directly over its scan, or read from a
+// stored sample of it — or, for a sketch-join, the build side. A sample has
+// no other home: a sampler anywhere but directly on the fact table's Scan,
+// or a stored sample of anything but the fact table, fails.
 func checkSamplesOnSpine(t *testing.T, label string, c planner.Candidate, fact planner.TableRef) {
 	t.Helper()
 	n := c.Root
@@ -63,6 +65,9 @@ func checkSamplesOnSpine(t *testing.T, label string, c planner.Candidate, fact p
 			n = s.Child
 			continue
 		case *plan.SynopsisOp:
+			if sc, ok := s.Child.(*plan.Scan); !ok || !leafIsFact || sc.Table != fact.Table {
+				t.Fatalf("%s: sampler is not directly on the fact table %s's scan:\n%s", label, fact.Name, plan.Format(c.Root))
+			}
 			n = s.Child
 			continue
 		case *plan.Join:
@@ -76,7 +81,7 @@ func checkSamplesOnSpine(t *testing.T, label string, c planner.Candidate, fact p
 				t.Fatalf("%s: spine leaf scans %s, not the fact table %s:\n%s", label, s.Table.Name, fact.Name, plan.Format(c.Root))
 			}
 		case *plan.SynopsisScan:
-			if s.Label != fact.Name && !strings.HasPrefix(s.Label, "join ") {
+			if !leafIsFact || s.Label != fact.Name {
 				t.Fatalf("%s: spine leaf reads a sample of %s, not of the fact table %s", label, s.Label, fact.Name)
 			}
 		default:

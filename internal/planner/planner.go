@@ -160,7 +160,6 @@ func (p *Planner) PlanWith(q *Query, view *warehouse.View) (*PlanSet, error) {
 
 	p.addBaseSampleCandidates(q, ps)
 	if len(q.Tables) > 1 {
-		p.addJoinSampleCandidates(q, ps)
 		p.addSketchJoinCandidates(q, ps)
 	}
 	return ps, nil
@@ -355,13 +354,6 @@ func (p *Planner) stalenessPenalty(s float64) float64 {
 	return 1 + s/bound
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // requiredK derives the per-group sample size from the query's accuracy
 // spec and the worst coefficient of variation among its aggregate columns.
 func (p *Planner) requiredK(q *Query) int {
@@ -386,7 +378,7 @@ func (p *Planner) requiredK(q *Query) int {
 // matched sample) must clear: the absolute coverage floor, or half the
 // CLT requirement — whichever is higher.
 func (p *Planner) feasibilityRows(k int) int {
-	return maxInt(minCoverageRows, k/2)
+	return max(minCoverageRows, k/2)
 }
 
 // totalFilterSelectivity multiplies the per-table filter selectivities: the
@@ -478,7 +470,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		}
 	}
 	if len(factCover) == 0 && coverGroups > 1 {
-		coverMinGroup = maxInt(1, int(inRows)/coverGroups/2)
+		coverMinGroup = max(1, int(inRows)/coverGroups/2)
 	}
 	// Coverage must survive every filter in the query: probe-side filters
 	// thin the fact rows through the join just like fact-side ones.
@@ -514,11 +506,11 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	if factFilter != nil {
 		branch = &plan.Filter{Child: branch, Pred: factFilter}
 	}
-	root, err := p.joinTree(q, map[string]plan.Node{fact.Name: branch}, true)
+	root, err := p.joinTree(q, map[string]plan.Node{fact.Name: branch})
 	if err != nil {
 		return
 	}
-	full := p.finishPlan(q, root, nil)
+	full := p.finishPlan(q, root)
 
 	var cost planCost
 	overrides := map[string]scanEst{fact.Name: {rows: outRows * sel, width: fact.Table.AvgRowBytes() + 8}}
@@ -598,7 +590,7 @@ func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, 
 	if compensate != nil {
 		rbranch = &plan.Filter{Child: rbranch, Pred: compensate}
 	}
-	rroot, err := p.joinTree(q, map[string]plan.Node{fact.Name: rbranch}, true)
+	rroot, err := p.joinTree(q, map[string]plan.Node{fact.Name: rbranch})
 	if err != nil {
 		return
 	}
@@ -608,7 +600,7 @@ func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, 
 	rcost.aggWork(rout)
 	cost := rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(b.stale)
 	ps.Candidates = append(ps.Candidates, Candidate{
-		Root: p.finishPlan(q, rroot, nil),
+		Root: p.finishPlan(q, rroot),
 		Cost: cost,
 		Uses: []uint64{b.item.ID},
 		Desc: fmt.Sprintf("reuse sample #%d on %s", b.item.ID, fact.Name),

@@ -12,6 +12,8 @@ import (
 // templates. The workload repeatedly exercises the store_sales⋈date_dim
 // join, which is where the paper attributes Taster's TPC-DS advantage:
 // summaries of that intermediate result get reused across queries (§VI-A).
+// Here the reused summary is store_sales' own sample or sketch-join, below
+// the join (docs/ARCHITECTURE.md, "Deviation from the paper").
 func TPCDS(sf float64, seed int64) *Workload {
 	if sf <= 0 {
 		sf = 0.01
