@@ -74,10 +74,11 @@ bench-smoke:
 	done
 
 # Byte-determinism gate: every report tasterbench prints — the whole figure
-# suite plus the streaming, warm-restart and partition experiments, every
-# engine on the synchronous tuning schedule — run twice must be identical.
+# suite plus the streaming, both warm-restart and the partition experiments,
+# every engine on the synchronous tuning schedule — run twice must be
+# identical.
 # Any change that makes a synchronous run depend on goroutine scheduling, map
-# order or the clock turns this red. About 20 s, build included.
+# order or the clock turns this red. About 12 s, build included.
 determinism:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/tasterbench" ./cmd/tasterbench; \
@@ -85,7 +86,8 @@ determinism:
 		"-experiment all" \
 		"-experiment streaming -workload tpch -sf 0.002 -queries 24" \
 		"-experiment warmstart -workload instacart -sf 0.002 -queries 24" \
-		"-experiment partition -queries 48"; \
+		"-experiment partition -queries 48" \
+		"-experiment warmstart -workload tpch"; \
 	do \
 		"$$d/tasterbench" $$args > "$$d/a.txt"; \
 		"$$d/tasterbench" $$args > "$$d/b.txt"; \

@@ -493,22 +493,19 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 		return nil, err
 	}
 
-	// Byproducts: freshness is read from the table versions *bound into
+	// Byproducts: freshness is read from the table version *bound into
 	// the executed plan*, not the current catalog, so an append racing
 	// between execution and admission registers as staleness instead of
-	// being silently absorbed (for sketches and multi-table samples alike;
-	// a sketch's source is its build side only — the probe tables are not
-	// summarized).
+	// being silently absorbed (for samples and sketches alike; a sketch's
+	// source is its build side only — the probe tables are not summarized).
 	var built []builtSynopsis
 	for _, bs := range ctx.Stats.BuiltSamples {
 		id, ok := matNames[bs.Op]
 		if !ok {
 			continue
 		}
-		ep, byTable := boundVersion(bs.Op)
 		built = append(built, builtSynopsis{
-			item: warehouse.NewSampleItem(id, bs.Sample), id: id,
-			srcEpoch: ep, srcByTable: byTable,
+			item: warehouse.NewSampleItem(id, bs.Sample), id: id, srcRows: scannedRows(bs.Op),
 		})
 		rep.CreatedSynopses = append(rep.CreatedSynopses, id)
 	}
@@ -517,10 +514,8 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 		if !ok {
 			continue
 		}
-		ep, byTable := boundVersion(bk.Op.Build)
 		built = append(built, builtSynopsis{
-			item: warehouse.NewSketchItem(id, bk.Sketch), id: id,
-			srcEpoch: ep, srcByTable: byTable,
+			item: warehouse.NewSketchItem(id, bk.Sketch), id: id, srcRows: scannedRows(bk.Op.Build),
 		})
 		rep.CreatedSynopses = append(rep.CreatedSynopses, id)
 	}
@@ -616,24 +611,12 @@ func (e *Engine) MetricsSnapshot() obs.MetricsSnapshot {
 // (pins carry over; plans already executing against the old item keep
 // their immutable snapshot). Returns whether this build landed in a tier
 // (false when dropped for space or superseded by an at-least-as-fresh
-// stored copy) and whether it was a refresh replacement. srcEpoch/
-// srcByTable are the build plan's bound source versions (see boundVersion).
-func (e *Engine) admitLocked(it *warehouse.Item, id uint64, srcEpoch uint64, srcByTable map[string]int64) (stored, refreshed bool) {
+// stored copy) and whether it was a refresh replacement. srcRows is the
+// row count of the table the build plan scanned (see scannedRows); row
+// counts are monotone under append, so it orders builds.
+func (e *Engine) admitLocked(it *warehouse.Item, id uint64, srcRows int64) (stored, refreshed bool) {
 	if ent, ok := e.store.Get(id); ok && e.wh.Has(id) {
-		// Compare builds per table where possible: summed epochs can alias
-		// across distinct version vectors (plan binding is not an atomic
-		// cut across tables), but per-table row counts are monotone under
-		// append and recorded on both sides.
-		newer := ent.Desc.BuildEpoch < srcEpoch
-		if bt := ent.BuiltByTable(); len(bt) > 0 {
-			newer = false
-			for t, r := range srcByTable {
-				if r > bt[t] { // absent table reads 0: any rows count as newer
-					newer = true
-				}
-			}
-		}
-		if !newer {
+		if srcRows <= ent.Desc.BuildRows {
 			// The stored copy is at least as fresh as this rebuild (a
 			// concurrent build from a newer snapshot won the race, or an
 			// equally-stale rebuild): keep its copy AND its metadata —
@@ -657,7 +640,7 @@ func (e *Engine) admitLocked(it *warehouse.Item, id uint64, srcEpoch uint64, src
 		}
 		e.store.SetLocation(id, loc)
 		e.store.SetActualSize(id, it.Size)
-		e.store.SetFreshness(id, srcEpoch, srcByTable)
+		e.store.SetFreshness(id, srcRows)
 		return true, true
 	}
 	switch e.wh.Admit(it) {
@@ -672,28 +655,21 @@ func (e *Engine) admitLocked(it *warehouse.Item, id uint64, srcEpoch uint64, src
 		return false, false
 	}
 	e.store.SetActualSize(id, it.Size)
-	e.store.SetFreshness(id, srcEpoch, srcByTable)
+	e.store.SetFreshness(id, srcRows)
 	return true, false
 }
 
-// boundVersion reports the base-table versions bound into the subplan —
-// the exact data the build actually scanned: the summed epoch over the
-// distinct tables plus each table's row count (a self-joined table counts
-// once; both scans bind the same version).
-func boundVersion(src plan.Node) (epoch uint64, byTable map[string]int64) {
-	byTable = make(map[string]int64)
-	if src == nil {
-		return 0, byTable
-	}
+// scannedRows is the row count of the table version bound into a build
+// plan — the exact data the build summarized. A build plan is σ(one base
+// table), so it holds one Scan.
+func scannedRows(src plan.Node) int64 {
+	var rows int64
 	plan.Walk(src, func(n plan.Node) {
 		if s, ok := n.(*plan.Scan); ok {
-			if _, seen := byTable[s.Table.Name]; !seen {
-				epoch += s.Table.Epoch()
-				byTable[s.Table.Name] = int64(s.Table.NumRows())
-			}
+			rows = int64(s.Table.NumRows())
 		}
 	})
-	return epoch, byTable
+	return rows
 }
 
 // Ingest appends a batch of rows to a base table (schema must match) and
@@ -815,7 +791,7 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 	}
 	desc := meta.Descriptor{
 		Kind:      plan.DistinctSample,
-		Sig:       plan.SignatureOf(&plan.Scan{Table: tbl}),
+		Table:     tbl.Name,
 		StratCols: stratCols,
 		P:         s.P,
 		Delta:     s.Delta,
@@ -855,7 +831,7 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 	}
 	e.store.SetActualSize(id, it.Size)
 	e.store.SetLocation(id, loc)
-	e.store.SetFreshness(id, tbl.Epoch(), map[string]int64{table: rows})
+	e.store.SetFreshness(id, rows)
 	e.republishLocked()
 	if e.db != nil {
 		// A pinned hint should be durable the moment the call returns: its

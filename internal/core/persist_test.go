@@ -1,13 +1,16 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/persist"
 	"github.com/tasterdb/taster/internal/plan"
@@ -332,12 +335,12 @@ func TestRecoveryDropsPartitionScopedEntry(t *testing.T) {
 }
 
 // TestRecoveryDropsJoinResultSample: an older manifest may hold a sample of
-// a join result (a signature over more than one table), from before a sample
+// a join result (sig_tables lists more than one table), from before a sample
 // lived only on the fact table's scan; meta.Store never forgets a descriptor,
-// so every checkpoint carried them. No plan reads one any more. Restored, it
-// would still collect the recovered window's reuse gain and take a place in
-// S*, so recovery must leave the entry out, remove its payload and open
-// normally.
+// so every checkpoint carried them. No plan reads one any more, and a
+// descriptor names one table. Restored, it would still collect the recovered
+// window's reuse gain and take a place in S*, so recovery must leave the
+// entry out, remove its payload and open normally.
 func TestRecoveryDropsJoinResultSample(t *testing.T) {
 	dir := t.TempDir()
 	cat := testCatalog()
@@ -376,12 +379,11 @@ func TestRecoveryDropsJoinResultSample(t *testing.T) {
 	}
 	m.Entries = append(m.Entries, persist.EntryRecord{
 		ID: id, Kind: uint8(plan.UniformSample),
-		SigTables: []string{"products", "sales"}, SigJoins: []string{"products.id=sales.product"},
-		SigOutput: append(sales.Schema().Names(), products.Schema().Names()...),
+		SigTables: []string{"products", "sales"},
 		P:         0.05, AggCols: []string{"sales.qty"},
 		RelError: stats.DefaultAccuracy.RelError, Confidence: stats.DefaultAccuracy.Confidence,
 		EstSize: int64(len(payload)), ActualSize: int64(len(payload)), Location: uint8(meta.LocWarehouse),
-		BuiltBy: map[string]int64{"sales": int64(sales.NumRows()), "products": int64(products.NumRows())},
+		BuildRows: int64(sales.NumRows() + products.NumRows()),
 	})
 	m.Items = append(m.Items, persist.ItemRecord{
 		ID: id, Tier: persist.TierWarehouse, Kind: persist.KindSample,
@@ -413,6 +415,144 @@ func TestRecoveryDropsJoinResultSample(t *testing.T) {
 	}
 	if _, err := e2.Execute(persistQuery(e2, 0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOldManifestRestores: a v2 manifest from before a descriptor was (table,
+// filter, configuration) carries, per entry, the subplan's filter conjuncts
+// and output columns (sig_filters, sig_output) and its freshness twice, as a
+// summed epoch and per-table rows (build_epoch, built_by). Decoding ignores
+// them, so a filtered sketch-join and a sample restore under their ids,
+// re-planning their queries interns onto those ids, and an append makes them
+// exactly as stale as the per-table record said: unseen / (built + unseen).
+func TestOldManifestRestores(t *testing.T) {
+	dir := t.TempDir()
+	cat := testCatalog()
+	e1, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qty := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "sales.qty"}, R: expr.Float(2)}
+	price := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "sales.price"}, R: expr.Float(80)}
+	filtered := func(e *Engine) *planner.Query {
+		q := persistQuery(e, 0)
+		q.Filter = expr.AndAll([]expr.Expr{qty, price})
+		return q
+	}
+	var sketchID, sampleID uint64
+	for i := 0; i < 8 && (sketchID == 0 || sampleID == 0); i++ {
+		for _, q := range []*planner.Query{filtered(e1), persistQuery(e1, 2)} {
+			if _, err := e1.Execute(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ent := range e1.Store().Materialized() {
+			switch {
+			case ent.Desc.Kind == plan.SketchJoinSynopsis && ent.Desc.FilterPred != nil:
+				sketchID = ent.Desc.ID
+			case ent.Desc.Kind != plan.SketchJoinSynopsis:
+				sampleID = ent.Desc.ID
+			}
+		}
+	}
+	if sketchID == 0 || sampleID == 0 {
+		t.Fatalf("test setup: materialized sketch-join #%d, sample #%d; want both", sketchID, sampleID)
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite every entry the way the old writer wrote it.
+	sales, _ := cat.Table("sales")
+	output := append([]string(nil), sales.Schema().Names()...)
+	sort.Strings(output)
+	conjuncts := []string{qty.String(), price.String()}
+	sort.Strings(conjuncts)
+	path := filepath.Join(dir, "MANIFEST.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := m["entries"].([]any)
+	for _, x := range entries {
+		rec := x.(map[string]any)
+		if tables, _ := rec["sig_tables"].([]any); len(tables) != 1 || tables[0] != "sales" {
+			continue
+		}
+		rec["sig_output"] = output
+		if rec["filter"] != nil {
+			rec["sig_filters"] = conjuncts
+		}
+		if rows, ok := rec["build_rows"].(float64); ok {
+			rec["build_epoch"] = sales.Epoch()
+			rec["built_by"] = map[string]int64{"sales": int64(rows)}
+		}
+	}
+	old, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"sig_filters"`, `"sig_output"`, `"build_epoch"`, `"built_by"`} {
+		if !strings.Contains(string(old), field) {
+			t.Fatalf("test setup: the rewritten manifest carries no %s", field)
+		}
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatalf("open over an old-shaped manifest: %v", err)
+	}
+	defer e2.Close()
+	built := make(map[uint64]int64)
+	for _, id := range []uint64{sketchID, sampleID} {
+		ent, ok := e2.Store().Get(id)
+		if !ok || ent.Desc.Location == meta.LocNone || ent.Staleness() != 0 {
+			t.Fatalf("synopsis #%d after recovery: present %t, entry %+v", id, ok, ent)
+		}
+		built[id] = ent.Desc.BuildRows
+	}
+	entries0 := len(e2.Store().Entries())
+	uses := make(map[uint64]bool)
+	for _, q := range []*planner.Query{filtered(e2), persistQuery(e2, 2)} {
+		ps, err := e2.pl.PlanWith(q, e2.snap.Load().wh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range ps.Candidates {
+			for _, id := range c.Uses {
+				uses[id] = true
+			}
+		}
+	}
+	if n := len(e2.Store().Entries()); n != entries0 {
+		t.Fatalf("re-planning interned %d new descriptors", n-entries0)
+	}
+	if !uses[sketchID] || !uses[sampleID] {
+		t.Fatalf("re-planned candidates use %v, want the restored #%d and #%d", uses, sketchID, sampleID)
+	}
+
+	const added = 15000
+	delta := storage.NewBuilder("sales", sales.Schema())
+	for i := 0; i < added; i++ {
+		delta.Int(0, int64(i%40))
+		delta.Float(1, 3)
+		delta.Float(2, 9.5)
+	}
+	if _, err := e2.Ingest("sales", delta.Build(1)); err != nil {
+		t.Fatal(err)
+	}
+	for id, rows := range built {
+		want := float64(added) / float64(rows+added)
+		if got := e2.Store().Staleness(id); got != want {
+			t.Fatalf("synopsis #%d staleness after ingest = %v, want %v", id, got, want)
+		}
 	}
 }
 

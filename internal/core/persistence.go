@@ -5,7 +5,6 @@ import (
 
 	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/persist"
-	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/tuner"
 	"github.com/tasterdb/taster/internal/warehouse"
@@ -78,28 +77,27 @@ func (e *Engine) recoverLocked() (int, error) {
 		return 0, nil
 	}
 
-	// Two kinds of sample an older manifest may hold have no home any more,
+	// Two kinds of entry an older manifest may hold have no home any more,
 	// so recovery leaves the entry out and drops its item below, as for a
 	// torn spill:
 	//   - a sample scoped to one partition (from before synopses were
 	//     whole-table only), which would answer whole-table aggregates from
 	//     one partition's rows;
-	//   - a sample of a join result (its signature spans more than one
-	//     table), from before a sample lived only on the fact table's scan.
+	//   - a synopsis spanning more than one table — a sample of a join
+	//     result, from before a sample lived only on the fact table's scan.
 	//     No plan reads one, but restored it would still collect reuse gain
 	//     from the recovered window and hold a place — and quota — in S*.
 	dropped := make(map[uint64]bool)
 	for _, rec := range m.Entries {
-		joinSample := plan.SynopsisKind(rec.Kind) != plan.SketchJoinSynopsis && len(rec.SigTables) > 1
-		if rec.Partition != 0 || joinSample {
+		if rec.Partition != 0 || len(rec.SigTables) > 1 {
 			dropped[rec.ID] = true
 			continue
 		}
-		d, builtBy, err := rec.Entry()
+		d, err := rec.Entry()
 		if err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)
 		}
-		if err := e.store.Restore(d, builtBy); err != nil {
+		if err := e.store.Restore(d); err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)
 		}
 	}

@@ -115,12 +115,11 @@ func sameStaleMap(a, b map[uint64]float64) bool {
 }
 
 // builtSynopsis is a byproduct built during execution, awaiting admission:
-// the item plus the source versions its build plan actually scanned.
+// the item plus the row count of the table its build plan scanned.
 type builtSynopsis struct {
-	item       *warehouse.Item
-	id         uint64
-	srcEpoch   uint64
-	srcByTable map[string]int64
+	item    *warehouse.Item
+	id      uint64
+	srcRows int64
 }
 
 // observation is one served query's contribution to tuning: the window
@@ -364,7 +363,7 @@ func (e *Engine) roundLocked(batch []*observation, ps *planner.PlanSet) (dec tun
 // stored copy. Caller holds tuneMu.
 func (e *Engine) admitBuiltLocked(built []builtSynopsis) (refreshed []uint64) {
 	for _, b := range built {
-		stored, fresh := e.admitLocked(b.item, b.id, b.srcEpoch, b.srcByTable)
+		stored, fresh := e.admitLocked(b.item, b.id, b.srcRows)
 		if stored {
 			e.stats.Admitted++
 		}

@@ -557,6 +557,15 @@ func TestSketchJoinErrors(t *testing.T) {
 		{"sampled build input", func(n *plan.SketchJoin) {
 			n.Build = &plan.SynopsisOp{Child: n.Build, Kind: plan.UniformSample, P: 0.5}
 		}, "cannot compile *plan.SynopsisOp in a sketch-join's build side"},
+		// Every sketch-join cell is exact, with a zero half-width: a sampled
+		// probe would report an estimate as exact.
+		{"sampled probe input", func(n *plan.SketchJoin) {
+			n.Probe = &plan.SynopsisOp{Child: n.Probe, Kind: plan.UniformSample, P: 0.5}
+		}, "probe side carries sampler weights"},
+		{"stored sample as probe input", func(n *plan.SketchJoin) {
+			smp := synopses.BuildSampleFromTable("s", customersTable(), synopses.NewUniformSampler(0.5, 3), nil)
+			n.Probe = &plan.SynopsisScan{SynopsisID: 1, Sample: smp, Label: "cust"}
+		}, "probe side carries sampler weights"},
 		{"probe key typed unlike its build key", func(n *plan.SketchJoin) { n.ProbeKeys = []string{"cust.region"} },
 			"cust.region is VARCHAR but orders.cust is BIGINT"},
 		{"unknown probe key", func(n *plan.SketchJoin) { n.ProbeKeys = []string{"nope"} }, "probe key"},

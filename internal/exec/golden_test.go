@@ -142,18 +142,15 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 }
 
 // boundRows is the freshness record core.admitLocked keeps for a build: the
-// row count of every base table under the built subplan.
-func boundRows(src plan.Node) (epoch uint64, byTable map[string]int64) {
-	byTable = make(map[string]int64)
+// row count of the one base table under the built subplan.
+func boundRows(src plan.Node) int64 {
+	var rows int64
 	plan.Walk(src, func(n plan.Node) {
 		if s, ok := n.(*plan.Scan); ok {
-			if _, seen := byTable[s.Table.Name]; !seen {
-				epoch += s.Table.Epoch()
-				byTable[s.Table.Name] = int64(s.Table.NumRows())
-			}
+			rows = int64(s.Table.NumRows())
 		}
 	})
-	return epoch, byTable
+	return rows
 }
 
 // goldenWorkload records every candidate of every template, cold, then
@@ -219,8 +216,7 @@ func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
 				}
 				store.SetLocation(cs.Entry.Desc.ID, meta.LocWarehouse)
 				store.SetActualSize(cs.Entry.Desc.ID, it.Size)
-				epoch, byTable := boundRows(src)
-				store.SetFreshness(cs.Entry.Desc.ID, epoch, byTable)
+				store.SetFreshness(cs.Entry.Desc.ID, boundRows(src))
 			}
 		}
 		for ci, c := range planSet(sql).Candidates {

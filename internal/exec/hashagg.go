@@ -22,10 +22,10 @@ type aggSpec struct {
 	groupBy []string
 	aggs    []plan.AggSpec
 
-	groupIdx  []int
-	aggIdx    []int // column index per agg, -1 for COUNT
-	weightIdx int
-	schema    storage.Schema
+	groupIdx []int
+	aggIdx   []int // column index per agg, -1 for COUNT
+	weightAt int   // index of synopses.WeightCol, -1 on unweighted input
+	schema   storage.Schema
 }
 
 // resolveAggSpec binds group/aggregate columns against the input schema.
@@ -60,7 +60,7 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec) (*
 		s.aggIdx = append(s.aggIdx, idx)
 		s.schema = append(s.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
 	}
-	s.weightIdx = in.Index(synopses.WeightCol)
+	s.weightAt = in.Index(synopses.WeightCol)
 	return s, nil
 }
 
@@ -141,8 +141,8 @@ func (t *aggTable) observe(b *storage.Batch) {
 	}
 	sel := b.Sel
 	var wcol []float64
-	if t.spec.weightIdx >= 0 {
-		wcol = b.Vecs[t.spec.weightIdx].F64
+	if t.spec.weightAt >= 0 {
+		wcol = b.Vecs[t.spec.weightAt].F64
 	}
 
 	if len(t.spec.groupIdx) == 0 {

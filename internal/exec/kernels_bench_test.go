@@ -93,8 +93,8 @@ func rowMajorObserve(t *aggTable, b *storage.Batch) {
 		g := int(t.idx.resolve(&row, sc)[0])
 		t.open()
 		w := 1.0
-		if t.spec.weightIdx >= 0 {
-			w = b.Vecs[t.spec.weightIdx].F64[i]
+		if t.spec.weightAt >= 0 {
+			w = b.Vecs[t.spec.weightAt].F64[i]
 		}
 		for k := range t.spec.aggs {
 			y := 1.0

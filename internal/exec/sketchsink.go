@@ -22,7 +22,6 @@ type sketchSink struct {
 	probeKeyIdx []int
 	groupIdx    []int
 	aggProbeIdx []int // probe-side column per agg, -1 when agg uses build side
-	weightIdx   int
 
 	// The inline build, nil when node.Sketch is already materialized: the
 	// lowered build side, its key columns and its aggregate column (-1:
@@ -39,11 +38,15 @@ type sketchSink struct {
 // newSketchSink binds the node's columns against the probe spine's output
 // schema in and, for an inline build, lowers the build side (compileBuild:
 // σ(base table), so never sampled). It refuses a probe key typed unlike its
-// build key, which the per-key table could never match.
+// build key, which the per-key table could never match, and a sampled probe:
+// every cell it emits is exact, with a zero half-width.
 func newSketchSink(node *plan.SketchJoin, in storage.Schema, ctx *Context) (*sketchSink, error) {
 	s := &sketchSink{node: node}
 	if len(node.ProbeKeys) != len(node.BuildKeys) || len(node.ProbeKeys) == 0 {
 		return nil, fmt.Errorf("exec: sketch join needs equal, non-empty key lists, got probe %v and build %v", node.ProbeKeys, node.BuildKeys)
+	}
+	if in.Index(synopses.WeightCol) >= 0 {
+		return nil, fmt.Errorf("exec: sketch join: the probe side carries sampler weights (%s); a sketch-join answers exactly and cannot widen its intervals for a sample", synopses.WeightCol)
 	}
 	for _, k := range node.ProbeKeys {
 		i := in.Index(k)
@@ -73,7 +76,6 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, ctx *Context) (*ske
 		s.aggProbeIdx = append(s.aggProbeIdx, idx)
 		s.schema = append(s.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
 	}
-	s.weightIdx = in.Index(synopses.WeightCol)
 	probeKeys := projectSchema(in, s.probeKeyIdx)
 	if node.Sketch != nil {
 		return s, keyTypesMatch("sketch join", probeKeys, node.Sketch.KeySchema())
@@ -229,12 +231,12 @@ type sjSums []float64
 // The cells of an sjSums row: two sums every group carries, then one per
 // aggregate k (zero, and never read, for an aggregate over the build column).
 const (
-	sjDen    = iota // Σ w·count(key): COUNT(*) of the join result
-	sjNum           // Σ w·sum(key): SUM(build agg col)
+	sjDen    = iota // Σ count(key): COUNT(*) of the join result
+	sjNum           // Σ sum(key): SUM(build agg col)
 	sjPerAgg        // cells before the per-aggregate ones
 )
 
-// probe is Σ w·count(key)·y over aggregate k's probe-side column y.
+// probe is Σ count(key)·y over aggregate k's probe-side column y.
 func (g sjSums) probe(k int) float64 { return g[sjPerAgg+k] }
 
 // sketchTable is the sketch sink's partial: groups are the dense ids of idx
@@ -270,16 +272,12 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	if grow := t.idx.n*stride - len(t.sums); grow > 0 {
 		t.sums = append(t.sums, make([]float64, grow)...)
 	}
-	var wcol []float64
-	if s.weightIdx >= 0 {
-		wcol = b.Vecs[s.weightIdx].F64
-	}
-	// Each live row's w·count, kept from the row pass for the per-aggregate
-	// column passes.
+	// Each live row's key count, kept from the row pass for the
+	// per-aggregate column passes.
 	if cap(sc.floats) < n {
 		sc.floats = make([]float64, max(n, storage.BatchSize))
 	}
-	wc := sc.floats[:n]
+	cnts := sc.floats[:n]
 	var key []byte
 	for j, id := range ids {
 		i := j
@@ -287,14 +285,10 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 			i = int(b.Sel[j])
 		}
 		cnt, sum := s.sketch.Lookup(b.Vecs, s.probeKeyIdx, i, &key)
-		w := 1.0
-		if wcol != nil {
-			w = wcol[i]
-		}
 		g := t.sums[int(id)*stride:]
-		wc[j] = w * cnt
-		g[sjDen] += wc[j]
-		g[sjNum] += w * sum
+		cnts[j] = cnt
+		g[sjDen] += cnt
+		g[sjNum] += sum
 	}
 	for k, pi := range s.aggProbeIdx {
 		if pi < 0 {
@@ -305,22 +299,22 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 		cells := t.sums[sjPerAgg+k:]
 		switch v := b.Vecs[pi]; v.Typ {
 		case storage.Float64:
-			foldProbeColumn(cells, stride, ids, b.Sel, v.F64, wc)
+			foldProbeColumn(cells, stride, ids, b.Sel, v.F64, cnts)
 		case storage.Int64:
-			foldProbeColumn(cells, stride, ids, b.Sel, v.I64, wc)
+			foldProbeColumn(cells, stride, ids, b.Sel, v.I64, cnts)
 		}
 	}
 }
 
 // foldProbeColumn folds one probe-side aggregate column: cells is the slab
 // from that aggregate's cell on, so group id's cell is cells[id*stride].
-func foldProbeColumn[T int64 | float64](cells []float64, stride int, ids, sel []int32, col []T, wc []float64) {
+func foldProbeColumn[T int64 | float64](cells []float64, stride int, ids, sel []int32, col []T, cnts []float64) {
 	for j, id := range ids {
 		i := j
 		if sel != nil {
 			i = int(sel[j])
 		}
-		cells[int(id)*stride] += wc[j] * float64(col[i])
+		cells[int(id)*stride] += cnts[j] * float64(col[i])
 	}
 }
 

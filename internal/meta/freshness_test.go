@@ -8,12 +8,16 @@ import (
 	"github.com/tasterdb/taster/internal/stats"
 )
 
-func internOver(s *Store, tables ...string) *Entry {
-	return s.Intern(Descriptor{
+// internOver interns a sample over table and materializes it: only an entry
+// that holds a build counts unseen rows.
+func internOver(s *Store, table string) *Entry {
+	e := s.Intern(Descriptor{
 		Kind:     plan.DistinctSample,
-		Sig:      plan.Signature{Tables: tables},
+		Table:    table,
 		Accuracy: stats.DefaultAccuracy,
 	})
+	s.SetLocation(e.Desc.ID, LocBuffer)
+	return e
 }
 
 func TestStalenessLifecycle(t *testing.T) {
@@ -22,7 +26,7 @@ func TestStalenessLifecycle(t *testing.T) {
 	id := e.Desc.ID
 
 	// Fresh build over 1000 rows at epoch 0.
-	s.SetFreshness(id, 0, map[string]int64{"sales": 1000})
+	s.SetFreshness(id, 1000)
 	if got := s.Staleness(id); got != 0 {
 		t.Fatalf("fresh staleness = %v", got)
 	}
@@ -37,7 +41,7 @@ func TestStalenessLifecycle(t *testing.T) {
 	}
 
 	// A rebuild over the grown table resets staleness.
-	s.SetFreshness(id, 1, map[string]int64{"sales": 1250})
+	s.SetFreshness(id, 1250)
 	if got := s.Staleness(id); got != 0 {
 		t.Fatalf("refreshed staleness = %v", got)
 	}
@@ -47,6 +51,18 @@ func TestStalenessLifecycle(t *testing.T) {
 	if got := s.Staleness(id); got != 0 {
 		t.Fatalf("unrelated append marked synopsis: %v", got)
 	}
+
+	// An evicted entry holds no build, so it counts no unseen rows; back
+	// in a tier, its recorded build is as stale as the table says.
+	s.ObserveVersion("sales", 2, 1500)
+	s.SetLocation(id, LocNone)
+	if got := s.Staleness(id); got != 0 {
+		t.Fatalf("evicted staleness = %v, want 0", got)
+	}
+	s.SetLocation(id, LocWarehouse)
+	if got, want := s.Staleness(id), 250.0/1500.0; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("re-admitted staleness = %v, want %v", got, want)
+	}
 }
 
 func TestStalenessZeroDenominator(t *testing.T) {
@@ -55,7 +71,7 @@ func TestStalenessZeroDenominator(t *testing.T) {
 	id := e.Desc.ID
 	// Built over an empty relation, then rows arrive: fully stale, and the
 	// staleness math must not divide by zero.
-	s.SetFreshness(id, 0, map[string]int64{"empty": 0})
+	s.SetFreshness(id, 0)
 	if got := s.Staleness(id); got != 0 {
 		t.Fatalf("empty-over-empty staleness = %v", got)
 	}
@@ -73,21 +89,8 @@ func TestSetFreshnessAbsorbsRacedAppend(t *testing.T) {
 	// between observed rows and the build's source rows must survive as
 	// unseen rows rather than the synopsis being reported fresh.
 	s.ObserveVersion("sales", 1, 1200)
-	s.SetFreshness(id, 0, map[string]int64{"sales": 1000})
+	s.SetFreshness(id, 1000)
 	if got, want := s.Staleness(id), 200.0/1200.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("staleness = %v, want %v", got, want)
-	}
-}
-
-func TestSetFreshnessAbsorbsRacedAppendMultiTable(t *testing.T) {
-	s := NewStore()
-	e := internOver(s, "a", "b")
-	id := e.Desc.ID
-	// An append into one of a join synopsis' source tables is observed
-	// before the build admits: the per-table gap must survive the reset.
-	s.ObserveVersion("a", 1, 1150)
-	s.SetFreshness(id, 0, map[string]int64{"a": 1000, "b": 2000})
-	if got, want := s.Staleness(id), 150.0/3150.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("staleness = %v, want %v", got, want)
 	}
 }
@@ -96,7 +99,7 @@ func TestMarkUnseenBeforePublish(t *testing.T) {
 	s := NewStore()
 	e := internOver(s, "sales")
 	id := e.Desc.ID
-	s.SetFreshness(id, 0, map[string]int64{"sales": 1000})
+	s.SetFreshness(id, 1000)
 	// The engine pre-marks before the catalog swap; a failed append rolls
 	// back (clamped at zero).
 	s.MarkUnseen("sales", 100)
@@ -121,17 +124,5 @@ func TestMarkUnseenBeforePublish(t *testing.T) {
 	s.PublishAppend("sales", 1, 1250, 250)
 	if got := s.Staleness(id); got != want {
 		t.Fatalf("published staleness = %v, want %v (rows counted twice?)", got, want)
-	}
-}
-
-func TestStalenessMultiTableAccumulates(t *testing.T) {
-	s := NewStore()
-	e := internOver(s, "a", "b")
-	id := e.Desc.ID
-	s.SetFreshness(id, 0, map[string]int64{"a": 1000, "b": 1000})
-	s.ObserveVersion("a", 1, 1100)
-	s.ObserveVersion("b", 1, 1300)
-	if got, want := s.Staleness(id), 400.0/2400.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("staleness = %v, want %v", got, want)
 	}
 }

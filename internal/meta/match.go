@@ -7,15 +7,12 @@ import (
 )
 
 // Requirements describes the query subplan a synopsis would have to serve
-// (paper §IV-A, "Matching subplans to materialized synopses").
+// (paper §IV-A, "Matching subplans to materialized synopses"): σ(Table).
 type Requirements struct {
-	// Sig is the signature of the query subplan to replace.
-	Sig plan.Signature
+	// Table is the base table the subplan reads.
+	Table string
 	// Filter is the subplan's filter conjunction (nil = no filters).
 	Filter expr.Expr
-	// NeedCols are the columns consumed above the subplan (group-by,
-	// aggregate, join keys); the synopsis output must cover them.
-	NeedCols []string
 	// StratCols are the stratification attributes the query needs
 	// (grouping + skew/join-key additions); the synopsis must stratify on a
 	// superset to guarantee group coverage.
@@ -38,17 +35,18 @@ type Match struct {
 }
 
 // MatchSamples returns the materialized sample synopses usable for the
-// requirements, per the paper's rules:
+// requirements, per the paper's rules. The by-table index supplies the
+// same base relation; a synopsis keeps every column of its table, so any
+// projection is covered. The rest:
 //
-//  1. identical base relations and join predicates (subsumption core),
-//  2. synopsis filter weaker than or equal to the query filter,
-//  3. synopsis output ⊇ the columns the query consumes,
-//  4. synopsis stratification ⊇ the query's stratification (group coverage),
-//  5. aggregated columns covered (sample sized for their variance),
-//  6. synopsis accuracy at least as strict as the query's.
+//  1. synopsis filter weaker than or equal to the query filter,
+//  2. synopsis stratification ⊇ the query's stratification (group coverage),
+//  3. aggregated columns covered (sample sized for their variance; COUNT(*)
+//     is always covered: every weighted sample estimates cardinalities),
+//  4. synopsis accuracy at least as strict as the query's.
 func (s *Store) MatchSamples(req Requirements) []Match {
 	var out []Match
-	for _, e := range s.lookupIndex(req.Sig.IndexKey()) {
+	for _, e := range s.lookupTable(req.Table) {
 		d := &e.Desc
 		if d.Kind != plan.UniformSample && d.Kind != plan.DistinctSample {
 			continue
@@ -56,19 +54,10 @@ func (s *Store) MatchSamples(req Requirements) []Match {
 		if d.Location == LocNone {
 			continue
 		}
-		if !d.Sig.SameRelationsAndJoins(req.Sig) {
-			continue
-		}
 		if !expr.Implies(req.Filter, d.FilterPred) {
 			continue
 		}
-		if !plan.OutputSuperset(d.Sig.Output, req.NeedCols) {
-			continue
-		}
-		if !plan.ColSuperset(d.StratCols, req.StratCols) {
-			continue
-		}
-		if !aggCovered(d, req.AggCols) {
+		if !superset(d.StratCols, req.StratCols) || !superset(d.AggCols, req.AggCols) {
 			continue
 		}
 		if !d.Accuracy.AtLeastAsStrict(req.Accuracy) {
@@ -89,12 +78,9 @@ func (s *Store) MatchSamples(req Requirements) []Match {
 // aggregate column must be identical.
 func (s *Store) MatchSketchJoins(req Requirements, buildKeys []string, aggCol string) []Match {
 	var out []Match
-	for _, e := range s.lookupIndex(req.Sig.IndexKey()) {
+	for _, e := range s.lookupTable(req.Table) {
 		d := &e.Desc
 		if d.Kind != plan.SketchJoinSynopsis || d.Location == LocNone {
-			continue
-		}
-		if !d.Sig.SameRelationsAndJoins(req.Sig) {
 			continue
 		}
 		if !filtersEquivalent(req.Filter, d.FilterPred) {
@@ -111,18 +97,15 @@ func (s *Store) MatchSketchJoins(req Requirements, buildKeys []string, aggCol st
 	return out
 }
 
-// aggCovered reports whether every aggregated column was part of the
-// synopsis' sizing. COUNT(*) ("" removed upstream) is always covered: every
-// weighted sample estimates cardinalities.
-func aggCovered(d *Descriptor, aggCols []string) bool {
-	if len(aggCols) == 0 {
-		return true
-	}
-	have := make(map[string]bool, len(d.AggCols))
-	for _, c := range d.AggCols {
+// superset reports whether sup ⊇ sub as sets (paper §IV-A: "the set of
+// stratification attributes of the stored synopsis is a superset of the
+// stratification attributes of the subplan").
+func superset(sup, sub []string) bool {
+	have := make(map[string]bool, len(sup))
+	for _, c := range sup {
 		have[c] = true
 	}
-	for _, c := range aggCols {
+	for _, c := range sub {
 		if !have[c] {
 			return false
 		}

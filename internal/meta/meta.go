@@ -36,16 +36,17 @@ func (l Location) String() string {
 
 // Descriptor is the logical definition of a synopsis: the subplan it
 // summarizes plus its configuration and accuracy (paper §III metadata items
-// (a) and (b)).
+// (a) and (b)). Every synopsis summarizes σ(one base table) — a sample sits
+// on the fact table's scan and a sketch-join's build side is σ(fact) — so
+// the subplan is a table and a filter.
 type Descriptor struct {
 	ID   uint64
 	Kind plan.SynopsisKind
 
-	// Sig identifies the summarized subplan (tables, join preds, filters,
-	// output columns).
-	Sig plan.Signature
-	// FilterPred is the subplan's filter conjunction, kept as an expression
-	// for implication checks during subsumption.
+	// Table is the summarized base table.
+	Table string
+	// FilterPred is the subplan's filter conjunction (nil = none), kept as
+	// an expression for implication checks during subsumption.
 	FilterPred expr.Expr
 
 	// Sample configuration.
@@ -72,14 +73,9 @@ type Descriptor struct {
 	// Pinned synopses come from user hints and are never evicted (§V).
 	Pinned bool
 
-	// BuildEpoch is the summed epoch counter of the source tables at the
-	// moment the synopsis was materialized; a later admit with a higher
-	// source epoch is a refresh and replaces the stored copy.
-	BuildEpoch uint64
-	// BuildRows is the number of source rows the synopsis summarized at
-	// build time — the staleness denominator, summed over the source
-	// tables' row counts as bound into the build plan (recorded at admit
-	// time, so staleness math never divides by zero).
+	// BuildRows is the row count of Table as bound into the build plan —
+	// the rows the stored copy summarized. It is the staleness denominator,
+	// and a later admit that scanned more rows is a refresh.
 	BuildRows int64
 }
 
@@ -93,30 +89,27 @@ func (d *Descriptor) SizeBytes() int64 {
 
 // IdentityKey distinguishes synopses of the same subplan with different
 // kinds/configurations, used to dedupe candidate descriptors across queries.
+// The filter enters as its sorted conjuncts, so conjunct order does not
+// split an identity.
 func (d *Descriptor) IdentityKey() string {
-	return fmt.Sprintf("%s|%s|A=[%s]|agg=%s|aggs=[%s]|acc=%.4f@%.4f",
-		d.Kind, d.Sig.Key(), strings.Join(d.StratCols, ","), d.AggCol,
+	return fmt.Sprintf("%s|%s|F[%s]|A=[%s]|agg=%s|aggs=[%s]|acc=%.4f@%.4f",
+		d.Kind, d.Table, expr.CanonicalPredicate(d.FilterPred), strings.Join(d.StratCols, ","), d.AggCol,
 		strings.Join(d.AggCols, ","), d.Accuracy.RelError, d.Accuracy.Confidence)
 }
 
 // Label is a short human-readable name for logs.
 func (d *Descriptor) Label() string {
-	return fmt.Sprintf("#%d %s over %s", d.ID, d.Kind, strings.Join(d.Sig.Tables, "⋈"))
+	return fmt.Sprintf("#%d %s over %s", d.ID, d.Kind, d.Table)
 }
 
 // Entry couples a descriptor with its freshness bookkeeping.
 type Entry struct {
 	Desc Descriptor
-	// UnseenRows counts source rows appended after the synopsis was built.
-	// It is *derived* — per source table, the excess of the observed (or
-	// in-flight) row count over what the build scanned — and computed into
-	// snapshots at read time: no mutation ordering between ingests and
-	// admits can erase it.
+	// UnseenRows counts rows of Desc.Table appended after the synopsis was
+	// built. It is *derived* — the excess of the observed (or in-flight)
+	// row count over BuildRows — and computed into snapshots at read time:
+	// no mutation ordering between ingests and admits can erase it.
 	UnseenRows int64
-	// builtBy records the per-table row counts the synopsis summarized
-	// (set by SetFreshness; nil until first materialization). The map is
-	// replaced wholesale, never mutated, so snapshots may share it.
-	builtBy map[string]int64
 }
 
 // Staleness returns the fraction of current source rows the synopsis has
@@ -139,12 +132,6 @@ func stalenessFrom(buildRows, unseen int64) float64 {
 	return float64(unseen) / float64(denom)
 }
 
-// BuiltByTable returns the per-table source row counts the synopsis was
-// built from (nil before first materialization). The map is replaced
-// wholesale on refresh and never mutated, so callers must treat it as
-// read-only.
-func (e *Entry) BuiltByTable() map[string]int64 { return e.builtBy }
-
 // snap returns a copy of the entry that is safe to read after the store
 // lock is released: descriptor scalars are copied and the derived unseen-row
 // count is computed in. Descriptor slices (StratCols, AggCols, ...) are never
@@ -152,30 +139,19 @@ func (e *Entry) BuiltByTable() map[string]int64 { return e.builtBy }
 // snapshots so tuning rounds (which flip locations) never race with
 // planners and the tuner reading them. Caller holds at least the read lock.
 func (s *Store) snap(e *Entry) *Entry {
-	return &Entry{
-		Desc:       e.Desc,
-		UnseenRows: s.unseenLocked(e),
-		builtBy:    e.builtBy,
-	}
+	return &Entry{Desc: e.Desc, UnseenRows: s.unseenLocked(e)}
 }
 
-// unseenLocked derives the source rows the synopsis has never seen: per
-// source table, the excess of the observed row count (plus rows of any
-// append currently in flight, see MarkUnseen) over what the build scanned.
-// Caller holds at least the read lock.
+// unseenLocked derives the rows of the synopsis' table it has never seen:
+// the excess of the observed row count (plus rows of any append currently
+// in flight, see MarkUnseen) over BuildRows. Only a resident entry holds a
+// build; every other entry counts none. Caller holds at least the read lock.
 func (s *Store) unseenLocked(e *Entry) int64 {
-	var unseen int64
-	for t, built := range e.builtBy {
-		cur := built
-		if v, ok := s.tables[t]; ok && v.rows > cur {
-			cur = v.rows
-		}
-		cur += s.pending[t]
-		if cur > built {
-			unseen += cur - built
-		}
+	if _, ok := s.resident[e.Desc.ID]; !ok {
+		return 0
 	}
-	return unseen
+	built, t := e.Desc.BuildRows, e.Desc.Table
+	return max(built, s.tables[t].rows) + s.pending[t] - built
 }
 
 // tableVersion is the last observed state of a base relation.
@@ -190,7 +166,7 @@ type Store struct {
 	nextID     uint64
 	byID       map[uint64]*Entry
 	byIdentity map[string]uint64
-	byIndexKey map[string][]uint64
+	byTable    map[string][]uint64
 	// resident holds the ids of materialized or pinned entries — the ones a
 	// tuning round must see whatever its window mentions — so reading them
 	// does not scan every descriptor ever interned.
@@ -209,7 +185,7 @@ func NewStore() *Store {
 	return &Store{
 		byID:       make(map[uint64]*Entry),
 		byIdentity: make(map[string]uint64),
-		byIndexKey: make(map[string][]uint64),
+		byTable:    make(map[string][]uint64),
 		resident:   make(map[uint64]struct{}),
 		tables:     make(map[string]tableVersion),
 		pending:    make(map[string]int64),
@@ -232,18 +208,17 @@ func (s *Store) Intern(d Descriptor) *Entry {
 	e := &Entry{Desc: d}
 	s.byID[d.ID] = e
 	s.byIdentity[key] = d.ID
-	ik := d.Sig.IndexKey()
-	s.byIndexKey[ik] = append(s.byIndexKey[ik], d.ID)
+	s.byTable[d.Table] = append(s.byTable[d.Table], d.ID)
 	return s.snap(e)
 }
 
 // Restore reinstates a recovered entry under its original ID — the warm-
 // restart path replaying a persisted manifest. Unlike Intern it preserves
-// the descriptor verbatim (location, sizes, freshness, pin) and installs
-// the per-table build rows; the ID allocator advances past the restored ID
-// so later interns never collide. Restoring an ID or identity that already
-// exists is an error: recovery runs against an empty store.
-func (s *Store) Restore(d Descriptor, builtByTable map[string]int64) error {
+// the descriptor verbatim (location, sizes, freshness, pin); the ID
+// allocator advances past the restored ID so later interns never collide.
+// Restoring an ID or identity that already exists is an error: recovery
+// runs against an empty store.
+func (s *Store) Restore(d Descriptor) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d.ID == 0 {
@@ -257,17 +232,9 @@ func (s *Store) Restore(d Descriptor, builtByTable map[string]int64) error {
 		return fmt.Errorf("meta: restore: identity of #%d already held by #%d", d.ID, prev)
 	}
 	e := &Entry{Desc: d}
-	if len(builtByTable) > 0 {
-		built := make(map[string]int64, len(builtByTable))
-		for t, rows := range builtByTable {
-			built[t] = rows
-		}
-		e.builtBy = built
-	}
 	s.byID[d.ID] = e
 	s.byIdentity[key] = d.ID
-	ik := d.Sig.IndexKey()
-	s.byIndexKey[ik] = append(s.byIndexKey[ik], d.ID)
+	s.byTable[d.Table] = append(s.byTable[d.Table], d.ID)
 	s.trackLocked(e)
 	if d.ID > s.nextID {
 		s.nextID = d.ID
@@ -351,28 +318,18 @@ func (s *Store) SetActualSize(id uint64, size int64) {
 	}
 }
 
-// SetFreshness records the source state a synopsis was (re)built from: the
-// summed epoch of its source tables and the per-table row counts it
-// summarized. Staleness is derived, not stored: for every source table
-// whose observed (or in-flight) row count exceeds what this build scanned
-// — an append that raced the admit, for samples and sketch-joins alike —
-// the gap surfaces automatically, regardless of the order this call
-// interleaves with MarkUnseen/ObserveVersion.
-func (s *Store) SetFreshness(id uint64, epoch uint64, builtByTable map[string]int64) {
+// SetFreshness records the row count of its table a synopsis was (re)built
+// from. Staleness is derived, not stored: when the table's observed (or
+// in-flight) row count exceeds what this build scanned — an append that
+// raced the admit, for samples and sketch-joins alike — the gap surfaces
+// automatically, regardless of the order this call interleaves with
+// MarkUnseen/ObserveVersion.
+func (s *Store) SetFreshness(id uint64, rows int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.byID[id]
-	if !ok {
-		return
+	if e, ok := s.byID[id]; ok {
+		e.Desc.BuildRows = rows
 	}
-	e.Desc.BuildEpoch = epoch
-	e.Desc.BuildRows = 0
-	built := make(map[string]int64, len(builtByTable))
-	for t, rows := range builtByTable {
-		e.Desc.BuildRows += rows
-		built[t] = rows
-	}
-	e.builtBy = built
 }
 
 // MarkUnseen registers addedRows of in-flight appended data on a table.
@@ -509,12 +466,13 @@ func (s *Store) Materialized() []*Entry {
 	return out
 }
 
-// lookupIndex returns entries sharing the coarse base-relations/join key —
-// the index that "effectively limits the search space" (paper §IV-A).
-func (s *Store) lookupIndex(indexKey string) []*Entry {
+// lookupTable returns the entries over a base table — the index that
+// "effectively limits the search space" (paper §IV-A, which also keys join
+// attributes; no synopsis here spans a join).
+func (s *Store) lookupTable(table string) []*Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ids := s.byIndexKey[indexKey]
+	ids := s.byTable[table]
 	out := make([]*Entry, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, s.snap(s.byID[id]))

@@ -10,10 +10,6 @@ import (
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-func sig(tables []string, joins []string, filters []string, output []string) plan.Signature {
-	return plan.Signature{Tables: tables, JoinPreds: joins, Filters: filters, Output: output}
-}
-
 func acc(rel, conf float64) stats.AccuracySpec {
 	return stats.AccuracySpec{RelError: rel, Confidence: conf}
 }
@@ -21,7 +17,7 @@ func acc(rel, conf float64) stats.AccuracySpec {
 func baseDesc() Descriptor {
 	return Descriptor{
 		Kind:         plan.DistinctSample,
-		Sig:          sig([]string{"orders"}, nil, nil, []string{"orders.amount", "orders.cust"}),
+		Table:        "orders",
 		StratCols:    []string{"orders.cust"},
 		AggCols:      []string{"orders.amount"},
 		P:            0.05,
@@ -46,6 +42,19 @@ func TestInternDedupes(t *testing.T) {
 	}
 	if len(s.Entries()) != 2 {
 		t.Fatalf("entries = %d", len(s.Entries()))
+	}
+	// The filter is part of the identity, and conjunct order is not.
+	a := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "orders.amount"}, R: expr.Int(1)}
+	b := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(5)}
+	ab, ba := baseDesc(), baseDesc()
+	ab.FilterPred = expr.AndAll([]expr.Expr{a, b})
+	ba.FilterPred = expr.AndAll([]expr.Expr{b, a})
+	e4 := s.Intern(ab)
+	if e4.Desc.ID == e1.Desc.ID {
+		t.Fatal("a filtered and a bare synopsis of one table must intern separately")
+	}
+	if e5 := s.Intern(ba); e5.Desc.ID != e4.Desc.ID {
+		t.Fatalf("commuted conjuncts interned twice: %d vs %d", e5.Desc.ID, e4.Desc.ID)
 	}
 }
 
@@ -75,7 +84,7 @@ func TestWorkingSet(t *testing.T) {
 	if w := got(); len(w) != 0 {
 		t.Fatalf("Working after eviction and unpin = %v, want none", w)
 	}
-	if err := s.Restore(Descriptor{ID: 50, Kind: plan.UniformSample, Location: LocBuffer}, nil); err != nil {
+	if err := s.Restore(Descriptor{ID: 50, Kind: plan.UniformSample, Location: LocBuffer}); err != nil {
 		t.Fatal(err)
 	}
 	if w := got(); !reflect.DeepEqual(w, []uint64{50}) {
@@ -107,8 +116,7 @@ func TestLocationAndSize(t *testing.T) {
 
 func matchReq() Requirements {
 	return Requirements{
-		Sig:       sig([]string{"orders"}, nil, nil, []string{"orders.amount", "orders.cust"}),
-		NeedCols:  []string{"orders.amount", "orders.cust"},
+		Table:     "orders",
 		StratCols: []string{"orders.cust"},
 		AggCols:   []string{"orders.amount"},
 		Accuracy:  acc(0.1, 0.95),
@@ -151,14 +159,9 @@ func TestMatchSamplesRejections(t *testing.T) {
 		t.Fatal("unmaterialized synopsis matched")
 	}
 	// Different tables.
-	s2 := mk(func(d *Descriptor) { d.Sig.Tables = []string{"lineitem"} })
+	s2 := mk(func(d *Descriptor) { d.Table = "lineitem" })
 	if got := s2.MatchSamples(req); len(got) != 0 {
 		t.Fatal("different relation matched")
-	}
-	// Missing output column.
-	s3 := mk(func(d *Descriptor) { d.Sig.Output = []string{"orders.cust"} })
-	if got := s3.MatchSamples(req); len(got) != 0 {
-		t.Fatal("narrower output matched")
 	}
 	// Stratification not a superset.
 	s4 := mk(func(d *Descriptor) { d.StratCols = nil })
@@ -191,7 +194,6 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 	s.SetLocation(e.Desc.ID, LocWarehouse)
 	req := matchReq()
 	req.Filter = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(3)}
-	req.Sig.Filters = []string{req.Filter.String()}
 	ms := s.MatchSamples(req)
 	if len(ms) != 1 {
 		t.Fatalf("general sample must serve filtered query, got %d matches", len(ms))
@@ -204,7 +206,6 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 	s2 := NewStore()
 	d := baseDesc()
 	d.FilterPred = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(3)}
-	d.Sig.Filters = []string{d.FilterPred.String()}
 	e2 := s2.Intern(d)
 	s2.SetLocation(e2.Desc.ID, LocWarehouse)
 	if got := s2.MatchSamples(matchReq()); len(got) != 0 {
@@ -216,14 +217,14 @@ func TestMatchSketchJoins(t *testing.T) {
 	s := NewStore()
 	d := Descriptor{
 		Kind:      plan.SketchJoinSynopsis,
-		Sig:       sig([]string{"orderproducts"}, nil, nil, nil),
+		Table:     "orderproducts",
 		BuildKeys: []string{"orderproducts.order_id"},
 		AggCol:    "",
 		Accuracy:  acc(0.1, 0.95),
 	}
 	e := s.Intern(d)
 	s.SetLocation(e.Desc.ID, LocWarehouse)
-	req := Requirements{Sig: d.Sig, Accuracy: acc(0.1, 0.95)}
+	req := Requirements{Table: d.Table, Accuracy: acc(0.1, 0.95)}
 	ms := s.MatchSketchJoins(req, []string{"orderproducts.order_id"}, "")
 	if len(ms) != 1 {
 		t.Fatalf("matches = %d", len(ms))

@@ -79,14 +79,17 @@ type ItemRecord struct {
 	Loaded bool `json:"loaded,omitempty"`
 }
 
-// EntryRecord is the wire form of one metadata-store entry.
+// EntryRecord is the wire form of one metadata-store entry. An older v2
+// manifest also carries sig_joins, sig_filters, sig_output, build_epoch and
+// built_by; decoding ignores them — the filter is Filter, the output every
+// column of the table, and freshness BuildRows.
 type EntryRecord struct {
-	ID         uint64   `json:"id"`
-	Kind       uint8    `json:"kind"`
-	SigTables  []string `json:"sig_tables,omitempty"`
-	SigJoins   []string `json:"sig_joins,omitempty"`
-	SigFilters []string `json:"sig_filters,omitempty"`
-	SigOutput  []string `json:"sig_output,omitempty"`
+	ID   uint64 `json:"id"`
+	Kind uint8  `json:"kind"`
+	// SigTables names the summarized base table: one name. An older
+	// manifest may list several (a join-result sample); recovery drops such
+	// an entry.
+	SigTables []string `json:"sig_tables,omitempty"`
 	// Filter is the binary expression encoding of the descriptor's filter
 	// predicate (EncodeExpr); empty means no filter.
 	Filter    []byte   `json:"filter,omitempty"`
@@ -101,16 +104,14 @@ type EntryRecord struct {
 	// relation (1-based). Recovery must not restore such an entry — every
 	// descriptor is whole-table now, so it would answer whole-table
 	// aggregates from one partition's rows.
-	Partition  int              `json:"partition,omitempty"`
-	RelError   float64          `json:"rel_error,omitempty"`
-	Confidence float64          `json:"confidence,omitempty"`
-	EstSize    int64            `json:"est_size,omitempty"`
-	ActualSize int64            `json:"actual_size,omitempty"`
-	Location   uint8            `json:"location,omitempty"`
-	Pinned     bool             `json:"pinned,omitempty"`
-	BuildEpoch uint64           `json:"build_epoch,omitempty"`
-	BuildRows  int64            `json:"build_rows,omitempty"`
-	BuiltBy    map[string]int64 `json:"built_by,omitempty"`
+	Partition  int     `json:"partition,omitempty"`
+	RelError   float64 `json:"rel_error,omitempty"`
+	Confidence float64 `json:"confidence,omitempty"`
+	EstSize    int64   `json:"est_size,omitempty"`
+	ActualSize int64   `json:"actual_size,omitempty"`
+	Location   uint8   `json:"location,omitempty"`
+	Pinned     bool    `json:"pinned,omitempty"`
+	BuildRows  int64   `json:"build_rows,omitempty"`
 }
 
 // EntryRecordOf converts a metadata-store entry snapshot to its wire form.
@@ -119,10 +120,7 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 	rec := EntryRecord{
 		ID:         d.ID,
 		Kind:       uint8(d.Kind),
-		SigTables:  d.Sig.Tables,
-		SigJoins:   d.Sig.JoinPreds,
-		SigFilters: d.Sig.Filters,
-		SigOutput:  d.Sig.Output,
+		SigTables:  []string{d.Table},
 		StratCols:  d.StratCols,
 		P:          d.P,
 		Delta:      d.Delta,
@@ -135,9 +133,7 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 		ActualSize: d.ActualSize,
 		Location:   uint8(d.Location),
 		Pinned:     d.Pinned,
-		BuildEpoch: d.BuildEpoch,
 		BuildRows:  d.BuildRows,
-		BuiltBy:    e.BuiltByTable(),
 	}
 	if d.FilterPred != nil {
 		b, err := EncodeExpr(nil, d.FilterPred)
@@ -149,22 +145,19 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 	return rec, nil
 }
 
-// Entry converts the wire form back to descriptor and per-table build rows,
-// ready for meta.Store.Restore.
-func (r EntryRecord) Entry() (meta.Descriptor, map[string]int64, error) {
+// Entry converts the wire form back to a descriptor, ready for
+// meta.Store.Restore. The table is SigTables' first name: recovery has
+// dropped every record that lists more.
+func (r EntryRecord) Entry() (meta.Descriptor, error) {
 	if r.Kind > uint8(plan.SketchJoinSynopsis) {
-		return meta.Descriptor{}, nil, fmt.Errorf("persist: entry #%d: unknown synopsis kind %d", r.ID, r.Kind)
+		return meta.Descriptor{}, fmt.Errorf("persist: entry #%d: unknown synopsis kind %d", r.ID, r.Kind)
 	}
 	if r.Location > uint8(meta.LocWarehouse) {
-		return meta.Descriptor{}, nil, fmt.Errorf("persist: entry #%d: unknown location %d", r.ID, r.Location)
+		return meta.Descriptor{}, fmt.Errorf("persist: entry #%d: unknown location %d", r.ID, r.Location)
 	}
 	d := meta.Descriptor{
-		ID:   r.ID,
-		Kind: plan.SynopsisKind(r.Kind),
-		Sig: plan.Signature{
-			Tables: r.SigTables, JoinPreds: r.SigJoins,
-			Filters: r.SigFilters, Output: r.SigOutput,
-		},
+		ID:           r.ID,
+		Kind:         plan.SynopsisKind(r.Kind),
 		StratCols:    r.StratCols,
 		P:            r.P,
 		Delta:        r.Delta,
@@ -176,15 +169,17 @@ func (r EntryRecord) Entry() (meta.Descriptor, map[string]int64, error) {
 		ActualSize:   r.ActualSize,
 		Location:     meta.Location(r.Location),
 		Pinned:       r.Pinned,
-		BuildEpoch:   r.BuildEpoch,
 		BuildRows:    r.BuildRows,
+	}
+	if len(r.SigTables) > 0 {
+		d.Table = r.SigTables[0]
 	}
 	if len(r.Filter) > 0 {
 		e, err := DecodeExpr(r.Filter)
 		if err != nil {
-			return meta.Descriptor{}, nil, fmt.Errorf("persist: entry #%d filter: %w", r.ID, err)
+			return meta.Descriptor{}, fmt.Errorf("persist: entry #%d filter: %w", r.ID, err)
 		}
 		d.FilterPred = e
 	}
-	return d, r.BuiltBy, nil
+	return d, nil
 }

@@ -152,7 +152,7 @@ func TestEntryRecordRoundTrip(t *testing.T) {
 			}
 			rec.Filter = b
 		}
-		d, _, err := rec.Entry()
+		d, err := rec.Entry()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,49 +71,6 @@ func TestSynopsisOpSchemaAddsWeight(t *testing.T) {
 	}
 }
 
-func TestSignatureCanonical(t *testing.T) {
-	agg, r, s := samplePlan()
-	// A synopsis summarizes σ(base table): the join's filtered probe side.
-	sig := SignatureOf(agg.Child.(*Join).Left)
-	if len(sig.Tables) != 1 || sig.Tables[0] != "r" || len(sig.JoinPreds) != 0 {
-		t.Fatalf("tables = %v, join preds = %v", sig.Tables, sig.JoinPreds)
-	}
-	if len(sig.Filters) != 1 || sig.Filters[0] != "r.y > 1" {
-		t.Fatalf("filters = %v", sig.Filters)
-	}
-	if len(sig.Output) != 3 {
-		t.Fatalf("output = %v", sig.Output)
-	}
-	// Conjunct order does not change the signature.
-	a := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "r.y"}, R: expr.Int(1)}
-	b := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "r.x"}, R: expr.Int(5)}
-	ab := SignatureOf(&Filter{Child: &Scan{Table: r}, Pred: expr.AndAll([]expr.Expr{a, b})})
-	ba := SignatureOf(&Filter{Child: &Scan{Table: r}, Pred: expr.AndAll([]expr.Expr{b, a})})
-	if ab.Key() != ba.Key() {
-		t.Fatalf("commuted conjuncts: %q != %q", ab.Key(), ba.Key())
-	}
-	// Filters are compensable; the relation is not.
-	bare := SignatureOf(&Scan{Table: r})
-	if !sig.SameRelationsAndJoins(bare) || sig.IndexKey() != bare.IndexKey() || sig.Key() == bare.Key() {
-		t.Fatal("a filtered and a bare scan of r share relations and index key, not the full key")
-	}
-	if sig.SameRelationsAndJoins(SignatureOf(&Scan{Table: s})) {
-		t.Fatal("scans of r and s must not match")
-	}
-}
-
-func TestOutputAndColSupersets(t *testing.T) {
-	if !OutputSuperset([]string{"a", "b", "c"}, []string{"a", "c"}) {
-		t.Fatal("superset")
-	}
-	if OutputSuperset([]string{"a"}, []string{"a", "b"}) {
-		t.Fatal("not superset")
-	}
-	if !ColSuperset([]string{"x"}, nil) {
-		t.Fatal("empty set is subset of anything")
-	}
-}
-
 func TestWalkVisitsEveryNode(t *testing.T) {
 	agg, _, _ := samplePlan()
 	count := 0

@@ -160,11 +160,9 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	if sh.factFilter != nil {
 		buildNode = &plan.Filter{Child: buildNode, Pred: sh.factFilter}
 	}
-	buildSig := plan.SignatureOf(buildNode)
-
 	desc := meta.Descriptor{
 		Kind:       plan.SketchJoinSynopsis,
-		Sig:        buildSig,
+		Table:      sh.fact.Table.Name,
 		FilterPred: sh.factFilter,
 		BuildKeys:  sh.buildKeys,
 		AggCol:     sh.aggCol,
@@ -234,7 +232,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	ps.noteReuse(entry.Desc.ID, reuseCost)
 
 	// Reuse candidate when a matching sketch is materialized.
-	req := meta.Requirements{Sig: buildSig, Filter: sh.factFilter, Accuracy: q.Accuracy}
+	req := meta.Requirements{Table: sh.fact.Table.Name, Filter: sh.factFilter, Accuracy: q.Accuracy}
 	for _, m := range p.Store.MatchSketchJoins(req, sh.buildKeys, sh.aggCol) {
 		// Sketches cannot be compensated, so the staleness bound applies to
 		// them just like to samples (a stale sketch undercounts new rows).

@@ -8,18 +8,17 @@ import (
 
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/obs"
-	"github.com/tasterdb/taster/internal/plan"
 )
 
 // CacheKey derives the plan cache identity of a query under a tuning
 // snapshot. The key is invalidation-by-construction: it embeds
 //
-//   - the query's canonical signature in plan.Signature vocabulary (base
-//     tables, canonical join predicates, filter conjuncts, output columns) —
-//     kept in declaration order, not sorted, because the planner builds
-//     left-deep join trees in table order and the seed derives from the
-//     chosen plan's text, so order-insensitive keying could replay a
-//     differently-shaped (still correct, but differently-sampled) plan;
+//   - the query's shape (base tables, canonical join predicates, filter
+//     conjuncts, output columns) — kept in declaration order, not sorted,
+//     because the planner builds left-deep join trees in table order and
+//     the seed derives from the chosen plan's text, so order-insensitive
+//     keying could replay a differently-shaped (still correct, but
+//     differently-sampled) plan;
 //   - each table's version epoch, so Catalog.Append makes every prior entry
 //     of that table unreachable;
 //   - the full accuracy/order/limit/exact surface that steers candidate
@@ -30,27 +29,36 @@ import (
 //
 // Stale entries are therefore never consulted; they age out of the LRU.
 func CacheKey(q *Query, snapIdent uint64) string {
-	var sig plan.Signature
-	for _, t := range q.Tables {
-		sig.Tables = append(sig.Tables, fmt.Sprintf("%s@%d", t.Name, t.Table.Epoch()))
-	}
-	for _, j := range q.Joins {
-		sig.JoinPreds = append(sig.JoinPreds, j.Canonical())
-	}
-	for _, c := range expr.Conjuncts(q.Filter) {
-		sig.Filters = append(sig.Filters, c.String())
-	}
-	sig.Output = append(append([]string(nil), q.GroupBy...), func() []string {
-		out := make([]string, 0, len(q.Aggs))
-		for _, a := range q.Aggs {
-			out = append(out, a.Kind.String()+"("+a.Col+")as"+a.Alias)
-		}
-		return out
-	}()...)
-
 	var sb strings.Builder
-	sb.WriteString(sig.Key())
-	fmt.Fprintf(&sb, " ORD[%s", strings.Join(q.OrderBy, ","))
+	sb.WriteString("T[")
+	for i, t := range q.Tables {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "%s@%d", t.Name, t.Table.Epoch())
+	}
+	sb.WriteString("] J[")
+	for i, j := range q.Joins {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(j.Canonical())
+	}
+	sb.WriteString("] F[")
+	for i, c := range expr.Conjuncts(q.Filter) {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(c.String())
+	}
+	fmt.Fprintf(&sb, "] O[%s", strings.Join(q.GroupBy, ","))
+	for i, a := range q.Aggs {
+		if i > 0 || len(q.GroupBy) > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(a.Kind.String() + "(" + a.Col + ")as" + a.Alias)
+	}
+	fmt.Fprintf(&sb, "] ORD[%s", strings.Join(q.OrderBy, ","))
 	for _, d := range q.Desc {
 		if d {
 			sb.WriteString(";d")

@@ -482,10 +482,9 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	}
 	groups := stratGroups
 
-	scanSig := plan.SignatureOf(&plan.Scan{Table: fact.Table})
 	desc := meta.Descriptor{
 		Kind:      cfg.kind,
-		Sig:       scanSig,
+		Table:     fact.Table.Name,
 		StratCols: strat,
 		P:         cfg.p,
 		Delta:     cfg.delta,
@@ -540,9 +539,8 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	requireStrat := expr.DedupCols(append(
 		q.groupColsOn(fact.Name), q.skewedEqFilterCols(fact)...))
 	req := meta.Requirements{
-		Sig:       scanSig,
+		Table:     fact.Table.Name,
 		Filter:    factFilter,
-		NeedCols:  p.factNeedCols(q, fact),
 		StratCols: requireStrat,
 		AggCols:   p.aggColsOn(q, fact.Name),
 		Accuracy:  q.Accuracy,
@@ -624,17 +622,6 @@ func (p *Planner) costBaseSampleReuse(q *Query, fact TableRef, factFilter expr.E
 	out := p.costFilteredJoinTree(q, overrides, &cost)
 	cost.aggWork(out)
 	return cost.seconds(p.Model, p.Parallelism)
-}
-
-// factNeedCols lists the fact-table columns the query consumes.
-func (p *Planner) factNeedCols(q *Query, fact TableRef) []string {
-	need := append([]string(nil), q.groupColsOn(fact.Name)...)
-	need = append(need, q.joinKeysOf(fact.Name)...)
-	need = append(need, p.aggColsOn(q, fact.Name)...)
-	if f := q.filterForTable(fact.Name); f != nil {
-		need = append(need, f.Columns(nil)...)
-	}
-	return expr.DedupCols(need)
 }
 
 // aggColsOn returns the aggregate columns owned by the table.

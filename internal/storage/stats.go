@@ -191,26 +191,11 @@ func (t *Table) GroupCount(cols []string) int {
 		}
 		return 1
 	}
-	idx := make([]int, 0, len(cols))
-	for _, c := range cols {
-		i := t.schema.Index(c)
-		if i < 0 {
-			return 1
-		}
-		idx = append(idx, i)
+	sizes, ok := t.groupSizes(cols)
+	if !ok {
+		return 1
 	}
-	seen := make(map[string]struct{}, 1024)
-	var key []byte
-	for _, part := range t.parts {
-		for r := 0; r < part.rows; r++ {
-			key = key[:0]
-			for _, i := range idx {
-				key = appendValueKey(key, part.cols[i], r)
-			}
-			seen[string(key)] = struct{}{}
-		}
-	}
-	return len(seen)
+	return len(sizes)
 }
 
 // MinGroupOf returns the size of the smallest group for the given column
@@ -227,53 +212,35 @@ func (t *Table) MinGroupOf(cols []string) int {
 		}
 		return t.Stats().Columns[i].MinGroup
 	}
-	idx := make([]int, 0, len(cols))
-	for _, c := range cols {
-		i := t.schema.Index(c)
-		if i < 0 {
-			return t.rows
-		}
-		idx = append(idx, i)
-	}
-	counts := make(map[string]int, 1024)
-	var key []byte
-	for _, part := range t.parts {
-		for r := 0; r < part.rows; r++ {
-			key = key[:0]
-			for _, i := range idx {
-				key = appendValueKey(key, part.cols[i], r)
-			}
-			counts[string(key)]++
-		}
+	sizes, ok := t.groupSizes(cols)
+	if !ok {
+		return t.rows
 	}
 	minG := t.rows
-	for _, f := range counts {
-		if f < minG {
-			minG = f
-		}
+	for _, f := range sizes {
+		minG = min(minG, f)
 	}
 	return minG
 }
 
-func appendValueKey(key []byte, v *Vector, i int) []byte {
-	switch v.Typ {
-	case Int64:
-		x := uint64(v.I64[i])
-		key = append(key, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-			byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56), 0)
-	case Float64:
-		x := math.Float64bits(v.F64[i])
-		key = append(key, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-			byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56), 1)
-	case String:
-		key = append(key, v.Str[i]...)
-		key = append(key, 0xff, 2)
-	case Bool:
-		if v.B[i] {
-			key = append(key, 1, 3)
-		} else {
-			key = append(key, 0, 3)
+// groupSizes counts the rows of every distinct combination of the given
+// columns, keyed by GroupKey. ok is false when a column is unknown.
+func (t *Table) groupSizes(cols []string) (sizes map[string]int, ok bool) {
+	idx := make([]int, 0, len(cols))
+	for _, c := range cols {
+		i := t.schema.Index(c)
+		if i < 0 {
+			return nil, false
+		}
+		idx = append(idx, i)
+	}
+	sizes = make(map[string]int, 1024)
+	var key []byte
+	for _, part := range t.parts {
+		for r := 0; r < part.rows; r++ {
+			key = GroupKey(key, part.cols, idx, r)
+			sizes[string(key)]++
 		}
 	}
-	return key
+	return sizes, true
 }

@@ -184,6 +184,25 @@ func TestGroupCountAndMinGroup(t *testing.T) {
 	}
 }
 
+// TestGroupCountStringBoundaries: a multi-column group is keyed by GroupKey,
+// whose length-prefixed strings keep column boundaries, so two rows whose
+// strings only concatenate alike are two groups of one row each.
+func TestGroupCountStringBoundaries(t *testing.T) {
+	b := NewBuilder("t", Schema{{Name: "t.a", Typ: String}, {Name: "t.b", Typ: String}})
+	b.Str(0, "a\xff\x02b")
+	b.Str(1, "c")
+	b.Str(0, "a")
+	b.Str(1, "b\xff\x02c")
+	tbl := b.Build(1)
+	cols := []string{"t.a", "t.b"}
+	if g := tbl.GroupCount(cols); g != 2 {
+		t.Fatalf("GroupCount = %d, want 2", g)
+	}
+	if g := tbl.MinGroupOf(cols); g != 1 {
+		t.Fatalf("MinGroupOf = %d, want 1", g)
+	}
+}
+
 func TestVectorGatherSlice(t *testing.T) {
 	v := NewVector(Int64, 0)
 	for i := int64(0); i < 10; i++ {

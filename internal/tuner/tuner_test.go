@@ -33,7 +33,7 @@ func newHarness(quota int64, cfg Config) *harness {
 func (h *harness) synopsis(name string, size int64, costWith map[int]float64) *meta.Entry {
 	d := meta.Descriptor{
 		Kind:         plan.DistinctSample,
-		Sig:          plan.Signature{Tables: []string{name}},
+		Table:        name,
 		EstSizeBytes: size,
 		Accuracy:     stats.DefaultAccuracy,
 	}
@@ -347,7 +347,7 @@ func TestChoosePlanCreditsRefreshOfStaleSynopsis(t *testing.T) {
 	}
 	// Mostly stale: the refresh recovers the stale fraction of the future
 	// gain, which outweighs the small extra build cost.
-	h.store.SetFreshness(e.Desc.ID, 0, map[string]int64{"s": 100})
+	h.store.SetFreshness(e.Desc.ID, 100)
 	h.store.ObserveVersion("s", 1, 400) // staleness 0.75
 	if dec := h.t.Tune(h.planSet(3, 10, build)); dec.Chosen.Desc != "build" {
 		t.Fatalf("stale: chose %q, want refresh build", dec.Chosen.Desc)
