@@ -43,18 +43,32 @@ func TestInternDedupes(t *testing.T) {
 	if len(s.Entries()) != 2 {
 		t.Fatalf("entries = %d", len(s.Entries()))
 	}
-	// The filter is part of the identity, and conjunct order is not.
+}
+
+// A synopsis is named by its table and its filter: the filter is part of
+// the identity, conjunct order is not, and another table is another name.
+func TestInternFilterIdentity(t *testing.T) {
+	s := NewStore()
+	bare := s.Intern(baseDesc())
 	a := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "orders.amount"}, R: expr.Int(1)}
 	b := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(5)}
 	ab, ba := baseDesc(), baseDesc()
 	ab.FilterPred = expr.AndAll([]expr.Expr{a, b})
 	ba.FilterPred = expr.AndAll([]expr.Expr{b, a})
-	e4 := s.Intern(ab)
-	if e4.Desc.ID == e1.Desc.ID {
+	filtered := s.Intern(ab)
+	if filtered.Desc.ID == bare.Desc.ID {
 		t.Fatal("a filtered and a bare synopsis of one table must intern separately")
 	}
-	if e5 := s.Intern(ba); e5.Desc.ID != e4.Desc.ID {
-		t.Fatalf("commuted conjuncts interned twice: %d vs %d", e5.Desc.ID, e4.Desc.ID)
+	if e := s.Intern(ba); e.Desc.ID != filtered.Desc.ID {
+		t.Fatalf("commuted conjuncts interned twice: %d vs %d", e.Desc.ID, filtered.Desc.ID)
+	}
+	other := baseDesc()
+	other.Table = "lineitem"
+	if e := s.Intern(other); e.Desc.ID == bare.Desc.ID {
+		t.Fatal("synopses of different tables must intern separately")
+	}
+	if len(s.Entries()) != 3 {
+		t.Fatalf("entries = %d, want 3", len(s.Entries()))
 	}
 }
 
