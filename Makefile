@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke determinism reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke determinism parity reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
 
 all: check
 
@@ -73,26 +73,47 @@ bench-smoke:
 		fi; \
 	done
 
-# Byte-determinism gate: every report tasterbench prints — the whole figure
-# suite plus the streaming, both warm-restart and the partition experiments,
-# every engine on the synchronous tuning schedule — run twice must be
-# identical.
+# The five tasterbench reports determinism, parity and reach run: the whole
+# figure suite plus the streaming, both warm-restart and the partition
+# experiments, every engine on the synchronous tuning schedule. Each quoted
+# string is one invocation's arguments.
+REPORTS = \
+	"-experiment all" \
+	"-experiment streaming -workload tpch -sf 0.002 -queries 24" \
+	"-experiment warmstart -workload instacart -sf 0.002 -queries 24" \
+	"-experiment partition -queries 48" \
+	"-experiment warmstart -workload tpch"
+
+# Byte-determinism gate: every report in REPORTS run twice must be identical.
 # Any change that makes a synchronous run depend on goroutine scheduling, map
 # order or the clock turns this red. About 12 s, build included.
 determinism:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/tasterbench" ./cmd/tasterbench; \
-	for args in \
-		"-experiment all" \
-		"-experiment streaming -workload tpch -sf 0.002 -queries 24" \
-		"-experiment warmstart -workload instacart -sf 0.002 -queries 24" \
-		"-experiment partition -queries 48" \
-		"-experiment warmstart -workload tpch"; \
-	do \
+	for args in $(REPORTS); do \
 		"$$d/tasterbench" $$args > "$$d/a.txt"; \
 		"$$d/tasterbench" $$args > "$$d/b.txt"; \
 		cmp "$$d/a.txt" "$$d/b.txt"; \
 		echo "determinism: two runs of '$$args' are byte-identical"; \
+	done
+
+# Byte-identity against another commit: `make parity BASE=<ref>` exports
+# BASE with git archive into a temporary directory, builds cmd/tasterbench
+# there and here, and cmps every report in REPORTS between the two. A
+# refactor that must not move an answer holds BASE to its parent. Not in
+# check or CI: the base ref is a local choice. About 12 s.
+parity:
+	@set -e; test -n "$(BASE)" || { echo "parity: set BASE=<git ref>"; exit 2; }; \
+	git rev-parse --verify -q "$(BASE)^{commit}" > /dev/null || { echo "parity: $(BASE) names no commit"; exit 2; }; \
+	d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir -p "$$d/base"; \
+	git archive "$(BASE)" | tar -x -C "$$d/base"; \
+	(cd "$$d/base" && $(GO) build -o "$$d/tasterbench.base" ./cmd/tasterbench); \
+	$(GO) build -o "$$d/tasterbench" ./cmd/tasterbench; \
+	for args in $(REPORTS); do \
+		"$$d/tasterbench.base" $$args > "$$d/base.txt"; \
+		"$$d/tasterbench" $$args > "$$d/head.txt"; \
+		cmp "$$d/base.txt" "$$d/head.txt"; \
+		echo "parity: '$$args' is byte-identical to $(BASE)"; \
 	done
 
 # Reachability map, not a gate and not part of check: builds tasterbench and
@@ -108,13 +129,7 @@ reach:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir -p "$$d/cov" "$$d/run"; \
 	$(GO) build -cover -coverpkg=github.com/tasterdb/taster/... -o "$$d/tasterbench" ./cmd/tasterbench; \
 	(cd benchmark && $(GO) build -cover -coverpkg=github.com/tasterdb/taster/... -o "$$d/bench" .); \
-	for args in \
-		"-experiment all" \
-		"-experiment streaming -workload tpch -sf 0.002 -queries 24" \
-		"-experiment warmstart -workload instacart -sf 0.002 -queries 24" \
-		"-experiment partition -queries 48" \
-		"-experiment warmstart -workload tpch"; \
-	do GOCOVERDIR="$$d/cov" "$$d/tasterbench" $$args > /dev/null; done; \
+	for args in $(REPORTS); do GOCOVERDIR="$$d/cov" "$$d/tasterbench" $$args > /dev/null; done; \
 	for w in dash_repeat explore_cold scan_exact ingest_mix; do \
 		(cd "$$d/run" && GOCOVERDIR="$$d/cov" "$$d/bench" --workload $$w --seed 1 --smoke --trace 1 > /dev/null); \
 	done; \

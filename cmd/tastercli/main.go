@@ -123,9 +123,8 @@ func main() {
 			fmt.Println("  .budget <bytes>  change the storage budget (elasticity)")
 			fmt.Println("  .quit            exit")
 		case line == ".synopses":
-			for _, e := range eng.Store().Materialized() {
-				d := e.Desc
-				fmt.Printf("  %s [%s, %d bytes]\n", d.Label(), d.Location, d.SizeBytes())
+			for _, line := range eng.Synopses() {
+				fmt.Printf("  %s\n", line)
 			}
 		case strings.HasPrefix(line, ".budget "):
 			n, err := strconv.ParseInt(strings.TrimSpace(strings.TrimPrefix(line, ".budget ")), 10, 64)

@@ -393,6 +393,24 @@ func (e *Engine) Store() *meta.Store { return e.store }
 // Warehouse exposes the warehouse manager (used by experiments and hints).
 func (e *Engine) Warehouse() *warehouse.Manager { return e.wh }
 
+// Synopses returns one human-readable line per stored synopsis: the buffer
+// tier, then the warehouse tier, each by id.
+func (e *Engine) Synopses() []string {
+	view := e.wh.View()
+	var out []string
+	for _, tier := range []struct {
+		name  string
+		items []*warehouse.Item
+	}{{"buffer", view.BufferItems()}, {"warehouse", view.WarehouseItems()}} {
+		for _, it := range tier.items {
+			if ent, ok := e.store.Get(it.ID); ok {
+				out = append(out, fmt.Sprintf("%s [%s, %d bytes]", ent.Desc.Label(), tier.name, it.Size))
+			}
+		}
+	}
+	return out
+}
+
 // Execute plans, chooses and runs one query. It is safe to call from many
 // goroutines; in the default asynchronous ModeTaster configuration it
 // acquires no engine-wide mutex — tuning state arrives via the published
@@ -600,11 +618,10 @@ func (e *Engine) MetricsSnapshot() obs.MetricsSnapshot {
 
 // admitLocked places a freshly built synopsis in the buffer, overflowing to
 // the warehouse, dropping it if neither tier has room. The caller holds
-// tuneMu, so the store-then-set-location pair can never interleave with the
-// tuner's delete-then-set-location pair (which would strand a stale
-// location in the metadata store); admission itself is atomic in the
-// warehouse manager, so two queries concurrently building the same synopsis
-// converge on one stored copy.
+// tuneMu, so the admit-then-record-freshness pair never interleaves with a
+// tuning round's rearrangement; admission itself is atomic in the warehouse
+// manager, so two queries concurrently building the same synopsis converge
+// on one stored copy.
 //
 // When a stored copy exists but this rebuild scanned strictly more source
 // rows, the rebuild is a *refresh*: the stale copy is atomically replaced
@@ -630,31 +647,19 @@ func (e *Engine) admitLocked(it *warehouse.Item, id uint64, srcRows int64) (stor
 		// eviction), and on failure (rebuild fits nowhere) the stale copy
 		// and its metadata stay, so the staleness policy keeps seeing it
 		// for what it is.
-		res, err := e.wh.Refresh(it)
-		if err != nil {
+		if _, err := e.wh.Refresh(it); err != nil {
 			return false, false
 		}
-		loc := meta.LocWarehouse
-		if res == warehouse.AdmitBuffer {
-			loc = meta.LocBuffer
-		}
-		e.store.SetLocation(id, loc)
 		e.store.SetActualSize(id, it.Size)
 		e.store.SetFreshness(id, srcRows)
 		return true, true
 	}
-	switch e.wh.Admit(it) {
-	case warehouse.AdmitBuffer:
-		e.store.SetLocation(id, meta.LocBuffer)
-	case warehouse.AdmitWarehouse:
-		e.store.SetLocation(id, meta.LocWarehouse)
-	default:
-		// Both tiers full: the synopsis was dropped, but metadata remembers
-		// the measured size for better future decisions.
-		e.store.SetActualSize(id, it.Size)
+	// Metadata remembers the measured size even when both tiers are full and
+	// the synopsis is dropped, for better future decisions.
+	e.store.SetActualSize(id, it.Size)
+	if e.wh.Admit(it) == warehouse.AdmitDropped {
 		return false, false
 	}
-	e.store.SetActualSize(id, it.Size)
 	e.store.SetFreshness(id, srcRows)
 	return true, false
 }
@@ -738,10 +743,7 @@ func (e *Engine) SetStorageBudget(bytes int64) {
 		return
 	}
 	dec := e.tn.Retune()
-	evicted, _ := e.wh.ApplyMoves(dec.Evict, nil)
-	for _, id := range evicted {
-		e.store.SetLocation(id, meta.LocNone)
-	}
+	e.wh.ApplyMoves(dec.Evict, nil)
 	// A shrink can leave overflow even after set-based eviction (e.g. all
 	// remaining synopses beneficial); drop the lowest-marginal-gain
 	// leftovers — larger size breaking ties, so each eviction frees the
@@ -764,13 +766,9 @@ func (e *Engine) SetStorageBudget(bytes int64) {
 			if e.wh.Overflow() <= 0 {
 				break
 			}
-			if it.Pinned {
-				continue
+			if !it.Pinned {
+				_ = e.wh.Delete(it.ID)
 			}
-			if err := e.wh.Delete(it.ID); err != nil {
-				continue
-			}
-			e.store.SetLocation(it.ID, meta.LocNone)
 		}
 	}
 	e.publishLocked(dec.Keep, dec.Gains)
@@ -797,7 +795,6 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 		Delta:     s.Delta,
 		AggCols:   aggCols,
 		Accuracy:  acc,
-		Pinned:    true,
 	}
 	if s.Strategy == "uniform" || s.Strategy == "variational" {
 		desc.Kind = plan.UniformSample
@@ -813,24 +810,18 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 		rows = int64(tbl.NumRows())
 	}
 	// An id that is already stored — a hint rebuilt after ingestion — is
-	// refreshed in place; a new one goes straight to the warehouse.
-	e.store.SetPinned(id, true)
+	// refreshed in place; a new one goes straight to the warehouse. The pin
+	// is the stored item's: a hint that fits nowhere leaves nothing pinned.
 	it := warehouse.NewSampleItem(id, s)
 	it.Pinned = true
-	loc := meta.LocWarehouse
 	if e.wh.Has(id) {
-		res, err := e.wh.Refresh(it)
-		if err != nil {
+		if _, err := e.wh.Refresh(it); err != nil {
 			return 0, fmt.Errorf("core: pinning sample: %w", err)
-		}
-		if res == warehouse.AdmitBuffer {
-			loc = meta.LocBuffer
 		}
 	} else if err := e.wh.PutWarehouse(it); err != nil {
 		return 0, fmt.Errorf("core: pinning sample: %w", err)
 	}
 	e.store.SetActualSize(id, it.Size)
-	e.store.SetLocation(id, loc)
 	e.store.SetFreshness(id, rows)
 	e.republishLocked()
 	if e.db != nil {

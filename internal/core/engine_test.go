@@ -244,6 +244,46 @@ func TestPinSampleServesQueries(t *testing.T) {
 	}
 }
 
+// TestFailedPinLeavesNoPinnedPhantom: a hint larger than the warehouse quota
+// is refused, and nothing may remember it as pinned — a pinned member joins
+// S* unconditionally, so a phantom would sit in every keep set (and every
+// checkpoint) while no tier holds it.
+func TestFailedPinLeavesNoPinnedPhantom(t *testing.T) {
+	cat := testCatalog()
+	e := New(cat, Config{
+		Mode:          ModeTaster,
+		StorageBudget: 1 << 10, // smaller than the hint
+		BufferSize:    cat.TotalBytes(),
+		CostModel:     storage.ScaledCostModel(cat.TotalBytes(), 30040),
+		Seed:          7,
+		Synchronous:   true,
+	})
+	sales, _ := cat.Table("sales")
+	smp := synopses.BuildSampleFromTable("hint", sales, synopses.NewUniformSampler(0.05, 3), nil)
+	if smp.SizeBytes() <= 1<<10 {
+		t.Fatalf("test setup: hint of %d bytes fits the quota", smp.SizeBytes())
+	}
+	before := e.store.NextID()
+	if _, err := e.PinSample("sales", smp, nil, []string{"sales.qty"}, stats.DefaultAccuracy); err == nil {
+		t.Fatal("pinning a hint larger than the warehouse quota succeeded")
+	}
+	id := e.store.NextID()
+	if id != before+1 || e.wh.Has(id) {
+		t.Fatalf("test setup: the refused hint interned #%d (after #%d), stored %t", id, before, e.wh.Has(id))
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e.Execute(catQuery(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.tn.Retune().Keep[id] {
+		t.Fatalf("refused hint #%d is in the tuner's S*", id)
+	}
+	if e.snap.Load().keep[id] {
+		t.Fatalf("refused hint #%d is in the published keep set", id)
+	}
+}
+
 func TestAccuracyDefaultApplied(t *testing.T) {
 	e := testEngine(ModeTaster)
 	q := catQuery(e)

@@ -145,9 +145,5 @@ func TestPartitionedIngestQuerySpillStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	for _, ent := range e2.Store().Materialized() {
-		if !e2.Warehouse().Has(ent.Desc.ID) {
-			t.Fatalf("entry #%d inconsistent after storm restart", ent.Desc.ID)
-		}
-	}
+	storedEntries(t, e2)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,6 +66,23 @@ func persistQuery(e *Engine, i int) *planner.Query {
 			Accuracy: stats.DefaultAccuracy,
 		}
 	}
+}
+
+// storedEntries returns the entry of every synopsis the warehouse holds,
+// buffer tier first, each by id, failing on an item that names no entry:
+// recovery drops such an item row, and admission interns before it stores.
+func storedEntries(t *testing.T, e *Engine) []*meta.Entry {
+	t.Helper()
+	v := e.wh.View()
+	var out []*meta.Entry
+	for _, it := range append(v.BufferItems(), v.WarehouseItems()...) {
+		ent, ok := e.store.Get(it.ID)
+		if !ok {
+			t.Fatalf("stored item #%d names no entry", it.ID)
+		}
+		out = append(out, ent)
+	}
+	return out
 }
 
 // renderResult flattens everything fidelity cares about: the chosen plan,
@@ -250,13 +268,9 @@ func TestCrashRecoveryTruncatedSpill(t *testing.T) {
 	if _, statErr := os.Stat(files[0]); !os.IsNotExist(statErr) {
 		t.Fatal("truncated payload file survived recovery")
 	}
-	// Consistency: every materialized entry is present in the warehouse,
-	// and everything the warehouse holds is loadable.
-	for _, ent := range e2.Store().Materialized() {
-		it, _, ok := e2.Warehouse().Get(ent.Desc.ID)
-		if !ok {
-			t.Fatalf("entry #%d claims %v but is not stored", ent.Desc.ID, ent.Desc.Location)
-		}
+	// Consistency: every stored item names an entry and is loadable.
+	for _, ent := range storedEntries(t, e2) {
+		it, _, _ := e2.Warehouse().Get(ent.Desc.ID)
 		if err := it.EagerLoad(); err != nil {
 			t.Fatalf("recovered item #%d unloadable: %v", ent.Desc.ID, err)
 		}
@@ -382,7 +396,7 @@ func TestRecoveryDropsJoinResultSample(t *testing.T) {
 		SigTables: []string{"products", "sales"},
 		P:         0.05, AggCols: []string{"sales.qty"},
 		RelError: stats.DefaultAccuracy.RelError, Confidence: stats.DefaultAccuracy.Confidence,
-		EstSize: int64(len(payload)), ActualSize: int64(len(payload)), Location: uint8(meta.LocWarehouse),
+		EstSize: int64(len(payload)), ActualSize: int64(len(payload)),
 		BuildRows: int64(sales.NumRows() + products.NumRows()),
 	})
 	m.Items = append(m.Items, persist.ItemRecord{
@@ -446,7 +460,7 @@ func TestOldManifestRestores(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, ent := range e1.Store().Materialized() {
+		for _, ent := range storedEntries(t, e1) {
 			switch {
 			case ent.Desc.Kind == plan.SketchJoinSynopsis && ent.Desc.FilterPred != nil:
 				sketchID = ent.Desc.ID
@@ -513,7 +527,7 @@ func TestOldManifestRestores(t *testing.T) {
 	built := make(map[uint64]int64)
 	for _, id := range []uint64{sketchID, sampleID} {
 		ent, ok := e2.Store().Get(id)
-		if !ok || ent.Desc.Location == meta.LocNone || ent.Staleness() != 0 {
+		if !ok || !e2.wh.Has(id) || ent.Staleness() != 0 {
 			t.Fatalf("synopsis #%d after recovery: present %t, entry %+v", id, ok, ent)
 		}
 		built[id] = ent.Desc.BuildRows
@@ -556,11 +570,148 @@ func TestOldManifestRestores(t *testing.T) {
 	}
 }
 
+// TestOldManifestLayoutFromItemRows: a v2 manifest written while the
+// metadata store mirrored the warehouse carries, per entry, a location and a
+// pin beside the item rows' tier and pin. Recovery reads the layout from the
+// item rows alone: tiers and pins match them, an entry that claims the
+// warehouse (and a pin) with no item row stays a candidate outside S*,
+// re-planning interns onto the restored ids, and the next checkpoint writes
+// neither field.
+func TestOldManifestLayoutFromItemRows(t *testing.T) {
+	dir := t.TempDir()
+	cat := testCatalog()
+	e1, err := persistEngine(cat, dir, false) // the buffer keeps the byproduct
+	if err != nil {
+		t.Fatal(err)
+	}
+	sales, _ := cat.Table("sales")
+	// A hint too loose for the default accuracy, so the query below builds.
+	hint, err := e1.PinSample("sales",
+		synopses.BuildSampleFromTable("hint", sales, synopses.NewUniformSampler(0.05, 3), nil),
+		nil, []string{"sales.price"}, stats.AccuracySpec{RelError: 0.5, Confidence: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e1.Execute(persistQuery(e1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	bufItems := e1.wh.BufferItems()
+	if len(bufItems) != 1 {
+		t.Fatalf("test setup: %d buffer items, want the one byproduct", len(bufItems))
+	}
+	built := bufItems[0].ID
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the manifest the way the mirroring writer wrote it, plus one
+	// entry that claims the warehouse and a pin but has no item row.
+	path := filepath.Join(dir, "MANIFEST.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		buffer, pinned bool
+	}
+	rows := make(map[uint64]row)
+	for _, x := range m["items"].([]any) {
+		ir := x.(map[string]any)
+		pinned, _ := ir["pinned"].(bool)
+		rows[uint64(ir["id"].(float64))] = row{buffer: ir["tier"] == persist.TierBuffer, pinned: pinned}
+	}
+	if len(rows) != 2 || !rows[hint].pinned || rows[hint].buffer || !rows[built].buffer || rows[built].pinned {
+		t.Fatalf("test setup: item rows %v, want pinned warehouse #%d and buffer #%d", rows, hint, built)
+	}
+	entries := m["entries"].([]any)
+	for _, x := range entries {
+		rec := x.(map[string]any)
+		if r, ok := rows[uint64(rec["id"].(float64))]; ok {
+			rec["location"] = map[bool]int{true: 1, false: 2}[r.buffer]
+			rec["pinned"] = r.pinned
+		}
+	}
+	claim := uint64(m["next_synopsis_id"].(float64)) + 1
+	m["next_synopsis_id"] = claim
+	m["entries"] = append(entries, map[string]any{
+		"id": claim, "kind": uint8(plan.UniformSample), "sig_tables": []string{"sales"},
+		"strat_cols": []string{"sales.qty"}, "agg_cols": []string{"sales.qty"},
+		"rel_error": 0.1, "confidence": 0.95, "est_size": 100, "location": 2, "pinned": true,
+	})
+	old, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := persistEngine(cat, dir, false)
+	if err != nil {
+		t.Fatalf("open over a manifest with entry locations: %v", err)
+	}
+	for id, r := range rows {
+		it, inBuffer, ok := e2.wh.Get(id)
+		if !ok || inBuffer != r.buffer || it.Pinned != r.pinned {
+			t.Fatalf("item #%d after recovery: stored %t, buffer %t, pinned %t; want buffer %t, pinned %t",
+				id, ok, inBuffer, ok && it.Pinned, r.buffer, r.pinned)
+		}
+	}
+	if _, ok := e2.store.Get(claim); !ok || e2.wh.Has(claim) {
+		t.Fatalf("row-less entry #%d after recovery: present %t, stored %t; want a candidate", claim, ok, e2.wh.Has(claim))
+	}
+	if n := len(e2.Synopses()); n != len(rows) {
+		t.Fatalf("Synopses lists %d, want the %d item rows", n, len(rows))
+	}
+	if e2.tn.Retune().Keep[claim] || e2.snap.Load().keep[claim] {
+		t.Fatalf("row-less entry #%d is in S*", claim)
+	}
+	entries0 := len(e2.store.Entries())
+	ps, err := e2.pl.PlanWith(persistQuery(e2, 2), e2.snap.Load().wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e2.store.Entries()); n != entries0 {
+		t.Fatalf("re-planning interned %d new descriptors", n-entries0)
+	}
+	reused := false
+	for _, c := range ps.Candidates {
+		reused = reused || slices.Contains(c.Uses, built)
+	}
+	if !reused {
+		t.Fatalf("re-planned candidates do not reuse the restored #%d", built)
+	}
+
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var next struct {
+		Entries []map[string]any `json:"entries"`
+	}
+	if err := json.Unmarshal(raw, &next); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range next.Entries {
+		for _, field := range []string{"location", "pinned"} {
+			if _, ok := rec[field]; ok {
+				t.Fatalf("checkpointed entry #%v carries %q", rec["id"], field)
+			}
+		}
+	}
+}
+
 // TestRecoveryDropsRetiredSketchPayload: a warehouse directory written while
 // sketch-joins were two count-min planes stores them as kind-7 records,
 // which nothing decodes any more. Recovery must drop such an item whether
 // the checkpoint had it loaded or lazy — restored lazily it would hold quota
-// and fail every fault-in — leaving its entry at LocNone and no file behind;
+// and fail every fault-in — leaving its entry a candidate and no file behind;
 // Open succeeds and the next query rebuilds.
 func TestRecoveryDropsRetiredSketchPayload(t *testing.T) {
 	for _, loaded := range []bool{false, true} {
@@ -576,7 +727,7 @@ func TestRecoveryDropsRetiredSketchPayload(t *testing.T) {
 				if _, err := e1.Execute(persistQuery(e1, 0)); err != nil {
 					t.Fatal(err)
 				}
-				for _, ent := range e1.Store().Materialized() {
+				for _, ent := range storedEntries(t, e1) {
 					if ent.Desc.Kind == plan.SketchJoinSynopsis {
 						id = ent.Desc.ID
 					}
@@ -623,8 +774,8 @@ func TestRecoveryDropsRetiredSketchPayload(t *testing.T) {
 				t.Fatalf("open over a retired sketch-join payload: %v", err)
 			}
 			defer e2.Close()
-			if ent, ok := e2.Store().Get(id); !ok || ent.Desc.Location != meta.LocNone {
-				t.Fatalf("entry #%d after recovery: present %t, want it at LocNone", id, ok)
+			if _, ok := e2.Store().Get(id); !ok {
+				t.Fatalf("entry #%d was not restored", id)
 			}
 			if e2.Warehouse().Has(id) {
 				t.Fatalf("retired item #%d was restored", id)
@@ -714,11 +865,7 @@ func TestRestartUnderSmallerBudget(t *testing.T) {
 	if _, wu := e2.wh.Usage(); wu > 1<<10 {
 		t.Fatalf("restored over quota: %d", wu)
 	}
-	for _, ent := range e2.Store().Materialized() {
-		if !e2.Warehouse().Has(ent.Desc.ID) {
-			t.Fatalf("entry #%d location %v inconsistent with dropped item", ent.Desc.ID, ent.Desc.Location)
-		}
-	}
+	storedEntries(t, e2)
 	if _, err := e2.Execute(persistQuery(e2, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -781,11 +928,7 @@ func TestSpillLoadExecuteStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	for _, ent := range e2.Store().Materialized() {
-		if !e2.Warehouse().Has(ent.Desc.ID) {
-			t.Fatalf("entry #%d inconsistent after storm restart", ent.Desc.ID)
-		}
-	}
+	storedEntries(t, e2)
 }
 
 // TestIngestFreshnessSurvivesCrash: Ingest must checkpoint the observed

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/persist"
 	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/tuner"
@@ -51,10 +50,11 @@ func (d diskSpiller) Remove(id uint64) error { return d.db.RemoveItem(id) }
 // engine: metadata entries (descriptors, freshness), observed table
 // versions, the tuner's sliding window with its reuse costs, the query-id
 // high-water mark, and both warehouse tiers. Crash windows resolve to a
-// consistent view — a manifest entry whose payload file is missing,
-// truncated or checksum-broken is dropped (its metadata reverts to
-// LocNone, so the planner simply re-tastes it), and payload files no
-// manifest references are garbage-collected. Items whose payload was
+// consistent view — an item whose payload file is missing, truncated or
+// checksum-broken is dropped (its entry stays a candidate, which nothing in
+// the warehouse holds, so the planner simply re-tastes it), and payload files
+// no manifest references are garbage-collected. Where a synopsis lives, and
+// whether it is pinned, is read from the item rows alone. Items whose payload was
 // cached at checkpoint time are reloaded eagerly so post-restart plan
 // costs match the uninterrupted engine's. Returns the number of items
 // restored. Called from Open before the engine escapes.
@@ -79,7 +79,7 @@ func (e *Engine) recoverLocked() (int, error) {
 
 	// Two kinds of entry an older manifest may hold have no home any more,
 	// so recovery leaves the entry out and drops its item below, as for a
-	// torn spill:
+	// torn spill (an item row naming no restored entry drops the same way):
 	//   - a sample scoped to one partition (from before synopses were
 	//     whole-table only), which would answer whole-table aggregates from
 	//     one partition's rows;
@@ -87,10 +87,8 @@ func (e *Engine) recoverLocked() (int, error) {
 	//     result, from before a sample lived only on the fact table's scan.
 	//     No plan reads one, but restored it would still collect reuse gain
 	//     from the recovered window and hold a place — and quota — in S*.
-	dropped := make(map[uint64]bool)
 	for _, rec := range m.Entries {
 		if rec.Partition != 0 || len(rec.SigTables) > 1 {
-			dropped[rec.ID] = true
 			continue
 		}
 		d, err := rec.Entry()
@@ -113,8 +111,8 @@ func (e *Engine) recoverLocked() (int, error) {
 	inManifest := make(map[uint64]bool, len(m.Items))
 	for _, ir := range m.Items {
 		inManifest[ir.ID] = true
-		if dropped[ir.ID] {
-			e.dropRecovered(ir.ID)
+		if _, ok := e.store.Get(ir.ID); !ok {
+			_ = e.db.RemoveItem(ir.ID)
 			continue
 		}
 		kind := warehouse.SampleItem
@@ -135,7 +133,7 @@ func (e *Engine) recoverLocked() (int, error) {
 		// not: restored lazily it would hold quota and fail every fault-in.
 		payload, err := e.db.ReadItem(ir.ID)
 		if err != nil || int64(len(payload)) != ir.Size || !persist.Known(payload) {
-			e.dropRecovered(ir.ID)
+			_ = e.db.RemoveItem(ir.ID)
 			continue
 		}
 		// Build the item fully BEFORE placing it in a tier: an item whose
@@ -147,7 +145,7 @@ func (e *Engine) recoverLocked() (int, error) {
 		if ir.Loaded {
 			s, err := persist.Decode(payload)
 			if err != nil {
-				e.dropRecovered(ir.ID)
+				_ = e.db.RemoveItem(ir.ID)
 				continue
 			}
 			switch x := s.(type) {
@@ -157,7 +155,7 @@ func (e *Engine) recoverLocked() (int, error) {
 				it = warehouse.NewSketchItem(ir.ID, x)
 			}
 			if it == nil || it.Kind() != kind {
-				e.dropRecovered(ir.ID) // manifest kind and payload disagree
+				_ = e.db.RemoveItem(ir.ID) // manifest kind and payload disagree
 				continue
 			}
 			it.Pinned = ir.Pinned
@@ -167,17 +165,10 @@ func (e *Engine) recoverLocked() (int, error) {
 		if err := e.wh.RestoreItem(it, ir.Tier == persist.TierBuffer); err != nil {
 			// The restart may run under a smaller quota than the checkpoint;
 			// overflow items are dropped, not squeezed in.
-			e.dropRecovered(ir.ID)
+			_ = e.db.RemoveItem(ir.ID)
 			continue
 		}
 		restored++
-	}
-	// Manifest entries that claim materialization but have no item row
-	// (e.g. a checkpoint raced an eviction) revert to candidates.
-	for _, ent := range e.store.Materialized() {
-		if !e.wh.Has(ent.Desc.ID) {
-			e.store.SetLocation(ent.Desc.ID, meta.LocNone)
-		}
 	}
 	// Garbage-collect payload files the manifest does not reference — a
 	// spill that completed after the last durable manifest write.
@@ -191,13 +182,6 @@ func (e *Engine) recoverLocked() (int, error) {
 		}
 	}
 	return restored, nil
-}
-
-// dropRecovered reverts one unrecoverable item to the consistent
-// "never materialized" state.
-func (e *Engine) dropRecovered(id uint64) {
-	_ = e.db.RemoveItem(id)
-	e.store.SetLocation(id, meta.LocNone)
 }
 
 // checkpointLocked writes the engine's durable state to the warehouse

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/tasterdb/taster/internal/exec"
-	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/tuner"
 	"github.com/tasterdb/taster/internal/warehouse"
@@ -14,36 +13,35 @@ import (
 
 // tuningSnapshot is the immutable tuning state the lock-free serving path
 // reads: the warehouse view the last tuning round left behind, the selected
-// synopsis set S* with its marginal gains, per-member staleness as of the
-// publish, and the sliding-window length. A new snapshot is swapped in
-// atomically (RCU-style) after every tuning round, inline admission, elastic
-// budget change, pinned-hint install or ingest, in every mode and under both
-// tuning schedules; readers holding an older snapshot keep a coherent —
-// merely slightly stale — view of the world, which is exactly the staleness
-// budget asynchronous tuning trades for a lock-free hot path. All fields are
-// read-only after publish.
+// synopsis set S* with its marginal gains, the staleness of every item the
+// view holds as of the publish, and the sliding-window length. A new
+// snapshot is swapped in atomically (RCU-style) after every tuning round,
+// inline admission, elastic budget change, pinned-hint install or ingest, in
+// every mode and under both tuning schedules; readers holding an older
+// snapshot keep a coherent — merely slightly stale — view of the world, which
+// is exactly the staleness budget asynchronous tuning trades for a lock-free
+// hot path. All fields are read-only after publish.
 //
 //taster:immutable
 type tuningSnapshot struct {
-	wh        *warehouse.View
-	keep      map[uint64]bool
-	gains     map[uint64]float64
+	wh    *warehouse.View
+	keep  map[uint64]bool
+	gains map[uint64]float64
+	// staleness is read by plan choice only for ids the view holds, and by
+	// the next publish's ident comparison.
 	staleness map[uint64]float64
 	window    int
 	version   uint64
 	// ident is the snapshot's *planning* identity: it advances only when
 	// the state the planner's candidate enumeration reads — the warehouse
-	// item set (pointer-wise, so refreshes count) or any materialized
-	// item's staleness — materially changed since the previous publish.
+	// item set (pointer-wise, so refreshes count) or any stored item's
+	// staleness — materially changed since the previous publish.
 	// Publishes that merely slid the window or recomputed gains carry the
 	// previous ident forward: those inputs feed plan *choice*, which the
 	// serving path re-runs on every query anyway. The plan cache keys on
 	// ident, so per-batch republishes under a steady workload do not evict
 	// it, while every rearrangement orphans stale entries by construction.
 	ident uint64
-	// viewStale is the staleness of every materialized item at publish
-	// time, kept for the next publish's ident comparison.
-	viewStale map[uint64]float64
 }
 
 // republishLocked re-publishes the snapshot from current warehouse/store
@@ -60,24 +58,19 @@ func (e *Engine) republishLocked() {
 // tuneMu (or is the constructor, before the engine escapes), which is what
 // orders publishes.
 func (e *Engine) publishLocked(keep map[uint64]bool, gains map[uint64]float64) {
-	ids := make([]uint64, 0, len(keep))
-	//taster:sorted ids only feeds StalenessOf, which returns a keyed map — element order cannot reach any output
-	for id := range keep {
-		ids = append(ids, id)
-	}
 	view := e.wh.View()
-	viewIDs := make([]uint64, 0, 16)
+	ids := make([]uint64, 0, 16)
 	for _, it := range view.BufferItems() {
-		viewIDs = append(viewIDs, it.ID)
+		ids = append(ids, it.ID)
 	}
 	for _, it := range view.WarehouseItems() {
-		viewIDs = append(viewIDs, it.ID)
+		ids = append(ids, it.ID)
 	}
-	viewStale := e.store.StalenessOf(viewIDs)
+	staleness := e.store.StalenessOf(ids)
 	prev := e.snap.Load()
 	e.snapVersion++
 	ident := e.snapVersion
-	carried := prev != nil && prev.wh.SameContents(view) && sameStaleMap(prev.viewStale, viewStale)
+	carried := prev != nil && prev.wh.SameContents(view) && sameStaleMap(prev.staleness, staleness)
 	if carried {
 		ident = prev.ident
 	}
@@ -91,16 +84,15 @@ func (e *Engine) publishLocked(keep map[uint64]bool, gains map[uint64]float64) {
 		wh:        view,
 		keep:      keep,
 		gains:     gains,
-		staleness: e.store.StalenessOf(ids),
+		staleness: staleness,
 		window:    e.tn.Window(),
 		version:   e.snapVersion,
 		ident:     ident,
-		viewStale: viewStale,
 	})
 }
 
 // sameStaleMap compares two staleness maps exactly: any drift in any
-// materialized item's staleness must advance the planning identity, since
+// stored item's staleness must advance the planning identity, since
 // the planner's staleness gate and cost penalty read it.
 func sameStaleMap(a, b map[uint64]float64) bool {
 	if len(a) != len(b) {
@@ -336,12 +328,6 @@ func (e *Engine) roundLocked(batch []*observation, ps *planner.PlanSet) (dec tun
 
 	dec = e.tn.TuneBatch(obs, protect, ps)
 	evicted, promoted = e.wh.ApplyMoves(dec.Evict, dec.Promote)
-	for _, id := range evicted {
-		e.store.SetLocation(id, meta.LocNone)
-	}
-	for _, id := range promoted {
-		e.store.SetLocation(id, meta.LocWarehouse)
-	}
 	e.stats.Evicted += int64(len(evicted))
 	e.stats.Promoted += int64(len(promoted))
 	e.stats.Rounds++

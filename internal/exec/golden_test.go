@@ -214,7 +214,6 @@ func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
 				if err := wh.PutWarehouse(it); err != nil {
 					t.Fatal(err)
 				}
-				store.SetLocation(cs.Entry.Desc.ID, meta.LocWarehouse)
 				store.SetActualSize(cs.Entry.Desc.ID, it.Size)
 				store.SetFreshness(cs.Entry.Desc.ID, boundRows(src))
 			}

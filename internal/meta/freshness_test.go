@@ -8,16 +8,13 @@ import (
 	"github.com/tasterdb/taster/internal/stats"
 )
 
-// internOver interns a sample over table and materializes it: only an entry
-// that holds a build counts unseen rows.
+// internOver interns a sample over table.
 func internOver(s *Store, table string) *Entry {
-	e := s.Intern(Descriptor{
+	return s.Intern(Descriptor{
 		Kind:     plan.DistinctSample,
 		Table:    table,
 		Accuracy: stats.DefaultAccuracy,
 	})
-	s.SetLocation(e.Desc.ID, LocBuffer)
-	return e
 }
 
 func TestStalenessLifecycle(t *testing.T) {
@@ -52,16 +49,11 @@ func TestStalenessLifecycle(t *testing.T) {
 		t.Fatalf("unrelated append marked synopsis: %v", got)
 	}
 
-	// An evicted entry holds no build, so it counts no unseen rows; back
-	// in a tier, its recorded build is as stale as the table says.
+	// Staleness is the last build's, stored or not — the store does not
+	// know where a synopsis lives; every reader asks the warehouse first.
 	s.ObserveVersion("sales", 2, 1500)
-	s.SetLocation(id, LocNone)
-	if got := s.Staleness(id); got != 0 {
-		t.Fatalf("evicted staleness = %v, want 0", got)
-	}
-	s.SetLocation(id, LocWarehouse)
 	if got, want := s.Staleness(id), 250.0/1500.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("re-admitted staleness = %v, want %v", got, want)
+		t.Fatalf("staleness = %v, want %v", got, want)
 	}
 }
 

@@ -34,24 +34,23 @@ type Match struct {
 	CompensateFilter expr.Expr
 }
 
-// MatchSamples returns the materialized sample synopses usable for the
-// requirements, per the paper's rules. The by-table index supplies the
-// same base relation; a synopsis keeps every column of its table, so any
-// projection is covered. The rest:
+// MatchSamples returns the stored sample synopses usable for the
+// requirements, per the paper's rules. has says which synopses are stored
+// (the plan set's warehouse view); it is asked before any implication check,
+// so a candidate that was never built costs nothing here. The by-table index
+// supplies the same base relation; a synopsis keeps every column of its
+// table, so any projection is covered. The rest:
 //
 //  1. synopsis filter weaker than or equal to the query filter,
 //  2. synopsis stratification ⊇ the query's stratification (group coverage),
 //  3. aggregated columns covered (sample sized for their variance; COUNT(*)
 //     is always covered: every weighted sample estimates cardinalities),
 //  4. synopsis accuracy at least as strict as the query's.
-func (s *Store) MatchSamples(req Requirements) []Match {
+func (s *Store) MatchSamples(req Requirements, has func(uint64) bool) []Match {
 	var out []Match
-	for _, e := range s.lookupTable(req.Table) {
+	for _, e := range s.lookupTable(req.Table, has) {
 		d := &e.Desc
 		if d.Kind != plan.UniformSample && d.Kind != plan.DistinctSample {
-			continue
-		}
-		if d.Location == LocNone {
 			continue
 		}
 		if !expr.Implies(req.Filter, d.FilterPred) {
@@ -72,15 +71,15 @@ func (s *Store) MatchSamples(req Requirements) []Match {
 	return out
 }
 
-// MatchSketchJoins returns usable materialized sketch-join synopses. Sketches
-// cannot be compensated after the fact (the per-key aggregation is baked in),
-// so the build-side filter must be exactly equivalent, and join keys and the
-// aggregate column must be identical.
-func (s *Store) MatchSketchJoins(req Requirements, buildKeys []string, aggCol string) []Match {
+// MatchSketchJoins returns usable stored sketch-join synopses (has as for
+// MatchSamples). Sketches cannot be compensated after the fact (the per-key
+// aggregation is baked in), so the build-side filter must be exactly
+// equivalent, and join keys and the aggregate column must be identical.
+func (s *Store) MatchSketchJoins(req Requirements, buildKeys []string, aggCol string, has func(uint64) bool) []Match {
 	var out []Match
-	for _, e := range s.lookupTable(req.Table) {
+	for _, e := range s.lookupTable(req.Table, has) {
 		d := &e.Desc
-		if d.Kind != plan.SketchJoinSynopsis || d.Location == LocNone {
+		if d.Kind != plan.SketchJoinSynopsis {
 			continue
 		}
 		if !filtersEquivalent(req.Filter, d.FilterPred) {

@@ -5,11 +5,14 @@
 // onto materialized synopses (paper §IV-A). The paper's item (d) — which
 // recent queries could exploit a synopsis, at what cost — is the same
 // information held query-major in the tuner's sliding window (package
-// tuner), so nothing here is written per query.
+// tuner), so nothing here is written per query. Whether a synopsis is
+// stored, in which tier, and whether it is pinned is the warehouse's
+// record alone (package warehouse): the matchers take its view's Has.
 package meta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,21 +21,6 @@ import (
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
 )
-
-// Location says where a synopsis currently lives.
-type Location uint8
-
-// Synopsis locations.
-const (
-	LocNone      Location = iota // candidate only, never materialized (or evicted)
-	LocBuffer                    // in-memory synopsis buffer
-	LocWarehouse                 // persistent synopsis warehouse
-)
-
-// String returns the location name.
-func (l Location) String() string {
-	return [...]string{"none", "buffer", "warehouse"}[l]
-}
 
 // Descriptor is the logical definition of a synopsis: the subplan it
 // summarizes plus its configuration and accuracy (paper §III metadata items
@@ -68,10 +56,6 @@ type Descriptor struct {
 	// exists; ActualSize replaces it after materialization.
 	EstSizeBytes int64
 	ActualSize   int64
-
-	Location Location
-	// Pinned synopses come from user hints and are never evicted (§V).
-	Pinned bool
 
 	// BuildRows is the row count of Table as bound into the build plan —
 	// the rows the stored copy summarized. It is the staleness denominator,
@@ -136,20 +120,20 @@ func stalenessFrom(buildRows, unseen int64) float64 {
 // lock is released: descriptor scalars are copied and the derived unseen-row
 // count is computed in. Descriptor slices (StratCols, AggCols, ...) are never
 // mutated after Intern, so sharing them is safe. Read accessors return
-// snapshots so tuning rounds (which flip locations) never race with
-// planners and the tuner reading them. Caller holds at least the read lock.
+// snapshots so admissions (which update sizes and freshness) never race
+// with planners and the tuner reading them. Caller holds at least the read
+// lock.
 func (s *Store) snap(e *Entry) *Entry {
 	return &Entry{Desc: e.Desc, UnseenRows: s.unseenLocked(e)}
 }
 
 // unseenLocked derives the rows of the synopsis' table it has never seen:
 // the excess of the observed row count (plus rows of any append currently
-// in flight, see MarkUnseen) over BuildRows. Only a resident entry holds a
-// build; every other entry counts none. Caller holds at least the read lock.
+// in flight, see MarkUnseen) over BuildRows — the last build's, whether or
+// not that build is still stored. The store does not know where a synopsis
+// lives; every reader of staleness asks the warehouse view first. Caller
+// holds at least the read lock.
 func (s *Store) unseenLocked(e *Entry) int64 {
-	if _, ok := s.resident[e.Desc.ID]; !ok {
-		return 0
-	}
 	built, t := e.Desc.BuildRows, e.Desc.Table
 	return max(built, s.tables[t].rows) + s.pending[t] - built
 }
@@ -167,10 +151,6 @@ type Store struct {
 	byID       map[uint64]*Entry
 	byIdentity map[string]uint64
 	byTable    map[string][]uint64
-	// resident holds the ids of materialized or pinned entries — the ones a
-	// tuning round must see whatever its window mentions — so reading them
-	// does not scan every descriptor ever interned.
-	resident map[uint64]struct{}
 	// tables tracks the last published epoch and row count of every
 	// ingested base relation (updated by ObserveVersion); pending counts
 	// rows of appends that are marked but not yet published (MarkUnseen).
@@ -186,7 +166,6 @@ func NewStore() *Store {
 		byID:       make(map[uint64]*Entry),
 		byIdentity: make(map[string]uint64),
 		byTable:    make(map[string][]uint64),
-		resident:   make(map[uint64]struct{}),
 		tables:     make(map[string]tableVersion),
 		pending:    make(map[string]int64),
 	}
@@ -214,7 +193,7 @@ func (s *Store) Intern(d Descriptor) *Entry {
 
 // Restore reinstates a recovered entry under its original ID — the warm-
 // restart path replaying a persisted manifest. Unlike Intern it preserves
-// the descriptor verbatim (location, sizes, freshness, pin); the ID
+// the descriptor verbatim (sizes, freshness); the ID
 // allocator advances past the restored ID so later interns never collide.
 // Restoring an ID or identity that already exists is an error: recovery
 // runs against an empty store.
@@ -235,21 +214,10 @@ func (s *Store) Restore(d Descriptor) error {
 	s.byID[d.ID] = e
 	s.byIdentity[key] = d.ID
 	s.byTable[d.Table] = append(s.byTable[d.Table], d.ID)
-	s.trackLocked(e)
 	if d.ID > s.nextID {
 		s.nextID = d.ID
 	}
 	return nil
-}
-
-// trackLocked keeps the resident set in step with e's location and pin.
-// Caller holds the write lock.
-func (s *Store) trackLocked(e *Entry) {
-	if e.Desc.Location != LocNone || e.Desc.Pinned {
-		s.resident[e.Desc.ID] = struct{}{}
-	} else {
-		delete(s.resident, e.Desc.ID)
-	}
 }
 
 // NextID returns the ID allocator's high-water mark (the last assigned ID);
@@ -299,17 +267,8 @@ func (s *Store) Get(id uint64) (*Entry, bool) {
 	return s.snap(e), true
 }
 
-// SetLocation updates where the synopsis lives.
-func (s *Store) SetLocation(id uint64, loc Location) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.byID[id]; ok {
-		e.Desc.Location = loc
-		s.trackLocked(e)
-	}
-}
-
-// SetActualSize records the measured size after materialization.
+// SetActualSize records the measured size after materialization; it
+// outlives an eviction.
 func (s *Store) SetActualSize(id uint64, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -392,8 +351,8 @@ func (s *Store) Staleness(id uint64) float64 {
 // single consistent read: one lock hold covers all ids, so the returned
 // values reflect the same instant of the table-version/pending state. The
 // engine's tuning-snapshot publish uses it so the lock-free serving path
-// reads freshness that is mutually consistent with the published synopsis
-// locations, instead of racing per-id lookups against concurrent ingests.
+// reads freshness that is mutually consistent with the published warehouse
+// view, instead of racing per-id lookups against concurrent ingests.
 // Unknown ids are omitted.
 func (s *Store) StalenessOf(ids []uint64) map[uint64]float64 {
 	s.mu.RLock()
@@ -405,16 +364,6 @@ func (s *Store) StalenessOf(ids []uint64) map[uint64]float64 {
 		}
 	}
 	return out
-}
-
-// SetPinned marks a synopsis as pinned (user hints) or not.
-func (s *Store) SetPinned(id uint64, pinned bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.byID[id]; ok {
-		e.Desc.Pinned = pinned
-		s.trackLocked(e)
-	}
 }
 
 // Entries returns snapshots of all entries sorted by ID (a stable,
@@ -431,48 +380,35 @@ func (s *Store) Entries() []*Entry {
 }
 
 // Working returns one consistent read of the entries a tuning round works
-// on: snapshots of the given ids (unknown ones omitted, duplicates folded)
-// plus every materialized or pinned entry, sorted by ID. Its cost follows
-// len(ids) and the warehouse, not the number of descriptors interned.
+// on: snapshots of the given ids, unknown ones omitted and duplicates
+// folded, sorted by ID. The tuner asks for the ids its window mentions and
+// the ids its warehouse view holds, so the cost follows those, not the
+// number of descriptors interned.
 func (s *Store) Working(ids []uint64) []*Entry {
+	ids = slices.Compact(slices.Sorted(slices.Values(ids)))
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	pick := make(map[uint64]*Entry, len(s.resident)+len(ids))
-	for id := range s.resident {
-		pick[id] = s.byID[id]
-	}
+	out := make([]*Entry, 0, len(ids))
 	for _, id := range ids {
 		if e, ok := s.byID[id]; ok {
-			pick[id] = e
-		}
-	}
-	out := make([]*Entry, 0, len(pick))
-	for _, e := range pick {
-		out = append(out, s.snap(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Desc.ID < out[j].Desc.ID })
-	return out
-}
-
-// Materialized returns entries currently in the buffer or warehouse.
-func (s *Store) Materialized() []*Entry {
-	all := s.Working(nil)
-	out := all[:0:0]
-	for _, e := range all {
-		if e.Desc.Location != LocNone {
-			out = append(out, e)
+			out = append(out, s.snap(e))
 		}
 	}
 	return out
 }
 
-// lookupTable returns the entries over a base table — the index that
-// "effectively limits the search space" (paper §IV-A, which also keys join
-// attributes; no synopsis here spans a join).
-func (s *Store) lookupTable(table string) []*Entry {
+// lookupTable returns the entries over a base table that has reports
+// stored — the index that "effectively limits the search space" (paper
+// §IV-A, which also keys join attributes; no synopsis here spans a join).
+// Candidates never built are dropped before they are copied, and has runs
+// outside the store's lock.
+func (s *Store) lookupTable(table string, has func(uint64) bool) []*Entry {
+	s.mu.RLock()
+	ids := append([]uint64(nil), s.byTable[table]...)
+	s.mu.RUnlock()
+	ids = slices.DeleteFunc(ids, func(id uint64) bool { return !has(id) })
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ids := s.byTable[table]
 	out := make([]*Entry, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, s.snap(s.byID[id]))

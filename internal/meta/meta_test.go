@@ -2,12 +2,12 @@ package meta
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
-	"github.com/tasterdb/taster/internal/storage"
 )
 
 func acc(rel, conf float64) stats.AccuracySpec {
@@ -72,6 +72,8 @@ func TestInternFilterIdentity(t *testing.T) {
 	}
 }
 
+// Working reads exactly the ids it is asked for: the store does not know
+// which synopses are stored, so the tuner asks for its view's ids itself.
 func TestWorkingSet(t *testing.T) {
 	s := NewStore()
 	var ids []uint64
@@ -80,52 +82,48 @@ func TestWorkingSet(t *testing.T) {
 		d.StratCols = []string{strat}
 		ids = append(ids, s.Intern(d).Desc.ID)
 	}
-	s.SetLocation(ids[1], LocWarehouse)
-	s.SetPinned(ids[2], true)
 	got := func(ask ...uint64) (out []uint64) {
 		for _, e := range s.Working(ask) {
 			out = append(out, e.Desc.ID)
 		}
 		return out
 	}
-	// Asked ids (duplicates folded, unknown ones dropped) plus the
-	// materialized and pinned entries, each once, ascending.
-	if w := got(ids[3], ids[1], ids[3], 999); !reflect.DeepEqual(w, []uint64{ids[1], ids[2], ids[3]}) {
+	// Asked ids, duplicates folded and unknown ones dropped, each once,
+	// ascending; the caller's slice is left as it was.
+	ask := []uint64{ids[3], ids[1], ids[3], 999}
+	if w := got(ask...); !reflect.DeepEqual(w, []uint64{ids[1], ids[3]}) {
 		t.Fatalf("Working = %v", w)
 	}
-	s.SetLocation(ids[1], LocNone)
-	s.SetPinned(ids[2], false)
-	if w := got(); len(w) != 0 {
-		t.Fatalf("Working after eviction and unpin = %v, want none", w)
+	if !reflect.DeepEqual(ask, []uint64{ids[3], ids[1], ids[3], 999}) {
+		t.Fatalf("Working reordered its argument: %v", ask)
 	}
-	if err := s.Restore(Descriptor{ID: 50, Kind: plan.UniformSample, Location: LocBuffer}); err != nil {
+	if w := got(); len(w) != 0 {
+		t.Fatalf("Working() = %v, want none", w)
+	}
+	if err := s.Restore(Descriptor{ID: 50, Kind: plan.UniformSample}); err != nil {
 		t.Fatal(err)
 	}
-	if w := got(); !reflect.DeepEqual(w, []uint64{50}) {
-		t.Fatalf("Working after restoring a materialized entry = %v", w)
+	if w := got(50, ids[0]); !reflect.DeepEqual(w, []uint64{ids[0], 50}) {
+		t.Fatalf("Working after a restore = %v", w)
 	}
 }
 
-func TestLocationAndSize(t *testing.T) {
+func TestSizeBytes(t *testing.T) {
 	s := NewStore()
 	e := s.Intern(baseDesc())
 	if e.Desc.SizeBytes() != 1000 {
 		t.Fatal("estimate size")
 	}
 	s.SetActualSize(e.Desc.ID, 2222)
-	s.SetLocation(e.Desc.ID, LocBuffer)
-	s.SetPinned(e.Desc.ID, true)
-	got, _ := s.Get(e.Desc.ID)
-	if got.Desc.SizeBytes() != 2222 || got.Desc.Location != LocBuffer || !got.Desc.Pinned {
-		t.Fatalf("desc = %+v", got.Desc)
+	if got, _ := s.Get(e.Desc.ID); got.Desc.SizeBytes() != 2222 {
+		t.Fatalf("desc = %+v, want the measured size", got.Desc)
 	}
-	if len(s.Materialized()) != 1 {
-		t.Fatal("Materialized")
-	}
-	s.SetLocation(e.Desc.ID, LocNone)
-	if len(s.Materialized()) != 0 {
-		t.Fatal("Materialized after eviction")
-	}
+}
+
+// stored is a has predicate over the given ids — the part of a warehouse
+// view the matchers read.
+func stored(ids ...uint64) func(uint64) bool {
+	return func(id uint64) bool { return slices.Contains(ids, id) }
 }
 
 func matchReq() Requirements {
@@ -140,8 +138,7 @@ func matchReq() Requirements {
 func TestMatchSamplesHappyPath(t *testing.T) {
 	s := NewStore()
 	e := s.Intern(baseDesc())
-	s.SetLocation(e.Desc.ID, LocWarehouse)
-	ms := s.MatchSamples(matchReq())
+	ms := s.MatchSamples(matchReq(), stored(e.Desc.ID))
 	if len(ms) != 1 || ms[0].Entry.Desc.ID != e.Desc.ID {
 		t.Fatalf("matches = %+v", ms)
 	}
@@ -151,50 +148,36 @@ func TestMatchSamplesHappyPath(t *testing.T) {
 }
 
 func TestMatchSamplesRejections(t *testing.T) {
-	mk := func(mod func(*Descriptor)) *Store {
+	// match interns one modified descriptor, stores it, and matches req.
+	req := matchReq()
+	match := func(mod func(*Descriptor)) []Match {
 		s := NewStore()
 		d := baseDesc()
 		mod(&d)
 		e := s.Intern(d)
-		s.SetLocation(e.Desc.ID, LocWarehouse)
-		return s
+		return s.MatchSamples(req, stored(e.Desc.ID))
 	}
-	req := matchReq()
 
-	if got := mk(func(d *Descriptor) { d.Location = LocNone }).MatchSamples(req); len(got) != 0 {
-		// Location is overwritten by SetLocation above; test unmaterialized
-		// separately below.
-		_ = got
-	}
-	// Unmaterialized candidates never match.
+	// Candidates the view does not hold never match.
 	s := NewStore()
 	s.Intern(baseDesc())
-	if got := s.MatchSamples(req); len(got) != 0 {
-		t.Fatal("unmaterialized synopsis matched")
+	if got := s.MatchSamples(req, stored()); len(got) != 0 {
+		t.Fatal("unstored synopsis matched")
 	}
-	// Different tables.
-	s2 := mk(func(d *Descriptor) { d.Table = "lineitem" })
-	if got := s2.MatchSamples(req); len(got) != 0 {
+	if got := match(func(d *Descriptor) { d.Table = "lineitem" }); len(got) != 0 {
 		t.Fatal("different relation matched")
 	}
-	// Stratification not a superset.
-	s4 := mk(func(d *Descriptor) { d.StratCols = nil })
-	if got := s4.MatchSamples(req); len(got) != 0 {
+	if got := match(func(d *Descriptor) { d.StratCols = nil }); len(got) != 0 {
 		t.Fatal("weaker stratification matched")
 	}
-	// Weaker accuracy.
-	s5 := mk(func(d *Descriptor) { d.Accuracy = acc(0.5, 0.5) })
-	if got := s5.MatchSamples(req); len(got) != 0 {
+	if got := match(func(d *Descriptor) { d.Accuracy = acc(0.5, 0.5) }); len(got) != 0 {
 		t.Fatal("weaker accuracy matched")
 	}
-	// Aggregate column not covered.
-	s6 := mk(func(d *Descriptor) { d.AggCols = []string{"orders.other"} })
-	if got := s6.MatchSamples(req); len(got) != 0 {
+	if got := match(func(d *Descriptor) { d.AggCols = []string{"orders.other"} }); len(got) != 0 {
 		t.Fatal("uncovered aggregate column matched")
 	}
 	// Sketch kind never matches sample requirements.
-	s7 := mk(func(d *Descriptor) { d.Kind = plan.SketchJoinSynopsis })
-	if got := s7.MatchSamples(req); len(got) != 0 {
+	if got := match(func(d *Descriptor) { d.Kind = plan.SketchJoinSynopsis }); len(got) != 0 {
 		t.Fatal("sketch matched as sample")
 	}
 }
@@ -205,10 +188,9 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 	// filtered query with a compensating filter.
 	s := NewStore()
 	e := s.Intern(baseDesc())
-	s.SetLocation(e.Desc.ID, LocWarehouse)
 	req := matchReq()
 	req.Filter = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(3)}
-	ms := s.MatchSamples(req)
+	ms := s.MatchSamples(req, stored(e.Desc.ID))
 	if len(ms) != 1 {
 		t.Fatalf("general sample must serve filtered query, got %d matches", len(ms))
 	}
@@ -221,8 +203,7 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 	d := baseDesc()
 	d.FilterPred = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(3)}
 	e2 := s2.Intern(d)
-	s2.SetLocation(e2.Desc.ID, LocWarehouse)
-	if got := s2.MatchSamples(matchReq()); len(got) != 0 {
+	if got := s2.MatchSamples(matchReq(), stored(e2.Desc.ID)); len(got) != 0 {
 		t.Fatal("narrower synopsis must not serve wider query")
 	}
 }
@@ -237,24 +218,27 @@ func TestMatchSketchJoins(t *testing.T) {
 		Accuracy:  acc(0.1, 0.95),
 	}
 	e := s.Intern(d)
-	s.SetLocation(e.Desc.ID, LocWarehouse)
+	has := stored(e.Desc.ID)
 	req := Requirements{Table: d.Table, Accuracy: acc(0.1, 0.95)}
-	ms := s.MatchSketchJoins(req, []string{"orderproducts.order_id"}, "")
+	ms := s.MatchSketchJoins(req, []string{"orderproducts.order_id"}, "", has)
 	if len(ms) != 1 {
 		t.Fatalf("matches = %d", len(ms))
 	}
+	if got := s.MatchSketchJoins(req, []string{"orderproducts.order_id"}, "", stored()); len(got) != 0 {
+		t.Fatal("unstored sketch matched")
+	}
 	// Different build keys reject.
-	if got := s.MatchSketchJoins(req, []string{"orderproducts.product_id"}, ""); len(got) != 0 {
+	if got := s.MatchSketchJoins(req, []string{"orderproducts.product_id"}, "", has); len(got) != 0 {
 		t.Fatal("different key matched")
 	}
 	// Different agg column rejects.
-	if got := s.MatchSketchJoins(req, []string{"orderproducts.order_id"}, "x"); len(got) != 0 {
+	if got := s.MatchSketchJoins(req, []string{"orderproducts.order_id"}, "x", has); len(got) != 0 {
 		t.Fatal("different agg matched")
 	}
 	// Filter mismatch rejects (sketches cannot be compensated).
 	req2 := req
 	req2.Filter = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "a"}, R: expr.Int(1)}
-	if got := s.MatchSketchJoins(req2, []string{"orderproducts.order_id"}, ""); len(got) != 0 {
+	if got := s.MatchSketchJoins(req2, []string{"orderproducts.order_id"}, "", has); len(got) != 0 {
 		t.Fatal("filtered query matched unfiltered sketch")
 	}
 }
@@ -262,12 +246,7 @@ func TestMatchSketchJoins(t *testing.T) {
 func TestDescriptorLabels(t *testing.T) {
 	d := baseDesc()
 	d.ID = 3
-	if d.Label() == "" || d.IdentityKey() == "" {
-		t.Fatal("labels must render")
+	if d.Label() != "#3 distinct-sample over orders" || d.IdentityKey() == "" {
+		t.Fatalf("labels must render: %q", d.Label())
 	}
-	if LocBuffer.String() != "buffer" || LocNone.String() != "none" || LocWarehouse.String() != "warehouse" {
-		t.Fatal("location strings")
-	}
-	var val storage.Value
-	_ = val // keep storage import for the helper above
 }

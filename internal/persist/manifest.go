@@ -80,9 +80,10 @@ type ItemRecord struct {
 }
 
 // EntryRecord is the wire form of one metadata-store entry. An older v2
-// manifest also carries sig_joins, sig_filters, sig_output, build_epoch and
-// built_by; decoding ignores them — the filter is Filter, the output every
-// column of the table, and freshness BuildRows.
+// manifest also carries sig_joins, sig_filters, sig_output, build_epoch,
+// built_by, location and pinned; decoding ignores them — the filter is
+// Filter, the output every column of the table, freshness BuildRows, and
+// tier and pin are the item rows' (ItemRecord.Tier / Pinned).
 type EntryRecord struct {
 	ID   uint64 `json:"id"`
 	Kind uint8  `json:"kind"`
@@ -109,8 +110,6 @@ type EntryRecord struct {
 	Confidence float64 `json:"confidence,omitempty"`
 	EstSize    int64   `json:"est_size,omitempty"`
 	ActualSize int64   `json:"actual_size,omitempty"`
-	Location   uint8   `json:"location,omitempty"`
-	Pinned     bool    `json:"pinned,omitempty"`
 	BuildRows  int64   `json:"build_rows,omitempty"`
 }
 
@@ -131,8 +130,6 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 		Confidence: d.Accuracy.Confidence,
 		EstSize:    d.EstSizeBytes,
 		ActualSize: d.ActualSize,
-		Location:   uint8(d.Location),
-		Pinned:     d.Pinned,
 		BuildRows:  d.BuildRows,
 	}
 	if d.FilterPred != nil {
@@ -152,9 +149,6 @@ func (r EntryRecord) Entry() (meta.Descriptor, error) {
 	if r.Kind > uint8(plan.SketchJoinSynopsis) {
 		return meta.Descriptor{}, fmt.Errorf("persist: entry #%d: unknown synopsis kind %d", r.ID, r.Kind)
 	}
-	if r.Location > uint8(meta.LocWarehouse) {
-		return meta.Descriptor{}, fmt.Errorf("persist: entry #%d: unknown location %d", r.ID, r.Location)
-	}
 	d := meta.Descriptor{
 		ID:           r.ID,
 		Kind:         plan.SynopsisKind(r.Kind),
@@ -167,8 +161,6 @@ func (r EntryRecord) Entry() (meta.Descriptor, error) {
 		Accuracy:     stats.AccuracySpec{RelError: r.RelError, Confidence: r.Confidence},
 		EstSizeBytes: r.EstSize,
 		ActualSize:   r.ActualSize,
-		Location:     meta.Location(r.Location),
-		Pinned:       r.Pinned,
 		BuildRows:    r.BuildRows,
 	}
 	if len(r.SigTables) > 0 {

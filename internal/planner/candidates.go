@@ -233,7 +233,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 
 	// Reuse candidate when a matching sketch is materialized.
 	req := meta.Requirements{Table: sh.fact.Table.Name, Filter: sh.factFilter, Accuracy: q.Accuracy}
-	for _, m := range p.Store.MatchSketchJoins(req, sh.buildKeys, sh.aggCol) {
+	for _, m := range p.Store.MatchSketchJoins(req, sh.buildKeys, sh.aggCol, ps.wh.Has) {
 		// Sketches cannot be compensated, so the staleness bound applies to
 		// them just like to samples (a stale sketch undercounts new rows).
 		b, ok := p.bind(ps, m.Entry, warehouse.SketchItem)

@@ -180,7 +180,6 @@ func storeBuilt(t *testing.T, label string, c planner.Candidate, store *meta.Sto
 		if err := wh.PutWarehouse(it); err != nil {
 			t.Fatal(err)
 		}
-		store.SetLocation(it.ID, meta.LocWarehouse)
 		store.SetActualSize(it.ID, it.Size)
 		stored++
 	}

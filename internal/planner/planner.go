@@ -545,7 +545,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		AggCols:   p.aggColsOn(q, fact.Name),
 		Accuracy:  q.Accuracy,
 	}
-	for _, m := range p.Store.MatchSamples(req) {
+	for _, m := range p.Store.MatchSamples(req, ps.wh.Has) {
 		b, ok := p.bind(ps, m.Entry, warehouse.SampleItem)
 		if !ok {
 			continue

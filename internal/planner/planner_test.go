@@ -308,7 +308,6 @@ func TestReuseCandidateAfterMaterialization(t *testing.T) {
 	if err := wh.PutWarehouse(warehouse.NewSampleItem(spec.Entry.Desc.ID, sample)); err != nil {
 		t.Fatal(err)
 	}
-	store.SetLocation(spec.Entry.Desc.ID, meta.LocWarehouse)
 	store.SetActualSize(spec.Entry.Desc.ID, sample.SizeBytes())
 
 	// Re-plan the same query: a reuse candidate must appear and be cheaper

@@ -129,11 +129,11 @@ type Observation struct {
 
 // observe folds one completed planning round into the sliding window:
 // window-length adaptation (if enabled) followed by the history append.
-// entries is the round's metadata snapshot, shared by every observation of
-// the batch.
-func (t *Tuner) observe(o Observation, entries []*meta.Entry) {
+// entries and view are the round's metadata and warehouse snapshots, shared
+// by every observation of the batch.
+func (t *Tuner) observe(o Observation, entries []*meta.Entry, view *warehouse.View) {
 	if t.cfg.Adaptive {
-		t.adaptWindow(entries)
+		t.adaptWindow(entries, view)
 	}
 	t.history = append(t.history, o)
 	if len(t.history) > t.cfg.MaxWindow {
@@ -142,22 +142,24 @@ func (t *Tuner) observe(o Observation, entries []*meta.Entry) {
 }
 
 // deriveActions fills dec.Evict/dec.Promote from the selected set: evict
-// every materialized synopsis outside S* (unless exempted), promote buffer
-// residents inside S*. exempt lists synopses that must survive this round
-// even when outside S* — plans costed on reusing them may not have executed
-// yet, and deleting their input mid-flight would forfeit the reuse the
-// candidate was priced on (the next round re-evaluates them unexempted).
-func deriveActions(entries []*meta.Entry, keep map[uint64]bool, exempt map[uint64]bool, dec *Decision) {
+// every stored, unpinned synopsis outside S* (unless exempted), promote
+// buffer residents inside S*; tier and pin are the view's. exempt lists
+// synopses that must survive this round even when outside S* — plans costed
+// on reusing them may not have executed yet, and deleting their input
+// mid-flight would forfeit the reuse the candidate was priced on (the next
+// round re-evaluates them unexempted).
+func deriveActions(entries []*meta.Entry, view *warehouse.View, keep map[uint64]bool, exempt map[uint64]bool, dec *Decision) {
 	for _, e := range entries {
 		id := e.Desc.ID
-		if e.Desc.Location == meta.LocNone || e.Desc.Pinned {
+		it, inBuffer, ok := view.Get(id)
+		if !ok || it.Pinned {
 			continue
 		}
 		if !keep[id] {
 			if !exempt[id] {
 				dec.Evict = append(dec.Evict, id)
 			}
-		} else if e.Desc.Location == meta.LocBuffer {
+		} else if inBuffer {
 			dec.Promote = append(dec.Promote, id)
 		}
 	}
@@ -166,12 +168,14 @@ func deriveActions(entries []*meta.Entry, keep map[uint64]bool, exempt map[uint6
 // round is the one §V tuning round every entry point runs: fold the batch
 // into the sliding window in arrival order (adapting w), select S* once,
 // choose the plan for ps when one is given, and derive the eviction and
-// promotion actions. The metadata store is read once — a single consistent
-// snapshot of the synopses the window and the batch mention plus everything
-// materialized or pinned, shared by window adaptation and set selection.
-// exempt lists synopses that plans already chosen read (see deriveActions);
-// the plan chosen for ps adds its own inputs to it.
+// promotion actions. The warehouse view is read once, and so is the
+// metadata store — a single consistent snapshot of the synopses the window
+// and the batch mention plus everything the view holds — and both are shared
+// by window adaptation, set selection and the derived actions. exempt lists
+// synopses that plans already chosen read (see deriveActions); the plan
+// chosen for ps adds its own inputs to it.
 func (t *Tuner) round(batch []Observation, exempt map[uint64]bool, ps *planner.PlanSet) Decision {
+	view := t.wh.View()
 	var ids []uint64
 	for _, obs := range [][]Observation{t.history, batch} {
 		for _, o := range obs {
@@ -180,15 +184,20 @@ func (t *Tuner) round(batch []Observation, exempt map[uint64]bool, ps *planner.P
 			}
 		}
 	}
+	for _, items := range [][]*warehouse.Item{view.BufferItems(), view.WarehouseItems()} {
+		for _, it := range items {
+			ids = append(ids, it.ID)
+		}
+	}
 	entries := t.store.Working(ids)
 	for _, o := range batch {
-		t.observe(o, entries)
+		t.observe(o, entries, view)
 	}
-	_, quota := t.wh.Quotas()
-	keep, marginal := selectSet(entries, t.windowRecords(t.w), quota)
+	_, quota := view.Quotas()
+	keep, marginal := selectSet(entries, view, t.windowRecords(t.w), quota)
 	dec := Decision{Keep: keep, Gains: marginal}
 	if ps != nil {
-		dec = Choose(ps, keep, marginal, t.w, t.wh.Has, t.store.Staleness)
+		dec = Choose(ps, keep, marginal, t.w, view.Has, t.store.Staleness)
 		if exempt == nil {
 			exempt = make(map[uint64]bool, len(dec.Chosen.Uses))
 		}
@@ -196,7 +205,7 @@ func (t *Tuner) round(batch []Observation, exempt map[uint64]bool, ps *planner.P
 			exempt[id] = true
 		}
 	}
-	deriveActions(entries, keep, exempt, &dec)
+	deriveActions(entries, view, keep, exempt, &dec)
 	return dec
 }
 
@@ -297,11 +306,11 @@ type hit struct {
 
 // selectSet runs the Leskovec et al. cost-effective greedy: both the
 // benefit-greedy and benefit-per-byte-greedy variants, returning whichever
-// final set has the higher total gain. Pinned synopses are always included
-// (their bytes count against the quota first); the rest of the universe is
-// the synopses some window query could use. Per synopsis, hits are in window
-// order — float sums over them are reproducible.
-func selectSet(entries []*meta.Entry, window []Observation, budget int64) (map[uint64]bool, map[uint64]float64) {
+// final set has the higher total gain. Synopses the view holds pinned are
+// always included (their bytes count against the quota first); the rest of
+// the universe is the synopses some window query could use. Per synopsis,
+// hits are in window order — float sums over them are reproducible.
+func selectSet(entries []*meta.Entry, view *warehouse.View, window []Observation, budget int64) (map[uint64]bool, map[uint64]float64) {
 	hits := make(map[uint64][]hit)
 	for pos, r := range window {
 		for _, rc := range r.Reuse {
@@ -310,15 +319,15 @@ func selectSet(entries []*meta.Entry, window []Observation, budget int64) (map[u
 	}
 	var universe, pinned []*meta.Entry
 	for _, e := range entries {
-		if e.Desc.Pinned {
+		if it, _, ok := view.Get(e.Desc.ID); ok && it.Pinned {
 			pinned = append(pinned, e)
 		} else if len(hits[e.Desc.ID]) > 0 {
 			universe = append(universe, e)
 		}
 	}
 
-	bestA, gainA, margA := greedy(universe, pinned, hits, window, budget, false)
-	bestB, gainB, margB := greedy(universe, pinned, hits, window, budget, true)
+	bestA, gainA, margA := greedy(universe, pinned, view, hits, window, budget, false)
+	bestB, gainB, margB := greedy(universe, pinned, view, hits, window, budget, true)
 	if gainB > gainA {
 		return bestB, margB
 	}
@@ -327,7 +336,7 @@ func selectSet(entries []*meta.Entry, window []Observation, budget int64) (map[u
 
 // greedy builds S by repeatedly adding the synopsis with the highest
 // marginal gain (optionally per byte) until the quota is exhausted.
-func greedy(universe, pinned []*meta.Entry, hits map[uint64][]hit, window []Observation, budget int64, perByte bool) (map[uint64]bool, float64, map[uint64]float64) {
+func greedy(universe, pinned []*meta.Entry, view *warehouse.View, hits map[uint64][]hit, window []Observation, budget int64, perByte bool) (map[uint64]bool, float64, map[uint64]float64) {
 	keep := make(map[uint64]bool)
 	marginal := make(map[uint64]float64)
 
@@ -337,13 +346,13 @@ func greedy(universe, pinned []*meta.Entry, hits map[uint64][]hit, window []Obse
 	for pos, r := range window {
 		best[pos] = r.ExactCost
 	}
-	// A synopsis that is not yet materialized only delivers its gain after
-	// some future query pays to build it; discounting its benefits keeps
+	// A synopsis the view does not hold only delivers its gain after some
+	// future query pays to build it; discounting its benefits keeps
 	// speculative giants from evicting working, materialized synopses.
 	// Materialized-but-stale synopses decay toward the same discount: the
 	// unseen fraction of their source no longer contributes to answers.
 	factor := func(e *meta.Entry) float64 {
-		if e.Desc.Location == meta.LocNone {
+		if !view.Has(e.Desc.ID) {
 			return 0.5
 		}
 		f := 1 - e.Staleness()
@@ -353,9 +362,8 @@ func greedy(universe, pinned []*meta.Entry, hits map[uint64][]hit, window []Obse
 		return f
 	}
 	used := int64(0)
-	addEntry := func(e *meta.Entry) float64 {
+	addEntry := func(e *meta.Entry, f float64) float64 {
 		gain := 0.0
-		f := factor(e)
 		for _, h := range hits[e.Desc.ID] {
 			cur := best[h.pos]
 			if c := cur - (cur-h.cost)*f; h.cost < cur {
@@ -370,10 +378,14 @@ func greedy(universe, pinned []*meta.Entry, hits map[uint64][]hit, window []Obse
 
 	total := 0.0
 	for _, e := range pinned {
-		total += addEntry(e) // pinned are unconditional; quota may overflow by admin choice
+		total += addEntry(e, factor(e)) // pinned are unconditional; quota may overflow by admin choice
 	}
 
 	remaining := append([]*meta.Entry(nil), universe...)
+	factors := make([]float64, len(remaining)) // constant per entry: computed once, not per pass
+	for i, e := range remaining {
+		factors[i] = factor(e)
+	}
 	for {
 		bestIdx := -1
 		bestScore := 0.0
@@ -389,7 +401,7 @@ func greedy(universe, pinned []*meta.Entry, hits map[uint64][]hit, window []Obse
 				continue
 			}
 			g := 0.0
-			f := factor(e)
+			f := factors[i]
 			for _, h := range hits[e.Desc.ID] {
 				if cur := best[h.pos]; h.cost < cur {
 					g += (cur - h.cost) * f
@@ -411,7 +423,7 @@ func greedy(universe, pinned []*meta.Entry, hits map[uint64][]hit, window []Obse
 		}
 		e := remaining[bestIdx]
 		remaining[bestIdx] = nil
-		got := addEntry(e)
+		got := addEntry(e, factors[bestIdx])
 		marginal[e.Desc.ID] = got
 		total += got
 	}
@@ -421,9 +433,9 @@ func greedy(universe, pinned []*meta.Entry, hits map[uint64][]hit, window []Obse
 // adaptWindow implements the paper's w ∈ {⌊(1−α)w⌋, w, ⌈(1+α)w⌉} hill climb:
 // it asks which window length would have produced the synopsis set that
 // minimizes the estimated execution time of the queries that arrived since
-// the previous invocation, and adopts it. entries is the tuning round's
-// store snapshot.
-func (t *Tuner) adaptWindow(entries []*meta.Entry) {
+// the previous invocation, and adopts it. entries and view are the tuning
+// round's store and warehouse snapshots.
+func (t *Tuner) adaptWindow(entries []*meta.Entry, view *warehouse.View) {
 	t.sinceAdapt++
 	if t.sinceAdapt < 1 || len(t.history) < 2 {
 		return
@@ -441,7 +453,7 @@ func (t *Tuner) adaptWindow(entries []*meta.Entry) {
 	if wPlus > t.cfg.MaxWindow {
 		wPlus = t.cfg.MaxWindow
 	}
-	_, quota := t.wh.Quotas()
+	_, quota := view.Quotas()
 
 	// Evaluate the current w first: a change requires a strict improvement,
 	// otherwise ties would drag w toward one end until the window lost all
@@ -453,7 +465,7 @@ func (t *Tuner) adaptWindow(entries []*meta.Entry) {
 		if n > len(prior) {
 			n = len(prior)
 		}
-		keep, _ := selectSet(entries, prior[len(prior)-n:], quota)
+		keep, _ := selectSet(entries, view, prior[len(prior)-n:], quota)
 		// The new query's estimated cost under that set: its exact cost
 		// unless a member helps.
 		cost := newQuery.ExactCost

@@ -58,7 +58,22 @@ func (h *harness) planSet(qid int, exactCost float64, cands ...planner.Candidate
 
 // selected runs set selection over the tuner's current window.
 func (h *harness) selected(budget int64) (map[uint64]bool, map[uint64]float64) {
-	return selectSet(h.store.Entries(), h.t.windowRecords(h.t.w), budget)
+	return selectSet(h.store.Entries(), h.wh.View(), h.t.windowRecords(h.t.w), budget)
+}
+
+// place stores an item for e — sized as e's estimate — in the warehouse
+// tier, or in the buffer when inBuffer: the warehouse is the only record of
+// where a synopsis lives and whether it is pinned.
+func (h *harness) place(t *testing.T, e *meta.Entry, inBuffer, pinned bool) {
+	t.Helper()
+	it := &warehouse.Item{ID: e.Desc.ID, Size: e.Desc.SizeBytes(), Pinned: pinned}
+	put := h.wh.PutWarehouse
+	if inBuffer {
+		put = h.wh.PutBuffer
+	}
+	if err := put(it); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestGreedyRespectsQuota(t *testing.T) {
@@ -147,9 +162,9 @@ func TestEvictionOfUselessSynopses(t *testing.T) {
 	h := newHarness(1<<20, DefaultConfig())
 	// Materialized synopsis with benefits only for long-gone queries.
 	old := h.synopsis("old", 100, map[int]float64{-50: 1})
-	h.store.SetLocation(old.Desc.ID, meta.LocWarehouse)
+	h.place(t, old, false, false)
 	fresh := h.synopsis("fresh", 100, map[int]float64{0: 1})
-	h.store.SetLocation(fresh.Desc.ID, meta.LocBuffer)
+	h.place(t, fresh, true, false)
 
 	dec := h.t.Tune(h.planSet(0, 10))
 	if len(dec.Evict) != 1 || dec.Evict[0] != old.Desc.ID {
@@ -161,10 +176,10 @@ func TestEvictionOfUselessSynopses(t *testing.T) {
 }
 
 func TestPinnedNeverEvicted(t *testing.T) {
-	h := newHarness(10, DefaultConfig()) // tiny quota
-	p := h.synopsis("pinned", 1000, nil) // way over quota
-	h.store.SetPinned(p.Desc.ID, true)
-	h.store.SetLocation(p.Desc.ID, meta.LocWarehouse)
+	h := newHarness(1000, DefaultConfig())
+	p := h.synopsis("pinned", 1000, nil)
+	h.place(t, p, false, true)
+	h.wh.SetWarehouseQuota(10) // now way over quota
 	dec := h.t.Tune(h.planSet(0, 10))
 	for _, id := range dec.Evict {
 		if id == p.Desc.ID {
@@ -180,8 +195,8 @@ func TestRetuneAfterQuotaShrink(t *testing.T) {
 	h := newHarness(200, DefaultConfig())
 	a := h.synopsis("a", 100, map[int]float64{0: 1})
 	b := h.synopsis("b", 100, map[int]float64{1: 5})
-	h.store.SetLocation(a.Desc.ID, meta.LocWarehouse)
-	h.store.SetLocation(b.Desc.ID, meta.LocWarehouse)
+	h.place(t, a, false, false)
+	h.place(t, b, false, false)
 	h.t.Tune(h.planSet(0, 10))
 	h.t.Tune(h.planSet(1, 10))
 	// Both fit at quota 200; shrink to 100 → keep only a (gain 9 > 5).
@@ -276,11 +291,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestChoosePlanIgnoresAlreadyMaterialized(t *testing.T) {
 	h := newHarness(1<<20, DefaultConfig())
 	e := h.synopsis("s", 100, map[int]float64{0: 1})
-	h.store.SetLocation(e.Desc.ID, meta.LocWarehouse)
-	// Simulate it being in the warehouse manager too.
-	if err := h.wh.PutWarehouse(&warehouse.Item{ID: e.Desc.ID, Size: 100}); err != nil {
-		t.Fatal(err)
-	}
+	h.place(t, e, false, false)
 	// A "build" plan for an already-materialized synopsis gets no bonus.
 	build := planner.Candidate{Cost: 9.5, Creates: []planner.CreateSpec{{Entry: e}}, Desc: "build"}
 	dec := h.t.Tune(h.planSet(0, 10, build))
@@ -297,10 +308,7 @@ func TestTuneNeverEvictsChosenPlanInputs(t *testing.T) {
 	// delete the chosen plan's input before execution.
 	h := newHarness(100, DefaultConfig())
 	e := h.synopsis("s", 100, map[int]float64{7: 1})
-	h.store.SetLocation(e.Desc.ID, meta.LocWarehouse)
-	if err := h.wh.PutWarehouse(&warehouse.Item{ID: e.Desc.ID, Size: 100}); err != nil {
-		t.Fatal(err)
-	}
+	h.place(t, e, false, false)
 	h.wh.SetWarehouseQuota(50) // elastic shrink: the synopsis no longer fits S*
 	reuse := planner.Candidate{Cost: 1, Uses: []uint64{e.Desc.ID}, Desc: "reuse"}
 	dec := h.t.Tune(h.planSet(7, 10, reuse))
@@ -332,10 +340,7 @@ func TestChoosePlanCreditsRefreshOfStaleSynopsis(t *testing.T) {
 	e := h.synopsis("s", 100, map[int]float64{
 		0: 1, 1: 1, 2: 1,
 	})
-	h.store.SetLocation(e.Desc.ID, meta.LocWarehouse)
-	if err := h.wh.PutWarehouse(&warehouse.Item{ID: e.Desc.ID, Size: 100}); err != nil {
-		t.Fatal(err)
-	}
+	h.place(t, e, false, false)
 	for q := 0; q < 2; q++ {
 		h.t.Tune(h.planSet(q, 10))
 	}

@@ -579,8 +579,9 @@ func (m *Manager) Delete(id uint64) error {
 // the payload to a disk-backed warehouse (the caller charges the simulated
 // write cost). Pinned or unmaterialized evictees and unpromotable entries
 // (not in the buffer, no warehouse room, or a failed durable write — which
-// leaves the synopsis in the buffer, memory-resident) are skipped. Returns the IDs each action actually applied
-// to, so the caller can update locations for exactly those.
+// leaves the synopsis in the buffer, memory-resident) are skipped. Returns
+// the IDs each action actually applied to, so the caller can count exactly
+// those.
 func (m *Manager) ApplyMoves(evict, promote []uint64) (evicted, promoted []uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -632,9 +633,6 @@ func (m *Manager) WarehouseItems() []*Item { return m.View().WarehouseItems() }
 
 // Usage returns (bufferUsed, warehouseUsed) bytes.
 func (m *Manager) Usage() (buffer, warehouse int64) { return m.View().Usage() }
-
-// Quotas returns (bufferQuota, warehouseQuota) bytes.
-func (m *Manager) Quotas() (buffer, warehouse int64) { return m.View().Quotas() }
 
 // SetWarehouseQuota changes the warehouse quota at runtime — the storage
 // elasticity hook (paper §V). It does not evict; the tuner re-evaluates and

@@ -144,7 +144,7 @@ func TestElasticQuota(t *testing.T) {
 	if m.Overflow() != 0 {
 		t.Fatalf("overflow after evictions = %d", m.Overflow())
 	}
-	_, q := m.Quotas()
+	_, q := m.View().Quotas()
 	if q != s.SizeBytes() {
 		t.Fatal("quota readback")
 	}

@@ -26,8 +26,6 @@
 package taster
 
 import (
-	"fmt"
-
 	"github.com/tasterdb/taster/internal/baselines"
 	"github.com/tasterdb/taster/internal/core"
 	"github.com/tasterdb/taster/internal/obs"
@@ -367,12 +365,5 @@ func (e *Engine) WarehouseUsage() (buffer, warehouse int64) {
 }
 
 // Synopses returns one human-readable line per synopsis the engine has
-// materialized.
-func (e *Engine) Synopses() []string {
-	var out []string
-	for _, entry := range e.inner.Store().Materialized() {
-		d := entry.Desc
-		out = append(out, fmt.Sprintf("%s [%s, %d bytes]", d.Label(), d.Location, d.SizeBytes()))
-	}
-	return out
-}
+// stored: the buffer tier, then the warehouse tier, each by id.
+func (e *Engine) Synopses() []string { return e.inner.Synopses() }
