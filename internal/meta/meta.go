@@ -73,11 +73,13 @@ func (d *Descriptor) SizeBytes() int64 {
 
 // IdentityKey distinguishes synopses of the same subplan with different
 // kinds/configurations, used to dedupe candidate descriptors across queries.
-// The filter enters as its sorted conjuncts, so conjunct order does not
-// split an identity.
+// The filter enters as its sorted conjuncts and a sketch-join's build keys
+// as a sorted set, so neither conjunct nor key order splits an identity —
+// but two sketch-joins keyed on different columns are two synopses.
 func (d *Descriptor) IdentityKey() string {
-	return fmt.Sprintf("%s|%s|F[%s]|A=[%s]|agg=%s|aggs=[%s]|acc=%.4f@%.4f",
-		d.Kind, d.Table, expr.CanonicalPredicate(d.FilterPred), strings.Join(d.StratCols, ","), d.AggCol,
+	return fmt.Sprintf("%s|%s|F[%s]|A=[%s]|K=[%s]|agg=%s|aggs=[%s]|acc=%.4f@%.4f",
+		d.Kind, d.Table, expr.CanonicalPredicate(d.FilterPred), strings.Join(d.StratCols, ","),
+		strings.Join(expr.DedupCols(d.BuildKeys), ","), d.AggCol,
 		strings.Join(d.AggCols, ","), d.Accuracy.RelError, d.Accuracy.Confidence)
 }
 

@@ -72,6 +72,29 @@ func TestInternFilterIdentity(t *testing.T) {
 	}
 }
 
+// A sketch-join is named by its build keys as a set: joining on another
+// fact column is another synopsis, listing the same keys in another order
+// is not.
+func TestInternBuildKeysIdentity(t *testing.T) {
+	s := NewStore()
+	sketch := func(keys ...string) Descriptor {
+		return Descriptor{Kind: plan.SketchJoinSynopsis, Table: "orderproducts", BuildKeys: keys,
+			AggCol: "orderproducts.qty", Accuracy: acc(0.1, 0.95)}
+	}
+	byOrder := s.Intern(sketch("orderproducts.order_id"))
+	byProduct := s.Intern(sketch("orderproducts.product_id"))
+	if byOrder.Desc.ID == byProduct.Desc.ID {
+		t.Fatalf("sketch-joins on different build keys share #%d", byOrder.Desc.ID)
+	}
+	ab := s.Intern(sketch("orderproducts.order_id", "orderproducts.product_id"))
+	if ba := s.Intern(sketch("orderproducts.product_id", "orderproducts.order_id")); ba.Desc.ID != ab.Desc.ID {
+		t.Fatalf("reordered build keys interned twice: %d vs %d", ba.Desc.ID, ab.Desc.ID)
+	}
+	if len(s.Entries()) != 3 {
+		t.Fatalf("entries = %d, want 3", len(s.Entries()))
+	}
+}
+
 // Working reads exactly the ids it is asked for: the store does not know
 // which synopses are stored, so the tuner asks for its view's ids itself.
 func TestWorkingSet(t *testing.T) {

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/meta"
@@ -243,6 +244,13 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 		sk, err := b.item.Sketch()
 		if err != nil {
 			continue // backing file lost or corrupt; next round re-tastes
+		}
+		// The payload's key columns must be the plan's build keys, in the
+		// plan's order: the sink looks each probe key up column by column.
+		// A manifest written before build keys named a sketch-join can hold
+		// a payload keyed on other columns under this entry.
+		if !slices.Equal(sk.KeySchema().Names(), sh.buildKeys) {
+			continue
 		}
 		node := mkNode(&synopsesSketch{id: m.Entry.Desc.ID, sk: sk})
 		var rcost planCost

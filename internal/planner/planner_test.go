@@ -372,6 +372,76 @@ func TestSketchEligibility(t *testing.T) {
 	}
 }
 
+// A sketch-join is named by its build keys: two queries that differ only in
+// the fact column they join on intern two descriptors, and a stored payload
+// keyed on other columns than the plan's — which a manifest written before
+// build keys named a sketch-join can hold under the entry — is never reused.
+func TestSketchJoinBuildKeysNameTheSynopsis(t *testing.T) {
+	p, _, wh := testPlanner()
+	byStore := func() *Query {
+		q := joinQuery()
+		q.Joins[0].LeftCol = "sales.store"
+		return q
+	}
+	plans := func(q *Query) (entry *meta.Entry, reuses []string) {
+		t.Helper()
+		ps, err := p.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range ps.Candidates {
+			if _, ok := c.Root.(*plan.SketchJoin); !ok {
+				continue
+			}
+			if len(c.Creates) == 1 {
+				entry = c.Creates[0].Entry
+			}
+			if len(c.Uses) > 0 {
+				reuses = append(reuses, c.Desc)
+			}
+		}
+		if entry == nil {
+			t.Fatalf("no sketch-join build candidate in %v", descs(ps))
+		}
+		return entry, reuses
+	}
+	byProductEntry, _ := plans(joinQuery())
+	byStoreEntry, _ := plans(byStore())
+	if byProductEntry.Desc.ID == byStoreEntry.Desc.ID {
+		t.Fatalf("sketch-joins on sales.product and sales.store share #%d", byStoreEntry.Desc.ID)
+	}
+
+	// A payload keyed on sales.product, stored under the sales.store entry.
+	payload := func() *synopses.SketchJoin {
+		b := storage.NewBuilder("sketch-join", storage.Schema{
+			{Name: "sales.product", Typ: storage.Int64},
+			{Name: synopses.CountCol, Typ: storage.Float64},
+			{Name: synopses.SumCol, Typ: storage.Float64},
+		})
+		b.Int(0, 1)
+		b.Float(1, 2)
+		b.Float(2, 3)
+		sk, err := synopses.NewSketchJoin(b.Build(1), "sales.amount")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	}
+	if err := wh.PutWarehouse(warehouse.NewSketchItem(byStoreEntry.Desc.ID, payload())); err != nil {
+		t.Fatal(err)
+	}
+	if _, reuses := plans(byStore()); len(reuses) != 0 {
+		t.Fatalf("a payload keyed on sales.product was offered to a sales.store join: %v", reuses)
+	}
+	// Control: under its own entry the same payload is reused.
+	if err := wh.PutWarehouse(warehouse.NewSketchItem(byProductEntry.Desc.ID, payload())); err != nil {
+		t.Fatal(err)
+	}
+	if _, reuses := plans(joinQuery()); len(reuses) != 1 {
+		t.Fatalf("reuse candidates = %v, want the stored sales.product sketch-join", reuses)
+	}
+}
+
 func TestCrossJoinRejected(t *testing.T) {
 	p, _, _ := testPlanner()
 	q := joinQuery()
