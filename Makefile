@@ -167,8 +167,9 @@ test-race: race
 # Ten-second smoke runs of the coverage-guided fuzz targets: the
 # persistence decoders (arbitrary bytes must never panic), the executor's
 # per-morsel sample merge (associativity and the SourceRows overflow guard
-# over parts drawn by the live samplers), the join key index (lookups equal
-# a Go map's for any key words), the filter kernels — the only filter
+# over parts drawn by the live samplers), the join key index (a batch
+# probe's pairs, under any selection and resumed at any chunk room, equal a
+# Go map's for any key words), the filter kernels — the only filter
 # evaluator — against the Eval oracle over random predicate trees, and the
 # SQL front door (arbitrary bytes parse, validate, plan and compile without
 # a panic).

@@ -162,34 +162,30 @@ func buildJoinTable(spec *joinSpec, rows *storage.Batch) *joinTable {
 }
 
 // joinProber streams probe batches against a built joinTable, emitting joined
-// output in chunks of at most joinBatchRows rows. It carries the probe
-// position (current batch, row, and match offset) across calls, so a skewed
-// key with huge fanout never inflates a single output batch.
+// output in chunks of exactly joinBatchRows rows (the last one shorter). It
+// carries its place in the current probe batch across calls, so a skewed key
+// with huge fanout never inflates a single output batch.
 type joinProber struct {
 	spec  *joinSpec
 	table *joinTable
 	pool  *storage.VecPool
 
-	cur      *storage.Batch
-	curRow   int // position among cur's live rows
-	matches  []int32
-	matchPos int
-	pending  bool
-	key      []byte
+	cur *storage.Batch
+	at  storage.ProbePos // where cur's next pair comes from
 
-	// lrows/mrows accumulate the (probe row, build row) pairs of the output
-	// chunk under construction; flush gathers them into the output batch
-	// column-major, one type dispatch per column instead of one per value.
-	// lrows are physical row indices into cur — the probe walks cur under its
-	// selection and never gathers it — so the pairs are flushed before cur is
-	// released.
+	// lrows/mrows are one KeyIndex.Probe call's (probe row, build row) pairs;
+	// flush gathers them into the output batch column-major, one type
+	// dispatch per column instead of one per value. lrows index cur's live
+	// rows — the probe walks cur under its selection and never gathers it —
+	// so the pairs are flushed before cur is released.
 	lrows []int32
 	mrows []int32
 }
 
 // next pulls probe batches via fetch until it has filled one output chunk (or
-// the probe side is exhausted). It returns nil at end of stream and never
-// returns an empty batch.
+// the probe side is exhausted), pairing each batch's rows in one Probe call
+// per chunk. It returns nil at end of stream and never returns an empty
+// batch.
 func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch, error) {
 	var out *storage.Batch
 	for {
@@ -199,90 +195,54 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 				return nil, err
 			}
 			if b == nil {
-				if out != nil && out.Len() > 0 {
-					return out, nil
-				}
-				return nil, nil
+				return out, nil
 			}
-			if b.Rows() == 0 {
-				p.pool.Release(b)
-				continue
-			}
-			p.cur, p.curRow, p.pending = b, 0, false
+			p.cur, p.at = b, storage.ProbePos{}
 		}
-		for live := p.cur.Rows(); p.curRow < live; {
-			row := p.curRow
-			if p.cur.Sel != nil {
-				row = int(p.cur.Sel[row])
+		room := joinBatchRows
+		if out != nil {
+			room -= out.Len()
+		}
+		p.lrows, p.mrows, p.at = p.table.idx.Probe(p.cur, p.spec.leftKeys, p.at, room, p.lrows, p.mrows)
+		if len(p.lrows) > 0 {
+			if out == nil {
+				out = p.pool.GetBatch(p.spec.schema, joinBatchRows)
+				out.Width = p.pool.GetSel(joinBatchRows)
 			}
-			if !p.pending {
-				p.matches = p.matchesOf(row)
-				p.matchPos = 0
-				p.pending = true
-			}
-			if p.matchPos < len(p.matches) {
-				if out == nil {
-					out = p.pool.GetBatch(p.spec.schema, joinBatchRows)
-					out.Width = p.pool.GetSel(joinBatchRows)
-				}
-				room := joinBatchRows - out.Len() - len(p.lrows)
-				take := len(p.matches) - p.matchPos
-				if take > room {
-					take = room
-				}
-				for _, m := range p.matches[p.matchPos : p.matchPos+take] {
-					p.lrows = append(p.lrows, int32(row))
-					p.mrows = append(p.mrows, m)
-				}
-				p.matchPos += take
-				if p.matchPos < len(p.matches) {
-					// Chunk filled mid-fanout: emit it and resume this row's
-					// remaining matches on the next call.
-					p.flush(out)
-					return out, nil
-				}
-			}
-			p.pending = false
-			p.curRow++
-			if out != nil && out.Len()+len(p.lrows) >= joinBatchRows {
-				p.flush(out)
+			p.flush(out)
+			if out.Len() == joinBatchRows {
+				// The chunk is full; the batch resumes at p.at next call.
 				return out, nil
 			}
 		}
-		// The probe batch is fully consumed; gather any pairs still
-		// referencing it before its memory is recycled.
-		p.flush(out)
+		// Probe stopped short of room: the batch is consumed.
 		p.pool.Release(p.cur)
 		p.cur = nil
 	}
 }
 
-// matchesOf returns the build rows matching physical row `row` of cur.
-func (p *joinProber) matchesOf(row int) []int32 {
-	return p.table.idx.Match(p.cur.Vecs, p.spec.leftKeys, row, &p.key)
-}
-
-// flush gathers the accumulated pairs into out column-major — the payload
-// columns the spec names and each pair's width. Pair order is exactly the
-// row-at-a-time emit order.
+// flush gathers the pairs into out column-major — the payload columns the
+// spec names and each pair's width — turning their live positions into cur's
+// physical rows on the way.
 func (p *joinProber) flush(out *storage.Batch) {
-	if len(p.lrows) == 0 {
-		return
+	build := p.table.rows
+	lwid, rwid, sel := p.cur.Width, build.Width, p.cur.Sel
+	for i, row := range p.lrows {
+		if sel != nil {
+			row = sel[row]
+			p.lrows[i] = row
+		}
+		// A joined row is both its sides' rows side by side.
+		out.Width = append(out.Width, lwid[row]+rwid[p.mrows[i]])
 	}
 	col := 0
 	for _, lc := range p.spec.leftCols {
 		out.Vecs[col].AppendGather(p.cur.Vecs[lc], p.lrows)
 		col++
 	}
-	build := p.table.rows
 	for _, rc := range p.spec.rightCols {
 		out.Vecs[col].AppendGather(build.Vecs[rc], p.mrows)
 		col++
-	}
-	// A joined row is both its sides' rows side by side.
-	lwid, rwid := p.cur.Width, build.Width
-	for i, row := range p.lrows {
-		out.Width = append(out.Width, lwid[row]+rwid[p.mrows[i]])
 	}
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]
 }

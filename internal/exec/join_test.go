@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -64,8 +65,9 @@ func probeOp(t *testing.T, probe, build Operator, probeKeys, buildKeys []string,
 }
 
 // TestHashJoinChunksHighFanoutOutput: a skewed build key with thousands of
-// duplicates must not inflate one output batch; the prober emits fixed-size
-// chunks and carries its probe position across Next calls.
+// duplicates must not inflate one output batch; the prober emits full chunks
+// of joinBatchRows and carries its probe position across Next calls, resuming
+// a row's matches mid-run — also when the probe batch carries a selection.
 func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 	build := storage.NewBuilder("dup", storage.Schema{
 		{Name: "dup.k", Typ: storage.Int64},
@@ -75,36 +77,64 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 		build.Int(0, 7)
 		build.Int(1, int64(i))
 	}
+	// Probe rows 0..9 carry key 7 but for every third, whose key 8 matches
+	// nothing.
 	probe := storage.NewBuilder("p", storage.Schema{
 		{Name: "p.k", Typ: storage.Int64},
+		{Name: "p.id", Typ: storage.Int64},
 	})
-	for i := 0; i < 5; i++ {
-		probe.Int(0, 7)
-	}
-	ctx := NewContext(0.95)
-	j := probeOp(t, NewTableScan(probe.Build(1), ctx), NewTableScan(build.Build(1), ctx),
-		[]string{"p.k"}, []string{"dup.k"}, ctx)
-	out, err := Run(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range out {
-		if b.Len() > joinBatchRows {
-			t.Fatalf("output batch of %d rows exceeds cap %d", b.Len(), joinBatchRows)
+	for i := 0; i < 10; i++ {
+		k := int64(7)
+		if i%3 == 2 {
+			k = 8
 		}
-		total += b.Len()
+		probe.Int(0, k)
+		probe.Int(1, int64(i))
 	}
-	if total != 5*3000 {
-		t.Fatalf("join rows = %d, want 15000", total)
-	}
-	if len(out) < 15000/joinBatchRows {
-		t.Fatalf("high-fanout join emitted %d batches; chunking not in effect", len(out))
-	}
-	// Build-side values must cycle in ascending order for every probe row
-	// (output columns: p.k, dup.k, dup.v).
-	if v := out[0].Vecs[2].I64[0]; v != 0 {
-		t.Fatalf("first match value = %d, want 0 (ascending match order)", v)
+	probeTable, buildTable := probe.Build(1), build.Build(1)
+	for _, c := range []struct {
+		name  string
+		probe func(ctx *Context) Operator
+		ids   []int64 // probe rows that reach the join, in order
+	}{
+		{"every row", func(ctx *Context) Operator { return NewTableScan(probeTable, ctx) }, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"under a selection", func(ctx *Context) Operator {
+			f, err := NewFilterOp(NewTableScan(probeTable, ctx), &expr.Cmp{Op: expr.GE, L: &expr.Col{Name: "p.id"}, R: expr.Int(3)}, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}, []int64{3, 4, 5, 6, 7, 8, 9}},
+	} {
+		ctx := NewContext(0.95)
+		j := probeOp(t, c.probe(ctx), NewTableScan(buildTable, ctx), []string{"p.k"}, []string{"dup.k"}, ctx)
+		out, err := Run(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every pair in order (output columns: p.k, p.id, dup.k, dup.v): each
+		// matching probe row meets every build value, ascending.
+		var want, got [][2]int64
+		for _, id := range c.ids {
+			for v := 0; v < 3000 && id%3 != 2; v++ {
+				want = append(want, [2]int64{id, int64(v)})
+			}
+		}
+		for n, b := range out {
+			if b.Len() != joinBatchRows && n != len(out)-1 {
+				t.Fatalf("%s: output batch %d of %d has %d rows, want a full chunk of %d", c.name, n, len(out), b.Len(), joinBatchRows)
+			}
+			for i := 0; i < b.Len(); i++ {
+				got = append(got, [2]int64{b.Vecs[1].I64[i], b.Vecs[3].I64[i]})
+			}
+		}
+		if !slices.Equal(got, want) {
+			k := 0
+			for k < min(len(got), len(want)) && got[k] == want[k] {
+				k++
+			}
+			t.Fatalf("%s: %d joined (p.id, dup.v) pairs, want %d in probe-row then build-row order; the first %d agree", c.name, len(got), len(want), k)
+		}
 	}
 }
 

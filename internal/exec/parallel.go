@@ -524,12 +524,13 @@ type morselProbeOp struct {
 	prober joinProber
 }
 
-// Open implements Operator. The prober's pair lists are sized up front: a
-// morsel is four batches long, too short to grow them from nothing.
+// Open implements Operator. The prober's pair lists come from the pool: a
+// morsel is four batches long, too short to grow them from nothing, and
+// too short to pay for two fresh ones.
 func (o *morselProbeOp) Open() error {
 	o.prober = joinProber{
 		spec: o.st.spec, table: o.st.table, pool: o.ctx.Pool,
-		lrows: make([]int32, 0, joinBatchRows), mrows: make([]int32, 0, joinBatchRows),
+		lrows: o.ctx.Pool.GetSel(joinBatchRows), mrows: o.ctx.Pool.GetSel(joinBatchRows),
 	}
 	return o.child.Open()
 }
@@ -537,8 +538,13 @@ func (o *morselProbeOp) Open() error {
 // Next implements Operator.
 func (o *morselProbeOp) Next() (*storage.Batch, error) { return o.prober.probe(o.child, o.ctx) }
 
-// Close implements Operator.
-func (o *morselProbeOp) Close() error { return o.child.Close() }
+// Close implements Operator: the pair lists go back to the pool.
+func (o *morselProbeOp) Close() error {
+	o.ctx.Pool.PutSel(o.prober.lrows)
+	o.ctx.Pool.PutSel(o.prober.mrows)
+	o.prober.lrows, o.prober.mrows = nil, nil
+	return o.child.Close()
+}
 
 // Schema implements Operator.
 func (o *morselProbeOp) Schema() storage.Schema { return o.st.spec.schema }

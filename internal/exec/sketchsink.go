@@ -250,14 +250,16 @@ type sketchTable struct {
 
 func (t *sketchTable) stride() int { return sjPerAgg + len(t.sink.aggProbeIdx) }
 
-// fold implements partial: one payload lookup and one CPU tuple per live
-// probe row, and — unlike the aggregate sink — no exchange: the payload is
-// broadcast, the probe rows stay where they are. Rows fold in two passes, as
-// aggTable.observe does: the row pass resolves groups, looks the key up and
-// folds the two sums every group carries; then each probe-side aggregate
-// column folds in a loop of its own over a typed slice. Every cell still
-// adds the same terms in row order, so the sums are bit-identical to a
-// row-major fold.
+// fold implements partial: one CPU tuple per live probe row, and — unlike
+// the aggregate sink — no exchange: the payload is broadcast, the probe rows
+// stay where they are. Rows fold in passes, as aggTable.observe does: groups
+// resolve, one Probe call finds every live row's payload row, and the pair
+// pass folds the two sums every group carries; then each probe-side
+// aggregate column folds in a loop of its own over a typed slice. The pair
+// pass skips a row no key matches: it would add zeros, and a sum that starts
+// at +0 never becomes −0, so adding +0 changes no bit. Every cell still adds
+// the same terms in row order, so the sums are bit-identical to a row-major
+// fold.
 func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	s := t.sink
 	n := b.Rows()
@@ -278,18 +280,17 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 		sc.floats = make([]float64, max(n, storage.BatchSize))
 	}
 	cnts := sc.floats[:n]
-	var key []byte
-	for j, id := range ids {
-		i := j
-		if b.Sel != nil {
-			i = int(b.Sel[j])
-		}
-		cnt, sum := s.sketch.Lookup(b.Vecs, s.probeKeyIdx, i, &key)
-		g := t.sums[int(id)*stride:]
+	clear(cnts)
+	pos, rows, _ := s.sketch.Index().Probe(b, s.probeKeyIdx, storage.ProbePos{}, n, ctx.Pool.GetSel(n), ctx.Pool.GetSel(n))
+	for k, j := range pos {
+		cnt, sum := s.sketch.Row(rows[k])
+		g := t.sums[int(ids[j])*stride:]
 		cnts[j] = cnt
 		g[sjDen] += cnt
 		g[sjNum] += sum
 	}
+	ctx.Pool.PutSel(pos)
+	ctx.Pool.PutSel(rows)
 	for k, pi := range s.aggProbeIdx {
 		if pi < 0 {
 			continue

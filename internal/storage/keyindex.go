@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // FixedWord encodes row i of a fixed-width column as one word, with the same
@@ -63,9 +64,9 @@ func GroupKey(dst []byte, vecs []*Vector, cols []int, row int) []byte {
 // contiguous run of matchRows, found through one of two map-free indexes laid
 // out in the same integer passes as the runs (buildWordIndex picks by the
 // observed word span). The build is serial, so the index is the same whatever
-// runs beside it; once built it is immutable and safe for concurrent lookups.
+// runs beside it; once built it is immutable and safe for concurrent probes.
 // A join's build side and a sketch-join's per-key table are both found
-// through one.
+// through one, a probe batch at a time (Probe).
 type KeyIndex struct {
 	// fixed marks a key that is one int64, float64 or bool column: a row's
 	// word is that column's FixedWord. Any other key — a string column, or
@@ -112,7 +113,8 @@ const (
 	// selective build-side filter leaves few rows scattered over the
 	// dimension's whole key range, but the probe side is still the fact
 	// table: zeroing a 256 KB offset array once costs less than hashing
-	// every probe row (BenchmarkJoinProbe: 3.4 vs 12.6 ns per probe).
+	// every probe row (BenchmarkJoinProbe, dense150k vs sparse150k: 4.4 vs
+	// 13.5 ns per probe row, 5.7 vs 14.1 under a selection).
 	denseSpanFloor = 1 << 16
 	// fibMul is 2^64/φ: multiplying by it and keeping the top bits spreads
 	// consecutive and strided keys evenly over a power-of-two table.
@@ -139,7 +141,7 @@ func NewKeyIndex(vecs []*Vector, cols []int) *KeyIndex {
 // FixedWord, which mirrors GroupKey's per-type encoding, so word equality is
 // byte-key equality within the type. Any other key's word is its dense id,
 // assigned in first-seen row order through x.ids over the rows' GroupKey
-// bytes — the map Match looks a probe's own key bytes up in.
+// bytes — the map probeRows looks a probe's own key bytes up in.
 func (x *KeyIndex) keyWords(vecs []*Vector, cols []int) []uint64 {
 	words := make([]uint64, vecs[cols[0]].Len())
 	if x.fixed {
@@ -259,44 +261,169 @@ func (x *KeyIndex) buildSlotIndex(words []uint64) {
 	x.slots, x.slotShift = slots, shift
 }
 
-// LookupWord returns the ascending rows whose key word is w (nil when there
-// are none).
-func (x *KeyIndex) LookupWord(w uint64) []int32 {
+// ProbePos is where a Probe resumes inside its probe batch: the live row Row,
+// of whose matches the first Done have already been paired.
+type ProbePos struct{ Row, Done int }
+
+// Probe pairs the live rows of b from at on with the rows whose key equals
+// theirs over cols — columns typed as the indexed ones. It appends each pair's
+// live position (an index into b.Sel, or the row itself when b has no
+// selection) to pos and its matching row to rows, in live-row order and
+// ascending within a row, and stops once room pairs are out or the batch is:
+// it returns fewer than room pairs only with Row == b.Rows(). The position it
+// returns is where the next call resumes — mid-run when a row's matches outrun
+// room. A one-column int64 key, every join of the generated workloads, runs a
+// typed loop per layout; any other key finds its word one row at a time
+// (probeRows).
+func (x *KeyIndex) Probe(b *Batch, cols []int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+	if kv := b.Vecs[cols[0]]; x.fixed && kv.Typ == Int64 {
+		if x.denseOffs != nil {
+			return x.probeDense(kv.I64, b.Sel, b.Rows(), at, room, pos, rows)
+		}
+		return x.probeSlots(kv.I64, b.Sel, b.Rows(), at, room, pos, rows)
+	}
+	return x.probeRows(b, cols, at, room, pos, rows)
+}
+
+// probeDense is Probe's loop over int64 keys and the dense index: one offset
+// pair per live row, a word below denseMin wrapping to a k the bound refuses.
+func (x *KeyIndex) probeDense(keys []int64, sel []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+	o := len(pos)
+	pos, rows = grow(pos, room), grow(rows, room)
+	offs, matchRows, min := x.denseOffs, x.matchRows, x.denseMin
+	span := uint64(len(offs) - 1)
+	done := at.Done
+	for j := at.Row; j < live; j++ {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		k := orderedWord(uint64(keys[i])) - min
+		if k >= span {
+			continue
+		}
+		start, hi := int(offs[k]), int(offs[k+1])
+		lo := start + done
+		done = 0
+		if hi-lo >= len(pos)-o {
+			return x.fill(pos, rows, o, j, start, lo, hi)
+		}
+		for ; lo < hi; lo++ {
+			pos[o], rows[o] = int32(j), matchRows[lo]
+			o++
+		}
+	}
+	return pos[:o], rows[:o], ProbePos{Row: live}
+}
+
+// probeSlots is Probe's loop over int64 keys and the open-addressing index:
+// an empty slot's bounds are 0, 0, so a miss is an empty run.
+func (x *KeyIndex) probeSlots(keys []int64, sel []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+	o := len(pos)
+	pos, rows = grow(pos, room), grow(rows, room)
+	slots, matchRows, shift, mask := x.slots, x.matchRows, x.slotShift, uint64(len(x.slots)-1)
+	done := at.Done
+	for j := at.Row; j < live; j++ {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		w := uint64(keys[i])
+		s := (w * fibMul) >> shift
+		sl := &slots[s]
+		for sl.hi != 0 && sl.w != w {
+			s = (s + 1) & mask
+			sl = &slots[s]
+		}
+		start, hi := int(sl.lo), int(sl.hi)
+		lo := start + done
+		done = 0
+		if hi-lo >= len(pos)-o {
+			return x.fill(pos, rows, o, j, start, lo, hi)
+		}
+		for ; lo < hi; lo++ {
+			pos[o], rows[o] = int32(j), matchRows[lo]
+			o++
+		}
+	}
+	return pos[:o], rows[:o], ProbePos{Row: live}
+}
+
+// probeRows is Probe for every other key: a float64 or bool column's
+// FixedWord, or the id the id map gives the row's GroupKey bytes — bytes no
+// indexed row carries match nothing.
+func (x *KeyIndex) probeRows(b *Batch, cols []int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+	o := len(pos)
+	pos, rows = grow(pos, room), grow(rows, room)
+	var buf [64]byte
+	key := buf[:0]
+	live, done := b.Rows(), at.Done
+	for j := at.Row; j < live; j++ {
+		i := j
+		if b.Sel != nil {
+			i = int(b.Sel[j])
+		}
+		var w uint64
+		if x.fixed {
+			w = FixedWord(b.Vecs[cols[0]], i)
+		} else {
+			key = GroupKey(key, b.Vecs, cols, i)
+			id, ok := x.ids[string(key)]
+			if !ok {
+				continue
+			}
+			w = uint64(id)
+		}
+		start, hi := x.lookupWord(w)
+		lo := start + done
+		done = 0
+		if hi-lo >= len(pos)-o {
+			return x.fill(pos, rows, o, j, start, lo, hi)
+		}
+		for ; lo < hi; lo++ {
+			pos[o], rows[o] = int32(j), x.matchRows[lo]
+			o++
+		}
+	}
+	return pos[:o], rows[:o], ProbePos{Row: live}
+}
+
+// grow extends s by room entries: a probe loop writes its pairs in place and
+// cuts pos and rows back to what it wrote.
+func grow(s []int32, room int) []int32 { return slices.Grow(s, room)[:len(s)+room] }
+
+// fill writes live row j's matches matchRows[lo:] into pos and rows from o
+// on until they are full, and returns where the next call resumes: at the
+// next row when j's run — matchRows[start:hi] — ends with them, inside it
+// otherwise.
+func (x *KeyIndex) fill(pos, rows []int32, o, j, start, lo, hi int) ([]int32, []int32, ProbePos) {
+	for ; o < len(pos); o, lo = o+1, lo+1 {
+		pos[o], rows[o] = int32(j), x.matchRows[lo]
+	}
+	if lo == hi {
+		return pos, rows, ProbePos{Row: j + 1}
+	}
+	return pos, rows, ProbePos{Row: j, Done: lo - start}
+}
+
+// lookupWord returns the bounds in matchRows of the ascending rows whose key
+// word is w (an empty run when there are none).
+func (x *KeyIndex) lookupWord(w uint64) (lo, hi int) {
 	if x.denseOffs != nil {
 		// A word below denseMin wraps to a huge k and fails the bound check.
 		k := orderedWord(w) - x.denseMin
 		if k >= uint64(len(x.denseOffs)-1) {
-			return nil
+			return 0, 0
 		}
-		return x.matchRows[x.denseOffs[k]:x.denseOffs[k+1]]
+		return int(x.denseOffs[k]), int(x.denseOffs[k+1])
 	}
 	mask := uint64(len(x.slots) - 1)
 	for s := (w * fibMul) >> x.slotShift; ; s = (s + 1) & mask {
 		sl := &x.slots[s]
-		if sl.hi == 0 {
-			return nil
-		}
-		if sl.w == w {
-			return x.matchRows[sl.lo:sl.hi]
+		if sl.hi == 0 || sl.w == w {
+			return int(sl.lo), int(sl.hi)
 		}
 	}
-}
-
-// Match returns the ascending rows whose key equals row's key over cols of
-// vecs, columns typed as the indexed ones (nil when no row carries it). A key
-// that is not fixed finds its word — its id — through the id map, so key is
-// the caller's scratch for its GroupKey bytes; bytes no row carries match
-// nothing.
-func (x *KeyIndex) Match(vecs []*Vector, cols []int, row int, key *[]byte) []int32 {
-	if x.fixed {
-		return x.LookupWord(FixedWord(vecs[cols[0]], row))
-	}
-	*key = GroupKey(*key, vecs, cols, row)
-	id, ok := x.ids[string(*key)]
-	if !ok {
-		return nil
-	}
-	return x.LookupWord(uint64(id))
 }
 
 // Keys returns the number of distinct keys indexed.

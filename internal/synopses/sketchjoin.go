@@ -16,8 +16,8 @@ const (
 // table: the relation the aggregation runs over, grouped by its join key into
 // one row per distinct key holding the key, the number of build rows carrying
 // it and — when the aggregate column is numeric — the sum of their aggregate
-// values. At query time it is probed like the hash side of a hash join: each
-// probe row's key finds its one row through a storage.KeyIndex, built when
+// values. At query time it is probed like the hash side of a hash join: a
+// probe batch's keys find their rows through a storage.KeyIndex, built when
 // the table is built or decoded and never per query, and yields the exact
 // COUNT and SUM contribution of every matching build row. Per key it holds
 // the key and 8 or 16 bytes, which keeps the paper's "ideal for
@@ -71,19 +71,18 @@ func NewSketchJoin(rows *storage.Table, aggCol string) (*SketchJoin, error) {
 // KeySchema returns the key columns' names and types.
 func (sj *SketchJoin) KeySchema() storage.Schema { return sj.Rows.Schema()[:sj.nk] }
 
-// Lookup returns the build side's exact (count, sum) for the key of row i
-// over cols of vecs — columns typed as the key columns — and zeros when no
-// build row carries that key. key is the caller's scratch
-// (storage.KeyIndex.Match).
-func (sj *SketchJoin) Lookup(vecs []*storage.Vector, cols []int, i int, key *[]byte) (count, sum float64) {
-	m := sj.index.Match(vecs, cols, i, key)
-	if len(m) == 0 {
-		return 0, 0
-	}
+// Index returns the index over the payload's key columns. Keys are distinct,
+// so a probe batch's live rows find at most one payload row each: a
+// KeyIndex.Probe with room for every live row pairs the whole batch.
+func (sj *SketchJoin) Index() *storage.KeyIndex { return sj.index }
+
+// Row returns payload row m's exact (count, sum) — the build side's for m's
+// key; sum is 0 for a counts-only payload.
+func (sj *SketchJoin) Row(m int32) (count, sum float64) {
 	if sj.sums != nil {
-		sum = sj.sums[m[0]]
+		sum = sj.sums[m]
 	}
-	return sj.counts[m[0]], sum
+	return sj.counts[m], sum
 }
 
 // SizeBytes returns the serialized footprint (== len(Encode())) charged to

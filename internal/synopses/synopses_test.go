@@ -160,9 +160,10 @@ func TestStratifiedSample(t *testing.T) {
 	}
 }
 
-// TestSketchJoinEstimates: a probe key finds its row's exact count and sum
-// through the payload's key index — a one-column int64 key by its word, a
-// (string, int64) key through the id map — an absent key finds zeros, and a
+// TestSketchJoinEstimates: a probe batch's keys find their rows' exact count
+// and sum through one Probe of the payload's key index — a one-column int64
+// key by its word, a (string, int64) key through the id map — an absent key
+// finds no row, and a
 // decoded payload answers identically from its rebuilt index. Payloads the
 // index cannot serve exactly are refused.
 func TestSketchJoinEstimates(t *testing.T) {
@@ -224,12 +225,14 @@ func TestSketchJoinEstimates(t *testing.T) {
 		if !slices.Equal(dec.KeySchema().Names(), c.keys.Names()) || dec.AggCol != "f.v" {
 			t.Fatalf("%s: decoded keys %v agg %q", c.name, dec.KeySchema().Names(), dec.AggCol)
 		}
-		var key []byte
 		for _, x := range []*SketchJoin{sj, dec} {
-			for i, want := range c.want {
-				if cnt, sum := x.Lookup(probe.Vecs, c.cols, i, &key); cnt != want[0] || sum != want[1] {
-					t.Fatalf("%s: probe row %d = (%v, %v), want (%v, %v)", c.name, i, cnt, sum, want[0], want[1])
-				}
+			var got [3][2]float64
+			pos, rows, _ := x.Index().Probe(probe, c.cols, storage.ProbePos{}, probe.Rows(), nil, nil)
+			for k, j := range pos {
+				got[j][0], got[j][1] = x.Row(rows[k])
+			}
+			if got != c.want {
+				t.Fatalf("%s: (count, sum) per probe row = %v, want %v", c.name, got, c.want)
 			}
 		}
 	}
