@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke determinism parity reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke bench-trees determinism parity reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
 
 all: check
 
@@ -114,6 +114,36 @@ parity:
 		"$$d/tasterbench" $$args > "$$d/head.txt"; \
 		cmp "$$d/base.txt" "$$d/head.txt"; \
 		echo "parity: '$$args' is byte-identical to $(BASE)"; \
+	done
+
+# The trees a speed report compares: `make bench-trees BASE=<ref> DIR=<dir>`
+# exports BASE with git archive twice, into DIR/base and DIR/base-pad, and
+# adds to base-pad alone internal/obs/zz_layout_pad.go — two never-inlined
+# one-line functions, which shift the text linked after them. It then builds
+# the benchmark of base, base-pad and this working tree where
+# benchmark/run.sh builds it, and prints where each links main.calibrate,
+# mod 64: the calibration loop runs ≈ 20 % slower at ≡ 0 than at ≡ 32, and
+# every time in the record is divided by it. When this tree and base differ
+# there, the control is the base tree that matches it, e.g.
+# `bash DIR/base-pad/benchmark/run.sh --workload <w> --seed <n> --seconds 18
+# --trace 0`. Not in check or CI: the base ref is a local choice.
+bench-trees:
+	@set -e; test -n "$(BASE)" -a -n "$(DIR)" || { echo "bench-trees: set BASE=<git ref> DIR=<dir>"; exit 2; }; \
+	git rev-parse --verify -q "$(BASE)^{commit}" > /dev/null || { echo "bench-trees: $(BASE) names no commit"; exit 2; }; \
+	for t in base base-pad; do \
+		test ! -e "$(DIR)/$$t" || { echo "bench-trees: $(DIR)/$$t exists; remove it first"; exit 2; }; \
+		mkdir -p "$(DIR)/$$t"; git archive "$(BASE)" | tar -x -C "$(DIR)/$$t"; \
+	done; \
+	printf '%s\n' 'package obs' '' '//go:noinline' 'func layoutPadA() int { return 1 }' '' \
+		'//go:noinline' 'func layoutPadB() int { return 2 }' '' \
+		'var _ = layoutPadA()' 'var _ = layoutPadB()' > "$(DIR)/base-pad/internal/obs/zz_layout_pad.go"; \
+	for t in "$(DIR)/base" "$(DIR)/base-pad" "$(CURDIR)"; do \
+		b="$$t/.bench_build"; mkdir -p "$$b/tmp"; \
+		(cd "$$t/benchmark" && GOCACHE="$$b/gocache" GOTMPDIR="$$b/tmp" GOPATH="$$b/gopath" \
+			XDG_CONFIG_HOME="$$b/config" GOENV=off GOFLAGS= GOTOOLCHAIN=local GOPROXY=off \
+			$(GO) build -o "$$b/tasterbench" .); \
+		a=$$($(GO) tool nm -n "$$b/tasterbench" | awk '$$3 == "main.calibrate" { print $$1 }'); \
+		echo "bench-trees: $$t: main.calibrate at 0x$$a, ≡ $$(( 0x$$a % 64 )) mod 64"; \
 	done
 
 # Reachability map, not a gate and not part of check: builds tasterbench and

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/meta"
+	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
@@ -347,10 +349,10 @@ func TestObservationQueueShedsNotBlocks(t *testing.T) {
 	}
 }
 
-// TestIngestRepublishesStaleness: an ingest must refresh the published
-// snapshot's staleness immediately — before any new observation batch — so
-// the serving path's refresh credits see the drift as soon as the append
-// is visible.
+// TestIngestRepublishesStaleness: right after Ingest returns — no Drain, no
+// observation batch tuned since — the serving path's plan choice sees the
+// append: it credits a rebuild of a stale stored synopsis, whose staleness
+// it reads from the catalog's row count.
 func TestIngestRepublishesStaleness(t *testing.T) {
 	e := asyncTestEngine()
 	defer e.Close()
@@ -360,6 +362,28 @@ func TestIngestRepublishesStaleness(t *testing.T) {
 		}
 		e.Drain()
 	}
+	snap := e.snap.Load()
+	var ent *meta.Entry
+	for _, it := range append(snap.wh.BufferItems(), snap.wh.WarehouseItems()...) {
+		if snap.keep[it.ID] && snap.gains[it.ID] > 0 {
+			ent, _ = e.Store().Get(it.ID)
+			break
+		}
+	}
+	if ent == nil {
+		t.Fatal("test setup: no stored synopsis is in the published S* with a gain")
+	}
+	// The rebuild costs a quarter of a fully stale synopsis' credit more
+	// than the exact plan: it wins once more than a quarter is unseen.
+	credit := snap.gains[ent.Desc.ID] / float64(max(snap.window, 1)) * 2
+	exact := planner.Candidate{Desc: "exact", Cost: 10}
+	ps := &planner.PlanSet{Exact: exact, Candidates: []planner.Candidate{exact, {
+		Desc: "rebuild", Cost: 10 + credit/4, Creates: []planner.CreateSpec{{Entry: ent}},
+	}}}
+	if got := e.choose(ps, e.snap.Load()).Chosen.Desc; got != "exact" {
+		t.Fatalf("before the append chose %q, want exact: the stored copy is fresh", got)
+	}
+
 	v0 := e.TuningStats().SnapshotVersion
 	if _, err := e.Ingest("sales", salesDelta(30000, 40)); err != nil {
 		t.Fatal(err)
@@ -367,16 +391,11 @@ func TestIngestRepublishesStaleness(t *testing.T) {
 	if v := e.TuningStats().SnapshotVersion; v <= v0 {
 		t.Fatalf("ingest did not republish the tuning snapshot: %d <= %d", v, v0)
 	}
-	snap := e.snap.Load()
-	stale := false
-	for id, s := range snap.staleness {
-		if s > 0.4 {
-			stale = true
-		}
-		_ = id
+	if s := e.Store().Staleness(ent.Desc.ID); s < 0.4 {
+		t.Fatalf("synopsis #%d staleness after a doubling append = %v, want ~0.5", ent.Desc.ID, s)
 	}
-	if len(snap.staleness) > 0 && !stale {
-		t.Fatalf("published staleness missed the append: %v", snap.staleness)
+	if got := e.choose(ps, e.snap.Load()).Chosen.Desc; got != "rebuild" {
+		t.Fatalf("after the append chose %q, want the rebuild of stale #%d", got, ent.Desc.ID)
 	}
 }
 

@@ -311,7 +311,7 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 		}
 		sp = diskSpiller{db}
 	}
-	store := meta.NewStore()
+	store := meta.NewStore(cat)
 	wh := warehouse.NewManagerWithSpiller(cfg.BufferSize, cfg.StorageBudget, sp)
 	pl := planner.New(store, wh, cfg.CostModel)
 	pl.Seed = cfg.Seed
@@ -326,7 +326,7 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 		wh:      wh,
 		pl:      pl,
 		tn:      tuner.New(cfg.Tuner, store, wh),
-		choose:  policyFor(cfg.Mode),
+		choose:  policyFor(cfg.Mode, store),
 		inline:  cfg.Mode == ModeTaster && cfg.Synchronous,
 		vecPool: storage.NewVecPool(),
 		// Every cacheable build is over base tables, so the catalog's size is
@@ -677,40 +677,24 @@ func scannedRows(src plan.Node) int64 {
 	return rows
 }
 
-// Ingest appends a batch of rows to a base table (schema must match) and
-// marks every synopsis summarizing that relation as having unseen rows —
-// the engine's online data-evolution entry point. It is safe under
-// concurrent Execute: the catalog swaps in a new immutable table version
-// under its own lock (running queries keep the snapshot they resolved), and
-// the metadata store updates epochs under the store lock. It also
-// republishes the tuning snapshot, so the serving path's refresh credits see
-// the new staleness immediately rather than at the next tuning round.
-// Returns the table's new epoch.
+// Ingest appends a batch of rows to a base table (schema must match) — the
+// engine's online data-evolution entry point. It is safe under concurrent
+// Execute: the catalog swaps in a new immutable table version atomically
+// (running queries keep the version they resolved), and the catalog is the
+// one record of a table's row count, so a query that binds the new version
+// already sees every synopsis over the table as stale by the rows it never
+// saw. Returns the table's new epoch.
 func (e *Engine) Ingest(table string, delta *storage.Table) (uint64, error) {
-	// Mark affected synopses BEFORE the new version is published: a query
-	// planning in between sees old data with stale-marked synopses (which
-	// merely forgoes reuse) rather than new data with synopses still
-	// reported fresh (which would violate the staleness bound).
-	added := int64(delta.NumRows())
-	e.store.MarkUnseen(table, added)
 	nt, err := e.cat.Append(table, delta)
 	if err != nil {
-		e.store.MarkUnseen(table, -added) // roll the pre-mark back
 		return 0, fmt.Errorf("core: ingest into %s: %w", table, err)
 	}
-	// Publish the version and the pre-mark release in one atomic store
-	// operation, so no reader ever counts the appended rows twice.
-	e.store.PublishAppend(table, nt.Epoch(), int64(nt.NumRows()), added)
 	if e.mx != nil {
 		e.mx.IngestBatches.Inc()
-		e.mx.IngestRows.Add(added)
+		e.mx.IngestRows.Add(int64(delta.NumRows()))
 	}
 	e.tuneMu.Lock()
 	e.republishLocked()
-	// The observed table version is durable state: a crash that recovered a
-	// pre-ingest manifest would report the affected synopses fresh against
-	// the old row counts — the stale-serving bug the freshness epochs exist
-	// to prevent, reintroduced across restarts.
 	e.noteCheckpointLocked()
 	e.tuneMu.Unlock()
 	return nt.Epoch(), nil

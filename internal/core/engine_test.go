@@ -42,7 +42,11 @@ func testCatalog() *storage.Catalog {
 // keeps these behavioural tests deterministic. The asynchronous pipeline
 // has its own suite in async_test.go.
 func testEngine(mode Mode) *Engine {
-	cat := testCatalog()
+	return testEngineOver(testCatalog(), mode)
+}
+
+// testEngineOver is testEngine over a given catalog.
+func testEngineOver(cat *storage.Catalog, mode Mode) *Engine {
 	return New(cat, Config{
 		Mode:          mode,
 		StorageBudget: cat.TotalBytes(), // 100% budget

@@ -43,6 +43,27 @@ func exactOn(t *testing.T, e *Engine) map[int64]float64 {
 	return out
 }
 
+// tracksEvolvedTruth answers the test query on e after a salesDelta append
+// and fails unless every group is within 15% of the exact answer over the
+// grown table. The frozen sample would miss all the new rows (~85% of the
+// total qty mass after a doubling append), so passing proves the stale
+// snapshot was not silently served.
+func tracksEvolvedTruth(t *testing.T, e *Engine) *Result {
+	t.Helper()
+	truth := exactOn(t, e)
+	res, err := e.Execute(catQuery(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rows {
+		want := truth[r[0].I]
+		if rel := math.Abs(r[1].F-want) / want; rel > 0.15 {
+			t.Fatalf("cat %d: rel error vs evolved data %.3f > 15%% (stale answer served?)", r[0].I, rel)
+		}
+	}
+	return res
+}
+
 // TestIngestBoundsStaleness is the PR's acceptance scenario: materialize a
 // sample, append rows that shift the answer, query again. Under the default
 // fresh-only policy the engine must NOT silently serve the frozen sample —
@@ -76,20 +97,7 @@ func TestIngestBoundsStaleness(t *testing.T) {
 		t.Fatalf("synopsis staleness after doubling append = %v, want ~0.5", s)
 	}
 
-	truth := exactOn(t, e)
-	res, err := e.Execute(catQuery(e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The frozen sample would miss all 30000 new rows (~85% of the total
-	// qty mass), so any answer within 15% of the evolved truth proves the
-	// stale snapshot was not silently served.
-	for _, r := range res.Rows {
-		want := truth[r[0].I]
-		if rel := math.Abs(r[1].F-want) / want; rel > 0.15 {
-			t.Fatalf("cat %d: rel error vs evolved data %.3f > 15%% (stale answer served?)", r[0].I, rel)
-		}
-	}
+	res := tracksEvolvedTruth(t, e)
 	// Whatever synopsis answered must itself be fresh under the bound.
 	for _, id := range res.Report.UsedSynopses {
 		if s := e.Store().Staleness(id); s > 1e-9 {
@@ -108,6 +116,35 @@ func TestIngestBoundsStaleness(t *testing.T) {
 	if len(last.Report.UsedSynopses) == 0 {
 		t.Fatalf("no reuse after refresh cycle: %+v", last.Report)
 	}
+}
+
+// TestEnginesSharingACatalog: the catalog is the one record of a table's
+// size, so an append through one engine stales the synopses another engine
+// over the same catalog stores, and the fresh-only policy stops the other
+// engine from serving them.
+func TestEnginesSharingACatalog(t *testing.T) {
+	cat := testCatalog()
+	a, b := testEngineOver(cat, ModeTaster), testEngineOver(cat, ModeTaster)
+	var reused uint64
+	for i := 0; i < 8 && reused == 0; i++ {
+		res, err := b.Execute(catQuery(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Report.UsedSynopses) > 0 {
+			reused = res.Report.UsedSynopses[0]
+		}
+	}
+	if reused == 0 {
+		t.Fatal("test setup: engine B must be reusing a synopsis before the append")
+	}
+	if _, err := a.Ingest("sales", salesDelta(30000, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if s := b.Store().Staleness(reused); math.Abs(s-0.5) > 1e-9 {
+		t.Fatalf("B's synopsis #%d staleness after A doubled the table = %v, want 0.5", reused, s)
+	}
+	tracksEvolvedTruth(t, b)
 }
 
 // TestIngestRefreshReplacesStaleCopy drives the refresh path explicitly:

@@ -435,10 +435,13 @@ func TestRecoveryDropsJoinResultSample(t *testing.T) {
 // TestOldManifestRestores: a v2 manifest from before a descriptor was (table,
 // filter, configuration) carries, per entry, the subplan's filter conjuncts
 // and output columns (sig_filters, sig_output) and its freshness twice, as a
-// summed epoch and per-table rows (build_epoch, built_by). Decoding ignores
-// them, so a filtered sketch-join and a sample restore under their ids,
-// re-planning their queries interns onto those ids, and an append makes them
-// exactly as stale as the per-table record said: unseen / (built + unseen).
+// summed epoch and per-table rows (build_epoch, built_by); one from before
+// the catalog was the only record of a table's size also carries observed
+// table versions (tables). Decoding ignores them all, so a filtered
+// sketch-join and a sample restore under their ids as fresh as the catalog
+// says — whatever the tables map claims — re-planning their queries interns
+// onto those ids, and an append makes them exactly as stale as the
+// per-table record and the catalog say: unseen / (built + unseen).
 func TestOldManifestRestores(t *testing.T) {
 	dir := t.TempDir()
 	cat := testCatalog()
@@ -506,11 +509,14 @@ func TestOldManifestRestores(t *testing.T) {
 			rec["built_by"] = map[string]int64{"sales": int64(rows)}
 		}
 	}
+	// A table version the catalog never had: honoured, it would report
+	// both synopses stale from the first query on.
+	m["tables"] = map[string]any{"sales": map[string]any{"epoch": sales.Epoch() + 7, "rows": 2 * sales.NumRows()}}
 	old, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"sig_filters"`, `"sig_output"`, `"build_epoch"`, `"built_by"`} {
+	for _, field := range []string{`"sig_filters"`, `"sig_output"`, `"build_epoch"`, `"built_by"`, `"tables"`} {
 		if !strings.Contains(string(old), field) {
 			t.Fatalf("test setup: the rewritten manifest carries no %s", field)
 		}
@@ -931,9 +937,9 @@ func TestSpillLoadExecuteStorm(t *testing.T) {
 	storedEntries(t, e2)
 }
 
-// TestIngestFreshnessSurvivesCrash: Ingest must checkpoint the observed
-// table version — a crash right after an append must not recover synopses
-// as fresh against pre-ingest row counts (stale serving across restart).
+// TestIngestFreshnessSurvivesCrash: a crash right after an append must not
+// recover synopses as fresh against pre-ingest row counts (stale serving
+// across restart) — the recovered BuildRows meet the grown catalog.
 func TestIngestFreshnessSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	cat := testCatalog()
@@ -981,6 +987,47 @@ func TestIngestFreshnessSurvivesCrash(t *testing.T) {
 	defer e2.Close()
 	if got := e2.Store().Staleness(builtID); got < wantStale-1e-9 {
 		t.Fatalf("staleness after crash-recovery = %v, want >= %v (stale-serving regression)", got, wantStale)
+	}
+}
+
+// TestWarmRestartOverGrownCatalog: rows appended to the catalog between
+// runs, outside any engine, stale every recovered synopsis over the table —
+// the restored BuildRows meet the catalog's row count, not a checkpointed
+// copy of it.
+func TestWarmRestartOverGrownCatalog(t *testing.T) {
+	dir := t.TempDir()
+	cat := testCatalog()
+	e1, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := e1.Execute(persistQuery(e1, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(storedEntries(t, e1)) == 0 {
+		t.Fatal("test setup: the workload stored no synopsis")
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.Append("sales", salesDelta(30000, 40)); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	recovered := storedEntries(t, e2)
+	if len(recovered) == 0 {
+		t.Fatal("warm restart recovered no synopsis")
+	}
+	for _, ent := range recovered {
+		if s := e2.Store().Staleness(ent.Desc.ID); s <= 0.4 {
+			t.Fatalf("recovered %s: staleness %v after the table doubled between runs, want ~0.5", ent.Desc.Label(), s)
+		}
 	}
 }
 

@@ -47,17 +47,19 @@ func (d diskSpiller) Load(id uint64) (*warehouse.Payload, error) {
 func (d diskSpiller) Remove(id uint64) error { return d.db.RemoveItem(id) }
 
 // recoverLocked replays the warehouse directory's manifest into an empty
-// engine: metadata entries (descriptors, freshness), observed table
-// versions, the tuner's sliding window with its reuse costs, the query-id
-// high-water mark, and both warehouse tiers. Crash windows resolve to a
-// consistent view — an item whose payload file is missing, truncated or
-// checksum-broken is dropped (its entry stays a candidate, which nothing in
-// the warehouse holds, so the planner simply re-tastes it), and payload files
-// no manifest references are garbage-collected. Where a synopsis lives, and
-// whether it is pinned, is read from the item rows alone. Items whose payload was
-// cached at checkpoint time are reloaded eagerly so post-restart plan
-// costs match the uninterrupted engine's. Returns the number of items
-// restored. Called from Open before the engine escapes.
+// engine: metadata entries (descriptors, freshness), the tuner's sliding
+// window with its reuse costs, the query-id high-water mark, and both
+// warehouse tiers. Staleness needs nothing more: the restored BuildRows meet
+// the catalog the engine opened over, whatever grew between runs. Crash
+// windows resolve to a consistent view — an item whose payload file is
+// missing, truncated or checksum-broken is dropped (its entry stays a
+// candidate, which nothing in the warehouse holds, so the planner simply
+// re-tastes it), and payload files no manifest references are
+// garbage-collected. Where a synopsis lives, and whether it is pinned, is
+// read from the item rows alone. Items whose payload was cached at
+// checkpoint time are reloaded eagerly so post-restart plan costs match the
+// uninterrupted engine's. Returns the number of items restored. Called from
+// Open before the engine escapes.
 func (e *Engine) recoverLocked() (int, error) {
 	m, ok, err := e.db.LoadManifest()
 	if err != nil {
@@ -100,9 +102,6 @@ func (e *Engine) recoverLocked() (int, error) {
 		}
 	}
 	e.store.SeedNextID(m.NextSynopsisID)
-	for t, v := range m.Tables {
-		e.store.ObserveVersion(t, v.Epoch, v.Rows)
-	}
 	e.tn.Restore(m.Window, m.SinceAdapt, windowObservations(m.History))
 	e.queryCount.Store(m.QueryCount)
 
@@ -202,12 +201,6 @@ func (e *Engine) checkpointLocked(withBufferPayloads bool) error {
 		Window:         w,
 		SinceAdapt:     sinceAdapt,
 		History:        windowRecords(hist),
-	}
-	for t, v := range e.store.TableVersions() {
-		if m.Tables == nil {
-			m.Tables = make(map[string]persist.TableVersion)
-		}
-		m.Tables[t] = persist.TableVersion{Epoch: v.Epoch, Rows: v.Rows}
 	}
 	for _, ent := range e.store.Entries() {
 		rec, err := persist.EntryRecordOf(ent)

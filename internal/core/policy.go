@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/tuner"
@@ -11,11 +12,12 @@ import (
 // one policy at Open; Execute never branches on the mode to choose.
 type choosePolicy func(ps *planner.PlanSet, snap *tuningSnapshot) tuner.Decision
 
-// policyFor maps an engine mode to its plan-choice policy.
-func policyFor(m Mode) choosePolicy {
+// policyFor maps an engine mode to its plan-choice policy; store is the
+// engine's metadata store, which Taster's policy reads staleness from.
+func policyFor(m Mode, store *meta.Store) choosePolicy {
 	switch m {
 	case ModeTaster:
-		return chooseFromSnapshot
+		return chooseFromSnapshot(store.Staleness)
 	case ModeQuickr:
 		return chooseQuickr
 	case ModeOffline:
@@ -25,15 +27,16 @@ func policyFor(m Mode) choosePolicy {
 }
 
 // chooseFromSnapshot runs the §V plan-choice rule against published state:
-// the same scoring as the tuning round, with synopsis presence and staleness
-// read from the snapshot instead of live stores. Materialization is gated on
-// the published S* — a synopsis first seen by this query becomes
-// materializable only after a background round has selected it, which
-// delays warmup by one batch and is the price of never tuning on the
-// critical path.
-func chooseFromSnapshot(ps *planner.PlanSet, snap *tuningSnapshot) tuner.Decision {
-	return tuner.Choose(ps, snap.keep, snap.gains, snap.window, snap.wh.Has,
-		func(id uint64) float64 { return snap.staleness[id] })
+// the same scoring as the tuning round, with synopsis presence read from the
+// snapshot's view and staleness from the store, which derives it from the
+// catalog as the planner's bind does. Materialization is gated on the
+// published S* — a synopsis first seen by this query becomes materializable
+// only after a background round has selected it, which delays warmup by one
+// batch and is the price of never tuning on the critical path.
+func chooseFromSnapshot(staleness func(uint64) float64) choosePolicy {
+	return func(ps *planner.PlanSet, snap *tuningSnapshot) tuner.Decision {
+		return tuner.Choose(ps, snap.keep, snap.gains, snap.window, snap.wh.Has, staleness)
+	}
 }
 
 // chooseQuickr is the online-AQP baseline: the best per-query plan with no

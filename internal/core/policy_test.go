@@ -32,7 +32,7 @@ func TestBaselinePolicies(t *testing.T) {
 		{ModeOffline, "reuse"}, // anything that creates nothing
 		{ModeExact, "exact"},   // ignores every candidate
 	} {
-		dec := policyFor(tc.mode)(ps, nil)
+		dec := policyFor(tc.mode, nil)(ps, nil)
 		if dec.Chosen.Desc != tc.want {
 			t.Errorf("%v chose %q, want %q", tc.mode, dec.Chosen.Desc, tc.want)
 		}

@@ -13,34 +13,32 @@ import (
 
 // tuningSnapshot is the immutable tuning state the lock-free serving path
 // reads: the warehouse view the last tuning round left behind, the selected
-// synopsis set S* with its marginal gains, the staleness of every item the
-// view holds as of the publish, and the sliding-window length. A new
-// snapshot is swapped in atomically (RCU-style) after every tuning round,
+// synopsis set S* with its marginal gains, and the sliding-window length. A
+// new snapshot is swapped in atomically (RCU-style) after every tuning round,
 // inline admission, elastic budget change, pinned-hint install or ingest, in
 // every mode and under both tuning schedules; readers holding an older
 // snapshot keep a coherent — merely slightly stale — view of the world, which
 // is exactly the staleness budget asynchronous tuning trades for a lock-free
-// hot path. All fields are read-only after publish.
+// hot path. All fields are read-only after publish. Staleness is not here:
+// readers derive it from the catalog (meta.Store.Staleness).
 //
 //taster:immutable
 type tuningSnapshot struct {
-	wh    *warehouse.View
-	keep  map[uint64]bool
-	gains map[uint64]float64
-	// staleness is read by plan choice only for ids the view holds, and by
-	// the next publish's ident comparison.
-	staleness map[uint64]float64
-	window    int
-	version   uint64
+	wh      *warehouse.View
+	keep    map[uint64]bool
+	gains   map[uint64]float64
+	window  int
+	version uint64
 	// ident is the snapshot's *planning* identity: it advances only when
-	// the state the planner's candidate enumeration reads — the warehouse
-	// item set (pointer-wise, so refreshes count) or any stored item's
-	// staleness — materially changed since the previous publish.
-	// Publishes that merely slid the window or recomputed gains carry the
-	// previous ident forward: those inputs feed plan *choice*, which the
-	// serving path re-runs on every query anyway. The plan cache keys on
-	// ident, so per-batch republishes under a steady workload do not evict
-	// it, while every rearrangement orphans stale entries by construction.
+	// the warehouse item set the planner's candidate enumeration reads
+	// changed since the previous publish (pointer-wise, so refreshes
+	// count); an append needs none, as the plan cache key holds every bound
+	// table's epoch. Publishes that merely slid the window or recomputed
+	// gains carry the previous ident forward: those inputs feed plan
+	// *choice*, which the serving path re-runs on every query anyway. The
+	// plan cache keys on ident, so per-batch republishes under a steady
+	// workload do not evict it, while every rearrangement orphans stale
+	// entries by construction.
 	ident uint64
 }
 
@@ -59,18 +57,10 @@ func (e *Engine) republishLocked() {
 // orders publishes.
 func (e *Engine) publishLocked(keep map[uint64]bool, gains map[uint64]float64) {
 	view := e.wh.View()
-	ids := make([]uint64, 0, 16)
-	for _, it := range view.BufferItems() {
-		ids = append(ids, it.ID)
-	}
-	for _, it := range view.WarehouseItems() {
-		ids = append(ids, it.ID)
-	}
-	staleness := e.store.StalenessOf(ids)
 	prev := e.snap.Load()
 	e.snapVersion++
 	ident := e.snapVersion
-	carried := prev != nil && prev.wh.SameContents(view) && sameStaleMap(prev.staleness, staleness)
+	carried := prev != nil && prev.wh.SameContents(view)
 	if carried {
 		ident = prev.ident
 	}
@@ -81,29 +71,13 @@ func (e *Engine) publishLocked(keep map[uint64]bool, gains map[uint64]float64) {
 		}
 	}
 	e.snap.Store(&tuningSnapshot{
-		wh:        view,
-		keep:      keep,
-		gains:     gains,
-		staleness: staleness,
-		window:    e.tn.Window(),
-		version:   e.snapVersion,
-		ident:     ident,
+		wh:      view,
+		keep:    keep,
+		gains:   gains,
+		window:  e.tn.Window(),
+		version: e.snapVersion,
+		ident:   ident,
 	})
-}
-
-// sameStaleMap compares two staleness maps exactly: any drift in any
-// stored item's staleness must advance the planning identity, since
-// the planner's staleness gate and cost penalty read it.
-func sameStaleMap(a, b map[uint64]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for id, s := range a {
-		if o, ok := b[id]; !ok || o != s {
-			return false
-		}
-	}
-	return true
 }
 
 // builtSynopsis is a byproduct built during execution, awaiting admission:

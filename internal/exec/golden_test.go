@@ -156,7 +156,7 @@ func boundRows(src plan.Node) int64 {
 // goldenWorkload records every candidate of every template, cold, then
 // stores each build's byproduct and records the reuse candidates of a re-plan.
 func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
-	store := meta.NewStore()
+	store := meta.NewStore(nil)
 	wh := warehouse.NewManager(1<<30, 1<<30)
 	pl := planner.New(store, wh, storage.DefaultCostModel())
 	planSet := func(sql string) *planner.PlanSet {

@@ -582,7 +582,7 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v\nSQL: %s", err, sql)
 				}
-				pl := planner.New(meta.NewStore(), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
+				pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
 				ps, err := pl.PlanWith(q, pl.WH.View())
 				if err != nil {
 					t.Fatalf("%v\nSQL: %s", err, sql)
@@ -669,7 +669,7 @@ func TestSketchJoinsMeetTheCatalogs(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v\nSQL: %s", err, sql)
 					}
-					pl := planner.New(meta.NewStore(), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
+					pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
 					ps, err := pl.PlanWith(q, pl.WH.View())
 					if err != nil {
 						t.Fatalf("%v\nSQL: %s", err, sql)

@@ -6,6 +6,7 @@ import (
 
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
 )
 
 // internOver interns a sample over table.
@@ -17,24 +18,56 @@ func internOver(s *Store, table string) *Entry {
 	})
 }
 
+// rowsOf builds n rows of a one-column table.
+func rowsOf(table string, n int) *storage.Table {
+	b := storage.NewBuilder(table, storage.Schema{{Name: table + ".v", Typ: storage.Int64}})
+	for i := 0; i < n; i++ {
+		b.Int(0, int64(i))
+	}
+	return b.Build(1)
+}
+
+// catalogOf registers one table per name, each holding the given rows.
+func catalogOf(rows map[string]int) *storage.Catalog {
+	cat := storage.NewCatalog()
+	for name, n := range rows {
+		cat.Register(rowsOf(name, n))
+	}
+	return cat
+}
+
+// grow appends n rows to a catalog table.
+func grow(t *testing.T, cat *storage.Catalog, table string, n int) {
+	t.Helper()
+	if _, err := cat.Append(table, rowsOf(table, n)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStalenessLifecycle(t *testing.T) {
-	s := NewStore()
+	cat := catalogOf(map[string]int{"sales": 1000, "orders": 300})
+	s := NewStore(cat)
 	e := internOver(s, "sales")
 	id := e.Desc.ID
 
-	// Fresh build over 1000 rows at epoch 0.
+	// Fresh build over all 1000 rows.
 	s.SetFreshness(id, 1000)
 	if got := s.Staleness(id); got != 0 {
 		t.Fatalf("fresh staleness = %v", got)
 	}
 
-	// Append 250 rows: staleness = 250/1250.
-	s.ObserveVersion("sales", 1, 1250)
-	if got, want := s.Staleness(id), 250.0/1250.0; math.Abs(got-want) > 1e-12 {
+	// Append 250 rows: staleness = 250/1250, live and on every snapshot.
+	grow(t, cat, "sales", 250)
+	want := 250.0 / 1250.0
+	if got := s.Staleness(id); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("staleness = %v, want %v", got, want)
 	}
-	if v, ok := s.TableVersions()["sales"]; !ok || v.Epoch != 1 || v.Rows != 1250 {
-		t.Fatalf("table version = (%d, %d, %v)", v.Epoch, v.Rows, ok)
+	got, _ := s.Get(id)
+	if got.UnseenRows != 250 || math.Abs(got.Staleness()-want) > 1e-12 {
+		t.Fatalf("snapshot: unseen %d, staleness %v; want 250, %v", got.UnseenRows, got.Staleness(), want)
+	}
+	if w := s.Working([]uint64{id}); len(w) != 1 || w[0].UnseenRows != 250 {
+		t.Fatalf("working set %+v, want the entry with 250 unseen rows", w)
 	}
 
 	// A rebuild over the grown table resets staleness.
@@ -44,21 +77,22 @@ func TestStalenessLifecycle(t *testing.T) {
 	}
 
 	// Appends to unrelated tables do not mark it.
-	s.ObserveVersion("orders", 1, 500)
+	grow(t, cat, "orders", 200)
 	if got := s.Staleness(id); got != 0 {
 		t.Fatalf("unrelated append marked synopsis: %v", got)
 	}
 
 	// Staleness is the last build's, stored or not — the store does not
 	// know where a synopsis lives; every reader asks the warehouse first.
-	s.ObserveVersion("sales", 2, 1500)
+	grow(t, cat, "sales", 250)
 	if got, want := s.Staleness(id), 250.0/1500.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("staleness = %v, want %v", got, want)
 	}
 }
 
 func TestStalenessZeroDenominator(t *testing.T) {
-	s := NewStore()
+	cat := catalogOf(map[string]int{"empty": 0})
+	s := NewStore(cat)
 	e := internOver(s, "empty")
 	id := e.Desc.ID
 	// Built over an empty relation, then rows arrive: fully stale, and the
@@ -67,54 +101,35 @@ func TestStalenessZeroDenominator(t *testing.T) {
 	if got := s.Staleness(id); got != 0 {
 		t.Fatalf("empty-over-empty staleness = %v", got)
 	}
-	s.ObserveVersion("empty", 1, 10)
+	grow(t, cat, "empty", 10)
 	if got := s.Staleness(id); got != 1 {
 		t.Fatalf("staleness after rows arrived = %v, want 1", got)
 	}
 }
 
 func TestSetFreshnessAbsorbsRacedAppend(t *testing.T) {
-	s := NewStore()
+	cat := catalogOf(map[string]int{"sales": 1000})
+	s := NewStore(cat)
 	e := internOver(s, "sales")
 	id := e.Desc.ID
-	// The append is observed before the (older) build is admitted: the gap
-	// between observed rows and the build's source rows must survive as
-	// unseen rows rather than the synopsis being reported fresh.
-	s.ObserveVersion("sales", 1, 1200)
+	// The append lands before the (older) build is admitted: the gap
+	// between the catalog's rows and the build's source rows must survive
+	// as unseen rows rather than the synopsis being reported fresh.
+	grow(t, cat, "sales", 200)
 	s.SetFreshness(id, 1000)
 	if got, want := s.Staleness(id), 200.0/1200.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("staleness = %v, want %v", got, want)
 	}
 }
 
-func TestMarkUnseenBeforePublish(t *testing.T) {
-	s := NewStore()
-	e := internOver(s, "sales")
-	id := e.Desc.ID
-	s.SetFreshness(id, 1000)
-	// The engine pre-marks before the catalog swap; a failed append rolls
-	// back (clamped at zero).
-	s.MarkUnseen("sales", 100)
-	if got := s.Staleness(id); got <= 0 {
-		t.Fatalf("pre-mark not visible: %v", got)
-	}
-	s.MarkUnseen("sales", -100)
-	if got := s.Staleness(id); got != 0 {
-		t.Fatalf("rollback left staleness %v", got)
-	}
-	s.MarkUnseen("sales", -50)
-	if got := s.Staleness(id); got != 0 {
-		t.Fatalf("over-rollback went negative: %v", got)
-	}
-	// A successful append publishes the version and releases its mark in
-	// one step: the rows count once, before and after.
-	s.MarkUnseen("sales", 250)
-	want := 250.0 / 1250.0
-	if got := s.Staleness(id); got != want {
-		t.Fatalf("pending staleness = %v, want %v", got, want)
-	}
-	s.PublishAppend("sales", 1, 1250, 250)
-	if got := s.Staleness(id); got != want {
-		t.Fatalf("published staleness = %v, want %v (rows counted twice?)", got, want)
+// TestStalenessWithoutTheTable: a store without a catalog, or over a table
+// its catalog does not hold, sees no table grow — every synopsis is fresh.
+func TestStalenessWithoutTheTable(t *testing.T) {
+	for i, s := range []*Store{NewStore(nil), NewStore(catalogOf(map[string]int{"orders": 10}))} {
+		e := internOver(s, "sales")
+		s.SetFreshness(e.Desc.ID, 1000)
+		if got := s.Staleness(e.Desc.ID); got != 0 || e.UnseenRows != 0 {
+			t.Fatalf("store %d: staleness %v, unseen %d; want 0, 0", i, got, e.UnseenRows)
+		}
 	}
 }

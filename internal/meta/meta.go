@@ -11,15 +11,17 @@
 package meta
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
 )
 
 // Descriptor is the logical definition of a synopsis: the subplan it
@@ -92,9 +94,9 @@ func (d *Descriptor) Label() string {
 type Entry struct {
 	Desc Descriptor
 	// UnseenRows counts rows of Desc.Table appended after the synopsis was
-	// built. It is *derived* — the excess of the observed (or in-flight)
-	// row count over BuildRows — and computed into snapshots at read time:
-	// no mutation ordering between ingests and admits can erase it.
+	// built. It is *derived* — the excess of the catalog's row count over
+	// BuildRows — and computed into snapshots at read time: no mutation
+	// ordering between ingests and admits can erase it.
 	UnseenRows int64
 }
 
@@ -119,31 +121,23 @@ func stalenessFrom(buildRows, unseen int64) float64 {
 }
 
 // snap returns a copy of the entry that is safe to read after the store
-// lock is released: descriptor scalars are copied and the derived unseen-row
-// count is computed in. Descriptor slices (StratCols, AggCols, ...) are never
-// mutated after Intern, so sharing them is safe. Read accessors return
-// snapshots so admissions (which update sizes and freshness) never race
-// with planners and the tuner reading them. Caller holds at least the read
-// lock.
-func (s *Store) snap(e *Entry) *Entry {
-	return &Entry{Desc: e.Desc, UnseenRows: s.unseenLocked(e)}
+// lock is released: descriptor scalars are copied and the unseen-row count
+// is derived from rows, the catalog's row count of the entry's table.
+// Descriptor slices (StratCols, AggCols, ...) are never mutated after
+// Intern, so sharing them is safe. Read accessors return snapshots so
+// admissions (which update sizes and freshness) never race with planners
+// and the tuner reading them. Caller holds at least the read lock.
+func snap(e *Entry, rows int64) *Entry {
+	return &Entry{Desc: e.Desc, UnseenRows: unseen(e, rows)}
 }
 
-// unseenLocked derives the rows of the synopsis' table it has never seen:
-// the excess of the observed row count (plus rows of any append currently
-// in flight, see MarkUnseen) over BuildRows — the last build's, whether or
-// not that build is still stored. The store does not know where a synopsis
-// lives; every reader of staleness asks the warehouse view first. Caller
-// holds at least the read lock.
-func (s *Store) unseenLocked(e *Entry) int64 {
-	built, t := e.Desc.BuildRows, e.Desc.Table
-	return max(built, s.tables[t].rows) + s.pending[t] - built
-}
-
-// tableVersion is the last observed state of a base relation.
-type tableVersion struct {
-	epoch uint64
-	rows  int64
+// unseen derives the rows of the synopsis' table it has never seen: the
+// excess of rows, the table's catalog row count, over BuildRows — the last
+// build's, whether or not that build is still stored. The store does not
+// know where a synopsis lives; every reader of staleness asks the warehouse
+// view first.
+func unseen(e *Entry, rows int64) int64 {
+	return max(0, rows-e.Desc.BuildRows)
 }
 
 // Store is the concurrency-safe metadata repository.
@@ -153,24 +147,35 @@ type Store struct {
 	byID       map[uint64]*Entry
 	byIdentity map[string]uint64
 	byTable    map[string][]uint64
-	// tables tracks the last published epoch and row count of every
-	// ingested base relation (updated by ObserveVersion); pending counts
-	// rows of appends that are marked but not yet published (MarkUnseen).
-	// Staleness derives from both, so a query racing the publish window
-	// sees affected synopses as stale, never as fresh.
-	tables  map[string]tableVersion
-	pending map[string]int64
+	// cat is the one record of every base table's row count, the catalog
+	// queries bind their tables from; staleness reads it. Lock order is mu,
+	// then the catalog's; the catalog never calls into meta.
+	cat *storage.Catalog
 }
 
-// NewStore returns an empty metadata store.
-func NewStore() *Store {
+// NewStore returns an empty metadata store whose staleness reads cat's row
+// counts. A nil catalog means no table has grown.
+func NewStore(cat *storage.Catalog) *Store {
 	return &Store{
 		byID:       make(map[uint64]*Entry),
 		byIdentity: make(map[string]uint64),
 		byTable:    make(map[string][]uint64),
-		tables:     make(map[string]tableVersion),
-		pending:    make(map[string]int64),
+		cat:        cat,
 	}
+}
+
+// rows returns the catalog's current row count of table: 0 without a
+// catalog or for a table it does not hold, which leaves every synopsis
+// over it fresh.
+func (s *Store) rows(table string) int64 {
+	if s.cat == nil {
+		return 0
+	}
+	t, err := s.cat.Table(table)
+	if err != nil {
+		return 0
+	}
+	return int64(t.NumRows())
 }
 
 // Intern registers a candidate descriptor, returning a snapshot of the
@@ -182,7 +187,7 @@ func (s *Store) Intern(d Descriptor) *Entry {
 	defer s.mu.Unlock()
 	key := d.IdentityKey()
 	if id, ok := s.byIdentity[key]; ok {
-		return s.snap(s.byID[id])
+		return snap(s.byID[id], s.rows(d.Table))
 	}
 	s.nextID++
 	d.ID = s.nextID
@@ -190,7 +195,7 @@ func (s *Store) Intern(d Descriptor) *Entry {
 	s.byID[d.ID] = e
 	s.byIdentity[key] = d.ID
 	s.byTable[d.Table] = append(s.byTable[d.Table], d.ID)
-	return s.snap(e)
+	return snap(e, s.rows(d.Table))
 }
 
 // Restore reinstates a recovered entry under its original ID — the warm-
@@ -240,24 +245,6 @@ func (s *Store) SeedNextID(n uint64) {
 	}
 }
 
-// TableState is an observed base-relation version, exported for
-// checkpointing.
-type TableState struct {
-	Epoch uint64
-	Rows  int64
-}
-
-// TableVersions returns a copy of every observed base-relation version.
-func (s *Store) TableVersions() map[string]TableState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]TableState, len(s.tables))
-	for t, v := range s.tables {
-		out[t] = TableState{Epoch: v.epoch, Rows: v.rows}
-	}
-	return out
-}
-
 // Get returns a snapshot of the entry for id.
 func (s *Store) Get(id uint64) (*Entry, bool) {
 	s.mu.RLock()
@@ -266,7 +253,7 @@ func (s *Store) Get(id uint64) (*Entry, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.snap(e), true
+	return snap(e, s.rows(e.Desc.Table)), true
 }
 
 // SetActualSize records the measured size after materialization; it
@@ -280,60 +267,15 @@ func (s *Store) SetActualSize(id uint64, size int64) {
 }
 
 // SetFreshness records the row count of its table a synopsis was (re)built
-// from. Staleness is derived, not stored: when the table's observed (or
-// in-flight) row count exceeds what this build scanned — an append that
-// raced the admit, for samples and sketch-joins alike — the gap surfaces
-// automatically, regardless of the order this call interleaves with
-// MarkUnseen/ObserveVersion.
+// from. Staleness is derived, not stored: when the catalog's row count
+// exceeds what this build scanned — an append that raced the admit, for
+// samples and sketch-joins alike — the gap surfaces automatically, whichever
+// order the append and this call run in.
 func (s *Store) SetFreshness(id uint64, rows int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.byID[id]; ok {
 		e.Desc.BuildRows = rows
-	}
-}
-
-// MarkUnseen registers addedRows of in-flight appended data on a table.
-// The engine calls it BEFORE publishing the appended table version: a
-// concurrent query then sees either old data with stale-marked synopses
-// (harmlessly conservative) or new data with stale-marked synopses —
-// never new data with synopses still reported fresh. Negative addedRows
-// releases the mark (publish completed or append failed; clamped at zero).
-func (s *Store) MarkUnseen(table string, addedRows int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pending[table] += addedRows; s.pending[table] <= 0 {
-		delete(s.pending, table)
-	}
-}
-
-// ObserveVersion records a published table version; synopsis staleness
-// derives from the gap between it and each synopsis' recorded build rows.
-func (s *Store) ObserveVersion(table string, epoch uint64, totalRows int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observeVersionLocked(table, epoch, totalRows)
-}
-
-func (s *Store) observeVersionLocked(table string, epoch uint64, totalRows int64) {
-	// Concurrent ingests can report here out of order; never let an older
-	// observation regress the tracked version.
-	if prev, ok := s.tables[table]; !ok || epoch > prev.epoch ||
-		(epoch == prev.epoch && totalRows > prev.rows) {
-		s.tables[table] = tableVersion{epoch: epoch, rows: totalRows}
-	}
-}
-
-// PublishAppend atomically records a published table version AND releases
-// the in-flight mark of the append that produced it. Doing both under one
-// lock ensures no reader ever sees the appended rows counted twice (once in
-// the observed gap, once in pending).
-func (s *Store) PublishAppend(table string, epoch uint64, totalRows, addedRows int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observeVersionLocked(table, epoch, totalRows)
-	if s.pending[table] -= addedRows; s.pending[table] <= 0 {
-		delete(s.pending, table)
 	}
 }
 
@@ -346,26 +288,7 @@ func (s *Store) Staleness(id uint64) float64 {
 	if !ok {
 		return 0
 	}
-	return stalenessFrom(e.Desc.BuildRows, s.unseenLocked(e))
-}
-
-// StalenessOf returns the staleness fraction of every given synopsis in a
-// single consistent read: one lock hold covers all ids, so the returned
-// values reflect the same instant of the table-version/pending state. The
-// engine's tuning-snapshot publish uses it so the lock-free serving path
-// reads freshness that is mutually consistent with the published warehouse
-// view, instead of racing per-id lookups against concurrent ingests.
-// Unknown ids are omitted.
-func (s *Store) StalenessOf(ids []uint64) map[uint64]float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[uint64]float64, len(ids))
-	for _, id := range ids {
-		if e, ok := s.byID[id]; ok {
-			out[id] = stalenessFrom(e.Desc.BuildRows, s.unseenLocked(e))
-		}
-	}
-	return out
+	return stalenessFrom(e.Desc.BuildRows, unseen(e, s.rows(e.Desc.Table)))
 }
 
 // Entries returns snapshots of all entries sorted by ID (a stable,
@@ -373,12 +296,9 @@ func (s *Store) StalenessOf(ids []uint64) map[uint64]float64 {
 func (s *Store) Entries() []*Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*Entry, 0, len(s.byID))
-	for _, e := range s.byID {
-		out = append(out, s.snap(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Desc.ID < out[j].Desc.ID })
-	return out
+	return s.snapAll(slices.SortedFunc(maps.Values(s.byID), func(a, b *Entry) int {
+		return cmp.Compare(a.Desc.ID, b.Desc.ID)
+	}))
 }
 
 // Working returns one consistent read of the entries a tuning round works
@@ -390,13 +310,28 @@ func (s *Store) Working(ids []uint64) []*Entry {
 	ids = slices.Compact(slices.Sorted(slices.Values(ids)))
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*Entry, 0, len(ids))
+	es := make([]*Entry, 0, len(ids))
 	for _, id := range ids {
 		if e, ok := s.byID[id]; ok {
-			out = append(out, s.snap(e))
+			es = append(es, e)
 		}
 	}
-	return out
+	return s.snapAll(es)
+}
+
+// snapAll replaces each live entry of es with its snapshot, reading each
+// table's catalog row count once. Caller holds at least the read lock.
+func (s *Store) snapAll(es []*Entry) []*Entry {
+	rows := make(map[string]int64)
+	for i, e := range es {
+		n, ok := rows[e.Desc.Table]
+		if !ok {
+			n = s.rows(e.Desc.Table)
+			rows[e.Desc.Table] = n
+		}
+		es[i] = snap(e, n)
+	}
+	return es
 }
 
 // lookupTable returns the entries over a base table that has reports
@@ -411,9 +346,10 @@ func (s *Store) lookupTable(table string, has func(uint64) bool) []*Entry {
 	ids = slices.DeleteFunc(ids, func(id uint64) bool { return !has(id) })
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	rows := s.rows(table)
 	out := make([]*Entry, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, s.snap(s.byID[id]))
+		out = append(out, snap(s.byID[id], rows))
 	}
 	return out
 }

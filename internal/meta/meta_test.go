@@ -28,7 +28,7 @@ func baseDesc() Descriptor {
 }
 
 func TestInternDedupes(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	e1 := s.Intern(baseDesc())
 	e2 := s.Intern(baseDesc())
 	if e1.Desc.ID != e2.Desc.ID {
@@ -48,7 +48,7 @@ func TestInternDedupes(t *testing.T) {
 // A synopsis is named by its table and its filter: the filter is part of
 // the identity, conjunct order is not, and another table is another name.
 func TestInternFilterIdentity(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	bare := s.Intern(baseDesc())
 	a := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "orders.amount"}, R: expr.Int(1)}
 	b := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(5)}
@@ -76,7 +76,7 @@ func TestInternFilterIdentity(t *testing.T) {
 // fact column is another synopsis, listing the same keys in another order
 // is not.
 func TestInternBuildKeysIdentity(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	sketch := func(keys ...string) Descriptor {
 		return Descriptor{Kind: plan.SketchJoinSynopsis, Table: "orderproducts", BuildKeys: keys,
 			AggCol: "orderproducts.qty", Accuracy: acc(0.1, 0.95)}
@@ -98,7 +98,7 @@ func TestInternBuildKeysIdentity(t *testing.T) {
 // Working reads exactly the ids it is asked for: the store does not know
 // which synopses are stored, so the tuner asks for its view's ids itself.
 func TestWorkingSet(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	var ids []uint64
 	for _, strat := range []string{"a", "b", "c", "d"} {
 		d := baseDesc()
@@ -132,7 +132,7 @@ func TestWorkingSet(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	e := s.Intern(baseDesc())
 	if e.Desc.SizeBytes() != 1000 {
 		t.Fatal("estimate size")
@@ -159,7 +159,7 @@ func matchReq() Requirements {
 }
 
 func TestMatchSamplesHappyPath(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	e := s.Intern(baseDesc())
 	ms := s.MatchSamples(matchReq(), stored(e.Desc.ID))
 	if len(ms) != 1 || ms[0].Entry.Desc.ID != e.Desc.ID {
@@ -174,7 +174,7 @@ func TestMatchSamplesRejections(t *testing.T) {
 	// match interns one modified descriptor, stores it, and matches req.
 	req := matchReq()
 	match := func(mod func(*Descriptor)) []Match {
-		s := NewStore()
+		s := NewStore(nil)
 		d := baseDesc()
 		mod(&d)
 		e := s.Intern(d)
@@ -182,7 +182,7 @@ func TestMatchSamplesRejections(t *testing.T) {
 	}
 
 	// Candidates the view does not hold never match.
-	s := NewStore()
+	s := NewStore(nil)
 	s.Intern(baseDesc())
 	if got := s.MatchSamples(req, stored()); len(got) != 0 {
 		t.Fatal("unstored synopsis matched")
@@ -209,7 +209,7 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 	// Stored synopsis: no filter (fully general). Query: gender='m'.
 	// The paper's Employees example — the general sample serves the
 	// filtered query with a compensating filter.
-	s := NewStore()
+	s := NewStore(nil)
 	e := s.Intern(baseDesc())
 	req := matchReq()
 	req.Filter = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(3)}
@@ -222,7 +222,7 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 	}
 
 	// Reverse: stored synopsis filtered, query unfiltered → no match.
-	s2 := NewStore()
+	s2 := NewStore(nil)
 	d := baseDesc()
 	d.FilterPred = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(3)}
 	e2 := s2.Intern(d)
@@ -232,7 +232,7 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 }
 
 func TestMatchSketchJoins(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	d := Descriptor{
 		Kind:      plan.SketchJoinSynopsis,
 		Table:     "orderproducts",

@@ -14,11 +14,12 @@ const ManifestVersion = 2
 
 // Manifest is the engine checkpoint the warehouse directory carries: the
 // warehouse item index plus everything a restarted engine needs to keep
-// serving the workload as if it had never stopped — synopsis descriptors,
-// observed table versions (so bounded staleness still holds), the sliding
-// window with each query's reuse costs (the tuner's gain inputs), and the
-// query-id high-water mark. Payload bytes live in the per-item
-// files; the manifest only indexes them.
+// serving the workload as if it had never stopped — synopsis descriptors
+// (each with the rows its build saw; staleness compares them with the
+// catalog's), the sliding window with each query's reuse costs (the tuner's
+// gain inputs), and the query-id high-water mark. Payload bytes live in the
+// per-item files; the manifest only indexes them. An older manifest also
+// carries observed table versions (tables); decoding ignores them.
 type Manifest struct {
 	Version int `json:"version"`
 	// NextSynopsisID seeds the metadata store's id allocator so descriptors
@@ -31,8 +32,6 @@ type Manifest struct {
 	Window     int            `json:"window"`
 	SinceAdapt int            `json:"since_adapt"`
 	History    []WindowRecord `json:"history,omitempty"`
-	// Tables records the last observed version of every ingested relation.
-	Tables map[string]TableVersion `json:"tables,omitempty"`
 	// Items indexes the materialized synopses (payloads in item files).
 	Items []ItemRecord `json:"items,omitempty"`
 	// Entries carries every synopsis descriptor the metadata store knew,
@@ -49,12 +48,6 @@ type WindowRecord struct {
 	QueryID   int                 `json:"query_id"`
 	ExactCost float64             `json:"exact_cost"`
 	Reuse     []planner.ReuseCost `json:"reuse,omitempty"`
-}
-
-// TableVersion is a base relation's observed (epoch, rows).
-type TableVersion struct {
-	Epoch uint64 `json:"epoch"`
-	Rows  int64  `json:"rows"`
 }
 
 // Item tier and kind labels used in ItemRecord.

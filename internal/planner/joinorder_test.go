@@ -97,7 +97,7 @@ func checkSamplesOnSpine(t *testing.T, label string, c planner.Candidate, fact p
 // sample anywhere but on the spine.
 func TestSamplesLiveOnTheSpine(t *testing.T) {
 	for _, w := range []*workload.Workload{workload.TPCH(0.002, 1), workload.TPCDS(0.03, 1), workload.Instacart(0.02, 1)} {
-		store := meta.NewStore()
+		store := meta.NewStore(nil)
 		wh := warehouse.NewManager(1<<30, 1<<30)
 		pl := planner.New(store, wh, storage.DefaultCostModel())
 		r := rand.New(rand.NewSource(5))
@@ -198,7 +198,7 @@ func TestFromOrderDoesNotMoveTheAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl := planner.New(meta.NewStore(), warehouse.NewManager(1<<30, 1<<30), storage.DefaultCostModel())
+		pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<30, 1<<30), storage.DefaultCostModel())
 		ps, err := pl.Plan(q)
 		if err != nil {
 			t.Fatal(err)

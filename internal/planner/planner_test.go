@@ -43,7 +43,7 @@ func productsTable() *storage.Table {
 }
 
 func testPlanner() (*Planner, *meta.Store, *warehouse.Manager) {
-	store := meta.NewStore()
+	store := meta.NewStore(nil)
 	wh := warehouse.NewManager(64<<20, 256<<20)
 	p := New(store, wh, storage.DefaultCostModel())
 	return p, store, wh
@@ -559,7 +559,7 @@ func TestBind(t *testing.T) {
 		t.Fatal(err)
 	}
 	wh := warehouse.NewManagerWithSpiller(1<<20, 1<<20, memSpiller{})
-	p := New(meta.NewStore(), wh, storage.DefaultCostModel())
+	p := New(meta.NewStore(nil), wh, storage.DefaultCostModel())
 	const resident, spilled, sketched, refreshed, absent = 1, 2, 3, 4, 5
 	if wh.Admit(warehouse.NewSampleItem(resident, sample())) != warehouse.AdmitBuffer {
 		t.Fatal("fixture: sample not admitted to the buffer")

@@ -43,7 +43,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(sql)
 	}
 
-	pl := planner.New(meta.NewStore(), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
+	pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
 	f.Fuzz(func(t *testing.T, sql string) {
 		q, err := sqlparser.Parse(sql, w.Catalog)
 		if err != nil || q.Validate() != nil {

@@ -8,11 +8,14 @@ import (
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/warehouse"
 )
 
-// harness: synthetic metadata, and plan sets with controllable reuse costs.
+// harness: synthetic metadata over a catalog that holds no table until a
+// test registers one, and plan sets with controllable reuse costs.
 type harness struct {
+	cat   *storage.Catalog
 	store *meta.Store
 	wh    *warehouse.Manager
 	t     *Tuner
@@ -22,9 +25,19 @@ type harness struct {
 }
 
 func newHarness(quota int64, cfg Config) *harness {
-	store := meta.NewStore()
+	cat := storage.NewCatalog()
+	store := meta.NewStore(cat)
 	wh := warehouse.NewManager(1<<20, quota)
-	return &harness{store: store, wh: wh, t: New(cfg, store, wh), reuse: make(map[int][]planner.ReuseCost)}
+	return &harness{cat: cat, store: store, wh: wh, t: New(cfg, store, wh), reuse: make(map[int][]planner.ReuseCost)}
+}
+
+// rows builds n rows of a one-column table.
+func rows(table string, n int) *storage.Table {
+	b := storage.NewBuilder(table, storage.Schema{{Name: table + ".v", Typ: storage.Int64}})
+	for i := 0; i < n; i++ {
+		b.Int(0, int64(i))
+	}
+	return b.Build(1)
 }
 
 // synopsis interns a descriptor of the given size; costWith maps the queries
@@ -282,7 +295,7 @@ func TestWindowedHistoryBounded(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	tn := New(Config{}, meta.NewStore(), warehouse.NewManager(1, 1))
+	tn := New(Config{}, meta.NewStore(nil), warehouse.NewManager(1, 1))
 	if tn.w != 10 || tn.cfg.Alpha != 0.25 || tn.cfg.MaxWindow != 40 {
 		t.Fatalf("defaults: %+v w=%d", tn.cfg, tn.w)
 	}
@@ -352,8 +365,11 @@ func TestChoosePlanCreditsRefreshOfStaleSynopsis(t *testing.T) {
 	}
 	// Mostly stale: the refresh recovers the stale fraction of the future
 	// gain, which outweighs the small extra build cost.
+	h.cat.Register(rows("s", 100))
 	h.store.SetFreshness(e.Desc.ID, 100)
-	h.store.ObserveVersion("s", 1, 400) // staleness 0.75
+	if _, err := h.cat.Append("s", rows("s", 300)); err != nil { // staleness 0.75
+		t.Fatal(err)
+	}
 	if dec := h.t.Tune(h.planSet(3, 10, build)); dec.Chosen.Desc != "build" {
 		t.Fatalf("stale: chose %q, want refresh build", dec.Chosen.Desc)
 	}
@@ -371,7 +387,7 @@ func TestGainNonNegative(t *testing.T) {
 }
 
 func ExampleTuner_Tune() {
-	store := meta.NewStore()
+	store := meta.NewStore(nil)
 	wh := warehouse.NewManager(1<<20, 1<<20)
 	tn := New(DefaultConfig(), store, wh)
 	dec := tn.Tune(&planner.PlanSet{

@@ -331,9 +331,10 @@ func (e *Engine) Close() error { return e.inner.Close() }
 // Ingest appends the builder's rows to a registered table (the builder must
 // have been created with the table's schema). Running queries keep the
 // snapshot they started on; subsequent queries see the new rows. Synopses
-// built before the append become stale and are refreshed or disqualified
-// according to Options.MaxStaleness. Returns the table's new epoch
-// (version counter).
+// built before the append become stale — by the share of the table's rows
+// they never saw, read from the catalog, so rows appended to it by another
+// engine count too — and are refreshed or disqualified according to
+// Options.MaxStaleness. Returns the table's new epoch (version counter).
 func (e *Engine) Ingest(table string, rows *TableBuilder) (uint64, error) {
 	delta, err := rows.TryBuild(1)
 	if err != nil {
