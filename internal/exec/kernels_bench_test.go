@@ -12,9 +12,9 @@ import (
 
 // Per-stage microbenchmarks of the vectorized hot path, run by hand (`go test
 // ./internal/exec -run NONE -bench 'BenchmarkFilter|BenchmarkAgg'`):
-// the filter stage (the compiled selection kernels) and aggTable.observe (the
-// hoisted agg-major loop vs a row-major
-// reference that re-derives the weight/aggregate dispatch per row, i.e. the
+// the filter stage (the compiled selection kernels, over unsorted columns)
+// and aggTable.observe (the hoisted agg-major loop vs a row-major reference
+// that re-derives the weight/aggregate dispatch per row, i.e. the
 // pre-hoisting loop structure). Each benchmark reports ns/row so the stages
 // compare on one scale; the *_rowmajor numbers are the regression baseline the
 // hoisted loops must stay well under.
@@ -44,36 +44,112 @@ func benchAggBatch(weighted bool) *storage.Batch {
 	return b
 }
 
-// benchPred is a fused two-conjunct column-vs-constant predicate (~45%
-// selective) squarely inside the kernel subset.
-func benchPred() expr.Expr {
-	return &expr.Logic{Op: expr.And,
-		L: &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "t.f"}, R: &expr.Const{Val: storage.FloatValue(25)}},
-		R: &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "t.i"}, R: &expr.Const{Val: storage.IntValue(900)}},
-	}
-}
-
 func reportPerRow(b *testing.B, rowsPerOp int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(rowsPerOp)), "ns/row")
 }
 
-// BenchmarkFilterKernel measures the compiled selection-kernel filter stage:
-// refine a dense batch into a selection vector, no row gather.
+// filterBenchRows is long enough that no branch predictor learns the column:
+// the filter benchmark walks it benchRows rows at a time, as a scan would.
+const filterBenchRows = 600_000
+
+// filterBenchModes are seven ship modes, as l_shipmode has.
+var filterBenchModes = []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}
+
+// filterBenchBatches draws seeded uniform columns — i over [0, 1000), f over
+// [0, 1), s over filterBenchModes — and cuts them into benchRows-row batches:
+// coded as a table scan delivers them, and uncoded, the same batches with s
+// stripped of its codes.
+func filterBenchBatches() (coded, uncoded []*storage.Batch) {
+	tb := storage.NewBuilder("t", storage.Schema{
+		{Name: "t.i", Typ: storage.Int64},
+		{Name: "t.f", Typ: storage.Float64},
+		{Name: "t.s", Typ: storage.String},
+	})
+	x := uint64(1)
+	for r := 0; r < filterBenchRows; r++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		tb.Int(0, int64((x>>33)%1000))
+		tb.Float(1, float64(x>>11)/(1<<53))
+		tb.Str(2, filterBenchModes[(x>>40)%7])
+	}
+	coded = tb.Build(1).Scan(0, benchRows)
+	for _, sb := range coded {
+		u := *sb
+		u.Vecs = []*storage.Vector{sb.Vecs[0], sb.Vecs[1], {Typ: storage.String, Str: sb.Vecs[2].Str}}
+		uncoded = append(uncoded, &u)
+	}
+	return coded, uncoded
+}
+
+// BenchmarkFilterKernel measures the compiled selection kernels — refine a
+// batch into a selection vector, no row gather — in ns per candidate row.
+// The numeric cases sweep selectivity, where a kernel that branches per row
+// pays for every misprediction; "sel" runs under the selection f < 0.5
+// leaves; the string cases run coded and, for contrast, uncoded.
 func BenchmarkFilterKernel(b *testing.B) {
-	batch := benchAggBatch(false)
-	prog, err := expr.CompileFilter(benchPred(), batch.Schema)
-	if err != nil {
-		b.Fatal(err)
+	i64 := func(op expr.CmpOp, c int64) expr.Expr {
+		return &expr.Cmp{Op: op, L: &expr.Col{Name: "t.i"}, R: expr.Int(c)}
 	}
-	out := make([]int32, 0, benchRows)
-	var sc expr.Scratch
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		out = prog.Refine(batch, nil, out[:0], &sc)
+	shipIn := &expr.In{E: &expr.Col{Name: "t.s"}, Vals: []storage.Value{
+		storage.StringValue("AIR"), storage.StringValue("MAIL"), storage.StringValue("SHIP"),
+	}}
+	shipEq := &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "t.s"}, R: expr.Str("RAIL")}
+	half := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "t.f"}, R: expr.Float(0.5)}
+	cases := []struct {
+		name    string
+		pred    expr.Expr
+		sel     expr.Expr // nil: dense; else the candidates are the rows it selects
+		uncoded bool
+	}{
+		{"i64_ge_10pct", i64(expr.GE, 900), nil, false},
+		{"i64_ge_50pct", i64(expr.GE, 500), nil, false},
+		{"i64_ge_96pct", i64(expr.GE, 40), nil, false},
+		{"f64_lt_50pct", half, nil, false},
+		{"i64_ge_50pct_sel", i64(expr.GE, 500), half, false},
+		{"str_eq_coded", shipEq, nil, false},
+		{"str_in_coded", shipIn, nil, false},
+		{"str_eq_uncoded", shipEq, nil, true},
+		{"str_in_uncoded", shipIn, nil, true},
 	}
-	reportPerRow(b, benchRows)
-	if len(out) == 0 {
-		b.Fatal("predicate selected nothing")
+	coded, uncoded := filterBenchBatches()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			batches := coded
+			if c.uncoded {
+				batches = uncoded
+			}
+			prog, err := expr.CompileFilter(c.pred, batches[0].Schema)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sc expr.Scratch
+			sels := make([][]int32, len(batches))
+			if c.sel != nil {
+				sp, err := expr.CompileFilter(c.sel, batches[0].Schema)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k, sb := range batches {
+					sels[k] = sp.Refine(sb, nil, nil, &sc)
+				}
+			}
+			out := make([]int32, 0, benchRows)
+			rows, kept := 0, 0
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				k := n % len(batches)
+				out = prog.Refine(batches[k], sels[k], out[:0], &sc)
+				rows += len(sels[k])
+				if sels[k] == nil {
+					rows += batches[k].Len()
+				}
+				kept += len(out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+			if kept == 0 {
+				b.Fatal("predicate selected nothing")
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
@@ -15,6 +16,27 @@ import (
 // nothing per batch (intermediate selections come from a reusable Scratch),
 // and fuse conjunctions so later conjuncts only look at rows that survived
 // earlier ones.
+//
+// Branch-free contract: no leaf kernel branches on a row's outcome. Each one
+// grows its output once by the candidate count, stores every candidate's
+// index at the write cursor unconditionally, and advances the cursor by the
+// comparison's result — `dst[k] = i; if x op c { k++ }`, which the compiler
+// lowers to a conditional move — so an unsorted column whose predicate
+// selects half its rows costs what a sorted one does. The operator switch
+// sits outside the row loop, and an IN list is folded without a short
+// circuit. The connectives (And, Or, Not) are not leaves and keep their
+// merges.
+//
+// Coded string leaves: a string comparison or IN over a dictionary-coded
+// vector (storage.Vector.Code / Dict) decides the predicate once per code
+// and then selects by one table load per row. The truth table lives in the
+// Scratch — one per string leaf per dictionary per operator, tied to the
+// *Dict pointer and started over when a batch arrives under another one —
+// and is filled lazily, the first time a candidate shows a code, by reading
+// that row's string. A code's verdict is the same Go comparison on the same
+// string and a dictionary's values are distinct, so the coded and uncoded
+// paths select the same rows. Uncoded vectors (a column past MaxDictSize, a
+// gather that mixed dictionaries) compare every row.
 //
 // What compiles: a column compared with a constant of its type class (numeric
 // with numeric, string with string, bool with bool; either operand order), a
@@ -39,14 +61,16 @@ import (
 // sequentially, Or union-merges, Not complements against its input — so the
 // invariant holds by construction.
 
-// Filter is a compiled predicate program over a fixed input schema.
+// Filter is a compiled predicate program over a fixed input schema. It is
+// immutable: per-run state (buffers, truth tables) lives in a Scratch.
 type Filter struct{ root selNode }
 
 // CompileFilter compiles a boolean expression into selection kernels over
 // schema s. The error names the first sub-expression outside the compilable
 // subset and says why (see the file comment for what compiles).
 func CompileFilter(e Expr, s storage.Schema) (*Filter, error) {
-	n, err := compileNode(e, s)
+	var slots int
+	n, err := compileNode(e, s, &slots)
 	if err != nil {
 		return nil, err
 	}
@@ -55,16 +79,20 @@ func CompileFilter(e Expr, s storage.Schema) (*Filter, error) {
 
 // Refine runs the program over one batch: in lists the candidate physical
 // rows (ascending; nil = all rows), survivors are appended to out and
-// returned. sc lends intermediate buffers; it may be shared across calls but
-// not across goroutines.
+// returned. sc lends intermediate buffers and the string leaves' truth
+// tables; it may be shared across calls but not across goroutines.
 func (f *Filter) Refine(b *storage.Batch, in, out []int32, sc *Scratch) []int32 {
 	return f.root.refine(b, in, out, sc)
 }
 
-// Scratch is a free list of intermediate selection buffers for Refine. One
-// Scratch per operator instance: buffers grow to batch size once and are
+// Scratch is the per-operator working memory of Refine: a free list of
+// intermediate selection buffers, and one truth table per coded string leaf.
+// One Scratch per operator instance: buffers grow to batch size once and are
 // reused for every subsequent batch.
-type Scratch struct{ free [][]int32 }
+type Scratch struct {
+	free   [][]int32
+	truths []codeTruth // by string leaf slot
+}
 
 func (s *Scratch) get(n int) []int32 {
 	if k := len(s.free) - 1; k >= 0 {
@@ -76,6 +104,64 @@ func (s *Scratch) get(n int) []int32 {
 }
 
 func (s *Scratch) put(b []int32) { s.free = append(s.free, b) }
+
+// codeTruth is one string leaf's verdict on each code of one dictionary: 1
+// selects, 0 rejects, undecided until a candidate row first shows the code.
+type codeTruth struct {
+	leaf      *strNode
+	dict      *storage.Dict
+	of        []uint8
+	undecided int // codes still undecided
+}
+
+const undecided = 2
+
+// truth returns leaf n's truth table over v's dictionary with every code a
+// candidate of in shows decided. A table left by another leaf (a Scratch
+// shared across filters) or another dictionary starts over. While any code
+// is undecided, each call walks the candidates' codes once more; a
+// dictionary of a few values is complete after the first batch.
+func (s *Scratch) truth(n *strNode, v *storage.Vector, in []int32) []uint8 {
+	if n.slot >= len(s.truths) {
+		s.truths = append(s.truths, make([]codeTruth, n.slot+1-len(s.truths))...)
+	}
+	t := &s.truths[n.slot]
+	if t.leaf != n || t.dict != v.Dict {
+		size := v.Dict.Len()
+		t.leaf, t.dict, t.undecided = n, v.Dict, size
+		t.of = slices.Grow(t.of[:0], size)[:size]
+		for c := range t.of {
+			t.of[c] = undecided
+		}
+	}
+	if t.undecided > 0 {
+		t.decide(n, v, in)
+	}
+	return t.of
+}
+
+// decide settles every code the candidates show for the first time by
+// reading that row's string, as exec's strCodes.words does.
+func (t *codeTruth) decide(n *strNode, v *storage.Vector, in []int32) {
+	if in == nil {
+		for i, c := range v.Code {
+			if t.of[c] == undecided {
+				t.set(c, n.match(v.Str[i]))
+			}
+		}
+		return
+	}
+	for _, i := range in {
+		if c := v.Code[i]; t.of[c] == undecided {
+			t.set(c, n.match(v.Str[i]))
+		}
+	}
+}
+
+func (t *codeTruth) set(c uint32, ok bool) {
+	t.of[c] = uint8(b2i(ok))
+	t.undecided--
+}
 
 // rowsIn is the candidate count of a (batch, selection) pair.
 func rowsIn(b *storage.Batch, in []int32) int {
@@ -93,14 +179,16 @@ type selNode interface {
 
 // ---- compilation ----
 
-func compileNode(e Expr, s storage.Schema) (selNode, error) {
+// compileNode compiles e over s; slots counts the string leaves numbered so
+// far, each of which gets the next truth-table slot.
+func compileNode(e Expr, s storage.Schema, slots *int) (selNode, error) {
 	switch t := e.(type) {
 	case *Logic:
-		l, err := compileNode(t.L, s)
+		l, err := compileNode(t.L, s, slots)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileNode(t.R, s)
+		r, err := compileNode(t.R, s, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -109,15 +197,15 @@ func compileNode(e Expr, s storage.Schema) (selNode, error) {
 		}
 		return &orNode{kids: flattenOr(l, r)}, nil
 	case *Not:
-		k, err := compileNode(t.E, s)
+		k, err := compileNode(t.E, s, slots)
 		if err != nil {
 			return nil, err
 		}
 		return &notNode{kid: k}, nil
 	case *Cmp:
-		return compileCmp(t, s)
+		return compileCmp(t, s, slots)
 	case *In:
-		return compileIn(t, s)
+		return compileIn(t, s, slots)
 	}
 	return nil, fmt.Errorf("expr: filter %v: not a boolean predicate", e)
 }
@@ -134,6 +222,13 @@ func columnIndex(in Expr, c *Col, s storage.Schema) (int, error) {
 		return 0, fmt.Errorf("expr: filter %s: unknown column %q in schema %v", in, c.Name, s.Names())
 	}
 	return ci, nil
+}
+
+// newStrNode numbers a string leaf over column ci.
+func newStrNode(ci int, slots *int) *strNode {
+	n := &strNode{col: ci, slot: *slots}
+	*slots++
+	return n
 }
 
 // flattenAnd/flattenOr merge nested same-connective nodes into one n-ary
@@ -205,7 +300,7 @@ func cmpShapeError(e *Cmp) error {
 	return fmt.Errorf("expr: filter %s: %s; only a column compared with a constant is supported", e, why)
 }
 
-func compileCmp(e *Cmp, s storage.Schema) (selNode, error) {
+func compileCmp(e *Cmp, s storage.Schema, slots *int) (selNode, error) {
 	col, c, op, ok := splitColConst(e)
 	if !ok {
 		return nil, cmpShapeError(e)
@@ -231,7 +326,9 @@ func compileCmp(e *Cmp, s storage.Schema) (selNode, error) {
 	case s[ci].Typ == storage.Float64 && c.Typ == storage.Float64:
 		n.kind, n.f64 = cmpF64, c.F
 	case s[ci].Typ == storage.String && c.Typ == storage.String:
-		n.kind, n.str = cmpStr, c.S
+		sn := newStrNode(ci, slots)
+		sn.op, sn.c = op, c.S
+		return sn, nil
 	case s[ci].Typ == storage.Bool && c.Typ == storage.Bool:
 		n.kind = cmpBool
 		n.rf = cmpBoolResult(false, c.B, op)
@@ -252,7 +349,7 @@ func cmpBoolResult(x, c bool, op CmpOp) bool {
 	return cmpOrd(b2i(x), b2i(c), op)
 }
 
-func compileIn(e *In, s storage.Schema) (selNode, error) {
+func compileIn(e *In, s storage.Schema, slots *int) (selNode, error) {
 	col, ok := e.E.(*Col)
 	if !ok {
 		return nil, fmt.Errorf("expr: filter %s: IN over an expression; only a column is supported", e)
@@ -287,11 +384,13 @@ func compileIn(e *In, s storage.Schema) (selNode, error) {
 			}
 		}
 	case storage.String:
+		sn := newStrNode(ci, slots)
 		for _, v := range e.Vals {
 			if v.Typ == storage.String {
-				n.strs = append(n.strs, v.S)
+				sn.list = append(sn.list, v.S)
 			}
 		}
+		return sn, nil
 	case storage.Bool:
 		for _, v := range e.Vals {
 			if v.Typ == storage.Bool {
@@ -314,17 +413,16 @@ const (
 	cmpI64    cmpKind = iota // int64 column vs int64 constant, integer compare
 	cmpF64                   // float64 column vs numeric constant, float compare
 	cmpI64F64                // int64 column vs float constant, coerced to float
-	cmpStr                   // string column vs string constant
 	cmpBool                  // bool column: precomputed per-bit truth pair
 )
 
+// cmpNode is a numeric or boolean comparison with a constant.
 type cmpNode struct {
 	col  int
 	op   CmpOp
 	kind cmpKind
 	i64  int64
 	f64  float64
-	str  string
 	// rf/rt: comparison result when the bool column holds false/true.
 	rf, rt bool
 }
@@ -338,212 +436,250 @@ func (n *cmpNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 
 		return selOrd(v.F64, n.f64, n.op, in, out)
 	case cmpI64F64:
 		return selI64AsF64(v.I64, n.f64, n.op, in, out)
-	case cmpStr:
-		return selOrd(v.Str, n.str, n.op, in, out)
 	default:
 		return selBoolPair(v.B, n.rf, n.rt, in, out)
 	}
 }
 
-// selOrd appends the indices where col[i] op c onto out. The operator switch
-// sits outside the row loop, and the dense (in == nil) case streams the raw
-// column without index indirection. Go's native comparison operators give the
-// IEEE semantics the contract requires (NaN false except !=).
+// grow makes room in out for every candidate — the rows of in, or all n
+// rows when in is nil — and returns out with the window past its end that a
+// kernel stores candidates into. The kernel's survivors are out[:len(out)+k]
+// for its final cursor k.
+func grow(out []int32, n int, in []int32) ([]int32, []int32) {
+	if in != nil {
+		n = len(in)
+	}
+	out = slices.Grow(out, n)
+	return out, out[len(out) : len(out)+n]
+}
+
+// selOrd appends the indices where col[i] op c onto out, branch-free (see
+// the file comment). The operator switch sits outside the row loop, and the
+// dense (in == nil) case streams the raw column without index indirection.
+// Go's native comparison operators give the IEEE semantics the contract
+// requires (NaN false except !=).
 func selOrd[T int64 | float64 | string](col []T, c T, op CmpOp, in, out []int32) []int32 {
+	out, dst := grow(out, len(col), in)
+	k := 0
 	if in == nil {
 		switch op {
 		case EQ:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if x == c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case NE:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if x != c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case LT:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if x < c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case LE:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if x <= c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case GT:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if x > c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case GE:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if x >= c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		}
-		return out
+		return out[:len(out)+k]
 	}
 	switch op {
 	case EQ:
 		for _, i := range in {
+			dst[k] = i
 			if col[i] == c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case NE:
 		for _, i := range in {
+			dst[k] = i
 			if col[i] != c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case LT:
 		for _, i := range in {
+			dst[k] = i
 			if col[i] < c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case LE:
 		for _, i := range in {
+			dst[k] = i
 			if col[i] <= c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case GT:
 		for _, i := range in {
+			dst[k] = i
 			if col[i] > c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case GE:
 		for _, i := range in {
+			dst[k] = i
 			if col[i] >= c {
-				out = append(out, i)
+				k++
 			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
 // selI64AsF64 is selOrd for the mixed-numeric case: an int64 column compared
 // against a float constant goes through float64 coercion per row, exactly as
 // Eval's Vector.Float path does.
 func selI64AsF64(col []int64, c float64, op CmpOp, in, out []int32) []int32 {
+	out, dst := grow(out, len(col), in)
+	k := 0
 	if in == nil {
 		switch op {
 		case EQ:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if float64(x) == c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case NE:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if float64(x) != c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case LT:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if float64(x) < c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case LE:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if float64(x) <= c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case GT:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if float64(x) > c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		case GE:
 			for i, x := range col {
+				dst[k] = int32(i)
 				if float64(x) >= c {
-					out = append(out, int32(i))
+					k++
 				}
 			}
 		}
-		return out
+		return out[:len(out)+k]
 	}
 	switch op {
 	case EQ:
 		for _, i := range in {
+			dst[k] = i
 			if float64(col[i]) == c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case NE:
 		for _, i := range in {
+			dst[k] = i
 			if float64(col[i]) != c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case LT:
 		for _, i := range in {
+			dst[k] = i
 			if float64(col[i]) < c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case LE:
 		for _, i := range in {
+			dst[k] = i
 			if float64(col[i]) <= c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case GT:
 		for _, i := range in {
+			dst[k] = i
 			if float64(col[i]) > c {
-				out = append(out, i)
+				k++
 			}
 		}
 	case GE:
 		for _, i := range in {
+			dst[k] = i
 			if float64(col[i]) >= c {
-				out = append(out, i)
+				k++
 			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
 // selBoolPair selects by the precomputed truth pair: rf/rt is the predicate
-// result for a false/true column bit.
+// result for a false/true column bit. A pair that differs is an equality
+// with the bit it accepts; one that agrees keeps every candidate or none.
 func selBoolPair(col []bool, rf, rt bool, in, out []int32) []int32 {
-	if in == nil {
-		for i, x := range col {
-			if (x && rt) || (!x && rf) {
-				out = append(out, int32(i))
-			}
-		}
+	switch {
+	case rf != rt:
+		return selIn(col, []bool{rt}, in, out)
+	case !rf:
 		return out
+	case in != nil:
+		return append(out, in...)
 	}
-	for _, i := range in {
-		x := col[i]
-		if (x && rt) || (!x && rf) {
-			out = append(out, i)
-		}
+	out, dst := grow(out, len(col), nil)
+	for i := range dst {
+		dst[i] = int32(i)
 	}
-	return out
+	return out[:len(out)+len(dst)]
 }
 
+// inNode is a numeric or boolean column IN a literal list.
 type inNode struct {
 	col  int
 	typ  storage.Type
 	i64s []int64
 	f64s []float64
-	strs []string
 	// Bool columns: membership result for a false/true column bit.
 	rf, rt bool
 }
@@ -555,39 +691,91 @@ func (n *inNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 {
 		return selIn(v.I64, n.i64s, in, out)
 	case storage.Float64:
 		return selIn(v.F64, n.f64s, in, out)
-	case storage.String:
-		return selIn(v.Str, n.strs, in, out)
 	default:
 		return selBoolPair(v.B, n.rf, n.rt, in, out)
 	}
 }
 
-// selIn appends the indices whose column value equals any list value. Linear
-// scan: IN lists are small literal sets, and Go == over the element type is
-// exactly Value.Equal's same-type semantics (a NaN column value matches
-// nothing, NaN list values match nothing).
+// selIn appends the indices whose column value equals any list value,
+// branch-free: every list value is compared, and a hit sets a flag instead of
+// leaving the loop. Linear: IN lists are small literal sets, and Go == over
+// the element type is exactly Value.Equal's same-type semantics (a NaN
+// column value matches nothing, NaN list values match nothing).
 func selIn[T comparable](col []T, vals []T, in, out []int32) []int32 {
+	out, dst := grow(out, len(col), in)
+	k := 0
 	if in == nil {
 		for i, x := range col {
+			hit := 0
 			for _, c := range vals {
 				if x == c {
-					out = append(out, int32(i))
-					break
+					hit = 1
 				}
 			}
+			dst[k] = int32(i)
+			k += hit
 		}
-		return out
+		return out[:len(out)+k]
 	}
 	for _, i := range in {
-		x := col[i]
+		x, hit := col[i], 0
 		for _, c := range vals {
 			if x == c {
-				out = append(out, i)
-				break
+				hit = 1
 			}
 		}
+		dst[k] = i
+		k += hit
 	}
-	return out
+	return out[:len(out)+k]
+}
+
+// strNode is a string leaf: a comparison with a constant, or IN a list.
+type strNode struct {
+	col  int
+	slot int      // its truth table in a Scratch
+	op   CmpOp    // the comparison's operator
+	c    string   // the comparison's constant
+	list []string // the IN list; nil for a comparison
+}
+
+// match is the leaf's predicate on one value.
+func (n *strNode) match(s string) bool {
+	if n.list != nil {
+		return slices.Contains(n.list, s)
+	}
+	return cmpOrd(s, n.c, n.op)
+}
+
+func (n *strNode) refine(b *storage.Batch, in, out []int32, sc *Scratch) []int32 {
+	v := b.Vecs[n.col]
+	switch {
+	case v.Dict != nil:
+		return selCodes(v.Code, sc.truth(n, v, in), in, out)
+	case n.list != nil:
+		return selIn(v.Str, n.list, in, out)
+	}
+	return selOrd(v.Str, n.c, n.op, in, out)
+}
+
+// selCodes appends the candidates whose code the truth table selects: one
+// table load per row, whatever the predicate. Every candidate's code must be
+// decided (Scratch.truth).
+func selCodes(codes []uint32, truth []uint8, in, out []int32) []int32 {
+	out, dst := grow(out, len(codes), in)
+	k := 0
+	if in == nil {
+		for i, c := range codes {
+			dst[k] = int32(i)
+			k += int(truth[c])
+		}
+		return out[:len(out)+k]
+	}
+	for _, i := range in {
+		dst[k] = i
+		k += int(truth[codes[i]])
+	}
+	return out[:len(out)+k]
 }
 
 // ---- connectives ----

@@ -3,6 +3,7 @@ package expr
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,28 +64,41 @@ func oracleSelect(t testing.TB, e Expr, b *storage.Batch, in []int32) []int32 {
 	return out
 }
 
+// codedCopy is b's rows as a table scan delivers them: built into a
+// one-partition table and scanned back, every string column
+// dictionary-coded (up to storage.MaxDictSize distinct values).
+func codedCopy(b *storage.Batch) *storage.Batch {
+	tb := storage.NewBuilder("t", b.Schema)
+	for i := 0; i < b.Len(); i++ {
+		tb.AddRow(b.Row(i)...)
+	}
+	if b.Len() == 0 {
+		return b
+	}
+	return tb.Build(1).Scan(0, b.Len())[0]
+}
+
 // checkKernel compiles e and compares Refine against the oracle, both dense
-// (in = nil) and under a sparse candidate selection.
+// (in = nil) and under a sparse candidate selection, over b's uncoded string
+// columns and over a coded copy of the same rows: string leaves take the
+// per-code path on one and compare every row on the other.
 func checkKernel(t testing.TB, e Expr, b *storage.Batch) {
 	t.Helper()
 	f, err := CompileFilter(e, b.Schema)
 	if err != nil {
 		t.Fatalf("CompileFilter(%s): %v", e, err)
 	}
-	var sc Scratch
 	sparse := make([]int32, 0, b.Len())
 	for i := 0; i < b.Len(); i += 2 {
 		sparse = append(sparse, int32(i))
 	}
-	for _, in := range [][]int32{nil, sparse, {}} {
-		got := f.Refine(b, in, nil, &sc)
-		want := oracleSelect(t, e, b, in)
-		if len(got) != len(want) {
-			t.Fatalf("%s (in=%v): kernel %v, oracle %v", e, in, got, want)
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("%s (in=%v): kernel %v, oracle %v", e, in, got, want)
+	for k, batch := range []*storage.Batch{b, codedCopy(b)} {
+		var sc Scratch
+		for _, in := range [][]int32{nil, sparse, {}} {
+			got := f.Refine(batch, in, nil, &sc)
+			want := oracleSelect(t, e, batch, in)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s (in=%v, coded=%v): kernel %v, oracle %v", e, in, k == 1, got, want)
 			}
 		}
 	}
@@ -248,6 +262,131 @@ func TestKernelScratchReuse(t *testing.T) {
 	}
 }
 
+// TestRefineAppends holds Refine to its contract: survivors are appended to
+// out. Every leaf kind and connective runs behind a non-empty prefix, once
+// with no spare capacity (the kernel must grow and copy) and once with room;
+// the prefix must survive and the tail must be the oracle's.
+func TestRefineAppends(t *testing.T) {
+	plain := edgeBatch()
+	coded := codedCopy(plain)
+	lt := &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(50)}
+	preds := []Expr{
+		lt,
+		&Cmp{Op: GE, L: &Col{Name: "f"}, R: Float(0)},
+		&Cmp{Op: GT, L: &Col{Name: "i"}, R: Float(0.5)},
+		&Cmp{Op: EQ, L: &Col{Name: "b"}, R: &Const{Val: storage.BoolValue(true)}},
+		&Cmp{Op: LE, L: &Col{Name: "s"}, R: Str("ab")},
+		&In{E: &Col{Name: "i"}, Vals: []storage.Value{storage.IntValue(1), storage.IntValue(42)}},
+		&In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.StringValue(""), storage.StringValue("zzz")}},
+		&Logic{Op: And, L: lt, R: &Cmp{Op: NE, L: &Col{Name: "s"}, R: Str("a")}},
+		&Logic{Op: Or, L: lt, R: &Not{E: lt}},
+		&Not{E: lt},
+	}
+	prefix := []int32{-7, 99, 3}
+	for _, e := range preds {
+		f, err := CompileFilter(e, plain.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, b := range []*storage.Batch{plain, coded} {
+			var sc Scratch
+			for _, in := range [][]int32{nil, {1, 2, 5, 7}} {
+				want := oracleSelect(t, e, b, in)
+				for _, room := range []int{0, b.Len()} {
+					out := append(make([]int32, 0, len(prefix)+room), prefix...)
+					got := f.Refine(b, in, out, &sc)
+					if !slices.Equal(got[:min(len(got), len(prefix))], prefix) || !slices.Equal(got[len(prefix):], want) {
+						t.Fatalf("%s (in=%v, room=%d, coded=%v): got %v, want %v then %v", e, in, room, k == 1, got, prefix, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCodedLeafFollowsTheDictionary pushes batches under two dictionaries
+// through one Scratch: a table's, then the extended one its append of a new
+// value is coded under, then the first again. Every batch meets the oracle,
+// and after each one the leaf's truth table is the batch's dictionary's — a
+// table kept from the first dictionary has no verdict for the new code.
+func TestCodedLeafFollowsTheDictionary(t *testing.T) {
+	schema := storage.Schema{{Name: "s", Typ: storage.String}}
+	build := func(vals ...string) *storage.Table {
+		tb := storage.NewBuilder("t", schema)
+		for _, v := range vals {
+			tb.Str(0, v)
+		}
+		return tb.Build(1)
+	}
+	old := build("AIR", "RAIL", "SHIP", "RAIL", "AIR", "SHIP")
+	grown, err := old.Append(build("MAIL", "RAIL", "MAIL"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after := old.Scan(0, old.NumRows())[0], grown.Scan(0, grown.NumRows())[0]
+	d0, d1 := before.Vecs[0].Dict, after.Vecs[0].Dict
+	if d0 == nil || d1 == nil || d0 == d1 {
+		t.Fatalf("want two dictionaries, got %p and %p", d0, d1)
+	}
+	if codedCopy(edgeBatch()).Vecs[2].Dict == nil {
+		t.Fatal("codedCopy left the string column uncoded")
+	}
+	s := &Col{Name: "s"}
+	preds := []Expr{
+		&Cmp{Op: EQ, L: s, R: Str("MAIL")},
+		&Cmp{Op: GE, L: s, R: Str("RAIL")},
+		&In{E: s, Vals: []storage.Value{storage.StringValue("MAIL"), storage.StringValue("AIR")}},
+		&Not{E: &Cmp{Op: EQ, L: s, R: Str("AIR")}},
+	}
+	for _, e := range preds {
+		f, err := CompileFilter(e, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc Scratch
+		for _, b := range []*storage.Batch{before, after, before, after} {
+			for _, in := range [][]int32{{0, 2, 4}, nil} {
+				got := f.Refine(b, in, nil, &sc)
+				if want := oracleSelect(t, e, b, in); !slices.Equal(got, want) {
+					t.Fatalf("%s over %d rows (in=%v): kernel %v, oracle %v", e, b.Len(), in, got, want)
+				}
+				if tt := sc.truths[0]; tt.dict != b.Vecs[0].Dict || len(tt.of) != b.Vecs[0].Dict.Len() {
+					t.Fatalf("%s: truth table of a %d-value dictionary used for a batch of a %d-value one", e, len(tt.of), b.Vecs[0].Dict.Len())
+				}
+			}
+		}
+	}
+}
+
+// TestScratchSharedAcrossFilters alternates two filters whose string leaves
+// share a slot number over one Scratch and one dictionary: each must decide
+// its own codes, not read the other's verdicts.
+func TestScratchSharedAcrossFilters(t *testing.T) {
+	b := codedCopy(edgeBatch())
+	air := &Cmp{Op: EQ, L: &Col{Name: "s"}, R: Str("a")}
+	zzz := &In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.StringValue("zzz")}}
+	fa, err := CompileFilter(air, b.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz, err := CompileFilter(zzz, b.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	for pass := 0; pass < 3; pass++ {
+		for _, c := range []struct {
+			f *Filter
+			e Expr
+		}{{fa, air}, {fz, zzz}} {
+			got := c.f.Refine(b, nil, nil, &sc)
+			if want := oracleSelect(t, c.e, b, nil); !slices.Equal(got, want) {
+				t.Fatalf("pass %d, %s: kernel %v, oracle %v", pass, c.e, got, want)
+			}
+		}
+	}
+}
+
 // ---- fuzz targets: each typed kernel vs the scalar Eval oracle ----
 
 // fuzzFloats decodes a byte string into float64s, folding some bit patterns
@@ -337,14 +476,17 @@ func FuzzKernelCmpStr(f *testing.F) {
 
 // FuzzKernelTree drives whole compiled programs — connective nesting, NOT
 // complements, conjunct fusion — against the interpreter on an edge-heavy
-// batch.
+// batch, uncoded and coded (checkKernel): its string leaves, a comparison and
+// an IN list against a fuzzed constant, take the per-code path on the coded
+// copy, several of them sharing one Scratch.
 func FuzzKernelTree(f *testing.F) {
-	f.Add(uint64(0x1234), byte(3), int64(7), uint64(math.Float64bits(2.5)))
-	f.Add(uint64(0xffffffff), byte(6), int64(-1), math.Float64bits(math.NaN()))
-	f.Fuzz(func(t *testing.T, shape uint64, depth byte, ic int64, fbits uint64) {
+	f.Add(uint64(0x1234), byte(3), int64(7), uint64(math.Float64bits(2.5)), "a")
+	f.Add(uint64(0xffffffff), byte(6), int64(-1), math.Float64bits(math.NaN()), "zz")
+	f.Fuzz(func(t *testing.T, shape uint64, depth byte, ic int64, fbits uint64, sv string) {
 		b := edgeBatch()
 		fc := math.Float64frombits(fbits)
-		// Build a random tree: each shape bit pair picks a node kind.
+		// Build a random tree: each shape bit pair picks a node kind; a leaf
+		// is picked by that pair and the next bit.
 		var build func(d int) Expr
 		build = func(d int) Expr {
 			k := shape & 3
@@ -353,10 +495,14 @@ func FuzzKernelTree(f *testing.F) {
 				leaves := []Expr{
 					&Cmp{Op: fuzzOp(byte(shape)), L: &Col{Name: "i"}, R: Int(ic)},
 					&Cmp{Op: fuzzOp(byte(shape >> 1)), L: &Col{Name: "f"}, R: Float(fc)},
-					&Cmp{Op: fuzzOp(byte(shape >> 2)), L: &Col{Name: "s"}, R: Str("a")},
+					&Cmp{Op: fuzzOp(byte(shape >> 2)), L: &Col{Name: "s"}, R: Str(sv)},
 					&In{E: &Col{Name: "f"}, Vals: []storage.Value{storage.FloatValue(fc)}},
+					&In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.StringValue(sv), storage.StringValue("a")}},
+					&Cmp{Op: fuzzOp(byte(shape >> 3)), L: Str(sv), R: &Col{Name: "s"}},
 				}
-				return leaves[k]
+				leaf := leaves[(k<<1|shape&1)%uint64(len(leaves))]
+				shape >>= 1
+				return leaf
 			}
 			switch k {
 			case 0:
