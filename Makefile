@@ -99,9 +99,12 @@ determinism:
 
 # Byte-identity against another commit: `make parity BASE=<ref>` exports
 # BASE with git archive into a temporary directory, builds cmd/tasterbench
-# there and here, and cmps every report in REPORTS between the two. A
-# refactor that must not move an answer holds BASE to its parent. Not in
-# check or CI: the base ref is a local choice. About 12 s.
+# there and here, and cmps every report in REPORTS between the two. Every
+# report runs; each one that differs is printed as `diff -u` (BASE's lines
+# beside this tree's, the old-beside-new a stated re-baselining quotes), and
+# the target fails at the end if any differed. A refactor that must not move
+# an answer holds BASE to its parent. Not in check or CI: the base ref is a
+# local choice. About 12 s.
 parity:
 	@set -e; test -n "$(BASE)" || { echo "parity: set BASE=<git ref>"; exit 2; }; \
 	git rev-parse --verify -q "$(BASE)^{commit}" > /dev/null || { echo "parity: $(BASE) names no commit"; exit 2; }; \
@@ -109,12 +112,17 @@ parity:
 	git archive "$(BASE)" | tar -x -C "$$d/base"; \
 	(cd "$$d/base" && $(GO) build -o "$$d/tasterbench.base" ./cmd/tasterbench); \
 	$(GO) build -o "$$d/tasterbench" ./cmd/tasterbench; \
-	for args in $(REPORTS); do \
+	differ=0; for args in $(REPORTS); do \
 		"$$d/tasterbench.base" $$args > "$$d/base.txt"; \
 		"$$d/tasterbench" $$args > "$$d/head.txt"; \
-		cmp "$$d/base.txt" "$$d/head.txt"; \
-		echo "parity: '$$args' is byte-identical to $(BASE)"; \
-	done
+		if cmp -s "$$d/base.txt" "$$d/head.txt"; then \
+			echo "parity: '$$args' is byte-identical to $(BASE)"; \
+		else \
+			echo "parity: '$$args' differs from $(BASE):"; differ=1; \
+			diff -u --label "$(BASE)" --label "this tree" "$$d/base.txt" "$$d/head.txt" || true; \
+		fi; \
+	done; \
+	test $$differ = 0 || { echo "parity: reports differ from $(BASE)"; exit 1; }
 
 # The trees a speed report compares: `make bench-trees BASE=<ref> DIR=<dir>`
 # exports BASE with git archive twice, into DIR/base and DIR/base-pad, and
