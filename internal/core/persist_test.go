@@ -576,6 +576,94 @@ func TestOldManifestRestores(t *testing.T) {
 	}
 }
 
+// TestOldManifestSketchJoinsCollapse: a manifest from before a sketch-join
+// was named without an accuracy can hold two entries of one exact synopsis
+// that differ only in the accuracy of the queries that built them, each
+// with a payload. They are one synopsis now: recovery restores the lower id
+// with its item, leaves the other entry out and removes its payload, and
+// re-planning the query reuses the lower id.
+func TestOldManifestSketchJoinsCollapse(t *testing.T) {
+	dir := t.TempDir()
+	cat := testCatalog()
+	e1, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var low uint64
+	for i := 0; i < 8 && low == 0; i++ {
+		if _, err := e1.Execute(persistQuery(e1, i)); err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range storedEntries(t, e1) {
+			if ent.Desc.Kind == plan.SketchJoinSynopsis {
+				low = ent.Desc.ID
+			}
+		}
+	}
+	if low == 0 {
+		t.Fatal("test setup: no sketch-join stored")
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Write the entry the way the old writer did, with the building query's
+	// accuracy, and add a second one built under a stricter clause.
+	db, err := persist.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok, err := db.LoadManifest()
+	if err != nil || !ok {
+		t.Fatalf("test setup: manifest ok=%v err=%v", ok, err)
+	}
+	i := slices.IndexFunc(m.Entries, func(r persist.EntryRecord) bool { return r.ID == low })
+	j := slices.IndexFunc(m.Items, func(r persist.ItemRecord) bool { return r.ID == low })
+	if i < 0 || j < 0 {
+		t.Fatalf("test setup: manifest holds entry %d, item %d of #%d", i, j, low)
+	}
+	m.Entries[i].RelError, m.Entries[i].Confidence = 0.10, 0.95
+	m.NextSynopsisID++
+	high := m.NextSynopsisID
+	dup, item := m.Entries[i], m.Items[j]
+	dup.ID, dup.RelError, dup.Confidence = high, 0.05, 0.99
+	item.ID = high
+	m.Entries = append(m.Entries, dup)
+	m.Items = append(m.Items, item)
+	payload, err := db.ReadItem(low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WriteItem(high, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WriteManifest(m); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := persistEngine(cat, dir, true)
+	if err != nil {
+		t.Fatalf("open over two sketch-joins of one identity: %v", err)
+	}
+	defer e2.Close()
+	if ent, ok := e2.Store().Get(low); !ok || !e2.wh.Has(low) || ent.Desc.Accuracy != (stats.AccuracySpec{}) {
+		t.Fatalf("sketch-join #%d after recovery: entry %v (ok %t), stored %t", low, ent, ok, e2.wh.Has(low))
+	}
+	if _, ok := e2.Store().Get(high); ok || e2.wh.Has(high) {
+		t.Fatalf("the duplicate sketch-join #%d was restored", high)
+	}
+	if _, err := os.Stat(db.ItemPath(high)); !os.IsNotExist(err) {
+		t.Fatalf("the duplicate's payload survived recovery (%v)", err)
+	}
+	res, err := e2.Execute(persistQuery(e2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(res.Report.UsedSynopses, low) {
+		t.Fatalf("re-planned query ran %q using %v, want #%d", res.Report.PlanDesc, res.Report.UsedSynopses, low)
+	}
+}
+
 // TestOldManifestLayoutFromItemRows: a v2 manifest written while the
 // metadata store mirrored the warehouse carries, per entry, a location and a
 // pin beside the item rows' tier and pin. Recovery reads the layout from the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/tasterdb/taster/internal/persist"
+	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/tuner"
 	"github.com/tasterdb/taster/internal/warehouse"
@@ -89,6 +90,12 @@ func (e *Engine) recoverLocked() (int, error) {
 	//     result, from before a sample lived only on the fact table's scan.
 	//     No plan reads one, but restored it would still collect reuse gain
 	//     from the recovered window and hold a place — and quota — in S*.
+	// A third collapses: an older manifest names a sketch-join by the
+	// accuracy of the query that built it, so two entries may hold one exact
+	// synopsis. Entry drops that accuracy; the manifest lists entries by id,
+	// so the lowest keeps the identity and the others are left out the same
+	// way.
+	sketchJoins := make(map[string]bool)
 	for _, rec := range m.Entries {
 		if rec.Partition != 0 || len(rec.SigTables) > 1 {
 			continue
@@ -96,6 +103,13 @@ func (e *Engine) recoverLocked() (int, error) {
 		d, err := rec.Entry()
 		if err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)
+		}
+		if d.Kind == plan.SketchJoinSynopsis {
+			key := d.IdentityKey()
+			if sketchJoins[key] {
+				continue
+			}
+			sketchJoins[key] = true
 		}
 		if err := e.store.Restore(d); err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)

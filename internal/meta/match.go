@@ -20,7 +20,8 @@ type Requirements struct {
 	// AggCols are the columns being aggregated ("" entries for COUNT(*)
 	// are omitted); the synopsis must have been sized for them.
 	AggCols []string
-	// Accuracy is the query's accuracy requirement.
+	// Accuracy is the query's accuracy requirement. Only samples are held
+	// to it; an exact sketch-join serves every accuracy.
 	Accuracy stats.AccuracySpec
 }
 
@@ -74,7 +75,8 @@ func (s *Store) MatchSamples(req Requirements, has func(uint64) bool) []Match {
 // MatchSketchJoins returns usable stored sketch-join synopses (has as for
 // MatchSamples). Sketches cannot be compensated after the fact (the per-key
 // aggregation is baked in), so the build-side filter must be exactly
-// equivalent, and join keys and the aggregate column must be identical.
+// equivalent, and join keys and the aggregate column must be identical. The
+// payload is exact, so it serves any accuracy: req.Accuracy is not read.
 func (s *Store) MatchSketchJoins(req Requirements, buildKeys []string, aggCol string, has func(uint64) bool) []Match {
 	var out []Match
 	for _, e := range s.lookupTable(req.Table, has) {
@@ -86,9 +88,6 @@ func (s *Store) MatchSketchJoins(req Requirements, buildKeys []string, aggCol st
 			continue
 		}
 		if !sameCols(d.BuildKeys, buildKeys) || d.AggCol != aggCol {
-			continue
-		}
-		if !d.Accuracy.AtLeastAsStrict(req.Accuracy) {
 			continue
 		}
 		out = append(out, Match{Entry: e})

@@ -52,6 +52,9 @@ type Descriptor struct {
 	// sized for these columns' variance serves queries aggregating a subset.
 	AggCols []string
 
+	// Accuracy is what the payload was sized for: a sample serves queries
+	// no stricter. An exact synopsis — a sketch-join — carries none, so
+	// queries that differ only in their accuracy clause name one synopsis.
 	Accuracy stats.AccuracySpec
 
 	// EstSizeBytes is the planner's size estimate before the synopsis

@@ -137,7 +137,9 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 
 // Entry converts the wire form back to a descriptor, ready for
 // meta.Store.Restore. The table is SigTables' first name: recovery has
-// dropped every record that lists more.
+// dropped every record that lists more. A sketch-join is exact and named
+// without an accuracy; an older manifest's rel_error and confidence on one
+// are dropped, so two such records of one synopsis decode to one identity.
 func (r EntryRecord) Entry() (meta.Descriptor, error) {
 	if r.Kind > uint8(plan.SketchJoinSynopsis) {
 		return meta.Descriptor{}, fmt.Errorf("persist: entry #%d: unknown synopsis kind %d", r.ID, r.Kind)
@@ -155,6 +157,9 @@ func (r EntryRecord) Entry() (meta.Descriptor, error) {
 		EstSizeBytes: r.EstSize,
 		ActualSize:   r.ActualSize,
 		BuildRows:    r.BuildRows,
+	}
+	if d.Kind == plan.SketchJoinSynopsis {
+		d.Accuracy = stats.AccuracySpec{}
 	}
 	if len(r.SigTables) > 0 {
 		d.Table = r.SigTables[0]

@@ -167,7 +167,6 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 		FilterPred: sh.factFilter,
 		BuildKeys:  sh.buildKeys,
 		AggCol:     sh.aggCol,
-		Accuracy:   q.Accuracy,
 	}
 	// The payload is one row per distinct build key: the key, a count and a
 	// sum. The fact table's distinct key count bounds the filtered build's,
@@ -233,7 +232,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	ps.noteReuse(entry.Desc.ID, reuseCost)
 
 	// Reuse candidate when a matching sketch is materialized.
-	req := meta.Requirements{Table: sh.fact.Table.Name, Filter: sh.factFilter, Accuracy: q.Accuracy}
+	req := meta.Requirements{Table: sh.fact.Table.Name, Filter: sh.factFilter}
 	for _, m := range p.Store.MatchSketchJoins(req, sh.buildKeys, sh.aggCol, ps.wh.Has) {
 		// Sketches cannot be compensated, so the staleness bound applies to
 		// them just like to samples (a stale sketch undercounts new rows).

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -372,6 +373,49 @@ func TestSketchEligibility(t *testing.T) {
 	}
 }
 
+// sketchJoinPlans plans q and returns its sketch-join build candidate's
+// entry and the descriptions of its sketch-join reuse candidates.
+func sketchJoinPlans(t *testing.T, p *Planner, q *Query) (entry *meta.Entry, reuses []string) {
+	t.Helper()
+	ps, err := p.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range ps.Candidates {
+		if _, ok := c.Root.(*plan.SketchJoin); !ok {
+			continue
+		}
+		if len(c.Creates) == 1 {
+			entry = c.Creates[0].Entry
+		}
+		if len(c.Uses) > 0 {
+			reuses = append(reuses, c.Desc)
+		}
+	}
+	if entry == nil {
+		t.Fatalf("no sketch-join build candidate in %v", descs(ps))
+	}
+	return entry, reuses
+}
+
+// productSketchJoin is a one-key sketch-join payload keyed on sales.product.
+func productSketchJoin(t *testing.T) *synopses.SketchJoin {
+	t.Helper()
+	b := storage.NewBuilder("sketch-join", storage.Schema{
+		{Name: "sales.product", Typ: storage.Int64},
+		{Name: synopses.CountCol, Typ: storage.Float64},
+		{Name: synopses.SumCol, Typ: storage.Float64},
+	})
+	b.Int(0, 1)
+	b.Float(1, 2)
+	b.Float(2, 3)
+	sk, err := synopses.NewSketchJoin(b.Build(1), "sales.amount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk
+}
+
 // A sketch-join is named by its build keys: two queries that differ only in
 // the fact column they join on intern two descriptors, and a stored payload
 // keyed on other columns than the plan's — which a manifest written before
@@ -383,62 +427,45 @@ func TestSketchJoinBuildKeysNameTheSynopsis(t *testing.T) {
 		q.Joins[0].LeftCol = "sales.store"
 		return q
 	}
-	plans := func(q *Query) (entry *meta.Entry, reuses []string) {
-		t.Helper()
-		ps, err := p.Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range ps.Candidates {
-			if _, ok := c.Root.(*plan.SketchJoin); !ok {
-				continue
-			}
-			if len(c.Creates) == 1 {
-				entry = c.Creates[0].Entry
-			}
-			if len(c.Uses) > 0 {
-				reuses = append(reuses, c.Desc)
-			}
-		}
-		if entry == nil {
-			t.Fatalf("no sketch-join build candidate in %v", descs(ps))
-		}
-		return entry, reuses
-	}
-	byProductEntry, _ := plans(joinQuery())
-	byStoreEntry, _ := plans(byStore())
+	byProductEntry, _ := sketchJoinPlans(t, p, joinQuery())
+	byStoreEntry, _ := sketchJoinPlans(t, p, byStore())
 	if byProductEntry.Desc.ID == byStoreEntry.Desc.ID {
 		t.Fatalf("sketch-joins on sales.product and sales.store share #%d", byStoreEntry.Desc.ID)
 	}
 
 	// A payload keyed on sales.product, stored under the sales.store entry.
-	payload := func() *synopses.SketchJoin {
-		b := storage.NewBuilder("sketch-join", storage.Schema{
-			{Name: "sales.product", Typ: storage.Int64},
-			{Name: synopses.CountCol, Typ: storage.Float64},
-			{Name: synopses.SumCol, Typ: storage.Float64},
-		})
-		b.Int(0, 1)
-		b.Float(1, 2)
-		b.Float(2, 3)
-		sk, err := synopses.NewSketchJoin(b.Build(1), "sales.amount")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sk
-	}
-	if err := wh.PutWarehouse(warehouse.NewSketchItem(byStoreEntry.Desc.ID, payload())); err != nil {
+	if err := wh.PutWarehouse(warehouse.NewSketchItem(byStoreEntry.Desc.ID, productSketchJoin(t))); err != nil {
 		t.Fatal(err)
 	}
-	if _, reuses := plans(byStore()); len(reuses) != 0 {
+	if _, reuses := sketchJoinPlans(t, p, byStore()); len(reuses) != 0 {
 		t.Fatalf("a payload keyed on sales.product was offered to a sales.store join: %v", reuses)
 	}
 	// Control: under its own entry the same payload is reused.
-	if err := wh.PutWarehouse(warehouse.NewSketchItem(byProductEntry.Desc.ID, payload())); err != nil {
+	if err := wh.PutWarehouse(warehouse.NewSketchItem(byProductEntry.Desc.ID, productSketchJoin(t))); err != nil {
 		t.Fatal(err)
 	}
-	if _, reuses := plans(joinQuery()); len(reuses) != 1 {
+	if _, reuses := sketchJoinPlans(t, p, joinQuery()); len(reuses) != 1 {
 		t.Fatalf("reuse candidates = %v, want the stored sales.product sketch-join", reuses)
+	}
+}
+
+// A sketch-join is exact, so it is named without an accuracy: one query
+// planned under 10 % @ 95 % and under 5 % @ 99 % interns one descriptor, and
+// a payload built under the looser clause is offered to the stricter one.
+func TestSketchJoinOneSynopsisForEveryAccuracy(t *testing.T) {
+	p, _, wh := testPlanner()
+	strict := joinQuery()
+	strict.Accuracy = stats.AccuracySpec{RelError: 0.05, Confidence: 0.99}
+	loose, _ := sketchJoinPlans(t, p, joinQuery())
+	if e, _ := sketchJoinPlans(t, p, strict); e.Desc.ID != loose.Desc.ID {
+		t.Fatalf("one sketch-join under two accuracy clauses interned #%d and #%d", loose.Desc.ID, e.Desc.ID)
+	}
+	if err := wh.PutWarehouse(warehouse.NewSketchItem(loose.Desc.ID, productSketchJoin(t))); err != nil {
+		t.Fatal(err)
+	}
+	_, reuses := sketchJoinPlans(t, p, strict)
+	if want := fmt.Sprintf("reuse sketch-join #%d on sales", loose.Desc.ID); len(reuses) != 1 || reuses[0] != want {
+		t.Fatalf("under 5 %% @ 99 %%: reuse candidates = %v, want [%s]", reuses, want)
 	}
 }
 
