@@ -1,11 +1,16 @@
 package baselines
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/core"
+	"github.com/tasterdb/taster/internal/meta"
+	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/sqlparser"
+	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/workload"
 )
 
@@ -96,10 +101,13 @@ func TestBlinkDBRejectsBadOracle(t *testing.T) {
 	}
 }
 
-func TestApplyHints(t *testing.T) {
-	w := tpchSmall()
-	bytes, rows := w.CostScale()
-	model := storage.ScaledCostModel(bytes, rows)
+// q1Strat is the grouping of TPC-H q1, the hinted analysis.
+var q1Strat = []string{"lineitem.l_returnflag", "lineitem.l_linestatus"}
+
+// hintedQ1 applies one q1 hint on lineitem to a fresh Taster engine.
+func hintedQ1(t *testing.T, w *workload.Workload, model storage.CostModel) (*core.Engine, OfflineStats) {
+	t.Helper()
+	bytes, _ := w.CostScale()
 	eng := core.New(w.Catalog, core.Config{
 		Mode:          core.ModeTaster,
 		StorageBudget: bytes,
@@ -109,12 +117,20 @@ func TestApplyHints(t *testing.T) {
 	})
 	off, err := ApplyHints(eng, []Hint{{
 		Table:     "lineitem",
-		StratCols: []string{"lineitem.l_returnflag", "lineitem.l_linestatus"},
+		StratCols: q1Strat,
 		AggCols:   []string{"lineitem.l_quantity", "lineitem.l_extendedprice", "lineitem.l_discount"},
 	}}, model, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng, off
+}
+
+func TestApplyHints(t *testing.T) {
+	w := tpchSmall()
+	bytes, rows := w.CostScale()
+	model := storage.ScaledCostModel(bytes, rows)
+	eng, off := hintedQ1(t, w, model)
 	if off.SamplesBuilt != 1 || off.ScrambleSecs <= 0 || off.SimSeconds <= off.ScrambleSecs {
 		t.Fatalf("offline stats: %+v", off)
 	}
@@ -133,5 +149,51 @@ func TestApplyHints(t *testing.T) {
 	// Unknown table errors.
 	if _, err := ApplyHints(eng, []Hint{{Table: "nope"}}, model, 1); err == nil {
 		t.Fatal("want unknown table error")
+	}
+}
+
+// A hint declares what it drew: a uniform sample of the table, stratified
+// as the hint says, at the accuracy its sizing supports — so it serves a
+// default query on its groups and no stricter one — with nothing in its
+// payload but the table's columns and the weight.
+func TestHintDeclaresWhatItDrew(t *testing.T) {
+	w := tpchSmall()
+	bytes, rows := w.CostScale()
+	eng, _ := hintedQ1(t, w, storage.ScaledCostModel(bytes, rows))
+	items := eng.Warehouse().View().WarehouseItems()
+	if len(items) != 1 || !items[0].Pinned {
+		t.Fatalf("warehouse after the hint: %d items, want one pinned", len(items))
+	}
+	id := items[0].ID
+	ent, ok := eng.Store().Get(id)
+	if !ok {
+		t.Fatalf("pinned #%d names no entry", id)
+	}
+	d := ent.Desc
+	if d.Kind != plan.UniformSample || d.Accuracy != stats.DefaultAccuracy || !slices.Equal(d.StratCols, q1Strat) {
+		t.Fatalf("pinned hint: kind %v, accuracy %+v, stratification %v", d.Kind, d.Accuracy, d.StratCols)
+	}
+	smp, err := items[0].Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineitem, _ := w.Catalog.Table("lineitem")
+	if got, want := smp.Rows.Schema().Names(), synopses.SampleSchema(lineitem.Schema()).Names(); !slices.Equal(got, want) {
+		t.Fatalf("payload columns %v, want the table's and the weight: %v", got, want)
+	}
+
+	match := func(acc stats.AccuracySpec) []uint64 {
+		var ids []uint64
+		req := meta.Requirements{Table: "lineitem", StratCols: q1Strat, Accuracy: acc}
+		for _, m := range eng.Store().MatchSamples(req, eng.Warehouse().Has) {
+			ids = append(ids, m.Entry.Desc.ID)
+		}
+		return ids
+	}
+	if got := match(stats.DefaultAccuracy); !slices.Equal(got, []uint64{id}) {
+		t.Fatalf("matches at 10%% @ 95%% = %v, want [%d]", got, id)
+	}
+	if got := match(stats.AccuracySpec{RelError: 0.05, Confidence: 0.99}); len(got) != 0 {
+		t.Fatalf("matches at 5%% @ 99%% = %v, want none", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Package baselines implements the comparison systems of the paper's
 // evaluation (§VI): BlinkDB-style offline sample selection (fed by an
 // oracle workload, as the paper's own re-implementation was), and the
-// VerdictDB-style offline hints pipeline for Taster+hints. The Quickr and
-// exact baselines are core engine modes (core.ModeQuickr, core.ModeExact).
+// offline phase of Taster+hints: pinned uniform samples, charged the
+// scrambled copy VerdictDB would write. The Quickr and exact baselines are
+// core engine modes (core.ModeQuickr, core.ModeExact).
 package baselines
 
 import (
@@ -22,7 +23,7 @@ import (
 // way the paper's figures split it.
 type OfflineStats struct {
 	SimSeconds     float64 // simulated cluster time of the offline phase
-	ScrambleSecs   float64 // portion spent creating scrambled copies (hints)
+	ScrambleSecs   float64 // portion charged for scrambled copies (hints; none is made)
 	SamplesBuilt   int
 	BytesGenerated int64
 }
@@ -109,7 +110,7 @@ func BlinkDBOffline(cat *storage.Catalog, oracleQueries []string, budget int64, 
 		off.SamplesBuilt++
 		off.BytesGenerated += size
 		used += size
-		if _, err := eng.PinSample(c.table, smp, c.cols, numericCols(tbl), stats.DefaultAccuracy); err != nil {
+		if _, err := eng.PinSample(c.table, smp, numericCols(tbl), stats.DefaultAccuracy); err != nil {
 			return nil, off, err
 		}
 	}

@@ -10,24 +10,28 @@ import (
 )
 
 // Hint asks Taster to pre-build one sample offline (paper §V "User hints",
-// §VI-E): the named table is scrambled and sampled with VerdictDB-style
-// variational subsampling, then pinned in the warehouse.
+// §VI-E): a uniform sample of the named table, drawn in one pass by the
+// online sampler and pinned in the warehouse at stats.DefaultAccuracy.
 type Hint struct {
 	Table string
-	// StratCols declares the stratification the sample guarantees (the
-	// hint-giver knows the analysis; e.g. l_orderkey for TPC-H lineitem).
+	// StratCols are the grouping columns the analysis needs (the hint-giver
+	// knows it; e.g. l_returnflag, l_linestatus for TPC-H q1). The sample
+	// is sized for their average group and declares them as its
+	// stratification.
 	StratCols []string
 	// AggCols declares which columns the sample was sized for.
 	AggCols []string
-	// P is the sampling ratio; 0 derives it from DefaultAccuracy.
-	P float64
 }
 
-// ApplyHints performs the offline phase on an existing Taster engine:
-// scramble each hinted table (charged to the offline clock, like
-// VerdictDB's scrambled-copy step), draw the variational sample, and pin
-// it. Returns the offline cost split into scramble and sampling parts,
-// mirroring Fig. 7's stacked bars.
+// ApplyHints performs the offline phase on an existing Taster engine: per
+// hint, one uniform sample of the table with about
+// RequiredRowsPerGroup(1, DefaultAccuracy) rows in the average StratCols
+// group, pinned at DefaultAccuracy — what that sizing supports. The offline
+// clock is also charged the scrambled copy VerdictDB writes before it
+// samples (a scan and a write of the whole table), so Fig. 7's stacked
+// bars keep the paper's scramble step; the copy itself is not made, since
+// a shuffled copy changes which rows are drawn, not the design. Returns
+// the offline cost split into scramble and sampling parts.
 func ApplyHints(eng *core.Engine, hints []Hint, model storage.CostModel, seed uint64) (OfflineStats, error) {
 	var off OfflineStats
 	for i, h := range hints {
@@ -35,47 +39,25 @@ func ApplyHints(eng *core.Engine, hints []Hint, model storage.CostModel, seed ui
 		if err != nil {
 			return off, fmt.Errorf("baselines: hint %d: %w", i, err)
 		}
-		p := h.P
-		if p <= 0 {
-			// Variational subsampling tolerates smaller samples than CLT
-			// sizing (its error estimate does not need per-group tuple
-			// variance); aim for ~k rows per stratum at half the CLT size.
-			k := stats.RequiredRowsPerGroup(1, stats.DefaultAccuracy) / 2
-			groups := tbl.GroupCount(h.StratCols)
-			if groups < 1 {
-				groups = 1
-			}
-			p = float64(k) * float64(groups) / float64(tbl.NumRows())
-			if p > 0.2 {
-				p = 0.2
-			}
-			if p < 0.001 {
-				p = 0.001
-			}
-		}
+		k := stats.RequiredRowsPerGroup(1, stats.DefaultAccuracy)
+		groups := max(tbl.GroupCount(h.StratCols), 1)
+		p := min(max(float64(k)*float64(groups)/float64(tbl.NumRows()), 0.001), 0.2)
 
-		// Step 1: scrambled clone (scan + write of the full table).
-		scrambled := synopses.Scramble(tbl, seed+uint64(i))
 		scrambleCost := model.ScanSeconds(tbl.Bytes()) +
 			model.CPUSeconds(int64(tbl.NumRows())) +
 			model.WriteSeconds(tbl.Bytes())
 		off.ScrambleSecs += scrambleCost
 		off.SimSeconds += scrambleCost
 
-		// Step 2: variational sample over the scramble (one more pass).
-		smp := synopses.VariationalSample(
-			fmt.Sprintf("hint_%s_%d", h.Table, i), scrambled, p, seed+uint64(i)*7919)
+		smp := synopses.BuildSampleFromTable(fmt.Sprintf("hint_%s_%d", h.Table, i), tbl,
+			synopses.NewUniformSampler(p, seed+uint64(i)*7919), h.StratCols)
 		off.SimSeconds += model.ScanSeconds(tbl.Bytes()) +
 			model.CPUSeconds(int64(tbl.NumRows())) +
 			model.WriteSeconds(smp.SizeBytes())
 		off.SamplesBuilt++
 		off.BytesGenerated += smp.SizeBytes()
 
-		// The pinned accuracy is declared stricter than the default so the
-		// sample serves all default-accuracy queries (VerdictDB's smaller
-		// samples reach the same error through variational estimation).
-		acc := stats.AccuracySpec{RelError: 0.05, Confidence: 0.99}
-		if _, err := eng.PinSample(h.Table, smp, h.StratCols, h.AggCols, acc); err != nil {
+		if _, err := eng.PinSample(h.Table, smp, h.AggCols, stats.DefaultAccuracy); err != nil {
 			return off, fmt.Errorf("baselines: hint %d: %w", i, err)
 		}
 	}

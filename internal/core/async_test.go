@@ -194,7 +194,7 @@ func TestSyncModeDeterministic(t *testing.T) {
 		sales, _ := e.Catalog().Table("sales")
 		smp := synopses.BuildSampleFromTable("hint", sales,
 			synopses.NewDistinctSampler(0.01, 10, []int{0}, 3), []string{"sales.product"})
-		if _, err := e.PinSample("sales", smp, []string{"sales.product"}, []string{"sales.qty"}, stats.DefaultAccuracy); err != nil {
+		if _, err := e.PinSample("sales", smp, []string{"sales.qty"}, stats.DefaultAccuracy); err != nil {
 			t.Fatal(err)
 		}
 		assertSnapshotLive(t, e, "PinSample")

@@ -761,10 +761,13 @@ func (e *Engine) SetStorageBudget(bytes int64) {
 
 // PinSample registers an offline-built sample (user hints, §V): it is
 // placed directly in the warehouse, marked pinned, and the tuner will never
-// evict it. stratCols/aggCols/accuracy describe what queries it can serve.
-// Pinning is synchronous in every mode — the hint is servable the moment
-// the call returns (an immediate snapshot republish).
-func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols []string, acc stats.AccuracySpec) (uint64, error) {
+// evict it. The sample is the one record of its design: a "uniform"
+// Strategy files it as a uniform sample, any other as a distinct one, and
+// its StratCols are the stratification it is matched on. aggCols and acc
+// declare what it was sized for. Pinning is synchronous in every mode — the
+// hint is servable the moment the call returns (an immediate snapshot
+// republish).
+func (e *Engine) PinSample(table string, s *synopses.Sample, aggCols []string, acc stats.AccuracySpec) (uint64, error) {
 	e.tuneMu.Lock()
 	defer e.tuneMu.Unlock()
 	tbl, err := e.cat.Table(table)
@@ -774,13 +777,13 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, stratCols, aggCols 
 	desc := meta.Descriptor{
 		Kind:      plan.DistinctSample,
 		Table:     tbl.Name,
-		StratCols: stratCols,
+		StratCols: s.StratCols,
 		P:         s.P,
 		Delta:     s.Delta,
 		AggCols:   aggCols,
 		Accuracy:  acc,
 	}
-	if s.Strategy == "uniform" || s.Strategy == "variational" {
+	if s.Strategy == "uniform" {
 		desc.Kind = plan.UniformSample
 	}
 	id := e.store.Intern(desc).Desc.ID

@@ -215,7 +215,7 @@ func TestPinSampleServesQueries(t *testing.T) {
 		synopses.NewDistinctSampler(0.01, 10, []int{0}, 3),
 		[]string{"sales.product"})
 	id, err := e.PinSample("sales", smp,
-		[]string{"sales.product"}, []string{"sales.qty", "sales.price"},
+		[]string{"sales.qty", "sales.price"},
 		stats.AccuracySpec{RelError: 0.05, Confidence: 0.99})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestFailedPinLeavesNoPinnedPhantom(t *testing.T) {
 		t.Fatalf("test setup: hint of %d bytes fits the quota", smp.SizeBytes())
 	}
 	before := e.store.NextID()
-	if _, err := e.PinSample("sales", smp, nil, []string{"sales.qty"}, stats.DefaultAccuracy); err == nil {
+	if _, err := e.PinSample("sales", smp, []string{"sales.qty"}, stats.DefaultAccuracy); err == nil {
 		t.Fatal("pinning a hint larger than the warehouse quota succeeded")
 	}
 	id := e.store.NextID()

@@ -183,7 +183,7 @@ func TestIngestRefreshesPinnedSample(t *testing.T) {
 		synopses.NewDistinctSampler(0.01, 10, []int{0}, 3),
 		[]string{"sales.product"})
 	id, err := e.PinSample("sales", smp,
-		[]string{"sales.product"}, []string{"sales.qty", "sales.price"},
+		[]string{"sales.qty", "sales.price"},
 		stats.AccuracySpec{RelError: 0.05, Confidence: 0.99})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestIngestRefreshesPinnedSample(t *testing.T) {
 		synopses.NewDistinctSampler(0.01, 10, []int{0}, 3),
 		[]string{"sales.product"})
 	id2, err := e.PinSample("sales", smp2,
-		[]string{"sales.product"}, []string{"sales.qty", "sales.price"},
+		[]string{"sales.qty", "sales.price"},
 		stats.AccuracySpec{RelError: 0.05, Confidence: 0.99})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func pinSalesHint(t *testing.T, e *Engine, smp synopses.Sampler) uint64 {
 	sales, _ := e.Catalog().Table("sales")
 	id, err := e.PinSample("sales",
 		synopses.BuildSampleFromTable("hint", sales, smp, []string{"sales.product"}),
-		[]string{"sales.product"}, []string{"sales.qty", "sales.price"},
+		[]string{"sales.qty", "sales.price"},
 		stats.AccuracySpec{RelError: 0.05, Confidence: 0.99})
 	if err != nil {
 		t.Fatal(err)

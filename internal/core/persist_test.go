@@ -682,7 +682,7 @@ func TestOldManifestLayoutFromItemRows(t *testing.T) {
 	// A hint too loose for the default accuracy, so the query below builds.
 	hint, err := e1.PinSample("sales",
 		synopses.BuildSampleFromTable("hint", sales, synopses.NewUniformSampler(0.05, 3), nil),
-		nil, []string{"sales.price"}, stats.AccuracySpec{RelError: 0.5, Confidence: 0.5})
+		[]string{"sales.price"}, stats.AccuracySpec{RelError: 0.5, Confidence: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

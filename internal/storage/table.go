@@ -350,8 +350,8 @@ func (t *Table) Repartition(partRows int) *Table {
 
 // Column returns the full column vector at position i. For multi-partition
 // tables the whole-column view is concatenated lazily on first use and
-// cached; row-at-a-time consumers (workload resampling, variational
-// subsamples) pay the materialization once. Scans never use this view.
+// cached; row-at-a-time consumers (workload resampling) pay the
+// materialization once. Scans never use this view.
 //
 //taster:mutator sync.Once-guarded lazy cache: the single winning writer publishes via Once's happens-before edge, readers only ever see nil-then-frozen
 func (t *Table) Column(i int) *Vector {

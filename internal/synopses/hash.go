@@ -2,8 +2,7 @@
 // produce or read: uniform and distinct samples with Horvitz-Thompson
 // weights (merged per morsel by the executor), the sketch-join synopsis — the
 // build side's exact (count, sum) per join key, one row per key — and, for
-// the offline baselines only, stratified samples and VerdictDB-style
-// variational subsampling.
+// the BlinkDB baseline only, stratified samples.
 //
 // The two stored kinds, Sample and SketchJoin, are what warehouse.Item holds
 // and what the codec (codec.go) serializes.

@@ -120,7 +120,7 @@ func (s *DistinctSampler) Decide(vecs []*storage.Vector, row int) Decision {
 // subplan output). Rows carries the source schema plus the weight column.
 type Sample struct {
 	Rows       *storage.Table
-	Strategy   string // "uniform" | "distinct" | "stratified" | "variational"
+	Strategy   string // "uniform" | "distinct" | "stratified"
 	P          float64
 	Delta      int
 	StratCols  []string // stratification column names (source schema)

@@ -247,59 +247,6 @@ func TestSketchJoinEstimates(t *testing.T) {
 	}
 }
 
-func TestScrambleIsPermutation(t *testing.T) {
-	tbl := sampleInput(1000, 10)
-	sc := Scramble(tbl, 5)
-	if sc.NumRows() != tbl.NumRows() {
-		t.Fatalf("scramble changed row count: %d", sc.NumRows())
-	}
-	sum := func(t2 *storage.Table) float64 {
-		vi := t2.Schema().Index("src.v")
-		total := 0.0
-		for p := 0; p < t2.Partitions(); p++ {
-			for _, b := range t2.Scan(p, storage.BatchSize) {
-				for i := 0; i < b.Len(); i++ {
-					total += b.Vecs[vi].F64[i]
-				}
-			}
-		}
-		return total
-	}
-	if sum(sc) != sum(tbl) {
-		t.Fatal("scramble must preserve multiset of rows")
-	}
-	// Must actually move rows around.
-	if sc.Column(1).F64[0] == tbl.Column(1).F64[0] &&
-		sc.Column(1).F64[1] == tbl.Column(1).F64[1] &&
-		sc.Column(1).F64[2] == tbl.Column(1).F64[2] {
-		t.Fatal("scramble left prefix unchanged (suspicious)")
-	}
-}
-
-func TestVariationalSample(t *testing.T) {
-	tbl := sampleInput(20000, 10)
-	s := VariationalSample("vs", Scramble(tbl, 1), 0.1, 2)
-	if s.Strategy != "variational" {
-		t.Fatalf("strategy = %q", s.Strategy)
-	}
-	si := s.Rows.Schema().Index(SubsampleCol)
-	if si < 0 {
-		t.Fatal("missing subsample column")
-	}
-	subs := map[int64]int{}
-	for p := 0; p < s.Rows.Partitions(); p++ {
-		for _, b := range s.Rows.Scan(p, storage.BatchSize) {
-			for i := 0; i < b.Len(); i++ {
-				subs[b.Vecs[si].I64[i]]++
-			}
-		}
-	}
-	// ns ≈ √2000 ≈ 45 subsamples.
-	if len(subs) < 20 || len(subs) > 60 {
-		t.Fatalf("subsample count = %d, want ≈45", len(subs))
-	}
-}
-
 func TestRowKeyComposite(t *testing.T) {
 	vecs := []*storage.Vector{
 		{Typ: storage.Int64, I64: []int64{1, 1, 2}},

@@ -343,10 +343,11 @@ func (e *Engine) Ingest(table string, rows *TableBuilder) (uint64, error) {
 	return e.inner.Ingest(table, delta)
 }
 
-// Hint pre-builds a pinned sample for a table offline (VerdictDB-style
-// scramble + variational subsampling), so that the very first queries over
-// it are already fast. stratCols declares the stratification the analysis
-// needs; aggCols the columns that will be aggregated.
+// Hint pre-builds a pinned uniform sample of a table offline, so that the
+// very first queries over it are already fast. stratCols names the grouping
+// the analysis needs — the sample is sized for its average group and pinned
+// at the default accuracy, 10 % at 95 % confidence; aggCols the columns
+// that will be aggregated.
 func (e *Engine) Hint(table string, stratCols, aggCols []string) error {
 	_, err := baselines.ApplyHints(e.inner, []baselines.Hint{{
 		Table: table, StratCols: stratCols, AggCols: aggCols,
