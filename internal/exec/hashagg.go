@@ -87,12 +87,12 @@ func (s *aggSpec) newPartial() partial { return newAggTable(s) }
 
 // aggTable is one hash table of group accumulators — a complete aggregation
 // state that can observe batches and merge with tables built over disjoint
-// input partitions. Groups are the dense ids of idx (groupindex.go) and
+// input partitions. Groups are the dense ids of idx (storage.GroupIndex) and
 // their accumulators live by value in one slab, so a morsel that opens a
 // thousand groups allocates a few growing arrays, not a thousand objects.
 type aggTable struct {
 	spec *aggSpec
-	idx  groupIndex
+	idx  storage.GroupIndex
 	// accs holds group id's accumulator for aggregate k at
 	// accs[id*len(spec.aggs)+k]; open keeps it as long as idx.
 	accs []stats.GroupAccumulator
@@ -100,14 +100,14 @@ type aggTable struct {
 
 func newAggTable(spec *aggSpec) *aggTable {
 	// spec.schema leads with the group columns.
-	return &aggTable{spec: spec, idx: newGroupIndex(spec.groupIdx, spec.schema)}
+	return &aggTable{spec: spec, idx: storage.NewGroupIndex(spec.groupIdx, spec.schema)}
 }
 
 // open gives the groups idx has opened since the last call their empty
 // accumulators. The slab doubles: a morsel of a high-cardinality GROUP BY
 // opens a thousand groups a few at a time.
 func (t *aggTable) open() {
-	want := t.idx.n * len(t.spec.aggs)
+	want := t.idx.Len() * len(t.spec.aggs)
 	if cap(t.accs) < want {
 		t.accs = slices.Grow(t.accs, max(want, 2*cap(t.accs))-len(t.accs))
 	}
@@ -148,7 +148,7 @@ func (t *aggTable) observe(b *storage.Batch) {
 	if len(t.spec.groupIdx) == 0 {
 		// Ungrouped fast path: one group, each aggregate folds its raw
 		// column slice directly.
-		t.idx.sole()
+		t.idx.Sole()
 		t.open()
 		for k := range t.spec.aggs {
 			observeSingle(&t.accs[k], b, sel, t.spec.aggIdx[k], wcol)
@@ -156,13 +156,13 @@ func (t *aggTable) observe(b *storage.Batch) {
 		return
 	}
 
-	sc := borrowScratch(b.Rows(), len(t.spec.groupIdx))
-	ids := t.idx.resolve(b, sc)
+	sc := storage.BorrowScratch(b.Rows(), len(t.spec.groupIdx))
+	ids := t.idx.Resolve(b, sc)
 	t.open()
 	for k := range t.spec.aggs {
 		observeGrouped(t.accs[k:], len(t.spec.aggs), ids, b, sel, t.spec.aggIdx[k], wcol)
 	}
-	returnScratch(sc)
+	storage.ReturnScratch(sc)
 }
 
 // observeSingle folds one aggregate column of the batch into a single
@@ -312,9 +312,9 @@ func observeGrouped(accs []stats.GroupAccumulator, stride int, ids []int32, b *s
 // get the next ids in o's order, which is the slab's append order.
 func (t *aggTable) merge(o partial) {
 	ot := o.(*aggTable)
-	na, had := len(t.spec.aggs), t.idx.n
-	ids := t.idx.absorb(&ot.idx)
-	t.accs = slices.Grow(t.accs, t.idx.n*na-len(t.accs))
+	na, had := len(t.spec.aggs), t.idx.Len()
+	ids := t.idx.Absorb(&ot.idx)
+	t.accs = slices.Grow(t.accs, t.idx.Len()*na-len(t.accs))
 	for oid, id := range ids {
 		src := ot.accs[oid*na : (oid+1)*na]
 		if int(id) >= had {
@@ -333,13 +333,13 @@ func (t *aggTable) merge(o partial) {
 // SQL semantics: a global aggregate (no GROUP BY) over empty input still
 // yields one row (COUNT 0, zero-valued aggregates).
 func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval) {
-	if t.idx.n == 0 && len(t.spec.groupBy) == 0 {
-		t.idx.sole()
+	if t.idx.Len() == 0 && len(t.spec.groupBy) == 0 {
+		t.idx.Sole()
 		t.open()
 	}
 	// Group keys are unique, so the value sort is total: ids — first-seen
 	// order, a function of morsel geometry — never show.
-	keys := t.idx.keyRows()
+	keys := t.idx.KeyRows()
 	na := len(t.spec.aggs)
 
 	out := storage.NewBatch(t.spec.schema, len(keys))

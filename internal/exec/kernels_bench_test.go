@@ -162,11 +162,11 @@ func rowMajorObserve(t *aggTable, b *storage.Batch) {
 	row := *b
 	row.Sel = make([]int32, 1)
 	na := len(t.spec.aggs)
-	sc := borrowScratch(1, len(t.spec.groupIdx))
-	defer returnScratch(sc)
+	sc := storage.BorrowScratch(1, len(t.spec.groupIdx))
+	defer storage.ReturnScratch(sc)
 	for i := 0; i < n; i++ {
 		row.Sel[0] = int32(i)
-		g := int(t.idx.resolve(&row, sc)[0])
+		g := int(t.idx.Resolve(&row, sc)[0])
 		t.open()
 		w := 1.0
 		if t.spec.weightAt >= 0 {

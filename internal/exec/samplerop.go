@@ -64,11 +64,12 @@ func newSamplerOp(child Operator, node *plan.SynopsisOp, delta int, seed uint64,
 // Open implements Operator.
 func (s *SamplerOp) Open() error { return s.Child.Open() }
 
-// Next implements Operator. Decisions first, copies second: the sampler walks
-// the batch's live rows in order — under the selection, by physical index, so
-// a filtered stream draws exactly as its gathered equivalent did — collecting
-// the passing rows and their weights, and each output column is then gathered
-// once. A passing row's width grows by the weight column's 8 bytes.
+// Next implements Operator. Decisions first, copies second: one Decide call
+// walks the batch's live rows in order — under the selection, by physical
+// index, so a filtered stream draws exactly as its gathered equivalent did —
+// collecting the passing rows and their weights, and each output column is
+// then gathered once. A passing row's width grows by the weight column's 8
+// bytes.
 func (s *SamplerOp) Next() (*storage.Batch, error) {
 	for {
 		b, err := s.Child.Next()
@@ -81,26 +82,14 @@ func (s *SamplerOp) Next() (*storage.Batch, error) {
 		}
 		n := b.Rows()
 		s.ctx.Stats.CPUTuples += int64(n)
-		pass := s.pass[:0]
 		out := s.ctx.Pool.GetBatch(s.schema, n/4+1)
 		weights := out.Vecs[len(s.schema)-1]
-		for j := 0; j < n; j++ {
-			i := j
-			if b.Sel != nil {
-				i = int(b.Sel[j])
-			}
-			var d synopses.Decision
-			if s.matBuilder != nil {
-				d = s.matBuilder.Offer(s.sampler, b.Vecs, i)
-			} else {
-				d = s.sampler.Decide(b.Vecs, i)
-			}
-			if d.Pass {
-				pass = append(pass, int32(i))
-				weights.F64 = append(weights.F64, d.Weight)
-			}
+		if s.matBuilder != nil {
+			s.pass, weights.F64 = s.matBuilder.Offer(s.sampler, b, s.pass[:0], weights.F64)
+		} else {
+			s.pass, weights.F64 = s.sampler.Decide(b, s.pass[:0], weights.F64)
 		}
-		s.pass = pass
+		pass := s.pass
 		if len(pass) == 0 {
 			s.ctx.Pool.Release(out)
 			s.ctx.Pool.Release(b)

@@ -155,15 +155,15 @@ func (s *sketchSink) prepare(ctx *Context) error {
 	return nil
 }
 
-// buildPayload groups every build row by its join key through a groupIndex
-// — ids in first-seen row order — counting the rows, and summing the
-// aggregate column, of each key in two float64 slabs in row order. One CPU
-// tuple per build row.
+// buildPayload groups every build row by its join key through a
+// storage.GroupIndex — ids in first-seen row order — counting the rows, and
+// summing the aggregate column, of each key in two float64 slabs in row
+// order. One CPU tuple per build row.
 func (s *sketchSink) buildPayload(ctx *Context) (*synopses.SketchJoin, error) {
 	if err := s.build.Open(); err != nil {
 		return nil, err
 	}
-	idx := newGroupIndex(s.buildKeyIdx, s.buildKeys)
+	idx := storage.NewGroupIndex(s.buildKeyIdx, s.buildKeys)
 	var counts, sums []float64
 	for {
 		b, err := s.build.Next()
@@ -175,9 +175,9 @@ func (s *sketchSink) buildPayload(ctx *Context) (*synopses.SketchJoin, error) {
 		}
 		if n := b.Rows(); n > 0 {
 			ctx.Stats.CPUTuples += int64(n)
-			sc := borrowScratch(n, len(s.buildKeyIdx))
-			ids := idx.resolve(b, sc)
-			grow := idx.n - len(counts)
+			sc := storage.BorrowScratch(n, len(s.buildKeyIdx))
+			ids := idx.Resolve(b, sc)
+			grow := idx.Len() - len(counts)
 			counts = append(counts, make([]float64, grow)...)
 			for _, id := range ids {
 				counts[id]++
@@ -191,12 +191,12 @@ func (s *sketchSink) buildPayload(ctx *Context) (*synopses.SketchJoin, error) {
 					sumColumn(sums, ids, b.Sel, v.I64)
 				}
 			}
-			returnScratch(sc)
+			storage.ReturnScratch(sc)
 		}
 		ctx.Pool.Release(b)
 	}
 	schema := append(s.buildKeys.Clone(), storage.Col{Name: synopses.CountCol, Typ: storage.Float64})
-	cols := append(idx.keyColumns(), &storage.Vector{Typ: storage.Float64, F64: counts})
+	cols := append(idx.KeyColumns(), &storage.Vector{Typ: storage.Float64, F64: counts})
 	if s.buildAggIdx >= 0 {
 		schema = append(schema, storage.Col{Name: synopses.SumCol, Typ: storage.Float64})
 		cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: sums})
@@ -221,7 +221,7 @@ func sumColumn[T int64 | float64](sums []float64, ids, sel []int32, col []T) {
 
 // newPartial implements sink.
 func (s *sketchSink) newPartial() partial {
-	return &sketchTable{sink: s, idx: newGroupIndex(s.groupIdx, s.schema)}
+	return &sketchTable{sink: s, idx: storage.NewGroupIndex(s.groupIdx, s.schema)}
 }
 
 // sjSums is one group's running sketch-join state, a row of sketchTable's
@@ -240,11 +240,11 @@ const (
 func (g sjSums) probe(k int) float64 { return g[sjPerAgg+k] }
 
 // sketchTable is the sketch sink's partial: groups are the dense ids of idx
-// (groupindex.go) over the probe-side grouping columns, and group id's sums
-// are the stride cells of sums from id*stride on.
+// (storage.GroupIndex) over the probe-side grouping columns, and group id's
+// sums are the stride cells of sums from id*stride on.
 type sketchTable struct {
 	sink *sketchSink
-	idx  groupIndex
+	idx  storage.GroupIndex
 	sums []float64
 }
 
@@ -267,19 +267,19 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	if n == 0 {
 		return
 	}
-	sc := borrowScratch(n, len(s.groupIdx))
-	defer returnScratch(sc)
-	ids := t.idx.resolve(b, sc)
+	sc := storage.BorrowScratch(n, len(s.groupIdx))
+	defer storage.ReturnScratch(sc)
+	ids := t.idx.Resolve(b, sc)
 	stride := t.stride()
-	if grow := t.idx.n*stride - len(t.sums); grow > 0 {
+	if grow := t.idx.Len()*stride - len(t.sums); grow > 0 {
 		t.sums = append(t.sums, make([]float64, grow)...)
 	}
 	// Each live row's key count, kept from the row pass for the
 	// per-aggregate column passes.
-	if cap(sc.floats) < n {
-		sc.floats = make([]float64, max(n, storage.BatchSize))
+	if cap(sc.Floats) < n {
+		sc.Floats = make([]float64, max(n, storage.BatchSize))
 	}
-	cnts := sc.floats[:n]
+	cnts := sc.Floats[:n]
 	clear(cnts)
 	pos, rows, _ := s.sketch.Index().Probe(b, s.probeKeyIdx, storage.ProbePos{}, n, ctx.Pool.GetSel(n), ctx.Pool.GetSel(n))
 	for k, j := range pos {
@@ -325,9 +325,9 @@ func foldProbeColumn[T int64 | float64](cells []float64, stride int, ids, sel []
 // aggTable.merge).
 func (t *sketchTable) merge(o partial) {
 	ot := o.(*sketchTable)
-	stride, had := t.stride(), t.idx.n
-	ids := t.idx.absorb(&ot.idx)
-	t.sums = slices.Grow(t.sums, t.idx.n*stride-len(t.sums))
+	stride, had := t.stride(), t.idx.Len()
+	ids := t.idx.Absorb(&ot.idx)
+	t.sums = slices.Grow(t.sums, t.idx.Len()*stride-len(t.sums))
 	for oid, id := range ids {
 		src := ot.sums[oid*stride : (oid+1)*stride]
 		if int(id) >= had {
@@ -349,12 +349,12 @@ func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
 	s := t.sink
 	stride := t.stride()
 	global := len(s.groupIdx) == 0
-	if global && t.idx.n == 0 {
-		t.idx.sole()
+	if global && t.idx.Len() == 0 {
+		t.idx.Sole()
 		t.sums = make([]float64, stride)
 	}
 	// Group keys are unique, so the value sort is total: ids never show.
-	keys := t.idx.keyRows()
+	keys := t.idx.KeyRows()
 
 	out := storage.NewBatch(s.schema, len(keys))
 	intervals := make([][]stats.Interval, 0, len(keys))

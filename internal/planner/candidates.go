@@ -173,7 +173,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	// and the table stays below the fact table whenever the key fanout
 	// exceeds a row or two (the paper's "few MB vs GB" regime holds at
 	// instacart's ~10 items/order and ~600 purchases/product).
-	distinctKeys := p.groupCountOf(sh.fact.Table, sh.buildKeys)
+	distinctKeys := sh.fact.Table.GroupCount(sh.buildKeys)
 	desc.EstSizeBytes = int64(distinctKeys)*(keyWidth(sh.fact.Table.Schema(), sh.buildKeys)+16) + 128
 	entry := p.Store.Intern(desc)
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
-	"sync"
 
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/meta"
@@ -89,13 +87,7 @@ type Planner struct {
 	// bound entirely (reuse regardless of staleness).
 	MaxStaleness float64
 
-	est     estimator
-	mu      sync.Mutex
-	mgCache map[string]int
-	// mgEpochs tracks the last table epoch seen per table so mgCache keys
-	// of superseded versions are pruned (keys embed the epoch for
-	// correctness; pruning bounds memory under continuous ingestion).
-	mgEpochs map[string]uint64
+	est estimator
 }
 
 // New returns a planner over the given metadata store and warehouse.
@@ -106,29 +98,7 @@ func New(store *meta.Store, wh *warehouse.Manager, model storage.CostModel) *Pla
 		Model:       model,
 		Parallelism: 1,
 		est:         estimator{model: model},
-		mgCache:     make(map[string]int),
-		mgEpochs:    make(map[string]uint64),
 	}
-}
-
-// pruneStatsLocked drops cached statistics of superseded versions of t.
-// It acts only when the table's epoch *advances* past the highest one seen:
-// queries still planning against an older snapshot neither wipe the fresh
-// entries nor regress the high-water mark (their few old-epoch keys are
-// swept on the next advance), so interleaved snapshots cannot thrash the
-// cache. Called with p.mu held before any mgCache lookup.
-func (p *Planner) pruneStatsLocked(t *storage.Table) {
-	if ep, ok := p.mgEpochs[t.Name]; ok && ep >= t.Epoch() {
-		return
-	}
-	keep := fmt.Sprintf("%s@%d|", t.Name, t.Epoch())
-	for k := range p.mgCache {
-		body := strings.TrimPrefix(k, "g|")
-		if strings.HasPrefix(body, t.Name+"@") && !strings.HasPrefix(body, keep) {
-			delete(p.mgCache, k)
-		}
-	}
-	p.mgEpochs[t.Name] = t.Epoch()
 }
 
 // Plan generates the candidate set for a query (paper §IV-A) against the
@@ -394,43 +364,6 @@ func (p *Planner) totalFilterSelectivity(q *Query) float64 {
 	return sel
 }
 
-// minGroupOf returns (cached) the smallest group size of the column set on
-// a base table. Cache keys carry the table's epoch so ingestion invalidates
-// them: post-append queries must size samplers and feasibility checks from
-// the evolved statistics, not a frozen snapshot.
-func (p *Planner) minGroupOf(t *storage.Table, cols []string) int {
-	key := fmt.Sprintf("%s@%d|%s", t.Name, t.Epoch(), strings.Join(cols, ","))
-	p.mu.Lock()
-	p.pruneStatsLocked(t)
-	if v, ok := p.mgCache[key]; ok {
-		p.mu.Unlock()
-		return v
-	}
-	p.mu.Unlock()
-	v := t.MinGroupOf(cols)
-	p.mu.Lock()
-	p.mgCache[key] = v
-	p.mu.Unlock()
-	return v
-}
-
-// groupCountOf is minGroupOf's sibling for the number of groups.
-func (p *Planner) groupCountOf(t *storage.Table, cols []string) int {
-	key := fmt.Sprintf("g|%s@%d|%s", t.Name, t.Epoch(), strings.Join(cols, ","))
-	p.mu.Lock()
-	p.pruneStatsLocked(t)
-	if v, ok := p.mgCache[key]; ok {
-		p.mu.Unlock()
-		return v
-	}
-	p.mu.Unlock()
-	v := t.GroupCount(cols)
-	p.mu.Lock()
-	p.mgCache[key] = v
-	p.mu.Unlock()
-	return v
-}
-
 // addBaseSampleCandidates generates position-A plans: the sampler pushed all
 // the way below the fact table's filter (paper §IV-A push-down), plus reuse
 // plans for every matching materialized sample of that base relation.
@@ -446,7 +379,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	inRows := float64(fact.Table.NumRows())
 	stratGroups := 1
 	if len(strat) > 0 {
-		stratGroups = p.groupCountOf(fact.Table, strat)
+		stratGroups = fact.Table.GroupCount(strat)
 	}
 	// Result-group structure: every query group must end up with ~k fact
 	// rows. Group columns on the fact table give exact counts; probe-side
@@ -455,8 +388,8 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	factCover := q.groupColsOn(fact.Name)
 	coverGroups, coverMinGroup := 1, int(inRows)
 	if len(factCover) > 0 {
-		coverGroups = p.groupCountOf(fact.Table, factCover)
-		coverMinGroup = p.minGroupOf(fact.Table, factCover)
+		coverGroups = fact.Table.GroupCount(factCover)
+		coverMinGroup = fact.Table.MinGroupOf(factCover)
 	}
 	for _, g := range q.GroupBy {
 		owner := q.tableOf(g)

@@ -344,45 +344,6 @@ func TestForkedAppendsLeaveTheParentAlone(t *testing.T) {
 	}
 }
 
-// statsUncoded is Stats as it was before codes: every column counted through
-// the frequency map, whatever side-car it carries.
-func statsUncoded(tbl *Table) *TableStats {
-	ts := &TableStats{Rows: tbl.rows, Columns: make([]ColumnStats, len(tbl.schema))}
-	for i := range tbl.schema {
-		chunks := make([]*Vector, len(tbl.parts))
-		for p, part := range tbl.parts {
-			c := *part.cols[i]
-			c.Code, c.Dict = nil, nil
-			chunks[p] = &c
-		}
-		ts.Columns[i] = computeColumnStats(chunks)
-	}
-	return ts
-}
-
-// TestPerCodeStatsMatchTheFrequencyMap: counting a coded column per code is
-// the same statistics, including on a table whose dictionary holds values its
-// rows do not (a sample keeps its base table's).
-func TestPerCodeStatsMatchTheFrequencyMap(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	base := strTable(t, "t", randStrings(r, 5000, 40), 4)
-	b := NewBuilder("sample", base.Schema())
-	for i := 0; i < 60; i++ {
-		row := r.Intn(base.NumRows())
-		b.CopyFrom(0, base.Column(0), row)
-		b.CopyFrom(1, base.Column(1), row)
-	}
-	sample := b.Build(2)
-	if sample.dicts[1] != base.dicts[1] {
-		t.Fatal("a sample copied out of a table did not keep its dictionary")
-	}
-	for _, tbl := range []*Table{base, sample, strTable(t, "one", []string{"x"}, 1)} {
-		if got, want := tbl.Stats(), statsUncoded(tbl); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: per-code stats %+v, frequency-map stats %+v", tbl.Name, got.Columns, want.Columns)
-		}
-	}
-}
-
 // TestBuilderMixingCopiedAndBareStrings: a builder column that takes coded
 // rows through CopyFrom and then a bare string cannot keep the copied codes;
 // the table it builds codes the column afresh.

@@ -1,5 +1,9 @@
 package storage
 
-// StatsUncoded exposes statsUncoded to the external test package, which can
-// import the workload generators this package cannot.
-var StatsUncoded = statsUncoded
+// StatsOracle and SameStats expose the statistics oracle to the external
+// test package, which can import the workload generators this package
+// cannot.
+var (
+	StatsOracle = statsOracle
+	SameStats   = sameStats
+)

@@ -1,42 +1,41 @@
-package exec
+package storage
 
 import (
 	"math"
 	"math/bits"
 	"sync"
-
-	"github.com/tasterdb/taster/internal/storage"
 )
 
-// groupIndex is how both sinks find a row's group: it turns each group
-// column of a live row into one word, and the word tuple into a dense group
-// id, 0..n-1 in the order the groups were first seen. The sinks keep their
-// per-group state in flat slabs indexed by that id (aggTable.accs,
-// sketchTable.sums), so opening a group allocates nothing of its own and a
-// partial merges into another by translating ids and folding slab into slab.
-// The sketch sink's inline build groups the build rows by join key the same
-// way (sketchSink.buildPayload).
+// GroupIndex is the engine's one exact numbering of key tuples — which rows
+// share a key. It turns each group column of a live row into one word, and
+// the word tuple into a dense group id, 0..n-1 in the order the groups were
+// first seen. Its holders keep their per-group state in flat slabs indexed
+// by that id, so opening a group allocates nothing of its own and a partial
+// merges into another by translating ids and folding slab into slab. The
+// executor's two sinks and the sketch-join's inline build, the distinct and
+// stratified samplers' strata, and the table statistics (Stats, GroupCount,
+// MinGroupOf) all count through one.
 //
-// Words. An int64, float64 or bool column's word is storage.FixedWord's
-// encoding — two's complement, IEEE bits, 0/1 — so -0.0 and every NaN payload
-// are groups of their own, as they always were. A string column's word is a
+// Words. An int64, float64 or bool column's word is FixedWord's encoding —
+// two's complement, IEEE bits, 0/1 — so -0.0 and every NaN payload are
+// groups of their own, as GROUP BY answers. A string column's word is a
 // partial-local code (strCodes): group identity never depends on which
 // dictionary, if any, a batch's vector happened to carry.
 //
 // Ids. While every column is a string or a bool and every word is small, the
 // packed words index a dense array directly; the first word too large moves
 // the index, for good, to an open-addressing table over the tuples — the
-// join index's shape (Fibonacci hashing, linear probing, load ≤ 1/2), but
+// key index's shape (Fibonacci hashing, linear probing, load ≤ 1/2), but
 // growable, since groups arrive unannounced. Either way the tuples are kept
-// in id order in keys, which is all emit needs to rebuild the key values and
-// all a rehash needs to rebuild the table.
+// in id order in keys, which is all KeyRows needs to rebuild the key values
+// and all a rehash needs to rebuild the table.
 //
-// Nothing here orders anything: emit sorts on the key values, so ids — and
-// below them string codes and dictionaries — never reach an answer byte.
-type groupIndex struct {
-	cols []int          // positions of the group columns in a fold batch
-	out  storage.Schema // the group columns, as the sink's output names and types them
-	strs []strCodes     // per column: its local string codes, unused for a fixed-width column
+// Nothing here orders anything: the sinks sort on the key values, so ids —
+// and below them string codes and dictionaries — never reach an answer byte.
+type GroupIndex struct {
+	cols []int      // positions of the group columns in a batch
+	out  Schema     // the group columns, as the holder names and types them
+	strs []strCodes // per column: its local string codes, unused for a fixed-width column
 
 	n    int      // groups opened so far
 	keys []uint64 // group id's word tuple at keys[id*len(cols):]
@@ -50,41 +49,42 @@ type groupIndex struct {
 	shift     uint
 
 	tuple  []uint64 // scratch: one tuple
-	merged []int32  // scratch: absorb's result
+	merged []int32  // scratch: Absorb's result
 }
 
-// resolveScratch is the working memory of one resolve call: column c's word
+// ResolveScratch is the working memory of one Resolve call: column c's word
 // of live row j at words[c*rows+j], the rows' dense positions when several
-// columns pack into one, and the ids handed back. A partial lives for one
-// morsel and is then kept until the run merges, so the buffers are borrowed
-// per batch from a pool the morsels — and the queries — of a process share,
-// not allocated per partial.
-type resolveScratch struct {
+// columns pack into one, and the ids handed back. A sink's partial lives for
+// one morsel and is then kept until the run merges, so the buffers are
+// borrowed per batch from a pool the morsels — and the queries — of a
+// process share, not allocated per partial.
+type ResolveScratch struct {
 	words []uint64
 	pos   []uint64
 	ids   []int32
-	// floats is the borrowing sink's own per-row scratch (the sketch sink
-	// keeps two products per row between its passes).
-	floats []float64
+	// Floats is the borrower's own per-row scratch (the sketch sink keeps
+	// two products per row between its passes).
+	Floats []float64
 }
 
-var resolveScratchPool = sync.Pool{New: func() any { return new(resolveScratch) }}
+var resolveScratchPool = sync.Pool{New: func() any { return new(ResolveScratch) }}
 
-// borrowScratch returns scratch for a batch of n live rows over nc group
-// columns; the caller hands it back with returnScratch once it has read the
+// BorrowScratch returns scratch for a batch of n live rows over nc group
+// columns; the caller hands it back with ReturnScratch once it has read the
 // ids.
-func borrowScratch(n, nc int) *resolveScratch {
-	sc := resolveScratchPool.Get().(*resolveScratch)
+func BorrowScratch(n, nc int) *ResolveScratch {
+	sc := resolveScratchPool.Get().(*ResolveScratch)
 	if cap(sc.ids) < n {
-		sc.ids = make([]int32, max(n, storage.BatchSize))
+		sc.ids = make([]int32, max(n, BatchSize))
 	}
 	if cap(sc.words) < n*nc {
-		sc.words = make([]uint64, max(n, storage.BatchSize)*nc)
+		sc.words = make([]uint64, max(n, BatchSize)*nc)
 	}
 	return sc
 }
 
-func returnScratch(sc *resolveScratch) { resolveScratchPool.Put(sc) }
+// ReturnScratch hands borrowed scratch back.
+func ReturnScratch(sc *ResolveScratch) { resolveScratchPool.Put(sc) }
 
 const (
 	// denseIndexBits sizes the dense array (1 KB of int32 per partial): one
@@ -94,18 +94,15 @@ const (
 	// groupSlotsMin is the hashed table's first size; it doubles whenever
 	// the groups would fill more than half of it.
 	groupSlotsMin = 64
-	// fibMul is 2^64/φ, the multiplier of the key index's Fibonacci hashing
-	// (storage.KeyIndex).
-	fibMul = 0x9E3779B97F4A7C15
 )
 
-// newGroupIndex indexes the group columns at positions cols of a fold batch;
-// out is the sink's output schema, which leads with those columns.
-func newGroupIndex(cols []int, out storage.Schema) groupIndex {
-	g := groupIndex{cols: cols, out: out[:len(cols)], strs: make([]strCodes, len(cols)), tuple: make([]uint64, len(cols))}
+// NewGroupIndex indexes the group columns at positions cols of a batch; out
+// leads with those columns, named and typed as the holder sees them.
+func NewGroupIndex(cols []int, out Schema) GroupIndex {
+	g := GroupIndex{cols: cols, out: out[:len(cols)], strs: make([]strCodes, len(cols)), tuple: make([]uint64, len(cols))}
 	small := len(cols) > 0
 	for _, col := range g.out {
-		small = small && (col.Typ == storage.String || col.Typ == storage.Bool)
+		small = small && (col.Typ == String || col.Typ == Bool)
 	}
 	if small && denseIndexBits/len(cols) >= 2 {
 		g.denseBits = uint(denseIndexBits / len(cols))
@@ -114,16 +111,19 @@ func newGroupIndex(cols []int, out storage.Schema) groupIndex {
 	return g
 }
 
-// sole opens the one group of an index over no columns.
-func (g *groupIndex) sole() { g.n = 1 }
+// Len returns the number of groups opened so far.
+func (g *GroupIndex) Len() int { return g.n }
 
-// resolve returns the group id of every live row of b, in live-row order,
+// Sole opens the one group of an index over no columns.
+func (g *GroupIndex) Sole() { g.n = 1 }
+
+// Resolve returns the group id of every live row of b, in live-row order,
 // opening groups as it meets them. The ids are sc's memory.
-func (g *groupIndex) resolve(b *storage.Batch, sc *resolveScratch) []int32 {
+func (g *GroupIndex) Resolve(b *Batch, sc *ResolveScratch) []int32 {
 	n, nc := b.Rows(), len(g.cols)
 	ids := sc.ids[:n]
 	if nc == 0 {
-		g.sole()
+		g.Sole()
 		clear(ids)
 		return ids
 	}
@@ -152,7 +152,7 @@ func (g *groupIndex) resolve(b *storage.Batch, sc *resolveScratch) []int32 {
 }
 
 // tupleAt gathers live row j's words out of the column-major scratch.
-func (g *groupIndex) tupleAt(words []uint64, n, j int) []uint64 {
+func (g *GroupIndex) tupleAt(words []uint64, n, j int) []uint64 {
 	for c := range g.tuple {
 		g.tuple[c] = words[c*n+j]
 	}
@@ -163,7 +163,7 @@ func (g *groupIndex) tupleAt(words []uint64, n, j int) []uint64 {
 // column by column — for one column the words are the positions. A batch
 // with a word too large for the array gets nil, and the index leaves the
 // array for good.
-func (g *groupIndex) densePositions(words []uint64, n int, sc *resolveScratch) []uint64 {
+func (g *GroupIndex) densePositions(words []uint64, n int, sc *ResolveScratch) []uint64 {
 	if g.dense == nil {
 		return nil
 	}
@@ -178,7 +178,7 @@ func (g *groupIndex) densePositions(words []uint64, n int, sc *resolveScratch) [
 	pos := words[:n]
 	if nc := len(g.cols); nc > 1 {
 		if cap(sc.pos) < n {
-			sc.pos = make([]uint64, max(n, storage.BatchSize))
+			sc.pos = make([]uint64, max(n, BatchSize))
 		}
 		pos = sc.pos[:n]
 		copy(pos, words)
@@ -194,7 +194,7 @@ func (g *groupIndex) densePositions(words []uint64, n int, sc *resolveScratch) [
 
 // densePos packs a tuple of small words into its position in the dense
 // array; small is false when a word does not fit, or the array is gone.
-func (g *groupIndex) densePos(ws []uint64) (at uint64, small bool) {
+func (g *GroupIndex) densePos(ws []uint64) (at uint64, small bool) {
 	if g.dense == nil {
 		return 0, false
 	}
@@ -208,9 +208,9 @@ func (g *groupIndex) densePos(ws []uint64) (at uint64, small bool) {
 }
 
 // colWords writes group column c's word of every live row of v into out.
-func (g *groupIndex) colWords(c int, v *storage.Vector, sel []int32, out []uint64) {
+func (g *GroupIndex) colWords(c int, v *Vector, sel []int32, out []uint64) {
 	switch v.Typ {
-	case storage.Int64:
+	case Int64:
 		if sel == nil {
 			for j, x := range v.I64 {
 				out[j] = uint64(x)
@@ -220,7 +220,7 @@ func (g *groupIndex) colWords(c int, v *storage.Vector, sel []int32, out []uint6
 				out[j] = uint64(v.I64[i])
 			}
 		}
-	case storage.Float64:
+	case Float64:
 		if sel == nil {
 			for j, x := range v.F64 {
 				out[j] = math.Float64bits(x)
@@ -230,24 +230,24 @@ func (g *groupIndex) colWords(c int, v *storage.Vector, sel []int32, out []uint6
 				out[j] = math.Float64bits(v.F64[i])
 			}
 		}
-	case storage.Bool:
+	case Bool:
 		if sel == nil {
 			for j := range out {
-				out[j] = storage.FixedWord(v, j)
+				out[j] = FixedWord(v, j)
 			}
 		} else {
 			for j, i := range sel {
-				out[j] = storage.FixedWord(v, int(i))
+				out[j] = FixedWord(v, int(i))
 			}
 		}
-	case storage.String:
+	case String:
 		g.strs[c].words(v, sel, out)
 	}
 }
 
-// resolveHashed is resolve's loop for a single group column past the dense
+// resolveHashed is Resolve's loop for a single group column past the dense
 // array: the table's hit path inline, id for a first sight.
-func (g *groupIndex) resolveHashed(words []uint64, ids []int32) {
+func (g *GroupIndex) resolveHashed(words []uint64, ids []int32) {
 	for j, w := range words {
 		if len(g.slots) != 0 {
 			mask := uint64(len(g.slots) - 1)
@@ -267,7 +267,7 @@ func (g *groupIndex) resolveHashed(words []uint64, ids []int32) {
 }
 
 // id returns the group of the word tuple ws, opening it on first sight.
-func (g *groupIndex) id(ws []uint64) int32 {
+func (g *GroupIndex) id(ws []uint64) int32 {
 	if at, small := g.densePos(ws); small {
 		if id := g.dense[at]; id != 0 {
 			return id - 1
@@ -294,7 +294,7 @@ func (g *groupIndex) id(ws []uint64) int32 {
 }
 
 // open records ws as the next group's tuple and returns its id.
-func (g *groupIndex) open(ws []uint64) int32 {
+func (g *GroupIndex) open(ws []uint64) int32 {
 	g.keys = append(g.keys, ws...)
 	g.n++
 	return int32(g.n - 1)
@@ -302,7 +302,7 @@ func (g *groupIndex) open(ws []uint64) int32 {
 
 // rehash rebuilds the hashed table at nSlots (a power of two) from keys:
 // how it grows, and how an index that leaves the dense array gets one.
-func (g *groupIndex) rehash(nSlots int) {
+func (g *GroupIndex) rehash(nSlots int) {
 	for nSlots < 2*(g.n+1) {
 		nSlots *= 2
 	}
@@ -320,7 +320,7 @@ func (g *groupIndex) rehash(nSlots int) {
 }
 
 // hashWords mixes a tuple so that its top bits depend on every word; for one
-// word it is the join index's w·fibMul.
+// word it is the key index's w·fibMul.
 func hashWords(ws []uint64) uint64 {
 	h := ws[0] * fibMul
 	for _, w := range ws[1:] {
@@ -338,10 +338,10 @@ func wordsEqual(a, b []uint64) bool {
 	return true
 }
 
-// absorb opens every group of o — an index over the same columns — in g and
+// Absorb opens every group of o — an index over the same columns — in g and
 // returns, by o's ids, their ids in g. Groups new to g get the next ids in
 // o's id order. The slice is scratch, valid until the next call on g.
-func (g *groupIndex) absorb(o *groupIndex) []int32 {
+func (g *GroupIndex) Absorb(o *GroupIndex) []int32 {
 	if cap(g.merged) < o.n {
 		g.merged = make([]int32, o.n)
 	}
@@ -349,7 +349,7 @@ func (g *groupIndex) absorb(o *groupIndex) []int32 {
 	nc := len(g.cols)
 	if nc == 0 {
 		if o.n > 0 {
-			g.sole()
+			g.Sole()
 		}
 		clear(ids)
 		return ids
@@ -357,7 +357,7 @@ func (g *groupIndex) absorb(o *groupIndex) []int32 {
 	// o's local string codes in g's terms, once per distinct string.
 	to := make([][]uint64, nc)
 	for c, col := range g.out {
-		if col.Typ != storage.String {
+		if col.Typ != String {
 			continue
 		}
 		to[c] = make([]uint64, len(o.strs[c].vals))
@@ -377,25 +377,25 @@ func (g *groupIndex) absorb(o *groupIndex) []int32 {
 	return ids
 }
 
-// keyRows returns every group's key values, by id: what emit sorts on and
-// prints.
-func (g *groupIndex) keyRows() [][]storage.Value {
+// KeyRows returns every group's key values, by id: what the sinks sort on
+// and print.
+func (g *GroupIndex) KeyRows() [][]Value {
 	nc := len(g.cols)
-	rows := make([][]storage.Value, g.n)
-	vals := make([]storage.Value, g.n*nc)
+	rows := make([][]Value, g.n)
+	vals := make([]Value, g.n*nc)
 	for id := range rows {
 		row := vals[id*nc : (id+1)*nc : (id+1)*nc]
 		for c := range row {
 			w := g.keys[id*nc+c]
 			switch g.out[c].Typ {
-			case storage.Int64:
-				row[c] = storage.IntValue(int64(w))
-			case storage.Float64:
-				row[c] = storage.FloatValue(math.Float64frombits(w))
-			case storage.Bool:
-				row[c] = storage.BoolValue(w != 0)
-			case storage.String:
-				row[c] = storage.StringValue(g.strs[c].vals[w])
+			case Int64:
+				row[c] = IntValue(int64(w))
+			case Float64:
+				row[c] = FloatValue(math.Float64frombits(w))
+			case Bool:
+				row[c] = BoolValue(w != 0)
+			case String:
+				row[c] = StringValue(g.strs[c].vals[w])
 			}
 		}
 		rows[id] = row
@@ -403,23 +403,23 @@ func (g *groupIndex) keyRows() [][]storage.Value {
 	return rows
 }
 
-// keyColumns returns every group's key values as typed columns, rows by id:
+// KeyColumns returns every group's key values as typed columns, rows by id:
 // the key columns of the sketch-join payload.
-func (g *groupIndex) keyColumns() []*storage.Vector {
+func (g *GroupIndex) KeyColumns() []*Vector {
 	nc := len(g.cols)
-	cols := make([]*storage.Vector, nc)
+	cols := make([]*Vector, nc)
 	for c := range cols {
-		v := storage.NewVector(g.out[c].Typ, g.n)
+		v := NewVector(g.out[c].Typ, g.n)
 		for id := 0; id < g.n; id++ {
 			w := g.keys[id*nc+c]
 			switch v.Typ {
-			case storage.Int64:
+			case Int64:
 				v.I64 = append(v.I64, int64(w))
-			case storage.Float64:
+			case Float64:
 				v.F64 = append(v.F64, math.Float64frombits(w))
-			case storage.Bool:
+			case Bool:
 				v.B = append(v.B, w != 0)
-			case storage.String:
+			case String:
 				v.Str = append(v.Str, g.strs[c].vals[w])
 			}
 		}
@@ -434,7 +434,7 @@ func (g *groupIndex) keyColumns() []*storage.Vector {
 // per dictionary value the partial actually meets — and an uncoded one by a
 // map lookup per row. A partial normally sees one dictionary, its table
 // column's; it sees a second after an append extended it, and none for a
-// column past storage.MaxDictSize.
+// column past MaxDictSize.
 type strCodes struct {
 	vals  []string
 	dicts []dictCodes
@@ -444,18 +444,18 @@ type strCodes struct {
 	// a value not yet translated is a value not yet seen, because a
 	// dictionary's values are distinct.
 	byVal map[string]int32
-	sole  *storage.Dict
+	sole  *Dict
 }
 
 // dictCodes translates one dictionary: to[code] is the local code, -1 until
 // the partial first meets the value.
 type dictCodes struct {
-	dict *storage.Dict
+	dict *Dict
 	to   []int32
 }
 
 // words writes the local code of every live row of v into out.
-func (s *strCodes) words(v *storage.Vector, sel []int32, out []uint64) {
+func (s *strCodes) words(v *Vector, sel []int32, out []uint64) {
 	if v.Dict == nil {
 		if sel == nil {
 			for j, x := range v.Str {
@@ -492,7 +492,7 @@ func (s *strCodes) words(v *storage.Vector, sel []int32, out []uint64) {
 
 // translation returns the code translation for dictionary d, starting an
 // empty one on first sight.
-func (s *strCodes) translation(d *storage.Dict) []int32 {
+func (s *strCodes) translation(d *Dict) []int32 {
 	for _, dc := range s.dicts {
 		if dc.dict == d {
 			return dc.to
@@ -508,7 +508,7 @@ func (s *strCodes) translation(d *storage.Dict) []int32 {
 
 // intern returns v's local code, numbering it on first sight. from is the
 // dictionary v was read through (nil: none) — see byVal.
-func (s *strCodes) intern(v string, from *storage.Dict) int32 {
+func (s *strCodes) intern(v string, from *Dict) int32 {
 	if s.byVal == nil {
 		if len(s.vals) == 0 {
 			s.sole = from

@@ -1,0 +1,284 @@
+package storage
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The group index is held to the grouping it replaced: two rows are one group
+// exactly when their groupKey bytes are equal. groupKey tags every value with
+// its type and length-prefixes strings, so it is the reference for everything
+// awkward — NaN payloads, ±0.0, empty and NUL-embedded strings, columns whose
+// boundaries a naive concatenation would blur.
+
+// groupFixture is a set of rows over a random schema of group columns plus
+// one payload column, and several renderings of those rows as fold batches.
+type groupFixture struct {
+	schema Schema // group columns, then "t.y"
+	cols   []int  // 0..ngroup-1
+	rows   [][]Value
+}
+
+var awkwardFloats = []float64{
+	0, math.Copysign(0, -1), 1.5, -1.5, math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+}
+
+func awkwardString(r *rand.Rand, vocab int) string {
+	switch k := r.Intn(vocab); k {
+	case 0:
+		return ""
+	case 1:
+		return "a\x00b"
+	case 2:
+		return "a"
+	case 3:
+		return "\x00b"
+	default:
+		return fmt.Sprintf("s%d", k)
+	}
+}
+
+// newGroupFixture draws n rows over ngroup group columns. vocab bounds each
+// column's distinct values: small keeps the index in its dense array, large
+// pushes it through the hashed table and several doublings.
+func newGroupFixture(r *rand.Rand, ngroup, n, vocab int) *groupFixture {
+	f := &groupFixture{}
+	for c := 0; c < ngroup; c++ {
+		typ := []Type{String, Int64, Float64, Bool, String}[r.Intn(5)]
+		f.schema = append(f.schema, Col{Name: fmt.Sprintf("t.g%d", c), Typ: typ})
+		f.cols = append(f.cols, c)
+	}
+	f.schema = append(f.schema, Col{Name: "t.y", Typ: Float64})
+	for i := 0; i < n; i++ {
+		row := make([]Value, 0, ngroup+1)
+		for c := 0; c < ngroup; c++ {
+			switch f.schema[c].Typ {
+			case String:
+				row = append(row, StringValue(awkwardString(r, vocab)))
+			case Int64:
+				row = append(row, IntValue(int64(r.Intn(vocab))-int64(vocab/2)))
+			case Float64:
+				if r.Intn(2) == 0 {
+					row = append(row, FloatValue(awkwardFloats[r.Intn(len(awkwardFloats))]))
+				} else {
+					row = append(row, FloatValue(float64(r.Intn(vocab))))
+				}
+			case Bool:
+				row = append(row, BoolValue(r.Intn(2) == 0))
+			}
+		}
+		f.rows = append(f.rows, append(row, FloatValue(float64(r.Intn(100)))))
+	}
+	return f
+}
+
+// table loads rows [lo, hi) into a storage table, which codes its string
+// columns under a dictionary of its own.
+func (f *groupFixture) table(lo, hi int) *Table {
+	b := NewBuilder("t", f.schema)
+	for _, row := range f.rows[lo:hi] {
+		b.AddRow(row...)
+	}
+	return b.Build(1)
+}
+
+// uncoded renders rows [lo, hi) as one batch no vector of which is coded.
+func (f *groupFixture) uncoded(lo, hi int) *Batch {
+	out := NewBatch(f.schema, hi-lo)
+	for _, row := range f.rows[lo:hi] {
+		for c, v := range row {
+			out.Vecs[c].Append(v)
+		}
+	}
+	return out
+}
+
+// batches renders the rows as a sequence of fold batches that between them
+// mix everything a partial can be handed: scan batches of two tables (two
+// dictionaries, the second arriving straight after the first: a dictionary
+// switch mid-partial), then uncoded batches, and random selection vectors
+// over any of them. rowOf maps each batch's physical rows back to fixture
+// rows.
+func (f *groupFixture) batches(r *rand.Rand) (out []*Batch, rowOf [][]int) {
+	n := len(f.rows)
+	cuts := []int{0, n / 3, 2 * n / 3, n}
+	for part := 0; part < 3; part++ {
+		lo, hi := cuts[part], cuts[part+1]
+		var bs []*Batch
+		if part == 2 {
+			for at := lo; at < hi; at += 500 {
+				bs = append(bs, f.uncoded(at, min(at+500, hi)))
+			}
+		} else {
+			bs = f.table(lo, hi).Scan(0, 700)
+		}
+		at := lo
+		for _, b := range bs {
+			ids := make([]int, b.Len())
+			for i := range ids {
+				ids[i] = at + i
+			}
+			at += b.Len()
+			if r.Intn(2) == 0 {
+				for i := 0; i < b.Len(); i++ {
+					if r.Intn(3) != 0 {
+						b.Sel = append(b.Sel, int32(i))
+					}
+				}
+				if b.Sel == nil {
+					b.Sel = []int32{}
+				}
+			}
+			out, rowOf = append(out, b), append(rowOf, ids)
+		}
+	}
+	return out, rowOf
+}
+
+func (f *groupFixture) refKey(row int) string {
+	b := NewBatch(f.schema, 1)
+	for c, v := range f.rows[row] {
+		b.Vecs[c].Append(v)
+	}
+	return string(GroupKey(nil, b.Vecs, f.cols, 0))
+}
+
+// sameValue is bit equality: the identity groupKey and fixedWord share.
+func sameValue(a, b Value) bool {
+	if a.Typ == Float64 && b.Typ == Float64 {
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
+	return a.Equal(b)
+}
+
+// groupOracle checks an index against the reference as rows resolve: ids
+// and reference keys must stay in bijection, ids must be dense in first-seen
+// order, and keyRows must give back the rows' own values.
+type groupOracle struct {
+	t     *testing.T
+	f     *groupFixture
+	idOf  map[string]int32
+	keyOf []string
+}
+
+func (o *groupOracle) see(where string, row int, id int32) {
+	o.t.Helper()
+	key := o.f.refKey(row)
+	if want, ok := o.idOf[key]; ok {
+		if id != want {
+			o.t.Fatalf("%s: row %d resolves to group %d, its key's earlier rows to %d", where, row, id, want)
+		}
+		return
+	}
+	if int(id) != len(o.keyOf) {
+		o.t.Fatalf("%s: row %d opens a group and gets id %d, want the next id %d", where, row, id, len(o.keyOf))
+	}
+	o.idOf[key] = id
+	o.keyOf = append(o.keyOf, key)
+}
+
+func (o *groupOracle) checkKeys(where string, g *GroupIndex, sample map[string]int) {
+	o.t.Helper()
+	if g.n != len(o.keyOf) {
+		o.t.Fatalf("%s: index holds %d groups, reference %d", where, g.n, len(o.keyOf))
+	}
+	for id, vals := range g.KeyRows() {
+		row := o.f.rows[sample[o.keyOf[id]]]
+		for c, v := range vals {
+			if !sameValue(v, row[c]) {
+				o.t.Fatalf("%s: group %d column %d reads back %v, its rows hold %v", where, id, c, v, row[c])
+			}
+		}
+	}
+}
+
+func TestGroupIndexMatchesByteKeyGrouping(t *testing.T) {
+	left := map[string]int{}
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ngroup := []int{0, 1, 2, 4}[seed%4]
+		vocab := []int{3, 12, 400, 3000}[(seed/4)%4]
+		f := newGroupFixture(r, ngroup, 3000, vocab)
+		batches, rowOf := f.batches(r)
+		sample := map[string]int{}
+		for i := range f.rows {
+			sample[f.refKey(i)] = i
+		}
+
+		// One partial sees everything.
+		g := NewGroupIndex(f.cols, f.schema)
+		o := &groupOracle{t: t, f: f, idOf: map[string]int32{}}
+		startedDense := g.dense != nil
+		for bi, b := range batches {
+			sc := BorrowScratch(b.Rows(), ngroup)
+			ids := g.Resolve(b, sc)
+			if len(ids) != b.Rows() {
+				t.Fatalf("seed %d batch %d: %d ids for %d live rows", seed, bi, len(ids), b.Rows())
+			}
+			for j, id := range ids {
+				i := j
+				if b.Sel != nil {
+					i = int(b.Sel[j])
+				}
+				o.see(fmt.Sprintf("seed %d batch %d", seed, bi), rowOf[bi][i], id)
+			}
+			ReturnScratch(sc)
+		}
+		o.checkKeys(fmt.Sprintf("seed %d", seed), &g, sample)
+		switch {
+		case startedDense && g.dense == nil:
+			left["dense"]++
+		case startedDense:
+			left["stayed dense"]++
+		}
+		if len(g.slots) > 8*groupSlotsMin {
+			left["grown"]++
+		}
+
+		// The same batches dealt to five partials, whose local codes and ids
+		// all differ, merged into one in order.
+		parts := make([]GroupIndex, 5)
+		for p := range parts {
+			parts[p] = NewGroupIndex(f.cols, f.schema)
+		}
+		local := make([][]string, len(parts)) // per partial: id → reference key
+		for bi, b := range batches {
+			p := bi % len(parts)
+			sc := BorrowScratch(b.Rows(), ngroup)
+			for j, id := range parts[p].Resolve(b, sc) {
+				i := j
+				if b.Sel != nil {
+					i = int(b.Sel[j])
+				}
+				for int(id) >= len(local[p]) {
+					local[p] = append(local[p], "")
+				}
+				local[p][id] = f.refKey(rowOf[bi][i])
+			}
+			ReturnScratch(sc)
+		}
+		global := NewGroupIndex(f.cols, f.schema)
+		mo := &groupOracle{t: t, f: f, idOf: map[string]int32{}}
+		for p := range parts {
+			ids := global.Absorb(&parts[p])
+			if len(ids) != parts[p].n {
+				t.Fatalf("seed %d: absorb returned %d ids for %d groups", seed, len(ids), parts[p].n)
+			}
+			for oid, id := range ids {
+				mo.see(fmt.Sprintf("seed %d merge of partial %d", seed, p), sample[local[p][oid]], id)
+			}
+		}
+		mo.checkKeys(fmt.Sprintf("seed %d merged", seed), &global, sample)
+		if global.n != g.n {
+			t.Fatalf("seed %d: merged partials hold %d groups, one partial %d", seed, global.n, g.n)
+		}
+	}
+	for _, path := range []string{"dense", "stayed dense", "grown"} {
+		if left[path] == 0 {
+			t.Fatalf("no fixture took the %q path: %v", path, left)
+		}
+	}
+}

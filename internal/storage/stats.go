@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"strings"
 )
 
 // ColumnStats summarizes one column. The planner uses these to size samplers
@@ -47,12 +48,8 @@ type TableStats struct {
 func (t *Table) Stats() *TableStats {
 	t.statsOnce.Do(func() {
 		ts := &TableStats{Rows: t.rows, Columns: make([]ColumnStats, len(t.schema))}
-		chunks := make([]*Vector, len(t.parts))
 		for i := range t.schema {
-			for p, part := range t.parts {
-				chunks[p] = part.cols[i]
-			}
-			ts.Columns[i] = computeColumnStats(chunks)
+			ts.Columns[i] = t.columnStats(i)
 		}
 		t.stats = ts
 	})
@@ -64,78 +61,34 @@ func (t *Table) Stats() *TableStats {
 // give a number.
 const skewRatio = 3.0
 
-// computeColumnStats folds one column's per-partition chunks into a single
-// ColumnStats, iterating chunk by chunk so multi-partition tables never
+// columnStats summarizes column i. Its value groups are GROUP BY's: the
+// group index counts them (groupCounts), so -0.0, +0.0 and each NaN payload
+// are one group apiece, exactly as a query over the column would answer.
+// The moments fold partition by partition, so multi-partition tables never
 // materialize a whole-column copy just for statistics.
-func computeColumnStats(chunks []*Vector) ColumnStats {
+func (t *Table) columnStats(i int) ColumnStats {
 	var st ColumnStats
-	n := 0
-	for _, c := range chunks {
-		n += c.Len()
-	}
+	n := t.rows
 	if n == 0 {
 		return st
 	}
-	st.MinGroup = n
-	group := func(size int) {
-		st.Distinct++
-		st.MinGroup = min(st.MinGroup, size)
-		st.MaxGroup = max(st.MaxGroup, size)
-	}
-	if d := sharedDict(chunks); d != nil {
-		// A coded column counts per code: one array increment per row, and
-		// its value groups are the codes that occur (a sample's dictionary
-		// can hold values its rows do not).
-		counts := make([]int, d.Len())
-		for _, c := range chunks {
-			for _, code := range c.Code {
-				counts[code]++
-			}
-		}
-		for _, f := range counts {
-			if f > 0 {
-				group(f)
-			}
-		}
-	} else {
-		// Any other column: a frequency map keyed by the value's canonical
-		// representation. Exact counting is fine at our scales; the paper
-		// computes the same statistics on a cluster.
-		freq := make(map[Value]int, 1024)
-		for _, c := range chunks {
-			switch c.Typ {
-			case Int64:
-				for _, v := range c.I64 {
-					freq[Value{Typ: Int64, I: v}]++
-				}
-			case Float64:
-				for _, v := range c.F64 {
-					freq[Value{Typ: Float64, F: v}]++
-				}
-			case String:
-				for _, v := range c.Str {
-					freq[Value{Typ: String, S: v}]++
-				}
-			case Bool:
-				for _, v := range c.B {
-					freq[Value{Typ: Bool, B: v}]++
-				}
-			}
-		}
-		for _, f := range freq {
-			group(f)
-		}
+	counts := t.groupCounts([]int{i})
+	st.Distinct, st.MinGroup = len(counts), n
+	for _, f := range counts {
+		st.MinGroup = min(st.MinGroup, f)
+		st.MaxGroup = max(st.MaxGroup, f)
 	}
 	avgGroup := float64(n) / float64(st.Distinct)
 	st.Skewed = float64(st.MaxGroup) > skewRatio*avgGroup && st.Distinct > 1
 
-	if chunks[0].Typ.Numeric() {
+	if t.schema[i].Typ.Numeric() {
 		var sum, sumSq float64
 		st.Min = math.Inf(1)
 		st.Max = math.Inf(-1)
-		for _, c := range chunks {
-			for i := 0; i < c.Len(); i++ {
-				v := c.Float(i)
+		for _, part := range t.parts {
+			c := part.cols[i]
+			for r := 0; r < c.Len(); r++ {
+				v := c.Float(r)
 				sum += v
 				sumSq += v * v
 				if v < st.Min {
@@ -155,17 +108,34 @@ func computeColumnStats(chunks []*Vector) ColumnStats {
 	return st
 }
 
-// sharedDict returns the dictionary every chunk is coded under, nil when any
-// chunk is uncoded or two disagree (partitions on either side of an append
-// that extended the dictionary).
-func sharedDict(chunks []*Vector) *Dict {
-	d := chunks[0].Dict
-	for _, c := range chunks[1:] {
-		if c.Dict != d {
-			return nil
+// groupCounts counts the rows of every group of the columns at positions
+// cols through one GroupIndex, a batch of each partition at a time:
+// counts[id], ids in first-seen row order.
+func (t *Table) groupCounts(cols []int) []int {
+	at := make([]int, len(cols))
+	out := make(Schema, len(cols))
+	for k, c := range cols {
+		at[k], out[k] = k, t.schema[c]
+	}
+	idx := NewGroupIndex(at, out)
+	b := &Batch{Vecs: make([]*Vector, len(cols))}
+	var counts []int
+	for _, part := range t.parts {
+		for lo := 0; lo < part.rows; lo += BatchSize {
+			hi := min(lo+BatchSize, part.rows)
+			for k, c := range cols {
+				b.Vecs[k] = part.cols[c].Slice(lo, hi)
+			}
+			sc := BorrowScratch(hi-lo, len(cols))
+			ids := idx.Resolve(b, sc)
+			counts = append(counts, make([]int, idx.Len()-len(counts))...)
+			for _, id := range ids {
+				counts[id]++
+			}
+			ReturnScratch(sc)
 		}
 	}
-	return d
+	return counts
 }
 
 // DistinctOf returns the distinct count of the named column, or 0 when the
@@ -191,11 +161,11 @@ func (t *Table) GroupCount(cols []string) int {
 		}
 		return 1
 	}
-	sizes, ok := t.groupSizes(cols)
+	sh, ok := t.shapeOf(cols)
 	if !ok {
 		return 1
 	}
-	return len(sizes)
+	return sh.groups
 }
 
 // MinGroupOf returns the size of the smallest group for the given column
@@ -212,35 +182,45 @@ func (t *Table) MinGroupOf(cols []string) int {
 		}
 		return t.Stats().Columns[i].MinGroup
 	}
-	sizes, ok := t.groupSizes(cols)
+	sh, ok := t.shapeOf(cols)
 	if !ok {
 		return t.rows
 	}
-	minG := t.rows
-	for _, f := range sizes {
-		minG = min(minG, f)
-	}
-	return minG
+	return sh.minGroup
 }
 
-// groupSizes counts the rows of every distinct combination of the given
-// columns, keyed by GroupKey. ok is false when a column is unknown.
-func (t *Table) groupSizes(cols []string) (sizes map[string]int, ok bool) {
-	idx := make([]int, 0, len(cols))
-	for _, c := range cols {
-		i := t.schema.Index(c)
-		if i < 0 {
-			return nil, false
-		}
-		idx = append(idx, i)
+// groupShape is a column set's number of groups and smallest group size.
+type groupShape struct{ groups, minGroup int }
+
+// shapeOf counts the groups of a column set once per table version: a
+// version's rows never change, so the shape is cached on it beside Stats and
+// dies with it. ok is false when a column is unknown.
+//
+//taster:mutator lazy cache under groupsMu: a shape is computed outside the lock from the version's frozen rows and published once per column set; readers see absent-then-final
+func (t *Table) shapeOf(cols []string) (sh groupShape, ok bool) {
+	key := strings.Join(cols, "\x00")
+	t.groupsMu.Lock()
+	sh, ok = t.groups[key]
+	t.groupsMu.Unlock()
+	if ok {
+		return sh, true
 	}
-	sizes = make(map[string]int, 1024)
-	var key []byte
-	for _, part := range t.parts {
-		for r := 0; r < part.rows; r++ {
-			key = GroupKey(key, part.cols, idx, r)
-			sizes[string(key)]++
+	idx := make([]int, len(cols))
+	for k, c := range cols {
+		if idx[k] = t.schema.Index(c); idx[k] < 0 {
+			return groupShape{}, false
 		}
 	}
-	return sizes, true
+	counts := t.groupCounts(idx)
+	sh = groupShape{groups: len(counts), minGroup: t.rows}
+	for _, f := range counts {
+		sh.minGroup = min(sh.minGroup, f)
+	}
+	t.groupsMu.Lock()
+	if t.groups == nil {
+		t.groups = make(map[string]groupShape)
+	}
+	t.groups[key] = sh
+	t.groupsMu.Unlock()
+	return sh, true
 }

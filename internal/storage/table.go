@@ -119,6 +119,11 @@ type Table struct {
 
 	statsOnce sync.Once
 	stats     *TableStats
+
+	// groups caches GroupCount and MinGroupOf per multi-column set, keyed by
+	// the names (groupShape).
+	groupsMu sync.Mutex
+	groups   map[string]groupShape
 }
 
 // NewTable builds a table from fully populated column vectors. All vectors

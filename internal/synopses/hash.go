@@ -11,12 +11,6 @@
 // samplers are also "partitionable": per-morsel parts merge.
 package synopses
 
-import (
-	"math"
-
-	"github.com/tasterdb/taster/internal/storage"
-)
-
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters.
 const (
 	fnvOffset = 14695981039346656037
@@ -60,34 +54,4 @@ func SplitSeed(seed, idx uint64) uint64 {
 // concurrent serving.
 func SeedFromString(s string, seed uint64) uint64 {
 	return mix64(hashString(s, seed))
-}
-
-// HashVectorElem hashes element i of a vector with a seed, without boxing.
-// Int64(5) and Float64(5.0) hash differently: key identity is typed.
-func HashVectorElem(v *storage.Vector, i int, seed uint64) uint64 {
-	switch v.Typ {
-	case storage.Int64:
-		return mix64(uint64(v.I64[i]) ^ mix64(seed) ^ 0x1)
-	case storage.Float64:
-		return mix64(math.Float64bits(v.F64[i]) ^ mix64(seed) ^ 0x2)
-	case storage.String:
-		return hashString(v.Str[i], seed)
-	case storage.Bool:
-		x := uint64(0x3)
-		if v.B[i] {
-			x = 0x4
-		}
-		return mix64(x ^ mix64(seed))
-	}
-	return 0
-}
-
-// RowKey combines the values of the given columns of row i into a composite
-// 64-bit key, used for group-by hashing, stratification and join keys.
-func RowKey(vecs []*storage.Vector, cols []int, i int, seed uint64) uint64 {
-	h := mix64(seed ^ 0x9e3779b97f4a7c15)
-	for _, c := range cols {
-		h = mix64(h ^ HashVectorElem(vecs[c], i, seed))
-	}
-	return h
 }

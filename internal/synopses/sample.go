@@ -12,17 +12,20 @@ import (
 // the weight associated with the row").
 const WeightCol = "__weight"
 
-// Decision is a sampler's verdict for one input row.
-type Decision struct {
-	Pass   bool
-	Weight float64
-}
-
-// Sampler decides row by row whether input passes and with what
+// Sampler decides, a batch at a time, which input rows pass and with what
 // Horvitz-Thompson weight. Implementations are single-pass (pipelineable).
 type Sampler interface {
-	// Decide examines row i of the given column vectors.
-	Decide(vecs []*storage.Vector, row int) Decision
+	// Decide examines the live rows of b in live-row order and appends the
+	// physical index and weight of each one that passes to pass and weights.
+	Decide(b *storage.Batch, pass []int32, weights []float64) ([]int32, []float64)
+}
+
+// physical returns live row j's physical index in b.
+func physical(b *storage.Batch, j int) int32 {
+	if b.Sel != nil {
+		return b.Sel[j]
+	}
+	return int32(j)
 }
 
 // rng is a small deterministic counter-based PRNG (SplitMix64) so sample
@@ -57,25 +60,28 @@ func NewUniformSampler(p float64, seed uint64) *UniformSampler {
 	return &UniformSampler{P: p, rnd: newRng(seed)}
 }
 
-// Decide implements Sampler.
-func (s *UniformSampler) Decide(_ []*storage.Vector, _ int) Decision {
-	if s.rnd.next() < s.P {
-		return Decision{Pass: true, Weight: 1 / s.P}
+// Decide implements Sampler: one draw per live row.
+func (s *UniformSampler) Decide(b *storage.Batch, pass []int32, weights []float64) ([]int32, []float64) {
+	for j := range b.Rows() {
+		if s.rnd.next() < s.P {
+			pass, weights = append(pass, physical(b, j)), append(weights, 1/s.P)
+		}
 	}
-	return Decision{}
+	return pass, weights
 }
 
 // DistinctSampler is Γ^D_{p,A,δ}: it passes at least δ rows for every
 // distinct combination of the stratification columns A (weight 1), and
 // subsequent rows of the same combination with probability p (weight 1/p).
-// Per-key counts are exact (one map entry per distinct combination).
+// A stratum is a group of A as GROUP BY would form it: the rows' group ids
+// in a storage.GroupIndex, so two strata never share a count.
 type DistinctSampler struct {
 	P         float64
 	Delta     int
-	StratIdxs []int             // column positions of A in the input vectors
-	counts    map[uint64]uint64 // rows seen per distinct combination, exact
+	StratIdxs []int               // column positions of A in the input batches
+	strata    *storage.GroupIndex // A's combinations, numbered on first sight
+	counts    []uint64            // rows seen per stratum, by group id
 	rnd       *rng
-	seed      uint64
 }
 
 // NewDistinctSampler returns a distinct sampler over the given stratification
@@ -90,7 +96,7 @@ func NewDistinctSampler(p float64, delta int, stratIdxs []int, seed uint64) *Dis
 	if delta < 1 {
 		delta = 1
 	}
-	return &DistinctSampler{P: p, Delta: delta, StratIdxs: stratIdxs, counts: make(map[uint64]uint64), rnd: newRng(seed), seed: seed}
+	return &DistinctSampler{P: p, Delta: delta, StratIdxs: stratIdxs, rnd: newRng(seed)}
 }
 
 // PartitionDelta returns the per-instance minimum row requirement when the
@@ -103,17 +109,36 @@ func PartitionDelta(delta, d int) int {
 	return int(math.Ceil(2 * float64(delta) / float64(d)))
 }
 
-// Decide implements Sampler.
-func (s *DistinctSampler) Decide(vecs []*storage.Vector, row int) Decision {
-	key := RowKey(vecs, s.StratIdxs, row, s.seed)
-	s.counts[key]++
-	if s.counts[key] <= uint64(s.Delta) {
-		return Decision{Pass: true, Weight: 1}
+// Decide implements Sampler: a live row passes at weight 1 while its
+// stratum has passed at most δ rows, and past that draws against p. The
+// strata index takes its column types from the first batch.
+func (s *DistinctSampler) Decide(b *storage.Batch, pass []int32, weights []float64) ([]int32, []float64) {
+	n := b.Rows()
+	if n == 0 {
+		return pass, weights
 	}
-	if s.rnd.next() < s.P {
-		return Decision{Pass: true, Weight: 1 / s.P}
+	if s.strata == nil {
+		out := make(storage.Schema, len(s.StratIdxs))
+		for c, i := range s.StratIdxs {
+			out[c].Typ = b.Vecs[i].Typ
+		}
+		idx := storage.NewGroupIndex(s.StratIdxs, out)
+		s.strata = &idx
 	}
-	return Decision{}
+	sc := storage.BorrowScratch(n, len(s.StratIdxs))
+	defer storage.ReturnScratch(sc)
+	ids := s.strata.Resolve(b, sc)
+	s.counts = append(s.counts, make([]uint64, s.strata.Len()-len(s.counts))...)
+	for j, id := range ids {
+		s.counts[id]++
+		switch {
+		case s.counts[id] <= uint64(s.Delta):
+			pass, weights = append(pass, physical(b, j)), append(weights, 1)
+		case s.rnd.next() < s.P:
+			pass, weights = append(pass, physical(b, j)), append(weights, 1/s.P)
+		}
+	}
+	return pass, weights
 }
 
 // Sample is a materialized weighted sample of some relation (base table or
@@ -225,16 +250,18 @@ func NewSampleBuilder(name string, src storage.Schema) *SampleBuilder {
 	return &SampleBuilder{b: storage.NewBuilder(name, schema), widx: len(schema) - 1, srcCols: len(src)}
 }
 
-// Offer routes row i of the vectors through the sampler, appending it with
-// its weight when it passes. It returns the decision so callers (the exec
-// sampler operator) can forward passing rows downstream too.
-func (sb *SampleBuilder) Offer(smp Sampler, vecs []*storage.Vector, row int) Decision {
-	sb.sourceRows++
-	d := smp.Decide(vecs, row)
-	if d.Pass {
-		sb.Append(vecs, row, d.Weight)
+// Offer routes the live rows of b through the sampler, appending each
+// passing row with its weight. It returns what Decide appended to pass and
+// weights, so callers (the exec sampler operator) can forward the passing
+// rows downstream too.
+func (sb *SampleBuilder) Offer(smp Sampler, b *storage.Batch, pass []int32, weights []float64) ([]int32, []float64) {
+	sb.sourceRows += b.Rows()
+	op, ow := len(pass), len(weights)
+	pass, weights = smp.Decide(b, pass, weights)
+	for k, i := range pass[op:] {
+		sb.Append(b.Vecs, int(i), weights[ow+k])
 	}
-	return d
+	return pass, weights
 }
 
 // Append adds row i with an explicit weight (used when the pass decision was
@@ -254,8 +281,6 @@ func (sb *SampleBuilder) Build(smp Sampler, partitions int) *Sample {
 		s.Strategy, s.P = "uniform", t.P
 	case *DistinctSampler:
 		s.Strategy, s.P, s.Delta = "distinct", t.P, t.Delta
-	default:
-		s.Strategy = "custom"
 	}
 	return s
 }
@@ -304,11 +329,11 @@ func MergeSamples(name string, parts []*Sample) (*Sample, error) {
 // stratCols records the stratification set for matching purposes.
 func BuildSampleFromTable(name string, tbl *storage.Table, smp Sampler, stratCols []string) *Sample {
 	sb := NewSampleBuilder(name, tbl.Schema())
+	var pass []int32
+	var weights []float64
 	for p := 0; p < tbl.Partitions(); p++ {
 		for _, batch := range tbl.Scan(p, storage.BatchSize) {
-			for i := 0; i < batch.Len(); i++ {
-				sb.Offer(smp, batch.Vecs, i)
-			}
+			pass, weights = sb.Offer(smp, batch, pass[:0], weights[:0])
 		}
 	}
 	s := sb.Build(smp, tbl.Partitions())
@@ -334,13 +359,29 @@ func StratifiedSample(name string, tbl *storage.Table, stratCols []string, cap i
 	if cap < 1 {
 		cap = 1
 	}
-	// Pass 1: group sizes.
-	sizes := make(map[uint64]int)
+	// Pass 1: group sizes, by the strata index's ids. Pass 2 re-resolves
+	// the same rows through the same index, so each gets its group's id back.
+	out := make(storage.Schema, len(idxs))
+	for k, i := range idxs {
+		out[k] = tbl.Schema()[i]
+	}
+	strata := storage.NewGroupIndex(idxs, out)
+	resolve := func(batch *storage.Batch, each func(i int, id int32)) {
+		sc := storage.BorrowScratch(batch.Len(), len(idxs))
+		for i, id := range strata.Resolve(batch, sc) {
+			each(i, id)
+		}
+		storage.ReturnScratch(sc)
+	}
+	var sizes []int
 	for p := 0; p < tbl.Partitions(); p++ {
 		for _, batch := range tbl.Scan(p, storage.BatchSize) {
-			for i := 0; i < batch.Len(); i++ {
-				sizes[RowKey(batch.Vecs, idxs, i, seed)]++
-			}
+			resolve(batch, func(_ int, id int32) {
+				if int(id) == len(sizes) {
+					sizes = append(sizes, 0)
+				}
+				sizes[id]++
+			})
 		}
 	}
 	// Pass 2: emit.
@@ -348,18 +389,18 @@ func StratifiedSample(name string, tbl *storage.Table, stratCols []string, cap i
 	rnd := newRng(seed ^ 0xfeed)
 	for p := 0; p < tbl.Partitions(); p++ {
 		for _, batch := range tbl.Scan(p, storage.BatchSize) {
-			for i := 0; i < batch.Len(); i++ {
-				sb.sourceRows++
-				n := sizes[RowKey(batch.Vecs, idxs, i, seed)]
+			sb.sourceRows += batch.Len()
+			resolve(batch, func(i int, id int32) {
+				n := sizes[id]
 				if n <= cap {
 					sb.Append(batch.Vecs, i, 1)
-					continue
+					return
 				}
 				pr := float64(cap) / float64(n)
 				if rnd.next() < pr {
 					sb.Append(batch.Vecs, i, 1/pr)
 				}
-			}
+			})
 		}
 	}
 	s := &Sample{

@@ -160,6 +160,64 @@ func TestStratifiedSample(t *testing.T) {
 	}
 }
 
+// TestStratifiedSampleKeepsSmallGroupsWhole: every group of at most cap
+// rows is taken whole at weight 1 — exactly min(cap, n_g) rows — and every
+// larger one is thinned at weight n_g/cap. The groups are GROUP BY's over an
+// int and a float column, where +0.0, -0.0 and each NaN payload are groups
+// of their own.
+func TestStratifiedSampleKeepsSmallGroupsWhole(t *testing.T) {
+	const cap = 8
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000002), 1.5}
+	b := storage.NewBuilder("st", storage.Schema{
+		{Name: "st.k", Typ: storage.Int64},
+		{Name: "st.f", Typ: storage.Float64},
+	})
+	type key struct {
+		k int64
+		f uint64
+	}
+	size := map[key]int{}
+	rows := 0
+	for g := 0; g < 2000; g++ {
+		k, f := int64(g/len(floats)), floats[g%len(floats)]
+		n := 1 + g%13
+		for i := 0; i < n; i++ {
+			b.Int(0, k)
+			b.Float(1, f)
+		}
+		size[key{k, math.Float64bits(f)}] = n
+		rows += n
+	}
+	s, err := StratifiedSample("st", b.Build(3), []string{"st.k", "st.f"}, cap, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.SourceRows != rows {
+		t.Fatalf("SourceRows = %d, want %d", s.SourceRows, rows)
+	}
+	kept := map[key]int{}
+	for p := 0; p < s.Rows.Partitions(); p++ {
+		for _, batch := range s.Rows.Scan(p, storage.BatchSize) {
+			for i := 0; i < batch.Len(); i++ {
+				g := key{batch.Vecs[0].I64[i], math.Float64bits(batch.Vecs[1].F64[i])}
+				want := 1.0
+				if n := size[g]; n > cap {
+					want = 1 / (float64(cap) / float64(n))
+				}
+				if w := batch.Vecs[2].F64[i]; w != want {
+					t.Fatalf("group %v of %d rows: weight %v, want %v", g, size[g], w, want)
+				}
+				kept[g]++
+			}
+		}
+	}
+	for g, n := range size {
+		if n <= cap && kept[g] != n {
+			t.Fatalf("group %v of %d ≤ cap rows: kept %d", g, n, kept[g])
+		}
+	}
+}
+
 // TestSketchJoinEstimates: a probe batch's keys find their rows' exact count
 // and sum through one Probe of the payload's key index — a one-column int64
 // key by its word, a (string, int64) key through the id map — an absent key
@@ -244,43 +302,6 @@ func TestSketchJoinEstimates(t *testing.T) {
 	noCount := storage.NewBuilder("sketch-join", storage.Schema{{Name: "f.k", Typ: storage.Int64}, {Name: SumCol, Typ: storage.Float64}}).Build(1)
 	if _, err := NewSketchJoin(noCount, "f.v"); err == nil || !strings.Contains(err.Error(), CountCol) {
 		t.Fatalf("a payload without counts: err = %v", err)
-	}
-}
-
-func TestRowKeyComposite(t *testing.T) {
-	vecs := []*storage.Vector{
-		{Typ: storage.Int64, I64: []int64{1, 1, 2}},
-		{Typ: storage.String, Str: []string{"a", "b", "a"}},
-	}
-	k0 := RowKey(vecs, []int{0, 1}, 0, 9)
-	k1 := RowKey(vecs, []int{0, 1}, 1, 9)
-	k2 := RowKey(vecs, []int{0, 1}, 2, 9)
-	if k0 == k1 || k0 == k2 || k1 == k2 {
-		t.Fatal("composite keys must distinguish rows")
-	}
-	// Same logical values hash equal.
-	vecs2 := []*storage.Vector{
-		{Typ: storage.Int64, I64: []int64{1}},
-		{Typ: storage.String, Str: []string{"a"}},
-	}
-	if RowKey(vecs2, []int{0, 1}, 0, 9) != k0 {
-		t.Fatal("equal rows must produce equal keys")
-	}
-}
-
-func TestHashValueTyped(t *testing.T) {
-	ints := &storage.Vector{Typ: storage.Int64, I64: []int64{5}}
-	floats := &storage.Vector{Typ: storage.Float64, F64: []float64{5}}
-	bools := &storage.Vector{Typ: storage.Bool, B: []bool{true, false}}
-	strs := &storage.Vector{Typ: storage.String, Str: []string{"x"}}
-	if HashVectorElem(ints, 0, 1) == HashVectorElem(floats, 0, 1) {
-		t.Fatal("int and float keys must hash differently")
-	}
-	if HashVectorElem(bools, 0, 1) == HashVectorElem(bools, 1, 1) {
-		t.Fatal("bool values must hash differently")
-	}
-	if HashVectorElem(strs, 0, 1) == HashVectorElem(strs, 0, 2) {
-		t.Fatal("seed must matter")
 	}
 }
 
