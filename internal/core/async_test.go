@@ -8,23 +8,21 @@ import (
 	"testing"
 
 	"github.com/tasterdb/taster/internal/meta"
+	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/stats"
-	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // asyncTestEngine builds an engine on the default asynchronous tuning
-// pipeline (background service + snapshot publishes).
+// pipeline (background service + snapshot publishes) with a fresh metrics
+// registry, the record of what the service counted.
 func asyncTestEngine() *Engine {
 	cat := testCatalog()
-	return New(cat, Config{
-		Mode:          ModeTaster,
-		StorageBudget: cat.TotalBytes(),
-		BufferSize:    cat.TotalBytes(),
-		CostModel:     storage.ScaledCostModel(cat.TotalBytes(), 30040),
-		Seed:          7,
-	})
+	cfg := testConfig(cat, ModeTaster)
+	cfg.Synchronous = false
+	cfg.Metrics = obs.NewMetrics()
+	return New(cat, cfg)
 }
 
 // reportFingerprint canonicalizes the deterministic part of a report.
@@ -75,12 +73,13 @@ func TestAsyncConvergesToReuse(t *testing.T) {
 		t.Fatalf("reuse did not speed up: cold %.3f warm %.3f",
 			first.Report.SimSeconds, last.Report.SimSeconds)
 	}
-	st := e.TuningStats()
-	if st.Rounds == 0 || st.Observations != 8 || st.Admitted == 0 {
-		t.Fatalf("tuning stats: %+v", st)
+	s := e.MetricsSnapshot()
+	if s.TuningRounds == 0 || s.TuningBatchSize.Sum != 8 || s.WarehouseAdmissions == 0 {
+		t.Fatalf("rounds %d, observations %v, admissions %d: want rounds, 8 observations and an admission",
+			s.TuningRounds, s.TuningBatchSize.Sum, s.WarehouseAdmissions)
 	}
-	if st.Dropped != 0 {
-		t.Fatalf("unexpected shed observations: %+v", st)
+	if s.TuningShed != 0 {
+		t.Fatalf("unexpected shed observations: %d", s.TuningShed)
 	}
 }
 
@@ -143,13 +142,17 @@ func assertSnapshotLive(t *testing.T, e *Engine, after string) {
 // (evictions, windows), which is what the figure experiments rely on. Along
 // the way the inline schedule must keep the published snapshot current after
 // every mutating entry point, and count its rounds and rearrangements into
-// TuningStats exactly as its per-query reports list them.
+// the metrics registry exactly as its per-query reports list them, plus
+// what the elastic shrink evicted.
 func TestSyncModeDeterministic(t *testing.T) {
 	run := func() []string {
-		e := testEngine(ModeTaster) // Synchronous: true
+		cat := testCatalog()
+		cfg := testConfig(cat, ModeTaster) // Synchronous: true
+		cfg.Metrics = obs.NewMetrics()
+		e := New(cat, cfg)
 		mix := mixedQueries(e)
 		var out []string
-		var served, created, evicted, promoted, refreshed int64
+		var served, created, evicted, promoted, refreshed, shrunk int64
 		for round := 0; round < 3; round++ {
 			for _, mk := range mix {
 				res, err := e.Execute(mk())
@@ -165,26 +168,33 @@ func TestSyncModeDeterministic(t *testing.T) {
 				refreshed += int64(len(res.Report.Refreshed))
 			}
 			if round == 0 {
-				// Shrink mid-run so later rounds evict, then restore.
+				// Shrink mid-run so later rounds evict, then restore. The
+				// shrink's evictions are the items that left.
+				stored := func() int64 {
+					v := e.wh.View()
+					return int64(len(v.BufferItems()) + len(v.WarehouseItems()))
+				}
+				before := stored()
 				e.SetStorageBudget(e.Catalog().TotalBytes() / 64)
 				assertSnapshotLive(t, e, "SetStorageBudget")
 				e.SetStorageBudget(e.Catalog().TotalBytes())
+				shrunk = before - stored()
 			}
 		}
-		if created == 0 || promoted == 0 || evicted == 0 {
-			t.Fatalf("run exercised no admission/promotion/eviction: created %d promoted %d evicted %d",
-				created, promoted, evicted)
+		if created == 0 || promoted == 0 || evicted == 0 || shrunk == 0 {
+			t.Fatalf("run exercised no admission/promotion/eviction/shrink: created %d promoted %d evicted %d shrunk %d",
+				created, promoted, evicted, shrunk)
 		}
-		st := e.TuningStats()
-		if st.Rounds != served || st.Observations != served {
-			t.Fatalf("rounds %d observations %d, want %d (one inline round per query)", st.Rounds, st.Observations, served)
+		s := e.MetricsSnapshot()
+		if s.TuningRounds != served || s.TuningBatchSize.Sum != float64(served) {
+			t.Fatalf("rounds %d observations %v, want %d (one inline round per query)", s.TuningRounds, s.TuningBatchSize.Sum, served)
 		}
-		if st.Evicted != evicted || st.Promoted != promoted || st.Refreshed != refreshed {
-			t.Fatalf("TuningStats %+v disagrees with the reports: evicted %d promoted %d refreshed %d",
-				st, evicted, promoted, refreshed)
+		if s.WarehouseEvictions != evicted+shrunk || s.WarehousePromotions != promoted || s.WarehouseRefreshes != refreshed {
+			t.Fatalf("registry evictions %d promotions %d refreshes %d disagree with the reports: evicted %d (+%d by the shrink) promoted %d refreshed %d",
+				s.WarehouseEvictions, s.WarehousePromotions, s.WarehouseRefreshes, evicted, shrunk, promoted, refreshed)
 		}
-		if st.Admitted == 0 || st.Admitted > created {
-			t.Fatalf("admitted %d of %d created byproducts", st.Admitted, created)
+		if s.WarehouseAdmissions == 0 || s.WarehouseAdmissions > created {
+			t.Fatalf("admitted %d of %d created byproducts", s.WarehouseAdmissions, created)
 		}
 
 		if _, err := e.Ingest("sales", salesDelta(1000, 40)); err != nil {
@@ -278,12 +288,12 @@ func TestAsyncConcurrentStorm(t *testing.T) {
 
 	// Accounting: every served query either reached the tuner or was
 	// counted as shed — none may vanish.
-	st := e.TuningStats()
-	if st.Observations+st.Dropped != executed.Load() {
-		t.Fatalf("observations %d + dropped %d != executed %d", st.Observations, st.Dropped, executed.Load())
+	s := e.MetricsSnapshot()
+	if observed := int64(s.TuningBatchSize.Sum); observed+s.TuningShed != executed.Load() {
+		t.Fatalf("observations %d + shed %d != executed %d", observed, s.TuningShed, executed.Load())
 	}
-	if st.SnapshotVersion == 0 || st.Rounds == 0 {
-		t.Fatalf("tuning service never ran: %+v", st)
+	if s.SnapshotVersion == 0 || s.TuningRounds == 0 {
+		t.Fatalf("tuning service never ran: snapshot version %d, rounds %d", s.SnapshotVersion, s.TuningRounds)
 	}
 
 	// The engine must still answer accurately over the evolved data.
@@ -330,17 +340,17 @@ func TestObservationQueueShedsNotBlocks(t *testing.T) {
 		}
 	}
 	e.tuneMu.Unlock()
-	st := e.TuningStats()
-	if st.Dropped != 3 {
-		t.Fatalf("dropped = %d, want the 3 served past a full queue", st.Dropped)
+	s := e.MetricsSnapshot()
+	if s.TuningShed != 3 {
+		t.Fatalf("shed = %d, want the 3 served past a full queue", s.TuningShed)
 	}
 	e.Drain() // must not hang against a stopped service
 
 	// A shed observation leaves nothing behind: the engine's per-query tuning
 	// state is the window, and it holds exactly the folded queries.
 	_, _, window := e.tn.Checkpoint()
-	if int64(len(window)) != st.Observations || st.Observations != 2 {
-		t.Fatalf("window holds %d records, TuningStats.Observations = %d, want 2 each", len(window), st.Observations)
+	if float64(len(window)) != s.TuningBatchSize.Sum || len(window) != 2 {
+		t.Fatalf("window holds %d records, %v observations were tuned, want 2 each", len(window), s.TuningBatchSize.Sum)
 	}
 	for i, o := range window {
 		if o.QueryID != i {
@@ -384,11 +394,11 @@ func TestIngestRepublishesStaleness(t *testing.T) {
 		t.Fatalf("before the append chose %q, want exact: the stored copy is fresh", got)
 	}
 
-	v0 := e.TuningStats().SnapshotVersion
+	v0 := e.MetricsSnapshot().SnapshotVersion
 	if _, err := e.Ingest("sales", salesDelta(30000, 40)); err != nil {
 		t.Fatal(err)
 	}
-	if v := e.TuningStats().SnapshotVersion; v <= v0 {
+	if v := e.MetricsSnapshot().SnapshotVersion; v <= v0 {
 		t.Fatalf("ingest did not republish the tuning snapshot: %d <= %d", v, v0)
 	}
 	if s := e.Store().Staleness(ent.Desc.ID); s < 0.4 {
@@ -420,12 +430,28 @@ func TestDrainClearsDeepBacklog(t *testing.T) {
 	e.tuneMu.Unlock()
 
 	e.Drain()
-	st := e.TuningStats()
-	if st.Observations+st.Dropped != n {
-		t.Fatalf("after Drain: observations %d + dropped %d != executed %d",
-			st.Observations, st.Dropped, n)
+	s := e.MetricsSnapshot()
+	if observed := int64(s.TuningBatchSize.Sum); observed+s.TuningShed != n {
+		t.Fatalf("after Drain: observations %d + shed %d != executed %d", observed, s.TuningShed, n)
 	}
-	if st.Dropped != 0 { // queue default 1024 ≫ n: nothing may shed
-		t.Fatalf("unexpected shedding: %+v", st)
+	if s.TuningShed != 0 { // queue default 1024 ≫ n: nothing may shed
+		t.Fatalf("unexpected shedding: %d", s.TuningShed)
+	}
+}
+
+// TestQueueDepthGaugeFollowsDrain: the queue-depth gauge tracks the queue
+// down as well as up — once Drain has tuned the backlog the queue is empty,
+// and so is the gauge.
+func TestQueueDepthGaugeFollowsDrain(t *testing.T) {
+	e := asyncTestEngine()
+	defer e.Close()
+	for i := 0; i < 6; i++ {
+		if _, err := e.Execute(catQuery(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Drain()
+	if n, gauge := len(e.svc.obsCh), e.MetricsSnapshot().TuningQueueDepth; n != 0 || gauge != 0 {
+		t.Fatalf("after Drain the queue holds %d and the gauge reads %d, want 0 each", n, gauge)
 	}
 }

@@ -164,11 +164,13 @@ type Report struct {
 	// Refreshed lists created synopses that replaced a stale stored copy.
 	// Under asynchronous tuning admissions happen in the background, so
 	// refreshes are not attributable to the creating query and this field
-	// stays empty; TuningStats counts them under both schedules.
+	// stays empty; the registry's WarehouseRefreshes counts them under both
+	// schedules.
 	Refreshed []uint64
 	// Evicted/Promoted list the warehouse rearrangements of this query's
-	// inline tuning round (synchronous mode only; TuningStats counts them
-	// under both schedules).
+	// inline tuning round (synchronous mode only; the registry's
+	// WarehouseEvictions and WarehousePromotions count them under both
+	// schedules).
 	Evicted        []uint64
 	Promoted       []uint64
 	EstimatedCost  float64 // planner's estimate for the chosen plan
@@ -210,10 +212,6 @@ type Engine struct {
 	// default asynchronous ModeTaster configuration the Execute path never
 	// acquires it — queries read the published snapshot instead.
 	tuneMu sync.Mutex
-	// stats is the one outcome record every round and admission counts into
-	// (under tuneMu).
-	stats TuningStats
-
 	// snap is the RCU-published tuning snapshot the lock-free serving path
 	// reads; snapVersion (under tuneMu) numbers publishes.
 	snap        atomic.Pointer[tuningSnapshot]
@@ -718,7 +716,8 @@ func assemble(op exec.Operator, batches []*storage.Batch) *Result {
 // retunes, evicting the lowest-gain synopses until the warehouse fits —
 // the paper's storage elasticity (§V, §VI-D). The re-evaluated keep set is
 // published as a fresh snapshot before returning, so queries planned after
-// the call serve against the new budget.
+// the call serve against the new budget. Every synopsis it evicts counts
+// into the registry's WarehouseEvictions, as a round's evictions do.
 func (e *Engine) SetStorageBudget(bytes int64) {
 	e.tuneMu.Lock()
 	defer e.tuneMu.Unlock()
@@ -727,7 +726,8 @@ func (e *Engine) SetStorageBudget(bytes int64) {
 		return
 	}
 	dec := e.tn.Retune()
-	e.wh.ApplyMoves(dec.Evict, nil)
+	evicted, _ := e.wh.ApplyMoves(dec.Evict, nil)
+	n := int64(len(evicted))
 	// A shrink can leave overflow even after set-based eviction (e.g. all
 	// remaining synopses beneficial); drop the lowest-marginal-gain
 	// leftovers — larger size breaking ties, so each eviction frees the
@@ -750,10 +750,13 @@ func (e *Engine) SetStorageBudget(bytes int64) {
 			if e.wh.Overflow() <= 0 {
 				break
 			}
-			if !it.Pinned {
-				_ = e.wh.Delete(it.ID)
+			if !it.Pinned && e.wh.Delete(it.ID) == nil {
+				n++
 			}
 		}
+	}
+	if e.mx != nil {
+		e.mx.WarehouseEvictions.Add(n)
 	}
 	e.publishLocked(dec.Keep, dec.Gains)
 	e.noteCheckpointLocked()

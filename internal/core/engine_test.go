@@ -47,14 +47,19 @@ func testEngine(mode Mode) *Engine {
 
 // testEngineOver is testEngine over a given catalog.
 func testEngineOver(cat *storage.Catalog, mode Mode) *Engine {
-	return New(cat, Config{
+	return New(cat, testConfig(cat, mode))
+}
+
+// testConfig is testEngineOver's configuration.
+func testConfig(cat *storage.Catalog, mode Mode) Config {
+	return Config{
 		Mode:          mode,
 		StorageBudget: cat.TotalBytes(), // 100% budget
 		BufferSize:    cat.TotalBytes(),
 		CostModel:     storage.ScaledCostModel(cat.TotalBytes(), 30040),
 		Seed:          7,
 		Synchronous:   true,
-	})
+	}
 }
 
 func catQuery(e *Engine) *planner.Query {

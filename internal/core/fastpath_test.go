@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/sqlparser"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/tuner"
@@ -31,7 +32,7 @@ import (
 // pairs (one tuning round apart) reliably do. The first of each pair re-keys
 // the instance against the post-append epochs (a miss, by construction); the
 // second is the lookup that actually traverses the hit path.
-func runFastPathStream(t *testing.T, cacheSize, workers int) (diffRun, TuningStats) {
+func runFastPathStream(t *testing.T, cacheSize, workers int) (diffRun, obs.MetricsSnapshot) {
 	t.Helper()
 	w := workload.TPCH(0.004, 3)
 	ops, err := w.Stream(diffStreamCfg)
@@ -48,6 +49,7 @@ func runFastPathStream(t *testing.T, cacheSize, workers int) (diffRun, TuningSta
 		Workers:       workers,
 		MaxStaleness:  0.15,
 		PlanCacheSize: cacheSize,
+		Metrics:       obs.NewMetrics(),
 	})
 	defer e.Close()
 	// Pin plan costing as in runDifferentialStreamPinned: worker count
@@ -87,7 +89,7 @@ func runFastPathStream(t *testing.T, cacheSize, workers int) (diffRun, TuningSta
 		exec1(sql)
 		exec1(sql)
 	}
-	return run, e.TuningStats()
+	return run, e.MetricsSnapshot()
 }
 
 // TestDifferentialPlanCacheTransparent: the acceptance criterion — at worker
@@ -104,10 +106,10 @@ func TestDifferentialPlanCacheTransparent(t *testing.T) {
 		label := map[int]string{1: "workers=1", 4: "workers=4", 8: "workers=8"}[workers]
 		mustEqualRuns(t, "cached vs cold "+label, cold, hot)
 		if hotStats.PlanCacheHits == 0 {
-			t.Fatalf("%s: cached run never hit; differential coverage is vacuous (stats %+v)", label, hotStats)
+			t.Fatalf("%s: cached run never hit; differential coverage is vacuous", label)
 		}
 		if coldStats.PlanCacheHits != 0 || coldStats.PlanCacheMisses != 0 {
-			t.Fatalf("%s: disabled cache must not count lookups (stats %+v)", label, coldStats)
+			t.Fatalf("%s: disabled cache must not count lookups (hits %d, misses %d)", label, coldStats.PlanCacheHits, coldStats.PlanCacheMisses)
 		}
 		// The cached runs must also agree with each other across worker
 		// counts: hit-path execution is worker-oblivious like everything else.
@@ -151,6 +153,7 @@ func TestPlanCacheHitDeterministicAndInvalidated(t *testing.T) {
 		Seed:          7,
 		Workers:       2,
 		MaxStaleness:  0.15,
+		Metrics:       obs.NewMetrics(),
 	})
 	defer e.Close()
 
@@ -175,9 +178,8 @@ func TestPlanCacheHitDeterministicAndInvalidated(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		prev, last = last, exec1()
 	}
-	st := e.TuningStats()
-	if st.PlanCacheHits == 0 {
-		t.Fatalf("8 identical repeats never hit the plan cache (stats %+v)", st)
+	if e.MetricsSnapshot().PlanCacheHits == 0 {
+		t.Fatal("8 identical repeats never hit the plan cache")
 	}
 	// The last two repeats are both steady-state: same key, same plan set,
 	// same plan text, same seed — their answers must be bit-identical.
@@ -188,11 +190,10 @@ func TestPlanCacheHitDeterministicAndInvalidated(t *testing.T) {
 	if _, err := e.Ingest(app.Table, app.Rows); err != nil {
 		t.Fatal(err)
 	}
-	before := e.TuningStats()
+	before := e.MetricsSnapshot().PlanCacheMisses
 	exec1()
-	after := e.TuningStats()
-	if after.PlanCacheMisses != before.PlanCacheMisses+1 {
-		t.Fatalf("post-ingest lookup must miss: before %+v after %+v", before, after)
+	if after := e.MetricsSnapshot().PlanCacheMisses; after != before+1 {
+		t.Fatalf("post-ingest lookup must miss: misses %d before, %d after", before, after)
 	}
 }
 
@@ -226,6 +227,7 @@ func TestPlanCacheStorm(t *testing.T) {
 		Workers:       2,
 		MaxStaleness:  0.15,
 		PlanCacheSize: 2,
+		Metrics:       obs.NewMetrics(),
 	})
 	defer e.Close()
 
@@ -260,12 +262,12 @@ func TestPlanCacheStorm(t *testing.T) {
 	}()
 	wg.Wait()
 	e.Quiesce()
-	st := e.TuningStats()
-	if st.PlanCacheEvictions == 0 {
-		t.Fatalf("storm never evicted from the undersized cache (stats %+v)", st)
+	s := e.MetricsSnapshot()
+	if s.PlanCacheEvictions == 0 {
+		t.Fatal("storm never evicted from the undersized cache")
 	}
-	if st.PlanCacheMisses == 0 {
-		t.Fatalf("storm never missed (stats %+v)", st)
+	if s.PlanCacheMisses == 0 {
+		t.Fatal("storm never missed")
 	}
 }
 
@@ -289,6 +291,7 @@ func servedHitShare(t *testing.T, clients int) float64 {
 		Seed:          7,
 		Workers:       1,
 		Tuner:         tuner.Config{Window: 2 * len(sqls), Alpha: 0.25, MaxWindow: 2 * len(sqls)},
+		Metrics:       obs.NewMetrics(),
 	})
 	defer e.Close()
 	exec1 := func(sql string) {
@@ -308,14 +311,14 @@ func servedHitShare(t *testing.T, clients int) float64 {
 			exec1(sql)
 		}
 		e.Quiesce()
-		st := e.TuningStats()
-		moves := st.Admitted + st.Refreshed + st.Evicted + st.Promoted
-		if moves == prevMoves && st.PlanCacheMisses == prevMisses {
+		s := e.MetricsSnapshot()
+		moves := s.WarehouseAdmissions + s.WarehouseRefreshes + s.WarehouseEvictions + s.WarehousePromotions
+		if moves == prevMoves && s.PlanCacheMisses == prevMisses {
 			break
 		}
-		prevMoves, prevMisses = moves, st.PlanCacheMisses
+		prevMoves, prevMisses = moves, s.PlanCacheMisses
 	}
-	warm := e.TuningStats()
+	warm := e.MetricsSnapshot()
 
 	total := 6 * len(sqls)
 	var next atomic.Int64
@@ -331,9 +334,9 @@ func servedHitShare(t *testing.T, clients int) float64 {
 	}
 	wg.Wait()
 	e.Quiesce()
-	st := e.TuningStats()
-	hits := st.PlanCacheHits - warm.PlanCacheHits
-	return float64(hits) / float64(hits+st.PlanCacheMisses-warm.PlanCacheMisses)
+	s := e.MetricsSnapshot()
+	hits := s.PlanCacheHits - warm.PlanCacheHits
+	return float64(hits) / float64(hits+s.PlanCacheMisses-warm.PlanCacheMisses)
 }
 
 // TestPlanCacheHitShareSurvivesSecondClient: warmed to quiescence, a second

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/sqlparser"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/workload"
@@ -48,6 +49,7 @@ func tpchPair(t *testing.T, mode Mode) (w *workload.Workload, cached *Engine, ba
 			Seed:          7,
 			Workers:       2,
 			Synchronous:   true,
+			Metrics:       obs.NewMetrics(),
 		})
 	}
 	w, w2 := workload.TPCH(0.004, 3), workload.TPCH(0.004, 3)
@@ -74,12 +76,15 @@ func TestJoinCacheAnswerNeutral(t *testing.T) {
 			}
 		}
 	}
-	st := cached.TuningStats().JoinCache
-	if st.Hits == 0 || st.Admissions == 0 || st.Misses == 0 || st.Bytes == 0 {
-		t.Fatalf("the comparison was vacuous: join cache stats %+v", st)
+	s := cached.MetricsSnapshot()
+	if s.JoinCacheHits == 0 || s.JoinCacheAdmissions == 0 || s.JoinCacheMisses == 0 || s.JoinCacheBytes == 0 {
+		t.Fatalf("the comparison was vacuous: join cache hits/admissions/misses/bytes %d/%d/%d/%d",
+			s.JoinCacheHits, s.JoinCacheAdmissions, s.JoinCacheMisses, s.JoinCacheBytes)
 	}
-	if st := bare.TuningStats().JoinCache; st != (TuningStats{}).JoinCache {
-		t.Fatalf("the reference engine has no cache, yet reports %+v", st)
+	if s := bare.MetricsSnapshot(); s.JoinCacheHits != 0 || s.JoinCacheMisses != 0 || s.JoinCacheAdmissions != 0 ||
+		s.JoinCacheEvictions != 0 || s.JoinCacheBytes != 0 {
+		t.Fatalf("the reference engine has no cache, yet reports hits/misses/admissions/evictions/bytes %d/%d/%d/%d/%d",
+			s.JoinCacheHits, s.JoinCacheMisses, s.JoinCacheAdmissions, s.JoinCacheEvictions, s.JoinCacheBytes)
 	}
 }
 
@@ -97,8 +102,8 @@ func TestJoinCacheIngest(t *testing.T) {
 		if want := resultPrint(mustExecute(t, bare, bareCat, sql)); got != want {
 			t.Fatalf("%s: cached engine diverges\n%.600s\nvs\n%.600s", label, got, want)
 		}
-		if st := cached.TuningStats().JoinCache; st.Hits != wantHits || st.Misses != wantMisses {
-			t.Fatalf("%s: hits/misses = %d/%d, want %d/%d", label, st.Hits, st.Misses, wantHits, wantMisses)
+		if s := cached.MetricsSnapshot(); s.JoinCacheHits != wantHits || s.JoinCacheMisses != wantMisses {
+			t.Fatalf("%s: hits/misses = %d/%d, want %d/%d", label, s.JoinCacheHits, s.JoinCacheMisses, wantHits, wantMisses)
 		}
 	}
 	ingest := func(table string, seed int64) {
@@ -129,8 +134,8 @@ func TestJoinCacheIngest(t *testing.T) {
 	ingest("lineitem", 22)
 	step("after a probe-side append", 3, 4)
 
-	if st := cached.TuningStats().JoinCache; st.Admissions != 2 || st.Evictions != 0 {
-		t.Fatalf("admissions/evictions = %d/%d, want 2/0 (the old version ages out, it is not purged)", st.Admissions, st.Evictions)
+	if s := cached.MetricsSnapshot(); s.JoinCacheAdmissions != 2 || s.JoinCacheEvictions != 0 {
+		t.Fatalf("admissions/evictions = %d/%d, want 2/0 (the old version ages out, it is not purged)", s.JoinCacheAdmissions, s.JoinCacheEvictions)
 	}
 }
 
@@ -169,8 +174,9 @@ func TestJoinCacheRacingColdKey(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		if st := cached.TuningStats().JoinCache; st.Admissions != 1 || st.Evictions != 0 || st.Hits == 0 || st.Hits+st.Misses != 8 {
-			t.Fatalf("round %d: join cache stats %+v, want one admission, no eviction, 8 lookups with hits among them", round, st)
+		if s := cached.MetricsSnapshot(); s.JoinCacheAdmissions != 1 || s.JoinCacheEvictions != 0 || s.JoinCacheHits == 0 || s.JoinCacheHits+s.JoinCacheMisses != 8 {
+			t.Fatalf("round %d: join cache admissions/evictions/hits/misses %d/%d/%d/%d, want one admission, no eviction, 8 lookups with hits among them",
+				round, s.JoinCacheAdmissions, s.JoinCacheEvictions, s.JoinCacheHits, s.JoinCacheMisses)
 		}
 	}
 }

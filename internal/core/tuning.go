@@ -2,10 +2,8 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/tasterdb/taster/internal/exec"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/tuner"
 	"github.com/tasterdb/taster/internal/warehouse"
@@ -99,36 +97,6 @@ type observation struct {
 	built []builtSynopsis
 }
 
-// TuningStats is the engine's cumulative tuning accounting: every round
-// counts into it, whichever schedule ran it.
-type TuningStats struct {
-	// Rounds is the number of tuning rounds run: one per drained batch under
-	// the asynchronous service, one per query under Config.Synchronous
-	// (elastic/pin/ingest publishes are not rounds).
-	Rounds int64
-	// Observations is the number of served queries folded into the window.
-	Observations int64
-	// Dropped counts observations shed because the queue was full; their
-	// byproducts were discarded and their window contribution lost.
-	Dropped int64
-	// Admitted/Refreshed/Evicted/Promoted count the warehouse
-	// rearrangements rounds and byproduct admissions applied.
-	Admitted  int64
-	Refreshed int64
-	Evicted   int64
-	Promoted  int64
-	// SnapshotVersion is the version of the currently published snapshot.
-	SnapshotVersion uint64
-	// PlanCacheHits/Misses/Evictions account the serving fast path's
-	// plan-set cache (all zero when Config.PlanCacheSize disables it).
-	PlanCacheHits      int64
-	PlanCacheMisses    int64
-	PlanCacheEvictions int64
-	// JoinCache accounts the executor's built-join-table cache: hits,
-	// misses, admissions, evictions and the bytes resident now.
-	JoinCache exec.JoinCacheStats
-}
-
 // tuningService is the asynchronous schedule of the engine's tuning round:
 // a single goroutine draining the bounded observation queue into batches
 // and running Engine.roundLocked on each.
@@ -139,13 +107,12 @@ type tuningService struct {
 	done    chan struct{}
 	exited  chan struct{}
 	closed  sync.Once
-	dropped atomic.Int64
 }
 
 // observationQueue bounds the service's observation channel. When it is
 // full — the tuner is behind sustained traffic — new observations are shed
 // rather than blocking the serving path: tuning fidelity degrades while query
-// latency stays flat. Shed counts surface in TuningStats.Dropped.
+// latency stays flat. Shed counts surface in the registry's TuningShed.
 const observationQueue = 1024
 
 func newTuningService(e *Engine) *tuningService {
@@ -162,17 +129,14 @@ func newTuningService(e *Engine) *tuningService {
 
 // enqueue hands an observation to the service without ever blocking the
 // serving path: when the queue is full the observation is shed (counted in
-// TuningStats.Dropped) — under overload the engine keeps answering queries
+// TuningShed) — under overload the engine keeps answering queries
 // at full speed and tuning fidelity degrades instead of latency.
 func (s *tuningService) enqueue(o *observation) bool {
 	select {
 	case s.obsCh <- o:
-		if mx := s.eng.mx; mx != nil {
-			mx.TuningQueueDepth.Set(int64(len(s.obsCh)))
-		}
+		s.noteDepth()
 		return true
 	default:
-		s.dropped.Add(1)
 		if mx := s.eng.mx; mx != nil {
 			mx.TuningShed.Inc()
 		}
@@ -254,6 +218,7 @@ const tuneBatchDelay = 20 * time.Millisecond
 
 // gather drains the queue non-blockingly into a batch seeded with head.
 func (s *tuningService) gather(head *observation) []*observation {
+	defer s.noteDepth()
 	var batch []*observation
 	if head != nil {
 		batch = append(batch, head)
@@ -267,6 +232,13 @@ func (s *tuningService) gather(head *observation) []*observation {
 		}
 	}
 	return batch
+}
+
+// noteDepth sets the queue-depth gauge to the queue's occupancy now.
+func (s *tuningService) noteDepth() {
+	if mx := s.eng.mx; mx != nil {
+		mx.TuningQueueDepth.Set(int64(len(s.obsCh)))
+	}
 }
 
 // runBatch is the asynchronous schedule's call site of the round: a drained
@@ -302,14 +274,12 @@ func (e *Engine) roundLocked(batch []*observation, ps *planner.PlanSet) (dec tun
 
 	dec = e.tn.TuneBatch(obs, protect, ps)
 	evicted, promoted = e.wh.ApplyMoves(dec.Evict, dec.Promote)
-	e.stats.Evicted += int64(len(evicted))
-	e.stats.Promoted += int64(len(promoted))
-	e.stats.Rounds++
-	e.stats.Observations += int64(len(batch))
 	if e.mx != nil {
 		e.mx.TuningRounds.Inc()
 		e.mx.TuningBatchSize.Observe(float64(len(batch)))
 		e.mx.TuningRoundSeconds.Observe(e.clock.Since(roundStart).Seconds()) //taster:clock round timing is observability-only; the round's decisions never read it
+		e.mx.WarehouseEvictions.Add(int64(len(evicted)))
+		e.mx.WarehousePromotions.Add(int64(len(promoted)))
 	}
 	e.publishLocked(dec.Keep, dec.Gains)
 	// Durable index of this round's layout; payload files were written at
@@ -319,16 +289,18 @@ func (e *Engine) roundLocked(batch []*observation, ps *planner.PlanSet) (dec tun
 }
 
 // admitBuiltLocked admits one query's byproducts (see admitLocked), counting
-// them into the tuning stats; it returns the ids that replaced a stale
+// them into the registry; it returns the ids that replaced a stale
 // stored copy. Caller holds tuneMu.
 func (e *Engine) admitBuiltLocked(built []builtSynopsis) (refreshed []uint64) {
 	for _, b := range built {
 		stored, fresh := e.admitLocked(b.item, b.id, b.srcRows)
-		if stored {
-			e.stats.Admitted++
+		if stored && e.mx != nil {
+			e.mx.WarehouseAdmissions.Inc()
+		}
+		if fresh && e.mx != nil {
+			e.mx.WarehouseRefreshes.Inc()
 		}
 		if fresh {
-			e.stats.Refreshed++
 			refreshed = append(refreshed, b.id)
 		}
 	}
@@ -390,24 +362,4 @@ func (e *Engine) Close() error {
 		return err
 	}
 	return e.persistErr
-}
-
-// TuningStats returns the engine's cumulative tuning accounting (baseline
-// engines run no rounds; only their SnapshotVersion moves).
-func (e *Engine) TuningStats() TuningStats {
-	e.tuneMu.Lock()
-	st := e.stats
-	e.tuneMu.Unlock()
-	if e.svc != nil {
-		st.Dropped = e.svc.dropped.Load()
-	}
-	st.SnapshotVersion = e.snap.Load().version
-	if e.planCache != nil {
-		cs := e.planCache.Stats()
-		st.PlanCacheHits = cs.Hits
-		st.PlanCacheMisses = cs.Misses
-		st.PlanCacheEvictions = cs.Evictions
-	}
-	st.JoinCache = e.joinCache.Stats()
-	return st
 }

@@ -40,23 +40,13 @@ type JoinCache struct {
 	maxBytes int64
 	ll       *list.List // front = most recent
 	byKey    map[string]*list.Element
-	stats    JoinCacheStats
+	// bytes is what the resident tables hold, the quantity maxBytes bounds.
+	bytes int64
 
-	// Obs mirrors the counters into the engine-wide metrics registry.
-	// Write-only and nil-safe; the cache itself only ever reads stats.
+	// Obs counts hits, misses, admissions, evictions and resident bytes into
+	// the engine-wide metrics registry, the only record of them. Write-only
+	// and nil-safe: the cache never reads it back.
 	Obs *obs.JoinCacheObs
-}
-
-// JoinCacheStats is the cache's cumulative accounting: lookups that found a
-// resident table (Hits) or did not (Misses, first sights included), builds
-// made resident (Admissions), resident tables dropped (Evictions), and the
-// bytes resident now.
-type JoinCacheStats struct {
-	Hits       int64
-	Misses     int64
-	Admissions int64
-	Evictions  int64
-	Bytes      int64
 }
 
 // buildCharge is the cost a build side charged to RunStats: the three
@@ -121,7 +111,7 @@ func (c *JoinCache) lookup(key string, source *storage.Table) (hit *joinCacheEnt
 		found = false
 	}
 	if !found {
-		c.miss()
+		c.Obs.Miss()
 		c.byKey[key] = c.ll.PushFront(&joinCacheEntry{key: key, source: source})
 		c.trimLocked()
 		return nil, false
@@ -129,27 +119,11 @@ func (c *JoinCache) lookup(key string, source *storage.Table) (hit *joinCacheEnt
 	c.ll.MoveToFront(el)
 	e := el.Value.(*joinCacheEntry)
 	if e.table == nil {
-		c.miss()
+		c.Obs.Miss()
 		return nil, true
 	}
-	c.stats.Hits++
 	c.Obs.Hit()
 	return e, false
-}
-
-func (c *JoinCache) miss() {
-	c.stats.Misses++
-	c.Obs.Miss()
-}
-
-// Stats returns the cumulative counters (zero on a nil cache).
-func (c *JoinCache) Stats() JoinCacheStats {
-	if c == nil {
-		return JoinCacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // insert makes a built table resident under the key. When a racing build
@@ -170,16 +144,15 @@ func (c *JoinCache) insert(key string, source *storage.Table, t *joinTable, char
 		c.removeLocked(el)
 	}
 	c.byKey[key] = c.ll.PushFront(&joinCacheEntry{key: key, source: source, table: t, charge: charge, bytes: size})
-	c.stats.Bytes += size
-	c.stats.Admissions++
+	c.bytes += size
 	c.Obs.Admit()
 	c.trimLocked()
-	c.Obs.Resident(c.stats.Bytes)
+	c.Obs.Resident(c.bytes)
 }
 
 // trimLocked evicts from the LRU tail until both bounds hold.
 func (c *JoinCache) trimLocked() {
-	for c.stats.Bytes > c.maxBytes || c.ll.Len() > joinCacheMaxEntries {
+	for c.bytes > c.maxBytes || c.ll.Len() > joinCacheMaxEntries {
 		c.removeLocked(c.ll.Back())
 	}
 }
@@ -188,10 +161,9 @@ func (c *JoinCache) removeLocked(el *list.Element) {
 	e := c.ll.Remove(el).(*joinCacheEntry)
 	delete(c.byKey, e.key)
 	if e.table != nil {
-		c.stats.Bytes -= e.bytes
-		c.stats.Evictions++
+		c.bytes -= e.bytes
 		c.Obs.Evict()
-		c.Obs.Resident(c.stats.Bytes)
+		c.Obs.Resident(c.bytes)
 	}
 }
 

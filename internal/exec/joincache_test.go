@@ -80,9 +80,8 @@ func TestJoinCacheSecondSightAndReplay(t *testing.T) {
 	}
 	for name, root := range map[string]plan.Node{"aggregate": spine, "sketch-join": sketch} {
 		want, _ := cachedRun(t, root, nil, nil)
-		mx := obs.NewMetrics()
 		jc := NewJoinCache(1 << 20)
-		jc.Obs = &mx.JoinCache
+		jc.Obs = &obs.JoinCacheObs{}
 		for run, wantResident := range []int{0, 1, 1, 1} {
 			got, _ := cachedRun(t, root, jc, nil)
 			if got != want {
@@ -92,12 +91,11 @@ func TestJoinCacheSecondSightAndReplay(t *testing.T) {
 				t.Fatalf("%s run %d: %d resident tables, want %d", name, run, n, wantResident)
 			}
 		}
-		s, st := mx.Snapshot(), jc.Stats()
-		if st.Misses != 2 || st.Admissions != 1 || st.Hits != 2 || st.Evictions != 0 || st.Bytes <= 0 {
-			t.Fatalf("%s: stats %+v, want 2 misses, 1 admission, 2 hits, 0 evictions, resident bytes", name, st)
-		}
-		if mirrored := (JoinCacheStats{s.JoinCacheHits, s.JoinCacheMisses, s.JoinCacheAdmissions, s.JoinCacheEvictions, s.JoinCacheBytes}); mirrored != st {
-			t.Fatalf("%s: metrics registry %+v does not mirror the cache's own stats %+v", name, mirrored, st)
+		o := jc.Obs
+		if o.Misses.Value() != 2 || o.Admissions.Value() != 1 || o.Hits.Value() != 2 || o.Evictions.Value() != 0 ||
+			o.ResidentBytes.Value() <= 0 || o.ResidentBytes.Value() != jc.bytes {
+			t.Fatalf("%s: misses/admissions/hits/evictions = %d/%d/%d/%d, resident %d bytes (cache holds %d); want 2/1/2/0 and resident bytes",
+				name, o.Misses.Value(), o.Admissions.Value(), o.Hits.Value(), o.Evictions.Value(), o.ResidentBytes.Value(), jc.bytes)
 		}
 	}
 }
@@ -182,11 +180,10 @@ func TestJoinCacheEvictsLRU(t *testing.T) {
 		probe := NewJoinCache(1 << 20)
 		cachedRun(t, roots[v], probe, nil)
 		cachedRun(t, roots[v], probe, nil)
-		return probe.Stats().Bytes
+		return probe.bytes
 	}
-	mx := obs.NewMetrics()
 	jc := NewJoinCache(size(5) + size(8))
-	jc.Obs = &mx.JoinCache
+	jc.Obs = &obs.JoinCacheObs{}
 	run := func(v int64) {
 		t.Helper()
 		if got, _ := cachedRun(t, roots[v], jc, nil); got != want[v] {
@@ -211,20 +208,20 @@ func TestJoinCacheEvictsLRU(t *testing.T) {
 	run(5)
 	run(5) // and 5 coming back evicts 3
 	expect(5, 8)
-	if s, st := mx.Snapshot(), jc.Stats(); s.JoinCacheEvictions != 2 || st.Evictions != 2 || s.JoinCacheBytes != st.Bytes || st.Bytes > jc.maxBytes {
-		t.Fatalf("evictions = %d / %d (want 2), gauge %d vs %d resident under bound %d",
-			s.JoinCacheEvictions, st.Evictions, s.JoinCacheBytes, st.Bytes, jc.maxBytes)
+	if ev, gauge := jc.Obs.Evictions.Value(), jc.Obs.ResidentBytes.Value(); ev != 2 || gauge != jc.bytes || jc.bytes > jc.maxBytes {
+		t.Fatalf("evictions = %d (want 2), gauge %d vs %d resident under bound %d", ev, gauge, jc.bytes, jc.maxBytes)
 	}
 
 	// A table larger than the whole bound is never admitted.
 	tiny := NewJoinCache(8)
+	tiny.Obs = &obs.JoinCacheObs{}
 	for i := 0; i < 3; i++ {
 		if got, _ := cachedRun(t, roots[8], tiny, nil); got != want[8] {
 			t.Fatal("a cache too small to admit anything changed an answer")
 		}
 	}
-	if st := tiny.Stats(); st.Bytes != 0 || st.Admissions != 0 || len(tiny.residentRows()) != 0 {
-		t.Fatalf("an 8-byte cache admitted %d bytes", st.Bytes)
+	if tiny.bytes != 0 || tiny.Obs.Admissions.Value() != 0 || len(tiny.residentRows()) != 0 {
+		t.Fatalf("an 8-byte cache admitted %d bytes", tiny.bytes)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"github.com/tasterdb/taster/internal/exec"
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/meta"
+	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/persist"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/planner"
@@ -332,13 +333,14 @@ func TestJoinKeysMatchOracle(t *testing.T) {
 				check(fmt.Sprintf("workers=%d", workers), workerCtx(workers, 512))
 			}
 			jc := exec.NewJoinCache(1 << 30)
+			jc.Obs = &obs.JoinCacheObs{}
 			for run := 0; run < 3; run++ {
 				ctx := workerCtx(4, 512)
 				ctx.Joins = jc
 				check(fmt.Sprintf("join cache run %d", run), ctx)
 			}
-			if st := jc.Stats(); st.Admissions != 1 || st.Hits != 1 {
-				t.Fatalf("join cache %+v, want one admission and one hit", st)
+			if a, h := jc.Obs.Admissions.Value(), jc.Obs.Hits.Value(); a != 1 || h != 1 {
+				t.Fatalf("join cache admissions/hits = %d/%d, want one admission and one hit", a, h)
 			}
 		})
 	}

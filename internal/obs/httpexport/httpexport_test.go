@@ -22,6 +22,10 @@ func fixtureSnapshot() obs.MetricsSnapshot {
 	m.PlanCache.Hit()
 	m.PlanCache.Miss()
 	m.Exec.Pruned(7)
+	m.WarehouseAdmissions.Add(4)
+	m.WarehouseRefreshes.Inc()
+	m.WarehouseEvictions.Add(2)
+	m.WarehousePromotions.Add(3)
 	s := m.Snapshot()
 	s.PlanCacheEntries = 1
 	s.SnapshotVersion = 5
@@ -45,6 +49,10 @@ func TestWritePromGolden(t *testing.T) {
 		"taster_plan_cache_hits_total 2\n",
 		"taster_plan_cache_misses_total 1\n",
 		"taster_exec_pruned_partitions_total 7\n",
+		"# HELP taster_warehouse_evictions_total Synopses evicted by tuning rounds and storage-budget shrinks.\n# TYPE taster_warehouse_evictions_total counter\ntaster_warehouse_evictions_total 2\n",
+		"taster_warehouse_admissions_total 4\n",
+		"taster_warehouse_refreshes_total 1\n",
+		"taster_warehouse_promotions_total 3\n",
 		// Histogram: cumulative le-buckets. 0.0002 ≤ 0.00025; both 0.003
 		// observations land in le=0.005; buckets are cumulative from there.
 		"# TYPE taster_query_latency_seconds histogram\n",

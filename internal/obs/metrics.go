@@ -29,9 +29,15 @@ type Metrics struct {
 	// Tuning service.
 	TuningRounds       Counter   // batched rounds run (inline rounds included)
 	TuningShed         Counter   // observations dropped at a full queue
-	TuningQueueDepth   Gauge     // queue occupancy after the last enqueue
+	TuningQueueDepth   Gauge     // queue occupancy after the last enqueue or gathered batch
 	TuningBatchSize    Histogram // observations folded per round
 	TuningRoundSeconds Histogram // wall time per round (Wall clock only)
+
+	// Warehouse rearrangements, whichever schedule or entry point made them.
+	WarehouseAdmissions Counter // byproducts stored in a tier, refreshes included
+	WarehouseRefreshes  Counter // byproducts that replaced a stale stored copy
+	WarehouseEvictions  Counter // synopses evicted by tuning rounds and budget shrinks
+	WarehousePromotions Counter // synopses promoted from the buffer to the warehouse
 
 	// Snapshot publishes.
 	SnapshotPublishes    Counter // tuning snapshots swapped in
@@ -249,6 +255,10 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		TuningQueueDepth:     m.TuningQueueDepth.Value(),
 		TuningBatchSize:      m.TuningBatchSize.Snapshot(),
 		TuningRoundSeconds:   m.TuningRoundSeconds.Snapshot(),
+		WarehouseAdmissions:  m.WarehouseAdmissions.Value(),
+		WarehouseRefreshes:   m.WarehouseRefreshes.Value(),
+		WarehouseEvictions:   m.WarehouseEvictions.Value(),
+		WarehousePromotions:  m.WarehousePromotions.Value(),
 		SnapshotPublishes:    m.SnapshotPublishes.Value(),
 		SnapshotIdentCarries: m.SnapshotIdentCarries.Value(),
 		WarehouseSpills:      m.Disk.Spills.Value(),
@@ -291,6 +301,11 @@ type MetricsSnapshot struct {
 	TuningQueueDepth   int64
 	TuningBatchSize    HistogramSnapshot
 	TuningRoundSeconds HistogramSnapshot
+
+	WarehouseAdmissions int64
+	WarehouseRefreshes  int64
+	WarehouseEvictions  int64
+	WarehousePromotions int64
 
 	SnapshotPublishes    int64
 	SnapshotIdentCarries int64
@@ -365,9 +380,13 @@ func (s MetricsSnapshot) Families() []Family {
 		g("taster_join_cache_bytes", "Bytes of built join tables resident in the cache.", s.JoinCacheBytes),
 		c("taster_tuning_rounds_total", "Tuning rounds run (batched and inline).", s.TuningRounds),
 		c("taster_tuning_observations_shed_total", "Observations dropped at a full tuning queue.", s.TuningShed),
-		g("taster_tuning_queue_depth", "Observation-queue occupancy after the last enqueue.", s.TuningQueueDepth),
+		g("taster_tuning_queue_depth", "Observation-queue occupancy after the last enqueue or gathered batch.", s.TuningQueueDepth),
 		h("taster_tuning_batch_size", "Observations folded per tuning round.", s.TuningBatchSize),
 		h("taster_tuning_round_seconds", "Wall time per tuning round (zero under a frozen clock).", s.TuningRoundSeconds),
+		c("taster_warehouse_admissions_total", "Built synopses stored in the buffer or warehouse.", s.WarehouseAdmissions),
+		c("taster_warehouse_refreshes_total", "Built synopses that replaced a stale stored copy.", s.WarehouseRefreshes),
+		c("taster_warehouse_evictions_total", "Synopses evicted by tuning rounds and storage-budget shrinks.", s.WarehouseEvictions),
+		c("taster_warehouse_promotions_total", "Synopses promoted from the buffer to the warehouse.", s.WarehousePromotions),
 		c("taster_snapshot_publishes_total", "Tuning snapshots published.", s.SnapshotPublishes),
 		c("taster_snapshot_ident_carries_total", "Publishes that carried the planning identity forward.", s.SnapshotIdentCarries),
 		g("taster_snapshot_version", "Version of the currently published tuning snapshot.", s.SnapshotVersion),

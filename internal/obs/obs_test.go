@@ -168,8 +168,8 @@ func TestClocks(t *testing.T) {
 // in the httpexport golden test.
 func TestFamiliesStable(t *testing.T) {
 	fams := MetricsSnapshot{}.Families()
-	if len(fams) != 34 {
-		t.Fatalf("Families() returned %d series, want 34", len(fams))
+	if len(fams) != 38 {
+		t.Fatalf("Families() returned %d series, want 38", len(fams))
 	}
 	seen := make(map[string]bool, len(fams))
 	for _, f := range fams {
@@ -182,6 +182,16 @@ func TestFamiliesStable(t *testing.T) {
 		seen[f.Name] = true
 		if len(f.Name) < 8 || f.Name[:7] != "taster_" {
 			t.Errorf("family %s not in the taster_ namespace", f.Name)
+		}
+	}
+	for _, name := range []string{
+		"taster_warehouse_admissions_total",
+		"taster_warehouse_refreshes_total",
+		"taster_warehouse_evictions_total",
+		"taster_warehouse_promotions_total",
+	} {
+		if !seen[name] {
+			t.Errorf("family %s missing", name)
 		}
 	}
 }

@@ -71,13 +71,6 @@ func CacheKey(q *Query, snapIdent uint64) string {
 	return sb.String()
 }
 
-// PlanCacheStats is the cache's cumulative hit accounting.
-type PlanCacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-}
-
 // PlanCache is a bounded LRU from CacheKey to *PlanSet: the serving fast
 // path's memo of candidate enumeration. Entries are immutable once stored —
 // a hit re-runs only plan *choice* (gains change per snapshot) and
@@ -92,11 +85,10 @@ type PlanCache struct {
 	max   int
 	ll    *list.List // front = most recent
 	byKey map[string]*list.Element
-	stats PlanCacheStats
 
-	// Obs mirrors the hit/miss/eviction counters into the engine-wide metrics
-	// registry. Write-only and nil-safe; the authoritative numbers for tuning
-	// decisions stay in stats.
+	// Obs counts hits, misses and evictions into the engine-wide metrics
+	// registry, the only record of them. Write-only and nil-safe: the cache
+	// never reads it back.
 	Obs *obs.PlanCacheObs
 }
 
@@ -121,11 +113,9 @@ func (c *PlanCache) Get(key string) (*PlanSet, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.stats.Misses++
 		c.Obs.Miss()
 		return nil, false
 	}
-	c.stats.Hits++
 	c.Obs.Hit()
 	c.ll.MoveToFront(el)
 	return el.Value.(*planCacheEntry).ps, true
@@ -150,7 +140,6 @@ func (c *PlanCache) Put(key string, ps *PlanSet) {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
 		delete(c.byKey, tail.Value.(*planCacheEntry).key)
-		c.stats.Evictions++
 		c.Obs.Evict()
 	}
 }
@@ -163,14 +152,4 @@ func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns cumulative hit/miss/eviction counters.
-func (c *PlanCache) Stats() PlanCacheStats {
-	if c == nil {
-		return PlanCacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }

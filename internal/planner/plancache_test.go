@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
+	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
@@ -83,6 +84,7 @@ func TestCacheKeyInvalidation(t *testing.T) {
 // the counters account every lookup.
 func TestPlanCacheLRU(t *testing.T) {
 	c := NewPlanCache(2)
+	c.Obs = &obs.PlanCacheObs{}
 	a, b, d := &PlanSet{}, &PlanSet{}, &PlanSet{}
 	c.Put("a", a)
 	c.Put("b", b)
@@ -99,9 +101,8 @@ func TestPlanCacheLRU(t *testing.T) {
 	if got, ok := c.Get("d"); !ok || got != d {
 		t.Fatal("d must be cached")
 	}
-	st := c.Stats()
-	if st.Hits != 3 || st.Misses != 1 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 3 hits / 1 miss / 1 eviction", st)
+	if h, m, ev := c.Obs.Hits.Value(), c.Obs.Misses.Value(), c.Obs.Evictions.Value(); h != 3 || m != 1 || ev != 1 {
+		t.Fatalf("hits/misses/evictions = %d/%d/%d, want 3/1/1", h, m, ev)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
@@ -120,7 +121,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	if _, ok := nilC.Get("a"); ok {
 		t.Fatal("nil cache must miss")
 	}
-	if nilC.Len() != 0 || nilC.Stats() != (PlanCacheStats{}) {
+	if nilC.Len() != 0 {
 		t.Fatal("nil cache must report zero state")
 	}
 }
@@ -128,13 +129,14 @@ func TestPlanCacheDisabled(t *testing.T) {
 // TestPlanCacheManyTenants: a flood of distinct keys stays bounded.
 func TestPlanCacheManyTenants(t *testing.T) {
 	c := NewPlanCache(64)
+	c.Obs = &obs.PlanCacheObs{}
 	for i := 0; i < 10_000; i++ {
 		c.Put(fmt.Sprintf("tenant-%d", i), &PlanSet{})
 	}
 	if c.Len() != 64 {
 		t.Fatalf("len = %d, want 64", c.Len())
 	}
-	if ev := c.Stats().Evictions; ev != 10_000-64 {
+	if ev := c.Obs.Evictions.Value(); ev != 10_000-64 {
 		t.Fatalf("evictions = %d, want %d", ev, 10_000-64)
 	}
 }
