@@ -223,8 +223,10 @@ fuzz-smoke:
 # the export surface up (stdin is a FIFO, so the session stays open until the
 # scrape is done), then asserts the Prometheus text is shaped right (TYPE per
 # family), the tuning series is there, /debug/vars carries the same registry
-# and the query counter reads exactly the traffic sent. CI runs this to keep
-# the export surface wired end to end.
+# the query counter reads exactly the traffic sent and the latency sum is
+# positive (the shell's engine runs on the wall clock). The tuning round's
+# sum is not checked: the round can land after the scrape. CI runs this to
+# keep the export surface wired end to end.
 smoke-metrics:
 	@set -e; d=$$(mktemp -d); pid=; \
 	trap '[ -z "$$pid" ] || kill $$pid 2>/dev/null || true; rm -rf "$$d"' EXIT; \
@@ -241,6 +243,7 @@ smoke-metrics:
 	echo "$$out" | grep -q '^taster_queries_total 1$$' || { echo "smoke-metrics: taster_queries_total never read 1"; cat "$$d/out.txt"; exit 1; }; \
 	echo "$$out" | grep -q '^# TYPE taster_queries_total counter' || { echo "smoke-metrics: missing taster_queries_total TYPE"; exit 1; }; \
 	echo "$$out" | grep -q '^# TYPE taster_query_latency_seconds histogram' || { echo "smoke-metrics: missing latency histogram"; exit 1; }; \
+	echo "$$out" | awk '/^taster_query_latency_seconds_sum / && $$2 > 0 { ok = 1 } END { exit !ok }' || { echo "smoke-metrics: taster_query_latency_seconds_sum is not positive"; exit 1; }; \
 	echo "$$out" | grep -q '^taster_snapshot_publishes_total ' || { echo "smoke-metrics: missing tuning series"; exit 1; }; \
 	curl -sf http://127.0.0.1:9819/debug/vars | grep -q '"taster_queries_total"' || { echo "smoke-metrics: /debug/vars missing series"; exit 1; }; \
 	echo .quit >&3; exec 3>&-; wait $$pid; pid=; \

@@ -304,13 +304,13 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		if cfg.Metrics != nil {
-			// Before the spiller wraps it, so recovery fault-ins count too.
+			// Before recovery reads through it, so its fault-ins count too.
 			db.Obs = &cfg.Metrics.Disk
 		}
-		sp = diskSpiller{db}
+		sp = db
 	}
 	store := meta.NewStore(cat)
-	wh := warehouse.NewManagerWithSpiller(cfg.BufferSize, cfg.StorageBudget, sp)
+	wh := warehouse.NewManager(cfg.BufferSize, cfg.StorageBudget, sp)
 	pl := planner.New(store, wh, cfg.CostModel)
 	pl.Seed = cfg.Seed
 	pl.MaxStaleness = cfg.MaxStaleness
@@ -521,7 +521,7 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 			continue
 		}
 		built = append(built, builtSynopsis{
-			item: warehouse.NewSampleItem(id, bs.Sample), id: id, srcRows: scannedRows(bs.Op),
+			item: warehouse.NewItem(id, bs.Sample), id: id, srcRows: scannedRows(bs.Op),
 		})
 		rep.CreatedSynopses = append(rep.CreatedSynopses, id)
 	}
@@ -531,7 +531,7 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 			continue
 		}
 		built = append(built, builtSynopsis{
-			item: warehouse.NewSketchItem(id, bk.Sketch), id: id, srcRows: scannedRows(bk.Op.Build),
+			item: warehouse.NewItem(id, bk.Sketch), id: id, srcRows: scannedRows(bk.Op.Build),
 		})
 		rep.CreatedSynopses = append(rep.CreatedSynopses, id)
 	}
@@ -802,7 +802,7 @@ func (e *Engine) PinSample(table string, s *synopses.Sample, aggCols []string, a
 	// An id that is already stored — a hint rebuilt after ingestion — is
 	// refreshed in place; a new one goes straight to the warehouse. The pin
 	// is the stored item's: a hint that fits nowhere leaves nothing pinned.
-	it := warehouse.NewSampleItem(id, s)
+	it := warehouse.NewItem(id, s)
 	it.Pinned = true
 	if e.wh.Has(id) {
 		if _, err := e.wh.Refresh(it); err != nil {

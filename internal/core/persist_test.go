@@ -271,7 +271,7 @@ func TestCrashRecoveryTruncatedSpill(t *testing.T) {
 	// Consistency: every stored item names an entry and is loadable.
 	for _, ent := range storedEntries(t, e2) {
 		it, _, _ := e2.Warehouse().Get(ent.Desc.ID)
-		if err := it.EagerLoad(); err != nil {
+		if _, err := it.Synopsis(); err != nil {
 			t.Fatalf("recovered item #%d unloadable: %v", ent.Desc.ID, err)
 		}
 	}
@@ -400,7 +400,7 @@ func TestRecoveryDropsJoinResultSample(t *testing.T) {
 		BuildRows: int64(sales.NumRows() + products.NumRows()),
 	})
 	m.Items = append(m.Items, persist.ItemRecord{
-		ID: id, Tier: persist.TierWarehouse, Kind: persist.KindSample,
+		ID: id, Tier: persist.TierWarehouse,
 		Size: int64(len(payload)), Rows: int64(smp.Rows.NumRows()),
 	})
 	for i := range m.History {
@@ -437,11 +437,12 @@ func TestRecoveryDropsJoinResultSample(t *testing.T) {
 // and output columns (sig_filters, sig_output) and its freshness twice, as a
 // summed epoch and per-table rows (build_epoch, built_by); one from before
 // the catalog was the only record of a table's size also carries observed
-// table versions (tables). Decoding ignores them all, so a filtered
-// sketch-join and a sample restore under their ids as fresh as the catalog
-// says — whatever the tables map claims — re-planning their queries interns
-// onto those ids, and an append makes them exactly as stale as the
-// per-table record and the catalog say: unseen / (built + unseen).
+// table versions (tables); and one from before a stored synopsis was its
+// payload names each item row's kind (kind). Decoding ignores them all, so
+// a filtered sketch-join and a sample restore under their ids as fresh as
+// the catalog says — whatever the tables map claims — re-planning their
+// queries interns onto those ids, and an append makes them exactly as stale
+// as the per-table record and the catalog say: unseen / (built + unseen).
 func TestOldManifestRestores(t *testing.T) {
 	dir := t.TempDir()
 	cat := testCatalog()
@@ -509,6 +510,19 @@ func TestOldManifestRestores(t *testing.T) {
 			rec["built_by"] = map[string]int64{"sales": int64(rows)}
 		}
 	}
+	// Item rows named their kind beside the entry's.
+	itemKind := make(map[float64]string)
+	for _, x := range entries {
+		rec := x.(map[string]any)
+		itemKind[rec["id"].(float64)] = "sample"
+		if rec["kind"] == float64(plan.SketchJoinSynopsis) {
+			itemKind[rec["id"].(float64)] = "sketch"
+		}
+	}
+	for _, x := range m["items"].([]any) {
+		ir := x.(map[string]any)
+		ir["kind"] = itemKind[ir["id"].(float64)]
+	}
 	// A table version the catalog never had: honoured, it would report
 	// both synopses stale from the first query on.
 	m["tables"] = map[string]any{"sales": map[string]any{"epoch": sales.Epoch() + 7, "rows": 2 * sales.NumRows()}}
@@ -516,7 +530,7 @@ func TestOldManifestRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"sig_filters"`, `"sig_output"`, `"build_epoch"`, `"built_by"`, `"tables"`} {
+	for _, field := range []string{`"sig_filters"`, `"sig_output"`, `"build_epoch"`, `"built_by"`, `"tables"`, `"kind":"sample"`, `"kind":"sketch"`} {
 		if !strings.Contains(string(old), field) {
 			t.Fatalf("test setup: the rewritten manifest carries no %s", field)
 		}
@@ -883,6 +897,79 @@ func TestRecoveryDropsRetiredSketchPayload(t *testing.T) {
 			}
 			if !strings.HasPrefix(res.Report.PlanDesc, "build ") {
 				t.Fatalf("query after recovery must rebuild, got plan %q using %v", res.Report.PlanDesc, res.Report.UsedSynopses)
+			}
+		})
+	}
+}
+
+// TestRecoveryDropsPayloadOfAnotherKind: an item's payload must be a record
+// of its entry's kind, whether the checkpoint had it loaded or lazy. A valid
+// sketch-join record in a pinned sample's item file, with the item row's size
+// made to match, drops like a torn spill: Recovered leaves it out, its file
+// goes and its entry stays a candidate.
+func TestRecoveryDropsPayloadOfAnotherKind(t *testing.T) {
+	for _, loaded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("loaded=%t", loaded), func(t *testing.T) {
+			dir := t.TempDir()
+			cat := testCatalog()
+			e1, err := persistEngine(cat, dir, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := pinSalesHint(t, e1, synopses.NewUniformSampler(0.05, 3))
+			if err := e1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			rows := storage.NewBuilder("sketch-join", storage.Schema{
+				{Name: "sales.product", Typ: storage.Int64},
+				{Name: synopses.CountCol, Typ: storage.Float64},
+				{Name: synopses.SumCol, Typ: storage.Float64},
+			})
+			rows.Int(0, 1)
+			rows.Float(1, 2)
+			rows.Float(2, 6)
+			sk, err := synopses.NewSketchJoin(rows.Build(1), "sales.qty")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := persist.Encode(sk)
+			db, err := persist.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, ok, err := db.LoadManifest()
+			if err != nil || !ok {
+				t.Fatalf("manifest: ok=%v err=%v", ok, err)
+			}
+			j := slices.IndexFunc(m.Items, func(r persist.ItemRecord) bool { return r.ID == id })
+			if j < 0 {
+				t.Fatalf("test setup: no item row for the pinned sample #%d", id)
+			}
+			m.Items[j].Size, m.Items[j].Loaded = int64(len(rec)), loaded
+			if err := db.WriteItem(id, rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.WriteManifest(m); err != nil {
+				t.Fatal(err)
+			}
+
+			e2, err := persistEngine(cat, dir, true)
+			if err != nil {
+				t.Fatalf("open over a sample entry holding a sketch-join payload: %v", err)
+			}
+			defer e2.Close()
+			if got, want := e2.Recovered(), len(m.Items)-1; got != want {
+				t.Fatalf("Recovered() = %d, want %d", got, want)
+			}
+			if _, ok := e2.Store().Get(id); !ok {
+				t.Fatalf("entry #%d was not restored", id)
+			}
+			if e2.Warehouse().Has(id) {
+				t.Fatalf("item #%d of another kind was restored", id)
+			}
+			if _, err := os.Stat(db.ItemPath(id)); !os.IsNotExist(err) {
+				t.Fatalf("the mismatched payload file survived recovery (%v)", err)
 			}
 		})
 	}

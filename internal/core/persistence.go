@@ -10,43 +10,6 @@ import (
 	"github.com/tasterdb/taster/internal/warehouse"
 )
 
-// diskSpiller adapts the persist store to the warehouse's Spiller
-// interface: payloads cross as versioned binary records (persist.Encode).
-type diskSpiller struct{ db *persist.Store }
-
-// Spill implements warehouse.Spiller.
-func (d diskSpiller) Spill(id uint64, p *warehouse.Payload) error {
-	switch {
-	case p.Sample != nil:
-		return d.db.WriteItem(id, persist.Encode(p.Sample))
-	case p.Sketch != nil:
-		return d.db.WriteItem(id, persist.Encode(p.Sketch))
-	}
-	return fmt.Errorf("core: spilling synopsis #%d: empty payload", id)
-}
-
-// Load implements warehouse.Spiller.
-func (d diskSpiller) Load(id uint64) (*warehouse.Payload, error) {
-	b, err := d.db.ReadItem(id)
-	if err != nil {
-		return nil, err
-	}
-	s, err := persist.Decode(b)
-	if err != nil {
-		return nil, err
-	}
-	switch x := s.(type) {
-	case *synopses.Sample:
-		return &warehouse.Payload{Sample: x}, nil
-	case *synopses.SketchJoin:
-		return &warehouse.Payload{Sketch: x}, nil
-	}
-	return nil, fmt.Errorf("core: item %d holds a %T, not a warehouse synopsis", id, s)
-}
-
-// Remove implements warehouse.Spiller.
-func (d diskSpiller) Remove(id uint64) error { return d.db.RemoveItem(id) }
-
 // recoverLocked replays the warehouse directory's manifest into an empty
 // engine: metadata entries (descriptors, freshness), the tuner's sliding
 // window with its reuse costs, the query-id high-water mark, and both
@@ -119,18 +82,14 @@ func (e *Engine) recoverLocked() (int, error) {
 	e.tn.Restore(m.Window, m.SinceAdapt, windowObservations(m.History))
 	e.queryCount.Store(m.QueryCount)
 
-	sp := diskSpiller{e.db}
 	restored := 0
 	inManifest := make(map[uint64]bool, len(m.Items))
 	for _, ir := range m.Items {
 		inManifest[ir.ID] = true
-		if _, ok := e.store.Get(ir.ID); !ok {
+		ent, ok := e.store.Get(ir.ID)
+		if !ok {
 			_ = e.db.RemoveItem(ir.ID)
 			continue
-		}
-		kind := warehouse.SampleItem
-		if ir.Kind == persist.KindSketch {
-			kind = warehouse.SketchItem
 		}
 		// Validate the payload file up front (header, id, length, CRC): a
 		// spill torn by a crash must not occupy quota as an unloadable
@@ -141,11 +100,12 @@ func (e *Engine) recoverLocked() (int, error) {
 		// item drops to re-taste rather than serving bytes its recorded
 		// metadata (size, rows, freshness) does not describe.
 		//
-		// A payload of a kind Decode no longer reads — a retired codec kind,
-		// such as the count-min sketch-join's — drops the same way, loaded or
-		// not: restored lazily it would hold quota and fail every fault-in.
+		// The envelope's kind must be the entry's, loaded or not: a payload
+		// of another kind — a retired codec kind such as the count-min
+		// sketch-join's, or a record of the other live kind — drops the same
+		// way. Restored lazily it would hold quota and fail every fault-in.
 		payload, err := e.db.ReadItem(ir.ID)
-		if err != nil || int64(len(payload)) != ir.Size || !persist.Known(payload) {
+		if err != nil || int64(len(payload)) != ir.Size || !payloadOf(payload, ent.Desc.Kind) {
 			_ = e.db.RemoveItem(ir.ID)
 			continue
 		}
@@ -154,26 +114,15 @@ func (e *Engine) recoverLocked() (int, error) {
 		// a pinned one, which no later path could evict. Checkpoint-cached
 		// items decode straight from the just-validated bytes (one disk
 		// read, not a re-load through the spiller).
-		var it *warehouse.Item
+		it := warehouse.RestoredItem(ir.ID, ir.Size, ir.Rows, ir.Pinned, e.db)
 		if ir.Loaded {
 			s, err := persist.Decode(payload)
 			if err != nil {
 				_ = e.db.RemoveItem(ir.ID)
 				continue
 			}
-			switch x := s.(type) {
-			case *synopses.Sample:
-				it = warehouse.NewSampleItem(ir.ID, x)
-			case *synopses.SketchJoin:
-				it = warehouse.NewSketchItem(ir.ID, x)
-			}
-			if it == nil || it.Kind() != kind {
-				_ = e.db.RemoveItem(ir.ID) // manifest kind and payload disagree
-				continue
-			}
+			it = warehouse.NewItem(ir.ID, s)
 			it.Pinned = ir.Pinned
-		} else {
-			it = warehouse.RestoredItem(ir.ID, kind, ir.Size, ir.Rows, ir.Pinned, sp)
 		}
 		if err := e.wh.RestoreItem(it, ir.Tier == persist.TierBuffer); err != nil {
 			// The restart may run under a smaller quota than the checkpoint;
@@ -224,14 +173,13 @@ func (e *Engine) checkpointLocked(withBufferPayloads bool) error {
 		m.Entries = append(m.Entries, rec)
 	}
 	view := e.wh.View()
-	sp := diskSpiller{e.db}
 	for _, it := range view.BufferItems() {
 		if withBufferPayloads {
-			p, err := itemPayload(it)
+			s, err := it.Synopsis()
 			if err != nil {
 				return err
 			}
-			if err := sp.Spill(it.ID, p); err != nil {
+			if err := e.db.Spill(it.ID, s); err != nil {
 				return err
 			}
 		}
@@ -255,14 +203,9 @@ func (e *Engine) noteCheckpointLocked() {
 
 // itemRecord converts a warehouse item to its manifest row.
 func itemRecord(it *warehouse.Item, tier string) persist.ItemRecord {
-	kind := persist.KindSample
-	if it.Kind() == warehouse.SketchItem {
-		kind = persist.KindSketch
-	}
 	return persist.ItemRecord{
 		ID:     it.ID,
 		Tier:   tier,
-		Kind:   kind,
 		Size:   it.Size,
 		Rows:   it.Rows,
 		Pinned: it.Pinned,
@@ -270,21 +213,15 @@ func itemRecord(it *warehouse.Item, tier string) persist.ItemRecord {
 	}
 }
 
-// itemPayload extracts an item's in-memory payload (buffer items are
-// always loaded).
-func itemPayload(it *warehouse.Item) (*warehouse.Payload, error) {
-	if it.Kind() == warehouse.SketchItem {
-		sk, err := it.Sketch()
-		if err != nil {
-			return nil, err
-		}
-		return &warehouse.Payload{Sketch: sk}, nil
+// payloadOf reports whether b's envelope is the record kind a synopsis of
+// kind k encodes to.
+func payloadOf(b []byte, k plan.SynopsisKind) bool {
+	want := synopses.KindSample
+	if k == plan.SketchJoinSynopsis {
+		want = synopses.KindSketchJoin
 	}
-	s, err := it.Sample()
-	if err != nil {
-		return nil, err
-	}
-	return &warehouse.Payload{Sample: s}, nil
+	kind, err := synopses.EnvelopeKind(b)
+	return err == nil && kind == want
 }
 
 // windowRecords converts tuner observations to manifest rows, field for

@@ -157,7 +157,7 @@ func boundRows(src plan.Node) int64 {
 // stores each build's byproduct and records the reuse candidates of a re-plan.
 func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
 	store := meta.NewStore(nil)
-	wh := warehouse.NewManager(1<<30, 1<<30)
+	wh := warehouse.NewManager(1<<30, 1<<30, nil)
 	pl := planner.New(store, wh, storage.DefaultCostModel())
 	planSet := func(sql string) *planner.PlanSet {
 		q, err := sqlparser.Parse(sql, w.Catalog)
@@ -195,13 +195,13 @@ func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
 				case cs.SampleNode != nil:
 					for _, bs := range st.BuiltSamples {
 						if bs.Op == cs.SampleNode {
-							it, src = warehouse.NewSampleItem(cs.Entry.Desc.ID, bs.Sample), cs.SampleNode
+							it, src = warehouse.NewItem(cs.Entry.Desc.ID, bs.Sample), cs.SampleNode
 						}
 					}
 				case cs.SketchNode != nil:
 					for _, bk := range st.BuiltSketches {
 						if bk.Op == cs.SketchNode {
-							it, src = warehouse.NewSketchItem(cs.Entry.Desc.ID, bk.Sketch), cs.SketchNode.Build
+							it, src = warehouse.NewItem(cs.Entry.Desc.ID, bk.Sketch), cs.SketchNode.Build
 						}
 					}
 				}

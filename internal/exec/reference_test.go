@@ -584,7 +584,7 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v\nSQL: %s", err, sql)
 				}
-				pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
+				pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20, nil), storage.DefaultCostModel())
 				ps, err := pl.PlanWith(q, pl.WH.View())
 				if err != nil {
 					t.Fatalf("%v\nSQL: %s", err, sql)
@@ -671,7 +671,7 @@ func TestSketchJoinsMeetTheCatalogs(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v\nSQL: %s", err, sql)
 					}
-					pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20), storage.DefaultCostModel())
+					pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20, nil), storage.DefaultCostModel())
 					ps, err := pl.PlanWith(q, pl.WH.View())
 					if err != nil {
 						t.Fatalf("%v\nSQL: %s", err, sql)

@@ -101,8 +101,8 @@ func fixtureSketchJoin() *synopses.SketchJoin {
 }
 
 // fixtures returns one instance of each stored synopsis kind.
-func fixtures() map[string]Synopsis {
-	return map[string]Synopsis{
+func fixtures() map[string]synopses.Stored {
+	return map[string]synopses.Stored{
 		"sample":     fixtureSample(),
 		"sketchjoin": fixtureSketchJoin(),
 	}
@@ -202,20 +202,25 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 // TestDecodeRejectsRetiredKinds: a well-formed record carrying a retired kind
 // byte is an error, never a panic and never a misread as a live kind — and
-// Known, which recovery asks, says so without decoding.
+// its envelope kind, which recovery holds against the entry's, is neither
+// live kind, while every live record's is its own type's.
 func TestDecodeRejectsRetiredKinds(t *testing.T) {
 	for _, kind := range retiredKinds {
 		s, err := Decode(retiredRecord(kind))
 		if err == nil || !strings.Contains(err.Error(), "unknown synopsis kind") {
 			t.Errorf("kind %d: decoded to %T, err %v; want the unknown-kind error", kind, s, err)
 		}
-		if Known(retiredRecord(kind)) {
-			t.Errorf("kind %d: Known", kind)
+		if got, err := synopses.EnvelopeKind(retiredRecord(kind)); err != nil || got == synopses.KindSample || got == synopses.KindSketchJoin {
+			t.Errorf("kind %d: envelope kind %d, err %v", kind, got, err)
 		}
 	}
 	for name, s := range fixtures() {
-		if !Known(Encode(s)) {
-			t.Errorf("%s: not Known", name)
+		want := synopses.KindSample
+		if _, ok := s.(*synopses.SketchJoin); ok {
+			want = synopses.KindSketchJoin
+		}
+		if got, err := synopses.EnvelopeKind(Encode(s)); err != nil || got != want {
+			t.Errorf("%s: envelope kind %d, err %v; want %d", name, got, err, want)
 		}
 	}
 }

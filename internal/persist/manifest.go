@@ -50,19 +50,18 @@ type WindowRecord struct {
 	Reuse     []planner.ReuseCost `json:"reuse,omitempty"`
 }
 
-// Item tier and kind labels used in ItemRecord.
+// Item tier labels used in ItemRecord.
 const (
 	TierBuffer    = "buffer"
 	TierWarehouse = "warehouse"
-	KindSample    = "sample"
-	KindSketch    = "sketch"
 )
 
-// ItemRecord is one materialized synopsis's warehouse metadata.
+// ItemRecord is one materialized synopsis's warehouse metadata. Its kind is
+// its entry's (EntryRecord.Kind) and its payload's envelope; an older v2
+// manifest also carries kind ("sample" or "sketch"), which decoding ignores.
 type ItemRecord struct {
 	ID     uint64 `json:"id"`
 	Tier   string `json:"tier"`
-	Kind   string `json:"kind"`
 	Size   int64  `json:"size"`
 	Rows   int64  `json:"rows,omitempty"`
 	Pinned bool   `json:"pinned,omitempty"`

@@ -13,8 +13,8 @@
 // reject foreign or corrupt files cleanly. Kind bytes 2–8 are retired —
 // record types no plan could produce, and kind 7, the sketch-join over
 // count-min planes that kind 9's per-key table replaced: Decode rejects them
-// as unknown, recovery drops a stored one (Known), and the numbers are never
-// reused.
+// as unknown, recovery drops a stored one (its envelope kind is not its
+// entry's), and the numbers are never reused.
 package persist
 
 import (
@@ -23,36 +23,12 @@ import (
 	"github.com/tasterdb/taster/internal/synopses"
 )
 
-// Synopsis is a stored synopsis value: *synopses.Sample or
-// *synopses.SketchJoin.
-type Synopsis interface {
-	// SizeBytes reports the serialized size; it equals len(Encode(x)).
-	SizeBytes() int64
-}
-
-// Encode serializes a synopsis into its versioned binary record. It panics
-// on any other type — callers pass what a warehouse item holds, so an
-// unknown type is a programming error, not input corruption.
-func Encode(s Synopsis) []byte {
-	switch x := s.(type) {
-	case *synopses.Sample:
-		return x.Encode()
-	case *synopses.SketchJoin:
-		return x.Encode()
-	}
-	panic(fmt.Sprintf("persist: Encode: unknown synopsis type %T", s))
-}
-
-// Known reports whether b's envelope — magic, version and kind — is one
-// Decode reads, without decoding the payload.
-func Known(b []byte) bool {
-	kind, err := synopses.EnvelopeKind(b)
-	return err == nil && (kind == synopses.KindSample || kind == synopses.KindSketchJoin)
-}
+// Encode serializes a synopsis into its versioned binary record.
+func Encode(s synopses.Stored) []byte { return s.Encode() }
 
 // Decode reverses Encode, dispatching on the record's kind byte. The
 // concrete type of the result matches the encoded kind.
-func Decode(b []byte) (Synopsis, error) {
+func Decode(b []byte) (synopses.Stored, error) {
 	kind, err := synopses.EnvelopeKind(b)
 	if err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"github.com/tasterdb/taster/internal/obs"
+	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // Store is the warehouse's disk backing: a flat directory holding one
@@ -123,6 +124,19 @@ func (s *Store) ReadItem(id uint64) ([]byte, error) {
 	}
 	s.Obs.ItemRead(int64(len(payload)))
 	return payload, nil
+}
+
+// Spill durably writes syn's record (Encode) as id's payload file. With Load
+// and RemoveItem it makes a Store the warehouse's warehouse.Spiller.
+func (s *Store) Spill(id uint64, syn synopses.Stored) error { return s.WriteItem(id, syn.Encode()) }
+
+// Load reads id's payload file back and decodes it.
+func (s *Store) Load(id uint64) (synopses.Stored, error) {
+	b, err := s.ReadItem(id)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(b)
 }
 
 // RemoveItem deletes an item's payload file (missing is not an error: an

@@ -91,7 +91,7 @@ func TestManifestAtomicReplace(t *testing.T) {
 	if _, ok, err := st.LoadManifest(); ok || err != nil {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
-	m1 := &Manifest{QueryCount: 10, Window: 12, Items: []ItemRecord{{ID: 1, Tier: TierWarehouse, Kind: KindSample, Size: 100}}}
+	m1 := &Manifest{QueryCount: 10, Window: 12, Items: []ItemRecord{{ID: 1, Tier: TierWarehouse, Size: 100}}}
 	if err := st.WriteManifest(m1); err != nil {
 		t.Fatal(err)
 	}

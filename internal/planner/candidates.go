@@ -10,7 +10,6 @@ import (
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
-	"github.com/tasterdb/taster/internal/warehouse"
 )
 
 // sketchShape captures a validated sketch-join opportunity.
@@ -236,7 +235,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	for _, m := range p.Store.MatchSketchJoins(req, sh.buildKeys, sh.aggCol, ps.wh.Has) {
 		// Sketches cannot be compensated, so the staleness bound applies to
 		// them just like to samples (a stale sketch undercounts new rows).
-		b, ok := p.bind(ps, m.Entry, warehouse.SketchItem)
+		b, ok := p.bind(ps, m.Entry)
 		if !ok {
 			continue
 		}

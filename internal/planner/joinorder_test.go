@@ -98,7 +98,7 @@ func checkSamplesOnSpine(t *testing.T, label string, c planner.Candidate, fact p
 func TestSamplesLiveOnTheSpine(t *testing.T) {
 	for _, w := range []*workload.Workload{workload.TPCH(0.002, 1), workload.TPCDS(0.03, 1), workload.Instacart(0.02, 1)} {
 		store := meta.NewStore(nil)
-		wh := warehouse.NewManager(1<<30, 1<<30)
+		wh := warehouse.NewManager(1<<30, 1<<30, nil)
 		pl := planner.New(store, wh, storage.DefaultCostModel())
 		r := rand.New(rand.NewSource(5))
 		var names, sqls []string
@@ -164,12 +164,12 @@ func storeBuilt(t *testing.T, label string, c planner.Candidate, store *meta.Sto
 	for _, cs := range c.Creates {
 		for _, bs := range ctx.Stats.BuiltSamples {
 			if bs.Op == cs.SampleNode {
-				items = append(items, warehouse.NewSampleItem(cs.Entry.Desc.ID, bs.Sample))
+				items = append(items, warehouse.NewItem(cs.Entry.Desc.ID, bs.Sample))
 			}
 		}
 		for _, bk := range ctx.Stats.BuiltSketches {
 			if bk.Op == cs.SketchNode {
-				items = append(items, warehouse.NewSketchItem(cs.Entry.Desc.ID, bk.Sketch))
+				items = append(items, warehouse.NewItem(cs.Entry.Desc.ID, bk.Sketch))
 			}
 		}
 	}
@@ -198,7 +198,7 @@ func TestFromOrderDoesNotMoveTheAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<30, 1<<30), storage.DefaultCostModel())
+		pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<30, 1<<30, nil), storage.DefaultCostModel())
 		ps, err := pl.Plan(q)
 		if err != nil {
 			t.Fatal(err)

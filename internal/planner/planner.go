@@ -269,8 +269,10 @@ type bound struct {
 }
 
 // bind is the one gate between a metadata match and a reuse candidate: the
-// entry's synopsis must be in the plan set's warehouse view as the expected
-// kind, still be the live stored copy, and be within the staleness bound.
+// entry's synopsis must be in the plan set's warehouse view, still be the
+// live stored copy, and be within the staleness bound. The item holds the
+// entry's kind of payload: the match functions return one kind of entry
+// each, and an id never changes kind.
 //
 // The liveness check exists because the staleness gate reads *live*
 // metadata, which describes the latest build; if a background refresh
@@ -283,10 +285,10 @@ type bound struct {
 //
 // bind never faults a spilled payload in: callers resolve it (item.Sample /
 // item.Sketch) only once their own feasibility checks have passed.
-func (p *Planner) bind(ps *PlanSet, e *meta.Entry, kind warehouse.ItemKind) (bound, bool) {
+func (p *Planner) bind(ps *PlanSet, e *meta.Entry) (bound, bool) {
 	id := e.Desc.ID
 	item, inBuffer, ok := ps.wh.Get(id)
-	if !ok || item.Kind() != kind {
+	if !ok {
 		return bound{}, false
 	}
 	if cur, _, ok := p.WH.Get(id); !ok || cur != item {
@@ -479,7 +481,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		Accuracy:  q.Accuracy,
 	}
 	for _, m := range p.Store.MatchSamples(req, ps.wh.Has) {
-		b, ok := p.bind(ps, m.Entry, warehouse.SampleItem)
+		b, ok := p.bind(ps, m.Entry)
 		if !ok {
 			continue
 		}

@@ -45,7 +45,7 @@ func productsTable() *storage.Table {
 
 func testPlanner() (*Planner, *meta.Store, *warehouse.Manager) {
 	store := meta.NewStore(nil)
-	wh := warehouse.NewManager(64<<20, 256<<20)
+	wh := warehouse.NewManager(64<<20, 256<<20, nil)
 	p := New(store, wh, storage.DefaultCostModel())
 	return p, store, wh
 }
@@ -306,7 +306,7 @@ func TestReuseCandidateAfterMaterialization(t *testing.T) {
 		salesTable(),
 		synopses.NewDistinctSampler(spec.Entry.Desc.P, max(spec.Entry.Desc.Delta, 1), []int{1}, 1),
 		spec.Entry.Desc.StratCols)
-	if err := wh.PutWarehouse(warehouse.NewSampleItem(spec.Entry.Desc.ID, sample)); err != nil {
+	if err := wh.PutWarehouse(warehouse.NewItem(spec.Entry.Desc.ID, sample)); err != nil {
 		t.Fatal(err)
 	}
 	store.SetActualSize(spec.Entry.Desc.ID, sample.SizeBytes())
@@ -434,14 +434,14 @@ func TestSketchJoinBuildKeysNameTheSynopsis(t *testing.T) {
 	}
 
 	// A payload keyed on sales.product, stored under the sales.store entry.
-	if err := wh.PutWarehouse(warehouse.NewSketchItem(byStoreEntry.Desc.ID, productSketchJoin(t))); err != nil {
+	if err := wh.PutWarehouse(warehouse.NewItem(byStoreEntry.Desc.ID, productSketchJoin(t))); err != nil {
 		t.Fatal(err)
 	}
 	if _, reuses := sketchJoinPlans(t, p, byStore()); len(reuses) != 0 {
 		t.Fatalf("a payload keyed on sales.product was offered to a sales.store join: %v", reuses)
 	}
 	// Control: under its own entry the same payload is reused.
-	if err := wh.PutWarehouse(warehouse.NewSketchItem(byProductEntry.Desc.ID, productSketchJoin(t))); err != nil {
+	if err := wh.PutWarehouse(warehouse.NewItem(byProductEntry.Desc.ID, productSketchJoin(t))); err != nil {
 		t.Fatal(err)
 	}
 	if _, reuses := sketchJoinPlans(t, p, joinQuery()); len(reuses) != 1 {
@@ -460,7 +460,7 @@ func TestSketchJoinOneSynopsisForEveryAccuracy(t *testing.T) {
 	if e, _ := sketchJoinPlans(t, p, strict); e.Desc.ID != loose.Desc.ID {
 		t.Fatalf("one sketch-join under two accuracy clauses interned #%d and #%d", loose.Desc.ID, e.Desc.ID)
 	}
-	if err := wh.PutWarehouse(warehouse.NewSketchItem(loose.Desc.ID, productSketchJoin(t))); err != nil {
+	if err := wh.PutWarehouse(warehouse.NewItem(loose.Desc.ID, productSketchJoin(t))); err != nil {
 		t.Fatal(err)
 	}
 	_, reuses := sketchJoinPlans(t, p, strict)
@@ -564,14 +564,14 @@ func TestPlanCostParallelismFactor(t *testing.T) {
 
 // memSpiller is an in-memory warehouse.Spiller: with it attached the
 // warehouse tier drops payloads after "writing" them, like the disk tier.
-type memSpiller map[uint64]*warehouse.Payload
+type memSpiller map[uint64]synopses.Stored
 
-func (m memSpiller) Spill(id uint64, p *warehouse.Payload) error { m[id] = p; return nil }
-func (m memSpiller) Load(id uint64) (*warehouse.Payload, error)  { return m[id], nil }
-func (m memSpiller) Remove(id uint64) error                      { delete(m, id); return nil }
+func (m memSpiller) Spill(id uint64, s synopses.Stored) error { m[id] = s; return nil }
+func (m memSpiller) Load(id uint64) (synopses.Stored, error)  { return m[id], nil }
+func (m memSpiller) RemoveItem(id uint64) error               { delete(m, id); return nil }
 
 // TestBind drives the one gate every reuse loop binds a stored synopsis
-// through: view presence, item kind, payload identity against the live
+// through: view presence, payload identity against the live
 // warehouse, the staleness bound, and what it reports about the item's tier
 // and residency.
 func TestBind(t *testing.T) {
@@ -585,16 +585,16 @@ func TestBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh := warehouse.NewManagerWithSpiller(1<<20, 1<<20, memSpiller{})
+	wh := warehouse.NewManager(1<<20, 1<<20, memSpiller{})
 	p := New(meta.NewStore(nil), wh, storage.DefaultCostModel())
 	const resident, spilled, sketched, refreshed, absent = 1, 2, 3, 4, 5
-	if wh.Admit(warehouse.NewSampleItem(resident, sample())) != warehouse.AdmitBuffer {
+	if wh.Admit(warehouse.NewItem(resident, sample())) != warehouse.AdmitBuffer {
 		t.Fatal("fixture: sample not admitted to the buffer")
 	}
 	for _, it := range []*warehouse.Item{
-		warehouse.NewSampleItem(spilled, sample()),
-		warehouse.NewSketchItem(sketched, sketch),
-		warehouse.NewSampleItem(refreshed, sample()),
+		warehouse.NewItem(spilled, sample()),
+		warehouse.NewItem(sketched, sketch),
+		warehouse.NewItem(refreshed, sample()),
 	} {
 		if err := wh.PutWarehouse(it); err != nil {
 			t.Fatal(err)
@@ -603,7 +603,7 @@ func TestBind(t *testing.T) {
 	ps := &PlanSet{wh: wh.View()}
 	// A refresh after the plan set took its view: the live copy of
 	// `refreshed` is no longer the item the view holds.
-	if _, err := wh.Refresh(warehouse.NewSampleItem(refreshed, sample())); err != nil {
+	if _, err := wh.Refresh(warehouse.NewItem(refreshed, sample())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -613,30 +613,27 @@ func TestBind(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		e            *meta.Entry
-		kind         warehouse.ItemKind
 		maxStaleness float64
 		ok           bool
 		want         bound // item excluded; compared field by field below
 	}{
-		{name: "absent from the view", e: entry(absent, 0), kind: warehouse.SampleItem},
-		{name: "wrong kind: sample asked as sketch", e: entry(resident, 0), kind: warehouse.SketchItem},
-		{name: "wrong kind: sketch asked as sample", e: entry(sketched, 0), kind: warehouse.SampleItem},
-		{name: "payload superseded in the live warehouse", e: entry(refreshed, 0), kind: warehouse.SampleItem},
-		{name: "over the staleness bound", e: entry(resident, 100), kind: warehouse.SampleItem, maxStaleness: 0.25},
-		{name: "any staleness under the default bound of zero", e: entry(resident, 1), kind: warehouse.SampleItem},
-		{name: "within the staleness bound", e: entry(resident, 25), kind: warehouse.SampleItem, maxStaleness: 0.25,
+		{name: "absent from the view", e: entry(absent, 0)},
+		{name: "payload superseded in the live warehouse", e: entry(refreshed, 0)},
+		{name: "over the staleness bound", e: entry(resident, 100), maxStaleness: 0.25},
+		{name: "any staleness under the default bound of zero", e: entry(resident, 1)},
+		{name: "within the staleness bound", e: entry(resident, 25), maxStaleness: 0.25,
 			ok: true, want: bound{inBuffer: true, loaded: true, stale: 0.2}},
-		{name: "bound disabled", e: entry(resident, 300), kind: warehouse.SampleItem, maxStaleness: -1,
+		{name: "bound disabled", e: entry(resident, 300), maxStaleness: -1,
 			ok: true, want: bound{inBuffer: true, loaded: true, stale: 0.75}},
-		{name: "resident in the buffer", e: entry(resident, 0), kind: warehouse.SampleItem,
+		{name: "resident in the buffer", e: entry(resident, 0),
 			ok: true, want: bound{inBuffer: true, loaded: true}},
-		{name: "spilled in the warehouse", e: entry(spilled, 0), kind: warehouse.SampleItem,
+		{name: "spilled in the warehouse", e: entry(spilled, 0),
 			ok: true, want: bound{}},
-		{name: "sketch", e: entry(sketched, 0), kind: warehouse.SketchItem,
+		{name: "sketch", e: entry(sketched, 0),
 			ok: true, want: bound{}},
 	} {
 		p.MaxStaleness = tc.maxStaleness
-		got, ok := p.bind(ps, tc.e, tc.kind)
+		got, ok := p.bind(ps, tc.e)
 		if ok != tc.ok {
 			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
 			continue

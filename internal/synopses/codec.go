@@ -19,6 +19,16 @@ import (
 // charge what disk actually stores (asserted in internal/persist's codec
 // tests).
 
+// Stored is a synopsis a warehouse tier holds: a *Sample or a *SketchJoin.
+// Its Go type is its kind in memory; its envelope kind byte is its kind on
+// disk.
+type Stored interface {
+	// SizeBytes reports the serialized size; it equals len(Encode()).
+	SizeBytes() int64
+	// Encode serializes the synopsis into its versioned binary record.
+	Encode() []byte
+}
+
 // EnvelopeBytes is the fixed size of the codec envelope.
 const EnvelopeBytes = 8
 

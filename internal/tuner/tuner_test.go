@@ -27,7 +27,7 @@ type harness struct {
 func newHarness(quota int64, cfg Config) *harness {
 	cat := storage.NewCatalog()
 	store := meta.NewStore(cat)
-	wh := warehouse.NewManager(1<<20, quota)
+	wh := warehouse.NewManager(1<<20, quota, nil)
 	return &harness{cat: cat, store: store, wh: wh, t: New(cfg, store, wh), reuse: make(map[int][]planner.ReuseCost)}
 }
 
@@ -295,7 +295,7 @@ func TestWindowedHistoryBounded(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	tn := New(Config{}, meta.NewStore(nil), warehouse.NewManager(1, 1))
+	tn := New(Config{}, meta.NewStore(nil), warehouse.NewManager(1, 1, nil))
 	if tn.w != 10 || tn.cfg.Alpha != 0.25 || tn.cfg.MaxWindow != 40 {
 		t.Fatalf("defaults: %+v w=%d", tn.cfg, tn.w)
 	}
@@ -388,7 +388,7 @@ func TestGainNonNegative(t *testing.T) {
 
 func ExampleTuner_Tune() {
 	store := meta.NewStore(nil)
-	wh := warehouse.NewManager(1<<20, 1<<20)
+	wh := warehouse.NewManager(1<<20, 1<<20, nil)
 	tn := New(DefaultConfig(), store, wh)
 	dec := tn.Tune(&planner.PlanSet{
 		Query:      &planner.Query{ID: 0},

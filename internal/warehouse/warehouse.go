@@ -34,43 +34,16 @@ import (
 	"github.com/tasterdb/taster/internal/synopses"
 )
 
-// ItemKind says which synopsis flavour an item wraps.
-type ItemKind uint8
-
-// Item kinds.
-const (
-	SampleItem ItemKind = iota + 1
-	SketchItem
-)
-
-// String returns the kind name.
-func (k ItemKind) String() string {
-	switch k {
-	case SampleItem:
-		return "sample"
-	case SketchItem:
-		return "sketch"
-	}
-	return fmt.Sprintf("ItemKind(%d)", uint8(k))
-}
-
-// Payload is an item's in-memory synopsis value; exactly one field is set,
-// matching the item's kind.
-type Payload struct {
-	Sample *synopses.Sample
-	Sketch *synopses.SketchJoin
-}
-
 // Spiller persists warehouse-tier payloads. The engine wires the disk store
-// (internal/persist) in through this interface; a nil Spiller keeps the
+// (persist.Store) in through this interface; a nil Spiller keeps the
 // warehouse tier memory-resident.
 type Spiller interface {
 	// Spill durably writes the payload for id (write-temp-fsync-rename).
-	Spill(id uint64, p *Payload) error
+	Spill(id uint64, s synopses.Stored) error
 	// Load reads the payload for id back.
-	Load(id uint64) (*Payload, error)
-	// Remove deletes id's payload file; a missing file is not an error.
-	Remove(id uint64) error
+	Load(id uint64) (synopses.Stored, error)
+	// RemoveItem deletes id's payload file; a missing file is not an error.
+	RemoveItem(id uint64) error
 }
 
 // Item is one materialized synopsis. The payload sits behind an atomic
@@ -78,108 +51,85 @@ type Spiller interface {
 // items (warehouse tier with a Spiller) drop it after the durable write and
 // fault it back lazily on first reuse — outside every engine lock, with the
 // cached pointer published atomically so concurrent readers either load the
-// same immutable payload or fault it in themselves.
+// same immutable payload or fault it in themselves. The payload's Go type is
+// the item's kind.
 type Item struct {
 	ID     uint64
 	Size   int64
 	Rows   int64 // sample row count (0 for sketches); plan costing reads it without faulting
 	Pinned bool
 
-	kind    ItemKind
-	payload atomic.Pointer[Payload]
+	payload atomic.Pointer[synopses.Stored]
 	loadMu  sync.Mutex
 	spiller Spiller // set once the payload has a durable copy
 }
 
-// NewSampleItem wraps a sample.
-func NewSampleItem(id uint64, s *synopses.Sample) *Item {
-	it := &Item{ID: id, Size: s.SizeBytes(), Rows: int64(s.Rows.NumRows()), kind: SampleItem}
-	it.payload.Store(&Payload{Sample: s})
-	return it
-}
-
-// NewSketchItem wraps a sketch-join synopsis.
-func NewSketchItem(id uint64, sk *synopses.SketchJoin) *Item {
-	it := &Item{ID: id, Size: sk.SizeBytes(), kind: SketchItem}
-	it.payload.Store(&Payload{Sketch: sk})
+// NewItem wraps a synopsis.
+func NewItem(id uint64, s synopses.Stored) *Item {
+	it := &Item{ID: id, Size: s.SizeBytes()}
+	if smp, ok := s.(*synopses.Sample); ok {
+		it.Rows = int64(smp.Rows.NumRows())
+	}
+	it.payload.Store(&s)
 	return it
 }
 
 // RestoredItem rebuilds an item from persisted metadata: the payload stays
-// on disk (faulted in lazily via the spiller) unless the caller loads it
-// eagerly afterwards.
-func RestoredItem(id uint64, kind ItemKind, size, rows int64, pinned bool, sp Spiller) *Item {
-	return &Item{ID: id, Size: size, Rows: rows, Pinned: pinned, kind: kind, spiller: sp}
+// on disk, faulted in lazily via the spiller.
+func RestoredItem(id uint64, size, rows int64, pinned bool, sp Spiller) *Item {
+	return &Item{ID: id, Size: size, Rows: rows, Pinned: pinned, spiller: sp}
 }
-
-// Kind returns the item's synopsis flavour.
-func (it *Item) Kind() ItemKind { return it.kind }
 
 // Loaded reports whether the payload is currently cached in memory. The
 // planner charges the disk fault-in for unloaded items, which is what makes
 // ChoosePlan discount cold warehouse hits against buffer hits.
 func (it *Item) Loaded() bool { return it.payload.Load() != nil }
 
-// Sample returns the item's sample payload, faulting it in from disk if
-// spilled. Calling Sample on a sketch item is a programming error (checked).
-func (it *Item) Sample() (*synopses.Sample, error) {
-	if it.kind != SampleItem {
-		return nil, fmt.Errorf("warehouse: synopsis #%d is a %s, not a sample", it.ID, it.kind)
-	}
-	p, err := it.load()
-	if err != nil {
-		return nil, err
-	}
-	return p.Sample, nil
-}
-
-// Sketch returns the item's sketch-join payload, faulting it in if spilled.
-func (it *Item) Sketch() (*synopses.SketchJoin, error) {
-	if it.kind != SketchItem {
-		return nil, fmt.Errorf("warehouse: synopsis #%d is a %s, not a sketch", it.ID, it.kind)
-	}
-	p, err := it.load()
-	if err != nil {
-		return nil, err
-	}
-	return p.Sketch, nil
-}
-
-// load returns the cached payload or faults it in from the spiller. The
-// mutex only serializes concurrent faults of the SAME item; the fast path
-// is one atomic load, and faults never run under the manager's or the
-// engine's locks.
-func (it *Item) load() (*Payload, error) {
+// Synopsis returns the item's payload, faulting it in from the spiller if
+// spilled. The mutex only serializes concurrent faults of the SAME item;
+// the fast path is one atomic load, and faults never run under the
+// manager's or the engine's locks.
+func (it *Item) Synopsis() (synopses.Stored, error) {
 	if p := it.payload.Load(); p != nil {
-		return p, nil
+		return *p, nil
 	}
 	it.loadMu.Lock()
 	defer it.loadMu.Unlock()
 	if p := it.payload.Load(); p != nil {
-		return p, nil
+		return *p, nil
 	}
 	if it.spiller == nil {
 		return nil, fmt.Errorf("warehouse: synopsis #%d has no payload and no backing store", it.ID)
 	}
-	p, err := it.spiller.Load(it.ID)
+	s, err := it.spiller.Load(it.ID)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: loading synopsis #%d: %w", it.ID, err)
 	}
-	if p == nil ||
-		(it.kind == SampleItem && p.Sample == nil) ||
-		(it.kind == SketchItem && p.Sketch == nil) {
-		return nil, fmt.Errorf("warehouse: synopsis #%d: backing store returned wrong payload kind", it.ID)
-	}
-	it.payload.Store(p)
-	return p, nil
+	it.payload.Store(&s)
+	return s, nil
 }
 
-// EagerLoad faults the payload in immediately, whatever the item's kind.
-// Tests use it to prove a restored item loadable; the engine faults lazily
-// through Sample/Sketch.
-func (it *Item) EagerLoad() error {
-	_, err := it.load()
-	return err
+// Sample returns the item's sample payload, faulting it in if spilled; it
+// errors on a sketch-join.
+func (it *Item) Sample() (*synopses.Sample, error) { return payloadAs[*synopses.Sample](it, "sample") }
+
+// Sketch returns the item's sketch-join payload, faulting it in if spilled;
+// it errors on a sample.
+func (it *Item) Sketch() (*synopses.SketchJoin, error) {
+	return payloadAs[*synopses.SketchJoin](it, "sketch-join")
+}
+
+func payloadAs[T synopses.Stored](it *Item, want string) (T, error) {
+	var zero T
+	s, err := it.Synopsis()
+	if err != nil {
+		return zero, err
+	}
+	x, ok := s.(T)
+	if !ok {
+		return zero, fmt.Errorf("warehouse: synopsis #%d is a %T, not a %s", it.ID, s, want)
+	}
+	return x, nil
 }
 
 // tier is shared bookkeeping for buffer and warehouse.
@@ -317,17 +267,12 @@ type Manager struct {
 	spiller   Spiller
 }
 
-// NewManager returns a memory-resident manager with the given byte quotas.
-// The paper sets the warehouse quota as a fraction of the dataset size and
-// the buffer to a small fixed size.
-func NewManager(bufferQuota, warehouseQuota int64) *Manager {
-	return NewManagerWithSpiller(bufferQuota, warehouseQuota, nil)
-}
-
-// NewManagerWithSpiller returns a manager whose warehouse tier is backed by
-// sp: payloads placed there are durably written and dropped from memory,
-// then faulted back lazily on reuse.
-func NewManagerWithSpiller(bufferQuota, warehouseQuota int64, sp Spiller) *Manager {
+// NewManager returns a manager with the given byte quotas. The paper sets
+// the warehouse quota as a fraction of the dataset size and the buffer to a
+// small fixed size. With a spiller the warehouse tier is disk-backed:
+// payloads placed there are durably written and dropped from memory, then
+// faulted back lazily on reuse; a nil spiller keeps it memory-resident.
+func NewManager(bufferQuota, warehouseQuota int64, sp Spiller) *Manager {
 	m := &Manager{
 		buffer:    tier{name: "buffer", quota: bufferQuota, items: make(map[uint64]*Item)},
 		warehouse: tier{name: "warehouse", quota: warehouseQuota, items: make(map[uint64]*Item)},
@@ -345,8 +290,8 @@ func (m *Manager) View() *View { return m.view.Load() }
 // count small — so readers holding an older View are never invalidated.
 // Admissions deliberately publish per item rather than batching like
 // ApplyMoves: a refresh must reach the live view BEFORE the metadata
-// store's freshness update lands, or the planner's payload-identity gate
-// (payloadCurrent) could see new metadata vouching for an old payload.
+// store's freshness update lands, or the liveness check in planner.bind
+// could see new metadata vouching for an old payload.
 //
 //taster:mutator construction: the View is filled privately and escapes only through the atomic Store that publishes it
 func (m *Manager) publishLocked() {
@@ -381,7 +326,7 @@ func (m *Manager) spillLocked(it *Item) error {
 	if p == nil {
 		return nil // already disk-resident
 	}
-	if err := m.spiller.Spill(it.ID, p); err != nil {
+	if err := m.spiller.Spill(it.ID, *p); err != nil {
 		return err
 	}
 	it.loadMu.Lock()
@@ -394,7 +339,7 @@ func (m *Manager) spillLocked(it *Item) error {
 // removeBacking deletes it's durable copy, if any.
 func (m *Manager) removeBacking(id uint64) {
 	if m.spiller != nil {
-		_ = m.spiller.Remove(id)
+		_ = m.spiller.RemoveItem(id)
 	}
 }
 

@@ -21,8 +21,8 @@ func mkSample(rows int) *synopses.Sample {
 }
 
 func TestPutGetDelete(t *testing.T) {
-	m := NewManager(1<<20, 1<<20)
-	it := NewSampleItem(1, mkSample(100))
+	m := NewManager(1<<20, 1<<20, nil)
+	it := NewItem(1, mkSample(100))
 	if err := m.PutBuffer(it); err != nil {
 		t.Fatal(err)
 	}
@@ -54,35 +54,35 @@ func TestPutGetDelete(t *testing.T) {
 
 func TestQuotaEnforced(t *testing.T) {
 	s := mkSample(100)
-	m := NewManager(s.SizeBytes(), s.SizeBytes()*2)
-	if err := m.PutBuffer(NewSampleItem(1, s)); err != nil {
+	m := NewManager(s.SizeBytes(), s.SizeBytes()*2, nil)
+	if err := m.PutBuffer(NewItem(1, s)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PutBuffer(NewSampleItem(2, s)); err == nil {
+	if err := m.PutBuffer(NewItem(2, s)); err == nil {
 		t.Fatal("buffer overflow must error")
 	}
-	if err := m.PutWarehouse(NewSampleItem(2, s)); err != nil {
+	if err := m.PutWarehouse(NewItem(2, s)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PutWarehouse(NewSampleItem(3, s)); err != nil {
+	if err := m.PutWarehouse(NewItem(3, s)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PutWarehouse(NewSampleItem(4, s)); err == nil {
+	if err := m.PutWarehouse(NewItem(4, s)); err == nil {
 		t.Fatal("warehouse overflow must error")
 	}
 	if _, used := m.Usage(); used != s.SizeBytes()*2 {
 		t.Fatalf("warehouse used = %d, want the whole quota", used)
 	}
 	// Duplicate ids rejected.
-	if err := m.PutWarehouse(NewSampleItem(2, s)); err == nil {
+	if err := m.PutWarehouse(NewItem(2, s)); err == nil {
 		t.Fatal("duplicate id must error")
 	}
 }
 
 func TestPromote(t *testing.T) {
 	s := mkSample(50)
-	m := NewManager(1<<20, 1<<20)
-	if err := m.PutBuffer(NewSampleItem(7, s)); err != nil {
+	m := NewManager(1<<20, 1<<20, nil)
+	if err := m.PutBuffer(NewItem(7, s)); err != nil {
 		t.Fatal(err)
 	}
 	if _, promoted := m.ApplyMoves(nil, []uint64{7}); len(promoted) != 1 {
@@ -102,8 +102,8 @@ func TestPromote(t *testing.T) {
 }
 
 func TestPinnedResistDeletion(t *testing.T) {
-	m := NewManager(1<<20, 1<<20)
-	it := NewSampleItem(1, mkSample(10))
+	m := NewManager(1<<20, 1<<20, nil)
+	it := NewItem(1, mkSample(10))
 	it.Pinned = true
 	if err := m.PutWarehouse(it); err != nil {
 		t.Fatal(err)
@@ -118,9 +118,9 @@ func TestPinnedResistDeletion(t *testing.T) {
 
 func TestElasticQuota(t *testing.T) {
 	s := mkSample(100)
-	m := NewManager(1<<20, s.SizeBytes()*3)
+	m := NewManager(1<<20, s.SizeBytes()*3, nil)
 	for id := uint64(1); id <= 3; id++ {
-		if err := m.PutWarehouse(NewSampleItem(id, s)); err != nil {
+		if err := m.PutWarehouse(NewItem(id, s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,11 +163,11 @@ func TestSketchItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewSketchItem(9, sk)
-	if it.Size != sk.SizeBytes() || it.Kind() != SketchItem || !it.Loaded() {
+	it := NewItem(9, sk)
+	if it.Size != sk.SizeBytes() || it.Rows != 0 || !it.Loaded() {
 		t.Fatalf("item = %+v", it)
 	}
-	m := NewManager(1<<10, 1<<30)
+	m := NewManager(1<<10, 1<<30, nil)
 	if err := m.PutWarehouse(it); err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +189,14 @@ func TestSketchItem(t *testing.T) {
 
 func TestAdmitIsIdempotentAcrossTiers(t *testing.T) {
 	s := mkSample(100)
-	m := NewManager(s.SizeBytes(), s.SizeBytes()*4)
+	m := NewManager(s.SizeBytes(), s.SizeBytes()*4, nil)
 
-	if r := m.Admit(NewSampleItem(1, s)); r != AdmitBuffer {
+	if r := m.Admit(NewItem(1, s)); r != AdmitBuffer {
 		t.Fatalf("first admit = %v, want buffer", r)
 	}
 	// A concurrent build of the same ID must be a no-op — never a second
 	// copy in the warehouse while the first sits in the buffer.
-	if r := m.Admit(NewSampleItem(1, s)); r != AdmitBuffer {
+	if r := m.Admit(NewItem(1, s)); r != AdmitBuffer {
 		t.Fatalf("duplicate admit = %v, want buffer no-op", r)
 	}
 	if bu, wu := m.Usage(); bu != s.SizeBytes() || wu != 0 {
@@ -204,16 +204,16 @@ func TestAdmitIsIdempotentAcrossTiers(t *testing.T) {
 	}
 
 	// Buffer full → overflow to warehouse; duplicate again → warehouse no-op.
-	if r := m.Admit(NewSampleItem(2, s)); r != AdmitWarehouse {
+	if r := m.Admit(NewItem(2, s)); r != AdmitWarehouse {
 		t.Fatalf("overflow admit = %v, want warehouse", r)
 	}
-	if r := m.Admit(NewSampleItem(2, s)); r != AdmitWarehouse {
+	if r := m.Admit(NewItem(2, s)); r != AdmitWarehouse {
 		t.Fatalf("duplicate overflow admit = %v, want warehouse no-op", r)
 	}
 
 	// Both tiers full → dropped.
 	big := mkSample(100000)
-	if r := m.Admit(NewSampleItem(3, big)); r != AdmitDropped {
+	if r := m.Admit(NewItem(3, big)); r != AdmitDropped {
 		t.Fatalf("oversized admit = %v, want dropped", r)
 	}
 
@@ -231,13 +231,13 @@ func TestAdmitIsIdempotentAcrossTiers(t *testing.T) {
 // fallback evictions depend on deterministic listings.
 func TestDeterministicEnumeration(t *testing.T) {
 	s := mkSample(10)
-	m := NewManager(1<<30, 1<<30)
+	m := NewManager(1<<30, 1<<30, nil)
 	ids := []uint64{42, 7, 19, 3, 88, 55, 21, 64, 1, 30}
 	for _, id := range ids {
-		if err := m.PutWarehouse(NewSampleItem(id, s)); err != nil {
+		if err := m.PutWarehouse(NewItem(id, s)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.PutBuffer(NewSampleItem(id+1000, s)); err != nil {
+		if err := m.PutBuffer(NewItem(id+1000, s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,14 +261,14 @@ func TestDeterministicEnumeration(t *testing.T) {
 
 // memSpiller is an in-memory Spiller for tier-behaviour tests.
 type memSpiller struct {
-	files   map[uint64]*Payload
+	files   map[uint64]synopses.Stored
 	failPut bool
 	loads   int
 }
 
-func newMemSpiller() *memSpiller { return &memSpiller{files: map[uint64]*Payload{}} }
+func newMemSpiller() *memSpiller { return &memSpiller{files: map[uint64]synopses.Stored{}} }
 
-func (m *memSpiller) Spill(id uint64, p *Payload) error {
+func (m *memSpiller) Spill(id uint64, p synopses.Stored) error {
 	if m.failPut {
 		return fmt.Errorf("disk full")
 	}
@@ -276,7 +276,7 @@ func (m *memSpiller) Spill(id uint64, p *Payload) error {
 	return nil
 }
 
-func (m *memSpiller) Load(id uint64) (*Payload, error) {
+func (m *memSpiller) Load(id uint64) (synopses.Stored, error) {
 	p, ok := m.files[id]
 	if !ok {
 		return nil, fmt.Errorf("no file for %d", id)
@@ -285,16 +285,16 @@ func (m *memSpiller) Load(id uint64) (*Payload, error) {
 	return p, nil
 }
 
-func (m *memSpiller) Remove(id uint64) error { delete(m.files, id); return nil }
+func (m *memSpiller) RemoveItem(id uint64) error { delete(m.files, id); return nil }
 
 // TestSpillOnPromoteAndLazyLoad: promotion to a disk-backed warehouse
 // drops the payload pointer; the first payload access faults it back and
 // caches it.
 func TestSpillOnPromoteAndLazyLoad(t *testing.T) {
 	sp := newMemSpiller()
-	m := NewManagerWithSpiller(1<<20, 1<<20, sp)
+	m := NewManager(1<<20, 1<<20, sp)
 	s := mkSample(50)
-	if err := m.PutBuffer(NewSampleItem(5, s)); err != nil {
+	if err := m.PutBuffer(NewItem(5, s)); err != nil {
 		t.Fatal(err)
 	}
 	if _, promoted := m.ApplyMoves(nil, []uint64{5}); len(promoted) != 1 {
@@ -334,23 +334,23 @@ func TestSpillOnPromoteAndLazyLoad(t *testing.T) {
 func TestFailedSpillAbortsPlacement(t *testing.T) {
 	sp := newMemSpiller()
 	sp.failPut = true
-	m := NewManagerWithSpiller(1, 1<<20, sp)
+	m := NewManager(1, 1<<20, sp)
 	s := mkSample(50)
 
-	if err := m.PutWarehouse(NewSampleItem(1, s)); err == nil {
+	if err := m.PutWarehouse(NewItem(1, s)); err == nil {
 		t.Fatal("PutWarehouse must surface a failed durable write")
 	}
 	if m.Has(1) {
 		t.Fatal("failed placement left the item stored")
 	}
 	// Admit overflows to the warehouse (tiny buffer) and must drop.
-	if r := m.Admit(NewSampleItem(2, s)); r != AdmitDropped {
+	if r := m.Admit(NewItem(2, s)); r != AdmitDropped {
 		t.Fatalf("admit with failing disk = %v, want dropped", r)
 	}
 	// Promotion failure keeps the item in the buffer, payload intact.
 	sp.failPut = false
-	big := NewManagerWithSpiller(1<<20, 1<<20, sp)
-	if err := big.PutBuffer(NewSampleItem(3, s)); err != nil {
+	big := NewManager(1<<20, 1<<20, sp)
+	if err := big.PutBuffer(NewItem(3, s)); err != nil {
 		t.Fatal(err)
 	}
 	sp.failPut = true
@@ -364,23 +364,27 @@ func TestFailedSpillAbortsPlacement(t *testing.T) {
 }
 
 // TestRestoredItemQuota: restore honors tier quotas (restart under a
-// smaller budget drops overflow).
+// smaller budget drops overflow), and a lazily restored item's payload type
+// is its kind: Sketch() on a sample errors once faulted in.
 func TestRestoredItemQuota(t *testing.T) {
 	sp := newMemSpiller()
 	s := mkSample(50)
-	sp.files[9] = &Payload{Sample: s}
-	m := NewManagerWithSpiller(1<<20, s.SizeBytes(), sp)
-	it := RestoredItem(9, SampleItem, s.SizeBytes(), int64(s.Rows.NumRows()), false, sp)
+	sp.files[9] = s
+	m := NewManager(1<<20, s.SizeBytes(), sp)
+	it := RestoredItem(9, s.SizeBytes(), int64(s.Rows.NumRows()), false, sp)
 	if err := m.RestoreItem(it, false); err != nil {
 		t.Fatal(err)
 	}
 	if it.Loaded() {
 		t.Fatal("restored item must start unloaded")
 	}
-	if err := it.EagerLoad(); err != nil {
-		t.Fatal(err)
+	if _, err := it.Sketch(); err == nil {
+		t.Fatal("Sketch() on a restored sample item must error")
 	}
-	over := RestoredItem(10, SampleItem, s.SizeBytes(), 50, false, sp)
+	if got, err := it.Sample(); err != nil || got != s {
+		t.Fatalf("restored sample: %v %v", got, err)
+	}
+	over := RestoredItem(10, s.SizeBytes(), 50, false, sp)
 	if err := m.RestoreItem(over, false); err == nil {
 		t.Fatal("restore past quota must fail")
 	}
