@@ -67,24 +67,29 @@ func compileBuild(n plan.Node, where string, ctx *Context) (Operator, error) {
 	return traceWrap(op, n, ctx), nil
 }
 
-// lowerBuild is compileBuild without the trace wrap of n itself. A filter
-// directly above a base-table scan drives zone-map pruning: the scan skips
-// partitions whose zones prove the predicate unsatisfiable. The FilterOp
-// stays on top, so the output stream is the unpruned scan's — pruning only
-// reduces the scanned bytes and tuples.
+// lowerBuild is compileBuild without the trace wrap of n itself. The base
+// table is read by the spine's scan, morselScan, as one morsel covering every
+// row, and a filter directly above it drives the same zone-map pruning the
+// spine's leaf does (pipeline.open): partitions whose zones prove the
+// predicate unsatisfiable are skipped. The FilterOp stays on top, so the
+// output stream is the unpruned scan's — pruning only reduces the scanned
+// bytes and tuples.
 func lowerBuild(n plan.Node, where string, ctx *Context) (Operator, error) {
-	switch t := n.(type) {
-	case *plan.Scan:
-		return NewTableScan(t.Table, ctx), nil
-	case *plan.Filter:
-		if sc, ok := t.Child.(*plan.Scan); ok {
-			ts := NewTableScan(sc.Table, ctx)
-			ts.Prune = t.Pred
-			return NewFilterOp(traceWrap(ts, sc, ctx), t.Pred, ctx)
-		}
-		n = t.Child
+	f, filtered := n.(*plan.Filter)
+	if filtered {
+		n = f.Child
 	}
-	return nil, fmt.Errorf("exec: cannot compile %T in %s: a build side is Scan or Filter(Scan)", n, where)
+	sc, ok := n.(*plan.Scan)
+	if !ok {
+		return nil, fmt.Errorf("exec: cannot compile %T in %s: a build side is Scan or Filter(Scan)", n, where)
+	}
+	whole := &pipeline{leaf: sc.Table, leafBase: true, leafSchema: sc.Table.Schema()}
+	src := &morselScan{schema: whole.leafSchema, ctx: ctx, whole: whole}
+	if !filtered {
+		return src, nil
+	}
+	whole.prune = f.Pred
+	return NewFilterOp(traceWrap(src, sc, ctx), f.Pred, ctx)
 }
 
 // buildSource is the base table a build side reads (compileBuild has

@@ -654,7 +654,7 @@ func TestSortAndLimit(t *testing.T) {
 	if len(ivs) != 3 {
 		t.Fatalf("sorted intervals = %d", len(ivs))
 	}
-	if _, err := NewSortOp(NewTableScan(ordersTable(), ctx), []string{"nope"}, nil, 0, ctx); err == nil {
+	if _, err := NewSortOp(&batchFeed{schema: ordersTable().Schema()}, []string{"nope"}, nil, 0, ctx); err == nil {
 		t.Fatal("want unknown sort column error")
 	}
 }

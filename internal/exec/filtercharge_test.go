@@ -79,7 +79,7 @@ func TestFilterRefusesWhatKernelsCannotRun(t *testing.T) {
 	tbl := ordersTable()
 	pred := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: &expr.Col{Name: "orders.cust"}}
 	ctx := NewContext(0.95)
-	if _, err := NewFilterOp(NewTableScan(tbl, ctx), pred, ctx); err == nil || !strings.Contains(err.Error(), "compares two columns") {
+	if _, err := NewFilterOp(&batchFeed{schema: tbl.Schema()}, pred, ctx); err == nil || !strings.Contains(err.Error(), "compares two columns") {
 		t.Fatalf("NewFilterOp = %v, want the compile error", err)
 	}
 	if _, err := Compile(&plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: pred}, 1, ctx); err == nil {

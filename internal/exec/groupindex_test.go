@@ -60,8 +60,8 @@ func TestGroupedAnswersAcrossWorkersAndCodings(t *testing.T) {
 	if s := base.Column(0); s.Dict == nil || base.Column(1).Dict != nil {
 		t.Fatal("fixture: t.s should be coded and t.u past the cap")
 	}
-	if first, last := grown.Partition(0), grown.Partition(grown.Partitions()-1); first.Rows() == 0 ||
-		grown.Scan(0, 10)[0].Vecs[0].Dict == grown.Scan(grown.Partitions()-1, 10)[0].Vecs[0].Dict || last.Rows() == 0 {
+	if first, last := grown.Scan(0, 10), grown.Scan(grown.Partitions()-1, 10); len(first) == 0 ||
+		len(last) == 0 || first[0].Vecs[0].Dict == last[0].Vecs[0].Dict {
 		t.Fatal("fixture: the append should leave partitions under two dictionaries")
 	}
 	aggs := []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "t.y"}}

@@ -64,6 +64,17 @@ func probeOp(t *testing.T, probe, build Operator, probeKeys, buildKeys []string,
 	return &morselProbeOp{child: probe, st: &pipelineJoinState{spec: spec, table: table}, ctx: ctx}
 }
 
+// scanOp is the compiled scan of a whole table, the build-side lowering a
+// compiled plan gives a bare Scan.
+func scanOp(t *testing.T, tbl *storage.Table, ctx *Context) Operator {
+	t.Helper()
+	op, err := compileBuild(&plan.Scan{Table: tbl}, "a test", ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
 // TestHashJoinChunksHighFanoutOutput: a skewed build key with thousands of
 // duplicates must not inflate one output batch; the prober emits full chunks
 // of joinBatchRows and carries its probe position across Next calls, resuming
@@ -97,9 +108,9 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 		probe func(ctx *Context) Operator
 		ids   []int64 // probe rows that reach the join, in order
 	}{
-		{"every row", func(ctx *Context) Operator { return NewTableScan(probeTable, ctx) }, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"every row", func(ctx *Context) Operator { return scanOp(t, probeTable, ctx) }, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
 		{"under a selection", func(ctx *Context) Operator {
-			f, err := NewFilterOp(NewTableScan(probeTable, ctx), &expr.Cmp{Op: expr.GE, L: &expr.Col{Name: "p.id"}, R: expr.Int(3)}, ctx)
+			f, err := NewFilterOp(scanOp(t, probeTable, ctx), &expr.Cmp{Op: expr.GE, L: &expr.Col{Name: "p.id"}, R: expr.Int(3)}, ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +118,7 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 		}, []int64{3, 4, 5, 6, 7, 8, 9}},
 	} {
 		ctx := NewContext(0.95)
-		j := probeOp(t, c.probe(ctx), NewTableScan(buildTable, ctx), []string{"p.k"}, []string{"dup.k"}, ctx)
+		j := probeOp(t, c.probe(ctx), scanOp(t, buildTable, ctx), []string{"p.k"}, []string{"dup.k"}, ctx)
 		out, err := Run(j)
 		if err != nil {
 			t.Fatal(err)

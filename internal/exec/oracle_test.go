@@ -26,6 +26,7 @@ package exec_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -131,21 +132,22 @@ func oracleEval(t testing.TB, n plan.Node) relation {
 	case *plan.Join:
 		// The build side comes first and is exchanged whole. An empty one
 		// proves the join empty, and nothing below it on the probe side is
-		// read at all: builds run top-down and the first empty one stops the
-		// plan.
+		// charged: builds run top-down and the first empty one stops the
+		// plan, so the engine never reads it.
 		right := oracleEval(t, n.Right)
 		right.cost.shuffle += width(right.rows)
-		if len(right.rows) == 0 {
-			return relation{schema: n.Schema(), cost: right.cost}
-		}
 		left := oracleEval(t, n.Left)
+		out := relation{schema: slices.Concat(left.schema, right.schema), cost: right.cost}
+		if len(right.rows) == 0 {
+			return out
+		}
+		out.cost = left.cost.plus(right.cost)
 		lk, rk := columnsOf(t, left.schema, n.LeftKeys), columnsOf(t, right.schema, n.RightKeys)
 		byKey := make(map[string][]int)
 		for i, row := range right.rows {
 			k := keyText(row, rk)
 			byKey[k] = append(byKey[k], i)
 		}
-		out := relation{schema: left.schema.Concat(right.schema), cost: left.cost.plus(right.cost)}
 		for _, lrow := range left.rows {
 			for _, i := range byKey[keyText(lrow, lk)] {
 				row := append(append([]storage.Value(nil), lrow...), right.rows[i]...)
@@ -246,8 +248,13 @@ func oracleAggregate(t testing.TB, n *plan.Aggregate, in relation) relation {
 		return false
 	})
 
-	out := relation{schema: n.Schema(), inexact: make([]bool, len(by)+len(cols))}
+	// Group columns keep their input types; every aggregate cell is a float64.
+	out := relation{inexact: make([]bool, len(by)+len(cols))}
+	for j, c := range by {
+		out.schema = append(out.schema, storage.Col{Name: n.GroupBy[j], Typ: in.schema[c].Typ})
+	}
 	for k, ag := range n.Aggs {
+		out.schema = append(out.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
 		out.inexact[len(by)+k] = ag.Kind != stats.Count
 	}
 	for _, g := range order {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
@@ -29,15 +30,19 @@ const DefaultMorselRows = 4096
 // planner emits exactly this shape for every plan: exact, inline sampler
 // builds, sample reuse and sketch-joins alike.
 type pipeline struct {
-	leaf      *storage.Table // base table or the sample's row table
-	leafBase  bool           // true: charge BaseBytes; false: synopsis bytes
-	leafFree  bool           // buffer-resident synopsis: no I/O charge
-	leafBytes int64
+	leaf     *storage.Table // base table or the sample's row table
+	leafBase bool           // true: charge BaseBytes; false: synopsis bytes
+	leafFree bool           // buffer-resident synopsis: no I/O charge
 
 	// chain lists the spine nodes between leaf and sink (both exclusive),
 	// bottom-up. A SynopsisOp can only be chain[0]; any number of Joins.
 	chain   []plan.Node
 	sampler *plan.SynopsisOp // the chain's sampler node, if any
+	// prune zone-prunes a base-table leaf (open): the predicate of a Filter
+	// directly above it, nil for none. A sampled leaf never prunes: its
+	// sampler, not a Filter, is chain[0], and its per-morsel RNG streams are
+	// keyed to raw row positions.
+	prune expr.Expr
 
 	// The leaf scan's projection: the positions and schema of the leaf columns
 	// anything on the spine reads.
@@ -70,11 +75,9 @@ func matchSpine(n plan.Node, over string) (*pipeline, error) {
 		case *plan.Scan:
 			p.leaf = t.Table
 			p.leafBase = true
-			p.leafBytes = t.Table.Bytes()
 		case *plan.SynopsisScan:
 			p.leaf = t.Sample.Rows
 			p.leafFree = t.InBuffer
-			p.leafBytes = t.Sample.Rows.Bytes()
 		default:
 			return nil, fmt.Errorf("exec: cannot compile %s over %T: the morsel spine is (Scan [→ Sampler] | SynopsisScan) → {Filter|Join}*", over, n)
 		}
@@ -86,7 +89,52 @@ func matchSpine(n plan.Node, over string) (*pipeline, error) {
 	for i := len(down) - 1; i >= 0; i-- {
 		p.chain = append(p.chain, down[i])
 	}
+	if len(p.chain) > 0 && p.leafBase {
+		if f, ok := p.chain[0].(*plan.Filter); ok {
+			p.prune = f.Pred
+		}
+	}
 	return p, nil
+}
+
+// open is a run's one prune-and-charge call over the leaf, made before any
+// morsel is read; it returns the zone-prune survivor mask (nil = read every
+// partition). A base-table leaf reads the partitions expr.Prune leaves its
+// prune predicate: partitions whose zones refute it are skipped — the filter
+// would drop every one of their rows anyway, so the result is bit-identical;
+// only the scanned bytes and tuples shrink. Morsel geometry stays on the
+// global row grid, so worker-count determinism is untouched; a fully pruned
+// morsel simply yields no batches. A synopsis leaf charges its bytes as a
+// warehouse read, unless it is buffer-resident.
+func (p *pipeline) open(ctx *Context) []bool {
+	if !p.leafBase {
+		if !p.leafFree {
+			ctx.Stats.WarehouseBytes += p.leaf.Bytes()
+		}
+		return nil
+	}
+	keep, bytes, _ := expr.Prune(p.prune, p.leaf)
+	ctx.Stats.BaseBytes += bytes
+	ctx.Obs.Pruned(prunedCount(keep))
+	return keep
+}
+
+// prunedCount counts the partitions a survivor mask skipped (0 for the nil
+// nothing-pruned mask).
+func prunedCount(keep []bool) int64 {
+	var n int64
+	for _, k := range keep {
+		if !k {
+			n++
+		}
+	}
+	return n
+}
+
+// read returns the leaf's batches over global rows [lo, hi) of the
+// partitions keep leaves, narrowed to the leaf columns the spine reads.
+func (p *pipeline) read(lo, hi int, keep []bool) []*storage.Batch {
+	return p.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep, p.leafSchema, p.leafCols)
 }
 
 // sink is where a pipeline's spine ends. Every morsel folds its batches into
@@ -337,29 +385,7 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 		workers = nMorsels
 	}
 
-	// Zone-map pruning: when the spine is sampler-free and a Filter sits
-	// directly above a base-table leaf, partitions whose zones refute the
-	// predicate are skipped — the filter would drop every one of their rows
-	// anyway, so the merged result is bit-identical; only the scanned bytes
-	// and tuple counts shrink. Morsel geometry stays on the global row grid
-	// (nMorsels is unchanged), so worker-count determinism is untouched; a
-	// fully pruned morsel simply yields no batches. Sampler pipelines never
-	// prune: their per-morsel RNG streams are keyed to raw row positions.
-	keep, leafBytes := []bool(nil), p.pipe.leafBytes
-	if p.pipe.leafBase && p.pipe.sampler == nil && len(p.pipe.chain) > 0 {
-		if f, ok := p.pipe.chain[0].(*plan.Filter); ok {
-			keep, leafBytes = pruneKeep(p.pipe.leaf, f.Pred)
-			p.ctx.Obs.Pruned(prunedCount(keep))
-		}
-	}
-
-	// Charge the leaf scan once, exactly as the scan operators do.
-	switch {
-	case p.pipe.leafBase:
-		p.ctx.Stats.BaseBytes += leafBytes
-	case !p.pipe.leafFree:
-		p.ctx.Stats.WarehouseBytes += p.pipe.leafBytes
-	}
+	keep := p.pipe.open(p.ctx)
 
 	results := make([]morselResult, nMorsels)
 	var next int64
@@ -454,7 +480,7 @@ func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool) morselR
 	}
 	lo := i * morselRows
 	hi := lo + morselRows
-	root.src.batches = p.pipe.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep, p.pipe.leafSchema, p.pipe.leafCols)
+	root.src.batches = p.pipe.read(lo, hi, keep)
 
 	part := p.sink.newPartial()
 	if err := root.op.Open(); err != nil {
@@ -549,19 +575,26 @@ func (o *morselProbeOp) Close() error {
 // Schema implements Operator.
 func (o *morselProbeOp) Schema() storage.Schema { return o.st.spec.schema }
 
-// morselScan feeds one morsel's pre-sliced batches into a per-morsel
-// pipeline. I/O is charged once by PipelineOp, not per morsel; CPU tuples
-// are charged here like any scan.
+// morselScan is the engine's one scan operator. On the spine it feeds one
+// morsel's pre-sliced batches into a per-morsel pipeline, and I/O is charged
+// once by PipelineOp, not per morsel. As a build side (whole set) it reads its
+// whole table as one morsel, making the run's prune-and-charge call in Open.
+// CPU tuples are charged here either way.
 type morselScan struct {
 	schema  storage.Schema
 	ctx     *Context
 	batches []*storage.Batch
 	pos     int
+
+	whole *pipeline
 }
 
 // Open implements Operator.
 func (s *morselScan) Open() error {
 	s.pos = 0
+	if s.whole != nil {
+		s.batches = s.whole.read(0, s.whole.leaf.NumRows(), s.whole.open(s.ctx))
+	}
 	return nil
 }
 

@@ -93,10 +93,9 @@ func markCached(n plan.Node, rows int64, ctx *Context) {
 
 // BuildTraceTree assembles the per-query trace tree for a compiled plan:
 // every node Compile traced carries its recorded counters; nodes whose work
-// ran inside a fused operator (morsel pipelines, pruning-fused scans)
-// appear as fused stubs. built counts the synopses materialized per plan
-// node (attached after the run, from RunStats). RowsIn derives from the
-// traced children's output.
+// ran inside a morsel pipeline appear as fused stubs. built counts the
+// synopses materialized per plan node (attached after the run, from
+// RunStats). RowsIn derives from the traced children's output.
 func BuildTraceTree(root plan.Node, nodes map[plan.Node]*obs.TraceNode, built map[plan.Node]int64) *obs.TraceNode {
 	tn := nodes[root]
 	if tn == nil {

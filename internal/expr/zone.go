@@ -45,6 +45,35 @@ func ZonePrunes(pred Expr, sch storage.Schema, zone *storage.ZoneMap) bool {
 	return false
 }
 
+// Prune is the one decision of which partitions a read of t filtered by
+// pred touches, and of what those partitions hold: the executor's scans
+// skip and charge by it, and the planner prices every filtered branch by it.
+// keep marks the partitions ZonePrunes leaves; it is nil when none was
+// pruned (read everything), so an ineffective prune and a nil pred both
+// charge bytes = t.Bytes() and rows = t.NumRows() exactly.
+func Prune(pred Expr, t *storage.Table) (keep []bool, bytes, rows int64) {
+	if pred == nil {
+		return nil, t.Bytes(), int64(t.NumRows())
+	}
+	sch := t.Schema()
+	keep = make([]bool, t.Partitions())
+	pruned := false
+	for p := range keep {
+		zone := t.Zone(p)
+		if ZonePrunes(pred, sch, zone) {
+			pruned = true
+			continue
+		}
+		keep[p] = true
+		bytes += t.PartitionBytes(p)
+		rows += int64(zone.Rows)
+	}
+	if !pruned {
+		keep = nil
+	}
+	return keep, bytes, rows
+}
+
 // conjunctExcludes reports whether the conjunct is false for every row the
 // zone admits — a single excluding conjunct of a conjunction prunes the
 // whole partition. hasNaN widens the admitted set beyond [mn, mx] for float

@@ -76,32 +76,6 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// Merge combines another snapshot with identical bounds into this one,
-// returning the merged result (the receiver is not modified). Snapshots
-// with mismatched bucket layouts do not merge meaningfully; Merge panics on
-// a length mismatch to surface the bug rather than skew percentiles.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	if len(o.Counts) == 0 {
-		return s
-	}
-	if len(s.Counts) == 0 {
-		return o
-	}
-	if len(s.Counts) != len(o.Counts) {
-		panic("obs: merging histograms with different bucket layouts")
-	}
-	out := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out
-}
-
 // Quantile estimates the q-th quantile (q in [0,1]) by linear interpolation
 // within the bucket holding the target rank — the standard fixed-bucket
 // estimator (identical to Prometheus histogram_quantile). Observations in

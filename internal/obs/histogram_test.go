@@ -45,49 +45,6 @@ func TestHistogramZeroValue(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := testHist(), testHist()
-	a.Observe(1)
-	a.Observe(3)
-	b.Observe(3)
-	b.Observe(9)
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 4 {
-		t.Fatalf("merged Count = %d, want 4", m.Count)
-	}
-	if math.Abs(m.Sum-16) > 1e-9 {
-		t.Fatalf("merged Sum = %g, want 16", m.Sum)
-	}
-	want := []int64{1, 0, 2, 0, 1}
-	for i, w := range want {
-		if m.Counts[i] != w {
-			t.Errorf("merged bucket %d = %d, want %d", i, m.Counts[i], w)
-		}
-	}
-
-	// Merging with an empty snapshot returns the other side unchanged.
-	if got := a.Snapshot().Merge(HistogramSnapshot{}); got.Count != 2 {
-		t.Errorf("merge with empty: Count = %d, want 2", got.Count)
-	}
-	if got := (HistogramSnapshot{}).Merge(b.Snapshot()); got.Count != 2 {
-		t.Errorf("empty merge with b: Count = %d, want 2", got.Count)
-	}
-}
-
-func TestHistogramMergeLayoutMismatchPanics(t *testing.T) {
-	a := testHist()
-	a.Observe(1)
-	var b Histogram
-	b.init([]float64{1, 2})
-	b.Observe(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched layouts did not panic")
-		}
-	}()
-	a.Snapshot().Merge(b.Snapshot())
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	h := testHist()
 	// 100 observations uniform in (0, 8]: 12 in le=1 (0..1], 13 in le=2,

@@ -17,8 +17,6 @@ import (
 // Node is a logical plan operator. Nodes are immutable after construction;
 // rewrites build new trees sharing subtrees.
 type Node interface {
-	// Schema returns the output schema of the operator.
-	Schema() storage.Schema
 	// Children returns the input operators.
 	Children() []Node
 	// String renders one line for plan display.
@@ -29,9 +27,6 @@ type Node interface {
 type Scan struct {
 	Table *storage.Table
 }
-
-// Schema implements Node.
-func (s *Scan) Schema() storage.Schema { return s.Table.Schema() }
 
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }
@@ -45,9 +40,6 @@ type Filter struct {
 	Pred  expr.Expr
 }
 
-// Schema implements Node.
-func (f *Filter) Schema() storage.Schema { return f.Child.Schema() }
-
 // Children implements Node.
 func (f *Filter) Children() []Node { return []Node{f.Child} }
 
@@ -60,9 +52,6 @@ type Join struct {
 	LeftKeys    []string
 	RightKeys   []string
 }
-
-// Schema implements Node.
-func (j *Join) Schema() storage.Schema { return j.Left.Schema().Concat(j.Right.Schema()) }
 
 // Children implements Node.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
@@ -103,24 +92,6 @@ type Aggregate struct {
 	Child   Node
 	GroupBy []string
 	Aggs    []AggSpec
-}
-
-// Schema implements Node: group-by columns followed by aggregate outputs
-// (all Float64: approximate aggregates are real-valued).
-func (a *Aggregate) Schema() storage.Schema {
-	in := a.Child.Schema()
-	out := make(storage.Schema, 0, len(a.GroupBy)+len(a.Aggs))
-	for _, g := range a.GroupBy {
-		t := storage.Int64
-		if i := in.Index(g); i >= 0 {
-			t = in[i].Typ
-		}
-		out = append(out, storage.Col{Name: g, Typ: t})
-	}
-	for _, ag := range a.Aggs {
-		out = append(out, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
-	}
-	return out
 }
 
 // Children implements Node.
@@ -167,11 +138,6 @@ type SynopsisOp struct {
 	Accuracy  stats.AccuracySpec
 }
 
-// Schema implements Node: sampler output carries the weight column.
-func (s *SynopsisOp) Schema() storage.Schema {
-	return synopses.SampleSchema(s.Child.Schema())
-}
-
 // Children implements Node.
 func (s *SynopsisOp) Children() []Node { return []Node{s.Child} }
 
@@ -191,9 +157,6 @@ type SynopsisScan struct {
 	// InBuffer marks samples served from the in-memory buffer (no I/O cost).
 	InBuffer bool
 }
-
-// Schema implements Node.
-func (s *SynopsisScan) Schema() storage.Schema { return s.Sample.Rows.Schema() }
 
 // Children implements Node.
 func (s *SynopsisScan) Children() []Node { return nil }
@@ -223,23 +186,6 @@ type SketchJoin struct {
 	Aggs      []AggSpec
 }
 
-// Schema implements Node: same shape as the Aggregate it replaces.
-func (s *SketchJoin) Schema() storage.Schema {
-	probe := s.Probe.Schema()
-	out := make(storage.Schema, 0, len(s.GroupBy)+len(s.Aggs))
-	for _, g := range s.GroupBy {
-		t := storage.Int64
-		if i := probe.Index(g); i >= 0 {
-			t = probe[i].Typ
-		}
-		out = append(out, storage.Col{Name: g, Typ: t})
-	}
-	for _, ag := range s.Aggs {
-		out = append(out, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
-	}
-	return out
-}
-
 // Children implements Node.
 func (s *SketchJoin) Children() []Node {
 	if s.Build != nil {
@@ -262,9 +208,6 @@ type Sort struct {
 	Desc  []bool
 	Limit int
 }
-
-// Schema implements Node.
-func (s *Sort) Schema() storage.Schema { return s.Child.Schema() }
 
 // Children implements Node.
 func (s *Sort) Children() []Node { return []Node{s.Child} }

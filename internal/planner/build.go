@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 
+	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 )
 
@@ -90,15 +91,16 @@ func (p *Planner) costFilteredJoinTree(q *Query, overrides map[string]scanEst, c
 		// The first table — for a bound query the fact table (factFirst) — is
 		// the probe spine of the morsel-parallel executor; every other branch
 		// is a serially drained build side.
-		// Either way the executor zone-prunes partitions the table's filter
-		// provably rejects, so charge only the surviving partitions' share.
-		bytes, rows := p.prunedScanCharge(t, q.filterForTable(t.Name))
+		// Either way the executor reads the partitions expr.Prune leaves the
+		// table's filter, so charge exactly what they hold.
+		f := q.filterForTable(t.Name)
+		_, bytes, rows := expr.Prune(f, t.Table)
 		serial := t.Name != q.Tables[0].Name
 		cost.scanBase(bytes, rows, serial)
-		if f := q.filterForTable(t.Name); f != nil {
+		if f != nil {
 			cost.filterWork(float64(rows), serial)
 		}
-		return p.est.tableEst(t, q.filterForTable(t.Name))
+		return p.est.tableEst(t, f)
 	}
 
 	cur := branchEst(q.Tables[0])

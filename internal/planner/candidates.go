@@ -202,17 +202,22 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 		return n
 	}
 
+	// The probe side is the same in every candidate below, so it is costed
+	// once — like every other scan, zone pruning included, so the estimate
+	// charges the partitions exec will read — and each candidate starts
+	// from it. Sketch-join plans are costed as serial work (see planCost).
+	var probe planCost
+	probeOut := p.costFilteredJoinTree(probeQ, nil, &probe)
+	probe.sketchProbeWork(probeOut.rows)
+	probe.aggWork(scanEst{rows: probeOut.rows, width: probeOut.width})
+	probe.serializeCPU()
+
 	// Build-inline candidate.
 	buildPlan := mkNode(nil)
-	var cost planCost
+	cost := probe
 	cost.scanTable(sh.fact)
 	cost.cpuTuples += int64(float64(sh.fact.Table.NumRows()) * 4) // the per-key fold of every build row
-	// The probe side is costed like every other scan, zone pruning
-	// included, so the estimate charges the partitions exec will read.
-	probeOut := p.costFilteredJoinTree(probeQ, nil, &cost)
-	cost.sketchProbeWork(probeOut.rows)
-	cost.aggWork(scanEst{rows: probeOut.rows, width: probeOut.width})
-	cost.serializeCPU() // sketch-join plans are costed as serial work (see planCost)
+	cost.serializeCPU()
 	ps.Candidates = append(ps.Candidates, Candidate{
 		Root:    buildPlan,
 		Cost:    cost.seconds(p.Model, p.Parallelism),
@@ -221,12 +226,8 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	})
 
 	// Hypothetical reuse cost.
-	var rc planCost
+	rc := probe
 	rc.warehouseBytes += desc.EstSizeBytes
-	rOut := p.costFilteredJoinTree(probeQ, nil, &rc)
-	rc.sketchProbeWork(rOut.rows)
-	rc.aggWork(scanEst{rows: rOut.rows, width: rOut.width})
-	rc.serializeCPU()
 	reuseCost := rc.seconds(p.Model, p.Parallelism)
 	ps.noteReuse(entry.Desc.ID, reuseCost)
 
@@ -251,15 +252,11 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 			continue
 		}
 		node := mkNode(&synopsesSketch{id: m.Entry.Desc.ID, sk: sk})
-		var rcost planCost
+		rcost := probe
 		rcost.warehouseBytes += b.item.Size
 		if !b.loaded {
 			rcost.loadSynopsis(b.item.Size)
 		}
-		ro := p.costFilteredJoinTree(probeQ, nil, &rcost)
-		rcost.sketchProbeWork(ro.rows)
-		rcost.aggWork(scanEst{rows: ro.rows, width: ro.width})
-		rcost.serializeCPU()
 		ps.Candidates = append(ps.Candidates, Candidate{
 			Root: node,
 			Cost: rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(b.stale),

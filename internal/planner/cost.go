@@ -111,8 +111,8 @@ func (c *planCost) scanTable(t TableRef) {
 }
 
 // scanBase charges a base-table scan by explicit byte and row totals — the
-// zone-prune-aware costing path passes only the surviving partitions'
-// share, mirroring what the executor's pruned scans actually charge.
+// zone-prune-aware costing path passes what expr.Prune leaves, which is
+// what the executor's scan charges.
 func (c *planCost) scanBase(bytes, rows int64, serial bool) {
 	c.baseBytes += bytes
 	if serial {

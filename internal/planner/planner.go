@@ -238,27 +238,6 @@ func (p *Planner) configureSampler(q *Query, strat []string, inRows float64, sel
 	return samplerConfig{kind: plan.DistinctSample, p: pr, delta: delta, ok: true}
 }
 
-// prunedScanCharge returns the scan bytes and tuples the executor will
-// charge for a filtered base-table scan: partitions whose zone maps refute
-// the filter are skipped by the pruned scans and cost nothing, exactly as
-// exec skips them. With no filter the full table is charged.
-func (p *Planner) prunedScanCharge(t TableRef, filter expr.Expr) (bytes, rows int64) {
-	tbl := t.Table
-	if filter == nil {
-		return tbl.Bytes(), int64(tbl.NumRows())
-	}
-	sch := tbl.Schema()
-	counts := tbl.PartitionRowCounts()
-	for pi := 0; pi < tbl.Partitions(); pi++ {
-		if expr.ZonePrunes(filter, sch, tbl.Zone(pi)) {
-			continue
-		}
-		bytes += tbl.PartitionBytes(pi)
-		rows += counts[pi]
-	}
-	return bytes, rows
-}
-
 // bound is a stored synopsis that passed bind: the item a reuse candidate
 // reads, and what costing needs to know about how it was found.
 type bound struct {
@@ -462,7 +441,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	})
 
 	// Hypothetical reuse cost (drives the tuner's gain for this synopsis).
-	reuseCost := p.costBaseSampleReuse(q, fact, factFilter, desc.EstSizeBytes, outRows*sel)
+	reuseCost := p.costBaseSampleReuse(q, fact, desc.EstSizeBytes, outRows*sel)
 	ps.noteReuse(entry.Desc.ID, reuseCost)
 
 	// Reuse candidates for every matching materialized sample. The match
@@ -549,7 +528,7 @@ func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, 
 
 // costBaseSampleReuse estimates what the query costs if the base sample
 // existed in the warehouse.
-func (p *Planner) costBaseSampleReuse(q *Query, fact TableRef, factFilter expr.Expr, sizeBytes int64, outRows float64) float64 {
+func (p *Planner) costBaseSampleReuse(q *Query, fact TableRef, sizeBytes int64, outRows float64) float64 {
 	var cost planCost
 	cost.warehouseBytes += sizeBytes
 	cost.cpuTuples += int64(outRows)

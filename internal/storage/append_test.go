@@ -117,10 +117,10 @@ func TestRowWidthsFollowThePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &t0.Partition(0).rowWidths()[0] != &t1.Partition(0).rowWidths()[0] {
+	if &t0.parts[0].rowWidths()[0] != &t1.parts[0].rowWidths()[0] {
 		t.Fatal("an untouched partition recomputed its row widths across versions")
 	}
-	if t1.Partitions() != 4 || len(t1.Partition(2).rowWidths()) != 4 || len(t0.Partition(2).rowWidths()) != 2 {
-		t.Fatalf("tail widths: new %d, old %d", len(t1.Partition(2).rowWidths()), len(t0.Partition(2).rowWidths()))
+	if t1.Partitions() != 4 || len(t1.parts[2].rowWidths()) != 4 || len(t0.parts[2].rowWidths()) != 2 {
+		t.Fatalf("tail widths: new %d, old %d", len(t1.parts[2].rowWidths()), len(t0.parts[2].rowWidths()))
 	}
 }

@@ -87,7 +87,7 @@ func TestVectorCodesSurviveRandomCopies(t *testing.T) {
 		a := strTable(t, "a", randStrings(r, 400, 9), 3)
 		b := strTable(t, "b", randStrings(r, 300, 30), 2)
 		uncoded := &Vector{Typ: String, Str: randStrings(r, 200, 12)}
-		sources := []*Vector{a.Column(1), b.Column(1), uncoded, a.Partition(1).cols[1], b.Partition(0).cols[1]}
+		sources := []*Vector{a.Column(1), b.Column(1), uncoded, a.parts[1].cols[1], b.parts[0].cols[1]}
 		for _, s := range sources[:2] {
 			if s.Dict == nil {
 				t.Fatal("a low-cardinality table column came out uncoded")

@@ -140,7 +140,7 @@ func TestStatsMatchTheFrequencyOracle(t *testing.T) {
 		if base.Column(3).Dict == nil || base.Column(4).Dict != nil {
 			t.Fatal("fixture: r.s should be coded and r.u past the cap")
 		}
-		if first, last := grown.Partition(0).cols[3], grown.Partition(grown.Partitions() - 1).cols[3]; first.Dict == nil || first.Dict == last.Dict {
+		if first, last := grown.parts[0].cols[3], grown.parts[grown.Partitions()-1].cols[3]; first.Dict == nil || first.Dict == last.Dict {
 			t.Fatal("fixture: the append should leave r.s under two dictionaries")
 		}
 		empty := NewBuilder("r", schema).Build(1)

@@ -48,8 +48,8 @@ func TestSchemaIndex(t *testing.T) {
 func TestSchemaConcatClone(t *testing.T) {
 	a := Schema{{Name: "a", Typ: Int64}}
 	b := Schema{{Name: "b", Typ: String}}
-	c := a.Concat(b)
-	if len(c) != 2 || c[0].Name != "a" || c[1].Name != "b" {
+	c := append(a.Clone(), b...)
+	if len(c) != 2 || c[0].Name != "a" || c[1].Name != "b" || len(a) != 1 {
 		t.Fatalf("concat = %v", c)
 	}
 	cl := c.Clone()
@@ -57,7 +57,7 @@ func TestSchemaConcatClone(t *testing.T) {
 	if c[0].Name != "a" {
 		t.Fatal("Clone must not alias")
 	}
-	if !c.Equal(a.Concat(b)) || c.Equal(a) {
+	if !c.Equal(append(a.Clone(), b...)) || c.Equal(a) {
 		t.Fatal("Equal misbehaves")
 	}
 }
@@ -77,7 +77,7 @@ func TestValueOrdering(t *testing.T) {
 	}
 }
 
-func TestTableScanRoundTrip(t *testing.T) {
+func TestPartitionScanRoundTrip(t *testing.T) {
 	const rows = 1000
 	tbl := buildTestTable(t, rows)
 	if tbl.NumRows() != rows {
@@ -106,8 +106,9 @@ func TestPartitionRangesCoverAllRows(t *testing.T) {
 		for _, partRows := range []int{0, 1, 3, 128} {
 			tbl := buildTestTable(t, rows).Repartition(partRows)
 			total := 0
-			for p, n := range tbl.PartitionRowCounts() {
-				if partRows > 0 && int(n) > partRows {
+			for p, part := range tbl.parts {
+				n := part.rows
+				if partRows > 0 && n > partRows {
 					t.Fatalf("rows=%d partRows=%d p=%d: oversize partition of %d rows", rows, partRows, p, n)
 				}
 				// The rows a scan of the partition yields are the rows counted.
@@ -115,10 +116,10 @@ func TestPartitionRangesCoverAllRows(t *testing.T) {
 				for _, b := range tbl.Scan(p, 128) {
 					scanned += b.Len()
 				}
-				if scanned != int(n) {
+				if scanned != n {
 					t.Fatalf("rows=%d partRows=%d p=%d: scan yields %d rows, count says %d", rows, partRows, p, scanned, n)
 				}
-				total += int(n)
+				total += n
 			}
 			if total != rows {
 				t.Fatalf("rows=%d partRows=%d: covered %d", rows, partRows, total)
@@ -308,14 +309,14 @@ func TestPartitionTilingQuick(t *testing.T) {
 			b.Int(0, int64(i))
 		}
 		tbl := b.Build(p)
-		covered := int64(0)
-		for _, c := range tbl.PartitionRowCounts() {
-			if c < 0 || c > int64(n) {
+		covered := 0
+		for _, part := range tbl.parts {
+			if part.rows < 0 || part.rows > n {
 				return false
 			}
-			covered += c
+			covered += part.rows
 		}
-		return covered == int64(n)
+		return covered == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -26,9 +26,6 @@ type Partition struct {
 	widths    []int32
 }
 
-// Rows returns the partition's row count.
-func (p *Partition) Rows() int { return p.rows }
-
 // Bytes returns the partition's payload size, computed on first call and
 // cached (string columns make a fresh computation O(rows), and cost
 // accounting asks per query).
@@ -222,19 +219,6 @@ func (t *Table) NumRows() int { return t.rows }
 
 // Partitions returns the partition count.
 func (t *Table) Partitions() int { return len(t.parts) }
-
-// Partition returns partition p.
-func (t *Table) Partition(p int) *Partition { return t.parts[p] }
-
-// PartitionRowCounts returns the per-partition row counts in partition
-// order.
-func (t *Table) PartitionRowCounts() []int64 {
-	out := make([]int64, len(t.parts))
-	for i, p := range t.parts {
-		out[i] = int64(p.rows)
-	}
-	return out
-}
 
 // Epoch returns the table's version counter: 0 for a freshly built table,
 // incremented by every Append. Synopsis freshness tracking records the epoch

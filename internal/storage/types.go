@@ -177,14 +177,6 @@ func (s Schema) Clone() Schema {
 	return out
 }
 
-// Concat returns the concatenation s ++ o (used by joins).
-func (s Schema) Concat(o Schema) Schema {
-	out := make(Schema, 0, len(s)+len(o))
-	out = append(out, s...)
-	out = append(out, o...)
-	return out
-}
-
 // Equal reports whether two schemas have identical names and types.
 func (s Schema) Equal(o Schema) bool {
 	if len(s) != len(o) {
