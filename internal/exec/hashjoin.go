@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
@@ -16,15 +17,17 @@ const joinBatchRows = storage.BatchSize
 // column positions on both sides plus the output schema. It is computed once
 // and shared by every prober of the join (one per morsel). The payload is
 // what something above the join reads, not what the two sides hold: the
-// build table keeps every column (its cache identity and its charge are the
-// full rows'), the probe gathers from it selectively. A sampled spine's
-// weight column is a probe-side payload column like any other: the build
-// side is never sampled, so a joined row's weight is its probe row's.
+// build side is drained whole (its cache identity and its charge are the
+// full rows'), and a query-owned build table copies only buildCols, the
+// columns the index and the probe read. A sampled spine's weight column is
+// a probe-side payload column like any other: the build side is never
+// sampled, so a joined row's weight is its probe row's.
 type joinSpec struct {
 	leftKeys  []int
 	rightKeys []int
 	leftCols  []int // left columns copied to output
 	rightCols []int
+	buildCols []int // rightKeys ∪ rightCols, ascending: what the join reads of the build side
 
 	schema storage.Schema
 }
@@ -57,6 +60,9 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) 
 	}
 	j.leftCols = neededCols(ls, need)
 	j.rightCols = neededCols(rs, need)
+	j.buildCols = slices.Concat(j.rightKeys, j.rightCols)
+	slices.Sort(j.buildCols)
+	j.buildCols = slices.Compact(j.buildCols)
 	j.schema = append(projectSchema(ls, j.leftCols), projectSchema(rs, j.rightCols)...)
 	return j, nil
 }
@@ -82,9 +88,12 @@ func keyTypesMatch(op string, probe, build storage.Schema) error {
 // build is serial, so the table is the same at any worker count; once built
 // it is immutable and safe for concurrent probing.
 type joinTable struct {
-	// rows are all build rows concatenated, in input order and full-width;
-	// rows.Width holds what each costs to exchange, so a matched pair's width
-	// is two array reads.
+	// rows are all build rows concatenated, in input order. rows.Vecs is
+	// indexed by build-schema position and holds a vector for each column
+	// the table keeps, nil for the others: a query-owned table keeps the
+	// spec's buildCols, a cached one every column, because it serves every
+	// later query of its key. rows.Width holds what each full row costs to
+	// exchange, so a matched pair's width is two array reads.
 	rows *storage.Batch
 	idx  *storage.KeyIndex
 
@@ -94,7 +103,7 @@ type joinTable struct {
 	shared bool
 }
 
-func (t *joinTable) empty() bool { return t == nil || t.rows == nil || t.rows.Len() == 0 }
+func (t *joinTable) empty() bool { return t == nil || t.rows == nil || len(t.rows.Width) == 0 }
 
 // release returns a query-owned table's build rows to the pool; the rows of
 // a cache-owned table stay with the cache.
@@ -108,10 +117,12 @@ func (t *joinTable) release(p *storage.VecPool) {
 
 // drainBuild materializes an operator's full output in input order, charging
 // shuffle bytes (the build side of a hash join is exchanged in the simulated
-// cluster). Consumed batches are released: the joinTable keeps only the
-// copied concatenation, which comes from the run's pool — or, with keep set,
-// from the heap, because a JoinCache is about to own it past this query.
-func drainBuild(op Operator, ctx *Context, keep bool) (*storage.Batch, error) {
+// cluster) for the whole rows. Only the columns at cols (nil: every column)
+// are copied; the batch's other vectors are nil. Consumed batches are
+// released: the joinTable keeps only the copied concatenation, which comes
+// from the run's pool — or, with keep set, from the heap, because a
+// JoinCache is about to own it past this query.
+func drainBuild(op Operator, ctx *Context, cols []int, keep bool) (*storage.Batch, error) {
 	// Collect first, copy second: the concatenation is then allocated at its
 	// final size in one shot (row-at-a-time appends from zero capacity paid a
 	// realloc cascade per query) and copied column-major.
@@ -129,25 +140,27 @@ func drainBuild(op Operator, ctx *Context, keep bool) (*storage.Batch, error) {
 		bufs = append(bufs, b)
 		total += b.Rows()
 	}
-	var rows *storage.Batch
+	pool := ctx.Pool
 	if keep {
-		rows = storage.NewBatch(op.Schema(), total)
-		rows.Width = make([]int32, 0, total)
-	} else {
-		rows = ctx.Pool.GetBatch(op.Schema(), total)
-		rows.Width = ctx.Pool.GetSel(total)
+		pool = nil // a nil pool allocates from the heap
 	}
+	rows := pool.GetBatchCols(op.Schema(), cols, total)
+	rows.Width = pool.GetSel(total)
 	for _, b := range bufs {
 		if b.Sel != nil {
 			for c, v := range rows.Vecs {
-				v.AppendGather(b.Vecs[c], b.Sel)
+				if v != nil {
+					v.AppendGather(b.Vecs[c], b.Sel)
+				}
 			}
 			for _, i := range b.Sel {
 				rows.Width = append(rows.Width, b.Width[i])
 			}
 		} else {
 			for c, v := range rows.Vecs {
-				v.Extend(b.Vecs[c])
+				if v != nil {
+					v.Extend(b.Vecs[c])
+				}
 			}
 			rows.Width = append(rows.Width, b.Width...)
 		}

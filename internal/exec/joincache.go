@@ -197,7 +197,7 @@ func runBuild(node *plan.Join, op Operator, spec *joinSpec, ctx *Context) (*join
 		var hit *joinCacheEntry
 		if hit, admit = ctx.Joins.lookup(key, source); hit != nil {
 			hit.charge.replay(ctx.Stats)
-			markCached(node.Right, int64(hit.table.rows.Len()), ctx)
+			markCached(node.Right, int64(len(hit.table.rows.Width)), ctx)
 			return hit.table, nil
 		}
 	}
@@ -205,7 +205,13 @@ func runBuild(node *plan.Join, op Operator, spec *joinSpec, ctx *Context) (*join
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	rows, err := drainBuild(op, ctx, admit)
+	// A table the cache admits serves every later query of its key, so it
+	// keeps the full row; one this query owns keeps what this join reads.
+	cols := spec.buildCols
+	if admit {
+		cols = nil
+	}
+	rows, err := drainBuild(op, ctx, cols, admit)
 	if err != nil {
 		return nil, err
 	}

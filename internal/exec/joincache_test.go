@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
+	"github.com/tasterdb/taster/internal/workload"
 )
 
 // custBelow is a build side over the customers table keeping cust.id < v.
@@ -96,6 +98,82 @@ func TestJoinCacheSecondSightAndReplay(t *testing.T) {
 			o.ResidentBytes.Value() <= 0 || o.ResidentBytes.Value() != jc.bytes {
 			t.Fatalf("%s: misses/admissions/hits/evictions = %d/%d/%d/%d, resident %d bytes (cache holds %d); want 2/1/2/0 and resident bytes",
 				name, o.Misses.Value(), o.Admissions.Value(), o.Hits.Value(), o.Evictions.Value(), o.ResidentBytes.Value(), jc.bytes)
+		}
+	}
+}
+
+// TestJoinCacheProjectsOnlyQueryOwnedBuilds runs one join three times on a
+// context with a JoinCache: on first sight the build table is the query's
+// own and keeps only the join's key and payload columns; on second sight it
+// is admitted and keeps every column; the third run hits it. Rows and the
+// three counters a build charges are the same every time.
+func TestJoinCacheProjectsOnlyQueryOwnedBuilds(t *testing.T) {
+	cat := workload.TPCH(0.002, 3).Catalog
+	li, err := cat.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders, err := cat.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := &plan.Aggregate{
+		Child: &plan.Join{
+			Left: &plan.Scan{Table: li},
+			Right: &plan.Filter{
+				Child: &plan.Scan{Table: orders},
+				Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.o_orderdate"}, R: expr.Int(1800)},
+			},
+			LeftKeys: []string{"lineitem.l_orderkey"}, RightKeys: []string{"orders.o_orderkey"},
+		},
+		GroupBy: []string{"orders.o_orderpriority"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "lineitem.l_extendedprice"}},
+	}
+	jc := NewJoinCache(1 << 30)
+	all := orders.Schema().Names()
+	var first string
+	for run, want := range [][]string{{"orders.o_orderkey", "orders.o_orderpriority"}, all, all} {
+		ctx := NewContext(0.95)
+		ctx.Workers = 2
+		ctx.Joins = jc
+		op, err := Compile(root, 42, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := op.(*PipelineOp)
+		if err := p.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var out []*storage.Batch
+		for {
+			b, err := p.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			out = append(out, b)
+		}
+		table := p.joins[0].table
+		var held []string
+		for c, v := range table.rows.Vecs {
+			if v != nil {
+				held = append(held, orders.Schema()[c].Name)
+			}
+		}
+		if !slices.Equal(held, want) || table.shared != (run > 0) {
+			t.Fatalf("run %d: build table holds %v (shared %v), want %v (shared %v)", run, held, table.shared, want, run > 0)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := ctx.Stats
+		got := fmt.Sprintf("%v|base=%d cpu=%d shuffle=%d", allRows(out), s.BaseBytes, s.CPUTuples, s.ShuffleBytes)
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d diverges from the first:\n%.300s\nvs\n%.300s", run, got, first)
 		}
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/expr"
+	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/workload"
 )
 
 // fixedKeyTable builds the join table of a one-column fixed-width key: the
@@ -327,8 +330,13 @@ func joinIndexShapes() []joinIndexShape {
 	}
 }
 
-// BenchmarkJoinBuild times the fixed-key index build alone (the key words
-// and the CSR passes, no row copy), reporting ns per build row.
+// BenchmarkJoinBuild times a join's build, reporting ns per build row: the
+// fixed-key index alone over each joinIndexShapes shape (the key words and
+// the CSR passes, no row copy), and a whole build side as runBuild runs it —
+// σ(orders) drained and indexed for a join that reads its key and one
+// payload column — on the key's first sight (query-owned: pool memory,
+// released after the run) and on its second (admitted: a heap copy the
+// JoinCache keeps).
 func BenchmarkJoinBuild(b *testing.B) {
 	for _, sh := range joinIndexShapes() {
 		b.Run(sh.name, func(b *testing.B) {
@@ -337,6 +345,54 @@ func BenchmarkJoinBuild(b *testing.B) {
 				fixedKeyTable(sh.keys)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.keys.Len()), "ns/row")
+		})
+	}
+	orders, err := workload.TPCH(0.05, 3).Catalog.Table("orders")
+	if err != nil {
+		b.Fatal(err)
+	}
+	join := &plan.Join{
+		Right: &plan.Filter{
+			Child: &plan.Scan{Table: orders},
+			Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.o_orderdate"}, R: expr.Int(1800)},
+		},
+		LeftKeys: []string{"lineitem.l_orderkey"}, RightKeys: []string{"orders.o_orderkey"},
+	}
+	probe := storage.Schema{{Name: "lineitem.l_orderkey", Typ: storage.Int64}}
+	for _, admitted := range []bool{false, true} {
+		name := "orders/query-owned"
+		if admitted {
+			name = "orders/admitted"
+		}
+		b.Run(name, func(b *testing.B) {
+			ctx := NewContext(0.95)
+			source := buildSource(join.Right)
+			key := joinCacheKey(join.Right, source, join.RightKeys)
+			rows := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op, err := compileBuild(join.Right, "a benchmark", ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				spec, err := resolveJoinSpec(probe, op.Schema(), join.LeftKeys, join.RightKeys, []string{"orders.o_orderpriority"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ctx.Joins = nil
+				if admitted {
+					ctx.Joins = NewJoinCache(1 << 30)
+					ctx.Joins.lookup(key, source) // first sight: the run below admits
+				}
+				table, err := runBuild(join, op, spec, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(table.rows.Width)
+				op.Close()
+				table.release(ctx.Pool)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 	}
 }

@@ -362,3 +362,68 @@ func TestBuilderMixingCopiedAndBareStrings(t *testing.T) {
 		t.Fatalf("mixed column should be coded afresh over its 4 values, got %v", d)
 	}
 }
+
+// TestConcatTablesSizesOnceAndCarriesCodes: every column ConcatTables
+// returns is allocated at its final length (cap == len), codes carry across
+// parts copied out of one coded table — an empty part in between, coded
+// under its own dictionary, adds nothing and drops nothing — and are dropped
+// across parts coded under different dictionaries, whose concatenation the
+// new table then codes afresh.
+func TestConcatTablesSizesOnceAndCarriesCodes(t *testing.T) {
+	schema := Schema{{Name: "t.s", Typ: String}, {Name: "t.i", Typ: Int64}}
+	b := NewBuilder("src", schema)
+	for i := 0; i < 10; i++ {
+		b.Str(0, []string{"a", "b", "c"}[i%3])
+		b.Int(1, int64(i))
+	}
+	src := b.Build(1)
+	part := func(rows ...int32) *Table {
+		cols := []*Vector{NewVector(String, 0), NewVector(Int64, 0)}
+		for c, v := range cols {
+			v.AppendGather(src.Column(c), rows)
+		}
+		p, err := NewTable("part", schema, cols, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	own := NewBuilder("own", schema)
+	own.Str(0, "c")
+	own.Int(1, 10)
+	ownTable := own.Build(1)
+	sizedOnce := func(where string, tbl *Table) {
+		t.Helper()
+		s, i := tbl.Column(0), tbl.Column(1)
+		if cap(s.Str) != len(s.Str) || cap(i.I64) != len(i.I64) || s.Dict != nil && cap(s.Code) != len(s.Code) {
+			t.Fatalf("%s: cap/len str %d/%d int %d/%d code %d/%d", where,
+				cap(s.Str), len(s.Str), cap(i.I64), len(i.I64), cap(s.Code), len(s.Code))
+		}
+		checkCoded(t, where, s)
+	}
+	empty := NewBuilder("empty", schema).Build(1)
+	if d := empty.Column(0).Dict; d == nil || d == src.Column(0).Dict {
+		t.Fatal("an empty table should carry a dictionary of its own")
+	}
+
+	shared, err := ConcatTables("shared", []*Table{part(0, 1, 2), empty, part(3, 7, 9)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizedOnce("shared", shared)
+	if got := shared.Column(0); got.Dict != src.Column(0).Dict ||
+		!reflect.DeepEqual(got.Str, []string{"a", "b", "c", "a", "b", "a"}) ||
+		!reflect.DeepEqual(shared.Column(1).I64, []int64{0, 1, 2, 3, 7, 9}) {
+		t.Fatalf("shared: %v %v under %p, want the source's dictionary %p", got.Str, shared.Column(1).I64, got.Dict, src.Column(0).Dict)
+	}
+
+	mixed, err := ConcatTables("mixed", []*Table{part(0, 1), ownTable}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizedOnce("mixed", mixed)
+	if got := mixed.Column(0); got.Dict == src.Column(0).Dict || got.Dict == ownTable.Column(0).Dict ||
+		!reflect.DeepEqual(got.Str, []string{"a", "b", "c"}) {
+		t.Fatalf("mixed: %v under %p; its parts' codes should have been dropped", got.Str, got.Dict)
+	}
+}

@@ -157,6 +157,20 @@ func (p *VecPool) GetBatch(schema Schema, n int) *Batch {
 	return b
 }
 
+// GetBatchCols is GetBatch for a batch that holds vectors only at the schema
+// positions cols lists (nil: every position); its other positions stay nil.
+func (p *VecPool) GetBatchCols(schema Schema, cols []int, n int) *Batch {
+	if cols == nil {
+		return p.GetBatch(schema, n)
+	}
+	b := p.GetBatch(nil, n)
+	b.Schema, b.Vecs = schema, make([]*Vector, len(schema))
+	for _, i := range cols {
+		b.Vecs[i] = p.GetVector(schema[i].Typ, n)
+	}
+	return b
+}
+
 // Release recycles a pooled batch's vectors and header. Batches that did not
 // come from GetBatch (table-owned scan output, operator-emitted results)
 // keep their vectors, but an attached selection buffer is reclaimed either

@@ -473,25 +473,55 @@ func sliceBatch(schema Schema, part *Partition, cols []int, start, end int) *Bat
 // ConcatTables concatenates same-schema tables in the given order into one
 // table. The morsel-driven executor uses it to merge per-morsel sample
 // materializations deterministically (parts are always passed in morsel
-// index order).
+// index order). Every output column is allocated once, at the parts' total
+// length. A string column keeps its codes when every part that has rows is
+// coded under one dictionary; an empty part adds nothing, so it cannot
+// drop them.
 func ConcatTables(name string, parts []*Table, partitions int) (*Table, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("storage: ConcatTables %s: no parts", name)
 	}
 	schema := parts[0].schema
+	total := 0
+	for _, p := range parts {
+		if len(p.schema) != len(schema) {
+			return nil, fmt.Errorf("storage: ConcatTables %s: ragged part schemas", name)
+		}
+		total += p.rows
+	}
 	cols := make([]*Vector, len(schema))
 	for i, c := range schema {
-		cols[i] = NewVector(c.Typ, 0)
+		cols[i] = NewVector(c.Typ, total)
+		if c.Typ == String && oneDict(parts, i) {
+			cols[i].Code = make([]uint32, 0, total)
+		}
 	}
 	for _, p := range parts {
-		if len(p.schema) != len(cols) {
-			return nil, fmt.Errorf("storage: ConcatTables %s: ragged part schemas", name)
+		if p.rows == 0 {
+			continue
 		}
 		for i := range cols {
 			cols[i].Extend(p.Column(i))
 		}
 	}
 	return NewTable(name, schema, cols, partitions)
+}
+
+// oneDict reports whether column i of every part that has rows is coded
+// under one dictionary, so that its codes carry through a concatenation.
+func oneDict(parts []*Table, i int) bool {
+	var d *Dict
+	for _, p := range parts {
+		if p.rows == 0 {
+			continue
+		}
+		pd := p.Column(i).Dict
+		if pd == nil || (d != nil && pd != d) {
+			return false
+		}
+		d = pd
+	}
+	return d != nil
 }
 
 // Builder accumulates rows for a new table.
@@ -541,6 +571,12 @@ func (b *Builder) Bool(i int, v bool) { b.cols[i].B = append(b.cols[i].B, v) }
 
 // CopyFrom appends the value at src[row] onto column i (same type).
 func (b *Builder) CopyFrom(i int, src *Vector, row int) { b.cols[i].AppendFrom(src, row) }
+
+// Gather appends src[rows[0]], src[rows[1]], ... onto column i (same type).
+func (b *Builder) Gather(i int, src *Vector, rows []int32) { b.cols[i].AppendGather(src, rows) }
+
+// Floats appends vs to column i.
+func (b *Builder) Floats(i int, vs []float64) { b.cols[i].F64 = append(b.cols[i].F64, vs...) }
 
 // Build finalizes the table with the given partition count. It panics on a
 // malformed builder (ragged columns); entry points fed by user code should

@@ -13,12 +13,13 @@ func partSample(t *testing.T, rows, sourceRows int) *Sample {
 	src := storage.Schema{{Name: "t.v", Typ: storage.Float64}}
 	sb := NewSampleBuilder("part", src)
 	vec := storage.NewVector(storage.Float64, rows)
+	all := make([]int32, rows)
+	weights := make([]float64, rows)
 	for i := 0; i < rows; i++ {
 		vec.F64 = append(vec.F64, float64(i))
+		all[i], weights[i] = int32(i), 1
 	}
-	for i := 0; i < rows; i++ {
-		sb.Append([]*storage.Vector{vec}, i, 1)
-	}
+	sb.add([]*storage.Vector{vec}, all, weights)
 	s := sb.Build(NewUniformSampler(0.5, 1), 1)
 	s.SourceRows = sourceRows
 	return s

@@ -250,27 +250,26 @@ func NewSampleBuilder(name string, src storage.Schema) *SampleBuilder {
 	return &SampleBuilder{b: storage.NewBuilder(name, schema), widx: len(schema) - 1, srcCols: len(src)}
 }
 
-// Offer routes the live rows of b through the sampler, appending each
-// passing row with its weight. It returns what Decide appended to pass and
-// weights, so callers (the exec sampler operator) can forward the passing
+// Offer routes the live rows of b through the sampler, appending the
+// passing rows with their weights. It returns what Decide appended to pass
+// and weights, so callers (the exec sampler operator) can forward the passing
 // rows downstream too.
 func (sb *SampleBuilder) Offer(smp Sampler, b *storage.Batch, pass []int32, weights []float64) ([]int32, []float64) {
 	sb.sourceRows += b.Rows()
 	op, ow := len(pass), len(weights)
 	pass, weights = smp.Decide(b, pass, weights)
-	for k, i := range pass[op:] {
-		sb.Append(b.Vecs, int(i), weights[ow+k])
-	}
+	sb.add(b.Vecs, pass[op:], weights[ow:])
 	return pass, weights
 }
 
-// Append adds row i with an explicit weight (used when the pass decision was
-// made elsewhere).
-func (sb *SampleBuilder) Append(vecs []*storage.Vector, row int, weight float64) {
+// add appends the rows of vecs at the physical indices rows, row k with
+// weight weights[k]: each column gathered in one call, the weights appended
+// in one more.
+func (sb *SampleBuilder) add(vecs []*storage.Vector, rows []int32, weights []float64) {
 	for c := 0; c < sb.srcCols; c++ {
-		sb.b.CopyFrom(c, vecs[c], row)
+		sb.b.Gather(c, vecs[c], rows)
 	}
-	sb.b.Float(sb.widx, weight)
+	sb.b.Floats(sb.widx, weights)
 }
 
 // Build finalizes the sample.
@@ -384,23 +383,27 @@ func StratifiedSample(name string, tbl *storage.Table, stratCols []string, cap i
 			})
 		}
 	}
-	// Pass 2: emit.
+	// Pass 2: collect each batch's taken rows and weights, then copy them.
 	sb := NewSampleBuilder(name, tbl.Schema())
 	rnd := newRng(seed ^ 0xfeed)
+	var taken []int32
+	var weights []float64
 	for p := 0; p < tbl.Partitions(); p++ {
 		for _, batch := range tbl.Scan(p, storage.BatchSize) {
 			sb.sourceRows += batch.Len()
+			taken, weights = taken[:0], weights[:0]
 			resolve(batch, func(i int, id int32) {
 				n := sizes[id]
 				if n <= cap {
-					sb.Append(batch.Vecs, i, 1)
+					taken, weights = append(taken, int32(i)), append(weights, 1)
 					return
 				}
 				pr := float64(cap) / float64(n)
 				if rnd.next() < pr {
-					sb.Append(batch.Vecs, i, 1/pr)
+					taken, weights = append(taken, int32(i)), append(weights, 1/pr)
 				}
 			})
+			sb.add(batch.Vecs, taken, weights)
 		}
 	}
 	s := &Sample{
