@@ -208,9 +208,11 @@ test-race: race
 # over parts drawn by the live samplers), the join key index (a batch
 # probe's pairs, under any selection and resumed at any chunk room, equal a
 # Go map's for any key words), the filter kernels — the only filter
-# evaluator — against the Eval oracle over random predicate trees, and the
+# evaluator — against the Eval oracle over random predicate trees, the
 # SQL front door (arbitrary bytes parse, validate, plan and compile without
-# a panic).
+# a panic), and the tuner's lazy set selection against the eager greedy it
+# replaced (any sizes, costs, budget and window start: the same picks and
+# gains, float for float).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzDecodeExpr$$' -fuzztime 10s ./internal/persist
@@ -218,6 +220,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzKernelTree$$' -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/sqlparser
+	$(GO) test -run NONE -fuzz 'FuzzSelectSet$$' -fuzztime 10s ./internal/tuner
 
 # Live-metrics smoke: one approximate query through a tastercli session with
 # the export surface up (stdin is a FIFO, so the session stays open until the

@@ -2,6 +2,10 @@ package tuner
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/meta"
@@ -71,7 +75,10 @@ func (h *harness) planSet(qid int, exactCost float64, cands ...planner.Candidate
 
 // selected runs set selection over the tuner's current window.
 func (h *harness) selected(budget int64) (map[uint64]bool, map[uint64]float64) {
-	return selectSet(h.store.Entries(), h.wh.View(), h.t.windowRecords(h.t.w), budget)
+	var ix index
+	ix.reset(h.store.Entries(), h.wh.View(), h.t.history, nil)
+	n := len(h.t.history)
+	return ix.sets(ix.selectSet(n-min(h.t.w, n), n, budget))
 }
 
 // place stores an item for e — sized as e's estimate — in the warehouse
@@ -383,6 +390,418 @@ func TestGainNonNegative(t *testing.T) {
 	keep, _ := h.selected(1000)
 	if len(keep) != 0 {
 		t.Fatalf("harmful synopsis selected: %v", keep)
+	}
+}
+
+// eagerHit is one window query a synopsis would speed up: the query's
+// position in the window and its cost with the synopsis.
+type eagerHit struct {
+	pos  int
+	cost float64
+}
+
+// eagerSelectSet is the oracle for index.selectSet: the set selection as it
+// was before the round's dense index and lazy evaluation, over the window's
+// records themselves, with maps keyed by synopsis id and a full rescan of
+// every candidate per pick.
+//
+// It runs the Leskovec et al. cost-effective greedy: both the
+// benefit-greedy and benefit-per-byte-greedy variants, returning whichever
+// final set has the higher total gain. Synopses the view holds pinned are
+// always included (their bytes count against the quota first); the rest of
+// the universe is the synopses some window query could use. Per synopsis,
+// hits are in window order — float sums over them are reproducible.
+func eagerSelectSet(entries []*meta.Entry, view *warehouse.View, window []Observation, budget int64) (map[uint64]bool, map[uint64]float64) {
+	universe, pinned, hits := eagerUniverse(entries, view, window)
+	bestA, gainA, margA := eagerGreedy(universe, pinned, view, hits, window, budget, false)
+	bestB, gainB, margB := eagerGreedy(universe, pinned, view, hits, window, budget, true)
+	if gainB > gainA {
+		return bestB, margB
+	}
+	return bestA, margA
+}
+
+// eagerUniverse is eagerSelectSet's input to both greedy variants: the
+// candidates, the pinned entries, and each synopsis' hits in window order.
+func eagerUniverse(entries []*meta.Entry, view *warehouse.View, window []Observation) (universe, pinned []*meta.Entry, hits map[uint64][]eagerHit) {
+	hits = make(map[uint64][]eagerHit)
+	for pos, r := range window {
+		for _, rc := range r.Reuse {
+			hits[rc.ID] = append(hits[rc.ID], eagerHit{pos, rc.Cost})
+		}
+	}
+	for _, e := range entries {
+		if it, _, ok := view.Get(e.Desc.ID); ok && it.Pinned {
+			pinned = append(pinned, e)
+		} else if len(hits[e.Desc.ID]) > 0 {
+			universe = append(universe, e)
+		}
+	}
+	return universe, pinned, hits
+}
+
+// eagerGreedy builds S by repeatedly adding the synopsis with the highest
+// marginal gain (optionally per byte) until the quota is exhausted.
+func eagerGreedy(universe, pinned []*meta.Entry, view *warehouse.View, hits map[uint64][]eagerHit, window []Observation, budget int64, perByte bool) (map[uint64]bool, float64, map[uint64]float64) {
+	keep := make(map[uint64]bool)
+	marginal := make(map[uint64]float64)
+
+	// best[pos] = cheapest known cost for the window's pos-th query given the
+	// current S.
+	best := make([]float64, len(window))
+	for pos, r := range window {
+		best[pos] = r.ExactCost
+	}
+	// A synopsis the view does not hold only delivers its gain after some
+	// future query pays to build it; discounting its benefits keeps
+	// speculative giants from evicting working, materialized synopses.
+	// Materialized-but-stale synopses decay toward the same discount: the
+	// unseen fraction of their source no longer contributes to answers.
+	factor := func(e *meta.Entry) float64 {
+		if !view.Has(e.Desc.ID) {
+			return 0.5
+		}
+		f := 1 - e.Staleness()
+		if f < 0.5 {
+			f = 0.5
+		}
+		return f
+	}
+	used := int64(0)
+	addEntry := func(e *meta.Entry, f float64) float64 {
+		gain := 0.0
+		for _, h := range hits[e.Desc.ID] {
+			cur := best[h.pos]
+			if c := cur - (cur-h.cost)*f; h.cost < cur {
+				gain += cur - c
+				best[h.pos] = c
+			}
+		}
+		keep[e.Desc.ID] = true
+		used += e.Desc.SizeBytes()
+		return gain
+	}
+
+	total := 0.0
+	for _, e := range pinned {
+		total += addEntry(e, factor(e)) // pinned are unconditional; quota may overflow by admin choice
+	}
+
+	remaining := append([]*meta.Entry(nil), universe...)
+	factors := make([]float64, len(remaining)) // constant per entry: computed once, not per pass
+	for i, e := range remaining {
+		factors[i] = factor(e)
+	}
+	for {
+		bestIdx := -1
+		bestScore := 0.0
+		for i, e := range remaining {
+			if e == nil || keep[e.Desc.ID] {
+				continue
+			}
+			size := e.Desc.SizeBytes()
+			if size <= 0 {
+				size = 1
+			}
+			if used+size > budget {
+				continue
+			}
+			g := 0.0
+			f := factors[i]
+			for _, h := range hits[e.Desc.ID] {
+				if cur := best[h.pos]; h.cost < cur {
+					g += (cur - h.cost) * f
+				}
+			}
+			if g <= 0 {
+				continue
+			}
+			score := g
+			if perByte {
+				score = g / float64(size)
+			}
+			if score > bestScore {
+				bestScore, bestIdx = score, i
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		e := remaining[bestIdx]
+		remaining[bestIdx] = nil
+		got := addEntry(e, factors[bestIdx])
+		marginal[e.Desc.ID] = got
+		total += got
+	}
+	return keep, total, marginal
+}
+
+// eagerAdapt is the oracle for adaptWindow: the window-length hill climb as
+// it was before the round's index, selecting over history slices with
+// eagerSelectSet. It returns the window length after one observation given
+// the history before that observation is appended.
+func eagerAdapt(cfg Config, w int, history []Observation, entries []*meta.Entry, view *warehouse.View) int {
+	if len(history) < 2 {
+		return w
+	}
+	newQuery := history[len(history)-1]
+	prior := history[:len(history)-1]
+	wMinus := max(int(math.Floor((1-cfg.Alpha)*float64(w))), 2)
+	wPlus := min(int(math.Ceil((1+cfg.Alpha)*float64(w))), cfg.MaxWindow)
+	_, quota := view.Quotas()
+	bestW, bestCost := w, math.Inf(1)
+	for _, wc := range []int{w, wMinus, wPlus} {
+		n := min(wc, len(prior))
+		keep, _ := eagerSelectSet(entries, view, prior[len(prior)-n:], quota)
+		cost := newQuery.ExactCost
+		for _, rc := range newQuery.Reuse {
+			if keep[rc.ID] && rc.Cost < cost {
+				cost = rc.Cost
+			}
+		}
+		if cost < bestCost-1e-12 {
+			bestCost, bestW = cost, wc
+		}
+	}
+	return bestW
+}
+
+// Window adaptation over the round's index moves w exactly as the eager
+// hill climb does, batch after batch: every candidate length is a range of
+// the round's records, lengths that clamp alike are tried once, and S* is
+// selected over the adapted window.
+func TestAdaptWindowMatchesEager(t *testing.T) {
+	r := rand.New(rand.NewPCG(41, 8))
+	for trial := range 20 {
+		cfg := DefaultConfig()
+		cfg.Window, cfg.MaxWindow = 2+r.IntN(10), 12+r.IntN(20)
+		h := newHarness(1<<20, cfg)
+		var es []*meta.Entry
+		for s := range 12 {
+			es = append(es, h.synopsis(fmt.Sprintf("s%d", s), int64(10+r.IntN(90)), nil))
+		}
+		for _, e := range es[:3] {
+			h.place(t, e, false, e == es[0])
+		}
+		h.wh.SetWarehouseQuota(int64(100 + r.IntN(400)))
+		q := 0
+		observation := func() Observation {
+			o := Observation{QueryID: q, ExactCost: float64(4 + r.IntN(8))}
+			for _, e := range es {
+				if r.IntN(4) == 0 {
+					o.Reuse = append(o.Reuse, planner.ReuseCost{ID: e.Desc.ID, Cost: float64(r.IntN(10)) / 2})
+				}
+			}
+			q++
+			return o
+		}
+		for range 30 {
+			batch := make([]Observation, 1+r.IntN(4))
+			for i := range batch {
+				batch[i] = observation()
+			}
+			entries, view := h.store.Entries(), h.wh.View()
+			w, history := h.t.w, slices.Clone(h.t.history)
+			for _, o := range batch {
+				w = eagerAdapt(h.t.cfg, w, history, entries, view)
+				history = append(history, o)
+				history = history[max(len(history)-h.t.cfg.MaxWindow, 0):]
+			}
+			_, quota := view.Quotas()
+			keep, gains := eagerSelectSet(entries, view, history[len(history)-min(w, len(history)):], quota)
+			dec := h.t.TuneBatch(batch, nil, nil)
+			if h.t.w != w || !maps.Equal(dec.Keep, keep) || !maps.Equal(dec.Gains, gains) {
+				t.Fatalf("trial %d query %d: window %d keep %v gains %v, eager %d %v %v",
+					trial, q, h.t.w, dec.Keep, dec.Gains, w, keep, gains)
+			}
+		}
+	}
+}
+
+// instance is one random set-selection problem: working entries (sorted
+// by id), the view holding some of them (some pinned), and a record
+// sequence split into history and batch the way a round sees it.
+type instance struct {
+	entries []*meta.Entry
+	view    *warehouse.View
+	seq     []Observation
+	split   int // seq[:split] is the history, seq[split:] the batch
+}
+
+// randomInstance draws an instance whose sizes and costs come from small
+// grids, so exact score ties are common; records may name ids that are not
+// working entries or come out of order, budgets run from nothing to
+// everything and pinned bytes may exceed them, and held entries are stale by
+// factors 0.5–1.
+func randomInstance(r *rand.Rand) instance {
+	wh := warehouse.NewManager(1<<40, 1<<40, nil)
+	var in instance
+	id := uint64(0)
+	for range 1 + r.IntN(24) {
+		id += 1 + uint64(r.IntN(3)) // gaps leave ids that are not entries
+		e := &meta.Entry{Desc: meta.Descriptor{ID: id, EstSizeBytes: int64(r.IntN(6)) * 20, BuildRows: 100}}
+		if r.IntN(3) == 0 {
+			e.UnseenRows = int64(r.IntN(150)) // factor 1 − u/(100+u), clamped at 0.5
+		}
+		if r.IntN(2) == 0 {
+			if err := wh.PutWarehouse(&warehouse.Item{ID: id, Size: e.Desc.SizeBytes(), Pinned: r.IntN(5) == 0}); err != nil {
+				panic(err)
+			}
+		}
+		in.entries = append(in.entries, e)
+	}
+	in.view = wh.View()
+	for q := range r.IntN(48) {
+		o := Observation{QueryID: q, ExactCost: float64(4 + r.IntN(8))}
+		for sid := uint64(1); sid <= id+2; sid++ {
+			if r.IntN(3) == 0 {
+				o.Reuse = append(o.Reuse, planner.ReuseCost{ID: sid, Cost: float64(r.IntN(12)) / 2})
+			}
+		}
+		if r.IntN(8) == 0 { // not ascending, as a hand-edited manifest's window could be
+			r.Shuffle(len(o.Reuse), func(i, j int) { o.Reuse[i], o.Reuse[j] = o.Reuse[j], o.Reuse[i] })
+		}
+		in.seq = append(in.seq, o)
+	}
+	in.split = r.IntN(len(in.seq) + 1)
+	return in
+}
+
+// checkAgainstEager selects over records [lo, hi) through the index and
+// through the eager oracle and requires bit-equal results: both variants'
+// keep sets, marginal gains and totals, and the chosen set.
+func checkAgainstEager(t *testing.T, ix *index, in instance, lo, hi int, budget int64) {
+	t.Helper()
+	keep, marginal := ix.sets(ix.selectSet(lo, hi, budget))
+	window := in.seq[lo:hi]
+	wantKeep, wantMarginal := eagerSelectSet(in.entries, in.view, window, budget)
+	if !maps.Equal(keep, wantKeep) || !maps.Equal(marginal, wantMarginal) {
+		t.Fatalf("window [%d,%d) budget %d: lazy keep %v marginal %v, eager keep %v marginal %v",
+			lo, hi, budget, keep, marginal, wantKeep, wantMarginal)
+	}
+	universe, pinned, hits := eagerUniverse(in.entries, in.view, window)
+	for v, perByte := range []bool{false, true} {
+		keep, total, marginal := eagerGreedy(universe, pinned, in.view, hits, window, budget, perByte)
+		sel := &ix.sel[v]
+		k, m := ix.sets(sel)
+		if !maps.Equal(k, keep) || !maps.Equal(m, marginal) || sel.total != total {
+			t.Fatalf("window [%d,%d) budget %d perByte %v: lazy %v %v total %v, eager %v %v total %v",
+				lo, hi, budget, perByte, k, m, sel.total, keep, marginal, total)
+		}
+	}
+}
+
+// The lazy greedy over the round's index picks what the eager scan picks,
+// float for float, on random instances: both variants, exact score ties,
+// pinned entries past the quota, over-budget entries, stale factors, and
+// windows that are suffixes and sub-ranges of one history. One index serves
+// every instance, so a reset that leaks state from the last one shows too.
+func TestLazyGreedyMatchesEager(t *testing.T) {
+	r := rand.New(rand.NewPCG(41, 7))
+	var ix index
+	for range 500 {
+		in := randomInstance(r)
+		ix.reset(in.entries, in.view, in.seq[:in.split], in.seq[in.split:])
+		var total int64
+		for _, e := range in.entries {
+			total += e.Desc.SizeBytes()
+		}
+		for _, budget := range []int64{0, 20, 60, total / 3, total} {
+			n := len(in.seq)
+			for _, lo := range []int{0, n / 4, n / 2, max(n-1, 0), n} {
+				checkAgainstEager(t, &ix, in, lo, n, budget)
+			}
+			lo := r.IntN(n + 1)
+			checkAgainstEager(t, &ix, in, lo, lo+r.IntN(n-lo+1), budget)
+		}
+	}
+}
+
+// FuzzSelectSet: fuzz-drawn sizes, costs, budget and window start; the lazy
+// greedy must pick what the eager scan picks. Each size byte is one entry:
+// its low five bits the size, its high three whether the view holds it
+// (fresh, stale or pinned). costs is read as records of one exact cost and
+// one reuse cost per entry (0: the record cannot use it).
+func FuzzSelectSet(f *testing.F) {
+	f.Add([]byte{3, 5, 0xe2, 0x81}, []byte{10, 1, 0, 3, 2, 9, 4, 4, 0, 0, 12, 0, 1, 1, 1}, uint16(6), uint8(0))
+	f.Add([]byte{8, 8, 8}, []byte{6, 3, 3, 3, 6, 3, 3, 3}, uint16(64), uint8(1))
+	f.Fuzz(func(t *testing.T, sizes, costs []byte, budget uint16, start uint8) {
+		if len(sizes) == 0 || len(sizes) > 32 {
+			return
+		}
+		wh := warehouse.NewManager(1<<40, 1<<40, nil)
+		var in instance
+		for i, b := range sizes {
+			e := &meta.Entry{Desc: meta.Descriptor{ID: uint64(2*i + 1), EstSizeBytes: int64(b&0x1f) * 8, BuildRows: 100}}
+			switch state := b >> 5; {
+			case state >= 4:
+				e.UnseenRows = int64(state-4) * 40
+				if err := wh.PutWarehouse(&warehouse.Item{ID: e.Desc.ID, Size: e.Desc.SizeBytes(), Pinned: state == 7}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in.entries = append(in.entries, e)
+		}
+		in.view = wh.View()
+		stride := len(sizes) + 1
+		for q := 0; (q+1)*stride <= len(costs) && q < 64; q++ {
+			rec := costs[q*stride : (q+1)*stride]
+			o := Observation{QueryID: q, ExactCost: float64(rec[0]) / 2}
+			for j, c := range rec[1:] {
+				if c != 0 {
+					o.Reuse = append(o.Reuse, planner.ReuseCost{ID: uint64(2*j + 1), Cost: float64(c-1) / 2})
+				}
+			}
+			in.seq = append(in.seq, o)
+		}
+		in.split = len(in.seq) / 2
+		var ix index
+		ix.reset(in.entries, in.view, in.seq[:in.split], in.seq[in.split:])
+		n := len(in.seq)
+		checkAgainstEager(t, &ix, in, int(start)%(n+1), n, int64(budget))
+	})
+}
+
+// BenchmarkTuneRound times one inline tuning round shaped like the
+// explore_cold workload's measured ones: adaptive window at 52 of a full
+// 64-record history (MaxWindow 64), 37 synopses of which each record can use
+// a few, and a quota that holds about a third of their bytes. Every
+// iteration restores the same window, so each round does the same work.
+func BenchmarkTuneRound(b *testing.B) {
+	const synopses, records, window = 37, 64, 52
+	r := rand.New(rand.NewPCG(1, 2))
+	h := newHarness(1<<40, DefaultConfig())
+	var quota int64
+	for s := range synopses {
+		size := int64(1+r.IntN(100)) << 10
+		quota += size / 3
+		costWith := make(map[int]float64)
+		for q := range records + 1 {
+			if r.IntN(8) == 0 {
+				costWith[q] = float64(r.IntN(90)) / 10
+			}
+		}
+		name := fmt.Sprintf("s%d", s)
+		h.cat.Register(rows(name, 1))
+		e := h.synopsis(name, size, costWith)
+		h.store.SetFreshness(e.Desc.ID, 1)
+		if s%4 == 0 {
+			if err := h.wh.PutWarehouse(&warehouse.Item{ID: e.Desc.ID, Size: size}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	h.wh.SetWarehouseQuota(quota)
+	hist := make([]Observation, records)
+	for q := range hist {
+		hist[q] = Observation{QueryID: q, ExactCost: 10, Reuse: h.reuse[q]}
+	}
+	ps := h.planSet(records, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		h.t.Restore(window, 0, hist)
+		h.t.Tune(ps)
 	}
 }
 
