@@ -237,7 +237,9 @@ type Engine struct {
 	vecPool *storage.VecPool
 	// joinCache keeps built join tables across queries, keyed by build
 	// subtree text and bound table versions (exec.JoinCache): a dimension
-	// table is hashed once per version, not once per query.
+	// table is indexed once per version (storage.Table.KeyIndex), and a
+	// build side's filter runs once per version and filter, not once per
+	// query; an entry is that filter's survivor mask and its charge.
 	joinCache *exec.JoinCache
 
 	// db is the warehouse directory's disk store (nil without

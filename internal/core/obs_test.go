@@ -72,7 +72,7 @@ func obsRun(t *testing.T, workers, partitionRows int) (diffRun, obs.MetricsSnaps
 // bare engine — across worker counts 1/4/8, over 797-row partitions and
 // monolithic tables — and, the two engines sharing a layout, bit-identical
 // simulated cost per query. The stream takes join build sides through every state of
-// the join cache (first sight, admission, hit, a new table version), so the
+// the join cache (first sight, hit, a new table version), so the
 // equality covers a traced run whose build subtrees were compiled and
 // wrapped but never opened. The metrics side must also be non-vacuous: the
 // run has to have actually counted queries, pool traffic, tuning rounds and

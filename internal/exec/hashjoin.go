@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
@@ -18,16 +17,15 @@ const joinBatchRows = storage.BatchSize
 // and shared by every prober of the join (one per morsel). The payload is
 // what something above the join reads, not what the two sides hold: the
 // build side is drained whole (its cache identity and its charge are the
-// full rows'), and a query-owned build table copies only buildCols, the
-// columns the index and the probe read. A sampled spine's weight column is
-// a probe-side payload column like any other: the build side is never
-// sampled, so a joined row's weight is its probe row's.
+// full rows'), and the probe gathers the payload from the build table's own
+// columns. A sampled spine's weight column is a probe-side payload column
+// like any other: the build side is never sampled, so a joined row's weight
+// is its probe row's.
 type joinSpec struct {
 	leftKeys  []int
 	rightKeys []int
 	leftCols  []int // left columns copied to output
 	rightCols []int
-	buildCols []int // rightKeys ∪ rightCols, ascending: what the join reads of the build side
 
 	schema storage.Schema
 }
@@ -60,9 +58,6 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) 
 	}
 	j.leftCols = neededCols(ls, need)
 	j.rightCols = neededCols(rs, need)
-	j.buildCols = slices.Concat(j.rightKeys, j.rightCols)
-	slices.Sort(j.buildCols)
-	j.buildCols = slices.Compact(j.buildCols)
 	j.schema = append(projectSchema(ls, j.leftCols), projectSchema(rs, j.rightCols)...)
 	return j, nil
 }
@@ -82,52 +77,35 @@ func keyTypesMatch(op string, probe, build storage.Schema) error {
 	return nil
 }
 
-// joinTable is the materialized, indexed build side of one join: the build
-// rows and the storage.KeyIndex over their key columns, which keys every row
-// by one word and finds a word's rows — ascending — without a Go map. The
-// build is serial, so the table is the same at any worker count; once built
-// it is immutable and safe for concurrent probing.
+// joinTable is one join's build side σ(T) as the probe reads it: T's own
+// columns and row widths, the KeyIndex of T's version over the build key
+// (Table.KeyIndex: built once per version and key column set, not per
+// query), and which of T's rows survived this build side's filter — a
+// KeyMask over that index. Nothing is copied: a build costs its scan, its
+// filter and one bit per survivor. The drain is serial, so the table is the
+// same at any worker count; once built it is immutable and safe for
+// concurrent probing, by the morsels of one query or, cached, of many.
 type joinTable struct {
-	// rows are all build rows concatenated, in input order. rows.Vecs is
-	// indexed by build-schema position and holds a vector for each column
-	// the table keeps, nil for the others: a query-owned table keeps the
-	// spec's buildCols, a cached one every column, because it serves every
-	// later query of its key. rows.Width holds what each full row costs to
-	// exchange, so a matched pair's width is two array reads.
-	rows *storage.Batch
-	idx  *storage.KeyIndex
-
-	// shared marks a table owned by a JoinCache: it outlives the query that
-	// built it and is probed by concurrent queries, so its rows are not
-	// pool memory and release leaves it alone.
-	shared bool
+	vecs  []*storage.Vector // T's columns, by build-schema position
+	width []int32           // what each row of T costs to exchange
+	idx   *storage.KeyIndex // nil when nothing survived
+	mask  storage.KeyMask   // the survivors; nil when every row of T survives
+	rows  int               // how many survived
 }
 
-func (t *joinTable) empty() bool { return t == nil || t.rows == nil || len(t.rows.Width) == 0 }
+func (t *joinTable) empty() bool { return t == nil || t.rows == 0 }
 
-// release returns a query-owned table's build rows to the pool; the rows of
-// a cache-owned table stay with the cache.
-func (t *joinTable) release(p *storage.VecPool) {
-	if t == nil || t.shared || t.rows == nil {
-		return
-	}
-	p.Release(t.rows)
-	t.rows = nil
-}
-
-// drainBuild materializes an operator's full output in input order, charging
-// shuffle bytes (the build side of a hash join is exchanged in the simulated
-// cluster) for the whole rows. Only the columns at cols (nil: every column)
-// are copied; the batch's other vectors are nil. Consumed batches are
-// released: the joinTable keeps only the copied concatenation, which comes
-// from the run's pool — or, with keep set, from the heap, because a
-// JoinCache is about to own it past this query.
-func drainBuild(op Operator, ctx *Context, cols []int, keep bool) (*storage.Batch, error) {
-	// Collect first, copy second: the concatenation is then allocated at its
-	// final size in one shot (row-at-a-time appends from zero capacity paid a
-	// realloc cascade per query) and copied column-major.
-	var bufs []*storage.Batch
-	total := 0
+// drainBuild drains op, the compiled build side over source, into the table
+// of its survivors. The scan, its zone pruning and the filter run and charge
+// as they always did, and every live row is charged its full width in
+// shuffle bytes: the build side of a hash join is exchanged in the simulated
+// cluster. A batch's rows are source rows from its Start on, which the scan
+// set from the partition offsets. While batches arrive dense and back to
+// back no mask is kept, so an unfiltered build — or a filter that keeps
+// every row — has none; keys are the build key's column positions.
+func drainBuild(op Operator, source *storage.Table, keys []int, ctx *Context) (*joinTable, error) {
+	t := &joinTable{}
+	next := 0 // with no mask yet, rows [0, next) of source are the survivors
 	for {
 		b, err := op.Next()
 		if err != nil {
@@ -137,41 +115,39 @@ func drainBuild(op Operator, ctx *Context, cols []int, keep bool) (*storage.Batc
 			break
 		}
 		ctx.Stats.ShuffleBytes += b.LiveWidth()
-		bufs = append(bufs, b)
-		total += b.Rows()
-	}
-	pool := ctx.Pool
-	if keep {
-		pool = nil // a nil pool allocates from the heap
-	}
-	rows := pool.GetBatchCols(op.Schema(), cols, total)
-	rows.Width = pool.GetSel(total)
-	for _, b := range bufs {
-		if b.Sel != nil {
-			for c, v := range rows.Vecs {
-				if v != nil {
-					v.AppendGather(b.Vecs[c], b.Sel)
-				}
-			}
-			for _, i := range b.Sel {
-				rows.Width = append(rows.Width, b.Width[i])
-			}
+		t.rows += b.Rows()
+		if t.mask == nil && b.Sel == nil && b.Start == next {
+			next += b.Len()
 		} else {
-			for c, v := range rows.Vecs {
-				if v != nil {
-					v.Extend(b.Vecs[c])
-				}
-			}
-			rows.Width = append(rows.Width, b.Width...)
+			t.prefixMask(source, keys, next)
+			t.idx.Mark(t.mask, b.Start, b.Sel, b.Len())
 		}
 		ctx.Pool.Release(b)
 	}
-	return rows, nil
+	if t.rows == 0 {
+		return t, nil
+	}
+	if t.rows < source.NumRows() {
+		t.prefixMask(source, keys, next)
+	} else {
+		t.mask = nil
+	}
+	t.idx, t.width = source.KeyIndex(keys), source.RowWidths()
+	t.vecs = make([]*storage.Vector, len(source.Schema()))
+	for c := range t.vecs {
+		t.vecs[c] = source.Column(c)
+	}
+	return t, nil
 }
 
-// buildJoinTable indexes the materialized build rows by their key columns.
-func buildJoinTable(spec *joinSpec, rows *storage.Batch) *joinTable {
-	return &joinTable{rows: rows, idx: storage.NewKeyIndex(rows.Vecs, spec.rightKeys)}
+// prefixMask starts the table's mask, once, with rows [0, n) of source.
+func (t *joinTable) prefixMask(source *storage.Table, keys []int, n int) {
+	if t.mask != nil {
+		return
+	}
+	t.idx = source.KeyIndex(keys)
+	t.mask = t.idx.NewMask()
+	t.idx.Mark(t.mask, 0, nil, n)
 }
 
 // joinProber streams probe batches against a built joinTable, emitting joined
@@ -186,7 +162,8 @@ type joinProber struct {
 	cur *storage.Batch
 	at  storage.ProbePos // where cur's next pair comes from
 
-	// lrows/mrows are one KeyIndex.Probe call's (probe row, build row) pairs;
+	// lrows/mrows are one KeyIndex.Probe call's (probe row, build row) pairs,
+	// a build row being a row of the build table's source;
 	// flush gathers them into the output batch column-major, one type
 	// dispatch per column instead of one per value. lrows index cur's live
 	// rows — the probe walks cur under its selection and never gathers it —
@@ -216,7 +193,7 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 		if out != nil {
 			room -= out.Len()
 		}
-		p.lrows, p.mrows, p.at = p.table.idx.Probe(p.cur, p.spec.leftKeys, p.at, room, p.lrows, p.mrows)
+		p.lrows, p.mrows, p.at = p.table.idx.Probe(p.cur, p.spec.leftKeys, p.table.mask, p.at, room, p.lrows, p.mrows)
 		if len(p.lrows) > 0 {
 			if out == nil {
 				out = p.pool.GetBatch(p.spec.schema, joinBatchRows)
@@ -238,8 +215,7 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 // spec names and each pair's width — turning their live positions into cur's
 // physical rows on the way.
 func (p *joinProber) flush(out *storage.Batch) {
-	build := p.table.rows
-	lwid, rwid, sel := p.cur.Width, build.Width, p.cur.Sel
+	lwid, rwid, sel := p.cur.Width, p.table.width, p.cur.Sel
 	for i, row := range p.lrows {
 		if sel != nil {
 			row = sel[row]
@@ -254,7 +230,7 @@ func (p *joinProber) flush(out *storage.Batch) {
 		col++
 	}
 	for _, rc := range p.spec.rightCols {
-		out.Vecs[col].AppendGather(build.Vecs[rc], p.mrows)
+		out.Vecs[col].AppendGather(p.table.vecs[rc], p.mrows)
 		col++
 	}
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]

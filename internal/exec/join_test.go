@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -47,17 +48,20 @@ func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
 	}
 }
 
-// probeOp assembles one spine join by hand — the build side drained and
-// hashed by runBuild, the probe side streamed through the same morselProbeOp
-// (and so the same joinProber) every morsel runs — so a test can look at the
-// joined batches themselves, which a compiled plan only shows a sink.
-func probeOp(t *testing.T, probe, build Operator, probeKeys, buildKeys []string, ctx *Context) Operator {
+// probeOp assembles one spine join by hand — the build side, a scan of
+// build, drained by runBuild, the probe side streamed through the same
+// morselProbeOp (and so the same joinProber) every morsel runs — so a test
+// can look at the joined batches themselves, which a compiled plan only
+// shows a sink.
+func probeOp(t *testing.T, probe Operator, build *storage.Table, probeKeys, buildKeys []string, ctx *Context) Operator {
 	t.Helper()
-	spec, err := resolveJoinSpec(probe.Schema(), build.Schema(), probeKeys, buildKeys, nil)
+	node := &plan.Join{Right: &plan.Scan{Table: build}, LeftKeys: probeKeys, RightKeys: buildKeys}
+	op := scanOp(t, build, ctx)
+	spec, err := resolveJoinSpec(probe.Schema(), op.Schema(), probeKeys, buildKeys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := runBuild(nil, build, spec, ctx)
+	table, err := runBuild(node, op, spec, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +122,7 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 		}, []int64{3, 4, 5, 6, 7, 8, 9}},
 	} {
 		ctx := NewContext(0.95)
-		j := probeOp(t, c.probe(ctx), scanOp(t, buildTable, ctx), []string{"p.k"}, []string{"dup.k"}, ctx)
+		j := probeOp(t, c.probe(ctx), buildTable, []string{"p.k"}, []string{"dup.k"}, ctx)
 		out, err := Run(j)
 		if err != nil {
 			t.Fatal(err)
@@ -341,5 +345,84 @@ func TestEmptyBuildStillMaterializesSampler(t *testing.T) {
 	}
 	if ctx2.Stats.BaseBytes >= fact.Bytes() {
 		t.Fatalf("non-materializing empty-join run scanned the probe side (BaseBytes=%d)", ctx2.Stats.BaseBytes)
+	}
+}
+
+// TestJoinBuildSurvivorShapes: a build side is a survivor mask over its
+// table's own rows, read off the scan's batch starts. Over a 3 000-row
+// dimension of three 1 000-row partitions (keys 0..2999 in row order) every
+// shape a drain meets must answer exactly: no filter (no mask), a filter
+// keeping whole leading partitions while zone pruning drops the tail (dense
+// batches back to back, then nothing — a mask all the same), one keeping a
+// suffix, a hole in the middle, and a scattered selection.
+func TestJoinBuildSurvivorShapes(t *testing.T) {
+	db := storage.NewBuilder("dim", storage.Schema{
+		{Name: "dim.id", Typ: storage.Int64},
+		{Name: "dim.g", Typ: storage.Int64},
+	})
+	for i := 0; i < 3000; i++ {
+		db.Int(0, int64(i))
+		db.Int(1, int64(i%7))
+	}
+	dim := db.Build(3)
+	fb := storage.NewBuilder("fact", storage.Schema{{Name: "fact.k", Typ: storage.Int64}})
+	for i := 0; i < 9000; i++ {
+		fb.Int(0, int64((i*7919)%3100)) // every key three times, and 100 keys no row has
+	}
+	fact := fb.Build(4)
+	id := func(op expr.CmpOp, v int64) expr.Expr {
+		return &expr.Cmp{Op: op, L: &expr.Col{Name: "dim.id"}, R: expr.Int(v)}
+	}
+	for _, c := range []struct {
+		name   string
+		pred   expr.Expr // nil: no filter
+		keep   func(i int) bool
+		masked bool
+	}{
+		{"every row", nil, func(int) bool { return true }, false},
+		{"leading partitions", id(expr.LT, 2000), func(i int) bool { return i < 2000 }, true},
+		{"a suffix", id(expr.GE, 1500), func(i int) bool { return i >= 1500 }, true},
+		{"a hole", &expr.Logic{Op: expr.Or, L: id(expr.LT, 1000), R: id(expr.GE, 2000)}, func(i int) bool { return i < 1000 || i >= 2000 }, true},
+		{"scattered", &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "dim.g"}, R: expr.Int(3)}, func(i int) bool { return i%7 == 3 }, true},
+	} {
+		var build plan.Node = &plan.Scan{Table: dim}
+		if c.pred != nil {
+			build = &plan.Filter{Child: build, Pred: c.pred}
+		}
+		root := &plan.Aggregate{
+			Child: &plan.Join{
+				Left: &plan.Scan{Table: fact}, Right: build,
+				LeftKeys: []string{"fact.k"}, RightKeys: []string{"dim.id"},
+			},
+			GroupBy: []string{"dim.g"},
+			Aggs:    []plan.AggSpec{{Kind: stats.Count}},
+		}
+		want := make(map[int64]int64)
+		for i := 0; i < 9000; i++ {
+			if k := (i * 7919) % 3100; k < 3000 && c.keep(k) {
+				want[int64(k%7)]++
+			}
+		}
+		ctx := NewContext(0.95)
+		ctx.Workers = 2
+		op, err := Compile(root, 42, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Run(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int64]int64)
+		for _, row := range allRows(out) {
+			got[row[0].I] = int64(row[1].F)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: counts per group %v, want %v", c.name, got, want)
+		}
+		table := op.(*PipelineOp).joins[0].table
+		if (table.mask != nil) != c.masked {
+			t.Fatalf("%s: build side has mask %t, want %t", c.name, table.mask != nil, c.masked)
+		}
 	}
 }

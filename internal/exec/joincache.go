@@ -11,9 +11,9 @@ import (
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// joinCacheMaxEntries bounds the cache's entry count, resident tables and
-// seen-once keys together: a workload of never-repeating build filters
-// leaves only key strings behind, and this many of them at most.
+// joinCacheMaxEntries bounds the cache's entry count: a workload of
+// never-repeating build filters leaves many small masks behind, and this
+// many of them at most.
 const joinCacheMaxEntries = 1024
 
 // JoinCache keeps built join tables across the queries of one engine.
@@ -24,15 +24,21 @@ const joinCacheMaxEntries = 1024
 // function of its plan text and the table version it reads; the cache runs
 // it once per such key and hands later queries the immutable joinTable
 // together with the cost counters the build charged, which a hit replays so
-// simulated cost does not move by a bit.
+// simulated cost does not move by a bit. A table is the version's own
+// columns and key index (Table.KeyIndex) plus the build's survivor mask, so
+// an entry holds the mask and the charge, and a key is admitted on its first
+// sight: holding it costs no copy of any row.
 //
 // Invalidation is by construction, like planner.CacheKey: the key embeds
 // the bound table@epoch, so an append makes the old entries unreachable
-// and they fall off the LRU tail. A key is admitted on its second sight: a
-// build seen once keeps using pool-recycled buffers, and only a repeat pays
-// for a cache-owned copy. Eviction is LRU under a byte bound. The mutex
-// covers lookup and insert only, never a build, so two queries racing a
-// cold key both build and one copy stays.
+// and they fall off the LRU tail. Eviction is LRU under a byte bound, which
+// counts what an entry keeps alive as well as what it holds: through its
+// table an entry pins its version's key index and, on a multi-partition
+// version, the whole-table column and width copies (pinnedBytes). Entries
+// over one index share that charge, so it is paid once while any of them
+// stays, and a version an append left behind is paid for until its last
+// entry goes. The mutex covers lookup and insert only, never a build, so
+// two queries racing a cold key both build and one table stays.
 //
 // A Context without a cache (nil) builds every join per run.
 type JoinCache struct {
@@ -40,8 +46,12 @@ type JoinCache struct {
 	maxBytes int64
 	ll       *list.List // front = most recent
 	byKey    map[string]*list.Element
-	// bytes is what the resident tables hold, the quantity maxBytes bounds.
+	// bytes is what the resident entries hold and pin, the quantity
+	// maxBytes bounds.
 	bytes int64
+	// pins is, per key index the resident entries read, how many of them
+	// read it and what it pins, charged to bytes once.
+	pins map[*storage.KeyIndex]*pin
 
 	// Obs counts hits, misses, admissions, evictions and resident bytes into
 	// the engine-wide metrics registry, the only record of them. Write-only
@@ -71,7 +81,7 @@ func (c buildCharge) replay(s *RunStats) {
 	s.ShuffleBytes += c.shuffleBytes
 }
 
-// joinCacheEntry is one key's state: seen once (table nil) or resident.
+// joinCacheEntry is one key's resident table.
 type joinCacheEntry struct {
 	key string
 	// source is the table version the build side reads. The key names it by
@@ -80,12 +90,20 @@ type joinCacheEntry struct {
 	source *storage.Table
 	table  *joinTable
 	charge buildCharge
-	bytes  int64
+	bytes  int64 // the entry's own bytes; its pin is counted in pins
 }
 
-// NewJoinCache returns a cache holding at most maxBytes of built tables.
+// pin is the version state the resident entries over one key index keep
+// alive: how many entries read it and its pinnedBytes.
+type pin struct {
+	entries int
+	bytes   int64
+}
+
+// NewJoinCache returns a cache whose entries hold at most maxBytes.
 func NewJoinCache(maxBytes int64) *JoinCache {
-	return &JoinCache{maxBytes: maxBytes, ll: list.New(), byKey: make(map[string]*list.Element)}
+	return &JoinCache{maxBytes: maxBytes, ll: list.New(), byKey: make(map[string]*list.Element),
+		pins: make(map[*storage.KeyIndex]*pin)}
 }
 
 // joinCacheKey derives the cache identity of a join's build side over the
@@ -97,10 +115,8 @@ func joinCacheKey(n plan.Node, source *storage.Table, rightKeys []string) string
 	return fmt.Sprintf("%s%s@%d K[%s]", plan.Format(n), source.Name, source.Epoch(), strings.Join(rightKeys, ","))
 }
 
-// lookup returns the resident entry for the key, or nil on a miss together
-// with whether the caller's build should be admitted (the key has been seen
-// before). A first sight leaves the key behind so the next one admits.
-func (c *JoinCache) lookup(key string, source *storage.Table) (hit *joinCacheEntry, admit bool) {
+// lookup returns the resident entry for the key, or nil on a miss.
+func (c *JoinCache) lookup(key string, source *storage.Table) *joinCacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.byKey[key]
@@ -112,39 +128,42 @@ func (c *JoinCache) lookup(key string, source *storage.Table) (hit *joinCacheEnt
 	}
 	if !found {
 		c.Obs.Miss()
-		c.byKey[key] = c.ll.PushFront(&joinCacheEntry{key: key, source: source})
-		c.trimLocked()
-		return nil, false
+		return nil
 	}
 	c.ll.MoveToFront(el)
-	e := el.Value.(*joinCacheEntry)
-	if e.table == nil {
-		c.Obs.Miss()
-		return nil, true
-	}
 	c.Obs.Hit()
-	return e, false
+	return el.Value.(*joinCacheEntry)
 }
 
 // insert makes a built table resident under the key. When a racing build
-// got there first its copy stays and this one remains the caller's alone.
+// got there first its table stays and this one remains the caller's alone.
 func (c *JoinCache) insert(key string, source *storage.Table, t *joinTable, charge buildCharge) {
-	size := t.bytes()
+	size := int64(len(key)) + t.bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if size > c.maxBytes {
+	p := c.pins[t.idx]
+	if p == nil {
+		// Once per index: sizing string columns is a pass over their rows.
+		p = &pin{bytes: pinnedBytes(source, t)}
+	}
+	if size+p.bytes > c.maxBytes {
 		return
 	}
-	el, found := c.byKey[key]
-	if found {
-		e := el.Value.(*joinCacheEntry)
-		if e.table != nil && e.source == source {
+	if el, found := c.byKey[key]; found {
+		if el.Value.(*joinCacheEntry).source == source {
 			return
 		}
-		c.removeLocked(el)
+		c.removeLocked(el) // another version's entry, so never p's last
 	}
 	c.byKey[key] = c.ll.PushFront(&joinCacheEntry{key: key, source: source, table: t, charge: charge, bytes: size})
 	c.bytes += size
+	if t.idx != nil {
+		if p.entries == 0 {
+			c.pins[t.idx] = p
+			c.bytes += p.bytes
+		}
+		p.entries++
+	}
 	c.Obs.Admit()
 	c.trimLocked()
 	c.Obs.Resident(c.bytes)
@@ -160,44 +179,60 @@ func (c *JoinCache) trimLocked() {
 func (c *JoinCache) removeLocked(el *list.Element) {
 	e := c.ll.Remove(el).(*joinCacheEntry)
 	delete(c.byKey, e.key)
-	if e.table != nil {
-		c.bytes -= e.bytes
-		c.Obs.Evict()
-		c.Obs.Resident(c.bytes)
-	}
-}
-
-// bytes is the table's resident size: build rows, their width array, the
-// code arrays of their coded string columns, the index arrays and the id
-// map. String payloads are counted in full although the rows share them
-// with the base table, so the bound errs towards holding less.
-func (t *joinTable) bytes() int64 {
-	n := t.rows.LiveWidth() + int64(len(t.rows.Width))*4
-	for _, v := range t.rows.Vecs {
-		if v.Dict != nil {
-			n += int64(len(v.Code)) * 4
+	c.bytes -= e.bytes
+	if x := e.table.idx; x != nil {
+		p := c.pins[x]
+		if p.entries--; p.entries == 0 {
+			delete(c.pins, x)
+			c.bytes -= p.bytes
 		}
 	}
-	return n + t.idx.Bytes()
+	c.Obs.Evict()
+	c.Obs.Resident(c.bytes)
 }
 
-// runBuild produces the hashed build side of one spine join
-// (PipelineOp.Next). It opens and drains op, the compiled form of
-// node.Right, and hashes the rows; with a cache on the context it first asks
-// the cache, and on a hit never opens op at all: the entry's charge is
-// replayed into the run's counters and, under tracing, the build side is
-// marked cached. The caller still owns op and closes it either way.
+// bytes is what the table holds beside the table version it reads: the
+// mask and the column list. The version's columns, widths and key index are
+// the version's own, shared by every build side over it (pinnedBytes).
+func (t *joinTable) bytes() int64 {
+	return int64(len(t.mask))*8 + int64(len(t.vecs))*8
+}
+
+// pinnedBytes is what t keeps alive of source beyond its partitions: the key
+// index, and on a multi-partition version the whole-table columns and row
+// widths Column and RowWidths concatenated (a one-partition version's are
+// its partition's own arrays). String payloads are counted in full although
+// the copies share them with the partitions, and two indexes over one
+// version each count its copies, so the bound errs towards holding less.
+func pinnedBytes(source *storage.Table, t *joinTable) int64 {
+	if t.idx == nil {
+		return 0
+	}
+	n := t.idx.Bytes()
+	if source.Partitions() > 1 {
+		n += int64(len(t.width)) * 4
+		for _, v := range t.vecs {
+			n += v.Bytes() + int64(len(v.Code))*4
+		}
+	}
+	return n
+}
+
+// runBuild produces the build side of one spine join (PipelineOp.Next). It
+// opens and drains op, the compiled form of node.Right, into the table of
+// its survivors (drainBuild); with a cache on the context it first asks the
+// cache, and on a hit never opens op at all: the entry's charge is replayed
+// into the run's counters and, under tracing, the build side is marked
+// cached with its survivor count. A miss builds and admits. The caller
+// still owns op and closes it either way.
 func runBuild(node *plan.Join, op Operator, spec *joinSpec, ctx *Context) (*joinTable, error) {
+	source := buildSource(node.Right)
 	var key string
-	var source *storage.Table
-	admit := false
 	if ctx.Joins != nil {
-		source = buildSource(node.Right)
 		key = joinCacheKey(node.Right, source, node.RightKeys)
-		var hit *joinCacheEntry
-		if hit, admit = ctx.Joins.lookup(key, source); hit != nil {
+		if hit := ctx.Joins.lookup(key, source); hit != nil {
 			hit.charge.replay(ctx.Stats)
-			markCached(node.Right, int64(len(hit.table.rows.Width)), ctx)
+			markCached(node.Right, int64(hit.table.rows), ctx)
 			return hit.table, nil
 		}
 	}
@@ -205,19 +240,11 @@ func runBuild(node *plan.Join, op Operator, spec *joinSpec, ctx *Context) (*join
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	// A table the cache admits serves every later query of its key, so it
-	// keeps the full row; one this query owns keeps what this join reads.
-	cols := spec.buildCols
-	if admit {
-		cols = nil
-	}
-	rows, err := drainBuild(op, ctx, cols, admit)
+	t, err := drainBuild(op, source, spec.rightKeys, ctx)
 	if err != nil {
 		return nil, err
 	}
-	t := buildJoinTable(spec, rows)
-	if admit {
-		t.shared = true
+	if ctx.Joins != nil {
 		ctx.Joins.insert(key, source, t, chargeSince(ctx.Stats, before))
 	}
 	return t, nil

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
-	"github.com/tasterdb/taster/internal/workload"
 )
 
 // custBelow is a build side over the customers table keeping cust.id < v.
@@ -53,25 +51,42 @@ func cachedRun(t *testing.T, n plan.Node, jc *JoinCache, prep func(*Context)) (s
 		s.BaseBytes, s.WarehouseBytes, s.CPUTuples, s.ShuffleBytes, s.OutputRows), ctx
 }
 
-// residentRows lists the row counts of the resident tables, most recent first.
+// residentRows lists the survivor counts of the resident tables, most recent
+// first.
 func (c *JoinCache) residentRows() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []int
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*joinCacheEntry); e.table != nil {
-			out = append(out, e.table.rows.Len())
-		}
+		out = append(out, el.Value.(*joinCacheEntry).table.rows)
 	}
 	return out
 }
 
-// TestJoinCacheSecondSightAndReplay walks one build key through its three
-// states under both sinks: first sight builds from the pool and leaves only
-// the key behind, second sight builds a cache-owned table and admits it, and
-// every later run is a hit that opens nothing — yet rows, intervals and all
-// five cost counters equal a run with no cache every time.
-func TestJoinCacheSecondSightAndReplay(t *testing.T) {
+// recount is the cache's bytes recomputed from its resident entries — each
+// entry's own bytes plus, once per key index they read, what it pins — and
+// how many indexes, so table versions, those entries keep alive.
+func (c *JoinCache) recount() (bytes int64, versions int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen := make(map[*storage.KeyIndex]bool)
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*joinCacheEntry)
+		bytes += e.bytes
+		if x := e.table.idx; x != nil && !seen[x] {
+			seen[x] = true
+			bytes += pinnedBytes(e.source, e.table)
+		}
+	}
+	return bytes, len(seen)
+}
+
+// TestJoinCacheFirstSightAndReplay walks one build key through its two
+// states under both sinks: first sight builds the survivor mask and admits
+// it, and every later run is a hit that opens nothing — yet rows, intervals
+// and all five cost counters equal a run with no cache every time. This is
+// what holds a hit's replayed charge to the build's.
+func TestJoinCacheFirstSightAndReplay(t *testing.T) {
 	fact, cust := bigOrders(20000), customersTable()
 	spine := regionCount(&plan.Scan{Table: fact}, custBelow(cust, 7))
 	sketch := &plan.SketchJoin{
@@ -84,105 +99,29 @@ func TestJoinCacheSecondSightAndReplay(t *testing.T) {
 		want, _ := cachedRun(t, root, nil, nil)
 		jc := NewJoinCache(1 << 20)
 		jc.Obs = &obs.JoinCacheObs{}
-		for run, wantResident := range []int{0, 1, 1, 1} {
+		for run := 0; run < 4; run++ {
 			got, _ := cachedRun(t, root, jc, nil)
 			if got != want {
 				t.Fatalf("%s run %d diverges from the uncached run:\n%.300s\nvs\n%.300s", name, run, got, want)
 			}
-			if n := len(jc.residentRows()); n != wantResident {
-				t.Fatalf("%s run %d: %d resident tables, want %d", name, run, n, wantResident)
+			if rows := jc.residentRows(); len(rows) != 1 || rows[0] != 7 {
+				t.Fatalf("%s run %d: resident tables hold %v survivors, want [7]", name, run, rows)
 			}
 		}
 		o := jc.Obs
-		if o.Misses.Value() != 2 || o.Admissions.Value() != 1 || o.Hits.Value() != 2 || o.Evictions.Value() != 0 ||
+		if o.Misses.Value() != 1 || o.Admissions.Value() != 1 || o.Hits.Value() != 3 || o.Evictions.Value() != 0 ||
 			o.ResidentBytes.Value() <= 0 || o.ResidentBytes.Value() != jc.bytes {
-			t.Fatalf("%s: misses/admissions/hits/evictions = %d/%d/%d/%d, resident %d bytes (cache holds %d); want 2/1/2/0 and resident bytes",
+			t.Fatalf("%s: misses/admissions/hits/evictions = %d/%d/%d/%d, resident %d bytes (cache holds %d); want 1/1/3/0 and resident bytes",
 				name, o.Misses.Value(), o.Admissions.Value(), o.Hits.Value(), o.Evictions.Value(), o.ResidentBytes.Value(), jc.bytes)
-		}
-	}
-}
-
-// TestJoinCacheProjectsOnlyQueryOwnedBuilds runs one join three times on a
-// context with a JoinCache: on first sight the build table is the query's
-// own and keeps only the join's key and payload columns; on second sight it
-// is admitted and keeps every column; the third run hits it. Rows and the
-// three counters a build charges are the same every time.
-func TestJoinCacheProjectsOnlyQueryOwnedBuilds(t *testing.T) {
-	cat := workload.TPCH(0.002, 3).Catalog
-	li, err := cat.Table("lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	orders, err := cat.Table("orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := &plan.Aggregate{
-		Child: &plan.Join{
-			Left: &plan.Scan{Table: li},
-			Right: &plan.Filter{
-				Child: &plan.Scan{Table: orders},
-				Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.o_orderdate"}, R: expr.Int(1800)},
-			},
-			LeftKeys: []string{"lineitem.l_orderkey"}, RightKeys: []string{"orders.o_orderkey"},
-		},
-		GroupBy: []string{"orders.o_orderpriority"},
-		Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "lineitem.l_extendedprice"}},
-	}
-	jc := NewJoinCache(1 << 30)
-	all := orders.Schema().Names()
-	var first string
-	for run, want := range [][]string{{"orders.o_orderkey", "orders.o_orderpriority"}, all, all} {
-		ctx := NewContext(0.95)
-		ctx.Workers = 2
-		ctx.Joins = jc
-		op, err := Compile(root, 42, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := op.(*PipelineOp)
-		if err := p.Open(); err != nil {
-			t.Fatal(err)
-		}
-		var out []*storage.Batch
-		for {
-			b, err := p.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			out = append(out, b)
-		}
-		table := p.joins[0].table
-		var held []string
-		for c, v := range table.rows.Vecs {
-			if v != nil {
-				held = append(held, orders.Schema()[c].Name)
-			}
-		}
-		if !slices.Equal(held, want) || table.shared != (run > 0) {
-			t.Fatalf("run %d: build table holds %v (shared %v), want %v (shared %v)", run, held, table.shared, want, run > 0)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s := ctx.Stats
-		got := fmt.Sprintf("%v|base=%d cpu=%d shuffle=%d", allRows(out), s.BaseBytes, s.CPUTuples, s.ShuffleBytes)
-		if run == 0 {
-			first = got
-		} else if got != first {
-			t.Fatalf("run %d diverges from the first:\n%.300s\nvs\n%.300s", run, got, first)
 		}
 	}
 }
 
 // TestJoinCacheTraceMarksHits: a hit's build subtree was compiled and
 // trace-wrapped but never opened; the trace must say so instead of showing a
-// build that produced no rows, and its root must still carry the build's row
-// count. (The join itself is part of the fused spine on a hit and a miss
-// alike.)
+// build that produced no rows, and its root must still carry the build's
+// survivor count. (The join itself is part of the fused spine on a hit and a
+// miss alike.)
 func TestJoinCacheTraceMarksHits(t *testing.T) {
 	root := regionCount(&plan.Scan{Table: ordersTable()}, custBelow(customersTable(), 7))
 	jc := NewJoinCache(1 << 20)
@@ -193,19 +132,19 @@ func TestJoinCacheTraceMarksHits(t *testing.T) {
 		})
 		traces = append(traces, BuildTraceTree(root, ctx.TraceNodes, nil).Render())
 	}
-	if traces[0] != traces[1] || strings.Contains(traces[0], "cached") {
-		t.Fatalf("miss and first-sight traces must be the plain build trace:\n%s\nvs\n%s", traces[0], traces[1])
+	if strings.Contains(traces[0], "cached") {
+		t.Fatalf("the miss's trace must be the plain build trace:\n%s", traces[0])
 	}
-	if traces[2] != traces[3] {
-		t.Fatalf("hit traces differ across runs:\n%s\nvs\n%s", traces[2], traces[3])
+	if traces[1] != traces[2] || traces[2] != traces[3] {
+		t.Fatalf("hit traces differ across runs:\n%s\nvs\n%s\nvs\n%s", traces[1], traces[2], traces[3])
 	}
 	for _, want := range []string{
 		"Join(orders.cust = cust.id)  (fused)",
 		"└─ Filter(cust.id < 7)  (cached rows=7)",
 		"   └─ Scan(cust)  (cached)",
 	} {
-		if !strings.Contains(traces[2], want) {
-			t.Fatalf("hit trace missing %q:\n%s", want, traces[2])
+		if !strings.Contains(traces[1], want) {
+			t.Fatalf("hit trace missing %q:\n%s", want, traces[1])
 		}
 	}
 	if !strings.Contains(traces[0], "└─ Filter(cust.id < 7)  rows=7/10 sel=70.0% in=10 batches=1 time=0s") {
@@ -241,9 +180,9 @@ func TestJoinCacheNeverCachesSynopsisSubtrees(t *testing.T) {
 	}
 }
 
-// TestJoinCacheEvictsLRU: under a bound that fits two of three build tables
-// the least recently used one goes, a re-touched one stays, and answers
-// never notice.
+// TestJoinCacheEvictsLRU: under a bound that fits two of three build
+// tables — told apart by their survivor counts — the least recently used one
+// goes, a re-touched one stays, and answers never notice.
 func TestJoinCacheEvictsLRU(t *testing.T) {
 	fact, cust := bigOrders(20000), customersTable()
 	roots := map[int64]plan.Node{}
@@ -252,15 +191,18 @@ func TestJoinCacheEvictsLRU(t *testing.T) {
 		roots[v] = regionCount(&plan.Scan{Table: fact}, custBelow(cust, v))
 		want[v], _ = cachedRun(t, roots[v], nil, nil)
 	}
-	// Size the bound from the tables themselves: room for the 5- and 8-row
-	// builds together, not for all three.
+	// Size the bound from the entries themselves: room for the 5- and
+	// 8-survivor builds together and the one index all three pin, not for
+	// all three builds.
+	var pinned int64
 	size := func(v int64) int64 {
 		probe := NewJoinCache(1 << 20)
 		cachedRun(t, roots[v], probe, nil)
-		cachedRun(t, roots[v], probe, nil)
-		return probe.bytes
+		own := probe.ll.Front().Value.(*joinCacheEntry).bytes
+		pinned = probe.bytes - own
+		return own
 	}
-	jc := NewJoinCache(size(5) + size(8))
+	jc := NewJoinCache(size(5) + size(8) + pinned)
 	jc.Obs = &obs.JoinCacheObs{}
 	run := func(v int64) {
 		t.Helper()
@@ -271,7 +213,7 @@ func TestJoinCacheEvictsLRU(t *testing.T) {
 	expect := func(rows ...int) {
 		t.Helper()
 		if got := fmt.Sprint(jc.residentRows()); got != fmt.Sprint(rows) {
-			t.Fatalf("resident tables (rows, most recent first) = %s, want %v", got, rows)
+			t.Fatalf("resident tables (survivors, most recent first) = %s, want %v", got, rows)
 		}
 	}
 	for _, v := range []int64{3, 3, 5, 5} {
@@ -280,17 +222,17 @@ func TestJoinCacheEvictsLRU(t *testing.T) {
 	expect(5, 3)
 	run(3) // a hit: 3 is now the more recent of the two
 	expect(3, 5)
-	run(8)
 	run(8) // admitting 8 evicts 5, the tail
+	run(8)
 	expect(8, 3)
-	run(5)
 	run(5) // and 5 coming back evicts 3
+	run(5)
 	expect(5, 8)
 	if ev, gauge := jc.Obs.Evictions.Value(), jc.Obs.ResidentBytes.Value(); ev != 2 || gauge != jc.bytes || jc.bytes > jc.maxBytes {
 		t.Fatalf("evictions = %d (want 2), gauge %d vs %d resident under bound %d", ev, gauge, jc.bytes, jc.maxBytes)
 	}
 
-	// A table larger than the whole bound is never admitted.
+	// An entry larger than the whole bound is never admitted.
 	tiny := NewJoinCache(8)
 	tiny.Obs = &obs.JoinCacheObs{}
 	for i := 0; i < 3; i++ {
@@ -300,6 +242,69 @@ func TestJoinCacheEvictsLRU(t *testing.T) {
 	}
 	if tiny.bytes != 0 || tiny.Obs.Admissions.Value() != 0 || len(tiny.residentRows()) != 0 {
 		t.Fatalf("an 8-byte cache admitted %d bytes", tiny.bytes)
+	}
+}
+
+// TestJoinCacheBoundsPinnedVersions: an entry's table pins its version's
+// key index and, on a multi-partition version, the whole-table column and
+// width copies, and the byte bound counts them — once per index, however
+// many entries read it. Under a bound with room for two versions' pins,
+// six appends to the build-side table, each version queried under two
+// filters, keep at most two versions alive: the older ones are evicted with
+// their last entry, and answers never notice.
+func TestJoinCacheBoundsPinnedVersions(t *testing.T) {
+	fact := bigOrders(20000)
+	custRows := func(lo, n int) *storage.Table {
+		b := storage.NewBuilder("cust", customersTable().Schema())
+		for i := lo; i < lo+n; i++ {
+			b.Int(0, int64(i))
+			b.Str(1, []string{"east", "west"}[i%2])
+		}
+		return b.Build(4)
+	}
+	cust := custRows(0, 4096)
+	if cust.Partitions() < 2 {
+		t.Fatalf("fixture: %d partitions, want several", cust.Partitions())
+	}
+	probe := NewJoinCache(1 << 30)
+	cachedRun(t, regionCount(&plan.Scan{Table: fact}, custBelow(cust, 7)), probe, nil)
+	entry := probe.ll.Front().Value.(*joinCacheEntry)
+	pinned := probe.bytes - entry.bytes
+	want := cust.KeyIndex([]int{0}).Bytes() + int64(cust.NumRows())*4
+	for c := range cust.Schema() {
+		want += cust.Column(c).Bytes() + int64(len(cust.Column(c).Code))*4
+	}
+	if pinned != want {
+		t.Fatalf("one version pins %d bytes, want its index, row widths and column copies, %d", pinned, want)
+	}
+
+	jc := NewJoinCache(pinned * 5 / 2)
+	jc.Obs = &obs.JoinCacheObs{}
+	for version := 0; version < 7; version++ {
+		if version > 0 {
+			var err error
+			if cust, err = cust.Append(custRows(cust.NumRows(), 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, below := range []int64{7, 3000, 7, 3000} {
+			root := regionCount(&plan.Scan{Table: fact}, custBelow(cust, below))
+			want, _ := cachedRun(t, root, nil, nil)
+			if got, _ := cachedRun(t, root, jc, nil); got != want {
+				t.Fatalf("version %d, cust.id < %d: diverges from the uncached run", version, below)
+			}
+		}
+		bytes, versions := jc.recount()
+		if bytes != jc.bytes || jc.bytes > jc.maxBytes || versions > 2 {
+			t.Fatalf("version %d: %d bytes resident (recounted %d, bound %d) over %d versions, want at most 2",
+				version, jc.bytes, bytes, jc.maxBytes, versions)
+		}
+		if p := jc.pins[cust.KeyIndex([]int{0})]; p == nil || p.entries != 2 {
+			t.Fatalf("version %d: the current version's index is not pinned by its two entries", version)
+		}
+	}
+	if jc.Obs.Evictions.Value() == 0 || len(jc.pins) > 2 {
+		t.Fatalf("evictions = %d, %d indexes pinned: the old versions were never let go", jc.Obs.Evictions.Value(), len(jc.pins))
 	}
 }
 
@@ -325,7 +330,7 @@ func TestJoinCacheEmptyBuild(t *testing.T) {
 		}
 	}
 	if rows := jc.residentRows(); len(rows) != 1 || rows[0] != 0 {
-		t.Fatalf("resident tables = %v, want the one empty build", rows)
+		t.Fatalf("resident tables hold %v survivors, want the one empty build", rows)
 	}
 
 	materialize := func(ctx *Context) { ctx.MaterializeSamples[syn] = "byproduct" }

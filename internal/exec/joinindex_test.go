@@ -13,18 +13,20 @@ import (
 	"github.com/tasterdb/taster/internal/workload"
 )
 
-// fixedKeyTable builds the join table of a one-column fixed-width key: the
-// build rows are kv alone.
-func fixedKeyTable(kv *storage.Vector) *joinTable {
-	return buildJoinTable(&joinSpec{rightKeys: []int{0}}, &storage.Batch{Vecs: []*storage.Vector{kv}})
+// fixedKeyIndex builds the index of a one-column fixed-width key: the build
+// rows are kv alone.
+func fixedKeyIndex(kv *storage.Vector) *storage.KeyIndex {
+	return storage.NewKeyIndex([]*storage.Vector{kv}, []int{0})
 }
 
-// checkJoinIndex builds the fixed-key table over kv and probes it with every
+// checkJoinIndex builds the fixed-key index over kv and probes it with every
 // word kv holds, each one's neighbours and complement, the extremes and the
 // caller's extras, shuffled (checkProbe): a present word must pair with
 // exactly its rows in a naive word → ascending-rows map, an absent one with
-// none. Which layout each shape takes is storage's TestKeyIndexLayout.
-func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64, rng *rand.Rand) {
+// none. Then it probes the same words under the survivor mask keep draws
+// (checkMasked). Which layout each shape takes is storage's
+// TestKeyIndexLayout.
+func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64, keep uint64, rng *rand.Rand) {
 	t.Helper()
 	ref := make(map[uint64][]int32)
 	words := append([]uint64{0, 1, 1 << 63, 1<<63 - 1, math.MaxUint64}, absent...)
@@ -35,9 +37,63 @@ func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64, rng *rand
 	}
 	rng.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
 	probe := &storage.Batch{Vecs: []*storage.Vector{wordVec(kv.Typ, words)}}
-	checkProbe(t, fixedKeyTable(kv).idx, probe, []int{0}, func(row int) []int32 {
+	checkProbe(t, fixedKeyIndex(kv), nil, probe, []int{0}, func(row int) []int32 {
 		return ref[storage.FixedWord(probe.Vecs[0], row)]
 	}, rng)
+	checkMasked(t, []*storage.Vector{kv}, []int{0}, keep, probe, rng)
+}
+
+// checkMasked is the survivor mask's property: over the index of every row
+// of vecs (by their key over cols), a probe under a mask must pair exactly
+// as an unmasked probe over an index built from the survivors alone, its
+// rows mapped back to theirs. Row i survives when bit i mod 64 of keep is
+// set. The mask is marked as a build side drains it — short runs of rows,
+// dense when every row of a run survives and under a selection otherwise,
+// a run with no survivor never seen — and the masked probe runs under
+// checkProbe's random selections and rooms.
+func checkMasked(t testing.TB, vecs []*storage.Vector, cols []int, keep uint64, probe *storage.Batch, rng *rand.Rand) {
+	t.Helper()
+	n := vecs[cols[0]].Len()
+	x := storage.NewKeyIndex(vecs, cols)
+	mask := x.NewMask()
+	var surv []int32
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+rng.Intn(8))
+		var sel []int32
+		for i := lo; i < hi; i++ {
+			if keep>>(i%64)&1 == 1 {
+				sel = append(sel, int32(i-lo))
+				surv = append(surv, int32(i))
+			}
+		}
+		switch len(sel) {
+		case 0:
+		case hi - lo:
+			x.Mark(mask, lo, nil, hi-lo)
+		default:
+			x.Mark(mask, lo, sel, hi-lo)
+		}
+		lo = hi
+	}
+	sub := make([]*storage.Vector, len(vecs))
+	for c, v := range vecs {
+		sub[c] = storage.NewVector(v.Typ, len(surv))
+		sub[c].AppendGather(v, surv)
+	}
+	probe.Sel = nil
+	cx := storage.NewKeyIndex(sub, cols)
+	want := make(map[int][]int32)
+	var pos, rows []int32
+	for at := (storage.ProbePos{}); ; {
+		pos, rows, at = cx.Probe(probe, cols, nil, at, joinBatchRows, pos[:0], rows[:0])
+		for k, p := range pos {
+			want[int(p)] = append(want[int(p)], surv[rows[k]])
+		}
+		if len(pos) < joinBatchRows {
+			break
+		}
+	}
+	checkProbe(t, x, mask, probe, cols, func(row int) []int32 { return want[row] }, rng)
 }
 
 // wordVec returns a column of typ holding words as its FixedWords, leaving
@@ -59,13 +115,13 @@ func wordVec(typ storage.Type, words []uint64) *storage.Vector {
 	return v
 }
 
-// checkProbe pairs b's rows over cols through x as the prober does — under a
-// random selection, or none, one call of a random room at a time, each call
-// resuming where the last stopped until one returns short of its room — and
-// holds the pairs to want, a row's expected matches: every live row's, in
-// live-row order, ascending within a row. Rooms of one to three resume runs
-// mid-fanout, at a run's end and at the batch's end.
-func checkProbe(t testing.TB, x *storage.KeyIndex, b *storage.Batch, cols []int, want func(row int) []int32, rng *rand.Rand) {
+// checkProbe pairs b's rows over cols through x under mask as the prober
+// does — under a random selection, or none, one call of a random room at a
+// time, each call resuming where the last stopped until one returns short of
+// its room — and holds the pairs to want, a row's expected matches: every
+// live row's, in live-row order, ascending within a row. Rooms of one to
+// three resume runs mid-fanout, at a run's end and at the batch's end.
+func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *storage.Batch, cols []int, want func(row int) []int32, rng *rand.Rand) {
 	t.Helper()
 	b.Sel = nil
 	if rng.Intn(2) == 0 {
@@ -92,7 +148,7 @@ func checkProbe(t testing.TB, x *storage.KeyIndex, b *storage.Batch, cols []int,
 	for {
 		room := 1 + rng.Intn([...]int{3, joinBatchRows}[rng.Intn(2)])
 		var next storage.ProbePos
-		pos, rows, next = x.Probe(b, cols, at, room, pos[:0], rows[:0])
+		pos, rows, next = x.Probe(b, cols, mask, at, room, pos[:0], rows[:0])
 		if len(pos) > room || len(rows) != len(pos) {
 			t.Fatalf("probe from %+v with room %d: %d positions, %d rows", at, room, len(pos), len(rows))
 		}
@@ -126,10 +182,16 @@ func int64Vec(keys []int64) *storage.Vector {
 	return v
 }
 
+// drawKeep draws a survivor pattern for checkMasked: every row, none, about
+// half or about a quarter.
+func drawKeep(rng *rand.Rand) uint64 {
+	return [...]uint64{math.MaxUint64, 0, rng.Uint64(), rng.Uint64() & rng.Uint64()}[rng.Intn(4)]
+}
+
 // TestJoinIndexMatchesMap is the index's property test: over key vectors of
 // every shape the planner can hand the build — and a few it cannot — every
 // layout and probe loop of the map-free index pairs rows exactly like a Go
-// map.
+// map, and under a survivor mask exactly like an index of the survivors.
 func TestJoinIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	perm := func(n int, key func(i int) int64) []int64 {
@@ -141,17 +203,17 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 	}
 
 	t.Run("dense surrogate keys", func(t *testing.T) {
-		checkJoinIndex(t, int64Vec(perm(5000, func(i int) int64 { return int64(i) + 1 })), nil, rng)
+		checkJoinIndex(t, int64Vec(perm(5000, func(i int) int64 { return int64(i) + 1 })), nil, drawKeep(rng), rng)
 	})
 	t.Run("dense with duplicates and gaps", func(t *testing.T) {
 		keys := make([]int64, 6000)
 		for i := range keys {
 			keys[i] = 100 + 2*int64(rng.Intn(900))
 		}
-		checkJoinIndex(t, int64Vec(keys), nil, rng)
+		checkJoinIndex(t, int64Vec(keys), nil, drawKeep(rng), rng)
 	})
 	t.Run("dense straddling zero", func(t *testing.T) {
-		checkJoinIndex(t, int64Vec(perm(4001, func(i int) int64 { return int64(i) - 2000 })), nil, rng)
+		checkJoinIndex(t, int64Vec(perm(4001, func(i int) int64 { return int64(i) - 2000 })), nil, drawKeep(rng), rng)
 	})
 	t.Run("sparse", func(t *testing.T) {
 		keys := make([]int64, 5000)
@@ -159,26 +221,26 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 			keys[i] = rng.Int63() - rng.Int63()
 		}
 		copy(keys[4000:], keys[:1000]) // duplicates far apart in row order
-		checkJoinIndex(t, int64Vec(keys), nil, rng)
+		checkJoinIndex(t, int64Vec(keys), nil, drawKeep(rng), rng)
 	})
 	t.Run("int64 extremes together", func(t *testing.T) {
 		// Span 2^64-1: the span test must not overflow into a dense layout.
 		keys := []int64{math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
-		checkJoinIndex(t, int64Vec(keys), nil, rng)
+		checkJoinIndex(t, int64Vec(keys), nil, drawKeep(rng), rng)
 	})
 	t.Run("selective subset", func(t *testing.T) {
 		// 133 of 20 000 surrogate keys survive a build-side filter: far more
 		// span than rows, but under the floor.
 		keys := perm(20000, func(i int) int64 { return int64(i) + 1 })[:133]
-		checkJoinIndex(t, int64Vec(keys), nil, rng)
+		checkJoinIndex(t, int64Vec(keys), nil, drawKeep(rng), rng)
 		// The same survivors of a 20 M-key dimension.
 		for i := range keys {
 			keys[i] *= 1000
 		}
-		checkJoinIndex(t, int64Vec(keys), nil, rng)
+		checkJoinIndex(t, int64Vec(keys), nil, drawKeep(rng), rng)
 	})
 	t.Run("single row", func(t *testing.T) {
-		checkJoinIndex(t, int64Vec([]int64{42}), nil, rng)
+		checkJoinIndex(t, int64Vec([]int64{42}), nil, drawKeep(rng), rng)
 	})
 	t.Run("float64 bit patterns", func(t *testing.T) {
 		negZero := math.Copysign(0, -1)
@@ -189,17 +251,17 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 			v.F64 = append(v.F64, rng.NormFloat64())
 		}
 		// 0 and -0, and the two NaN payloads, are distinct keys, as in groupKey.
-		checkJoinIndex(t, v, []uint64{math.Float64bits(2.5)}, rng)
+		checkJoinIndex(t, v, []uint64{math.Float64bits(2.5)}, drawKeep(rng), rng)
 	})
 	t.Run("bool", func(t *testing.T) {
 		v := storage.NewVector(storage.Bool, 0)
 		for i := 0; i < 300; i++ {
 			v.B = append(v.B, rng.Intn(3) == 0)
 		}
-		checkJoinIndex(t, v, nil, rng)
+		checkJoinIndex(t, v, nil, drawKeep(rng), rng)
 		allTrue := storage.NewVector(storage.Bool, 0)
 		allTrue.B = append(allTrue.B, true, true, true)
-		checkJoinIndex(t, allTrue, nil, rng)
+		checkJoinIndex(t, allTrue, nil, drawKeep(rng), rng)
 	})
 	t.Run("string and tuple ids", func(t *testing.T) {
 		// Two of three rows build; keys repeat, so runs have fanout.
@@ -209,8 +271,8 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 			k.I64 = append(k.I64, int64(rng.Intn(7)))
 		}
 		b := &storage.Batch{Vecs: []*storage.Vector{s, k}}
-		checkJoinTuples(t, b, []int{0}, 1000, rng)
-		checkJoinTuples(t, b, []int{0, 1}, 1000, rng)
+		checkJoinTuples(t, b, []int{0}, 1000, drawKeep(rng), rng)
+		checkJoinTuples(t, b, []int{0, 1}, 1000, drawKeep(rng), rng)
 	})
 }
 
@@ -218,8 +280,9 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 // column — the cols of the first nBuild rows of b — and probes it with every
 // row of b (checkProbe): each row's matches must be exactly the build rows
 // whose GroupKey bytes equal its own, ascending, and a row whose bytes no
-// build row carries must match nothing.
-func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int, rng *rand.Rand) {
+// build row carries must match nothing. Then it probes b under the survivor
+// mask keep draws over the build rows (checkMasked).
+func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int, keep uint64, rng *rand.Rand) {
 	t.Helper()
 	if nBuild == 0 {
 		return // an empty table is never probed
@@ -233,13 +296,14 @@ func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int, rng
 		k := string(storage.GroupKey(nil, build.Vecs, cols, i))
 		ref[k] = append(ref[k], int32(i))
 	}
-	tab := buildJoinTable(&joinSpec{rightKeys: cols}, build)
-	if n := tab.idx.Keys(); n != len(ref) {
+	x := storage.NewKeyIndex(build.Vecs, cols)
+	if n := x.Keys(); n != len(ref) {
 		t.Fatalf("%d build keys indexed as %d", len(ref), n)
 	}
-	checkProbe(t, tab.idx, b, cols, func(row int) []int32 {
+	checkProbe(t, x, nil, b, cols, func(row int) []int32 {
 		return ref[string(storage.GroupKey(nil, b.Vecs, cols, row))]
 	}, rng)
+	checkMasked(t, build.Vecs, cols, keep, b, rng)
 }
 
 // FuzzJoinIndex drives the same checks from arbitrary bytes. Each 8-byte
@@ -249,7 +313,11 @@ func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int, rng
 // (string, typed) pair — a string of up to two of its bytes, NULs included,
 // beside the word reinterpreted per the selector, or the string alone for
 // selector 3 mod 4 — built from the first half of the rows and probed with
-// all of them. draw seeds the probe's selection and its rooms.
+// all of them. Every check runs twice: over the index of every build row,
+// and under a survivor mask in which build row i survives when bit i mod 64
+// of keep is set, held to an index of the survivors alone (checkMasked) —
+// unique and duplicate keys alike, whichever the data holds. draw seeds the
+// probe's selection, its rooms and the runs the mask is marked in.
 func FuzzJoinIndex(f *testing.F) {
 	word := func(ws ...uint64) []byte {
 		var b []byte
@@ -258,15 +326,15 @@ func FuzzJoinIndex(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(word(1, 2, 3, 2, 1), uint8(0), false, int64(0))
-	f.Add(word(1<<63, 1<<63-1, 0, math.MaxUint64), uint8(0), false, int64(1))
-	f.Add(word(math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.NaN())), uint8(1), false, int64(2))
-	f.Add(word(0, 1, 1, 0), uint8(2), false, int64(3))
-	f.Add(word(7, 7+1<<16-1, 7+1<<16), uint8(0), false, int64(4)) // either side of the dense span floor
-	f.Add(word(0x0100, 0x0201, 0x0100, 0x0201, 0x0302, 0x0100), uint8(0), true, int64(5))
-	f.Add(word(0x0002, 0x0202, 0x000002, 0x0001), uint8(3), true, int64(6)) // "", NUL-embedded, same bytes
-	f.Add(word(math.Float64bits(math.NaN()), 0x7ff8000000000002, math.Float64bits(math.Copysign(0, -1)), 0), uint8(1), true, int64(7))
-	f.Fuzz(func(t *testing.T, data []byte, typ uint8, tuple bool, draw int64) {
+	f.Add(word(1, 2, 3, 2, 1), uint8(0), false, int64(0), uint64(math.MaxUint64))
+	f.Add(word(1<<63, 1<<63-1, 0, math.MaxUint64), uint8(0), false, int64(1), uint64(0b10110))
+	f.Add(word(math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.NaN())), uint8(1), false, int64(2), uint64(0b011))
+	f.Add(word(0, 1, 1, 0), uint8(2), false, int64(3), uint64(0b1001))
+	f.Add(word(7, 7+1<<16-1, 7+1<<16), uint8(0), false, int64(4), uint64(0b101)) // either side of the dense span floor
+	f.Add(word(0x0100, 0x0201, 0x0100, 0x0201, 0x0302, 0x0100), uint8(0), true, int64(5), uint64(0b011010))
+	f.Add(word(0x0002, 0x0202, 0x000002, 0x0001), uint8(3), true, int64(6), uint64(0)) // "", NUL-embedded, same bytes
+	f.Add(word(math.Float64bits(math.NaN()), 0x7ff8000000000002, math.Float64bits(math.Copysign(0, -1)), 0), uint8(1), true, int64(7), uint64(0b1101))
+	f.Fuzz(func(t *testing.T, data []byte, typ uint8, tuple bool, draw int64, keep uint64) {
 		n := len(data) / 8
 		if n == 0 {
 			return
@@ -288,14 +356,14 @@ func FuzzJoinIndex(f *testing.F) {
 			s.Str = append(s.Str, string(data[8*i+1:8*i+1+int(data[8*i]%3)]))
 		}
 		if !tuple {
-			checkJoinIndex(t, v, nil, rng)
+			checkJoinIndex(t, v, nil, keep, rng)
 			return
 		}
 		cols := []int{0, 1}
 		if typ%4 == 3 {
 			cols = cols[:1]
 		}
-		checkJoinTuples(t, &storage.Batch{Vecs: []*storage.Vector{s, v}}, cols, n/2, rng)
+		checkJoinTuples(t, &storage.Batch{Vecs: []*storage.Vector{s, v}}, cols, n/2, keep, rng)
 	})
 }
 
@@ -305,12 +373,16 @@ type joinIndexShape struct {
 	// probeMax, when set, draws probe words from 1..probeMax — the fact
 	// side's whole key domain — instead of from the build keys.
 	probeMax int
+	// survivors, when set, are the keys a build side keeps of keys: the
+	// probe runs under their mask over the index of every key.
+	survivors []int64
 }
 
 // joinIndexShapes are the build sides the benchmark workloads produce — a
 // whole dimension table keyed 1..n, and a selective build-side filter's
-// survivors (both dense-range) — plus the shape they do not: as many keys
-// with no locality (open addressing).
+// survivors, as a compact index of their own (subset) and as a mask over
+// the dimension's index (mask), all dense-range — plus the shape they do
+// not: as many keys with no locality (open addressing).
 func joinIndexShapes() []joinIndexShape {
 	rng := rand.New(rand.NewSource(29))
 	dense := make([]int64, 150_000)
@@ -323,26 +395,51 @@ func joinIndexShapes() []joinIndexShape {
 	for i, p := range rng.Perm(20_000)[:133] {
 		subset[i] = int64(p) + 1
 	}
+	dim := make([]int64, 20_000)
+	for i, p := range rng.Perm(20_000) {
+		dim[i] = int64(p) + 1
+	}
 	return []joinIndexShape{
 		{name: "dense150k", keys: int64Vec(dense)},
 		{name: "sparse150k", keys: int64Vec(sparse)},
 		{name: "subset133of20k", keys: int64Vec(subset), probeMax: 20_000},
+		{name: "mask133of20k", keys: int64Vec(dim), probeMax: 20_000, survivors: subset},
 	}
 }
 
-// BenchmarkJoinBuild times a join's build, reporting ns per build row: the
+// mask is the shape's survivor mask over x, its index (nil: no survivors
+// named, every row).
+func (sh joinIndexShape) mask(x *storage.KeyIndex) storage.KeyMask {
+	if sh.survivors == nil {
+		return nil
+	}
+	keep := make(map[int64]bool)
+	for _, k := range sh.survivors {
+		keep[k] = true
+	}
+	var sel []int32
+	for i, k := range sh.keys.I64 {
+		if keep[k] {
+			sel = append(sel, int32(i))
+		}
+	}
+	m := x.NewMask()
+	x.Mark(m, 0, sel, sh.keys.Len())
+	return m
+}
+
+// BenchmarkJoinBuild times a join's build, reporting ns per row: the
 // fixed-key index alone over each joinIndexShapes shape (the key words and
-// the CSR passes, no row copy), and a whole build side as runBuild runs it —
-// σ(orders) drained and indexed for a join that reads its key and one
-// payload column — on the key's first sight (query-owned: pool memory,
-// released after the run) and on its second (admitted: a heap copy the
-// JoinCache keeps).
+// the CSR passes), the one a table version builds once per key column set
+// (orders/index, Table.KeyIndex over orders' key), and a whole build side as
+// runBuild runs it on a miss — σ(orders) scanned, filtered and drained into
+// its survivor mask over that index (orders/mask, per source row).
 func BenchmarkJoinBuild(b *testing.B) {
 	for _, sh := range joinIndexShapes() {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fixedKeyTable(sh.keys)
+				fixedKeyIndex(sh.keys)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.keys.Len()), "ns/row")
 		})
@@ -358,43 +455,38 @@ func BenchmarkJoinBuild(b *testing.B) {
 		},
 		LeftKeys: []string{"lineitem.l_orderkey"}, RightKeys: []string{"orders.o_orderkey"},
 	}
-	probe := storage.Schema{{Name: "lineitem.l_orderkey", Typ: storage.Int64}}
-	for _, admitted := range []bool{false, true} {
-		name := "orders/query-owned"
-		if admitted {
-			name = "orders/admitted"
+	key := []int{orders.Schema().Index("orders.o_orderkey")}
+	b.Run("orders/index", func(b *testing.B) {
+		vecs := make([]*storage.Vector, len(orders.Schema()))
+		vecs[key[0]] = orders.Column(key[0])
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			storage.NewKeyIndex(vecs, key)
 		}
-		b.Run(name, func(b *testing.B) {
-			ctx := NewContext(0.95)
-			source := buildSource(join.Right)
-			key := joinCacheKey(join.Right, source, join.RightKeys)
-			rows := 0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				op, err := compileBuild(join.Right, "a benchmark", ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				spec, err := resolveJoinSpec(probe, op.Schema(), join.LeftKeys, join.RightKeys, []string{"orders.o_orderpriority"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx.Joins = nil
-				if admitted {
-					ctx.Joins = NewJoinCache(1 << 30)
-					ctx.Joins.lookup(key, source) // first sight: the run below admits
-				}
-				table, err := runBuild(join, op, spec, ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = len(table.rows.Width)
-				op.Close()
-				table.release(ctx.Pool)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*orders.NumRows()), "ns/row")
+	})
+	b.Run("orders/mask", func(b *testing.B) {
+		ctx := NewContext(0.95)
+		probe := storage.Schema{{Name: "lineitem.l_orderkey", Typ: storage.Int64}}
+		orders.KeyIndex(key) // built once per version, before the clock
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op, err := compileBuild(join.Right, "a benchmark", ctx)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-		})
-	}
+			spec, err := resolveJoinSpec(probe, op.Schema(), join.LeftKeys, join.RightKeys, []string{"orders.o_orderpriority"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := runBuild(join, op, spec, ctx); err != nil {
+				b.Fatal(err)
+			}
+			op.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*orders.NumRows()), "ns/row")
+	})
 }
 
 var benchJoinSink int
@@ -402,13 +494,15 @@ var benchJoinSink int
 // BenchmarkJoinProbe times KeyIndex.Probe as the prober calls it — room
 // for one output chunk per call — over 64 probe batches of 1 024 rows,
 // every row live ("all") or a random half under a selection ("sel"),
-// reporting ns per live probe row. Probe keys are all present for the
-// whole-table shapes; the subset build misses 99 % of the time, as its query
-// does.
+// reporting ns per live probe row; a probe allocates nothing. Probe keys are
+// all present for the whole-table shapes; the subset build misses 99 % of
+// the time, as its query does, whether it is its own index (subset133of20k)
+// or a mask over the dimension's (mask133of20k).
 func BenchmarkJoinProbe(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sh := range joinIndexShapes() {
-		tab := fixedKeyTable(sh.keys)
+		x := fixedKeyIndex(sh.keys)
+		mask := sh.mask(x)
 		all, sel := make([]*storage.Batch, 64), make([]*storage.Batch, 64)
 		for n := range all {
 			keys := make([]int64, storage.BatchSize)
@@ -437,10 +531,11 @@ func BenchmarkJoinProbe(b *testing.B) {
 			}
 			b.Run(sh.name+"/"+run.name, func(b *testing.B) {
 				pos, rows := make([]int32, 0, joinBatchRows), make([]int32, 0, joinBatchRows)
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for _, pb := range run.batches {
 						for at := (storage.ProbePos{}); ; {
-							pos, rows, at = tab.idx.Probe(pb, []int{0}, at, joinBatchRows, pos[:0], rows[:0])
+							pos, rows, at = x.Probe(pb, []int{0}, mask, at, joinBatchRows, pos[:0], rows[:0])
 							benchJoinSink += len(rows)
 							if len(rows) < joinBatchRows {
 								break

@@ -30,10 +30,11 @@
 // float64 or bool key's own bits, any other key's dense id — and finds a
 // word's matches without a Go map (a dense offset array or an
 // open-addressing table behind storage.KeyIndex, through which the
-// sketch-join's per-key table is found too). A join's build side is built
-// once per table version: JoinCache keeps the immutable
-// table and the cost the build charged, and a later run replays the cost
-// instead of rebuilding.
+// sketch-join's per-key table is found too). That index is the build
+// table version's own, built once per version and key (Table.KeyIndex); a
+// build side copies no row, it marks its filter's survivors in a mask over
+// the index. JoinCache keeps the immutable table and the cost the build
+// charged, and a later run replays the cost instead of rebuilding.
 package exec
 
 import (
@@ -122,9 +123,8 @@ type Context struct {
 	Pool *storage.VecPool
 	// Joins keeps built join tables across runs (see JoinCache). Nil — the
 	// NewContext default — builds every join's table per run; the engine
-	// threads its own cache here beside Pool. A cached table is immutable
-	// and cache-owned, so runs and morsel workers share it without locking
-	// and never release its rows.
+	// threads its own cache here beside Pool. A table is immutable and holds
+	// no pool memory, so runs and morsel workers share it without locking.
 	Joins *JoinCache
 	// Obs receives the executor's dispatch counters (filter batches,
 	// zone-pruned partitions). Metrics are write-only from

@@ -24,7 +24,7 @@ const DefaultMorselRows = 4096
 // sink is an Aggregate's hash aggregation or a SketchJoin's per-key lookup.
 // The spine follows each Join's left (probe) input; a build (right) input is
 // σ(base table) — a Scan or a Filter over one (compileBuild) — drained once
-// and indexed into a shared join table. A sample has one home: directly over
+// into a shared join table: its survivors over the table's own key index. A sample has one home: directly over
 // the fact table's scan at the bottom of the spine — the planner puts the
 // fact table first — built there by a sampler or read back as the leaf. The
 // planner emits exactly this shape for every plan: exact, inline sampler
@@ -175,8 +175,8 @@ type pipelineJoinState struct {
 
 // PipelineOp executes a matched pipeline with morsel-driven parallelism. What
 // runs serially, once, before the pool starts: the sink's prepare (an inline
-// sketch build) and each join's build side, drained and indexed into a
-// shared joinTable. Then the leaf's rows are split into fixed-size
+// sketch build) and each join's build side, drained into a shared joinTable
+// (its survivor mask over the build table's own key index). Then the leaf's rows are split into fixed-size
 // morsels, the pool claims morsels from an atomic dispenser, and each worker
 // runs the full scan→sample→filter→probe→fold pipeline on its morsel with
 // worker-local state. Partials are merged in morsel index order once all
@@ -349,8 +349,8 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 		return nil, err
 	}
 
-	// Run and index every join's build side once; the resulting tables are
-	// shared read-only by all probe workers. Builds run top-down,
+	// Run every join's build side once; the resulting tables are shared
+	// read-only by all probe workers. Builds run top-down,
 	// so an empty one stops the rest: it proves the inner join — and hence
 	// the whole pipeline input — empty, and the probe scan is normally
 	// skipped entirely (O(1) early-out, no phantom scan or shuffle charges,
@@ -447,16 +447,9 @@ func (p *PipelineOp) emit(global partial) *storage.Batch {
 	return out
 }
 
-// Close implements Operator.
-func (p *PipelineOp) Close() error {
-	// Query-owned build-side concatenations are pool memory (drainBuild);
-	// recycle them. Probe output only ever holds copies, never references
-	// into them.
-	for _, js := range p.joins {
-		js.table.release(p.ctx.Pool)
-	}
-	return nil
-}
+// Close implements Operator: a join table holds no pool memory — its rows
+// are its source table's — so there is nothing to give back.
+func (p *PipelineOp) Close() error { return nil }
 
 // Schema implements Operator.
 func (p *PipelineOp) Schema() storage.Schema { return p.sink.outSchema() }
@@ -511,7 +504,7 @@ type morselChain struct {
 // buildMorselChain instantiates the pipeline's operator chain for one morsel:
 // a morsel-local scan, then per-node Filter/Sampler/probe operators. Sampler
 // instances get the morsel's split seed and partitioned δ; probe operators
-// share the join states' pre-built hash tables.
+// share the join states' built join tables.
 func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
 	src := &morselScan{schema: pipe.leafSchema, ctx: mctx}
 	var cur Operator = src

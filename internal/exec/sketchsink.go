@@ -281,7 +281,7 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	}
 	cnts := sc.Floats[:n]
 	clear(cnts)
-	pos, rows, _ := s.sketch.Index().Probe(b, s.probeKeyIdx, storage.ProbePos{}, n, ctx.Pool.GetSel(n), ctx.Pool.GetSel(n))
+	pos, rows, _ := s.sketch.Index().Probe(b, s.probeKeyIdx, nil, storage.ProbePos{}, n, ctx.Pool.GetSel(n), ctx.Pool.GetSel(n))
 	for k, j := range pos {
 		cnt, sum := s.sketch.Row(rows[k])
 		g := t.sums[int(ids[j])*stride:]

@@ -152,22 +152,8 @@ func (p *VecPool) GetBatch(schema Schema, n int) *Batch {
 	for i, c := range schema {
 		b.Vecs[i] = p.GetVector(c.Typ, n)
 	}
-	b.Sel, b.Width = nil, nil
+	b.Sel, b.Width, b.Start = nil, nil, 0
 	b.pooled = true
-	return b
-}
-
-// GetBatchCols is GetBatch for a batch that holds vectors only at the schema
-// positions cols lists (nil: every position); its other positions stay nil.
-func (p *VecPool) GetBatchCols(schema Schema, cols []int, n int) *Batch {
-	if cols == nil {
-		return p.GetBatch(schema, n)
-	}
-	b := p.GetBatch(nil, n)
-	b.Schema, b.Vecs = schema, make([]*Vector, len(schema))
-	for _, i := range cols {
-		b.Vecs[i] = p.GetVector(schema[i].Typ, n)
-	}
 	return b
 }
 

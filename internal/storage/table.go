@@ -114,6 +114,14 @@ type Table struct {
 	colsOnce sync.Once
 	colsView []*Vector // lazily concatenated whole-column view
 
+	widthsOnce sync.Once
+	widthsView []int32 // lazily concatenated whole-table row widths
+
+	// keyIdx caches one KeyIndex per key column set (KeyIndex), keyed by the
+	// column positions.
+	keyIdxMu sync.Mutex
+	keyIdx   map[string]*lazyKeyIndex
+
 	statsOnce sync.Once
 	stats     *TableStats
 
@@ -365,6 +373,65 @@ func (t *Table) Column(i int) *Vector {
 	return t.colsView[i]
 }
 
+// RowWidths returns every row's payload width in table row order — the
+// partitions' cached widths (Partition.rowWidths) end to end: the partition's
+// own array for a one-partition version, otherwise concatenated on first call
+// and cached like Column. A join reads a build row's width here by its row
+// number.
+//
+//taster:mutator sync.Once-guarded lazy cache: the single winning writer publishes via Once's happens-before edge, readers only ever see nil-then-frozen
+func (t *Table) RowWidths() []int32 {
+	t.widthsOnce.Do(func() {
+		if len(t.parts) == 1 {
+			t.widthsView = t.parts[0].rowWidths()
+			return
+		}
+		w := make([]int32, 0, t.rows)
+		for _, p := range t.parts {
+			w = append(w, p.rowWidths()...)
+		}
+		t.widthsView = w
+	})
+	return t.widthsView
+}
+
+// lazyKeyIndex is one key column set's index on a table version, built once.
+type lazyKeyIndex struct {
+	once sync.Once
+	x    *KeyIndex
+}
+
+// KeyIndex returns the index over every row of this version by its key over
+// the columns at positions cols (NewKeyIndex over the whole columns, Column),
+// built on first use and cached per column set: a version's rows never
+// change, so every join whose build side reads it probes the one index, and
+// a query's build side is a KeyMask over it. An appended version builds its
+// own; an old version keeps its index as long as something holds the old
+// version.
+//
+//taster:mutator lazy cache under keyIdxMu: an entry is published once per column set and its index built once under its own sync.Once from the version's frozen rows
+func (t *Table) KeyIndex(cols []int) *KeyIndex {
+	key := fmt.Sprint(cols)
+	t.keyIdxMu.Lock()
+	e := t.keyIdx[key]
+	if e == nil {
+		if t.keyIdx == nil {
+			t.keyIdx = make(map[string]*lazyKeyIndex)
+		}
+		e = &lazyKeyIndex{}
+		t.keyIdx[key] = e
+	}
+	t.keyIdxMu.Unlock()
+	e.once.Do(func() {
+		vecs := make([]*Vector, len(t.schema))
+		for _, c := range cols {
+			vecs[c] = t.Column(c)
+		}
+		e.x = NewKeyIndex(vecs, cols)
+	})
+	return e.x
+}
+
 // PartitionBytes returns the payload size of partition p — the scan charge
 // for one partition, which is what zone-map pruning saves.
 func (t *Table) PartitionBytes(p int) int64 { return t.parts[p].Bytes() }
@@ -401,7 +468,7 @@ func (t *Table) Scan(p, batchSize int) []*Batch {
 		if end > part.rows {
 			end = part.rows
 		}
-		out = append(out, sliceBatch(t.schema, part, nil, start, end))
+		out = append(out, sliceBatch(t.schema, part, nil, t.offs[p]+start, start, end))
 	}
 	return out
 }
@@ -446,16 +513,18 @@ func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schem
 			if end > e {
 				end = e
 			}
-			out = append(out, sliceBatch(schema, part, cols, start, end))
+			out = append(out, sliceBatch(schema, part, cols, plo+start, start, end))
 		}
 	}
 	return out
 }
 
 // sliceBatch is the zero-copy view of part's rows [start, end) over the
-// columns at positions cols (nil = all), carrying the rows' full widths.
-func sliceBatch(schema Schema, part *Partition, cols []int, start, end int) *Batch {
-	b := &Batch{Schema: schema, Width: part.rowWidths()[start:end]}
+// columns at positions cols (nil = all), carrying the rows' full widths and,
+// as Start, tableRow: the caller's table row of the partition's row start,
+// stored as given.
+func sliceBatch(schema Schema, part *Partition, cols []int, tableRow, start, end int) *Batch {
+	b := &Batch{Schema: schema, Width: part.rowWidths()[start:end], Start: tableRow}
 	if cols == nil {
 		b.Vecs = make([]*Vector, len(part.cols))
 		for i, c := range part.cols {

@@ -285,6 +285,11 @@ type Batch struct {
 	// output, sort output). On a pooled batch the buffer is pool memory
 	// (GetSel), reclaimed by Release; on scan output it is table-owned.
 	Width []int32
+	// Start is the table row of physical row 0 on a batch a table scan cut
+	// (Table.Scan, ScanRangePruned): the partition's offset plus the row
+	// within it. Filters pass the batch on, so a join's build side reads its
+	// survivors' table rows from it (Table.KeyIndex). 0 on every other batch.
+	Start int
 	// pooled marks batches whose vectors come from a VecPool free list; only
 	// those are recycled by VecPool.Release (see pool.go for the ownership
 	// contract). Scan output handing out table-owned storage stays false.

@@ -285,7 +285,7 @@ func TestSketchJoinEstimates(t *testing.T) {
 		}
 		for _, x := range []*SketchJoin{sj, dec} {
 			var got [3][2]float64
-			pos, rows, _ := x.Index().Probe(probe, c.cols, storage.ProbePos{}, probe.Rows(), nil, nil)
+			pos, rows, _ := x.Index().Probe(probe, c.cols, nil, storage.ProbePos{}, probe.Rows(), nil, nil)
 			for k, j := range pos {
 				got[j][0], got[j][1] = x.Row(rows[k])
 			}
