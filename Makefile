@@ -208,7 +208,8 @@ test-race: race
 # over parts drawn by the live samplers), the join key index (a batch
 # probe's pairs, under any selection and resumed at any chunk room, equal a
 # Go map's for any key words), the filter kernels — the only filter
-# evaluator — against the Eval oracle over random predicate trees, the
+# evaluator — against the row-at-a-time EvalBool oracle over random term
+# lists (int columns against float literals and mixed IN lists included), the
 # SQL front door (arbitrary bytes parse, validate, plan and compile without
 # a panic), and the tuner's lazy set selection against the eager greedy it
 # replaced (any sizes, costs, budget and window start: the same picks and
@@ -218,7 +219,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeExpr$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzMergeSamples$$' -fuzztime 10s ./internal/synopses
 	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
-	$(GO) test -run NONE -fuzz 'FuzzKernelTree$$' -fuzztime 10s ./internal/expr
+	$(GO) test -run NONE -fuzz 'FuzzKernelTerms$$' -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/sqlparser
 	$(GO) test -run NONE -fuzz 'FuzzSelectSet$$' -fuzztime 10s ./internal/tuner
 

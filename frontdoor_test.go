@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	taster "github.com/tasterdb/taster"
+	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/workload"
 )
 
@@ -17,7 +18,10 @@ import (
 // the same shape well-typed and must still answer; and COUNT(col) — which
 // panicked on a string column — is COUNT(*) under its own name. Both tuning
 // schedules run the table: they plan through different entries (PlanWith
-// directly, or the plan cache in front of it).
+// directly, or the plan cache in front of it). A boolean column takes no
+// filter (no SQL literal is a boolean), and an IN list agrees with = on a
+// literal of the other numeric type, whichever text the plan cache saw
+// first — the two render alike, so they must answer alike.
 func TestFrontDoor(t *testing.T) {
 	refused := []struct{ sql, mention string }{
 		{`SELECT COUNT(*) FROM lineitem WHERE l_shipmode = 5`, "l_shipmode"},
@@ -29,6 +33,8 @@ func TestFrontDoor(t *testing.T) {
 		{`SELECT COUNT(*) FROM lineitem JOIN orders ON l_quantity = o_orderkey`, "l_quantity"},
 		{`SELECT SUM(l_shipmode) FROM lineitem`, "l_shipmode"},
 		{`SELECT o_orderpriority, SUM(l_shipmode) FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority ERROR WITHIN 10% AT CONFIDENCE 95%`, "l_shipmode"},
+		{`SELECT COUNT(*) FROM flags WHERE f_on = 1`, "f_on"},
+		{`SELECT COUNT(*) FROM flags WHERE f_on IN (0, 1)`, "f_on"},
 	}
 	control := []string{
 		`SELECT COUNT(*) FROM lineitem WHERE l_shipmode = 'AIR'`,
@@ -52,10 +58,31 @@ func TestFrontDoor(t *testing.T) {
 			`SELECT o_orderpriority, COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority`},
 	}
 	const approx = " ERROR WITHIN 10% AT CONFIDENCE 95%"
+	// One filter written four ways: = and IN, each with an int and a float
+	// literal. Every text selects the same parts.
+	sizes := []string{
+		`SELECT COUNT(*) FROM part WHERE p_size IN (5.0)`,
+		`SELECT COUNT(*) FROM part WHERE p_size = 5.0`,
+		`SELECT COUNT(*) FROM part WHERE p_size IN (5)`,
+		`SELECT COUNT(*) FROM part WHERE p_size = 5`,
+	}
+	open := func(sync bool) *taster.Engine {
+		cat := workload.TPCH(0.002, 1).Catalog
+		fb := storage.NewBuilder("flags", storage.Schema{
+			{Name: "flags.f_id", Typ: storage.Int64},
+			{Name: "flags.f_on", Typ: storage.Bool},
+		})
+		for i := 0; i < 10; i++ {
+			fb.Int(0, int64(i))
+			fb.Bool(1, i%2 == 0)
+		}
+		cat.Register(fb.Build(1))
+		return taster.MustOpen(cat, taster.Options{Seed: 1, SynchronousTuning: sync})
+	}
 
 	for _, sync := range []bool{true, false} {
 		t.Run(fmt.Sprintf("SynchronousTuning=%v", sync), func(t *testing.T) {
-			eng := taster.MustOpen(workload.TPCH(0.002, 1).Catalog, taster.Options{Seed: 1, SynchronousTuning: sync})
+			eng := open(sync)
 			defer eng.Close()
 			for _, c := range refused {
 				res, err := eng.Query(c.sql)
@@ -100,6 +127,26 @@ func TestFrontDoor(t *testing.T) {
 						}
 					}
 				}
+			}
+			want, err := eng.Query(sizes[3] + " EXACT")
+			if err != nil || want.Rows[0][0].F <= 0 {
+				t.Fatalf("%v, %v: %s EXACT", want, err, sizes[3])
+			}
+			for _, order := range [][]string{sizes, {sizes[3], sizes[2], sizes[1], sizes[0]}} {
+				fresh := open(sync)
+				for _, suffix := range []string{"", " EXACT"} {
+					for _, sql := range order {
+						got, err := fresh.Query(sql + suffix)
+						if err != nil {
+							t.Fatalf("%v: %s%s", err, sql, suffix)
+						}
+						fresh.Drain()
+						if g := got.Rows[0][0]; !g.Equal(want.Rows[0][0]) {
+							t.Errorf("%v (%s), want %v: %s%s", g, got.Stats.Plan, want.Rows[0][0], sql, suffix)
+						}
+					}
+				}
+				fresh.Close()
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
 )
 
 // mixedQueries returns a fresh list of query constructors — Execute mutates
@@ -42,7 +43,7 @@ func mixedQueries(e *Engine) []func() *planner.Query {
 	}
 	filtered := func() *planner.Query {
 		q := single(stats.Sum, "sales.qty")()
-		q.Filter = &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "sales.product"}, R: expr.Int(20)}
+		q.Filter = expr.Pred{expr.Compare("sales.product", expr.LT, storage.IntValue(20))}
 		return q
 	}
 	exact := func() *planner.Query {

@@ -316,7 +316,7 @@ func TestFilteredQueryCompensation(t *testing.T) {
 		}
 	}
 	q := catQuery(e)
-	q.Filter = &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "products.category"}, R: expr.Int(2)}
+	q.Filter = expr.Pred{expr.Compare("products.category", expr.LT, storage.IntValue(2))}
 	res, err := e.Execute(q)
 	if err != nil {
 		t.Fatal(err)

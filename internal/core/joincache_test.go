@@ -207,7 +207,7 @@ func TestJoinIndexPerVersion(t *testing.T) {
 			Left: &plan.Scan{Table: li},
 			Right: &plan.Filter{
 				Child: &plan.Scan{Table: old},
-				Pred:  &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "orders.o_totalprice"}, R: expr.Float(100000)},
+				Pred:  expr.Pred{expr.Compare("orders.o_totalprice", expr.GT, storage.FloatValue(100000))},
 			},
 			LeftKeys: []string{"lineitem.l_orderkey"}, RightKeys: []string{"orders.o_orderkey"},
 		},

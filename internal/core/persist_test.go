@@ -450,11 +450,11 @@ func TestOldManifestRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qty := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "sales.qty"}, R: expr.Float(2)}
-	price := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "sales.price"}, R: expr.Float(80)}
+	qty := expr.Compare("sales.qty", expr.GT, storage.FloatValue(2))
+	price := expr.Compare("sales.price", expr.LT, storage.FloatValue(80))
 	filtered := func(e *Engine) *planner.Query {
 		q := persistQuery(e, 0)
-		q.Filter = expr.AndAll([]expr.Expr{qty, price})
+		q.Filter = expr.Pred{qty, price}
 		return q
 	}
 	var sketchID, sampleID uint64

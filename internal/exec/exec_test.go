@@ -48,12 +48,8 @@ func customersTable() *storage.Table {
 // amountAbove is a filter the zone maps can reason about: orders.amount
 // equals the row index, so ordersTable's Build(3) layout clusters it into
 // three disjoint ranges and a range predicate excludes whole partitions.
-func amountAbove(v float64) expr.Expr {
-	return &expr.Cmp{
-		Op: expr.GE,
-		L:  &expr.Col{Name: "orders.amount"},
-		R:  &expr.Const{Val: storage.FloatValue(v)},
-	}
+func amountAbove(v float64) expr.Pred {
+	return expr.Pred{expr.Compare("orders.amount", expr.GE, storage.FloatValue(v))}
 }
 
 func runPlan(t *testing.T, n plan.Node, ctx *Context) []*storage.Batch {
@@ -99,7 +95,7 @@ func TestFilterProject(t *testing.T) {
 	ctx := NewContext(0.95)
 	f := &plan.Filter{
 		Child: &plan.Scan{Table: tbl},
-		Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: expr.Int(10)},
+		Pred:  expr.Pred{expr.Compare("orders.id", expr.LT, storage.IntValue(10))},
 	}
 	if rows := allRows(runPlan(t, f, ctx)); len(rows) != 10 {
 		t.Fatalf("filtered rows = %d", len(rows))
@@ -700,7 +696,7 @@ func TestCompileUnknownNode(t *testing.T) {
 	}
 	// A sample's one home is directly on the spine's Scan: a sampler above a
 	// join or above a filter is an error naming the sampler.
-	pred := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "orders.amount"}, R: expr.Int(0)}
+	pred := expr.Pred{expr.Compare("orders.amount", expr.GT, storage.IntValue(0))}
 	for _, below := range []plan.Node{join, &plan.Filter{Child: &plan.Scan{Table: ordersTable()}, Pred: pred}} {
 		smpOp := &plan.SynopsisOp{Child: below, Kind: plan.UniformSample, P: 0.5}
 		agg := &plan.Aggregate{Child: smpOp, Aggs: []plan.AggSpec{{Kind: stats.Count}}}

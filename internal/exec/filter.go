@@ -21,7 +21,7 @@ type FilterOp struct {
 // NewFilterOp wraps child with a predicate compiled against the child's
 // schema. A predicate outside the kernel subset is an error — the one
 // planner.Query.Validate reports first for any query that came through it.
-func NewFilterOp(child Operator, pred expr.Expr, ctx *Context) (*FilterOp, error) {
+func NewFilterOp(child Operator, pred expr.Pred, ctx *Context) (*FilterOp, error) {
 	prog, err := expr.CompileFilter(pred, child.Schema())
 	if err != nil {
 		return nil, err

@@ -50,7 +50,7 @@ func TestFilterChargesEvaluatedRows(t *testing.T) {
 		mk(1, 2, 3, 4, 5),
 	}}
 	ctx := NewContext(0.95)
-	pred := &expr.Cmp{Op: expr.GE, L: &expr.Col{Name: "v"}, R: expr.Int(10)}
+	pred := expr.Pred{expr.Compare("v", expr.GE, storage.IntValue(10))}
 	f, err := NewFilterOp(feed, pred, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +77,9 @@ func TestFilterChargesEvaluatedRows(t *testing.T) {
 // error naming the reason — from the operator and through Compile.
 func TestFilterRefusesWhatKernelsCannotRun(t *testing.T) {
 	tbl := ordersTable()
-	pred := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: &expr.Col{Name: "orders.cust"}}
+	pred := expr.Pred{expr.Compare("orders.id", expr.EQ, storage.StringValue("x"))}
 	ctx := NewContext(0.95)
-	if _, err := NewFilterOp(&batchFeed{schema: tbl.Schema()}, pred, ctx); err == nil || !strings.Contains(err.Error(), "compares two columns") {
+	if _, err := NewFilterOp(&batchFeed{schema: tbl.Schema()}, pred, ctx); err == nil || !strings.Contains(err.Error(), `cannot compare BIGINT column "orders.id"`) {
 		t.Fatalf("NewFilterOp = %v, want the compile error", err)
 	}
 	if _, err := Compile(&plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: pred}, 1, ctx); err == nil {
@@ -95,7 +95,7 @@ func TestFilterRefusesWhatKernelsCannotRun(t *testing.T) {
 	if err == nil {
 		_, err = Run(op)
 	}
-	if err == nil || !strings.Contains(err.Error(), "compares two columns") {
+	if err == nil || !strings.Contains(err.Error(), `cannot compare BIGINT column "orders.id"`) {
 		t.Fatalf("aggregate over an uncompilable filter = %v, want the compile error", err)
 	}
 }

@@ -263,7 +263,6 @@ func goldenEdges(t *testing.T, cat *storage.Catalog) []goldenEdge {
 		return tb
 	}
 	scan := func(name string) plan.Node { return &plan.Scan{Table: tbl(name)} }
-	col := func(name string) expr.Expr { return &expr.Col{Name: name} }
 	count := plan.AggSpec{Kind: stats.Count}
 	sum := func(c string) plan.AggSpec { return plan.AggSpec{Kind: stats.Sum, Col: c} }
 	join := func(l, r plan.Node, lk, rk string) *plan.Join {
@@ -272,7 +271,7 @@ func goldenEdges(t *testing.T, cat *storage.Catalog) []goldenEdge {
 	uniform := func(child plan.Node, p float64) *plan.SynopsisOp {
 		return &plan.SynopsisOp{Child: child, Kind: plan.UniformSample, P: p, Accuracy: stats.DefaultAccuracy}
 	}
-	shipdate := &expr.Cmp{Op: expr.LE, L: col("l_shipdate"), R: &expr.Const{Val: storage.IntValue(2000)}}
+	shipdate := expr.Pred{expr.Compare("l_shipdate", expr.LE, storage.IntValue(2000))}
 	return []goldenEdge{
 		{"count-star, no filter, no group: zero columns read",
 			&plan.Aggregate{Child: scan("lineitem"), Aggs: []plan.AggSpec{count}}, nil},
@@ -289,14 +288,14 @@ func goldenEdges(t *testing.T, cat *storage.Catalog) []goldenEdge {
 				Aggs: []plan.AggSpec{count, sum("c_acctbal")}}, nil},
 		{"residual filter above a join reads a build column",
 			&plan.Aggregate{Child: &plan.Filter{Child: join(scan("lineitem"), scan("orders"), "l_orderkey", "o_orderkey"),
-				Pred: &expr.Cmp{Op: expr.EQ, L: col("o_orderpriority"), R: &expr.Const{Val: storage.StringValue("1-URGENT")}}},
+				Pred: expr.Pred{expr.Compare("o_orderpriority", expr.EQ, storage.StringValue("1-URGENT"))}},
 				GroupBy: []string{"l_returnflag"}, Aggs: []plan.AggSpec{sum("l_quantity")}}, nil},
 		{"sampler, filter above it, join above that",
 			&plan.Aggregate{Child: join(&plan.Filter{Child: uniform(scan("lineitem"), 0.2), Pred: shipdate}, scan("part"), "l_partkey", "p_partkey"),
 				GroupBy: []string{"p_brand"}, Aggs: []plan.AggSpec{sum("l_extendedprice")}}, nil},
 		{"empty build stops the spine",
 			&plan.Aggregate{Child: join(scan("lineitem"), &plan.Filter{Child: scan("orders"),
-				Pred: &expr.Cmp{Op: expr.LT, L: col("o_orderkey"), R: &expr.Const{Val: storage.IntValue(-1)}}}, "l_orderkey", "o_orderkey"),
+				Pred: expr.Pred{expr.Compare("o_orderkey", expr.LT, storage.IntValue(-1))}}, "l_orderkey", "o_orderkey"),
 				Aggs: []plan.AggSpec{count}}, nil},
 	}
 }

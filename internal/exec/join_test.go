@@ -114,7 +114,7 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 	}{
 		{"every row", func(ctx *Context) Operator { return scanOp(t, probeTable, ctx) }, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
 		{"under a selection", func(ctx *Context) Operator {
-			f, err := NewFilterOp(scanOp(t, probeTable, ctx), &expr.Cmp{Op: expr.GE, L: &expr.Col{Name: "p.id"}, R: expr.Int(3)}, ctx)
+			f, err := NewFilterOp(scanOp(t, probeTable, ctx), expr.Pred{expr.Compare("p.id", expr.GE, storage.IntValue(3))}, ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestParallelJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 		Child: &plan.Join{
 			Left: &plan.Filter{
 				Child: &plan.SynopsisOp{Child: &plan.Scan{Table: fact}, Kind: plan.UniformSample, P: 0.25},
-				Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: expr.Int(25000)},
+				Pred:  expr.Pred{expr.Compare("orders.id", expr.LT, storage.IntValue(25000))},
 			},
 			Right:    &plan.Scan{Table: customersTable()},
 			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
@@ -232,7 +232,7 @@ func TestParallelJoinEmptyBuildEarlyOut(t *testing.T) {
 				Left: &plan.Scan{Table: fact},
 				Right: &plan.Filter{
 					Child: &plan.Scan{Table: customersTable()},
-					Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(-1)},
+					Pred:  expr.Pred{expr.Compare("cust.id", expr.LT, storage.IntValue(-1))},
 				},
 				LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
 			},
@@ -313,7 +313,7 @@ func TestEmptyBuildStillMaterializesSampler(t *testing.T) {
 			Left: syn,
 			Right: &plan.Filter{
 				Child: &plan.Scan{Table: customersTable()},
-				Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(-1)},
+				Pred:  expr.Pred{expr.Compare("cust.id", expr.LT, storage.IntValue(-1))},
 			},
 			LeftKeys: []string{"orders.cust"}, RightKeys: []string{"cust.id"},
 		},
@@ -359,10 +359,12 @@ func TestJoinBuildSurvivorShapes(t *testing.T) {
 	db := storage.NewBuilder("dim", storage.Schema{
 		{Name: "dim.id", Typ: storage.Int64},
 		{Name: "dim.g", Typ: storage.Int64},
+		{Name: "dim.band", Typ: storage.Int64},
 	})
 	for i := 0; i < 3000; i++ {
 		db.Int(0, int64(i))
 		db.Int(1, int64(i%7))
+		db.Int(2, int64(i/500))
 	}
 	dim := db.Build(3)
 	fb := storage.NewBuilder("fact", storage.Schema{{Name: "fact.k", Typ: storage.Int64}})
@@ -370,20 +372,27 @@ func TestJoinBuildSurvivorShapes(t *testing.T) {
 		fb.Int(0, int64((i*7919)%3100)) // every key three times, and 100 keys no row has
 	}
 	fact := fb.Build(4)
-	id := func(op expr.CmpOp, v int64) expr.Expr {
-		return &expr.Cmp{Op: op, L: &expr.Col{Name: "dim.id"}, R: expr.Int(v)}
+	id := func(op expr.CmpOp, v int64) expr.Pred {
+		return expr.Pred{expr.Compare("dim.id", op, storage.IntValue(v))}
+	}
+	bands := func(bs ...int64) expr.Pred {
+		vals := make([]storage.Value, len(bs))
+		for i, b := range bs {
+			vals[i] = storage.IntValue(b)
+		}
+		return expr.Pred{expr.In("dim.band", vals...)}
 	}
 	for _, c := range []struct {
 		name   string
-		pred   expr.Expr // nil: no filter
+		pred   expr.Pred // nil: no filter
 		keep   func(i int) bool
 		masked bool
 	}{
 		{"every row", nil, func(int) bool { return true }, false},
 		{"leading partitions", id(expr.LT, 2000), func(i int) bool { return i < 2000 }, true},
 		{"a suffix", id(expr.GE, 1500), func(i int) bool { return i >= 1500 }, true},
-		{"a hole", &expr.Logic{Op: expr.Or, L: id(expr.LT, 1000), R: id(expr.GE, 2000)}, func(i int) bool { return i < 1000 || i >= 2000 }, true},
-		{"scattered", &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "dim.g"}, R: expr.Int(3)}, func(i int) bool { return i%7 == 3 }, true},
+		{"a hole", bands(0, 1, 4, 5), func(i int) bool { return i < 1000 || i >= 2000 }, true},
+		{"scattered", expr.Pred{expr.Compare("dim.g", expr.EQ, storage.IntValue(3))}, func(i int) bool { return i%7 == 3 }, true},
 	} {
 		var build plan.Node = &plan.Scan{Table: dim}
 		if c.pred != nil {

@@ -17,7 +17,7 @@ import (
 func custBelow(cust *storage.Table, v int64) plan.Node {
 	return &plan.Filter{
 		Child: &plan.Scan{Table: cust},
-		Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(v)},
+		Pred:  expr.Pred{expr.Compare("cust.id", expr.LT, storage.IntValue(v))},
 	}
 }
 
@@ -165,7 +165,7 @@ func TestJoinCacheNeverCachesSynopsisSubtrees(t *testing.T) {
 		"synopsis scan": &plan.SynopsisScan{Sample: sample, Label: "cust_sample"},
 		"sampler under filter": &plan.Filter{
 			Child: &plan.SynopsisOp{Child: &plan.Scan{Table: cust}, Kind: plan.UniformSample, P: 0.9},
-			Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(7)},
+			Pred:  expr.Pred{expr.Compare("cust.id", expr.LT, storage.IntValue(7))},
 		},
 	} {
 		ctx := NewContext(0.95)

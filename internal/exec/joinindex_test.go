@@ -451,7 +451,7 @@ func BenchmarkJoinBuild(b *testing.B) {
 	join := &plan.Join{
 		Right: &plan.Filter{
 			Child: &plan.Scan{Table: orders},
-			Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.o_orderdate"}, R: expr.Int(1800)},
+			Pred:  expr.Pred{expr.Compare("orders.o_orderdate", expr.LT, storage.IntValue(1800))},
 		},
 		LeftKeys: []string{"lineitem.l_orderkey"}, RightKeys: []string{"orders.o_orderkey"},
 	}

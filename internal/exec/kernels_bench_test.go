@@ -85,20 +85,21 @@ func filterBenchBatches() (coded, uncoded []*storage.Batch) {
 // batch into a selection vector, no row gather — in ns per candidate row.
 // The numeric cases sweep selectivity, where a kernel that branches per row
 // pays for every misprediction; "sel" runs under the selection f < 0.5
-// leaves; the string cases run coded and, for contrast, uncoded.
+// leaves; the string cases run coded and, for contrast, uncoded; "and"
+// fuses two terms, the second refining the first one's survivors.
 func BenchmarkFilterKernel(b *testing.B) {
-	i64 := func(op expr.CmpOp, c int64) expr.Expr {
-		return &expr.Cmp{Op: op, L: &expr.Col{Name: "t.i"}, R: expr.Int(c)}
+	i64 := func(op expr.CmpOp, c int64) expr.Pred {
+		return expr.Pred{expr.Compare("t.i", op, storage.IntValue(c))}
 	}
-	shipIn := &expr.In{E: &expr.Col{Name: "t.s"}, Vals: []storage.Value{
+	shipIn := expr.Pred{expr.In("t.s",
 		storage.StringValue("AIR"), storage.StringValue("MAIL"), storage.StringValue("SHIP"),
-	}}
-	shipEq := &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "t.s"}, R: expr.Str("RAIL")}
-	half := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "t.f"}, R: expr.Float(0.5)}
+	)}
+	shipEq := expr.Pred{expr.Compare("t.s", expr.EQ, storage.StringValue("RAIL"))}
+	half := expr.Pred{expr.Compare("t.f", expr.LT, storage.FloatValue(0.5))}
 	cases := []struct {
 		name    string
-		pred    expr.Expr
-		sel     expr.Expr // nil: dense; else the candidates are the rows it selects
+		pred    expr.Pred
+		sel     expr.Pred // nil: dense; else the candidates are the rows it selects
 		uncoded bool
 	}{
 		{"i64_ge_10pct", i64(expr.GE, 900), nil, false},
@@ -110,6 +111,7 @@ func BenchmarkFilterKernel(b *testing.B) {
 		{"str_in_coded", shipIn, nil, false},
 		{"str_eq_uncoded", shipEq, nil, true},
 		{"str_in_uncoded", shipIn, nil, true},
+		{"and_i64_f64_25pct", append(i64(expr.GE, 500), half...), nil, false},
 	}
 	coded, uncoded := filterBenchBatches()
 	for _, c := range cases {

@@ -79,7 +79,7 @@ func width(rows [][]storage.Value) int64 {
 // scanRows reads the table's partitions, skipping those whose zone map proves
 // prune (nil: none) rejects every row; what it reads it pays for, per byte
 // and per tuple.
-func scanRows(tbl *storage.Table, prune expr.Expr) relation {
+func scanRows(tbl *storage.Table, prune expr.Pred) relation {
 	rel := relation{schema: tbl.Schema()}
 	for p := 0; p < tbl.Partitions(); p++ {
 		if prune != nil && expr.ZonePrunes(prune, tbl.Schema(), tbl.Zone(p)) {

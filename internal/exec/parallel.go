@@ -42,7 +42,7 @@ type pipeline struct {
 	// directly above it, nil for none. A sampled leaf never prunes: its
 	// sampler, not a Filter, is chain[0], and its per-morsel RNG streams are
 	// keyed to raw row positions.
-	prune expr.Expr
+	prune expr.Pred
 
 	// The leaf scan's projection: the positions and schema of the leaf columns
 	// anything on the spine reads.

@@ -48,7 +48,7 @@ func fingerprint(t *testing.T, n plan.Node, ctx *Context, seed uint64) string {
 func TestParallelAggCompilesForPipelineShapes(t *testing.T) {
 	tbl := ordersTable()
 	agg := &plan.Aggregate{
-		Child:   &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: expr.Int(500)}},
+		Child:   &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: expr.Pred{expr.Compare("orders.id", expr.LT, storage.IntValue(500))}},
 		GroupBy: []string{"orders.cust"},
 		Aggs:    []plan.AggSpec{{Kind: stats.Sum, Col: "orders.amount"}},
 	}
@@ -107,7 +107,7 @@ func TestParallelAggDeterministicAcrossWorkerCounts(t *testing.T) {
 					Child: &plan.Scan{Table: tbl},
 					Kind:  plan.DistinctSample, P: 0.1, Delta: 16, StratCols: []string{"orders.cust"},
 				},
-				Pred: &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.id"}, R: expr.Int(25000)},
+				Pred: expr.Pred{expr.Compare("orders.id", expr.LT, storage.IntValue(25000))},
 			},
 			GroupBy: []string{"orders.cust"},
 			Aggs:    []plan.AggSpec{{Kind: stats.Sum, Col: "orders.amount"}},

@@ -170,7 +170,7 @@ func TestMultiJoinEmptyInnerMatchesOracle(t *testing.T) {
 	fact := exec.BigOrders(12000)
 	emptyCust := &plan.Filter{
 		Child: &plan.Scan{Table: exec.CustomersTable()},
-		Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "cust.id"}, R: expr.Int(-1)},
+		Pred:  expr.Pred{expr.Compare("cust.id", expr.LT, storage.IntValue(-1))},
 	}
 	agg := &plan.Aggregate{
 		Child: &plan.Join{
@@ -456,7 +456,7 @@ func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 	// cust < 7 keeps a scattered 70 % of every batch: a real selection vector.
 	filtered := &plan.Filter{
 		Child: &plan.Scan{Table: fact},
-		Pred:  &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(7)},
+		Pred:  expr.Pred{expr.Compare("orders.cust", expr.LT, storage.IntValue(7))},
 	}
 	twoJoins := &plan.Join{
 		Left: &plan.Join{

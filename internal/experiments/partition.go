@@ -78,10 +78,9 @@ func partitionQuery(cat *storage.Catalog, lo, hi int64) *planner.Query {
 	events, _ := cat.Table("events")
 	return &planner.Query{
 		Tables: []planner.TableRef{{Name: "events", Table: events}},
-		Filter: &expr.Logic{
-			Op: expr.And,
-			L:  &expr.Cmp{Op: expr.GE, L: &expr.Col{Name: "events.day"}, R: &expr.Const{Val: storage.IntValue(lo)}},
-			R:  &expr.Cmp{Op: expr.LE, L: &expr.Col{Name: "events.day"}, R: &expr.Const{Val: storage.IntValue(hi)}},
+		Filter: expr.Pred{
+			expr.Compare("events.day", expr.GE, storage.IntValue(lo)),
+			expr.Compare("events.day", expr.LE, storage.IntValue(hi)),
 		},
 		GroupBy:  []string{"events.region"},
 		Aggs:     []plan.AggSpec{{Kind: stats.Sum, Col: "events.amount"}},

@@ -22,164 +22,139 @@ func testBatch() *storage.Batch {
 	return b
 }
 
+// TestColAndConstEval: a term reads its column and compares it with its
+// literal; an unknown column is an error, not an empty answer.
 func TestColAndConstEval(t *testing.T) {
 	b := testBatch()
-	v, err := (&Col{Name: "a"}).Eval(b)
-	if err != nil || v.I64[3] != 3 {
-		t.Fatalf("col eval: %v %v", v, err)
+	idx, err := EvalBool(Pred{Compare("a", EQ, storage.IntValue(3))}, b)
+	if err != nil || len(idx) != 1 || idx[0] != 3 {
+		t.Fatalf("a = 3: %v %v", idx, err)
 	}
-	cv, err := Int(7).Eval(b)
-	if err != nil || cv.Len() != 4 || cv.I64[0] != 7 {
-		t.Fatalf("const eval: %v %v", cv, err)
+	if idx, err := EvalBool(nil, b); err != nil || len(idx) != 4 {
+		t.Fatalf("no filter keeps every row: %v %v", idx, err)
 	}
-	if _, err := (&Col{Name: "zzz"}).Eval(b); err == nil {
+	if _, err := EvalBool(Pred{Compare("zzz", EQ, storage.IntValue(1))}, b); err == nil {
 		t.Fatal("want error for unknown column")
-	}
-}
-
-func TestArithmetic(t *testing.T) {
-	b := testBatch()
-	e := &Bin{Op: Add, L: &Col{Name: "a"}, R: Int(10)}
-	v, err := e.Eval(b)
-	if err != nil || v.Typ != storage.Int64 || v.I64[2] != 12 {
-		t.Fatalf("int add: %v %v", v, err)
-	}
-	e2 := &Bin{Op: Mul, L: &Col{Name: "a"}, R: &Col{Name: "b"}}
-	v2, err := e2.Eval(b)
-	if err != nil || v2.Typ != storage.Float64 || v2.F64[2] != 10 {
-		t.Fatalf("mixed mul: %v %v", v2, err)
-	}
-	e3 := &Bin{Op: Div, L: Int(7), R: Int(2)}
-	v3, err := e3.Eval(b)
-	if err != nil || v3.Typ != storage.Float64 || v3.F64[0] != 3.5 {
-		t.Fatalf("div promotes: %v %v", v3, err)
-	}
-	// Division by zero yields 0 rather than a panic.
-	v4, err := (&Bin{Op: Div, L: Int(1), R: Int(0)}).Eval(b)
-	if err != nil || v4.F64[0] != 0 {
-		t.Fatalf("div by zero: %v %v", v4, err)
-	}
-	if _, err := (&Bin{Op: Add, L: &Col{Name: "s"}, R: Int(1)}).Type(b.Schema); err == nil {
-		t.Fatal("want type error adding string")
 	}
 }
 
 func TestComparisonsAndLogic(t *testing.T) {
 	b := testBatch()
-	ge := &Cmp{Op: GE, L: &Col{Name: "a"}, R: Int(2)}
-	idx, err := EvalBool(ge, b)
+	ge := Compare("a", GE, storage.IntValue(2))
+	idx, err := EvalBool(Pred{ge}, b)
 	if err != nil || len(idx) != 2 || idx[0] != 2 {
 		t.Fatalf("GE: %v %v", idx, err)
 	}
-	sEq := &Cmp{Op: EQ, L: &Col{Name: "s"}, R: Str("b")}
-	idx, _ = EvalBool(sEq, b)
+	sEq := Compare("s", EQ, storage.StringValue("b"))
+	idx, _ = EvalBool(Pred{sEq}, b)
 	if len(idx) != 1 || idx[0] != 1 {
 		t.Fatalf("string EQ: %v", idx)
 	}
-	both := &Logic{Op: And, L: ge, R: &Cmp{Op: LT, L: &Col{Name: "b"}, R: Float(7)}}
-	idx, _ = EvalBool(both, b)
+	idx, _ = EvalBool(Pred{ge, Compare("b", LT, storage.FloatValue(7))}, b)
 	if len(idx) != 1 || idx[0] != 2 {
 		t.Fatalf("AND: %v", idx)
 	}
-	either := &Logic{Op: Or, L: sEq, R: &Cmp{Op: EQ, L: &Col{Name: "a"}, R: Int(0)}}
-	idx, _ = EvalBool(either, b)
-	if len(idx) != 2 {
-		t.Fatalf("OR: %v", idx)
-	}
-	neg := &Not{E: ge}
-	idx, _ = EvalBool(neg, b)
-	if len(idx) != 2 || idx[1] != 1 {
-		t.Fatalf("NOT: %v", idx)
-	}
-	in := &In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.StringValue("a"), storage.StringValue("d")}}
-	idx, _ = EvalBool(in, b)
+	in := In("s", storage.StringValue("a"), storage.StringValue("d"))
+	idx, _ = EvalBool(Pred{in}, b)
 	if len(idx) != 2 || idx[0] != 0 || idx[1] != 3 {
 		t.Fatalf("IN: %v", idx)
 	}
-	// Flipped const-op-col comparisons evaluate correctly too.
-	flip := &Cmp{Op: LT, L: Int(1), R: &Col{Name: "a"}}
-	idx, _ = EvalBool(flip, b)
-	if len(idx) != 2 || idx[0] != 2 {
-		t.Fatalf("flipped cmp: %v", idx)
-	}
-	if _, err := EvalBool(&Col{Name: "a"}, b); err == nil {
-		t.Fatal("want error for non-bool filter")
+	// A literal of another type class matches nothing.
+	idx, _ = EvalBool(Pred{Compare("s", EQ, storage.IntValue(1))}, b)
+	if len(idx) != 0 {
+		t.Fatalf("string = 1: %v", idx)
 	}
 }
 
 func TestMixedNumericCompare(t *testing.T) {
 	b := testBatch()
-	e := &Cmp{Op: GT, L: &Col{Name: "b"}, R: Int(4)}
-	idx, err := EvalBool(e, b)
+	idx, err := EvalBool(Pred{Compare("b", GT, storage.IntValue(4))}, b)
 	if err != nil || len(idx) != 2 || idx[0] != 2 {
 		t.Fatalf("mixed compare: %v %v", idx, err)
 	}
+	// x IN (v...) holds iff x = v for some v: an int column IN a float list
+	// selects what = selects.
+	for _, p := range []Pred{
+		{Compare("a", EQ, storage.FloatValue(2))},
+		{In("a", storage.FloatValue(2))},
+		{In("a", storage.IntValue(2))},
+		{In("a", storage.FloatValue(2.5), storage.IntValue(2))},
+	} {
+		idx, err := EvalBool(p, b)
+		if err != nil || len(idx) != 1 || idx[0] != 2 {
+			t.Fatalf("%s: %v %v", p, idx, err)
+		}
+	}
 }
 
-func col(n string) Expr             { return &Col{Name: n} }
-func eq(n string, v int64) Expr     { return &Cmp{Op: EQ, L: col(n), R: Int(v)} }
-func lt(n string, v int64) Expr     { return &Cmp{Op: LT, L: col(n), R: Int(v)} }
-func le(n string, v int64) Expr     { return &Cmp{Op: LE, L: col(n), R: Int(v)} }
-func gt(n string, v int64) Expr     { return &Cmp{Op: GT, L: col(n), R: Int(v)} }
-func ge(n string, v int64) Expr     { return &Cmp{Op: GE, L: col(n), R: Int(v)} }
-func ne(n string, v int64) Expr     { return &Cmp{Op: NE, L: col(n), R: Int(v)} }
-func and(a, b Expr) Expr            { return &Logic{Op: And, L: a, R: b} }
-func strEq(n string, v string) Expr { return &Cmp{Op: EQ, L: col(n), R: Str(v)} }
-func inList(n string, vs ...string) Expr {
+func eq(n string, v int64) Term     { return Compare(n, EQ, storage.IntValue(v)) }
+func lt(n string, v int64) Term     { return Compare(n, LT, storage.IntValue(v)) }
+func le(n string, v int64) Term     { return Compare(n, LE, storage.IntValue(v)) }
+func gt(n string, v int64) Term     { return Compare(n, GT, storage.IntValue(v)) }
+func ge(n string, v int64) Term     { return Compare(n, GE, storage.IntValue(v)) }
+func ne(n string, v int64) Term     { return Compare(n, NE, storage.IntValue(v)) }
+func strEq(n string, v string) Term { return Compare(n, EQ, storage.StringValue(v)) }
+func inList(n string, vs ...string) Term {
 	vals := make([]storage.Value, len(vs))
 	for i, v := range vs {
 		vals[i] = storage.StringValue(v)
 	}
-	return &In{E: col(n), Vals: vals}
+	return In(n, vals...)
 }
 
+// TestConjuncts: a predicate renders left-deep, in the order its terms were
+// written — the shape plan text and executor seeds are derived from.
 func TestConjuncts(t *testing.T) {
-	e := and(and(eq("x", 1), lt("y", 5)), gt("z", 0))
-	cs := Conjuncts(e)
-	if len(cs) != 3 {
-		t.Fatalf("conjuncts = %d", len(cs))
+	if got := (Pred{eq("x", 1)}).String(); got != "x = 1" {
+		t.Fatalf("one term: %q", got)
 	}
-	if Conjuncts(nil) != nil {
-		t.Fatal("nil conjuncts")
+	if got := (Pred{eq("x", 1), lt("y", 5)}).String(); got != "(x = 1 AND y < 5)" {
+		t.Fatalf("two terms: %q", got)
 	}
-	if AndAll(nil) != nil {
-		t.Fatal("AndAll(nil)")
+	if got := (Pred{eq("x", 1), lt("y", 5), gt("z", 0)}).String(); got != "((x = 1 AND y < 5) AND z > 0)" {
+		t.Fatalf("three terms: %q", got)
 	}
-	back := AndAll(cs)
-	if CanonicalPredicate(back) != CanonicalPredicate(e) {
-		t.Fatal("AndAll round trip")
+	if got := Pred(nil).String(); got != "" {
+		t.Fatalf("no filter: %q", got)
 	}
 }
 
 func TestImpliesBasics(t *testing.T) {
 	cases := []struct {
 		name string
-		a, b Expr
+		a, b Pred
 		want bool
 	}{
-		{"anything implies nil", eq("x", 1), nil, true},
-		{"nil implies nothing", nil, eq("x", 1), false},
-		{"self", eq("x", 1), eq("x", 1), true},
-		{"conjunct subset", and(eq("x", 1), lt("y", 5)), eq("x", 1), true},
-		{"superset fails", eq("x", 1), and(eq("x", 1), lt("y", 5)), false},
-		{"tighter range implies looser", lt("x", 5), lt("x", 10), true},
-		{"looser range fails", lt("x", 10), lt("x", 5), false},
-		{"le vs lt boundary", le("x", 5), lt("x", 5), false},
-		{"lt implies le", lt("x", 5), le("x", 5), true},
-		{"ge vs gt", gt("x", 5), ge("x", 5), true},
-		{"eq implies range", eq("x", 5), lt("x", 10), true},
-		{"eq implies ge", eq("x", 5), ge("x", 5), true},
-		{"eq fails outside range", eq("x", 50), lt("x", 10), false},
-		{"range sandwich implies eq never", and(ge("x", 5), le("x", 5)), eq("x", 5), true},
-		{"eq implies ne other", eq("x", 5), ne("x", 7), true},
-		{"eq fails ne same", eq("x", 5), ne("x", 5), false},
-		{"range implies ne outside", lt("x", 5), ne("x", 9), true},
-		{"string eq self", strEq("s", "a"), strEq("s", "a"), true},
-		{"string eq other fails", strEq("s", "a"), strEq("s", "b"), false},
-		{"string eq implies in", strEq("s", "a"), inList("s", "a", "b"), true},
-		{"in subset implies in", inList("s", "a"), inList("s", "a", "b"), true},
-		{"in superset fails", inList("s", "a", "c"), inList("s", "a", "b"), false},
-		{"different columns fail", eq("x", 1), eq("y", 1), false},
+		{"anything implies nil", Pred{eq("x", 1)}, nil, true},
+		{"nil implies nothing", nil, Pred{eq("x", 1)}, false},
+		{"self", Pred{eq("x", 1)}, Pred{eq("x", 1)}, true},
+		{"conjunct subset", Pred{eq("x", 1), lt("y", 5)}, Pred{eq("x", 1)}, true},
+		{"superset fails", Pred{eq("x", 1)}, Pred{eq("x", 1), lt("y", 5)}, false},
+		{"tighter range implies looser", Pred{lt("x", 5)}, Pred{lt("x", 10)}, true},
+		{"looser range fails", Pred{lt("x", 10)}, Pred{lt("x", 5)}, false},
+		{"le vs lt boundary", Pred{le("x", 5)}, Pred{lt("x", 5)}, false},
+		{"lt implies le", Pred{lt("x", 5)}, Pred{le("x", 5)}, true},
+		{"ge vs gt", Pred{gt("x", 5)}, Pred{ge("x", 5)}, true},
+		{"eq implies range", Pred{eq("x", 5)}, Pred{lt("x", 10)}, true},
+		{"eq implies ge", Pred{eq("x", 5)}, Pred{ge("x", 5)}, true},
+		{"eq fails outside range", Pred{eq("x", 50)}, Pred{lt("x", 10)}, false},
+		{"range sandwich implies eq never", Pred{ge("x", 5), le("x", 5)}, Pred{eq("x", 5)}, true},
+		{"eq implies ne other", Pred{eq("x", 5)}, Pred{ne("x", 7)}, true},
+		{"eq fails ne same", Pred{eq("x", 5)}, Pred{ne("x", 5)}, false},
+		{"range implies ne outside", Pred{lt("x", 5)}, Pred{ne("x", 9)}, true},
+		{"string eq self", Pred{strEq("s", "a")}, Pred{strEq("s", "a")}, true},
+		{"string eq other fails", Pred{strEq("s", "a")}, Pred{strEq("s", "b")}, false},
+		{"string eq implies in", Pred{strEq("s", "a")}, Pred{inList("s", "a", "b")}, true},
+		{"in subset implies in", Pred{inList("s", "a")}, Pred{inList("s", "a", "b")}, true},
+		{"in superset fails", Pred{inList("s", "a", "c")}, Pred{inList("s", "a", "b")}, false},
+		{"different columns fail", Pred{eq("x", 1)}, Pred{eq("y", 1)}, false},
+		// IN is a disjunction of =, so numeric literals compare across types.
+		{"float IN implies int eq", Pred{In("x", storage.FloatValue(2))}, Pred{eq("x", 2)}, true},
+		{"int eq implies float IN", Pred{eq("x", 2)}, Pred{In("x", storage.FloatValue(2), storage.IntValue(7))}, true},
+		{"int eq fails ne float same", Pred{eq("x", 2)}, Pred{Compare("x", NE, storage.FloatValue(2))}, false},
+		// float64(2^53) == 2^53 but not 2^53+1; a float literal past float64's
+		// exact integer range pins no int.
+		{"float beyond 2^53 pins no int", Pred{In("x", storage.FloatValue(1<<53))}, Pred{eq("x", 1<<53+1)}, false},
 	}
 	for _, tc := range cases {
 		if got := Implies(tc.a, tc.b); got != tc.want {
@@ -189,8 +164,7 @@ func TestImpliesBasics(t *testing.T) {
 }
 
 func TestEqualityColumns(t *testing.T) {
-	e := and(and(eq("x", 1), lt("y", 5)), inList("s", "a"))
-	got := EqualityColumns(e)
+	got := EqualityColumns(Pred{eq("x", 1), lt("y", 5), inList("s", "a")})
 	if len(got) != 2 || got[0] != "s" || got[1] != "x" {
 		t.Fatalf("EqualityColumns = %v", got)
 	}
@@ -213,10 +187,10 @@ func TestSelectivity(t *testing.T) {
 		b.Float(1, float64(i))
 	}
 	tbl := b.Build(1)
-	if s := Selectivity(eq("t.k", 3), tbl); s < 0.09 || s > 0.11 {
+	if s := Selectivity(Pred{eq("t.k", 3)}, tbl); s < 0.09 || s > 0.11 {
 		t.Fatalf("eq selectivity = %v", s)
 	}
-	if s := Selectivity(lt("t.v", 100), tbl); s < 0.05 || s > 0.15 {
+	if s := Selectivity(Pred{lt("t.v", 100)}, tbl); s < 0.05 || s > 0.15 {
 		t.Fatalf("range selectivity = %v", s)
 	}
 	if s := Selectivity(nil, tbl); s != 1 {
@@ -225,8 +199,8 @@ func TestSelectivity(t *testing.T) {
 }
 
 func TestCanonicalPredicateOrderIndependent(t *testing.T) {
-	a := and(eq("x", 1), lt("y", 5))
-	b := and(lt("y", 5), eq("x", 1))
+	a := Pred{eq("x", 1), lt("y", 5)}
+	b := Pred{lt("y", 5), eq("x", 1)}
 	if CanonicalPredicate(a) != CanonicalPredicate(b) {
 		t.Fatal("canonical predicate must ignore conjunct order")
 	}
@@ -240,7 +214,7 @@ func TestImpliesConsistentWithEvalQuick(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		tight, loose := lt("c", lo), lt("c", hi)
+		tight, loose := Pred{lt("c", lo)}, Pred{lt("c", hi)}
 		if !Implies(tight, loose) {
 			return false
 		}

@@ -10,7 +10,8 @@ import (
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// kernelSchema covers every kernel-compilable column type.
+// kernelSchema covers every kernel-compilable column type, and a boolean
+// column no filter compiles over.
 var kernelSchema = storage.Schema{
 	{Name: "i", Typ: storage.Int64},
 	{Name: "f", Typ: storage.Float64},
@@ -39,26 +40,18 @@ func edgeBatch() *storage.Batch {
 	)
 }
 
-// oracleSelect is the interpreted reference: Eval's boolean vector restricted
+// oracleSelect is the row-at-a-time reference: EvalBool's rows restricted
 // to the candidate rows.
-func oracleSelect(t testing.TB, e Expr, b *storage.Batch, in []int32) []int32 {
+func oracleSelect(t testing.TB, p Pred, b *storage.Batch, in []int32) []int32 {
 	t.Helper()
-	v, err := e.Eval(b)
+	idx, err := EvalBool(p, b)
 	if err != nil {
-		t.Fatalf("oracle Eval(%s): %v", e, err)
+		t.Fatalf("oracle EvalBool(%s): %v", p, err)
 	}
 	var out []int32
-	if in == nil {
-		for i, ok := range v.B {
-			if ok {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range in {
-		if v.B[i] {
-			out = append(out, i)
+	for _, i := range idx {
+		if in == nil || slices.Contains(in, int32(i)) {
+			out = append(out, int32(i))
 		}
 	}
 	return out
@@ -78,15 +71,15 @@ func codedCopy(b *storage.Batch) *storage.Batch {
 	return tb.Build(1).Scan(0, b.Len())[0]
 }
 
-// checkKernel compiles e and compares Refine against the oracle, both dense
+// checkKernel compiles p and compares Refine against the oracle, both dense
 // (in = nil) and under a sparse candidate selection, over b's uncoded string
 // columns and over a coded copy of the same rows: string leaves take the
 // per-code path on one and compare every row on the other.
-func checkKernel(t testing.TB, e Expr, b *storage.Batch) {
+func checkKernel(t testing.TB, p Pred, b *storage.Batch) {
 	t.Helper()
-	f, err := CompileFilter(e, b.Schema)
+	f, err := CompileFilter(p, b.Schema)
 	if err != nil {
-		t.Fatalf("CompileFilter(%s): %v", e, err)
+		t.Fatalf("CompileFilter(%s): %v", p, err)
 	}
 	sparse := make([]int32, 0, b.Len())
 	for i := 0; i < b.Len(); i += 2 {
@@ -96,168 +89,149 @@ func checkKernel(t testing.TB, e Expr, b *storage.Batch) {
 		var sc Scratch
 		for _, in := range [][]int32{nil, sparse, {}} {
 			got := f.Refine(batch, in, nil, &sc)
-			want := oracleSelect(t, e, batch, in)
+			want := oracleSelect(t, p, batch, in)
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s (in=%v, coded=%v): kernel %v, oracle %v", e, in, k == 1, got, want)
+				t.Fatalf("%s (in=%v, coded=%v): kernel %v, oracle %v", p, in, k == 1, got, want)
 			}
 		}
 	}
 }
+
+// term is the one-term predicate col op v.
+func term(col string, op CmpOp, v storage.Value) Pred { return Pred{Compare(col, op, v)} }
 
 func TestKernelCmpAllOpsAllTypes(t *testing.T) {
 	b := edgeBatch()
 	ops := []CmpOp{EQ, NE, LT, LE, GT, GE}
 	for _, op := range ops {
-		// Every column type, constant on the right.
-		checkKernel(t, &Cmp{Op: op, L: &Col{Name: "i"}, R: Int(1)}, b)
-		checkKernel(t, &Cmp{Op: op, L: &Col{Name: "f"}, R: Float(0)}, b)
-		checkKernel(t, &Cmp{Op: op, L: &Col{Name: "f"}, R: Float(math.NaN())}, b)
-		checkKernel(t, &Cmp{Op: op, L: &Col{Name: "s"}, R: Str("a")}, b)
-		checkKernel(t, &Cmp{Op: op, L: &Col{Name: "s"}, R: Str("")}, b)
-		checkKernel(t, &Cmp{Op: op, L: &Col{Name: "b"}, R: &Const{Val: storage.BoolValue(true)}}, b)
+		// Every column type.
+		checkKernel(t, term("i", op, storage.IntValue(1)), b)
+		checkKernel(t, term("f", op, storage.FloatValue(0)), b)
+		checkKernel(t, term("f", op, storage.FloatValue(math.NaN())), b)
+		checkKernel(t, term("s", op, storage.StringValue("a")), b)
+		checkKernel(t, term("s", op, storage.StringValue("")), b)
 		// Mixed numeric: i64 column vs float constant (per-row coercion — the
 		// 2^53+1 row distinguishes integer from float compare), f64 column vs
 		// int constant.
-		checkKernel(t, &Cmp{Op: op, L: &Col{Name: "i"}, R: Float(9007199254740992)}, b)
-		checkKernel(t, &Cmp{Op: op, L: &Col{Name: "f"}, R: Int(1)}, b)
-		// Constant on the left (mirrored operator).
-		checkKernel(t, &Cmp{Op: op, L: Int(1), R: &Col{Name: "i"}}, b)
-		checkKernel(t, &Cmp{Op: op, L: Float(1.5), R: &Col{Name: "f"}}, b)
-		checkKernel(t, &Cmp{Op: op, L: Str("ab"), R: &Col{Name: "s"}}, b)
+		checkKernel(t, term("i", op, storage.FloatValue(9007199254740992)), b)
+		checkKernel(t, term("i", op, storage.FloatValue(1.5)), b)
+		checkKernel(t, term("f", op, storage.IntValue(1)), b)
 	}
 }
 
-func TestKernelNotIsComplementNotNegation(t *testing.T) {
-	b := edgeBatch()
-	// NOT(f < 5) must keep the NaN row; f >= 5 would drop it. The oracle
-	// agrees by construction; this test additionally pins the row set.
-	e := &Not{E: &Cmp{Op: LT, L: &Col{Name: "f"}, R: Float(5)}}
-	checkKernel(t, e, b)
-	f, _ := CompileFilter(e, b.Schema)
-	var sc Scratch
-	got := f.Refine(b, nil, nil, &sc)
-	hasNaN := false
-	for _, i := range got {
-		if math.IsNaN(b.Vecs[1].F64[i]) {
-			hasNaN = true
-		}
-	}
-	if !hasNaN {
-		t.Fatalf("NOT(f < 5) dropped the NaN row: %v", got)
-	}
-}
-
+// TestKernelConnectives: a conjunction of any length refines term by term.
 func TestKernelConnectives(t *testing.T) {
 	b := edgeBatch()
-	lt := &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(50)}
-	gt := &Cmp{Op: GT, L: &Col{Name: "f"}, R: Float(0)}
-	eq := &Cmp{Op: EQ, L: &Col{Name: "s"}, R: Str("")}
-	checkKernel(t, &Logic{Op: And, L: lt, R: gt}, b)
-	checkKernel(t, &Logic{Op: Or, L: lt, R: gt}, b)
-	checkKernel(t, &Logic{Op: And, L: &Logic{Op: And, L: lt, R: gt}, R: eq}, b)
-	checkKernel(t, &Logic{Op: Or, L: &Logic{Op: Or, L: lt, R: gt}, R: eq}, b)
-	checkKernel(t, &Logic{Op: Or, L: &Logic{Op: And, L: lt, R: gt}, R: &Not{E: eq}}, b)
-	checkKernel(t, &Not{E: &Logic{Op: Or, L: lt, R: &Not{E: gt}}}, b)
+	lt := Compare("i", LT, storage.IntValue(50))
+	gt := Compare("f", GT, storage.FloatValue(0))
+	eq := Compare("s", EQ, storage.StringValue(""))
+	checkKernel(t, Pred{lt, gt}, b)
+	checkKernel(t, Pred{lt, gt, eq}, b)
+	checkKernel(t, Pred{eq, In("s", storage.StringValue(""), storage.StringValue("zzz")), lt}, b)
+	checkKernel(t, Pred{gt, Compare("f", LT, storage.FloatValue(0))}, b) // empties midway
 }
 
+// TestKernelIn: col IN (v...) selects what col = v selects for some v —
+// across int and float literals alike.
 func TestKernelIn(t *testing.T) {
 	b := edgeBatch()
-	checkKernel(t, &In{E: &Col{Name: "i"}, Vals: []storage.Value{
-		storage.IntValue(1), storage.IntValue(42), storage.FloatValue(0), // float never matches int64
-	}}, b)
-	checkKernel(t, &In{E: &Col{Name: "f"}, Vals: []storage.Value{
+	checkKernel(t, Pred{In("i", storage.IntValue(1), storage.IntValue(42), storage.FloatValue(0))}, b)
+	checkKernel(t, Pred{In("i", storage.FloatValue(42), storage.FloatValue(9007199254740992))}, b)
+	checkKernel(t, Pred{In("i", storage.FloatValue(math.NaN()), storage.StringValue("x"), storage.IntValue(-1))}, b)
+	checkKernel(t, Pred{In("f",
 		storage.FloatValue(math.NaN()), storage.FloatValue(1.5), storage.IntValue(42),
-	}}, b)
-	checkKernel(t, &In{E: &Col{Name: "s"}, Vals: []storage.Value{
-		storage.StringValue(""), storage.StringValue("zzz"),
-	}}, b)
-	checkKernel(t, &In{E: &Col{Name: "b"}, Vals: []storage.Value{
-		storage.BoolValue(false),
-	}}, b)
+	)}, b)
+	checkKernel(t, Pred{In("f", storage.FloatValue(math.Copysign(0, -1)))}, b)
+	checkKernel(t, Pred{In("s", storage.StringValue(""), storage.StringValue("zzz"))}, b)
+
+	// The same rows as =: an int column IN (42.0) is i = 42.0 is i = 42.
+	f, err := CompileFilter(Pred{In("i", storage.FloatValue(42))}, b.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eq := range []Pred{term("i", EQ, storage.FloatValue(42)), term("i", EQ, storage.IntValue(42))} {
+		g, err := CompileFilter(eq, b.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc Scratch
+		if in, is := f.Refine(b, nil, nil, &sc), g.Refine(b, nil, nil, &sc); !slices.Equal(in, is) || len(in) != 1 {
+			t.Fatalf("i IN (42.0) selects %v, %s selects %v", in, eq, is)
+		}
+	}
 }
 
 // TestCompileFilterBoundary pins what the only evaluator admits and, for what
-// it refuses, that the error names the sub-expression and the reason — the
-// message a user reads at the front door (planner.Query.Validate).
+// it refuses, that the error names the term and the reason — the message a
+// user reads at the front door (planner.Query.Validate).
 func TestCompileFilterBoundary(t *testing.T) {
 	s := kernelSchema
-	compilable := []Expr{
-		&Cmp{Op: LT, L: &Col{Name: "f"}, R: Float(1)},
-		&Logic{Op: And, L: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(1)}, R: &Cmp{Op: EQ, L: &Col{Name: "s"}, R: Str("x")}},
-		&Logic{Op: Or, L: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Float(1)}, R: &Cmp{Op: EQ, L: &Col{Name: "f"}, R: Int(1)}},
-		&Not{E: &In{E: &Col{Name: "i"}, Vals: []storage.Value{storage.IntValue(1)}}},
-		// Same type class, no value of the exact type: admitted, matches nothing.
-		&In{E: &Col{Name: "i"}, Vals: []storage.Value{storage.FloatValue(1)}},
+	compilable := []Pred{
+		term("f", LT, storage.FloatValue(1)),
+		{Compare("i", LT, storage.IntValue(1)), Compare("s", EQ, storage.StringValue("x"))},
+		{Compare("i", LT, storage.FloatValue(1)), Compare("f", EQ, storage.IntValue(1))},
+		// Same type class, no value of the exact type: admitted.
+		{In("i", storage.FloatValue(1))},
+		// A value of another class is dropped, not refused.
+		{In("i", storage.StringValue("a"), storage.IntValue(1))},
 	}
-	for _, e := range compilable {
-		if _, err := CompileFilter(e, s); err != nil {
-			t.Errorf("want compilable: %s: %v", e, err)
+	for _, p := range compilable {
+		if _, err := CompileFilter(p, s); err != nil {
+			t.Errorf("want compilable: %s: %v", p, err)
 		}
 	}
-	colVsCol := &Cmp{Op: LT, L: &Col{Name: "i"}, R: &Col{Name: "i"}}
 	refused := []struct {
-		e    Expr
+		p    Pred
 		want []string // substrings of the error
 	}{
-		{&Cmp{Op: LT, L: &Col{Name: "i"}, R: &Col{Name: "f"}}, []string{"i < f", "compares two columns"}},
-		{&Cmp{Op: LT, L: &Bin{Op: Add, L: &Col{Name: "i"}, R: Int(1)}, R: Int(2)}, []string{"(i + 1) < 2", "arithmetic"}},
-		{&Cmp{Op: LT, L: Int(1), R: Int(2)}, []string{"1 < 2", "does not compare a column with a constant"}},
-		{&Cmp{Op: LT, L: &Col{Name: "missing"}, R: Int(1)}, []string{"missing < 1", `unknown column "missing"`}},
-		{&Cmp{Op: EQ, L: &Col{Name: "s"}, R: Int(1)}, []string{"s = 1", `VARCHAR column "s"`, "BIGINT constant"}},
-		{&Cmp{Op: EQ, L: &Col{Name: "f"}, R: Str("abc")}, []string{"f = 'abc'", `DOUBLE column "f"`, "VARCHAR constant"}},
-		{&Cmp{Op: EQ, L: &Col{Name: "b"}, R: Int(1)}, []string{"b = 1", `BOOLEAN column "b"`}},
-		{&In{E: &Bin{Op: Add, L: &Col{Name: "i"}, R: Int(1)}, Vals: nil}, []string{"IN over an expression"}},
-		{&In{E: &Col{Name: "missing"}, Vals: []storage.Value{storage.IntValue(1)}}, []string{`unknown column "missing"`}},
-		{&In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.IntValue(5), storage.IntValue(6)}}, []string{"s IN (5, 6)", `no VARCHAR value for column "s"`}},
-		{&In{E: &Col{Name: "f"}, Vals: []storage.Value{storage.StringValue("a")}}, []string{"f IN ('a')", `no DOUBLE value for column "f"`}},
-		{&In{E: &Col{Name: "i"}, Vals: nil}, []string{"i IN ()", "no BIGINT value"}},
-		{&Col{Name: "b"}, []string{"not a boolean predicate"}},
-		{&Bin{Op: Add, L: &Col{Name: "i"}, R: Int(1)}, []string{"(i + 1)", "not a boolean predicate"}},
-		// The first refused sub-expression is the one named, wherever it sits.
-		{&Logic{Op: And, L: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(1)}, R: colVsCol}, []string{"filter i < i:"}},
-		{&Not{E: &Logic{Op: Or, L: colVsCol, R: &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(1)}}}, []string{"filter i < i:"}},
+		{nil, []string{"empty filter"}},
+		{term("missing", LT, storage.IntValue(1)), []string{"missing < 1", `unknown column "missing"`}},
+		{term("s", EQ, storage.IntValue(1)), []string{"s = 1", `VARCHAR column "s"`, "BIGINT constant"}},
+		{term("f", EQ, storage.StringValue("abc")), []string{"f = 'abc'", `DOUBLE column "f"`, "VARCHAR constant"}},
+		{term("b", EQ, storage.IntValue(1)), []string{"b = 1", `BOOLEAN column "b"`}},
+		{term("b", EQ, storage.BoolValue(true)), []string{`BOOLEAN column "b"`, "BOOLEAN constant"}},
+		{Pred{In("b", storage.BoolValue(true))}, []string{`no BOOLEAN value for column "b"`}},
+		{Pred{In("missing", storage.IntValue(1))}, []string{`unknown column "missing"`}},
+		{Pred{In("s", storage.IntValue(5), storage.IntValue(6))}, []string{"s IN (5, 6)", `no VARCHAR value for column "s"`}},
+		{Pred{In("f", storage.StringValue("a"))}, []string{"f IN ('a')", `no DOUBLE value for column "f"`}},
+		{Pred{In("i")}, []string{"i IN ()", "no BIGINT value"}},
+		{Pred{{Col: "i", Op: IN + 1}}, []string{"unknown operator"}},
+		// The first refused term is the one named, wherever it sits.
+		{Pred{Compare("i", LT, storage.IntValue(1)), Compare("s", LT, storage.IntValue(2))}, []string{"filter s < 2:"}},
 	}
 	for _, c := range refused {
-		_, err := CompileFilter(c.e, s)
+		_, err := CompileFilter(c.p, s)
 		if err == nil {
-			t.Errorf("want refused: %s", c.e)
+			t.Errorf("want refused: %s", c.p)
 			continue
 		}
 		for _, w := range c.want {
 			if !strings.Contains(err.Error(), w) {
-				t.Errorf("CompileFilter(%s) = %q, want it to mention %q", c.e, err, w)
+				t.Errorf("CompileFilter(%s) = %q, want it to mention %q", c.p, err, w)
 			}
 		}
 	}
 }
 
-// TestKernelScratchReuse exercises buffer recycling across batches and nested
-// connectives (the Scratch free list must not alias live selections).
+// TestKernelScratchReuse exercises buffer recycling across batches and a
+// long conjunction (the Scratch free list must not alias live selections).
 func TestKernelScratchReuse(t *testing.T) {
 	b := edgeBatch()
-	e := &Logic{Op: Or,
-		L: &Logic{Op: And,
-			L: &Cmp{Op: GE, L: &Col{Name: "i"}, R: Int(0)},
-			R: &Not{E: &Cmp{Op: EQ, L: &Col{Name: "s"}, R: Str("")}}},
-		R: &Logic{Op: Or,
-			L: &Cmp{Op: NE, L: &Col{Name: "f"}, R: Float(42)},
-			R: &In{E: &Col{Name: "b"}, Vals: []storage.Value{storage.BoolValue(true)}}},
+	p := Pred{
+		Compare("i", GE, storage.IntValue(-1)),
+		Compare("s", NE, storage.StringValue("")),
+		Compare("f", NE, storage.FloatValue(42)),
+		In("i", storage.IntValue(0), storage.IntValue(1), storage.IntValue(42), storage.FloatValue(-1)),
 	}
-	f, err := CompileFilter(e, b.Schema)
+	f, err := CompileFilter(p, b.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sc Scratch
-	want := oracleSelect(t, e, b, nil)
+	want := oracleSelect(t, p, b, nil)
 	for pass := 0; pass < 5; pass++ {
-		got := f.Refine(b, nil, nil, &sc)
-		if len(got) != len(want) {
+		if got := f.Refine(b, nil, nil, &sc); !slices.Equal(got, want) {
 			t.Fatalf("pass %d: kernel %v, oracle %v", pass, got, want)
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("pass %d: kernel %v, oracle %v", pass, got, want)
-			}
 		}
 	}
 }
@@ -269,18 +243,17 @@ func TestKernelScratchReuse(t *testing.T) {
 func TestRefineAppends(t *testing.T) {
 	plain := edgeBatch()
 	coded := codedCopy(plain)
-	lt := &Cmp{Op: LT, L: &Col{Name: "i"}, R: Int(50)}
-	preds := []Expr{
-		lt,
-		&Cmp{Op: GE, L: &Col{Name: "f"}, R: Float(0)},
-		&Cmp{Op: GT, L: &Col{Name: "i"}, R: Float(0.5)},
-		&Cmp{Op: EQ, L: &Col{Name: "b"}, R: &Const{Val: storage.BoolValue(true)}},
-		&Cmp{Op: LE, L: &Col{Name: "s"}, R: Str("ab")},
-		&In{E: &Col{Name: "i"}, Vals: []storage.Value{storage.IntValue(1), storage.IntValue(42)}},
-		&In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.StringValue(""), storage.StringValue("zzz")}},
-		&Logic{Op: And, L: lt, R: &Cmp{Op: NE, L: &Col{Name: "s"}, R: Str("a")}},
-		&Logic{Op: Or, L: lt, R: &Not{E: lt}},
-		&Not{E: lt},
+	lt := Compare("i", LT, storage.IntValue(50))
+	preds := []Pred{
+		{lt},
+		term("f", GE, storage.FloatValue(0)),
+		term("i", GT, storage.FloatValue(0.5)),
+		term("s", LE, storage.StringValue("ab")),
+		{In("i", storage.IntValue(1), storage.IntValue(42))},
+		{In("i", storage.IntValue(1), storage.FloatValue(42))},
+		{In("f", storage.FloatValue(1.5), storage.IntValue(42))},
+		{In("s", storage.StringValue(""), storage.StringValue("zzz"))},
+		{lt, Compare("s", NE, storage.StringValue("a"))},
 	}
 	prefix := []int32{-7, 99, 3}
 	for _, e := range preds {
@@ -331,12 +304,11 @@ func TestCodedLeafFollowsTheDictionary(t *testing.T) {
 	if codedCopy(edgeBatch()).Vecs[2].Dict == nil {
 		t.Fatal("codedCopy left the string column uncoded")
 	}
-	s := &Col{Name: "s"}
-	preds := []Expr{
-		&Cmp{Op: EQ, L: s, R: Str("MAIL")},
-		&Cmp{Op: GE, L: s, R: Str("RAIL")},
-		&In{E: s, Vals: []storage.Value{storage.StringValue("MAIL"), storage.StringValue("AIR")}},
-		&Not{E: &Cmp{Op: EQ, L: s, R: Str("AIR")}},
+	preds := []Pred{
+		term("s", EQ, storage.StringValue("MAIL")),
+		term("s", GE, storage.StringValue("RAIL")),
+		{In("s", storage.StringValue("MAIL"), storage.StringValue("AIR"))},
+		term("s", NE, storage.StringValue("AIR")),
 	}
 	for _, e := range preds {
 		f, err := CompileFilter(e, schema)
@@ -363,8 +335,8 @@ func TestCodedLeafFollowsTheDictionary(t *testing.T) {
 // its own codes, not read the other's verdicts.
 func TestScratchSharedAcrossFilters(t *testing.T) {
 	b := codedCopy(edgeBatch())
-	air := &Cmp{Op: EQ, L: &Col{Name: "s"}, R: Str("a")}
-	zzz := &In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.StringValue("zzz")}}
+	air := term("s", EQ, storage.StringValue("a"))
+	zzz := Pred{In("s", storage.StringValue("zzz"))}
 	fa, err := CompileFilter(air, b.Schema)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +349,7 @@ func TestScratchSharedAcrossFilters(t *testing.T) {
 	for pass := 0; pass < 3; pass++ {
 		for _, c := range []struct {
 			f *Filter
-			e Expr
+			e Pred
 		}{{fa, air}, {fz, zzz}} {
 			got := c.f.Refine(b, nil, nil, &sc)
 			if want := oracleSelect(t, c.e, b, nil); !slices.Equal(got, want) {
@@ -387,7 +359,7 @@ func TestScratchSharedAcrossFilters(t *testing.T) {
 	}
 }
 
-// ---- fuzz targets: each typed kernel vs the scalar Eval oracle ----
+// ---- fuzz targets: each typed kernel vs the row-at-a-time oracle ----
 
 // fuzzFloats decodes a byte string into float64s, folding some bit patterns
 // onto the IEEE specials so NaN/±Inf appear far more often than raw bit
@@ -427,9 +399,8 @@ func FuzzKernelCmpF64(f *testing.F) {
 		n := len(fs)
 		b := kernelBatch(make([]int64, n), fs, make([]string, n), make([]bool, n))
 		c := math.Float64frombits(cbits)
-		checkKernel(t, &Cmp{Op: fuzzOp(opb), L: &Col{Name: "f"}, R: Float(c)}, b)
-		checkKernel(t, &Cmp{Op: fuzzOp(opb), L: Float(c), R: &Col{Name: "f"}}, b)
-		checkKernel(t, &In{E: &Col{Name: "f"}, Vals: []storage.Value{storage.FloatValue(c), storage.FloatValue(fs[0])}}, b)
+		checkKernel(t, term("f", fuzzOp(opb), storage.FloatValue(c)), b)
+		checkKernel(t, Pred{In("f", storage.FloatValue(c), storage.FloatValue(fs[0]))}, b)
 	})
 }
 
@@ -447,11 +418,12 @@ func FuzzKernelCmpI64(f *testing.F) {
 		}
 		n := len(is)
 		b := kernelBatch(is, make([]float64, n), make([]string, n), make([]bool, n))
-		checkKernel(t, &Cmp{Op: fuzzOp(opb), L: &Col{Name: "i"}, R: Int(c)}, b)
+		checkKernel(t, term("i", fuzzOp(opb), storage.IntValue(c)), b)
 		// Mixed numeric: the same constant as a float, exercising coercion
 		// above 2^53.
-		checkKernel(t, &Cmp{Op: fuzzOp(opb), L: &Col{Name: "i"}, R: Float(float64(c))}, b)
-		checkKernel(t, &In{E: &Col{Name: "i"}, Vals: []storage.Value{storage.IntValue(c), storage.IntValue(is[0])}}, b)
+		checkKernel(t, term("i", fuzzOp(opb), storage.FloatValue(float64(c))), b)
+		checkKernel(t, Pred{In("i", storage.IntValue(c), storage.IntValue(is[0]))}, b)
+		checkKernel(t, Pred{In("i", storage.FloatValue(float64(c)), storage.IntValue(is[0]))}, b)
 	})
 }
 
@@ -468,53 +440,51 @@ func FuzzKernelCmpStr(f *testing.F) {
 		ss = append(ss, data, "")
 		n := len(ss)
 		b := kernelBatch(make([]int64, n), make([]float64, n), ss, make([]bool, n))
-		checkKernel(t, &Cmp{Op: fuzzOp(opb), L: &Col{Name: "s"}, R: Str(c)}, b)
-		checkKernel(t, &Cmp{Op: fuzzOp(opb), L: Str(c), R: &Col{Name: "s"}}, b)
-		checkKernel(t, &In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.StringValue(c), storage.StringValue(ss[0])}}, b)
+		checkKernel(t, term("s", fuzzOp(opb), storage.StringValue(c)), b)
+		checkKernel(t, Pred{In("s", storage.StringValue(c), storage.StringValue(ss[0]))}, b)
 	})
 }
 
-// FuzzKernelTree drives whole compiled programs — connective nesting, NOT
-// complements, conjunct fusion — against the interpreter on an edge-heavy
-// batch, uncoded and coded (checkKernel): its string leaves, a comparison and
-// an IN list against a fuzzed constant, take the per-code path on the coded
-// copy, several of them sharing one Scratch.
-func FuzzKernelTree(f *testing.F) {
+// FuzzKernelTerms drives whole compiled programs — random term lists over
+// the int, float and string columns, fused into one conjunction — against
+// the oracle on the edge batch, uncoded and coded (checkKernel). The terms
+// include int-column comparisons with float literals and IN lists mixing
+// int and float literals, the cases where IN must agree with =. String
+// terms, a comparison and an IN list against a fuzzed constant, take the
+// per-code path on the coded copy, several of them sharing one Scratch.
+func FuzzKernelTerms(f *testing.F) {
 	f.Add(uint64(0x1234), byte(3), int64(7), uint64(math.Float64bits(2.5)), "a")
 	f.Add(uint64(0xffffffff), byte(6), int64(-1), math.Float64bits(math.NaN()), "zz")
-	f.Fuzz(func(t *testing.T, shape uint64, depth byte, ic int64, fbits uint64, sv string) {
+	f.Add(uint64(0x9c), byte(2), int64(42), math.Float64bits(42), "")
+	f.Add(uint64(0x5a5a5a5a), byte(5), int64(1<<53+1), math.Float64bits(1<<53), "ab")
+	f.Fuzz(func(t *testing.T, shape uint64, n byte, ic int64, fbits uint64, sv string) {
 		b := edgeBatch()
 		fc := math.Float64frombits(fbits)
-		// Build a random tree: each shape bit pair picks a node kind; a leaf
-		// is picked by that pair and the next bit.
-		var build func(d int) Expr
-		build = func(d int) Expr {
-			k := shape & 3
-			shape >>= 2
-			if d <= 0 || shape == 0 {
-				leaves := []Expr{
-					&Cmp{Op: fuzzOp(byte(shape)), L: &Col{Name: "i"}, R: Int(ic)},
-					&Cmp{Op: fuzzOp(byte(shape >> 1)), L: &Col{Name: "f"}, R: Float(fc)},
-					&Cmp{Op: fuzzOp(byte(shape >> 2)), L: &Col{Name: "s"}, R: Str(sv)},
-					&In{E: &Col{Name: "f"}, Vals: []storage.Value{storage.FloatValue(fc)}},
-					&In{E: &Col{Name: "s"}, Vals: []storage.Value{storage.StringValue(sv), storage.StringValue("a")}},
-					&Cmp{Op: fuzzOp(byte(shape >> 3)), L: Str(sv), R: &Col{Name: "s"}},
-				}
-				leaf := leaves[(k<<1|shape&1)%uint64(len(leaves))]
-				shape >>= 1
-				return leaf
-			}
-			switch k {
+		// Each term takes three shape bits for its kind and three for its
+		// operator.
+		p := make(Pred, 1+int(n%5))
+		for k := range p {
+			op := fuzzOp(byte(shape >> 3))
+			switch shape & 7 {
 			case 0:
-				return &Logic{Op: And, L: build(d - 1), R: build(d - 1)}
+				p[k] = Compare("i", op, storage.IntValue(ic))
 			case 1:
-				return &Logic{Op: Or, L: build(d - 1), R: build(d - 1)}
+				p[k] = Compare("i", op, storage.FloatValue(fc))
 			case 2:
-				return &Not{E: build(d - 1)}
+				p[k] = Compare("f", op, storage.FloatValue(fc))
+			case 3:
+				p[k] = Compare("f", op, storage.IntValue(ic))
+			case 4:
+				p[k] = Compare("s", op, storage.StringValue(sv))
+			case 5:
+				p[k] = In("i", storage.IntValue(ic), storage.FloatValue(fc), storage.FloatValue(float64(ic)))
+			case 6:
+				p[k] = In("f", storage.FloatValue(fc), storage.IntValue(ic))
 			default:
-				return &Cmp{Op: fuzzOp(byte(shape)), L: &Col{Name: "f"}, R: Float(fc)}
+				p[k] = In("s", storage.StringValue(sv), storage.StringValue("a"))
 			}
+			shape = shape>>6 | shape<<58
 		}
-		checkKernel(t, build(int(depth%4)), b)
+		checkKernel(t, p, b)
 	})
 }

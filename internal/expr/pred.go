@@ -2,55 +2,22 @@ package expr
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// Conjuncts splits a predicate into its top-level AND-ed parts.
-func Conjuncts(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
-	if l, ok := e.(*Logic); ok && l.Op == And {
-		return append(Conjuncts(l.L), Conjuncts(l.R)...)
-	}
-	return []Expr{e}
-}
-
-// AndAll combines predicates into one conjunction. nil for an empty list.
-func AndAll(preds []Expr) Expr {
-	var out Expr
-	for _, p := range preds {
-		if p == nil {
-			continue
-		}
-		if out == nil {
-			out = p
-		} else {
-			out = &Logic{Op: And, L: out, R: p}
-		}
-	}
-	return out
-}
-
-// CanonicalPredicate renders a predicate with its conjuncts sorted, so that
-// logically reordered but equal predicates produce identical signatures.
-func CanonicalPredicate(e Expr) string {
-	cs := Conjuncts(e)
-	parts := make([]string, len(cs))
-	for i, c := range cs {
-		parts[i] = c.String()
+// CanonicalPredicate renders a predicate with its terms sorted, so that
+// reordered but equal predicates produce identical signatures.
+func CanonicalPredicate(p Pred) string {
+	parts := make([]string, len(p))
+	for i, t := range p {
+		parts[i] = t.String()
 	}
 	sort.Strings(parts)
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " AND "
-		}
-		out += p
-	}
-	return out
+	return strings.Join(parts, " AND ")
 }
 
 // colConstraint is the region a source predicate confines one column to:
@@ -80,86 +47,53 @@ func (c *colConstraint) tightenHi(v float64, open bool) {
 	}
 }
 
-// simpleConjunct is a conjunct of the form col ⟨op⟩ literal or col IN (...).
-type simpleConjunct struct {
-	col  string
-	op   CmpOp
-	val  storage.Value
-	in   []storage.Value
-	isIn bool
-}
-
-// asSimple recognizes col-op-const conjuncts (flipping const-op-col).
-func asSimple(e Expr) (simpleConjunct, bool) {
-	switch t := e.(type) {
-	case *Cmp:
-		if c, ok := t.L.(*Col); ok {
-			if k, ok := t.R.(*Const); ok {
-				return simpleConjunct{col: c.Name, op: t.Op, val: k.Val}, true
-			}
-		}
-		if k, ok := t.L.(*Const); ok {
-			if c, ok := t.R.(*Col); ok {
-				// const op col  ⇒  col flipped-op const
-				flip := [...]CmpOp{EQ, NE, GT, GE, LT, LE}[t.Op]
-				return simpleConjunct{col: c.Name, op: flip, val: k.Val}, true
-			}
-		}
-	case *In:
-		if c, ok := t.E.(*Col); ok {
-			return simpleConjunct{col: c.Name, isIn: true, in: t.Vals}, true
-		}
-	}
-	return simpleConjunct{}, false
-}
-
-// constraintsOf folds the recognizable conjuncts of a predicate into
-// per-column constraints. Unrecognized conjuncts are dropped, which is sound
-// for implication checking: ignoring information from the antecedent can only
-// make implication harder to prove, never easier.
-func constraintsOf(e Expr) map[string]*colConstraint {
+// constraintsOf folds the terms of a predicate into per-column constraints.
+func constraintsOf(p Pred) map[string]*colConstraint {
 	out := make(map[string]*colConstraint)
-	for _, cj := range Conjuncts(e) {
-		sc, ok := asSimple(cj)
-		if !ok {
-			continue
-		}
-		cc := out[sc.col]
+	for _, t := range p {
+		cc := out[t.Col]
 		if cc == nil {
 			cc = newColConstraint()
-			out[sc.col] = cc
+			out[t.Col] = cc
 		}
-		if sc.isIn {
-			cc.eq = mergeEqSets(cc.eq, sc.in)
-			continue
-		}
-		switch sc.op {
+		switch t.Op {
+		case IN:
+			cc.eq = mergeEqSets(cc.eq, t.List)
 		case EQ:
-			if sc.val.Typ.Numeric() {
-				v := sc.val.AsFloat()
+			if t.Val.Typ.Numeric() {
+				v := t.Val.AsFloat()
 				cc.tightenLo(v, false)
 				cc.tightenHi(v, false)
 			}
-			cc.eq = mergeEqSets(cc.eq, []storage.Value{sc.val})
+			cc.eq = mergeEqSets(cc.eq, []storage.Value{t.Val})
 		case LT:
-			if sc.val.Typ.Numeric() {
-				cc.tightenHi(sc.val.AsFloat(), true)
+			if t.Val.Typ.Numeric() {
+				cc.tightenHi(t.Val.AsFloat(), true)
 			}
 		case LE:
-			if sc.val.Typ.Numeric() {
-				cc.tightenHi(sc.val.AsFloat(), false)
+			if t.Val.Typ.Numeric() {
+				cc.tightenHi(t.Val.AsFloat(), false)
 			}
 		case GT:
-			if sc.val.Typ.Numeric() {
-				cc.tightenLo(sc.val.AsFloat(), true)
+			if t.Val.Typ.Numeric() {
+				cc.tightenLo(t.Val.AsFloat(), true)
 			}
 		case GE:
-			if sc.val.Typ.Numeric() {
-				cc.tightenLo(sc.val.AsFloat(), false)
+			if t.Val.Typ.Numeric() {
+				cc.tightenLo(t.Val.AsFloat(), false)
 			}
 		}
 	}
 	return out
+}
+
+// sameValue reports that a column equal to a is provably equal to b too,
+// under the comparison's equality: numeric values compare across int64 and
+// float64 (within float64's exact integer range), strings with strings.
+// NaN equals nothing.
+func sameValue(a, b storage.Value) bool {
+	c, ok := zoneCmp(a, b)
+	return ok && c == 0
 }
 
 // mergeEqSets intersects two admissible-value sets; a nil set means
@@ -174,7 +108,7 @@ func mergeEqSets(a, b []storage.Value) []storage.Value {
 	var out []storage.Value
 	for _, x := range a {
 		for _, y := range b {
-			if x.Equal(y) {
+			if sameValue(x, y) {
 				out = append(out, x)
 				break
 			}
@@ -187,83 +121,78 @@ func mergeEqSets(a, b []storage.Value) []storage.Value {
 }
 
 // Implies reports whether predicate a logically implies predicate b, using a
-// conservative, sound analysis over col-op-const conjuncts. nil b is
-// TRUE (always implied); nil a implies only nil b.
+// conservative, sound analysis over their terms. nil b is TRUE (always
+// implied); nil a implies only nil b.
 //
 // This is the subsumption direction the planner needs: a stored synopsis with
 // filter F_s can serve a query with filter F_q when F_q ⇒ F_s (the synopsis
 // retained at least the rows the query needs; a compensating filter removes
 // the rest).
-func Implies(a, b Expr) bool {
-	if b == nil {
+func Implies(a, b Pred) bool {
+	if len(b) == 0 {
 		return true
 	}
-	if a == nil {
+	if len(a) == 0 {
 		return false
 	}
 	if CanonicalPredicate(a) == CanonicalPredicate(b) {
 		return true
 	}
 	src := constraintsOf(a)
-	aRendered := make(map[string]bool)
-	for _, cj := range Conjuncts(a) {
-		aRendered[cj.String()] = true
+	aRendered := make(map[string]bool, len(a))
+	for _, t := range a {
+		aRendered[t.String()] = true
 	}
-	for _, cj := range Conjuncts(b) {
-		if aRendered[cj.String()] {
-			continue // identical conjunct present in a
+	for _, t := range b {
+		if aRendered[t.String()] {
+			continue // identical term present in a
 		}
-		sc, ok := asSimple(cj)
-		if !ok {
-			return false // cannot reason about this target conjunct
-		}
-		cc := src[sc.col]
-		if cc == nil || !impliedBy(cc, sc) {
+		cc := src[t.Col]
+		if cc == nil || !impliedBy(cc, t) {
 			return false
 		}
 	}
 	return true
 }
 
-// impliedBy reports whether every value admitted by cc satisfies sc.
-func impliedBy(cc *colConstraint, sc simpleConjunct) bool {
-	if sc.isIn {
-		return eqSubset(cc.eq, sc.in)
-	}
-	switch sc.op {
+// impliedBy reports whether every value admitted by cc satisfies t.
+func impliedBy(cc *colConstraint, t Term) bool {
+	switch t.Op {
+	case IN:
+		return eqSubset(cc.eq, t.List)
 	case EQ:
-		if eqSubset(cc.eq, []storage.Value{sc.val}) {
+		if eqSubset(cc.eq, []storage.Value{t.Val}) {
 			return true
 		}
-		return sc.val.Typ.Numeric() && cc.hasRange &&
-			cc.lo == cc.hi && !cc.loOpen && !cc.hiOpen && cc.lo == sc.val.AsFloat()
+		return t.Val.Typ.Numeric() && cc.hasRange &&
+			cc.lo == cc.hi && !cc.loOpen && !cc.hiOpen && cc.lo == t.Val.AsFloat()
 	case NE:
 		if len(cc.eq) > 0 {
 			for _, v := range cc.eq {
-				if v.Equal(sc.val) {
-					return false
+				if c, ok := zoneCmp(v, t.Val); !ok || c == 0 {
+					return false // v may equal the excluded value
 				}
 			}
 			return true
 		}
-		if sc.val.Typ.Numeric() && cc.hasRange {
-			v := sc.val.AsFloat()
+		if t.Val.Typ.Numeric() && cc.hasRange {
+			v := t.Val.AsFloat()
 			return v < cc.lo || v > cc.hi ||
 				(v == cc.lo && cc.loOpen) || (v == cc.hi && cc.hiOpen)
 		}
 		return false
 	case LT, LE, GT, GE:
-		if !sc.val.Typ.Numeric() {
+		if !t.Val.Typ.Numeric() {
 			return false
 		}
-		v := sc.val.AsFloat()
-		if len(cc.eq) > 0 && allEqNumericSatisfy(cc.eq, sc.op, v) {
+		v := t.Val.AsFloat()
+		if len(cc.eq) > 0 && allEqNumericSatisfy(cc.eq, t.Op, v) {
 			return true
 		}
 		if !cc.hasRange {
 			return false
 		}
-		switch sc.op {
+		switch t.Op {
 		case LT:
 			return cc.hi < v || (cc.hi == v && cc.hiOpen)
 		case LE:
@@ -312,7 +241,7 @@ func eqSubset(sub, sup []storage.Value) bool {
 	for _, x := range sub {
 		found := false
 		for _, y := range sup {
-			if x.Equal(y) {
+			if sameValue(x, y) {
 				found = true
 				break
 			}
@@ -324,20 +253,14 @@ func eqSubset(sub, sup []storage.Value) bool {
 	return true
 }
 
-// EqualityColumns returns the columns constrained by equality or IN
-// conjuncts in the predicate — the candidates the planner adds to the
-// stratification set when their distribution is skewed (paper §IV-A).
-func EqualityColumns(e Expr) []string {
+// EqualityColumns returns the columns constrained by equality or IN terms
+// in the predicate — the candidates the planner adds to the stratification
+// set when their distribution is skewed (paper §IV-A).
+func EqualityColumns(p Pred) []string {
 	var out []string
-	seen := make(map[string]bool)
-	for _, cj := range Conjuncts(e) {
-		sc, ok := asSimple(cj)
-		if !ok {
-			continue
-		}
-		if (sc.isIn || sc.op == EQ) && !seen[sc.col] {
-			seen[sc.col] = true
-			out = append(out, sc.col)
+	for _, t := range p {
+		if (t.Op == IN || t.Op == EQ) && !slices.Contains(out, t.Col) {
+			out = append(out, t.Col)
 		}
 	}
 	sort.Strings(out)
@@ -359,44 +282,39 @@ func DedupCols(cols []string) []string {
 }
 
 // Selectivity estimates the fraction of rows of tbl satisfying the
-// predicate's recognizable conjuncts, assuming independence. Used by the
-// planner's cardinality model.
-func Selectivity(e Expr, tbl *storage.Table) float64 {
-	if e == nil {
+// predicate's terms, assuming independence. Used by the planner's
+// cardinality model.
+func Selectivity(p Pred, tbl *storage.Table) float64 {
+	if len(p) == 0 {
 		return 1
 	}
 	sel := 1.0
 	st := tbl.Stats()
-	for _, cj := range Conjuncts(e) {
-		sc, ok := asSimple(cj)
-		if !ok {
-			sel *= 0.5 // unknown conjunct: textbook default
-			continue
-		}
-		i := tbl.Schema().Index(sc.col)
+	for _, t := range p {
+		i := tbl.Schema().Index(t.Col)
 		if i < 0 {
-			continue // predicate on a column from another relation
+			continue // a term on a column of another relation
 		}
 		cs := st.Columns[i]
 		switch {
-		case sc.isIn:
+		case t.Op == IN:
 			if cs.Distinct > 0 {
-				sel *= math.Min(1, float64(len(sc.in))/float64(cs.Distinct))
+				sel *= math.Min(1, float64(len(t.List))/float64(cs.Distinct))
 			}
-		case sc.op == EQ:
+		case t.Op == EQ:
 			if cs.Distinct > 0 {
 				sel *= 1 / float64(cs.Distinct)
 			}
-		case sc.op == NE:
+		case t.Op == NE:
 			if cs.Distinct > 0 {
 				sel *= 1 - 1/float64(cs.Distinct)
 			}
-		default: // range predicate on numeric column
-			if sc.val.Typ.Numeric() && cs.Max > cs.Min {
-				v := sc.val.AsFloat()
+		default: // range term on a numeric column
+			if t.Val.Typ.Numeric() && cs.Max > cs.Min {
+				v := t.Val.AsFloat()
 				frac := (v - cs.Min) / (cs.Max - cs.Min)
 				frac = math.Max(0, math.Min(1, frac))
-				if sc.op == GT || sc.op == GE {
+				if t.Op == GT || t.Op == GE {
 					frac = 1 - frac
 				}
 				sel *= frac

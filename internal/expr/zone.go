@@ -1,44 +1,38 @@
 package expr
 
 import (
+	"cmp"
 	"math"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
 
 // Zone-map pruning. ZonePrunes decides whether a scan may skip a partition
-// entirely given the partition's per-column [min, max] bounds. The check is
-// conservative by construction: only top-level AND-ed conjuncts of the
-// recognizable col-op-const / col-IN shapes are consulted, and any conjunct,
-// column or value pair the analysis does not fully understand contributes
-// nothing — it can only fail to prune, never prune wrongly. Soundness is
-// held by a property test over random predicates and partitions.
+// entirely given the partition's per-column [min, max] bounds. One term that
+// excludes every value the zone admits refutes the whole conjunction. The
+// check is conservative by construction: a column or value pair the analysis
+// cannot compare soundly contributes nothing — it can only fail to prune,
+// never prune wrongly. Soundness is held by a property test over random
+// predicates and partitions.
 
 // ZonePrunes reports whether pred provably rejects every row whose column
 // values lie within the zone's bounds — i.e. whether a scan can skip the
 // partition the zone summarizes without changing any query result. An empty
 // partition is always prunable; a nil predicate or nil zone never is.
-func ZonePrunes(pred Expr, sch storage.Schema, zone *storage.ZoneMap) bool {
+func ZonePrunes(pred Pred, sch storage.Schema, zone *storage.ZoneMap) bool {
 	if zone == nil {
 		return false
 	}
 	if zone.Rows == 0 {
 		return true
 	}
-	if pred == nil {
-		return false
-	}
-	for _, cj := range Conjuncts(pred) {
-		sc, ok := asSimple(cj)
-		if !ok {
-			continue
-		}
-		i := sch.Index(sc.col)
+	for _, t := range pred {
+		i := sch.Index(t.Col)
 		if i < 0 || i >= len(zone.Min) {
 			continue
 		}
 		hasNaN := i < len(zone.HasNaN) && zone.HasNaN[i]
-		if conjunctExcludes(sc, zone.Min[i], zone.Max[i], hasNaN) {
+		if termExcludes(t, zone.Min[i], zone.Max[i], hasNaN) {
 			return true
 		}
 	}
@@ -51,8 +45,8 @@ func ZonePrunes(pred Expr, sch storage.Schema, zone *storage.ZoneMap) bool {
 // keep marks the partitions ZonePrunes leaves; it is nil when none was
 // pruned (read everything), so an ineffective prune and a nil pred both
 // charge bytes = t.Bytes() and rows = t.NumRows() exactly.
-func Prune(pred Expr, t *storage.Table) (keep []bool, bytes, rows int64) {
-	if pred == nil {
+func Prune(pred Pred, t *storage.Table) (keep []bool, bytes, rows int64) {
+	if len(pred) == 0 {
 		return nil, t.Bytes(), int64(t.NumRows())
 	}
 	sch := t.Schema()
@@ -74,47 +68,43 @@ func Prune(pred Expr, t *storage.Table) (keep []bool, bytes, rows int64) {
 	return keep, bytes, rows
 }
 
-// conjunctExcludes reports whether the conjunct is false for every row the
-// zone admits — a single excluding conjunct of a conjunction prunes the
-// whole partition. hasNaN widens the admitted set beyond [mn, mx] for float
+// termExcludes reports whether the term is false for every row the zone
+// admits — a single excluding term of a conjunction prunes the whole
+// partition. hasNaN widens the admitted set beyond [mn, mx] for float
 // columns: a NaN row compares false under every ordered operator and under
 // == (so EQ/IN/range exclusion stays sound), but true under !=, which makes
 // NE exclusion unsound the moment one NaN row exists.
-func conjunctExcludes(sc simpleConjunct, mn, mx storage.Value, hasNaN bool) bool {
-	if sc.isIn {
-		if len(sc.in) == 0 {
-			return true
-		}
-		for _, v := range sc.in {
+func termExcludes(t Term, mn, mx storage.Value, hasNaN bool) bool {
+	switch t.Op {
+	case IN:
+		for _, v := range t.List {
 			if !valueOutside(v, mn, mx) {
 				return false
 			}
 		}
 		return true
-	}
-	switch sc.op {
 	case EQ:
-		return valueOutside(sc.val, mn, mx)
+		return valueOutside(t.Val, mn, mx)
 	case NE:
 		// Excludes only when every row holds exactly val: mn == val == mx,
 		// and no NaN row hides outside the bounds (NaN != val selects it).
 		if hasNaN {
 			return false
 		}
-		cl, ok1 := zoneCmp(mn, sc.val)
-		ch, ok2 := zoneCmp(mx, sc.val)
+		cl, ok1 := zoneCmp(mn, t.Val)
+		ch, ok2 := zoneCmp(mx, t.Val)
 		return ok1 && ok2 && cl == 0 && ch == 0
 	case LT: // col < val fails everywhere iff mn >= val
-		c, ok := zoneCmp(mn, sc.val)
+		c, ok := zoneCmp(mn, t.Val)
 		return ok && c >= 0
 	case LE: // col <= val fails everywhere iff mn > val
-		c, ok := zoneCmp(mn, sc.val)
+		c, ok := zoneCmp(mn, t.Val)
 		return ok && c > 0
 	case GT: // col > val fails everywhere iff mx <= val
-		c, ok := zoneCmp(mx, sc.val)
+		c, ok := zoneCmp(mx, t.Val)
 		return ok && c <= 0
 	case GE: // col >= val fails everywhere iff mx < val
-		c, ok := zoneCmp(mx, sc.val)
+		c, ok := zoneCmp(mx, t.Val)
 		return ok && c < 0
 	}
 	return false
@@ -137,46 +127,27 @@ func valueOutside(v, mn, mx storage.Value) bool {
 const maxExactInt = int64(1) << 53
 
 // zoneCmp is a three-way comparison of two values for pruning purposes.
-// ok is false when the pair cannot be compared soundly: mismatched
-// non-numeric types, NaN, or a mixed int/float pair outside float64's exact
+// ok is false when the pair cannot be compared soundly: a boolean, types of
+// different classes, NaN, or a mixed int/float pair outside float64's exact
 // integer range.
 func zoneCmp(a, b storage.Value) (c int, ok bool) {
 	switch {
 	case a.Typ == storage.Int64 && b.Typ == storage.Int64:
-		return cmpOrdered(a.I, b.I), true
+		return cmp.Compare(a.I, b.I), true
 	case a.Typ == storage.Float64 && b.Typ == storage.Float64:
 		if math.IsNaN(a.F) || math.IsNaN(b.F) {
 			return 0, false
 		}
-		return cmpOrdered(a.F, b.F), true
+		return cmp.Compare(a.F, b.F), true
 	case a.Typ == storage.Int64 && b.Typ == storage.Float64:
 		return cmpIntFloat(a.I, b.F)
 	case a.Typ == storage.Float64 && b.Typ == storage.Int64:
 		c, ok := cmpIntFloat(b.I, a.F)
 		return -c, ok
 	case a.Typ == storage.String && b.Typ == storage.String:
-		return cmpOrdered(a.S, b.S), true
-	case a.Typ == storage.Bool && b.Typ == storage.Bool:
-		return cmpOrdered(boolInt(a.B), boolInt(b.B)), true
+		return cmp.Compare(a.S, b.S), true
 	}
 	return 0, false
-}
-
-func cmpOrdered[T int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func cmpIntFloat(i int64, f float64) (int, bool) {
@@ -186,5 +157,5 @@ func cmpIntFloat(i int64, f float64) (int, bool) {
 	if i > maxExactInt || i < -maxExactInt {
 		return 0, false
 	}
-	return cmpOrdered(float64(i), f), true
+	return cmp.Compare(float64(i), f), true
 }

@@ -11,10 +11,10 @@ import (
 // Zone-map pruning soundness, held as a property over random tables and
 // random predicates: whenever ZonePrunes says a partition can be skipped,
 // scanning that partition and evaluating the predicate row by row must
-// select nothing. The generator deliberately produces predicates far outside
-// the analyzable col-op-const shape (ORs, NOTs, col-vs-col, arithmetic-free
-// nesting) — for those ZonePrunes must simply decline, and a false "prune"
-// on any of them is exactly the bug this test exists to catch.
+// select nothing. The generator mixes the comparisons the analysis can
+// refute with ones it must decline (int columns against float literals,
+// mixed IN lists, empty IN lists) — a false "prune" on any of them is
+// exactly the bug this test exists to catch.
 
 // zoneTestSchema mirrors a fact table corner: one int, one float, one string
 // column.
@@ -45,39 +45,41 @@ func randZoneTable(r *rand.Rand) *storage.Table {
 	return b.Build(1 + r.Intn(6))
 }
 
-// randZonePred generates a random type-correct predicate of bounded depth.
-func randZonePred(r *rand.Rand, depth int) Expr {
-	if depth > 0 && r.Intn(3) == 0 {
-		switch r.Intn(3) {
-		case 0:
-			return &Logic{Op: And, L: randZonePred(r, depth-1), R: randZonePred(r, depth-1)}
-		case 1:
-			return &Logic{Op: Or, L: randZonePred(r, depth-1), R: randZonePred(r, depth-1)}
-		default:
-			return &Not{E: randZonePred(r, depth-1)}
-		}
+// randZonePred generates a random type-correct predicate of one to three
+// terms.
+func randZonePred(r *rand.Rand) Pred {
+	p := make(Pred, 1+r.Intn(3))
+	for k := range p {
+		p[k] = randZoneTerm(r)
 	}
+	return p
+}
+
+func randZoneTerm(r *rand.Rand) Term {
 	ops := []CmpOp{EQ, NE, LT, LE, GT, GE}
 	op := ops[r.Intn(len(ops))]
-	switch r.Intn(5) {
-	case 0: // int col vs int const
-		return &Cmp{Op: op, L: &Col{Name: "z.i"}, R: &Const{Val: storage.IntValue(int64(r.Intn(61) - 30))}}
-	case 1: // float col vs numeric const (mixed int/float comparisons included)
+	switch r.Intn(6) {
+	case 0: // int col vs int literal
+		return Compare("z.i", op, storage.IntValue(int64(r.Intn(61)-30)))
+	case 1: // float col vs numeric literal (mixed int/float comparisons included)
 		if r.Intn(2) == 0 {
-			return &Cmp{Op: op, L: &Col{Name: "z.f"}, R: &Const{Val: storage.FloatValue(float64(r.Intn(31)-15) / 2)}}
+			return Compare("z.f", op, storage.FloatValue(float64(r.Intn(31)-15)/2))
 		}
-		return &Cmp{Op: op, L: &Col{Name: "z.f"}, R: &Const{Val: storage.IntValue(int64(r.Intn(21) - 10))}}
-	case 2: // string col vs string const
-		return &Cmp{Op: op, L: &Col{Name: "z.s"}, R: &Const{Val: storage.StringValue(zoneStrings[r.Intn(len(zoneStrings))])}}
-	case 3: // col vs col — never analyzable, must never prune wrongly
-		return &Cmp{Op: op, L: &Col{Name: "z.i"}, R: &Col{Name: "z.f"}}
-	default: // IN list (possibly empty: an empty IN excludes everything)
-		n := r.Intn(4)
-		vals := make([]storage.Value, n)
+		return Compare("z.f", op, storage.IntValue(int64(r.Intn(21)-10)))
+	case 2: // string col vs string literal
+		return Compare("z.s", op, storage.StringValue(zoneStrings[r.Intn(len(zoneStrings))]))
+	case 3: // int col vs float literal, integral or not
+		return Compare("z.i", op, storage.FloatValue(float64(r.Intn(61)-30)/2))
+	default: // IN list, int or mixed (possibly empty: an empty IN excludes everything)
+		vals := make([]storage.Value, r.Intn(4))
 		for i := range vals {
-			vals[i] = storage.IntValue(int64(r.Intn(61) - 30))
+			if r.Intn(3) == 0 {
+				vals[i] = storage.FloatValue(float64(r.Intn(61)-30) / 2)
+			} else {
+				vals[i] = storage.IntValue(int64(r.Intn(61) - 30))
+			}
 		}
-		return &In{E: &Col{Name: "z.i"}, Vals: vals}
+		return In("z.i", vals...)
 	}
 }
 
@@ -88,7 +90,7 @@ func TestZonePrunesSoundProperty(t *testing.T) {
 	pruned, trials := 0, 3000
 	for trial := 0; trial < trials; trial++ {
 		tbl := randZoneTable(r)
-		pred := randZonePred(r, 2)
+		pred := randZonePred(r)
 		for p := 0; p < tbl.Partitions(); p++ {
 			if !ZonePrunes(pred, zoneTestSchema, tbl.Zone(p)) {
 				continue
@@ -121,7 +123,7 @@ func TestZonePrunesNeverOnNil(t *testing.T) {
 	b.Float(1, 2)
 	b.Str(2, "alpha")
 	tbl := b.Build(1)
-	pred := &Cmp{Op: EQ, L: &Col{Name: "z.i"}, R: &Const{Val: storage.IntValue(99)}}
+	pred := Pred{Compare("z.i", EQ, storage.IntValue(99))}
 	if ZonePrunes(nil, zoneTestSchema, tbl.Zone(0)) {
 		t.Fatal("nil predicate pruned")
 	}
@@ -142,7 +144,7 @@ func TestZonePrunesNaNNeverPrunes(t *testing.T) {
 	b.Float(1, math.NaN())
 	b.Str(2, "alpha")
 	tbl := b.Build(1)
-	pred := &Cmp{Op: GT, L: &Col{Name: "z.f"}, R: &Const{Val: storage.FloatValue(1e9)}}
+	pred := Pred{Compare("z.f", GT, storage.FloatValue(1e9))}
 	if ZonePrunes(pred, zoneTestSchema, tbl.Zone(0)) {
 		t.Fatal("NaN-bounded zone pruned")
 	}
@@ -168,15 +170,15 @@ func TestZonePrunesNEWithHiddenNaN(t *testing.T) {
 	if !zone.HasNaN[fi] {
 		t.Fatalf("zone did not record the NaN row: %+v", zone)
 	}
-	ne := &Cmp{Op: NE, L: &Col{Name: "z.f"}, R: &Const{Val: storage.FloatValue(5.0)}}
+	ne := Pred{Compare("z.f", NE, storage.FloatValue(5.0))}
 	if ZonePrunes(ne, zoneTestSchema, zone) {
 		t.Fatalf("pruned [5.0, NaN] on f != 5.0, but the NaN row qualifies (zone %+v)", zone)
 	}
 	// Exclusion by the NaN-free bounds stays available for the safe shapes.
-	for _, safe := range []Expr{
-		&Cmp{Op: EQ, L: &Col{Name: "z.f"}, R: &Const{Val: storage.FloatValue(7.0)}},
-		&Cmp{Op: GT, L: &Col{Name: "z.f"}, R: &Const{Val: storage.FloatValue(5.0)}},
-		&Cmp{Op: LT, L: &Col{Name: "z.f"}, R: &Const{Val: storage.FloatValue(5.0)}},
+	for _, safe := range []Pred{
+		{Compare("z.f", EQ, storage.FloatValue(7.0))},
+		{Compare("z.f", GT, storage.FloatValue(5.0))},
+		{Compare("z.f", LT, storage.FloatValue(5.0))},
 	} {
 		if !ZonePrunes(safe, zoneTestSchema, zone) {
 			t.Fatalf("safe predicate %s no longer prunes [5.0, NaN]", safe)
@@ -215,10 +217,10 @@ func TestZonePrunesSoundPropertyNaNHeavy(t *testing.T) {
 			b.Str(2, zoneStrings[r.Intn(2)])
 		}
 		tbl := b.Build(1 + r.Intn(4))
-		var pred Expr = &Cmp{Op: []CmpOp{EQ, NE, LT, LE, GT, GE}[r.Intn(6)],
-			L: &Col{Name: "z.f"}, R: &Const{Val: storage.FloatValue([]float64{1.5, 2.5}[r.Intn(2)])}}
+		pred := Pred{Compare("z.f", []CmpOp{EQ, NE, LT, LE, GT, GE}[r.Intn(6)],
+			storage.FloatValue([]float64{1.5, 2.5}[r.Intn(2)]))}
 		if r.Intn(3) == 0 {
-			pred = &Logic{Op: And, L: pred, R: randZonePred(r, 1)}
+			pred = append(pred, randZoneTerm(r))
 		}
 		for p := 0; p < tbl.Partitions(); p++ {
 			if !ZonePrunes(pred, zoneTestSchema, tbl.Zone(p)) {

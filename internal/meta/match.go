@@ -12,7 +12,7 @@ type Requirements struct {
 	// Table is the base table the subplan reads.
 	Table string
 	// Filter is the subplan's filter conjunction (nil = no filters).
-	Filter expr.Expr
+	Filter expr.Pred
 	// StratCols are the stratification attributes the query needs
 	// (grouping + skew/join-key additions); the synopsis must stratify on a
 	// superset to guarantee group coverage.
@@ -32,7 +32,7 @@ type Match struct {
 	// than the subplan; applying the query's own filter above the synopsis
 	// scan removes the extraneous tuples (paper: "some mismatches are
 	// addressed by adding filtering and projection operators").
-	CompensateFilter expr.Expr
+	CompensateFilter expr.Pred
 }
 
 // MatchSamples returns the stored sample synopses usable for the
@@ -111,10 +111,7 @@ func superset(sup, sub []string) bool {
 	return true
 }
 
-func filtersEquivalent(a, b expr.Expr) bool {
-	if a == nil && b == nil {
-		return true
-	}
+func filtersEquivalent(a, b expr.Pred) bool {
 	return expr.Implies(a, b) && expr.Implies(b, a)
 }
 

@@ -36,8 +36,8 @@ type Descriptor struct {
 	// Table is the summarized base table.
 	Table string
 	// FilterPred is the subplan's filter conjunction (nil = none), kept as
-	// an expression for implication checks during subsumption.
-	FilterPred expr.Expr
+	// terms for implication checks during subsumption.
+	FilterPred expr.Pred
 
 	// Sample configuration.
 	StratCols []string

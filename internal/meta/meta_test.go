@@ -8,6 +8,7 @@ import (
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
+	"github.com/tasterdb/taster/internal/storage"
 )
 
 func acc(rel, conf float64) stats.AccuracySpec {
@@ -50,11 +51,11 @@ func TestInternDedupes(t *testing.T) {
 func TestInternFilterIdentity(t *testing.T) {
 	s := NewStore(nil)
 	bare := s.Intern(baseDesc())
-	a := &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "orders.amount"}, R: expr.Int(1)}
-	b := &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(5)}
+	a := expr.Compare("orders.amount", expr.GT, storage.IntValue(1))
+	b := expr.Compare("orders.cust", expr.LT, storage.IntValue(5))
 	ab, ba := baseDesc(), baseDesc()
-	ab.FilterPred = expr.AndAll([]expr.Expr{a, b})
-	ba.FilterPred = expr.AndAll([]expr.Expr{b, a})
+	ab.FilterPred = expr.Pred{a, b}
+	ba.FilterPred = expr.Pred{b, a}
 	filtered := s.Intern(ab)
 	if filtered.Desc.ID == bare.Desc.ID {
 		t.Fatal("a filtered and a bare synopsis of one table must intern separately")
@@ -212,7 +213,7 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 	s := NewStore(nil)
 	e := s.Intern(baseDesc())
 	req := matchReq()
-	req.Filter = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(3)}
+	req.Filter = expr.Pred{expr.Compare("orders.cust", expr.EQ, storage.IntValue(3))}
 	ms := s.MatchSamples(req, stored(e.Desc.ID))
 	if len(ms) != 1 {
 		t.Fatalf("general sample must serve filtered query, got %d matches", len(ms))
@@ -224,7 +225,7 @@ func TestMatchSamplesFilterSubsumption(t *testing.T) {
 	// Reverse: stored synopsis filtered, query unfiltered → no match.
 	s2 := NewStore(nil)
 	d := baseDesc()
-	d.FilterPred = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "orders.cust"}, R: expr.Int(3)}
+	d.FilterPred = expr.Pred{expr.Compare("orders.cust", expr.EQ, storage.IntValue(3))}
 	e2 := s2.Intern(d)
 	if got := s2.MatchSamples(matchReq(), stored(e2.Desc.ID)); len(got) != 0 {
 		t.Fatal("narrower synopsis must not serve wider query")
@@ -260,7 +261,7 @@ func TestMatchSketchJoins(t *testing.T) {
 	}
 	// Filter mismatch rejects (sketches cannot be compensated).
 	req2 := req
-	req2.Filter = &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "a"}, R: expr.Int(1)}
+	req2.Filter = expr.Pred{expr.Compare("a", expr.EQ, storage.IntValue(1))}
 	if got := s.MatchSketchJoins(req2, []string{"orderproducts.order_id"}, "", has); len(got) != 0 {
 		t.Fatal("filtered query matched unfiltered sketch")
 	}

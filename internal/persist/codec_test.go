@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"reflect"
@@ -12,29 +13,21 @@ import (
 	"github.com/tasterdb/taster/internal/synopses"
 )
 
-// fixtureExprs covers every expression node kind the codec handles.
-func fixtureExprs() []expr.Expr {
-	return []expr.Expr{
+// fixturePreds covers every term shape the codec writes: no filter, one
+// comparison of each literal type, an IN list, and conjunctions.
+func fixturePreds() []expr.Pred {
+	return []expr.Pred{
 		nil,
-		&expr.Col{Name: "sales.region"},
-		expr.Int(42),
-		expr.Float(3.25),
-		expr.Str("west"),
-		&expr.Const{Val: storage.BoolValue(true)},
-		&expr.Cmp{Op: expr.LE, L: &expr.Col{Name: "sales.qty"}, R: expr.Float(10)},
-		&expr.Bin{Op: expr.Mul, L: &expr.Col{Name: "sales.qty"}, R: expr.Float(1.1)},
-		&expr.Not{E: &expr.Cmp{Op: expr.EQ, L: &expr.Col{Name: "a.b"}, R: expr.Int(1)}},
-		&expr.In{E: &expr.Col{Name: "sales.region"}, Vals: []storage.Value{
-			storage.StringValue("east"), storage.StringValue("west"),
-		}},
-		&expr.Logic{
-			Op: expr.And,
-			L:  &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "sales.price"}, R: expr.Float(5)},
-			R: &expr.Logic{
-				Op: expr.Or,
-				L:  &expr.Cmp{Op: expr.NE, L: &expr.Col{Name: "sales.store"}, R: expr.Int(3)},
-				R:  &expr.In{E: &expr.Col{Name: "sales.cat"}, Vals: []storage.Value{storage.IntValue(1)}},
-			},
+		{expr.Compare("sales.qty", expr.LE, storage.FloatValue(10))},
+		{expr.Compare("sales.store", expr.NE, storage.IntValue(3))},
+		{expr.Compare("sales.region", expr.EQ, storage.StringValue("west"))},
+		{expr.Compare("sales.flag", expr.EQ, storage.BoolValue(true))},
+		{expr.In("sales.region", storage.StringValue("east"), storage.StringValue("west"))},
+		{expr.In("sales.cat")},
+		{
+			expr.Compare("sales.price", expr.GT, storage.FloatValue(5)),
+			expr.Compare("sales.store", expr.NE, storage.IntValue(3)),
+			expr.In("sales.cat", storage.IntValue(1), storage.FloatValue(2.5)),
 		},
 	}
 }
@@ -225,28 +218,77 @@ func TestDecodeRejectsRetiredKinds(t *testing.T) {
 	}
 }
 
-// TestExprCodecRoundTrip round-trips predicate trees through the binary
-// expression codec (descriptors persist their filter predicates with it).
+// TestExprCodecRoundTrip round-trips predicates through the binary
+// filter codec (descriptors persist their filter predicates with it).
 func TestExprCodecRoundTrip(t *testing.T) {
-	exprs := fixtureExprs()
-	for i, e := range exprs {
-		b, err := EncodeExpr(nil, e)
+	for i, p := range fixturePreds() {
+		b, err := EncodeExpr(nil, p)
 		if err != nil {
-			t.Fatalf("expr %d: encode: %v", i, err)
+			t.Fatalf("pred %d: encode: %v", i, err)
 		}
 		dec, err := DecodeExpr(b)
 		if err != nil {
-			t.Fatalf("expr %d: decode: %v", i, err)
+			t.Fatalf("pred %d: decode: %v", i, err)
 		}
-		switch {
-		case e == nil && dec == nil:
-		case e == nil || dec == nil:
-			t.Fatalf("expr %d: nil mismatch", i)
-		case e.String() != dec.String():
-			t.Errorf("expr %d: %q != %q", i, dec.String(), e.String())
+		if dec.String() != p.String() || !reflect.DeepEqual(dec, p) {
+			t.Errorf("pred %d: %q (%#v) != %q", i, dec, dec, p)
 		}
-		if e != nil && !reflect.DeepEqual(e, dec) {
-			t.Errorf("expr %d: structural mismatch", i)
+	}
+}
+
+// TestExprCodecWritesTheTreeFormat pins the bytes of a conjunction: a
+// left-deep chain of AND nodes over Cmp(Col, Const) and In(Col, values) —
+// the tree an older writer produced for the same filter, so a warehouse it
+// wrote recovers. The decoder flattens any AND nesting (the parser once
+// nested BETWEEN to the right) and refuses the retired node shapes.
+func TestExprCodecWritesTheTreeFormat(t *testing.T) {
+	col := func(name string) []byte { return storage.AppendStr([]byte{exprCol}, name) }
+	cmp := func(op expr.CmpOp, name string, v int64) []byte {
+		b := append([]byte{exprCmp, byte(op)}, col(name)...)
+		return appendValue(append(b, exprConst), storage.IntValue(v))
+	}
+	in := append(append([]byte{exprIn}, col("t.c")...), 1, 0, 0, 0)
+	in = appendValue(in, storage.StringValue("x"))
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	and := []byte{exprLogic, logicAnd}
+	a, ge, le := cmp(expr.EQ, "t.a", 1), cmp(expr.GE, "t.b", 2), cmp(expr.LE, "t.b", 9)
+	p := expr.Pred{
+		expr.Compare("t.a", expr.EQ, storage.IntValue(1)),
+		expr.Compare("t.b", expr.GE, storage.IntValue(2)),
+		expr.Compare("t.b", expr.LE, storage.IntValue(9)),
+		expr.In("t.c", storage.StringValue("x")),
+	}
+	got, err := EncodeExpr(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cat(and, and, and, a, ge, le, in); !bytes.Equal(got, want) {
+		t.Fatalf("encoding\n got %x\nwant %x", got, want)
+	}
+	rightNested := cat(and, and, a, and, ge, le, in) // ((a AND (ge AND le)) AND in)
+	if dec, err := DecodeExpr(rightNested); err != nil || !reflect.DeepEqual(dec, p) {
+		t.Fatalf("right-nested AND decoded to %v, %v; want %v", dec, err, p)
+	}
+	refused := map[string][]byte{
+		"arithmetic":        cat([]byte{exprCmp, byte(expr.LT), exprBin, 0}, col("t.a"), []byte{exprConst}, appendValue(nil, storage.IntValue(1))),
+		"OR":                cat([]byte{exprLogic, 1}, a, ge),
+		"NOT":               cat([]byte{exprNot}, a),
+		"constant first":    cat([]byte{exprCmp, byte(expr.LT), exprConst}, appendValue(nil, storage.IntValue(1)), col("t.a")),
+		"two columns":       cat([]byte{exprCmp, byte(expr.LT)}, col("t.a"), col("t.b")),
+		"IN over a literal": cat([]byte{exprIn, exprConst}, appendValue(nil, storage.IntValue(1)), []byte{0, 0, 0, 0}),
+		"nil under AND":     cat(and, a, []byte{exprNil}),
+		"bare column":       col("t.a"),
+		"nil then bytes":    {exprNil, exprNil},
+	}
+	for name, b := range refused {
+		if dec, err := DecodeExpr(b); err == nil {
+			t.Errorf("%s: decoded to %v, want an error", name, dec)
 		}
 	}
 }

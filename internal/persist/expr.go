@@ -8,12 +8,22 @@ import (
 )
 
 // Binary codec for filter predicates. Synopsis descriptors carry their
-// subplan's filter conjunction as an expression tree (the subsumption
-// matcher runs implication checks on it), so recovering a warehouse from
-// disk must recover the trees too — the canonical string form is
-// display-oriented and has no parser. Node tags, one byte each:
+// subplan's filter (an expr.Pred — the subsumption matcher runs implication
+// checks on it), so recovering a warehouse from disk must recover the terms
+// too: the canonical string form is display-oriented and has no parser.
 //
-//	0 nil, 1 Col, 2 Const, 3 Bin, 4 Cmp, 5 Logic, 6 Not, 7 In
+// The format is a tree of one-byte node tags, which a Pred fills in one
+// fixed shape: a left-deep chain of AND nodes over its terms, in order —
+// t1, AND(t1, t2), AND(AND(t1, t2), t3) — where a comparison term is
+// Cmp(Col, Const) and an IN term is In(Col, values). Tags:
+//
+//	0 nil, 1 Col, 2 Const, 3 retired (arithmetic), 4 Cmp, 5 Logic,
+//	6 retired (NOT), 7 In
+//
+// The decoder flattens any AND nesting into terms. It refuses as corrupt
+// tags 3 and 6, a Logic node other than AND, and an operand other than the
+// column first and the literal second — shapes an older writer's expression
+// tree allowed and no query could build.
 
 const (
 	exprNil   byte = 0
@@ -26,163 +36,155 @@ const (
 	exprIn    byte = 7
 )
 
+// logicAnd is the Logic node's AND operator byte.
+const logicAnd byte = 0
+
 // maxExprDepth bounds decoder recursion so corrupt input cannot overflow
 // the stack; real predicates are a handful of levels deep.
 const maxExprDepth = 256
 
-// EncodeExpr appends e's binary encoding to dst (nil encodes as one tag
+// EncodeExpr appends p's binary encoding to dst (nil encodes as one tag
 // byte, so "no filter" round-trips).
-func EncodeExpr(dst []byte, e expr.Expr) ([]byte, error) {
-	switch x := e.(type) {
-	case nil:
+func EncodeExpr(dst []byte, p expr.Pred) ([]byte, error) {
+	if len(p) == 0 {
 		return append(dst, exprNil), nil
-	case *expr.Col:
-		dst = append(dst, exprCol)
-		return storage.AppendStr(dst, x.Name), nil
-	case *expr.Const:
-		dst = append(dst, exprConst)
-		return appendValue(dst, x.Val), nil
-	case *expr.Bin:
-		dst = append(dst, exprBin, byte(x.Op))
-		dst, err := EncodeExpr(dst, x.L)
-		if err != nil {
-			return dst, err
-		}
-		return EncodeExpr(dst, x.R)
-	case *expr.Cmp:
-		dst = append(dst, exprCmp, byte(x.Op))
-		dst, err := EncodeExpr(dst, x.L)
-		if err != nil {
-			return dst, err
-		}
-		return EncodeExpr(dst, x.R)
-	case *expr.Logic:
-		dst = append(dst, exprLogic, byte(x.Op))
-		dst, err := EncodeExpr(dst, x.L)
-		if err != nil {
-			return dst, err
-		}
-		return EncodeExpr(dst, x.R)
-	case *expr.Not:
-		dst = append(dst, exprNot)
-		return EncodeExpr(dst, x.E)
-	case *expr.In:
-		dst = append(dst, exprIn)
-		dst, err := EncodeExpr(dst, x.E)
-		if err != nil {
-			return dst, err
-		}
-		dst = storage.AppendU32(dst, uint32(len(x.Vals)))
-		for _, v := range x.Vals {
-			dst = appendValue(dst, v)
-		}
-		return dst, nil
 	}
-	return dst, fmt.Errorf("persist: cannot encode expression type %T", e)
+	for range p[1:] {
+		dst = append(dst, exprLogic, logicAnd)
+	}
+	for _, t := range p {
+		switch {
+		case t.Op == expr.IN:
+			dst = appendCol(append(dst, exprIn), t.Col)
+			dst = storage.AppendU32(dst, uint32(len(t.List)))
+			for _, v := range t.List {
+				dst = appendValue(dst, v)
+			}
+		case t.Op <= expr.GE:
+			dst = appendCol(append(dst, exprCmp, byte(t.Op)), t.Col)
+			dst = appendValue(append(dst, exprConst), t.Val)
+		default:
+			return dst, fmt.Errorf("persist: cannot encode operator %d of a filter on %q", t.Op, t.Col)
+		}
+	}
+	return dst, nil
+}
+
+func appendCol(dst []byte, name string) []byte {
+	return storage.AppendStr(append(dst, exprCol), name)
 }
 
 // DecodeExpr reverses EncodeExpr over a whole payload.
-func DecodeExpr(b []byte) (expr.Expr, error) {
+func DecodeExpr(b []byte) (expr.Pred, error) {
+	if len(b) == 1 && b[0] == exprNil {
+		return nil, nil
+	}
 	r := storage.NewReader(b)
-	e, err := decodeExpr(r, 0)
-	if err != nil {
+	var p expr.Pred
+	if err := decodeTerms(r, 0, &p); err != nil {
 		return nil, err
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("persist: %d trailing bytes after expression", r.Remaining())
 	}
-	return e, nil
+	return p, nil
 }
 
-func decodeExpr(r *storage.Reader, depth int) (expr.Expr, error) {
+// decodeTerms appends the terms of one node — a term, or an AND of two
+// nodes — to p.
+func decodeTerms(r *storage.Reader, depth int, p *expr.Pred) error {
 	if depth > maxExprDepth {
-		return nil, fmt.Errorf("persist: expression nesting exceeds %d", maxExprDepth)
+		return fmt.Errorf("persist: expression nesting exceeds %d", maxExprDepth)
 	}
 	tag, err := r.U8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch tag {
-	case exprNil:
-		return nil, nil
-	case exprCol:
-		name, err := r.Str()
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Col{Name: name}, nil
-	case exprConst:
-		v, err := readValue(r)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Const{Val: v}, nil
-	case exprBin, exprCmp, exprLogic:
+	case exprLogic:
 		op, err := r.U8()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		l, err := decodeExpr(r, depth+1)
+		if op != logicAnd {
+			return fmt.Errorf("persist: logic op %d in a filter; only AND joins terms", op)
+		}
+		if err := decodeTerms(r, depth+1, p); err != nil {
+			return err
+		}
+		return decodeTerms(r, depth+1, p)
+	case exprCmp:
+		op, err := r.U8()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rhs, err := decodeExpr(r, depth+1)
+		if expr.CmpOp(op) > expr.GE {
+			return fmt.Errorf("persist: unknown comparison op %d", op)
+		}
+		col, err := readCol(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if l == nil || rhs == nil {
-			return nil, fmt.Errorf("persist: nil operand in binary expression")
+		if err := readOperand(r, exprConst); err != nil {
+			return err
 		}
-		switch tag {
-		case exprBin:
-			if expr.BinOp(op) > expr.Div {
-				return nil, fmt.Errorf("persist: unknown arithmetic op %d", op)
-			}
-			return &expr.Bin{Op: expr.BinOp(op), L: l, R: rhs}, nil
-		case exprCmp:
-			if expr.CmpOp(op) > expr.GE {
-				return nil, fmt.Errorf("persist: unknown comparison op %d", op)
-			}
-			return &expr.Cmp{Op: expr.CmpOp(op), L: l, R: rhs}, nil
-		default:
-			if expr.LogicOp(op) > expr.Or {
-				return nil, fmt.Errorf("persist: unknown logic op %d", op)
-			}
-			return &expr.Logic{Op: expr.LogicOp(op), L: l, R: rhs}, nil
-		}
-	case exprNot:
-		e, err := decodeExpr(r, depth+1)
+		v, err := readValue(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if e == nil {
-			return nil, fmt.Errorf("persist: NOT of nil expression")
-		}
-		return &expr.Not{E: e}, nil
+		*p = append(*p, expr.Compare(col, expr.CmpOp(op), v))
+		return nil
 	case exprIn:
-		e, err := decodeExpr(r, depth+1)
+		col, err := readCol(r)
 		if err != nil {
-			return nil, err
-		}
-		if e == nil {
-			return nil, fmt.Errorf("persist: IN over nil expression")
+			return err
 		}
 		n, err := r.U32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if int(n) > r.Remaining() {
-			return nil, fmt.Errorf("persist: IN list length %d exceeds payload", n)
+			return fmt.Errorf("persist: IN list length %d exceeds payload", n)
 		}
-		vals := make([]storage.Value, n)
-		for i := range vals {
-			if vals[i], err = readValue(r); err != nil {
-				return nil, err
+		var vals []storage.Value
+		for range n {
+			v, err := readValue(r)
+			if err != nil {
+				return err
 			}
+			vals = append(vals, v)
 		}
-		return &expr.In{E: e, Vals: vals}, nil
+		*p = append(*p, expr.In(col, vals...))
+		return nil
+	case exprBin:
+		return fmt.Errorf("persist: arithmetic node in a filter")
+	case exprNot:
+		return fmt.Errorf("persist: NOT node in a filter")
+	case exprNil, exprCol, exprConst:
+		return fmt.Errorf("persist: expression tag %d where a filter term belongs", tag)
 	}
-	return nil, fmt.Errorf("persist: unknown expression tag %d", tag)
+	return fmt.Errorf("persist: unknown expression tag %d", tag)
+}
+
+// readCol reads a term's column operand.
+func readCol(r *storage.Reader) (string, error) {
+	if err := readOperand(r, exprCol); err != nil {
+		return "", err
+	}
+	return r.Str()
+}
+
+// readOperand reads a term operand's tag, refusing any but want: a term is
+// the column first and the literal second.
+func readOperand(r *storage.Reader, want byte) error {
+	tag, err := r.U8()
+	if err != nil {
+		return err
+	}
+	if tag != want {
+		return fmt.Errorf("persist: expression tag %d as a term operand; a term compares a column with a literal", tag)
+	}
+	return nil
 }
 
 // appendValue writes a typed scalar: u8 type + payload.

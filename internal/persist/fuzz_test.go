@@ -42,12 +42,14 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeExpr: the predicate decoder must never panic and must
-// round-trip every tree it accepts (canonical string form is the identity
-// plan signatures rely on).
+// FuzzDecodeExpr: the filter decoder must never panic and must round-trip
+// every predicate it accepts (canonical string form is the identity plan
+// signatures rely on). Seeds include the node shapes it refuses — the
+// retired arithmetic and NOT tags, OR, operands other than a column and a
+// literal — which must decode to an error.
 func FuzzDecodeExpr(f *testing.F) {
-	for _, e := range fixtureExprs() {
-		b, err := EncodeExpr(nil, e)
+	for _, p := range fixturePreds() {
+		b, err := EncodeExpr(nil, p)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -55,22 +57,26 @@ func FuzzDecodeExpr(f *testing.F) {
 	}
 	f.Add([]byte{exprIn, exprCol, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{exprNot, exprNot, exprNil})
+	f.Add([]byte{exprBin, 0, exprCol, 1, 0, 0, 0, 'a', exprConst, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{exprLogic, 1, exprNil, exprNil})
+	f.Add([]byte{exprCmp, 0, exprConst, 0, 1, 0, 0, 0, 0, 0, 0, 0, exprCol, 1, 0, 0, 0, 'a'})
+	f.Add([]byte{exprCmp, 0, exprCol, 1, 0, 0, 0, 'a', exprCol, 1, 0, 0, 0, 'b'})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		e, err := DecodeExpr(b)
-		if err != nil || e == nil {
+		p, err := DecodeExpr(b)
+		if err != nil || p == nil {
 			return
 		}
-		re, err := EncodeExpr(nil, e)
+		re, err := EncodeExpr(nil, p)
 		if err != nil {
-			t.Fatalf("decoded expression unencodable: %v", err)
+			t.Fatalf("decoded predicate unencodable: %v", err)
 		}
-		e2, err := DecodeExpr(re)
+		p2, err := DecodeExpr(re)
 		if err != nil {
-			t.Fatalf("re-encoded expression undecodable: %v", err)
+			t.Fatalf("re-encoded predicate undecodable: %v", err)
 		}
-		if e.String() != e2.String() {
-			t.Fatalf("round trip changed expression: %q vs %q", e.String(), e2.String())
+		if p.String() != p2.String() {
+			t.Fatalf("round trip changed predicate: %q vs %q", p, p2)
 		}
 	})
 }

@@ -142,7 +142,7 @@ func TestEntryRecordRoundTrip(t *testing.T) {
 	// Conversion fidelity for a descriptor with every field populated is
 	// covered end to end by core's warm-restart tests; here we pin the
 	// filter-predicate encoding through the record layer.
-	for _, e := range fixtureExprs() {
+	for _, e := range fixturePreds() {
 		var rec EntryRecord
 		rec.ID = 5
 		if e != nil {

@@ -37,7 +37,7 @@ func (s *Scan) String() string { return "Scan(" + s.Table.Name + ")" }
 // Filter keeps rows satisfying Pred.
 type Filter struct {
 	Child Node
-	Pred  expr.Expr
+	Pred  expr.Pred
 }
 
 // Children implements Node.

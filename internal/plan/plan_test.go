@@ -30,7 +30,7 @@ func samplePlan() (*Aggregate, *storage.Table, *storage.Table) {
 	j := &Join{
 		Left: &Filter{
 			Child: &Scan{Table: r},
-			Pred:  &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "r.y"}, R: expr.Int(1)},
+			Pred:  expr.Pred{expr.Compare("r.y", expr.GT, storage.IntValue(1))},
 		},
 		Right:     &Scan{Table: s},
 		LeftKeys:  []string{"r.x"},

@@ -47,14 +47,9 @@ func (p *Planner) joinTree(q *Query, overrides map[string]plan.Node) (plan.Node,
 	return root, nil
 }
 
-// finishPlan adds the residual filter, aggregation and ordering above the
-// join tree.
+// finishPlan adds aggregation and ordering above the join tree.
 func (p *Planner) finishPlan(q *Query, joinRoot plan.Node) plan.Node {
-	root := joinRoot
-	if rf := q.residualFilter(); rf != nil {
-		root = &plan.Filter{Child: root, Pred: rf}
-	}
-	root = &plan.Aggregate{Child: root, GroupBy: q.GroupBy, Aggs: q.Aggs}
+	var root plan.Node = &plan.Aggregate{Child: joinRoot, GroupBy: q.GroupBy, Aggs: q.Aggs}
 	if len(q.OrderBy) > 0 || q.Limit > 0 {
 		root = &plan.Sort{Child: root, By: q.OrderBy, Desc: q.Desc, Limit: q.Limit}
 	}

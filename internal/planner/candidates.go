@@ -20,7 +20,7 @@ type sketchShape struct {
 	probeKeys  []string   // probe-side join columns (same order)
 	aggCol     string     // fact-side aggregate column ("" = COUNT only)
 	groupBy    []string   // grouping columns rewritten onto the probe side
-	factFilter expr.Expr
+	factFilter expr.Pred
 }
 
 // sketchEligible checks the paper's §IV-A conditions:
@@ -106,9 +106,6 @@ func (p *Planner) sketchEligible(q *Query) (sketchShape, bool) {
 		sh.groupBy = append(sh.groupBy, rewritten)
 	}
 	sh.factFilter = q.filterForTable(sh.fact.Name)
-	if q.residualFilter() != nil {
-		return sketchShape{}, false // cannot evaluate cross-table filters post-sketch
-	}
 	return sh, true
 }
 
@@ -305,13 +302,13 @@ func probeJoins(q *Query, sh sketchShape) []JoinPred {
 	return out
 }
 
-// probeFilter returns the filter conjuncts over probe tables.
-func probeFilter(q *Query, sh sketchShape) expr.Expr {
-	var keep []expr.Expr
-	for _, c := range expr.Conjuncts(q.Filter) {
-		if t := conjunctTable(c, q); t != "" && t != sh.fact.Name {
-			keep = append(keep, c)
+// probeFilter returns the filter terms over probe tables.
+func probeFilter(q *Query, sh sketchShape) expr.Pred {
+	var keep expr.Pred
+	for _, t := range q.Filter {
+		if q.tableOf(t.Col) != sh.fact.Name {
+			keep = append(keep, t)
 		}
 	}
-	return expr.AndAll(keep)
+	return keep
 }

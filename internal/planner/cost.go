@@ -21,7 +21,7 @@ type scanEst struct {
 }
 
 // tableEst returns the branch estimate for a filtered base table.
-func (e estimator) tableEst(t TableRef, filter expr.Expr) scanEst {
+func (e estimator) tableEst(t TableRef, filter expr.Pred) scanEst {
 	rows := float64(t.Table.NumRows()) * expr.Selectivity(filter, t.Table)
 	return scanEst{rows: rows, width: t.Table.AvgRowBytes()}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/obs"
 )
 
@@ -45,7 +44,7 @@ func CacheKey(q *Query, snapIdent uint64) string {
 		sb.WriteString(j.Canonical())
 	}
 	sb.WriteString("] F[")
-	for i, c := range expr.Conjuncts(q.Filter) {
+	for i, c := range q.Filter {
 		if i > 0 {
 			sb.WriteByte(',')
 		}

@@ -27,7 +27,7 @@ func cacheTestTable(t *testing.T, name string, rows int) *storage.Table {
 func cacheTestQuery(tbl *storage.Table) *Query {
 	return &Query{
 		Tables:   []TableRef{{Name: tbl.Name, Table: tbl}},
-		Filter:   &expr.Cmp{Op: expr.GE, L: &expr.Col{Name: tbl.Name + ".v"}, R: expr.Float(10)},
+		Filter:   expr.Pred{expr.Compare(tbl.Name+".v", expr.GE, storage.FloatValue(10))},
 		GroupBy:  []string{tbl.Name + ".k"},
 		Aggs:     []plan.AggSpec{{Kind: stats.Sum, Col: tbl.Name + ".v"}},
 		Accuracy: stats.DefaultAccuracy,

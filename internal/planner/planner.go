@@ -470,7 +470,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 
 // addSampleReuse adds the candidate that answers the fact relation from
 // the stored sample b.
-func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, compensate expr.Expr, sel, selAll float64, coverGroups int) {
+func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, compensate expr.Pred, sel, selAll float64, coverGroups int) {
 	var rcost planCost
 	if !b.inBuffer {
 		rcost.warehouseBytes += b.item.Size

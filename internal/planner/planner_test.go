@@ -93,7 +93,6 @@ func TestValidate(t *testing.T) {
 
 	// The typed half: each case edits a valid join query into one binding
 	// exec could not honour; the error must say which.
-	col := func(n string) *expr.Col { return &expr.Col{Name: n} }
 	refused := []struct {
 		name string
 		edit func(q *Query)
@@ -105,17 +104,20 @@ func TestValidate(t *testing.T) {
 		{"unknown aggregate column", func(q *Query) { q.Aggs[0].Col = "sales.nope" }, `unknown column "sales.nope"`},
 		{"aggregate column of no table", func(q *Query) { q.Aggs[0].Col = "amount" }, "belongs to no table"},
 		{"string compared with a number", func(q *Query) {
-			q.Filter = &expr.Cmp{Op: expr.EQ, L: col("products.category"), R: expr.Str("x")}
+			q.Filter = expr.Pred{expr.Compare("products.category", expr.EQ, storage.StringValue("x"))}
 		}, `BIGINT column "products.category" with a VARCHAR constant`},
-		{"arithmetic", func(q *Query) {
-			q.Filter = &expr.Cmp{Op: expr.LT, L: &expr.Bin{Op: expr.Add, L: col("sales.amount"), R: expr.Int(1)}, R: expr.Int(2)}
-		}, "arithmetic"},
-		{"cross-table column-vs-column residual", func(q *Query) {
-			q.Filter = &expr.Cmp{Op: expr.LT, L: col("sales.product"), R: col("products.id")}
-		}, "compares two columns"},
+		{"IN list of another type class", func(q *Query) {
+			q.Filter = expr.Pred{
+				expr.Compare("sales.amount", expr.GT, storage.IntValue(10)),
+				expr.In("products.category", storage.StringValue("x")),
+			}
+		}, `no BIGINT value for column "products.category"`},
 		{"filter on a column of no table", func(q *Query) {
-			q.Filter = &expr.Cmp{Op: expr.LT, L: col("nope.x"), R: expr.Int(1)}
-		}, `unknown column "nope.x"`},
+			q.Filter = expr.Pred{expr.Compare("nope.x", expr.LT, storage.IntValue(1))}
+		}, `column "nope.x" belongs to no table`},
+		{"filter on an unknown column of a table", func(q *Query) {
+			q.Filter = expr.Pred{expr.Compare("sales.nope", expr.LT, storage.IntValue(1))}
+		}, `unknown column "sales.nope"`},
 	}
 	for _, c := range refused {
 		q := joinQuery()
@@ -124,15 +126,14 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want an error mentioning %q", c.name, err, c.want)
 		}
 	}
-	// OR, NOT and IN are inside the kernel subset, per table and across
-	// tables (the residual compiles against the joined schema).
+	// Comparisons and IN lists on either table's columns, int literals
+	// against a float column and float ones against an int column.
 	ok := joinQuery()
-	ok.Filter = expr.AndAll([]expr.Expr{
-		&expr.Not{E: &expr.In{E: col("sales.store"), Vals: []storage.Value{storage.IntValue(3)}}},
-		&expr.Logic{Op: expr.Or,
-			L: &expr.Cmp{Op: expr.GT, L: col("sales.amount"), R: expr.Int(10)},
-			R: &expr.Cmp{Op: expr.EQ, L: col("products.category"), R: expr.Int(2)}},
-	})
+	ok.Filter = expr.Pred{
+		expr.In("sales.store", storage.IntValue(3), storage.FloatValue(4)),
+		expr.Compare("sales.amount", expr.GT, storage.IntValue(10)),
+		expr.Compare("products.category", expr.EQ, storage.FloatValue(2)),
+	}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestValidate(t *testing.T) {
 
 func TestQueryHelpers(t *testing.T) {
 	q := joinQuery()
-	q.Filter = &expr.Cmp{Op: expr.GT, L: &expr.Col{Name: "sales.amount"}, R: expr.Int(10)}
+	q.Filter = expr.Pred{expr.Compare("sales.amount", expr.GT, storage.IntValue(10))}
 	if q.tableOf("sales.amount") != "sales" || q.tableOf("bogus") != "" {
 		t.Fatal("tableOf")
 	}
@@ -153,9 +154,6 @@ func TestQueryHelpers(t *testing.T) {
 	}
 	if f := q.filterForTable("products"); f != nil {
 		t.Fatal("products filter must be empty")
-	}
-	if q.residualFilter() != nil {
-		t.Fatal("no residual expected")
 	}
 	if got := q.joinKeysOf("sales"); len(got) != 1 || got[0] != "sales.product" {
 		t.Fatalf("joinKeysOf = %v", got)

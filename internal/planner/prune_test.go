@@ -32,7 +32,7 @@ func TestFilteredBranchChargeMatchesExecBuild(t *testing.T) {
 			LeftTable: "sales", LeftCol: "sales.product",
 			RightTable: "products", RightCol: "products.id",
 		}},
-		Filter: &expr.Cmp{Op: expr.LT, L: &expr.Col{Name: "products.id"}, R: expr.Int(150)},
+		Filter: expr.Pred{expr.Compare("products.id", expr.LT, storage.IntValue(150))},
 		Aggs:   []plan.AggSpec{{Kind: stats.Count}},
 	}
 	p, _, _ := testPlanner()

@@ -48,7 +48,7 @@ type Query struct {
 	ID      int
 	Tables  []TableRef
 	Joins   []JoinPred
-	Filter  expr.Expr // full WHERE conjunction over qualified columns
+	Filter  expr.Pred // full WHERE conjunction over qualified columns
 	GroupBy []string
 	Aggs    []plan.AggSpec
 	OrderBy []string
@@ -64,10 +64,10 @@ type Query struct {
 // exec will rely on holds, so nothing past it can fail on the query's types.
 // Tables are bound; each join predicate's two columns exist and share a type
 // (keys of different types can never be equal); SUM / AVG / MIN / MAX read a
-// numeric column, COUNT any column; and every filter conjunct exec will run —
-// a table's own against that table's schema, a cross-table residual against
-// the joined schema — compiles with expr.CompileFilter, the engine's only
-// filter evaluator, whose error names the offending sub-expression.
+// numeric column, COUNT any column; and every filter term names a column of
+// one of the query's tables and compiles against that table's schema with
+// expr.CompileFilter, the engine's only filter evaluator, whose error names
+// the offending term.
 func (q *Query) Validate() error {
 	if len(q.Tables) == 0 {
 		return fmt.Errorf("planner: query has no tables")
@@ -75,12 +75,10 @@ func (q *Query) Validate() error {
 	if len(q.Aggs) == 0 {
 		return fmt.Errorf("planner: query has no aggregates (only aggregate queries are supported)")
 	}
-	var joined storage.Schema
 	for _, t := range q.Tables {
 		if t.Table == nil {
 			return fmt.Errorf("planner: table %q not bound", t.Name)
 		}
-		joined = append(joined, t.Table.Schema()...)
 	}
 	for _, j := range q.Joins {
 		lt, err := q.colType(j.LeftTable, j.LeftCol)
@@ -108,16 +106,15 @@ func (q *Query) Validate() error {
 			return fmt.Errorf("planner: %s over %s column %q; only COUNT reads a non-numeric column", a.Kind, typ, a.Col)
 		}
 	}
-	// A conjunction compiles exactly when each conjunct does, and exec runs a
-	// conjunct against its table's schema or, for a cross-table residual, the
-	// joined one. CompileFilter's error already names the filter and the
-	// reason.
-	for _, c := range expr.Conjuncts(q.Filter) {
-		sch := joined
-		if ref, ok := q.ref(conjunctTable(c, q)); ok {
-			sch = ref.Table.Schema()
+	// A conjunction compiles exactly when each term does, and exec runs a
+	// term against its table's schema. CompileFilter's error already names
+	// the term and the reason.
+	for _, t := range q.Filter {
+		ref, ok := q.ref(q.tableOf(t.Col))
+		if !ok {
+			return fmt.Errorf("planner: filter %s: column %q belongs to no table of the query", t, t.Col)
 		}
-		if _, err := expr.CompileFilter(c, sch); err != nil {
+		if _, err := expr.CompileFilter(expr.Pred{t}, ref.Table.Schema()); err != nil {
 			return err
 		}
 	}
@@ -144,8 +141,8 @@ func (q *Query) FactTable() TableRef { return q.factTable() }
 // TableOf exposes column ownership resolution.
 func (q *Query) TableOf(col string) string { return q.tableOf(col) }
 
-// FilterForTable exposes a table's single-table filter conjunction.
-func (q *Query) FilterForTable(name string) expr.Expr { return q.filterForTable(name) }
+// FilterForTable exposes a table's filter conjunction.
+func (q *Query) FilterForTable(name string) expr.Pred { return q.filterForTable(name) }
 
 // tableOf returns the table owning a qualified column name, or "".
 func (q *Query) tableOf(col string) string {
@@ -172,46 +169,16 @@ func (q *Query) ref(name string) (TableRef, bool) {
 	return TableRef{}, false
 }
 
-// filterForTable returns the conjunction of filter conjuncts that reference
-// only the given table's columns; ok is false when no conjunct applies.
-func (q *Query) filterForTable(name string) expr.Expr {
-	var keep []expr.Expr
-	for _, c := range expr.Conjuncts(q.Filter) {
-		if conjunctTable(c, q) == name {
-			keep = append(keep, c)
+// filterForTable returns the terms on the given table's columns, in query
+// order; nil when none applies.
+func (q *Query) filterForTable(name string) expr.Pred {
+	var keep expr.Pred
+	for _, t := range q.Filter {
+		if q.tableOf(t.Col) == name {
+			keep = append(keep, t)
 		}
 	}
-	return expr.AndAll(keep)
-}
-
-// residualFilter returns conjuncts spanning multiple tables (applied above
-// the join tree).
-func (q *Query) residualFilter() expr.Expr {
-	var keep []expr.Expr
-	for _, c := range expr.Conjuncts(q.Filter) {
-		if t := conjunctTable(c, q); t == "" {
-			keep = append(keep, c)
-		}
-	}
-	return expr.AndAll(keep)
-}
-
-// conjunctTable returns the single table a conjunct touches, or "".
-func conjunctTable(c expr.Expr, q *Query) string {
-	cols := c.Columns(nil)
-	table := ""
-	for _, col := range cols {
-		t := q.tableOf(col)
-		if t == "" {
-			return ""
-		}
-		if table == "" {
-			table = t
-		} else if table != t {
-			return ""
-		}
-	}
-	return table
+	return keep
 }
 
 // joinKeysOf returns the qualified join-key columns of the given table

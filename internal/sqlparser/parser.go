@@ -353,11 +353,11 @@ func (p *parser) bindColumn(raw string) (qualified, table string, err error) {
 
 func (p *parser) parseWhere() error {
 	for {
-		c, err := p.parseConjunct()
+		terms, err := p.parseConjunct()
 		if err != nil {
 			return err
 		}
-		p.q.Filter = expr.AndAll([]expr.Expr{p.q.Filter, c})
+		p.q.Filter = append(p.q.Filter, terms...)
 		if !p.accept(tokKeyword, "AND") {
 			break
 		}
@@ -365,7 +365,9 @@ func (p *parser) parseWhere() error {
 	return nil
 }
 
-func (p *parser) parseConjunct() (expr.Expr, error) {
+// parseConjunct parses one conjunct of the WHERE clause into its terms:
+// col op literal and col IN (...) are one, col BETWEEN lo AND hi is two.
+func (p *parser) parseConjunct() ([]expr.Term, error) {
 	colRaw, err := p.parseColumnRef()
 	if err != nil {
 		return nil, err
@@ -375,7 +377,6 @@ func (p *parser) parseConjunct() (expr.Expr, error) {
 		return nil, err
 	}
 	colTyp := p.columnType(table, qcol)
-	col := &expr.Col{Name: qcol}
 
 	if p.accept(tokKeyword, "IN") {
 		if _, err := p.expect(tokSymbol, "("); err != nil {
@@ -395,7 +396,7 @@ func (p *parser) parseConjunct() (expr.Expr, error) {
 		if _, err := p.expect(tokSymbol, ")"); err != nil {
 			return nil, err
 		}
-		return &expr.In{E: col, Vals: vals}, nil
+		return []expr.Term{expr.In(qcol, vals...)}, nil
 	}
 	if p.accept(tokKeyword, "BETWEEN") {
 		lo, err := p.parseLiteral(colTyp)
@@ -409,10 +410,7 @@ func (p *parser) parseConjunct() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return expr.AndAll([]expr.Expr{
-			&expr.Cmp{Op: expr.GE, L: col, R: &expr.Const{Val: lo}},
-			&expr.Cmp{Op: expr.LE, L: col, R: &expr.Const{Val: hi}},
-		}), nil
+		return []expr.Term{expr.Compare(qcol, expr.GE, lo), expr.Compare(qcol, expr.LE, hi)}, nil
 	}
 	opTok, err := p.expect(tokSymbol, "")
 	if err != nil {
@@ -439,7 +437,7 @@ func (p *parser) parseConjunct() (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &expr.Cmp{Op: op, L: col, R: &expr.Const{Val: v}}, nil
+	return []expr.Term{expr.Compare(qcol, op, v)}, nil
 }
 
 // columnType returns the declared type of a bound column.
