@@ -10,12 +10,13 @@ import (
 // are recorded as a selection vector attached to the input batch instead of
 // being gathered into fresh vectors, so a filter costs no per-batch copy and
 // downstream sel-aware consumers (the aggregation tables) fold rows straight
-// from the scan's columns.
+// from the scan's columns. On the morsel spine the program is the run's,
+// compiled once, and the scratch is the worker's (buildMorselChain).
 type FilterOp struct {
 	Child Operator
 	ctx   *Context
 	prog  *expr.Filter
-	sc    expr.Scratch
+	sc    *expr.Scratch
 }
 
 // NewFilterOp wraps child with a predicate compiled against the child's
@@ -26,7 +27,7 @@ func NewFilterOp(child Operator, pred expr.Pred, ctx *Context) (*FilterOp, error
 	if err != nil {
 		return nil, err
 	}
-	return &FilterOp{Child: child, ctx: ctx, prog: prog}, nil
+	return &FilterOp{Child: child, ctx: ctx, prog: prog, sc: new(expr.Scratch)}, nil
 }
 
 // Open implements Operator.
@@ -47,7 +48,7 @@ func (f *FilterOp) Next() (*storage.Batch, error) {
 		f.ctx.Stats.CPUTuples += int64(b.Rows())
 		f.ctx.Obs.Kernel()
 		in := b.Sel // nil = dense batch: kernels stream the raw columns
-		out := f.prog.Refine(b, in, f.ctx.Pool.GetSel(b.Len()), &f.sc)
+		out := f.prog.Refine(b, in, f.ctx.Pool.GetSel(b.Len()), f.sc)
 		if in != nil {
 			b.Sel = nil
 			f.ctx.Pool.PutSel(in)

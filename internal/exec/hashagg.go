@@ -13,11 +13,11 @@ import (
 // aggSpec is the resolved column binding of one aggregation: group and
 // aggregate column positions in the input schema plus the output schema. It
 // is computed once and shared by every partial hash table of the aggregation
-// (one per morsel, plus the table they merge into). It is the pipeline's
-// aggregate sink: when the input carries the sampler weight column the
-// accumulators switch to Horvitz-Thompson estimation with the single-pass
-// per-group variance tracking of paper §IV-B; on unweighted input the results
-// are exact (zero-width intervals).
+// (each folding one morsel at a time, plus the table they merge into). It is
+// the pipeline's aggregate sink: when the input carries the sampler weight
+// column the accumulators switch to Horvitz-Thompson estimation with the
+// single-pass per-group variance tracking of paper §IV-B; on unweighted input
+// the results are exact (zero-width intervals).
 type aggSpec struct {
 	groupBy []string
 	aggs    []plan.AggSpec
@@ -103,9 +103,18 @@ func newAggTable(spec *aggSpec) *aggTable {
 	return &aggTable{spec: spec, idx: storage.NewGroupIndex(spec.groupIdx, spec.schema)}
 }
 
+// reset implements partial: no group, and the index's and slab's memory kept
+// for the next morsel.
+func (t *aggTable) reset() {
+	t.idx.Reset()
+	t.accs = t.accs[:0]
+}
+
 // open gives the groups idx has opened since the last call their empty
-// accumulators. The slab doubles: a morsel of a high-cardinality GROUP BY
-// opens a thousand groups a few at a time.
+// accumulators. The slab doubles, but only the first morsels a worker runs
+// grow it: a reset partial keeps its capacity, so later morsels of a
+// high-cardinality GROUP BY open their thousand groups into memory already
+// there.
 func (t *aggTable) open() {
 	want := t.idx.Len() * len(t.spec.aggs)
 	if cap(t.accs) < want {

@@ -260,8 +260,9 @@ func TestObserveHoistingMatchesRowMajor(t *testing.T) {
 }
 
 // The three group-resolution shapes the serving profile names, each run the
-// way the executor runs it: per 4 096-row morsel a fresh partial observes
-// four scan batches and merges into the run's table. ns/row covers all of it.
+// way the executor runs it at one worker: per 4 096-row morsel the worker's
+// one partial, reset, observes four scan batches and merges into the run's
+// table. ns/row covers all of it.
 //
 //   - one low-cardinality string column (TPC-H q3/q5/q12: o_orderpriority,
 //     n_name, l_shipmode), as a table scan delivers it (dictionary-coded) and
@@ -321,10 +322,15 @@ func benchMorselAgg(b *testing.B, groupBy []string, coded bool) {
 	perMorsel := DefaultMorselRows / storage.BatchSize
 	b.ReportAllocs()
 	b.ResetTimer()
+	// One worker's run, as the executor does it: each morsel folds into the
+	// one partial, which is merged in order and then reset for the next.
 	for n := 0; n < b.N; n++ {
 		global := newAggTable(spec)
+		part := newAggTable(spec)
 		for m := 0; m < benchMorsels; m++ {
-			part := newAggTable(spec)
+			if m > 0 {
+				part.reset()
+			}
 			for _, sb := range batches[m*perMorsel : (m+1)*perMorsel] {
 				part.observe(sb)
 			}

@@ -38,6 +38,9 @@ type pipeline struct {
 	// bottom-up. A SynopsisOp can only be chain[0]; any number of Joins.
 	chain   []plan.Node
 	sampler *plan.SynopsisOp // the chain's sampler node, if any
+	// filters are the chain's Filters, bottom-up, each compiled once per
+	// run against its input schema and run by every morsel's FilterOp.
+	filters []*expr.Filter
 	// prune zone-prunes a base-table leaf (open): the predicate of a Filter
 	// directly above it, nil for none. A sampled leaf never prunes: its
 	// sampler, not a Filter, is chain[0], and its per-morsel RNG streams are
@@ -138,10 +141,11 @@ func (p *pipeline) read(lo, hi int, keep []bool) []*storage.Batch {
 }
 
 // sink is where a pipeline's spine ends. Every morsel folds its batches into
-// a worker-local partial, partials merge in morsel index order, and the
-// merged partial emits the operator's one output batch. Two implementations:
-// aggSpec (hash aggregation, hashagg.go) and sketchSink (the sketch-join's
-// per-key lookup, sketchsink.go).
+// a partial of its own, partials merge in morsel index order as morsels
+// finish and are then reset for later morsels, and the merged partial emits
+// the operator's one output batch. Two implementations: aggSpec (hash
+// aggregation, hashagg.go) and sketchSink (the sketch-join's per-key lookup,
+// sketchsink.go).
 type sink interface {
 	outSchema() storage.Schema
 	// prepare runs once per execution, serially, before any morsel: the
@@ -159,6 +163,9 @@ type partial interface {
 	// sinks sum floating-point state, so the order of merges is part of the
 	// result.
 	merge(o partial)
+	// reset empties the partial for another morsel, keeping its memory; it
+	// then folds exactly as a new partial of the sink would.
+	reset()
 	// emit renders the groups in key order with row-aligned intervals.
 	emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 }
@@ -176,11 +183,14 @@ type pipelineJoinState struct {
 // PipelineOp executes a matched pipeline with morsel-driven parallelism. What
 // runs serially, once, before the pool starts: the sink's prepare (an inline
 // sketch build) and each join's build side, drained into a shared joinTable
-// (its survivor mask over the build table's own key index). Then the leaf's rows are split into fixed-size
-// morsels, the pool claims morsels from an atomic dispenser, and each worker
-// runs the full scan→sample→filter→probe→fold pipeline on its morsel with
-// worker-local state. Partials are merged in morsel index order once all
-// morsels are done.
+// (its survivor mask over the build table's own key index). Then the leaf's
+// rows are split into fixed-size morsels, the pool claims morsels from an
+// atomic dispenser, and each worker runs the full
+// scan→sample→filter→probe→fold pipeline on its morsel, with the filters
+// compiled once per run and one kernel scratch per filter per worker.
+// Partials are merged in morsel index order as morsels finish (mergeQueue),
+// and a merged partial is reset and handed to the next morsel a worker
+// claims.
 //
 // Determinism contract: every morsel's sampler draws from the RNG stream
 // SplitSeed(seed, morselIdx) and the distinct sampler's per-instance
@@ -207,8 +217,9 @@ type PipelineOp struct {
 // below the sink, compiles the spine's join build sides, narrows every level
 // of the spine to the columns something above it reads (reads names the
 // sink's), hands the spine's physical output schema to bind for the sink's
-// column binding (on an error the sink it returns is not looked at), and
-// validates the sampler and filter configuration up front.
+// column binding (on an error the sink it returns is not looked at),
+// compiles every Filter of the chain once for the whole run, and validates
+// the sampler configuration up front.
 //
 // A column is needed at a level when a node above that level names it: the
 // sink's group, aggregate, probe-key and weight columns, a Filter's predicate
@@ -252,6 +263,13 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 	var joins []*pipelineJoinState
 	for i, n := range pipe.chain {
 		switch t := n.(type) {
+		case *plan.Filter:
+			// Compiled once, here, for every morsel's FilterOp to run.
+			prog, err := expr.CompileFilter(t.Pred, cur)
+			if err != nil {
+				return nil, err
+			}
+			pipe.filters = append(pipe.filters, prog)
 		case *plan.SynopsisOp:
 			cur = synopses.SampleSchema(cur)
 		case *plan.Join:
@@ -271,9 +289,9 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 	if err != nil {
 		return nil, err
 	}
-	// Validate the chain eagerly (sampler strat columns, filter types) by
-	// building a throwaway morsel pipeline over zero rows.
-	if _, err := buildMorselChain(pipe, joins, 0, 1, seed, NewContext(ctx.Confidence)); err != nil {
+	// Validate the sampler eagerly (its strat columns) by building a
+	// throwaway morsel pipeline over zero rows.
+	if _, err := buildMorselChain(pipe, joins, make([]expr.Scratch, len(pipe.filters)), 0, 1, seed, NewContext(ctx.Confidence)); err != nil {
 		return nil, err
 	}
 	return &PipelineOp{pipe: pipe, joins: joins, sink: snk, seed: seed, ctx: ctx}, nil
@@ -306,12 +324,78 @@ func projectSchema(s storage.Schema, cols []int) storage.Schema {
 	return out
 }
 
-// morselResult is everything one morsel produced: its partial sink state,
-// its local cost counters and any per-morsel materialized sample parts.
+// morselResult is what one morsel leaves after its partial has gone to the
+// merge: its local cost counters, with any per-morsel materialized sample
+// parts, or its error.
 type morselResult struct {
-	part  partial
 	stats RunStats
 	err   error
+}
+
+// mergeQueue folds a run's morsel partials into the global partial in morsel
+// index order, as morsels finish rather than after the pool: a finished
+// morsel records its partial at its index, and whoever holds the merge turn
+// advances the cursor over every consecutive finished index, merging each
+// partial and putting it on the free list. A worker takes its next partial
+// from the free list and resets it then, so a one-morsel run pays no reset.
+// With one worker this is run, merge, reuse; with more, the partials alive
+// at once are the workers' plus the reorder window. The free list is a
+// run-local slice of sink partials — no pooled vector or selection passes
+// through it.
+type mergeQueue struct {
+	sink   sink
+	global partial // written only by the merge turn's holder
+
+	mu      sync.Mutex
+	done    []partial // finished, not yet merged, by morsel index
+	next    int       // the cursor: the lowest index not yet merged
+	merging bool      // a worker holds the merge turn
+	free    []partial // merged partials, for reuse
+}
+
+func newMergeQueue(snk sink, nMorsels int) *mergeQueue {
+	return &mergeQueue{sink: snk, global: snk.newPartial(), done: make([]partial, nMorsels)}
+}
+
+// take returns an empty partial for a morsel: a merged one, reset, or a new
+// one when none is free.
+func (q *mergeQueue) take() partial {
+	q.mu.Lock()
+	var part partial
+	if k := len(q.free) - 1; k >= 0 {
+		part, q.free = q.free[k], q.free[:k]
+	}
+	q.mu.Unlock()
+	if part == nil {
+		return q.sink.newPartial()
+	}
+	part.reset()
+	return part
+}
+
+// finish records morsel i's partial and, unless another worker holds the
+// merge turn, takes it and merges every consecutive finished partial from
+// the cursor on. The merge itself runs outside the lock: the turn, not the
+// mutex, keeps the global partial to one writer. A failed morsel records no
+// partial, so the cursor stops short of it and the run returns its error.
+func (q *mergeQueue) finish(i int, part partial) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.done[i] = part
+	if q.merging {
+		return
+	}
+	q.merging = true
+	for q.next < len(q.done) && q.done[q.next] != nil {
+		part := q.done[q.next]
+		q.done[q.next] = nil
+		q.next++
+		q.mu.Unlock()
+		q.global.merge(part)
+		q.mu.Lock()
+		q.free = append(q.free, part)
+	}
+	q.merging = false
 }
 
 // Open implements Operator.
@@ -387,6 +471,11 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 
 	keep := p.pipe.open(p.ctx)
 
+	// Partials merge in morsel index order (mergeQueue) and the counters and
+	// sample parts are summed and concatenated in it below: float
+	// accumulation and sample concatenation stay bit-reproducible across
+	// worker counts.
+	merges := newMergeQueue(p.sink, nMorsels)
 	results := make([]morselResult, nMorsels)
 	var next int64
 	var wg sync.WaitGroup
@@ -394,20 +483,26 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's kernel scratch, one per chain filter: selection
+			// buffers and the coded string leaves' truth tables — keyed by
+			// leaf and dictionary, neither of which changes within a run —
+			// survive morsel boundaries.
+			scratch := make([]expr.Scratch, len(p.pipe.filters))
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= nMorsels {
 					return
 				}
-				results[i] = p.runMorsel(i, nMorsels, morselRows, keep)
+				part := merges.take()
+				results[i] = p.runMorsel(i, nMorsels, morselRows, keep, scratch, part)
+				if results[i].err == nil {
+					merges.finish(i, part)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Merge in morsel index order: float accumulation and sample
-	// concatenation stay bit-reproducible across worker counts.
-	global := p.sink.newPartial()
 	var parts []*synopses.Sample
 	for i := range results {
 		r := &results[i]
@@ -419,7 +514,6 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 		for _, bs := range r.stats.BuiltSamples {
 			parts = append(parts, bs.Sample)
 		}
-		global.merge(r.part)
 	}
 
 	if p.pipe.sampler != nil && len(parts) > 0 {
@@ -436,7 +530,7 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 			BuiltSample{Op: p.pipe.sampler, Sample: merged})
 	}
 
-	return p.emit(global), nil
+	return p.emit(merges.global), nil
 }
 
 // emit renders the run's merged sink state as the operator's output.
@@ -457,9 +551,10 @@ func (p *PipelineOp) Schema() storage.Schema { return p.sink.outSchema() }
 // Intervals implements IntervalReporter.
 func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 
-// runMorsel executes the pipeline over morsel i with fully local state. keep
-// is the zone-prune survivor mask (nil = scan everything).
-func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool) morselResult {
+// runMorsel executes the pipeline over morsel i, folding it into part (empty)
+// with the worker's filter scratch and otherwise morsel-local state. keep is
+// the zone-prune survivor mask (nil = scan everything).
+func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool, scratch []expr.Scratch, part partial) morselResult {
 	mctx := &Context{
 		Confidence:         p.ctx.Confidence,
 		Stats:              &RunStats{},
@@ -467,7 +562,7 @@ func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool) morselR
 		Pool:               p.ctx.Pool, // sync.Pool-backed: safe across workers
 		Obs:                p.ctx.Obs,  // atomic counters: safe across workers
 	}
-	root, err := buildMorselChain(p.pipe, p.joins, i, nMorsels, p.seed, mctx)
+	root, err := buildMorselChain(p.pipe, p.joins, scratch, i, nMorsels, p.seed, mctx)
 	if err != nil {
 		return morselResult{err: err}
 	}
@@ -475,7 +570,6 @@ func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool) morselR
 	hi := lo + morselRows
 	root.src.batches = p.pipe.read(lo, hi, keep)
 
-	part := p.sink.newPartial()
 	if err := root.op.Open(); err != nil {
 		return morselResult{err: err}
 	}
@@ -491,7 +585,7 @@ func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool) morselR
 		part.fold(b, mctx)
 		mctx.Pool.Release(b)
 	}
-	return morselResult{part: part, stats: *mctx.Stats}
+	return morselResult{stats: *mctx.Stats}
 }
 
 // morselChain couples the top operator of a per-morsel pipeline with its
@@ -502,21 +596,20 @@ type morselChain struct {
 }
 
 // buildMorselChain instantiates the pipeline's operator chain for one morsel:
-// a morsel-local scan, then per-node Filter/Sampler/probe operators. Sampler
+// a morsel-local scan, then per-node Filter/Sampler/probe operators. Filters
+// run the pipeline's compiled programs over scratch, the worker's, one per
+// chain filter. Sampler
 // instances get the morsel's split seed and partitioned δ; probe operators
 // share the join states' built join tables.
-func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
+func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, scratch []expr.Scratch, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
 	src := &morselScan{schema: pipe.leafSchema, ctx: mctx}
 	var cur Operator = src
-	ji := 0
+	ji, fi := 0, 0
 	for _, n := range pipe.chain {
 		switch t := n.(type) {
 		case *plan.Filter:
-			op, err := NewFilterOp(cur, t.Pred, mctx)
-			if err != nil {
-				return nil, err
-			}
-			cur = op
+			cur = &FilterOp{Child: cur, ctx: mctx, prog: pipe.filters[fi], sc: &scratch[fi]}
+			fi++
 		case *plan.Join:
 			cur = &morselProbeOp{child: cur, st: joins[ji], ctx: mctx}
 			ji++
@@ -543,9 +636,11 @@ type morselProbeOp struct {
 	prober joinProber
 }
 
-// Open implements Operator. The prober's pair lists come from the pool: a
-// morsel is four batches long, too short to grow them from nothing, and
-// too short to pay for two fresh ones.
+// Open implements Operator. A probe operator lives for one morsel — four
+// batches — while the worker running it keeps only its sink partial and
+// filter scratch across morsels, so the prober's pair lists come from the
+// run's pool: Open borrows them and Close hands them back for the next
+// morsel.
 func (o *morselProbeOp) Open() error {
 	o.prober = joinProber{
 		spec: o.st.spec, table: o.st.table, pool: o.ctx.Pool,

@@ -2,6 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -91,41 +94,125 @@ func TestParallelAggCompilesForPipelineShapes(t *testing.T) {
 	}
 }
 
+// TestParallelAggDeterministicAcrossWorkerCounts: the determinism contract —
+// at a fixed seed and morsel size, rows, interval bits, the cost counters and
+// the materialized sample's bytes are identical for any worker count,
+// sampled paths included. The 64-row geometry gives every worker dozens of
+// morsels, so partials are merged as morsels finish and reused many times
+// over, under a reorder window that changes with the schedule; the string
+// grouping over a filter reuses both the group index's string codes (past
+// its dense array in some morsels) and the worker's filter scratch.
 func TestParallelAggDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The determinism contract: at a fixed seed and morsel size, results are
-	// byte-identical for any worker count — including the sampled paths.
 	tbl := bigOrders(30000)
-	for _, node := range []plan.Node{
-		&plan.Aggregate{ // uniform sampler
-			Child:   &plan.SynopsisOp{Child: &plan.Scan{Table: tbl}, Kind: plan.UniformSample, P: 0.2},
+	tb := storage.NewBuilder("tags", storage.Schema{
+		{Name: "tags.tag", Typ: storage.String},
+		{Name: "tags.k", Typ: storage.Int64},
+		{Name: "tags.v", Typ: storage.Float64},
+	})
+	for i := 0; i < 30000; i++ {
+		// 40 common tags, and in every tenth 4 000-row stretch 400 more: a
+		// morsel there leaves its index's dense array.
+		tag := fmt.Sprintf("t%d", (i*7)%40)
+		if (i/4000)%10 == 3 {
+			tag = fmt.Sprintf("r%d", i%400)
+		}
+		tb.Str(0, tag)
+		tb.Int(1, int64(i%3))
+		tb.Float(2, float64(i%89)/9)
+	}
+	tags := tb.Build(4)
+
+	uniform := &plan.SynopsisOp{Child: &plan.Scan{Table: tbl}, Kind: plan.UniformSample, P: 0.2}
+	distinct := &plan.SynopsisOp{
+		Child: &plan.Scan{Table: tbl},
+		Kind:  plan.DistinctSample, P: 0.1, Delta: 16, StratCols: []string{"orders.cust"},
+	}
+	for _, tc := range []struct {
+		node    plan.Node
+		sampler *plan.SynopsisOp // materialized, nil for none
+	}{
+		{&plan.Aggregate{
+			Child:   uniform,
 			GroupBy: []string{"orders.cust"},
 			Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "orders.amount"}},
-		},
-		&plan.Aggregate{ // distinct sampler below a filter
+		}, uniform},
+		{&plan.Aggregate{ // distinct sampler below a filter
 			Child: &plan.Filter{
-				Child: &plan.SynopsisOp{
-					Child: &plan.Scan{Table: tbl},
-					Kind:  plan.DistinctSample, P: 0.1, Delta: 16, StratCols: []string{"orders.cust"},
-				},
-				Pred: expr.Pred{expr.Compare("orders.id", expr.LT, storage.IntValue(25000))},
+				Child: distinct,
+				Pred:  expr.Pred{expr.Compare("orders.id", expr.LT, storage.IntValue(25000))},
 			},
 			GroupBy: []string{"orders.cust"},
 			Aggs:    []plan.AggSpec{{Kind: stats.Sum, Col: "orders.amount"}},
-		},
+		}, distinct},
+		{&plan.Aggregate{ // string grouping over a two-term filter
+			Child: &plan.Filter{
+				Child: &plan.Scan{Table: tags},
+				Pred: expr.Pred{
+					expr.Compare("tags.tag", expr.NE, storage.StringValue("t3")),
+					expr.Compare("tags.v", expr.GT, storage.FloatValue(1)),
+				},
+			},
+			GroupBy: []string{"tags.tag"},
+			Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Avg, Col: "tags.v"}, {Kind: stats.Sum, Col: "tags.k"}},
+		}, nil},
 	} {
-		var base string
-		for _, workers := range []int{1, 3, 8, 16} {
-			ctx := NewContext(0.95)
-			ctx.Workers = workers
-			ctx.MorselRows = 1000
-			fp := fingerprint(t, node, ctx, 42)
-			if base == "" {
-				base = fp
-			} else if fp != base {
-				t.Fatalf("workers=%d diverges from workers=1 on %s", workers, node.String())
+		for _, geo := range []struct {
+			morselRows int
+			workers    []int
+		}{{1000, []int{1, 3, 8, 16}}, {64, []int{1, 2, 4, 8}}} {
+			var base, baseSample string
+			var baseStats RunStats
+			for _, workers := range geo.workers {
+				ctx := NewContext(0.95)
+				ctx.Workers = workers
+				ctx.MorselRows = geo.morselRows
+				if tc.sampler != nil {
+					ctx.MaterializeSamples[tc.sampler] = "sample"
+				}
+				fp := fingerprint(t, tc.node, ctx, 42)
+				var sample string
+				if tc.sampler != nil {
+					if len(ctx.Stats.BuiltSamples) != 1 {
+						t.Fatalf("built samples = %d, want 1", len(ctx.Stats.BuiltSamples))
+					}
+					sample = tableBits(ctx.Stats.BuiltSamples[0].Sample.Rows)
+				}
+				st := *ctx.Stats
+				st.BuiltSamples = nil
+				if workers == 1 {
+					base, baseSample, baseStats = fp, sample, st
+					continue
+				}
+				where := fmt.Sprintf("morsel rows %d, workers=%d on %s", geo.morselRows, workers, tc.node.String())
+				if fp != base {
+					t.Fatalf("%s: rows or intervals diverge from workers=1", where)
+				}
+				if sample != baseSample {
+					t.Fatalf("%s: materialized sample differs from workers=1", where)
+				}
+				if fmt.Sprintf("%+v", st) != fmt.Sprintf("%+v", baseStats) {
+					t.Fatalf("%s: counters %+v, workers=1 %+v", where, st, baseStats)
+				}
 			}
 		}
 	}
+}
+
+// tableBits renders every cell of a table bit-exactly, floats by their bits.
+func tableBits(tbl *storage.Table) string {
+	var sb strings.Builder
+	for c := range tbl.Schema() {
+		v := tbl.Column(c)
+		for i := 0; i < v.Len(); i++ {
+			if v.Typ == storage.Float64 {
+				fmt.Fprintf(&sb, "%x,", math.Float64bits(v.F64[i]))
+			} else {
+				fmt.Fprintf(&sb, "%v,", v.Get(i))
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 func TestParallelAggMergesMaterializedSample(t *testing.T) {
@@ -217,5 +304,56 @@ func TestParallelAggSamplerErrors(t *testing.T) {
 	}
 	if _, err := Compile(agg, 1, ctx); err == nil {
 		t.Fatal("want unknown stratification column error from parallel compile")
+	}
+}
+
+// TestMorselStateDoesNotScaleWithMorsels is the tripwire on what a morsel
+// builds: one grouped aggregate at one worker over the same rows, cut into 8
+// and into 64 morsels. A worker keeps its sink partial and filter scratch
+// across morsels, so eight times the morsels must cost well under twice the
+// bytes per run; a partial, group index or kernel scratch built per morsel
+// again scales them with the morsel count.
+func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
+	const rows = 64 * 512
+	b := storage.NewBuilder("m", storage.Schema{
+		{Name: "m.k", Typ: storage.Int64},
+		{Name: "m.s", Typ: storage.String},
+		{Name: "m.v", Typ: storage.Float64},
+	})
+	for i := 0; i < rows; i++ {
+		b.Int(0, int64(i%300))
+		b.Str(1, fmt.Sprintf("s%d", i%7))
+		b.Float(2, float64(i%101))
+	}
+	tbl := b.Build(1)
+	agg := &plan.Aggregate{
+		Child: &plan.Filter{
+			Child: &plan.Scan{Table: tbl},
+			Pred:  expr.Pred{expr.Compare("m.s", expr.NE, storage.StringValue("s3"))},
+		},
+		GroupBy: []string{"m.k"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "m.v"}, {Kind: stats.Avg, Col: "m.v"}},
+	}
+	pool := storage.NewVecPool()
+	bytesPerRun := func(morselRows int) uint64 {
+		run := func() {
+			ctx := NewContext(0.95)
+			ctx.Workers, ctx.MorselRows, ctx.Pool = 1, morselRows, pool
+			runPlan(t, agg, ctx)
+		}
+		run() // warm the pool
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	at8, at64 := bytesPerRun(rows/8), bytesPerRun(rows/64)
+	t.Logf("bytes per run: %d at 8 morsels, %d at 64", at8, at64)
+	if at64 >= 2*at8 {
+		t.Fatalf("64 morsels allocate %d bytes per run, 8 morsels %d: per-morsel state is no longer kept across morsels", at64, at8)
 	}
 }

@@ -430,7 +430,9 @@ func TestAggPruneMatchesOracle(t *testing.T) {
 // covers the sketch sink as it covers the aggregate's — probe = bare scan,
 // filter over scan, two-join spine; sketch built inline and reused — with
 // byte-identical rows, interval bits, all four cost counters and, for inline
-// builds, the persisted bytes of the built sketch at any worker count. The
+// builds, the persisted bytes of the built sketch at any worker count — also
+// at 64-row morsels, dozens per worker, where partials are merged as morsels
+// finish and reused many times over. The
 // answer itself is held to the oracle's for the Join+Aggregate pair the
 // sketch-join stands for: the payload holds the exact per-key counts and
 // sums, and only the even order ids have build rows, so the odd customers'
@@ -504,48 +506,54 @@ func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s, inline=%t", probe.name, inline)
 
-			var base, baseSketch string
-			var baseStats exec.RunStats
-			for _, workers := range []int{1, 3, 8, 16} {
-				ctx := workerCtx(workers, 512)
-				out, fp := engineRun(t, node, ctx)
-				var sketch string
-				if inline {
-					if len(ctx.Stats.BuiltSketches) != 1 || ctx.Stats.BuiltSketches[0].Op != node {
-						t.Fatalf("%s workers=%d: built sketches = %+v", label, workers, ctx.Stats.BuiltSketches)
-					}
-					stored = ctx.Stats.BuiltSketches[0].Sketch
-					sketch = string(persist.Encode(stored))
-				} else if len(ctx.Stats.BuiltSketches) != 0 {
-					t.Fatalf("%s workers=%d: reuse recorded a built sketch", label, workers)
-				}
-				st := *ctx.Stats
-				st.BuiltSamples, st.BuiltSketches = nil, nil
-				if workers == 1 {
-					mustMatchOracle(t, label, want, out, 1e-9)
-					base, baseSketch, baseStats = fp, sketch, st
-					if probe.name == "bare scan" {
-						// The sketch sink's own charge is one CPU tuple per
-						// probe row and no exchange: 30000 rows scanned and
-						// looked up; an inline build scans and adds 30000 more.
-						cpu, bytes := int64(2*30000), fact.Bytes()
-						if inline {
-							cpu, bytes = cpu+2*30000, bytes+lines.Bytes()
+			for _, geo := range []struct {
+				morselRows int
+				workers    []int
+			}{{512, []int{1, 3, 8, 16}}, {64, []int{1, 2, 4, 8}}} {
+				where := fmt.Sprintf("%s, morsel rows %d", label, geo.morselRows)
+				var base, baseSketch string
+				var baseStats exec.RunStats
+				for _, workers := range geo.workers {
+					ctx := workerCtx(workers, geo.morselRows)
+					out, fp := engineRun(t, node, ctx)
+					var sketch string
+					if inline {
+						if len(ctx.Stats.BuiltSketches) != 1 || ctx.Stats.BuiltSketches[0].Op != node {
+							t.Fatalf("%s workers=%d: built sketches = %+v", where, workers, ctx.Stats.BuiltSketches)
 						}
-						mustCharge(t, label, &st, bytes, cpu, 0, 5)
+						stored = ctx.Stats.BuiltSketches[0].Sketch
+						sketch = string(persist.Encode(stored))
+					} else if len(ctx.Stats.BuiltSketches) != 0 {
+						t.Fatalf("%s workers=%d: reuse recorded a built sketch", where, workers)
 					}
-					continue
-				}
-				if fp != base {
-					t.Fatalf("%s: workers=%d rows or intervals diverge from workers=1", label, workers)
-				}
-				if sketch != baseSketch {
-					t.Fatalf("%s: workers=%d built a different sketch than workers=1", label, workers)
-				}
-				if st.BaseBytes != baseStats.BaseBytes || st.WarehouseBytes != baseStats.WarehouseBytes ||
-					st.CPUTuples != baseStats.CPUTuples || st.ShuffleBytes != baseStats.ShuffleBytes ||
-					st.OutputRows != baseStats.OutputRows {
-					t.Fatalf("%s: workers=%d counters %+v, workers=1 %+v", label, workers, st, baseStats)
+					st := *ctx.Stats
+					st.BuiltSamples, st.BuiltSketches = nil, nil
+					if workers == 1 {
+						mustMatchOracle(t, where, want, out, 1e-9)
+						base, baseSketch, baseStats = fp, sketch, st
+						if probe.name == "bare scan" {
+							// The sketch sink's own charge is one CPU tuple per
+							// probe row and no exchange: 30000 rows scanned and
+							// looked up; an inline build scans and adds 30000 more.
+							cpu, bytes := int64(2*30000), fact.Bytes()
+							if inline {
+								cpu, bytes = cpu+2*30000, bytes+lines.Bytes()
+							}
+							mustCharge(t, where, &st, bytes, cpu, 0, 5)
+						}
+						continue
+					}
+					if fp != base {
+						t.Fatalf("%s: workers=%d rows or intervals diverge from workers=1", where, workers)
+					}
+					if sketch != baseSketch {
+						t.Fatalf("%s: workers=%d built a different sketch than workers=1", where, workers)
+					}
+					if st.BaseBytes != baseStats.BaseBytes || st.WarehouseBytes != baseStats.WarehouseBytes ||
+						st.CPUTuples != baseStats.CPUTuples || st.ShuffleBytes != baseStats.ShuffleBytes ||
+						st.OutputRows != baseStats.OutputRows {
+						t.Fatalf("%s: workers=%d counters %+v, workers=1 %+v", where, workers, st, baseStats)
+					}
 				}
 			}
 		}

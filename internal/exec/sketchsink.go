@@ -250,6 +250,12 @@ type sketchTable struct {
 
 func (t *sketchTable) stride() int { return sjPerAgg + len(t.sink.aggProbeIdx) }
 
+// reset implements partial: no group, memory kept (see aggTable.reset).
+func (t *sketchTable) reset() {
+	t.idx.Reset()
+	t.sums = t.sums[:0]
+}
+
 // fold implements partial: one CPU tuple per live probe row, and — unlike
 // the aggregate sink — no exchange: the payload is broadcast, the probe rows
 // stay where they are. Rows fold in passes, as aggTable.observe does: groups

@@ -43,21 +43,25 @@ type GroupIndex struct {
 	// Word tuple → id+1, 0 for none. dense is indexed by the tuple's words
 	// packed denseBits apiece and is nil once a word has outgrown that;
 	// slots, allocated on the first hashed lookup, by hashWords >> shift.
+	// denseMem is the dense array's memory, which Reset brings back.
 	dense     []int32
+	denseMem  []int32
 	denseBits uint
 	slots     []int32
 	shift     uint
 
-	tuple  []uint64 // scratch: one tuple
-	merged []int32  // scratch: Absorb's result
+	tuple  []uint64   // scratch: one tuple
+	merged []int32    // scratch: Absorb's result
+	to     [][]uint64 // scratch: Absorb's string code translations
 }
 
 // ResolveScratch is the working memory of one Resolve call: column c's word
 // of live row j at words[c*rows+j], the rows' dense positions when several
-// columns pack into one, and the ids handed back. A sink's partial lives for
-// one morsel and is then kept until the run merges, so the buffers are
-// borrowed per batch from a pool the morsels — and the queries — of a
-// process share, not allocated per partial.
+// columns pack into one, and the ids handed back. A sink's partial folds one
+// morsel, is merged as soon as every earlier morsel has been, and is then
+// reset for the next morsel; up to a reorder window of partials is alive at
+// once, so the buffers are borrowed per batch from a pool the morsels — and
+// the queries — of a process share, not owned by each partial.
 type ResolveScratch struct {
 	words []uint64
 	pos   []uint64
@@ -107,8 +111,28 @@ func NewGroupIndex(cols []int, out Schema) GroupIndex {
 	if small && denseIndexBits/len(cols) >= 2 {
 		g.denseBits = uint(denseIndexBits / len(cols))
 		g.dense = make([]int32, 1<<(g.denseBits*uint(len(cols))))
+		g.denseMem = g.dense
 	}
 	return g
+}
+
+// Reset empties the index for reuse and keeps what it has grown: the key
+// and slot arrays, the dense array, and each string column's values and
+// dictionary translations. From then on it numbers groups exactly as a fresh
+// index over the same columns would: the dense array is back if the index
+// started with one, the hashed table is empty, and every string is unseen
+// again. Keeping a translation is safe because a dictionary never changes.
+func (g *GroupIndex) Reset() {
+	g.n = 0
+	g.keys = g.keys[:0]
+	g.slots = g.slots[:0]
+	if g.denseMem != nil {
+		g.dense = g.denseMem
+		clear(g.dense)
+	}
+	for c := range g.strs {
+		g.strs[c].reset()
+	}
 }
 
 // Len returns the number of groups opened so far.
@@ -306,7 +330,12 @@ func (g *GroupIndex) rehash(nSlots int) {
 	for nSlots < 2*(g.n+1) {
 		nSlots *= 2
 	}
-	g.slots = make([]int32, nSlots)
+	if cap(g.slots) >= nSlots { // a reset index regrowing into its old table
+		g.slots = g.slots[:nSlots]
+		clear(g.slots)
+	} else {
+		g.slots = make([]int32, nSlots)
+	}
 	g.shift = uint(64 - bits.TrailingZeros(uint(nSlots)))
 	nc := len(g.cols)
 	mask := uint64(nSlots - 1)
@@ -355,14 +384,17 @@ func (g *GroupIndex) Absorb(o *GroupIndex) []int32 {
 		return ids
 	}
 	// o's local string codes in g's terms, once per distinct string.
-	to := make([][]uint64, nc)
+	if g.to == nil {
+		g.to = make([][]uint64, nc)
+	}
+	to := g.to
 	for c, col := range g.out {
 		if col.Typ != String {
 			continue
 		}
-		to[c] = make([]uint64, len(o.strs[c].vals))
-		for lc, v := range o.strs[c].vals {
-			to[c][lc] = uint64(g.strs[c].intern(v, nil))
+		to[c] = to[c][:0]
+		for _, v := range o.strs[c].vals {
+			to[c] = append(to[c], uint64(g.strs[c].intern(v, nil)))
 		}
 	}
 	for oid := range ids {
@@ -439,19 +471,37 @@ type strCodes struct {
 	vals  []string
 	dicts []dictCodes
 
-	// byVal finds a value's local code. It is built only when strings arrive
-	// from a second source: while everything came from one dictionary (sole),
-	// a value not yet translated is a value not yet seen, because a
-	// dictionary's values are distinct.
+	// byVal finds a value's local code. It is used only once strings arrive
+	// from a second source (mixed): while everything came from one
+	// dictionary (sole), a value not yet translated is a value not yet seen,
+	// because a dictionary's values are distinct.
 	byVal map[string]int32
+	mixed bool
 	sole  *Dict
 }
 
 // dictCodes translates one dictionary: to[code] is the local code, -1 until
-// the partial first meets the value.
+// the partial first meets the value; met lists the codes it has met, which
+// reset turns back to -1.
 type dictCodes struct {
 	dict *Dict
 	to   []int32
+	met  []uint32
+}
+
+// reset forgets every value and keeps the memory: the values' array, the
+// map, and one translation array per dictionary met, every code unseen.
+func (s *strCodes) reset() {
+	s.vals = s.vals[:0]
+	clear(s.byVal)
+	s.mixed, s.sole = false, nil
+	for i := range s.dicts {
+		dc := &s.dicts[i]
+		for _, c := range dc.met {
+			dc.to[c] = -1
+		}
+		dc.met = dc.met[:0]
+	}
 }
 
 // words writes the local code of every live row of v into out.
@@ -468,13 +518,13 @@ func (s *strCodes) words(v *Vector, sel []int32, out []uint64) {
 		}
 		return
 	}
-	to, codes := s.translation(v.Dict), v.Code
+	dc := s.translation(v.Dict)
+	to, codes := dc.to, v.Code
 	if sel == nil {
 		for j, c := range codes {
 			lc := to[c]
 			if lc < 0 {
-				lc = s.intern(v.Str[j], v.Dict)
-				to[c] = lc
+				lc = s.meet(dc, c, v.Str[j])
 			}
 			out[j] = uint64(lc)
 		}
@@ -482,20 +532,28 @@ func (s *strCodes) words(v *Vector, sel []int32, out []uint64) {
 		for j, i := range sel {
 			lc := to[codes[i]]
 			if lc < 0 {
-				lc = s.intern(v.Str[i], v.Dict)
-				to[codes[i]] = lc
+				lc = s.meet(dc, codes[i], v.Str[i])
 			}
 			out[j] = uint64(lc)
 		}
 	}
 }
 
+// meet translates code c of dc's dictionary, whose value is v, on first
+// sight.
+func (s *strCodes) meet(dc *dictCodes, c uint32, v string) int32 {
+	lc := s.intern(v, dc.dict)
+	dc.to[c] = lc
+	dc.met = append(dc.met, c)
+	return lc
+}
+
 // translation returns the code translation for dictionary d, starting an
-// empty one on first sight.
-func (s *strCodes) translation(d *Dict) []int32 {
-	for _, dc := range s.dicts {
-		if dc.dict == d {
-			return dc.to
+// empty one on first sight. The pointer is valid until the next call.
+func (s *strCodes) translation(d *Dict) *dictCodes {
+	for i := range s.dicts {
+		if s.dicts[i].dict == d {
+			return &s.dicts[i]
 		}
 	}
 	to := make([]int32, d.Len())
@@ -503,13 +561,13 @@ func (s *strCodes) translation(d *Dict) []int32 {
 		to[i] = -1
 	}
 	s.dicts = append(s.dicts, dictCodes{dict: d, to: to})
-	return to
+	return &s.dicts[len(s.dicts)-1]
 }
 
 // intern returns v's local code, numbering it on first sight. from is the
 // dictionary v was read through (nil: none) — see byVal.
 func (s *strCodes) intern(v string, from *Dict) int32 {
-	if s.byVal == nil {
+	if !s.mixed {
 		if len(s.vals) == 0 {
 			s.sole = from
 		}
@@ -517,7 +575,10 @@ func (s *strCodes) intern(v string, from *Dict) int32 {
 			s.vals = append(s.vals, v)
 			return int32(len(s.vals) - 1)
 		}
-		s.byVal = make(map[string]int32, len(s.vals)+8)
+		s.mixed = true
+		if s.byVal == nil {
+			s.byVal = make(map[string]int32, len(s.vals)+8)
+		}
 		for lc, x := range s.vals {
 			s.byVal[x] = int32(lc)
 		}

@@ -282,3 +282,179 @@ func TestGroupIndexMatchesByteKeyGrouping(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupIndexResetNumbersLikeFresh: a reset index is a fresh one. Feed
+// batches A, reset, feed batches B: every B row gets the id a fresh index
+// fed B alone gives it, and Len, KeyRows and KeyColumns agree — whatever A
+// left behind (string codes and dictionary translations, a grown hashed
+// table, a dense array it left). A second reset and A again must match a
+// fresh index fed A.
+func TestGroupIndexResetNumbersLikeFresh(t *testing.T) {
+	str := func(vs ...string) []Value {
+		out := make([]Value, len(vs))
+		for i, v := range vs {
+			out[i] = StringValue(v)
+		}
+		return out
+	}
+	nums := func(n, mul, off int) []Value {
+		out := make([]Value, n)
+		for i := range out {
+			out[i] = IntValue(int64((i*mul + off) % 997))
+		}
+		return out
+	}
+	floats := func(fs ...float64) []Value {
+		out := make([]Value, len(fs))
+		for i, f := range fs {
+			out[i] = FloatValue(f)
+		}
+		return out
+	}
+	distinct := func(n int, prefix string) []Value {
+		out := make([]Value, n)
+		for i := range out {
+			out[i] = StringValue(fmt.Sprintf("%s%d", prefix, (i*7)%n))
+		}
+		return out
+	}
+	// rows zips columns into rows.
+	rows := func(cols ...[]Value) [][]Value {
+		out := make([][]Value, len(cols[0]))
+		for i := range out {
+			for _, c := range cols {
+				out[i] = append(out[i], c[i])
+			}
+		}
+		return out
+	}
+	// coded loads parts into one table — one dictionary per string column —
+	// and scans part i as batch i.
+	coded := func(schema Schema, parts ...[][]Value) []*Batch {
+		b := NewBuilder("t", schema)
+		for _, p := range parts {
+			for _, row := range p {
+				b.AddRow(row...)
+			}
+		}
+		tbl := b.Build(1)
+		var out []*Batch
+		at := 0
+		for _, p := range parts {
+			out = append(out, tbl.ScanRangePruned(at, at+len(p), len(p), nil, nil, nil)...)
+			at += len(p)
+		}
+		return out
+	}
+	uncoded := func(schema Schema, rs [][]Value) *Batch {
+		out := NewBatch(schema, len(rs))
+		for _, row := range rs {
+			for c, v := range row {
+				out.Vecs[c].Append(v)
+			}
+		}
+		return out
+	}
+	everyOther := func(b *Batch) *Batch {
+		for i := 1; i < b.Len(); i += 2 {
+			b.Sel = append(b.Sel, int32(i))
+		}
+		return b
+	}
+
+	s1 := Schema{{Name: "t.s", Typ: String}}
+	i1 := Schema{{Name: "t.i", Typ: Int64}}
+	f1 := Schema{{Name: "t.f", Typ: Float64}}
+	sf := Schema{{Name: "t.s", Typ: String}, {Name: "t.f", Typ: Float64}}
+	nan2 := math.Float64frombits(0x7ff8000000000001)
+	negZero := math.Copysign(0, -1)
+
+	denseA, denseB := rows(str("c", "a", "b", "c", "e")), rows(str("e", "d", "a", "a", "c", "f"))
+	d1 := coded(s1, denseA, denseB)
+	x1, x2 := rows(str("p", "q", "r", "p")), rows(str("r", "s", "q"))
+	y1, y2 := rows(str("q", "z", "p")), rows(str("z", "t", "r", "q"))
+	two1 := coded(s1, x1, x2)
+	two2 := coded(s1, y1, y2)
+	wideA := rows(distinct(300, "w"))
+	wideB := rows(str("w3", "v", "w3", "w10"))
+	wide := coded(s1, wideA, wideB)
+	sfA := rows(str("a", "b", "a", "b"), floats(1, negZero, 0, math.NaN()))
+	sfB := rows(str("b", "a", "b", "c"), floats(math.NaN(), 0, nan2, negZero))
+	sfc := coded(sf, sfA, sfB)
+
+	for _, tc := range []struct {
+		name   string
+		schema Schema
+		a, b   []*Batch
+		// whether the index is dense after A, and after B alone
+		denseA, denseB bool
+	}{
+		{"dense string column, one dictionary", s1, d1[:1], []*Batch{everyOther(d1[1])}, true, true},
+		{"two dictionaries and an uncoded vector", s1,
+			[]*Batch{two1[0], two2[0], uncoded(s1, rows(str("u", "p", "z")))},
+			[]*Batch{two2[1], uncoded(s1, rows(str("s", "u", "t"))), two1[1]}, true, true},
+		{"hashed int keys", i1,
+			[]*Batch{uncoded(i1, rows(nums(500, 13, 5)))},
+			[]*Batch{everyOther(uncoded(i1, rows(nums(200, 7, 900))))}, false, false},
+		{"hashed float keys, -0.0 and NaN", f1,
+			[]*Batch{uncoded(f1, rows(floats(2.5, math.NaN(), 0, negZero, 2.5, math.Inf(1))))},
+			[]*Batch{uncoded(f1, rows(floats(negZero, nan2, 7, 0, math.NaN(), nan2)))}, false, false},
+		{"two columns", sf, sfc[:1], sfc[1:], false, false},
+		{"reset after leaving the dense array", s1, wide[:1], wide[1:], false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cols := make([]int, len(tc.schema))
+			for c := range cols {
+				cols[c] = c
+			}
+			feed := func(g *GroupIndex, bs []*Batch) [][]int32 {
+				var all [][]int32
+				for _, b := range bs {
+					sc := BorrowScratch(b.Rows(), len(cols))
+					all = append(all, append([]int32(nil), g.Resolve(b, sc)...))
+					ReturnScratch(sc)
+				}
+				return all
+			}
+			reused := NewGroupIndex(cols, tc.schema)
+			feed(&reused, tc.a)
+			if (reused.dense != nil) != tc.denseA {
+				t.Fatalf("after A the index is dense=%t, the case wants %t", reused.dense != nil, tc.denseA)
+			}
+			for round, bs := range [][]*Batch{tc.b, tc.a} {
+				reused.Reset()
+				fresh := NewGroupIndex(cols, tc.schema)
+				got, want := feed(&reused, bs), feed(&fresh, bs)
+				where := fmt.Sprintf("round %d", round)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: reset index numbers %v, a fresh one %v", where, got, want)
+				}
+				if reused.Len() != fresh.Len() {
+					t.Fatalf("%s: Len %d, fresh %d", where, reused.Len(), fresh.Len())
+				}
+				if (reused.dense != nil) != (fresh.dense != nil) {
+					t.Fatalf("%s: reset index dense=%t, fresh %t", where, reused.dense != nil, fresh.dense != nil)
+				}
+				if round == 0 && (fresh.dense != nil) != tc.denseB {
+					t.Fatalf("after B the index is dense=%t, the case wants %t", fresh.dense != nil, tc.denseB)
+				}
+				gk, wk := reused.KeyRows(), fresh.KeyRows()
+				for id := range wk {
+					for c := range wk[id] {
+						if !sameValue(gk[id][c], wk[id][c]) {
+							t.Fatalf("%s: KeyRows[%d][%d] = %v, fresh %v", where, id, c, gk[id][c], wk[id][c])
+						}
+					}
+				}
+				gc, wc := reused.KeyColumns(), fresh.KeyColumns()
+				for c := range wc {
+					for id := 0; id < wc[c].Len(); id++ {
+						if gv, wv := gc[c].Get(id), wc[c].Get(id); gc[c].Len() != wc[c].Len() || !sameValue(gv, wv) {
+							t.Fatalf("%s: KeyColumns[%d][%d] = %v, fresh %v", where, c, id, gv, wv)
+						}
+					}
+				}
+			}
+		})
+	}
+}
