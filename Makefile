@@ -211,7 +211,9 @@ test-race: race
 # evaluator — against the row-at-a-time EvalBool oracle over random term
 # lists (int columns against float literals and mixed IN lists included), the
 # SQL front door (arbitrary bytes parse, validate, plan and compile without
-# a panic), and the tuner's lazy set selection against the eager greedy it
+# a panic), generated EXACT queries over the TPC-H catalog against the
+# row-at-a-time oracle (answers and charges at workers 1/4/8 and retiled),
+# and the tuner's lazy set selection against the eager greedy it
 # replaced (any sizes, costs, budget and window start: the same picks and
 # gains, float for float).
 fuzz-smoke:
@@ -219,6 +221,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeExpr$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzMergeSamples$$' -fuzztime 10s ./internal/synopses
 	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
+	$(GO) test -run NONE -fuzz 'FuzzQuery$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzKernelTerms$$' -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/sqlparser
 	$(GO) test -run NONE -fuzz 'FuzzSelectSet$$' -fuzztime 10s ./internal/tuner

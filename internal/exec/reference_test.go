@@ -588,24 +588,12 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 			// 797 is prime: partition boundaries land nowhere near the morsel
 			// grid.
 			retiled.Catalog.Repartition(797)
-			exactRoot := func(cat *storage.Catalog, sql string) plan.Node {
-				q, err := sqlparser.Parse(sql, cat)
-				if err != nil {
-					t.Fatalf("%v\nSQL: %s", err, sql)
-				}
-				pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20, nil), storage.DefaultCostModel())
-				ps, err := pl.PlanWith(q, pl.WH.View())
-				if err != nil {
-					t.Fatalf("%v\nSQL: %s", err, sql)
-				}
-				return ps.Exact.Root
-			}
 			r := rand.New(rand.NewSource(11))
 			joins, sorts, emptyBuilds := 0, 0, 0
 			for _, tpl := range w.Templates {
 				for i := 0; i < 2; i++ {
 					sql := tpl.Instantiate(r) + " EXACT"
-					root := exactRoot(w.Catalog, sql)
+					root, want := mustMeetOracle(t, tpl.Name, w.Catalog, retiled.Catalog, sql)
 					plan.Walk(root, func(n plan.Node) {
 						switch n.(type) {
 						case *plan.Join:
@@ -614,29 +602,8 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 							sorts++
 						}
 					})
-					want := oracleEval(t, root)
 					if want.cost.shuffle == 0 {
 						emptyBuilds++
-					}
-					var base string
-					for _, workers := range []int{1, 4, 8} {
-						ctx := workerCtx(workers, 0)
-						out, fp := engineRun(t, root, ctx)
-						label := fmt.Sprintf("%s workers=%d\nSQL: %s", tpl.Name, workers, sql)
-						mustMatchOracle(t, label, want, out, 1e-9)
-						mustChargeOracle(t, label, want.cost, ctx.Stats)
-						if base == "" {
-							base = fp
-						} else if fp != base {
-							t.Fatalf("%s: engine answer differs from workers=1", label)
-						}
-					}
-					ctx, tiledRoot := workerCtx(4, 0), exactRoot(retiled.Catalog, sql)
-					out, fp := engineRun(t, tiledRoot, ctx)
-					mustMatchOracle(t, tpl.Name+" retiled\nSQL: "+sql, want, out, 1e-9)
-					mustChargeOracle(t, tpl.Name+" retiled\nSQL: "+sql, oracleEval(t, tiledRoot).cost, ctx.Stats)
-					if fp != base {
-						t.Fatalf("%s: engine answer over the retiled catalog differs\nSQL: %s", tpl.Name, sql)
 					}
 				}
 			}
@@ -646,6 +613,54 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 			t.Logf("%d joins, %d sorts, %d plans that exchange nothing (an empty topmost build stops them)", joins, sorts, emptyBuilds)
 		})
 	}
+}
+
+// exactRoot plans sql over cat and returns the root of its EXACT plan.
+func exactRoot(t testing.TB, cat *storage.Catalog, sql string) plan.Node {
+	t.Helper()
+	q, err := sqlparser.Parse(sql, cat)
+	if err != nil {
+		t.Fatalf("%v\nSQL: %s", err, sql)
+	}
+	pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<20, 1<<20, nil), storage.DefaultCostModel())
+	ps, err := pl.PlanWith(q, pl.WH.View())
+	if err != nil {
+		t.Fatalf("%v\nSQL: %s", err, sql)
+	}
+	return ps.Exact.Root
+}
+
+// mustMeetOracle plans sql EXACT over cat and holds the engine to the
+// oracle: answers at workers 1 / 4 / 8 bit-equal to each other and equal to
+// the oracle's (group keys and COUNTs exactly, the rest within 1e-9
+// relative), every run's counters equal to the oracle's charge, and the same
+// over retiled — the same rows, partitioned differently — against an oracle
+// over retiled. It returns the plan and the oracle's answer over cat.
+func mustMeetOracle(t *testing.T, name string, cat, retiled *storage.Catalog, sql string) (plan.Node, relation) {
+	t.Helper()
+	root := exactRoot(t, cat, sql)
+	want := oracleEval(t, root)
+	var base string
+	for _, workers := range []int{1, 4, 8} {
+		ctx := workerCtx(workers, 0)
+		out, fp := engineRun(t, root, ctx)
+		label := fmt.Sprintf("%s workers=%d\nSQL: %s", name, workers, sql)
+		mustMatchOracle(t, label, want, out, 1e-9)
+		mustChargeOracle(t, label, want.cost, ctx.Stats)
+		if base == "" {
+			base = fp
+		} else if fp != base {
+			t.Fatalf("%s: engine answer differs from workers=1", label)
+		}
+	}
+	ctx, tiledRoot := workerCtx(4, 0), exactRoot(t, retiled, sql)
+	out, fp := engineRun(t, tiledRoot, ctx)
+	mustMatchOracle(t, name+" retiled\nSQL: "+sql, want, out, 1e-9)
+	mustChargeOracle(t, name+" retiled\nSQL: "+sql, oracleEval(t, tiledRoot).cost, ctx.Stats)
+	if fp != base {
+		t.Fatalf("%s: engine answer over the retiled catalog differs\nSQL: %s", name, sql)
+	}
+	return root, want
 }
 
 // TestSketchJoinsMeetTheCatalogs: every sketch-join candidate the planner
