@@ -140,10 +140,12 @@ func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
 // The loop is two-pass and aggregate-major: pass one resolves every live
 // row's group id, pass two folds each aggregate column in a tight loop with
 // the weight-column and aggregate-column dispatch hoisted out of the row
-// loop. Each GroupAccumulator still executes Observe(y, w) on exactly the
-// same (y, w) sequence as the historical row-major interpreted loop —
-// accumulators are per (group, aggregate) and rows arrive in row order — so
-// the accumulated floating-point state is bit-identical.
+// loop. Each GroupAccumulator still folds exactly the same (y, w) sequence
+// as the historical row-major interpreted loop — accumulators are per
+// (group, aggregate) and rows arrive in row order — so the accumulated
+// floating-point state is bit-identical. Unweighted input folds through
+// ObserveExact: w ≡ 1, so the sums are the same and no variance term is
+// formed.
 func (t *aggTable) observe(b *storage.Batch) {
 	if b.Rows() == 0 {
 		return
@@ -177,7 +179,8 @@ func (t *aggTable) observe(b *storage.Batch) {
 // observeSingle folds one aggregate column of the batch into a single
 // accumulator — the ungrouped fast path. All dispatch (COUNT vs column,
 // column type, weighted vs not, selection vs dense) happens before the row
-// loop; each loop body is Observe over raw slice reads. resolveAggSpec binds
+// loop; each loop body is Observe (ObserveExact unweighted) over raw slice
+// reads. resolveAggSpec binds
 // only numeric columns, so the two typed arms are exhaustive.
 func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, ci int, wcol []float64) {
 	if ci < 0 { // COUNT: y = 1 per row
@@ -185,11 +188,11 @@ func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, c
 		case wcol == nil && sel == nil:
 			n := b.Len()
 			for i := 0; i < n; i++ {
-				acc.Observe(1, 1)
+				acc.ObserveExact(1)
 			}
 		case wcol == nil:
 			for range sel {
-				acc.Observe(1, 1)
+				acc.ObserveExact(1)
 			}
 		case sel == nil:
 			for _, w := range wcol {
@@ -209,11 +212,11 @@ func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, c
 		switch {
 		case wcol == nil && sel == nil:
 			for _, y := range col {
-				acc.Observe(y, 1)
+				acc.ObserveExact(y)
 			}
 		case wcol == nil:
 			for _, i := range sel {
-				acc.Observe(col[i], 1)
+				acc.ObserveExact(col[i])
 			}
 		case sel == nil:
 			for i, y := range col {
@@ -229,11 +232,11 @@ func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, c
 		switch {
 		case wcol == nil && sel == nil:
 			for _, y := range col {
-				acc.Observe(float64(y), 1)
+				acc.ObserveExact(float64(y))
 			}
 		case wcol == nil:
 			for _, i := range sel {
-				acc.Observe(float64(col[i]), 1)
+				acc.ObserveExact(float64(col[i]))
 			}
 		case sel == nil:
 			for i, y := range col {
@@ -256,7 +259,7 @@ func observeGrouped(accs []stats.GroupAccumulator, stride int, ids []int32, b *s
 		switch {
 		case wcol == nil: // ids is already the live rows, selection or not
 			for _, g := range ids {
-				accs[int(g)*stride].Observe(1, 1)
+				accs[int(g)*stride].ObserveExact(1)
 			}
 		case sel == nil:
 			for j, g := range ids {
@@ -276,11 +279,11 @@ func observeGrouped(accs []stats.GroupAccumulator, stride int, ids []int32, b *s
 		switch {
 		case wcol == nil && sel == nil:
 			for j, g := range ids {
-				accs[int(g)*stride].Observe(col[j], 1)
+				accs[int(g)*stride].ObserveExact(col[j])
 			}
 		case wcol == nil:
 			for j, i := range sel {
-				accs[int(ids[j])*stride].Observe(col[i], 1)
+				accs[int(ids[j])*stride].ObserveExact(col[i])
 			}
 		case sel == nil:
 			for j, g := range ids {
@@ -296,11 +299,11 @@ func observeGrouped(accs []stats.GroupAccumulator, stride int, ids []int32, b *s
 		switch {
 		case wcol == nil && sel == nil:
 			for j, g := range ids {
-				accs[int(g)*stride].Observe(float64(col[j]), 1)
+				accs[int(g)*stride].ObserveExact(float64(col[j]))
 			}
 		case wcol == nil:
 			for j, i := range sel {
-				accs[int(ids[j])*stride].Observe(float64(col[i]), 1)
+				accs[int(ids[j])*stride].ObserveExact(float64(col[i]))
 			}
 		case sel == nil:
 			for j, g := range ids {
@@ -359,7 +362,13 @@ func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 		}
 		rowIv := make([]stats.Interval, na)
 		for k := range rowIv {
-			iv := t.accs[id*na+k].Interval(confidence)
+			acc := &t.accs[id*na+k]
+			// Unweighted input is exact: its interval has no width, whatever
+			// the values (an infinite y would make z·√Var NaN).
+			iv := stats.Interval{Estimate: acc.Estimate()}
+			if t.spec.weightAt >= 0 {
+				iv = acc.Interval(confidence)
+			}
 			rowIv[k] = iv
 			cell := out.Vecs[len(t.spec.groupIdx)+k]
 			cell.F64 = append(cell.F64, iv.Estimate)

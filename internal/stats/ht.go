@@ -71,6 +71,23 @@ func (g *GroupAccumulator) Observe(y, w float64) {
 	}
 }
 
+// ObserveExact folds one row of unweighted input — w ≡ 1 — which is exact:
+// it adds to the sums, the row count and the extrema, and leaves the
+// variance terms, every one a multiple of w(w−1) = 0, at zero. Their
+// products are never formed, so a non-finite y (0·∞ is NaN) cannot reach
+// them either.
+func (g *GroupAccumulator) ObserveExact(y float64) {
+	g.Rows++
+	g.SumY += y
+	g.SumN++
+	if y < g.MinV {
+		g.MinV = y
+	}
+	if y > g.MaxV {
+		g.MaxV = y
+	}
+}
+
 // Merge combines two accumulators over disjoint sample partitions.
 func (g *GroupAccumulator) Merge(o *GroupAccumulator) {
 	g.Rows += o.Rows
