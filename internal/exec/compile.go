@@ -35,12 +35,12 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		return lowerBuild(t, "a leaf chain", ctx)
 
 	case *plan.Aggregate:
-		return newPipelineOp(t.Child, "an aggregate", aggReads(t.GroupBy, t.Aggs), seed, ctx, func(in storage.Schema) (sink, error) {
-			return resolveAggSpec(in, t.GroupBy, t.Aggs)
+		return newPipelineOp(t.Child, "an aggregate", t.GroupBy, aggReads(t.Aggs), seed, ctx, func(in storage.Schema, thr *groupThrough) (sink, error) {
+			return resolveAggSpec(in, t.GroupBy, t.Aggs, thr)
 		})
 
 	case *plan.SketchJoin:
-		return newPipelineOp(t.Probe, "a sketch-join", sketchReads(t), seed, ctx, func(in storage.Schema) (sink, error) {
+		return newPipelineOp(t.Probe, "a sketch-join", nil, sketchReads(t), seed, ctx, func(in storage.Schema, _ *groupThrough) (sink, error) {
 			return newSketchSink(t, in, ctx)
 		})
 
@@ -92,11 +92,14 @@ func lowerBuild(n plan.Node, where string, ctx *Context) (Operator, error) {
 	return NewFilterOp(traceWrap(src, sc, ctx), f.Pred, ctx)
 }
 
-// buildSource is the base table a build side reads (compileBuild has
-// checked the shape).
+// buildSource is the base table a build side reads, nil for a shape
+// compileBuild refuses.
 func buildSource(n plan.Node) *storage.Table {
 	if f, ok := n.(*plan.Filter); ok {
 		n = f.Child
 	}
-	return n.(*plan.Scan).Table
+	if sc, ok := n.(*plan.Scan); ok {
+		return sc.Table
+	}
+	return nil
 }

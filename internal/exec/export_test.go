@@ -12,6 +12,10 @@ var (
 	AmountAbove    = amountAbove
 )
 
+// GroupIDCol names the group id column a join emits when an aggregate groups
+// through it.
+const GroupIDCol = groupIDCol
+
 // JoinSchemas returns the output schema of every join on a compiled plan's
 // spine, bottom-up: what a joined batch physically holds at each level.
 func JoinSchemas(op Operator) []storage.Schema {

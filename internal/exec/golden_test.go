@@ -76,6 +76,11 @@ func goldenRun(t *testing.T, label string, root plan.Node, mat []*plan.SynopsisO
 // column nothing above its join names: every column of every spine join's
 // physical output schema binds to a name read above it (or is the weight).
 // Below a materializing sampler the whole row is read, so nothing is asked.
+//
+// An aggregate whose GROUP BY columns all belong to one join's build table,
+// and which nothing else on the spine reads above that join, groups through
+// it: that join and every join above it carry the group id column in place
+// of the group columns, and no other join carries it.
 func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, mat map[*plan.SynopsisOp]string) {
 	t.Helper()
 	n := root
@@ -83,9 +88,10 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 		n = s.Child
 	}
 	names := []string{synopses.WeightCol}
+	var groupBy []string
 	switch sink := n.(type) {
 	case *plan.Aggregate:
-		names = append(names, sink.GroupBy...)
+		groupBy = sink.GroupBy
 		for _, ag := range sink.Aggs {
 			if ag.Kind != stats.Count {
 				names = append(names, ag.Col)
@@ -101,14 +107,36 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 		}
 		n = sink.Probe
 	}
-	var readAbove [][]string // per spine join, top-down; nil: the whole row
-	whole := false
+	var spine []plan.Node // top-down
 	for n != nil {
+		spine = append(spine, n)
 		switch t := n.(type) {
 		case *plan.Filter:
-			names, n = t.Pred.Columns(names), t.Child
+			n = t.Child
 		case *plan.SynopsisOp:
-			names, n = append(names, t.StratCols...), t.Child
+			n = t.Child
+		case *plan.Join:
+			n = t.Left
+		default:
+			n = nil
+		}
+	}
+	through := groupsThrough(spine, groupBy, names)
+	if through < 0 {
+		names = append(names, groupBy...)
+	} else {
+		names = append(names, exec.GroupIDCol)
+	}
+
+	var readAbove [][]string // per spine join, top-down; nil: the whole row
+	var carriesID []bool     // per spine join, top-down
+	whole := false
+	for i, n := range spine {
+		switch t := n.(type) {
+		case *plan.Filter:
+			names = t.Pred.Columns(names)
+		case *plan.SynopsisOp:
+			names = append(names, t.StratCols...)
 			if _, ok := mat[t]; ok {
 				whole = true
 			}
@@ -118,9 +146,8 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 			} else {
 				readAbove = append(readAbove, append([]string(nil), names...))
 			}
-			names, n = append(names, t.LeftKeys...), t.Left
-		default:
-			n = nil
+			carriesID = append(carriesID, through >= 0 && i <= through)
+			names = append(names, t.LeftKeys...)
 		}
 	}
 	schemas := exec.JoinSchemas(op)
@@ -128,9 +155,13 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 		t.Fatalf("%s: %d spine joins compiled, the plan has %d", label, len(schemas), len(readAbove))
 	}
 	for k, sch := range schemas {
-		above := readAbove[len(readAbove)-1-k]
+		top := len(readAbove) - 1 - k
+		above := readAbove[top]
+		if got := sch.Index(exec.GroupIDCol) >= 0; got != carriesID[top] {
+			t.Fatalf("%s: join %d (bottom-up) carries the group id: %t, want %t", label, k, got, carriesID[top])
+		}
 		for _, c := range sch {
-			named := above == nil
+			named := above == nil || c.Name == exec.GroupIDCol
 			for _, name := range above {
 				named = named || storage.Schema{c}.Index(name) == 0
 			}
@@ -139,6 +170,79 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 			}
 		}
 	}
+}
+
+// groupsThrough returns the position in spine (top-down) of the join an
+// aggregate grouping by groupBy groups through, or -1: the join whose build
+// table holds every group column when no other table on the spine holds
+// one, provided nothing read above it — reads, the sink's other columns,
+// any Filter's columns or join's left keys in between — is a group column.
+func groupsThrough(spine []plan.Node, groupBy, reads []string) int {
+	if len(groupBy) == 0 {
+		return -1
+	}
+	holds := func(n plan.Node, name string) bool {
+		if f, ok := n.(*plan.Filter); ok {
+			n = f.Child
+		}
+		switch t := n.(type) {
+		case *plan.Scan:
+			return t.Table.Schema().Index(name) >= 0
+		case *plan.SynopsisScan:
+			return t.Sample.Rows.Schema().Index(name) >= 0
+		}
+		return false
+	}
+	isGroup := func(name string) bool {
+		for _, g := range groupBy {
+			if name == g {
+				return true
+			}
+		}
+		return false
+	}
+	var tables []plan.Node // the leaf, then every build side
+	at := -1
+	for i, n := range spine {
+		switch t := n.(type) {
+		case *plan.Join:
+			tables = append(tables, t.Right)
+			all := true
+			for _, g := range groupBy {
+				all = all && holds(t.Right, g)
+			}
+			if all && at < 0 {
+				at = i
+			}
+		case *plan.Scan, *plan.SynopsisScan:
+			tables = append(tables, t)
+		}
+	}
+	if at < 0 {
+		return -1
+	}
+	for _, tbl := range tables {
+		for _, g := range groupBy {
+			if tbl != spine[at].(*plan.Join).Right && holds(tbl, g) {
+				return -1
+			}
+		}
+	}
+	read := append([]string(nil), reads...)
+	for _, n := range spine[:at] {
+		switch t := n.(type) {
+		case *plan.Filter:
+			read = t.Pred.Columns(read)
+		case *plan.Join:
+			read = append(read, t.LeftKeys...)
+		}
+	}
+	for _, name := range read {
+		if isGroup(name) {
+			return -1
+		}
+	}
+	return at
 }
 
 // boundRows is the freshness record core.admitLocked keeps for a build: the

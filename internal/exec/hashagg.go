@@ -26,12 +26,31 @@ type aggSpec struct {
 	aggIdx   []int // column index per agg, -1 for COUNT
 	weightAt int   // index of synopses.WeightCol, -1 on unweighted input
 	schema   storage.Schema
+
+	// Grouped through a join (groupThrough), the input carries no group
+	// column: idAt is the position of the join's group id column and groups
+	// the build table's numbering the ids are drawn from, which also holds
+	// the groups' key values. groups is nil otherwise.
+	idAt   int
+	groups *storage.GroupIDs
 }
 
-// resolveAggSpec binds group/aggregate columns against the input schema.
-func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec) (*aggSpec, error) {
+// resolveAggSpec binds group/aggregate columns against the input schema:
+// the group columns themselves, or, grouped through a join (thr non-nil),
+// the join's id column.
+func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec, thr *groupThrough) (*aggSpec, error) {
 	s := &aggSpec{groupBy: groupBy, aggs: aggs}
+	if thr != nil {
+		if s.idAt = in.Index(groupIDCol); s.idAt < 0 {
+			return nil, fmt.Errorf("exec: aggregate: the group id column is not in %v", in.Names())
+		}
+		s.groups = thr.ids
+		s.schema = append(s.schema, thr.keys...)
+	}
 	for _, g := range groupBy {
+		if thr != nil {
+			break
+		}
 		i := in.Index(g)
 		if i < 0 {
 			return nil, fmt.Errorf("exec: aggregate: group column %q not in %v", g, in.Names())
@@ -64,10 +83,10 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec) (*
 	return s, nil
 }
 
-// aggReads names the spine columns an aggregation reads: its group columns
-// and the column of every aggregate but COUNT, which folds none.
-func aggReads(groupBy []string, aggs []plan.AggSpec) []string {
-	reads := append([]string(nil), groupBy...)
+// aggReads names the spine columns an aggregation reads besides its group
+// columns: the column of every aggregate but COUNT, which folds none.
+func aggReads(aggs []plan.AggSpec) []string {
+	var reads []string
 	for _, ag := range aggs {
 		if ag.Kind != stats.Count && ag.Col != "" {
 			reads = append(reads, ag.Col)
@@ -90,12 +109,22 @@ func (s *aggSpec) newPartial() partial { return newAggTable(s) }
 // input partitions. Groups are the dense ids of idx (storage.GroupIndex) and
 // their accumulators live by value in one slab, so a morsel that opens a
 // thousand groups allocates a few growing arrays, not a thousand objects.
+//
+// Grouped through a join (spec.groups), the rows arrive numbered already —
+// by their build table's group ids — and the table only turns those into
+// its slab ids: slabOf[d] is group d's slab id, -1 while unseen, and dimOf
+// lists the slab's groups by their build-table ids, in slab order; it is
+// also the list of met entries reset turns back to -1.
 type aggTable struct {
 	spec *aggSpec
 	idx  storage.GroupIndex
 	// accs holds group id's accumulator for aggregate k at
-	// accs[id*len(spec.aggs)+k]; open keeps it as long as idx.
+	// accs[id*len(spec.aggs)+k]; open keeps it as long as the groups.
 	accs []stats.GroupAccumulator
+
+	slabOf []int32
+	dimOf  []int32
+	rows   []int32 // one batch's slab ids, by live row
 }
 
 func newAggTable(spec *aggSpec) *aggTable {
@@ -107,7 +136,57 @@ func newAggTable(spec *aggSpec) *aggTable {
 // for the next morsel.
 func (t *aggTable) reset() {
 	t.idx.Reset()
+	for _, d := range t.dimOf {
+		t.slabOf[d] = -1
+	}
+	t.dimOf = t.dimOf[:0]
 	t.accs = t.accs[:0]
+}
+
+// groups returns the number of groups opened so far.
+func (t *aggTable) groups() int {
+	if t.spec.groups != nil {
+		return len(t.dimOf)
+	}
+	return t.idx.Len()
+}
+
+// slab returns the slab id of build-table group d, opening it on first
+// sight.
+func (t *aggTable) slab(d int32) int32 {
+	if t.slabOf == nil {
+		t.slabOf = make([]int32, t.spec.groups.Len())
+		for i := range t.slabOf {
+			t.slabOf[i] = -1
+		}
+	}
+	s := t.slabOf[d]
+	if s < 0 {
+		s = int32(len(t.dimOf))
+		t.slabOf[d] = s
+		t.dimOf = append(t.dimOf, d)
+	}
+	return s
+}
+
+// slabIDs returns the slab id of every live row of b, in live-row order,
+// read from the join's group id column. The ids are the table's memory.
+func (t *aggTable) slabIDs(b *storage.Batch) []int32 {
+	n := b.Rows()
+	if cap(t.rows) < n {
+		t.rows = make([]int32, max(n, storage.BatchSize))
+	}
+	ids, col := t.rows[:n], b.Vecs[t.spec.idAt].I64
+	if b.Sel == nil {
+		for j, d := range col {
+			ids[j] = t.slab(int32(d))
+		}
+	} else {
+		for j, i := range b.Sel {
+			ids[j] = t.slab(int32(col[i]))
+		}
+	}
+	return ids
 }
 
 // open gives the groups idx has opened since the last call their empty
@@ -116,7 +195,7 @@ func (t *aggTable) reset() {
 // high-cardinality GROUP BY open their thousand groups into memory already
 // there.
 func (t *aggTable) open() {
-	want := t.idx.Len() * len(t.spec.aggs)
+	want := t.groups() * len(t.spec.aggs)
 	if cap(t.accs) < want {
 		t.accs = slices.Grow(t.accs, max(want, 2*cap(t.accs))-len(t.accs))
 	}
@@ -156,6 +235,14 @@ func (t *aggTable) observe(b *storage.Batch) {
 		wcol = b.Vecs[t.spec.weightAt].F64
 	}
 
+	if t.spec.groups != nil {
+		ids := t.slabIDs(b)
+		t.open()
+		for k := range t.spec.aggs {
+			observeGrouped(t.accs[k:], len(t.spec.aggs), ids, b, sel, t.spec.aggIdx[k], wcol)
+		}
+		return
+	}
 	if len(t.spec.groupIdx) == 0 {
 		// Ungrouped fast path: one group, each aggregate folds its raw
 		// column slice directly.
@@ -324,6 +411,10 @@ func observeGrouped(accs []stats.GroupAccumulator, stride int, ids []int32, b *s
 // get the next ids in o's order, which is the slab's append order.
 func (t *aggTable) merge(o partial) {
 	ot := o.(*aggTable)
+	if t.spec.groups != nil {
+		t.mergeThrough(ot)
+		return
+	}
 	na, had := len(t.spec.aggs), t.idx.Len()
 	ids := t.idx.Absorb(&ot.idx)
 	t.accs = slices.Grow(t.accs, t.idx.Len()*na-len(t.accs))
@@ -340,6 +431,45 @@ func (t *aggTable) merge(o partial) {
 	}
 }
 
+// mergeThrough is merge grouped through a join: o's groups are found by
+// their build-table ids, and the ones new to t take the next slab ids in
+// o's slab order.
+func (t *aggTable) mergeThrough(o *aggTable) {
+	na := len(t.spec.aggs)
+	t.accs = slices.Grow(t.accs, len(o.accs))
+	for oid, d := range o.dimOf {
+		src := o.accs[oid*na : (oid+1)*na]
+		if id := int(t.slab(d)); id*na < len(t.accs) {
+			dst := t.accs[id*na:]
+			for k := range src {
+				dst[k].Merge(&src[k])
+			}
+			continue
+		}
+		t.accs = append(t.accs, src...)
+	}
+}
+
+// keyRows returns every group's key values, by id: the group index's, or,
+// grouped through a join, the build table numbering's.
+func (t *aggTable) keyRows() [][]storage.Value {
+	if t.spec.groups == nil {
+		return t.idx.KeyRows()
+	}
+	kc := t.spec.groups.Keys
+	nc := len(kc)
+	rows := make([][]storage.Value, len(t.dimOf))
+	vals := make([]storage.Value, len(t.dimOf)*nc)
+	for id, d := range t.dimOf {
+		row := vals[id*nc : (id+1)*nc : (id+1)*nc]
+		for c, v := range kc {
+			row[c] = v.Get(int(d))
+		}
+		rows[id] = row
+	}
+	return rows
+}
+
 // emit implements partial: the table as one batch with groups in
 // deterministic (sorted) order, plus the row-aligned confidence intervals.
 // SQL semantics: a global aggregate (no GROUP BY) over empty input still
@@ -351,7 +481,7 @@ func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 	}
 	// Group keys are unique, so the value sort is total: ids — first-seen
 	// order, a function of morsel geometry — never show.
-	keys := t.idx.KeyRows()
+	keys := t.keyRows()
 	na := len(t.spec.aggs)
 
 	out := storage.NewBatch(t.spec.schema, len(keys))
@@ -370,7 +500,7 @@ func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 				iv = acc.Interval(confidence)
 			}
 			rowIv[k] = iv
-			cell := out.Vecs[len(t.spec.groupIdx)+k]
+			cell := out.Vecs[len(t.spec.groupBy)+k]
 			cell.F64 = append(cell.F64, iv.Estimate)
 		}
 		intervals = append(intervals, rowIv)

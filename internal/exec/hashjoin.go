@@ -26,6 +26,10 @@ type joinSpec struct {
 	rightKeys []int
 	leftCols  []int // left columns copied to output
 	rightCols []int
+	// groupIDs, on the join an aggregate groups through (groupThrough), is
+	// the build table's group id by row: the output's last column is each
+	// joined row's id, in place of the group columns' values. Nil otherwise.
+	groupIDs []int32
 
 	schema storage.Schema
 }
@@ -60,6 +64,13 @@ func resolveJoinSpec(ls, rs storage.Schema, leftKeys, rightKeys, need []string) 
 	j.rightCols = neededCols(rs, need)
 	j.schema = append(projectSchema(ls, j.leftCols), projectSchema(rs, j.rightCols)...)
 	return j, nil
+}
+
+// emitGroups makes the join emit each joined row's group id in ids as one
+// more output column, groupIDCol.
+func (j *joinSpec) emitGroups(ids *storage.GroupIDs) {
+	j.groupIDs = ids.ID
+	j.schema = append(j.schema, storage.Col{Name: groupIDCol, Typ: storage.Int64})
 }
 
 // keyTypesMatch refuses probe and build key columns, paired by position, of
@@ -212,18 +223,24 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 }
 
 // flush gathers the pairs into out column-major — the payload columns the
-// spec names and each pair's width — turning their live positions into cur's
-// physical rows on the way.
+// spec names, the build row's group id when the spec emits one, and each
+// pair's width, summed into out.WidthSum as it goes, so
+// the exchange above is charged without another pass — turning their live
+// positions into cur's physical rows on the way.
 func (p *joinProber) flush(out *storage.Batch) {
 	lwid, rwid, sel := p.cur.Width, p.table.width, p.cur.Sel
+	var sum int64
 	for i, row := range p.lrows {
 		if sel != nil {
 			row = sel[row]
 			p.lrows[i] = row
 		}
 		// A joined row is both its sides' rows side by side.
-		out.Width = append(out.Width, lwid[row]+rwid[p.mrows[i]])
+		w := lwid[row] + rwid[p.mrows[i]]
+		out.Width = append(out.Width, w)
+		sum += int64(w)
 	}
+	out.WidthSum += sum
 	col := 0
 	for _, lc := range p.spec.leftCols {
 		out.Vecs[col].AppendGather(p.cur.Vecs[lc], p.lrows)
@@ -232,6 +249,12 @@ func (p *joinProber) flush(out *storage.Batch) {
 	for _, rc := range p.spec.rightCols {
 		out.Vecs[col].AppendGather(p.table.vecs[rc], p.mrows)
 		col++
+	}
+	if ids := p.spec.groupIDs; ids != nil {
+		v := out.Vecs[col]
+		for _, m := range p.mrows {
+			v.I64 = append(v.I64, int64(ids[m]))
+		}
 	}
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]
 }

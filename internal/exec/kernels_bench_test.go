@@ -190,7 +190,7 @@ func benchObserve(b *testing.B, groupBy []string, weighted, hoisted bool) {
 		{Kind: stats.Sum, Col: "t.f"},
 		{Kind: stats.Count},
 	}
-	spec, err := resolveAggSpec(batch.Schema, groupBy, aggs)
+	spec, err := resolveAggSpec(batch.Schema, groupBy, aggs, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestObserveHoistingMatchesRowMajor(t *testing.T) {
 		for _, weighted := range []bool{false, true} {
 			batch := benchAggBatch(weighted)
 			aggs := []plan.AggSpec{{Kind: stats.Sum, Col: "t.f"}, {Kind: stats.Count}, {Kind: stats.Avg, Col: "t.i"}}
-			spec, err := resolveAggSpec(batch.Schema, groupBy, aggs)
+			spec, err := resolveAggSpec(batch.Schema, groupBy, aggs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +315,7 @@ func benchMorselAgg(b *testing.B, groupBy []string, coded bool) {
 		}
 	}
 	aggs := []plan.AggSpec{{Kind: stats.Sum, Col: "t.f"}, {Kind: stats.Count}}
-	spec, err := resolveAggSpec(table.Schema(), groupBy, aggs)
+	spec, err := resolveAggSpec(table.Schema(), groupBy, aggs, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

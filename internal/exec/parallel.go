@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -214,12 +215,15 @@ type PipelineOp struct {
 }
 
 // newPipelineOp is the one lowering that runs a spine: it matches the shape
-// below the sink, compiles the spine's join build sides, narrows every level
-// of the spine to the columns something above it reads (reads names the
-// sink's), hands the spine's physical output schema to bind for the sink's
-// column binding (on an error the sink it returns is not looked at),
-// compiles every Filter of the chain once for the whole run, and validates
-// the sampler configuration up front.
+// below the sink, decides whether the sink groups through a join
+// (throughJoin), compiles the spine's join build sides, narrows every level
+// of the spine to the columns something above it reads (groupBy and reads
+// name the sink's: its GROUP BY columns, nil for a sink that cannot group
+// through a join, and the rest), hands the spine's physical output schema
+// and the group-through lowering, if any, to bind for the sink's column
+// binding (on an error the sink it returns is not looked at), compiles
+// every Filter of the chain once for the whole run, and validates the
+// sampler configuration up front.
 //
 // A column is needed at a level when a node above that level names it: the
 // sink's group, aggregate, probe-key and weight columns, a Filter's predicate
@@ -232,13 +236,21 @@ type PipelineOp struct {
 // through Schema.Index at every level, exactly as the operators bind them; a
 // name that matches nothing at a level keeps nothing there. What a dropped
 // column would have cost to exchange is not lost: every batch carries its
-// rows' full widths (storage.Batch.Width).
-func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ctx *Context, bind func(in storage.Schema) (sink, error)) (*PipelineOp, error) {
+// rows' full widths (storage.Batch.Width). Grouped through a join, the sink
+// reads the id column (groupIDCol) in place of its group columns, so from
+// that join up the spine carries one id per row instead of their values.
+func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed uint64, ctx *Context, bind func(in storage.Schema, thr *groupThrough) (sink, error)) (*PipelineOp, error) {
 	pipe, err := matchSpine(spine, over)
 	if err != nil {
 		return nil, err
 	}
+	thr := throughJoin(pipe, groupBy, reads)
 	names := append([]string{synopses.WeightCol}, reads...)
+	if thr != nil {
+		names = append(names, groupIDCol)
+	} else {
+		names = append(names, groupBy...)
+	}
 	above := make([]int, len(pipe.chain)) // names[:above[i]] are read above chain[i]
 	for i := len(pipe.chain) - 1; i >= 0; i-- {
 		above[i] = len(names)
@@ -281,11 +293,14 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 			if err != nil {
 				return nil, err
 			}
+			if thr != nil && thr.at == i {
+				spec.emitGroups(thr.ids)
+			}
 			joins = append(joins, &pipelineJoinState{node: t, build: build, spec: spec})
 			cur = spec.schema
 		}
 	}
-	snk, err := bind(cur)
+	snk, err := bind(cur, thr)
 	if err != nil {
 		return nil, err
 	}
@@ -295,6 +310,108 @@ func newPipelineOp(spine plan.Node, over string, reads []string, seed uint64, ct
 		return nil, err
 	}
 	return &PipelineOp{pipe: pipe, joins: joins, sink: snk, seed: seed, ctx: ctx}, nil
+}
+
+// groupIDCol names the column a group-through join emits: each joined row's
+// group id in its build table's GroupIDs.
+const groupIDCol = "__group_id"
+
+// groupThrough is the groupjoin lowering of an aggregate whose GROUP BY
+// columns all live on one spine join's build side and are read by nothing
+// else on the spine. That join emits each matched build row's group id in
+// its table version's numbering by those columns (storage.Table.GroupIDs),
+// one word per joined row, in place of the columns' values; later joins
+// carry the id like any other left column; and the aggregate folds by it,
+// reading the groups' key values from the numbering when it emits.
+type groupThrough struct {
+	at   int               // the join's position in the chain
+	ids  *storage.GroupIDs // the build table's numbering by the group columns
+	keys storage.Schema    // the group columns, as the build table names and types them
+}
+
+// throughJoin decides, from the plan shape alone, whether a sink that groups
+// by groupBy and reads reads besides groups through a join, and returns the
+// lowering, or nil. Names bind as the operators bind them, on the spine's
+// full-width schema at each level: every group column must bind to the same
+// join's build side, and no column reads names — the sink's — nor any Filter
+// above that join nor any later join's left key may bind to a group column.
+func throughJoin(pipe *pipeline, groupBy, reads []string) *groupThrough {
+	if len(groupBy) == 0 {
+		return nil
+	}
+	// wide[i] is the schema chain[i] reads with no column narrowed away:
+	// the leaf's, the sampler's weight, and each join's build table after it.
+	wide := make([]storage.Schema, len(pipe.chain)+1)
+	wide[0] = pipe.leaf.Schema()
+	for i, n := range pipe.chain {
+		wide[i+1] = wide[i]
+		switch t := n.(type) {
+		case *plan.SynopsisOp:
+			wide[i+1] = synopses.SampleSchema(wide[i])
+		case *plan.Join:
+			build := buildSource(t.Right)
+			if build == nil {
+				return nil // compileBuild names the shape
+			}
+			wide[i+1] = append(wide[i][:len(wide[i]):len(wide[i])], build.Schema()...)
+		}
+	}
+	top := wide[len(pipe.chain)]
+	pos := make([]int, len(groupBy))
+	for k, g := range groupBy {
+		if pos[k] = top.Index(g); pos[k] < 0 {
+			return nil
+		}
+	}
+	at := -1
+	for i, n := range pipe.chain {
+		if _, ok := n.(*plan.Join); !ok {
+			continue
+		}
+		lo, hi := len(wide[i]), len(wide[i+1])
+		inside := true
+		for _, p := range pos {
+			inside = inside && lo <= p && p < hi
+		}
+		if inside {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		return nil
+	}
+	readsGroup := func(s storage.Schema, names []string) bool {
+		for _, n := range names {
+			if slices.Contains(pos, s.Index(n)) {
+				return true
+			}
+		}
+		return false
+	}
+	if readsGroup(top, reads) {
+		return nil
+	}
+	for i := at + 1; i < len(pipe.chain); i++ {
+		switch t := pipe.chain[i].(type) {
+		case *plan.Filter:
+			if readsGroup(wide[i], t.Pred.Columns(nil)) {
+				return nil
+			}
+		case *plan.Join:
+			if readsGroup(wide[i], t.LeftKeys) {
+				return nil
+			}
+		}
+	}
+	build := buildSource(pipe.chain[at].(*plan.Join).Right)
+	cols := make([]int, len(pos))
+	keys := make(storage.Schema, len(pos))
+	for k, p := range pos {
+		cols[k] = p - len(wide[at])
+		keys[k] = build.Schema()[cols[k]]
+	}
+	return &groupThrough{at: at, ids: build.GroupIDs(cols), keys: keys}
 }
 
 // neededCols returns, ascending, the positions of s's columns that some name

@@ -308,10 +308,11 @@ func TestParallelAggSamplerErrors(t *testing.T) {
 }
 
 // TestMorselStateDoesNotScaleWithMorsels is the tripwire on what a morsel
-// builds: one grouped aggregate at one worker over the same rows, cut into 8
-// and into 64 morsels. A worker keeps its sink partial and filter scratch
-// across morsels, so eight times the morsels must cost well under twice the
-// bytes per run; a partial, group index or kernel scratch built per morsel
+// builds: a grouped aggregate at one worker over the same rows, cut into 8
+// and into 64 morsels — grouped by a fact column, and through a join. A
+// worker keeps its sink partial and filter scratch across morsels, so eight
+// times the morsels must cost well under twice the bytes per run; a
+// partial, group index, slab translation or kernel scratch built per morsel
 // again scales them with the morsel count.
 func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 	const rows = 64 * 512
@@ -326,34 +327,48 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 		b.Float(2, float64(i%101))
 	}
 	tbl := b.Build(1)
-	agg := &plan.Aggregate{
-		Child: &plan.Filter{
-			Child: &plan.Scan{Table: tbl},
-			Pred:  expr.Pred{expr.Compare("m.s", expr.NE, storage.StringValue("s3"))},
-		},
-		GroupBy: []string{"m.k"},
-		Aggs:    []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "m.v"}, {Kind: stats.Avg, Col: "m.v"}},
+	d := storage.NewBuilder("d", storage.Schema{{Name: "d.k", Typ: storage.Int64}, {Name: "d.g", Typ: storage.String}})
+	for k := 0; k < 300; k++ {
+		d.Int(0, int64(k))
+		d.Str(1, fmt.Sprintf("g%d", k%40))
 	}
-	pool := storage.NewVecPool()
-	bytesPerRun := func(morselRows int) uint64 {
-		run := func() {
-			ctx := NewContext(0.95)
-			ctx.Workers, ctx.MorselRows, ctx.Pool = 1, morselRows, pool
-			runPlan(t, agg, ctx)
-		}
-		run() // warm the pool
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
+	dim := d.Build(1)
+	filtered := &plan.Filter{
+		Child: &plan.Scan{Table: tbl},
+		Pred:  expr.Pred{expr.Compare("m.s", expr.NE, storage.StringValue("s3"))},
 	}
-	at8, at64 := bytesPerRun(rows/8), bytesPerRun(rows/64)
-	t.Logf("bytes per run: %d at 8 morsels, %d at 64", at8, at64)
-	if at64 >= 2*at8 {
-		t.Fatalf("64 morsels allocate %d bytes per run, 8 morsels %d: per-morsel state is no longer kept across morsels", at64, at8)
+	aggs := []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "m.v"}, {Kind: stats.Avg, Col: "m.v"}}
+	for _, c := range []struct {
+		name string
+		agg  plan.Node
+	}{
+		{"grouped by a fact column", &plan.Aggregate{Child: filtered, GroupBy: []string{"m.k"}, Aggs: aggs}},
+		{"grouped through a join", &plan.Aggregate{
+			Child:   &plan.Join{Left: filtered, Right: &plan.Scan{Table: dim}, LeftKeys: []string{"m.k"}, RightKeys: []string{"d.k"}},
+			GroupBy: []string{"d.g"}, Aggs: aggs,
+		}},
+	} {
+		pool := storage.NewVecPool()
+		bytesPerRun := func(morselRows int) uint64 {
+			run := func() {
+				ctx := NewContext(0.95)
+				ctx.Workers, ctx.MorselRows, ctx.Pool = 1, morselRows, pool
+				runPlan(t, c.agg, ctx)
+			}
+			run() // warm the pool
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		at8, at64 := bytesPerRun(rows/8), bytesPerRun(rows/64)
+		t.Logf("%s: bytes per run: %d at 8 morsels, %d at 64", c.name, at8, at64)
+		if at64 >= 2*at8 {
+			t.Fatalf("%s: 64 morsels allocate %d bytes per run, 8 morsels %d: per-morsel state is no longer kept across morsels", c.name, at64, at8)
+		}
 	}
 }

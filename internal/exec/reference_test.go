@@ -694,28 +694,13 @@ func exactRoot(t testing.TB, cat *storage.Catalog, sql string) plan.Node {
 }
 
 // mustMeetOracle plans sql EXACT over cat and holds the engine to the
-// oracle: answers at workers 1 / 4 / 8 bit-equal to each other and equal to
-// the oracle's (group keys and COUNTs exactly, the rest within 1e-9
-// relative), every run's counters equal to the oracle's charge, and the same
-// over retiled — the same rows, partitioned differently — against an oracle
-// over retiled. It returns the plan and the oracle's answer over cat.
+// oracle (mustMatchOraclePlan), and the same over retiled — the same rows,
+// partitioned differently — against an oracle over retiled. It returns the
+// plan and the oracle's answer over cat.
 func mustMeetOracle(t *testing.T, name string, cat, retiled *storage.Catalog, sql string) (plan.Node, relation) {
 	t.Helper()
 	root := exactRoot(t, cat, sql)
-	want := oracleEval(t, root)
-	var base string
-	for _, workers := range []int{1, 4, 8} {
-		ctx := workerCtx(workers, 0)
-		out, fp := engineRun(t, root, ctx)
-		label := fmt.Sprintf("%s workers=%d\nSQL: %s", name, workers, sql)
-		mustMatchOracle(t, label, want, out, 1e-9)
-		mustChargeOracle(t, label, want.cost, ctx.Stats)
-		if base == "" {
-			base = fp
-		} else if fp != base {
-			t.Fatalf("%s: engine answer differs from workers=1", label)
-		}
-	}
+	want, base := mustMatchOraclePlan(t, name+"\nSQL: "+sql, root)
 	ctx, tiledRoot := workerCtx(4, 0), exactRoot(t, retiled, sql)
 	out, fp := engineRun(t, tiledRoot, ctx)
 	mustMatchOracle(t, name+" retiled\nSQL: "+sql, want, out, 1e-9)
@@ -724,6 +709,30 @@ func mustMeetOracle(t *testing.T, name string, cat, retiled *storage.Catalog, sq
 		t.Fatalf("%s: engine answer over the retiled catalog differs\nSQL: %s", name, sql)
 	}
 	return root, want
+}
+
+// mustMatchOraclePlan answers an exact plan with the oracle and with the
+// engine at workers 1 / 4 / 8: answers bit-equal to each other and equal to
+// the oracle's (group keys and COUNTs exactly, the rest within 1e-9
+// relative), and every run's counters equal to the oracle's charge. It
+// returns the oracle's answer and the engine's bit-exact rendering.
+func mustMatchOraclePlan(t *testing.T, label string, root plan.Node) (relation, string) {
+	t.Helper()
+	want := oracleEval(t, root)
+	var base string
+	for _, workers := range []int{1, 4, 8} {
+		ctx := workerCtx(workers, 0)
+		out, fp := engineRun(t, root, ctx)
+		label := fmt.Sprintf("%s workers=%d", label, workers)
+		mustMatchOracle(t, label, want, out, 1e-9)
+		mustChargeOracle(t, label, want.cost, ctx.Stats)
+		if base == "" {
+			base = fp
+		} else if fp != base {
+			t.Fatalf("%s: engine answer differs from workers=1", label)
+		}
+	}
+	return want, base
 }
 
 // TestSketchJoinsMeetTheCatalogs: every sketch-join candidate the planner

@@ -152,7 +152,7 @@ func (p *VecPool) GetBatch(schema Schema, n int) *Batch {
 	for i, c := range schema {
 		b.Vecs[i] = p.GetVector(c.Typ, n)
 	}
-	b.Sel, b.Width, b.Start = nil, nil, 0
+	b.Sel, b.Width, b.WidthSum, b.Start = nil, nil, 0, 0
 	b.pooled = true
 	return b
 }
@@ -179,7 +179,7 @@ func (p *VecPool) Release(b *Batch) {
 	// A pooled batch's widths are pool memory like its selection; scan output
 	// (not pooled) carries a view of the partition's own array.
 	p.PutSel(b.Width)
-	b.Width = nil
+	b.Width, b.WidthSum = nil, 0
 	p.Obs.Put()
 	for i, v := range b.Vecs {
 		p.putVector(v)

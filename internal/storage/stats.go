@@ -109,9 +109,25 @@ func (t *Table) columnStats(i int) ColumnStats {
 }
 
 // groupCounts counts the rows of every group of the columns at positions
-// cols through one GroupIndex, a batch of each partition at a time:
-// counts[id], ids in first-seen row order.
+// cols (resolveGroups): counts[id], ids in first-seen row order.
 func (t *Table) groupCounts(cols []int) []int {
+	var counts []int
+	t.resolveGroups(cols, func(ids []int32) {
+		for _, id := range ids {
+			if int(id) == len(counts) { // ids open in row order
+				counts = append(counts, 0)
+			}
+			counts[id]++
+		}
+	})
+	return counts
+}
+
+// resolveGroups numbers every row by the columns at positions cols through
+// one GroupIndex, a batch of each partition at a time, handing each batch's
+// ids to f in row order; it returns the index, which holds the groups' key
+// values.
+func (t *Table) resolveGroups(cols []int, f func(ids []int32)) *GroupIndex {
 	at := make([]int, len(cols))
 	out := make(Schema, len(cols))
 	for k, c := range cols {
@@ -119,7 +135,6 @@ func (t *Table) groupCounts(cols []int) []int {
 	}
 	idx := NewGroupIndex(at, out)
 	b := &Batch{Vecs: make([]*Vector, len(cols))}
-	var counts []int
 	for _, part := range t.parts {
 		for lo := 0; lo < part.rows; lo += BatchSize {
 			hi := min(lo+BatchSize, part.rows)
@@ -127,15 +142,11 @@ func (t *Table) groupCounts(cols []int) []int {
 				b.Vecs[k] = part.cols[c].Slice(lo, hi)
 			}
 			sc := BorrowScratch(hi-lo, len(cols))
-			ids := idx.Resolve(b, sc)
-			counts = append(counts, make([]int, idx.Len()-len(counts))...)
-			for _, id := range ids {
-				counts[id]++
-			}
+			f(idx.Resolve(b, sc))
 			ReturnScratch(sc)
 		}
 	}
-	return counts
+	return &idx
 }
 
 // DistinctOf returns the distinct count of the named column, or 0 when the

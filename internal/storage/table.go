@@ -117,10 +117,10 @@ type Table struct {
 	widthsOnce sync.Once
 	widthsView []int32 // lazily concatenated whole-table row widths
 
-	// keyIdx caches one KeyIndex per key column set (KeyIndex), keyed by the
-	// column positions.
+	// keyIdx caches, per column set, the set's KeyIndex and GroupIDs, keyed
+	// by the column positions.
 	keyIdxMu sync.Mutex
-	keyIdx   map[string]*lazyKeyIndex
+	keyIdx   map[string]*lazyColIndexes
 
 	statsOnce sync.Once
 	stats     *TableStats
@@ -395,10 +395,33 @@ func (t *Table) RowWidths() []int32 {
 	return t.widthsView
 }
 
-// lazyKeyIndex is one key column set's index on a table version, built once.
-type lazyKeyIndex struct {
-	once sync.Once
-	x    *KeyIndex
+// lazyColIndexes is what a table version indexes by one column set, each
+// built once on first use.
+type lazyColIndexes struct {
+	keyOnce sync.Once
+	key     *KeyIndex
+
+	groupOnce sync.Once
+	groups    *GroupIDs
+}
+
+// colIndexes returns the cache entry of the columns at positions cols,
+// publishing an empty one on first sight.
+//
+//taster:mutator lazy cache under keyIdxMu: an entry is published once per column set; what it holds is built once under its own sync.Once from the version's frozen rows
+func (t *Table) colIndexes(cols []int) *lazyColIndexes {
+	key := fmt.Sprint(cols)
+	t.keyIdxMu.Lock()
+	defer t.keyIdxMu.Unlock()
+	e := t.keyIdx[key]
+	if e == nil {
+		if t.keyIdx == nil {
+			t.keyIdx = make(map[string]*lazyColIndexes)
+		}
+		e = &lazyColIndexes{}
+		t.keyIdx[key] = e
+	}
+	return e
 }
 
 // KeyIndex returns the index over every row of this version by its key over
@@ -408,28 +431,54 @@ type lazyKeyIndex struct {
 // a query's build side is a KeyMask over it. An appended version builds its
 // own; an old version keeps its index as long as something holds the old
 // version.
-//
-//taster:mutator lazy cache under keyIdxMu: an entry is published once per column set and its index built once under its own sync.Once from the version's frozen rows
 func (t *Table) KeyIndex(cols []int) *KeyIndex {
-	key := fmt.Sprint(cols)
-	t.keyIdxMu.Lock()
-	e := t.keyIdx[key]
-	if e == nil {
-		if t.keyIdx == nil {
-			t.keyIdx = make(map[string]*lazyKeyIndex)
-		}
-		e = &lazyKeyIndex{}
-		t.keyIdx[key] = e
-	}
-	t.keyIdxMu.Unlock()
-	e.once.Do(func() {
+	e := t.colIndexes(cols)
+	e.keyOnce.Do(func() {
 		vecs := make([]*Vector, len(t.schema))
 		for _, c := range cols {
 			vecs[c] = t.Column(c)
 		}
-		e.x = NewKeyIndex(vecs, cols)
+		e.key = NewKeyIndex(vecs, cols)
 	})
-	return e.x
+	return e.key
+}
+
+// GroupIDs is a table version's own numbering of its rows by a column set:
+// row i is in group ID[i], and group g's key values are row g of Keys, one
+// vector per column. One GroupIndex over the version's whole columns numbers
+// them, so two rows share an id exactly when GROUP BY would put them in one
+// group — floats by their IEEE bits (-0.0 and +0.0 apart, a NaN with the
+// same payload only), strings by value whatever dictionary codes them. Ids
+// are dense, in first-seen row order. Shared by every query over the
+// version, so frozen once built.
+//
+//taster:immutable
+type GroupIDs struct {
+	ID   []int32
+	Keys []*Vector
+}
+
+// Len returns the number of groups.
+func (g *GroupIDs) Len() int {
+	if len(g.Keys) == 0 {
+		return 0
+	}
+	return g.Keys[0].Len()
+}
+
+// GroupIDs returns the numbering of this version's rows by the columns at
+// positions cols (non-empty), built on first use and cached per column set
+// beside the set's KeyIndex: a version's rows never change, so every join
+// aggregate grouping by the set folds by the one numbering. An appended
+// version builds its own; an old version keeps its own.
+func (t *Table) GroupIDs(cols []int) *GroupIDs {
+	e := t.colIndexes(cols)
+	e.groupOnce.Do(func() {
+		ids := make([]int32, 0, t.rows)
+		idx := t.resolveGroups(cols, func(batch []int32) { ids = append(ids, batch...) })
+		e.groups = &GroupIDs{ID: ids, Keys: idx.KeyColumns()}
+	})
+	return e.groups
 }
 
 // PartitionBytes returns the payload size of partition p — the scan charge

@@ -285,6 +285,12 @@ type Batch struct {
 	// output, sort output). On a pooled batch the buffer is pool memory
 	// (GetSel), reclaimed by Release; on scan output it is table-owned.
 	Width []int32
+	// WidthSum is Σ Width over every physical row, kept by a producer that
+	// sums the widths as it writes them (a join's probe output); 0 when none
+	// did. LiveWidth returns it while Sel is nil: a selection attached later
+	// leaves it standing but unread. Pooled batches come out of GetBatch
+	// with it cleared.
+	WidthSum int64
 	// Start is the table row of physical row 0 on a batch a table scan cut
 	// (Table.Scan, ScanRangePruned): the partition's offset plus the row
 	// within it. Filters pass the batch on, so a join's build side reads its
@@ -332,8 +338,13 @@ func (b *Batch) Rows() int {
 
 // LiveWidth sums Width over the live rows: the bytes an exchange of this
 // batch moves. It equals the column-major sum of every live value's bytes
-// over the full-width row — the same integers added in another order.
+// over the full-width row — the same integers added in another order. A
+// batch without a selection whose producer kept WidthSum is not walked
+// again.
 func (b *Batch) LiveWidth() int64 {
+	if b.Sel == nil && b.WidthSum != 0 {
+		return b.WidthSum
+	}
 	var n int64
 	if b.Sel != nil {
 		for _, i := range b.Sel {
