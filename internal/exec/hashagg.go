@@ -124,7 +124,6 @@ type aggTable struct {
 
 	slabOf []int32
 	dimOf  []int32
-	rows   []int32 // one batch's slab ids, by live row
 }
 
 func newAggTable(spec *aggSpec) *aggTable {
@@ -151,15 +150,20 @@ func (t *aggTable) groups() int {
 	return t.idx.Len()
 }
 
-// slab returns the slab id of build-table group d, opening it on first
-// sight.
-func (t *aggTable) slab(d int32) int32 {
+// translate allocates slabOf, every group unseen, on the partial's first
+// batch or merge: a partial that never sees a row never pays for it.
+func (t *aggTable) translate() {
 	if t.slabOf == nil {
 		t.slabOf = make([]int32, t.spec.groups.Len())
 		for i := range t.slabOf {
 			t.slabOf[i] = -1
 		}
 	}
+}
+
+// slab returns the slab id of build-table group d, opening it on first
+// sight (translate has run).
+func (t *aggTable) slab(d int32) int32 {
 	s := t.slabOf[d]
 	if s < 0 {
 		s = int32(len(t.dimOf))
@@ -169,14 +173,11 @@ func (t *aggTable) slab(d int32) int32 {
 	return s
 }
 
-// slabIDs returns the slab id of every live row of b, in live-row order,
-// read from the join's group id column. The ids are the table's memory.
-func (t *aggTable) slabIDs(b *storage.Batch) []int32 {
-	n := b.Rows()
-	if cap(t.rows) < n {
-		t.rows = make([]int32, max(n, storage.BatchSize))
-	}
-	ids, col := t.rows[:n], b.Vecs[t.spec.idAt].I64
+// slabIDs writes the slab id of every live row of b into ids, in live-row
+// order, read from the join's group id column.
+func (t *aggTable) slabIDs(b *storage.Batch, ids []int32) {
+	t.translate()
+	col := b.Vecs[t.spec.idAt].I64
 	if b.Sel == nil {
 		for j, d := range col {
 			ids[j] = t.slab(int32(d))
@@ -186,7 +187,6 @@ func (t *aggTable) slabIDs(b *storage.Batch) []int32 {
 			ids[j] = t.slab(int32(col[i]))
 		}
 	}
-	return ids
 }
 
 // open gives the groups idx has opened since the last call their empty
@@ -217,7 +217,8 @@ func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
 // observe folds one batch — honoring its selection vector — into the table.
 //
 // The loop is two-pass and aggregate-major: pass one resolves every live
-// row's group id, pass two folds each aggregate column in a tight loop with
+// row's group id — through the group index, or, grouped through a join, by
+// translating the join's ids (slabIDs) — pass two folds each aggregate column in a tight loop with
 // the weight-column and aggregate-column dispatch hoisted out of the row
 // loop. Each GroupAccumulator still folds exactly the same (y, w) sequence
 // as the historical row-major interpreted loop — accumulators are per
@@ -235,15 +236,7 @@ func (t *aggTable) observe(b *storage.Batch) {
 		wcol = b.Vecs[t.spec.weightAt].F64
 	}
 
-	if t.spec.groups != nil {
-		ids := t.slabIDs(b)
-		t.open()
-		for k := range t.spec.aggs {
-			observeGrouped(t.accs[k:], len(t.spec.aggs), ids, b, sel, t.spec.aggIdx[k], wcol)
-		}
-		return
-	}
-	if len(t.spec.groupIdx) == 0 {
+	if len(t.spec.groupIdx) == 0 && t.spec.groups == nil {
 		// Ungrouped fast path: one group, each aggregate folds its raw
 		// column slice directly.
 		t.idx.Sole()
@@ -255,7 +248,13 @@ func (t *aggTable) observe(b *storage.Batch) {
 	}
 
 	sc := storage.BorrowScratch(b.Rows(), len(t.spec.groupIdx))
-	ids := t.idx.Resolve(b, sc)
+	var ids []int32
+	if t.spec.groups != nil {
+		ids = sc.IDs(b.Rows())
+		t.slabIDs(b, ids)
+	} else {
+		ids = t.idx.Resolve(b, sc)
+	}
 	t.open()
 	for k := range t.spec.aggs {
 		observeGrouped(t.accs[k:], len(t.spec.aggs), ids, b, sel, t.spec.aggIdx[k], wcol)
@@ -436,6 +435,7 @@ func (t *aggTable) merge(o partial) {
 // o's slab order.
 func (t *aggTable) mergeThrough(o *aggTable) {
 	na := len(t.spec.aggs)
+	t.translate()
 	t.accs = slices.Grow(t.accs, len(o.accs))
 	for oid, d := range o.dimOf {
 		src := o.accs[oid*na : (oid+1)*na]

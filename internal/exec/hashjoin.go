@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
@@ -229,6 +230,9 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 // positions into cur's physical rows on the way.
 func (p *joinProber) flush(out *storage.Batch) {
 	lwid, rwid, sel := p.cur.Width, p.table.width, p.cur.Sel
+	n := len(out.Width)
+	out.Width = slices.Grow(out.Width, len(p.lrows))[:n+len(p.lrows)]
+	widths, mrows := out.Width[n:], p.mrows[:len(p.lrows)]
 	var sum int64
 	for i, row := range p.lrows {
 		if sel != nil {
@@ -236,8 +240,8 @@ func (p *joinProber) flush(out *storage.Batch) {
 			p.lrows[i] = row
 		}
 		// A joined row is both its sides' rows side by side.
-		w := lwid[row] + rwid[p.mrows[i]]
-		out.Width = append(out.Width, w)
+		w := lwid[row] + rwid[mrows[i]]
+		widths[i] = w
 		sum += int64(w)
 	}
 	out.WidthSum += sum
@@ -252,8 +256,11 @@ func (p *joinProber) flush(out *storage.Batch) {
 	}
 	if ids := p.spec.groupIDs; ids != nil {
 		v := out.Vecs[col]
-		for _, m := range p.mrows {
-			v.I64 = append(v.I64, int64(ids[m]))
+		n := len(v.I64)
+		v.I64 = slices.Grow(v.I64, len(mrows))[:n+len(mrows)]
+		dst := v.I64[n:]
+		for i, m := range mrows {
+			dst[i] = int64(ids[m])
 		}
 	}
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/expr"
@@ -346,3 +348,92 @@ func BenchmarkAggGroupedTwoStrings(b *testing.B) {
 	benchMorselAgg(b, []string{"t.s2", "t.s1"}, true)
 }
 func BenchmarkAggGroupedManyInts(b *testing.B) { benchMorselAgg(b, []string{"t.k"}, true) }
+
+// groupThroughTables is a star in TPC-H's shape for the join-aggregate
+// benchmark: a fact table f of 200 000 rows referencing orders o (50 000,
+// five priorities), parts p (10 000) and suppliers s (1 000), and s in turn
+// one of 25 nations n.
+func groupThroughTables() (f, o, p, s, n *storage.Table) {
+	rng := rand.New(rand.NewSource(3))
+	const facts, orders, parts, supps, nations = 200_000, 50_000, 10_000, 1_000, 25
+	fb := storage.NewBuilder("f", storage.Schema{
+		{Name: "f.orderkey", Typ: storage.Int64}, {Name: "f.partkey", Typ: storage.Int64},
+		{Name: "f.suppkey", Typ: storage.Int64}, {Name: "f.price", Typ: storage.Float64},
+		{Name: "f.shipdate", Typ: storage.Int64},
+	})
+	for i := 0; i < facts; i++ {
+		fb.Int(0, int64(rng.Intn(orders)))
+		fb.Int(1, int64(rng.Intn(parts)))
+		fb.Int(2, int64(rng.Intn(supps)))
+		fb.Float(3, 900+float64(rng.Intn(100_000))/100)
+		fb.Int(4, int64(rng.Intn(2400)))
+	}
+	ob := storage.NewBuilder("o", storage.Schema{{Name: "o.orderkey", Typ: storage.Int64}, {Name: "o.priority", Typ: storage.String}})
+	for i := 0; i < orders; i++ {
+		ob.Int(0, int64(i))
+		ob.Str(1, []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"}[rng.Intn(5)])
+	}
+	pb := storage.NewBuilder("p", storage.Schema{{Name: "p.partkey", Typ: storage.Int64}, {Name: "p.size", Typ: storage.Int64}})
+	for i := 0; i < parts; i++ {
+		pb.Int(0, int64(i))
+		pb.Int(1, int64(1+rng.Intn(50)))
+	}
+	sb := storage.NewBuilder("s", storage.Schema{{Name: "s.suppkey", Typ: storage.Int64}, {Name: "s.nationkey", Typ: storage.Int64}})
+	for i := 0; i < supps; i++ {
+		sb.Int(0, int64(i))
+		sb.Int(1, int64(rng.Intn(nations)))
+	}
+	nb := storage.NewBuilder("n", storage.Schema{{Name: "n.nationkey", Typ: storage.Int64}, {Name: "n.name", Typ: storage.String}})
+	for i := 0; i < nations; i++ {
+		nb.Int(0, int64(i))
+		nb.Str(1, fmt.Sprintf("NATION %02d", i))
+	}
+	return fb.Build(4), ob.Build(1), pb.Build(1), sb.Build(1), nb.Build(1)
+}
+
+// BenchmarkJoinAggGroupThrough runs the exact join-aggregate spine of two
+// TPC-H shapes on one worker with every build cached, as serving runs it:
+// q7, grouped by the last hop's nation name (f → s → n), and q8, grouped by
+// the first hop's order priority, carried through the join to parts
+// (f → o → p). It reports ns per fact row and B/op (`go test
+// ./internal/exec -run NONE -bench BenchmarkJoinAggGroupThrough -benchmem`).
+func BenchmarkJoinAggGroupThrough(b *testing.B) {
+	f, o, p, s, n := groupThroughTables()
+	join := func(l, r plan.Node, lk, rk string) plan.Node {
+		return &plan.Join{Left: l, Right: r, LeftKeys: []string{lk}, RightKeys: []string{rk}}
+	}
+	sum := plan.AggSpec{Kind: stats.Sum, Col: "f.price"}
+	shipped := &plan.Filter{Child: &plan.Scan{Table: f}, Pred: expr.Pred{expr.Compare("f.shipdate", expr.GE, storage.IntValue(1000))}}
+	small := &plan.Filter{Child: &plan.Scan{Table: p}, Pred: expr.Pred{expr.Compare("p.size", expr.LE, storage.IntValue(25))}}
+	for _, c := range []struct {
+		name string
+		root plan.Node
+	}{
+		{"q7", &plan.Aggregate{Child: join(join(shipped, &plan.Scan{Table: s}, "f.suppkey", "s.suppkey"), &plan.Scan{Table: n}, "s.nationkey", "n.nationkey"),
+			GroupBy: []string{"n.name"}, Aggs: []plan.AggSpec{sum}}},
+		{"q8", &plan.Aggregate{Child: join(join(&plan.Scan{Table: f}, &plan.Scan{Table: o}, "f.orderkey", "o.orderkey"), small, "f.partkey", "p.partkey"),
+			GroupBy: []string{"o.priority"}, Aggs: []plan.AggSpec{{Kind: stats.Avg, Col: "f.price"}}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			joins, pool := NewJoinCache(1<<30), storage.NewVecPool()
+			run := func() {
+				ctx := NewContext(0.95)
+				ctx.Workers, ctx.Joins, ctx.Pool = 1, joins, pool
+				op, err := Compile(c.root, 1, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Run(op); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // build the joins, the tables' indexes and numberings
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			reportPerRow(b, f.NumRows())
+		})
+	}
+}

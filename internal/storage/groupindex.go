@@ -87,6 +87,10 @@ func BorrowScratch(n, nc int) *ResolveScratch {
 	return sc
 }
 
+// IDs returns the scratch's id buffer for n rows (at most the n it was
+// borrowed for), for a holder that numbers a batch's rows itself.
+func (sc *ResolveScratch) IDs(n int) []int32 { return sc.ids[:n] }
+
 // ReturnScratch hands borrowed scratch back.
 func ReturnScratch(sc *ResolveScratch) { resolveScratchPool.Put(sc) }
 
