@@ -46,17 +46,15 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec, th
 		}
 		s.groups = thr.ids
 		s.schema = append(s.schema, thr.keys...)
-	}
-	for _, g := range groupBy {
-		if thr != nil {
-			break
+	} else {
+		for _, g := range groupBy {
+			i := in.Index(g)
+			if i < 0 {
+				return nil, fmt.Errorf("exec: aggregate: group column %q not in %v", g, in.Names())
+			}
+			s.groupIdx = append(s.groupIdx, i)
+			s.schema = append(s.schema, in[i])
 		}
-		i := in.Index(g)
-		if i < 0 {
-			return nil, fmt.Errorf("exec: aggregate: group column %q not in %v", g, in.Names())
-		}
-		s.groupIdx = append(s.groupIdx, i)
-		s.schema = append(s.schema, in[i])
 	}
 	for _, ag := range aggs {
 		idx := -1
@@ -189,7 +187,7 @@ func (t *aggTable) slabIDs(b *storage.Batch, ids []int32) {
 	}
 }
 
-// open gives the groups idx has opened since the last call their empty
+// open gives the groups opened since the last call their empty
 // accumulators. The slab doubles, but only the first morsels a worker runs
 // grow it: a reset partial keeps its capacity, so later morsels of a
 // high-cardinality GROUP BY open their thousand groups into memory already
@@ -436,7 +434,6 @@ func (t *aggTable) merge(o partial) {
 func (t *aggTable) mergeThrough(o *aggTable) {
 	na := len(t.spec.aggs)
 	t.translate()
-	t.accs = slices.Grow(t.accs, len(o.accs))
 	for oid, d := range o.dimOf {
 		src := o.accs[oid*na : (oid+1)*na]
 		if id := int(t.slab(d)); id*na < len(t.accs) {

@@ -225,9 +225,9 @@ func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch,
 
 // flush gathers the pairs into out column-major — the payload columns the
 // spec names, the build row's group id when the spec emits one, and each
-// pair's width, summed into out.WidthSum as it goes, so
-// the exchange above is charged without another pass — turning their live
-// positions into cur's physical rows on the way.
+// pair's width, summed into out.WidthSum as it goes so that the exchange
+// above is charged without another pass — turning their live positions
+// into cur's physical rows on the way.
 func (p *joinProber) flush(out *storage.Batch) {
 	lwid, rwid, sel := p.cur.Width, p.table.width, p.cur.Sel
 	n := len(out.Width)

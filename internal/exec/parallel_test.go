@@ -330,7 +330,7 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 	d := storage.NewBuilder("d", storage.Schema{{Name: "d.k", Typ: storage.Int64}, {Name: "d.g", Typ: storage.String}})
 	for k := 0; k < 300; k++ {
 		d.Int(0, int64(k))
-		d.Str(1, fmt.Sprintf("g%d", k%40))
+		d.Str(1, fmt.Sprintf("g%d", k))
 	}
 	dim := d.Build(1)
 	filtered := &plan.Filter{
