@@ -112,12 +112,11 @@ func (t *Table) columnStats(i int) ColumnStats {
 // cols (resolveGroups): counts[id], ids in first-seen row order.
 func (t *Table) groupCounts(cols []int) []int {
 	var counts []int
-	t.resolveGroups(cols, func(ids []int32) {
+	t.resolveGroups(cols, func(ids []int32, groups int) {
+		counts = append(counts, make([]int, groups-len(counts))...)
+		c := counts
 		for _, id := range ids {
-			if int(id) == len(counts) { // ids open in row order
-				counts = append(counts, 0)
-			}
-			counts[id]++
+			c[id]++
 		}
 	})
 	return counts
@@ -125,9 +124,9 @@ func (t *Table) groupCounts(cols []int) []int {
 
 // resolveGroups numbers every row by the columns at positions cols through
 // one GroupIndex, a batch of each partition at a time, handing each batch's
-// ids to f in row order; it returns the index, which holds the groups' key
-// values.
-func (t *Table) resolveGroups(cols []int, f func(ids []int32)) *GroupIndex {
+// ids to f in row order with the number of groups opened so far; it returns
+// the index, which holds the groups' key values.
+func (t *Table) resolveGroups(cols []int, f func(ids []int32, groups int)) *GroupIndex {
 	at := make([]int, len(cols))
 	out := make(Schema, len(cols))
 	for k, c := range cols {
@@ -142,7 +141,7 @@ func (t *Table) resolveGroups(cols []int, f func(ids []int32)) *GroupIndex {
 				b.Vecs[k] = part.cols[c].Slice(lo, hi)
 			}
 			sc := BorrowScratch(hi-lo, len(cols))
-			f(idx.Resolve(b, sc))
+			f(idx.Resolve(b, sc), idx.Len())
 			ReturnScratch(sc)
 		}
 	}

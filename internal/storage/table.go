@@ -475,7 +475,7 @@ func (t *Table) GroupIDs(cols []int) *GroupIDs {
 	e := t.colIndexes(cols)
 	e.groupOnce.Do(func() {
 		ids := make([]int32, 0, t.rows)
-		idx := t.resolveGroups(cols, func(batch []int32) { ids = append(ids, batch...) })
+		idx := t.resolveGroups(cols, func(batch []int32, _ int) { ids = append(ids, batch...) })
 		e.groups = &GroupIDs{ID: ids, Keys: idx.KeyColumns()}
 	})
 	return e.groups
