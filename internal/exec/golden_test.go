@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -193,14 +194,6 @@ func groupsThrough(spine []plan.Node, groupBy, reads []string) int {
 		}
 		return false
 	}
-	isGroup := func(name string) bool {
-		for _, g := range groupBy {
-			if name == g {
-				return true
-			}
-		}
-		return false
-	}
 	var tables []plan.Node // the leaf, then every build side
 	at := -1
 	for i, n := range spine {
@@ -238,7 +231,7 @@ func groupsThrough(spine []plan.Node, groupBy, reads []string) int {
 		}
 	}
 	for _, name := range read {
-		if isGroup(name) {
+		if slices.Contains(groupBy, name) {
 			return -1
 		}
 	}

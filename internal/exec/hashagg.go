@@ -140,8 +140,8 @@ func (t *aggTable) reset() {
 	t.accs = t.accs[:0]
 }
 
-// groups returns the number of groups opened so far.
-func (t *aggTable) groups() int {
+// numGroups returns the number of groups opened so far.
+func (t *aggTable) numGroups() int {
 	if t.spec.groups != nil {
 		return len(t.dimOf)
 	}
@@ -193,7 +193,7 @@ func (t *aggTable) slabIDs(b *storage.Batch, ids []int32) {
 // high-cardinality GROUP BY open their thousand groups into memory already
 // there.
 func (t *aggTable) open() {
-	want := t.groups() * len(t.spec.aggs)
+	want := t.numGroups() * len(t.spec.aggs)
 	if cap(t.accs) < want {
 		t.accs = slices.Grow(t.accs, max(want, 2*cap(t.accs))-len(t.accs))
 	}

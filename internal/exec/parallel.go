@@ -330,11 +330,11 @@ type groupThrough struct {
 }
 
 // throughJoin decides, from the plan shape alone, whether a sink that groups
-// by groupBy and reads reads besides groups through a join, and returns the
-// lowering, or nil. Names bind as the operators bind them, on the spine's
-// full-width schema at each level: every group column must bind to the same
-// join's build side, and no column reads names — the sink's — nor any Filter
-// above that join nor any later join's left key may bind to a group column.
+// by groupBy, and besides reads the columns reads names, groups through a
+// join, and returns the lowering, or nil. Names bind as the operators bind
+// them, on the spine's full-width schema at each level: every group column
+// must bind to the same join's build side, and none may be bound by reads,
+// by a Filter above that join or by a later join's left key.
 func throughJoin(pipe *pipeline, groupBy, reads []string) *groupThrough {
 	if len(groupBy) == 0 {
 		return nil

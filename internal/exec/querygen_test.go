@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func genQuery(cat *storage.Catalog, data []byte) string {
 	for hops := g.draw(4); hops > 0; hops-- {
 		var next []fkEdge
 		for _, e := range tpchEdges {
-			if contains(tables, e.from) && !contains(tables, e.to) {
+			if slices.Contains(tables, e.from) && !slices.Contains(tables, e.to) {
 				next = append(next, e)
 			}
 		}
@@ -114,7 +115,7 @@ func genQuery(cat *storage.Catalog, data []byte) string {
 
 	var groups []string
 	for k := g.draw(3); k > 0; k-- {
-		if c := cols[g.draw(len(cols))].name; !contains(groups, c) {
+		if c := cols[g.draw(len(cols))].name; !slices.Contains(groups, c) {
 			groups = append(groups, c)
 		}
 	}
@@ -177,15 +178,6 @@ func genLiteral(c genColumn, i int) string {
 	default:
 		return strconv.FormatFloat(math.Abs(v.F), 'f', -1, 64)
 	}
-}
-
-func contains(xs []string, x string) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
 }
 
 // grammarQuery reports whether sql, as typed, is a query of the generator's
