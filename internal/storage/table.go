@@ -445,7 +445,7 @@ func (t *Table) KeyIndex(cols []int) *KeyIndex {
 
 // GroupIDs is a table version's own numbering of its rows by a column set:
 // row i is in group ID[i], and group g's key values are row g of Keys, one
-// vector per column. One GroupIndex over the version's whole columns numbers
+// vector per column. One GroupIndex over every row of the version numbers
 // them, so two rows share an id exactly when GROUP BY would put them in one
 // group — floats by their IEEE bits (-0.0 and +0.0 apart, a NaN with the
 // same payload only), strings by value whatever dictionary codes them. Ids
