@@ -35,12 +35,12 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		return lowerBuild(t, "a leaf chain", ctx)
 
 	case *plan.Aggregate:
-		return newPipelineOp(t.Child, "an aggregate", t.GroupBy, aggReads(t.Aggs), seed, ctx, func(in storage.Schema, thr *groupThrough) (sink, error) {
-			return resolveAggSpec(in, t.GroupBy, t.Aggs, thr)
+		return newPipelineOp(t.Child, "an aggregate", t.GroupBy, aggReads(t.Aggs), seed, ctx, func(in storage.Schema, src *groupSource) (sink, error) {
+			return resolveAggSpec(in, t.GroupBy, t.Aggs, src)
 		})
 
 	case *plan.SketchJoin:
-		return newPipelineOp(t.Probe, "a sketch-join", nil, sketchReads(t), seed, ctx, func(in storage.Schema, _ *groupThrough) (sink, error) {
+		return newPipelineOp(t.Probe, "a sketch-join", nil, sketchReads(t), seed, ctx, func(in storage.Schema, _ *groupSource) (sink, error) {
 			return newSketchSink(t, in, ctx)
 		})
 

@@ -1,6 +1,9 @@
 package exec
 
-import "github.com/tasterdb/taster/internal/storage"
+import (
+	"github.com/tasterdb/taster/internal/plan"
+	"github.com/tasterdb/taster/internal/storage"
+)
 
 // The fixture tables, for the tests that live in package exec_test beside the
 // oracle (which may name nothing this package declares outside its tests).
@@ -27,4 +30,24 @@ func JoinSchemas(op Operator) []storage.Schema {
 		out = append(out, js.spec.schema)
 	}
 	return out
+}
+
+// LeafSchema returns the schema a compiled plan's leaf scan reads: the leaf
+// columns the spine needs and, when the sink folds by the leaf's numbering,
+// the group id column after them.
+func LeafSchema(op Operator) storage.Schema {
+	if s, ok := op.(*SortOp); ok {
+		op = s.Child
+	}
+	return op.(*PipelineOp).pipe.leafSchema
+}
+
+// CompileValueKeyed lowers an Aggregate onto the spine as Compile does, but
+// keyed by its group columns' values whichever tables they belong to: the
+// GroupIndex lowering a numbered one (groupSource) must meet bit for bit.
+func CompileValueKeyed(n *plan.Aggregate, seed uint64, ctx *Context) (Operator, error) {
+	reads := append(aggReads(n.Aggs), n.GroupBy...)
+	return newPipelineOp(n.Child, "an aggregate", nil, reads, seed, ctx, func(in storage.Schema, _ *groupSource) (sink, error) {
+		return resolveAggSpec(in, n.GroupBy, n.Aggs, nil)
+	})
 }

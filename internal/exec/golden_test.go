@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -78,10 +77,10 @@ func goldenRun(t *testing.T, label string, root plan.Node, mat []*plan.SynopsisO
 // physical output schema binds to a name read above it (or is the weight).
 // Below a materializing sampler the whole row is read, so nothing is asked.
 //
-// An aggregate whose GROUP BY columns all belong to one join's build table,
-// and which nothing else on the spine reads above that join, groups through
-// it: that join and every join above it carry the group id column in place
-// of the group columns, and no other join carries it.
+// An aggregate whose GROUP BY columns all belong to one spine table — the
+// leaf, or one join's build table — folds by that table's numbering: from
+// that table up every join carries the group id column, a group column only
+// where something else reads it, and no join below it carries the id.
 func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, mat map[*plan.SynopsisOp]string) {
 	t.Helper()
 	n := root
@@ -122,7 +121,7 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 			n = nil
 		}
 	}
-	through := groupsThrough(spine, groupBy, names)
+	through := groupsThrough(spine, groupBy)
 	if through < 0 {
 		names = append(names, groupBy...)
 	} else {
@@ -173,12 +172,11 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 	}
 }
 
-// groupsThrough returns the position in spine (top-down) of the join an
-// aggregate grouping by groupBy groups through, or -1: the join whose build
-// table holds every group column when no other table on the spine holds
-// one, provided nothing read above it — reads, the sink's other columns,
-// any Filter's columns or join's left keys in between — is a group column.
-func groupsThrough(spine []plan.Node, groupBy, reads []string) int {
+// groupsThrough returns the position in spine (top-down) of the table an
+// aggregate grouping by groupBy folds by the numbering of — the leaf, or
+// the join whose build table it is — or -1: the one table that holds every
+// group column, when no other table on the spine holds one.
+func groupsThrough(spine []plan.Node, groupBy []string) int {
 	if len(groupBy) == 0 {
 		return -1
 	}
@@ -194,44 +192,26 @@ func groupsThrough(spine []plan.Node, groupBy, reads []string) int {
 		}
 		return false
 	}
-	var tables []plan.Node // the leaf, then every build side
 	at := -1
 	for i, n := range spine {
+		var tbl plan.Node // the leaf or a build side
 		switch t := n.(type) {
 		case *plan.Join:
-			tables = append(tables, t.Right)
-			all := true
-			for _, g := range groupBy {
-				all = all && holds(t.Right, g)
-			}
-			if all && at < 0 {
-				at = i
-			}
+			tbl = t.Right
 		case *plan.Scan, *plan.SynopsisScan:
-			tables = append(tables, t)
+			tbl = t
+		default:
+			continue
 		}
-	}
-	if at < 0 {
-		return -1
-	}
-	for _, tbl := range tables {
+		some, all := false, true
 		for _, g := range groupBy {
-			if tbl != spine[at].(*plan.Join).Right && holds(tbl, g) {
-				return -1
-			}
+			h := holds(tbl, g)
+			some, all = some || h, all && h
 		}
-	}
-	read := append([]string(nil), reads...)
-	for _, n := range spine[:at] {
-		switch t := n.(type) {
-		case *plan.Filter:
-			read = t.Pred.Columns(read)
-		case *plan.Join:
-			read = append(read, t.LeftKeys...)
-		}
-	}
-	for _, name := range read {
-		if slices.Contains(groupBy, name) {
+		switch {
+		case all && at < 0:
+			at = i
+		case some:
 			return -1
 		}
 	}

@@ -27,25 +27,25 @@ type aggSpec struct {
 	weightAt int   // index of synopses.WeightCol, -1 on unweighted input
 	schema   storage.Schema
 
-	// Grouped through a join (groupThrough), the input carries no group
-	// column: idAt is the position of the join's group id column and groups
-	// the build table's numbering the ids are drawn from, which also holds
-	// the groups' key values. groups is nil otherwise.
+	// Folding by a table's numbering (groupSource), the sink reads no group
+	// column: idAt is the position of the group id column and groups the
+	// numbering the ids are drawn from, which also holds the groups' key
+	// values. groups is nil otherwise.
 	idAt   int
 	groups *storage.GroupIDs
 }
 
 // resolveAggSpec binds group/aggregate columns against the input schema:
-// the group columns themselves, or, grouped through a join (thr non-nil),
-// the join's id column.
-func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec, thr *groupThrough) (*aggSpec, error) {
+// the group columns themselves, or, folding by a table's numbering (src
+// non-nil), the id column.
+func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec, src *groupSource) (*aggSpec, error) {
 	s := &aggSpec{groupBy: groupBy, aggs: aggs}
-	if thr != nil {
+	if src != nil {
 		if s.idAt = in.Index(groupIDCol); s.idAt < 0 {
 			return nil, fmt.Errorf("exec: aggregate: the group id column is not in %v", in.Names())
 		}
-		s.groups = thr.ids
-		s.schema = append(s.schema, thr.keys...)
+		s.groups = src.ids
+		s.schema = append(s.schema, src.keys...)
 	} else {
 		for _, g := range groupBy {
 			i := in.Index(g)
@@ -108,10 +108,10 @@ func (s *aggSpec) newPartial() partial { return newAggTable(s) }
 // their accumulators live by value in one slab, so a morsel that opens a
 // thousand groups allocates a few growing arrays, not a thousand objects.
 //
-// Grouped through a join (spec.groups), the rows arrive numbered already —
-// by their build table's group ids — and the table only turns those into
+// Folding by a table's numbering (spec.groups), the rows arrive numbered
+// already — by that table's group ids — and the table only turns those into
 // its slab ids: slabOf[d] is group d's slab id, -1 while unseen, and dimOf
-// lists the slab's groups by their build-table ids, in slab order; it is
+// lists the slab's groups by their numbering's ids, in slab order; it is
 // also the list of met entries reset turns back to -1.
 type aggTable struct {
 	spec *aggSpec
@@ -159,7 +159,7 @@ func (t *aggTable) translate() {
 	}
 }
 
-// slab returns the slab id of build-table group d, opening it on first
+// slab returns the slab id of the numbering's group d, opening it on first
 // sight (translate has run).
 func (t *aggTable) slab(d int32) int32 {
 	s := t.slabOf[d]
@@ -172,7 +172,7 @@ func (t *aggTable) slab(d int32) int32 {
 }
 
 // slabIDs writes the slab id of every live row of b into ids, in live-row
-// order, read from the join's group id column.
+// order, read from the group id column.
 func (t *aggTable) slabIDs(b *storage.Batch, ids []int32) {
 	t.translate()
 	col := b.Vecs[t.spec.idAt].I64
@@ -215,8 +215,8 @@ func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
 // observe folds one batch — honoring its selection vector — into the table.
 //
 // The loop is two-pass and aggregate-major: pass one resolves every live
-// row's group id — through the group index, or, grouped through a join, by
-// translating the join's ids (slabIDs) — pass two folds each aggregate column in a tight loop with
+// row's group id — through the group index, or, folding by a numbering, by
+// translating its ids (slabIDs) — pass two folds each aggregate column in a tight loop with
 // the weight-column and aggregate-column dispatch hoisted out of the row
 // loop. Each GroupAccumulator still folds exactly the same (y, w) sequence
 // as the historical row-major interpreted loop — accumulators are per
@@ -409,7 +409,7 @@ func observeGrouped(accs []stats.GroupAccumulator, stride int, ids []int32, b *s
 func (t *aggTable) merge(o partial) {
 	ot := o.(*aggTable)
 	if t.spec.groups != nil {
-		t.mergeThrough(ot)
+		t.mergeNumbered(ot)
 		return
 	}
 	na, had := len(t.spec.aggs), t.idx.Len()
@@ -428,10 +428,10 @@ func (t *aggTable) merge(o partial) {
 	}
 }
 
-// mergeThrough is merge grouped through a join: o's groups are found by
-// their build-table ids, and the ones new to t take the next slab ids in
+// mergeNumbered is merge folding by a numbering: o's groups are found by
+// their numbering's ids, and the ones new to t take the next slab ids in
 // o's slab order.
-func (t *aggTable) mergeThrough(o *aggTable) {
+func (t *aggTable) mergeNumbered(o *aggTable) {
 	na := len(t.spec.aggs)
 	t.translate()
 	for oid, d := range o.dimOf {
@@ -447,49 +447,47 @@ func (t *aggTable) mergeThrough(o *aggTable) {
 	}
 }
 
-// keyRows returns every group's key values, by id: the group index's, or,
-// grouped through a join, the build table numbering's.
-func (t *aggTable) keyRows() [][]storage.Value {
-	if t.spec.groups == nil {
-		return t.idx.KeyRows()
-	}
-	kc := t.spec.groups.Keys
-	nc := len(kc)
-	rows := make([][]storage.Value, len(t.dimOf))
-	vals := make([]storage.Value, len(t.dimOf)*nc)
-	for id, d := range t.dimOf {
-		row := vals[id*nc : (id+1)*nc : (id+1)*nc]
-		for c, v := range kc {
-			row[c] = v.Get(int(d))
-		}
-		rows[id] = row
-	}
-	return rows
-}
-
-// emit implements partial: the table as one batch with groups in
-// deterministic (sorted) order, plus the row-aligned confidence intervals.
+// emit implements partial: the table as one batch with groups in key order
+// (storage.CompareKey), plus the row-aligned confidence intervals. Folding
+// by a numbering, whose ids run in key order, that is the slab's ids sorted
+// and the key columns gathered from the numbering; otherwise the group
+// index's key values sorted. Keys are unique either way, so the order is
+// total: first-seen order — a function of morsel geometry — never shows.
 // SQL semantics: a global aggregate (no GROUP BY) over empty input still
 // yields one row (COUNT 0, zero-valued aggregates).
 func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval) {
-	if t.idx.Len() == 0 && len(t.spec.groupBy) == 0 {
+	if t.numGroups() == 0 && len(t.spec.groupBy) == 0 {
 		t.idx.Sole()
 		t.open()
 	}
-	// Group keys are unique, so the value sort is total: ids — first-seen
-	// order, a function of morsel geometry — never show.
-	keys := t.keyRows()
-	na := len(t.spec.aggs)
-
-	out := storage.NewBatch(t.spec.schema, len(keys))
-	intervals := make([][]stats.Interval, 0, len(keys))
-	for _, id := range sortRowsByValues(keys) {
-		for c, v := range keys[id] {
-			out.Vecs[c].Append(v)
+	n := t.numGroups()
+	out := storage.NewBatch(t.spec.schema, n)
+	order := make([]int32, n) // slab ids, in key order
+	if g := t.spec.groups; g != nil {
+		dims := slices.Clone(t.dimOf)
+		slices.Sort(dims)
+		for i, d := range dims {
+			order[i] = t.slabOf[d]
 		}
-		rowIv := make([]stats.Interval, na)
+		for c, k := range g.Keys {
+			out.Vecs[c].AppendGather(k, dims)
+		}
+	} else {
+		keys := t.idx.KeyRows()
+		for i, id := range sortRowsByValues(keys) {
+			order[i] = int32(id)
+			for c, v := range keys[id] {
+				out.Vecs[c].Append(v)
+			}
+		}
+	}
+	na := len(t.spec.aggs)
+	ivs := make([]stats.Interval, n*na)
+	intervals := make([][]stats.Interval, n)
+	for i, id := range order {
+		rowIv := ivs[i*na : (i+1)*na : (i+1)*na]
 		for k := range rowIv {
-			acc := &t.accs[id*na+k]
+			acc := &t.accs[int(id)*na+k]
 			// Unweighted input is exact: its interval has no width, whatever
 			// the values (an infinite y would make z·√Var NaN).
 			iv := stats.Interval{Estimate: acc.Estimate()}
@@ -500,7 +498,7 @@ func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 			cell := out.Vecs[len(t.spec.groupBy)+k]
 			cell.F64 = append(cell.F64, iv.Estimate)
 		}
-		intervals = append(intervals, rowIv)
+		intervals[i] = rowIv
 	}
 	return out, intervals
 }

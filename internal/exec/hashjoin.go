@@ -27,10 +27,10 @@ type joinSpec struct {
 	rightKeys []int
 	leftCols  []int // left columns copied to output
 	rightCols []int
-	// groupIDs, on the join an aggregate groups through (groupThrough), is
-	// the build table's group id by row: the output's last column is each
-	// joined row's id, in place of the group columns' values. Nil otherwise.
-	groupIDs []int32
+	// groupIDs, on the join whose build table numbers an aggregate's groups
+	// (groupSource), is that numbering's id by build row: the output's last
+	// column is each joined row's id. Nil otherwise.
+	groupIDs *storage.Vector
 
 	schema storage.Schema
 }
@@ -255,13 +255,7 @@ func (p *joinProber) flush(out *storage.Batch) {
 		col++
 	}
 	if ids := p.spec.groupIDs; ids != nil {
-		v := out.Vecs[col]
-		n := len(v.I64)
-		v.I64 = slices.Grow(v.I64, len(mrows))[:n+len(mrows)]
-		dst := v.I64[n:]
-		for i, m := range mrows {
-			dst[i] = int64(ids[m])
-		}
+		out.Vecs[col].AppendGather(ids, mrows)
 	}
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]
 }

@@ -38,7 +38,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/plan"
@@ -192,21 +192,21 @@ func Run(op Operator) ([]*storage.Batch, error) {
 }
 
 // sortRowsByValues orders row indices by the given value tuples
-// lexicographically — used for deterministic aggregate output.
+// lexicographically under storage.CompareKey — the sinks' emit order over
+// group keys.
 func sortRowsByValues(keys [][]storage.Value) []int {
 	idx := make([]int, len(keys))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ka, kb := keys[a], keys[b]
 		for i := range ka {
-			if ka[i].Equal(kb[i]) {
-				continue
+			if c := storage.CompareKey(ka[i], kb[i]); c != 0 {
+				return c
 			}
-			return ka[i].Less(kb[i])
 		}
-		return false
+		return 0
 	})
 	return idx
 }

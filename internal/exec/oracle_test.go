@@ -239,13 +239,13 @@ func oracleAggregate(t testing.TB, n *plan.Aggregate, in relation) relation {
 	if len(order) == 0 && len(by) == 0 {
 		order = append(order, &oracleGroup{sum: make([]float64, len(cols)), min: make([]float64, len(cols)), max: make([]float64, len(cols))})
 	}
-	sort.Slice(order, func(a, b int) bool {
-		for c := range order[a].key {
-			if !order[a].key[c].Equal(order[b].key[c]) {
-				return order[a].key[c].Less(order[b].key[c])
+	slices.SortStableFunc(order, func(a, b *oracleGroup) int {
+		for c := range a.key {
+			if d := storage.CompareKey(a.key[c], b.key[c]); d != 0 {
+				return d
 			}
 		}
-		return false
+		return 0
 	})
 
 	// Group columns keep their input types; every aggregate cell is a float64.

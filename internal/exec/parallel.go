@@ -49,9 +49,12 @@ type pipeline struct {
 	prune expr.Pred
 
 	// The leaf scan's projection: the positions and schema of the leaf columns
-	// anything on the spine reads.
+	// anything on the spine reads, and, when the sink folds by the leaf's
+	// numbering (groupSource), that numbering's ids, which every batch
+	// carries after them as groupIDCol.
 	leafCols   []int
 	leafSchema storage.Schema
+	leafIDs    *storage.Vector
 }
 
 // matchSpine recognizes the spine shape below a sink (over names the sink
@@ -136,9 +139,10 @@ func prunedCount(keep []bool) int64 {
 }
 
 // read returns the leaf's batches over global rows [lo, hi) of the
-// partitions keep leaves, narrowed to the leaf columns the spine reads.
+// partitions keep leaves, narrowed to the leaf columns the spine reads, with
+// their rows' group ids when the sink folds by the leaf's numbering.
 func (p *pipeline) read(lo, hi int, keep []bool) []*storage.Batch {
-	return p.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep, p.leafSchema, p.leafCols)
+	return p.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep, p.leafSchema, p.leafCols, p.leafIDs)
 }
 
 // sink is where a pipeline's spine ends. Every morsel folds its batches into
@@ -215,15 +219,15 @@ type PipelineOp struct {
 }
 
 // newPipelineOp is the one lowering that runs a spine: it matches the shape
-// below the sink, decides whether the sink groups through a join
-// (throughJoin), compiles the spine's join build sides, narrows every level
-// of the spine to the columns something above it reads (groupBy and reads
-// name the sink's: its GROUP BY columns, nil for a sink that cannot group
-// through a join, and the rest), hands the spine's physical output schema
-// and the group-through lowering, if any, to bind for the sink's column
-// binding (on an error the sink it returns is not looked at), compiles
-// every Filter of the chain once for the whole run, and validates the
-// sampler configuration up front.
+// below the sink, decides which spine table's numbering the sink folds by
+// (groupSourceOf), compiles the spine's join build sides, narrows every
+// level of the spine to the columns something above it reads (groupBy and
+// reads name the sink's: its GROUP BY columns, nil for a sink that cannot
+// fold by a numbering, and the rest), hands the spine's physical output
+// schema and the numbering, if any, to bind for the sink's column binding
+// (on an error the sink it returns is not looked at), compiles every Filter
+// of the chain once for the whole run, and validates the sampler
+// configuration up front.
 //
 // A column is needed at a level when a node above that level names it: the
 // sink's group, aggregate, probe-key and weight columns, a Filter's predicate
@@ -236,17 +240,18 @@ type PipelineOp struct {
 // through Schema.Index at every level, exactly as the operators bind them; a
 // name that matches nothing at a level keeps nothing there. What a dropped
 // column would have cost to exchange is not lost: every batch carries its
-// rows' full widths (storage.Batch.Width). Grouped through a join, the sink
+// rows' full widths (storage.Batch.Width). Folding by a numbering, the sink
 // reads the id column (groupIDCol) in place of its group columns, so from
-// that join up the spine carries one id per row instead of their values.
-func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed uint64, ctx *Context, bind func(in storage.Schema, thr *groupThrough) (sink, error)) (*PipelineOp, error) {
+// the table that numbers them up the spine carries one id per row, and a
+// group column only where something else reads it.
+func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed uint64, ctx *Context, bind func(in storage.Schema, src *groupSource) (sink, error)) (*PipelineOp, error) {
 	pipe, err := matchSpine(spine, over)
 	if err != nil {
 		return nil, err
 	}
-	thr := throughJoin(pipe, groupBy, reads)
+	src := groupSourceOf(pipe, groupBy)
 	names := append([]string{synopses.WeightCol}, reads...)
-	if thr != nil {
+	if src != nil {
 		names = append(names, groupIDCol)
 	} else {
 		names = append(names, groupBy...)
@@ -271,6 +276,10 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 	}
 	pipe.leafCols = neededCols(pipe.leaf.Schema(), leafNeed)
 	pipe.leafSchema = projectSchema(pipe.leaf.Schema(), pipe.leafCols)
+	if src != nil && src.at < 0 {
+		pipe.leafIDs = src.ids.ID
+		pipe.leafSchema = append(pipe.leafSchema, storage.Col{Name: groupIDCol, Typ: storage.Int64})
+	}
 	cur := pipe.leafSchema
 	var joins []*pipelineJoinState
 	for i, n := range pipe.chain {
@@ -293,14 +302,14 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 			if err != nil {
 				return nil, err
 			}
-			if thr != nil && thr.at == i {
-				spec.emitGroups(thr.ids)
+			if src != nil && src.at == i {
+				spec.emitGroups(src.ids)
 			}
 			joins = append(joins, &pipelineJoinState{node: t, build: build, spec: spec})
 			cur = spec.schema
 		}
 	}
-	snk, err := bind(cur, thr)
+	snk, err := bind(cur, src)
 	if err != nil {
 		return nil, err
 	}
@@ -312,30 +321,31 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 	return &PipelineOp{pipe: pipe, joins: joins, sink: snk, seed: seed, ctx: ctx}, nil
 }
 
-// groupIDCol names the column a group-through join emits: each joined row's
-// group id in its build table's GroupIDs.
+// groupIDCol names the column of group ids a spine carries when its sink
+// folds by a table's numbering (groupSource): each row's group id in that
+// table version's GroupIDs.
 const groupIDCol = "__group_id"
 
-// groupThrough is the groupjoin lowering of an aggregate whose GROUP BY
-// columns all live on one spine join's build side and are read by nothing
-// else on the spine. That join emits each matched build row's group id in
-// its table version's numbering by those columns (storage.Table.GroupIDs),
-// one word per joined row, in place of the columns' values; later joins
-// carry the id like any other left column; and the aggregate folds by it,
+// groupSource is the lowering of an aggregate whose GROUP BY columns all
+// belong to one spine table — the leaf, or one join's build side — onto that
+// table version's numbering by those columns (storage.Table.GroupIDs),
+// whose ids run in key order. The table adds each row's id to the spine as
+// one more column, groupIDCol: the leaf scan slices it beside the leaf's
+// columns, a join gathers it by build row; every later operator carries it
+// like any other column, and the aggregate folds by it, sorting ids and
 // reading the groups' key values from the numbering when it emits.
-type groupThrough struct {
-	at   int               // the join's position in the chain
-	ids  *storage.GroupIDs // the build table's numbering by the group columns
-	keys storage.Schema    // the group columns, as the build table names and types them
+type groupSource struct {
+	at   int               // -1: the leaf; otherwise the join's position in the chain
+	ids  *storage.GroupIDs // the table's numbering by the group columns
+	keys storage.Schema    // the group columns, as the table names and types them
 }
 
-// throughJoin decides, from the plan shape alone, whether a sink that groups
-// by groupBy, and besides reads the columns reads names, groups through a
-// join, and returns the lowering, or nil. Names bind as the operators bind
-// them, on the spine's full-width schema at each level: every group column
-// must bind to the same join's build side, and none may be bound by reads,
-// by a Filter above that join or by a later join's left key.
-func throughJoin(pipe *pipeline, groupBy, reads []string) *groupThrough {
+// groupSourceOf decides, from the plan shape alone, which spine table a sink
+// grouping by groupBy folds by the numbering of, and returns the lowering,
+// or nil: the one table every group column binds to. Names bind as the
+// operators bind them, on the spine's full-width schema; group columns that
+// span two tables, or bind to nothing, keep the value-keyed GroupIndex.
+func groupSourceOf(pipe *pipeline, groupBy []string) *groupSource {
 	if len(groupBy) == 0 {
 		return nil
 	}
@@ -363,55 +373,27 @@ func throughJoin(pipe *pipeline, groupBy, reads []string) *groupThrough {
 			return nil
 		}
 	}
-	at := -1
-	for i, n := range pipe.chain {
-		if _, ok := n.(*plan.Join); !ok {
-			continue
-		}
-		lo, hi := len(wide[i]), len(wide[i+1])
-		inside := true
-		for _, p := range pos {
-			inside = inside && lo <= p && p < hi
-		}
-		if inside {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return nil
-	}
-	readsGroup := func(s storage.Schema, names []string) bool {
-		for _, n := range names {
-			if slices.Contains(pos, s.Index(n)) {
-				return true
+	// The table, its position (-1: the leaf) and its first column's in top.
+	tbl, at, lo := pipe.leaf, -1, 0
+	if slices.Max(pos) >= len(wide[0]) {
+		tbl = nil
+		for i, n := range pipe.chain {
+			if j, ok := n.(*plan.Join); ok && len(wide[i]) <= slices.Min(pos) && slices.Max(pos) < len(wide[i+1]) {
+				tbl, at, lo = buildSource(j.Right), i, len(wide[i])
+				break
 			}
 		}
-		return false
-	}
-	if readsGroup(top, reads) {
-		return nil
-	}
-	for i := at + 1; i < len(pipe.chain); i++ {
-		switch t := pipe.chain[i].(type) {
-		case *plan.Filter:
-			if readsGroup(wide[i], t.Pred.Columns(nil)) {
-				return nil
-			}
-		case *plan.Join:
-			if readsGroup(wide[i], t.LeftKeys) {
-				return nil
-			}
+		if tbl == nil {
+			return nil
 		}
 	}
-	build := buildSource(pipe.chain[at].(*plan.Join).Right)
 	cols := make([]int, len(pos))
 	keys := make(storage.Schema, len(pos))
 	for k, p := range pos {
-		cols[k] = p - len(wide[at])
-		keys[k] = build.Schema()[cols[k]]
+		cols[k] = p - lo
+		keys[k] = tbl.Schema()[cols[k]]
 	}
-	return &groupThrough{at: at, ids: build.GroupIDs(cols), keys: keys}
+	return &groupSource{at: at, ids: tbl.GroupIDs(cols), keys: keys}
 }
 
 // neededCols returns, ascending, the positions of s's columns that some name

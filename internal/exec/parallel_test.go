@@ -309,22 +309,28 @@ func TestParallelAggSamplerErrors(t *testing.T) {
 
 // TestMorselStateDoesNotScaleWithMorsels is the tripwire on what a morsel
 // builds: a grouped aggregate at one worker over the same rows, cut into 8
-// and into 64 morsels — grouped by a fact column, and through a join. A
-// worker keeps its sink partial and filter scratch across morsels, so eight
-// times the morsels must cost well under twice the bytes per run; a
-// partial, group index, slab translation or kernel scratch built per morsel
-// again scales them with the morsel count.
+// and into 64 morsels — grouped by the leaf's numbering (a few hundred
+// groups, and the q15 shape: a thousand under a range filter), by a join's
+// build side, and value-keyed across the leaf and a dimension. A worker
+// keeps its sink partial and filter scratch across morsels, so eight times
+// the morsels must cost well under twice the bytes per run; a partial, group
+// index, slab translation or kernel scratch built per morsel again scales
+// them with the morsel count.
 func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 	const rows = 64 * 512
 	b := storage.NewBuilder("m", storage.Schema{
 		{Name: "m.k", Typ: storage.Int64},
 		{Name: "m.s", Typ: storage.String},
 		{Name: "m.v", Typ: storage.Float64},
+		{Name: "m.supp", Typ: storage.Int64},
+		{Name: "m.ship", Typ: storage.Int64},
 	})
 	for i := 0; i < rows; i++ {
 		b.Int(0, int64(i%300))
 		b.Str(1, fmt.Sprintf("s%d", i%7))
 		b.Float(2, float64(i%101))
+		b.Int(3, int64(i*7919%1000))
+		b.Int(4, int64(i%2400))
 	}
 	tbl := b.Build(1)
 	d := storage.NewBuilder("d", storage.Schema{{Name: "d.k", Typ: storage.Int64}, {Name: "d.g", Typ: storage.String}})
@@ -342,10 +348,20 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 		name string
 		agg  plan.Node
 	}{
-		{"grouped by a fact column", &plan.Aggregate{Child: filtered, GroupBy: []string{"m.k"}, Aggs: aggs}},
+		{"grouped by the leaf", &plan.Aggregate{Child: filtered, GroupBy: []string{"m.k"}, Aggs: aggs}},
+		{"grouped by the leaf, 1 000 groups (q15)", &plan.Aggregate{
+			Child: &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: expr.Pred{
+				expr.Compare("m.ship", expr.GE, storage.IntValue(300)), expr.Compare("m.ship", expr.LE, storage.IntValue(1900)),
+			}},
+			GroupBy: []string{"m.supp"}, Aggs: []plan.AggSpec{{Kind: stats.Sum, Col: "m.v"}},
+		}},
 		{"grouped through a join", &plan.Aggregate{
 			Child:   &plan.Join{Left: filtered, Right: &plan.Scan{Table: dim}, LeftKeys: []string{"m.k"}, RightKeys: []string{"d.k"}},
 			GroupBy: []string{"d.g"}, Aggs: aggs,
+		}},
+		{"value-keyed across the leaf and a dimension", &plan.Aggregate{
+			Child:   &plan.Join{Left: filtered, Right: &plan.Scan{Table: dim}, LeftKeys: []string{"m.k"}, RightKeys: []string{"d.k"}},
+			GroupBy: []string{"m.s", "d.g"}, Aggs: aggs,
 		}},
 	} {
 		pool := storage.NewVecPool()

@@ -55,7 +55,13 @@ func newSamplerOp(child Operator, node *plan.SynopsisOp, delta int, seed uint64,
 	}
 
 	if name, ok := ctx.MaterializeSamples[node]; ok {
-		op.matBuilder = synopses.NewSampleBuilder(name, in)
+		// The stored sample is the leaf's rows: a group id column the spine
+		// carries after them (groupSource) is the query's, not the sample's.
+		own := in
+		if n := len(in); n > 0 && in[n-1].Name == groupIDCol {
+			own = in[:n-1]
+		}
+		op.matBuilder = synopses.NewSampleBuilder(name, own)
 		op.matCols = node.StratCols
 	}
 	return op, nil

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -54,10 +56,29 @@ func groupText(tbl *Table, cols []int, i int) string {
 	return s
 }
 
+// keyRow is group id's key values in g.
+func keyRow(g *GroupIDs, id int) []Value {
+	row := make([]Value, len(g.Keys))
+	for k, v := range g.Keys {
+		row[k] = v.Get(id)
+	}
+	return row
+}
+
+// compareRows is CompareKey over two key tuples, column by column.
+func compareRows(a, b []Value) int {
+	for k := range a {
+		if c := CompareKey(a[k], b[k]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // TestGroupIDsMatchGroupBy: a version's group ids are GROUP BY's groups,
-// numbered in first-seen row order, and Keys holds each group's values —
-// for one column of every type and for column sets, over one dictionary
-// and over two (an appended version), and for an empty table.
+// numbered densely in key order (CompareKey), and Keys holds each group's
+// values — for one column of every type and for column sets, over one
+// dictionary and over two (an appended version), and for an empty table.
 func TestGroupIDsMatchGroupBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, split := range []int{0, 1500} {
@@ -71,12 +92,12 @@ func TestGroupIDsMatchGroupBy(t *testing.T) {
 		}
 		for _, cols := range [][]int{{0}, {1}, {2}, {3}, {3, 1}, {0, 2, 3}, {1, 1}} {
 			g := tbl.GroupIDs(cols)
-			want := map[string]int32{}
+			want := map[string]int64{} // a group's id, from its first row
 			for i := 0; i < tbl.NumRows(); i++ {
 				key := groupText(tbl, cols, i)
 				id, seen := want[key]
 				if !seen {
-					id = int32(len(want))
+					id = g.ID.I64[i]
 					want[key] = id
 					for k, c := range cols {
 						got, row := g.Keys[k].Get(int(id)), tbl.Column(c).Get(i)
@@ -86,30 +107,36 @@ func TestGroupIDsMatchGroupBy(t *testing.T) {
 						}
 					}
 				}
-				if g.ID[i] != id {
-					t.Fatalf("split %d cols %v: row %d in group %d, want %d", split, cols, i, g.ID[i], id)
+				if g.ID.I64[i] != id {
+					t.Fatalf("split %d cols %v: row %d in group %d, its key's first row in %d", split, cols, i, g.ID.I64[i], id)
 				}
 			}
-			if len(g.ID) != tbl.NumRows() || g.Len() != len(want) {
-				t.Fatalf("split %d cols %v: %d ids over %d groups, want %d over %d", split, cols, len(g.ID), g.Len(), tbl.NumRows(), len(want))
+			if g.ID.Len() != tbl.NumRows() || g.Len() != len(want) {
+				t.Fatalf("split %d cols %v: %d ids over %d groups, want %d over %d", split, cols, g.ID.Len(), g.Len(), tbl.NumRows(), len(want))
+			}
+			for id := 1; id < g.Len(); id++ {
+				if a, b := keyRow(g, id-1), keyRow(g, id); compareRows(a, b) >= 0 {
+					t.Fatalf("split %d cols %v: group %d's key %v does not sort before group %d's %v", split, cols, id-1, a, id, b)
+				}
 			}
 		}
 	}
 	empty := NewBuilder("e", Schema{{Name: "e.s", Typ: String}}).Build(1)
-	if g := empty.GroupIDs([]int{0}); len(g.ID) != 0 || g.Len() != 0 {
-		t.Fatalf("an empty table has %d ids over %d groups", len(g.ID), g.Len())
+	if g := empty.GroupIDs([]int{0}); g.ID.Len() != 0 || g.Len() != 0 {
+		t.Fatalf("an empty table has %d ids over %d groups", g.ID.Len(), g.Len())
 	}
 }
 
 // TestGroupIDsPerVersion: the numbering is cached on its version — one
 // pointer per column set — and an appended version numbers its own rows:
-// the old rows keep their ids (first-seen order over a prefix), and the old
-// version's numbering does not move.
+// the old rows keep their groups, renumbered in the new version's key order
+// when the delta brings keys between theirs, and the old version's
+// numbering does not move.
 func TestGroupIDsPerVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	old := groupIDTable(t, rng, 1000, 0)
 	g := old.GroupIDs([]int{3, 0})
-	before := append([]int32(nil), g.ID...)
+	before := slices.Clone(g.ID.I64)
 	groups := g.Len()
 	if old.GroupIDs([]int{3, 0}) != g {
 		t.Fatal("a second call built a second numbering")
@@ -117,22 +144,59 @@ func TestGroupIDsPerVersion(t *testing.T) {
 	if old.GroupIDs([]int{0, 3}) == g {
 		t.Fatal("two column orders share one numbering")
 	}
-	delta := groupIDTable(t, rng, 500, 0)
-	next, err := old.Append(delta)
+	b := NewBuilder("g", old.Schema())
+	for i := 0; i < 500; i++ {
+		b.Int(0, int64(i%9)-4)
+		b.Float(1, 0)
+		b.Bool(2, false)
+		b.Str(3, []string{"a", "b", "bb", "c", "d"}[i%5])
+	}
+	next, err := old.Append(b.Build(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ng := next.GroupIDs([]int{3, 0})
-	if ng == g || len(ng.ID) != 1500 {
-		t.Fatalf("the appended version shares the old numbering or numbers %d rows", len(ng.ID))
+	if ng == g || ng.ID.Len() != 1500 || ng.Len() <= groups {
+		t.Fatalf("the appended version shares the old numbering, or numbers %d rows into %d groups", ng.ID.Len(), ng.Len())
 	}
+	moved := false
 	for i, id := range before {
-		if g.ID[i] != id || ng.ID[i] != id {
-			t.Fatalf("row %d: old version's id %d, new version's %d, want %d", i, g.ID[i], ng.ID[i], id)
+		if g.ID.I64[i] != id {
+			t.Fatalf("row %d: the old version's id moved from %d to %d", i, id, g.ID.I64[i])
 		}
+		if a, b := keyRow(g, int(id)), keyRow(ng, int(ng.ID.I64[i])); compareRows(a, b) != 0 {
+			t.Fatalf("row %d: the old version groups it by %v, the new one by %v", i, a, b)
+		}
+		moved = moved || ng.ID.I64[i] != id
 	}
-	if g.Len() != groups || len(g.ID) != 1000 {
+	if !moved {
+		t.Fatal("vacuous: the delta's keys renumbered no old row")
+	}
+	if g.Len() != groups || g.ID.Len() != 1000 {
 		t.Fatal("the old version's numbering moved")
+	}
+}
+
+// TestCompareKeyTotalOrder: floats order by IEEE-754 totalOrder, every
+// other type as Less does, and two values compare equal exactly when their
+// bits (strings: bytes) are.
+func TestCompareKeyTotalOrder(t *testing.T) {
+	nan := func(sign, payload uint64) float64 { return math.Float64frombits(sign<<63 | 0x7ff8000000000000 | payload) }
+	for _, asc := range [][]Value{
+		{FloatValue(nan(1, 2)), FloatValue(nan(1, 1)), FloatValue(math.Inf(-1)), FloatValue(-1.5), FloatValue(-math.SmallestNonzeroFloat64),
+			FloatValue(math.Copysign(0, -1)), FloatValue(0), FloatValue(math.SmallestNonzeroFloat64), FloatValue(2), FloatValue(math.Inf(1)),
+			FloatValue(nan(0, 1)), FloatValue(nan(0, 2))},
+		{IntValue(math.MinInt64), IntValue(-1), IntValue(0), IntValue(7), IntValue(math.MaxInt64)},
+		{StringValue(""), StringValue("A"), StringValue("a"), StringValue("ab"), StringValue("b")},
+		{BoolValue(false), BoolValue(true)},
+	} {
+		for i, a := range asc {
+			for j, b := range asc {
+				if got, want := CompareKey(a, b), cmp.Compare(i, j); got != want {
+					t.Fatalf("CompareKey(%v, %v) = %d, want %d", a, b, got, want)
+				}
+			}
+		}
 	}
 }
 

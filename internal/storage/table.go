@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -444,17 +445,21 @@ func (t *Table) KeyIndex(cols []int) *KeyIndex {
 }
 
 // GroupIDs is a table version's own numbering of its rows by a column set:
-// row i is in group ID[i], and group g's key values are row g of Keys, one
-// vector per column. One GroupIndex over every row of the version numbers
-// them, so two rows share an id exactly when GROUP BY would put them in one
-// group — floats by their IEEE bits (-0.0 and +0.0 apart, a NaN with the
-// same payload only), strings by value whatever dictionary codes them. Ids
-// are dense, in first-seen row order. Shared by every query over the
-// version, so frozen once built.
+// row i is in group ID.I64[i], and group g's key values are row g of Keys,
+// one vector per column. One GroupIndex over every row of the version finds
+// the groups, so two rows share an id exactly when GROUP BY would put them
+// in one group — floats by their IEEE bits (-0.0 and +0.0 apart, a NaN with
+// the same payload only), strings by value whatever dictionary codes them.
+// Ids are dense and in key order: g < h exactly when group g's key sorts
+// before group h's under CompareKey, column by column, so a sink that folds
+// by the ids emits its groups in key order by sorting ids. ID is an Int64
+// column — 8 bytes a row — so a scan slices it beside the table's own
+// columns with no copy. Shared by every query over the version, so frozen
+// once built.
 //
 //taster:immutable
 type GroupIDs struct {
-	ID   []int32
+	ID   *Vector
 	Keys []*Vector
 }
 
@@ -468,15 +473,45 @@ func (g *GroupIDs) Len() int {
 
 // GroupIDs returns the numbering of this version's rows by the columns at
 // positions cols (non-empty), built on first use and cached per column set
-// beside the set's KeyIndex: a version's rows never change, so every join
+// beside the set's KeyIndex: a version's rows never change, so every
 // aggregate grouping by the set folds by the one numbering. An appended
 // version builds its own; an old version keeps its own.
 func (t *Table) GroupIDs(cols []int) *GroupIDs {
 	e := t.colIndexes(cols)
 	e.groupOnce.Do(func() {
-		ids := make([]int32, 0, t.rows)
-		idx := t.resolveGroups(cols, func(batch []int32, _ int) { ids = append(ids, batch...) })
-		e.groups = &GroupIDs{ID: ids, Keys: idx.KeyColumns()}
+		ids := make([]int64, 0, t.rows)
+		idx := t.resolveGroups(cols, func(batch []int32, _ int) {
+			for _, id := range batch {
+				ids = append(ids, int64(id))
+			}
+		})
+		// Renumber the first-seen ids in key order.
+		seen := idx.KeyColumns()
+		order := make([]int32, idx.Len())
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			for _, k := range seen {
+				if c := k.compareAt(int(a), int(b)); c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+		rank := make([]int64, len(order))
+		for r, id := range order {
+			rank[id] = int64(r)
+		}
+		for i, id := range ids {
+			ids[i] = rank[id]
+		}
+		keys := make([]*Vector, len(seen))
+		for c, k := range seen {
+			keys[c] = NewVector(k.Typ, len(order))
+			keys[c].AppendGather(k, order)
+		}
+		e.groups = &GroupIDs{ID: &Vector{Typ: Int64, I64: ids}, Keys: keys}
 	})
 	return e.groups
 }
@@ -533,7 +568,10 @@ func (t *Table) Scan(p, batchSize int) []*Batch {
 // across any PartitionRows setting. It passes the zone-map pruning verdict —
 // rows of pruned partitions are skipped without being read — and the columns
 // its spine reads; a batch's Width is the full row's whatever the projection.
-func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schema, cols []int) []*Batch {
+// With rowCol non-nil — a vector over the table's rows, such as a GroupIDs
+// numbering — every batch also carries its rows' slice of rowCol as one
+// more column after cols, which schema names last.
+func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schema, cols []int, rowCol *Vector) []*Batch {
 	if lo < 0 {
 		lo = 0
 	}
@@ -562,7 +600,11 @@ func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schem
 			if end > e {
 				end = e
 			}
-			out = append(out, sliceBatch(schema, part, cols, plo+start, start, end))
+			b := sliceBatch(schema, part, cols, plo+start, start, end)
+			if rowCol != nil {
+				b.Vecs = append(b.Vecs, rowCol.Slice(plo+start, plo+end))
+			}
+			out = append(out, b)
 		}
 	}
 	return out
@@ -571,17 +613,18 @@ func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schem
 // sliceBatch is the zero-copy view of part's rows [start, end) over the
 // columns at positions cols (nil = all), carrying the rows' full widths and,
 // as Start, tableRow: the caller's table row of the partition's row start,
-// stored as given.
+// stored as given. Its Vecs have room for one more column, ScanRangePruned's
+// rowCol.
 func sliceBatch(schema Schema, part *Partition, cols []int, tableRow, start, end int) *Batch {
 	b := &Batch{Schema: schema, Width: part.rowWidths()[start:end], Start: tableRow}
 	if cols == nil {
-		b.Vecs = make([]*Vector, len(part.cols))
+		b.Vecs = make([]*Vector, len(part.cols), len(part.cols)+1)
 		for i, c := range part.cols {
 			b.Vecs[i] = c.Slice(start, end)
 		}
 		return b
 	}
-	b.Vecs = make([]*Vector, len(cols))
+	b.Vecs = make([]*Vector, len(cols), len(cols)+1)
 	for i, c := range cols {
 		b.Vecs[i] = part.cols[c].Slice(start, end)
 	}

@@ -7,7 +7,12 @@
 // storage quotas and I/O costs behave like the paper's.
 package storage
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"strings"
+)
 
 // Type is the type of a column.
 type Type uint8
@@ -105,6 +110,42 @@ func (v Value) Less(o Value) bool {
 		return !v.B && o.B
 	}
 	return false
+}
+
+// CompareKey orders two same-typed group key values, returning -1, 0 or +1:
+// the one order the sinks emit groups in and GroupIDs numbers them in.
+// Integers, strings and bools order as Less does. Floats order by IEEE-754
+// totalOrder on their bits — -NaN < -Inf < … < -0 < +0 < … < +Inf < +NaN,
+// NaNs by payload — so two keys compare equal exactly when GROUP BY puts
+// them in one group (GroupIndex tells floats apart by their bits), and a
+// sort of distinct keys has no ties for first-seen order to break.
+func CompareKey(a, b Value) int {
+	switch a.Typ {
+	case Int64:
+		return cmp.Compare(a.I, b.I)
+	case Float64:
+		return cmp.Compare(floatOrder(a.F), floatOrder(b.F))
+	case String:
+		return strings.Compare(a.S, b.S)
+	case Bool:
+		return boolOrder(a.B) - boolOrder(b.B)
+	}
+	return 0
+}
+
+// floatOrder maps f to an integer whose order is IEEE-754 totalOrder: the
+// bits as they are for a positive sign, every bit but the sign flipped for
+// a negative one.
+func floatOrder(f float64) int64 {
+	k := int64(math.Float64bits(f))
+	return k ^ int64(uint64(k>>63)>>1)
+}
+
+func boolOrder(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // String renders the value for debugging and result printing.

@@ -244,7 +244,9 @@ type SampleBuilder struct {
 }
 
 // NewSampleBuilder returns a builder producing a sample table with the given
-// name over the source schema.
+// name over the source schema. An offered batch may carry columns past src's
+// (an executor's own, such as a group id column); the sample keeps only its
+// leading len(src).
 func NewSampleBuilder(name string, src storage.Schema) *SampleBuilder {
 	schema := SampleSchema(src)
 	return &SampleBuilder{b: storage.NewBuilder(name, schema), widx: len(schema) - 1, srcCols: len(src)}
