@@ -191,9 +191,11 @@ reach-check:
 		echo "reach-check: docs/REACH.txt matches the measured map"
 
 # The concurrency suite under the race detector: morsel-executor determinism,
-# the concurrent serving path, and the partitioned ingest/query/spill storm.
+# the concurrent serving path, the partitioned ingest/query/spill storm, and
+# storage's lazily built per-version indexes (a fact table's GroupIDs is
+# first built under concurrent serving).
 race:
-	$(GO) test -race ./internal/core/ ./internal/exec/ .
+	$(GO) test -race ./internal/core/ ./internal/exec/ ./internal/storage/ .
 
 # Every package under the race detector (CI's required race gate; the
 # `race` subset above stays as the fast local loop).

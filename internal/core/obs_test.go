@@ -255,7 +255,7 @@ func TestExecuteServeObsAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget benchmark skipped in -short mode")
 	}
-	const budget = 326 // same line as TestExecuteServeAllocBudget
+	const budget = 319 // same line as TestExecuteServeAllocBudget
 	res := testing.Benchmark(BenchmarkExecuteServeObs)
 	if got := res.AllocsPerOp(); got > budget {
 		t.Fatalf("instrumented serving path allocates %d allocs/op, budget is %d — the metrics layer is allocating per query", got, budget)

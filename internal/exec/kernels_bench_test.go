@@ -437,3 +437,51 @@ func BenchmarkJoinAggGroupThrough(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAggLeafGrouped runs two exact aggregates grouped by a fact
+// column on one worker with every build cached, as serving runs them: q15,
+// a range of ship dates grouped by the 1 000 suppliers, and q20, the facts
+// whose part passes a filter, grouped by supplier through the part join. It
+// reports ns per fact row and B/op (`go test ./internal/exec -run NONE
+// -bench BenchmarkAggLeafGrouped -benchmem -cpu 1`).
+func BenchmarkAggLeafGrouped(b *testing.B) {
+	f, _, p, _, _ := groupThroughTables()
+	sum := []plan.AggSpec{{Kind: stats.Sum, Col: "f.price"}}
+	for _, c := range []struct {
+		name string
+		root plan.Node
+	}{
+		{"q15", &plan.Aggregate{
+			Child: &plan.Filter{Child: &plan.Scan{Table: f}, Pred: expr.Pred{
+				expr.Compare("f.shipdate", expr.GE, storage.IntValue(1000)), expr.Compare("f.shipdate", expr.LE, storage.IntValue(1090)),
+			}},
+			GroupBy: []string{"f.suppkey"}, Aggs: sum}},
+		{"q20", &plan.Aggregate{
+			Child: &plan.Join{Left: &plan.Scan{Table: f},
+				Right:    &plan.Filter{Child: &plan.Scan{Table: p}, Pred: expr.Pred{expr.Compare("p.size", expr.LE, storage.IntValue(10))}},
+				LeftKeys: []string{"f.partkey"}, RightKeys: []string{"p.partkey"}},
+			GroupBy: []string{"f.suppkey"}, Aggs: sum}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			joins, pool := NewJoinCache(1<<30), storage.NewVecPool()
+			run := func() {
+				ctx := NewContext(0.95)
+				ctx.Workers, ctx.Joins, ctx.Pool = 1, joins, pool
+				op, err := Compile(c.root, 1, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Run(op); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // build the joins, the tables' indexes and numberings
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			reportPerRow(b, f.NumRows())
+		})
+	}
+}

@@ -29,7 +29,9 @@ func totalOrderKey(f float64) int64 {
 // order the rows arrive in and at workers 1 / 4 / 8 — folded by the leaf's
 // numbering, and value-keyed when the groups span the leaf and a dimension.
 func TestFloatGroupKeysEmitInTotalOrder(t *testing.T) {
-	nan := func(sign, payload uint64) float64 { return math.Float64frombits(sign<<63 | 0x7ff8000000000000 | payload) }
+	nan := func(sign, payload uint64) float64 {
+		return math.Float64frombits(sign<<63 | 0x7ff8000000000000 | payload)
+	}
 	keys := []float64{2, nan(0, 1), 1, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), nan(0, 2), nan(1, 1), -3.5}
 	dim := storage.NewBuilder("d", storage.Schema{{Name: "d.k", Typ: storage.Int64}, {Name: "d.g", Typ: storage.String}})
 	dim.Int(0, 0)

@@ -181,7 +181,9 @@ func TestGroupIDsPerVersion(t *testing.T) {
 // other type as Less does, and two values compare equal exactly when their
 // bits (strings: bytes) are.
 func TestCompareKeyTotalOrder(t *testing.T) {
-	nan := func(sign, payload uint64) float64 { return math.Float64frombits(sign<<63 | 0x7ff8000000000000 | payload) }
+	nan := func(sign, payload uint64) float64 {
+		return math.Float64frombits(sign<<63 | 0x7ff8000000000000 | payload)
+	}
 	for _, asc := range [][]Value{
 		{FloatValue(nan(1, 2)), FloatValue(nan(1, 1)), FloatValue(math.Inf(-1)), FloatValue(-1.5), FloatValue(-math.SmallestNonzeroFloat64),
 			FloatValue(math.Copysign(0, -1)), FloatValue(0), FloatValue(math.SmallestNonzeroFloat64), FloatValue(2), FloatValue(math.Inf(1)),

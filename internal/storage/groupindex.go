@@ -440,7 +440,7 @@ func (g *GroupIndex) KeyRows() [][]Value {
 }
 
 // KeyColumns returns every group's key values as typed columns, rows by id:
-// the key columns of the sketch-join payload.
+// the key columns of the sketch-join payload and of a table's GroupIDs.
 func (g *GroupIndex) KeyColumns() []*Vector {
 	nc := len(g.cols)
 	cols := make([]*Vector, nc)

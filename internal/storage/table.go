@@ -493,7 +493,7 @@ func (t *Table) GroupIDs(cols []int) *GroupIDs {
 		}
 		slices.SortFunc(order, func(a, b int32) int {
 			for _, k := range seen {
-				if c := k.compareAt(int(a), int(b)); c != 0 {
+				if c := CompareKey(k.Get(int(a)), k.Get(int(b))); c != 0 {
 					return c
 				}
 			}

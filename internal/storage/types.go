@@ -128,7 +128,13 @@ func CompareKey(a, b Value) int {
 	case String:
 		return strings.Compare(a.S, b.S)
 	case Bool:
-		return boolOrder(a.B) - boolOrder(b.B)
+		switch {
+		case a.B == b.B:
+		case a.B:
+			return 1
+		default:
+			return -1
+		}
 	}
 	return 0
 }
@@ -139,13 +145,6 @@ func CompareKey(a, b Value) int {
 func floatOrder(f float64) int64 {
 	k := int64(math.Float64bits(f))
 	return k ^ int64(uint64(k>>63)>>1)
-}
-
-func boolOrder(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // String renders the value for debugging and result printing.

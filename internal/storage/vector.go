@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Vector is a typed column of values. Exactly one of the data slices is in
@@ -182,21 +180,6 @@ func (v *Vector) Get(i int) Value {
 		return Value{Typ: Bool, B: v.B[i]}
 	}
 	return Value{}
-}
-
-// compareAt is CompareKey of elements i and j, read in place.
-func (v *Vector) compareAt(i, j int) int {
-	switch v.Typ {
-	case Int64:
-		return cmp.Compare(v.I64[i], v.I64[j])
-	case Float64:
-		return cmp.Compare(floatOrder(v.F64[i]), floatOrder(v.F64[j]))
-	case String:
-		return strings.Compare(v.Str[i], v.Str[j])
-	case Bool:
-		return boolOrder(v.B[i]) - boolOrder(v.B[j])
-	}
-	return 0
 }
 
 // Float returns element i coerced to float64 (numeric vectors only).
