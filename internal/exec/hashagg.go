@@ -33,6 +33,9 @@ type aggSpec struct {
 	// values. groups is nil otherwise.
 	idAt   int
 	groups *storage.GroupIDs
+
+	// empty is one group's accumulators before any row, by aggregate.
+	empty []stats.GroupAccumulator
 }
 
 // resolveAggSpec binds group/aggregate columns against the input schema:
@@ -75,6 +78,7 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec, sr
 			}
 		}
 		s.aggIdx = append(s.aggIdx, idx)
+		s.empty = append(s.empty, *stats.NewGroupAccumulator(ag.Kind))
 		s.schema = append(s.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
 	}
 	s.weightAt = in.Index(synopses.WeightCol)
@@ -197,10 +201,10 @@ func (t *aggTable) open() {
 	if cap(t.accs) < want {
 		t.accs = slices.Grow(t.accs, max(want, 2*cap(t.accs))-len(t.accs))
 	}
-	for len(t.accs) < want {
-		for _, ag := range t.spec.aggs {
-			t.accs = append(t.accs, *stats.NewGroupAccumulator(ag.Kind))
-		}
+	had := len(t.accs)
+	t.accs = t.accs[:want]
+	for i := had; i < want; i += len(t.spec.empty) {
+		copy(t.accs[i:], t.spec.empty)
 	}
 }
 
