@@ -19,6 +19,10 @@ var (
 // through it.
 const GroupIDCol = groupIDCol
 
+// LeafRowsPerGroup is the average group size below which a base-table leaf
+// does not fold by its numbering.
+const LeafRowsPerGroup = leafRowsPerGroup
+
 // JoinSchemas returns the output schema of every join on a compiled plan's
 // spine, bottom-up: what a joined batch physically holds at each level.
 func JoinSchemas(op Operator) []storage.Schema {

@@ -175,7 +175,8 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 // groupsThrough returns the position in spine (top-down) of the table an
 // aggregate grouping by groupBy folds by the numbering of — the leaf, or
 // the join whose build table it is — or -1: the one table that holds every
-// group column, when no other table on the spine holds one.
+// group column, when no other table on the spine holds one and, for a
+// base-table leaf, its groups average exec.LeafRowsPerGroup rows or more.
 func groupsThrough(spine []plan.Node, groupBy []string) int {
 	if len(groupBy) == 0 {
 		return -1
@@ -212,6 +213,11 @@ func groupsThrough(spine []plan.Node, groupBy []string) int {
 		case all && at < 0:
 			at = i
 		case some:
+			return -1
+		}
+	}
+	if at >= 0 {
+		if leaf, ok := spine[at].(*plan.Scan); ok && leaf.Table.GroupCount(groupBy)*exec.LeafRowsPerGroup > leaf.Table.NumRows() {
 			return -1
 		}
 	}

@@ -153,6 +153,8 @@ func TestGroupByLeafMeetsTheOracle(t *testing.T) {
 			`SELECT l_partkey, COUNT(*), SUM(l_extendedprice) FROM lineitem JOIN part ON l_partkey = p_partkey WHERE p_size < 20 GROUP BY l_partkey`, true, []bool{true}},
 		{"the id carried through two joins",
 			`SELECT l_returnflag, SUM(l_extendedprice) FROM lineitem JOIN orders ON l_orderkey = o_orderkey JOIN customer ON o_custkey = c_custkey GROUP BY l_returnflag`, true, []bool{true, true}},
+		{"value-keyed: a fact column of four rows a group, under a filter",
+			`SELECT l_orderkey, COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_shipdate < 300 GROUP BY l_orderkey`, false, nil},
 		{"value-keyed: the groups span the leaf and a dimension",
 			`SELECT l_returnflag, o_orderpriority, COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY l_returnflag, o_orderpriority`, false, []bool{false}},
 	} {

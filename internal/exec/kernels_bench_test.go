@@ -438,12 +438,15 @@ func BenchmarkJoinAggGroupThrough(b *testing.B) {
 	}
 }
 
-// BenchmarkAggLeafGrouped runs two exact aggregates grouped by a fact
+// BenchmarkAggLeafGrouped runs three exact aggregates grouped by a fact
 // column on one worker with every build cached, as serving runs them: q15,
-// a range of ship dates grouped by the 1 000 suppliers, and q20, the facts
-// whose part passes a filter, grouped by supplier through the part join. It
-// reports ns per fact row and B/op (`go test ./internal/exec -run NONE
-// -bench BenchmarkAggLeafGrouped -benchmem -cpu 1`).
+// a range of ship dates grouped by the 1 000 suppliers; q20, the facts
+// whose part passes a filter, grouped by supplier through the part join; and
+// orderkey, a range of ship dates that keeps 1 % of the facts grouped by
+// their order, a column with four facts a key (TPC-H's l_orderkey), where
+// the numbering has 25 times as many groups as the query meets. It reports
+// ns per fact row and B/op (`go test ./internal/exec -run NONE -bench
+// BenchmarkAggLeafGrouped -benchmem -cpu 1`).
 func BenchmarkAggLeafGrouped(b *testing.B) {
 	f, _, p, _, _ := groupThroughTables()
 	sum := []plan.AggSpec{{Kind: stats.Sum, Col: "f.price"}}
@@ -461,6 +464,11 @@ func BenchmarkAggLeafGrouped(b *testing.B) {
 				Right:    &plan.Filter{Child: &plan.Scan{Table: p}, Pred: expr.Pred{expr.Compare("p.size", expr.LE, storage.IntValue(10))}},
 				LeftKeys: []string{"f.partkey"}, RightKeys: []string{"p.partkey"}},
 			GroupBy: []string{"f.suppkey"}, Aggs: sum}},
+		{"orderkey", &plan.Aggregate{
+			Child: &plan.Filter{Child: &plan.Scan{Table: f}, Pred: expr.Pred{
+				expr.Compare("f.shipdate", expr.GE, storage.IntValue(1000)), expr.Compare("f.shipdate", expr.LT, storage.IntValue(1024)),
+			}},
+			GroupBy: []string{"f.orderkey"}, Aggs: sum}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			joins, pool := NewJoinCache(1<<30), storage.NewVecPool()

@@ -142,7 +142,19 @@ func prunedCount(keep []bool) int64 {
 // partitions keep leaves, narrowed to the leaf columns the spine reads, with
 // their rows' group ids when the sink folds by the leaf's numbering.
 func (p *pipeline) read(lo, hi int, keep []bool) []*storage.Batch {
-	return p.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep, p.leafSchema, p.leafCols, p.leafIDs)
+	out := p.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep, p.leafSchema, p.leafCols)
+	if p.leafIDs != nil {
+		// Every batch's columns and ids share one array: one allocation
+		// per read, not one per batch.
+		nc := len(p.leafCols) + 1
+		vecs := make([]*storage.Vector, 0, len(out)*nc)
+		for _, b := range out {
+			at := len(vecs)
+			vecs = append(append(vecs, b.Vecs...), p.leafIDs.Slice(b.Start, b.Start+len(b.Width)))
+			b.Vecs = vecs[at:len(vecs):len(vecs)]
+		}
+	}
+	return out
 }
 
 // sink is where a pipeline's spine ends. Every morsel folds its batches into
@@ -340,11 +352,13 @@ type groupSource struct {
 	keys storage.Schema    // the group columns, as the table names and types them
 }
 
-// groupSourceOf decides, from the plan shape alone, which spine table a sink
-// grouping by groupBy folds by the numbering of, and returns the lowering,
-// or nil: the one table every group column binds to. Names bind as the
-// operators bind them, on the spine's full-width schema; group columns that
-// span two tables, or bind to nothing, keep the value-keyed GroupIndex.
+// groupSourceOf decides, from the plan shape and the leaf's statistics,
+// which spine table a sink grouping by groupBy folds by the numbering of,
+// and returns the lowering, or nil: the one table every group column binds
+// to, unless that is a base-table leaf with fewer than leafRowsPerGroup rows
+// a group. Names bind as the operators bind them, on the spine's full-width
+// schema; group columns that span two tables, or bind to nothing, keep the
+// value-keyed GroupIndex, as does a leaf the rule turns down.
 func groupSourceOf(pipe *pipeline, groupBy []string) *groupSource {
 	if len(groupBy) == 0 {
 		return nil
@@ -393,8 +407,22 @@ func groupSourceOf(pipe *pipeline, groupBy []string) *groupSource {
 		cols[k] = p - lo
 		keys[k] = tbl.Schema()[cols[k]]
 	}
+	if at < 0 && pipe.leafBase && tbl.GroupCount(keys.Names())*leafRowsPerGroup > tbl.NumRows() {
+		return nil
+	}
 	return &groupSource{at: at, ids: tbl.GroupIDs(cols), keys: keys}
 }
+
+// leafRowsPerGroup is how many rows a base table's groups must hold on
+// average, by its statistics (Table.GroupCount), for a GROUP BY on its own
+// columns to fold by its numbering. The numbering costs a pass over the
+// whole version and 8 bytes a row for as long as the version lives, and
+// each partial of a run a word for every group in it: with few rows a group
+// — an order key — a query that filters most rows away would pay in
+// proportion to the table for the handful of groups it meets, so it hashes
+// the rows it reads instead. A stored sample has no such bound: every query
+// over one reads all of it, so its numbering costs what its scan does.
+const leafRowsPerGroup = 16
 
 // neededCols returns, ascending, the positions of s's columns that some name
 // binds to; nil names stand for every column.

@@ -99,7 +99,7 @@ func TestRowWidthsFollowThePartition(t *testing.T) {
 	}
 	t0 := fill(10).Repartition(4)
 	var sum int64
-	for _, b := range t0.ScanRangePruned(0, 10, 3, nil, sch[2:], []int{2}, nil) {
+	for _, b := range t0.ScanRangePruned(0, 10, 3, nil, sch[2:], []int{2}) {
 		if len(b.Vecs) != 1 || b.Vecs[0].Typ != Bool || len(b.Width) != b.Len() {
 			t.Fatalf("projected batch: %d vectors, %d widths for %d rows", len(b.Vecs), len(b.Width), b.Len())
 		}
@@ -108,7 +108,7 @@ func TestRowWidthsFollowThePartition(t *testing.T) {
 	if sum != t0.Bytes() || sum != 10*(8+16+1)+(0+1+2+3)*2+(0+1) {
 		t.Fatalf("widths sum to %d, table holds %d bytes", sum, t0.Bytes())
 	}
-	none := t0.ScanRangePruned(0, 10, 16, nil, Schema{}, []int{}, nil)
+	none := t0.ScanRangePruned(0, 10, 16, nil, Schema{}, []int{})
 	if len(none) != 3 || none[0].Len() != 4 || none[0].Rows() != 4 {
 		t.Fatalf("a scan of no columns must still count rows: %d batches", len(none))
 	}

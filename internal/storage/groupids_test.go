@@ -177,6 +177,70 @@ func TestGroupIDsPerVersion(t *testing.T) {
 	}
 }
 
+// TestGroupIDsExtendedOverAppends: an appended version extends the old
+// version's numbering over the delta — keys below, between and above the
+// old ones, none new, or no row at all — into exactly the numbering a fresh
+// build of its rows makes, over a chain of versions, for one column of
+// every type and for column sets; a set the old version never numbered is
+// built fresh, and the old numbering does not move.
+func TestGroupIDsExtendedOverAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	sets := [][]int{{0}, {1}, {2}, {3}, {3, 1}, {0, 2, 3}}
+	tbl := groupIDTable(t, rng, 2000, 700)
+	for _, cols := range sets[:5] {
+		tbl.GroupIDs(cols)
+	}
+	floats := []float64{0, 1.5, -7, math.Copysign(0, -1), math.Inf(1), math.NaN(), math.Float64frombits(0xfff8000000000003)}
+	for v, c := range []struct {
+		rows  int
+		ints  int64 // the delta's ints are ints + 0..4
+		strs  []string
+		nfl   int // the delta's floats are the first nfl of floats
+		bools bool
+	}{
+		{300, -10, []string{"0", "b", "zz"}, 7, true}, // keys below, between and above the old ones
+		{250, -1, []string{"a", "c"}, 2, false},       // no new key
+		{0, 0, []string{"a"}, 1, false},               // no row
+		{900, 3, []string{"bb", "e", "f"}, 5, true},
+	} {
+		b := NewBuilder("g", tbl.Schema())
+		for i := 0; i < c.rows; i++ {
+			b.Int(0, c.ints+int64(rng.Intn(5)))
+			b.Float(1, floats[rng.Intn(c.nfl)])
+			b.Bool(2, c.bools && rng.Intn(2) == 0)
+			b.Str(3, c.strs[rng.Intn(len(c.strs))])
+		}
+		next, err := tbl.Append(b.Build(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := next.Repartition(3)
+		for k, cols := range sets {
+			before := slices.Clone(tbl.GroupIDs(cols).ID.I64)
+			e := next.colIndexes(cols)
+			if extended := e.prev != nil; extended != (k < 5 || v > 0) {
+				t.Fatalf("version %d cols %v: starts from the old numbering: %t", v+1, cols, extended)
+			}
+			got, want := next.GroupIDs(cols), fresh.GroupIDs(cols)
+			if e.prev != nil {
+				t.Fatalf("version %d cols %v: the old numbering is still held", v+1, cols)
+			}
+			if !slices.Equal(got.ID.I64, want.ID.I64) || got.Len() != want.Len() {
+				t.Fatalf("version %d cols %v: extended ids differ from a fresh build's (%d and %d groups)", v+1, cols, got.Len(), want.Len())
+			}
+			for id := 0; id < got.Len(); id++ {
+				if a, b := keyRow(got, id), keyRow(want, id); compareRows(a, b) != 0 {
+					t.Fatalf("version %d cols %v: group %d's key is %v, a fresh build's %v", v+1, cols, id, a, b)
+				}
+			}
+			if !slices.Equal(tbl.GroupIDs(cols).ID.I64, before) {
+				t.Fatalf("version %d cols %v: the old version's numbering moved", v+1, cols)
+			}
+		}
+		tbl = next
+	}
+}
+
 // TestCompareKeyTotalOrder: floats order by IEEE-754 totalOrder, every
 // other type as Less does, and two values compare equal exactly when their
 // bits (strings: bytes) are.
@@ -203,17 +267,34 @@ func TestCompareKeyTotalOrder(t *testing.T) {
 }
 
 // TestGroupIDsConcurrentFirstUse: racing first calls build once and hand
-// every caller the one numbering (run under -race by make race-all).
+// every caller the one numbering, built fresh or extended from the version
+// appended to, beside the statistics and key index (run under -race by
+// make race).
 func TestGroupIDsConcurrentFirstUse(t *testing.T) {
 	tbl := groupIDTable(t, rand.New(rand.NewSource(3)), 3000, 1000)
+	tbl.GroupIDs([]int{1})
+	delta := groupIDTable(t, rand.New(rand.NewSource(4)), 500, 0)
+	tbl, err := tbl.Append(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := make([]*GroupIDs, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				tbl.Stats()
+			case 1:
+				if _, err := tbl.Append(delta); err != nil {
+					t.Error(err)
+				}
+			}
 			got[i] = tbl.GroupIDs([]int{1, 3})
 			tbl.KeyIndex([]int{1, 3})
+			tbl.GroupIDs([]int{1})
 		}()
 	}
 	wg.Wait()

@@ -341,7 +341,7 @@ func TestGroupIndexResetNumbersLikeFresh(t *testing.T) {
 		var out []*Batch
 		at := 0
 		for _, p := range parts {
-			out = append(out, tbl.ScanRangePruned(at, at+len(p), len(p), nil, nil, nil, nil)...)
+			out = append(out, tbl.ScanRangePruned(at, at+len(p), len(p), nil, nil, nil)...)
 			at += len(p)
 		}
 		return out

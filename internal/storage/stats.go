@@ -112,7 +112,7 @@ func (t *Table) columnStats(i int) ColumnStats {
 // cols (resolveGroups): counts[id], ids in first-seen row order.
 func (t *Table) groupCounts(cols []int) []int {
 	var counts []int
-	t.resolveGroups(cols, func(ids []int32, groups int) {
+	t.resolveGroups(cols, 0, func(ids []int32, groups int) {
 		counts = append(counts, make([]int, groups-len(counts))...)
 		c := counts
 		for _, id := range ids {
@@ -122,11 +122,12 @@ func (t *Table) groupCounts(cols []int) []int {
 	return counts
 }
 
-// resolveGroups numbers every row by the columns at positions cols through
-// one GroupIndex, a batch of each partition at a time, handing each batch's
-// ids to f in row order with the number of groups opened so far; it returns
-// the index, which holds the groups' key values.
-func (t *Table) resolveGroups(cols []int, f func(ids []int32, groups int)) *GroupIndex {
+// resolveGroups numbers every row from table row from on by the columns at
+// positions cols through one GroupIndex, a batch of each partition at a
+// time, handing each batch's ids to f in row order with the number of
+// groups opened so far; it returns the index, which holds the groups' key
+// values.
+func (t *Table) resolveGroups(cols []int, from int, f func(ids []int32, groups int)) *GroupIndex {
 	at := make([]int, len(cols))
 	out := make(Schema, len(cols))
 	for k, c := range cols {
@@ -134,8 +135,8 @@ func (t *Table) resolveGroups(cols []int, f func(ids []int32, groups int)) *Grou
 	}
 	idx := NewGroupIndex(at, out)
 	b := &Batch{Vecs: make([]*Vector, len(cols))}
-	for _, part := range t.parts {
-		for lo := 0; lo < part.rows; lo += BatchSize {
+	for p, part := range t.parts {
+		for lo := max(from-t.offs[p], 0); lo < part.rows; lo += BatchSize {
 			hi := min(lo+BatchSize, part.rows)
 			for k, c := range cols {
 				b.Vecs[k] = part.cols[c].Slice(lo, hi)

@@ -250,6 +250,12 @@ func (t *Table) Epoch() uint64 { return t.epoch }
 // dictionary without re-hashing a row — and the shared partitions keep the
 // old one. A column the delta pushes past MaxDictSize, or one that never was
 // coded, takes the delta's rows uncoded.
+//
+// The new version builds its own indexes, but starts from this one's
+// numberings (GroupIDs): each it has built is extended over the delta on
+// the new version's first use, not rebuilt over every row.
+//
+//taster:mutator construction: the cache write targets the freshly built version before it escapes, never the receiver
 func (t *Table) Append(delta *Table) (*Table, error) {
 	if !t.schema.Equal(delta.schema) {
 		return nil, fmt.Errorf("storage: append to %s: schema mismatch", t.Name)
@@ -325,7 +331,9 @@ func (t *Table) Append(delta *Table) (*Table, error) {
 		parts = append(parts, &Partition{cols: pc, rows: hi - lo})
 	}
 
-	return newTableFromParts(t.Name, t.schema, parts, dicts, t.partRows, epoch), nil
+	nt := newTableFromParts(t.Name, t.schema, parts, dicts, t.partRows, epoch)
+	nt.keyIdx = t.numberings()
+	return nt, nil
 }
 
 // Repartition returns a version of the table re-chunked into partitions of
@@ -397,13 +405,35 @@ func (t *Table) RowWidths() []int32 {
 }
 
 // lazyColIndexes is what a table version indexes by one column set, each
-// built once on first use.
+// built once on first use. groups is written under keyIdxMu too, so Append
+// may read it from another goroutine. prev is, on a version made by Append,
+// the set's numbering on the version appended to, when that one had built
+// it: GroupIDs extends it over the delta (extendGroups) and drops it.
 type lazyColIndexes struct {
 	keyOnce sync.Once
 	key     *KeyIndex
 
 	groupOnce sync.Once
 	groups    *GroupIDs
+	prev      *GroupIDs
+}
+
+// numberings returns, for every column set this version has numbered, a
+// fresh cache entry that holds the numbering as prev: what a version
+// appended to this one starts its cache with.
+func (t *Table) numberings() map[string]*lazyColIndexes {
+	t.keyIdxMu.Lock()
+	defer t.keyIdxMu.Unlock()
+	var out map[string]*lazyColIndexes
+	for key, e := range t.keyIdx {
+		if e.groups != nil {
+			if out == nil {
+				out = make(map[string]*lazyColIndexes)
+			}
+			out[key] = &lazyColIndexes{prev: e.groups}
+		}
+	}
+	return out
 }
 
 // colIndexes returns the cache entry of the columns at positions cols,
@@ -475,45 +505,133 @@ func (g *GroupIDs) Len() int {
 // positions cols (non-empty), built on first use and cached per column set
 // beside the set's KeyIndex: a version's rows never change, so every
 // aggregate grouping by the set folds by the one numbering. An appended
-// version builds its own; an old version keeps its own.
+// version has its own, extended from the old version's numbering when that
+// one was built (extendGroups); an old version keeps its own.
 func (t *Table) GroupIDs(cols []int) *GroupIDs {
 	e := t.colIndexes(cols)
 	e.groupOnce.Do(func() {
-		ids := make([]int64, 0, t.rows)
-		idx := t.resolveGroups(cols, func(batch []int32, _ int) {
-			for _, id := range batch {
-				ids = append(ids, int64(id))
-			}
-		})
-		// Renumber the first-seen ids in key order.
-		seen := idx.KeyColumns()
-		order := make([]int32, idx.Len())
-		for i := range order {
-			order[i] = int32(i)
+		var g *GroupIDs
+		if e.prev != nil {
+			g = t.extendGroups(cols, e.prev)
+		} else {
+			g = t.numberGroups(cols)
 		}
-		slices.SortFunc(order, func(a, b int32) int {
-			for _, k := range seen {
-				if c := CompareKey(k.Get(int(a)), k.Get(int(b))); c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
-		rank := make([]int64, len(order))
-		for r, id := range order {
-			rank[id] = int64(r)
-		}
-		for i, id := range ids {
-			ids[i] = rank[id]
-		}
-		keys := make([]*Vector, len(seen))
-		for c, k := range seen {
-			keys[c] = NewVector(k.Typ, len(order))
-			keys[c].AppendGather(k, order)
-		}
-		e.groups = &GroupIDs{ID: &Vector{Typ: Int64, I64: ids}, Keys: keys}
+		t.keyIdxMu.Lock()
+		e.groups, e.prev = g, nil
+		t.keyIdxMu.Unlock()
 	})
 	return e.groups
+}
+
+// numberGroups numbers every row by the columns at cols: one GroupIndex
+// pass, then the first-seen ids renumbered in key order.
+func (t *Table) numberGroups(cols []int) *GroupIDs {
+	ids := make([]int64, 0, t.rows)
+	idx := t.resolveGroups(cols, 0, func(batch []int32, _ int) {
+		for _, id := range batch {
+			ids = append(ids, int64(id))
+		}
+	})
+	seen := idx.KeyColumns()
+	order := make([]int32, idx.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return compareKeyRows(seen, int(a), seen, int(b)) })
+	rank := make([]int64, len(order))
+	for r, id := range order {
+		rank[id] = int64(r)
+	}
+	for i, id := range ids {
+		ids[i] = rank[id]
+	}
+	keys := make([]*Vector, len(seen))
+	for c, k := range seen {
+		keys[c] = NewVector(k.Typ, len(order))
+		keys[c].AppendGather(k, order)
+	}
+	return &GroupIDs{ID: &Vector{Typ: Int64, I64: ids}, Keys: keys}
+}
+
+// extendGroups is numberGroups from prev, the numbering by the same columns
+// of the version this one was appended to. That version's rows are this
+// one's first prev.ID.Len() rows and keep their groups, so only the delta's
+// rows are resolved. A delta key prev lacks takes its place in key order,
+// and every old id moves up by the number of such keys below it: the same
+// numbering numberGroups builds, for a pass over the old ids instead of a
+// GroupIndex over every row.
+func (t *Table) extendGroups(cols []int, prev *GroupIDs) *GroupIDs {
+	old, olds := prev.ID.Len(), prev.Len()
+	ids := make([]int64, old, t.rows)
+	idx := t.resolveGroups(cols, old, func(batch []int32, _ int) {
+		for _, id := range batch {
+			ids = append(ids, int64(id))
+		}
+	})
+	delta := idx.KeyColumns()
+	// Delta group d's key is old key at[d], or, not found there, sorts just
+	// before it; fresh lists the keys not found, in key order.
+	at := make([]int, idx.Len())
+	found := make([]bool, idx.Len())
+	var fresh []int
+	for d := range at {
+		at[d] = sort.Search(olds, func(o int) bool { return compareKeyRows(prev.Keys, o, delta, d) >= 0 })
+		if found[d] = at[d] < olds && compareKeyRows(prev.Keys, at[d], delta, d) == 0; !found[d] {
+			fresh = append(fresh, d)
+		}
+	}
+	slices.SortFunc(fresh, func(a, b int) int { return compareKeyRows(delta, a, delta, b) })
+
+	// Merge: moved[o] is old group o's new id, final[d] delta group d's.
+	moved := make([]int64, olds)
+	final := make([]int64, len(at))
+	keys := make([]*Vector, len(delta))
+	for c, k := range delta {
+		keys[c] = NewVector(k.Typ, olds+len(fresh))
+	}
+	for o, f := 0, 0; o < olds || f < len(fresh); {
+		id := int64(o + f)
+		if f < len(fresh) && (o == olds || at[fresh[f]] <= o) {
+			final[fresh[f]] = id
+			for c, k := range keys {
+				k.AppendFrom(delta[c], fresh[f])
+			}
+			f++
+		} else {
+			moved[o] = id
+			for c, k := range keys {
+				k.AppendFrom(prev.Keys[c], o)
+			}
+			o++
+		}
+	}
+	for d := range at {
+		if found[d] {
+			final[d] = moved[at[d]]
+		}
+	}
+	if len(fresh) == 0 {
+		copy(ids, prev.ID.I64)
+	} else {
+		for i, id := range prev.ID.I64 {
+			ids[i] = moved[id]
+		}
+	}
+	for i := old; i < len(ids); i++ {
+		ids[i] = final[ids[i]]
+	}
+	return &GroupIDs{ID: &Vector{Typ: Int64, I64: ids}, Keys: keys}
+}
+
+// compareKeyRows compares row a of the key columns x with row b of the key
+// columns y, column by column under CompareKey.
+func compareKeyRows(x []*Vector, a int, y []*Vector, b int) int {
+	for c := range x {
+		if r := CompareKey(x[c].Get(a), y[c].Get(b)); r != 0 {
+			return r
+		}
+	}
+	return 0
 }
 
 // PartitionBytes returns the payload size of partition p — the scan charge
@@ -568,10 +686,7 @@ func (t *Table) Scan(p, batchSize int) []*Batch {
 // across any PartitionRows setting. It passes the zone-map pruning verdict —
 // rows of pruned partitions are skipped without being read — and the columns
 // its spine reads; a batch's Width is the full row's whatever the projection.
-// With rowCol non-nil — a vector over the table's rows, such as a GroupIDs
-// numbering — every batch also carries its rows' slice of rowCol as one
-// more column after cols, which schema names last.
-func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schema, cols []int, rowCol *Vector) []*Batch {
+func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schema, cols []int) []*Batch {
 	if lo < 0 {
 		lo = 0
 	}
@@ -600,11 +715,7 @@ func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schem
 			if end > e {
 				end = e
 			}
-			b := sliceBatch(schema, part, cols, plo+start, start, end)
-			if rowCol != nil {
-				b.Vecs = append(b.Vecs, rowCol.Slice(plo+start, plo+end))
-			}
-			out = append(out, b)
+			out = append(out, sliceBatch(schema, part, cols, plo+start, start, end))
 		}
 	}
 	return out
@@ -613,18 +724,17 @@ func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schem
 // sliceBatch is the zero-copy view of part's rows [start, end) over the
 // columns at positions cols (nil = all), carrying the rows' full widths and,
 // as Start, tableRow: the caller's table row of the partition's row start,
-// stored as given. Its Vecs have room for one more column, ScanRangePruned's
-// rowCol.
+// stored as given.
 func sliceBatch(schema Schema, part *Partition, cols []int, tableRow, start, end int) *Batch {
 	b := &Batch{Schema: schema, Width: part.rowWidths()[start:end], Start: tableRow}
 	if cols == nil {
-		b.Vecs = make([]*Vector, len(part.cols), len(part.cols)+1)
+		b.Vecs = make([]*Vector, len(part.cols))
 		for i, c := range part.cols {
 			b.Vecs[i] = c.Slice(start, end)
 		}
 		return b
 	}
-	b.Vecs = make([]*Vector, len(cols), len(cols)+1)
+	b.Vecs = make([]*Vector, len(cols))
 	for i, c := range cols {
 		b.Vecs[i] = part.cols[c].Slice(start, end)
 	}

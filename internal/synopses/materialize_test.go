@@ -103,7 +103,7 @@ func BenchmarkSampleMaterialize(b *testing.B) {
 	li := lineitem(b, 0.05)
 	var morsels [][]*storage.Batch
 	for lo := 0; lo < li.NumRows(); lo += 4096 {
-		morsels = append(morsels, li.ScanRangePruned(lo, lo+4096, storage.BatchSize, nil, li.Schema(), nil, nil))
+		morsels = append(morsels, li.ScanRangePruned(lo, lo+4096, storage.BatchSize, nil, li.Schema(), nil))
 	}
 	for _, c := range materializeSamplers {
 		b.Run(c.name, func(b *testing.B) {
