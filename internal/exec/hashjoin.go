@@ -75,8 +75,8 @@ func (j *joinSpec) emitGroups(ids *storage.GroupIDs) {
 }
 
 // keyTypesMatch refuses probe and build key columns, paired by position, of
-// different types: a key index matches a probe row by its key's word or
-// GroupKey bytes, which are equal only within one type (storage.KeyIndex).
+// different types: a key index matches a probe row by its key's words, which
+// are equal only within one type (storage.KeyIndex).
 func keyTypesMatch(op string, probe, build storage.Schema) error {
 	if len(probe) != len(build) {
 		return fmt.Errorf("exec: %s: probe keys %v do not pair with build keys %v", op, probe.Names(), build.Names())

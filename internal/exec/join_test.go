@@ -13,29 +13,26 @@ import (
 )
 
 // TestGroupKeyLengthPrefixedStrings is the regression test for the NUL
-// collision: under the old 0x00-terminated encoding the two-column keys
-// ("a\x00\x03b","c") and ("a","b\x00\x03c") serialize to identical bytes, so
-// the aggregation (and the join hash table, which shares groupKey) merged distinct
-// keys into one group. Length-prefixed encoding keeps them apart.
+// collision: under a 0x00-terminated byte encoding the two-column keys
+// ("a\x00\x03b","c") and ("a","b\x00\x03c") serialize to identical bytes,
+// so the aggregation and the join table merged distinct keys into one. Keys
+// are now compared by value, column by column (storage.GroupIndex): the two
+// rows must form two groups, and in a two-column join on those keys each row
+// must match only itself.
 func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
-	b := storage.NewBuilder("nul", storage.Schema{
-		{Name: "nul.a", Typ: storage.String},
-		{Name: "nul.b", Typ: storage.String},
-	})
-	b.Str(0, "a\x00\x03b")
-	b.Str(1, "c")
-	b.Str(0, "a")
-	b.Str(1, "b\x00\x03c")
-	tbl := b.Build(1)
-
-	batch := tbl.Scan(0, 16)[0]
-	k0 := string(storage.GroupKey(nil, batch.Vecs, []int{0, 1}, 0))
-	k1 := string(storage.GroupKey(nil, batch.Vecs, []int{0, 1}, 1))
-	if k0 == k1 {
-		t.Fatalf("NUL-embedded keys collide: %q", k0)
+	nul := func(name string) *storage.Table {
+		b := storage.NewBuilder(name, storage.Schema{
+			{Name: name + ".a", Typ: storage.String},
+			{Name: name + ".b", Typ: storage.String},
+		})
+		b.Str(0, "a\x00\x03b")
+		b.Str(1, "c")
+		b.Str(0, "a")
+		b.Str(1, "b\x00\x03c")
+		return b.Build(1)
 	}
+	tbl := nul("nul")
 
-	// End to end: the two rows must form two groups, not one.
 	ctx := NewContext(0.95)
 	agg := &plan.Aggregate{
 		Child:   &plan.Scan{Table: tbl},
@@ -45,6 +42,24 @@ func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
 	rows := allRows(runPlan(t, agg, ctx))
 	if len(rows) != 2 {
 		t.Fatalf("groups = %d, want 2 (NUL-embedded strings merged)", len(rows))
+	}
+
+	join := &plan.Aggregate{
+		Child: &plan.Join{
+			Left: &plan.Scan{Table: tbl}, Right: &plan.Scan{Table: nul("dim")},
+			LeftKeys: []string{"nul.a", "nul.b"}, RightKeys: []string{"dim.a", "dim.b"},
+		},
+		GroupBy: []string{"nul.a", "nul.b", "dim.a", "dim.b"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Count}},
+	}
+	rows = allRows(runPlan(t, join, NewContext(0.95)))
+	if len(rows) != 2 {
+		t.Fatalf("join pairs %d distinct (probe key, build key) pairs, want 2: %v", len(rows), rows)
+	}
+	for _, r := range rows {
+		if r[0].S != r[2].S || r[1].S != r[3].S || r[4].F != 1 {
+			t.Fatalf("probe key (%q, %q) met build key (%q, %q) %v times, want only itself, once", r[0].S, r[1].S, r[2].S, r[3].S, r[4].F)
+		}
 	}
 }
 

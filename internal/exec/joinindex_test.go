@@ -2,6 +2,7 @@ package exec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,13 +14,7 @@ import (
 	"github.com/tasterdb/taster/internal/workload"
 )
 
-// fixedKeyIndex builds the index of a one-column fixed-width key: the build
-// rows are kv alone.
-func fixedKeyIndex(kv *storage.Vector) *storage.KeyIndex {
-	return storage.NewKeyIndex([]*storage.Vector{kv}, []int{0})
-}
-
-// checkJoinIndex builds the fixed-key index over kv and probes it with every
+// checkJoinIndex builds the index of the one-column key kv and probes it with every
 // word kv holds, each one's neighbours and complement, the extremes and the
 // caller's extras, shuffled (checkProbe): a present word must pair with
 // exactly its rows in a naive word → ascending-rows map, an absent one with
@@ -37,7 +32,7 @@ func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64, keep uint
 	}
 	rng.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
 	probe := &storage.Batch{Vecs: []*storage.Vector{wordVec(kv.Typ, words)}}
-	checkProbe(t, fixedKeyIndex(kv), nil, probe, []int{0}, func(row int) []int32 {
+	checkProbe(t, storage.NewKeyIndex([]*storage.Vector{kv}, []int{0}), nil, probe, []int{0}, func(row int) []int32 {
 		return ref[storage.FixedWord(probe.Vecs[0], row)]
 	}, rng)
 	checkMasked(t, []*storage.Vector{kv}, []int{0}, keep, probe, rng)
@@ -190,7 +185,7 @@ func drawKeep(rng *rand.Rand) uint64 {
 
 // TestJoinIndexMatchesMap is the index's property test: over key vectors of
 // every shape the planner can hand the build — and a few it cannot — every
-// layout and probe loop of the map-free index pairs rows exactly like a Go
+// layout and probe loop of the index pairs rows exactly like a Go
 // map, and under a survivor mask exactly like an index of the survivors.
 func TestJoinIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -276,10 +271,30 @@ func TestJoinIndexMatchesMap(t *testing.T) {
 	})
 }
 
+// tupleKey encodes row of vecs over cols as bytes that are equal exactly when
+// the keys are: a type tag, then a fixed-width value's FixedWord or a
+// string's length and bytes. Length-prefixed, not terminated: a terminator
+// would let NUL-embedded strings collide across column boundaries, as
+// ("a\x00\x03b", "c") and ("a", "b\x00\x03c") would.
+func tupleKey(vecs []*storage.Vector, cols []int, row int) string {
+	var key []byte
+	for _, c := range cols {
+		v := vecs[c]
+		key = append(key, byte(v.Typ))
+		if v.Typ == storage.String {
+			key = binary.LittleEndian.AppendUint32(key, uint32(len(v.Str[row])))
+			key = append(key, v.Str[row]...)
+		} else {
+			key = binary.LittleEndian.AppendUint64(key, storage.FixedWord(v, row))
+		}
+	}
+	return string(key)
+}
+
 // checkJoinTuples builds the table of a key that is not one fixed-width
 // column — the cols of the first nBuild rows of b — and probes it with every
 // row of b (checkProbe): each row's matches must be exactly the build rows
-// whose GroupKey bytes equal its own, ascending, and a row whose bytes no
+// whose tupleKey bytes equal its own, ascending, and a row whose bytes no
 // build row carries must match nothing. Then it probes b under the survivor
 // mask keep draws over the build rows (checkMasked).
 func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int, keep uint64, rng *rand.Rand) {
@@ -293,7 +308,7 @@ func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int, kee
 	}
 	ref := make(map[string][]int32)
 	for i := 0; i < nBuild; i++ {
-		k := string(storage.GroupKey(nil, build.Vecs, cols, i))
+		k := tupleKey(build.Vecs, cols, i)
 		ref[k] = append(ref[k], int32(i))
 	}
 	x := storage.NewKeyIndex(build.Vecs, cols)
@@ -301,7 +316,7 @@ func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int, kee
 		t.Fatalf("%d build keys indexed as %d", len(ref), n)
 	}
 	checkProbe(t, x, nil, b, cols, func(row int) []int32 {
-		return ref[string(storage.GroupKey(nil, b.Vecs, cols, row))]
+		return ref[tupleKey(b.Vecs, cols, row)]
 	}, rng)
 	checkMasked(t, build.Vecs, cols, keep, b, rng)
 }
@@ -369,20 +384,32 @@ func FuzzJoinIndex(f *testing.F) {
 
 type joinIndexShape struct {
 	name string
-	keys *storage.Vector
-	// probeMax, when set, draws probe words from 1..probeMax — the fact
-	// side's whole key domain — instead of from the build keys.
+	keys []*storage.Vector // the build key columns
+	// probeMax, when set, draws one-column Int64 probe keys from
+	// 1..probeMax — the fact side's whole key domain — instead of from the
+	// build rows.
 	probeMax int
 	// survivors, when set, are the keys a build side keeps of keys: the
 	// probe runs under their mask over the index of every key.
 	survivors []int64
 }
 
+// cols returns the positions of the shape's key columns.
+func (sh joinIndexShape) cols() []int {
+	cols := make([]int, len(sh.keys))
+	for c := range cols {
+		cols[c] = c
+	}
+	return cols
+}
+
 // joinIndexShapes are the build sides the benchmark workloads produce — a
 // whole dimension table keyed 1..n, and a selective build-side filter's
 // survivors, as a compact index of their own (subset) and as a mask over
-// the dimension's index (mask), all dense-range — plus the shape they do
-// not: as many keys with no locality (open addressing).
+// the dimension's index (mask), all dense — plus the shapes they do not,
+// which are numbered: as many Int64 keys with no locality (sparse), one
+// coded string column (str) and an (Int64, String) pair (int_str), every
+// key unique.
 func joinIndexShapes() []joinIndexShape {
 	rng := rand.New(rand.NewSource(29))
 	dense := make([]int64, 150_000)
@@ -399,12 +426,61 @@ func joinIndexShapes() []joinIndexShape {
 	for i, p := range rng.Perm(20_000) {
 		dim[i] = int64(p) + 1
 	}
-	return []joinIndexShape{
-		{name: "dense150k", keys: int64Vec(dense)},
-		{name: "sparse150k", keys: int64Vec(sparse)},
-		{name: "subset133of20k", keys: int64Vec(subset), probeMax: 20_000},
-		{name: "mask133of20k", keys: int64Vec(dim), probeMax: 20_000, survivors: subset},
+	str := storage.NewBuilder("s", storage.Schema{{Name: "s.k", Typ: storage.String}})
+	for _, p := range rng.Perm(storage.MaxDictSize) {
+		str.Str(0, fmt.Sprintf("brand#%04d", p))
 	}
+	pair := storage.NewBuilder("p", storage.Schema{{Name: "p.i", Typ: storage.Int64}, {Name: "p.s", Typ: storage.String}})
+	for _, p := range rng.Perm(150_000) {
+		pair.Int(0, int64(p/50)+1)
+		pair.Str(1, fmt.Sprintf("mode#%02d", p%50))
+	}
+	strs, pairs := str.Build(1), pair.Build(1)
+	return []joinIndexShape{
+		{name: "dense150k", keys: []*storage.Vector{int64Vec(dense)}},
+		{name: "sparse150k", keys: []*storage.Vector{int64Vec(sparse)}},
+		{name: "subset133of20k", keys: []*storage.Vector{int64Vec(subset)}, probeMax: 20_000},
+		{name: "mask133of20k", keys: []*storage.Vector{int64Vec(dim)}, probeMax: 20_000, survivors: subset},
+		{name: "str", keys: []*storage.Vector{strs.Column(0)}},
+		{name: "int_str", keys: []*storage.Vector{pairs.Column(0), pairs.Column(1)}},
+	}
+}
+
+// rows returns the number of build rows.
+func (sh joinIndexShape) rows() int { return sh.keys[0].Len() }
+
+// probes draws 64 probe batches of BatchSize rows for the shape — every row
+// live, and the same batches with a random half selected — from the build
+// rows, or from 1..probeMax.
+func (sh joinIndexShape) probes(rng *rand.Rand) (all, sel []*storage.Batch) {
+	all, sel = make([]*storage.Batch, 64), make([]*storage.Batch, 64)
+	for n := range all {
+		keys, rows := make([]int64, storage.BatchSize), make([]int32, storage.BatchSize)
+		for i := range rows {
+			if sh.probeMax > 0 {
+				keys[i] = int64(rng.Intn(sh.probeMax) + 1)
+			} else {
+				rows[i] = int32(rng.Intn(sh.rows()))
+			}
+		}
+		vecs := []*storage.Vector{int64Vec(keys)}
+		if sh.probeMax == 0 {
+			vecs = vecs[:0]
+			for _, kv := range sh.keys {
+				v := storage.NewVector(kv.Typ, len(rows))
+				v.AppendGather(kv, rows)
+				vecs = append(vecs, v)
+			}
+		}
+		all[n] = &storage.Batch{Vecs: vecs}
+		sel[n] = &storage.Batch{Vecs: vecs}
+		for i := range rows {
+			if rng.Intn(2) == 0 {
+				sel[n].Sel = append(sel[n].Sel, int32(i))
+			}
+		}
+	}
+	return all, sel
 }
 
 // mask is the shape's survivor mask over x, its index (nil: no survivors
@@ -418,19 +494,19 @@ func (sh joinIndexShape) mask(x *storage.KeyIndex) storage.KeyMask {
 		keep[k] = true
 	}
 	var sel []int32
-	for i, k := range sh.keys.I64 {
+	for i, k := range sh.keys[0].I64 {
 		if keep[k] {
 			sel = append(sel, int32(i))
 		}
 	}
 	m := x.NewMask()
-	x.Mark(m, 0, sel, sh.keys.Len())
+	x.Mark(m, 0, sel, sh.rows())
 	return m
 }
 
-// BenchmarkJoinBuild times a join's build, reporting ns per row: the
-// fixed-key index alone over each joinIndexShapes shape (the key words and
-// the CSR passes), the one a table version builds once per key column set
+// BenchmarkJoinBuild times a join's build, reporting ns per row: the key
+// index alone over each joinIndexShapes shape (the span pass or the
+// numbering, then the CSR passes), the one a table version builds once per key column set
 // (orders/index, Table.KeyIndex over orders' key), and a whole build side as
 // runBuild runs it on a miss — σ(orders) scanned, filtered and drained into
 // its survivor mask over that index (orders/mask, per source row).
@@ -439,9 +515,9 @@ func BenchmarkJoinBuild(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fixedKeyIndex(sh.keys)
+				storage.NewKeyIndex(sh.keys, sh.cols())
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.keys.Len()), "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.rows()), "ns/row")
 		})
 	}
 	orders, err := workload.TPCH(0.05, 3).Catalog.Table("orders")
@@ -495,32 +571,15 @@ var benchJoinSink int
 // for one output chunk per call — over 64 probe batches of 1 024 rows,
 // every row live ("all") or a random half under a selection ("sel"),
 // reporting ns per live probe row; a probe allocates nothing. Probe keys are
-// all present for the whole-table shapes; the subset build misses 99 % of
-// the time, as its query does, whether it is its own index (subset133of20k)
-// or a mask over the dimension's (mask133of20k).
+// all present for the whole-table shapes, drawn from their build rows; the
+// subset build misses 99 % of the time, as its query does, whether it is its
+// own index (subset133of20k) or a mask over the dimension's (mask133of20k).
 func BenchmarkJoinProbe(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sh := range joinIndexShapes() {
-		x := fixedKeyIndex(sh.keys)
+		x, cols := storage.NewKeyIndex(sh.keys, sh.cols()), sh.cols()
 		mask := sh.mask(x)
-		all, sel := make([]*storage.Batch, 64), make([]*storage.Batch, 64)
-		for n := range all {
-			keys := make([]int64, storage.BatchSize)
-			for i := range keys {
-				if sh.probeMax > 0 {
-					keys[i] = int64(rng.Intn(sh.probeMax) + 1)
-				} else {
-					keys[i] = sh.keys.I64[rng.Intn(sh.keys.Len())]
-				}
-			}
-			all[n] = &storage.Batch{Vecs: []*storage.Vector{int64Vec(keys)}}
-			sel[n] = &storage.Batch{Vecs: all[n].Vecs}
-			for i := range keys {
-				if rng.Intn(2) == 0 {
-					sel[n].Sel = append(sel[n].Sel, int32(i))
-				}
-			}
-		}
+		all, sel := sh.probes(rng)
 		for _, run := range []struct {
 			name    string
 			batches []*storage.Batch
@@ -535,7 +594,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, pb := range run.batches {
 						for at := (storage.ProbePos{}); ; {
-							pos, rows, at = x.Probe(pb, []int{0}, mask, at, joinBatchRows, pos[:0], rows[:0])
+							pos, rows, at = x.Probe(pb, cols, mask, at, joinBatchRows, pos[:0], rows[:0])
 							benchJoinSink += len(rows)
 							if len(rows) < joinBatchRows {
 								break

@@ -249,19 +249,35 @@ func keyDicts(tbl *storage.Table) int {
 	return len(seen)
 }
 
-// TestJoinKeysMatchOracle: every join key that is not one fixed-width column
-// — a string column, coded, uncoded or under two dictionaries, NUL bytes
-// embedded, and multi-column keys mixing types, floats with -0 and two NaN
-// payloads among them — is numbered through the join table's id map. Its
-// answers must be the oracle's, and so must every cost counter, at workers
-// 1 / 4 / 8 and through a JoinCache's first sight (a miss, admitted) and two
-// hits.
+// TestJoinKeysMatchOracle: every key the numbered path takes — an Int64
+// column with no locality, duplicates among it; a float64 column with -0, two
+// NaN payloads and both infinities; a bool column; a string column, coded,
+// uncoded or under two dictionaries, NUL bytes embedded; and multi-column
+// keys mixing types, floats with -0 and two NaN payloads among them — is
+// numbered through the join table's GroupIndex. Its answers must be the
+// oracle's, and so must every cost counter, at workers 1 / 4 / 8 and through
+// a JoinCache's first sight (a miss, admitted) and two hits.
 func TestJoinKeysMatchOracle(t *testing.T) {
 	strs := []string{"alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta", "iota", "kappa", "lambda", "mu"}
 	nuls := []string{"", "\x00", "a", "a\x00", "a\x00b", "\x00a", "a\x00\x00"}
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002), 1.5, -1.5, math.Inf(1)}
+	edges := append(floats, math.Inf(-1), 2.5) // 2.5: no dimension row carries it
+	rng := rand.New(rand.NewSource(5))
+	sparse := make([]int64, 360) // the first 300 are dimension keys
+	for i := range sparse {
+		sparse[i] = rng.Int63()
+	}
 	str := func(s string) []storage.Value { return []storage.Value{storage.StringValue(s)} }
 	for _, sh := range []joinKeyShape{
+		{name: "sparse int64", types: []storage.Type{storage.Int64}, factRows: 3000, dimRows: 400, dicts: -1,
+			fact: func(i int) []storage.Value { return []storage.Value{storage.IntValue(sparse[i*7%360])} },
+			dim:  func(j int) []storage.Value { return []storage.Value{storage.IntValue(sparse[j%300])} }},
+		{name: "float64", types: []storage.Type{storage.Float64}, factRows: 3000, dimRows: 12, dicts: -1,
+			fact: func(i int) []storage.Value { return []storage.Value{storage.FloatValue(edges[i%9])} },
+			dim:  func(j int) []storage.Value { return []storage.Value{storage.FloatValue(edges[j%8])} }},
+		{name: "bool", types: []storage.Type{storage.Bool}, factRows: 3000, dimRows: 5, dicts: -1,
+			fact: func(i int) []storage.Value { return []storage.Value{storage.BoolValue(i%3 == 0)} },
+			dim:  func(j int) []storage.Value { return []storage.Value{storage.BoolValue(j%3 == 0)} }},
 		{name: "coded strings", types: []storage.Type{storage.String}, factRows: 3000, dimRows: 20, dicts: 1,
 			fact: func(i int) []storage.Value { return str(strs[i%12]) },
 			dim:  func(j int) []storage.Value { return str(strs[j%10]) }},

@@ -13,8 +13,9 @@ import (
 // by that id, so opening a group allocates nothing of its own and a partial
 // merges into another by translating ids and folding slab into slab. The
 // executor's two sinks and the sketch-join's inline build, the distinct and
-// stratified samplers' strata, and the table statistics (Stats, GroupCount,
-// MinGroupOf) all count through one.
+// stratified samplers' strata, the table statistics (Stats, GroupCount,
+// MinGroupOf) and a table version's GroupIDs all count through one, and a
+// KeyIndex that is not dense numbers its keys through one (Lookup).
 //
 // Words. An int64, float64 or bool column's word is FixedWord's encoding —
 // two's complement, IEEE bits, 0/1 — so -0.0 and every NaN payload are
@@ -24,9 +25,9 @@ import (
 //
 // Ids. While every column is a string or a bool and every word is small, the
 // packed words index a dense array directly; the first word too large moves
-// the index, for good, to an open-addressing table over the tuples — the
-// key index's shape (Fibonacci hashing, linear probing, load ≤ 1/2), but
-// growable, since groups arrive unannounced. Either way the tuples are kept
+// the index, for good, to an open-addressing table over the tuples
+// (Fibonacci hashing, linear probing, load ≤ 1/2), growable, since groups
+// arrive unannounced. Either way the tuples are kept
 // in id order in keys, which is all KeyRows needs to rebuild the key values
 // and all a rehash needs to rebuild the table.
 //
@@ -237,10 +238,37 @@ func (g *GroupIndex) densePos(ws []uint64) (at uint64, small bool) {
 
 // colWords writes group column c's word of every live row of v into out.
 func (g *GroupIndex) colWords(c int, v *Vector, sel []int32, out []uint64) {
+	if v.Typ == String {
+		g.strs[c].words(v, sel, out)
+		return
+	}
+	fixedWords(v, sel, 0, out)
+}
+
+// FixedWord encodes row i of a fixed-width column as one word: two's
+// complement, IEEE bits, 0/1. Two values share a word exactly when they are
+// one group: -0.0 and +0.0 apart, a NaN only with its own payload.
+func FixedWord(v *Vector, i int) uint64 {
+	switch v.Typ {
+	case Int64:
+		return uint64(v.I64[i])
+	case Float64:
+		return math.Float64bits(v.F64[i])
+	default: // Bool
+		if v.B[i] {
+			return 1
+		}
+		return 0
+	}
+}
+
+// fixedWords writes the FixedWord of live rows of a fixed-width column v
+// into out: row sel[j] of v under a selection, row lo+j without one.
+func fixedWords(v *Vector, sel []int32, lo int, out []uint64) {
 	switch v.Typ {
 	case Int64:
 		if sel == nil {
-			for j, x := range v.I64 {
+			for j, x := range v.I64[lo:][:len(out)] {
 				out[j] = uint64(x)
 			}
 		} else {
@@ -250,7 +278,7 @@ func (g *GroupIndex) colWords(c int, v *Vector, sel []int32, out []uint64) {
 		}
 	case Float64:
 		if sel == nil {
-			for j, x := range v.F64 {
+			for j, x := range v.F64[lo:][:len(out)] {
 				out[j] = math.Float64bits(x)
 			}
 		} else {
@@ -261,15 +289,87 @@ func (g *GroupIndex) colWords(c int, v *Vector, sel []int32, out []uint64) {
 	case Bool:
 		if sel == nil {
 			for j := range out {
-				out[j] = FixedWord(v, j)
+				out[j] = FixedWord(v, lo+j)
 			}
 		} else {
 			for j, i := range sel {
 				out[j] = FixedWord(v, int(i))
 			}
 		}
-	case String:
-		g.strs[c].words(v, sel, out)
+	}
+}
+
+// Lookup returns the id of the key of every live row lo..hi−1 of b over
+// cols — columns typed as g's own — in live-row order, or −1 for a key g
+// never opened. g must be frozen (freeze) and resolve nothing more: Lookup
+// opens nothing and writes only sc, so any number of goroutines may look up
+// in one index at once. A string's word comes from the value map freeze
+// completed, not from strCodes' lazy translations. The ids are sc's memory.
+func (g *GroupIndex) Lookup(b *Batch, cols []int, lo, hi int, sc *ResolveScratch) []int32 {
+	n, sel := hi-lo, b.Sel
+	if sel != nil {
+		sel = sel[lo:hi]
+	}
+	words := sc.words[:n*len(cols)]
+	for c, col := range cols {
+		if v := b.Vecs[col]; v.Typ == String {
+			g.strs[c].lookup(v, sel, lo, words[c*n:(c+1)*n])
+		} else {
+			fixedWords(v, sel, lo, words[c*n:(c+1)*n])
+		}
+	}
+	ids := sc.ids[:n]
+	for j := range ids {
+		ids[j] = g.find(words, n, j)
+	}
+	return ids
+}
+
+// find returns the id of live row j's tuple in the column-major words of n
+// rows, or −1 when g never opened it. It writes nothing.
+func (g *GroupIndex) find(words []uint64, n, j int) int32 {
+	nc := len(g.cols)
+	if g.dense != nil {
+		var at uint64
+		for c := 0; c < nc; c++ {
+			w := words[c*n+j]
+			if w>>g.denseBits != 0 {
+				return -1
+			}
+			at |= w << (uint(c) * g.denseBits)
+		}
+		return g.dense[at] - 1
+	}
+	if len(g.slots) == 0 {
+		return -1
+	}
+	h := words[j] * fibMul // hashWords, over the column-major row
+	for c := 1; c < nc; c++ {
+		h = (h ^ words[c*n+j]) * fibMul
+	}
+	mask := uint64(len(g.slots) - 1)
+	for s := h >> g.shift; ; s = (s + 1) & mask {
+		id := int(g.slots[s]) - 1
+		if id < 0 {
+			return -1
+		}
+		c := 0
+		for c < nc && g.keys[id*nc+c] == words[c*n+j] {
+			c++
+		}
+		if c == nc {
+			return int32(id)
+		}
+	}
+}
+
+// freeze readies a fully built index for Lookup: every string column's
+// values go into its value map (mix).
+func (g *GroupIndex) freeze() {
+	for c, col := range g.out {
+		if col.Typ == String && !g.strs[c].mixed {
+			g.strs[c].mix()
+		}
 	}
 }
 
@@ -353,7 +453,7 @@ func (g *GroupIndex) rehash(nSlots int) {
 }
 
 // hashWords mixes a tuple so that its top bits depend on every word; for one
-// word it is the key index's w·fibMul.
+// word it is w·fibMul.
 func hashWords(ws []uint64) uint64 {
 	h := ws[0] * fibMul
 	for _, w := range ws[1:] {
@@ -579,13 +679,7 @@ func (s *strCodes) intern(v string, from *Dict) int32 {
 			s.vals = append(s.vals, v)
 			return int32(len(s.vals) - 1)
 		}
-		s.mixed = true
-		if s.byVal == nil {
-			s.byVal = make(map[string]int32, len(s.vals)+8)
-		}
-		for lc, x := range s.vals {
-			s.byVal[x] = int32(lc)
-		}
+		s.mix()
 	}
 	lc, ok := s.byVal[v]
 	if !ok {
@@ -594,4 +688,32 @@ func (s *strCodes) intern(v string, from *Dict) int32 {
 		s.byVal[v] = lc
 	}
 	return lc
+}
+
+// mix moves s to byVal for good, with every value seen so far.
+func (s *strCodes) mix() {
+	s.mixed = true
+	if s.byVal == nil {
+		s.byVal = make(map[string]int32, len(s.vals)+8)
+	}
+	for lc, x := range s.vals {
+		s.byVal[x] = int32(lc)
+	}
+}
+
+// lookup writes the local code of live rows of v into out — row sel[j] under
+// a selection, row lo+j without one — and a word no code equals for a value
+// never seen. It reads byVal alone, which freeze completed.
+func (s *strCodes) lookup(v *Vector, sel []int32, lo int, out []uint64) {
+	for j := range out {
+		i := lo + j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		if lc, ok := s.byVal[v.Str[i]]; ok {
+			out[j] = uint64(lc)
+		} else {
+			out[j] = math.MaxUint64
+		}
+	}
 }

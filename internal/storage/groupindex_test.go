@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,10 +9,30 @@ import (
 )
 
 // The group index is held to the grouping it replaced: two rows are one group
-// exactly when their groupKey bytes are equal. groupKey tags every value with
+// exactly when their tupleKey bytes are equal. tupleKey tags every value with
 // its type and length-prefixes strings, so it is the reference for everything
 // awkward — NaN payloads, ±0.0, empty and NUL-embedded strings, columns whose
 // boundaries a naive concatenation would blur.
+
+// tupleKey encodes row of vecs over cols as bytes that are equal exactly when
+// the keys are: a type tag, then a fixed-width value's FixedWord or a
+// string's length and bytes. Length-prefixed, not terminated: a terminator
+// would let NUL-embedded strings collide across column boundaries, as
+// ("a\x00\x03b", "c") and ("a", "b\x00\x03c") would.
+func tupleKey(vecs []*Vector, cols []int, row int) string {
+	var key []byte
+	for _, c := range cols {
+		v := vecs[c]
+		key = append(key, byte(v.Typ))
+		if v.Typ == String {
+			key = binary.LittleEndian.AppendUint32(key, uint32(len(v.Str[row])))
+			key = append(key, v.Str[row]...)
+		} else {
+			key = binary.LittleEndian.AppendUint64(key, FixedWord(v, row))
+		}
+	}
+	return string(key)
+}
 
 // groupFixture is a set of rows over a random schema of group columns plus
 // one payload column, and several renderings of those rows as fold batches.
@@ -143,10 +164,10 @@ func (f *groupFixture) refKey(row int) string {
 	for c, v := range f.rows[row] {
 		b.Vecs[c].Append(v)
 	}
-	return string(GroupKey(nil, b.Vecs, f.cols, 0))
+	return tupleKey(b.Vecs, f.cols, 0)
 }
 
-// sameValue is bit equality: the identity groupKey and fixedWord share.
+// sameValue is bit equality: the identity tupleKey and FixedWord share.
 func sameValue(a, b Value) bool {
 	if a.Typ == Float64 && b.Typ == Float64 {
 		return math.Float64bits(a.F) == math.Float64bits(b.F)

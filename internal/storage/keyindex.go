@@ -1,192 +1,86 @@
 package storage
 
-import (
-	"math"
-	"math/bits"
-	"slices"
-)
-
-// FixedWord encodes row i of a fixed-width column as one word, with the same
-// value identity as GroupKey's byte encoding: two's complement, IEEE bits,
-// 0/1. Group columns and fixed-width keys share it.
-func FixedWord(v *Vector, i int) uint64 {
-	switch v.Typ {
-	case Int64:
-		return uint64(v.I64[i])
-	case Float64:
-		return math.Float64bits(v.F64[i])
-	default: // Bool
-		if v.B[i] {
-			return 1
-		}
-		return 0
-	}
-}
-
-// GroupKey builds a deterministic byte key from selected columns of a row.
-func GroupKey(dst []byte, vecs []*Vector, cols []int, row int) []byte {
-	dst = dst[:0]
-	for _, c := range cols {
-		v := vecs[c]
-		switch v.Typ {
-		case Int64:
-			x := uint64(v.I64[row])
-			dst = append(dst, 1, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-				byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-		case Float64:
-			x := math.Float64bits(v.F64[row])
-			dst = append(dst, 2, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-				byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-		case String:
-			// Length-prefixed, not NUL-terminated: a terminator byte lets
-			// NUL-embedded strings collide across column boundaries (e.g. the
-			// two-column keys ("a\x00\x03b","c") and ("a","b\x00\x03c") encode
-			// to the same bytes under termination).
-			s := v.Str[row]
-			n := uint32(len(s))
-			dst = append(dst, 3, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-			dst = append(dst, s...)
-		case Bool:
-			if v.B[row] {
-				dst = append(dst, 4, 1)
-			} else {
-				dst = append(dst, 4, 0)
-			}
-		}
-	}
-	return dst
-}
+import "slices"
 
 // KeyIndex finds rows by key. It is built once over the key columns of a set
-// of rows and returns, for any key, the ascending rows that carry it. Every
-// row's key is one word — a one-column int64, float64 or bool key's
-// FixedWord, any other key's dense id — and every word's rows are one
-// contiguous run of matchRows, found through one of two map-free indexes laid
-// out in the same integer passes as the runs (buildWordIndex picks by the
-// observed word span). The build is serial, so the index is the same whatever
-// runs beside it; once built it is immutable and safe for concurrent probes.
-// A join's build side and a sketch-join's per-key table are both found
-// through one, a probe batch at a time (Probe). A join's index is its table
-// version's own (Table.KeyIndex), and the rows a query's build side keeps
-// are a KeyMask over it.
+// of rows and returns, for any key, the ascending rows that carry it: every
+// key's rows are one contiguous run of matchRows, and a run is found through
+// one of two layouts. A key that is one Int64 column over a short span is
+// dense: its run sits behind an offset array indexed by key − min. Every
+// other key is numbered: a GroupIndex over the key columns gives each
+// distinct key an id, first-seen in row order, and id's run sits behind an
+// offset array indexed by id. The build is serial, so the index is the same
+// whatever runs beside it; once built it is immutable and safe for
+// concurrent probes. A join's build side and a sketch-join's per-key table
+// are both found through one, a probe batch at a time (Probe). A join's
+// index is its table version's own (Table.KeyIndex), and the rows a query's
+// build side keeps are a KeyMask over it.
+//
+//taster:immutable
 type KeyIndex struct {
-	// fixed marks a key that is one int64, float64 or bool column: a row's
-	// word is that column's FixedWord. Any other key — a string column, or
-	// several columns — is numbered through ids.
-	fixed bool
-	// key is the indexed column of a fixed key (nil otherwise): Mark reads a
-	// row's word from it. It is the caller's vector, not a copy.
+	// key is the indexed column of a dense index (nil for a numbered one):
+	// Mark reads a row's key from it. It is the caller's vector, not a copy.
 	key *Vector
+	min uint64 // dense: the smallest orderedWord of key
+	// groups numbers a numbered index's keys (nil for a dense one). It is
+	// only ever looked up in once built (GroupIndex.Lookup).
+	groups *GroupIndex
 
-	// ids numbers the distinct GroupKey bytes of a key that is not fixed,
-	// 0..k−1 in first-seen row order (nil for a fixed key). The numbers are
-	// the words: k ≤ rows, so they always take the dense index.
-	ids map[string]int32
-
-	// matchRows holds every word's run of rows back to back.
+	// matchRows holds every key's run of rows back to back; key k's run is
+	// matchRows[offs[k]:offs[k+1]], k being orderedWord − min (dense) or the
+	// key's id (numbered).
 	matchRows []int32
-	keys      int // distinct words
-
-	// Dense-range index (denseOffs non-nil): the ordered words span at most
-	// denseSpanFactor× the rows (or less than denseSpanFloor), and key w's run
-	// is matchRows[denseOffs[k]:denseOffs[k+1]] with k = orderedWord(w) −
-	// denseMin. Every surrogate key of the generated workloads, and every
-	// id-numbered key, lands here.
-	denseMin  uint64
-	denseOffs []int32
-
-	// Open-addressing index (otherwise): power-of-two slots sized once from
-	// the row count, Fibonacci hashing, linear probing, no growth. A slot
-	// carries its key's run bounds inline, so a probe touches one cache line
-	// before the run itself.
-	slots     []wordSlot
-	slotShift uint
-}
-
-// wordSlot is one open-addressing slot: key word w owns matchRows[lo:hi].
-// Every present key has at least one row, so hi == 0 marks an empty slot.
-type wordSlot struct {
-	w      uint64
-	lo, hi int32
+	offs      []int32
+	keys      int // distinct keys
 }
 
 const (
-	// denseSpanFactor bounds the dense index's offset array at this many
-	// entries per row; sparser key sets take the open-addressing index.
+	// denseSpanFactor bounds the dense layout's offset array at this many
+	// entries per row; sparser keys are numbered.
 	denseSpanFactor = 4
 	// denseSpanFloor admits any span below it whatever the row count. A
 	// selective build-side filter leaves few rows scattered over the
 	// dimension's whole key range, but the probe side is still the fact
 	// table: zeroing a 256 KB offset array once costs less than hashing
-	// every probe row (BenchmarkJoinProbe, dense150k vs sparse150k: 4.4 vs
-	// 13.5 ns per probe row, 5.7 vs 14.1 under a selection).
+	// every probe row (BenchmarkJoinProbe, dense150k vs sparse150k).
 	denseSpanFloor = 1 << 16
 	// fibMul is 2^64/φ: multiplying by it and keeping the top bits spreads
 	// consecutive and strided keys evenly over a power-of-two table.
 	fibMul = 0x9E3779B97F4A7C15
 )
 
-// orderedWord flips the sign bit of a FixedWord, so int64 keys compare (and
+// orderedWord flips the sign bit of an int64 key, so keys compare (and
 // subtract) in unsigned space as they do signed: a key range straddling zero
 // stays a short span, and MinInt64..MaxInt64 is span 2^64−1 with no overflow
-// anywhere. For float64 and bool words it is merely a bijection, which is all
-// the index needs.
+// anywhere.
 func orderedWord(w uint64) uint64 { return w ^ (1 << 63) }
 
-// NewKeyIndex indexes every row of vecs by its key over cols: its words
-// (keyWords), then the word index over them (buildWordIndex). Both are a
-// handful of O(n) passes over flat arrays.
+// NewKeyIndex indexes every row of vecs by its key over cols: dense when the
+// key is one Int64 column whose span is under denseSpanFactor× the rows or
+// under denseSpanFloor, numbered otherwise.
 func NewKeyIndex(vecs []*Vector, cols []int) *KeyIndex {
-	x := &KeyIndex{fixed: len(cols) == 1 && vecs[cols[0]].Typ != String}
-	if x.fixed {
-		x.key = vecs[cols[0]]
+	x := &KeyIndex{}
+	if kv := vecs[cols[0]]; len(cols) == 1 && kv.Typ == Int64 {
+		if min, nk, ok := denseSpan(kv.I64); ok {
+			x.key = kv
+			x.buildDenseIndex(kv.I64, min, nk)
+			return x
+		}
 	}
-	x.buildWordIndex(x.keyWords(vecs, cols))
+	x.buildNumberedIndex(vecs, cols)
 	return x
 }
 
-// keyWords returns every row's key word. A fixed key's word is its column's
-// FixedWord, which mirrors GroupKey's per-type encoding, so word equality is
-// byte-key equality within the type. Any other key's word is its dense id,
-// assigned in first-seen row order through x.ids over the rows' GroupKey
-// bytes — the map probeRows looks a probe's own key bytes up in.
-func (x *KeyIndex) keyWords(vecs []*Vector, cols []int) []uint64 {
-	words := make([]uint64, vecs[cols[0]].Len())
-	if x.fixed {
-		kv := vecs[cols[0]]
-		for i := range words {
-			words[i] = FixedWord(kv, i)
-		}
-		return words
+// denseSpan returns the smallest ordered key and the number of positions
+// from it to the largest, and whether that span is short enough to lay out
+// densely. No rows is an empty dense range.
+func denseSpan(keys []int64) (min uint64, nk int, ok bool) {
+	if len(keys) == 0 {
+		return 0, 0, true
 	}
-	x.ids = make(map[string]int32)
-	var key []byte
-	for i := range words {
-		key = GroupKey(key, vecs, cols, i)
-		id, ok := x.ids[string(key)]
-		if !ok {
-			id = int32(len(x.ids))
-			x.ids[string(key)] = id
-		}
-		words[i] = uint64(id)
-	}
-	return words
-}
-
-// buildWordIndex lays out the runs of matchRows and the index over them:
-// ascending row order within every run falls out of the forward fill pass,
-// and no Go map is involved. No rows is an empty dense range.
-func (x *KeyIndex) buildWordIndex(words []uint64) {
-	n := len(words)
-	x.matchRows = make([]int32, n)
-	if n == 0 {
-		x.denseOffs = []int32{0}
-		return
-	}
-	// Pass 1: the ordered word span decides the index layout.
-	lo, hi := orderedWord(words[0]), orderedWord(words[0])
-	for _, w := range words[1:] {
-		w = orderedWord(w)
+	lo, hi := orderedWord(uint64(keys[0])), orderedWord(uint64(keys[0]))
+	for _, k := range keys[1:] {
+		w := orderedWord(uint64(k))
 		if w < lo {
 			lo = w
 		}
@@ -194,86 +88,80 @@ func (x *KeyIndex) buildWordIndex(words []uint64) {
 			hi = w
 		}
 	}
-	if span := hi - lo; span < uint64(n)*denseSpanFactor || span < denseSpanFloor {
-		x.buildDenseIndex(words, lo, int(span)+1)
-	} else {
-		x.buildSlotIndex(words)
+	if span := hi - lo; span < uint64(len(keys))*denseSpanFactor || span < denseSpanFloor {
+		return lo, int(span) + 1, true
 	}
+	return 0, 0, false
 }
 
-// buildDenseIndex lays the runs out in word order behind an offset array
-// indexed by orderedWord − min.
-func (x *KeyIndex) buildDenseIndex(words []uint64, min uint64, nk int) {
-	// Pass 2: count word k into offs[k+2], then prefix-sum, leaving offs[k+1]
-	// at the start of k's run. Pass 3 fills through offs[k+1], which walks it
-	// to the end of k's run — the start of k+1's — so the array finishes as
-	// the exclusive offsets with no cursor copy.
+// buildDenseIndex lays the runs out in key order: key k's position is
+// orderedWord(k) − min.
+func (x *KeyIndex) buildDenseIndex(keys []int64, min uint64, nk int) {
+	pos := make([]int32, len(keys))
+	for i, k := range keys {
+		pos[i] = int32(orderedWord(uint64(k)) - min)
+	}
+	x.min = min
+	x.buildRuns(pos, nk)
+}
+
+// buildNumberedIndex numbers every row's key through a GroupIndex, a
+// BatchSize slice of rows at a time as Table.resolveGroups does, and lays the
+// runs out in id order.
+func (x *KeyIndex) buildNumberedIndex(vecs []*Vector, cols []int) {
+	at, out := make([]int, len(cols)), make(Schema, len(cols))
+	for k, c := range cols {
+		at[k], out[k].Typ = k, vecs[c].Typ
+	}
+	g := NewGroupIndex(at, out)
+	n := vecs[cols[0]].Len()
+	ids := make([]int32, n)
+	b := &Batch{Vecs: make([]*Vector, len(cols))}
+	for lo := 0; lo < n; lo += BatchSize {
+		hi := min(lo+BatchSize, n)
+		for k, c := range cols {
+			b.Vecs[k] = vecs[c].Slice(lo, hi)
+		}
+		sc := BorrowScratch(hi-lo, len(cols))
+		copy(ids[lo:], g.Resolve(b, sc))
+		ReturnScratch(sc)
+	}
+	g.freeze()
+	x.groups = &g
+	x.buildRuns(ids, g.Len())
+}
+
+// buildRuns lays out the runs of rows whose keys have positions pos, each
+// below nk, behind offs: ascending row order within every run falls out of
+// the forward fill pass. Count position k into offs[k+2], then prefix-sum,
+// leaving offs[k+1] at the start of k's run; the fill goes through
+// offs[k+1], which walks it to the end of k's run — the start of k+1's — so
+// the array finishes as the exclusive offsets with no cursor copy.
+func (x *KeyIndex) buildRuns(pos []int32, nk int) {
 	offs := make([]int32, nk+2)
-	for _, w := range words {
-		k := orderedWord(w) - min + 2
-		if offs[k] == 0 {
+	for _, k := range pos {
+		if offs[k+2] == 0 {
 			x.keys++
 		}
-		offs[k]++
+		offs[k+2]++
 	}
 	for k := 2; k < len(offs); k++ {
 		offs[k] += offs[k-1]
 	}
-	for i, w := range words {
-		k := orderedWord(w) - min + 1
-		x.matchRows[offs[k]] = int32(i)
-		offs[k]++
+	x.matchRows = make([]int32, len(pos))
+	for i, k := range pos {
+		x.matchRows[offs[k+1]] = int32(i)
+		offs[k+1]++
 	}
-	x.denseMin, x.denseOffs = min, offs[:nk+1]
-}
-
-// buildSlotIndex lays the runs out in slot order behind an open-addressing
-// table of at least 2n slots (load ≤ 1/2, so a probe always meets an empty
-// slot and the table never grows).
-func (x *KeyIndex) buildSlotIndex(words []uint64) {
-	n := len(words)
-	nSlots := 1 << bits.Len(uint(2*n-1))
-	slots := make([]wordSlot, nSlots)
-	shift := uint(64 - bits.TrailingZeros(uint(nSlots)))
-	mask := uint64(nSlots - 1)
-
-	// Pass 2: claim a slot per distinct word, counting its rows in hi.
-	slotOf := make([]int32, n)
-	for i, w := range words {
-		s := (w * fibMul) >> shift
-		for slots[s].hi != 0 && slots[s].w != w {
-			s = (s + 1) & mask
-		}
-		if slots[s].hi == 0 {
-			x.keys++
-		}
-		slots[s].w = w
-		slots[s].hi++
-		slotOf[i] = int32(s)
-	}
-	// Counts -> run starts, in slot order (any fixed order works: a run's
-	// position never shows, only its contents do).
-	var at int32
-	for s := range slots {
-		if c := slots[s].hi; c != 0 {
-			slots[s].lo, slots[s].hi = at, at
-			at += c
-		}
-	}
-	// Pass 3: fill each run in ascending row order; hi walks from the run's
-	// start to its end.
-	for i, s := range slotOf {
-		x.matchRows[slots[s].hi] = int32(i)
-		slots[s].hi++
-	}
-	x.slots, x.slotShift = slots, shift
+	x.offs = offs[:nk+1]
 }
 
 // A KeyMask is a set of the rows a KeyIndex indexes — a join build side's
 // survivors — kept in the index's own coordinates (NewMask, Mark): one bit
-// per key position when every key has exactly one row (Unique), so a probe
-// row the mask refuses costs one bit test before any offset or row load; one
-// bit per row otherwise, tested per candidate match. A nil mask is every row.
+// per key position when the index is dense and every key has exactly one row
+// (Unique), so a probe row the mask refuses costs one bit test before any
+// offset or row load; one bit per row otherwise, tested per candidate match.
+// A nil mask is every row.
 type KeyMask []uint64
 
 func (m KeyMask) has(i uint64) bool { return m[i>>6]&(1<<(i&63)) != 0 }
@@ -284,28 +172,27 @@ func (m KeyMask) set(i uint64) { m[i>>6] |= 1 << (i & 63) }
 // from the data, as the primary key of a dimension table is.
 func (x *KeyIndex) Unique() bool { return x.keys == len(x.matchRows) }
 
-// NewMask returns an empty mask over x's rows: as many bits as x has key
-// positions (the dense span, or the slots) when it is Unique, as rows
-// otherwise.
+// byKey reports whether a mask over x has a bit per key position rather than
+// per row: under a dense unique index. A numbered key's ids are first-seen
+// row order, so under a unique one an id is its row anyway.
+func (x *KeyIndex) byKey() bool { return x.key != nil && x.Unique() }
+
+// NewMask returns an empty mask over x's rows: as many bits as the dense
+// span when masks are by key (byKey), as rows otherwise.
 func (x *KeyIndex) NewMask() KeyMask {
 	n := len(x.matchRows)
-	if x.Unique() {
-		if x.denseOffs != nil {
-			n = len(x.denseOffs) - 1
-		} else {
-			n = len(x.slots)
-		}
+	if x.byKey() {
+		n = len(x.offs) - 1
 	}
 	return make(KeyMask, (n+63)/64)
 }
 
 // Mark adds rows to m: lo+sel[j] for every j, or lo..lo+n−1 when sel is nil.
-// Under a unique index a row's bit is its key's position (position).
+// A row's bit is its key − min when masks are by key, the row otherwise.
 func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
-	if x.Unique() && x.fixed && x.denseOffs != nil && x.key.Typ == Int64 {
-		// Every join of the generated workloads: one subtraction per row
-		// (BenchmarkJoinBuild/orders/mask 0.19 ms, 0.24 ms through position).
-		keys, min := x.key.I64, x.denseMin
+	if x.byKey() {
+		// Every join of the generated workloads: one subtraction per row.
+		keys, min := x.key.I64, x.min
 		if sel == nil {
 			for _, k := range keys[lo : lo+n] {
 				m.set(orderedWord(uint64(k)) - min)
@@ -319,37 +206,13 @@ func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 	}
 	if sel == nil {
 		for r := lo; r < lo+n; r++ {
-			m.set(x.position(r))
+			m.set(uint64(r))
 		}
 		return
 	}
 	for _, i := range sel {
-		m.set(x.position(lo + int(i)))
+		m.set(uint64(lo + int(i)))
 	}
-}
-
-// position is row r's bit in a mask over x: its key's dense offset or slot
-// under a unique index, the row itself otherwise. An id-numbered key's ids
-// are first-seen row order, so under a unique one the position is the row
-// too.
-func (x *KeyIndex) position(r int) uint64 {
-	if !x.Unique() || !x.fixed {
-		return uint64(r)
-	}
-	w := FixedWord(x.key, r)
-	if x.denseOffs != nil {
-		return orderedWord(w) - x.denseMin
-	}
-	return uint64(x.slotOf(w))
-}
-
-// split hands a probe loop m as per-key or per-row bits, by x's
-// coordinates; both are nil for the nil mask.
-func (x *KeyIndex) split(m KeyMask) (byKey, byRow KeyMask) {
-	if m == nil || x.Unique() {
-		return m, nil
-	}
-	return nil, m
 }
 
 // ProbePos is where a Probe resumes inside its probe batch: the live row Row,
@@ -358,37 +221,34 @@ type ProbePos struct{ Row, Done int }
 
 // Probe pairs the live rows of b from at on with the rows in mask (nil: every
 // row) whose key equals theirs over cols — columns typed as the indexed ones.
-// It appends each pair's
-// live position (an index into b.Sel, or the row itself when b has no
-// selection) to pos and its matching row to rows, in live-row order and
-// ascending within a row, and stops once room pairs are out or the batch is:
-// it returns fewer than room pairs only with Row == b.Rows(). The position it
-// returns is where the next call resumes — mid-run when a row's matches outrun
-// room. A one-column int64 key, every join of the generated workloads, runs a
-// typed loop per layout; any other key finds its word one row at a time
-// (probeRows).
+// It appends each pair's live position (an index into b.Sel, or the row
+// itself when b has no selection) to pos and its matching row to rows, in
+// live-row order and ascending within a row, and stops once room pairs are
+// out or the batch is: it returns fewer than room pairs only with Row ==
+// b.Rows(). The position it returns is where the next call resumes —
+// mid-run when a row's matches outrun room. A dense index, every join of the
+// generated workloads, runs a typed loop per mask shape; a numbered one runs
+// one loop over ids (probeNumbered).
 func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
-	byKey, byRow := x.split(mask)
-	if kv := b.Vecs[cols[0]]; x.fixed && kv.Typ == Int64 {
-		switch {
-		case mask == nil && x.denseOffs != nil:
-			return x.probeDense(kv.I64, b.Sel, b.Rows(), at, room, pos, rows)
-		case mask == nil:
-			return x.probeSlots(kv.I64, b.Sel, b.Rows(), at, room, pos, rows)
-		case x.denseOffs != nil:
-			return x.probeDenseMasked(kv.I64, b.Sel, b.Rows(), byKey, byRow, at, room, pos, rows)
-		}
-		return x.probeSlotsMasked(kv.I64, b.Sel, b.Rows(), byKey, byRow, at, room, pos, rows)
+	if x.key == nil {
+		return x.probeNumbered(b, cols, mask, at, room, pos, rows)
 	}
-	return x.probeRows(b, cols, byKey, byRow, at, room, pos, rows)
+	keys := b.Vecs[cols[0]].I64
+	if mask == nil {
+		return x.probeDense(keys, b.Sel, b.Rows(), at, room, pos, rows)
+	}
+	if x.byKey() {
+		return x.probeDenseMasked(keys, b.Sel, b.Rows(), mask, nil, at, room, pos, rows)
+	}
+	return x.probeDenseMasked(keys, b.Sel, b.Rows(), nil, mask, at, room, pos, rows)
 }
 
-// probeDense is Probe's loop over int64 keys and the dense index: one offset
-// pair per live row, a word below denseMin wrapping to a k the bound refuses.
+// probeDense is Probe's loop over a dense index: one offset pair per live
+// row, a key below min wrapping to a k the bound refuses.
 func (x *KeyIndex) probeDense(keys []int64, sel []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
-	offs, matchRows, min := x.denseOffs, x.matchRows, x.denseMin
+	offs, matchRows, min := x.offs, x.matchRows, x.min
 	span := uint64(len(offs) - 1)
 	done := at.Done
 	for j := at.Row; j < live; j++ {
@@ -414,46 +274,13 @@ func (x *KeyIndex) probeDense(keys []int64, sel []int32, live int, at ProbePos, 
 	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
-// probeSlots is Probe's loop over int64 keys and the open-addressing index:
-// an empty slot's bounds are 0, 0, so a miss is an empty run.
-func (x *KeyIndex) probeSlots(keys []int64, sel []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
-	o := len(pos)
-	pos, rows = grow(pos, room), grow(rows, room)
-	slots, matchRows, shift, mask := x.slots, x.matchRows, x.slotShift, uint64(len(x.slots)-1)
-	done := at.Done
-	for j := at.Row; j < live; j++ {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
-		}
-		w := uint64(keys[i])
-		s := (w * fibMul) >> shift
-		sl := &slots[s]
-		for sl.hi != 0 && sl.w != w {
-			s = (s + 1) & mask
-			sl = &slots[s]
-		}
-		start, hi := int(sl.lo), int(sl.hi)
-		lo := start + done
-		done = 0
-		if hi-lo >= len(pos)-o {
-			return x.fill(pos, rows, o, j, start, lo, hi)
-		}
-		for ; lo < hi; lo++ {
-			pos[o], rows[o] = int32(j), matchRows[lo]
-			o++
-		}
-	}
-	return pos[:o], rows[:o], ProbePos{Row: live}
-}
-
 // probeDenseMasked is probeDense under a mask: a key byKey refuses is
 // skipped before its offsets are read, and a row byRow refuses is skipped
-// within its run (fillMasked). The unmasked loops stay free of both tests.
+// within its run (fillMasked). The unmasked loop stays free of both tests.
 func (x *KeyIndex) probeDenseMasked(keys []int64, sel []int32, live int, byKey, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
-	offs, min := x.denseOffs, x.denseMin
+	offs, min := x.offs, x.min
 	span := uint64(len(offs) - 1)
 	done := at.Done
 	for j := at.Row; j < live; j++ {
@@ -475,75 +302,28 @@ func (x *KeyIndex) probeDenseMasked(keys []int64, sel []int32, live int, byKey, 
 	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
-// probeSlotsMasked is probeSlots under a mask, as probeDenseMasked is
-// probeDense: byKey is tested at the slot the probe chain ends on.
-func (x *KeyIndex) probeSlotsMasked(keys []int64, sel []int32, live int, byKey, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+// probeNumbered is Probe's loop over a numbered index, under a mask by row
+// or none: the live rows' ids come from the numbering a BatchSize window at
+// a time (GroupIndex.Lookup, −1 for a key no indexed row carries), and id's
+// run is matchRows[offs[id]:offs[id+1]]. The window starts at the resume
+// row, so a probe resumed mid-batch looks up no row twice.
+func (x *KeyIndex) probeNumbered(b *Batch, cols []int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
-	done := at.Done
-	for j := at.Row; j < live; j++ {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
-		}
-		s := x.slotOf(uint64(keys[i]))
-		if byKey != nil && !byKey.has(uint64(s)) {
-			continue
-		}
-		start := int(x.slots[s].lo)
-		var full bool
-		if o, at, full = x.fillMasked(pos, rows, byRow, o, j, start, start+done, int(x.slots[s].hi)); full {
-			return pos, rows, at
-		}
-		done = 0
-	}
-	return pos[:o], rows[:o], ProbePos{Row: live}
-}
-
-// probeRows is Probe for every other key: a float64 or bool column's
-// FixedWord, or the id the id map gives the row's GroupKey bytes — bytes no
-// indexed row carries match nothing.
-func (x *KeyIndex) probeRows(b *Batch, cols []int, byKey, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
-	o := len(pos)
-	pos, rows = grow(pos, room), grow(rows, room)
-	var buf [64]byte
-	key := buf[:0]
+	sc := BorrowScratch(BatchSize, len(cols))
+	defer ReturnScratch(sc)
 	live, done := b.Rows(), at.Done
-	for j := at.Row; j < live; j++ {
-		i := j
-		if b.Sel != nil {
-			i = int(b.Sel[j])
-		}
-		var w uint64
-		if x.fixed {
-			w = FixedWord(b.Vecs[cols[0]], i)
-		} else {
-			key = GroupKey(key, b.Vecs, cols, i)
-			id, ok := x.ids[string(key)]
-			if !ok {
+	for lo := at.Row; lo < live; lo += BatchSize {
+		for k, id := range x.groups.Lookup(b, cols, lo, min(lo+BatchSize, live), sc) {
+			if id < 0 {
 				continue
 			}
-			w = uint64(id)
-		}
-		k, start, hi := x.lookupWord(w)
-		if k < 0 || byKey != nil && !byKey.has(uint64(k)) {
-			continue
-		}
-		lo := start + done
-		done = 0
-		if byRow != nil {
+			start := int(x.offs[id])
 			var full bool
-			if o, at, full = x.fillMasked(pos, rows, byRow, o, j, start, lo, hi); full {
+			if o, at, full = x.fillMasked(pos, rows, byRow, o, lo+k, start, start+done, int(x.offs[id+1])); full {
 				return pos, rows, at
 			}
-			continue
-		}
-		if hi-lo >= len(pos)-o {
-			return x.fill(pos, rows, o, j, start, lo, hi)
-		}
-		for ; lo < hi; lo++ {
-			pos[o], rows[o] = int32(j), x.matchRows[lo]
-			o++
+			done = 0
 		}
 	}
 	return pos[:o], rows[:o], ProbePos{Row: live}
@@ -587,38 +367,19 @@ func (x *KeyIndex) fillMasked(pos, rows []int32, byRow KeyMask, o, j, start, lo,
 	return o, ProbePos{}, false
 }
 
-// lookupWord returns w's key position — its dense offset or its slot, −1
-// when the dense range cannot hold it — and the bounds in matchRows of the
-// ascending rows whose key word is w (an empty run when there are none).
-func (x *KeyIndex) lookupWord(w uint64) (k, lo, hi int) {
-	if x.denseOffs != nil {
-		// A word below denseMin wraps to a huge k and fails the bound check.
-		k := orderedWord(w) - x.denseMin
-		if k >= uint64(len(x.denseOffs)-1) {
-			return -1, 0, 0
-		}
-		return int(k), int(x.denseOffs[k]), int(x.denseOffs[k+1])
-	}
-	s := x.slotOf(w)
-	return s, int(x.slots[s].lo), int(x.slots[s].hi)
-}
-
-// slotOf returns the slot holding word w, or the empty slot its probe chain
-// ends at.
-func (x *KeyIndex) slotOf(w uint64) int {
-	mask := uint64(len(x.slots) - 1)
-	for s := (w * fibMul) >> x.slotShift; ; s = (s + 1) & mask {
-		if sl := &x.slots[s]; sl.hi == 0 || sl.w == w {
-			return int(s)
-		}
-	}
-}
-
 // Keys returns the number of distinct keys indexed.
 func (x *KeyIndex) Keys() int { return x.keys }
 
-// Bytes estimates the index's resident size: its arrays, and per id a key
-// string, its id and the map's own slot.
+// Bytes estimates the index's resident size: its arrays, and a numbered
+// index's tuples and tables plus, per string value, the value and its map
+// entry.
 func (x *KeyIndex) Bytes() int64 {
-	return int64(len(x.matchRows)+len(x.denseOffs))*4 + int64(len(x.slots))*16 + int64(len(x.ids))*64
+	n := int64(len(x.matchRows)+len(x.offs)) * 4
+	if g := x.groups; g != nil {
+		n += int64(len(g.keys))*8 + int64(len(g.slots)+len(g.dense))*4
+		for c := range g.strs {
+			n += int64(len(g.strs[c].vals)) * 64
+		}
+	}
+	return n
 }

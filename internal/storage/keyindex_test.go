@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestKeyIndexLayout pins which index each key shape takes — the dense range
-// for surrogate keys, a selective filter's survivors under the span floor,
-// bools and every id-numbered key; open addressing for keys with no
-// locality — and that Keys counts distinct keys in both. Whether the lookups
+// TestKeyIndexLayout pins which layout each key shape takes — dense for one
+// Int64 column under the span rule (surrogate keys, a selective filter's
+// survivors under the span floor, a range straddling zero); numbered for
+// every other key (Int64 keys with no locality, float64, bool, strings,
+// tuples) — and that Keys counts distinct keys in both. Whether the lookups
 // answer like a Go map is exec's TestJoinIndexMatchesMap and FuzzJoinIndex.
 func TestKeyIndexLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -39,6 +40,7 @@ func TestKeyIndexLayout(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		bools.B = append(bools.B, rng.Intn(3) == 0)
 	}
+	floats := &Vector{Typ: Float64, F64: []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002), math.Inf(1), math.Inf(-1), 0, math.NaN()}}
 	strs := &Vector{Typ: String}
 	for i := 0; i < 400; i++ {
 		strs.Str = append(strs.Str, string(rune('a'+i%26)))
@@ -58,14 +60,15 @@ func TestKeyIndexLayout(t *testing.T) {
 		{"MinInt64 and MaxInt64 together", []*Vector{ints(math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64)}, []int{0}, false, 5},
 		{"133 keys spread over 20 000 (span floor)", []*Vector{ints(subset...)}, []int{0}, true, 133},
 		{"133 keys spread over 20 000 000", []*Vector{ints(spread...)}, []int{0}, false, 133},
-		{"bool", []*Vector{bools}, []int{0}, true, 2},
-		{"string ids", []*Vector{strs}, []int{0}, true, 26},
-		{"(string, int64) ids", []*Vector{strs, ints(sparse[:400]...)}, []int{0, 1}, true, 400},
+		{"float64", []*Vector{floats}, []int{0}, false, 6},
+		{"bool", []*Vector{bools}, []int{0}, false, 2},
+		{"strings", []*Vector{strs}, []int{0}, false, 26},
+		{"(string, int64)", []*Vector{strs, ints(sparse[:400]...)}, []int{0, 1}, false, 400},
 		{"no rows", []*Vector{ints()}, []int{0}, true, 0},
 	} {
 		x := NewKeyIndex(c.vecs, c.cols)
-		if dense := x.denseOffs != nil; dense != c.dense || (x.slots != nil) == dense {
-			t.Errorf("%s: dense index %t, open addressing %t; want dense %t", c.name, dense, x.slots != nil, c.dense)
+		if dense := x.key != nil; dense != c.dense || (x.groups != nil) == dense {
+			t.Errorf("%s: dense %t, numbered %t; want dense %t", c.name, dense, x.groups != nil, c.dense)
 		}
 		if x.Keys() != c.keys {
 			t.Errorf("%s: %d keys, want %d", c.name, x.Keys(), c.keys)

@@ -185,9 +185,9 @@ func TestGroupCountAndMinGroup(t *testing.T) {
 	}
 }
 
-// TestGroupCountStringBoundaries: a multi-column group is keyed by GroupKey,
-// whose length-prefixed strings keep column boundaries, so two rows whose
-// strings only concatenate alike are two groups of one row each.
+// TestGroupCountStringBoundaries: a multi-column group is keyed by value,
+// column by column (GroupIndex), so two rows whose strings only concatenate
+// alike are two groups of one row each.
 func TestGroupCountStringBoundaries(t *testing.T) {
 	b := NewBuilder("t", Schema{{Name: "t.a", Typ: String}, {Name: "t.b", Typ: String}})
 	b.Str(0, "a\xff\x02b")
