@@ -40,8 +40,8 @@ func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 		})
 
 	case *plan.SketchJoin:
-		return newPipelineOp(t.Probe, "a sketch-join", nil, sketchReads(t), seed, ctx, func(in storage.Schema, _ *groupSource) (sink, error) {
-			return newSketchSink(t, in, ctx)
+		return newPipelineOp(t.Probe, "a sketch-join", t.GroupBy, sketchReads(t), seed, ctx, func(in storage.Schema, src *groupSource) (sink, error) {
+			return newSketchSink(t, in, src, ctx)
 		})
 
 	case *plan.Sort:

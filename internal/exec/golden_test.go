@@ -77,10 +77,11 @@ func goldenRun(t *testing.T, label string, root plan.Node, mat []*plan.SynopsisO
 // physical output schema binds to a name read above it (or is the weight).
 // Below a materializing sampler the whole row is read, so nothing is asked.
 //
-// An aggregate whose GROUP BY columns all belong to one spine table — the
-// leaf, or one join's build table — folds by that table's numbering: from
-// that table up every join carries the group id column, a group column only
-// where something else reads it, and no join below it carries the id.
+// A sink — aggregate or sketch-join — whose GROUP BY columns all belong to
+// one spine table — the leaf, or one join's build table — folds by that
+// table's numbering: from that table up every join carries the group id
+// column, a group column only where something else reads it, and no join
+// below it carries the id.
 func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, mat map[*plan.SynopsisOp]string) {
 	t.Helper()
 	n := root
@@ -99,7 +100,8 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 		}
 		n = sink.Child
 	case *plan.SketchJoin:
-		names = append(append(names, sink.ProbeKeys...), sink.GroupBy...)
+		groupBy = sink.GroupBy
+		names = append(names, sink.ProbeKeys...)
 		for _, ag := range sink.Aggs {
 			if ag.Kind != stats.Count && ag.Col != sink.AggCol {
 				names = append(names, ag.Col)
@@ -172,8 +174,8 @@ func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, 
 	}
 }
 
-// groupsThrough returns the position in spine (top-down) of the table an
-// aggregate grouping by groupBy folds by the numbering of — the leaf, or
+// groupsThrough returns the position in spine (top-down) of the table a
+// sink grouping by groupBy folds by the numbering of — the leaf, or
 // the join whose build table it is — or -1: the one table that holds every
 // group column, when no other table on the spine holds one and, for a
 // base-table leaf, its groups average exec.LeafRowsPerGroup rows or more.

@@ -50,7 +50,10 @@ func leafNumbered(t *testing.T, root plan.Node) bool {
 // TestGroupThroughMeetsTheOracle: each shape lowers as its name says — the
 // joins carrying the group id, bottom-up — and meets the oracle at workers
 // 1 / 4 / 8, answers and charges. A group column something else on the spine
-// reads is carried beside the id.
+// reads is carried beside the id. The sketch-join shapes — grouped by the
+// probe leaf, by a probe-side join's build side, across two probe tables, by
+// a leaf the rule turns down, and not at all over an empty join — meet the
+// oracle's Join+Aggregate with the payload built inline and again reused.
 func TestGroupThroughMeetsTheOracle(t *testing.T) {
 	cat := workload.TPCH(0.002, 5).Catalog
 	scan := func(name string) plan.Node {
@@ -115,6 +118,61 @@ func TestGroupThroughMeetsTheOracle(t *testing.T) {
 			t.Fatalf("%s: joins carrying the group id %v, want %v\n%s", c.name, got, c.carry, plan.Format(c.root))
 		}
 		mustMatchOraclePlan(t, c.name, c.root)
+	}
+
+	// The sketch sink groups the probe side through the same lowering: a
+	// probe-spine table's numbering, or value-keyed. q11 needs a supplier
+	// table with 16 rows a nation or more for its leaf to be numbered; the
+	// small catalog's 20 suppliers are the leaf the rule turns down.
+	big := workload.TPCH(0.05, 5).Catalog
+	bigScan := func(name string) plan.Node {
+		tb, err := big.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &plan.Scan{Table: tb}
+	}
+	sketch := func(probe plan.Node, probeKey string, build plan.Node, buildKey, aggCol string, groupBy []string, aggs ...plan.AggSpec) *plan.SketchJoin {
+		return &plan.SketchJoin{Probe: probe, ProbeKeys: []string{probeKey}, Build: build, BuildKeys: []string{buildKey},
+			AggCol: aggCol, GroupBy: groupBy, Aggs: aggs}
+	}
+	shipped := where(scan("lineitem"), expr.Compare("lineitem.l_shipdate", expr.GE, storage.IntValue(1200)))
+	cheap := func(ps plan.Node) plan.Node {
+		return where(ps, expr.Compare("partsupp.ps_availqty", expr.LT, storage.IntValue(6000)))
+	}
+	suppNation := join(scan("supplier"), scan("nation"), "supplier.s_nationkey", "nation.n_nationkey")
+	for _, c := range []struct {
+		name  string
+		root  *plan.SketchJoin
+		leaf  bool
+		carry []bool
+	}{
+		{"sketch: the probe leaf numbers the groups (q14)",
+			sketch(scan("part"), "part.p_partkey", shipped, "lineitem.l_partkey", "lineitem.l_extendedprice", by("part.p_brand"),
+				sum("lineitem.l_extendedprice"), count, avg("part.p_retailprice")), true, nil},
+		{"sketch: the probe leaf numbers the groups (q11)",
+			sketch(bigScan("supplier"), "supplier.s_suppkey", cheap(bigScan("partsupp")),
+				"partsupp.ps_suppkey", "partsupp.ps_supplycost", by("supplier.s_nationkey"), sum("partsupp.ps_supplycost"), count), true, nil},
+		{"sketch: a probe-side join's build side numbers the groups (q7)",
+			sketch(suppNation, "supplier.s_suppkey", shipped, "lineitem.l_suppkey", "lineitem.l_extendedprice", by("nation.n_name"),
+				sum("lineitem.l_extendedprice"), avg("supplier.s_acctbal")), false, []bool{true}},
+		{"sketch, value-keyed: the groups span two probe tables",
+			sketch(suppNation, "supplier.s_suppkey", shipped, "lineitem.l_suppkey", "lineitem.l_extendedprice", by("nation.n_regionkey", "supplier.s_nationkey"),
+				sum("lineitem.l_extendedprice"), count), false, []bool{false}},
+		{"sketch, value-keyed: a probe leaf under 16 rows a group",
+			sketch(scan("supplier"), "supplier.s_suppkey", cheap(scan("partsupp")), "partsupp.ps_suppkey", "partsupp.ps_supplycost", by("supplier.s_nationkey"),
+				sum("partsupp.ps_supplycost"), count), false, nil},
+		{"sketch: a global aggregate over an empty join",
+			sketch(where(scan("part"), expr.Compare("part.p_size", expr.LT, storage.IntValue(0))), "part.p_partkey", shipped, "lineitem.l_partkey", "lineitem.l_extendedprice", nil,
+				sum("lineitem.l_extendedprice"), count, avg("lineitem.l_extendedprice")), false, nil},
+	} {
+		if got := leafNumbered(t, c.root); got != c.leaf {
+			t.Fatalf("%s: the leaf carries the group id: %t, want %t\n%s", c.name, got, c.leaf, plan.Format(c.root))
+		}
+		if got := idJoins(t, c.root); fmt.Sprint(got) != fmt.Sprint(c.carry) {
+			t.Fatalf("%s: joins carrying the group id %v, want %v\n%s", c.name, got, c.carry, plan.Format(c.root))
+		}
+		mustSketchMeetOracle(t, c.name, c.root)
 	}
 }
 

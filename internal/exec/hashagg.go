@@ -22,17 +22,10 @@ type aggSpec struct {
 	groupBy []string
 	aggs    []plan.AggSpec
 
-	groupIdx []int
+	keys     groupKeys
 	aggIdx   []int // column index per agg, -1 for COUNT
 	weightAt int   // index of synopses.WeightCol, -1 on unweighted input
 	schema   storage.Schema
-
-	// Folding by a table's numbering (groupSource), the sink reads no group
-	// column: idAt is the position of the group id column and groups the
-	// numbering the ids are drawn from, which also holds the groups' key
-	// values. groups is nil otherwise.
-	idAt   int
-	groups *storage.GroupIDs
 
 	// empty is one group's accumulators before any row, by aggregate.
 	empty []stats.GroupAccumulator
@@ -40,25 +33,13 @@ type aggSpec struct {
 
 // resolveAggSpec binds group/aggregate columns against the input schema:
 // the group columns themselves, or, folding by a table's numbering (src
-// non-nil), the id column.
+// non-nil), the id column (bindGroups).
 func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec, src *groupSource) (*aggSpec, error) {
-	s := &aggSpec{groupBy: groupBy, aggs: aggs}
-	if src != nil {
-		if s.idAt = in.Index(groupIDCol); s.idAt < 0 {
-			return nil, fmt.Errorf("exec: aggregate: the group id column is not in %v", in.Names())
-		}
-		s.groups = src.ids
-		s.schema = append(s.schema, src.keys...)
-	} else {
-		for _, g := range groupBy {
-			i := in.Index(g)
-			if i < 0 {
-				return nil, fmt.Errorf("exec: aggregate: group column %q not in %v", g, in.Names())
-			}
-			s.groupIdx = append(s.groupIdx, i)
-			s.schema = append(s.schema, in[i])
-		}
+	keys, err := bindGroups(in, groupBy, src, "aggregate")
+	if err != nil {
+		return nil, err
 	}
+	s := &aggSpec{groupBy: groupBy, aggs: aggs, keys: keys, schema: keys.schema}
 	for _, ag := range aggs {
 		idx := -1
 		switch {
@@ -108,87 +89,26 @@ func (s *aggSpec) newPartial() partial { return newAggTable(s) }
 
 // aggTable is one hash table of group accumulators — a complete aggregation
 // state that can observe batches and merge with tables built over disjoint
-// input partitions. Groups are the dense ids of idx (storage.GroupIndex) and
-// their accumulators live by value in one slab, so a morsel that opens a
-// thousand groups allocates a few growing arrays, not a thousand objects.
-//
-// Folding by a table's numbering (spec.groups), the rows arrive numbered
-// already — by that table's group ids — and the table only turns those into
-// its slab ids: slabOf[d] is group d's slab id, -1 while unseen, and dimOf
-// lists the slab's groups by their numbering's ids, in slab order; it is
-// also the list of met entries reset turns back to -1.
+// input partitions. Groups are the slab ids of its group table and their
+// accumulators live by value in one slab, so a morsel that opens a thousand
+// groups allocates a few growing arrays, not a thousand objects.
 type aggTable struct {
-	spec *aggSpec
-	idx  storage.GroupIndex
+	spec   *aggSpec
+	groups groupTable
 	// accs holds group id's accumulator for aggregate k at
 	// accs[id*len(spec.aggs)+k]; open keeps it as long as the groups.
 	accs []stats.GroupAccumulator
-
-	slabOf []int32
-	dimOf  []int32
 }
 
 func newAggTable(spec *aggSpec) *aggTable {
-	// spec.schema leads with the group columns.
-	return &aggTable{spec: spec, idx: storage.NewGroupIndex(spec.groupIdx, spec.schema)}
+	return &aggTable{spec: spec, groups: newGroupTable(&spec.keys)}
 }
 
-// reset implements partial: no group, and the index's and slab's memory kept
-// for the next morsel.
+// reset implements partial: no group, and the group table's and slab's
+// memory kept for the next morsel.
 func (t *aggTable) reset() {
-	t.idx.Reset()
-	for _, d := range t.dimOf {
-		t.slabOf[d] = -1
-	}
-	t.dimOf = t.dimOf[:0]
+	t.groups.reset()
 	t.accs = t.accs[:0]
-}
-
-// numGroups returns the number of groups opened so far.
-func (t *aggTable) numGroups() int {
-	if t.spec.groups != nil {
-		return len(t.dimOf)
-	}
-	return t.idx.Len()
-}
-
-// translate allocates slabOf, every group unseen, on the partial's first
-// batch or merge: a partial that never sees a row never pays for it.
-func (t *aggTable) translate() {
-	if t.slabOf == nil {
-		t.slabOf = make([]int32, t.spec.groups.Len())
-		for i := range t.slabOf {
-			t.slabOf[i] = -1
-		}
-	}
-}
-
-// slab returns the slab id of the numbering's group d, opening it on first
-// sight (translate has run).
-func (t *aggTable) slab(d int32) int32 {
-	s := t.slabOf[d]
-	if s < 0 {
-		s = int32(len(t.dimOf))
-		t.slabOf[d] = s
-		t.dimOf = append(t.dimOf, d)
-	}
-	return s
-}
-
-// slabIDs writes the slab id of every live row of b into ids, in live-row
-// order, read from the group id column.
-func (t *aggTable) slabIDs(b *storage.Batch, ids []int32) {
-	t.translate()
-	col := b.Vecs[t.spec.idAt].I64
-	if b.Sel == nil {
-		for j, d := range col {
-			ids[j] = t.slab(int32(d))
-		}
-	} else {
-		for j, i := range b.Sel {
-			ids[j] = t.slab(int32(col[i]))
-		}
-	}
 }
 
 // open gives the groups opened since the last call their empty
@@ -197,7 +117,7 @@ func (t *aggTable) slabIDs(b *storage.Batch, ids []int32) {
 // high-cardinality GROUP BY open their thousand groups into memory already
 // there.
 func (t *aggTable) open() {
-	want := t.numGroups() * len(t.spec.aggs)
+	want := t.groups.len() * len(t.spec.aggs)
 	if cap(t.accs) < want {
 		t.accs = slices.Grow(t.accs, max(want, 2*cap(t.accs))-len(t.accs))
 	}
@@ -219,10 +139,9 @@ func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
 // observe folds one batch — honoring its selection vector — into the table.
 //
 // The loop is two-pass and aggregate-major: pass one resolves every live
-// row's group id — through the group index, or, folding by a numbering, by
-// translating its ids (slabIDs) — pass two folds each aggregate column in a tight loop with
-// the weight-column and aggregate-column dispatch hoisted out of the row
-// loop. Each GroupAccumulator still folds exactly the same (y, w) sequence
+// row's group id through the group table, pass two folds each aggregate
+// column in a tight loop with the weight-column and aggregate-column
+// dispatch hoisted out of the row loop. Each GroupAccumulator still folds exactly the same (y, w) sequence
 // as the historical row-major interpreted loop — accumulators are per
 // (group, aggregate) and rows arrive in row order — so the accumulated
 // floating-point state is bit-identical. Unweighted input folds through
@@ -238,10 +157,10 @@ func (t *aggTable) observe(b *storage.Batch) {
 		wcol = b.Vecs[t.spec.weightAt].F64
 	}
 
-	if len(t.spec.groupIdx) == 0 && t.spec.groups == nil {
+	if len(t.spec.groupBy) == 0 {
 		// Ungrouped fast path: one group, each aggregate folds its raw
 		// column slice directly.
-		t.idx.Sole()
+		t.groups.sole()
 		t.open()
 		for k := range t.spec.aggs {
 			observeSingle(&t.accs[k], b, sel, t.spec.aggIdx[k], wcol)
@@ -249,14 +168,8 @@ func (t *aggTable) observe(b *storage.Batch) {
 		return
 	}
 
-	sc := storage.BorrowScratch(b.Rows(), len(t.spec.groupIdx))
-	var ids []int32
-	if t.spec.groups != nil {
-		ids = sc.IDs(b.Rows())
-		t.slabIDs(b, ids)
-	} else {
-		ids = t.idx.Resolve(b, sc)
-	}
+	sc := storage.BorrowScratch(b.Rows(), len(t.spec.keys.cols))
+	ids := t.groups.resolve(b, sc)
 	t.open()
 	for k := range t.spec.aggs {
 		observeGrouped(t.accs[k:], len(t.spec.aggs), ids, b, sel, t.spec.aggIdx[k], wcol)
@@ -408,17 +321,14 @@ func observeGrouped(accs []stats.GroupAccumulator, stride int, ids []int32, b *s
 // merge implements partial. Accumulator merging sums floating-point state, so
 // callers needing bit-reproducible output must merge partial tables in a
 // deterministic order (the morsel executor merges in morsel index order). A
-// group new to t takes o's accumulators as they are — the groups absorb opens
-// get the next ids in o's order, which is the slab's append order.
+// group new to t takes o's accumulators as they are — the group table gives
+// the groups it opens the next ids in o's order, which is the slab's append
+// order.
 func (t *aggTable) merge(o partial) {
 	ot := o.(*aggTable)
-	if t.spec.groups != nil {
-		t.mergeNumbered(ot)
-		return
-	}
-	na, had := len(t.spec.aggs), t.idx.Len()
-	ids := t.idx.Absorb(&ot.idx)
-	t.accs = slices.Grow(t.accs, t.idx.Len()*na-len(t.accs))
+	na, had := len(t.spec.aggs), t.groups.len()
+	ids := t.groups.merge(&ot.groups)
+	t.accs = slices.Grow(t.accs, t.groups.len()*na-len(t.accs))
 	for oid, id := range ids {
 		src := ot.accs[oid*na : (oid+1)*na]
 		if int(id) >= had {
@@ -432,59 +342,14 @@ func (t *aggTable) merge(o partial) {
 	}
 }
 
-// mergeNumbered is merge folding by a numbering: o's groups are found by
-// their numbering's ids, and the ones new to t take the next slab ids in
-// o's slab order.
-func (t *aggTable) mergeNumbered(o *aggTable) {
-	na := len(t.spec.aggs)
-	t.translate()
-	for oid, d := range o.dimOf {
-		src := o.accs[oid*na : (oid+1)*na]
-		if id := int(t.slab(d)); id*na < len(t.accs) {
-			dst := t.accs[id*na:]
-			for k := range src {
-				dst[k].Merge(&src[k])
-			}
-			continue
-		}
-		t.accs = append(t.accs, src...)
-	}
-}
-
 // emit implements partial: the table as one batch with groups in key order
-// (storage.CompareKey), plus the row-aligned confidence intervals. Folding
-// by a numbering, whose ids run in key order, that is the slab's ids sorted
-// and the key columns gathered from the numbering; otherwise the group
-// index's key values sorted. Keys are unique either way, so the order is
-// total: first-seen order — a function of morsel geometry — never shows.
-// SQL semantics: a global aggregate (no GROUP BY) over empty input still
-// yields one row (COUNT 0, zero-valued aggregates).
+// (groupTable.emit), plus the row-aligned confidence intervals. A global
+// aggregate over empty input is one row: COUNT 0, zero-valued aggregates.
 func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval) {
-	if t.numGroups() == 0 && len(t.spec.groupBy) == 0 {
-		t.idx.Sole()
-		t.open()
-	}
-	n := t.numGroups()
-	out := storage.NewBatch(t.spec.schema, n)
-	order := make([]int32, n) // slab ids, in key order
-	if g := t.spec.groups; g != nil {
-		dims := slices.Clone(t.dimOf)
-		slices.Sort(dims)
-		for i, d := range dims {
-			order[i] = t.slabOf[d]
-		}
-		for c, k := range g.Keys {
-			out.Vecs[c].AppendGather(k, dims)
-		}
-	} else {
-		keys := t.idx.KeyRows()
-		for i, id := range sortRowsByValues(keys) {
-			order[i] = int32(id)
-			for c, v := range keys[id] {
-				out.Vecs[c].Append(v)
-			}
-		}
-	}
+	out := storage.NewBatch(t.spec.schema, t.groups.len())
+	order := t.groups.emit(out.Vecs, nil) // slab ids, in key order
+	t.open()
+	n := len(order)
 	na := len(t.spec.aggs)
 	ivs := make([]stats.Interval, n*na)
 	intervals := make([][]stats.Interval, n)

@@ -166,11 +166,11 @@ func rowMajorObserve(t *aggTable, b *storage.Batch) {
 	row := *b
 	row.Sel = make([]int32, 1)
 	na := len(t.spec.aggs)
-	sc := storage.BorrowScratch(1, len(t.spec.groupIdx))
+	sc := storage.BorrowScratch(1, len(t.spec.keys.cols))
 	defer storage.ReturnScratch(sc)
 	for i := 0; i < n; i++ {
 		row.Sel[0] = int32(i)
-		g := int(t.idx.Resolve(&row, sc)[0])
+		g := int(t.groups.resolve(&row, sc)[0])
 		t.open()
 		w := 1.0
 		if t.spec.weightAt >= 0 {
@@ -490,6 +490,58 @@ func BenchmarkAggLeafGrouped(b *testing.B) {
 				run()
 			}
 			reportPerRow(b, f.NumRows())
+		})
+	}
+}
+
+// BenchmarkSketchJoinGrouped runs two TPC-H sketch-join shapes over a stored
+// payload — the facts' (count, sum of price) per key — on one worker with
+// every build and numbering cached, as serving a reused sketch runs them:
+// q7, suppliers joined to their nation and grouped by its name (the probe
+// join's build side numbers the groups), and q14, parts grouped by size (the
+// probe leaf numbers them). It reports ns per probe row and B/op (`go test
+// ./internal/exec -run NONE -bench BenchmarkSketchJoinGrouped -benchmem -cpu
+// 1`).
+func BenchmarkSketchJoinGrouped(b *testing.B) {
+	f, _, p, s, n := groupThroughTables()
+	sum := []plan.AggSpec{{Kind: stats.Sum, Col: "f.price"}, {Kind: stats.Count}}
+	for _, c := range []struct {
+		name  string
+		probe *storage.Table
+		root  *plan.SketchJoin
+	}{
+		{"q7", s, &plan.SketchJoin{
+			Probe:     &plan.Join{Left: &plan.Scan{Table: s}, Right: &plan.Scan{Table: n}, LeftKeys: []string{"s.nationkey"}, RightKeys: []string{"n.nationkey"}},
+			ProbeKeys: []string{"s.suppkey"}, Build: &plan.Scan{Table: f}, BuildKeys: []string{"f.suppkey"}, AggCol: "f.price",
+			GroupBy: []string{"n.name"}, Aggs: sum}},
+		{"q14", p, &plan.SketchJoin{
+			Probe:     &plan.Scan{Table: p},
+			ProbeKeys: []string{"p.partkey"}, Build: &plan.Scan{Table: f}, BuildKeys: []string{"f.partkey"}, AggCol: "f.price",
+			GroupBy: []string{"p.size"}, Aggs: sum}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			joins, pool := NewJoinCache(1<<30), storage.NewVecPool()
+			run := func(root plan.Node) *Context {
+				ctx := NewContext(0.95)
+				ctx.Workers, ctx.Joins, ctx.Pool = 1, joins, pool
+				op, err := Compile(root, 1, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Run(op); err != nil {
+					b.Fatal(err)
+				}
+				return ctx
+			}
+			// Build the payload, the probe's join, index and numbering.
+			stored := *c.root
+			stored.Build, stored.Sketch = nil, run(c.root).Stats.BuiltSketches[0].Sketch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(&stored)
+			}
+			reportPerRow(b, c.probe.NumRows())
 		})
 	}
 }

@@ -26,8 +26,9 @@ func totalOrderKey(f float64) int64 {
 // TestFloatGroupKeysEmitInTotalOrder: a float GROUP BY over -0.0 and +0.0,
 // ±Inf and NaNs of two payloads and both signs emits one row per bit
 // pattern, ascending under IEEE-754 totalOrder, and the same bits whatever
-// order the rows arrive in and at workers 1 / 4 / 8 — folded by the leaf's
-// numbering, and value-keyed when the groups span the leaf and a dimension.
+// order the rows arrive in and at workers 1 / 4 / 8 — through both sinks,
+// each folded by the leaf's numbering, and value-keyed when the groups span
+// the leaf and a dimension.
 func TestFloatGroupKeysEmitInTotalOrder(t *testing.T) {
 	nan := func(sign, payload uint64) float64 {
 		return math.Float64frombits(sign<<63 | 0x7ff8000000000000 | payload)
@@ -41,12 +42,13 @@ func TestFloatGroupKeysEmitInTotalOrder(t *testing.T) {
 	var first string
 	rng := rand.New(rand.NewSource(3))
 	for perm := 0; perm < 4; perm++ {
-		// Each key three times, with values 1, 2 and 4: every sum is exact in
+		// Each key exec.LeafRowsPerGroup times — enough rows a group for the
+		// leaf to number them — with values 1, 2, 4, …: every sum is exact in
 		// any order, so only the key order can tell the runs apart.
 		var rows [][2]float64
 		for _, k := range keys {
-			for _, v := range []float64{1, 2, 4} {
-				rows = append(rows, [2]float64{k, v})
+			for v := range exec.LeafRowsPerGroup {
+				rows = append(rows, [2]float64{k, float64(int(1) << v)})
 			}
 		}
 		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
@@ -58,16 +60,25 @@ func TestFloatGroupKeysEmitInTotalOrder(t *testing.T) {
 		}
 		f := fb.Build(3)
 		aggs := []plan.AggSpec{{Kind: stats.Sum, Col: "f.v"}, {Kind: stats.Count}}
+		withDim := &plan.Join{Left: &plan.Scan{Table: f}, Right: &plan.Scan{Table: d}, LeftKeys: []string{"f.k"}, RightKeys: []string{"d.k"}}
+		// The sketch-join's payload counts d's one row per key: every probe
+		// row counts once, as the aggregate counts it.
+		sketch := func(probe plan.Node, groupBy ...string) plan.Node {
+			return &plan.SketchJoin{Probe: probe, ProbeKeys: []string{"f.k"}, Build: &plan.Scan{Table: d}, BuildKeys: []string{"d.k"}, GroupBy: groupBy, Aggs: aggs}
+		}
 		for _, c := range []struct {
-			name string
-			root plan.Node
+			name     string
+			root     plan.Node
+			numbered bool
 		}{
-			{"the leaf's numbering", &plan.Aggregate{Child: &plan.Scan{Table: f}, GroupBy: []string{"f.x"}, Aggs: aggs}},
-			{"value-keyed", &plan.Aggregate{
-				Child:   &plan.Join{Left: &plan.Scan{Table: f}, Right: &plan.Scan{Table: d}, LeftKeys: []string{"f.k"}, RightKeys: []string{"d.k"}},
-				GroupBy: []string{"f.x", "d.g"}, Aggs: aggs,
-			}},
+			{"the leaf's numbering", &plan.Aggregate{Child: &plan.Scan{Table: f}, GroupBy: []string{"f.x"}, Aggs: aggs}, true},
+			{"value-keyed", &plan.Aggregate{Child: withDim, GroupBy: []string{"f.x", "d.g"}, Aggs: aggs}, false},
+			{"sketch, the leaf's numbering", sketch(&plan.Scan{Table: f}, "f.x"), true},
+			{"sketch, value-keyed", sketch(withDim, "f.x", "d.g"), false},
 		} {
+			if got := leafNumbered(t, c.root); got != c.numbered {
+				t.Fatalf("%s: the leaf carries the group id: %t", c.name, got)
+			}
 			for _, workers := range []int{1, 4, 8} {
 				op, err := exec.Compile(c.root, 7, workerCtx(workers, 4))
 				if err != nil {

@@ -38,8 +38,6 @@
 package exec
 
 import (
-	"slices"
-
 	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
@@ -189,24 +187,4 @@ func Run(op Operator) ([]*storage.Batch, error) {
 			out = append(out, b)
 		}
 	}
-}
-
-// sortRowsByValues orders row indices by the given value tuples
-// lexicographically under storage.CompareKey — the sinks' emit order over
-// group keys.
-func sortRowsByValues(keys [][]storage.Value) []int {
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		ka, kb := keys[a], keys[b]
-		for i := range ka {
-			if c := storage.CompareKey(ka[i], kb[i]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
-	return idx
 }

@@ -234,10 +234,10 @@ type PipelineOp struct {
 // below the sink, decides which spine table's numbering the sink folds by
 // (groupSourceOf), compiles the spine's join build sides, narrows every
 // level of the spine to the columns something above it reads (groupBy and
-// reads name the sink's: its GROUP BY columns, nil for a sink that cannot
-// fold by a numbering, and the rest), hands the spine's physical output
-// schema and the numbering, if any, to bind for the sink's column binding
-// (on an error the sink it returns is not looked at), compiles every Filter
+// reads name the sink's: its GROUP BY columns, nil to keep every group
+// value-keyed, and the rest), hands the spine's physical output schema and
+// the numbering, if any, to bind for the sink's column binding (on an error
+// the sink it returns is not looked at), compiles every Filter
 // of the chain once for the whole run, and validates the sampler
 // configuration up front.
 //
@@ -338,14 +338,14 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 // table version's GroupIDs.
 const groupIDCol = "__group_id"
 
-// groupSource is the lowering of an aggregate whose GROUP BY columns all
+// groupSource is the lowering of a sink whose GROUP BY columns all
 // belong to one spine table — the leaf, or one join's build side — onto that
 // table version's numbering by those columns (storage.Table.GroupIDs),
 // whose ids run in key order. The table adds each row's id to the spine as
 // one more column, groupIDCol: the leaf scan slices it beside the leaf's
 // columns, a join gathers it by build row; every later operator carries it
-// like any other column, and the aggregate folds by it, sorting ids and
-// reading the groups' key values from the numbering when it emits.
+// like any other column, and the sink's group table folds by it, sorting
+// ids and reading the groups' key values from the numbering when it emits.
 type groupSource struct {
 	at   int               // -1: the leaf; otherwise the join's position in the chain
 	ids  *storage.GroupIDs // the table's numbering by the group columns

@@ -311,7 +311,9 @@ func TestParallelAggSamplerErrors(t *testing.T) {
 // builds: a grouped aggregate at one worker over the same rows, cut into 8
 // and into 64 morsels — grouped by the leaf's numbering (a few hundred
 // groups, and the q15 shape: a thousand under a range filter), by a join's
-// build side, and value-keyed across the leaf and a dimension. A worker
+// build side, and value-keyed across the leaf and a dimension — and a
+// sketch-join over a stored payload, grouped by the probe leaf's numbering
+// and value-keyed. A worker
 // keeps its sink partial and filter scratch across morsels, so eight times
 // the morsels must cost well under twice the bytes per run; a partial, group
 // index, slab translation or kernel scratch built per morsel again scales
@@ -324,6 +326,7 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 		{Name: "m.v", Typ: storage.Float64},
 		{Name: "m.supp", Typ: storage.Int64},
 		{Name: "m.ship", Typ: storage.Int64},
+		{Name: "m.g", Typ: storage.Int64},
 	})
 	for i := 0; i < rows; i++ {
 		b.Int(0, int64(i%300))
@@ -331,6 +334,7 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 		b.Float(2, float64(i%101))
 		b.Int(3, int64(i*7919%1000))
 		b.Int(4, int64(i%2400))
+		b.Int(5, int64(i%2048))
 	}
 	tbl := b.Build(1)
 	d := storage.NewBuilder("d", storage.Schema{{Name: "d.k", Typ: storage.Int64}, {Name: "d.g", Typ: storage.String}})
@@ -344,6 +348,14 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 		Pred:  expr.Pred{expr.Compare("m.s", expr.NE, storage.StringValue("s3"))},
 	}
 	aggs := []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "m.v"}, {Kind: stats.Avg, Col: "m.v"}}
+	// The sketch-joins probe a stored payload, d's one row per key.
+	built := NewContext(0.95)
+	runPlan(t, &plan.SketchJoin{Probe: &plan.Scan{Table: tbl}, ProbeKeys: []string{"m.k"}, Build: &plan.Scan{Table: dim}, BuildKeys: []string{"d.k"},
+		Aggs: []plan.AggSpec{{Kind: stats.Count}}}, built)
+	sketch := func(probe plan.Node, groupBy ...string) plan.Node {
+		return &plan.SketchJoin{Probe: probe, ProbeKeys: []string{"m.k"}, Sketch: built.Stats.BuiltSketches[0].Sketch, BuildKeys: []string{"d.k"},
+			GroupBy: groupBy, Aggs: aggs}
+	}
 	for _, c := range []struct {
 		name string
 		agg  plan.Node
@@ -363,6 +375,10 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 			Child:   &plan.Join{Left: filtered, Right: &plan.Scan{Table: dim}, LeftKeys: []string{"m.k"}, RightKeys: []string{"d.k"}},
 			GroupBy: []string{"m.s", "d.g"}, Aggs: aggs,
 		}},
+		{"sketch-join grouped by the probe leaf, 2 048 groups, a few met a morsel", sketch(
+			&plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: expr.Pred{expr.Compare("m.k", expr.LT, storage.IntValue(3))}}, "m.g")},
+		{"sketch-join value-keyed across the leaf and a dimension", sketch(
+			&plan.Join{Left: filtered, Right: &plan.Scan{Table: dim}, LeftKeys: []string{"m.k"}, RightKeys: []string{"d.k"}}, "m.s", "d.g")},
 	} {
 		pool := storage.NewVecPool()
 		bytesPerRun := func(morselRows int) uint64 {

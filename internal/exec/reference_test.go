@@ -794,48 +794,7 @@ func TestSketchJoinsMeetTheCatalogs(t *testing.T) {
 							continue
 						}
 						sketches++
-						want := oracleEval(t, &plan.Aggregate{
-							Child:   &plan.Join{Left: sj.Probe, Right: sj.Build, LeftKeys: sj.ProbeKeys, RightKeys: sj.BuildKeys},
-							GroupBy: sj.GroupBy,
-							Aggs:    sj.Aggs,
-						})
-						reuse := *sj
-						reuse.Build = nil
-						for _, node := range []*plan.SketchJoin{sj, &reuse} {
-							label := fmt.Sprintf("%s %s, inline=%t\nSQL: %s", tpl.Name, c.Desc, node.Build != nil, sql)
-							var base string
-							for _, workers := range []int{1, 4, 8} {
-								ctx := workerCtx(workers, 0)
-								op, err := exec.Compile(node, 7, ctx)
-								if err != nil {
-									t.Fatalf("%s: %v", label, err)
-								}
-								out, err := exec.Run(op)
-								if err != nil {
-									t.Fatalf("%s: %v", label, err)
-								}
-								mustMatchOracle(t, fmt.Sprintf("%s workers=%d", label, workers), want, out, 1e-9)
-								for _, row := range op.(exec.IntervalReporter).Intervals() {
-									for _, iv := range row {
-										if iv.HalfWidth != 0 {
-											t.Fatalf("%s workers=%d: half-width %v, want 0", label, workers, iv.HalfWidth)
-										}
-									}
-								}
-								if fp := renderAnswer(out, op); base == "" {
-									base = fp
-								} else if fp != base {
-									t.Fatalf("%s: workers=%d answer differs from workers=1", label, workers)
-								}
-								if node == sj && workers == 1 {
-									stored, err := persist.Decode(persist.Encode(ctx.Stats.BuiltSketches[0].Sketch))
-									if err != nil {
-										t.Fatalf("%s: %v", label, err)
-									}
-									reuse.Sketch = stored.(*synopses.SketchJoin)
-								}
-							}
-						}
+						mustSketchMeetOracle(t, fmt.Sprintf("%s %s\nSQL: %s", tpl.Name, c.Desc, sql), sj)
 					}
 				}
 			}
@@ -844,5 +803,58 @@ func TestSketchJoinsMeetTheCatalogs(t *testing.T) {
 			}
 			t.Logf("%d sketch-join candidates, each inline and reused", sketches)
 		})
+	}
+}
+
+// mustSketchMeetOracle answers a sketch-join with an inline build by that
+// build and by the reuse of what it stored — through persist's codec, as the
+// warehouse holds it — at workers 1 / 4 / 8, against the oracle's answer to
+// the Join+Aggregate pair it stands for: group keys and COUNTs exactly, the
+// rest within 1e-9 relative, every cell's half-width zero (the build side is
+// unsampled, so the per-key table is exact), and every run bit-equal to the
+// first at its worker count's turn.
+func mustSketchMeetOracle(t *testing.T, label string, sj *plan.SketchJoin) {
+	t.Helper()
+	want := oracleEval(t, &plan.Aggregate{
+		Child:   &plan.Join{Left: sj.Probe, Right: sj.Build, LeftKeys: sj.ProbeKeys, RightKeys: sj.BuildKeys},
+		GroupBy: sj.GroupBy,
+		Aggs:    sj.Aggs,
+	})
+	reuse := *sj
+	reuse.Build = nil
+	for _, node := range []*plan.SketchJoin{sj, &reuse} {
+		label := fmt.Sprintf("%s, inline=%t", label, node.Build != nil)
+		var base string
+		for _, workers := range []int{1, 4, 8} {
+			ctx := workerCtx(workers, 0)
+			op, err := exec.Compile(node, 7, ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			out, err := exec.Run(op)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			mustMatchOracle(t, fmt.Sprintf("%s workers=%d", label, workers), want, out, 1e-9)
+			for _, row := range op.(exec.IntervalReporter).Intervals() {
+				for _, iv := range row {
+					if iv.HalfWidth != 0 {
+						t.Fatalf("%s workers=%d: half-width %v, want 0", label, workers, iv.HalfWidth)
+					}
+				}
+			}
+			if fp := renderAnswer(out, op); base == "" {
+				base = fp
+			} else if fp != base {
+				t.Fatalf("%s: workers=%d answer differs from workers=1", label, workers)
+			}
+			if node == sj && workers == 1 {
+				stored, err := persist.Decode(persist.Encode(ctx.Stats.BuiltSketches[0].Sketch))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				reuse.Sketch = stored.(*synopses.SketchJoin)
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ type sketchSink struct {
 	schema storage.Schema
 
 	probeKeyIdx []int
-	groupIdx    []int
+	keys        groupKeys
 	aggProbeIdx []int // probe-side column per agg, -1 when agg uses build side
 
 	// The inline build, nil when node.Sketch is already materialized: the
@@ -36,11 +36,13 @@ type sketchSink struct {
 }
 
 // newSketchSink binds the node's columns against the probe spine's output
-// schema in and, for an inline build, lowers the build side (compileBuild:
-// σ(base table), so never sampled). It refuses a probe key typed unlike its
-// build key, which the per-key table could never match, and a sampled probe:
-// every cell it emits is exact, with a zero half-width.
-func newSketchSink(node *plan.SketchJoin, in storage.Schema, ctx *Context) (*sketchSink, error) {
+// schema in — the group columns, or, folding by a probe table's numbering
+// (src non-nil), the id column (bindGroups) — and, for an inline build,
+// lowers the build side (compileBuild: σ(base table), so never sampled). It
+// refuses a probe key typed unlike its build key, which the per-key table
+// could never match, and a sampled probe: every cell it emits is exact, with
+// a zero half-width.
+func newSketchSink(node *plan.SketchJoin, in storage.Schema, src *groupSource, ctx *Context) (*sketchSink, error) {
 	s := &sketchSink{node: node}
 	if len(node.ProbeKeys) != len(node.BuildKeys) || len(node.ProbeKeys) == 0 {
 		return nil, fmt.Errorf("exec: sketch join needs equal, non-empty key lists, got probe %v and build %v", node.ProbeKeys, node.BuildKeys)
@@ -55,14 +57,11 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, ctx *Context) (*ske
 		}
 		s.probeKeyIdx = append(s.probeKeyIdx, i)
 	}
-	for _, g := range node.GroupBy {
-		i := in.Index(g)
-		if i < 0 {
-			return nil, fmt.Errorf("exec: sketch join: group column %q not in %v", g, in.Names())
-		}
-		s.groupIdx = append(s.groupIdx, i)
-		s.schema = append(s.schema, in[i])
+	keys, err := bindGroups(in, node.GroupBy, src, "sketch join")
+	if err != nil {
+		return nil, err
 	}
+	s.keys, s.schema = keys, keys.schema
 	for _, ag := range node.Aggs {
 		idx := -1
 		// COUNT(col) is COUNT(*) (see resolveAggSpec): it reads the payload's
@@ -117,11 +116,12 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, ctx *Context) (*ske
 	return s, nil
 }
 
-// sketchReads names the probe-spine columns a sketch-join reads: its probe
-// keys, its group columns and the probe-side aggregate columns (an aggregate
-// over the build column reads the payload's sums, and COUNT its counts).
+// sketchReads names the probe-spine columns a sketch-join reads besides its
+// group columns: its probe keys and the probe-side aggregate columns (an
+// aggregate over the build column reads the payload's sums, and COUNT its
+// counts).
 func sketchReads(node *plan.SketchJoin) []string {
-	reads := append(append([]string(nil), node.ProbeKeys...), node.GroupBy...)
+	reads := append([]string(nil), node.ProbeKeys...)
 	for _, ag := range node.Aggs {
 		if ag.Kind != stats.Count && ag.Col != "" && ag.Col != node.AggCol {
 			reads = append(reads, ag.Col)
@@ -221,7 +221,7 @@ func sumColumn[T int64 | float64](sums []float64, ids, sel []int32, col []T) {
 
 // newPartial implements sink.
 func (s *sketchSink) newPartial() partial {
-	return &sketchTable{sink: s, idx: storage.NewGroupIndex(s.groupIdx, s.schema)}
+	return &sketchTable{sink: s, groups: newGroupTable(&s.keys)}
 }
 
 // sjSums is one group's running sketch-join state, a row of sketchTable's
@@ -239,20 +239,20 @@ const (
 // probe is Σ count(key)·y over aggregate k's probe-side column y.
 func (g sjSums) probe(k int) float64 { return g[sjPerAgg+k] }
 
-// sketchTable is the sketch sink's partial: groups are the dense ids of idx
-// (storage.GroupIndex) over the probe-side grouping columns, and group id's
-// sums are the stride cells of sums from id*stride on.
+// sketchTable is the sketch sink's partial: groups are the slab ids of its
+// group table over the probe-side grouping columns, and group id's sums are
+// the stride cells of sums from id*stride on.
 type sketchTable struct {
-	sink *sketchSink
-	idx  storage.GroupIndex
-	sums []float64
+	sink   *sketchSink
+	groups groupTable
+	sums   []float64
 }
 
 func (t *sketchTable) stride() int { return sjPerAgg + len(t.sink.aggProbeIdx) }
 
 // reset implements partial: no group, memory kept (see aggTable.reset).
 func (t *sketchTable) reset() {
-	t.idx.Reset()
+	t.groups.reset()
 	t.sums = t.sums[:0]
 }
 
@@ -273,13 +273,11 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	if n == 0 {
 		return
 	}
-	sc := storage.BorrowScratch(n, len(s.groupIdx))
+	sc := storage.BorrowScratch(n, len(s.keys.cols))
 	defer storage.ReturnScratch(sc)
-	ids := t.idx.Resolve(b, sc)
+	ids := t.groups.resolve(b, sc)
 	stride := t.stride()
-	if grow := t.idx.Len()*stride - len(t.sums); grow > 0 {
-		t.sums = append(t.sums, make([]float64, grow)...)
-	}
+	t.sums = append(t.sums, make([]float64, t.groups.len()*stride-len(t.sums))...)
 	// Each live row's key count, kept from the row pass for the
 	// per-aggregate column passes.
 	if cap(sc.Floats) < n {
@@ -331,9 +329,9 @@ func foldProbeColumn[T int64 | float64](cells []float64, stride int, ids, sel []
 // aggTable.merge).
 func (t *sketchTable) merge(o partial) {
 	ot := o.(*sketchTable)
-	stride, had := t.stride(), t.idx.Len()
-	ids := t.idx.Absorb(&ot.idx)
-	t.sums = slices.Grow(t.sums, t.idx.Len()*stride-len(t.sums))
+	stride, had := t.stride(), t.groups.len()
+	ids := t.groups.merge(&ot.groups)
+	t.sums = slices.Grow(t.sums, t.groups.len()*stride-len(t.sums))
 	for oid, id := range ids {
 		src := ot.sums[oid*stride : (oid+1)*stride]
 		if int(id) >= had {
@@ -347,38 +345,30 @@ func (t *sketchTable) merge(o partial) {
 	}
 }
 
-// emit implements partial: groups in key order, each aggregate cell exact —
-// a zero half-width. A group no probe row of which matched a build key is no
-// group of the join and is dropped; a global aggregate (no GROUP BY) over an
-// empty join is still one row of zeros, as the aggregate sink answers.
+// emit implements partial: groups in key order (groupTable.emit), each
+// aggregate cell exact — a zero half-width. A group no probe row of which
+// matched a build key is no group of the join and is dropped, its key never
+// gathered; a global aggregate (no GROUP BY) over an empty join is still one
+// row of zeros, as the aggregate sink answers.
 func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
 	s := t.sink
 	stride := t.stride()
-	global := len(s.groupIdx) == 0
-	if global && t.idx.Len() == 0 {
-		t.idx.Sole()
-		t.sums = make([]float64, stride)
+	keep := func(id int32) bool { return t.sums[int(id)*stride+sjDen] != 0 }
+	if len(s.node.GroupBy) == 0 {
+		keep = nil
 	}
-	// Group keys are unique, so the value sort is total: ids never show.
-	keys := t.idx.KeyRows()
-
-	out := storage.NewBatch(s.schema, len(keys))
-	intervals := make([][]stats.Interval, 0, len(keys))
-	for _, id := range sortRowsByValues(keys) {
-		g := sjSums(t.sums[id*stride : (id+1)*stride])
-		if g[sjDen] == 0 && !global {
-			continue
-		}
-		for c, v := range keys[id] {
-			out.Vecs[c].Append(v)
-		}
-		rowIv := make([]stats.Interval, len(s.node.Aggs))
+	out := storage.NewBatch(s.schema, t.groups.len())
+	order := t.groups.emit(out.Vecs, keep)
+	t.sums = append(t.sums, make([]float64, t.groups.len()*stride-len(t.sums))...) // a global one's zeros
+	intervals := make([][]stats.Interval, len(order))
+	for i, id := range order {
+		g := sjSums(t.sums[int(id)*stride : (int(id)+1)*stride])
+		intervals[i] = make([]stats.Interval, len(s.node.Aggs))
 		for k, ag := range s.node.Aggs {
 			v := s.cell(g, k, ag)
-			rowIv[k] = stats.Interval{Estimate: v}
-			out.Vecs[len(s.groupIdx)+k].F64 = append(out.Vecs[len(s.groupIdx)+k].F64, v)
+			intervals[i][k] = stats.Interval{Estimate: v}
+			out.Vecs[len(s.node.GroupBy)+k].F64 = append(out.Vecs[len(s.node.GroupBy)+k].F64, v)
 		}
-		intervals = append(intervals, rowIv)
 	}
 	return out, intervals
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -28,11 +29,11 @@ import (
 // the index, for good, to an open-addressing table over the tuples
 // (Fibonacci hashing, linear probing, load ≤ 1/2), growable, since groups
 // arrive unannounced. Either way the tuples are kept
-// in id order in keys, which is all KeyRows needs to rebuild the key values
-// and all a rehash needs to rebuild the table.
+// in id order in keys, which is all KeyColumns needs to rebuild the key
+// values and all a rehash needs to rebuild the table.
 //
-// Nothing here orders anything: the sinks sort on the key values, so ids —
-// and below them string codes and dictionaries — never reach an answer byte.
+// A holder that orders its groups takes KeyOrder's, so ids — first-seen
+// order, and below them string codes and dictionaries — never show.
 type GroupIndex struct {
 	cols []int      // positions of the group columns in a batch
 	out  Schema     // the group columns, as the holder names and types them
@@ -68,7 +69,7 @@ type ResolveScratch struct {
 	pos   []uint64
 	ids   []int32
 	// Floats is the borrower's own per-row scratch (the sketch sink keeps
-	// two products per row between its passes).
+	// each row's key count between its passes).
 	Floats []float64
 }
 
@@ -513,32 +514,6 @@ func (g *GroupIndex) Absorb(o *GroupIndex) []int32 {
 	return ids
 }
 
-// KeyRows returns every group's key values, by id: what the sinks sort on
-// and print.
-func (g *GroupIndex) KeyRows() [][]Value {
-	nc := len(g.cols)
-	rows := make([][]Value, g.n)
-	vals := make([]Value, g.n*nc)
-	for id := range rows {
-		row := vals[id*nc : (id+1)*nc : (id+1)*nc]
-		for c := range row {
-			w := g.keys[id*nc+c]
-			switch g.out[c].Typ {
-			case Int64:
-				row[c] = IntValue(int64(w))
-			case Float64:
-				row[c] = FloatValue(math.Float64frombits(w))
-			case Bool:
-				row[c] = BoolValue(w != 0)
-			case String:
-				row[c] = StringValue(g.strs[c].vals[w])
-			}
-		}
-		rows[id] = row
-	}
-	return rows
-}
-
 // KeyColumns returns every group's key values as typed columns, rows by id:
 // the key columns of the sketch-join payload and of a table's GroupIDs.
 func (g *GroupIndex) KeyColumns() []*Vector {
@@ -562,6 +537,17 @@ func (g *GroupIndex) KeyColumns() []*Vector {
 		cols[c] = v
 	}
 	return cols
+}
+
+// KeyOrder returns KeyColumns and the ids sorted by their keys under
+// compareKeyRows: the order GroupIDs numbers groups in and the sinks emit.
+func (g *GroupIndex) KeyOrder() ([]*Vector, []int32) {
+	keys, order := g.KeyColumns(), make([]int32, g.n)
+	for id := range order {
+		order[id] = int32(id)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return compareKeyRows(keys, int(a), keys, int(b)) })
+	return keys, order
 }
 
 // strCodes is one string group column's partial-local coding: distinct

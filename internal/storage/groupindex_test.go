@@ -206,10 +206,13 @@ func (o *groupOracle) checkKeys(where string, g *GroupIndex, sample map[string]i
 	if g.n != len(o.keyOf) {
 		o.t.Fatalf("%s: index holds %d groups, reference %d", where, g.n, len(o.keyOf))
 	}
-	for id, vals := range g.KeyRows() {
-		row := o.f.rows[sample[o.keyOf[id]]]
-		for c, v := range vals {
-			if !sameValue(v, row[c]) {
+	for c, col := range g.KeyColumns() {
+		if col.Len() != g.n {
+			o.t.Fatalf("%s: key column %d holds %d values, the index %d groups", where, c, col.Len(), g.n)
+		}
+		for id := range g.n {
+			row := o.f.rows[sample[o.keyOf[id]]]
+			if v := col.Get(id); !sameValue(v, row[c]) {
 				o.t.Fatalf("%s: group %d column %d reads back %v, its rows hold %v", where, id, c, v, row[c])
 			}
 		}
@@ -306,7 +309,7 @@ func TestGroupIndexMatchesByteKeyGrouping(t *testing.T) {
 
 // TestGroupIndexResetNumbersLikeFresh: a reset index is a fresh one. Feed
 // batches A, reset, feed batches B: every B row gets the id a fresh index
-// fed B alone gives it, and Len, KeyRows and KeyColumns agree — whatever A
+// fed B alone gives it, and Len and KeyColumns agree — whatever A
 // left behind (string codes and dictionary translations, a grown hashed
 // table, a dense array it left). A second reset and A again must match a
 // fresh index fed A.
@@ -458,14 +461,6 @@ func TestGroupIndexResetNumbersLikeFresh(t *testing.T) {
 				}
 				if round == 0 && (fresh.dense != nil) != tc.denseB {
 					t.Fatalf("after B the index is dense=%t, the case wants %t", fresh.dense != nil, tc.denseB)
-				}
-				gk, wk := reused.KeyRows(), fresh.KeyRows()
-				for id := range wk {
-					for c := range wk[id] {
-						if !sameValue(gk[id][c], wk[id][c]) {
-							t.Fatalf("%s: KeyRows[%d][%d] = %v, fresh %v", where, id, c, gk[id][c], wk[id][c])
-						}
-					}
 				}
 				gc, wc := reused.KeyColumns(), fresh.KeyColumns()
 				for c := range wc {

@@ -532,12 +532,7 @@ func (t *Table) numberGroups(cols []int) *GroupIDs {
 			ids = append(ids, int64(id))
 		}
 	})
-	seen := idx.KeyColumns()
-	order := make([]int32, idx.Len())
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return compareKeyRows(seen, int(a), seen, int(b)) })
+	seen, order := idx.KeyOrder()
 	rank := make([]int64, len(order))
 	for r, id := range order {
 		rank[id] = int64(r)
