@@ -209,7 +209,9 @@ test-race: race
 # per-morsel sample merge (associativity and the SourceRows overflow guard
 # over parts drawn by the live samplers), the join key index (a batch
 # probe's pairs, under any selection and resumed at any chunk room, equal a
-# Go map's for any key words), the filter kernels — the only filter
+# Go map's for any key words), the sketch-join's inline payload (numbered by
+# key − min or through a GroupIndex, the same bytes and the same (count, sum)
+# per key for any key words and aggregate values), the filter kernels — the only filter
 # evaluator — against the row-at-a-time EvalBool oracle over random term
 # lists (int columns against float literals and mixed IN lists included), the
 # SQL front door (arbitrary bytes parse, validate, plan and compile without
@@ -223,6 +225,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeExpr$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzMergeSamples$$' -fuzztime 10s ./internal/synopses
 	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
+	$(GO) test -run NONE -fuzz 'FuzzSketchPayload$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzQuery$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzKernelTerms$$' -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/sqlparser

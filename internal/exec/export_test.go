@@ -3,6 +3,7 @@ package exec
 import (
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // The fixture tables, for the tests that live in package exec_test beside the
@@ -54,4 +55,27 @@ func CompileValueKeyed(n *plan.Aggregate, seed uint64, ctx *Context) (Operator, 
 	return newPipelineOp(n.Child, "an aggregate", nil, reads, seed, ctx, func(in storage.Schema, _ *groupSource) (sink, error) {
 		return resolveAggSpec(in, n.GroupBy, n.Aggs, nil)
 	})
+}
+
+// BuildSketchPayload builds node's inline payload as a sketch sink over the
+// probe schema probe does: numbered by key − min when its key spans densely
+// over the scanned table, through a GroupIndex otherwise — or, hashed,
+// through a GroupIndex whatever the key. dense reports which numbering the
+// build took.
+func BuildSketchPayload(node *plan.SketchJoin, probe storage.Schema, hashed bool, ctx *Context) (sk *synopses.SketchJoin, dense bool, err error) {
+	s, err := newSketchSink(node, probe, nil, ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	keys := s.newPayloadKeys()
+	if hashed {
+		g := storage.NewGroupIndex(s.buildKeyIdx, s.buildKeys)
+		keys = &g
+	}
+	_, dense = keys.(*denseKeys)
+	sk, err = s.buildPayload(keys, ctx)
+	if cerr := s.build.Close(); err == nil {
+		err = cerr
+	}
+	return sk, dense, err
 }

@@ -346,6 +346,12 @@ func FuzzJoinIndex(f *testing.F) {
 	f.Add(word(math.Float64bits(0), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.NaN())), uint8(1), false, int64(2), uint64(0b011))
 	f.Add(word(0, 1, 1, 0), uint8(2), false, int64(3), uint64(0b1001))
 	f.Add(word(7, 7+1<<16-1, 7+1<<16), uint8(0), false, int64(4), uint64(0b101)) // either side of the dense span floor
+	// Unique dense keys (rowOf): probes resume on a row boundary under rooms
+	// smaller than the live rows, with every row, a mask by key and a
+	// selection drawn.
+	f.Add(word(5, 3, 9, 1, 7, 2, 8, 4, 6, 10, 12, 11), uint8(0), false, int64(8), uint64(math.MaxUint64))
+	f.Add(word(5, 3, 9, 1, 7, 2, 8, 4, 6, 10, 12, 11), uint8(0), false, int64(9), uint64(0b101101110010))
+	f.Add(word(math.MaxUint64-2, 1, math.MaxUint64, 0, 2, math.MaxUint64-1), uint8(0), false, int64(10), uint64(0b101101)) // straddling zero
 	f.Add(word(0x0100, 0x0201, 0x0100, 0x0201, 0x0302, 0x0100), uint8(0), true, int64(5), uint64(0b011010))
 	f.Add(word(0x0002, 0x0202, 0x000002, 0x0001), uint8(3), true, int64(6), uint64(0)) // "", NUL-embedded, same bytes
 	f.Add(word(math.Float64bits(math.NaN()), 0x7ff8000000000002, math.Float64bits(math.Copysign(0, -1)), 0), uint8(1), true, int64(7), uint64(0b1101))

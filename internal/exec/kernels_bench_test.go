@@ -10,6 +10,7 @@ import (
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
 	"github.com/tasterdb/taster/internal/synopses"
+	"github.com/tasterdb/taster/internal/workload"
 )
 
 // Per-stage microbenchmarks of the vectorized hot path, run by hand (`go test
@@ -542,6 +543,62 @@ func BenchmarkSketchJoinGrouped(b *testing.B) {
 				run(&stored)
 			}
 			reportPerRow(b, c.probe.NumRows())
+		})
+	}
+}
+
+// BenchmarkSketchJoinBuild times a sketch-join's inline payload build as a
+// query's sink prepares it — the build side σ(lineitem) drained serially,
+// every row numbered by its key and counted, and l_extendedprice summed per
+// key — over TPCH(0.1)'s lineitem keyed by l_partkey and l_orderkey (dense
+// surrogate keys: numbered by key − min) and by a sparse key, l_orderkey
+// times a large odd stride (numbered through a GroupIndex). It reports ns
+// per build row and B/op (`go test ./internal/exec -run NONE -bench
+// BenchmarkSketchJoinBuild -benchmem -cpu 1`).
+func BenchmarkSketchJoinBuild(b *testing.B) {
+	li, err := workload.TPCH(0.1, 1).Catalog.Table("lineitem")
+	if err != nil {
+		b.Fatal(err)
+	}
+	orderKey := li.Column(li.Schema().Index("lineitem.l_orderkey")).I64
+	sparse := &storage.Vector{Typ: storage.Int64, I64: make([]int64, len(orderKey))}
+	for i, k := range orderKey {
+		sparse.I64[i] = k * 0x9E3779B97F4A7C1
+	}
+	price := li.Column(li.Schema().Index("lineitem.l_extendedprice"))
+	sp, err := storage.NewTable("sp", storage.Schema{{Name: "sp.key", Typ: storage.Int64}, {Name: "sp.price", Typ: storage.Float64}}, []*storage.Vector{sparse, price}, li.Partitions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		t          *storage.Table
+		key, price string
+	}{
+		{"l_partkey", li, "lineitem.l_partkey", "lineitem.l_extendedprice"},
+		{"l_orderkey", li, "lineitem.l_orderkey", "lineitem.l_extendedprice"},
+		{"sparse", sp, "sp.key", "sp.price"},
+	} {
+		node := &plan.SketchJoin{
+			Build: &plan.Scan{Table: c.t}, BuildKeys: []string{c.key}, ProbeKeys: []string{"p.k"},
+			AggCol: c.price, Aggs: []plan.AggSpec{{Kind: stats.Sum, Col: c.price}},
+		}
+		probe := storage.Schema{{Name: "p.k", Typ: storage.Int64}}
+		b.Run(c.name, func(b *testing.B) {
+			pool := storage.NewVecPool()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx := NewContext(0.95)
+				ctx.Pool = pool
+				s, err := newSketchSink(node, probe, nil, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.prepare(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerRow(b, c.t.NumRows())
 		})
 	}
 }

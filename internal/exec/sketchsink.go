@@ -135,15 +135,15 @@ func (s *sketchSink) outSchema() storage.Schema { return s.schema }
 
 // prepare implements sink. An inline build is what a join's build side is:
 // σ(base table) drained once, serially, before the pool starts —
-// every row is one group-index lookup and one or two adds into a per-key
-// slab, and the result is one small shared table, so there is nothing for
-// morsels to split. The finished payload is recorded for the tuner to keep.
+// every row is one key lookup and one or two adds into a per-key slab, and
+// the result is one small shared table, so there is nothing for morsels to
+// split. The finished payload is recorded for the tuner to keep.
 func (s *sketchSink) prepare(ctx *Context) error {
 	s.sketch = s.node.Sketch
 	if s.build == nil {
 		return nil
 	}
-	sk, err := s.buildPayload(ctx)
+	sk, err := s.buildPayload(s.newPayloadKeys(), ctx)
 	if cerr := s.build.Close(); err == nil {
 		err = cerr
 	}
@@ -155,15 +155,108 @@ func (s *sketchSink) prepare(ctx *Context) error {
 	return nil
 }
 
-// buildPayload groups every build row by its join key through a
-// storage.GroupIndex — ids in first-seen row order — counting the rows, and
-// summing the aggregate column, of each key in two float64 slabs in row
-// order. One CPU tuple per build row.
-func (s *sketchSink) buildPayload(ctx *Context) (*synopses.SketchJoin, error) {
+// payloadKeys numbers an inline build's join keys, ids in first-seen row
+// order: a storage.GroupIndex, or denseKeys. Both number the same rows
+// alike, so the payload is the same bytes whichever numbers it.
+type payloadKeys interface {
+	Resolve(b *storage.Batch, sc *storage.ResolveScratch) []int32
+	Len() int
+	KeyColumns() []*storage.Vector
+}
+
+// newPayloadKeys picks the build's numbering before its first row, from what
+// the scanned table shows: by key − min (denseKeys) when the key is one
+// Int64 column whose bounds over the table — its partitions' zone maps —
+// span densely for the table's rows (storage.DenseSpan, the rule a KeyIndex
+// applies to the keys it holds); through a GroupIndex otherwise.
+func (s *sketchSink) newPayloadKeys() payloadKeys {
+	if len(s.buildKeys) == 1 && s.buildKeys[0].Typ == storage.Int64 {
+		if d := newDenseKeys(buildSource(s.node.Build), s.buildKeys[0].Name, s.buildKeyIdx[0]); d != nil {
+			return d
+		}
+	}
+	g := storage.NewGroupIndex(s.buildKeyIdx, s.buildKeys)
+	return &g
+}
+
+// denseKeys numbers a one-column Int64 key through an array by key − min,
+// in first-seen row order as a GroupIndex does: a key's first row appends it
+// to keys, and its position in idOf keeps the id.
+type denseKeys struct {
+	col  int   // the key column's position in a build batch
+	min  int64 // the table's smallest key
+	idOf []int32
+	keys []int64 // by id
+}
+
+// newDenseKeys returns the numbering by key − min of the key column name of
+// t — read from build batches at col — or nil when the column's bounds over
+// t's partitions span too sparsely for DenseSpan. Every key a build batch
+// carries is one of t's, so it lies within the bounds.
+func newDenseKeys(t *storage.Table, name string, col int) *denseKeys {
+	c := t.Schema().Index(name)
+	var lo, hi int64
+	seen := false
+	for p := range t.Partitions() {
+		z := t.Zone(p)
+		if z.Rows == 0 {
+			continue
+		}
+		if mn, mx := z.Min[c].I, z.Max[c].I; !seen {
+			lo, hi, seen = mn, mx, true
+		} else {
+			lo, hi = min(lo, mn), max(hi, mx)
+		}
+	}
+	n, ok := storage.DenseSpan(lo, hi, t.NumRows())
+	if !ok {
+		return nil
+	}
+	d := &denseKeys{col: col, min: lo, idOf: make([]int32, n)}
+	for k := range d.idOf {
+		d.idOf[k] = -1
+	}
+	return d
+}
+
+// Resolve numbers b's live rows, as GroupIndex.Resolve does.
+func (d *denseKeys) Resolve(b *storage.Batch, sc *storage.ResolveScratch) []int32 {
+	keys, sel, idOf := b.Vecs[d.col].I64, b.Sel, d.idOf
+	ids := sc.IDs(b.Rows())
+	for j := range ids {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		k := keys[i]
+		p := uint64(k) - uint64(d.min)
+		id := idOf[p]
+		if id < 0 {
+			id = int32(len(d.keys))
+			idOf[p] = id
+			d.keys = append(d.keys, k)
+		}
+		ids[j] = id
+	}
+	return ids
+}
+
+// Len returns the number of keys numbered so far.
+func (d *denseKeys) Len() int { return len(d.keys) }
+
+// KeyColumns returns the key column, by id.
+func (d *denseKeys) KeyColumns() []*storage.Vector {
+	return []*storage.Vector{{Typ: storage.Int64, I64: d.keys}}
+}
+
+// buildPayload groups every build row by its join key through idx — ids in
+// first-seen row order — counting the rows, and summing the aggregate
+// column, of each key in two float64 slabs in row order. One CPU tuple per
+// build row.
+func (s *sketchSink) buildPayload(idx payloadKeys, ctx *Context) (*synopses.SketchJoin, error) {
 	if err := s.build.Open(); err != nil {
 		return nil, err
 	}
-	idx := storage.NewGroupIndex(s.buildKeyIdx, s.buildKeys)
 	var counts, sums []float64
 	for {
 		b, err := s.build.Next()

@@ -3,61 +3,64 @@ package storage
 import "slices"
 
 // KeyIndex finds rows by key. It is built once over the key columns of a set
-// of rows and returns, for any key, the ascending rows that carry it: every
-// key's rows are one contiguous run of matchRows, and a run is found through
-// one of two layouts. A key that is one Int64 column over a short span is
-// dense: its run sits behind an offset array indexed by key − min. Every
-// other key is numbered: a GroupIndex over the key columns gives each
-// distinct key an id, first-seen in row order, and id's run sits behind an
-// offset array indexed by id. The build is serial, so the index is the same
-// whatever runs beside it; once built it is immutable and safe for
-// concurrent probes. A join's build side and a sketch-join's per-key table
-// are both found through one, a probe batch at a time (Probe). A join's
-// index is its table version's own (Table.KeyIndex), and the rows a query's
-// build side keeps are a KeyMask over it.
+// of rows and returns, for any key, the ascending rows that carry it, through
+// one of three layouts. A key that is one Int64 column over a short span
+// (DenseSpan) is dense, found by its position key − min: when every key
+// turns out to have one row — a dimension's primary key, a sketch-join
+// payload — that position indexes rowOf, the key's row or −1 (unique dense);
+// otherwise it indexes an offset array behind which the key's rows sit as
+// one contiguous run of matchRows (dense runs). Every other key is
+// numbered: a GroupIndex over the key columns gives each distinct key an id,
+// first-seen in row order, and id's run sits behind an offset array indexed
+// by id. The build is serial, so the index is the same whatever runs beside
+// it; once built it is immutable and safe for concurrent probes. A join's
+// build side and a sketch-join's per-key table are both found through one, a
+// probe batch at a time (Probe). A join's index is its table version's own
+// (Table.KeyIndex), and the rows a query's build side keeps are a KeyMask
+// over it.
 //
 //taster:immutable
 type KeyIndex struct {
 	// key is the indexed column of a dense index (nil for a numbered one):
 	// Mark reads a row's key from it. It is the caller's vector, not a copy.
 	key *Vector
-	min uint64 // dense: the smallest orderedWord of key
+	// min is a dense index's smallest key as a word: a key's position is
+	// its word − min, which wraps a key below min to a position past every
+	// bound (DenseSpan).
+	min uint64
 	// groups numbers a numbered index's keys (nil for a dense one). It is
 	// only ever looked up in once built (GroupIndex.Lookup).
 	groups *GroupIndex
 
+	// rowOf is a unique dense index's only array: position k's row, or −1
+	// when no row carries the key (nil for the other two layouts).
+	rowOf []int32
 	// matchRows holds every key's run of rows back to back; key k's run is
-	// matchRows[offs[k]:offs[k+1]], k being orderedWord − min (dense) or the
-	// key's id (numbered).
+	// matchRows[offs[k]:offs[k+1]], k being the key's position (dense runs) or
+	// the key's id (numbered). Both are nil under rowOf.
 	matchRows []int32
 	offs      []int32
 	keys      int // distinct keys
 }
 
 const (
-	// denseSpanFactor bounds the dense layout's offset array at this many
-	// entries per row; sparser keys are numbered.
+	// denseSpanFactor bounds a dense layout's array at this many entries per
+	// row; sparser keys are numbered.
 	denseSpanFactor = 4
 	// denseSpanFloor admits any span below it whatever the row count. A
 	// selective build-side filter leaves few rows scattered over the
 	// dimension's whole key range, but the probe side is still the fact
-	// table: zeroing a 256 KB offset array once costs less than hashing
-	// every probe row (BenchmarkJoinProbe, dense150k vs sparse150k).
+	// table: zeroing a 256 KB array once costs less than hashing every probe
+	// row (BenchmarkJoinProbe, dense150k vs sparse150k).
 	denseSpanFloor = 1 << 16
 	// fibMul is 2^64/φ: multiplying by it and keeping the top bits spreads
 	// consecutive and strided keys evenly over a power-of-two table.
 	fibMul = 0x9E3779B97F4A7C15
 )
 
-// orderedWord flips the sign bit of an int64 key, so keys compare (and
-// subtract) in unsigned space as they do signed: a key range straddling zero
-// stays a short span, and MinInt64..MaxInt64 is span 2^64−1 with no overflow
-// anywhere.
-func orderedWord(w uint64) uint64 { return w ^ (1 << 63) }
-
 // NewKeyIndex indexes every row of vecs by its key over cols: dense when the
-// key is one Int64 column whose span is under denseSpanFactor× the rows or
-// under denseSpanFloor, numbered otherwise.
+// key is one Int64 column whose span DenseSpan admits for its rows —
+// unique or in runs, as the rows turn out — numbered otherwise.
 func NewKeyIndex(vecs []*Vector, cols []int) *KeyIndex {
 	x := &KeyIndex{}
 	if kv := vecs[cols[0]]; len(cols) == 1 && kv.Typ == Int64 {
@@ -71,38 +74,60 @@ func NewKeyIndex(vecs []*Vector, cols []int) *KeyIndex {
 	return x
 }
 
-// denseSpan returns the smallest ordered key and the number of positions
-// from it to the largest, and whether that span is short enough to lay out
-// densely. No rows is an empty dense range.
-func denseSpan(keys []int64) (min uint64, nk int, ok bool) {
+// DenseSpan is the one rule for laying an Int64 key out by key − min: keys
+// from lo to hi (lo ≤ hi) over rows rows are dense when the span is under
+// denseSpanFactor× the rows or under denseSpanFloor, and then n is the
+// number of positions from lo to hi. A KeyIndex applies it to the keys it
+// indexes; a sketch-join's inline build to the bounds of the table it scans.
+func DenseSpan(lo, hi int64, rows int) (n int, ok bool) {
+	// Two's-complement subtraction is exact for lo ≤ hi: the span of
+	// MinInt64..MaxInt64 is 2^64−1, with no overflow.
+	if span := uint64(hi) - uint64(lo); span < uint64(rows)*denseSpanFactor || span < denseSpanFloor {
+		return int(span) + 1, true
+	}
+	return 0, false
+}
+
+// denseSpan returns the smallest key, as a word, and the number of positions
+// from it to the largest, and whether DenseSpan lays the keys out densely.
+// No rows is an empty dense range.
+func denseSpan(keys []int64) (uint64, int, bool) {
 	if len(keys) == 0 {
 		return 0, 0, true
 	}
-	lo, hi := orderedWord(uint64(keys[0])), orderedWord(uint64(keys[0]))
+	lo, hi := keys[0], keys[0]
 	for _, k := range keys[1:] {
-		w := orderedWord(uint64(k))
-		if w < lo {
-			lo = w
-		}
-		if w > hi {
-			hi = w
-		}
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	if span := hi - lo; span < uint64(len(keys))*denseSpanFactor || span < denseSpanFloor {
-		return lo, int(span) + 1, true
+	if nk, ok := DenseSpan(lo, hi, len(keys)); ok {
+		return uint64(lo), nk, true
 	}
 	return 0, 0, false
 }
 
-// buildDenseIndex lays the runs out in key order: key k's position is
-// orderedWord(k) − min.
+// buildDenseIndex lays the keys out by position uint64(k) − min: in rowOf
+// while every position holds one row; in runs (buildRuns), in position
+// order, once one holds a second.
 func (x *KeyIndex) buildDenseIndex(keys []int64, min uint64, nk int) {
-	pos := make([]int32, len(keys))
-	for i, k := range keys {
-		pos[i] = int32(orderedWord(uint64(k)) - min)
-	}
 	x.min = min
-	x.buildRuns(pos, nk)
+	rowOf := make([]int32, nk)
+	for k := range rowOf {
+		rowOf[k] = -1
+	}
+	for i, k := range keys {
+		p := uint64(k) - min
+		if rowOf[p] < 0 {
+			rowOf[p] = int32(i)
+			continue
+		}
+		pos := make([]int32, len(keys))
+		for i, k := range keys {
+			pos[i] = int32(uint64(k) - min)
+		}
+		x.buildRuns(pos, nk)
+		return
+	}
+	x.rowOf, x.keys = rowOf, len(keys)
 }
 
 // buildNumberedIndex numbers every row's key through a GroupIndex, a
@@ -158,9 +183,9 @@ func (x *KeyIndex) buildRuns(pos []int32, nk int) {
 
 // A KeyMask is a set of the rows a KeyIndex indexes — a join build side's
 // survivors — kept in the index's own coordinates (NewMask, Mark): one bit
-// per key position when the index is dense and every key has exactly one row
-// (Unique), so a probe row the mask refuses costs one bit test before any
-// offset or row load; one bit per row otherwise, tested per candidate match.
+// per key position under a unique dense index, so a probe row the mask
+// refuses costs one bit test before its row is loaded; one bit per row
+// otherwise, tested per candidate match.
 // A nil mask is every row.
 type KeyMask []uint64
 
@@ -168,21 +193,17 @@ func (m KeyMask) has(i uint64) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 
 func (m KeyMask) set(i uint64) { m[i>>6] |= 1 << (i & 63) }
 
-// Unique reports whether every indexed key has exactly one row — observed
-// from the data, as the primary key of a dimension table is.
-func (x *KeyIndex) Unique() bool { return x.keys == len(x.matchRows) }
-
 // byKey reports whether a mask over x has a bit per key position rather than
-// per row: under a dense unique index. A numbered key's ids are first-seen
+// per row: under a unique dense index. A numbered key's ids are first-seen
 // row order, so under a unique one an id is its row anyway.
-func (x *KeyIndex) byKey() bool { return x.key != nil && x.Unique() }
+func (x *KeyIndex) byKey() bool { return x.rowOf != nil }
 
 // NewMask returns an empty mask over x's rows: as many bits as the dense
 // span when masks are by key (byKey), as rows otherwise.
 func (x *KeyIndex) NewMask() KeyMask {
 	n := len(x.matchRows)
 	if x.byKey() {
-		n = len(x.offs) - 1
+		n = len(x.rowOf)
 	}
 	return make(KeyMask, (n+63)/64)
 }
@@ -195,12 +216,12 @@ func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 		keys, min := x.key.I64, x.min
 		if sel == nil {
 			for _, k := range keys[lo : lo+n] {
-				m.set(orderedWord(uint64(k)) - min)
+				m.set(uint64(k) - min)
 			}
 			return
 		}
 		for _, i := range sel {
-			m.set(orderedWord(uint64(keys[lo+int(i)])) - min)
+			m.set(uint64(keys[lo+int(i)]) - min)
 		}
 		return
 	}
@@ -226,25 +247,88 @@ type ProbePos struct{ Row, Done int }
 // live-row order and ascending within a row, and stops once room pairs are
 // out or the batch is: it returns fewer than room pairs only with Row ==
 // b.Rows(). The position it returns is where the next call resumes —
-// mid-run when a row's matches outrun room. A dense index, every join of the
-// generated workloads, runs a typed loop per mask shape; a numbered one runs
-// one loop over ids (probeNumbered).
+// mid-run when a row's matches outrun room. Each layout runs its own loops:
+// a unique dense index, every join of the generated workloads, one per mask
+// shape (probeUnique, probeUniqueMasked); dense runs one unmasked and one
+// under a mask by row (probeDense, probeDenseMasked); a numbered index one
+// over ids (probeNumbered).
 func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	if x.key == nil {
 		return x.probeNumbered(b, cols, mask, at, room, pos, rows)
 	}
 	keys := b.Vecs[cols[0]].I64
-	if mask == nil {
+	switch {
+	case x.rowOf != nil && mask == nil:
+		return x.probeUnique(keys, b.Sel, b.Rows(), at, room, pos, rows)
+	case x.rowOf != nil:
+		return x.probeUniqueMasked(keys, b.Sel, b.Rows(), mask, at, room, pos, rows)
+	case mask == nil:
 		return x.probeDense(keys, b.Sel, b.Rows(), at, room, pos, rows)
 	}
-	if x.byKey() {
-		return x.probeDenseMasked(keys, b.Sel, b.Rows(), mask, nil, at, room, pos, rows)
-	}
-	return x.probeDenseMasked(keys, b.Sel, b.Rows(), nil, mask, at, room, pos, rows)
+	return x.probeDenseMasked(keys, b.Sel, b.Rows(), mask, at, room, pos, rows)
 }
 
-// probeDense is Probe's loop over a dense index: one offset pair per live
-// row, a key below min wrapping to a k the bound refuses.
+// probeUnique is Probe's loop over a unique dense index: one rowOf load per
+// live row, a key below min wrapping to a k the bound refuses. A row pairs
+// at most once, so no run is ever cut and Done stays 0: room is checked once
+// per stretch of as many rows as there is room left, not per row.
+func (x *KeyIndex) probeUnique(keys []int64, sel []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+	o := len(pos)
+	pos, rows = grow(pos, room), grow(rows, room)
+	rowOf, base := x.rowOf, x.min
+	span := uint64(len(rowOf))
+	for j := at.Row; j < live; {
+		if o == len(pos) {
+			return pos, rows, ProbePos{Row: j}
+		}
+		for end := min(live, j+len(pos)-o); j < end; j++ {
+			i := j
+			if sel != nil {
+				i = int(sel[j])
+			}
+			k := uint64(keys[i]) - base
+			if k >= span {
+				continue
+			}
+			if r := rowOf[k]; r >= 0 {
+				pos[o], rows[o] = int32(j), r
+				o++
+			}
+		}
+	}
+	return pos[:o], rows[:o], ProbePos{Row: live}
+}
+
+// probeUniqueMasked is probeUnique under a mask by key: a key the mask
+// refuses is skipped on its bit, before rowOf is read, and a key it holds
+// has a row.
+func (x *KeyIndex) probeUniqueMasked(keys []int64, sel []int32, live int, byKey KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+	o := len(pos)
+	pos, rows = grow(pos, room), grow(rows, room)
+	rowOf, base := x.rowOf, x.min
+	span := uint64(len(rowOf))
+	for j := at.Row; j < live; {
+		if o == len(pos) {
+			return pos, rows, ProbePos{Row: j}
+		}
+		for end := min(live, j+len(pos)-o); j < end; j++ {
+			i := j
+			if sel != nil {
+				i = int(sel[j])
+			}
+			k := uint64(keys[i]) - base
+			if k >= span || !byKey.has(k) {
+				continue
+			}
+			pos[o], rows[o] = int32(j), rowOf[k]
+			o++
+		}
+	}
+	return pos[:o], rows[:o], ProbePos{Row: live}
+}
+
+// probeDense is Probe's loop over dense runs: one offset pair per live row,
+// a key below min wrapping to a k the bound refuses.
 func (x *KeyIndex) probeDense(keys []int64, sel []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
@@ -256,7 +340,7 @@ func (x *KeyIndex) probeDense(keys []int64, sel []int32, live int, at ProbePos, 
 		if sel != nil {
 			i = int(sel[j])
 		}
-		k := orderedWord(uint64(keys[i])) - min
+		k := uint64(keys[i]) - min
 		if k >= span {
 			continue
 		}
@@ -274,10 +358,10 @@ func (x *KeyIndex) probeDense(keys []int64, sel []int32, live int, at ProbePos, 
 	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
-// probeDenseMasked is probeDense under a mask: a key byKey refuses is
-// skipped before its offsets are read, and a row byRow refuses is skipped
-// within its run (fillMasked). The unmasked loop stays free of both tests.
-func (x *KeyIndex) probeDenseMasked(keys []int64, sel []int32, live int, byKey, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+// probeDenseMasked is probeDense under a mask by row: a row byRow refuses
+// is skipped within its run (fillMasked). The unmasked loop stays free of
+// the test.
+func (x *KeyIndex) probeDenseMasked(keys []int64, sel []int32, live int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
 	offs, min := x.offs, x.min
@@ -288,8 +372,8 @@ func (x *KeyIndex) probeDenseMasked(keys []int64, sel []int32, live int, byKey, 
 		if sel != nil {
 			i = int(sel[j])
 		}
-		k := orderedWord(uint64(keys[i])) - min
-		if k >= span || byKey != nil && !byKey.has(k) {
+		k := uint64(keys[i]) - min
+		if k >= span {
 			continue
 		}
 		start := int(offs[k])
@@ -370,11 +454,11 @@ func (x *KeyIndex) fillMasked(pos, rows []int32, byRow KeyMask, o, j, start, lo,
 // Keys returns the number of distinct keys indexed.
 func (x *KeyIndex) Keys() int { return x.keys }
 
-// Bytes estimates the index's resident size: its arrays, and a numbered
-// index's tuples and tables plus, per string value, the value and its map
-// entry.
+// Bytes estimates the index's resident size: its arrays — rowOf, or
+// matchRows and offs — and a numbered index's tuples and tables plus, per
+// string value, the value and its map entry.
 func (x *KeyIndex) Bytes() int64 {
-	n := int64(len(x.matchRows)+len(x.offs)) * 4
+	n := int64(len(x.rowOf)+len(x.matchRows)+len(x.offs)) * 4
 	if g := x.groups; g != nil {
 		n += int64(len(g.keys))*8 + int64(len(g.slots)+len(g.dense))*4
 		for c := range g.strs {

@@ -19,8 +19,12 @@ const (
 // values. At query time it is probed like the hash side of a hash join: a
 // probe batch's keys find their rows through a storage.KeyIndex, built when
 // the table is built or decoded and never per query, and yields the exact
-// COUNT and SUM contribution of every matching build row. Per key it holds
-// the key and 8 or 16 bytes, which keeps the paper's "ideal for
+// COUNT and SUM contribution of every matching build row. Its keys are
+// distinct, so the index is unique: over one Int64 key column of a short
+// span — the surrogate foreign keys every generated sketch-join carries —
+// it is one row per key position (key − min), probed with one load per row;
+// any other key is numbered through a GroupIndex. Per key it holds the key
+// and 8 or 16 bytes, which keeps the paper's "ideal for
 // materialization and re-use" footprint.
 type SketchJoin struct {
 	// Rows holds one row per distinct key, in first-seen build-row order:
