@@ -192,8 +192,9 @@ reach-check:
 
 # The concurrency suite under the race detector: morsel-executor determinism,
 # the concurrent serving path, the partitioned ingest/query/spill storm, and
-# storage's lazily built per-version indexes (a fact table's GroupIDs is
-# first built under concurrent serving).
+# storage's lazily built per-version indexes and statistics (a fact table's
+# GroupIDs is first built under concurrent serving; a version's statistics
+# parts are first asked for by concurrent plans while an append races them).
 race:
 	$(GO) test -race ./internal/core/ ./internal/exec/ ./internal/storage/ .
 

@@ -194,25 +194,12 @@ type denseKeys struct {
 // t's partitions span too sparsely for DenseSpan. Every key a build batch
 // carries is one of t's, so it lies within the bounds.
 func newDenseKeys(t *storage.Table, name string, col int) *denseKeys {
-	c := t.Schema().Index(name)
-	var lo, hi int64
-	seen := false
-	for p := range t.Partitions() {
-		z := t.Zone(p)
-		if z.Rows == 0 {
-			continue
-		}
-		if mn, mx := z.Min[c].I, z.Max[c].I; !seen {
-			lo, hi, seen = mn, mx, true
-		} else {
-			lo, hi = min(lo, mn), max(hi, mx)
-		}
-	}
-	n, ok := storage.DenseSpan(lo, hi, t.NumRows())
+	lo, hi, _ := t.Bounds(t.Schema().Index(name))
+	n, ok := storage.DenseSpan(lo.I, hi.I, t.NumRows())
 	if !ok {
 		return nil
 	}
-	d := &denseKeys{col: col, min: lo, idOf: make([]int32, n)}
+	d := &denseKeys{col: col, min: lo.I, idOf: make([]int32, n)}
 	for k := range d.idOf {
 		d.idOf[k] = -1
 	}

@@ -283,36 +283,35 @@ func DedupCols(cols []string) []string {
 
 // Selectivity estimates the fraction of rows of tbl satisfying the
 // predicate's terms, assuming independence. Used by the planner's
-// cardinality model.
+// cardinality model. An =, IN or <> term reads its column's distinct count
+// (the column's group part); a range term reads only the column's bounds.
 func Selectivity(p Pred, tbl *storage.Table) float64 {
 	if len(p) == 0 {
 		return 1
 	}
 	sel := 1.0
-	st := tbl.Stats()
 	for _, t := range p {
 		i := tbl.Schema().Index(t.Col)
 		if i < 0 {
 			continue // a term on a column of another relation
 		}
-		cs := st.Columns[i]
 		switch {
 		case t.Op == IN:
-			if cs.Distinct > 0 {
-				sel *= math.Min(1, float64(len(t.List))/float64(cs.Distinct))
+			if d := tbl.ColumnGroups(i).Distinct; d > 0 {
+				sel *= math.Min(1, float64(len(t.List))/float64(d))
 			}
 		case t.Op == EQ:
-			if cs.Distinct > 0 {
-				sel *= 1 / float64(cs.Distinct)
+			if d := tbl.ColumnGroups(i).Distinct; d > 0 {
+				sel *= 1 / float64(d)
 			}
 		case t.Op == NE:
-			if cs.Distinct > 0 {
-				sel *= 1 - 1/float64(cs.Distinct)
+			if d := tbl.ColumnGroups(i).Distinct; d > 0 {
+				sel *= 1 - 1/float64(d)
 			}
-		default: // range term on a numeric column
-			if t.Val.Typ.Numeric() && cs.Max > cs.Min {
-				v := t.Val.AsFloat()
-				frac := (v - cs.Min) / (cs.Max - cs.Min)
+		default: // range term on a numeric column, by its zone-map bounds
+			if mn, mx, ok := tbl.Bounds(i); ok && t.Val.Typ.Numeric() && tbl.Schema()[i].Typ.Numeric() && mx.AsFloat() > mn.AsFloat() {
+				lo, hi, v := mn.AsFloat(), mx.AsFloat(), t.Val.AsFloat()
+				frac := (v - lo) / (hi - lo)
 				frac = math.Max(0, math.Min(1, frac))
 				if t.Op == GT || t.Op == GE {
 					frac = 1 - frac

@@ -155,7 +155,8 @@ type samplerConfig struct {
 	kind  plan.SynopsisKind
 	p     float64
 	delta int
-	ok    bool // false when sampling cannot pay for itself
+	rows  float64 // the rows the sampler is expected to pass (sampleOutRows)
+	ok    bool    // false when sampling cannot pay for itself
 }
 
 // minCoverageRows is the expected post-filter sample rows per result group
@@ -168,6 +169,9 @@ const minCoverageRows = 16
 // receive ~k rows, while the (possibly wider) stratification set guarantees
 // coverage. stratGroups counts distinct combinations of the stratification
 // set; coverGroups/coverMinGroup describe the query's own grouping columns.
+// Only a distinct sampler reads the strat count, so it is asked for only
+// once the uniform check and the feasibility bar have passed: counting a
+// wide set (join keys) costs a pass over every row of the version.
 // When stratification includes join keys, stratGroups ≫ coverGroups and δ
 // shrinks proportionally: δ rows per join key still covers every result
 // group while thinning aggressively.
@@ -177,7 +181,7 @@ const minCoverageRows = 16
 // on the filtered stream, so p is sized against inRows·sel and sampling is
 // rejected when even the capped probability cannot keep groups populated —
 // the paper's "requirements too restrictive" case falls out here.
-func (p *Planner) configureSampler(q *Query, strat []string, inRows float64, sel float64, stratGroups, coverMinGroup, coverGroups int) samplerConfig {
+func (p *Planner) configureSampler(q *Query, strat []string, inRows float64, sel float64, stratGroups func() int, coverMinGroup, coverGroups int) samplerConfig {
 	k := p.requiredK(q)
 	if sel <= 0 {
 		sel = 1
@@ -191,7 +195,7 @@ func (p *Planner) configureSampler(q *Query, strat []string, inRows float64, sel
 		if !ok {
 			return samplerConfig{}
 		}
-		return samplerConfig{kind: plan.UniformSample, p: pr, ok: true}
+		return samplerConfig{kind: plan.UniformSample, p: pr, rows: sampleOutRows(inRows, true, pr, 0, 0), ok: true}
 	}
 	if coverMinGroup < 1 {
 		coverMinGroup = 1
@@ -199,17 +203,8 @@ func (p *Planner) configureSampler(q *Query, strat []string, inRows float64, sel
 	if coverGroups < 1 {
 		coverGroups = 1
 	}
-	if stratGroups < 1 {
-		stratGroups = 1
-	}
 	if pr, ok := stats.UniformProbability(k, int(float64(coverMinGroup)*sel)); ok {
-		return samplerConfig{kind: plan.UniformSample, p: pr, ok: true}
-	}
-	// Distinct sampler: δ per stratification combo such that each result
-	// group (≈ stratGroups/coverGroups combos) accumulates ~k rows.
-	delta := int(math.Ceil(float64(k) * float64(coverGroups) / float64(stratGroups)))
-	if delta < 1 {
-		delta = 1
+		return samplerConfig{kind: plan.UniformSample, p: pr, rows: sampleOutRows(inRows, true, pr, 0, 0), ok: true}
 	}
 	// p targets k probabilistic rows in the *smallest* result group on the
 	// filtered stream — sizing against the average group would starve the
@@ -231,11 +226,20 @@ func (p *Planner) configureSampler(q *Query, strat []string, inRows float64, sel
 		// satisfied with a reasonable sampling probability."
 		return samplerConfig{}
 	}
-	out := sampleOutRows(inRows, false, pr, delta, stratGroups)
+	// Distinct sampler: δ per stratification combo such that each result
+	// group (≈ stratGroups/coverGroups combos) accumulates ~k rows. A
+	// multi-column set over an empty version counts 0 groups; it sizes δ as
+	// one group would.
+	groups := max(stratGroups(), 1)
+	delta := int(math.Ceil(float64(k) * float64(coverGroups) / float64(groups)))
+	if delta < 1 {
+		delta = 1
+	}
+	out := sampleOutRows(inRows, false, pr, delta, groups)
 	if out > 0.5*inRows {
 		return samplerConfig{}
 	}
-	return samplerConfig{kind: plan.DistinctSample, p: pr, delta: delta, ok: true}
+	return samplerConfig{kind: plan.DistinctSample, p: pr, delta: delta, rows: out, ok: true}
 }
 
 // bound is a stored synopsis that passed bind: the item a reuse candidate
@@ -313,7 +317,7 @@ func (p *Planner) requiredK(q *Query) int {
 		t := q.tableOf(c)
 		if ref, ok := q.ref(t); ok {
 			if i := ref.Table.Schema().Index(c); i >= 0 {
-				if v := ref.Table.Stats().Columns[i].CV(); v > cv {
+				if v := ref.Table.ColumnMoments(i).CV(); v > cv {
 					cv = v
 				}
 			}
@@ -358,10 +362,6 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		q.skewedEqFilterCols(fact)...))
 
 	inRows := float64(fact.Table.NumRows())
-	stratGroups := 1
-	if len(strat) > 0 {
-		stratGroups = fact.Table.GroupCount(strat)
-	}
 	// Result-group structure: every query group must end up with ~k fact
 	// rows. Group columns on the fact table give exact counts; probe-side
 	// group columns fan out over fact rows through the join, estimated by
@@ -390,11 +390,10 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	// thin the fact rows through the join just like fact-side ones.
 	selAll := p.totalFilterSelectivity(q)
 	sel := expr.Selectivity(factFilter, fact.Table)
-	cfg := p.configureSampler(q, strat, inRows, selAll, stratGroups, coverMinGroup, coverGroups)
+	cfg := p.configureSampler(q, strat, inRows, selAll, func() int { return fact.Table.GroupCount(strat) }, coverMinGroup, coverGroups)
 	if !cfg.ok {
 		return
 	}
-	groups := stratGroups
 
 	desc := meta.Descriptor{
 		Kind:      cfg.kind,
@@ -405,8 +404,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		AggCols:   q.aggCols(),
 		Accuracy:  q.Accuracy,
 	}
-	outRows := sampleOutRows(inRows, cfg.kind == plan.UniformSample, cfg.p, cfg.delta, groups)
-	desc.EstSizeBytes = sampleBytes(outRows, fact.Table.AvgRowBytes())
+	desc.EstSizeBytes = sampleBytes(cfg.rows, fact.Table.AvgRowBytes())
 	entry := p.Store.Intern(desc)
 
 	// Build-inline candidate.
@@ -426,7 +424,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	full := p.finishPlan(q, root)
 
 	var cost planCost
-	overrides := map[string]scanEst{fact.Name: {rows: outRows * sel, width: fact.Table.AvgRowBytes() + 8}}
+	overrides := map[string]scanEst{fact.Name: {rows: cfg.rows * sel, width: fact.Table.AvgRowBytes() + 8}}
 	// The fact table leads the join tree, so the sampler rides the
 	// morsel-parallel probe spine.
 	cost.scanTable(fact)
@@ -441,7 +439,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 	})
 
 	// Hypothetical reuse cost (drives the tuner's gain for this synopsis).
-	reuseCost := p.costBaseSampleReuse(q, fact, desc.EstSizeBytes, outRows*sel)
+	reuseCost := p.costBaseSampleReuse(q, fact, desc.EstSizeBytes, cfg.rows*sel)
 	ps.noteReuse(entry.Desc.ID, reuseCost)
 
 	// Reuse candidates for every matching materialized sample. The match

@@ -478,26 +478,27 @@ func TestCrossJoinRejected(t *testing.T) {
 
 func TestSamplerConfigurationFollowsAccuracy(t *testing.T) {
 	p, _, _ := testPlanner()
-	loose := p.configureSampler(singleTableQuery(), []string{"sales.store"}, 20000, 1, 10, 2000, 10)
+	groups := func(n int) func() int { return func() int { return n } }
+	loose := p.configureSampler(singleTableQuery(), []string{"sales.store"}, 20000, 1, groups(10), 2000, 10)
 	if !loose.ok {
 		t.Fatal("loose accuracy must admit a sampler")
 	}
 	// Tighter accuracy needs more rows per group.
 	strict := singleTableQuery()
 	strict.Accuracy = stats.AccuracySpec{RelError: 0.01, Confidence: 0.99}
-	sCfg := p.configureSampler(strict, []string{"sales.store"}, 20000, 1, 10, 2000, 10)
+	sCfg := p.configureSampler(strict, []string{"sales.store"}, 20000, 1, groups(10), 2000, 10)
 	if sCfg.ok && sCfg.kind == loose.kind && sCfg.p <= loose.p && sCfg.delta <= loose.delta {
 		t.Fatalf("stricter accuracy must sample more: %+v vs %+v", sCfg, loose)
 	}
 	// Impossible accuracy (tiny groups) must reject sampling.
-	none := p.configureSampler(strict, []string{"sales.store"}, 100, 1, 50, 2, 50)
+	none := p.configureSampler(strict, []string{"sales.store"}, 100, 1, groups(50), 2, 50)
 	if none.ok {
 		t.Fatal("infeasible accuracy must reject sampling")
 	}
 	// Join-key stratification: many strat combos, few result groups → tiny δ
 	// (a smallest-group size below the uniform bar forces the distinct path).
 	wide := p.configureSampler(singleTableQuery(), []string{"sales.store", "sales.product"},
-		1e6, 1, 100000, 1200, 10)
+		1e6, 1, groups(100000), 1200, 10)
 	if !wide.ok || wide.kind != plan.DistinctSample {
 		t.Fatalf("wide stratification should still sample: %+v", wide)
 	}

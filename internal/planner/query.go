@@ -309,10 +309,9 @@ func (q *Query) skewedEqFilterCols(t TableRef) []string {
 		return nil
 	}
 	var out []string
-	st := t.Table.Stats()
 	for _, col := range expr.EqualityColumns(f) {
 		i := t.Table.Schema().Index(col)
-		if i >= 0 && st.Columns[i].Skewed {
+		if i >= 0 && t.Table.ColumnGroups(i).Skewed {
 			out = append(out, col)
 		}
 	}

@@ -102,6 +102,52 @@ func sameStats(a, b *TableStats) bool {
 	return true
 }
 
+// statsSchema is the statistics fixtures' schema: int, float, bool, a coded
+// string column and one past MaxDictSize.
+var statsSchema = Schema{
+	{Name: "r.i", Typ: Int64}, {Name: "r.f", Typ: Float64}, {Name: "r.b", Typ: Bool},
+	{Name: "r.s", Typ: String}, {Name: "r.u", Typ: String},
+}
+
+// statsFixtures draws seed's statistics fixtures: a multi-partition table,
+// its appended version (r.s under two dictionaries), that version in one
+// partition, a one-row table and an empty one. Floats mix ±0.0, two NaN
+// payloads and both infinities into the values. It returns the generator
+// too, for the caller's own draws.
+func statsFixtures(t *testing.T, seed int64) (*rand.Rand, []*Table) {
+	t.Helper()
+	awkward := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000002), math.Inf(1), math.Inf(-1), 1.5, -2}
+	r := rand.New(rand.NewSource(seed))
+	vocab := []int{5, 300, 1 << 20}[seed%3]
+	load := func(n int, prefix string) *Table {
+		b := NewBuilder("r", statsSchema)
+		for k := 0; k < n; k++ {
+			b.Int(0, int64(r.Intn(vocab)-vocab/2))
+			if r.Intn(3) == 0 {
+				b.Float(1, awkward[r.Intn(len(awkward))])
+			} else {
+				b.Float(1, float64(r.Intn(vocab)))
+			}
+			b.Bool(2, r.Intn(4) == 0)
+			b.Str(3, prefix+randStrings(r, 1, 30)[0])
+			b.Str(4, fmt.Sprintf("u%d", r.Intn(1<<20)))
+		}
+		return b.Build(1)
+	}
+	base := load(5000+r.Intn(2000), "a").Repartition(700 + r.Intn(900))
+	grown, err := base.Append(load(1500, "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Column(3).Dict == nil || base.Column(4).Dict != nil {
+		t.Fatal("fixture: r.s should be coded and r.u past the cap")
+	}
+	if first, last := grown.parts[0].cols[3], grown.parts[grown.Partitions()-1].cols[3]; first.Dict == nil || first.Dict == last.Dict {
+		t.Fatal("fixture: the append should leave r.s under two dictionaries")
+	}
+	return r, []*Table{base, grown, grown.Repartition(0), load(1, "a"), NewBuilder("r", statsSchema).Build(1)}
+}
+
 // TestStatsMatchTheFrequencyOracle: on random multi-partition tables —
 // int, float (±0.0, two NaN payloads, infinities), bool and string columns;
 // strings coded, under two dictionaries after an append, and past
@@ -109,43 +155,9 @@ func sameStats(a, b *TableStats) bool {
 // GroupCount and MinGroupOf over random column sets equal the oracle's
 // group count and smallest group, before and after they are cached.
 func TestStatsMatchTheFrequencyOracle(t *testing.T) {
-	awkward := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000002), math.Inf(1), 1.5, -2}
-	schema := Schema{
-		{Name: "r.i", Typ: Int64}, {Name: "r.f", Typ: Float64}, {Name: "r.b", Typ: Bool},
-		{Name: "r.s", Typ: String}, {Name: "r.u", Typ: String},
-	}
 	for seed := int64(1); seed <= 6; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		vocab := []int{5, 300, 1 << 20}[seed%3]
-		load := func(n int, prefix string) *Table {
-			b := NewBuilder("r", schema)
-			for k := 0; k < n; k++ {
-				b.Int(0, int64(r.Intn(vocab)-vocab/2))
-				if r.Intn(3) == 0 {
-					b.Float(1, awkward[r.Intn(len(awkward))])
-				} else {
-					b.Float(1, float64(r.Intn(vocab)))
-				}
-				b.Bool(2, r.Intn(4) == 0)
-				b.Str(3, prefix+randStrings(r, 1, 30)[0])
-				b.Str(4, fmt.Sprintf("u%d", r.Intn(1<<20)))
-			}
-			return b.Build(1)
-		}
-		base := load(5000+r.Intn(2000), "a").Repartition(700 + r.Intn(900))
-		grown, err := base.Append(load(1500, "b"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Column(3).Dict == nil || base.Column(4).Dict != nil {
-			t.Fatal("fixture: r.s should be coded and r.u past the cap")
-		}
-		if first, last := grown.parts[0].cols[3], grown.parts[grown.Partitions()-1].cols[3]; first.Dict == nil || first.Dict == last.Dict {
-			t.Fatal("fixture: the append should leave r.s under two dictionaries")
-		}
-		empty := NewBuilder("r", schema).Build(1)
-		one := load(1, "a")
-		for _, tbl := range []*Table{base, grown, grown.Repartition(0), one, empty} {
+		r, tables := statsFixtures(t, seed)
+		for _, tbl := range tables {
 			where := fmt.Sprintf("seed %d, %d rows in %d partitions", seed, tbl.NumRows(), tbl.Partitions())
 			if got, want := tbl.Stats(), statsOracle(tbl); !sameStats(got, want) {
 				t.Fatalf("%s: Stats %+v, oracle %+v", where, got.Columns, want.Columns)
@@ -154,10 +166,10 @@ func TestStatsMatchTheFrequencyOracle(t *testing.T) {
 				continue
 			}
 			for draw := 0; draw < 8; draw++ {
-				perm := r.Perm(len(schema))[:2+r.Intn(len(schema)-1)]
+				perm := r.Perm(len(statsSchema))[:2+r.Intn(len(statsSchema)-1)]
 				names := make([]string, len(perm))
 				for k, c := range perm {
-					names[k] = schema[c].Name
+					names[k] = statsSchema[c].Name
 				}
 				freq := groupsOracle(tbl, perm)
 				smallest := tbl.NumRows()

@@ -85,8 +85,9 @@ func (p *Partition) rowWidths() []int32 {
 // Table is an immutable columnar table *version*, horizontally divided into
 // fixed-size partitions (the analogue of the paper's Spark/HDFS partitions
 // and of Tuple Bubbles' fixed-size bubbles). Statistics are computed lazily
-// on first access, exactly as the paper's engine computes dataset statistics
-// "on-the-fly during the first access to any table".
+// on first access, as the paper's engine computes dataset statistics
+// "on-the-fly during the first access to any table" — per column and per
+// part, so a version counts only what a plan reads.
 //
 // Data evolution never mutates a Table in place: Append produces a new
 // version carrying a bumped epoch counter, and the Catalog swaps versions
@@ -123,8 +124,9 @@ type Table struct {
 	keyIdxMu sync.Mutex
 	keyIdx   map[string]*lazyColIndexes
 
-	statsOnce sync.Once
-	stats     *TableStats
+	// stats holds each column's statistics, both parts computed on demand
+	// (ColumnGroups, ColumnMoments).
+	stats []lazyColumnStats
 
 	// groups caches GroupCount and MinGroupOf per multi-column set, keyed by
 	// the names (groupShape).
@@ -181,7 +183,8 @@ func checkCols(name string, schema Schema, cols []*Vector) error {
 // every partition shares one dictionary.
 func newTableChunked(name string, schema Schema, cols []*Vector, rows, partRows int) *Table {
 	cols, dicts := codedColumns(cols)
-	t := &Table{Name: name, schema: schema, rows: rows, partRows: partRows, colsView: cols, dicts: dicts}
+	t := &Table{Name: name, schema: schema, rows: rows, partRows: partRows, colsView: cols, dicts: dicts,
+		stats: make([]lazyColumnStats, len(schema))}
 	step := partRows
 	if step <= 0 || step > rows {
 		step = rows
@@ -210,7 +213,8 @@ func newTableChunked(name string, schema Schema, cols []*Vector, rows, partRows 
 // newTableFromParts assembles a table version directly from partitions
 // (used by Append and the codec). Partitions are adopted, not copied.
 func newTableFromParts(name string, schema Schema, parts []*Partition, dicts []*Dict, partRows int, epoch uint64) *Table {
-	t := &Table{Name: name, schema: schema, parts: parts, dicts: dicts, partRows: partRows, epoch: epoch}
+	t := &Table{Name: name, schema: schema, parts: parts, dicts: dicts, partRows: partRows, epoch: epoch,
+		stats: make([]lazyColumnStats, len(schema))}
 	t.offs = make([]int, 0, len(parts)+1)
 	for _, p := range parts {
 		t.offs = append(t.offs, t.rows)
