@@ -154,15 +154,15 @@ bench-trees:
 		echo "bench-trees: $$t: main.calibrate at 0x$$a, ≡ $$(( 0x$$a % 64 )) mod 64"; \
 	done
 
-# Reachability map, not a gate and not part of check: builds tasterbench and
-# the declared benchmark with coverage over every package of the module, runs
-# the determinism reports, a TPC-H warm restart and the four benchmark
-# workloads at smoke scale into one GOCOVERDIR, and prints every function no
-# statement of which ran — outside internal/lint, cmd and benchmark, whose
-# code this traffic is not meant to reach. The benchmark runs from a scratch
+# Reachability map, not part of check (CI gates on reach-check): builds
+# tasterbench and the declared benchmark with coverage over every package of
+# the module, runs the determinism reports, a TPC-H warm restart and the four
+# benchmark workloads at smoke scale into one GOCOVERDIR, and prints every
+# function no statement of which ran — outside internal/lint, cmd and
+# benchmark, whose code this traffic is not meant to reach. The benchmark runs from a scratch
 # directory, so its trace output lands there and nothing under benchmark/ is
 # written. A listed function either leaves or has a reason to stay (see
-# "Reachable only from tests" in docs/ARCHITECTURE.md). A few minutes.
+# "Reachable only from tests" in docs/ARCHITECTURE.md). About 20 s.
 reach:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir -p "$$d/cov" "$$d/run"; \
 	$(GO) build -cover -coverpkg=github.com/tasterdb/taster/... -o "$$d/tasterbench" ./cmd/tasterbench; \
@@ -177,10 +177,11 @@ reach:
 # docs/REACH.txt is reach's list as package.Func names — the package as its
 # path inside the module ("taster" for the root), no line numbers, sorted —
 # so an edit elsewhere in a file does not churn it. reach-list prints it;
-# reach-check regenerates it and diffs it against the checked-in file. Not a
-# gate and not part of check: a function entering or leaving the list says
-# where to look, not that something broke. After a change that moves it:
-# `make -s reach-list > docs/REACH.txt`.
+# reach-check regenerates it and diffs it against the checked-in file. CI
+# gates on reach-check (the list is the same run to run and at GOMAXPROCS=1):
+# a function entering or leaving the list must come with the file's edit,
+# which says where to look. Not part of check, which stays quick. After a
+# change that moves it: `make -s reach-list > docs/REACH.txt`.
 reach-list:
 	@$(MAKE) -s --no-print-directory reach | \
 		awk '{ p = $$1; sub(/^github\.com\/tasterdb\/taster\//, "", p); sub(/[^\/]*\.go:[0-9]+:$$/, "", p); \

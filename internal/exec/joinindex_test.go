@@ -32,7 +32,7 @@ func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64, keep uint
 	}
 	rng.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
 	probe := &storage.Batch{Vecs: []*storage.Vector{wordVec(kv.Typ, words)}}
-	checkProbe(t, storage.NewKeyIndex([]*storage.Vector{kv}, []int{0}), nil, probe, []int{0}, func(row int) []int32 {
+	checkProbe(t, keyIndex(t, []*storage.Vector{kv}, []int{0}), nil, probe, []int{0}, func(row int) []int32 {
 		return ref[storage.FixedWord(probe.Vecs[0], row)]
 	}, rng)
 	checkMasked(t, []*storage.Vector{kv}, []int{0}, keep, probe, rng)
@@ -49,7 +49,7 @@ func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64, keep uint
 func checkMasked(t testing.TB, vecs []*storage.Vector, cols []int, keep uint64, probe *storage.Batch, rng *rand.Rand) {
 	t.Helper()
 	n := vecs[cols[0]].Len()
-	x := storage.NewKeyIndex(vecs, cols)
+	x := keyIndex(t, vecs, cols)
 	mask := x.NewMask()
 	var surv []int32
 	for lo := 0; lo < n; {
@@ -76,7 +76,7 @@ func checkMasked(t testing.TB, vecs []*storage.Vector, cols []int, keep uint64, 
 		sub[c].AppendGather(v, surv)
 	}
 	probe.Sel = nil
-	cx := storage.NewKeyIndex(sub, cols)
+	cx := keyIndex(t, sub, cols)
 	want := make(map[int][]int32)
 	var pos, rows []int32
 	for at := (storage.ProbePos{}); ; {
@@ -89,6 +89,27 @@ func checkMasked(t testing.TB, vecs []*storage.Vector, cols []int, keep uint64, 
 		}
 	}
 	checkProbe(t, x, mask, probe, cols, func(row int) []int32 { return want[row] }, rng)
+}
+
+// keyIndex returns the index a fresh one-partition table over vecs, column
+// i holding vecs[i], builds by its key over cols (Table.KeyIndex).
+func keyIndex(t testing.TB, vecs []*storage.Vector, cols []int) *storage.KeyIndex {
+	t.Helper()
+	return keyTable(t, vecs).KeyIndex(cols)
+}
+
+// keyTable is a one-partition table over vecs: column i holds vecs[i].
+func keyTable(t testing.TB, vecs []*storage.Vector) *storage.Table {
+	t.Helper()
+	schema := make(storage.Schema, len(vecs))
+	for i, v := range vecs {
+		schema[i] = storage.Col{Name: fmt.Sprintf("k.c%d", i), Typ: v.Typ}
+	}
+	tbl, err := storage.NewTable("k", schema, vecs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 // wordVec returns a column of typ holding words as its FixedWords, leaving
@@ -311,7 +332,7 @@ func checkJoinTuples(t testing.TB, b *storage.Batch, cols []int, nBuild int, kee
 		k := tupleKey(build.Vecs, cols, i)
 		ref[k] = append(ref[k], int32(i))
 	}
-	x := storage.NewKeyIndex(build.Vecs, cols)
+	x := keyIndex(t, build.Vecs, cols)
 	if n := x.Keys(); n != len(ref) {
 		t.Fatalf("%d build keys indexed as %d", len(ref), n)
 	}
@@ -511,9 +532,11 @@ func (sh joinIndexShape) mask(x *storage.KeyIndex) storage.KeyMask {
 }
 
 // BenchmarkJoinBuild times a join's build, reporting ns per row: the key
-// index alone over each joinIndexShapes shape (the span pass or the
-// numbering, then the CSR passes), the one a table version builds once per key column set
-// (orders/index, Table.KeyIndex over orders' key), and a whole build side as
+// index alone over each joinIndexShapes shape (the span pass, or the
+// version's numbering, GroupIDs, then the CSR passes), the one a table
+// version builds once per key column set (orders/index, Table.KeyIndex over
+// orders' key) — each on a fresh table version made off the clock — and a
+// whole build side as
 // runBuild runs it on a miss — σ(orders) scanned, filtered and drained into
 // its survivor mask over that index (orders/mask, per source row).
 func BenchmarkJoinBuild(b *testing.B) {
@@ -521,7 +544,10 @@ func BenchmarkJoinBuild(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				storage.NewKeyIndex(sh.keys, sh.cols())
+				b.StopTimer()
+				tbl := keyTable(b, sh.keys)
+				b.StartTimer()
+				tbl.KeyIndex(sh.cols())
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.rows()), "ns/row")
 		})
@@ -539,11 +565,13 @@ func BenchmarkJoinBuild(b *testing.B) {
 	}
 	key := []int{orders.Schema().Index("orders.o_orderkey")}
 	b.Run("orders/index", func(b *testing.B) {
-		vecs := make([]*storage.Vector, len(orders.Schema()))
-		vecs[key[0]] = orders.Column(key[0])
+		keys := []*storage.Vector{orders.Column(key[0])}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			storage.NewKeyIndex(vecs, key)
+			b.StopTimer()
+			tbl := keyTable(b, keys)
+			b.StartTimer()
+			tbl.KeyIndex([]int{0})
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*orders.NumRows()), "ns/row")
 	})
@@ -583,7 +611,7 @@ var benchJoinSink int
 func BenchmarkJoinProbe(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sh := range joinIndexShapes() {
-		x, cols := storage.NewKeyIndex(sh.keys, sh.cols()), sh.cols()
+		x, cols := keyIndex(b, sh.keys, sh.cols()), sh.cols()
 		mask := sh.mask(x)
 		all, sel := sh.probes(rng)
 		for _, run := range []struct {

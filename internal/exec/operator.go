@@ -26,11 +26,11 @@
 // rows' whatever was copied.
 //
 // Samplers are pipelined, with materialization as a byproduct (paper §III).
-// Every join table keys each build row by one word — a one-column int64,
-// float64 or bool key's own bits, any other key's dense id — and finds a
-// word's matches without a Go map (a dense offset array or an
-// open-addressing table behind storage.KeyIndex, through which the
-// sketch-join's per-key table is found too). That index is the build
+// Every join table finds a key's build rows without a Go map or a hash
+// table of its own (storage.KeyIndex, through which the sketch-join's
+// per-key table is found too): a dense Int64 key at its address key − min,
+// any other key by binary search over its version's numbering of the key
+// columns (Table.GroupIDs). That index is the build
 // table version's own, built once per version and key (Table.KeyIndex); a
 // build side copies no row, it marks its filter's survivors in a mask over
 // the index. JoinCache keeps the immutable table and the cost the build

@@ -254,9 +254,10 @@ func keyDicts(tbl *storage.Table) int {
 // NaN payloads and both infinities; a bool column; a string column, coded,
 // uncoded or under two dictionaries, NUL bytes embedded; and multi-column
 // keys mixing types, floats with -0 and two NaN payloads among them — is
-// numbered through the join table's GroupIndex. Its answers must be the
-// oracle's, and so must every cost counter, at workers 1 / 4 / 8 and through
-// a JoinCache's first sight (a miss, admitted) and two hits.
+// found through the build table version's numbering (Table.GroupIDs). Its
+// answers must be the oracle's, and so must every cost counter, at workers
+// 1 / 4 / 8 and through a JoinCache's first sight (a miss, admitted) and two
+// hits.
 func TestJoinKeysMatchOracle(t *testing.T) {
 	strs := []string{"alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta", "iota", "kappa", "lambda", "mu"}
 	nuls := []string{"", "\x00", "a", "a\x00", "a\x00b", "\x00a", "a\x00\x00"}

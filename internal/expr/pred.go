@@ -284,7 +284,8 @@ func DedupCols(cols []string) []string {
 // Selectivity estimates the fraction of rows of tbl satisfying the
 // predicate's terms, assuming independence. Used by the planner's
 // cardinality model. An =, IN or <> term reads its column's distinct count
-// (the column's group part); a range term reads only the column's bounds.
+// (the column's group part); a range term reads only the column's bounds,
+// and takes the 0.3 default when their span is not finite (finiteSpan).
 func Selectivity(p Pred, tbl *storage.Table) float64 {
 	if len(p) == 0 {
 		return 1
@@ -309,7 +310,7 @@ func Selectivity(p Pred, tbl *storage.Table) float64 {
 				sel *= 1 - 1/float64(d)
 			}
 		default: // range term on a numeric column, by its zone-map bounds
-			if mn, mx, ok := tbl.Bounds(i); ok && t.Val.Typ.Numeric() && tbl.Schema()[i].Typ.Numeric() && mx.AsFloat() > mn.AsFloat() {
+			if mn, mx, ok := tbl.Bounds(i); ok && t.Val.Typ.Numeric() && tbl.Schema()[i].Typ.Numeric() && finiteSpan(mn.AsFloat(), mx.AsFloat()) {
 				lo, hi, v := mn.AsFloat(), mx.AsFloat(), t.Val.AsFloat()
 				frac := (v - lo) / (hi - lo)
 				frac = math.Max(0, math.Min(1, frac))
@@ -323,4 +324,12 @@ func Selectivity(p Pred, tbl *storage.Table) float64 {
 		}
 	}
 	return math.Max(sel, 1e-9)
+}
+
+// finiteSpan reports whether a range term may be interpolated between the
+// bounds lo and hi: their span is positive and finite. An infinite bound,
+// or two whose difference overflows, would make the fraction Inf/Inf.
+func finiteSpan(lo, hi float64) bool {
+	span := hi - lo
+	return span > 0 && !math.IsInf(span, 1)
 }

@@ -15,8 +15,10 @@ import (
 // merges into another by translating ids and folding slab into slab. The
 // executor's two sinks and the sketch-join's inline build, the distinct and
 // stratified samplers' strata, the table statistics (Stats, GroupCount,
-// MinGroupOf) and a table version's GroupIDs all count through one, and a
-// KeyIndex that is not dense numbers its keys through one (Lookup).
+// MinGroupOf) and a table version's GroupIDs — which a KeyIndex that is not
+// dense probes — all count through one. It numbers only while it builds
+// (Resolve, Absorb), and a holder reads the result by id or in key order
+// (KeyColumns, KeyOrder); nothing looks a key up in a built index.
 //
 // Words. An int64, float64 or bool column's word is FixedWord's encoding —
 // two's complement, IEEE bits, 0/1 — so -0.0 and every NaN payload are
@@ -104,6 +106,9 @@ const (
 	// groupSlotsMin is the hashed table's first size; it doubles whenever
 	// the groups would fill more than half of it.
 	groupSlotsMin = 64
+	// fibMul is 2^64/φ: multiplying by it and keeping the top bits spreads
+	// consecutive and strided keys evenly over a power-of-two table.
+	fibMul = 0x9E3779B97F4A7C15
 )
 
 // NewGroupIndex indexes the group columns at positions cols of a batch; out
@@ -243,7 +248,7 @@ func (g *GroupIndex) colWords(c int, v *Vector, sel []int32, out []uint64) {
 		g.strs[c].words(v, sel, out)
 		return
 	}
-	fixedWords(v, sel, 0, out)
+	fixedWords(v, sel, out)
 }
 
 // FixedWord encodes row i of a fixed-width column as one word: two's
@@ -264,12 +269,12 @@ func FixedWord(v *Vector, i int) uint64 {
 }
 
 // fixedWords writes the FixedWord of live rows of a fixed-width column v
-// into out: row sel[j] of v under a selection, row lo+j without one.
-func fixedWords(v *Vector, sel []int32, lo int, out []uint64) {
+// into out: row sel[j] of v under a selection, row j without one.
+func fixedWords(v *Vector, sel []int32, out []uint64) {
 	switch v.Typ {
 	case Int64:
 		if sel == nil {
-			for j, x := range v.I64[lo:][:len(out)] {
+			for j, x := range v.I64[:len(out)] {
 				out[j] = uint64(x)
 			}
 		} else {
@@ -279,7 +284,7 @@ func fixedWords(v *Vector, sel []int32, lo int, out []uint64) {
 		}
 	case Float64:
 		if sel == nil {
-			for j, x := range v.F64[lo:][:len(out)] {
+			for j, x := range v.F64[:len(out)] {
 				out[j] = math.Float64bits(x)
 			}
 		} else {
@@ -290,86 +295,12 @@ func fixedWords(v *Vector, sel []int32, lo int, out []uint64) {
 	case Bool:
 		if sel == nil {
 			for j := range out {
-				out[j] = FixedWord(v, lo+j)
+				out[j] = FixedWord(v, j)
 			}
 		} else {
 			for j, i := range sel {
 				out[j] = FixedWord(v, int(i))
 			}
-		}
-	}
-}
-
-// Lookup returns the id of the key of every live row lo..hi−1 of b over
-// cols — columns typed as g's own — in live-row order, or −1 for a key g
-// never opened. g must be frozen (freeze) and resolve nothing more: Lookup
-// opens nothing and writes only sc, so any number of goroutines may look up
-// in one index at once. A string's word comes from the value map freeze
-// completed, not from strCodes' lazy translations. The ids are sc's memory.
-func (g *GroupIndex) Lookup(b *Batch, cols []int, lo, hi int, sc *ResolveScratch) []int32 {
-	n, sel := hi-lo, b.Sel
-	if sel != nil {
-		sel = sel[lo:hi]
-	}
-	words := sc.words[:n*len(cols)]
-	for c, col := range cols {
-		if v := b.Vecs[col]; v.Typ == String {
-			g.strs[c].lookup(v, sel, lo, words[c*n:(c+1)*n])
-		} else {
-			fixedWords(v, sel, lo, words[c*n:(c+1)*n])
-		}
-	}
-	ids := sc.ids[:n]
-	for j := range ids {
-		ids[j] = g.find(words, n, j)
-	}
-	return ids
-}
-
-// find returns the id of live row j's tuple in the column-major words of n
-// rows, or −1 when g never opened it. It writes nothing.
-func (g *GroupIndex) find(words []uint64, n, j int) int32 {
-	nc := len(g.cols)
-	if g.dense != nil {
-		var at uint64
-		for c := 0; c < nc; c++ {
-			w := words[c*n+j]
-			if w>>g.denseBits != 0 {
-				return -1
-			}
-			at |= w << (uint(c) * g.denseBits)
-		}
-		return g.dense[at] - 1
-	}
-	if len(g.slots) == 0 {
-		return -1
-	}
-	h := words[j] * fibMul // hashWords, over the column-major row
-	for c := 1; c < nc; c++ {
-		h = (h ^ words[c*n+j]) * fibMul
-	}
-	mask := uint64(len(g.slots) - 1)
-	for s := h >> g.shift; ; s = (s + 1) & mask {
-		id := int(g.slots[s]) - 1
-		if id < 0 {
-			return -1
-		}
-		c := 0
-		for c < nc && g.keys[id*nc+c] == words[c*n+j] {
-			c++
-		}
-		if c == nc {
-			return int32(id)
-		}
-	}
-}
-
-// freeze readies a fully built index for Lookup: every string column's
-// values go into its value map (mix).
-func (g *GroupIndex) freeze() {
-	for c, col := range g.out {
-		if col.Typ == String && !g.strs[c].mixed {
-			g.strs[c].mix()
 		}
 	}
 }
@@ -684,22 +615,5 @@ func (s *strCodes) mix() {
 	}
 	for lc, x := range s.vals {
 		s.byVal[x] = int32(lc)
-	}
-}
-
-// lookup writes the local code of live rows of v into out — row sel[j] under
-// a selection, row lo+j without one — and a word no code equals for a value
-// never seen. It reads byVal alone, which freeze completed.
-func (s *strCodes) lookup(v *Vector, sel []int32, lo int, out []uint64) {
-	for j := range out {
-		i := lo + j
-		if sel != nil {
-			i = int(sel[j])
-		}
-		if lc, ok := s.byVal[v.Str[i]]; ok {
-			out[j] = uint64(lc)
-		} else {
-			out[j] = math.MaxUint64
-		}
 	}
 }

@@ -1,36 +1,41 @@
 package storage
 
-import "slices"
+import (
+	"slices"
+	"sort"
+)
 
-// KeyIndex finds rows by key. It is built once over the key columns of a set
-// of rows and returns, for any key, the ascending rows that carry it, through
-// one of three layouts. A key that is one Int64 column over a short span
-// (DenseSpan) is dense, found by its position key − min: when every key
-// turns out to have one row — a dimension's primary key, a sketch-join
-// payload — that position indexes rowOf, the key's row or −1 (unique dense);
-// otherwise it indexes an offset array behind which the key's rows sit as
-// one contiguous run of matchRows (dense runs). Every other key is
-// numbered: a GroupIndex over the key columns gives each distinct key an id,
-// first-seen in row order, and id's run sits behind an offset array indexed
-// by id. The build is serial, so the index is the same whatever runs beside
-// it; once built it is immutable and safe for concurrent probes. A join's
-// build side and a sketch-join's per-key table are both found through one, a
-// probe batch at a time (Probe). A join's index is its table version's own
-// (Table.KeyIndex), and the rows a query's build side keeps are a KeyMask
-// over it.
+// KeyIndex finds rows by key. It is built once over the key columns of a
+// table version (Table.KeyIndex) and returns, for any key, the ascending rows
+// that carry it, through one of three layouts, and it finds a key in one of
+// two ways: by address or by its version's numbering. A key that is one Int64
+// column over a short span (DenseSpan) is dense, found by its position
+// key − min: when every key turns out to have one row — a dimension's primary
+// key, a sketch-join payload — that position indexes rowOf, the key's row or
+// −1 (unique dense); otherwise it indexes an offset array behind which the
+// key's rows sit as one contiguous run of matchRows (dense runs). Every other
+// key is numbered: the version's own GroupIDs over the key columns gives each
+// distinct key an id in key order, a probe finds a key's id by binary search
+// over the numbering's keys, and id's run sits behind an offset array indexed
+// by id. There is no hash table of its own. The build is serial, so the index
+// is the same whatever runs beside it; once built it is immutable and safe
+// for concurrent probes. A join's build side and a sketch-join's per-key
+// table are both found through one, a probe batch at a time (Probe), and the
+// rows a query's build side keeps are a KeyMask over it.
 //
 //taster:immutable
 type KeyIndex struct {
 	// key is the indexed column of a dense index (nil for a numbered one):
-	// Mark reads a row's key from it. It is the caller's vector, not a copy.
+	// Mark reads a row's key from it. It is the version's column, not a copy.
 	key *Vector
 	// min is a dense index's smallest key as a word: a key's position is
 	// its word − min, which wraps a key below min to a position past every
 	// bound (DenseSpan).
 	min uint64
-	// groups numbers a numbered index's keys (nil for a dense one). It is
-	// only ever looked up in once built (GroupIndex.Lookup).
-	groups *GroupIndex
+	// ids is a numbered index's numbering, its version's GroupIDs over the
+	// key columns (nil for a dense one): row i's key has id ids.ID.I64[i],
+	// and id g's key is row g of the key-ordered ids.Keys.
+	ids *GroupIDs
 
 	// rowOf is a unique dense index's only array: position k's row, or −1
 	// when no row carries the key (nil for the other two layouts).
@@ -53,24 +58,25 @@ const (
 	// table: zeroing a 256 KB array once costs less than hashing every probe
 	// row (BenchmarkJoinProbe, dense150k vs sparse150k).
 	denseSpanFloor = 1 << 16
-	// fibMul is 2^64/φ: multiplying by it and keeping the top bits spreads
-	// consecutive and strided keys evenly over a power-of-two table.
-	fibMul = 0x9E3779B97F4A7C15
 )
 
-// NewKeyIndex indexes every row of vecs by its key over cols: dense when the
-// key is one Int64 column whose span DenseSpan admits for its rows —
-// unique or in runs, as the rows turn out — numbered otherwise.
-func NewKeyIndex(vecs []*Vector, cols []int) *KeyIndex {
+// newKeyIndex indexes every row of t by its key over the columns at
+// positions cols: dense when the key is one Int64 column whose span
+// DenseSpan admits for its rows — unique or in runs, as the rows turn out —
+// and otherwise numbered by t's own GroupIDs, whose ids are laid out in
+// runs.
+func newKeyIndex(t *Table, cols []int) *KeyIndex {
 	x := &KeyIndex{}
-	if kv := vecs[cols[0]]; len(cols) == 1 && kv.Typ == Int64 {
+	if len(cols) == 1 && t.schema[cols[0]].Typ == Int64 {
+		kv := t.Column(cols[0])
 		if min, nk, ok := denseSpan(kv.I64); ok {
 			x.key = kv
 			x.buildDenseIndex(kv.I64, min, nk)
 			return x
 		}
 	}
-	x.buildNumberedIndex(vecs, cols)
+	x.ids = t.GroupIDs(cols)
+	x.buildRuns(x.ids.ID.I64, x.ids.Len())
 	return x
 }
 
@@ -120,40 +126,14 @@ func (x *KeyIndex) buildDenseIndex(keys []int64, min uint64, nk int) {
 			rowOf[p] = int32(i)
 			continue
 		}
-		pos := make([]int32, len(keys))
+		pos := make([]int64, len(keys))
 		for i, k := range keys {
-			pos[i] = int32(uint64(k) - min)
+			pos[i] = int64(uint64(k) - min)
 		}
 		x.buildRuns(pos, nk)
 		return
 	}
 	x.rowOf, x.keys = rowOf, len(keys)
-}
-
-// buildNumberedIndex numbers every row's key through a GroupIndex, a
-// BatchSize slice of rows at a time as Table.resolveGroups does, and lays the
-// runs out in id order.
-func (x *KeyIndex) buildNumberedIndex(vecs []*Vector, cols []int) {
-	at, out := make([]int, len(cols)), make(Schema, len(cols))
-	for k, c := range cols {
-		at[k], out[k].Typ = k, vecs[c].Typ
-	}
-	g := NewGroupIndex(at, out)
-	n := vecs[cols[0]].Len()
-	ids := make([]int32, n)
-	b := &Batch{Vecs: make([]*Vector, len(cols))}
-	for lo := 0; lo < n; lo += BatchSize {
-		hi := min(lo+BatchSize, n)
-		for k, c := range cols {
-			b.Vecs[k] = vecs[c].Slice(lo, hi)
-		}
-		sc := BorrowScratch(hi-lo, len(cols))
-		copy(ids[lo:], g.Resolve(b, sc))
-		ReturnScratch(sc)
-	}
-	g.freeze()
-	x.groups = &g
-	x.buildRuns(ids, g.Len())
 }
 
 // buildRuns lays out the runs of rows whose keys have positions pos, each
@@ -162,7 +142,7 @@ func (x *KeyIndex) buildNumberedIndex(vecs []*Vector, cols []int) {
 // leaving offs[k+1] at the start of k's run; the fill goes through
 // offs[k+1], which walks it to the end of k's run — the start of k+1's — so
 // the array finishes as the exclusive offsets with no cursor copy.
-func (x *KeyIndex) buildRuns(pos []int32, nk int) {
+func (x *KeyIndex) buildRuns(pos []int64, nk int) {
 	offs := make([]int32, nk+2)
 	for _, k := range pos {
 		if offs[k+2] == 0 {
@@ -194,8 +174,7 @@ func (m KeyMask) has(i uint64) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 func (m KeyMask) set(i uint64) { m[i>>6] |= 1 << (i & 63) }
 
 // byKey reports whether a mask over x has a bit per key position rather than
-// per row: under a unique dense index. A numbered key's ids are first-seen
-// row order, so under a unique one an id is its row anyway.
+// per row: under a unique dense index.
 func (x *KeyIndex) byKey() bool { return x.rowOf != nil }
 
 // NewMask returns an empty mask over x's rows: as many bits as the dense
@@ -251,10 +230,10 @@ type ProbePos struct{ Row, Done int }
 // a unique dense index, every join of the generated workloads, one per mask
 // shape (probeUnique, probeUniqueMasked); dense runs one unmasked and one
 // under a mask by row (probeDense, probeDenseMasked); a numbered index one
-// over ids (probeNumbered).
+// that searches its numbering (probeSearch).
 func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	if x.key == nil {
-		return x.probeNumbered(b, cols, mask, at, room, pos, rows)
+		return x.probeSearch(b, cols, mask, at, room, pos, rows)
 	}
 	keys := b.Vecs[cols[0]].I64
 	switch {
@@ -386,29 +365,37 @@ func (x *KeyIndex) probeDenseMasked(keys []int64, sel []int32, live int, byRow K
 	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
-// probeNumbered is Probe's loop over a numbered index, under a mask by row
-// or none: the live rows' ids come from the numbering a BatchSize window at
-// a time (GroupIndex.Lookup, −1 for a key no indexed row carries), and id's
-// run is matchRows[offs[id]:offs[id+1]]. The window starts at the resume
-// row, so a probe resumed mid-batch looks up no row twice.
-func (x *KeyIndex) probeNumbered(b *Batch, cols []int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+// probeSearch is Probe's loop over a numbered index, under a mask by row
+// or none: a live row's id is its key's row in the numbering's key-ordered
+// Keys, found by binary search under compareKeyRows — the order and the
+// equality the numbering was built by, floats by their IEEE bits and strings
+// by value — and id's run is matchRows[offs[id]:offs[id+1]]. A key no
+// indexed row carries is not found and matches nothing.
+func (x *KeyIndex) probeSearch(b *Batch, cols []int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
-	sc := BorrowScratch(BatchSize, len(cols))
-	defer ReturnScratch(sc)
+	var buf [4]*Vector // up to four key columns stay on the stack
+	probe := buf[:0]
+	for _, c := range cols {
+		probe = append(probe, b.Vecs[c])
+	}
+	keys, n := x.ids.Keys, x.ids.Len()
 	live, done := b.Rows(), at.Done
-	for lo := at.Row; lo < live; lo += BatchSize {
-		for k, id := range x.groups.Lookup(b, cols, lo, min(lo+BatchSize, live), sc) {
-			if id < 0 {
-				continue
-			}
-			start := int(x.offs[id])
-			var full bool
-			if o, at, full = x.fillMasked(pos, rows, byRow, o, lo+k, start, start+done, int(x.offs[id+1])); full {
-				return pos, rows, at
-			}
-			done = 0
+	for j := at.Row; j < live; j++ {
+		i := j
+		if b.Sel != nil {
+			i = int(b.Sel[j])
 		}
+		id := sort.Search(n, func(g int) bool { return compareKeyRows(keys, g, probe, i) >= 0 })
+		if id == n || compareKeyRows(keys, id, probe, i) != 0 {
+			continue
+		}
+		start := int(x.offs[id])
+		var full bool
+		if o, at, full = x.fillMasked(pos, rows, byRow, o, j, start, start+done, int(x.offs[id+1])); full {
+			return pos, rows, at
+		}
+		done = 0
 	}
 	return pos[:o], rows[:o], ProbePos{Row: live}
 }
@@ -455,14 +442,14 @@ func (x *KeyIndex) fillMasked(pos, rows []int32, byRow KeyMask, o, j, start, lo,
 func (x *KeyIndex) Keys() int { return x.keys }
 
 // Bytes estimates the index's resident size: its arrays — rowOf, or
-// matchRows and offs — and a numbered index's tuples and tables plus, per
-// string value, the value and its map entry.
+// matchRows and offs — and a numbered index's GroupIDs, 8 bytes a row plus
+// the key columns.
 func (x *KeyIndex) Bytes() int64 {
 	n := int64(len(x.rowOf)+len(x.matchRows)+len(x.offs)) * 4
-	if g := x.groups; g != nil {
-		n += int64(len(g.keys))*8 + int64(len(g.slots)+len(g.dense))*4
-		for c := range g.strs {
-			n += int64(len(g.strs[c].vals)) * 64
+	if g := x.ids; g != nil {
+		n += g.ID.Bytes()
+		for _, k := range g.Keys {
+			n += k.Bytes()
 		}
 	}
 	return n

@@ -115,7 +115,8 @@ func TestPlanCountsOnlyWhatItReads(t *testing.T) {
 }
 
 // statsSelectivity is expr.Selectivity as it read a whole-version Stats:
-// the reference that reading range bounds from zone maps must equal.
+// the reference that reading range bounds from zone maps must equal. A range
+// term interpolates only over a positive, finite span of the bounds.
 func statsSelectivity(p expr.Pred, tbl *storage.Table) float64 {
 	if len(p) == 0 {
 		return 1
@@ -142,7 +143,7 @@ func statsSelectivity(p expr.Pred, tbl *storage.Table) float64 {
 				sel *= 1 - 1/float64(cs.Distinct)
 			}
 		default:
-			if t.Val.Typ.Numeric() && cs.Max > cs.Min {
+			if span := cs.Max - cs.Min; t.Val.Typ.Numeric() && span > 0 && !math.IsInf(span, 1) {
 				v := t.Val.AsFloat()
 				frac := (v - cs.Min) / (cs.Max - cs.Min)
 				frac = math.Max(0, math.Min(1, frac))
@@ -220,5 +221,13 @@ func TestSelectivityFromZoneBoundsMatchesStats(t *testing.T) {
 			}
 			t.Fatalf("draw %d, partitions of %s rows, %v: Selectivity %v, from Stats %v", draw, strings.Join(shape, "/"), pred, got, want)
 		}
+	}
+
+	// A column holding both infinities has an infinite span: a range term
+	// over it takes the default, not Inf/Inf.
+	inf := storage.TableOfParts("t", schema[1:2], []*storage.Vector{{Typ: storage.Float64, F64: []float64{math.Inf(-1), 0.5, math.Inf(1)}}})
+	pred := expr.Pred{{Col: "t.f", Op: expr.GT, Val: storage.IntValue(9)}}
+	if sel := expr.Selectivity(pred, inf); math.IsNaN(sel) || sel < 1e-9 || sel > 1 {
+		t.Fatalf("t.f > 9 over a column holding -Inf and +Inf: Selectivity %v, want a finite fraction in [1e-9, 1]", sel)
 	}
 }

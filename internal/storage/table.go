@@ -460,21 +460,16 @@ func (t *Table) colIndexes(cols []int) *lazyColIndexes {
 }
 
 // KeyIndex returns the index over every row of this version by its key over
-// the columns at positions cols (NewKeyIndex over the whole columns, Column),
-// built on first use and cached per column set: a version's rows never
-// change, so every join whose build side reads it probes the one index, and
-// a query's build side is a KeyMask over it. An appended version builds its
-// own; an old version keeps its index as long as something holds the old
-// version.
+// the columns at positions cols (newKeyIndex), built on first use and cached
+// per column set: a version's rows never change, so every join whose build
+// side reads it probes the one index, and a query's build side is a KeyMask
+// over it. A key that is not dense is found through the set's GroupIDs, the
+// one numbering of the set that the version holds. An appended version builds
+// its own index, its numbering extended from the old version's; an old
+// version keeps its index as long as something holds the old version.
 func (t *Table) KeyIndex(cols []int) *KeyIndex {
 	e := t.colIndexes(cols)
-	e.keyOnce.Do(func() {
-		vecs := make([]*Vector, len(t.schema))
-		for _, c := range cols {
-			vecs[c] = t.Column(c)
-		}
-		e.key = NewKeyIndex(vecs, cols)
-	})
+	e.keyOnce.Do(func() { e.key = newKeyIndex(t, cols) })
 	return e.key
 }
 

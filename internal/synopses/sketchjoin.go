@@ -19,13 +19,14 @@ const (
 // values. At query time it is probed like the hash side of a hash join: a
 // probe batch's keys find their rows through a storage.KeyIndex, built when
 // the table is built or decoded and never per query, and yields the exact
-// COUNT and SUM contribution of every matching build row. Its keys are
+// COUNT and SUM contribution of every matching build row. The index is the
+// payload table's own (Table.KeyIndex over its key columns). Its keys are
 // distinct, so the index is unique: over one Int64 key column of a short
 // span — the surrogate foreign keys every generated sketch-join carries —
 // it is one row per key position (key − min), probed with one load per row;
-// any other key is numbered through a GroupIndex. Per key it holds the key
-// and 8 or 16 bytes, which keeps the paper's "ideal for
-// materialization and re-use" footprint.
+// any other key is found by binary search over the payload's own numbering
+// of its keys (Table.GroupIDs). Per key it holds the key and 8 or 16 bytes,
+// which keeps the paper's "ideal for materialization and re-use" footprint.
 type SketchJoin struct {
 	// Rows holds one row per distinct key, in first-seen build-row order:
 	// the key columns (KeySchema), then CountCol and, when the build had a
@@ -61,11 +62,11 @@ func NewSketchJoin(rows *storage.Table, aggCol string) (*SketchJoin, error) {
 	if len(tail) == 2 {
 		sj.sums = rows.Column(nk + 1).F64
 	}
-	cols, keyIdx := make([]*storage.Vector, nk), make([]int, nk)
-	for c := range cols {
-		cols[c], keyIdx[c] = rows.Column(c), c
+	keyIdx := make([]int, nk)
+	for c := range keyIdx {
+		keyIdx[c] = c
 	}
-	sj.index = storage.NewKeyIndex(cols, keyIdx)
+	sj.index = rows.KeyIndex(keyIdx)
 	if k := sj.index.Keys(); k != rows.NumRows() {
 		return nil, fmt.Errorf("synopses: sketch-join payload holds %d rows for %d distinct keys", rows.NumRows(), k)
 	}
