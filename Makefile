@@ -207,9 +207,10 @@ race-all:
 test-race: race
 
 # Ten-second smoke runs of the coverage-guided fuzz targets: the
-# persistence decoders (arbitrary bytes must never panic), the executor's
-# per-morsel sample merge (associativity and the SourceRows overflow guard
-# over parts drawn by the live samplers), the join key index (a batch
+# persistence decoders (arbitrary bytes must never panic), the one sample
+# constructor (a sample gathered from random tables, appended partitions and
+# drawn rows equals the row-at-a-time reference, keeps exactly the string
+# codes a batch-by-batch copy kept, and round-trips), the join key index (a batch
 # probe's pairs, under any selection and resumed at any chunk room, equal a
 # Go map's for any key words), the sketch-join's inline payload (numbered by
 # key − min or through a GroupIndex, the same bytes and the same (count, sum)
@@ -225,7 +226,7 @@ test-race: race
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzDecodeExpr$$' -fuzztime 10s ./internal/persist
-	$(GO) test -run NONE -fuzz 'FuzzMergeSamples$$' -fuzztime 10s ./internal/synopses
+	$(GO) test -run NONE -fuzz 'FuzzGatherSample$$' -fuzztime 10s ./internal/synopses
 	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzSketchPayload$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzQuery$$' -fuzztime 10s ./internal/exec

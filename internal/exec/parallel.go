@@ -246,10 +246,10 @@ type PipelineOp struct {
 // columns, a Join's left keys, a sampler's stratification columns. Needs only
 // grow going down, so one top-down pass appends them to a single list and
 // remembers, per chain node, how much of the list was there before the node
-// added its own. A sampler whose output is materialized needs every column of
-// its input — the stored sample is the whole row — and a sampler sits only
-// directly on the leaf, so the leaf then keeps every column. Names bind
-// through Schema.Index at every level, exactly as the operators bind them; a
+// added its own. A sampler whose output is materialized reads no column for
+// it: it records the drawn rows' table positions, and the stored sample's
+// whole rows are gathered from the leaf's table version after the run. Names
+// bind through Schema.Index at every level, exactly as the operators bind them; a
 // name that matches nothing at a level keeps nothing there. What a dropped
 // column would have cost to exchange is not lost: every batch carries its
 // rows' full widths (storage.Batch.Width). Folding by a numbering, the sink
@@ -282,11 +282,7 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 	}
 
 	// Resolve the physical schema along the spine, bottom-up.
-	leafNeed := names
-	if _, ok := ctx.MaterializeSamples[pipe.sampler]; ok {
-		leafNeed = nil // a materializing leaf sampler keeps every leaf column
-	}
-	pipe.leafCols = neededCols(pipe.leaf.Schema(), leafNeed)
+	pipe.leafCols = neededCols(pipe.leaf.Schema(), names)
 	pipe.leafSchema = projectSchema(pipe.leaf.Schema(), pipe.leafCols)
 	if src != nil && src.at < 0 {
 		pipe.leafIDs = src.ids.ID
@@ -327,7 +323,7 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 	}
 	// Validate the sampler eagerly (its strat columns) by building a
 	// throwaway morsel pipeline over zero rows.
-	if _, err := buildMorselChain(pipe, joins, make([]expr.Scratch, len(pipe.filters)), 0, 1, seed, NewContext(ctx.Confidence)); err != nil {
+	if _, err := buildMorselChain(pipe, joins, make([]expr.Scratch, len(pipe.filters)), nil, 0, 1, seed, NewContext(ctx.Confidence)); err != nil {
 		return nil, err
 	}
 	return &PipelineOp{pipe: pipe, joins: joins, sink: snk, seed: seed, ctx: ctx}, nil
@@ -452,8 +448,7 @@ func projectSchema(s storage.Schema, cols []int) storage.Schema {
 }
 
 // morselResult is what one morsel leaves after its partial has gone to the
-// merge: its local cost counters, with any per-morsel materialized sample
-// parts, or its error.
+// merge: its local cost counters, or its error.
 type morselResult struct {
 	stats RunStats
 	err   error
@@ -599,11 +594,16 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 	keep := p.pipe.open(p.ctx)
 
 	// Partials merge in morsel index order (mergeQueue) and the counters and
-	// sample parts are summed and concatenated in it below: float
+	// drawn rows are summed and concatenated in it below: float
 	// accumulation and sample concatenation stay bit-reproducible across
-	// worker counts.
+	// worker counts. sampled keeps each morsel's sampler when the run keeps
+	// its sample.
 	merges := newMergeQueue(p.sink, nMorsels)
 	results := make([]morselResult, nMorsels)
+	var sampled []*SamplerOp
+	if materializes {
+		sampled = make([]*SamplerOp, nMorsels)
+	}
 	var next int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -613,15 +613,25 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 			// The worker's kernel scratch, one per chain filter: selection
 			// buffers and the coded string leaves' truth tables — keyed by
 			// leaf and dictionary, neither of which changes within a run —
-			// survive morsel boundaries.
+			// survive morsel boundaries. So does its strata numbering: a
+			// distinct sampler's index of stratum keys serves every morsel
+			// the worker claims.
 			scratch := make([]expr.Scratch, len(p.pipe.filters))
+			var strata *synopses.Strata
+			if p.pipe.sampler != nil {
+				strata = &synopses.Strata{}
+			}
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= nMorsels {
 					return
 				}
 				part := merges.take()
-				results[i] = p.runMorsel(i, nMorsels, morselRows, keep, scratch, part)
+				var smp *SamplerOp
+				results[i], smp = p.runMorsel(i, nMorsels, morselRows, keep, scratch, strata, part)
+				if sampled != nil {
+					sampled[i] = smp
+				}
 				if results[i].err == nil {
 					merges.finish(i, part)
 				}
@@ -630,7 +640,6 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 	}
 	wg.Wait()
 
-	var parts []*synopses.Sample
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
@@ -638,26 +647,48 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 		}
 		p.ctx.Stats.CPUTuples += r.stats.CPUTuples
 		p.ctx.Stats.ShuffleBytes += r.stats.ShuffleBytes
-		for _, bs := range r.stats.BuiltSamples {
-			parts = append(parts, bs.Sample)
-		}
 	}
-
-	if p.pipe.sampler != nil && len(parts) > 0 {
-		name := p.ctx.MaterializeSamples[p.pipe.sampler]
-		merged, err := synopses.MergeSamples(name, parts)
+	if materializes {
+		sample, err := p.gatherSample(p.ctx.MaterializeSamples[p.pipe.sampler], sampled)
 		if err != nil {
 			return nil, err
 		}
-		// The merged sample carries the node's logical configuration, not
-		// the per-morsel δ' each instance ran with.
-		merged.Delta = p.pipe.sampler.Delta
-		merged.Seed = p.seed
 		p.ctx.Stats.BuiltSamples = append(p.ctx.Stats.BuiltSamples,
-			BuiltSample{Op: p.pipe.sampler, Sample: merged})
+			BuiltSample{Op: p.pipe.sampler, Sample: sample})
 	}
 
 	return p.emit(merges.global), nil
+}
+
+// gatherSample builds the run's stored sample: the morsels' drawn rows,
+// concatenated in morsel index order — ascending table rows, in arrays
+// allocated once at their total length — gathered once from the leaf's
+// table version (synopses.GatherSample) into one partition. The span the
+// gather checks string codes over ends where the last morsel that drew a
+// row was offered its last batch. The sample carries the node's logical
+// configuration, not the per-morsel δ' each instance ran with.
+func (p *PipelineOp) gatherSample(name string, sampled []*SamplerOp) (*synopses.Sample, error) {
+	n := 0
+	for _, s := range sampled {
+		n += len(s.drawn.Rows)
+	}
+	all := synopses.Drawn{Rows: make([]int32, 0, n), Weights: make([]float64, 0, n)}
+	for _, s := range sampled {
+		all.Rows = append(all.Rows, s.drawn.Rows...)
+		all.Weights = append(all.Weights, s.drawn.Weights...)
+		all.Offered += s.drawn.Offered
+		if len(s.drawn.Rows) > 0 {
+			all.Through = s.drawn.Through
+		}
+	}
+	sample, err := synopses.GatherSample(name, p.pipe.leaf, sampled[0].sampler, all, 1)
+	if err != nil {
+		return nil, err
+	}
+	sample.Delta = p.pipe.sampler.Delta
+	sample.Seed = p.seed
+	sample.StratCols = append([]string(nil), p.pipe.sampler.StratCols...)
+	return sample, nil
 }
 
 // emit renders the run's merged sink state as the operator's output.
@@ -679,9 +710,11 @@ func (p *PipelineOp) Schema() storage.Schema { return p.sink.outSchema() }
 func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 
 // runMorsel executes the pipeline over morsel i, folding it into part (empty)
-// with the worker's filter scratch and otherwise morsel-local state. keep is
-// the zone-prune survivor mask (nil = scan everything).
-func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool, scratch []expr.Scratch, part partial) morselResult {
+// with the worker's filter scratch and strata numbering and otherwise
+// morsel-local state, and returns the morsel's sampler, if any, with the
+// rows it drew. keep is the zone-prune survivor mask (nil = scan
+// everything).
+func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool, scratch []expr.Scratch, strata *synopses.Strata, part partial) (morselResult, *SamplerOp) {
 	mctx := &Context{
 		Confidence:         p.ctx.Confidence,
 		Stats:              &RunStats{},
@@ -689,22 +722,22 @@ func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool, scratch
 		Pool:               p.ctx.Pool, // sync.Pool-backed: safe across workers
 		Obs:                p.ctx.Obs,  // atomic counters: safe across workers
 	}
-	root, err := buildMorselChain(p.pipe, p.joins, scratch, i, nMorsels, p.seed, mctx)
+	root, err := buildMorselChain(p.pipe, p.joins, scratch, strata, i, nMorsels, p.seed, mctx)
 	if err != nil {
-		return morselResult{err: err}
+		return morselResult{err: err}, nil
 	}
 	lo := i * morselRows
 	hi := lo + morselRows
 	root.src.batches = p.pipe.read(lo, hi, keep)
 
 	if err := root.op.Open(); err != nil {
-		return morselResult{err: err}
+		return morselResult{err: err}, nil
 	}
 	defer root.op.Close()
 	for {
 		b, err := root.op.Next()
 		if err != nil {
-			return morselResult{err: err}
+			return morselResult{err: err}, nil
 		}
 		if b == nil {
 			break
@@ -712,24 +745,28 @@ func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool, scratch
 		part.fold(b, mctx)
 		mctx.Pool.Release(b)
 	}
-	return morselResult{stats: *mctx.Stats}
+	return morselResult{stats: *mctx.Stats}, root.sampler
 }
 
 // morselChain couples the top operator of a per-morsel pipeline with its
-// leaf, so the caller can install the morsel's batches before running.
+// leaf, so the caller can install the morsel's batches before running, and
+// with its sampler, whose drawn rows the caller collects after.
 type morselChain struct {
-	op  Operator
-	src *morselScan
+	op      Operator
+	src     *morselScan
+	sampler *SamplerOp
 }
 
 // buildMorselChain instantiates the pipeline's operator chain for one morsel:
 // a morsel-local scan, then per-node Filter/Sampler/probe operators. Filters
 // run the pipeline's compiled programs over scratch, the worker's, one per
 // chain filter. Sampler
-// instances get the morsel's split seed and partitioned δ; probe operators
-// share the join states' built join tables.
-func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, scratch []expr.Scratch, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
+// instances get the morsel's split seed and partitioned δ, and number strata
+// through strata, the worker's; probe operators share the join states' built
+// join tables.
+func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, scratch []expr.Scratch, strata *synopses.Strata, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
 	src := &morselScan{schema: pipe.leafSchema, ctx: mctx}
+	chain := &morselChain{src: src}
 	var cur Operator = src
 	ji, fi := 0, 0
 	for _, n := range pipe.chain {
@@ -742,14 +779,15 @@ func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, scratch []expr
 			ji++
 		case *plan.SynopsisOp:
 			delta := synopses.PartitionDelta(t.Delta, nMorsels)
-			op, err := newSamplerOp(cur, t, delta, synopses.SplitSeed(seed, uint64(morsel)), mctx)
+			op, err := newSamplerOp(cur, t, delta, synopses.SplitSeed(seed, uint64(morsel)), strata, mctx)
 			if err != nil {
 				return nil, err
 			}
-			cur = op
+			cur, chain.sampler = op, op
 		}
 	}
-	return &morselChain{op: cur, src: src}, nil
+	chain.op = cur
+	return chain, nil
 }
 
 // morselProbeOp probes one morsel's stream against a join's shared hash

@@ -11,8 +11,9 @@ import (
 // SamplerOp is the pipelined sampler operator the planner injects below
 // aggregators (paper §IV-A). It forwards passing rows downstream with their
 // HT weight appended, and — when the tuner chose this plan for its reusable
-// synopsis — simultaneously materializes the very same rows into a Sample
-// (the "byproduct of query execution" materialization of paper §III).
+// synopsis — records the very same rows' table positions and weights, from
+// which PipelineOp gathers the Sample once its morsels are done (the
+// "byproduct of query execution" materialization of paper §III).
 type SamplerOp struct {
 	Child Operator
 	Node  *plan.SynopsisOp
@@ -21,18 +22,18 @@ type SamplerOp struct {
 	sampler synopses.Sampler
 	schema  storage.Schema
 
-	matBuilder *synopses.SampleBuilder
-	matCols    []string
+	drawn *synopses.Drawn // the rows drawn for the stored sample; nil: none is kept
 
 	pass []int32 // per-batch scratch: the passing rows' physical indices
 }
 
 // newSamplerOp builds one morsel's instance of the sampler described by the
 // plan node. The instance carries its own δ: the morsel executor passes
-// δ' = PartitionDelta(δ, morsels) (paper §II), not the full requirement. The
-// context's MaterializeSamples map decides whether the output is also
-// materialized.
-func newSamplerOp(child Operator, node *plan.SynopsisOp, delta int, seed uint64, ctx *Context) (*SamplerOp, error) {
+// δ' = PartitionDelta(δ, morsels) (paper §II), not the full requirement. A
+// distinct sampler numbers its strata through strata, the worker's for the
+// whole run (nil: its own). The context's MaterializeSamples map decides
+// whether the drawn rows are also recorded.
+func newSamplerOp(child Operator, node *plan.SynopsisOp, delta int, seed uint64, strata *synopses.Strata, ctx *Context) (*SamplerOp, error) {
 	in := child.Schema()
 	op := &SamplerOp{Child: child, Node: node, ctx: ctx}
 	op.schema = synopses.SampleSchema(in)
@@ -49,20 +50,17 @@ func newSamplerOp(child Operator, node *plan.SynopsisOp, delta int, seed uint64,
 			}
 			idxs = append(idxs, i)
 		}
-		op.sampler = synopses.NewDistinctSampler(node.P, delta, idxs, seed)
+		ds := synopses.NewDistinctSampler(node.P, delta, idxs, seed)
+		if strata != nil {
+			ds.CountIn(strata)
+		}
+		op.sampler = ds
 	default:
 		return nil, fmt.Errorf("exec: sampler: unsupported synopsis kind %s", node.Kind)
 	}
 
-	if name, ok := ctx.MaterializeSamples[node]; ok {
-		// The stored sample is the leaf's rows: a group id column the spine
-		// carries after them (groupSource) is the query's, not the sample's.
-		own := in
-		if n := len(in); n > 0 && in[n-1].Name == groupIDCol {
-			own = in[:n-1]
-		}
-		op.matBuilder = synopses.NewSampleBuilder(name, own)
-		op.matCols = node.StratCols
+	if _, ok := ctx.MaterializeSamples[node]; ok {
+		op.drawn = &synopses.Drawn{}
 	}
 	return op, nil
 }
@@ -79,19 +77,15 @@ func (s *SamplerOp) Open() error { return s.Child.Open() }
 func (s *SamplerOp) Next() (*storage.Batch, error) {
 	for {
 		b, err := s.Child.Next()
-		if err != nil {
+		if err != nil || b == nil {
 			return nil, err
-		}
-		if b == nil {
-			s.finishMaterialization()
-			return nil, nil
 		}
 		n := b.Rows()
 		s.ctx.Stats.CPUTuples += int64(n)
 		out := s.ctx.Pool.GetBatch(s.schema, n/4+1)
 		weights := out.Vecs[len(s.schema)-1]
-		if s.matBuilder != nil {
-			s.pass, weights.F64 = s.matBuilder.Offer(s.sampler, b, s.pass[:0], weights.F64)
+		if s.drawn != nil {
+			s.pass, weights.F64 = s.drawn.Draw(s.sampler, b, s.pass[:0], weights.F64)
 		} else {
 			s.pass, weights.F64 = s.sampler.Decide(b, s.pass[:0], weights.F64)
 		}
@@ -108,21 +102,11 @@ func (s *SamplerOp) Next() (*storage.Batch, error) {
 		for _, i := range pass {
 			out.Width = append(out.Width, b.Width[i]+8)
 		}
-		// Sampling and materialization both copy rows out, so the input batch
-		// can be recycled.
+		// The passing rows are copied out, and a recorded draw holds table
+		// positions, not the batch, so the input batch can be recycled.
 		s.ctx.Pool.Release(b)
 		return out, nil
 	}
-}
-
-func (s *SamplerOp) finishMaterialization() {
-	if s.matBuilder == nil {
-		return
-	}
-	sample := s.matBuilder.Build(s.sampler, 1)
-	sample.StratCols = append([]string(nil), s.matCols...)
-	s.ctx.Stats.BuiltSamples = append(s.ctx.Stats.BuiltSamples, BuiltSample{Op: s.Node, Sample: sample})
-	s.matBuilder = nil
 }
 
 // Close implements Operator.

@@ -27,7 +27,12 @@ func (e estimator) tableEst(t TableRef, filter expr.Pred) scanEst {
 }
 
 // joinEst estimates |L ⋈ R| with the textbook formula
-// |L|·|R| / max(d(Lkey), d(Rkey)), composed over multiple key pairs.
+// |L|·|R| / max(d(Lkey), d(Rkey)), composed over multiple key pairs. The
+// left key's distinct count — a pass over the fact table's key column on a
+// new version — is counted only when it can decide the max: an Int64 key
+// whose zone-map span (max − min + 1) is at most d(Rkey) has at most that
+// many values, so the max is d(Rkey) without it. A foreign key into a
+// dense dimension key spans exactly the dimension's rows.
 func (e estimator) joinEst(q *Query, left scanEst, leftTables []string, right TableRef, rightFiltered scanEst) scanEst {
 	denom := 1.0
 	for _, j := range q.Joins {
@@ -40,14 +45,9 @@ func (e estimator) joinEst(q *Query, left scanEst, leftTables []string, right Ta
 		default:
 			continue
 		}
-		dLeft := 1
-		if ref, ok := q.ref(keyTable); ok {
-			dLeft = ref.Table.DistinctOf(keyCol)
-		}
-		dRight := right.Table.DistinctOf(otherCol)
-		d := dLeft
-		if dRight > d {
-			d = dRight
+		d := right.Table.DistinctOf(otherCol)
+		if ref, ok := q.ref(keyTable); ok && !spanWithin(ref.Table, keyCol, d) {
+			d = max(d, ref.Table.DistinctOf(keyCol))
 		}
 		if d > 1 {
 			denom *= float64(d)
@@ -58,6 +58,19 @@ func (e estimator) joinEst(q *Query, left scanEst, leftTables []string, right Ta
 		rows = 1
 	}
 	return scanEst{rows: rows, width: left.width + rightFiltered.width}
+}
+
+// spanWithin reports whether the Int64 column col of t takes at most n
+// distinct values by its zone-map bounds (Table.Bounds): max − min < n, in
+// unsigned arithmetic so no span overflows. False for any other type, an
+// unknown column and an empty table.
+func spanWithin(t *storage.Table, col string, n int) bool {
+	i := t.Schema().Index(col)
+	if i < 0 || t.Schema()[i].Typ != storage.Int64 {
+		return false
+	}
+	mn, mx, ok := t.Bounds(i)
+	return ok && uint64(mx.I)-uint64(mn.I) < uint64(n)
 }
 
 func contains(xs []string, x string) bool {

@@ -363,67 +363,74 @@ func TestBuilderMixingCopiedAndBareStrings(t *testing.T) {
 	}
 }
 
-// TestConcatTablesSizesOnceAndCarriesCodes: every column ConcatTables
-// returns is allocated at its final length (cap == len), codes carry across
-// parts copied out of one coded table — an empty part in between, coded
-// under its own dictionary, adds nothing and drops nothing — and are dropped
-// across parts coded under different dictionaries, whose concatenation the
-// new table then codes afresh.
-func TestConcatTablesSizesOnceAndCarriesCodes(t *testing.T) {
+// TestGatherSizesOnceAndCarriesCodes: every column Gather returns is
+// allocated at its final length (cap == len) and holds the rows asked for,
+// across partitions; a string column carries its codes while the span from
+// the first gathered row to the span's end lies under one dictionary — the
+// version's first three partitions, before an append brought a new value —
+// and is gathered uncoded, for NewTable to code afresh, once the span
+// reaches the appended tail, even when no gathered row lies there.
+// Malformed gathers are refused.
+func TestGatherSizesOnceAndCarriesCodes(t *testing.T) {
 	schema := Schema{{Name: "t.s", Typ: String}, {Name: "t.i", Typ: Int64}}
 	b := NewBuilder("src", schema)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 9; i++ {
 		b.Str(0, []string{"a", "b", "c"}[i%3])
 		b.Int(1, int64(i))
 	}
-	src := b.Build(1)
-	part := func(rows ...int32) *Table {
-		cols := []*Vector{NewVector(String, 0), NewVector(Int64, 0)}
-		for c, v := range cols {
-			v.AppendGather(src.Column(c), rows)
-		}
-		p, err := NewTable("part", schema, cols, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	src := b.Build(3) // partitions of 3 rows, one dictionary
+	tail := NewBuilder("src", schema)
+	tail.Str(0, "d")
+	tail.Int(1, 9)
+	grown, err := src.Append(tail.Build(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	own := NewBuilder("own", schema)
-	own.Str(0, "c")
-	own.Int(1, 10)
-	ownTable := own.Build(1)
-	sizedOnce := func(where string, tbl *Table) {
+	old, cur := src.Column(0).Dict, grown.dicts[0]
+	if old == nil || cur == nil || old == cur || grown.Partitions() != 4 {
+		t.Fatalf("setup: want 4 partitions, the tail under a new dictionary; got %d, %p then %p", grown.Partitions(), old, cur)
+	}
+	gather := func(where string, rows []int32, through int) []*Vector {
 		t.Helper()
-		s, i := tbl.Column(0), tbl.Column(1)
+		cols, err := grown.Gather(rows, through)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		s, i := cols[0], cols[1]
 		if cap(s.Str) != len(s.Str) || cap(i.I64) != len(i.I64) || s.Dict != nil && cap(s.Code) != len(s.Code) {
 			t.Fatalf("%s: cap/len str %d/%d int %d/%d code %d/%d", where,
 				cap(s.Str), len(s.Str), cap(i.I64), len(i.I64), cap(s.Code), len(s.Code))
 		}
 		checkCoded(t, where, s)
-	}
-	empty := NewBuilder("empty", schema).Build(1)
-	if d := empty.Column(0).Dict; d == nil || d == src.Column(0).Dict {
-		t.Fatal("an empty table should carry a dictionary of its own")
-	}
-
-	shared, err := ConcatTables("shared", []*Table{part(0, 1, 2), empty, part(3, 7, 9)}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizedOnce("shared", shared)
-	if got := shared.Column(0); got.Dict != src.Column(0).Dict ||
-		!reflect.DeepEqual(got.Str, []string{"a", "b", "c", "a", "b", "a"}) ||
-		!reflect.DeepEqual(shared.Column(1).I64, []int64{0, 1, 2, 3, 7, 9}) {
-		t.Fatalf("shared: %v %v under %p, want the source's dictionary %p", got.Str, shared.Column(1).I64, got.Dict, src.Column(0).Dict)
+		want := make([]int64, len(rows))
+		for k, r := range rows {
+			want[k] = int64(r)
+		}
+		if len(rows) > 0 && !reflect.DeepEqual(i.I64, want) {
+			t.Fatalf("%s: gathered %v, want %v", where, i.I64, want)
+		}
+		return cols
 	}
 
-	mixed, err := ConcatTables("mixed", []*Table{part(0, 1), ownTable}, 1)
-	if err != nil {
-		t.Fatal(err)
+	if got := gather("shared", []int32{1, 2, 4, 8}, 9)[0]; got.Dict != old ||
+		!reflect.DeepEqual(got.Str, []string{"b", "c", "b", "c"}) {
+		t.Fatalf("shared: %v under %p, want the first partitions' dictionary %p", got.Str, got.Dict, old)
 	}
-	sizedOnce("mixed", mixed)
-	if got := mixed.Column(0); got.Dict == src.Column(0).Dict || got.Dict == ownTable.Column(0).Dict ||
-		!reflect.DeepEqual(got.Str, []string{"a", "b", "c"}) {
-		t.Fatalf("mixed: %v under %p; its parts' codes should have been dropped", got.Str, got.Dict)
+	if got := gather("offered the tail", []int32{1, 2, 4, 8}, 10)[0]; got.Dict != nil {
+		t.Fatalf("offered the tail: codes kept under %p", got.Dict)
+	}
+	if got := gather("tail", []int32{9}, 10)[0]; got.Dict != cur {
+		t.Fatalf("tail: codes under %p, want the tail's %p", got.Dict, cur)
+	}
+	if got := gather("empty", nil, 0)[0]; got.Dict != nil || got.Str == nil || len(got.Str) != 0 {
+		t.Fatalf("empty: %v under %p", got.Str, got.Dict)
+	}
+	for _, bad := range []struct {
+		rows    []int32
+		through int
+	}{{[]int32{2, 1}, 10}, {[]int32{-1}, 10}, {[]int32{10}, 10}, {[]int32{3}, 3}, {[]int32{3}, 11}} {
+		if _, err := grown.Gather(bad.rows, bad.through); err == nil {
+			t.Fatalf("gather %v through %d accepted", bad.rows, bad.through)
+		}
 	}
 }

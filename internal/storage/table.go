@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -618,10 +620,22 @@ func (t *Table) extendGroups(cols []int, prev *GroupIDs) *GroupIDs {
 }
 
 // compareKeyRows compares row a of the key columns x with row b of the key
-// columns y, column by column under CompareKey.
+// columns y, column by column under CompareKey's order, reading each type's
+// slice directly: no value is boxed.
 func compareKeyRows(x []*Vector, a int, y []*Vector, b int) int {
-	for c := range x {
-		if r := CompareKey(x[c].Get(a), y[c].Get(b)); r != 0 {
+	for c, xc := range x {
+		var r int
+		switch yc := y[c]; xc.Typ {
+		case Int64:
+			r = cmp.Compare(xc.I64[a], yc.I64[b])
+		case Float64:
+			r = cmp.Compare(floatOrder(xc.F64[a]), floatOrder(yc.F64[b]))
+		case String:
+			r = strings.Compare(xc.Str[a], yc.Str[b])
+		default:
+			r = CompareKey(xc.Get(a), yc.Get(b))
+		}
+		if r != 0 {
 			return r
 		}
 	}
@@ -735,58 +749,94 @@ func sliceBatch(schema Schema, part *Partition, cols []int, tableRow, start, end
 	return b
 }
 
-// ConcatTables concatenates same-schema tables in the given order into one
-// table. The morsel-driven executor uses it to merge per-morsel sample
-// materializations deterministically (parts are always passed in morsel
-// index order). Every output column is allocated once, at the parts' total
-// length. A string column keeps its codes when every part that has rows is
-// coded under one dictionary; an empty part adds nothing, so it cannot
-// drop them.
-func ConcatTables(name string, parts []*Table, partitions int) (*Table, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("storage: ConcatTables %s: no parts", name)
-	}
-	schema := parts[0].schema
-	total := 0
-	for _, p := range parts {
-		if len(p.schema) != len(schema) {
-			return nil, fmt.Errorf("storage: ConcatTables %s: ragged part schemas", name)
-		}
-		total += p.rows
-	}
-	cols := make([]*Vector, len(schema))
-	for i, c := range schema {
-		cols[i] = NewVector(c.Typ, total)
-		if c.Typ == String && oneDict(parts, i) {
-			cols[i].Code = make([]uint32, 0, total)
+// Gather returns every column's values at the table rows rows, which must
+// ascend and lie in [0, NumRows), each vector allocated once at len(rows):
+// the one copy a sample makes of the rows it drew (synopses.GatherSample).
+//
+// A string column keeps the codes of its dictionary D when every partition
+// the row span [rows[0], through) overlaps is coded under D, and is gathered
+// uncoded otherwise, for NewTable to code afresh; an empty gather keeps no
+// codes. through ends the rows a sampler was offered after its first draw,
+// so the rule is that of copying the drawn rows batch by batch through
+// Vector.AppendGather as the batches are offered, drawn rows or not: the
+// codes hold until a batch under another dictionary, or none, arrives. The
+// two agree because a dictionary's partitions are contiguous in row order —
+// Append only ever moves the tail on to a new dictionary, or to none.
+func (t *Table) Gather(rows []int32, through int) ([]*Vector, error) {
+	for k, r := range rows {
+		if r < 0 || int(r) >= t.rows || k > 0 && r < rows[k-1] {
+			return nil, fmt.Errorf("storage: gather %s: row %d at %d is out of order or past %d rows", t.Name, r, k, t.rows)
 		}
 	}
-	for _, p := range parts {
-		if p.rows == 0 {
-			continue
-		}
-		for i := range cols {
-			cols[i].Extend(p.Column(i))
-		}
+	if n := len(rows); n > 0 && (through <= int(rows[n-1]) || through > t.rows) {
+		return nil, fmt.Errorf("storage: gather %s: span end %d outside (%d, %d]", t.Name, through, rows[n-1], t.rows)
 	}
-	return NewTable(name, schema, cols, partitions)
+	var runs []gatherRun
+	for k := 0; k < len(rows); {
+		p := sort.Search(len(t.parts), func(p int) bool { return t.offs[p+1] > int(rows[k]) })
+		hi := k
+		for hi < len(rows) && int(rows[hi]) < t.offs[p+1] {
+			hi++
+		}
+		runs = append(runs, gatherRun{p, k, hi})
+		k = hi
+	}
+	cols := make([]*Vector, len(t.schema))
+	for c, col := range t.schema {
+		v := &Vector{Typ: col.Typ}
+		switch col.Typ {
+		case Int64:
+			v.I64 = gatherRuns(t, runs, rows, func(p *Partition) []int64 { return p.cols[c].I64 })
+		case Float64:
+			v.F64 = gatherRuns(t, runs, rows, func(p *Partition) []float64 { return p.cols[c].F64 })
+		case Bool:
+			v.B = gatherRuns(t, runs, rows, func(p *Partition) []bool { return p.cols[c].B })
+		case String:
+			v.Str = gatherRuns(t, runs, rows, func(p *Partition) []string { return p.cols[c].Str })
+			if d := t.spanDict(c, rows, through); d != nil {
+				v.Code, v.Dict = gatherRuns(t, runs, rows, func(p *Partition) []uint32 { return p.cols[c].Code }), d
+			}
+		}
+		cols[c] = v
+	}
+	return cols, nil
 }
 
-// oneDict reports whether column i of every part that has rows is coded
-// under one dictionary, so that its codes carry through a concatenation.
-func oneDict(parts []*Table, i int) bool {
+// gatherRun is rows[lo:hi] of a Gather, all in partition part.
+type gatherRun struct{ part, lo, hi int }
+
+// gatherRuns is one column of a Gather: the values col reads from each run's
+// partition at its rows, in one array of len(rows).
+func gatherRuns[T any](t *Table, runs []gatherRun, rows []int32, col func(*Partition) []T) []T {
+	out := make([]T, len(rows))
+	for _, r := range runs {
+		src, base := col(t.parts[r.part]), int32(t.offs[r.part])
+		for k, at := range rows[r.lo:r.hi] {
+			out[r.lo+k] = src[at-base]
+		}
+	}
+	return out
+}
+
+// spanDict returns the dictionary every partition overlapping the rows
+// [rows[0], through) codes column c under, or nil when they do not share one
+// (or there are no rows).
+func (t *Table) spanDict(c int, rows []int32, through int) *Dict {
+	if len(rows) == 0 {
+		return nil
+	}
 	var d *Dict
-	for _, p := range parts {
-		if p.rows == 0 {
+	for p, part := range t.parts {
+		if t.offs[p+1] <= int(rows[0]) || t.offs[p] >= through {
 			continue
 		}
-		pd := p.Column(i).Dict
-		if pd == nil || (d != nil && pd != d) {
-			return false
+		pd := part.cols[c].Dict
+		if pd == nil || d != nil && pd != d {
+			return nil
 		}
 		d = pd
 	}
-	return d != nil
+	return d
 }
 
 // Builder accumulates rows for a new table.
@@ -836,12 +886,6 @@ func (b *Builder) Bool(i int, v bool) { b.cols[i].B = append(b.cols[i].B, v) }
 
 // CopyFrom appends the value at src[row] onto column i (same type).
 func (b *Builder) CopyFrom(i int, src *Vector, row int) { b.cols[i].AppendFrom(src, row) }
-
-// Gather appends src[rows[0]], src[rows[1]], ... onto column i (same type).
-func (b *Builder) Gather(i int, src *Vector, rows []int32) { b.cols[i].AppendGather(src, rows) }
-
-// Floats appends vs to column i.
-func (b *Builder) Floats(i int, vs []float64) { b.cols[i].F64 = append(b.cols[i].F64, vs...) }
 
 // Build finalizes the table with the given partition count. It panics on a
 // malformed builder (ragged columns); entry points fed by user code should

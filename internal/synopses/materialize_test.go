@@ -31,11 +31,12 @@ var materializeSamplers = []struct {
 	{"distinct", func(seed uint64) synopses.Sampler { return synopses.NewDistinctSampler(0.05, 20, []int{6, 7}, seed) }},
 }
 
-// TestOfferMatchesPerRowReference holds the batched SampleBuilder.Offer to a
-// row-at-a-time reference — Decide, then every column of each passing row
-// copied alone and its weight appended — over batches that carry a selection
-// vector: the encoded samples are the same bytes, and a coded column keeps
-// its source table's dictionary.
+// TestOfferMatchesPerRowReference holds a sample offered batch by batch
+// (Drawn.Draw, recording table positions) and gathered once (GatherSample)
+// to a row-at-a-time reference — Decide, then every column of each passing
+// row copied alone out of its batch and its weight appended — over batches
+// that carry a selection vector: the encoded samples are the same bytes,
+// and a coded column keeps its source table's dictionary.
 func TestOfferMatchesPerRowReference(t *testing.T) {
 	li := lineitem(t, 0.002)
 	flag := li.Schema().Index("lineitem.l_returnflag")
@@ -59,13 +60,16 @@ func TestOfferMatchesPerRowReference(t *testing.T) {
 	}
 	for _, c := range materializeSamplers {
 		smp := c.new(7)
-		sb := synopses.NewSampleBuilder("s", li.Schema())
+		var d synopses.Drawn
 		var pass []int32
 		var weights []float64
 		for _, b := range batches() {
-			pass, weights = sb.Offer(smp, b, pass[:0], weights[:0])
+			pass, weights = d.Draw(smp, b, pass[:0], weights[:0])
 		}
-		got := sb.Build(smp, 1)
+		got, err := synopses.GatherSample("s", li, smp, d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		smp = c.new(7)
 		schema := synopses.SampleSchema(li.Schema())
@@ -88,42 +92,10 @@ func TestOfferMatchesPerRowReference(t *testing.T) {
 			t.Fatalf("%s: empty sample", c.name)
 		}
 		if !bytes.Equal(persist.Encode(got), persist.Encode(&want)) {
-			t.Fatalf("%s: batched Offer encodes differently from the per-row reference", c.name)
+			t.Fatalf("%s: gathered sample encodes differently from the per-row reference", c.name)
 		}
 		if d := got.Rows.Column(flag).Dict; d != src {
 			t.Fatalf("%s: l_returnflag carries dictionary %p, want the source's %p", c.name, d, src)
 		}
-	}
-}
-
-// BenchmarkSampleMaterialize materializes a sample of lineitem as the morsel
-// spine does: every 4 096-row morsel through its own sampler and
-// SampleBuilder.Offer, then MergeSamples over the parts in morsel order.
-func BenchmarkSampleMaterialize(b *testing.B) {
-	li := lineitem(b, 0.05)
-	var morsels [][]*storage.Batch
-	for lo := 0; lo < li.NumRows(); lo += 4096 {
-		morsels = append(morsels, li.ScanRangePruned(lo, lo+4096, storage.BatchSize, nil, li.Schema(), nil))
-	}
-	for _, c := range materializeSamplers {
-		b.Run(c.name, func(b *testing.B) {
-			parts := make([]*synopses.Sample, len(morsels))
-			var pass []int32
-			var weights []float64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for m, batches := range morsels {
-					smp := c.new(uint64(m))
-					sb := synopses.NewSampleBuilder("s", li.Schema())
-					for _, batch := range batches {
-						pass, weights = sb.Offer(smp, batch, pass[:0], weights[:0])
-					}
-					parts[m] = sb.Build(smp, 1)
-				}
-				if _, err := synopses.MergeSamples("s", parts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

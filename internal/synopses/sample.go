@@ -78,10 +78,34 @@ func (s *UniformSampler) Decide(b *storage.Batch, pass []int32, weights []float6
 type DistinctSampler struct {
 	P         float64
 	Delta     int
-	StratIdxs []int               // column positions of A in the input batches
-	strata    *storage.GroupIndex // A's combinations, numbered on first sight
-	counts    []uint64            // rows seen per stratum, by group id
+	StratIdxs []int   // column positions of A in the input batches
+	strata    *Strata // A's numbering and this sampler's counts
 	rnd       *rng
+}
+
+// Strata numbers a distinct sampler's strata and counts the rows each has
+// shown the sampler. One Strata serves every sampler a worker runs in one
+// query run (DistinctSampler.CountIn) — one per morsel, each with its own δ'
+// count — so the index numbering A's combinations is built once per worker,
+// not once per morsel. Each sampler opens an epoch, and a stratum's count
+// restarts the first time the epoch meets it: stamps[id] is the epoch
+// counts[id] belongs to. Ids index nothing but counts, so sharing the
+// numbering changes no pass decision.
+type Strata struct {
+	index  *storage.GroupIndex // A's combinations, numbered on first sight
+	counts []uint64            // rows seen per stratum in its stamp's epoch
+	stamps []uint32            // the epoch of each stratum's count
+	epoch  uint32
+}
+
+// count counts one more row of stratum id in the current epoch and returns
+// the stratum's count.
+func (st *Strata) count(id int32) uint64 {
+	if st.stamps[id] != st.epoch {
+		st.stamps[id], st.counts[id] = st.epoch, 0
+	}
+	st.counts[id]++
+	return st.counts[id]
 }
 
 // NewDistinctSampler returns a distinct sampler over the given stratification
@@ -109,6 +133,14 @@ func PartitionDelta(delta, d int) int {
 	return int(math.Ceil(2 * float64(delta) / float64(d)))
 }
 
+// CountIn makes st — a worker's, for a whole run — number the sampler's
+// strata, in an epoch of the sampler's own: every stratum's count starts
+// over. A sampler that is never given one counts in a Strata of its own.
+func (s *DistinctSampler) CountIn(st *Strata) {
+	st.epoch++
+	s.strata = st
+}
+
 // Decide implements Sampler: a live row passes at weight 1 while its
 // stratum has passed at most δ rows, and past that draws against p. The
 // strata index takes its column types from the first batch.
@@ -118,21 +150,27 @@ func (s *DistinctSampler) Decide(b *storage.Batch, pass []int32, weights []float
 		return pass, weights
 	}
 	if s.strata == nil {
+		s.strata = &Strata{}
+	}
+	st := s.strata
+	if st.index == nil {
 		out := make(storage.Schema, len(s.StratIdxs))
 		for c, i := range s.StratIdxs {
 			out[c].Typ = b.Vecs[i].Typ
 		}
 		idx := storage.NewGroupIndex(s.StratIdxs, out)
-		s.strata = &idx
+		st.index = &idx
 	}
 	sc := storage.BorrowScratch(n, len(s.StratIdxs))
 	defer storage.ReturnScratch(sc)
-	ids := s.strata.Resolve(b, sc)
-	s.counts = append(s.counts, make([]uint64, s.strata.Len()-len(s.counts))...)
+	ids := st.index.Resolve(b, sc)
+	if grown := st.index.Len() - len(st.counts); grown > 0 {
+		st.counts = append(st.counts, make([]uint64, grown)...)
+		st.stamps = append(st.stamps, make([]uint32, grown)...)
+	}
 	for j, id := range ids {
-		s.counts[id]++
 		switch {
-		case s.counts[id] <= uint64(s.Delta):
+		case st.count(id) <= uint64(s.Delta):
 			pass, weights = append(pass, physical(b, j)), append(weights, 1)
 		case s.rnd.next() < s.P:
 			pass, weights = append(pass, physical(b, j)), append(weights, 1/s.P)
@@ -235,109 +273,82 @@ func SampleSchema(src storage.Schema) storage.Schema {
 	return append(out, storage.Col{Name: WeightCol, Typ: storage.Float64})
 }
 
-// SampleBuilder accumulates sampled rows plus weights into a Sample.
-type SampleBuilder struct {
-	b          *storage.Builder
-	widx       int
-	srcCols    int
-	sourceRows int
+// Drawn is what a sampler drew from one table version: the table positions
+// of the rows that passed, ascending, and their weights, row-aligned. A
+// sample is these rows gathered once from the version (GatherSample), so
+// drawing copies no column.
+type Drawn struct {
+	Rows    []int32   // the passing rows' table positions
+	Weights []float64 // their Horvitz-Thompson weights
+	Offered int       // rows offered to the sampler: the sample's SourceRows
+	Through int       // the table row just past the last batch offered
 }
 
-// NewSampleBuilder returns a builder producing a sample table with the given
-// name over the source schema. An offered batch may carry columns past src's
-// (an executor's own, such as a group id column); the sample keeps only its
-// leading len(src).
-func NewSampleBuilder(name string, src storage.Schema) *SampleBuilder {
-	schema := SampleSchema(src)
-	return &SampleBuilder{b: storage.NewBuilder(name, schema), widx: len(schema) - 1, srcCols: len(src)}
-}
-
-// Offer routes the live rows of b through the sampler, appending the
-// passing rows with their weights. It returns what Decide appended to pass
-// and weights, so callers (the exec sampler operator) can forward the passing
-// rows downstream too.
-func (sb *SampleBuilder) Offer(smp Sampler, b *storage.Batch, pass []int32, weights []float64) ([]int32, []float64) {
-	sb.sourceRows += b.Rows()
+// Draw routes the live rows of b — a scan of the table version, its row 0
+// at table row b.Start — through smp and records each passing row's table
+// position and weight. It returns what Decide appended to pass and weights,
+// so callers (the exec sampler operator) can forward the passing rows
+// downstream too.
+func (d *Drawn) Draw(smp Sampler, b *storage.Batch, pass []int32, weights []float64) ([]int32, []float64) {
+	d.Offered += b.Rows()
+	d.Through = b.Start + b.Len()
 	op, ow := len(pass), len(weights)
 	pass, weights = smp.Decide(b, pass, weights)
-	sb.add(b.Vecs, pass[op:], weights[ow:])
+	for _, i := range pass[op:] {
+		d.Rows = append(d.Rows, int32(b.Start)+i)
+	}
+	d.Weights = append(d.Weights, weights[ow:]...)
 	return pass, weights
 }
 
-// add appends the rows of vecs at the physical indices rows, row k with
-// weight weights[k]: each column gathered in one call, the weights appended
-// in one more.
-func (sb *SampleBuilder) add(vecs []*storage.Vector, rows []int32, weights []float64) {
-	for c := 0; c < sb.srcCols; c++ {
-		sb.b.Gather(c, vecs[c], rows)
+// GatherSample is the one constructor of a sample: every column of tbl at
+// the rows d drew (storage.Table.Gather, which decides which string columns
+// keep their codes), each copied once into a vector of its final length,
+// with d's weights, adopted, as the weight column, in a table of the given
+// partition count. smp, when not nil, is the sampler that drew the rows
+// and gives the sample its strategy, probability and δ; the caller sets the
+// rest of the configuration. A draw that is not one — weights misaligned,
+// more rows than were offered, rows out of order or out of the table — is
+// rejected as corruption.
+func GatherSample(name string, tbl *storage.Table, smp Sampler, d Drawn, partitions int) (*Sample, error) {
+	if len(d.Weights) != len(d.Rows) || d.Offered < len(d.Rows) {
+		return nil, fmt.Errorf("synopses: sample %s: %d rows with %d weights drawn from %d offered", name, len(d.Rows), len(d.Weights), d.Offered)
 	}
-	sb.b.Floats(sb.widx, weights)
-}
-
-// Build finalizes the sample.
-func (sb *SampleBuilder) Build(smp Sampler, partitions int) *Sample {
-	s := &Sample{Rows: sb.b.Build(partitions), SourceRows: sb.sourceRows}
+	cols, err := tbl.Gather(d.Rows, d.Through)
+	if err != nil {
+		return nil, err
+	}
+	cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: d.Weights})
+	rows, err := storage.NewTable(name, SampleSchema(tbl.Schema()), cols, partitions)
+	if err != nil {
+		return nil, err
+	}
+	s := &Sample{Rows: rows, SourceRows: d.Offered}
 	switch t := smp.(type) {
 	case *UniformSampler:
 		s.Strategy, s.P = "uniform", t.P
 	case *DistinctSampler:
 		s.Strategy, s.P, s.Delta = "distinct", t.P, t.Delta
 	}
-	return s
-}
-
-// MergeSamples concatenates the per-morsel samples a parallel sampler built
-// over one relation into one sample ("partitionable", paper §II); its one
-// caller is exec.PipelineOp, which passes the parts in morsel index order.
-// Parts must share a schema; configuration metadata is taken from the first
-// part and SourceRows are summed.
-//
-// SourceRows underpins the sample's estimation semantics (how much input
-// the weights extrapolate over), so parts are validated here: a negative
-// count, a part that emitted rows from zero input, or a sum overflowing
-// int are all rejected as corruption rather than propagated.
-func MergeSamples(name string, parts []*Sample) (*Sample, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("synopses: MergeSamples %s: no parts", name)
-	}
-	tables := make([]*storage.Table, len(parts))
-	sourceRows := 0
-	for i, p := range parts {
-		switch {
-		case p.SourceRows < 0:
-			return nil, fmt.Errorf("synopses: MergeSamples %s: part %d has negative SourceRows %d", name, i, p.SourceRows)
-		case p.SourceRows == 0 && p.Rows.NumRows() > 0:
-			return nil, fmt.Errorf("synopses: MergeSamples %s: part %d emitted %d rows from zero input", name, i, p.Rows.NumRows())
-		case p.SourceRows > math.MaxInt-sourceRows:
-			return nil, fmt.Errorf("synopses: MergeSamples %s: SourceRows sum overflows at part %d", name, i)
-		}
-		tables[i] = p.Rows
-		sourceRows += p.SourceRows
-	}
-	rows, err := storage.ConcatTables(name, tables, 1)
-	if err != nil {
-		return nil, err
-	}
-	out := *parts[0]
-	out.Rows = rows
-	out.SourceRows = sourceRows
-	out.StratCols = append([]string(nil), parts[0].StratCols...)
-	return &out, nil
+	return s, nil
 }
 
 // BuildSampleFromTable scans an entire table through a sampler and
 // materializes the result — the offline path used by baselines and hints.
 // stratCols records the stratification set for matching purposes.
 func BuildSampleFromTable(name string, tbl *storage.Table, smp Sampler, stratCols []string) *Sample {
-	sb := NewSampleBuilder(name, tbl.Schema())
+	var d Drawn
 	var pass []int32
 	var weights []float64
 	for p := 0; p < tbl.Partitions(); p++ {
 		for _, batch := range tbl.Scan(p, storage.BatchSize) {
-			pass, weights = sb.Offer(smp, batch, pass[:0], weights[:0])
+			pass, weights = d.Draw(smp, batch, pass[:0], weights[:0])
 		}
 	}
-	s := sb.Build(smp, tbl.Partitions())
+	s, err := GatherSample(name, tbl, smp, d, tbl.Partitions())
+	if err != nil {
+		panic(err) // a whole-table scan draws ascending rows of tbl
+	}
 	s.StratCols = append([]string(nil), stratCols...)
 	return s
 }
@@ -385,36 +396,31 @@ func StratifiedSample(name string, tbl *storage.Table, stratCols []string, cap i
 			})
 		}
 	}
-	// Pass 2: collect each batch's taken rows and weights, then copy them.
-	sb := NewSampleBuilder(name, tbl.Schema())
+	// Pass 2: draw each batch's taken rows and weights.
 	rnd := newRng(seed ^ 0xfeed)
-	var taken []int32
-	var weights []float64
+	var d Drawn
 	for p := 0; p < tbl.Partitions(); p++ {
 		for _, batch := range tbl.Scan(p, storage.BatchSize) {
-			sb.sourceRows += batch.Len()
-			taken, weights = taken[:0], weights[:0]
+			d.Offered += batch.Len()
+			d.Through = batch.Start + batch.Len()
 			resolve(batch, func(i int, id int32) {
 				n := sizes[id]
 				if n <= cap {
-					taken, weights = append(taken, int32(i)), append(weights, 1)
+					d.Rows, d.Weights = append(d.Rows, int32(batch.Start+i)), append(d.Weights, 1)
 					return
 				}
 				pr := float64(cap) / float64(n)
 				if rnd.next() < pr {
-					taken, weights = append(taken, int32(i)), append(weights, 1/pr)
+					d.Rows, d.Weights = append(d.Rows, int32(batch.Start+i)), append(d.Weights, 1/pr)
 				}
 			})
-			sb.add(batch.Vecs, taken, weights)
 		}
 	}
-	s := &Sample{
-		Rows:       sb.b.Build(tbl.Partitions()),
-		Strategy:   "stratified",
-		Delta:      cap,
-		StratCols:  append([]string(nil), stratCols...),
-		SourceRows: sb.sourceRows,
-		Seed:       seed,
+	s, err := GatherSample(name, tbl, nil, d, tbl.Partitions())
+	if err != nil {
+		return nil, err
 	}
+	s.Strategy, s.Delta, s.Seed = "stratified", cap, seed
+	s.StratCols = append([]string(nil), stratCols...)
 	return s, nil
 }
