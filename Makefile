@@ -212,9 +212,12 @@ test-race: race
 # drawn rows equals the row-at-a-time reference, keeps exactly the string
 # codes a batch-by-batch copy kept, and round-trips), the join key index (a batch
 # probe's pairs, under any selection and resumed at any chunk room, equal a
-# Go map's for any key words), the sketch-join's inline payload (numbered by
-# key − min or through a GroupIndex, the same bytes and the same (count, sum)
-# per key for any key words and aggregate values), the filter kernels — the only filter
+# Go map's for any key words), the sketch-join's inline payload (counted by
+# key − min or folded through a GroupIndex, the same bytes and the same (count, sum)
+# per key for any key words and aggregate values), an Int64 column's group
+# statistics (counted by key − min or through a GroupIndex, the same
+# Distinct, MinGroup, MaxGroup and Skewed for any key words, on a version and
+# its append), the filter kernels — the only filter
 # evaluator — against the row-at-a-time EvalBool oracle over random term
 # lists (int columns against float literals and mixed IN lists included), the
 # SQL front door (arbitrary bytes parse, validate, plan and compile without
@@ -229,6 +232,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzGatherSample$$' -fuzztime 10s ./internal/synopses
 	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzSketchPayload$$' -fuzztime 10s ./internal/exec
+	$(GO) test -run NONE -fuzz 'FuzzColumnGroups$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run NONE -fuzz 'FuzzQuery$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzKernelTerms$$' -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/sqlparser

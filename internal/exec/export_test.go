@@ -58,22 +58,21 @@ func CompileValueKeyed(n *plan.Aggregate, seed uint64, ctx *Context) (Operator, 
 }
 
 // BuildSketchPayload builds node's inline payload as a sketch sink over the
-// probe schema probe does: numbered by key − min when its key spans densely
+// probe schema probe does: counted by key − min when its key spans densely
 // over the scanned table, through a GroupIndex otherwise — or, hashed,
-// through a GroupIndex whatever the key. dense reports which numbering the
-// build took.
+// through the GroupIndex fold whatever the key. dense reports whether the
+// query's build counts by key − min.
 func BuildSketchPayload(node *plan.SketchJoin, probe storage.Schema, hashed bool, ctx *Context) (sk *synopses.SketchJoin, dense bool, err error) {
 	s, err := newSketchSink(node, probe, nil, ctx)
 	if err != nil {
 		return nil, false, err
 	}
-	keys := s.newPayloadKeys()
+	lo, n := s.denseSpan()
+	dense = n > 0
 	if hashed {
-		g := storage.NewGroupIndex(s.buildKeyIdx, s.buildKeys)
-		keys = &g
+		n = 0
 	}
-	_, dense = keys.(*denseKeys)
-	sk, err = s.buildPayload(keys, ctx)
+	sk, err = s.buildPayload(lo, n, ctx)
 	if cerr := s.build.Close(); err == nil {
 		err = cerr
 	}

@@ -549,12 +549,14 @@ func BenchmarkSketchJoinGrouped(b *testing.B) {
 
 // BenchmarkSketchJoinBuild times a sketch-join's inline payload build as a
 // query's sink prepares it — the build side σ(lineitem) drained serially,
-// every row numbered by its key and counted, and l_extendedprice summed per
-// key — over TPCH(0.1)'s lineitem keyed by l_partkey and l_orderkey (dense
-// surrogate keys: numbered by key − min) and by a sparse key, l_orderkey
-// times a large odd stride (numbered through a GroupIndex). It reports ns
-// per build row and B/op (`go test ./internal/exec -run NONE -bench
-// BenchmarkSketchJoinBuild -benchmem -cpu 1`).
+// every row counted at its key and l_extendedprice summed per key — over
+// TPCH(0.1)'s lineitem keyed by l_partkey and l_orderkey (dense surrogate
+// keys: counted by key − min), by l_orderkey under template q10's filter
+// l_returnflag = 'R' (the build on explore_cold's tail: a quarter of the
+// rows, every batch under a selection vector) and by a sparse key,
+// l_orderkey times a large odd stride (folded through a GroupIndex). It
+// reports ns per scanned row and B/op (`go test ./internal/exec -run NONE
+// -bench BenchmarkSketchJoinBuild -benchmem -cpu 1`).
 func BenchmarkSketchJoinBuild(b *testing.B) {
 	li, err := workload.TPCH(0.1, 1).Catalog.Table("lineitem")
 	if err != nil {
@@ -570,17 +572,19 @@ func BenchmarkSketchJoinBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	returned := &plan.Filter{Child: &plan.Scan{Table: li}, Pred: expr.Pred{expr.Compare("lineitem.l_returnflag", expr.EQ, storage.StringValue("R"))}}
 	for _, c := range []struct {
 		name       string
-		t          *storage.Table
+		build      plan.Node
 		key, price string
 	}{
-		{"l_partkey", li, "lineitem.l_partkey", "lineitem.l_extendedprice"},
-		{"l_orderkey", li, "lineitem.l_orderkey", "lineitem.l_extendedprice"},
-		{"sparse", sp, "sp.key", "sp.price"},
+		{"l_partkey", &plan.Scan{Table: li}, "lineitem.l_partkey", "lineitem.l_extendedprice"},
+		{"l_orderkey", &plan.Scan{Table: li}, "lineitem.l_orderkey", "lineitem.l_extendedprice"},
+		{"q10", returned, "lineitem.l_orderkey", "lineitem.l_extendedprice"},
+		{"sparse", &plan.Scan{Table: sp}, "sp.key", "sp.price"},
 	} {
 		node := &plan.SketchJoin{
-			Build: &plan.Scan{Table: c.t}, BuildKeys: []string{c.key}, ProbeKeys: []string{"p.k"},
+			Build: c.build, BuildKeys: []string{c.key}, ProbeKeys: []string{"p.k"},
 			AggCol: c.price, Aggs: []plan.AggSpec{{Kind: stats.Sum, Col: c.price}},
 		}
 		probe := storage.Schema{{Name: "p.k", Typ: storage.Int64}}
@@ -598,7 +602,7 @@ func BenchmarkSketchJoinBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportPerRow(b, c.t.NumRows())
+			reportPerRow(b, buildSource(c.build).NumRows())
 		})
 	}
 }

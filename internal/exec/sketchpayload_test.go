@@ -50,9 +50,9 @@ func payloadNode(build plan.Node, aggCol string) *plan.SketchJoin {
 
 var payloadProbe = storage.Schema{{Name: "p.k", Typ: storage.Int64}}
 
-// bothPayloads builds node's payload as a query does and through a
-// GroupIndex whatever its key, and holds the two to the same bytes. It
-// returns both and whether the query's build numbered by key − min.
+// bothPayloads builds node's payload as a query does and by the GroupIndex
+// fold whatever its key, and holds the two to the same bytes. It returns
+// both and whether the query's build counted by key − min.
 func bothPayloads(t testing.TB, node *plan.SketchJoin) (inline, hashed *synopses.SketchJoin, dense bool) {
 	t.Helper()
 	inline, dense, err := exec.BuildSketchPayload(node, payloadProbe, false, exec.NewContext(0.95))
@@ -64,17 +64,18 @@ func bothPayloads(t testing.TB, node *plan.SketchJoin) (inline, hashed *synopses
 		t.Fatal(err)
 	}
 	if !bytes.Equal(inline.Encode(), hashed.Encode()) {
-		t.Fatalf("the inline payload (dense %t) encodes unlike the GroupIndex-numbered one: %d rows against %d", dense, inline.Rows.NumRows(), hashed.Rows.NumRows())
+		t.Fatalf("the inline payload (dense %t) encodes unlike the GroupIndex-folded one: %d rows against %d", dense, inline.Rows.NumRows(), hashed.Rows.NumRows())
 	}
 	return inline, hashed, dense
 }
 
-// TestSketchPayloadNumbering holds the inline sketch-join build's two
-// numberings to each other: over build tables of every key shape, a build
-// numbered by key − min encodes to exactly the bytes of one numbered through
-// a GroupIndex — the same rows, first-seen order and sums — and each shape
-// takes the numbering storage.DenseSpan gives the table's key bounds and
-// rows.
+// TestSketchPayloadNumbering holds the inline sketch-join build's two folds
+// to each other: over build tables of every key shape, a build counted by
+// key − min encodes to exactly the bytes of one folded through a GroupIndex
+// — the same rows, first-seen order and sums — and each shape takes the
+// fold storage.DenseSpan gives the table's key bounds and rows. Each shape
+// is built unfiltered, filtered (batches under a selection vector) and
+// filtered to no row, over int and float aggregate columns and counts only.
 func TestSketchPayloadNumbering(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	perm := func(n int, key func(i int) int64) []int64 {
@@ -116,11 +117,16 @@ func TestSketchPayloadNumbering(t *testing.T) {
 		{"MinInt64 alone", []int64{math.MinInt64, math.MinInt64}, true},
 		{"MaxInt64 near its neighbours", []int64{math.MaxInt64, math.MaxInt64 - 3, math.MaxInt64}, true},
 		{"one key", []int64{42}, true},
+		{"no rows", nil, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			vals := make([]uint64, len(c.keys))
 			for i := range vals {
 				vals[i] = rng.Uint64()
+			}
+			var k0 int64
+			if len(c.keys) > 0 {
+				k0 = c.keys[0]
 			}
 			for _, floats := range []bool{false, true} {
 				for _, parts := range []int{1, 7} {
@@ -130,14 +136,14 @@ func TestSketchPayloadNumbering(t *testing.T) {
 						scan,
 						// A filter keeping about half the rows: the bounds are
 						// still the table's.
-						&plan.Filter{Child: scan, Pred: expr.Pred{expr.Compare("b.k", expr.NE, storage.IntValue(c.keys[0]))}},
+						&plan.Filter{Child: scan, Pred: expr.Pred{expr.Compare("b.k", expr.NE, storage.IntValue(k0))}},
 						// A filter keeping no row.
-						&plan.Filter{Child: scan, Pred: expr.Pred{expr.Compare("b.k", expr.EQ, storage.IntValue(c.keys[0])), expr.Compare("b.k", expr.NE, storage.IntValue(c.keys[0]))}},
+						&plan.Filter{Child: scan, Pred: expr.Pred{expr.Compare("b.k", expr.EQ, storage.IntValue(k0)), expr.Compare("b.k", expr.NE, storage.IntValue(k0))}},
 					}
 					for _, build := range builds {
 						for _, aggCol := range []string{"b.v", ""} {
 							if _, _, dense := bothPayloads(t, payloadNode(build, aggCol)); dense != c.dense {
-								t.Fatalf("floats %t, %d partitions, build %s, agg %q: numbered by key − min %t, want %t", floats, parts, build, aggCol, dense, c.dense)
+								t.Fatalf("floats %t, %d partitions, build %s, agg %q: counted by key − min %t, want %t", floats, parts, build, aggCol, dense, c.dense)
 							}
 						}
 					}
@@ -147,14 +153,15 @@ func TestSketchPayloadNumbering(t *testing.T) {
 	}
 }
 
-// FuzzSketchPayload drives the two numberings from arbitrary bytes: each
+// FuzzSketchPayload drives the two folds from arbitrary bytes: each
 // 16-byte group is one build row, a key word and an aggregate value word
 // (float64 bits when floats is set, an int64 otherwise). A key is base plus
 // its word shifted right by shift mod 64, so the fuzzer reaches both sides
 // of the span rule, ranges straddling zero and the int64 extremes. The
-// inline and GroupIndex-numbered payloads must encode to the same bytes,
-// and a probe of either by every key built, and every key's neighbours,
-// must find the same (count, sum).
+// inline and GroupIndex-folded payloads — of every row, or, filtered, of
+// the rows whose key is not the first row's, each batch under a selection
+// vector — must encode to the same bytes, and a probe of either by every
+// key built, and every key's neighbours, must find the same (count, sum).
 func FuzzSketchPayload(f *testing.F) {
 	row := func(kvs ...uint64) []byte {
 		var b []byte
@@ -163,11 +170,12 @@ func FuzzSketchPayload(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(row(3, 10, 1, 20, 3, 30, 2, 40), uint8(0), int64(0), false, uint8(1))
-	f.Add(row(1<<63, math.Float64bits(1.5), 1<<62, math.Float64bits(math.NaN()), 0, math.Float64bits(math.Copysign(0, -1))), uint8(48), int64(-1<<15), true, uint8(3))
-	f.Add(row(0, 1, 1<<16, 2, 5, 3), uint8(0), int64(math.MaxInt64-1<<16), false, uint8(2))
-	f.Add(row(math.MaxUint64, 7, 0, 8), uint8(0), int64(0), true, uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, shift uint8, base int64, floats bool, parts uint8) {
+	f.Add(row(3, 10, 1, 20, 3, 30, 2, 40), uint8(0), int64(0), false, uint8(1), false)
+	f.Add(row(1<<63, math.Float64bits(1.5), 1<<62, math.Float64bits(math.NaN()), 0, math.Float64bits(math.Copysign(0, -1))), uint8(48), int64(-1<<15), true, uint8(3), false)
+	f.Add(row(0, 1, 1<<16, 2, 5, 3), uint8(0), int64(math.MaxInt64-1<<16), false, uint8(2), false)
+	f.Add(row(math.MaxUint64, 7, 0, 8), uint8(0), int64(0), true, uint8(1), false)
+	f.Add(row(3, 10, 1, 20, 3, 30, 2, 40, 1, 50), uint8(0), int64(-2), false, uint8(2), true)
+	f.Fuzz(func(t *testing.T, data []byte, shift uint8, base int64, floats bool, parts uint8, filtered bool) {
 		n := len(data) / 16
 		if n == 0 {
 			return
@@ -178,7 +186,11 @@ func FuzzSketchPayload(f *testing.F) {
 			vals[i] = binary.LittleEndian.Uint64(data[16*i+8:])
 		}
 		tab := payloadTable(t, keys, vals, floats, 1+int(parts%4))
-		inline, hashed, _ := bothPayloads(t, payloadNode(&plan.Scan{Table: tab}, "b.v"))
+		var build plan.Node = &plan.Scan{Table: tab}
+		if filtered {
+			build = &plan.Filter{Child: build, Pred: expr.Pred{expr.Compare("b.k", expr.NE, storage.IntValue(keys[0]))}}
+		}
+		inline, hashed, _ := bothPayloads(t, payloadNode(build, "b.v"))
 		var probe []int64
 		for _, k := range keys {
 			probe = append(probe, k, k-1, k+1)

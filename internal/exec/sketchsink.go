@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/tasterdb/taster/internal/plan"
@@ -134,16 +135,18 @@ func sketchReads(node *plan.SketchJoin) []string {
 func (s *sketchSink) outSchema() storage.Schema { return s.schema }
 
 // prepare implements sink. An inline build is what a join's build side is:
-// σ(base table) drained once, serially, before the pool starts —
-// every row is one key lookup and one or two adds into a per-key slab, and
-// the result is one small shared table, so there is nothing for morsels to
-// split. The finished payload is recorded for the tuner to keep.
+// σ(base table) drained once, serially, before the pool starts — every row
+// is one count and one add into its key's cell, and the result is one small
+// shared table, so there is nothing for morsels to split. A dense key is
+// counted at its address (foldDense); any other through a GroupIndex
+// (foldHashed). The finished payload is recorded for the tuner to keep.
 func (s *sketchSink) prepare(ctx *Context) error {
 	s.sketch = s.node.Sketch
 	if s.build == nil {
 		return nil
 	}
-	sk, err := s.buildPayload(s.newPayloadKeys(), ctx)
+	lo, n := s.denseSpan()
+	sk, err := s.buildPayload(lo, n, ctx)
 	if cerr := s.build.Close(); err == nil {
 		err = cerr
 	}
@@ -155,137 +158,177 @@ func (s *sketchSink) prepare(ctx *Context) error {
 	return nil
 }
 
-// payloadKeys numbers an inline build's join keys, ids in first-seen row
-// order: a storage.GroupIndex, or denseKeys. Both number the same rows
-// alike, so the payload is the same bytes whichever numbers it.
-type payloadKeys interface {
-	Resolve(b *storage.Batch, sc *storage.ResolveScratch) []int32
-	Len() int
-	KeyColumns() []*storage.Vector
-}
-
-// newPayloadKeys picks the build's numbering before its first row, from what
-// the scanned table shows: by key − min (denseKeys) when the key is one
-// Int64 column whose bounds over the table — its partitions' zone maps —
-// span densely for the table's rows (storage.DenseSpan, the rule a KeyIndex
-// applies to the keys it holds); through a GroupIndex otherwise.
-func (s *sketchSink) newPayloadKeys() payloadKeys {
-	if len(s.buildKeys) == 1 && s.buildKeys[0].Typ == storage.Int64 {
-		if d := newDenseKeys(buildSource(s.node.Build), s.buildKeys[0].Name, s.buildKeyIdx[0]); d != nil {
-			return d
-		}
+// denseSpan returns the build key's smallest value and its number of
+// positions key − min when the key is dense: one Int64 column whose bounds
+// over the scanned table — its partitions' zone maps — span densely for the
+// table's rows (storage.DenseSpan, the rule a KeyIndex applies to the keys
+// it holds), in positions an int32 holds. n is 0 otherwise. Every key a
+// build batch carries is one of the table's, so it lies within the bounds.
+func (s *sketchSink) denseSpan() (lo int64, n int) {
+	if len(s.buildKeys) != 1 || s.buildKeys[0].Typ != storage.Int64 {
+		return 0, 0
 	}
-	g := storage.NewGroupIndex(s.buildKeyIdx, s.buildKeys)
-	return &g
-}
-
-// denseKeys numbers a one-column Int64 key through an array by key − min,
-// in first-seen row order as a GroupIndex does: a key's first row appends it
-// to keys, and its position in idOf keeps the id.
-type denseKeys struct {
-	col  int   // the key column's position in a build batch
-	min  int64 // the table's smallest key
-	idOf []int32
-	keys []int64 // by id
-}
-
-// newDenseKeys returns the numbering by key − min of the key column name of
-// t — read from build batches at col — or nil when the column's bounds over
-// t's partitions span too sparsely for DenseSpan. Every key a build batch
-// carries is one of t's, so it lies within the bounds.
-func newDenseKeys(t *storage.Table, name string, col int) *denseKeys {
-	lo, hi, _ := t.Bounds(t.Schema().Index(name))
-	n, ok := storage.DenseSpan(lo.I, hi.I, t.NumRows())
-	if !ok {
-		return nil
+	t := buildSource(s.node.Build)
+	mn, mx, _ := t.Bounds(t.Schema().Index(s.buildKeys[0].Name))
+	n, ok := storage.DenseSpan(mn.I, mx.I, t.NumRows())
+	if !ok || n > math.MaxInt32 {
+		return 0, 0
 	}
-	d := &denseKeys{col: col, min: lo.I, idOf: make([]int32, n)}
-	for k := range d.idOf {
-		d.idOf[k] = -1
-	}
-	return d
+	return mn.I, n
 }
 
-// Resolve numbers b's live rows, as GroupIndex.Resolve does.
-func (d *denseKeys) Resolve(b *storage.Batch, sc *storage.ResolveScratch) []int32 {
-	keys, sel, idOf := b.Vecs[d.col].I64, b.Sel, d.idOf
-	ids := sc.IDs(b.Rows())
-	for j := range ids {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
-		}
-		k := keys[i]
-		p := uint64(k) - uint64(d.min)
-		id := idOf[p]
-		if id < 0 {
-			id = int32(len(d.keys))
-			idOf[p] = id
-			d.keys = append(d.keys, k)
-		}
-		ids[j] = id
-	}
-	return ids
-}
-
-// Len returns the number of keys numbered so far.
-func (d *denseKeys) Len() int { return len(d.keys) }
-
-// KeyColumns returns the key column, by id.
-func (d *denseKeys) KeyColumns() []*storage.Vector {
-	return []*storage.Vector{{Typ: storage.Int64, I64: d.keys}}
-}
-
-// buildPayload groups every build row by its join key through idx — ids in
-// first-seen row order — counting the rows, and summing the aggregate
-// column, of each key in two float64 slabs in row order. One CPU tuple per
-// build row.
-func (s *sketchSink) buildPayload(idx payloadKeys, ctx *Context) (*synopses.SketchJoin, error) {
+// buildPayload drains the build side into the payload: a row per join key,
+// ids in first-seen row order, holding the key's row count and the row-order
+// sum of its aggregate column from +0. The keys are counted by key − lo over
+// n positions when n > 0, through a GroupIndex otherwise; both give the same
+// bytes. One CPU tuple per build row.
+func (s *sketchSink) buildPayload(lo int64, n int, ctx *Context) (*synopses.SketchJoin, error) {
 	if err := s.build.Open(); err != nil {
 		return nil, err
 	}
-	var counts, sums []float64
-	for {
-		b, err := s.build.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if n := b.Rows(); n > 0 {
-			ctx.Stats.CPUTuples += int64(n)
-			sc := storage.BorrowScratch(n, len(s.buildKeyIdx))
-			ids := idx.Resolve(b, sc)
-			grow := idx.Len() - len(counts)
-			counts = append(counts, make([]float64, grow)...)
-			for _, id := range ids {
-				counts[id]++
-			}
-			if s.buildAggIdx >= 0 {
-				sums = append(sums, make([]float64, grow)...)
-				switch v := b.Vecs[s.buildAggIdx]; v.Typ {
-				case storage.Float64:
-					sumColumn(sums, ids, b.Sel, v.F64)
-				case storage.Int64:
-					sumColumn(sums, ids, b.Sel, v.I64)
-				}
-			}
-			storage.ReturnScratch(sc)
-		}
-		ctx.Pool.Release(b)
+	var cols []*storage.Vector
+	var err error
+	if n > 0 {
+		cols, err = s.foldDense(lo, n, ctx)
+	} else {
+		cols, err = s.foldHashed(ctx)
+	}
+	if err != nil {
+		return nil, err
 	}
 	schema := append(s.buildKeys.Clone(), storage.Col{Name: synopses.CountCol, Typ: storage.Float64})
-	cols := append(idx.KeyColumns(), &storage.Vector{Typ: storage.Float64, F64: counts})
 	if s.buildAggIdx >= 0 {
 		schema = append(schema, storage.Col{Name: synopses.SumCol, Typ: storage.Float64})
-		cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: sums})
 	}
 	rows, err := storage.NewTable("sketch-join", schema, cols, 1)
 	if err != nil {
 		return nil, err
 	}
 	return synopses.NewSketchJoin(rows, s.node.AggCol)
+}
+
+// drain hands every build batch with live rows to fold, in row order.
+func (s *sketchSink) drain(ctx *Context, fold func(b *storage.Batch)) error {
+	for {
+		b, err := s.build.Next()
+		if err != nil || b == nil {
+			return err
+		}
+		if n := b.Rows(); n > 0 {
+			ctx.Stats.CPUTuples += int64(n)
+			fold(b)
+		}
+		ctx.Pool.Release(b)
+	}
+}
+
+// foldDense counts, and sums, every build row in the cell of its key's
+// position key − lo of arrays n long, each allocated once; a key's first row
+// appends its position to order, which the table's rows bound. After the
+// drain one walk over order writes the payload's columns at their length.
+// Counts are int32, as a KeyIndex's row positions are.
+func (s *sketchSink) foldDense(lo int64, n int, ctx *Context) ([]*storage.Vector, error) {
+	count := make([]int32, n)
+	var sum []float64
+	if s.buildAggIdx >= 0 {
+		sum = make([]float64, n)
+	}
+	order := make([]int32, 0, min(n, buildSource(s.node.Build).NumRows()))
+	err := s.drain(ctx, func(b *storage.Batch) {
+		keys := b.Vecs[s.buildKeyIdx[0]].I64
+		if s.buildAggIdx < 0 {
+			order = foldAtKeys(order, count, nil, lo, keys, b.Sel, []float64(nil))
+			return
+		}
+		switch v := b.Vecs[s.buildAggIdx]; v.Typ {
+		case storage.Float64:
+			order = foldAtKeys(order, count, sum, lo, keys, b.Sel, v.F64)
+		case storage.Int64:
+			order = foldAtKeys(order, count, sum, lo, keys, b.Sel, v.I64)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	keys, counts := make([]int64, len(order)), make([]float64, len(order))
+	for j, p := range order {
+		keys[j], counts[j] = lo+int64(p), float64(count[p])
+	}
+	cols := []*storage.Vector{{Typ: storage.Int64, I64: keys}, {Typ: storage.Float64, F64: counts}}
+	if sum != nil {
+		sums := make([]float64, len(order))
+		for j, p := range order {
+			sums[j] = sum[p]
+		}
+		cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: sums})
+	}
+	return cols, nil
+}
+
+// foldAtKeys folds one build batch's live rows — the rows sel names, or every
+// row — into the cells at their keys' positions key − lo: a count each, and
+// the aggregate value into sum unless vals is nil. A key's first row appends
+// its position to order.
+func foldAtKeys[T int64 | float64](order, count []int32, sum []float64, lo int64, keys []int64, sel []int32, vals []T) []int32 {
+	if sel == nil {
+		for i, k := range keys {
+			p := uint64(k) - uint64(lo)
+			if count[p] == 0 {
+				order = append(order, int32(p))
+			}
+			count[p]++
+			if vals != nil {
+				sum[p] += float64(vals[i])
+			}
+		}
+		return order
+	}
+	for _, i := range sel {
+		p := uint64(keys[i]) - uint64(lo)
+		if count[p] == 0 {
+			order = append(order, int32(p))
+		}
+		count[p]++
+		if vals != nil {
+			sum[p] += float64(vals[i])
+		}
+	}
+	return order
+}
+
+// foldHashed numbers the build rows' keys through a GroupIndex, ids in
+// first-seen row order, and counts, and sums, each key's rows in float64
+// slabs grown with the ids.
+func (s *sketchSink) foldHashed(ctx *Context) ([]*storage.Vector, error) {
+	idx := storage.NewGroupIndex(s.buildKeyIdx, s.buildKeys)
+	var counts, sums []float64
+	err := s.drain(ctx, func(b *storage.Batch) {
+		sc := storage.BorrowScratch(b.Rows(), len(s.buildKeyIdx))
+		ids := idx.Resolve(b, sc)
+		grow := idx.Len() - len(counts)
+		counts = append(counts, make([]float64, grow)...)
+		for _, id := range ids {
+			counts[id]++
+		}
+		if s.buildAggIdx >= 0 {
+			sums = append(sums, make([]float64, grow)...)
+			switch v := b.Vecs[s.buildAggIdx]; v.Typ {
+			case storage.Float64:
+				sumColumn(sums, ids, b.Sel, v.F64)
+			case storage.Int64:
+				sumColumn(sums, ids, b.Sel, v.I64)
+			}
+		}
+		storage.ReturnScratch(sc)
+	})
+	if err != nil {
+		return nil, err
+	}
+	cols := append(idx.KeyColumns(), &storage.Vector{Typ: storage.Float64, F64: counts})
+	if s.buildAggIdx >= 0 {
+		cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: sums})
+	}
+	return cols, nil
 }
 
 // sumColumn adds every live row's aggregate value into its key's sum.

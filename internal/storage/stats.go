@@ -8,10 +8,10 @@ import (
 )
 
 // GroupStats is the part of a column's statistics its value groups give,
-// counted by one GroupIndex pass over the column (Table.ColumnGroups). The
-// planner decides between uniform and distinct sampling by it and detects
-// skew when pushing synopses under filters (paper §IV-A: skewed predicate
-// columns join the stratification set).
+// counted by one pass over the column (Table.ColumnGroups). The planner
+// decides between uniform and distinct sampling by it and detects skew when
+// pushing synopses under filters (paper §IV-A: skewed predicate columns
+// join the stratification set).
 type GroupStats struct {
 	Distinct int  // exact number of distinct values
 	MinGroup int  // size of the smallest value group
@@ -105,23 +105,57 @@ func (t *Table) Stats() *TableStats {
 // give a number.
 const skewRatio = 3.0
 
-// groupStats counts column i's group part. Its value groups are GROUP BY's:
-// the group index counts them (groupCounts), so -0.0, +0.0 and each NaN
-// payload are one group apiece, exactly as a query over the column would
-// answer.
+// groupStats counts column i's group part. Its value groups are GROUP BY's,
+// so -0.0, +0.0 and each NaN payload are one group apiece, exactly as a
+// query over the column would answer. An Int64 column whose bounds over the
+// partitions' zone maps span densely for the version's rows (DenseSpan, the
+// rule a KeyIndex lays a key out by) is counted at its address key − min
+// (denseCounts); every other column through a GroupIndex (groupCounts).
 func (t *Table) groupStats(i int) GroupStats {
-	var st GroupStats
-	n := t.rows
-	if n == 0 {
-		return st
+	if t.rows == 0 {
+		return GroupStats{}
 	}
-	counts := t.groupCounts([]int{i})
-	st.Distinct, st.MinGroup = len(counts), n
-	for _, f := range counts {
-		st.MinGroup = min(st.MinGroup, f)
-		st.MaxGroup = max(st.MaxGroup, f)
+	if counts := t.denseCounts(i); counts != nil {
+		return groupSizes(counts, t.rows)
 	}
-	avgGroup := float64(n) / float64(st.Distinct)
+	return groupSizes(t.groupCounts([]int{i}), t.rows)
+}
+
+// denseCounts counts column i's rows into an int32 array by key − min, one
+// loop per partition, when the column is Int64 and DenseSpan admits its
+// bounds for the version's rows; nil otherwise. A cell is a key's row
+// count, zero for a key no row holds.
+func (t *Table) denseCounts(i int) []int32 {
+	if t.schema[i].Typ != Int64 {
+		return nil
+	}
+	lo, hi, _ := t.Bounds(i)
+	n, ok := DenseSpan(lo.I, hi.I, t.rows)
+	if !ok {
+		return nil
+	}
+	counts := make([]int32, n)
+	for _, part := range t.parts {
+		for _, k := range part.cols[i].I64 {
+			counts[uint64(k)-uint64(lo.I)]++
+		}
+	}
+	return counts
+}
+
+// groupSizes reads the group part of a column of rows rows off its groups'
+// row counts; a zero count is no group.
+func groupSizes[T int | int32](counts []T, rows int) GroupStats {
+	st := GroupStats{MinGroup: rows}
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		st.Distinct++
+		st.MinGroup = min(st.MinGroup, int(c))
+		st.MaxGroup = max(st.MaxGroup, int(c))
+	}
+	avgGroup := float64(rows) / float64(st.Distinct)
 	st.Skewed = float64(st.MaxGroup) > skewRatio*avgGroup && st.Distinct > 1
 	return st
 }
