@@ -58,21 +58,27 @@ func CompileValueKeyed(n *plan.Aggregate, seed uint64, ctx *Context) (Operator, 
 }
 
 // BuildSketchPayload builds node's inline payload as a sketch sink over the
-// probe schema probe does: counted by key − min when its key spans densely
-// over the scanned table, through a GroupIndex otherwise — or, hashed,
-// through the GroupIndex fold whatever the key. dense reports whether the
-// query's build counts by key − min.
-func BuildSketchPayload(node *plan.SketchJoin, probe storage.Schema, hashed bool, ctx *Context) (sk *synopses.SketchJoin, dense bool, err error) {
+// probe schema probe does: counted at key − min when its key spans densely
+// over the scanned table, at its rows' ids in the table's numbering otherwise
+// — or, numbered, at the ids whatever the key. dense reports whether the
+// query's build counts at key − min.
+func BuildSketchPayload(node *plan.SketchJoin, probe storage.Schema, numbered bool, ctx *Context) (sk *synopses.SketchJoin, dense bool, err error) {
 	s, err := newSketchSink(node, probe, nil, ctx)
 	if err != nil {
 		return nil, false, err
 	}
-	lo, n := s.denseSpan()
-	dense = n > 0
-	if hashed {
-		n = 0
+	lo, n, ids := s.keySpace()
+	dense = ids == nil
+	if numbered && dense {
+		t := buildSource(node.Build)
+		cols := make([]int, len(s.buildKeys))
+		for c, k := range s.buildKeys {
+			cols[c] = t.Schema().Index(k.Name)
+		}
+		lo, ids = 0, t.GroupIDs(cols)
+		n = ids.Len()
 	}
-	sk, err = s.buildPayload(lo, n, ctx)
+	sk, err = s.buildPayload(lo, n, ids, ctx)
 	if cerr := s.build.Close(); err == nil {
 		err = cerr
 	}

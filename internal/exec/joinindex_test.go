@@ -433,10 +433,10 @@ func (sh joinIndexShape) cols() []int {
 // joinIndexShapes are the build sides the benchmark workloads produce — a
 // whole dimension table keyed 1..n, and a selective build-side filter's
 // survivors, as a compact index of their own (subset) and as a mask over
-// the dimension's index (mask), all dense — plus the shapes they do not,
-// which are numbered: as many Int64 keys with no locality (sparse), one
-// coded string column (str) and an (Int64, String) pair (int_str), every
-// key unique.
+// the dimension's index (mask), all dense — plus the shapes they do not:
+// the numbered ones, as many Int64 keys with no locality (sparse), one coded
+// string column (str) and an (Int64, String) pair (int_str), every key
+// unique, and a dense key on four rows each (runs), laid out in dense runs.
 func joinIndexShapes() []joinIndexShape {
 	rng := rand.New(rand.NewSource(29))
 	dense := make([]int64, 150_000)
@@ -463,6 +463,10 @@ func joinIndexShapes() []joinIndexShape {
 		pair.Str(1, fmt.Sprintf("mode#%02d", p%50))
 	}
 	strs, pairs := str.Build(1), pair.Build(1)
+	runs := make([]int64, 150_000)
+	for i, p := range rng.Perm(len(runs)) {
+		runs[i] = int64(p/4) + 1
+	}
 	return []joinIndexShape{
 		{name: "dense150k", keys: []*storage.Vector{int64Vec(dense)}},
 		{name: "sparse150k", keys: []*storage.Vector{int64Vec(sparse)}},
@@ -470,6 +474,7 @@ func joinIndexShapes() []joinIndexShape {
 		{name: "mask133of20k", keys: []*storage.Vector{int64Vec(dim)}, probeMax: 20_000, survivors: subset},
 		{name: "str", keys: []*storage.Vector{strs.Column(0)}},
 		{name: "int_str", keys: []*storage.Vector{pairs.Column(0), pairs.Column(1)}},
+		{name: "runs150k", keys: []*storage.Vector{int64Vec(runs)}},
 	}
 }
 
@@ -605,9 +610,10 @@ var benchJoinSink int
 // for one output chunk per call — over 64 probe batches of 1 024 rows,
 // every row live ("all") or a random half under a selection ("sel"),
 // reporting ns per live probe row; a probe allocates nothing. Probe keys are
-// all present for the whole-table shapes, drawn from their build rows; the
-// subset build misses 99 % of the time, as its query does, whether it is its
-// own index (subset133of20k) or a mask over the dimension's (mask133of20k).
+// all present for the whole-table shapes, drawn from their build rows (four
+// pairs a row under runs150k); the subset build misses 99 % of the time, as
+// its query does, whether it is its own index (subset133of20k) or a mask
+// over the dimension's (mask133of20k).
 func BenchmarkJoinProbe(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sh := range joinIndexShapes() {

@@ -551,12 +551,15 @@ func BenchmarkSketchJoinGrouped(b *testing.B) {
 // query's sink prepares it — the build side σ(lineitem) drained serially,
 // every row counted at its key and l_extendedprice summed per key — over
 // TPCH(0.1)'s lineitem keyed by l_partkey and l_orderkey (dense surrogate
-// keys: counted by key − min), by l_orderkey under template q10's filter
+// keys: counted at key − min), by l_orderkey under template q10's filter
 // l_returnflag = 'R' (the build on explore_cold's tail: a quarter of the
 // rows, every batch under a selection vector) and by a sparse key,
-// l_orderkey times a large odd stride (folded through a GroupIndex). It
-// reports ns per scanned row and B/op (`go test ./internal/exec -run NONE
-// -bench BenchmarkSketchJoinBuild -benchmem -cpu 1`).
+// l_orderkey times a large odd stride, counted at its rows' ids in the
+// table's numbering: built by the first iteration and reused by the rest
+// (sparse), or built by every iteration over a fresh table version made off
+// the clock (sparse_cold). It reports ns per scanned row and B/op (`go test
+// ./internal/exec -run NONE -bench BenchmarkSketchJoinBuild -benchmem -cpu
+// 1`).
 func BenchmarkSketchJoinBuild(b *testing.B) {
 	li, err := workload.TPCH(0.1, 1).Catalog.Table("lineitem")
 	if err != nil {
@@ -568,20 +571,25 @@ func BenchmarkSketchJoinBuild(b *testing.B) {
 		sparse.I64[i] = k * 0x9E3779B97F4A7C1
 	}
 	price := li.Column(li.Schema().Index("lineitem.l_extendedprice"))
-	sp, err := storage.NewTable("sp", storage.Schema{{Name: "sp.key", Typ: storage.Int64}, {Name: "sp.price", Typ: storage.Float64}}, []*storage.Vector{sparse, price}, li.Partitions())
-	if err != nil {
-		b.Fatal(err)
+	spTable := func() *storage.Table {
+		sp, err := storage.NewTable("sp", storage.Schema{{Name: "sp.key", Typ: storage.Int64}, {Name: "sp.price", Typ: storage.Float64}}, []*storage.Vector{sparse, price}, li.Partitions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sp
 	}
 	returned := &plan.Filter{Child: &plan.Scan{Table: li}, Pred: expr.Pred{expr.Compare("lineitem.l_returnflag", expr.EQ, storage.StringValue("R"))}}
 	for _, c := range []struct {
 		name       string
 		build      plan.Node
 		key, price string
+		cold       bool // a fresh build table version every iteration
 	}{
-		{"l_partkey", &plan.Scan{Table: li}, "lineitem.l_partkey", "lineitem.l_extendedprice"},
-		{"l_orderkey", &plan.Scan{Table: li}, "lineitem.l_orderkey", "lineitem.l_extendedprice"},
-		{"q10", returned, "lineitem.l_orderkey", "lineitem.l_extendedprice"},
-		{"sparse", &plan.Scan{Table: sp}, "sp.key", "sp.price"},
+		{"l_partkey", &plan.Scan{Table: li}, "lineitem.l_partkey", "lineitem.l_extendedprice", false},
+		{"l_orderkey", &plan.Scan{Table: li}, "lineitem.l_orderkey", "lineitem.l_extendedprice", false},
+		{"q10", returned, "lineitem.l_orderkey", "lineitem.l_extendedprice", false},
+		{"sparse", &plan.Scan{Table: spTable()}, "sp.key", "sp.price", false},
+		{"sparse_cold", &plan.Scan{Table: spTable()}, "sp.key", "sp.price", true},
 	} {
 		node := &plan.SketchJoin{
 			Build: c.build, BuildKeys: []string{c.key}, ProbeKeys: []string{"p.k"},
@@ -592,6 +600,11 @@ func BenchmarkSketchJoinBuild(b *testing.B) {
 			pool := storage.NewVecPool()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if c.cold {
+					b.StopTimer()
+					node.Build = &plan.Scan{Table: spTable()}
+					b.StartTimer()
+				}
 				ctx := NewContext(0.95)
 				ctx.Pool = pool
 				s, err := newSketchSink(node, probe, nil, ctx)

@@ -137,16 +137,17 @@ func (s *sketchSink) outSchema() storage.Schema { return s.schema }
 // prepare implements sink. An inline build is what a join's build side is:
 // σ(base table) drained once, serially, before the pool starts — every row
 // is one count and one add into its key's cell, and the result is one small
-// shared table, so there is nothing for morsels to split. A dense key is
-// counted at its address (foldDense); any other through a GroupIndex
-// (foldHashed). The finished payload is recorded for the tuner to keep.
+// shared table, so there is nothing for morsels to split. The cell is the
+// key's place in the scanned table (keySpace), and one fold counts at it
+// whichever place that is (buildPayload). The finished payload is recorded
+// for the tuner to keep.
 func (s *sketchSink) prepare(ctx *Context) error {
 	s.sketch = s.node.Sketch
 	if s.build == nil {
 		return nil
 	}
-	lo, n := s.denseSpan()
-	sk, err := s.buildPayload(lo, n, ctx)
+	lo, n, ids := s.keySpace()
+	sk, err := s.buildPayload(lo, n, ids, ctx)
 	if cerr := s.build.Close(); err == nil {
 		err = cerr
 	}
@@ -158,46 +159,101 @@ func (s *sketchSink) prepare(ctx *Context) error {
 	return nil
 }
 
-// denseSpan returns the build key's smallest value and its number of
-// positions key − min when the key is dense: one Int64 column whose bounds
-// over the scanned table — its partitions' zone maps — span densely for the
-// table's rows (storage.DenseSpan, the rule a KeyIndex applies to the keys
-// it holds), in positions an int32 holds. n is 0 otherwise. Every key a
-// build batch carries is one of the table's, so it lies within the bounds.
-func (s *sketchSink) denseSpan() (lo int64, n int) {
-	if len(s.buildKeys) != 1 || s.buildKeys[0].Typ != storage.Int64 {
-		return 0, 0
-	}
+// keySpace picks where a build row counts, one of n places. A dense key —
+// one Int64 column whose bounds over the scanned table, its partitions' zone
+// maps, span densely for the table's rows (storage.DenseSpan, the rule a
+// KeyIndex applies to the keys it holds) in positions an int32 holds —
+// counts at its address key − lo, and ids is nil: every key a build batch
+// carries is one of the table's, so it lies within the bounds. Any other key
+// counts at its row's id in the scanned table's own numbering of the build
+// keys, ids, which the version builds once and shares with its KeyIndex and
+// every sink grouping by those columns.
+func (s *sketchSink) keySpace() (lo int64, n int, ids *storage.GroupIDs) {
 	t := buildSource(s.node.Build)
-	mn, mx, _ := t.Bounds(t.Schema().Index(s.buildKeys[0].Name))
-	n, ok := storage.DenseSpan(mn.I, mx.I, t.NumRows())
-	if !ok || n > math.MaxInt32 {
-		return 0, 0
+	cols := make([]int, len(s.buildKeys))
+	for c, k := range s.buildKeys {
+		cols[c] = t.Schema().Index(k.Name)
 	}
-	return mn.I, n
+	if len(cols) == 1 && s.buildKeys[0].Typ == storage.Int64 {
+		mn, mx, _ := t.Bounds(cols[0])
+		if n, ok := storage.DenseSpan(mn.I, mx.I, t.NumRows()); ok && n <= math.MaxInt32 {
+			return mn.I, n, nil
+		}
+	}
+	ids = t.GroupIDs(cols)
+	return 0, ids.Len(), ids
 }
 
 // buildPayload drains the build side into the payload: a row per join key,
-// ids in first-seen row order, holding the key's row count and the row-order
-// sum of its aggregate column from +0. The keys are counted by key − lo over
-// n positions when n > 0, through a GroupIndex otherwise; both give the same
-// bytes. One CPU tuple per build row.
-func (s *sketchSink) buildPayload(lo int64, n int, ctx *Context) (*synopses.SketchJoin, error) {
+// in first-seen row order, holding the key's row count and the row-order sum
+// of its aggregate column from +0. Each build row counts, and sums, at its
+// key's place among n (keySpace) — key − lo, or its table row's id when ids
+// is set: a build batch's rows are table rows from its Start on — in arrays
+// allocated once, and a key's first row appends its place to order, which
+// the table's rows bound. After the drain one walk over order writes the
+// payload's columns at their length, the keys from their places or gathered
+// from the numbering's Keys. Counts are int32, as a KeyIndex's row positions
+// are. One CPU tuple per build row.
+func (s *sketchSink) buildPayload(lo int64, n int, ids *storage.GroupIDs, ctx *Context) (*synopses.SketchJoin, error) {
 	if err := s.build.Open(); err != nil {
 		return nil, err
 	}
-	var cols []*storage.Vector
-	var err error
-	if n > 0 {
-		cols, err = s.foldDense(lo, n, ctx)
-	} else {
-		cols, err = s.foldHashed(ctx)
-	}
-	if err != nil {
-		return nil, err
-	}
-	schema := append(s.buildKeys.Clone(), storage.Col{Name: synopses.CountCol, Typ: storage.Float64})
+	count := make([]int32, n)
+	var sum []float64
 	if s.buildAggIdx >= 0 {
+		sum = make([]float64, n)
+	}
+	order := make([]int32, 0, min(n, buildSource(s.node.Build).NumRows()))
+	for {
+		b, err := s.build.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		ctx.Stats.CPUTuples += int64(b.Rows())
+		at := b.Vecs[s.buildKeyIdx[0]].I64
+		if ids != nil {
+			at = ids.ID.I64[b.Start : b.Start+b.Len()]
+		}
+		// newSketchSink keeps a numeric aggregate column only.
+		switch {
+		case s.buildAggIdx < 0:
+			order = foldAtKeys(order, count, nil, lo, at, b.Sel, []float64(nil))
+		case b.Vecs[s.buildAggIdx].Typ == storage.Float64:
+			order = foldAtKeys(order, count, sum, lo, at, b.Sel, b.Vecs[s.buildAggIdx].F64)
+		default:
+			order = foldAtKeys(order, count, sum, lo, at, b.Sel, b.Vecs[s.buildAggIdx].I64)
+		}
+		ctx.Pool.Release(b)
+	}
+	var cols []*storage.Vector
+	if ids == nil {
+		keys := make([]int64, len(order))
+		for j, p := range order {
+			keys[j] = lo + int64(p)
+		}
+		cols = append(cols, &storage.Vector{Typ: storage.Int64, I64: keys})
+	} else {
+		for _, k := range ids.Keys {
+			v := storage.NewVector(k.Typ, len(order))
+			v.AppendGather(k, order)
+			cols = append(cols, v)
+		}
+	}
+	counts := make([]float64, len(order))
+	for j, p := range order {
+		counts[j] = float64(count[p])
+	}
+	cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: counts})
+	schema := append(s.buildKeys.Clone(), storage.Col{Name: synopses.CountCol, Typ: storage.Float64})
+	if sum != nil {
+		sums := make([]float64, len(order))
+		for j, p := range order {
+			sums[j] = sum[p]
+		}
+		cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: sums})
 		schema = append(schema, storage.Col{Name: synopses.SumCol, Typ: storage.Float64})
 	}
 	rows, err := storage.NewTable("sketch-join", schema, cols, 1)
@@ -207,71 +263,13 @@ func (s *sketchSink) buildPayload(lo int64, n int, ctx *Context) (*synopses.Sket
 	return synopses.NewSketchJoin(rows, s.node.AggCol)
 }
 
-// drain hands every build batch with live rows to fold, in row order.
-func (s *sketchSink) drain(ctx *Context, fold func(b *storage.Batch)) error {
-	for {
-		b, err := s.build.Next()
-		if err != nil || b == nil {
-			return err
-		}
-		if n := b.Rows(); n > 0 {
-			ctx.Stats.CPUTuples += int64(n)
-			fold(b)
-		}
-		ctx.Pool.Release(b)
-	}
-}
-
-// foldDense counts, and sums, every build row in the cell of its key's
-// position key − lo of arrays n long, each allocated once; a key's first row
-// appends its position to order, which the table's rows bound. After the
-// drain one walk over order writes the payload's columns at their length.
-// Counts are int32, as a KeyIndex's row positions are.
-func (s *sketchSink) foldDense(lo int64, n int, ctx *Context) ([]*storage.Vector, error) {
-	count := make([]int32, n)
-	var sum []float64
-	if s.buildAggIdx >= 0 {
-		sum = make([]float64, n)
-	}
-	order := make([]int32, 0, min(n, buildSource(s.node.Build).NumRows()))
-	err := s.drain(ctx, func(b *storage.Batch) {
-		keys := b.Vecs[s.buildKeyIdx[0]].I64
-		if s.buildAggIdx < 0 {
-			order = foldAtKeys(order, count, nil, lo, keys, b.Sel, []float64(nil))
-			return
-		}
-		switch v := b.Vecs[s.buildAggIdx]; v.Typ {
-		case storage.Float64:
-			order = foldAtKeys(order, count, sum, lo, keys, b.Sel, v.F64)
-		case storage.Int64:
-			order = foldAtKeys(order, count, sum, lo, keys, b.Sel, v.I64)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	keys, counts := make([]int64, len(order)), make([]float64, len(order))
-	for j, p := range order {
-		keys[j], counts[j] = lo+int64(p), float64(count[p])
-	}
-	cols := []*storage.Vector{{Typ: storage.Int64, I64: keys}, {Typ: storage.Float64, F64: counts}}
-	if sum != nil {
-		sums := make([]float64, len(order))
-		for j, p := range order {
-			sums[j] = sum[p]
-		}
-		cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: sums})
-	}
-	return cols, nil
-}
-
 // foldAtKeys folds one build batch's live rows — the rows sel names, or every
-// row — into the cells at their keys' positions key − lo: a count each, and
-// the aggregate value into sum unless vals is nil. A key's first row appends
-// its position to order.
-func foldAtKeys[T int64 | float64](order, count []int32, sum []float64, lo int64, keys []int64, sel []int32, vals []T) []int32 {
+// row — into the cells at their places at[i] − lo: a count each, and the
+// aggregate value into sum unless vals is nil. A key's first row appends its
+// place to order.
+func foldAtKeys[T int64 | float64](order, count []int32, sum []float64, lo int64, at []int64, sel []int32, vals []T) []int32 {
 	if sel == nil {
-		for i, k := range keys {
+		for i, k := range at {
 			p := uint64(k) - uint64(lo)
 			if count[p] == 0 {
 				order = append(order, int32(p))
@@ -284,7 +282,7 @@ func foldAtKeys[T int64 | float64](order, count []int32, sum []float64, lo int64
 		return order
 	}
 	for _, i := range sel {
-		p := uint64(keys[i]) - uint64(lo)
+		p := uint64(at[i]) - uint64(lo)
 		if count[p] == 0 {
 			order = append(order, int32(p))
 		}
@@ -294,52 +292,6 @@ func foldAtKeys[T int64 | float64](order, count []int32, sum []float64, lo int64
 		}
 	}
 	return order
-}
-
-// foldHashed numbers the build rows' keys through a GroupIndex, ids in
-// first-seen row order, and counts, and sums, each key's rows in float64
-// slabs grown with the ids.
-func (s *sketchSink) foldHashed(ctx *Context) ([]*storage.Vector, error) {
-	idx := storage.NewGroupIndex(s.buildKeyIdx, s.buildKeys)
-	var counts, sums []float64
-	err := s.drain(ctx, func(b *storage.Batch) {
-		sc := storage.BorrowScratch(b.Rows(), len(s.buildKeyIdx))
-		ids := idx.Resolve(b, sc)
-		grow := idx.Len() - len(counts)
-		counts = append(counts, make([]float64, grow)...)
-		for _, id := range ids {
-			counts[id]++
-		}
-		if s.buildAggIdx >= 0 {
-			sums = append(sums, make([]float64, grow)...)
-			switch v := b.Vecs[s.buildAggIdx]; v.Typ {
-			case storage.Float64:
-				sumColumn(sums, ids, b.Sel, v.F64)
-			case storage.Int64:
-				sumColumn(sums, ids, b.Sel, v.I64)
-			}
-		}
-		storage.ReturnScratch(sc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	cols := append(idx.KeyColumns(), &storage.Vector{Typ: storage.Float64, F64: counts})
-	if s.buildAggIdx >= 0 {
-		cols = append(cols, &storage.Vector{Typ: storage.Float64, F64: sums})
-	}
-	return cols, nil
-}
-
-// sumColumn adds every live row's aggregate value into its key's sum.
-func sumColumn[T int64 | float64](sums []float64, ids, sel []int32, col []T) {
-	for j, id := range ids {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
-		}
-		sums[id] += float64(col[i])
-	}
 }
 
 // newPartial implements sink.

@@ -2,6 +2,7 @@ package planner_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/meta"
@@ -17,7 +18,10 @@ import (
 // an append for the statistics its plan reads. Each iteration, outside the
 // timer, appends no rows to lineitem — a new version that shares every
 // partition, and so every zone map, and has counted nothing — and parses
-// one instance of the template against it; the timer covers Plan alone.
+// one instance of the template against it and collects garbage; the timer
+// covers Plan alone. Each template plans on a planner of its own, so what
+// one template's plans left in a planner, and the garbage they left, does
+// not weigh on the next: a template reads the same alone as after others.
 func BenchmarkPlanFirstAccess(b *testing.B) {
 	w := workload.TPCH(0.1, 1)
 	li, err := w.Catalog.Table("lineitem")
@@ -25,9 +29,9 @@ func BenchmarkPlanFirstAccess(b *testing.B) {
 		b.Fatal(err)
 	}
 	none := storage.NewBuilder("lineitem", li.Schema()).Build(1)
-	pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<30, 1<<30, nil), storage.DefaultCostModel())
 	for _, tpl := range w.Templates {
 		b.Run(tpl.Name, func(b *testing.B) {
+			pl := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<30, 1<<30, nil), storage.DefaultCostModel())
 			r := rand.New(rand.NewSource(1))
 			for range b.N {
 				b.StopTimer()
@@ -38,6 +42,7 @@ func BenchmarkPlanFirstAccess(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				runtime.GC()
 				b.StartTimer()
 				if _, err := pl.Plan(q); err != nil {
 					b.Fatal(err)

@@ -17,11 +17,13 @@ import (
 // key is numbered: the version's own GroupIDs over the key columns gives each
 // distinct key an id in key order, a probe finds a key's id by binary search
 // over the numbering's keys, and id's run sits behind an offset array indexed
-// by id. There is no hash table of its own. The build is serial, so the index
-// is the same whatever runs beside it; once built it is immutable and safe
-// for concurrent probes. A join's build side and a sketch-join's per-key
-// table are both found through one, a probe batch at a time (Probe), and the
-// rows a query's build side keeps are a KeyMask over it.
+// by id. A probe reads every run, dense or numbered, through one loop; only
+// the unique layout has loops of its own. It keeps no hash table. The build
+// is serial, so the index is the same whatever runs beside it; once built it
+// is immutable and safe for concurrent probes. A join's build side and a
+// sketch-join's per-key table are both found through one, a probe batch at a
+// time (Probe), and the rows a query's build side keeps are a KeyMask over
+// it.
 //
 //taster:immutable
 type KeyIndex struct {
@@ -226,25 +228,18 @@ type ProbePos struct{ Row, Done int }
 // live-row order and ascending within a row, and stops once room pairs are
 // out or the batch is: it returns fewer than room pairs only with Row ==
 // b.Rows(). The position it returns is where the next call resumes —
-// mid-run when a row's matches outrun room. Each layout runs its own loops:
-// a unique dense index, every join of the generated workloads, one per mask
-// shape (probeUnique, probeUniqueMasked); dense runs one unmasked and one
-// under a mask by row (probeDense, probeDenseMasked); a numbered index one
-// that searches its numbering (probeSearch).
+// mid-run when a row's matches outrun room. A unique dense index, every join
+// of the generated workloads, has one loop per mask shape (probeUnique,
+// probeUniqueMasked); every other index, dense runs or numbered, has one loop
+// that finds a row's run by address or by search (probeRuns).
 func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
-	if x.key == nil {
-		return x.probeSearch(b, cols, mask, at, room, pos, rows)
-	}
-	keys := b.Vecs[cols[0]].I64
 	switch {
 	case x.rowOf != nil && mask == nil:
-		return x.probeUnique(keys, b.Sel, b.Rows(), at, room, pos, rows)
+		return x.probeUnique(b.Vecs[cols[0]].I64, b.Sel, b.Rows(), at, room, pos, rows)
 	case x.rowOf != nil:
-		return x.probeUniqueMasked(keys, b.Sel, b.Rows(), mask, at, room, pos, rows)
-	case mask == nil:
-		return x.probeDense(keys, b.Sel, b.Rows(), at, room, pos, rows)
+		return x.probeUniqueMasked(b.Vecs[cols[0]].I64, b.Sel, b.Rows(), mask, at, room, pos, rows)
 	}
-	return x.probeDenseMasked(keys, b.Sel, b.Rows(), mask, at, room, pos, rows)
+	return x.probeRuns(b, cols, mask, at, room, pos, rows)
 }
 
 // probeUnique is Probe's loop over a unique dense index: one rowOf load per
@@ -306,72 +301,18 @@ func (x *KeyIndex) probeUniqueMasked(keys []int64, sel []int32, live int, byKey 
 	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
-// probeDense is Probe's loop over dense runs: one offset pair per live row,
-// a key below min wrapping to a k the bound refuses.
-func (x *KeyIndex) probeDense(keys []int64, sel []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
-	o := len(pos)
-	pos, rows = grow(pos, room), grow(rows, room)
-	offs, matchRows, min := x.offs, x.matchRows, x.min
-	span := uint64(len(offs) - 1)
-	done := at.Done
-	for j := at.Row; j < live; j++ {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
-		}
-		k := uint64(keys[i]) - min
-		if k >= span {
-			continue
-		}
-		start, hi := int(offs[k]), int(offs[k+1])
-		lo := start + done
-		done = 0
-		if hi-lo >= len(pos)-o {
-			return x.fill(pos, rows, o, j, start, lo, hi)
-		}
-		for ; lo < hi; lo++ {
-			pos[o], rows[o] = int32(j), matchRows[lo]
-			o++
-		}
-	}
-	return pos[:o], rows[:o], ProbePos{Row: live}
-}
-
-// probeDenseMasked is probeDense under a mask by row: a row byRow refuses
-// is skipped within its run (fillMasked). The unmasked loop stays free of
-// the test.
-func (x *KeyIndex) probeDenseMasked(keys []int64, sel []int32, live int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
-	o := len(pos)
-	pos, rows = grow(pos, room), grow(rows, room)
-	offs, min := x.offs, x.min
-	span := uint64(len(offs) - 1)
-	done := at.Done
-	for j := at.Row; j < live; j++ {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
-		}
-		k := uint64(keys[i]) - min
-		if k >= span {
-			continue
-		}
-		start := int(offs[k])
-		var full bool
-		if o, at, full = x.fillMasked(pos, rows, byRow, o, j, start, start+done, int(offs[k+1])); full {
-			return pos, rows, at
-		}
-		done = 0
-	}
-	return pos[:o], rows[:o], ProbePos{Row: live}
-}
-
-// probeSearch is Probe's loop over a numbered index, under a mask by row
-// or none: a live row's id is its key's row in the numbering's key-ordered
-// Keys, found by binary search under compareKeyRows — the order and the
-// equality the numbering was built by, floats by their IEEE bits and strings
-// by value — and id's run is matchRows[offs[id]:offs[id+1]]. A key no
-// indexed row carries is not found and matches nothing.
-func (x *KeyIndex) probeSearch(b *Batch, cols []int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+// probeRuns is Probe's loop over runs, dense or numbered, under a mask by
+// row or none. A live row's run position k is, under dense runs, its key −
+// min, a key below min wrapping to a k the bound refuses; under a numbered
+// index, its key's id (find). A key no indexed row carries matches nothing.
+// k's run matchRows[offs[k]:offs[k+1]] is copied whole when no mask is kept
+// and it fits in the room left — one room check a row. Otherwise each match
+// the mask holds is written while there is room; when there is none, the
+// position returned resumes inside the run, at that match. The loop keeps
+// the search out of line, and the dense keys and the arrays in locals: with
+// either inline, spills made it a third slower per pair
+// (BenchmarkJoinProbe/runs150k).
+func (x *KeyIndex) probeRuns(b *Batch, cols []int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
 	var buf [4]*Vector // up to four key columns stay on the stack
@@ -379,64 +320,69 @@ func (x *KeyIndex) probeSearch(b *Batch, cols []int, byRow KeyMask, at ProbePos,
 	for _, c := range cols {
 		probe = append(probe, b.Vecs[c])
 	}
-	keys, n := x.ids.Keys, x.ids.Len()
+	offs, matchRows, sel, min := x.offs, x.matchRows, b.Sel, x.min
+	var keys []int64 // the probe keys under dense runs, nil when numbered
+	if x.ids == nil {
+		keys = probe[0].I64
+	}
+	span := uint64(len(offs) - 1)
 	live, done := b.Rows(), at.Done
 	for j := at.Row; j < live; j++ {
 		i := j
-		if b.Sel != nil {
-			i = int(b.Sel[j])
+		if sel != nil {
+			i = int(sel[j])
 		}
-		id := sort.Search(n, func(g int) bool { return compareKeyRows(keys, g, probe, i) >= 0 })
-		if id == n || compareKeyRows(keys, id, probe, i) != 0 {
+		var k uint64
+		if keys != nil {
+			k = uint64(keys[i]) - min
+		} else {
+			k = x.find(probe, i)
+		}
+		if k >= span {
 			continue
 		}
-		start := int(x.offs[id])
-		var full bool
-		if o, at, full = x.fillMasked(pos, rows, byRow, o, j, start, start+done, int(x.offs[id+1])); full {
-			return pos, rows, at
-		}
+		start, hi := int(offs[k]), int(offs[k+1])
+		lo := start + done
 		done = 0
+		if byRow == nil && hi-lo < len(pos)-o {
+			for ; lo < hi; lo++ {
+				pos[o], rows[o] = int32(j), matchRows[lo]
+				o++
+			}
+			continue
+		}
+		for ; lo < hi; lo++ {
+			r := matchRows[lo]
+			if byRow != nil && !byRow.has(uint64(r)) {
+				continue
+			}
+			if o == len(pos) {
+				return pos, rows, ProbePos{Row: j, Done: lo - start}
+			}
+			pos[o], rows[o] = int32(j), r
+			o++
+		}
 	}
 	return pos[:o], rows[:o], ProbePos{Row: live}
+}
+
+// find returns the id of row i of the probe key columns in a numbered
+// index: its key's row in the numbering's key-ordered Keys, found by binary
+// search under compareKeyRows — the order and the equality the numbering
+// was built by, floats by their IEEE bits and strings by value — or the
+// number of ids when no indexed row carries the key.
+func (x *KeyIndex) find(probe []*Vector, i int) uint64 {
+	keys, n := x.ids.Keys, x.ids.Len()
+	id := sort.Search(n, func(g int) bool { return compareKeyRows(keys, g, probe, i) >= 0 })
+	if id < n && compareKeyRows(keys, id, probe, i) != 0 {
+		id = n
+	}
+	return uint64(id)
 }
 
 // grow extends s by room entries: a probe loop writes its pairs in place and
 // cuts pos and rows back to what it wrote.
 func grow(s []int32, room int) []int32 { return slices.Grow(s, room)[:len(s)+room] }
-
-// fill writes live row j's matches matchRows[lo:] into pos and rows from o
-// on until they are full, and returns where the next call resumes: at the
-// next row when j's run — matchRows[start:hi] — ends with them, inside it
-// otherwise.
-func (x *KeyIndex) fill(pos, rows []int32, o, j, start, lo, hi int) ([]int32, []int32, ProbePos) {
-	for ; o < len(pos); o, lo = o+1, lo+1 {
-		pos[o], rows[o] = int32(j), x.matchRows[lo]
-	}
-	if lo == hi {
-		return pos, rows, ProbePos{Row: j + 1}
-	}
-	return pos, rows, ProbePos{Row: j, Done: lo - start}
-}
-
-// fillMasked writes live row j's matches matchRows[lo:hi] that byRow holds
-// (nil: every one) into pos and rows from o on and returns the new o. When
-// pos is full before the next such match is written, full is true and at is
-// where the next call resumes — inside the run, at that match
-// (matchRows[start:hi] is j's run).
-func (x *KeyIndex) fillMasked(pos, rows []int32, byRow KeyMask, o, j, start, lo, hi int) (_ int, at ProbePos, full bool) {
-	for ; lo < hi; lo++ {
-		r := x.matchRows[lo]
-		if byRow != nil && !byRow.has(uint64(r)) {
-			continue
-		}
-		if o == len(pos) {
-			return o, ProbePos{Row: j, Done: lo - start}, true
-		}
-		pos[o], rows[o] = int32(j), r
-		o++
-	}
-	return o, ProbePos{}, false
-}
 
 // Keys returns the number of distinct keys indexed.
 func (x *KeyIndex) Keys() int { return x.keys }

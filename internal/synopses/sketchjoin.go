@@ -27,6 +27,10 @@ const (
 // any other key is found by binary search over the payload's own numbering
 // of its keys (Table.GroupIDs). Per key it holds the key and 8 or 16 bytes,
 // which keeps the paper's "ideal for materialization and re-use" footprint.
+// A query that builds one inline counts each build row at its key's place in
+// the scanned table — key − min for such a dense key, the row's id in the
+// table's own numbering for any other — and the rows, counts and sums come
+// out the same whichever place counted them.
 type SketchJoin struct {
 	// Rows holds one row per distinct key, in first-seen build-row order:
 	// the key columns (KeySchema), then CountCol and, when the build had a
