@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke bench-trees determinism parity reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke bench-trees bench-micro determinism parity reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
 
 all: check
 
@@ -153,6 +153,19 @@ bench-trees:
 		a=$$($(GO) tool nm -n "$$b/tasterbench" | awk '$$3 == "main.calibrate" { print $$1 }'); \
 		echo "bench-trees: $$t: main.calibrate at 0x$$a, ≡ $$(( 0x$$a % 64 )) mod 64"; \
 	done
+
+# In-package microbenchmarks against another commit: `make bench-micro
+# BASE=<ref> PKG=<pkg> BENCH=<regex> [ROUNDS=10]` builds `go test -c` binaries
+# of PKG from BASE and from this tree, runs base, change and base again (an
+# A/A control) ROUNDS times in rotating order at -test.cpu 1, and prints per
+# benchmark each side's min and median ns/op, the change/base median ratio
+# and the A/A ratio's spread: a ratio inside that spread is "within noise".
+# Not in check or CI: the base ref is a local choice, and each round runs
+# the matched benchmarks three times.
+ROUNDS ?= 10
+bench-micro:
+	@test -n "$(BASE)" -a -n "$(PKG)" -a -n "$(BENCH)" || { echo "bench-micro: set BASE=<git ref> PKG=<pkg> BENCH=<regex>"; exit 2; }; \
+	GO="$(GO)" bash scripts/bench-micro.sh "$(BASE)" "$(PKG)" "$(BENCH)" "$(ROUNDS)"
 
 # Reachability map, not part of check (CI gates on reach-check): builds
 # tasterbench and the declared benchmark with coverage over every package of

@@ -84,7 +84,7 @@ func lowerBuild(n plan.Node, where string, ctx *Context) (Operator, error) {
 		return nil, fmt.Errorf("exec: cannot compile %T in %s: a build side is Scan or Filter(Scan)", n, where)
 	}
 	whole := &pipeline{leaf: sc.Table, leafBase: true, leafSchema: sc.Table.Schema()}
-	src := &morselScan{schema: whole.leafSchema, ctx: ctx, whole: whole}
+	src := &morselScan{whole: whole, ctx: ctx}
 	if !filtered {
 		return src, nil
 	}

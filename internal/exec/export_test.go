@@ -84,3 +84,23 @@ func BuildSketchPayload(node *plan.SketchJoin, probe storage.Schema, numbered bo
 	}
 	return sk, dense, err
 }
+
+// JoinBatchRows is the most rows a join stage hands on in one chunk.
+const JoinBatchRows = joinBatchRows
+
+// SpineChunkRows runs spine — the plan below a sink — on the morsel loop
+// (spineChunks) and returns, per morsel in morsel order, the row count of
+// every batch its top stage handed the sink: over a join, its chunks.
+func SpineChunkRows(spine plan.Node, reads []string, seed uint64, ctx *Context) ([][]int, error) {
+	morsels, err := spineChunks(spine, reads, seed, ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]int, len(morsels))
+	for m, chunks := range morsels {
+		for _, c := range chunks {
+			out[m] = append(out[m], c.rows())
+		}
+	}
+	return out, nil
+}

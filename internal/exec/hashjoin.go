@@ -9,13 +9,13 @@ import (
 
 // joinBatchRows caps the number of joined rows emitted per output batch. A
 // high-fanout join (skewed key) would otherwise accumulate every match for a
-// probe batch into one unbounded output batch; the prober instead carries its
-// probe position across Next calls and emits fixed-size chunks.
+// probe batch into one unbounded output batch; the prober instead emits
+// fixed-size chunks, resuming a probe batch mid-run when a chunk fills.
 const joinBatchRows = storage.BatchSize
 
 // joinSpec is the resolved column binding of one equi-join: key and payload
 // column positions on both sides plus the output schema. It is computed once
-// and shared by every prober of the join (one per morsel). The payload is
+// and shared by every prober of the join (one per worker). The payload is
 // what something above the join reads, not what the two sides hold: the
 // build side is drained whole (its cache identity and its charge are the
 // full rows'), and the probe gathers the payload from the build table's own
@@ -163,74 +163,57 @@ func (t *joinTable) prefixMask(source *storage.Table, keys []int, n int) {
 	t.idx.Mark(t.mask, 0, nil, n)
 }
 
-// joinProber streams probe batches against a built joinTable, emitting joined
-// output in chunks of exactly joinBatchRows rows (the last one shorter). It
-// carries its place in the current probe batch across calls, so a skewed key
-// with huge fanout never inflates a single output batch.
+// joinProber is a Join stage's probe state, one per worker: it pairs whole
+// probe batches against a built joinTable into a chunk of at most
+// joinBatchRows joined rows, so a skewed key with huge fanout never inflates
+// a single output batch. The stage (morselWorker.probe) hands every chunk
+// that fills on up the spine; the partly filled one stays here, across
+// probe batches, until the next one fills it or the morsel ends.
 type joinProber struct {
 	spec  *joinSpec
 	table *joinTable
 	pool  *storage.VecPool
 
-	cur *storage.Batch
-	at  storage.ProbePos // where cur's next pair comes from
+	out *storage.Batch // the partly filled chunk; nil: none
 
 	// lrows/mrows are one KeyIndex.Probe call's (probe row, build row) pairs,
 	// a build row being a row of the build table's source;
-	// flush gathers them into the output batch column-major, one type
-	// dispatch per column instead of one per value. lrows index cur's live
-	// rows — the probe walks cur under its selection and never gathers it —
-	// so the pairs are flushed before cur is released.
+	// flush gathers them into the chunk column-major, one type dispatch per
+	// column instead of one per value. lrows index the probe batch's live
+	// rows — the probe walks it under its selection and never gathers it —
+	// so the pairs are flushed before the batch is released.
 	lrows []int32
 	mrows []int32
 }
 
-// next pulls probe batches via fetch until it has filled one output chunk (or
-// the probe side is exhausted), pairing each batch's rows in one Probe call
-// per chunk. It returns nil at end of stream and never returns an empty
-// batch.
-func (p *joinProber) next(fetch func() (*storage.Batch, error)) (*storage.Batch, error) {
-	var out *storage.Batch
-	for {
-		if p.cur == nil {
-			b, err := fetch()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				return out, nil
-			}
-			p.cur, p.at = b, storage.ProbePos{}
-		}
-		room := joinBatchRows
-		if out != nil {
-			room -= out.Len()
-		}
-		p.lrows, p.mrows, p.at = p.table.idx.Probe(p.cur, p.spec.leftKeys, p.table.mask, p.at, room, p.lrows, p.mrows)
-		if len(p.lrows) > 0 {
-			if out == nil {
-				out = p.pool.GetBatch(p.spec.schema, joinBatchRows)
-				out.Width = p.pool.GetSel(joinBatchRows)
-			}
-			p.flush(out)
-			if out.Len() == joinBatchRows {
-				// The chunk is full; the batch resumes at p.at next call.
-				return out, nil
-			}
-		}
-		// Probe stopped short of room: the batch is consumed.
-		p.pool.Release(p.cur)
-		p.cur = nil
+// fill pairs b's live rows from at on into the chunk, until the chunk is
+// full or b is consumed, in one Probe call. It returns where b's next pair
+// comes from and whether the chunk is full; a chunk that is not full means
+// b is consumed.
+func (p *joinProber) fill(b *storage.Batch, at storage.ProbePos) (storage.ProbePos, bool) {
+	room := joinBatchRows
+	if p.out != nil {
+		room -= p.out.Len()
 	}
+	p.lrows, p.mrows, at = p.table.idx.Probe(b, p.spec.leftKeys, p.table.mask, at, room, p.lrows, p.mrows)
+	if len(p.lrows) > 0 {
+		if p.out == nil {
+			p.out = p.pool.GetBatch(p.spec.schema, joinBatchRows)
+			p.out.Width = p.pool.GetSel(joinBatchRows)
+		}
+		p.flush(b)
+	}
+	return at, p.out != nil && p.out.Len() == joinBatchRows
 }
 
-// flush gathers the pairs into out column-major — the payload columns the
-// spec names, the build row's group id when the spec emits one, and each
-// pair's width, summed into out.WidthSum as it goes so that the exchange
-// above is charged without another pass — turning their live positions
-// into cur's physical rows on the way.
-func (p *joinProber) flush(out *storage.Batch) {
-	lwid, rwid, sel := p.cur.Width, p.table.width, p.cur.Sel
+// flush gathers the pairs of probe batch cur into the chunk column-major —
+// the payload columns the spec names, the build row's group id when the
+// spec emits one, and each pair's width, summed into the chunk's WidthSum
+// as it goes so that the exchange above is charged without another pass —
+// turning their live positions into cur's physical rows on the way.
+func (p *joinProber) flush(cur *storage.Batch) {
+	out := p.out
+	lwid, rwid, sel := cur.Width, p.table.width, cur.Sel
 	n := len(out.Width)
 	out.Width = slices.Grow(out.Width, len(p.lrows))[:n+len(p.lrows)]
 	widths, mrows := out.Width[n:], p.mrows[:len(p.lrows)]
@@ -248,7 +231,7 @@ func (p *joinProber) flush(out *storage.Batch) {
 	out.WidthSum += sum
 	col := 0
 	for _, lc := range p.spec.leftCols {
-		out.Vecs[col].AppendGather(p.cur.Vecs[lc], p.lrows)
+		out.Vecs[col].AppendGather(cur.Vecs[lc], p.lrows)
 		col++
 	}
 	for _, rc := range p.spec.rightCols {
@@ -259,34 +242,4 @@ func (p *joinProber) flush(out *storage.Batch) {
 		out.Vecs[col].AppendGather(ids, mrows)
 	}
 	p.lrows, p.mrows = p.lrows[:0], p.mrows[:0]
-}
-
-// probe is the one probe loop (morselProbeOp.Next runs it per morsel): it
-// streams child against the built table, charging probe shuffle bytes and
-// output CPU to ctx. Over an empty table —
-// only reached by a run that materializes a sampler byproduct, plain empty
-// joins short-circuit before probing — it drains child so samplers below the
-// join still observe their stream, and emits nothing.
-func (p *joinProber) probe(child Operator, ctx *Context) (*storage.Batch, error) {
-	if p.table.empty() {
-		for {
-			b, err := child.Next()
-			if err != nil || b == nil {
-				return nil, err
-			}
-			ctx.Stats.ShuffleBytes += b.LiveWidth()
-			ctx.Pool.Release(b)
-		}
-	}
-	out, err := p.next(func() (*storage.Batch, error) {
-		b, err := child.Next()
-		if b != nil {
-			ctx.Stats.ShuffleBytes += b.LiveWidth()
-		}
-		return b, err
-	})
-	if out != nil {
-		ctx.Stats.CPUTuples += int64(out.Len())
-	}
-	return out, err
 }

@@ -63,41 +63,74 @@ func TestGroupKeyLengthPrefixedStrings(t *testing.T) {
 	}
 }
 
-// probeOp assembles one spine join by hand — the build side, a scan of
-// build, drained by runBuild, the probe side streamed through the same
-// morselProbeOp (and so the same joinProber) every morsel runs — so a test
-// can look at the joined batches themselves, which a compiled plan only
-// shows a sink.
-func probeOp(t *testing.T, probe Operator, build *storage.Table, probeKeys, buildKeys []string, ctx *Context) Operator {
-	t.Helper()
-	node := &plan.Join{Right: &plan.Scan{Table: build}, LeftKeys: probeKeys, RightKeys: buildKeys}
-	op := scanOp(t, build, ctx)
-	spec, err := resolveJoinSpec(probe.Schema(), op.Schema(), probeKeys, buildKeys, nil)
+// spineChunks runs spine — the plan below a sink — on the morsel loop into a
+// sink that keeps what reaches it: per morsel, in morsel order, every batch
+// the spine's top stage hands the sink, copied out as its live rows' Int64
+// columns (nil for any other column), narrowed to the columns reads names.
+// Over a join, these are the chunks the top join emits, so a test can look
+// at the joined batches themselves, which a compiled plan only shows a sink.
+func spineChunks(spine plan.Node, reads []string, seed uint64, ctx *Context) ([][]chunk, error) {
+	snk := &chunkSink{}
+	op, err := newPipelineOp(spine, "a test", nil, reads, seed, ctx, func(storage.Schema, *groupSource) (sink, error) {
+		return snk, nil
+	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	table, err := runBuild(node, op, spec, ctx)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Run(op); err != nil {
+		return nil, err
 	}
-	return &morselProbeOp{child: probe, st: &pipelineJoinState{spec: spec, table: table}, ctx: ctx}
+	return snk.got, nil
 }
 
-// scanOp is the compiled scan of a whole table, the build-side lowering a
-// compiled plan gives a bare Scan.
-func scanOp(t *testing.T, tbl *storage.Table, ctx *Context) Operator {
-	t.Helper()
-	op, err := compileBuild(&plan.Scan{Table: tbl}, "a test", ctx)
-	if err != nil {
-		t.Fatal(err)
+// chunk is one batch a sink was handed: its live rows' values by column.
+type chunk [][]int64
+
+func (c chunk) rows() int { return len(c[0]) }
+
+// chunkSink is spineChunks' sink; its partial keeps a list of chunks per
+// morsel it folded, and merging appends the other partial's lists, so the
+// merged partial holds every morsel's in morsel order.
+type chunkSink struct{ got [][]chunk }
+
+type chunkPartial struct {
+	snk     *chunkSink
+	morsels [][]chunk
+}
+
+func (s *chunkSink) outSchema() storage.Schema { return nil }
+func (s *chunkSink) prepare(*Context) error    { return nil }
+func (s *chunkSink) newPartial() partial       { return &chunkPartial{snk: s, morsels: make([][]chunk, 1)} }
+
+func (p *chunkPartial) fold(b *storage.Batch, _ *Context) {
+	c := make(chunk, len(b.Vecs))
+	for j := range b.Rows() {
+		i := j
+		if b.Sel != nil {
+			i = int(b.Sel[j])
+		}
+		for k, v := range b.Vecs {
+			if v.Typ == storage.Int64 {
+				c[k] = append(c[k], v.I64[i])
+			}
+		}
 	}
-	return op
+	p.morsels[len(p.morsels)-1] = append(p.morsels[len(p.morsels)-1], c)
+}
+
+func (p *chunkPartial) merge(o partial) { p.morsels = append(p.morsels, o.(*chunkPartial).morsels...) }
+func (p *chunkPartial) reset()          { p.morsels = make([][]chunk, 1) }
+
+func (p *chunkPartial) emit(float64) (*storage.Batch, [][]stats.Interval) {
+	p.snk.got = p.morsels
+	return storage.NewBatch(nil, 0), nil
 }
 
 // TestHashJoinChunksHighFanoutOutput: a skewed build key with thousands of
-// duplicates must not inflate one output batch; the prober emits full chunks
-// of joinBatchRows and carries its probe position across Next calls, resuming
-// a row's matches mid-run — also when the probe batch carries a selection.
+// duplicates must not inflate one output batch; the probe stage emits full
+// chunks of joinBatchRows and resumes a probe batch mid-row when one fills,
+// keeping the partly filled chunk for the morsel's end — also when the probe
+// batch carries a selection.
 func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 	build := storage.NewBuilder("dup", storage.Schema{
 		{Name: "dup.k", Typ: storage.Int64},
@@ -124,26 +157,26 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 	probeTable, buildTable := probe.Build(1), build.Build(1)
 	for _, c := range []struct {
 		name  string
-		probe func(ctx *Context) Operator
+		probe plan.Node
 		ids   []int64 // probe rows that reach the join, in order
 	}{
-		{"every row", func(ctx *Context) Operator { return scanOp(t, probeTable, ctx) }, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
-		{"under a selection", func(ctx *Context) Operator {
-			f, err := NewFilterOp(scanOp(t, probeTable, ctx), expr.Pred{expr.Compare("p.id", expr.GE, storage.IntValue(3))}, ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
+		{"every row", &plan.Scan{Table: probeTable}, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"under a selection", &plan.Filter{
+			Child: &plan.Scan{Table: probeTable},
+			Pred:  expr.Pred{expr.Compare("p.id", expr.GE, storage.IntValue(3))},
 		}, []int64{3, 4, 5, 6, 7, 8, 9}},
 	} {
-		ctx := NewContext(0.95)
-		j := probeOp(t, c.probe(ctx), buildTable, []string{"p.k"}, []string{"dup.k"}, ctx)
-		out, err := Run(j)
+		join := &plan.Join{Left: c.probe, Right: &plan.Scan{Table: buildTable}, LeftKeys: []string{"p.k"}, RightKeys: []string{"dup.k"}}
+		morsels, err := spineChunks(join, []string{"p.id", "dup.v"}, 1, NewContext(0.95))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every pair in order (output columns: p.k, p.id, dup.k, dup.v): each
-		// matching probe row meets every build value, ascending.
+		if len(morsels) != 1 {
+			t.Fatalf("%s: %d morsels, want 1", c.name, len(morsels))
+		}
+		out := morsels[0]
+		// Every pair in order (output columns: p.id, dup.v): each matching
+		// probe row meets every build value, ascending.
 		var want, got [][2]int64
 		for _, id := range c.ids {
 			for v := 0; v < 3000 && id%3 != 2; v++ {
@@ -151,11 +184,11 @@ func TestHashJoinChunksHighFanoutOutput(t *testing.T) {
 			}
 		}
 		for n, b := range out {
-			if b.Len() != joinBatchRows && n != len(out)-1 {
-				t.Fatalf("%s: output batch %d of %d has %d rows, want a full chunk of %d", c.name, n, len(out), b.Len(), joinBatchRows)
+			if b.rows() != joinBatchRows && n != len(out)-1 {
+				t.Fatalf("%s: output batch %d of %d has %d rows, want a full chunk of %d", c.name, n, len(out), b.rows(), joinBatchRows)
 			}
-			for i := 0; i < b.Len(); i++ {
-				got = append(got, [2]int64{b.Vecs[1].I64[i], b.Vecs[3].I64[i]})
+			for i := range b.rows() {
+				got = append(got, [2]int64{b[0][i], b[1][i]})
 			}
 		}
 		if !slices.Equal(got, want) {

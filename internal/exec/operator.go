@@ -13,8 +13,8 @@
 // key. Samples live only on the spine: the planner puts the fact table
 // first, so no build side is ever sampled and a joined row's weight is its
 // probe row's. Then workers claim fixed-size row-range morsels of the probe
-// side from a shared dispenser, run the whole spine on each with
-// worker-local state, and fold into per-morsel partial sink tables that
+// side from a shared dispenser, run the whole spine on each as one push loop
+// with worker-local state, and fold into per-morsel partial sink tables that
 // merge in morsel index order, with per-morsel RNG streams split
 // deterministically from the query seed — so results, cost counters and
 // built synopses are byte-identical at any worker count. SortOp, above a
@@ -102,9 +102,9 @@ type Context struct {
 	Confidence float64 // confidence level for reported intervals
 	Stats      *RunStats
 	// MaterializeSamples maps SynopsisOp nodes whose output the tuner chose
-	// to keep; the sampler operator tees into a builder for each. The map is
-	// fully populated before execution starts and only read afterwards, so
-	// parallel workers may consult it without locking.
+	// to keep; the sampler stage records the rows it draws for each. The map
+	// is fully populated before Compile, which binds whether a sampler keeps
+	// its rows, and only read afterwards.
 	MaterializeSamples map[*plan.SynopsisOp]string // node → synopsis name
 	// Workers is the intra-query parallelism degree of the morsel-driven
 	// executor; 0 means runtime.NumCPU(). Results are byte-identical for any

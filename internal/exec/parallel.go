@@ -36,11 +36,12 @@ type pipeline struct {
 	leafFree bool           // buffer-resident synopsis: no I/O charge
 
 	// chain lists the spine nodes between leaf and sink (both exclusive),
-	// bottom-up. A SynopsisOp can only be chain[0]; any number of Joins.
-	chain   []plan.Node
-	sampler *plan.SynopsisOp // the chain's sampler node, if any
-	// filters are the chain's Filters, bottom-up, each compiled once per
-	// run against its input schema and run by every morsel's FilterOp.
+	// bottom-up: the stages of the morsel loop. A SynopsisOp can only be
+	// chain[0]; any number of Joins.
+	chain []plan.Node
+	// filters holds, by chain position, each Filter's program, compiled once
+	// per run against its input schema for every morsel to run; nil at the
+	// other positions.
 	filters []*expr.Filter
 	// prune zone-prunes a base-table leaf (open): the predicate of a Filter
 	// directly above it, nil for none. A sampled leaf never prunes: its
@@ -76,7 +77,6 @@ func matchSpine(n plan.Node, over string) (*pipeline, error) {
 			if _, ok := t.Child.(*plan.Scan); !ok || t.Kind == plan.SketchJoinSynopsis {
 				return nil, fmt.Errorf("exec: cannot compile %s over %s: a sample-kind sampler fits the morsel spine only directly on its Scan", over, t)
 			}
-			p.sampler = t
 			down = append(down, t)
 			n = t.Child
 		case *plan.Scan:
@@ -92,7 +92,7 @@ func matchSpine(n plan.Node, over string) (*pipeline, error) {
 			break
 		}
 	}
-	// Reverse to bottom-up order for per-morsel chain construction.
+	// Reverse to bottom-up order, the order a morsel's batches climb it.
 	for i := len(down) - 1; i >= 0; i-- {
 		p.chain = append(p.chain, down[i])
 	}
@@ -202,8 +202,9 @@ type pipelineJoinState struct {
 // sketch build) and each join's build side, drained into a shared joinTable
 // (its survivor mask over the build table's own key index). Then the leaf's
 // rows are split into fixed-size morsels, the pool claims morsels from an
-// atomic dispenser, and each worker runs the full
-// scan→sample→filter→probe→fold pipeline on its morsel, with the filters
+// atomic dispenser, and each worker runs its morsel through one push loop
+// (morselWorker.run): every leaf batch climbs the chain's sampler, filter and
+// probe stages and folds into the morsel's partial, with the filters
 // compiled once per run and one kernel scratch per filter per worker.
 // Partials are merged in morsel index order as morsels finish (mergeQueue),
 // and a merged partial is reset and handed to the next morsel a worker
@@ -220,11 +221,12 @@ type pipelineJoinState struct {
 // Workers=N yields byte-identical results, cost counters and built synopses
 // included, under either sink.
 type PipelineOp struct {
-	pipe  *pipeline
-	joins []*pipelineJoinState // spine joins, bottom-up
-	sink  sink
-	seed  uint64
-	ctx   *Context
+	pipe    *pipeline
+	joins   []*pipelineJoinState // spine joins, bottom-up
+	sampler *samplerStage        // the spine's sampler; nil: none
+	sink    sink
+	seed    uint64
+	ctx     *Context
 
 	emitted   bool
 	intervals [][]stats.Interval
@@ -237,9 +239,9 @@ type PipelineOp struct {
 // reads name the sink's: its GROUP BY columns, nil to keep every group
 // value-keyed, and the rest), hands the spine's physical output schema and
 // the numbering, if any, to bind for the sink's column binding (on an error
-// the sink it returns is not looked at), compiles every Filter
-// of the chain once for the whole run, and validates the sampler
-// configuration up front.
+// the sink it returns is not looked at), and binds the morsel loop's stages
+// once for the whole run: every Filter of the chain compiled, the sampler's
+// configuration and stratification columns.
 //
 // A column is needed at a level when a node above that level names it: the
 // sink's group, aggregate, probe-key and weight columns, a Filter's predicate
@@ -290,17 +292,19 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 	}
 	cur := pipe.leafSchema
 	var joins []*pipelineJoinState
+	var smp *samplerStage
+	pipe.filters = make([]*expr.Filter, len(pipe.chain))
 	for i, n := range pipe.chain {
 		switch t := n.(type) {
 		case *plan.Filter:
-			// Compiled once, here, for every morsel's FilterOp to run.
-			prog, err := expr.CompileFilter(t.Pred, cur)
-			if err != nil {
+			if pipe.filters[i], err = expr.CompileFilter(t.Pred, cur); err != nil {
 				return nil, err
 			}
-			pipe.filters = append(pipe.filters, prog)
 		case *plan.SynopsisOp:
-			cur = synopses.SampleSchema(cur)
+			if smp, err = newSamplerStage(t, cur, ctx); err != nil {
+				return nil, err
+			}
+			cur = smp.schema
 		case *plan.Join:
 			build, err := compileBuild(t.Right, "a join's build side", ctx)
 			if err != nil {
@@ -321,12 +325,7 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 	if err != nil {
 		return nil, err
 	}
-	// Validate the sampler eagerly (its strat columns) by building a
-	// throwaway morsel pipeline over zero rows.
-	if _, err := buildMorselChain(pipe, joins, make([]expr.Scratch, len(pipe.filters)), nil, 0, 1, seed, NewContext(ctx.Confidence)); err != nil {
-		return nil, err
-	}
-	return &PipelineOp{pipe: pipe, joins: joins, sink: snk, seed: seed, ctx: ctx}, nil
+	return &PipelineOp{pipe: pipe, joins: joins, sampler: smp, sink: snk, seed: seed, ctx: ctx}, nil
 }
 
 // groupIDCol names the column of group ids a spine carries when its sink
@@ -447,19 +446,17 @@ func projectSchema(s storage.Schema, cols []int) storage.Schema {
 	return out
 }
 
-// morselResult is what one morsel leaves after its partial has gone to the
-// merge: its local cost counters, or its error.
-type morselResult struct {
-	stats RunStats
-	err   error
-}
-
 // mergeQueue folds a run's morsel partials into the global partial in morsel
 // index order, as morsels finish rather than after the pool: a finished
 // morsel records its partial at its index, and whoever holds the merge turn
 // advances the cursor over every consecutive finished index, merging each
-// partial and putting it on the free list. A worker takes its next partial
-// from the free list and resets it then, so a one-morsel run pays no reset.
+// partial and putting it on the free list. The first one, morsel 0's, is
+// not merged but adopted as the global partial, and the still-empty global
+// goes to the free list in its place: a merge into an empty table gives
+// every group the merged partial's state as it is, and emit orders by key,
+// so adopting answers what copying did without the copy. A worker
+// takes its next partial from the free list and resets it then, so a
+// one-morsel run pays no reset.
 // With one worker this is run, merge, reuse; with more, the partials alive
 // at once are the workers' plus the reorder window. The free list is a
 // run-local slice of sink partials — no pooled vector or selection passes
@@ -498,8 +495,7 @@ func (q *mergeQueue) take() partial {
 // finish records morsel i's partial and, unless another worker holds the
 // merge turn, takes it and merges every consecutive finished partial from
 // the cursor on. The merge itself runs outside the lock: the turn, not the
-// mutex, keeps the global partial to one writer. A failed morsel records no
-// partial, so the cursor stops short of it and the run returns its error.
+// mutex, keeps the global partial to one writer.
 func (q *mergeQueue) finish(i int, part partial) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -512,9 +508,13 @@ func (q *mergeQueue) finish(i int, part partial) {
 		part := q.done[q.next]
 		q.done[q.next] = nil
 		q.next++
-		q.mu.Unlock()
-		q.global.merge(part)
-		q.mu.Lock()
+		if q.next == 1 {
+			q.global, part = part, q.global
+		} else {
+			q.mu.Unlock()
+			q.global.merge(part)
+			q.mu.Lock()
+		}
 		q.free = append(q.free, part)
 	}
 	q.merging = false
@@ -563,7 +563,7 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 	// deeper builds never drained). The exception is a run whose spine
 	// sampler materializes: the stored sample is the sampler's whole stream,
 	// so every build plus the probe pass still runs.
-	_, materializes := p.ctx.MaterializeSamples[p.pipe.sampler]
+	materializes := p.sampler != nil && p.sampler.keep
 	emptyJoin := false
 	for k := len(p.joins) - 1; k >= 0; k-- {
 		js := p.joins[k]
@@ -596,13 +596,13 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 	// Partials merge in morsel index order (mergeQueue) and the counters and
 	// drawn rows are summed and concatenated in it below: float
 	// accumulation and sample concatenation stay bit-reproducible across
-	// worker counts. sampled keeps each morsel's sampler when the run keeps
-	// its sample.
+	// worker counts. drawn keeps each morsel's draw when the run keeps its
+	// sample.
 	merges := newMergeQueue(p.sink, nMorsels)
-	results := make([]morselResult, nMorsels)
-	var sampled []*SamplerOp
+	stats := make([]RunStats, nMorsels)
+	var drawn []*synopses.Drawn
 	if materializes {
-		sampled = make([]*SamplerOp, nMorsels)
+		drawn = make([]*synopses.Drawn, nMorsels)
 	}
 	var next int64
 	var wg sync.WaitGroup
@@ -610,51 +610,35 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The worker's kernel scratch, one per chain filter: selection
-			// buffers and the coded string leaves' truth tables — keyed by
-			// leaf and dictionary, neither of which changes within a run —
-			// survive morsel boundaries. So does its strata numbering: a
-			// distinct sampler's index of stratum keys serves every morsel
-			// the worker claims.
-			scratch := make([]expr.Scratch, len(p.pipe.filters))
-			var strata *synopses.Strata
-			if p.pipe.sampler != nil {
-				strata = &synopses.Strata{}
-			}
+			wk := p.newWorker()
+			defer wk.close()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= nMorsels {
 					return
 				}
 				part := merges.take()
-				var smp *SamplerOp
-				results[i], smp = p.runMorsel(i, nMorsels, morselRows, keep, scratch, strata, part)
-				if sampled != nil {
-					sampled[i] = smp
+				d := wk.run(i, nMorsels, morselRows, keep, part, &stats[i])
+				if drawn != nil {
+					drawn[i] = d
 				}
-				if results[i].err == nil {
-					merges.finish(i, part)
-				}
+				merges.finish(i, part)
 			}
 		}()
 	}
 	wg.Wait()
 
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return nil, r.err
-		}
-		p.ctx.Stats.CPUTuples += r.stats.CPUTuples
-		p.ctx.Stats.ShuffleBytes += r.stats.ShuffleBytes
+	for i := range stats {
+		p.ctx.Stats.CPUTuples += stats[i].CPUTuples
+		p.ctx.Stats.ShuffleBytes += stats[i].ShuffleBytes
 	}
 	if materializes {
-		sample, err := p.gatherSample(p.ctx.MaterializeSamples[p.pipe.sampler], sampled)
+		sample, err := p.gatherSample(drawn, nMorsels)
 		if err != nil {
 			return nil, err
 		}
 		p.ctx.Stats.BuiltSamples = append(p.ctx.Stats.BuiltSamples,
-			BuiltSample{Op: p.pipe.sampler, Sample: sample})
+			BuiltSample{Op: p.sampler.node, Sample: sample})
 	}
 
 	return p.emit(merges.global), nil
@@ -667,27 +651,28 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 // gather checks string codes over ends where the last morsel that drew a
 // row was offered its last batch. The sample carries the node's logical
 // configuration, not the per-morsel δ' each instance ran with.
-func (p *PipelineOp) gatherSample(name string, sampled []*SamplerOp) (*synopses.Sample, error) {
+func (p *PipelineOp) gatherSample(drawn []*synopses.Drawn, nMorsels int) (*synopses.Sample, error) {
 	n := 0
-	for _, s := range sampled {
-		n += len(s.drawn.Rows)
+	for _, d := range drawn {
+		n += len(d.Rows)
 	}
 	all := synopses.Drawn{Rows: make([]int32, 0, n), Weights: make([]float64, 0, n)}
-	for _, s := range sampled {
-		all.Rows = append(all.Rows, s.drawn.Rows...)
-		all.Weights = append(all.Weights, s.drawn.Weights...)
-		all.Offered += s.drawn.Offered
-		if len(s.drawn.Rows) > 0 {
-			all.Through = s.drawn.Through
+	for _, d := range drawn {
+		all.Rows = append(all.Rows, d.Rows...)
+		all.Weights = append(all.Weights, d.Weights...)
+		all.Offered += d.Offered
+		if len(d.Rows) > 0 {
+			all.Through = d.Through
 		}
 	}
-	sample, err := synopses.GatherSample(name, p.pipe.leaf, sampled[0].sampler, all, 1)
+	node := p.sampler.node
+	sample, err := synopses.GatherSample(p.ctx.MaterializeSamples[node], p.pipe.leaf, p.sampler.sampler(p.seed, 0, nMorsels, nil), all, 1)
 	if err != nil {
 		return nil, err
 	}
-	sample.Delta = p.pipe.sampler.Delta
+	sample.Delta = node.Delta
 	sample.Seed = p.seed
-	sample.StratCols = append([]string(nil), p.pipe.sampler.StratCols...)
+	sample.StratCols = append([]string(nil), node.StratCols...)
 	return sample, nil
 }
 
@@ -709,145 +694,157 @@ func (p *PipelineOp) Schema() storage.Schema { return p.sink.outSchema() }
 // Intervals implements IntervalReporter.
 func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 
-// runMorsel executes the pipeline over morsel i, folding it into part (empty)
-// with the worker's filter scratch and strata numbering and otherwise
-// morsel-local state, and returns the morsel's sampler, if any, with the
-// rows it drew. keep is the zone-prune survivor mask (nil = scan
-// everything).
-func (p *PipelineOp) runMorsel(i, nMorsels, morselRows int, keep []bool, scratch []expr.Scratch, strata *synopses.Strata, part partial) (morselResult, *SamplerOp) {
-	mctx := &Context{
-		Confidence:         p.ctx.Confidence,
-		Stats:              &RunStats{},
-		MaterializeSamples: p.ctx.MaterializeSamples,
-		Pool:               p.ctx.Pool, // sync.Pool-backed: safe across workers
-		Obs:                p.ctx.Obs,  // atomic counters: safe across workers
+// morselWorker is one pool worker of a run: the state its morsels' stages
+// run with. Across morsels it keeps its filters' kernel scratch — selection
+// buffers and the coded string leaves' truth tables, keyed by leaf and
+// dictionary, neither of which changes within a run — its distinct
+// sampler's strata numbering, an index of stratum keys that serves every
+// morsel the worker claims, and its probes' pair lists. Within a morsel it
+// holds the sink partial, the counters, the sampler instance with what it
+// draws, and each join's partly filled chunk.
+type morselWorker struct {
+	p       *PipelineOp
+	ctx     *Context         // the morsel's counters; the run's pool and metrics
+	part    partial          // the morsel's sink partial
+	scratch []expr.Scratch   // by chain position: a Filter's kernel scratch
+	probes  []joinProber     // by chain position: a Join's probe state
+	strata  *synopses.Strata // nil without a sampler
+	smp     synopses.Sampler // the morsel's sampler instance
+	drawn   *synopses.Drawn  // what it drew; nil unless the run keeps it
+	pass    []int32          // the sampler's passing rows, per batch
+}
+
+// newWorker starts a worker over the run's built join tables. A worker
+// lives for the run, so its probes' pair lists come from the run's pool and
+// go back when it is done (close).
+func (p *PipelineOp) newWorker() *morselWorker {
+	w := &morselWorker{
+		p:       p,
+		ctx:     &Context{Confidence: p.ctx.Confidence, Pool: p.ctx.Pool, Obs: p.ctx.Obs},
+		scratch: make([]expr.Scratch, len(p.pipe.chain)),
+		probes:  make([]joinProber, len(p.pipe.chain)),
 	}
-	root, err := buildMorselChain(p.pipe, p.joins, scratch, strata, i, nMorsels, p.seed, mctx)
-	if err != nil {
-		return morselResult{err: err}, nil
+	joins := p.joins
+	for k, n := range p.pipe.chain {
+		if _, ok := n.(*plan.Join); ok {
+			w.probes[k] = joinProber{
+				spec: joins[0].spec, table: joins[0].table, pool: p.ctx.Pool,
+				lrows: p.ctx.Pool.GetSel(joinBatchRows), mrows: p.ctx.Pool.GetSel(joinBatchRows),
+			}
+			joins = joins[1:]
+		}
+	}
+	if p.sampler != nil {
+		w.strata = &synopses.Strata{}
+	}
+	return w
+}
+
+// close hands the probes' pair lists back to the pool.
+func (w *morselWorker) close() {
+	for k := range w.probes {
+		w.ctx.Pool.PutSel(w.probes[k].lrows)
+		w.ctx.Pool.PutSel(w.probes[k].mrows)
+	}
+}
+
+// run is the morsel loop: it executes morsel i of nMorsels — global rows
+// [i·morselRows, (i+1)·morselRows) of the partitions keep leaves, nil
+// keeping every one — folding it into part (empty) and counting into stats.
+// Every leaf batch is charged its scan's CPU tuples and pushed through the
+// chain's stages; at the end the joins' partly filled chunks are flushed
+// bottom-up, each through the stages above its join. It returns the rows
+// the morsel's sampler drew when the run keeps them.
+func (w *morselWorker) run(i, nMorsels, morselRows int, keep []bool, part partial, stats *RunStats) *synopses.Drawn {
+	w.ctx.Stats, w.part = stats, part
+	if s := w.p.sampler; s != nil {
+		w.smp, w.drawn = s.sampler(w.p.seed, i, nMorsels, w.strata), nil
+		if s.keep {
+			w.drawn = &synopses.Drawn{}
+		}
 	}
 	lo := i * morselRows
-	hi := lo + morselRows
-	root.src.batches = p.pipe.read(lo, hi, keep)
-
-	if err := root.op.Open(); err != nil {
-		return morselResult{err: err}, nil
+	for _, b := range w.p.pipe.read(lo, lo+morselRows, keep) {
+		stats.CPUTuples += int64(b.Len())
+		w.push(b, 0)
 	}
-	defer root.op.Close()
-	for {
-		b, err := root.op.Next()
-		if err != nil {
-			return morselResult{err: err}, nil
+	for k := range w.probes {
+		if w.probes[k].out != nil {
+			w.emit(k)
+		}
+	}
+	return w.drawn
+}
+
+// push runs b through the chain's stages from position k on and folds what
+// reaches the top into the morsel's partial. The stages are the chain's
+// nodes: the sampler draws, a Filter refines, and a stage that keeps no row
+// of b ends its climb there; a Join probes b whole (probe), and what goes
+// on climbing from it is its chunks.
+func (w *morselWorker) push(b *storage.Batch, k int) {
+	pipe := w.p.pipe
+	for ; k < len(pipe.chain); k++ {
+		switch pipe.chain[k].(type) {
+		case *plan.SynopsisOp:
+			b, w.pass = w.p.sampler.draw(b, w.smp, w.drawn, w.pass, w.ctx)
+		case *plan.Filter:
+			b = refine(b, pipe.filters[k], &w.scratch[k], w.ctx)
+		case *plan.Join:
+			w.probe(b, k)
+			return
 		}
 		if b == nil {
-			break
-		}
-		part.fold(b, mctx)
-		mctx.Pool.Release(b)
-	}
-	return morselResult{stats: *mctx.Stats}, root.sampler
-}
-
-// morselChain couples the top operator of a per-morsel pipeline with its
-// leaf, so the caller can install the morsel's batches before running, and
-// with its sampler, whose drawn rows the caller collects after.
-type morselChain struct {
-	op      Operator
-	src     *morselScan
-	sampler *SamplerOp
-}
-
-// buildMorselChain instantiates the pipeline's operator chain for one morsel:
-// a morsel-local scan, then per-node Filter/Sampler/probe operators. Filters
-// run the pipeline's compiled programs over scratch, the worker's, one per
-// chain filter. Sampler
-// instances get the morsel's split seed and partitioned δ, and number strata
-// through strata, the worker's; probe operators share the join states' built
-// join tables.
-func buildMorselChain(pipe *pipeline, joins []*pipelineJoinState, scratch []expr.Scratch, strata *synopses.Strata, morsel, nMorsels int, seed uint64, mctx *Context) (*morselChain, error) {
-	src := &morselScan{schema: pipe.leafSchema, ctx: mctx}
-	chain := &morselChain{src: src}
-	var cur Operator = src
-	ji, fi := 0, 0
-	for _, n := range pipe.chain {
-		switch t := n.(type) {
-		case *plan.Filter:
-			cur = &FilterOp{Child: cur, ctx: mctx, prog: pipe.filters[fi], sc: &scratch[fi]}
-			fi++
-		case *plan.Join:
-			cur = &morselProbeOp{child: cur, st: joins[ji], ctx: mctx}
-			ji++
-		case *plan.SynopsisOp:
-			delta := synopses.PartitionDelta(t.Delta, nMorsels)
-			op, err := newSamplerOp(cur, t, delta, synopses.SplitSeed(seed, uint64(morsel)), strata, mctx)
-			if err != nil {
-				return nil, err
-			}
-			cur, chain.sampler = op, op
+			return
 		}
 	}
-	chain.op = cur
-	return chain, nil
+	w.part.fold(b, w.ctx)
+	w.ctx.Pool.Release(b)
 }
 
-// morselProbeOp probes one morsel's stream against a join's shared hash
-// table with a morsel-local prober, charging probe shuffle and output CPU to
-// the morsel's context (joinProber.probe). It is the engine's only join
-// driver.
-type morselProbeOp struct {
-	child  Operator
-	st     *pipelineJoinState
-	ctx    *Context
-	prober joinProber
-}
-
-// Open implements Operator. A probe operator lives for one morsel — four
-// batches — while the worker running it keeps only its sink partial and
-// filter scratch across morsels, so the prober's pair lists come from the
-// run's pool: Open borrows them and Close hands them back for the next
-// morsel.
-func (o *morselProbeOp) Open() error {
-	o.prober = joinProber{
-		spec: o.st.spec, table: o.st.table, pool: o.ctx.Pool,
-		lrows: o.ctx.Pool.GetSel(joinBatchRows), mrows: o.ctx.Pool.GetSel(joinBatchRows),
+// probe is the Join stage at chain position k: it charges b's rows their
+// exchange and pairs all of them into the stage's chunk, pushing each chunk
+// that fills on up the chain (emit); a partly filled one stays for the
+// next batch or the morsel's end. Over an empty table — only reached by a
+// run that materializes a sampler byproduct, plain empty joins short-circuit
+// before the pool starts — b is charged and dropped, so the sampler below
+// still sees its whole stream.
+func (w *morselWorker) probe(b *storage.Batch, k int) {
+	pr := &w.probes[k]
+	w.ctx.Stats.ShuffleBytes += b.LiveWidth()
+	if !pr.table.empty() {
+		at, full := pr.fill(b, storage.ProbePos{})
+		for full {
+			w.emit(k)
+			at, full = pr.fill(b, at)
+		}
 	}
-	return o.child.Open()
+	w.ctx.Pool.Release(b)
 }
 
-// Next implements Operator.
-func (o *morselProbeOp) Next() (*storage.Batch, error) { return o.prober.probe(o.child, o.ctx) }
-
-// Close implements Operator: the pair lists go back to the pool.
-func (o *morselProbeOp) Close() error {
-	o.ctx.Pool.PutSel(o.prober.lrows)
-	o.ctx.Pool.PutSel(o.prober.mrows)
-	o.prober.lrows, o.prober.mrows = nil, nil
-	return o.child.Close()
+// emit pushes join k's chunk on to position k+1, charging its rows' output
+// CPU.
+func (w *morselWorker) emit(k int) {
+	out := w.probes[k].out
+	w.probes[k].out = nil
+	w.ctx.Stats.CPUTuples += int64(out.Len())
+	w.push(out, k+1)
 }
 
-// Schema implements Operator.
-func (o *morselProbeOp) Schema() storage.Schema { return o.st.spec.schema }
-
-// morselScan is the engine's one scan operator. On the spine it feeds one
-// morsel's pre-sliced batches into a per-morsel pipeline, and I/O is charged
-// once by PipelineOp, not per morsel. As a build side (whole set) it reads its
-// whole table as one morsel, making the run's prune-and-charge call in Open.
-// CPU tuples are charged here either way.
+// morselScan is a build side's scan: it reads its whole table as one
+// morsel of the leaf's batches (pipeline.read), making the prune-and-charge
+// call (pipeline.open) in Open, and charges each batch's CPU tuples as it
+// hands it on.
 type morselScan struct {
-	schema  storage.Schema
+	whole   *pipeline
 	ctx     *Context
 	batches []*storage.Batch
 	pos     int
-
-	whole *pipeline
 }
 
 // Open implements Operator.
 func (s *morselScan) Open() error {
 	s.pos = 0
-	if s.whole != nil {
-		s.batches = s.whole.read(0, s.whole.leaf.NumRows(), s.whole.open(s.ctx))
-	}
+	s.batches = s.whole.read(0, s.whole.leaf.NumRows(), s.whole.open(s.ctx))
 	return nil
 }
 
@@ -866,4 +863,4 @@ func (s *morselScan) Next() (*storage.Batch, error) {
 func (s *morselScan) Close() error { return nil }
 
 // Schema implements Operator.
-func (s *morselScan) Schema() storage.Schema { return s.schema }
+func (s *morselScan) Schema() storage.Schema { return s.whole.leafSchema }

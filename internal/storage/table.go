@@ -362,8 +362,12 @@ func (t *Table) Repartition(partRows int) *Table {
 
 // Column returns the full column vector at position i. For multi-partition
 // tables the whole-column view is concatenated lazily on first use and
-// cached; row-at-a-time consumers (workload resampling) pay the
-// materialization once. Scans never use this view.
+// cached, every column at once, and lives as long as the version. Scans
+// never use this view, but the engine reads through it: every join table
+// gathers its build rows from it (exec.drainBuild), and a dense KeyIndex
+// keeps its key column from it, so a multi-partition version pays the
+// concatenation on its first join. Row-at-a-time consumers (workload
+// resampling) read it too.
 //
 //taster:mutator sync.Once-guarded lazy cache: the single winning writer publishes via Once's happens-before edge, readers only ever see nil-then-frozen
 func (t *Table) Column(i int) *Vector {

@@ -1,0 +1,75 @@
+#!/usr/bin/env bash
+# bench-micro.sh BASE PKG BENCH [ROUNDS]: compare a package's Go
+# microbenchmarks between git ref BASE and the working tree, with an A/A
+# control taken in the same run.
+#
+# It builds a `go test -c` binary of PKG (e.g. ./internal/exec) from BASE,
+# exported with git archive, and one from this tree; then runs, ROUNDS times
+# (default 10), base, change and base again — the A/A — in an order that
+# rotates every round, each at -test.cpu 1 -test.run '^$' -test.bench BENCH
+# from its package directory. Per benchmark it prints each side's min and
+# median ns/op, the median over rounds of change/base, and the spread
+# (min..max over rounds) of the A/A ratio base'/base. A change whose median
+# ratio lies inside the A/A spread is "within noise": on a loaded host that
+# spread, not the ratio alone, is the resolution of the comparison.
+set -euo pipefail
+
+base=${1:?usage: bench-micro.sh BASE PKG BENCH [ROUNDS]}
+pkg=${2:?usage: bench-micro.sh BASE PKG BENCH [ROUNDS]}
+bench=${3:?usage: bench-micro.sh BASE PKG BENCH [ROUNDS]}
+rounds=${4:-10}
+go=${GO:-go}
+
+git rev-parse --verify -q "$base^{commit}" > /dev/null || { echo "bench-micro: $base names no commit" >&2; exit 2; }
+pkg=${pkg#./}
+d=$(mktemp -d)
+trap 'rm -rf "$d"' EXIT
+mkdir -p "$d/base"
+git archive "$base" | tar -x -C "$d/base"
+(cd "$d/base" && $go test -c -o "$d/base.test" "./$pkg")
+$go test -c -o "$d/change.test" "./$pkg"
+
+# run SIDE BINARY DIR: one round of one side, its results tagged with SIDE.
+run() {
+	(cd "$3" && "$2" -test.run '^$' -test.bench "$bench" -test.cpu 1) |
+		awk -v side="$1" '$1 ~ /^Benchmark/ { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") print side, $1, $i }' >> "$d/results"
+}
+
+: > "$d/results"
+for r in $(seq 1 "$rounds"); do
+	sides=(base change aa)
+	for k in 0 1 2; do
+		s=${sides[$(((k + r) % 3))]}
+		case $s in
+			base) run base "$d/base.test" "$d/base/$pkg" ;;
+			aa) run aa "$d/base.test" "$d/base/$pkg" ;;
+			change) run change "$d/change.test" "$PWD/$pkg" ;;
+		esac
+	done
+	echo "bench-micro: round $r of $rounds done" >&2
+done
+
+# Per benchmark and side, the values in round order; ratios pair round r of
+# each side with round r of base.
+awk '
+function sortv(a, n,   i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j > 0 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t } }
+function median(a, n) { sortv(a, n); return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2 }
+{
+	k = $2 SUBSEP $1; n[k]++; v[k, n[k]] = $3
+	if (!($2 in seen)) { seen[$2] = 1; order[++shapes] = $2 }
+}
+END {
+	printf "%-52s %21s %21s %12s %17s  %s\n", "benchmark (ns/op)", "base min / median", "change min / median", "change/base", "A/A spread", "verdict"
+	for (s = 1; s <= shapes; s++) {
+		b = order[s]; nb = n[b, "base"]; nc = n[b, "change"]; na = n[b, "aa"]
+		if (nb == 0 || nc == 0 || na == 0) continue
+		delete x; for (i = 1; i <= nb; i++) x[i] = v[b, "base", i]; bmed = median(x, nb); bmin = x[1]
+		delete x; for (i = 1; i <= nc; i++) x[i] = v[b, "change", i]; cmed = median(x, nc); cmin = x[1]
+		m = nb < nc ? nb : nc; if (na < m) m = na
+		delete x; delete y
+		for (i = 1; i <= m; i++) { x[i] = v[b, "change", i] / v[b, "base", i]; y[i] = v[b, "aa", i] / v[b, "base", i] }
+		ratio = median(x, m); sortv(y, m); lo = y[1]; hi = y[m]
+		verdict = ratio < lo ? "faster" : ratio > hi ? "slower" : "within noise"
+		printf "%-52s %10.4g / %-8.4g %10.4g / %-8.4g %12.3f %8.3f..%-7.3f  %s\n", b, bmin, bmed, cmin, cmed, ratio, lo, hi, verdict
+	}
+}' "$d/results"
