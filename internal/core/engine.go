@@ -700,12 +700,28 @@ func (e *Engine) Ingest(table string, delta *storage.Table) (uint64, error) {
 	return nt.Epoch(), nil
 }
 
-// assemble converts operator output into a Result.
+// assemble converts operator output into a Result. Its rows are carved from
+// one array of cells, each capped at its own width, so that an append to one
+// row reallocates it instead of writing into the next.
 func assemble(op exec.Operator, batches []*storage.Batch) *Result {
 	res := &Result{Columns: op.Schema().Names()}
+	rows, cells := 0, 0
+	for _, b := range batches {
+		rows += b.Len()
+		cells += b.Len() * len(b.Vecs)
+	}
+	if rows > 0 {
+		res.Rows = make([][]storage.Value, 0, rows)
+	}
+	all := make([]storage.Value, cells)
 	for _, b := range batches {
 		for i := 0; i < b.Len(); i++ {
-			res.Rows = append(res.Rows, b.Row(i))
+			row := all[:len(b.Vecs):len(b.Vecs)]
+			all = all[len(b.Vecs):]
+			for c, v := range b.Vecs {
+				row[c] = v.Get(i)
+			}
+			res.Rows = append(res.Rows, row)
 		}
 	}
 	if rep, ok := op.(exec.IntervalReporter); ok {

@@ -32,7 +32,11 @@ func Compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
 	switch t := n.(type) {
 	case *plan.Scan, *plan.Filter:
-		return lowerBuild(t, "a leaf chain", ctx)
+		op, err := lowerBuild(t, "a leaf chain", ctx)
+		if err != nil {
+			return nil, err
+		}
+		return leafRoot{op, ctx.Pool}, nil
 
 	case *plan.Aggregate:
 		return newPipelineOp(t.Child, "an aggregate", t.GroupBy, aggReads(t.Aggs), seed, ctx, func(in storage.Schema, src *groupSource) (sink, error) {
@@ -90,6 +94,24 @@ func lowerBuild(n plan.Node, where string, ctx *Context) (Operator, error) {
 	}
 	whole.prune = f.Pred
 	return NewFilterOp(traceWrap(src, sc, ctx), f.Pred, ctx)
+}
+
+// leafRoot is a leaf chain compiled as a plan's root. Its scan re-points
+// one batch at every call, which a build side's consumer releases before
+// the next; a root's consumer (Run) keeps every batch, so each one leaves
+// as a batch of its own: its selected rows copied out, or a view of it.
+type leafRoot struct {
+	Operator
+	pool *storage.VecPool
+}
+
+// Next implements Operator.
+func (r leafRoot) Next() (*storage.Batch, error) {
+	b, err := r.Operator.Next()
+	if b == nil || b.Sel != nil {
+		return b.Materialize(r.pool), err
+	}
+	return b.View(), nil
 }
 
 // buildSource is the base table a build side reads, nil for a shape

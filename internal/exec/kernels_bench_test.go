@@ -89,7 +89,9 @@ func filterBenchBatches() (coded, uncoded []*storage.Batch) {
 // The numeric cases sweep selectivity, where a kernel that branches per row
 // pays for every misprediction; "sel" runs under the selection f < 0.5
 // leaves; the string cases run coded and, for contrast, uncoded; "and"
-// fuses two terms, the second refining the first one's survivors.
+// fuses two terms, the second refining the first one's survivors;
+// "between" is a lower and an upper bound on t.i, which run as one range
+// leaf.
 func BenchmarkFilterKernel(b *testing.B) {
 	i64 := func(op expr.CmpOp, c int64) expr.Pred {
 		return expr.Pred{expr.Compare("t.i", op, storage.IntValue(c))}
@@ -115,6 +117,8 @@ func BenchmarkFilterKernel(b *testing.B) {
 		{"str_eq_uncoded", shipEq, nil, true},
 		{"str_in_uncoded", shipIn, nil, true},
 		{"and_i64_f64_25pct", append(i64(expr.GE, 500), half...), nil, false},
+		{"i64_between_10pct", append(i64(expr.GE, 450), i64(expr.LE, 549)...), nil, false},
+		{"i64_between_50pct_sel", append(i64(expr.GE, 250), i64(expr.LE, 749)...), half, false},
 	}
 	coded, uncoded := filterBenchBatches()
 	for _, c := range cases {

@@ -138,23 +138,12 @@ func prunedCount(keep []bool) int64 {
 	return n
 }
 
-// read returns the leaf's batches over global rows [lo, hi) of the
-// partitions keep leaves, narrowed to the leaf columns the spine reads, with
-// their rows' group ids when the sink folds by the leaf's numbering.
-func (p *pipeline) read(lo, hi int, keep []bool) []*storage.Batch {
-	out := p.leaf.ScanRangePruned(lo, hi, storage.BatchSize, keep, p.leafSchema, p.leafCols)
-	if p.leafIDs != nil {
-		// Every batch's columns and ids share one array: one allocation
-		// per read, not one per batch.
-		nc := len(p.leafCols) + 1
-		vecs := make([]*storage.Vector, 0, len(out)*nc)
-		for _, b := range out {
-			at := len(vecs)
-			vecs = append(append(vecs, b.Vecs...), p.leafIDs.Slice(b.Start, b.Start+len(b.Width)))
-			b.Vecs = vecs[at:len(vecs):len(vecs)]
-		}
-	}
-	return out
+// cursor returns a reader of the leaf's batches narrowed to the leaf columns
+// the spine reads, with their rows' group ids after them when the sink folds
+// by the leaf's numbering: the run's one read path, Seek'd to a morsel's
+// rows and the partitions open left.
+func (p *pipeline) cursor() *storage.Cursor {
+	return p.leaf.NewCursor(storage.BatchSize, p.leafSchema, p.leafCols, p.leafIDs)
 }
 
 // sink is where a pipeline's spine ends. Every morsel folds its batches into
@@ -695,9 +684,10 @@ func (p *PipelineOp) Schema() storage.Schema { return p.sink.outSchema() }
 func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 
 // morselWorker is one pool worker of a run: the state its morsels' stages
-// run with. Across morsels it keeps its filters' kernel scratch — selection
-// buffers and the coded string leaves' truth tables, keyed by leaf and
-// dictionary, neither of which changes within a run — its distinct
+// run with. Across morsels it keeps its leaf cursor and the one batch the
+// cursor re-points at every leaf batch, its filters' kernel scratch —
+// selection buffers and the coded string leaves' truth tables, keyed by
+// leaf and dictionary, neither of which changes within a run — its distinct
 // sampler's strata numbering, an index of stratum keys that serves every
 // morsel the worker claims, and its probes' pair lists. Within a morsel it
 // holds the sink partial, the counters, the sampler instance with what it
@@ -705,6 +695,8 @@ func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 type morselWorker struct {
 	p       *PipelineOp
 	ctx     *Context         // the morsel's counters; the run's pool and metrics
+	cur     *storage.Cursor  // the leaf's reader
+	leaf    storage.Batch    // the leaf batch cur re-points
 	part    partial          // the morsel's sink partial
 	scratch []expr.Scratch   // by chain position: a Filter's kernel scratch
 	probes  []joinProber     // by chain position: a Join's probe state
@@ -721,6 +713,7 @@ func (p *PipelineOp) newWorker() *morselWorker {
 	w := &morselWorker{
 		p:       p,
 		ctx:     &Context{Confidence: p.ctx.Confidence, Pool: p.ctx.Pool, Obs: p.ctx.Obs},
+		cur:     p.pipe.cursor(),
 		scratch: make([]expr.Scratch, len(p.pipe.chain)),
 		probes:  make([]joinProber, len(p.pipe.chain)),
 	}
@@ -751,10 +744,12 @@ func (w *morselWorker) close() {
 // run is the morsel loop: it executes morsel i of nMorsels — global rows
 // [i·morselRows, (i+1)·morselRows) of the partitions keep leaves, nil
 // keeping every one — folding it into part (empty) and counting into stats.
-// Every leaf batch is charged its scan's CPU tuples and pushed through the
-// chain's stages; at the end the joins' partly filled chunks are flushed
-// bottom-up, each through the stages above its join. It returns the rows
-// the morsel's sampler drew when the run keeps them.
+// Every leaf batch — the worker's one leaf batch, re-pointed by its cursor,
+// which every stage is done with once push returns — is charged its scan's
+// CPU tuples and pushed through the chain's stages; at the end the joins'
+// partly filled chunks are flushed bottom-up, each through the stages above
+// its join. It returns the rows the morsel's sampler drew when the run
+// keeps them.
 func (w *morselWorker) run(i, nMorsels, morselRows int, keep []bool, part partial, stats *RunStats) *synopses.Drawn {
 	w.ctx.Stats, w.part = stats, part
 	if s := w.p.sampler; s != nil {
@@ -764,9 +759,9 @@ func (w *morselWorker) run(i, nMorsels, morselRows int, keep []bool, part partia
 		}
 	}
 	lo := i * morselRows
-	for _, b := range w.p.pipe.read(lo, lo+morselRows, keep) {
-		stats.CPUTuples += int64(b.Len())
-		w.push(b, 0)
+	for w.cur.Seek(lo, lo+morselRows, keep); w.cur.Next(&w.leaf); {
+		stats.CPUTuples += int64(w.leaf.Len())
+		w.push(&w.leaf, 0)
 	}
 	for k := range w.probes {
 		if w.probes[k].out != nil {
@@ -831,32 +826,35 @@ func (w *morselWorker) emit(k int) {
 }
 
 // morselScan is a build side's scan: it reads its whole table as one
-// morsel of the leaf's batches (pipeline.read), making the prune-and-charge
-// call (pipeline.open) in Open, and charges each batch's CPU tuples as it
-// hands it on.
+// morsel through the spine's cursor (pipeline.cursor), making the
+// prune-and-charge call (pipeline.open) in Open, and charges each batch's
+// CPU tuples as it hands it on. Every batch it hands on is the one batch its
+// cursor re-points, valid until the next call: a build side's consumer —
+// drainBuild, sketchSink.buildPayload, through a FilterOp or not — releases
+// each batch before asking for the next.
 type morselScan struct {
-	whole   *pipeline
-	ctx     *Context
-	batches []*storage.Batch
-	pos     int
+	whole *pipeline
+	ctx   *Context
+	cur   *storage.Cursor
+	b     storage.Batch
 }
 
 // Open implements Operator.
 func (s *morselScan) Open() error {
-	s.pos = 0
-	s.batches = s.whole.read(0, s.whole.leaf.NumRows(), s.whole.open(s.ctx))
+	if s.cur == nil { // a build the join cache serves is never opened
+		s.cur = s.whole.cursor()
+	}
+	s.cur.Seek(0, s.whole.leaf.NumRows(), s.whole.open(s.ctx))
 	return nil
 }
 
 // Next implements Operator.
 func (s *morselScan) Next() (*storage.Batch, error) {
-	if s.pos >= len(s.batches) {
+	if !s.cur.Next(&s.b) {
 		return nil, nil
 	}
-	b := s.batches[s.pos]
-	s.pos++
-	s.ctx.Stats.CPUTuples += int64(b.Len())
-	return b, nil
+	s.ctx.Stats.CPUTuples += int64(s.b.Len())
+	return &s.b, nil
 }
 
 // Close implements Operator.

@@ -404,3 +404,47 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 		}
 	}
 }
+
+// TestMorselLeafReadAllocatesNothing: a worker reads a morsel's leaf batches
+// through its one cursor into its one leaf batch — the leaf columns the
+// spine reads and, folding by the leaf's numbering, the group ids after
+// them — with no allocation per batch or per morsel. Morsel 0 straddles the
+// first partition boundary of a four-partition table and the range filter
+// zone-prunes the first partition, so only the second's rows are read.
+func TestMorselLeafReadAllocatesNothing(t *testing.T) {
+	tbl := bigOrders(10000)
+	agg := &plan.Aggregate{
+		Child: &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: expr.Pred{
+			expr.Compare("orders.id", expr.GE, storage.IntValue(2600)), expr.Compare("orders.id", expr.LE, storage.IntValue(9000)),
+		}},
+		GroupBy: []string{"orders.cust"},
+		Aggs:    []plan.AggSpec{{Kind: stats.Sum, Col: "orders.amount"}},
+	}
+	ctx := NewContext(0.95)
+	op, err := Compile(agg, 1, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := op.(*PipelineOp)
+	keep := p.pipe.open(ctx)
+	w := p.newWorker()
+	defer w.close()
+	var spans [][2]int
+	for w.cur.Seek(0, DefaultMorselRows, keep); w.cur.Next(&w.leaf); {
+		spans = append(spans, [2]int{w.leaf.Start, w.leaf.Start + w.leaf.Len()})
+		if ids := w.leaf.Vecs[len(w.leaf.Vecs)-1]; w.leaf.Schema[len(w.leaf.Vecs)-1].Name != groupIDCol || ids.Len() != w.leaf.Len() {
+			t.Fatalf("leaf batch at %d carries no group ids: %v", w.leaf.Start, w.leaf.Schema.Names())
+		}
+	}
+	if want := [][2]int{{2500, 3524}, {3524, 4096}}; fmt.Sprint(spans) != fmt.Sprint(want) {
+		t.Fatalf("morsel 0 read %v, want %v", spans, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for m := 0; m < 3; m++ {
+			for w.cur.Seek(m*DefaultMorselRows, (m+1)*DefaultMorselRows, keep); w.cur.Next(&w.leaf); {
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("reading three morsels allocates %.0f times", allocs)
+	}
+}

@@ -457,6 +457,24 @@ func TestPrunedScanMatchesUnpruned(t *testing.T) {
 	}
 }
 
+// TestLeafChainRootKeepsEveryBatch: a leaf chain compiled as the root — a
+// bare Scan, and a Filter that keeps every row, so it attaches no selection
+// — hands Run a batch of its own each time, not its scan's one re-pointed
+// batch: every row of the three-partition table is the oracle's.
+func TestLeafChainRootKeepsEveryBatch(t *testing.T) {
+	tbl := exec.OrdersTable()
+	for _, n := range []plan.Node{
+		&plan.Scan{Table: tbl},
+		&plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: exec.AmountAbove(-1)},
+	} {
+		out, _ := engineRun(t, n, exec.NewContext(0.95))
+		if len(out) != tbl.Partitions() {
+			t.Fatalf("%s: %d batches, want one per partition", n, len(out))
+		}
+		mustMatchOracle(t, n.String(), oracleEval(t, n), out, 0)
+	}
+}
+
 // TestPruneAllPartitions: a predicate no row can satisfy prunes every
 // partition — zero rows, zero base bytes, no error.
 func TestPruneAllPartitions(t *testing.T) {

@@ -144,7 +144,9 @@ func TestInlineSampleKeepsDictionaryRule(t *testing.T) {
 // tableDicts is the set of dictionaries column c of tbl is coded under.
 func tableDicts(tbl *storage.Table, c int) map[*storage.Dict]bool {
 	out := map[*storage.Dict]bool{}
-	for _, b := range tbl.ScanRangePruned(0, tbl.NumRows(), storage.BatchSize, nil, tbl.Schema(), nil) {
+	var b storage.Batch
+	cur := tbl.NewCursor(storage.BatchSize, nil, nil, nil)
+	for cur.Seek(0, tbl.NumRows(), nil); cur.Next(&b); {
 		if d := b.Vecs[c].Dict; d != nil {
 			out[d] = true
 		}
@@ -163,7 +165,9 @@ func perMorselDict(tbl *storage.Table, c int, ids []int64, morselRows int) *stor
 	for lo := 0; lo < tbl.NumRows(); lo += morselRows {
 		v := storage.NewVector(tbl.Schema()[c].Typ, 0)
 		drew := false
-		for _, b := range tbl.ScanRangePruned(lo, lo+morselRows, storage.BatchSize, nil, tbl.Schema(), nil) {
+		var b storage.Batch
+		cur := tbl.NewCursor(storage.BatchSize, nil, nil, nil)
+		for cur.Seek(lo, lo+morselRows, nil); cur.Next(&b); {
 			var local []int32
 			for ; k < len(ids) && int(ids[k]) < b.Start+b.Len(); k++ {
 				local = append(local, int32(int(ids[k])-b.Start))

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/tasterdb/taster/internal/storage"
@@ -25,6 +26,16 @@ import (
 // selects half its rows costs what a sorted one does. The operator switch
 // sits outside the row loop, and an IN list is folded without a short
 // circuit.
+//
+// Range leaves: a lower bound (>, >=) and an upper bound (<, <=) on the same
+// Int64 column, both with Int64 literals — every BETWEEN is such a pair —
+// run as one leaf, not two passes. Strict bounds become inclusive ones (> c
+// is >= c+1, < c is <= c−1; > MaxInt64 and < MinInt64 select nothing, as
+// does a range whose low end passes its high end), and the two comparisons
+// become one unsigned one: lo <= x <= hi exactly when uint64(x)−uint64(lo)
+// <= uint64(hi−lo), so the leaf keeps the branch-free form,
+// `dst[k] = i; if uint64(x)-uint64(lo) <= span { k++ }`. Only the program
+// fuses: the Pred keeps both terms, and so does everything that reads it.
 //
 // Coded string leaves: a string comparison or IN over a dictionary-coded
 // vector (storage.Vector.Code / Dict) decides the predicate once per code
@@ -63,7 +74,8 @@ import (
 type Filter struct{ root selNode }
 
 // CompileFilter compiles a non-empty predicate into selection kernels over
-// schema s: one leaf per term, and a fused conjunction over them when there
+// schema s: one leaf per term, but one range leaf per pair of Int64 bounds
+// on a column (fuseRanges), and a fused conjunction over them when there
 // are several. The error names the first term outside the compilable subset
 // and says why (see the file comment for what compiles).
 func CompileFilter(p Pred, s storage.Schema) (*Filter, error) {
@@ -79,6 +91,7 @@ func CompileFilter(p Pred, s storage.Schema) (*Filter, error) {
 		}
 		kids[i] = n
 	}
+	kids = fuseRanges(kids)
 	if len(kids) == 1 {
 		return &Filter{root: kids[0]}, nil
 	}
@@ -529,6 +542,98 @@ func selI64AsF64(col []int64, c float64, op CmpOp, in, out []int32) []int32 {
 			if float64(col[i]) >= c {
 				k++
 			}
+		}
+	}
+	return out[:len(out)+k]
+}
+
+// fuseRanges pairs each Int64 lower bound (>, >= an Int64 literal) with the
+// first unpaired Int64 upper bound (<, <=) on the same column after it, or
+// each such upper bound with the first lower bound after it, into one range
+// leaf at the earlier term's place. Every other leaf — a third bound on a
+// column, a bound with a float literal — stays as it was compiled.
+func fuseRanges(kids []selNode) []selNode {
+	out := kids[:0]
+	paired := make([]bool, len(kids))
+	for i, n := range kids {
+		if paired[i] {
+			continue
+		}
+		if a, ok := intBound(n); ok {
+			for j := i + 1; j < len(kids); j++ {
+				if b, ok := intBound(kids[j]); ok && !paired[j] && b.col == a.col && lowerBound(b.op) != lowerBound(a.op) {
+					paired[j], n = true, newRangeNode(a, b)
+					break
+				}
+			}
+		}
+		out = append(out, n)
+	}
+	return out
+}
+
+// intBound reports whether n is an Int64 column's bound by an Int64 literal.
+func intBound(n selNode) (*cmpNode, bool) {
+	c, ok := n.(*cmpNode)
+	return c, ok && c.kind == cmpI64 && c.op >= LT && c.op <= GE
+}
+
+func lowerBound(op CmpOp) bool { return op == GT || op == GE }
+
+// rangeNode selects the rows of an Int64 column within [lo, hi]; none: no
+// row at all.
+type rangeNode struct {
+	col    int
+	lo, hi int64
+	none   bool
+}
+
+// newRangeNode is the range leaf of a lower and an upper bound on one column,
+// both made inclusive.
+func newRangeNode(a, b *cmpNode) *rangeNode {
+	r := &rangeNode{col: a.col}
+	for _, c := range []*cmpNode{a, b} {
+		switch c.op {
+		case GE:
+			r.lo = c.i64
+		case GT:
+			r.lo, r.none = c.i64+1, r.none || c.i64 == math.MaxInt64
+		case LE:
+			r.hi = c.i64
+		case LT:
+			r.hi, r.none = c.i64-1, r.none || c.i64 == math.MinInt64
+		}
+	}
+	r.none = r.none || r.lo > r.hi
+	return r
+}
+
+func (n *rangeNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 {
+	if n.none {
+		return out
+	}
+	return selRange(b.Vecs[n.col].I64, n.lo, uint64(n.hi)-uint64(n.lo), in, out)
+}
+
+// selRange appends the indices where lo <= col[i] <= lo+span, branch-free
+// (see the file comment): one unsigned comparison per row, the dense case
+// streaming the raw column as selOrd's does.
+func selRange(col []int64, lo int64, span uint64, in, out []int32) []int32 {
+	out, dst := grow(out, len(col), in)
+	k := 0
+	if in == nil {
+		for i, x := range col {
+			dst[k] = int32(i)
+			if uint64(x)-uint64(lo) <= span {
+				k++
+			}
+		}
+		return out[:len(out)+k]
+	}
+	for _, i := range in {
+		dst[k] = i
+		if uint64(col[i])-uint64(lo) <= span {
+			k++
 		}
 	}
 	return out[:len(out)+k]

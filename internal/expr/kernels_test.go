@@ -359,6 +359,73 @@ func TestScratchSharedAcrossFilters(t *testing.T) {
 	}
 }
 
+// TestKernelRangeFusion: a lower and an upper Int64 bound on one column run
+// as one range leaf, which selects what the two terms select, dense and
+// under a selection, at every edge of the int64 domain; a bound of another
+// kind, or a third bound, keeps a leaf of its own.
+func TestKernelRangeFusion(t *testing.T) {
+	b := edgeBatch()
+	i := func(op CmpOp, c int64) Term { return Compare("i", op, storage.IntValue(c)) }
+	cases := []struct {
+		name   string
+		p      Pred
+		leaves int // the program's leaves after fusion
+		none   bool
+	}{
+		{"between", Pred{i(GE, -1), i(LE, 42)}, 1, false},
+		{"strict", Pred{i(GT, -1), i(LT, 1<<53+1)}, 1, false},
+		{"upper first", Pred{i(LT, 42), i(GE, 0)}, 1, false},
+		{"lo == hi", Pred{i(GE, 42), i(LE, 42)}, 1, false},
+		{"lo > hi", Pred{i(GE, 43), i(LE, 42)}, 1, true},
+		{"strict, meeting", Pred{i(GT, 0), i(LT, 1)}, 1, true},
+		{"whole domain", Pred{i(GE, math.MinInt64), i(LE, math.MaxInt64)}, 1, false},
+		{"strict domain", Pred{i(GT, math.MinInt64), i(LT, math.MaxInt64)}, 1, false},
+		{"> MaxInt64", Pred{i(GT, math.MaxInt64), i(LE, math.MaxInt64)}, 1, true},
+		{"< MinInt64", Pred{i(GE, math.MinInt64), i(LT, math.MinInt64)}, 1, true},
+		{"two lower bounds", Pred{i(GE, 0), i(GT, -1), i(LE, 42)}, 2, false},
+		{"two pairs", Pred{i(GE, 0), i(GT, -1), i(LE, 42), i(LT, 1<<53)}, 2, false},
+		{"between other terms", Pred{Compare("f", GT, storage.FloatValue(0)), i(GE, 1), Compare("s", NE, storage.StringValue("")), i(LE, 1<<53)}, 3, false},
+		{"float literal", Pred{Compare("i", GE, storage.FloatValue(0.5)), i(LE, 42)}, 2, false},
+		{"two upper bounds", Pred{i(LE, 42), i(LT, 1)}, 2, false},
+	}
+	for _, c := range cases {
+		checkKernel(t, c.p, b)
+		f, err := CompileFilter(c.p, b.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := []selNode{f.root}
+		if and, ok := f.root.(*andNode); ok {
+			leaves = and.kids
+		}
+		var ranges []*rangeNode
+		for _, l := range leaves {
+			if r, ok := l.(*rangeNode); ok {
+				ranges = append(ranges, r)
+			}
+		}
+		wantRanges := len(c.p) - c.leaves
+		if len(leaves) != c.leaves || len(ranges) != wantRanges {
+			t.Fatalf("%s: %d leaves, %d of them ranges; want %d and %d", c.name, len(leaves), len(ranges), c.leaves, wantRanges)
+		}
+		if wantRanges > 0 && ranges[0].none != c.none {
+			t.Fatalf("%s: range selects nothing = %v, want %v", c.name, ranges[0].none, c.none)
+		}
+	}
+
+	// Bounds on two columns pair by column: i's with i's, j's with j's.
+	two := storage.NewBatch(storage.Schema{{Name: "i", Typ: storage.Int64}, {Name: "j", Typ: storage.Int64}}, 0)
+	for r := int64(0); r < 16; r++ {
+		two.Vecs[0].I64 = append(two.Vecs[0].I64, r)
+		two.Vecs[1].I64 = append(two.Vecs[1].I64, 15-r)
+	}
+	p := Pred{i(GE, 3), Compare("j", LE, storage.IntValue(4)), Compare("j", GE, storage.IntValue(2)), i(LE, 12)}
+	checkKernel(t, p, two)
+	if f, err := CompileFilter(p, two.Schema); err != nil || len(f.root.(*andNode).kids) != 2 {
+		t.Fatalf("%s: want two range leaves (err %v)", p, err)
+	}
+}
+
 // ---- fuzz targets: each typed kernel vs the row-at-a-time oracle ----
 
 // fuzzFloats decodes a byte string into float64s, folding some bit patterns
@@ -449,15 +516,21 @@ func FuzzKernelCmpStr(f *testing.F) {
 // the int, float and string columns, fused into one conjunction — against
 // the oracle on the edge batch, uncoded and coded (checkKernel). The terms
 // include int-column comparisons with float literals and IN lists mixing
-// int and float literals, the cases where IN must agree with =. String
+// int and float literals, the cases where IN must agree with =. Int-column
+// comparisons with int literals alternate between two constants, so a lower
+// and an upper bound with distinct ends reach the range leaf. String
 // terms, a comparison and an IN list against a fuzzed constant, take the
 // per-code path on the coded copy, several of them sharing one Scratch.
 func FuzzKernelTerms(f *testing.F) {
-	f.Add(uint64(0x1234), byte(3), int64(7), uint64(math.Float64bits(2.5)), "a")
-	f.Add(uint64(0xffffffff), byte(6), int64(-1), math.Float64bits(math.NaN()), "zz")
-	f.Add(uint64(0x9c), byte(2), int64(42), math.Float64bits(42), "")
-	f.Add(uint64(0x5a5a5a5a), byte(5), int64(1<<53+1), math.Float64bits(1<<53), "ab")
-	f.Fuzz(func(t *testing.T, shape uint64, n byte, ic int64, fbits uint64, sv string) {
+	f.Add(uint64(0x1234), byte(3), int64(7), int64(7), uint64(math.Float64bits(2.5)), "a")
+	f.Add(uint64(0xffffffff), byte(6), int64(-1), int64(1<<53), math.Float64bits(math.NaN()), "zz")
+	f.Add(uint64(0x9c), byte(2), int64(42), int64(0), math.Float64bits(42), "")
+	f.Add(uint64(0x5a5a5a5a), byte(5), int64(1<<53+1), int64(-1), math.Float64bits(1<<53), "ab")
+	// i >= -1 AND i <= 42, and i > 42 AND i < -1: a range leaf, and an
+	// empty one.
+	f.Add(uint64(0x628), byte(1), int64(-1), int64(42), math.Float64bits(0), "")
+	f.Add(uint64(0x410), byte(1), int64(42), int64(-1), math.Float64bits(0), "")
+	f.Fuzz(func(t *testing.T, shape uint64, n byte, ic, ic2 int64, fbits uint64, sv string) {
 		b := edgeBatch()
 		fc := math.Float64frombits(fbits)
 		// Each term takes three shape bits for its kind and three for its
@@ -467,7 +540,11 @@ func FuzzKernelTerms(f *testing.F) {
 			op := fuzzOp(byte(shape >> 3))
 			switch shape & 7 {
 			case 0:
-				p[k] = Compare("i", op, storage.IntValue(ic))
+				c := ic
+				if k%2 == 1 {
+					c = ic2
+				}
+				p[k] = Compare("i", op, storage.IntValue(c))
 			case 1:
 				p[k] = Compare("i", op, storage.FloatValue(fc))
 			case 2:

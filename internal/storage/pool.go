@@ -35,6 +35,7 @@ type VecPool struct {
 	b       sync.Pool // *Vector with Typ Bool
 	batches sync.Pool // *Batch with Vecs emptied
 	sels    sync.Pool // *[]int32 selection-vector scratch
+	holders sync.Pool // *[]int32 emptied by GetSel, for PutSel to fill
 
 	// Obs counts pool traffic: batch gets/puts at batch granularity and
 	// allocation misses on the slow paths only, so the hot reuse path pays a
@@ -113,20 +114,30 @@ func (p *VecPool) GetSel(n int) []int32 {
 	if p == nil {
 		return make([]int32, 0, n)
 	}
-	if s, ok := p.sels.Get().(*[]int32); ok && s != nil {
-		return (*s)[:0]
+	if h, ok := p.sels.Get().(*[]int32); ok && h != nil {
+		s := (*h)[:0]
+		*h = nil
+		p.holders.Put(h)
+		return s
 	}
 	p.Obs.Miss()
 	return make([]int32, 0, n)
 }
 
-// PutSel recycles a selection buffer obtained from GetSel.
+// PutSel recycles a selection buffer obtained from GetSel. The buffer goes
+// back in a holder GetSel emptied, so a steady Get/Put cycle allocates
+// nothing: sync.Pool keeps pointers, and a slice header put as one would
+// otherwise be boxed on the heap at every call.
 func (p *VecPool) PutSel(sel []int32) {
 	if p == nil || sel == nil {
 		return
 	}
-	sel = sel[:0]
-	p.sels.Put(&sel)
+	h, _ := p.holders.Get().(*[]int32)
+	if h == nil {
+		h = new([]int32)
+	}
+	*h = sel[:0]
+	p.sels.Put(h)
 }
 
 // GetBatch returns an empty batch for the schema whose vectors come from the

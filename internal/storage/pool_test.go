@@ -165,3 +165,21 @@ func TestVecPoolRecycledVectorForgetsCodes(t *testing.T) {
 		p.Release(b)
 	}
 }
+
+// TestSelCycleAllocatesNothing: once a buffer and its holder exist, a
+// GetSel/PutSel pair allocates nothing — the holder PutSel needs is one an
+// earlier GetSel emptied. Not under the race detector, where sync.Pool drops
+// a share of Puts and a dropped buffer is allocated again.
+func TestSelCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	p := NewVecPool()
+	p.PutSel(p.GetSel(64))
+	if allocs := testing.AllocsPerRun(100, func() {
+		s := p.GetSel(64)
+		p.PutSel(append(s, 1, 2, 3))
+	}); allocs != 0 {
+		t.Fatalf("a GetSel/PutSel pair allocates %.1f times", allocs)
+	}
+}

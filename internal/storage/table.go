@@ -675,82 +675,98 @@ func (t *Table) AvgRowBytes() float64 {
 // Scan returns batches of up to batchSize rows covering partition p.
 // The returned batches share storage with the table (zero copy).
 func (t *Table) Scan(p, batchSize int) []*Batch {
-	part := t.parts[p]
+	c := t.NewCursor(batchSize, nil, nil, nil)
+	c.Seek(t.offs[p], t.offs[p+1], nil)
 	var out []*Batch
-	for start := 0; start < part.rows; start += batchSize {
-		end := start + batchSize
-		if end > part.rows {
-			end = part.rows
-		}
-		out = append(out, sliceBatch(t.schema, part, nil, t.offs[p]+start, start, end))
+	for b := new(Batch); c.Next(b); b = new(Batch) {
+		out = append(out, b)
 	}
 	return out
 }
 
-// ScanRangePruned returns batches of up to batchSize rows covering global
-// rows [lo, hi), restricted to partitions where keep[p] is true (nil keep =
-// all) and to the columns at positions cols, whose schema the caller passes
-// (nil cols = every column, under t.Schema()). Batches share storage with
-// the table (zero copy) and never cross a partition boundary. The
-// morsel-driven executor uses it to hand disjoint row ranges to workers:
-// morsel boundaries are defined on global row indices, independent of the
-// physical partition layout, which is what keeps results byte-identical
-// across any PartitionRows setting. It passes the zone-map pruning verdict —
-// rows of pruned partitions are skipped without being read — and the columns
-// its spine reads; a batch's Width is the full row's whatever the projection.
-func (t *Table) ScanRangePruned(lo, hi, batchSize int, keep []bool, schema Schema, cols []int) []*Batch {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.rows {
-		hi = t.rows
-	}
-	var out []*Batch
-	for p, part := range t.parts {
-		plo, phi := t.offs[p], t.offs[p+1]
-		if phi <= lo || plo >= hi {
-			continue
-		}
-		if keep != nil && !keep[p] {
-			continue
-		}
-		s := lo - plo
-		if s < 0 {
-			s = 0
-		}
-		e := hi - plo
-		if e > part.rows {
-			e = part.rows
-		}
-		for start := s; start < e; start += batchSize {
-			end := start + batchSize
-			if end > e {
-				end = e
-			}
-			out = append(out, sliceBatch(schema, part, cols, plo+start, start, end))
-		}
-	}
-	return out
+// Cursor reads a table's rows in batches of zero-copy views: rows [lo, hi)
+// on the global row grid, of the partitions a survivor mask leaves, cut at
+// every partition boundary and every size rows from where the range enters
+// a partition, narrowed to some of the columns. Its Next re-points a batch
+// the caller owns, with no allocation once that batch's views exist, so a
+// batch it fills is valid until the caller asks again. The morsel-driven
+// executor reads every leaf through one: morsel boundaries are defined on
+// global row indices, independent of the physical partition layout, which
+// is what keeps results byte-identical across any PartitionRows setting;
+// rows of pruned partitions are skipped without being read; and a batch's
+// Width is the full row's whatever the projection.
+type Cursor struct {
+	t      *Table
+	size   int
+	schema Schema
+	cols   []int
+	ids    *Vector
+	keep   []bool
+	p      int // the partition the next batch comes from
+	at, hi int // the next row to read and the range's end, on the global grid
 }
 
-// sliceBatch is the zero-copy view of part's rows [start, end) over the
-// columns at positions cols (nil = all), carrying the rows' full widths and,
-// as Start, tableRow: the caller's table row of the partition's row start,
-// stored as given.
-func sliceBatch(schema Schema, part *Partition, cols []int, tableRow, start, end int) *Batch {
-	b := &Batch{Schema: schema, Width: part.rowWidths()[start:end], Start: tableRow}
+// NewCursor returns a cursor over t whose batches hold up to size rows of
+// the columns at positions cols, under schema (nil cols: every column, under
+// t.Schema()), and after them, when ids is not nil, the same rows of ids, a
+// column over t's rows (a numbering's group ids). It reads nothing until
+// Seek.
+func (t *Table) NewCursor(size int, schema Schema, cols []int, ids *Vector) *Cursor {
 	if cols == nil {
-		b.Vecs = make([]*Vector, len(part.cols))
-		for i, c := range part.cols {
-			b.Vecs[i] = c.Slice(start, end)
+		schema, cols = t.schema, make([]int, len(t.schema))
+		for i := range cols {
+			cols[i] = i
 		}
-		return b
 	}
-	b.Vecs = make([]*Vector, len(cols))
-	for i, c := range cols {
-		b.Vecs[i] = part.cols[c].Slice(start, end)
+	return &Cursor{t: t, size: size, schema: schema, cols: cols, ids: ids}
+}
+
+// Seek points the cursor at rows [lo, hi) of the partitions where keep[p]
+// is true (nil keep: all).
+func (c *Cursor) Seek(lo, hi int, keep []bool) {
+	c.at, c.hi, c.keep, c.p = max(lo, 0), min(hi, c.t.rows), keep, 0
+}
+
+// Next re-points b at the next batch, reusing b's vector slice and vectors,
+// and reports whether there was one. b's Sel and WidthSum are cleared and
+// Start is set to the table row of its first row.
+func (c *Cursor) Next(b *Batch) bool {
+	t := c.t
+	for ; c.at < c.hi && c.p < len(t.parts); c.p++ {
+		plo, phi := t.offs[c.p], t.offs[c.p+1]
+		if plo >= c.hi {
+			break
+		}
+		if phi <= c.at || (c.keep != nil && !c.keep[c.p]) {
+			continue
+		}
+		part := t.parts[c.p]
+		start := max(c.at, plo) - plo
+		end := min(start+c.size, min(c.hi, phi)-plo)
+		c.at = plo + end
+		b.Schema, b.Width, b.Start, b.Sel, b.WidthSum = c.schema, part.rowWidths()[start:end], plo+start, nil, 0
+		n := len(c.cols)
+		if c.ids != nil {
+			n++
+		}
+		if cap(b.Vecs) < n {
+			b.Vecs = make([]*Vector, n)
+		}
+		b.Vecs = b.Vecs[:n]
+		for i := range b.Vecs {
+			if b.Vecs[i] == nil {
+				b.Vecs[i] = new(Vector)
+			}
+		}
+		for i, col := range c.cols {
+			b.Vecs[i].view(part.cols[col], start, end)
+		}
+		if c.ids != nil {
+			b.Vecs[n-1].view(c.ids, plo+start, plo+end)
+		}
+		return true
 	}
-	return b
+	return false
 }
 
 // Gather returns every column's values at the table rows rows, which must

@@ -195,21 +195,27 @@ func (v *Vector) Float(i int) float64 {
 
 // Slice returns a view of [lo, hi). The returned vector shares storage.
 func (v *Vector) Slice(lo, hi int) *Vector {
-	out := &Vector{Typ: v.Typ}
-	switch v.Typ {
+	out := new(Vector)
+	out.view(v, lo, hi)
+	return out
+}
+
+// view re-points v at src's [lo, hi), sharing src's storage.
+func (v *Vector) view(src *Vector, lo, hi int) {
+	*v = Vector{Typ: src.Typ}
+	switch src.Typ {
 	case Int64:
-		out.I64 = v.I64[lo:hi]
+		v.I64 = src.I64[lo:hi]
 	case Float64:
-		out.F64 = v.F64[lo:hi]
+		v.F64 = src.F64[lo:hi]
 	case String:
-		out.Str = v.Str[lo:hi]
-		if v.Dict != nil {
-			out.Code, out.Dict = v.Code[lo:hi], v.Dict
+		v.Str = src.Str[lo:hi]
+		if src.Dict != nil {
+			v.Code, v.Dict = src.Code[lo:hi], src.Dict
 		}
 	case Bool:
-		out.B = v.B[lo:hi]
+		v.B = src.B[lo:hi]
 	}
-	return out
 }
 
 // Gather returns a new vector containing v[idx[0]], v[idx[1]], ...
@@ -292,7 +298,7 @@ type Batch struct {
 	// with it cleared.
 	WidthSum int64
 	// Start is the table row of physical row 0 on a batch a table scan cut
-	// (Table.Scan, ScanRangePruned): the partition's offset plus the row
+	// (Table.Scan, a Cursor): the partition's offset plus the row
 	// within it. Filters pass the batch on, so a join's build side reads its
 	// survivors' table rows from it (Table.KeyIndex). 0 on every other batch.
 	Start int
@@ -370,6 +376,17 @@ func (b *Batch) Row(i int) []Value {
 	out := make([]Value, len(b.Vecs))
 	for c, v := range b.Vecs {
 		out[c] = v.Get(i)
+	}
+	return out
+}
+
+// View returns a batch of its own over b's physical rows: a new header and
+// vector headers sharing b's storage, so that b's producer may re-point b —
+// a Cursor's batch — while the view stays. The selection stays with b.
+func (b *Batch) View() *Batch {
+	out := &Batch{Schema: b.Schema, Vecs: make([]*Vector, len(b.Vecs)), Width: b.Width, WidthSum: b.WidthSum, Start: b.Start}
+	for i, v := range b.Vecs {
+		out.Vecs[i] = v.Slice(0, v.Len())
 	}
 	return out
 }

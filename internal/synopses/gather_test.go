@@ -73,7 +73,9 @@ func perBatchDicts(tbl *storage.Table, d Drawn) []*storage.Dict {
 		cols[c] = storage.NewVector(col.Typ, 0)
 	}
 	k := 0
-	for _, b := range tbl.ScanRangePruned(0, d.Through, storage.BatchSize, nil, tbl.Schema(), nil) {
+	var b storage.Batch
+	cur := tbl.NewCursor(storage.BatchSize, nil, nil, nil)
+	for cur.Seek(0, d.Through, nil); cur.Next(&b); {
 		var local []int32
 		for ; k < len(d.Rows) && int(d.Rows[k]) < b.Start+b.Len(); k++ {
 			local = append(local, d.Rows[k]-int32(b.Start))

@@ -8,10 +8,14 @@
 # (default 10), base, change and base again — the A/A — in an order that
 # rotates every round, each at -test.cpu 1 -test.run '^$' -test.bench BENCH
 # from its package directory. Per benchmark it prints each side's min and
-# median ns/op, the median over rounds of change/base, and the spread
-# (min..max over rounds) of the A/A ratio base'/base. A change whose median
-# ratio lies inside the A/A spread is "within noise": on a loaded host that
-# spread, not the ratio alone, is the resolution of the comparison.
+# median ns/op, the median over rounds of change/base, and the median and
+# spread (min..max over rounds) of the A/A ratio base'/base. A change whose
+# median ratio lies inside the A/A spread is "within noise": on a loaded
+# host that spread, not the ratio alone, is the resolution of the
+# comparison. The verdict says "faster" or "slower" only when the control
+# itself reads 1: an A/A median more than 5 % off 1 means the two runs of
+# one binary disagree, and the verdict is "control off 1: rerun with more
+# rounds" whatever the ratio.
 set -euo pipefail
 
 base=${1:?usage: bench-micro.sh BASE PKG BENCH [ROUNDS]}
@@ -59,7 +63,7 @@ function median(a, n) { sortv(a, n); return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2
 	if (!($2 in seen)) { seen[$2] = 1; order[++shapes] = $2 }
 }
 END {
-	printf "%-52s %21s %21s %12s %17s  %s\n", "benchmark (ns/op)", "base min / median", "change min / median", "change/base", "A/A spread", "verdict"
+	printf "%-52s %21s %21s %12s %10s %17s  %s\n", "benchmark (ns/op)", "base min / median", "change min / median", "change/base", "A/A median", "A/A spread", "verdict"
 	for (s = 1; s <= shapes; s++) {
 		b = order[s]; nb = n[b, "base"]; nc = n[b, "change"]; na = n[b, "aa"]
 		if (nb == 0 || nc == 0 || na == 0) continue
@@ -68,8 +72,9 @@ END {
 		m = nb < nc ? nb : nc; if (na < m) m = na
 		delete x; delete y
 		for (i = 1; i <= m; i++) { x[i] = v[b, "change", i] / v[b, "base", i]; y[i] = v[b, "aa", i] / v[b, "base", i] }
-		ratio = median(x, m); sortv(y, m); lo = y[1]; hi = y[m]
+		ratio = median(x, m); aa = median(y, m); lo = y[1]; hi = y[m]
 		verdict = ratio < lo ? "faster" : ratio > hi ? "slower" : "within noise"
-		printf "%-52s %10.4g / %-8.4g %10.4g / %-8.4g %12.3f %8.3f..%-7.3f  %s\n", b, bmin, bmed, cmin, cmed, ratio, lo, hi, verdict
+		if (aa < 0.95 || aa > 1.05) verdict = "control off 1: rerun with more rounds"
+		printf "%-52s %10.4g / %-8.4g %10.4g / %-8.4g %12.3f %10.3f %8.3f..%-7.3f  %s\n", b, bmin, bmed, cmin, cmed, ratio, aa, lo, hi, verdict
 	}
 }' "$d/results"
