@@ -159,13 +159,15 @@ bench-trees:
 # of PKG from BASE and from this tree, runs base, change and base again (an
 # A/A control) ROUNDS times in rotating order at -test.cpu 1, and prints per
 # benchmark each side's min and median ns/op, the change/base median ratio
-# and the A/A ratio's spread: a ratio inside that spread is "within noise".
+# and the A/A ratio's spread — a ratio inside that spread is "within noise" —
+# and each side's median B/op and allocs/op (-test.benchmem).
+# BENCH reaches the script as written: a `$` anchor in it needs no doubling.
 # Not in check or CI: the base ref is a local choice, and each round runs
 # the matched benchmarks three times.
 ROUNDS ?= 10
 bench-micro:
-	@test -n "$(BASE)" -a -n "$(PKG)" -a -n "$(BENCH)" || { echo "bench-micro: set BASE=<git ref> PKG=<pkg> BENCH=<regex>"; exit 2; }; \
-	GO="$(GO)" bash scripts/bench-micro.sh "$(BASE)" "$(PKG)" "$(BENCH)" "$(ROUNDS)"
+	@test -n "$(BASE)" -a -n "$(PKG)" -a -n '$(value BENCH)' || { echo "bench-micro: set BASE=<git ref> PKG=<pkg> BENCH=<regex>"; exit 2; }; \
+	GO="$(GO)" bash scripts/bench-micro.sh "$(BASE)" "$(PKG)" '$(value BENCH)' "$(ROUNDS)"
 
 # Reachability map, not part of check (CI gates on reach-check): builds
 # tasterbench and the declared benchmark with coverage over every package of

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
@@ -152,8 +152,8 @@ func (t *groupTable) merge(o *groupTable) []int32 {
 // emit appends to out — the sink's output columns, led by the group
 // columns — the key values of the groups keep admits (nil: every group), in
 // key order (storage.CompareKey), and returns their slab ids in that order:
-// folding by a numbering, whose ids run in key order, the met ids sorted;
-// otherwise GroupIndex.KeyOrder's. Keys are unique either way, so the order
+// folding by a numbering, whose ids run in key order, the met ids in
+// ascending order (metInOrder); otherwise GroupIndex.KeyOrder's. Keys are unique either way, so the order
 // is total: first-seen order — a function of morsel geometry — never shows.
 // A table over no group columns — a global aggregate — has its one group
 // even over no input (SQL), opened here; the sink gives it its empty state.
@@ -165,8 +165,7 @@ func (t *groupTable) emit(out []*storage.Vector, keep func(slab int32) bool) []i
 	// index holds no group.
 	keys, rows := t.idx.KeyOrder()
 	if g := t.keys.ids; g != nil {
-		keys, rows = g.Keys, slices.Clone(t.dimOf)
-		slices.Sort(rows)
+		keys, rows = g.Keys, t.metInOrder()
 	}
 	order, kept := make([]int32, 0, len(rows)), rows[:0]
 	for _, r := range rows {
@@ -182,4 +181,21 @@ func (t *groupTable) emit(out []*storage.Vector, keep func(slab int32) bool) []i
 		out[c].AppendGather(k, kept)
 	}
 	return order
+}
+
+// metInOrder returns the met ids of a numbered table in ascending order,
+// without a comparison sort: it marks each in a bitmap over the numbering
+// and reads the bitmap back a word at a time, O(numbering/64 + met).
+func (t *groupTable) metInOrder() []int32 {
+	met := make([]uint64, (t.keys.ids.Len()+63)/64)
+	for _, d := range t.dimOf {
+		met[d>>6] |= 1 << (d & 63)
+	}
+	rows := make([]int32, 0, len(t.dimOf))
+	for w, word := range met {
+		for ; word != 0; word &= word - 1 {
+			rows = append(rows, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return rows
 }

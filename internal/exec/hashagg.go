@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
@@ -15,9 +14,9 @@ import (
 // is computed once and shared by every partial hash table of the aggregation
 // (each folding one morsel at a time, plus the table they merge into). It is
 // the pipeline's aggregate sink: when the input carries the sampler weight
-// column the accumulators switch to Horvitz-Thompson estimation with the
-// single-pass per-group variance tracking of paper §IV-B; on unweighted input
-// the results are exact (zero-width intervals).
+// column a group's cells hold the Horvitz-Thompson terms of paper §IV-B's
+// single-pass per-group variance tracking; on unweighted input they hold
+// only sums and the results are exact (zero-width intervals).
 type aggSpec struct {
 	groupBy []string
 	aggs    []plan.AggSpec
@@ -27,8 +26,9 @@ type aggSpec struct {
 	weightAt int   // index of synopses.WeightCol, -1 on unweighted input
 	schema   storage.Schema
 
-	// empty is one group's accumulators before any row, by aggregate.
-	empty []stats.GroupAccumulator
+	// terms lays out the cells a group's row holds: only those the
+	// aggregates read, over weighted or exact input.
+	terms *stats.Terms
 }
 
 // resolveAggSpec binds group/aggregate columns against the input schema:
@@ -40,7 +40,9 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec, sr
 		return nil, err
 	}
 	s := &aggSpec{groupBy: groupBy, aggs: aggs, keys: keys, schema: keys.schema}
-	for _, ag := range aggs {
+	kinds := make([]stats.AggKind, len(aggs))
+	for k, ag := range aggs {
+		kinds[k] = ag.Kind
 		idx := -1
 		switch {
 		case ag.Kind == stats.Count:
@@ -59,10 +61,10 @@ func resolveAggSpec(in storage.Schema, groupBy []string, aggs []plan.AggSpec, sr
 			}
 		}
 		s.aggIdx = append(s.aggIdx, idx)
-		s.empty = append(s.empty, *stats.NewGroupAccumulator(ag.Kind))
 		s.schema = append(s.schema, storage.Col{Name: ag.DefaultAlias(), Typ: storage.Float64})
 	}
 	s.weightAt = in.Index(synopses.WeightCol)
+	s.terms = stats.NewTerms(kinds, s.weightAt >= 0)
 	return s, nil
 }
 
@@ -87,268 +89,108 @@ func (s *aggSpec) prepare(*Context) error { return nil }
 // newPartial implements sink.
 func (s *aggSpec) newPartial() partial { return newAggTable(s) }
 
-// aggTable is one hash table of group accumulators — a complete aggregation
-// state that can observe batches and merge with tables built over disjoint
-// input partitions. Groups are the slab ids of its group table and their
-// accumulators live by value in one slab, so a morsel that opens a thousand
-// groups allocates a few growing arrays, not a thousand objects.
+// aggTable is one partial of an aggregation — a complete aggregation state
+// that can fold batches and merge with tables built over disjoint input
+// partitions. Groups are the slab ids of its group table, and group id's
+// state is its row of cells in slab (stats.Slab): the terms its aggregates
+// read (spec.terms) and no other, so a morsel that opens a thousand groups
+// grows one float64 array, and a reset partial reuses it.
 type aggTable struct {
 	spec   *aggSpec
 	groups groupTable
-	// accs holds group id's accumulator for aggregate k at
-	// accs[id*len(spec.aggs)+k]; open keeps it as long as the groups.
-	accs []stats.GroupAccumulator
+	slab   stats.Slab
 }
 
 func newAggTable(spec *aggSpec) *aggTable {
-	return &aggTable{spec: spec, groups: newGroupTable(&spec.keys)}
+	return &aggTable{spec: spec, groups: newGroupTable(&spec.keys), slab: spec.terms.NewSlab()}
 }
 
 // reset implements partial: no group, and the group table's and slab's
 // memory kept for the next morsel.
 func (t *aggTable) reset() {
 	t.groups.reset()
-	t.accs = t.accs[:0]
-}
-
-// open gives the groups opened since the last call their empty
-// accumulators. The slab doubles, but only the first morsels a worker runs
-// grow it: a reset partial keeps its capacity, so later morsels of a
-// high-cardinality GROUP BY open their thousand groups into memory already
-// there.
-func (t *aggTable) open() {
-	want := t.groups.len() * len(t.spec.aggs)
-	if cap(t.accs) < want {
-		t.accs = slices.Grow(t.accs, max(want, 2*cap(t.accs))-len(t.accs))
-	}
-	had := len(t.accs)
-	t.accs = t.accs[:want]
-	for i := had; i < want; i += len(t.spec.empty) {
-		copy(t.accs[i:], t.spec.empty)
-	}
+	t.slab.Reset()
 }
 
 // fold implements partial: the aggregation exchange charges every live row's
-// bytes as shuffle plus one CPU tuple, then observes the batch.
+// bytes as shuffle plus one CPU tuple, then observes the batch. Under a
+// selection the bytes are summed in the pass that counts the rows; a batch
+// without one charges what LiveWidth returns — its producer's WidthSum, or
+// one walk of its widths.
 func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
-	ctx.Stats.ShuffleBytes += b.LiveWidth()
 	ctx.Stats.CPUTuples += int64(b.Rows())
-	t.observe(b)
+	if b.Sel == nil {
+		ctx.Stats.ShuffleBytes += b.LiveWidth()
+		t.observe(b, nil)
+		return
+	}
+	ctx.Stats.ShuffleBytes += t.observe(b, b.Width)
 }
 
-// observe folds one batch — honoring its selection vector — into the table.
+// observe folds one batch — honoring its selection vector — into the table,
+// and returns Σ width over its live rows (0 for a nil width).
 //
-// The loop is two-pass and aggregate-major: pass one resolves every live
-// row's group id through the group table, pass two folds each aggregate
-// column in a tight loop with the weight-column and aggregate-column
-// dispatch hoisted out of the row loop. Each GroupAccumulator still folds exactly the same (y, w) sequence
-// as the historical row-major interpreted loop — accumulators are per
-// (group, aggregate) and rows arrive in row order — so the accumulated
-// floating-point state is bit-identical. Unweighted input folds through
-// ObserveExact: w ≡ 1, so the sums are the same and no variance term is
-// formed.
-func (t *aggTable) observe(b *storage.Batch) {
+// The folds are passes over the batch: group ids resolve first, then one
+// pass folds the cells every aggregate shares (stats.Terms.FoldCount) and
+// one typed loop each folds an aggregate's column into its own cells
+// (stats.Fold), the weight-column, column-type and selection dispatch
+// hoisted out of the row loops. Each cell still adds the same terms in row
+// order as a row-major fold of GroupAccumulators would, so the state is
+// bit-identical to it.
+func (t *aggTable) observe(b *storage.Batch, width []int32) int64 {
 	if b.Rows() == 0 {
-		return
+		return 0
 	}
-	sel := b.Sel
-	var wcol []float64
+	r := stats.Rows{Sel: b.Sel, N: b.Len()}
 	if t.spec.weightAt >= 0 {
-		wcol = b.Vecs[t.spec.weightAt].F64
+		r.W = b.Vecs[t.spec.weightAt].F64
 	}
-
+	var sc *storage.ResolveScratch
 	if len(t.spec.groupBy) == 0 {
-		// Ungrouped fast path: one group, each aggregate folds its raw
-		// column slice directly.
 		t.groups.sole()
-		t.open()
-		for k := range t.spec.aggs {
-			observeSingle(&t.accs[k], b, sel, t.spec.aggIdx[k], wcol)
-		}
-		return
+	} else {
+		sc = storage.BorrowScratch(b.Rows(), len(t.spec.keys.cols))
+		r.IDs = t.groups.resolve(b, sc)
 	}
-
-	sc := storage.BorrowScratch(b.Rows(), len(t.spec.keys.cols))
-	ids := t.groups.resolve(b, sc)
-	t.open()
-	for k := range t.spec.aggs {
-		observeGrouped(t.accs[k:], len(t.spec.aggs), ids, b, sel, t.spec.aggIdx[k], wcol)
-	}
-	storage.ReturnScratch(sc)
-}
-
-// observeSingle folds one aggregate column of the batch into a single
-// accumulator — the ungrouped fast path. All dispatch (COUNT vs column,
-// column type, weighted vs not, selection vs dense) happens before the row
-// loop; each loop body is Observe (ObserveExact unweighted) over raw slice
-// reads. resolveAggSpec binds
-// only numeric columns, so the two typed arms are exhaustive.
-func observeSingle(acc *stats.GroupAccumulator, b *storage.Batch, sel []int32, ci int, wcol []float64) {
-	if ci < 0 { // COUNT: y = 1 per row
-		switch {
-		case wcol == nil && sel == nil:
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				acc.ObserveExact(1)
-			}
-		case wcol == nil:
-			for range sel {
-				acc.ObserveExact(1)
-			}
-		case sel == nil:
-			for _, w := range wcol {
-				acc.Observe(1, w)
-			}
-		default:
-			for _, i := range sel {
-				acc.Observe(1, wcol[i])
-			}
-		}
-		return
-	}
-	v := b.Vecs[ci]
-	switch v.Typ {
-	case storage.Float64:
-		col := v.F64
-		switch {
-		case wcol == nil && sel == nil:
-			for _, y := range col {
-				acc.ObserveExact(y)
-			}
-		case wcol == nil:
-			for _, i := range sel {
-				acc.ObserveExact(col[i])
-			}
-		case sel == nil:
-			for i, y := range col {
-				acc.Observe(y, wcol[i])
-			}
-		default:
-			for _, i := range sel {
-				acc.Observe(col[i], wcol[i])
-			}
-		}
-	case storage.Int64:
-		col := v.I64
-		switch {
-		case wcol == nil && sel == nil:
-			for _, y := range col {
-				acc.ObserveExact(float64(y))
-			}
-		case wcol == nil:
-			for _, i := range sel {
-				acc.ObserveExact(float64(col[i]))
-			}
-		case sel == nil:
-			for i, y := range col {
-				acc.Observe(float64(y), wcol[i])
-			}
-		default:
-			for _, i := range sel {
-				acc.Observe(float64(col[i]), wcol[i])
-			}
-		}
-	}
-}
-
-// observeGrouped is observeSingle with per-row accumulators: ids holds each
-// live row's group (live-row position aligned with sel), and group id's
-// accumulator for the aggregate being folded is accs[id*stride] — the slab
-// from that aggregate's offset on.
-func observeGrouped(accs []stats.GroupAccumulator, stride int, ids []int32, b *storage.Batch, sel []int32, ci int, wcol []float64) {
-	if ci < 0 { // COUNT: y = 1 per row
-		switch {
-		case wcol == nil: // ids is already the live rows, selection or not
-			for _, g := range ids {
-				accs[int(g)*stride].ObserveExact(1)
-			}
-		case sel == nil:
-			for j, g := range ids {
-				accs[int(g)*stride].Observe(1, wcol[j])
-			}
-		default:
-			for j, i := range sel {
-				accs[int(ids[j])*stride].Observe(1, wcol[i])
-			}
-		}
-		return
-	}
-	v := b.Vecs[ci]
-	switch v.Typ {
-	case storage.Float64:
-		col := v.F64
-		switch {
-		case wcol == nil && sel == nil:
-			for j, g := range ids {
-				accs[int(g)*stride].ObserveExact(col[j])
-			}
-		case wcol == nil:
-			for j, i := range sel {
-				accs[int(ids[j])*stride].ObserveExact(col[i])
-			}
-		case sel == nil:
-			for j, g := range ids {
-				accs[int(g)*stride].Observe(col[j], wcol[j])
-			}
-		default:
-			for j, i := range sel {
-				accs[int(ids[j])*stride].Observe(col[i], wcol[i])
-			}
-		}
-	case storage.Int64:
-		col := v.I64
-		switch {
-		case wcol == nil && sel == nil:
-			for j, g := range ids {
-				accs[int(g)*stride].ObserveExact(float64(col[j]))
-			}
-		case wcol == nil:
-			for j, i := range sel {
-				accs[int(ids[j])*stride].ObserveExact(float64(col[i]))
-			}
-		case sel == nil:
-			for j, g := range ids {
-				accs[int(g)*stride].Observe(float64(col[j]), wcol[j])
-			}
-		default:
-			for j, i := range sel {
-				accs[int(ids[j])*stride].Observe(float64(col[i]), wcol[i])
-			}
-		}
-	}
-}
-
-// merge implements partial. Accumulator merging sums floating-point state, so
-// callers needing bit-reproducible output must merge partial tables in a
-// deterministic order (the morsel executor merges in morsel index order). A
-// group new to t takes o's accumulators as they are — the group table gives
-// the groups it opens the next ids in o's order, which is the slab's append
-// order.
-func (t *aggTable) merge(o partial) {
-	ot := o.(*aggTable)
-	na, had := len(t.spec.aggs), t.groups.len()
-	ids := t.groups.merge(&ot.groups)
-	t.accs = slices.Grow(t.accs, t.groups.len()*na-len(t.accs))
-	for oid, id := range ids {
-		src := ot.accs[oid*na : (oid+1)*na]
-		if int(id) >= had {
-			t.accs = append(t.accs, src...)
+	t.slab.Open(t.groups.len())
+	bytes := t.spec.terms.FoldCount(&t.slab, r, width)
+	// resolveAggSpec binds only numeric columns, so the two typed arms are
+	// exhaustive; COUNT binds none.
+	for k, ci := range t.spec.aggIdx {
+		if ci < 0 {
 			continue
 		}
-		dst := t.accs[int(id)*na:]
-		for k := range src {
-			dst[k].Merge(&src[k])
+		switch v := b.Vecs[ci]; v.Typ {
+		case storage.Float64:
+			stats.Fold(t.spec.terms, &t.slab, k, r, v.F64)
+		case storage.Int64:
+			stats.Fold(t.spec.terms, &t.slab, k, r, v.I64)
 		}
 	}
+	if sc != nil {
+		storage.ReturnScratch(sc)
+	}
+	return bytes
+}
+
+// merge implements partial. Merging sums floating-point cells, so callers
+// needing bit-reproducible output must merge partial tables in a
+// deterministic order (the morsel executor merges in morsel index order). A
+// group new to t takes o's row as it is — the group table gives the groups
+// it opens the next ids in o's order, which is the slab's append order.
+func (t *aggTable) merge(o partial) {
+	ot := o.(*aggTable)
+	t.slab.Merge(&ot.slab, t.groups.merge(&ot.groups))
 }
 
 // emit implements partial: the table as one batch with groups in key order
-// (groupTable.emit), plus the row-aligned confidence intervals. A global
-// aggregate over empty input is one row: COUNT 0, zero-valued aggregates.
+// (groupTable.emit), plus the row-aligned confidence intervals, each read
+// off the group's accumulator as its cells assemble it. A global aggregate
+// over empty input is one row: COUNT 0, zero-valued aggregates.
 func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval) {
 	out := storage.NewBatch(t.spec.schema, t.groups.len())
 	order := t.groups.emit(out.Vecs, nil) // slab ids, in key order
-	t.open()
+	t.slab.Open(t.groups.len())
 	n := len(order)
 	na := len(t.spec.aggs)
 	ivs := make([]stats.Interval, n*na)
@@ -356,7 +198,7 @@ func (t *aggTable) emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 	for i, id := range order {
 		rowIv := ivs[i*na : (i+1)*na : (i+1)*na]
 		for k := range rowIv {
-			acc := &t.accs[int(id)*na+k]
+			acc := t.spec.terms.Accumulator(&t.slab, id, k)
 			// Unweighted input is exact: its interval has no width, whatever
 			// the values (an infinite y would make z·√Var NaN).
 			iv := stats.Interval{Estimate: acc.Estimate()}

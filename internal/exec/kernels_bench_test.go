@@ -162,18 +162,46 @@ func BenchmarkFilterKernel(b *testing.B) {
 	}
 }
 
-// rowMajorObserve folds a batch with the pre-hoisting loop structure: one pass
-// over rows, re-deriving the group, weight-column presence and each
-// aggregate's column binding inside the row loop. It is the regression
-// baseline for aggTable.observe; both produce identical accumulator state.
-func rowMajorObserve(t *aggTable, b *storage.Batch) {
-	n := b.Len()
+// rowMajorAgg is the row-at-a-time reference for an aggregate partial: the
+// same group numbering (groupTable, so its group ids are the partial's slab
+// ids) over one stats.GroupAccumulator per (group, aggregate), each folding
+// every live row with Observe — w ≡ 1 on exact input, y ≡ 1 for COUNT — and
+// merging with Merge. observe re-derives the group, the weight column's
+// presence and each aggregate's column binding inside the row loop: the
+// pre-hoisting loop structure, the regression baseline for aggTable.observe.
+type rowMajorAgg struct {
+	spec   *aggSpec
+	groups groupTable
+	accs   []*stats.GroupAccumulator // group id's aggregate k at id*len(spec.aggs)+k
+}
+
+func newRowMajorAgg(spec *aggSpec) *rowMajorAgg {
+	return &rowMajorAgg{spec: spec, groups: newGroupTable(&spec.keys)}
+}
+
+func (t *rowMajorAgg) reset() {
+	t.groups.reset()
+	t.accs = t.accs[:0]
+}
+
+// open gives the groups opened since the last call their empty accumulators.
+func (t *rowMajorAgg) open() {
+	for len(t.accs) < t.groups.len()*len(t.spec.aggs) {
+		t.accs = append(t.accs, stats.NewGroupAccumulator(t.spec.aggs[len(t.accs)%len(t.spec.aggs)].Kind))
+	}
+}
+
+func (t *rowMajorAgg) observe(b *storage.Batch) {
 	row := *b
 	row.Sel = make([]int32, 1)
 	na := len(t.spec.aggs)
 	sc := storage.BorrowScratch(1, len(t.spec.keys.cols))
 	defer storage.ReturnScratch(sc)
-	for i := 0; i < n; i++ {
+	for j := 0; j < b.Rows(); j++ {
+		i := j
+		if b.Sel != nil {
+			i = int(b.Sel[j])
+		}
 		row.Sel[0] = int32(i)
 		g := int(t.groups.resolve(&row, sc)[0])
 		t.open()
@@ -191,6 +219,23 @@ func rowMajorObserve(t *aggTable, b *storage.Batch) {
 	}
 }
 
+// merge folds o in as aggTable.merge does: a group new to t takes o's
+// accumulators as they are, in o's order.
+func (t *rowMajorAgg) merge(o *rowMajorAgg) {
+	na, had := len(t.spec.aggs), t.groups.len()
+	for oid, id := range t.groups.merge(&o.groups) {
+		for k := 0; k < na; k++ {
+			src := o.accs[oid*na+k]
+			if int(id) >= had {
+				acc := *src
+				t.accs = append(t.accs, &acc)
+				continue
+			}
+			t.accs[int(id)*na+k].Merge(src)
+		}
+	}
+}
+
 func benchObserve(b *testing.B, groupBy []string, weighted, hoisted bool) {
 	batch := benchAggBatch(weighted)
 	aggs := []plan.AggSpec{
@@ -201,13 +246,13 @@ func benchObserve(b *testing.B, groupBy []string, weighted, hoisted bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	table := newAggTable(spec)
+	table, reference := newAggTable(spec), newRowMajorAgg(spec)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if hoisted {
-			table.observe(batch)
+			table.observe(batch, nil)
 		} else {
-			rowMajorObserve(table, batch)
+			reference.observe(batch)
 		}
 	}
 	reportPerRow(b, benchRows)
@@ -224,46 +269,6 @@ func BenchmarkAggGroupedRowMajor(b *testing.B) { benchObserve(b, []string{"t.g"}
 func BenchmarkAggGroupedWeighted(b *testing.B) { benchObserve(b, []string{"t.g"}, true, true) }
 func BenchmarkAggGroupedWeightedRowMajor(b *testing.B) {
 	benchObserve(b, []string{"t.g"}, true, false)
-}
-
-// TestObserveHoistingMatchesRowMajor pins the hoisting refactor's equivalence
-// claim outside the benchmarks: the agg-major hoisted observe and the
-// row-major reference must produce bit-identical emitted estimates, grouped
-// and ungrouped, weighted and unweighted, dense and under a selection vector.
-func TestObserveHoistingMatchesRowMajor(t *testing.T) {
-	for _, groupBy := range [][]string{nil, {"t.g"}} {
-		for _, weighted := range []bool{false, true} {
-			batch := benchAggBatch(weighted)
-			aggs := []plan.AggSpec{{Kind: stats.Sum, Col: "t.f"}, {Kind: stats.Count}, {Kind: stats.Avg, Col: "t.i"}}
-			spec, err := resolveAggSpec(batch.Schema, groupBy, aggs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hoisted, reference := newAggTable(spec), newAggTable(spec)
-			hoisted.observe(batch)
-			rowMajorObserve(reference, batch)
-			ha, hIv := hoisted.emit(0.95)
-			ra, rIv := reference.emit(0.95)
-			if ha.Len() != ra.Len() {
-				t.Fatalf("groupBy=%v weighted=%v: %d vs %d groups", groupBy, weighted, ha.Len(), ra.Len())
-			}
-			for c := range ha.Vecs {
-				for i := 0; i < ha.Len(); i++ {
-					if !ha.Vecs[c].Get(i).Equal(ra.Vecs[c].Get(i)) {
-						t.Fatalf("groupBy=%v weighted=%v: row %d col %d: %v vs %v",
-							groupBy, weighted, i, c, ha.Vecs[c].Get(i), ra.Vecs[c].Get(i))
-					}
-				}
-			}
-			for i := range hIv {
-				for k := range hIv[i] {
-					if hIv[i][k] != rIv[i][k] {
-						t.Fatalf("groupBy=%v weighted=%v: interval %d/%d differs", groupBy, weighted, i, k)
-					}
-				}
-			}
-		}
-	}
 }
 
 // The three group-resolution shapes the serving profile names, each run the
@@ -339,7 +344,7 @@ func benchMorselAgg(b *testing.B, groupBy []string, coded bool) {
 				part.reset()
 			}
 			for _, sb := range batches[m*perMorsel : (m+1)*perMorsel] {
-				part.observe(sb)
+				part.observe(sb, nil)
 			}
 			global.merge(part)
 		}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
@@ -296,39 +295,36 @@ func foldAtKeys[T int64 | float64](order, count []int32, sum []float64, lo int64
 
 // newPartial implements sink.
 func (s *sketchSink) newPartial() partial {
-	return &sketchTable{sink: s, groups: newGroupTable(&s.keys)}
+	return &sketchTable{sink: s, groups: newGroupTable(&s.keys), slab: stats.NewSumSlab(s.stride())}
 }
 
-// sjSums is one group's running sketch-join state, a row of sketchTable's
-// slab; every cell is a sum over the group's probe rows.
-type sjSums []float64
+// stride is the cells of a group's row: the two sums every group carries and
+// one per aggregate.
+func (s *sketchSink) stride() int { return sjPerAgg + len(s.aggProbeIdx) }
 
-// The cells of an sjSums row: two sums every group carries, then one per
-// aggregate k (zero, and never read, for an aggregate over the build column).
+// The cells of a group's row in sketchTable's slab, every one a sum over the
+// group's probe rows: two sums every group carries, then one per aggregate
+// k, Σ count(key)·y over its probe-side column y (zero, and never read, for
+// an aggregate over the build column).
 const (
 	sjDen    = iota // Σ count(key): COUNT(*) of the join result
 	sjNum           // Σ sum(key): SUM(build agg col)
 	sjPerAgg        // cells before the per-aggregate ones
 )
 
-// probe is Σ count(key)·y over aggregate k's probe-side column y.
-func (g sjSums) probe(k int) float64 { return g[sjPerAgg+k] }
-
 // sketchTable is the sketch sink's partial: groups are the slab ids of its
 // group table over the probe-side grouping columns, and group id's sums are
-// the stride cells of sums from id*stride on.
+// its row of slab, a slab of sums the aggregate sink's type holds too.
 type sketchTable struct {
 	sink   *sketchSink
 	groups groupTable
-	sums   []float64
+	slab   stats.Slab
 }
-
-func (t *sketchTable) stride() int { return sjPerAgg + len(t.sink.aggProbeIdx) }
 
 // reset implements partial: no group, memory kept (see aggTable.reset).
 func (t *sketchTable) reset() {
 	t.groups.reset()
-	t.sums = t.sums[:0]
+	t.slab.Reset()
 }
 
 // fold implements partial: one CPU tuple per live probe row, and — unlike
@@ -351,8 +347,7 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	sc := storage.BorrowScratch(n, len(s.keys.cols))
 	defer storage.ReturnScratch(sc)
 	ids := t.groups.resolve(b, sc)
-	stride := t.stride()
-	t.sums = append(t.sums, make([]float64, t.groups.len()*stride-len(t.sums))...)
+	t.slab.Open(t.groups.len())
 	// Each live row's key count, kept from the row pass for the
 	// per-aggregate column passes.
 	if cap(sc.Floats) < n {
@@ -363,7 +358,7 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 	pos, rows, _ := s.sketch.Index().Probe(b, s.probeKeyIdx, nil, storage.ProbePos{}, n, ctx.Pool.GetSel(n), ctx.Pool.GetSel(n))
 	for k, j := range pos {
 		cnt, sum := s.sketch.Row(rows[k])
-		g := t.sums[int(ids[j])*stride:]
+		g := t.slab.Row(ids[j])
 		cnts[j] = cnt
 		g[sjDen] += cnt
 		g[sjNum] += sum
@@ -376,12 +371,12 @@ func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
 		}
 		// newSketchSink binds aggregates to numeric columns only (Validate
 		// refuses the rest), so the two typed arms are exhaustive.
-		cells := t.sums[sjPerAgg+k:]
+		cells := t.slab.Cells[sjPerAgg+k:]
 		switch v := b.Vecs[pi]; v.Typ {
 		case storage.Float64:
-			foldProbeColumn(cells, stride, ids, b.Sel, v.F64, cnts)
+			foldProbeColumn(cells, s.stride(), ids, b.Sel, v.F64, cnts)
 		case storage.Int64:
-			foldProbeColumn(cells, stride, ids, b.Sel, v.I64, cnts)
+			foldProbeColumn(cells, s.stride(), ids, b.Sel, v.I64, cnts)
 		}
 	}
 }
@@ -404,20 +399,7 @@ func foldProbeColumn[T int64 | float64](cells []float64, stride int, ids, sel []
 // aggTable.merge).
 func (t *sketchTable) merge(o partial) {
 	ot := o.(*sketchTable)
-	stride, had := t.stride(), t.groups.len()
-	ids := t.groups.merge(&ot.groups)
-	t.sums = slices.Grow(t.sums, t.groups.len()*stride-len(t.sums))
-	for oid, id := range ids {
-		src := ot.sums[oid*stride : (oid+1)*stride]
-		if int(id) >= had {
-			t.sums = append(t.sums, src...)
-			continue
-		}
-		dst := t.sums[int(id)*stride:]
-		for c, x := range src {
-			dst[c] += x
-		}
-	}
+	t.slab.Merge(&ot.slab, t.groups.merge(&ot.groups))
 }
 
 // emit implements partial: groups in key order (groupTable.emit), each
@@ -427,17 +409,16 @@ func (t *sketchTable) merge(o partial) {
 // row of zeros, as the aggregate sink answers.
 func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
 	s := t.sink
-	stride := t.stride()
-	keep := func(id int32) bool { return t.sums[int(id)*stride+sjDen] != 0 }
+	keep := func(id int32) bool { return t.slab.Row(id)[sjDen] != 0 }
 	if len(s.node.GroupBy) == 0 {
 		keep = nil
 	}
 	out := storage.NewBatch(s.schema, t.groups.len())
 	order := t.groups.emit(out.Vecs, keep)
-	t.sums = append(t.sums, make([]float64, t.groups.len()*stride-len(t.sums))...) // a global one's zeros
+	t.slab.Open(t.groups.len()) // a global one's zeros
 	intervals := make([][]stats.Interval, len(order))
 	for i, id := range order {
-		g := sjSums(t.sums[int(id)*stride : (int(id)+1)*stride])
+		g := t.slab.Row(id)
 		intervals[i] = make([]stats.Interval, len(s.node.Aggs))
 		for k, ag := range s.node.Aggs {
 			v := s.cell(g, k, ag)
@@ -451,11 +432,11 @@ func (t *sketchTable) emit(float64) (*storage.Batch, [][]stats.Interval) {
 // cell is one aggregate's value for a group: over an unsampled build side
 // the join result's exact COUNT, SUM or AVG (0 for the AVG of an empty
 // global aggregate).
-func (s *sketchSink) cell(g sjSums, k int, ag plan.AggSpec) float64 {
+func (s *sketchSink) cell(g []float64, k int, ag plan.AggSpec) float64 {
 	den := g[sjDen]
 	num := g[sjNum]
 	if s.aggProbeIdx[k] >= 0 {
-		num = g.probe(k)
+		num = g[sjPerAgg+k]
 	}
 	switch {
 	case ag.Kind == stats.Count:

@@ -21,7 +21,7 @@ import (
 // Branch-free contract: no leaf kernel branches on a row's outcome. Each one
 // grows its output once by the candidate count, stores every candidate's
 // index at the write cursor unconditionally, and advances the cursor by the
-// comparison's result — `dst[k] = i; if x op c { k++ }`, which the compiler
+// comparison's result — `out[k] = i; if x op c { k++ }`, which the compiler
 // lowers to a conditional move — so an unsorted column whose predicate
 // selects half its rows costs what a sorted one does. The operator switch
 // sits outside the row loop, and an IN list is folded without a short
@@ -34,7 +34,7 @@ import (
 // does a range whose low end passes its high end), and the two comparisons
 // become one unsigned one: lo <= x <= hi exactly when uint64(x)−uint64(lo)
 // <= uint64(hi−lo), so the leaf keeps the branch-free form,
-// `dst[k] = i; if uint64(x)-uint64(lo) <= span { k++ }`. Only the program
+// `out[k] = i; if uint64(x)-uint64(lo) <= span { k++ }`. Only the program
 // fuses: the Pred keeps both terms, and so does everything that reads it.
 //
 // Coded string leaves: a string comparison or IN over a dictionary-coded
@@ -334,15 +334,20 @@ func (n *cmpNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 
 }
 
 // grow makes room in out for every candidate — the rows of in, or all n
-// rows when in is nil — and returns out with the window past its end that a
-// kernel stores candidates into. The kernel's survivors are out[:len(out)+k]
-// for its final cursor k.
-func grow(out []int32, n int, in []int32) ([]int32, []int32) {
+// rows when in is nil — and returns out lengthened over that room, with its
+// old length: the cursor k a kernel stores candidates from (out[k] = i).
+// The kernel's survivors are out[:k] for its final cursor. Storing through
+// out itself, not through a window onto its tail, leaves the loop one slice
+// to hold: with a window, out's header stays live beside it, and the
+// indirect loops ran short of registers and reloaded it from the stack
+// every row.
+func grow(out []int32, n int, in []int32) ([]int32, int) {
 	if in != nil {
 		n = len(in)
 	}
+	k := len(out)
 	out = slices.Grow(out, n)
-	return out, out[len(out) : len(out)+n]
+	return out[:k+n], k
 }
 
 // selOrd appends the indices where col[i] op c onto out, branch-free (see
@@ -351,200 +356,198 @@ func grow(out []int32, n int, in []int32) ([]int32, []int32) {
 // Go's native comparison operators give the IEEE semantics the contract
 // requires (NaN false except !=).
 func selOrd[T int64 | float64 | string](col []T, c T, op CmpOp, in, out []int32) []int32 {
-	out, dst := grow(out, len(col), in)
-	k := 0
+	out, k := grow(out, len(col), in)
 	if in == nil {
 		switch op {
 		case EQ:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if x == c {
 					k++
 				}
 			}
 		case NE:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if x != c {
 					k++
 				}
 			}
 		case LT:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if x < c {
 					k++
 				}
 			}
 		case LE:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if x <= c {
 					k++
 				}
 			}
 		case GT:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if x > c {
 					k++
 				}
 			}
 		case GE:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if x >= c {
 					k++
 				}
 			}
 		}
-		return out[:len(out)+k]
+		return out[:k]
 	}
 	switch op {
 	case EQ:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if col[i] == c {
 				k++
 			}
 		}
 	case NE:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if col[i] != c {
 				k++
 			}
 		}
 	case LT:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if col[i] < c {
 				k++
 			}
 		}
 	case LE:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if col[i] <= c {
 				k++
 			}
 		}
 	case GT:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if col[i] > c {
 				k++
 			}
 		}
 	case GE:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if col[i] >= c {
 				k++
 			}
 		}
 	}
-	return out[:len(out)+k]
+	return out[:k]
 }
 
 // selI64AsF64 is selOrd for the mixed-numeric case: an int64 column compared
 // against a float constant goes through float64 coercion per row, exactly as
 // the oracle compares it.
 func selI64AsF64(col []int64, c float64, op CmpOp, in, out []int32) []int32 {
-	out, dst := grow(out, len(col), in)
-	k := 0
+	out, k := grow(out, len(col), in)
 	if in == nil {
 		switch op {
 		case EQ:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if float64(x) == c {
 					k++
 				}
 			}
 		case NE:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if float64(x) != c {
 					k++
 				}
 			}
 		case LT:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if float64(x) < c {
 					k++
 				}
 			}
 		case LE:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if float64(x) <= c {
 					k++
 				}
 			}
 		case GT:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if float64(x) > c {
 					k++
 				}
 			}
 		case GE:
 			for i, x := range col {
-				dst[k] = int32(i)
+				out[k] = int32(i)
 				if float64(x) >= c {
 					k++
 				}
 			}
 		}
-		return out[:len(out)+k]
+		return out[:k]
 	}
 	switch op {
 	case EQ:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if float64(col[i]) == c {
 				k++
 			}
 		}
 	case NE:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if float64(col[i]) != c {
 				k++
 			}
 		}
 	case LT:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if float64(col[i]) < c {
 				k++
 			}
 		}
 	case LE:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if float64(col[i]) <= c {
 				k++
 			}
 		}
 	case GT:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if float64(col[i]) > c {
 				k++
 			}
 		}
 	case GE:
 		for _, i := range in {
-			dst[k] = i
+			out[k] = i
 			if float64(col[i]) >= c {
 				k++
 			}
 		}
 	}
-	return out[:len(out)+k]
+	return out[:k]
 }
 
 // fuseRanges pairs each Int64 lower bound (>, >= an Int64 literal) with the
@@ -619,24 +622,23 @@ func (n *rangeNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int3
 // (see the file comment): one unsigned comparison per row, the dense case
 // streaming the raw column as selOrd's does.
 func selRange(col []int64, lo int64, span uint64, in, out []int32) []int32 {
-	out, dst := grow(out, len(col), in)
-	k := 0
+	out, k := grow(out, len(col), in)
 	if in == nil {
 		for i, x := range col {
-			dst[k] = int32(i)
+			out[k] = int32(i)
 			if uint64(x)-uint64(lo) <= span {
 				k++
 			}
 		}
-		return out[:len(out)+k]
+		return out[:k]
 	}
 	for _, i := range in {
-		dst[k] = i
+		out[k] = i
 		if uint64(col[i])-uint64(lo) <= span {
 			k++
 		}
 	}
-	return out[:len(out)+k]
+	return out[:k]
 }
 
 type inKind uint8
@@ -673,8 +675,7 @@ func (n *inNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 {
 // the element type is the comparison's equality (a NaN column value matches
 // nothing, NaN list values match nothing).
 func selIn[T comparable](col []T, vals []T, in, out []int32) []int32 {
-	out, dst := grow(out, len(col), in)
-	k := 0
+	out, k := grow(out, len(col), in)
 	if in == nil {
 		for i, x := range col {
 			hit := 0
@@ -683,10 +684,10 @@ func selIn[T comparable](col []T, vals []T, in, out []int32) []int32 {
 					hit = 1
 				}
 			}
-			dst[k] = int32(i)
+			out[k] = int32(i)
 			k += hit
 		}
-		return out[:len(out)+k]
+		return out[:k]
 	}
 	for _, i := range in {
 		x, hit := col[i], 0
@@ -695,18 +696,17 @@ func selIn[T comparable](col []T, vals []T, in, out []int32) []int32 {
 				hit = 1
 			}
 		}
-		dst[k] = i
+		out[k] = i
 		k += hit
 	}
-	return out[:len(out)+k]
+	return out[:k]
 }
 
 // selI64InMixed is selIn for an int64 column whose list holds float
 // literals too: a row matches an int literal in integer domain and a float
 // literal through float64 coercion, as selOrd and selI64AsF64 compare it.
 func selI64InMixed(col []int64, ints []int64, floats []float64, in, out []int32) []int32 {
-	out, dst := grow(out, len(col), in)
-	k := 0
+	out, k := grow(out, len(col), in)
 	if in == nil {
 		for i, x := range col {
 			hit := 0
@@ -720,10 +720,10 @@ func selI64InMixed(col []int64, ints []int64, floats []float64, in, out []int32)
 					hit = 1
 				}
 			}
-			dst[k] = int32(i)
+			out[k] = int32(i)
 			k += hit
 		}
-		return out[:len(out)+k]
+		return out[:k]
 	}
 	for _, i := range in {
 		x, hit := col[i], 0
@@ -737,10 +737,10 @@ func selI64InMixed(col []int64, ints []int64, floats []float64, in, out []int32)
 				hit = 1
 			}
 		}
-		dst[k] = i
+		out[k] = i
 		k += hit
 	}
-	return out[:len(out)+k]
+	return out[:k]
 }
 
 // strNode is a string leaf: a comparison with a constant, or IN a list.
@@ -787,20 +787,19 @@ func (n *strNode) refine(b *storage.Batch, in, out []int32, sc *Scratch) []int32
 // table load per row, whatever the predicate. Every candidate's code must be
 // decided (Scratch.truth).
 func selCodes(codes []uint32, truth []uint8, in, out []int32) []int32 {
-	out, dst := grow(out, len(codes), in)
-	k := 0
+	out, k := grow(out, len(codes), in)
 	if in == nil {
 		for i, c := range codes {
-			dst[k] = int32(i)
+			out[k] = int32(i)
 			k += int(truth[c])
 		}
-		return out[:len(out)+k]
+		return out[:k]
 	}
 	for _, i := range in {
-		dst[k] = i
+		out[k] = i
 		k += int(truth[codes[i]])
 	}
-	return out[:len(out)+k]
+	return out[:k]
 }
 
 // ---- the conjunction ----

@@ -25,11 +25,15 @@ func (k AggKind) String() string {
 // Approximable reports whether the aggregate supports HT estimation.
 func (k AggKind) Approximable() bool { return k == Count || k == Sum || k == Avg }
 
-// GroupAccumulator tracks one aggregate for one group in a single pass over
+// GroupAccumulator is one aggregate's running state for one group over
 // weighted sample tuples. This is the paper's §IV-B algorithm: because HT
 // error decomposes per stratification/grouping key, a hash table keyed by
 // group holds a running estimate and running variance, giving a linear-time,
-// single-pass error computation instead of the quadratic self-join.
+// single-pass error computation instead of the quadratic self-join. The
+// sinks keep the state as cells of a Slab, only the terms an aggregate
+// reads, and assemble an accumulator at emit (Terms.Accumulator); Observe
+// and Merge fold it one row at a time and are the reference the slab's
+// folds are held to.
 //
 // Variance bookkeeping: under Poisson/HT sampling with inclusion probability
 // π_i = 1/w_i, the unbiased variance estimator of the HT total is
@@ -44,7 +48,6 @@ type GroupAccumulator struct {
 	VarY  float64 // Σ w(w−1)y²  (variance estimate of SumY)
 	VarN  float64 // Σ w(w−1)    (variance estimate of SumN)
 	CovYN float64 // Σ w(w−1)y   (covariance of SumY and SumN)
-	Rows  int     // sample tuples observed
 	MinV  float64
 	MaxV  float64
 }
@@ -56,7 +59,6 @@ func NewGroupAccumulator(kind AggKind) *GroupAccumulator {
 
 // Observe folds one sample tuple with value y and HT weight w.
 func (g *GroupAccumulator) Observe(y, w float64) {
-	g.Rows++
 	g.SumY += w * y
 	g.SumN += w
 	c := w * (w - 1)
@@ -71,26 +73,8 @@ func (g *GroupAccumulator) Observe(y, w float64) {
 	}
 }
 
-// ObserveExact folds one row of unweighted input — w ≡ 1 — which is exact:
-// it adds to the sums, the row count and the extrema, and leaves the
-// variance terms, every one a multiple of w(w−1) = 0, at zero. Their
-// products are never formed, so a non-finite y (0·∞ is NaN) cannot reach
-// them either.
-func (g *GroupAccumulator) ObserveExact(y float64) {
-	g.Rows++
-	g.SumY += y
-	g.SumN++
-	if y < g.MinV {
-		g.MinV = y
-	}
-	if y > g.MaxV {
-		g.MaxV = y
-	}
-}
-
 // Merge combines two accumulators over disjoint sample partitions.
 func (g *GroupAccumulator) Merge(o *GroupAccumulator) {
-	g.Rows += o.Rows
 	g.SumY += o.SumY
 	g.SumN += o.SumN
 	g.VarY += o.VarY
@@ -104,7 +88,8 @@ func (g *GroupAccumulator) Merge(o *GroupAccumulator) {
 	}
 }
 
-// Estimate returns the point estimate of the aggregate.
+// Estimate returns the point estimate of the aggregate. A group no row
+// reached has SumN = 0 — weights are at least 1 — and its MIN and MAX are 0.
 func (g *GroupAccumulator) Estimate() float64 {
 	switch g.Kind {
 	case Count:
@@ -117,12 +102,12 @@ func (g *GroupAccumulator) Estimate() float64 {
 		}
 		return g.SumY / g.SumN
 	case Min:
-		if g.Rows == 0 {
+		if g.SumN == 0 {
 			return 0
 		}
 		return g.MinV
 	case Max:
-		if g.Rows == 0 {
+		if g.SumN == 0 {
 			return 0
 		}
 		return g.MaxV

@@ -172,7 +172,7 @@ func TestAccumulatorMerge(t *testing.T) {
 		t.Fatalf("merge mismatch: est %v vs %v, var %v vs %v",
 			a.Estimate(), whole.Estimate(), a.Variance(), whole.Variance())
 	}
-	if a.Rows != whole.Rows || a.MinV != whole.MinV || a.MaxV != whole.MaxV {
+	if a.SumN != whole.SumN || a.MinV != whole.MinV || a.MaxV != whole.MaxV {
 		t.Fatal("merge lost bookkeeping")
 	}
 }

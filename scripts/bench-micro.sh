@@ -6,10 +6,12 @@
 # It builds a `go test -c` binary of PKG (e.g. ./internal/exec) from BASE,
 # exported with git archive, and one from this tree; then runs, ROUNDS times
 # (default 10), base, change and base again — the A/A — in an order that
-# rotates every round, each at -test.cpu 1 -test.run '^$' -test.bench BENCH
-# from its package directory. Per benchmark it prints each side's min and
-# median ns/op, the median over rounds of change/base, and the median and
-# spread (min..max over rounds) of the A/A ratio base'/base. A change whose
+# rotates every round, each at -test.cpu 1 -test.benchmem -test.run '^$'
+# -test.bench BENCH from its package directory. Per benchmark it prints each
+# side's min and median ns/op, the median over rounds of change/base, and the
+# median and spread (min..max over rounds) of the A/A ratio base'/base; then
+# each side's median B/op and allocs/op, which repeat exactly run to run and
+# so need no control. A change whose
 # median ratio lies inside the A/A spread is "within noise": on a loaded
 # host that spread, not the ratio alone, is the resolution of the
 # comparison. The verdict says "faster" or "slower" only when the control
@@ -35,8 +37,16 @@ $go test -c -o "$d/change.test" "./$pkg"
 
 # run SIDE BINARY DIR: one round of one side, its results tagged with SIDE.
 run() {
-	(cd "$3" && "$2" -test.run '^$' -test.bench "$bench" -test.cpu 1) |
-		awk -v side="$1" '$1 ~ /^Benchmark/ { for (i = 3; i < NF; i++) if ($(i+1) == "ns/op") print side, $1, $i }' >> "$d/results"
+	(cd "$3" && "$2" -test.run '^$' -test.bench "$bench" -test.cpu 1 -test.benchmem) |
+		awk -v side="$1" '$1 ~ /^Benchmark/ {
+			ns = by = al = "-"
+			for (i = 3; i < NF; i++) {
+				if ($(i+1) == "ns/op") ns = $i
+				if ($(i+1) == "B/op") by = $i
+				if ($(i+1) == "allocs/op") al = $i
+			}
+			if (ns != "-") print side, $1, ns, by, al
+		}' >> "$d/results"
 }
 
 : > "$d/results"
@@ -59,8 +69,15 @@ awk '
 function sortv(a, n,   i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j > 0 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t } }
 function median(a, n) { sortv(a, n); return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2 }
 {
-	k = $2 SUBSEP $1; n[k]++; v[k, n[k]] = $3
+	k = $2 SUBSEP $1; n[k]++; v[k, n[k]] = $3; by[k, n[k]] = $4; al[k, n[k]] = $5
 	if (!($2 in seen)) { seen[$2] = 1; order[++shapes] = $2 }
+}
+# medianOf(b, side, arr): the median over rounds of the B/op or
+# allocs/op of one side, "-" when the benchmark reported none.
+function medianOf(b, side, arr,   i, m, x) {
+	m = n[b, side]
+	for (i = 1; i <= m; i++) { if (arr[b, side, i] == "-") return "-"; x[i] = arr[b, side, i] + 0 }
+	return median(x, m)
 }
 END {
 	printf "%-52s %21s %21s %12s %10s %17s  %s\n", "benchmark (ns/op)", "base min / median", "change min / median", "change/base", "A/A median", "A/A spread", "verdict"
@@ -76,5 +93,11 @@ END {
 		verdict = ratio < lo ? "faster" : ratio > hi ? "slower" : "within noise"
 		if (aa < 0.95 || aa > 1.05) verdict = "control off 1: rerun with more rounds"
 		printf "%-52s %10.4g / %-8.4g %10.4g / %-8.4g %12.3f %10.3f %8.3f..%-7.3f  %s\n", b, bmin, bmed, cmin, cmed, ratio, aa, lo, hi, verdict
+	}
+	printf "\n%-52s %21s %21s\n", "benchmark (median B/op, allocs/op)", "base", "change"
+	for (s = 1; s <= shapes; s++) {
+		b = order[s]
+		if (n[b, "base"] == 0 || n[b, "change"] == 0) continue
+		printf "%-52s %12s / %-8s %12s / %-8s\n", b, medianOf(b, "base", by), medianOf(b, "base", al), medianOf(b, "change", by), medianOf(b, "change", al)
 	}
 }' "$d/results"
