@@ -506,7 +506,7 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	batches, err := exec.Run(op)
+	out, err := exec.Run(op)
 	if err != nil {
 		return nil, err
 	}
@@ -553,7 +553,7 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 		e.tuneMu.Unlock()
 	}
 
-	res = assemble(op, batches)
+	res = assemble(op.Schema().Names(), out, op.Intervals())
 	res.Report = rep
 	res.Report.SimSeconds = ctx.Stats.SimulatedSeconds(e.cfg.CostModel)
 	res.Report.ScanBytes = ctx.Stats.BaseBytes
@@ -700,32 +700,25 @@ func (e *Engine) Ingest(table string, delta *storage.Table) (uint64, error) {
 	return nt.Epoch(), nil
 }
 
-// assemble converts operator output into a Result. Its rows are carved from
-// one array of cells, each capped at its own width, so that an append to one
-// row reallocates it instead of writing into the next.
-func assemble(op exec.Operator, batches []*storage.Batch) *Result {
-	res := &Result{Columns: op.Schema().Names()}
-	rows, cells := 0, 0
-	for _, b := range batches {
-		rows += b.Len()
-		cells += b.Len() * len(b.Vecs)
+// assemble converts a run's batch and its row-aligned intervals into a
+// Result. Its rows are carved from one array of cells, each capped at its
+// own width, so that an append to one row reallocates it instead of writing
+// into the next.
+func assemble(columns []string, b *storage.Batch, intervals [][]stats.Interval) *Result {
+	res := &Result{Columns: columns, Intervals: intervals}
+	n, w := b.Len(), len(b.Vecs)
+	if n == 0 {
+		return res
 	}
-	if rows > 0 {
-		res.Rows = make([][]storage.Value, 0, rows)
-	}
-	all := make([]storage.Value, cells)
-	for _, b := range batches {
-		for i := 0; i < b.Len(); i++ {
-			row := all[:len(b.Vecs):len(b.Vecs)]
-			all = all[len(b.Vecs):]
-			for c, v := range b.Vecs {
-				row[c] = v.Get(i)
-			}
-			res.Rows = append(res.Rows, row)
+	res.Rows = make([][]storage.Value, n)
+	all := make([]storage.Value, n*w)
+	for i := range res.Rows {
+		row := all[:w:w]
+		all = all[w:]
+		for c, v := range b.Vecs {
+			row[c] = v.Get(i)
 		}
-	}
-	if rep, ok := op.(exec.IntervalReporter); ok {
-		res.Intervals = rep.Intervals()
+		res.Rows[i] = row
 	}
 	return res
 }

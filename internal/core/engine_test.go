@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/tasterdb/taster/internal/exec"
 	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/planner"
@@ -352,40 +351,30 @@ func TestModeStringOutOfRange(t *testing.T) {
 	}
 }
 
-// schemaOp is an operator assemble can read a schema from.
-type schemaOp struct {
-	exec.Operator
-	s storage.Schema
-}
-
-func (o schemaOp) Schema() storage.Schema { return o.s }
-
-// TestAssembleRowsStandAlone: assemble's rows are the batches' rows in
+// TestAssembleRowsStandAlone: assemble's rows are the batch's rows in
 // order, boxed as Batch.Row boxes them, though carved from one array of
 // cells: each row is capped at its width, so an append to one leaves the
-// next as it was. No row at all is a nil Rows.
+// next as it was. No row at all is a nil Rows. The intervals are the run's,
+// as they are.
 func TestAssembleRowsStandAlone(t *testing.T) {
 	schema := storage.Schema{{Name: "k", Typ: storage.Int64}, {Name: "v", Typ: storage.String}}
-	var batches []*storage.Batch
+	b := storage.NewBatch(schema, 5)
 	var want [][]storage.Value
-	for k, n := range []int{2, 0, 3} {
-		b := storage.NewBatch(schema, n)
-		for i := 0; i < n; i++ {
-			b.Vecs[0].I64 = append(b.Vecs[0].I64, int64(10*k+i))
-			b.Vecs[1].Str = append(b.Vecs[1].Str, string(rune('a'+i)))
-			want = append(want, b.Row(i))
-		}
-		batches = append(batches, b)
+	for i := 0; i < 5; i++ {
+		b.Vecs[0].I64 = append(b.Vecs[0].I64, int64(10*i))
+		b.Vecs[1].Str = append(b.Vecs[1].Str, string(rune('a'+i)))
+		want = append(want, b.Row(i))
 	}
-	res := assemble(schemaOp{s: schema}, batches)
-	if !reflect.DeepEqual(res.Rows, want) || !reflect.DeepEqual(res.Columns, schema.Names()) {
-		t.Fatalf("assembled %v under %v, want %v", res.Rows, res.Columns, want)
+	ivs := [][]stats.Interval{{{Estimate: 1}}}
+	res := assemble(schema.Names(), b, ivs)
+	if !reflect.DeepEqual(res.Rows, want) || !reflect.DeepEqual(res.Columns, schema.Names()) || !reflect.DeepEqual(res.Intervals, ivs) {
+		t.Fatalf("assembled %v under %v with %v, want %v with %v", res.Rows, res.Columns, res.Intervals, want, ivs)
 	}
 	grown := append(res.Rows[0], storage.IntValue(-1))
 	if len(grown) != 3 || !reflect.DeepEqual(res.Rows[1], want[1]) {
 		t.Fatalf("an append to row 0 moved row 1 to %v", res.Rows[1])
 	}
-	if empty := assemble(schemaOp{s: schema}, batches[1:2]); empty.Rows != nil {
+	if empty := assemble(schema.Names(), storage.NewBatch(schema, 0), nil); empty.Rows != nil {
 		t.Fatalf("no rows assembled as %#v", empty.Rows)
 	}
 }

@@ -226,10 +226,8 @@ func TestJoinIndexPerVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rows [][]storage.Value
-		for _, b := range out {
-			for i := 0; i < b.Len(); i++ {
-				rows = append(rows, b.Row(i))
-			}
+		for i := 0; i < out.Len(); i++ {
+			rows = append(rows, out.Row(i))
 		}
 		return fmt.Sprintf("%v|%+v", rows, *ctx.Stats)
 	}

@@ -3,82 +3,94 @@ package exec
 import (
 	"fmt"
 
+	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// Compile lowers a logical plan into a physical operator tree. A root is an
-// Aggregate or a SketchJoin — the two sinks of the one morsel pipeline —
-// under an optional Sort; a Scan or a Filter over one compiles on its own,
-// as the build side of a join or of an inline sketch build does. A Join
-// compiles only as part of a pipeline's spine: anywhere else it is an error,
-// like any other shape the spine does not cover. The seed drives every
-// random choice (sampling, which happens only on the spine) so runs are
-// reproducible; the context collects cost counters and materialized
-// byproducts. With tracing enabled (Context.TraceNodes non-nil) every
-// compiled operator is wrapped with a per-node trace recorder; the wrap
-// observes the batch stream without touching it, so traced and untraced runs
-// are byte-identical.
-func Compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
-	op, err := compile(n, seed, ctx)
-	if err != nil {
-		return nil, err
+// Compile lowers a logical plan into the one run that answers it: the
+// morsel pipeline ending in the plan's sink — an Aggregate or a SketchJoin
+// root — with, under a Sort, the order its one batch is put in. Any other
+// root is an error, and so is any shape the spine does not cover below the
+// sink: a Join compiles only as part of a spine, and a build side only as a
+// Scan or a Filter over one. The seed drives every random choice (sampling,
+// which happens only on the spine) so runs are reproducible; the context
+// collects cost counters and materialized byproducts. With tracing enabled
+// (Context.TraceNodes non-nil) the root, the Sort and every build side's
+// Scan and Filter record their counters; recording observes batches without
+// touching them, so traced and untraced runs are byte-identical.
+func Compile(n plan.Node, seed uint64, ctx *Context) (*PipelineOp, error) {
+	srt, sorted := n.(*plan.Sort)
+	if sorted {
+		n = srt.Child
 	}
-	return traceWrap(op, n, ctx), nil
-}
-
-// compile is the per-node lowering; recursion goes through Compile so
-// every interior operator gets its trace wrap.
-func compile(n plan.Node, seed uint64, ctx *Context) (Operator, error) {
+	var p *PipelineOp
+	var err error
 	switch t := n.(type) {
-	case *plan.Scan, *plan.Filter:
-		op, err := lowerBuild(t, "a leaf chain", ctx)
-		if err != nil {
-			return nil, err
-		}
-		return leafRoot{op, ctx.Pool}, nil
-
 	case *plan.Aggregate:
-		return newPipelineOp(t.Child, "an aggregate", t.GroupBy, aggReads(t.Aggs), seed, ctx, func(in storage.Schema, src *groupSource) (sink, error) {
+		p, err = newPipelineOp(t.Child, "an aggregate", t.GroupBy, aggReads(t.Aggs), seed, ctx, func(in storage.Schema, src *groupSource) (sink, error) {
 			return resolveAggSpec(in, t.GroupBy, t.Aggs, src)
 		})
-
 	case *plan.SketchJoin:
-		return newPipelineOp(t.Probe, "a sketch-join", t.GroupBy, sketchReads(t), seed, ctx, func(in storage.Schema, src *groupSource) (sink, error) {
+		p, err = newPipelineOp(t.Probe, "a sketch-join", t.GroupBy, sketchReads(t), seed, ctx, func(in storage.Schema, src *groupSource) (sink, error) {
 			return newSketchSink(t, in, src, ctx)
 		})
-
-	case *plan.Sort:
-		child, err := Compile(t.Child, seed, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return NewSortOp(child, t.By, t.Desc, t.Limit, ctx)
+	default:
+		return nil, fmt.Errorf("exec: cannot compile plan node %T", n)
 	}
-	return nil, fmt.Errorf("exec: cannot compile plan node %T", n)
-}
-
-// compileBuild is the one build-side lowering, shared by a spine join's
-// right input and an inline sketch build (where names which, for the error).
-// Every sample lives on the spine — the planner puts the fact table first —
-// so a build side is σ(base table): a Scan, or a Filter directly over one.
-// Anything else is an error naming the node. No seed: nothing here draws.
-func compileBuild(n plan.Node, where string, ctx *Context) (Operator, error) {
-	op, err := lowerBuild(n, where, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return traceWrap(op, n, ctx), nil
+	p.trace = newTracer(n, ctx)
+	if sorted {
+		if p.sort, err = newSortSpec(srt, p.Schema(), ctx); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
-// lowerBuild is compileBuild without the trace wrap of n itself. The base
-// table is read by the spine's scan, morselScan, as one morsel covering every
-// row, and a filter directly above it drives the same zone-map pruning the
-// spine's leaf does (pipeline.open): partitions whose zones prove the
-// predicate unsatisfiable are skipped. The FilterOp stays on top, so the
-// output stream is the unpruned scan's — pruning only reduces the scanned
-// bytes and tuples.
-func lowerBuild(n plan.Node, where string, ctx *Context) (Operator, error) {
+// Run runs a compiled plan once and returns its one batch: the sink's
+// groups in key order, or in the Sort's order and cut to its limit. The
+// run's intervals are read afterwards from p.Intervals, row-aligned with
+// the batch.
+func Run(p *PipelineOp) (*storage.Batch, error) {
+	start := p.trace.now()
+	out, err := p.run()
+	p.trace.since(start)
+	if err != nil {
+		return nil, err
+	}
+	p.trace.count(out)
+	if s := p.sort; s != nil {
+		out, p.intervals = s.apply(out, p.intervals, p.ctx)
+		s.trace.since(start)
+		s.trace.count(out)
+	}
+	return out, nil
+}
+
+// buildSide is a join's right input or an inline sketch build. Every sample
+// lives on the spine — the planner puts the fact table first — so a build
+// side is σ(base table): a Scan, or a Filter directly over one. It is read
+// once per run, serially, by drain, the spine's own read loop over the
+// whole table as one morsel.
+type buildSide struct {
+	// table is the base table as a one-morsel pipeline: its leaf scan reads
+	// every column, and a Filter's predicate zone-prunes it (pipeline.open).
+	table *pipeline
+	// filter is the Filter's program, compiled once; nil for a bare Scan.
+	filter *expr.Filter
+	// scan and kept are the Scan's and the Filter's trace records (kept is
+	// nil for a bare Scan; both are nil untraced).
+	scan, kept *tracer
+}
+
+// newBuildSide lowers n as a build side (where names which, for the error).
+// Anything but a Scan or a Filter directly over one is an error naming the
+// node, as is a predicate no selection kernel runs. No seed: nothing here
+// draws.
+func newBuildSide(n plan.Node, where string, ctx *Context) (*buildSide, error) {
 	f, filtered := n.(*plan.Filter)
 	if filtered {
 		n = f.Child
@@ -87,35 +99,72 @@ func lowerBuild(n plan.Node, where string, ctx *Context) (Operator, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: cannot compile %T in %s: a build side is Scan or Filter(Scan)", n, where)
 	}
-	whole := &pipeline{leaf: sc.Table, leafBase: true, leafSchema: sc.Table.Schema()}
-	src := &morselScan{whole: whole, ctx: ctx}
-	if !filtered {
-		return src, nil
+	s := &buildSide{table: &pipeline{leaf: sc.Table, leafBase: true, leafSchema: sc.Table.Schema()}}
+	s.scan = newTracer(sc, ctx)
+	if filtered {
+		prog, err := expr.CompileFilter(f.Pred, s.table.leafSchema)
+		if err != nil {
+			return nil, err
+		}
+		s.table.prune, s.filter = f.Pred, prog
+		s.kept = newTracer(f, ctx)
 	}
-	whole.prune = f.Pred
-	return NewFilterOp(traceWrap(src, sc, ctx), f.Pred, ctx)
+	return s, nil
 }
 
-// leafRoot is a leaf chain compiled as a plan's root. Its scan re-points
-// one batch at every call, which a build side's consumer releases before
-// the next; a root's consumer (Run) keeps every batch, so each one leaves
-// as a batch of its own: its selected rows copied out, or a view of it.
-type leafRoot struct {
-	Operator
-	pool *storage.VecPool
-}
-
-// Next implements Operator.
-func (r leafRoot) Next() (*storage.Batch, error) {
-	b, err := r.Operator.Next()
-	if b == nil || b.Sel != nil {
-		return b.Materialize(r.pool), err
+// drain reads the build side: the prune-and-charge call (pipeline.open),
+// then one cursor over every row of the partitions it leaves, each batch
+// charged its scan's CPU tuples and refined by the filter. fn gets every
+// batch with a live row — the cursor's one batch, re-pointed for the next,
+// under its survivors' selection — and must be done with it when it
+// returns. A filter whose zone test prunes partitions prunes only bytes and
+// tuples: their rows would all have failed it.
+func (s *buildSide) drain(ctx *Context, fn func(b *storage.Batch)) {
+	start := s.scan.now()
+	cur := s.table.cursor()
+	cur.Seek(0, s.table.leaf.NumRows(), s.table.open(ctx))
+	var leaf storage.Batch
+	var sc expr.Scratch
+	for cur.Next(&leaf) {
+		s.scan.since(start)
+		s.scan.count(&leaf)
+		ctx.Stats.CPUTuples += int64(leaf.Len())
+		b := &leaf
+		if s.filter != nil {
+			b = refine(b, s.filter, &sc, ctx)
+		}
+		s.kept.since(start)
+		if b != nil {
+			s.kept.count(b)
+			fn(b)
+			ctx.Pool.Release(b)
+		}
+		start = s.scan.now()
 	}
-	return b.View(), nil
+	s.scan.since(start)
+	s.kept.since(start)
 }
 
-// buildSource is the base table a build side reads, nil for a shape
-// compileBuild refuses.
+// markCached records, under tracing, that the join cache answered the build
+// side: it was lowered but never drained, and its zero counters would read
+// as a build that produced nothing. Its top node carries the cached table's
+// row count, so the enclosing join's rows-in is what a fresh build would
+// have reported.
+func (s *buildSide) markCached(rows int64) {
+	if s.scan == nil {
+		return
+	}
+	s.scan.node.Cached = true
+	top := s.scan
+	if s.kept != nil {
+		s.kept.node.Cached = true
+		top = s.kept
+	}
+	top.node.RowsOut = rows
+}
+
+// buildSource is the base table a build side over n reads, nil for a shape
+// newBuildSide refuses.
 func buildSource(n plan.Node) *storage.Table {
 	if f, ok := n.(*plan.Filter); ok {
 		n = f.Child

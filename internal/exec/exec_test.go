@@ -52,7 +52,7 @@ func amountAbove(v float64) expr.Pred {
 	return expr.Pred{expr.Compare("orders.amount", expr.GE, storage.FloatValue(v))}
 }
 
-func runPlan(t *testing.T, n plan.Node, ctx *Context) []*storage.Batch {
+func runPlan(t *testing.T, n plan.Node, ctx *Context) *storage.Batch {
 	t.Helper()
 	op, err := Compile(n, 42, ctx)
 	if err != nil {
@@ -65,20 +65,28 @@ func runPlan(t *testing.T, n plan.Node, ctx *Context) []*storage.Batch {
 	return out
 }
 
-func allRows(batches []*storage.Batch) [][]storage.Value {
+func allRows(b *storage.Batch) [][]storage.Value {
 	var rows [][]storage.Value
-	for _, b := range batches {
-		for i := 0; i < b.Len(); i++ {
-			rows = append(rows, b.Row(i))
-		}
+	for i := 0; i < b.Len(); i++ {
+		rows = append(rows, b.Row(i))
 	}
 	return rows
+}
+
+// drainPlan reads n as a join's build side reads it.
+func drainPlan(t *testing.T, n plan.Node, ctx *Context) *storage.Batch {
+	t.Helper()
+	out, err := DrainBuildSide(n, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestScanCountsBytes(t *testing.T) {
 	tbl := ordersTable()
 	ctx := NewContext(0.95)
-	out := runPlan(t, &plan.Scan{Table: tbl}, ctx)
+	out := drainPlan(t, &plan.Scan{Table: tbl}, ctx)
 	if n := len(allRows(out)); n != 1000 {
 		t.Fatalf("scanned %d rows", n)
 	}
@@ -97,7 +105,7 @@ func TestFilterProject(t *testing.T) {
 		Child: &plan.Scan{Table: tbl},
 		Pred:  expr.Pred{expr.Compare("orders.id", expr.LT, storage.IntValue(10))},
 	}
-	if rows := allRows(runPlan(t, f, ctx)); len(rows) != 10 {
+	if rows := allRows(drainPlan(t, f, ctx)); len(rows) != 10 {
 		t.Fatalf("filtered rows = %d", len(rows))
 	}
 }
@@ -190,7 +198,7 @@ func TestExactAggregate(t *testing.T) {
 		t.Fatalf("group 0 aggregates = %v", g0)
 	}
 	// Exact execution → zero-width intervals.
-	ivs := op.(IntervalReporter).Intervals()
+	ivs := op.Intervals()
 	if len(ivs) != 10 {
 		t.Fatalf("interval rows = %d", len(ivs))
 	}
@@ -249,7 +257,7 @@ func TestSampledAggregateWithinError(t *testing.T) {
 	// The honest check is against the reported CI: the true value must fall
 	// within a few half-widths (4σ-ish) of every estimate, and within 1
 	// half-width for most groups (95% nominal coverage).
-	ivs := op.(IntervalReporter).Intervals()
+	ivs := op.Intervals()
 	covered := 0
 	for i, row := range rows {
 		cust := row[0].I
@@ -427,7 +435,7 @@ func TestSketchJoinInlineBuild(t *testing.T) {
 	if n := ctx.Stats.BuiltSketches[0].Sketch.Rows.NumRows(); n != 10 {
 		t.Fatalf("the payload holds %d rows, want one per customer key (10)", n)
 	}
-	ivs := op.(IntervalReporter).Intervals()
+	ivs := op.Intervals()
 	if len(ivs) != 2 {
 		t.Fatalf("sketch intervals = %+v", ivs)
 	}
@@ -646,12 +654,12 @@ func TestSortAndLimit(t *testing.T) {
 		t.Fatalf("descending order violated: %v", rows)
 	}
 	// Intervals permuted alongside.
-	ivs := op.(IntervalReporter).Intervals()
+	ivs := op.Intervals()
 	if len(ivs) != 3 {
 		t.Fatalf("sorted intervals = %d", len(ivs))
 	}
-	if _, err := NewSortOp(&batchFeed{schema: ordersTable().Schema()}, []string{"nope"}, nil, 0, ctx); err == nil {
-		t.Fatal("want unknown sort column error")
+	if _, err := Compile(&plan.Sort{Child: agg, By: []string{"nope"}}, 1, ctx); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("err = %v, want an unknown sort column error", err)
 	}
 }
 

@@ -26,12 +26,9 @@ const LeafRowsPerGroup = leafRowsPerGroup
 
 // JoinSchemas returns the output schema of every join on a compiled plan's
 // spine, bottom-up: what a joined batch physically holds at each level.
-func JoinSchemas(op Operator) []storage.Schema {
-	if s, ok := op.(*SortOp); ok {
-		op = s.Child
-	}
+func JoinSchemas(op *PipelineOp) []storage.Schema {
 	var out []storage.Schema
-	for _, js := range op.(*PipelineOp).joins {
+	for _, js := range op.joins {
 		out = append(out, js.spec.schema)
 	}
 	return out
@@ -40,17 +37,14 @@ func JoinSchemas(op Operator) []storage.Schema {
 // LeafSchema returns the schema a compiled plan's leaf scan reads: the leaf
 // columns the spine needs and, when the sink folds by the leaf's numbering,
 // the group id column after them.
-func LeafSchema(op Operator) storage.Schema {
-	if s, ok := op.(*SortOp); ok {
-		op = s.Child
-	}
-	return op.(*PipelineOp).pipe.leafSchema
+func LeafSchema(op *PipelineOp) storage.Schema {
+	return op.pipe.leafSchema
 }
 
 // CompileValueKeyed lowers an Aggregate onto the spine as Compile does, but
 // keyed by its group columns' values whichever tables they belong to: the
 // GroupIndex lowering a numbered one (groupSource) must meet bit for bit.
-func CompileValueKeyed(n *plan.Aggregate, seed uint64, ctx *Context) (Operator, error) {
+func CompileValueKeyed(n *plan.Aggregate, seed uint64, ctx *Context) (*PipelineOp, error) {
 	reads := append(aggReads(n.Aggs), n.GroupBy...)
 	return newPipelineOp(n.Child, "an aggregate", nil, reads, seed, ctx, func(in storage.Schema, _ *groupSource) (sink, error) {
 		return resolveAggSpec(in, n.GroupBy, n.Aggs, nil)
@@ -79,10 +73,31 @@ func BuildSketchPayload(node *plan.SketchJoin, probe storage.Schema, numbered bo
 		n = ids.Len()
 	}
 	sk, err = s.buildPayload(lo, n, ids, ctx)
-	if cerr := s.build.Close(); err == nil {
-		err = cerr
-	}
 	return sk, dense, err
+}
+
+// DrainBuildSide reads n as a join's build side is read (buildSide.drain)
+// and returns one batch holding a copy of every live row the read handed on,
+// in order.
+func DrainBuildSide(n plan.Node, ctx *Context) (*storage.Batch, error) {
+	side, err := newBuildSide(n, "a drained build side", ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := storage.NewBatch(side.table.leafSchema, 0)
+	side.drain(ctx, func(b *storage.Batch) {
+		live := b.Sel
+		if live == nil {
+			live = make([]int32, b.Len())
+			for i := range live {
+				live[i] = int32(i)
+			}
+		}
+		for c, v := range b.Vecs {
+			out.Vecs[c].AppendGather(v, live)
+		}
+	})
+	return out, nil
 }
 
 // JoinBatchRows is the most rows a join stage hands on in one chunk.

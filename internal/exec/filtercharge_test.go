@@ -10,26 +10,6 @@ import (
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// batchFeed replays fixed batches as an operator, charging nothing itself so
-// tests can observe exactly what the operator under test charges.
-type batchFeed struct {
-	schema  storage.Schema
-	batches []*storage.Batch
-	pos     int
-}
-
-func (f *batchFeed) Open() error { f.pos = 0; return nil }
-func (f *batchFeed) Next() (*storage.Batch, error) {
-	if f.pos >= len(f.batches) {
-		return nil, nil
-	}
-	b := f.batches[f.pos]
-	f.pos++
-	return b, nil
-}
-func (f *batchFeed) Close() error           { return nil }
-func (f *batchFeed) Schema() storage.Schema { return f.schema }
-
 // TestFilterChargesEvaluatedRows: CPUTuples must count every row the
 // predicate evaluated — selective filters do per-input-row work, and a batch
 // where nothing survives is not free. (Regression: the charge used to be
@@ -44,24 +24,18 @@ func TestFilterChargesEvaluatedRows(t *testing.T) {
 	}
 	// Three batches: all pass (4 rows), some pass (3 rows, 1 survivor), none
 	// pass (5 rows). 12 rows evaluated, 5 survive.
-	feed := &batchFeed{schema: schema, batches: []*storage.Batch{
-		mk(10, 11, 12, 13),
-		mk(10, 1, 2),
-		mk(1, 2, 3, 4, 5),
-	}}
 	ctx := NewContext(0.95)
 	pred := expr.Pred{expr.Compare("v", expr.GE, storage.IntValue(10))}
-	f, err := NewFilterOp(feed, pred, ctx)
+	prog, err := expr.CompileFilter(pred, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var sc expr.Scratch
 	survived := 0
-	for _, b := range out {
-		survived += b.Len()
+	for _, b := range []*storage.Batch{mk(10, 11, 12, 13), mk(10, 1, 2), mk(1, 2, 3, 4, 5)} {
+		if b = refine(b, prog, &sc, ctx); b != nil {
+			survived += b.Rows()
+		}
 	}
 	if survived != 5 {
 		t.Fatalf("survivors = %d, want 5", survived)
@@ -74,19 +48,18 @@ func TestFilterChargesEvaluatedRows(t *testing.T) {
 
 // TestFilterRefusesWhatKernelsCannotRun: there is no second evaluator to
 // degrade to, so a predicate outside the kernel subset is a construction
-// error naming the reason — from the operator and through Compile.
+// error naming the reason — from a build side's lowering and through
+// Compile.
 func TestFilterRefusesWhatKernelsCannotRun(t *testing.T) {
 	tbl := ordersTable()
 	pred := expr.Pred{expr.Compare("orders.id", expr.EQ, storage.StringValue("x"))}
 	ctx := NewContext(0.95)
-	if _, err := NewFilterOp(&batchFeed{schema: tbl.Schema()}, pred, ctx); err == nil || !strings.Contains(err.Error(), `cannot compare BIGINT column "orders.id"`) {
-		t.Fatalf("NewFilterOp = %v, want the compile error", err)
+	if _, err := newBuildSide(&plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: pred}, "a join's build side", ctx); err == nil || !strings.Contains(err.Error(), `cannot compare BIGINT column "orders.id"`) {
+		t.Fatalf("newBuildSide = %v, want the compile error", err)
 	}
-	if _, err := Compile(&plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: pred}, 1, ctx); err == nil {
-		t.Fatal("Compile accepted a filter no kernel can run")
-	}
-	// On the morsel spine the chain is built per morsel, so the same error
-	// surfaces from the run — as an error, never a worker panic.
+	// On the morsel spine the filters are compiled once per run, so the same
+	// error surfaces from Compile — or, were it missed there, from the run —
+	// as an error, never a worker panic.
 	agg := &plan.Aggregate{
 		Child: &plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: pred},
 		Aggs:  []plan.AggSpec{{Kind: stats.Count}},

@@ -82,7 +82,7 @@ func goldenRun(t *testing.T, label string, root plan.Node, mat []*plan.SynopsisO
 // table's numbering: from that table up every join carries the group id
 // column, a group column only where something else reads it, and no join
 // below it carries the id.
-func mustBeNarrow(t *testing.T, label string, root plan.Node, op exec.Operator, mat map[*plan.SynopsisOp]string) {
+func mustBeNarrow(t *testing.T, label string, root plan.Node, op *exec.PipelineOp, mat map[*plan.SynopsisOp]string) {
 	t.Helper()
 	n := root
 	if s, ok := n.(*plan.Sort); ok {

@@ -287,7 +287,7 @@ func TestGroupByLeafAppendedVersion(t *testing.T) {
 func keyedTwins(t *testing.T, label string, root *plan.Aggregate, mat ...*plan.SynopsisOp) []*exec.BuiltSample {
 	t.Helper()
 	var built []*exec.BuiltSample
-	run := func(workers int, compile func(*plan.Aggregate, uint64, *exec.Context) (exec.Operator, error)) (string, []*exec.BuiltSample) {
+	run := func(workers int, compile func(*plan.Aggregate, uint64, *exec.Context) (*exec.PipelineOp, error)) (string, []*exec.BuiltSample) {
 		ctx := workerCtx(workers, 0)
 		for i, n := range mat {
 			ctx.MaterializeSamples[n] = fmt.Sprintf("synopsis_%d", i)
@@ -308,12 +308,12 @@ func keyedTwins(t *testing.T, label string, root *plan.Aggregate, mat ...*plan.S
 			bs = append(bs, &st.BuiltSamples[i])
 			line += fmt.Sprintf(" sample=%x", persist.Encode(st.BuiltSamples[i].Sample))
 		}
-		if out[0].Len() == 0 {
+		if out.Len() == 0 {
 			t.Fatalf("%s: vacuous: no group", label)
 		}
 		return line, bs
 	}
-	compile := func(n *plan.Aggregate, seed uint64, ctx *exec.Context) (exec.Operator, error) {
+	compile := func(n *plan.Aggregate, seed uint64, ctx *exec.Context) (*exec.PipelineOp, error) {
 		return exec.Compile(n, seed, ctx)
 	}
 	for _, workers := range []int{1, 4, 8} {

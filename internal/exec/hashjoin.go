@@ -108,25 +108,20 @@ type joinTable struct {
 
 func (t *joinTable) empty() bool { return t == nil || t.rows == 0 }
 
-// drainBuild drains op, the compiled build side over source, into the table
-// of its survivors. The scan, its zone pruning and the filter run and charge
-// as they always did, and every live row is charged its full width in
-// shuffle bytes: the build side of a hash join is exchanged in the simulated
-// cluster. A batch's rows are source rows from its Start on, which the scan
-// set from the partition offsets. While batches arrive dense and back to
-// back no mask is kept, so an unfiltered build — or a filter that keeps
-// every row — has none; keys are the build key's column positions.
-func drainBuild(op Operator, source *storage.Table, keys []int, ctx *Context) (*joinTable, error) {
+// drainBuild drains the build side into the table of its survivors. The
+// scan, its zone pruning and the filter run and charge as on the spine
+// (buildSide.drain), and every live row is charged its full width in
+// shuffle bytes: the build side of a hash join is exchanged in the
+// simulated cluster. A batch's rows are source rows from its Start on,
+// which the scan set from the partition offsets. While batches arrive dense
+// and back to back no mask is kept, so an unfiltered build — or a filter
+// that keeps every row — has none; keys are the build key's column
+// positions.
+func drainBuild(side *buildSide, keys []int, ctx *Context) *joinTable {
+	source := side.table.leaf
 	t := &joinTable{}
 	next := 0 // with no mask yet, rows [0, next) of source are the survivors
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
+	side.drain(ctx, func(b *storage.Batch) {
 		ctx.Stats.ShuffleBytes += b.LiveWidth()
 		t.rows += b.Rows()
 		if t.mask == nil && b.Sel == nil && b.Start == next {
@@ -135,10 +130,9 @@ func drainBuild(op Operator, source *storage.Table, keys []int, ctx *Context) (*
 			t.prefixMask(source, keys, next)
 			t.idx.Mark(t.mask, b.Start, b.Sel, b.Len())
 		}
-		ctx.Pool.Release(b)
-	}
+	})
 	if t.rows == 0 {
-		return t, nil
+		return t
 	}
 	if t.rows < source.NumRows() {
 		t.prefixMask(source, keys, next)
@@ -150,7 +144,7 @@ func drainBuild(op Operator, source *storage.Table, keys []int, ctx *Context) (*
 	for c := range t.vecs {
 		t.vecs[c] = source.Column(c)
 	}
-	return t, nil
+	return t
 }
 
 // prefixMask starts the table's mask, once, with rows [0, n) of source.

@@ -217,8 +217,8 @@ func TestHashJoinEmptyBuildEarlyOut(t *testing.T) {
 		GroupBy: []string{"orders.cust"},
 		Aggs:    []plan.AggSpec{{Kind: stats.Count}},
 	}
-	if out := runPlan(t, agg, ctx); len(out) != 0 {
-		t.Fatalf("empty build produced %d batches", len(out))
+	if out := runPlan(t, agg, ctx); out.Len() != 0 {
+		t.Fatalf("empty build produced %d rows", out.Len())
 	}
 	if ctx.Stats.BaseBytes != 0 || ctx.Stats.ShuffleBytes != 0 || ctx.Stats.CPUTuples != 0 {
 		t.Fatalf("empty-build join charged work: %+v", *ctx.Stats)
@@ -477,7 +477,7 @@ func TestJoinBuildSurvivorShapes(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: counts per group %v, want %v", c.name, got, want)
 		}
-		table := op.(*PipelineOp).joins[0].table
+		table := op.joins[0].table
 		if (table.mask != nil) != c.masked {
 			t.Fatalf("%s: build side has mask %t, want %t", c.name, table.mask != nil, c.masked)
 		}

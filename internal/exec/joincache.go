@@ -20,7 +20,7 @@ const joinCacheMaxEntries = 1024
 // Taster's plans sample the fact table and join the sample against whole
 // dimension tables, so once a synopsis is reused a query's residual cost is
 // the dimension-side build — over rows that cannot change until the table's
-// next version. A build side is σ(base table) (compileBuild), a pure
+// next version. A build side is σ(base table) (buildSide), a pure
 // function of its plan text and the table version it reads; the cache runs
 // it once per such key and hands later queries the immutable joinTable
 // together with the cost counters the build charged, which a hit replays so
@@ -60,7 +60,7 @@ type JoinCache struct {
 }
 
 // buildCharge is the cost a build side charged to RunStats: the three
-// counters Scan and Filter operators and the drain move. Integer sums, so
+// counters its scan, its filter and the drain move. Integer sums, so
 // replaying them on a hit lands on the same totals in any order.
 type buildCharge struct {
 	baseBytes, cpuTuples, shuffleBytes int64
@@ -218,34 +218,27 @@ func pinnedBytes(source *storage.Table, t *joinTable) int64 {
 	return n
 }
 
-// runBuild produces the build side of one spine join (PipelineOp.Next). It
-// opens and drains op, the compiled form of node.Right, into the table of
-// its survivors (drainBuild); with a cache on the context it first asks the
-// cache, and on a hit never opens op at all: the entry's charge is replayed
-// into the run's counters and, under tracing, the build side is marked
-// cached with its survivor count. A miss builds and admits. The caller
-// still owns op and closes it either way.
-func runBuild(node *plan.Join, op Operator, spec *joinSpec, ctx *Context) (*joinTable, error) {
-	source := buildSource(node.Right)
+// runBuild produces the table of one spine join's build side (PipelineOp's
+// run): it drains the build side into the table of its survivors
+// (drainBuild); with a cache on the context it first asks the cache, and on
+// a hit never drains it: the entry's charge is replayed into the run's
+// counters and, under tracing, the build side is marked cached with its
+// survivor count. A miss builds and admits.
+func runBuild(js *pipelineJoinState, ctx *Context) *joinTable {
+	node, source := js.node, js.build.table.leaf
 	var key string
 	if ctx.Joins != nil {
 		key = joinCacheKey(node.Right, source, node.RightKeys)
 		if hit := ctx.Joins.lookup(key, source); hit != nil {
 			hit.charge.replay(ctx.Stats)
-			markCached(node.Right, int64(hit.table.rows), ctx)
-			return hit.table, nil
+			js.build.markCached(int64(hit.table.rows))
+			return hit.table
 		}
 	}
 	before := *ctx.Stats
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	t, err := drainBuild(op, source, spec.rightKeys, ctx)
-	if err != nil {
-		return nil, err
-	}
+	t := drainBuild(js.build, js.spec.rightKeys, ctx)
 	if ctx.Joins != nil {
 		ctx.Joins.insert(key, source, t, chargeSince(ctx.Stats, before))
 	}
-	return t, nil
+	return t
 }

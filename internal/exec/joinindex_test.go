@@ -587,18 +587,15 @@ func BenchmarkJoinBuild(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			op, err := compileBuild(join.Right, "a benchmark", ctx)
+			side, err := newBuildSide(join.Right, "a benchmark", ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
-			spec, err := resolveJoinSpec(probe, op.Schema(), join.LeftKeys, join.RightKeys, []string{"orders.o_orderpriority"})
+			spec, err := resolveJoinSpec(probe, side.table.leafSchema, join.LeftKeys, join.RightKeys, []string{"orders.o_orderpriority"})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := runBuild(join, op, spec, ctx); err != nil {
-				b.Fatal(err)
-			}
-			op.Close()
+			runBuild(&pipelineJoinState{node: join, build: side, spec: spec}, ctx)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*orders.NumRows()), "ns/row")
 	})

@@ -569,6 +569,13 @@ func BenchmarkSketchJoinGrouped(b *testing.B) {
 // the clock (sparse_cold). It reports ns per scanned row and B/op (`go test
 // ./internal/exec -run NONE -bench BenchmarkSketchJoinBuild -benchmem -cpu
 // 1`).
+//
+// The agg/ sub-benchmarks run the l_partkey, l_orderkey and q10 builds again
+// as the exact aggregate that answers the same per-key (count, sum) —
+// GROUP BY the key, COUNT(*) and SUM(l_extendedprice) — through Compile and
+// Run on one worker. Each pair prices building the payload on the aggregate
+// sink's fold and morsel merges instead of the payload's own fold: the
+// aggregate costs several times as much a row.
 func BenchmarkSketchJoinBuild(b *testing.B) {
 	li, err := workload.TPCH(0.1, 1).Catalog.Table("lineitem")
 	if err != nil {
@@ -588,7 +595,7 @@ func BenchmarkSketchJoinBuild(b *testing.B) {
 		return sp
 	}
 	returned := &plan.Filter{Child: &plan.Scan{Table: li}, Pred: expr.Pred{expr.Compare("lineitem.l_returnflag", expr.EQ, storage.StringValue("R"))}}
-	for _, c := range []struct {
+	cases := []struct {
 		name       string
 		build      plan.Node
 		key, price string
@@ -599,7 +606,8 @@ func BenchmarkSketchJoinBuild(b *testing.B) {
 		{"q10", returned, "lineitem.l_orderkey", "lineitem.l_extendedprice", false},
 		{"sparse", &plan.Scan{Table: spTable()}, "sp.key", "sp.price", false},
 		{"sparse_cold", &plan.Scan{Table: spTable()}, "sp.key", "sp.price", true},
-	} {
+	}
+	for _, c := range cases {
 		node := &plan.SketchJoin{
 			Build: c.build, BuildKeys: []string{c.key}, ProbeKeys: []string{"p.k"},
 			AggCol: c.price, Aggs: []plan.AggSpec{{Kind: stats.Sum, Col: c.price}},
@@ -621,6 +629,28 @@ func BenchmarkSketchJoinBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := s.prepare(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerRow(b, buildSource(c.build).NumRows())
+		})
+	}
+	for _, c := range cases[:3] {
+		agg := &plan.Aggregate{
+			Child: c.build, GroupBy: []string{c.key},
+			Aggs: []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: c.price}},
+		}
+		b.Run("agg/"+c.name, func(b *testing.B) {
+			pool := storage.NewVecPool()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx := NewContext(0.95)
+				ctx.Pool, ctx.Workers = pool, 1
+				op, err := Compile(agg, 1, ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Run(op); err != nil {
 					b.Fatal(err)
 				}
 			}

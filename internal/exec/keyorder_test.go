@@ -91,15 +91,13 @@ func TestFloatGroupKeysEmitInTotalOrder(t *testing.T) {
 				var got strings.Builder
 				var prev int64
 				n := 0
-				for _, b := range out {
-					for i := 0; i < b.Len(); i++ {
-						x := b.Vecs[0].F64[i]
-						if n > 0 && totalOrderKey(x) <= prev {
-							t.Fatalf("permutation %d, %s, workers=%d: key %v (bits %x) emitted after bits %x", perm, c.name, workers, x, math.Float64bits(x), uint64(prev))
-						}
-						prev, n = totalOrderKey(x), n+1
-						fmt.Fprintf(&got, "%x:%v:%v ", math.Float64bits(x), b.Vecs[len(b.Vecs)-2].F64[i], b.Vecs[len(b.Vecs)-1].F64[i])
+				for i := 0; i < out.Len(); i++ {
+					x := out.Vecs[0].F64[i]
+					if n > 0 && totalOrderKey(x) <= prev {
+						t.Fatalf("permutation %d, %s, workers=%d: key %v (bits %x) emitted after bits %x", perm, c.name, workers, x, math.Float64bits(x), uint64(prev))
 					}
+					prev, n = totalOrderKey(x), n+1
+					fmt.Fprintf(&got, "%x:%v:%v ", math.Float64bits(x), out.Vecs[len(out.Vecs)-2].F64[i], out.Vecs[len(out.Vecs)-1].F64[i])
 				}
 				if n != len(keys) {
 					t.Fatalf("permutation %d, %s, workers=%d: %d groups, want %d", perm, c.name, workers, n, len(keys))

@@ -4,21 +4,24 @@
 // {Filter|Join}* — ending in one of two sinks: weighted hash aggregation
 // with single-pass error tracking (an Aggregate root), or the sketch-join's
 // per-key lookup (a SketchJoin root, paper §II: Join+Aggregate collapsed
-// into one terminal). Compile has no other lowering for either.
+// into one terminal), under an optional Sort. Compile lowers such a plan to
+// one run and has no other lowering; Run runs it once and returns its one
+// batch. Nothing in the package pulls batches: the spine pushes them.
 //
 // What runs serially, once, before the worker pool starts: each join's build
-// side — σ(base table), a scan with an optional filter, drained and indexed
-// into one shared join table — and an inline sketch build, the same kind of
-// drain into the build side's exact (count, sum) per join key, one row per
-// key. Samples live only on the spine: the planner puts the fact table
-// first, so no build side is ever sampled and a joined row's weight is its
-// probe row's. Then workers claim fixed-size row-range morsels of the probe
-// side from a shared dispenser, run the whole spine on each as one push loop
-// with worker-local state, and fold into per-morsel partial sink tables that
-// merge in morsel index order, with per-morsel RNG streams split
-// deterministically from the query seed — so results, cost counters and
-// built synopses are byte-identical at any worker count. SortOp, above a
-// sink, orders the handful of group rows it emitted.
+// side — σ(base table), a scan with an optional filter, read once by the
+// spine's own read loop (buildSide.drain) and indexed into one shared join
+// table — and an inline sketch build, the same read into the build side's
+// exact (count, sum) per join key, one row per key. Samples live only on the
+// spine: the planner puts the fact table first, so no build side is ever
+// sampled and a joined row's weight is its probe row's. Then workers claim
+// fixed-size row-range morsels of the probe side from a shared dispenser,
+// run the whole spine on each as one push loop with worker-local state, and
+// fold into per-morsel partial sink tables that merge in morsel index order,
+// with per-morsel RNG streams split deterministically from the query seed —
+// so results, cost counters and built synopses are byte-identical at any
+// worker count. A Sort above the sink orders the handful of group rows it
+// emitted (sortSpec).
 //
 // The spine is narrow: each level holds only the columns something above it
 // reads (newPipelineOp), and every batch row carries what its whole logical
@@ -45,18 +48,6 @@ import (
 	"github.com/tasterdb/taster/internal/synopses"
 )
 
-// Operator is a physical operator producing batches until nil (EOF).
-type Operator interface {
-	// Open prepares the operator (and its inputs) for execution.
-	Open() error
-	// Next returns the next batch, or nil at end of stream.
-	Next() (*storage.Batch, error)
-	// Close releases resources; safe after partial consumption.
-	Close() error
-	// Schema returns the operator's output schema.
-	Schema() storage.Schema
-}
-
 // RunStats accumulates the logical work counters the simulated-cluster cost
 // model converts to seconds, plus every synopsis built as a byproduct of the
 // run (paper §III: "all synopses are constructed as byproducts of query
@@ -64,7 +55,7 @@ type Operator interface {
 type RunStats struct {
 	BaseBytes      int64 // cold bytes scanned from base tables
 	WarehouseBytes int64 // bytes scanned from materialized synopses
-	CPUTuples      int64 // tuples pushed through operators
+	CPUTuples      int64 // tuples pushed through a run's stages
 	ShuffleBytes   int64 // full-width row bytes exchanged for joins/aggregations
 	OutputRows     int64
 
@@ -97,7 +88,7 @@ func (s *RunStats) SimulatedSeconds(m storage.CostModel) float64 {
 	return sec
 }
 
-// Context carries per-run state shared by the operator tree.
+// Context carries per-run state shared by a run's stages.
 type Context struct {
 	Confidence float64 // confidence level for reported intervals
 	Stats      *RunStats
@@ -114,10 +105,10 @@ type Context struct {
 	// DefaultMorselRows. Changing it changes the per-morsel sampler streams,
 	// so it is part of a query's reproducibility key.
 	MorselRows int
-	// Pool recycles batch/vector memory between operators of this run. Batches
+	// Pool recycles batch/vector memory between the stages of this run. Batches
 	// transfer ownership downstream; the final consumer releases after copying
 	// out (storage.VecPool documents the contract). A nil pool degrades every
-	// pool-aware operator to plain allocation, so results never depend on it.
+	// pool-aware stage to plain allocation, so results never depend on it.
 	Pool *storage.VecPool
 	// Joins keeps built join tables across runs (see JoinCache). Nil — the
 	// NewContext default — builds every join's table per run; the engine
@@ -131,13 +122,14 @@ type Context struct {
 	// and pays one pointer test per batch. Morsel workers share the pointer;
 	// the counters are atomic.
 	Obs *obs.ExecObs
-	// TraceNodes, when non-nil, enables per-operator tracing: Compile wraps
-	// every compiled operator and records its counters into this map, keyed
-	// by the plan node it implements. Per-query state — never shared across
-	// runs or copied into morsel contexts (fused pipelines account their
-	// work at the enclosing traced operator).
+	// TraceNodes, when non-nil, enables per-node tracing: Compile registers
+	// a trace node here for the run's root, a Sort above it and every build
+	// side's Scan and Filter, keyed by the plan node, and the run records
+	// their counters (tracer). Per-query state — never shared across runs or
+	// copied into morsel contexts (the spine's fused nodes account their
+	// work at the sink's node).
 	TraceNodes map[plan.Node]*obs.TraceNode
-	// Clock times traced operators. Always non-nil (NewContext defaults to
+	// Clock times traced nodes. Always non-nil (NewContext defaults to
 	// the frozen clock); the engine injects the wall clock only for
 	// asynchronous runs, so synchronous traces render with zero durations
 	// and stay byte-reproducible.
@@ -155,36 +147,5 @@ func NewContext(confidence float64) *Context {
 		MaterializeSamples: make(map[*plan.SynopsisOp]string),
 		Pool:               storage.NewVecPool(),
 		Clock:              obs.Frozen{},
-	}
-}
-
-// IntervalReporter is implemented by PipelineOp and by the SortOp above it;
-// after the stream is drained it reports the confidence interval of every
-// aggregate cell, row-aligned with the emitted output.
-type IntervalReporter interface {
-	Intervals() [][]stats.Interval
-}
-
-// Run opens, drains and closes an operator, returning all batches.
-func Run(op Operator) ([]*storage.Batch, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var out []*storage.Batch
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		// Result boundary: resolve any selection vector so callers see dense
-		// batches (and the selection buffer returns to the pool).
-		b = b.Materialize(nil)
-		if b.Len() > 0 {
-			out = append(out, b)
-		}
 	}
 }

@@ -313,13 +313,11 @@ func keyText(row []storage.Value, cols []int) string {
 // the same order, group keys and COUNT cells exactly equal, every other cell
 // within tol relative (0: exactly equal — the integer-valued fixtures, whose
 // sums no association can change).
-func mustMatchOracle(t testing.TB, label string, want relation, got []*storage.Batch, tol float64) {
+func mustMatchOracle(t testing.TB, label string, want relation, got *storage.Batch, tol float64) {
 	t.Helper()
 	var rows [][]storage.Value
-	for _, b := range got {
-		for i := 0; i < b.Len(); i++ {
-			rows = append(rows, b.Row(i))
-		}
+	for i := 0; i < got.Len(); i++ {
+		rows = append(rows, got.Row(i))
 	}
 	if len(rows) != len(want.rows) {
 		t.Fatalf("%s: engine answered %d rows, oracle %d", label, len(rows), len(want.rows))

@@ -24,12 +24,13 @@ const DefaultMorselRows = 4096
 // (Scan [→ SynopsisOp] | SynopsisScan) → {Filter | Join}* → sink, where the
 // sink is an Aggregate's hash aggregation or a SketchJoin's per-key lookup.
 // The spine follows each Join's left (probe) input; a build (right) input is
-// σ(base table) — a Scan or a Filter over one (compileBuild) — drained once
-// into a shared join table: its survivors over the table's own key index. A sample has one home: directly over
-// the fact table's scan at the bottom of the spine — the planner puts the
-// fact table first — built there by a sampler or read back as the leaf. The
-// planner emits exactly this shape for every plan: exact, inline sampler
-// builds, sample reuse and sketch-joins alike.
+// σ(base table) — a Scan or a Filter over one (buildSide) — drained once
+// into a shared join table: its survivors over the table's own key index. A
+// sample has one home: directly over the fact table's scan at the bottom of
+// the spine — the planner puts the fact table first — built there by a
+// sampler or read back as the leaf. The planner emits exactly this shape for
+// every plan: exact, inline sampler builds, sample reuse and sketch-joins
+// alike.
 type pipeline struct {
 	leaf     *storage.Table // base table or the sample's row table
 	leafBase bool           // true: charge BaseBytes; false: synopsis bytes
@@ -176,18 +177,19 @@ type partial interface {
 	emit(confidence float64) (*storage.Batch, [][]stats.Interval)
 }
 
-// pipelineJoinState is one join of the spine: its compiled build-side
-// subtree, the resolved column binding, and — once the op runs — the shared
-// join table every probe worker reads.
+// pipelineJoinState is one join of the spine: its build side, the resolved
+// column binding, and — once the op runs — the shared join table every probe
+// worker reads.
 type pipelineJoinState struct {
 	node  *plan.Join
-	build Operator
+	build *buildSide
 	spec  *joinSpec
 	table *joinTable
 }
 
-// PipelineOp executes a matched pipeline with morsel-driven parallelism. What
-// runs serially, once, before the pool starts: the sink's prepare (an inline
+// PipelineOp is a compiled plan: the one run Compile returns, a matched
+// pipeline that Run executes with morsel-driven parallelism, then orders
+// under its Sort, if any. What runs serially, once, before the pool starts: the sink's prepare (an inline
 // sketch build) and each join's build side, drained into a shared joinTable
 // (its survivor mask over the build table's own key index). Then the leaf's
 // rows are split into fixed-size morsels, the pool claims morsels from an
@@ -214,10 +216,11 @@ type PipelineOp struct {
 	joins   []*pipelineJoinState // spine joins, bottom-up
 	sampler *samplerStage        // the spine's sampler; nil: none
 	sink    sink
+	sort    *sortSpec // a Sort above the sink; nil: none
 	seed    uint64
 	ctx     *Context
+	trace   *tracer // the sink node's trace record; nil untraced
 
-	emitted   bool
 	intervals [][]stats.Interval
 }
 
@@ -295,11 +298,11 @@ func newPipelineOp(spine plan.Node, over string, groupBy, reads []string, seed u
 			}
 			cur = smp.schema
 		case *plan.Join:
-			build, err := compileBuild(t.Right, "a join's build side", ctx)
+			build, err := newBuildSide(t.Right, "a join's build side", ctx)
 			if err != nil {
 				return nil, err
 			}
-			spec, err := resolveJoinSpec(cur, build.Schema(), t.LeftKeys, t.RightKeys, names[:above[i]])
+			spec, err := resolveJoinSpec(cur, build.table.leafSchema, t.LeftKeys, t.RightKeys, names[:above[i]])
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +362,7 @@ func groupSourceOf(pipe *pipeline, groupBy []string) *groupSource {
 		case *plan.Join:
 			build := buildSource(t.Right)
 			if build == nil {
-				return nil // compileBuild names the shape
+				return nil // newBuildSide names the shape
 			}
 			wide[i+1] = append(wide[i][:len(wide[i]):len(wide[i])], build.Schema()...)
 		}
@@ -509,21 +512,9 @@ func (q *mergeQueue) finish(i int, part partial) {
 	q.merging = false
 }
 
-// Open implements Operator.
-func (p *PipelineOp) Open() error {
-	p.emitted = false
-	p.intervals = nil
-	return nil
-}
-
-// Next implements Operator: the first call runs the whole morsel pool and
-// emits the merged result as a single batch.
-func (p *PipelineOp) Next() (*storage.Batch, error) {
-	if p.emitted {
-		return nil, nil
-	}
-	p.emitted = true
-
+// run runs the whole morsel pool and emits the merged result as a single
+// batch (Run).
+func (p *PipelineOp) run() (*storage.Batch, error) {
 	rows := p.pipe.leaf.NumRows()
 	morselRows := p.ctx.MorselRows
 	if morselRows <= 0 {
@@ -556,15 +547,7 @@ func (p *PipelineOp) Next() (*storage.Batch, error) {
 	emptyJoin := false
 	for k := len(p.joins) - 1; k >= 0; k-- {
 		js := p.joins[k]
-		table, err := runBuild(js.node, js.build, js.spec, p.ctx)
-		cerr := js.build.Close()
-		if err != nil {
-			return nil, err
-		}
-		if cerr != nil {
-			return nil, cerr
-		}
-		js.table = table
+		js.table = runBuild(js, p.ctx)
 		if js.table.empty() {
 			emptyJoin = true
 			if !materializes {
@@ -673,14 +656,11 @@ func (p *PipelineOp) emit(global partial) *storage.Batch {
 	return out
 }
 
-// Close implements Operator: a join table holds no pool memory — its rows
-// are its source table's — so there is nothing to give back.
-func (p *PipelineOp) Close() error { return nil }
-
-// Schema implements Operator.
+// Schema is the schema of the batch Run returns.
 func (p *PipelineOp) Schema() storage.Schema { return p.sink.outSchema() }
 
-// Intervals implements IntervalReporter.
+// Intervals reports, after Run, the confidence interval of every aggregate
+// cell, row-aligned with the batch it returned.
 func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 
 // morselWorker is one pool worker of a run: the state its morsels' stages
@@ -824,41 +804,3 @@ func (w *morselWorker) emit(k int) {
 	w.ctx.Stats.CPUTuples += int64(out.Len())
 	w.push(out, k+1)
 }
-
-// morselScan is a build side's scan: it reads its whole table as one
-// morsel through the spine's cursor (pipeline.cursor), making the
-// prune-and-charge call (pipeline.open) in Open, and charges each batch's
-// CPU tuples as it hands it on. Every batch it hands on is the one batch its
-// cursor re-points, valid until the next call: a build side's consumer —
-// drainBuild, sketchSink.buildPayload, through a FilterOp or not — releases
-// each batch before asking for the next.
-type morselScan struct {
-	whole *pipeline
-	ctx   *Context
-	cur   *storage.Cursor
-	b     storage.Batch
-}
-
-// Open implements Operator.
-func (s *morselScan) Open() error {
-	if s.cur == nil { // a build the join cache serves is never opened
-		s.cur = s.whole.cursor()
-	}
-	s.cur.Seek(0, s.whole.leaf.NumRows(), s.whole.open(s.ctx))
-	return nil
-}
-
-// Next implements Operator.
-func (s *morselScan) Next() (*storage.Batch, error) {
-	if !s.cur.Next(&s.b) {
-		return nil, nil
-	}
-	s.ctx.Stats.CPUTuples += int64(s.b.Len())
-	return &s.b, nil
-}
-
-// Close implements Operator.
-func (s *morselScan) Close() error { return nil }
-
-// Schema implements Operator.
-func (s *morselScan) Schema() storage.Schema { return s.whole.leafSchema }

@@ -36,7 +36,7 @@ const (
 // engineRun compiles and runs a plan, returning the batches and a bit-exact
 // rendering of rows and intervals (%v prints the shortest text that
 // round-trips a float64, so equal strings mean equal bits).
-func engineRun(t testing.TB, n plan.Node, ctx *exec.Context) ([]*storage.Batch, string) {
+func engineRun(t testing.TB, n plan.Node, ctx *exec.Context) (*storage.Batch, string) {
 	t.Helper()
 	op, err := exec.Compile(n, 7, ctx)
 	if err != nil {
@@ -50,17 +50,13 @@ func engineRun(t testing.TB, n plan.Node, ctx *exec.Context) ([]*storage.Batch, 
 }
 
 // renderAnswer is the bit-exact text of an answer: its rows, then the
-// intervals the operator reports for them.
-func renderAnswer(out []*storage.Batch, op exec.Operator) string {
+// intervals the run reports for them.
+func renderAnswer(out *storage.Batch, op *exec.PipelineOp) string {
 	var fp strings.Builder
-	for _, b := range out {
-		for i := 0; i < b.Len(); i++ {
-			fmt.Fprintf(&fp, "%v\n", b.Row(i))
-		}
+	for i := 0; i < out.Len(); i++ {
+		fmt.Fprintf(&fp, "%v\n", out.Row(i))
 	}
-	if rep, ok := op.(exec.IntervalReporter); ok {
-		fmt.Fprintf(&fp, "|%v", rep.Intervals())
-	}
+	fmt.Fprintf(&fp, "|%v", op.Intervals())
 	return fp.String()
 }
 
@@ -406,12 +402,12 @@ func TestExactSinkNonFinite(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s workers=%d", plan.Format(agg), workers)
-			if len(out) != 1 || out[0].Len() != len(want.rows) {
-				t.Fatalf("%s: engine answered %d batches, oracle %d rows", label, len(out), len(want.rows))
+			if out.Len() != len(want.rows) {
+				t.Fatalf("%s: engine answered %d rows, oracle %d", label, out.Len(), len(want.rows))
 			}
-			ivs := op.(exec.IntervalReporter).Intervals()
+			ivs := op.Intervals()
 			for i, w := range want.rows {
-				got := out[0].Row(i)
+				got := out.Row(i)
 				lead := len(w) - len(aggs)
 				for k := range aggs {
 					g, o := got[lead+k].F, w[lead+k].F
@@ -427,9 +423,20 @@ func TestExactSinkNonFinite(t *testing.T) {
 	}
 }
 
-// TestPrunedScanMatchesUnpruned: the compiled Filter-over-Scan leaf chain
-// prunes provably excluded partitions; the rows are the oracle's whatever
-// the layout, the bytes charge only the surviving partitions — all of a
+// drainRun reads n as a join's build side reads it, returning a copy of
+// every row the read hands on.
+func drainRun(t *testing.T, n plan.Node, ctx *exec.Context) *storage.Batch {
+	t.Helper()
+	out, err := exec.DrainBuildSide(n, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPrunedScanMatchesUnpruned: a Filter-over-Scan build side prunes
+// provably excluded partitions; the rows are the oracle's whatever the
+// layout, the bytes charge only the surviving partitions — all of a
 // one-partition copy, whose single zone spans every amount.
 func TestPrunedScanMatchesUnpruned(t *testing.T) {
 	tbl := exec.OrdersTable()
@@ -441,9 +448,9 @@ func TestPrunedScanMatchesUnpruned(t *testing.T) {
 	whole := &plan.Filter{Child: &plan.Scan{Table: tbl.Repartition(0)}, Pred: f.Pred}
 
 	on := exec.NewContext(0.95)
-	pruned, _ := engineRun(t, f, on)
+	pruned := drainRun(t, f, on)
 	off := exec.NewContext(0.95)
-	full, _ := engineRun(t, whole, off)
+	full := drainRun(t, whole, off)
 	mustMatchOracle(t, "pruned scan", want, pruned, 0)
 	mustMatchOracle(t, "one-partition scan", want, full, 0)
 
@@ -457,41 +464,20 @@ func TestPrunedScanMatchesUnpruned(t *testing.T) {
 	}
 }
 
-// TestLeafChainRootKeepsEveryBatch: a leaf chain compiled as the root — a
-// bare Scan, and a Filter that keeps every row, so it attaches no selection
-// — hands Run a batch of its own each time, not its scan's one re-pointed
-// batch: every row of the three-partition table is the oracle's.
-func TestLeafChainRootKeepsEveryBatch(t *testing.T) {
-	tbl := exec.OrdersTable()
-	for _, n := range []plan.Node{
-		&plan.Scan{Table: tbl},
-		&plan.Filter{Child: &plan.Scan{Table: tbl}, Pred: exec.AmountAbove(-1)},
-	} {
-		out, _ := engineRun(t, n, exec.NewContext(0.95))
-		if len(out) != tbl.Partitions() {
-			t.Fatalf("%s: %d batches, want one per partition", n, len(out))
-		}
-		mustMatchOracle(t, n.String(), oracleEval(t, n), out, 0)
-	}
-}
-
 // TestPruneAllPartitions: a predicate no row can satisfy prunes every
-// partition — zero rows, zero base bytes, no error.
+// partition of a build side — zero rows, zero base bytes, no error.
 func TestPruneAllPartitions(t *testing.T) {
 	ctx := exec.NewContext(0.95)
 	f := &plan.Filter{Child: &plan.Scan{Table: exec.OrdersTable()}, Pred: exec.AmountAbove(1e9)}
-	out, _ := engineRun(t, f, ctx)
+	out := drainRun(t, f, ctx)
 	mustMatchOracle(t, "impossible predicate", oracleEval(t, f), out, 0)
-	if len(out) != 0 {
-		t.Fatalf("impossible predicate returned %d batches", len(out))
-	}
 	if ctx.Stats.BaseBytes != 0 {
 		t.Fatalf("fully pruned scan charged %d bytes", ctx.Stats.BaseBytes)
 	}
 }
 
 // TestAggPruneMatchesOracle: the morsel pipeline prunes the same partitions
-// as the leaf-chain scan — the oracle's rows over the three-partition table
+// as a build side's scan — the oracle's rows over the three-partition table
 // and a one-partition copy, at any worker count, and counters that differ by
 // exactly the pruned partitions.
 func TestAggPruneMatchesOracle(t *testing.T) {
@@ -855,7 +841,7 @@ func mustSketchMeetOracle(t *testing.T, label string, sj *plan.SketchJoin) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			mustMatchOracle(t, fmt.Sprintf("%s workers=%d", label, workers), want, out, 1e-9)
-			for _, row := range op.(exec.IntervalReporter).Intervals() {
+			for _, row := range op.Intervals() {
 				for _, iv := range row {
 					if iv.HalfWidth != 0 {
 						t.Fatalf("%s workers=%d: half-width %v, want 0", label, workers, iv.HalfWidth)

@@ -26,7 +26,7 @@ type sketchSink struct {
 	// The inline build, nil when node.Sketch is already materialized: the
 	// lowered build side, its key columns and its aggregate column (-1:
 	// counts only).
-	build       Operator
+	build       *buildSide
 	buildKeyIdx []int
 	buildKeys   storage.Schema
 	buildAggIdx int
@@ -38,7 +38,7 @@ type sketchSink struct {
 // newSketchSink binds the node's columns against the probe spine's output
 // schema in — the group columns, or, folding by a probe table's numbering
 // (src non-nil), the id column (bindGroups) — and, for an inline build,
-// lowers the build side (compileBuild: σ(base table), so never sampled). It
+// lowers the build side (newBuildSide: σ(base table), so never sampled). It
 // refuses a probe key typed unlike its build key, which the per-key table
 // could never match, and a sampled probe: every cell it emits is exact, with
 // a zero half-width.
@@ -83,11 +83,11 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, src *groupSource, c
 	if node.Build == nil {
 		return nil, fmt.Errorf("exec: sketch join: no materialized sketch and no build input")
 	}
-	build, err := compileBuild(node.Build, "a sketch-join's build side", ctx)
+	build, err := newBuildSide(node.Build, "a sketch-join's build side", ctx)
 	if err != nil {
 		return nil, err
 	}
-	bs := build.Schema()
+	bs := build.table.leafSchema
 	for _, k := range node.BuildKeys {
 		i := bs.Index(k)
 		if i < 0 {
@@ -147,9 +147,6 @@ func (s *sketchSink) prepare(ctx *Context) error {
 	}
 	lo, n, ids := s.keySpace()
 	sk, err := s.buildPayload(lo, n, ids, ctx)
-	if cerr := s.build.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return err
 	}
@@ -168,7 +165,7 @@ func (s *sketchSink) prepare(ctx *Context) error {
 // keys, ids, which the version builds once and shares with its KeyIndex and
 // every sink grouping by those columns.
 func (s *sketchSink) keySpace() (lo int64, n int, ids *storage.GroupIDs) {
-	t := buildSource(s.node.Build)
+	t := s.build.table.leaf
 	cols := make([]int, len(s.buildKeys))
 	for c, k := range s.buildKeys {
 		cols[c] = t.Schema().Index(k.Name)
@@ -194,23 +191,13 @@ func (s *sketchSink) keySpace() (lo int64, n int, ids *storage.GroupIDs) {
 // from the numbering's Keys. Counts are int32, as a KeyIndex's row positions
 // are. One CPU tuple per build row.
 func (s *sketchSink) buildPayload(lo int64, n int, ids *storage.GroupIDs, ctx *Context) (*synopses.SketchJoin, error) {
-	if err := s.build.Open(); err != nil {
-		return nil, err
-	}
 	count := make([]int32, n)
 	var sum []float64
 	if s.buildAggIdx >= 0 {
 		sum = make([]float64, n)
 	}
-	order := make([]int32, 0, min(n, buildSource(s.node.Build).NumRows()))
-	for {
-		b, err := s.build.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
+	order := make([]int32, 0, min(n, s.build.table.leaf.NumRows()))
+	s.build.drain(ctx, func(b *storage.Batch) {
 		ctx.Stats.CPUTuples += int64(b.Rows())
 		at := b.Vecs[s.buildKeyIdx[0]].I64
 		if ids != nil {
@@ -225,8 +212,7 @@ func (s *sketchSink) buildPayload(lo int64, n int, ids *storage.GroupIDs, ctx *C
 		default:
 			order = foldAtKeys(order, count, sum, lo, at, b.Sel, b.Vecs[s.buildAggIdx].I64)
 		}
-		ctx.Pool.Release(b)
-	}
+	})
 	var cols []*storage.Vector
 	if ids == nil {
 		keys := make([]int64, len(order))

@@ -4,109 +4,64 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// SortOp materializes its input, orders it by the sort columns and emits a
-// single batch (optionally truncated to a limit). When the child reports
-// confidence intervals, the sort permutes them alongside the rows so the
-// final result stays row-aligned.
-type SortOp struct {
-	Child Operator
-	By    []string
-	Desc  []bool
-	Limit int
-	ctx   *Context
-
-	byIdx     []int
-	emitted   bool
-	intervals [][]stats.Interval
+// sortSpec is a Sort above a sink: the order a run's one batch is put in
+// before it is returned, and how many of its rows are kept.
+type sortSpec struct {
+	byIdx []int  // the sort columns' positions in the sink's output
+	desc  []bool // by sort column; missing: ascending
+	limit int    // 0: keep every row
+	trace *tracer
 }
 
-// NewSortOp resolves the sort columns against the child schema.
-func NewSortOp(child Operator, by []string, desc []bool, limit int, ctx *Context) (*SortOp, error) {
-	s := &SortOp{Child: child, By: by, Desc: desc, Limit: limit, ctx: ctx}
-	for _, c := range by {
-		i := child.Schema().Index(c)
+// newSortSpec resolves the sort columns against the sink's output schema.
+func newSortSpec(n *plan.Sort, out storage.Schema, ctx *Context) (*sortSpec, error) {
+	s := &sortSpec{desc: n.Desc, limit: n.Limit}
+	for _, c := range n.By {
+		i := out.Index(c)
 		if i < 0 {
-			return nil, fmt.Errorf("exec: sort: column %q not in %v", c, child.Schema().Names())
+			return nil, fmt.Errorf("exec: sort: column %q not in %v", c, out.Names())
 		}
 		s.byIdx = append(s.byIdx, i)
 	}
+	s.trace = newTracer(n, ctx)
 	return s, nil
 }
 
-// Open implements Operator.
-func (s *SortOp) Open() error {
-	s.emitted = false
-	s.intervals = nil
-	return s.Child.Open()
-}
-
-// Next implements Operator.
-func (s *SortOp) Next() (*storage.Batch, error) {
-	if s.emitted {
-		return nil, nil
-	}
-	all := storage.NewBatch(s.Child.Schema(), 0)
-	var childIvs [][]stats.Interval
-	for {
-		b, err := s.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		b = b.Materialize(s.ctx.Pool)
-		for i := 0; i < b.Len(); i++ {
-			all.AppendRow(b, i)
-		}
-	}
-	if rep, ok := s.Child.(IntervalReporter); ok {
-		childIvs = rep.Intervals()
-	}
-	s.emitted = true
-
-	n := all.Len()
+// apply orders the sink's batch b — stably, so rows that tie keep the
+// sink's key order — cuts it to the limit, and permutes the row-aligned
+// intervals alongside. Every row sorted is one CPU tuple.
+func (s *sortSpec) apply(b *storage.Batch, intervals [][]stats.Interval, ctx *Context) (*storage.Batch, [][]stats.Interval) {
+	n := b.Len()
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
+	sort.SliceStable(idx, func(x, y int) bool {
 		for k, c := range s.byIdx {
-			va, vb := all.Vecs[c].Get(idx[a]), all.Vecs[c].Get(idx[b])
-			if va.Equal(vb) {
+			vx, vy := b.Vecs[c].Get(idx[x]), b.Vecs[c].Get(idx[y])
+			if vx.Equal(vy) {
 				continue
 			}
-			less := va.Less(vb)
-			if k < len(s.Desc) && s.Desc[k] {
+			less := vx.Less(vy)
+			if k < len(s.desc) && s.desc[k] {
 				return !less
 			}
 			return less
 		}
 		return false
 	})
-	if s.Limit > 0 && s.Limit < len(idx) {
-		idx = idx[:s.Limit]
+	if s.limit > 0 && s.limit < len(idx) {
+		idx = idx[:s.limit]
 	}
-	out := all.Gather(idx)
-	if childIvs != nil && len(childIvs) == n {
-		s.intervals = make([][]stats.Interval, len(idx))
-		for i, j := range idx {
-			s.intervals[i] = childIvs[j]
-		}
+	ivs := make([][]stats.Interval, len(idx))
+	for i, j := range idx {
+		ivs[i] = intervals[j]
 	}
-	s.ctx.Stats.CPUTuples += int64(n)
-	return out, nil
+	ctx.Stats.CPUTuples += int64(n)
+	return b.Gather(idx), ivs
 }
-
-// Close implements Operator.
-func (s *SortOp) Close() error { return s.Child.Close() }
-
-// Schema implements Operator.
-func (s *SortOp) Schema() storage.Schema { return s.Child.Schema() }
-
-// Intervals implements IntervalReporter.
-func (s *SortOp) Intervals() [][]stats.Interval { return s.intervals }

@@ -1,29 +1,32 @@
 package exec
 
 import (
+	"time"
+
 	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/plan"
-	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// tracedOp wraps a compiled operator with per-query trace recording: rows
-// and batches emitted, physical rows touched (for selection density), and
-// the inclusive wall duration of Open+Next. Batches pass through untouched
-// — tracing observes the stream, never copies or mutates it, which is what
-// keeps traced and untraced executions byte-identical (proven by the obs
+// tracer records one plan node's per-query trace counters: the batches it
+// handed on, their live and physical rows (for selection density), and its
+// inclusive wall duration — the time of the nodes below it included. The
+// traced nodes are a run's root (the sink, and a Sort above it) and each
+// build side's Scan and Filter; a scan counts every batch it reads, a filter
+// every batch with a survivor. A nil tracer — tracing off — records nothing.
+// Recording observes batches without copying or touching them, which is
+// what keeps traced and untraced runs byte-identical (proven by the obs
 // differential test in internal/core).
-type tracedOp struct {
-	child Operator
+type tracer struct {
 	node  *obs.TraceNode
 	clock obs.Clock
 }
 
-// traceWrap wraps op with trace recording keyed to its plan node; a no-op
-// (returns op unchanged) when the context has tracing off.
-func traceWrap(op Operator, n plan.Node, ctx *Context) Operator {
+// newTracer registers n's trace node in ctx.TraceNodes and returns its
+// recorder, or nil when the context has tracing off.
+func newTracer(n plan.Node, ctx *Context) *tracer {
 	if ctx.TraceNodes == nil {
-		return op
+		return nil
 	}
 	tn := &obs.TraceNode{Name: n.String()}
 	ctx.TraceNodes[n] = tn
@@ -31,63 +34,30 @@ func traceWrap(op Operator, n plan.Node, ctx *Context) Operator {
 	if clock == nil {
 		clock = obs.Frozen{}
 	}
-	return &tracedOp{child: op, node: tn, clock: clock}
+	return &tracer{node: tn, clock: clock}
 }
 
-// Open implements Operator.
-func (t *tracedOp) Open() error {
-	start := t.clock.Now() //taster:clock trace timings are recorded after execution and never feed results
-	err := t.child.Open()
-	t.node.Duration += t.clock.Since(start) //taster:clock trace timings are recorded after execution and never feed results
-	return err
+// now reads the clock for a later since; the zero time when untraced.
+func (t *tracer) now() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.clock.Now() //taster:clock trace timings are recorded after execution and never feed results
 }
 
-// Next implements Operator.
-func (t *tracedOp) Next() (*storage.Batch, error) {
-	start := t.clock.Now() //taster:clock trace timings are recorded after execution and never feed results
-	b, err := t.child.Next()
-	t.node.Duration += t.clock.Since(start) //taster:clock trace timings are recorded after execution and never feed results
-	if b != nil {
+// since adds the time from start on to the node's duration.
+func (t *tracer) since(start time.Time) {
+	if t != nil {
+		t.node.Duration += t.clock.Since(start) //taster:clock trace timings are recorded after execution and never feed results
+	}
+}
+
+// count records one batch the node handed on.
+func (t *tracer) count(b *storage.Batch) {
+	if t != nil {
 		t.node.Batches++
 		t.node.RowsOut += int64(b.Rows())
 		t.node.PhysRows += int64(b.Len())
-	}
-	return b, err
-}
-
-// Close implements Operator.
-func (t *tracedOp) Close() error { return t.child.Close() }
-
-// Schema implements Operator.
-func (t *tracedOp) Schema() storage.Schema { return t.child.Schema() }
-
-// Intervals forwards IntervalReporter so result assembly sees the terminal
-// aggregate's intervals through the wrapper (nil when the wrapped operator
-// is not a reporter — the same result assembly reads from an unwrapped
-// non-reporter root).
-func (t *tracedOp) Intervals() [][]stats.Interval {
-	if rep, ok := t.child.(IntervalReporter); ok {
-		return rep.Intervals()
-	}
-	return nil
-}
-
-// markCached records, under tracing, that the build side rooted at n was
-// answered from the join cache: its operators were compiled and trace-wrapped
-// but never opened, and their zero counters would read as a build that
-// produced nothing. The root carries the cached table's row count, so the
-// enclosing join's rows-in is what a fresh build would have reported.
-func markCached(n plan.Node, rows int64, ctx *Context) {
-	if ctx.TraceNodes == nil {
-		return
-	}
-	plan.Walk(n, func(m plan.Node) {
-		if tn := ctx.TraceNodes[m]; tn != nil {
-			tn.Cached = true
-		}
-	})
-	if tn := ctx.TraceNodes[n]; tn != nil {
-		tn.RowsOut = rows
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // This file compiles a Pred into selection-vector kernels: typed tight loops
 // that refine a []int32 of candidate physical row indices. It is the
-// engine's only filter evaluator — exec.FilterOp runs nothing else, and
+// engine's only filter evaluator — exec's filter step runs nothing else, and
 // planner.Query.Validate admits a query only if its filters compile here, so
 // "the front door accepted it" and "exec can run it" are one predicate. The
 // kernels hoist the type and operator dispatch out of the row loop, allocate

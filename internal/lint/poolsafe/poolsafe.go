@@ -17,8 +17,7 @@
 // Selection vectors ride the same contract as batches: the kernel filter
 // path hands survivors downstream as a (batch, sel) pair by storing the
 // pooled GetSel buffer into Batch.Sel — an assignment-into-field escape,
-// after which Release (which reclaims an attached Sel) or Materialize
-// owns the reclaim. A GetSel result that stays a read-only local is a
+// after which Release (which reclaims an attached Sel) owns the reclaim. A GetSel result that stays a read-only local is a
 // leaked sel buffer exactly like a leaked batch.
 package poolsafe
 

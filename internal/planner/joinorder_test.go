@@ -212,10 +212,8 @@ func TestFromOrderDoesNotMoveTheAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		for _, b := range out {
-			for i := 0; i < b.Len(); i++ {
-				fmt.Fprintf(&sb, "%s %x\n", b.Vecs[0].Str[i], b.Vecs[1].F64[i])
-			}
+		for i := 0; i < out.Len(); i++ {
+			fmt.Fprintf(&sb, "%s %x\n", out.Vecs[0].Str[i], out.Vecs[1].F64[i])
 		}
 		plans = append(plans, plan.Format(ps.Exact.Root))
 		answers = append(answers, sb.String())

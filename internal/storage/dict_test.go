@@ -126,20 +126,21 @@ func TestVectorCodesSurviveRandomCopies(t *testing.T) {
 				live = append(live, g)
 			case 5:
 				dst.Append(StringValue(fmt.Sprintf("fresh%d", step)))
-			case 6: // a filter's selection resolved into pooled vectors
-				in := &Batch{Schema: schema, Vecs: []*Vector{src}}
+			case 6: // a filter's survivors gathered into pooled vectors
+				var sel []int32
 				for i := 0; i < src.Len(); i++ {
 					if r.Intn(3) == 0 {
-						in.Sel = append(in.Sel, int32(i))
+						sel = append(sel, int32(i))
 					}
 				}
-				if in.Sel == nil {
+				if sel == nil {
 					continue
 				}
-				out := in.Materialize(pool)
-				checkBatch(t, where+" materialize", out)
+				out := pool.GetBatch(schema, len(sel))
+				out.Vecs[0].AppendGather(src, sel)
+				checkBatch(t, where+" pooled gather", out)
 				if src.Dict != nil && out.Vecs[0].Dict != src.Dict {
-					t.Fatalf("%s: Materialize into an empty vector lost the dictionary", where)
+					t.Fatalf("%s: a gather into an empty pooled vector lost the dictionary", where)
 				}
 				pool.Release(out)
 			case 7: // pool reuse: what comes back must not remember its past

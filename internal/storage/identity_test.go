@@ -38,10 +38,8 @@ func TestStatsShareGroupByIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sizes []int
-	for _, b := range out {
-		for i := 0; i < b.Len(); i++ {
-			sizes = append(sizes, int(b.Vecs[1].F64[i]))
-		}
+	for i := 0; i < out.Len(); i++ {
+		sizes = append(sizes, int(out.Vecs[1].F64[i]))
 	}
 	slices.Sort(sizes)
 	if !slices.Equal(sizes, []int{1, 1, 3}) {

@@ -169,7 +169,7 @@ func (p *VecPool) GetBatch(schema Schema, n int) *Batch {
 }
 
 // Release recycles a pooled batch's vectors and header. Batches that did not
-// come from GetBatch (table-owned scan output, operator-emitted results)
+// come from GetBatch (table-owned scan output, sink-emitted results)
 // keep their vectors, but an attached selection buffer is reclaimed either
 // way — filters attach pool-owned Sel buffers to table-owned scan batches,
 // and those must flow back like any pooled memory. Callers release every
@@ -199,31 +199,6 @@ func (p *VecPool) Release(b *Batch) {
 	b.Vecs = b.Vecs[:0]
 	b.Schema = nil
 	p.batches.Put(b)
-}
-
-// Materialize resolves a batch's selection vector into a dense batch holding
-// exactly the live rows, in selection order. The input batch is consumed:
-// its vectors (if pooled) and its selection buffer return to the pool. A
-// batch without a selection passes through untouched, so selection-oblivious
-// operators can materialize every input unconditionally — this is the
-// "gather only at pipeline breakers and result boundaries" half of the
-// selection-vector contract (FilterOp attaches, Materialize resolves).
-func (b *Batch) Materialize(p *VecPool) *Batch {
-	if b == nil || b.Sel == nil {
-		return b
-	}
-	out := p.GetBatch(b.Schema, len(b.Sel))
-	for c, v := range b.Vecs {
-		out.Vecs[c].AppendGather(v, b.Sel)
-	}
-	if b.Width != nil {
-		out.Width = p.GetSel(len(b.Sel))
-		for _, i := range b.Sel {
-			out.Width = append(out.Width, b.Width[i])
-		}
-	}
-	p.Release(b)
-	return out
 }
 
 // Pooled reports whether the batch is pool-owned (diagnostics and tests).

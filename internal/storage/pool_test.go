@@ -114,9 +114,10 @@ func TestVecPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMaterializeCarriesWidths: resolving a selection keeps each surviving
-// row's width, and releasing a pooled batch takes its width buffer back.
-func TestMaterializeCarriesWidths(t *testing.T) {
+// TestReleaseTakesWidthsBack: a selection's live width sums only the
+// selected rows' widths, and releasing a pooled batch takes its selection
+// and its width buffer back.
+func TestReleaseTakesWidthsBack(t *testing.T) {
 	p := NewVecPool()
 	b := p.GetBatch(Schema{{Name: "t.x", Typ: Int64}}, 4)
 	b.Vecs[0].I64 = append(b.Vecs[0].I64, 10, 11, 12, 13)
@@ -125,13 +126,9 @@ func TestMaterializeCarriesWidths(t *testing.T) {
 	if b.LiveWidth() != 20 {
 		t.Fatalf("live width under selection = %d, want 20", b.LiveWidth())
 	}
-	d := b.Materialize(p)
-	if d.Sel != nil || d.Len() != 2 || d.LiveWidth() != 20 || d.Width[0] != 9 || d.Width[1] != 11 {
-		t.Fatalf("materialized: rows=%d widths=%v", d.Len(), d.Width)
-	}
-	p.Release(d)
-	if d.Width != nil {
-		t.Fatal("release left the width buffer on the batch")
+	p.Release(b)
+	if b.Sel != nil || b.Width != nil {
+		t.Fatalf("release left sel %v and widths %v on the batch", b.Sel, b.Width)
 	}
 }
 

@@ -276,10 +276,11 @@ type Batch struct {
 	// the listed physical indices — in that order, always ascending — are
 	// live; the vectors still hold every physical row. Vectorized filters
 	// attach a Sel instead of gathering survivors into fresh vectors, so a
-	// selective predicate costs no per-batch copy. Sel-aware consumers
-	// (the sinks' tables, the join prober, the sampler) iterate under it;
-	// every other consumer calls Materialize first. Sel buffers come from VecPool.GetSel and are
-	// reclaimed by Release/Materialize exactly like pooled vectors.
+	// selective predicate costs no per-batch copy. Every consumer of a
+	// filtered batch — the sinks' tables, the join prober, the sampler, a
+	// build side's drain — iterates under it. Sel buffers come from
+	// VecPool.GetSel and are reclaimed by Release exactly like pooled
+	// vectors.
 	Sel []int32
 	// Width is what each physical row costs to exchange: the payload bytes of
 	// the whole logical row the batch row stands for, whether or not every
@@ -364,29 +365,11 @@ func (b *Batch) LiveWidth() int64 {
 	return n
 }
 
-// AppendRow copies row i of src into b. Schemas must be compatible.
-func (b *Batch) AppendRow(src *Batch, i int) {
-	for c, v := range b.Vecs {
-		v.AppendFrom(src.Vecs[c], i)
-	}
-}
-
 // Row returns row i boxed as a slice of Values (for tests and result sets).
 func (b *Batch) Row(i int) []Value {
 	out := make([]Value, len(b.Vecs))
 	for c, v := range b.Vecs {
 		out[c] = v.Get(i)
-	}
-	return out
-}
-
-// View returns a batch of its own over b's physical rows: a new header and
-// vector headers sharing b's storage, so that b's producer may re-point b —
-// a Cursor's batch — while the view stays. The selection stays with b.
-func (b *Batch) View() *Batch {
-	out := &Batch{Schema: b.Schema, Vecs: make([]*Vector, len(b.Vecs)), Width: b.Width, WidthSum: b.WidthSum, Start: b.Start}
-	for i, v := range b.Vecs {
-		out.Vecs[i] = v.Slice(0, v.Len())
 	}
 	return out
 }
