@@ -210,9 +210,11 @@ reach-check:
 # the concurrent serving path, the partitioned ingest/query/spill storm, and
 # storage's lazily built per-version indexes and statistics (a fact table's
 # GroupIDs is first built under concurrent serving; a version's statistics
-# parts are first asked for by concurrent plans while an append races them).
+# parts are first asked for by concurrent plans while an append races them),
+# and the planner's plan sets, whose candidates share their build-side nodes
+# and run concurrently once the plan cache hands the set out again.
 race:
-	$(GO) test -race ./internal/core/ ./internal/exec/ ./internal/storage/ .
+	$(GO) test -race ./internal/core/ ./internal/exec/ ./internal/planner/ ./internal/storage/ .
 
 # Every package under the race detector (CI's required race gate; the
 # `race` subset above stays as the fast local loop).

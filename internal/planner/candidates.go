@@ -147,7 +147,7 @@ func connected(tables []TableRef, joins []JoinPred, exclude string) bool {
 // paper prioritizes sketch-joins "due to the immense ratio of performance
 // gain to storage requirement" — the tuner sees that ratio through the
 // sketch's tiny size.
-func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
+func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet, jo joinOrder) {
 	sh, ok := p.sketchEligible(q)
 	if !ok {
 		return
@@ -173,12 +173,23 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 	desc.EstSizeBytes = int64(distinctKeys)*(keyWidth(sh.fact.Table.Schema(), sh.buildKeys)+16) + 128
 	entry := p.Store.Intern(desc)
 
-	// Probe-side subplan: join of the remaining (filtered) tables.
-	probeQ := &Query{Tables: sh.probe, Joins: probeJoins(q, sh), Filter: probeFilter(q, sh)}
-	probeNode, err := p.joinTree(probeQ, nil)
+	// Probe-side subplan: join of the remaining (filtered) tables over the
+	// predicates among them alone, in the query's order. It is the same in
+	// every candidate below, so it is built and costed once — like every
+	// other scan, zone pruning included, so the estimate charges the
+	// partitions exec will read — and each candidate starts from it.
+	// Sketch-join plans are costed as serial work (see planCost).
+	steps, err := joinSteps(q.Tables[1:], jo.branches[1:], probeJoins(q, sh))
 	if err != nil {
 		return
 	}
+	var probe planCost
+	leaf := jo.branches[1]
+	leaf.charge(&probe, false)
+	probeNode, probeOut := joinOn(leaf.node, leaf.est, steps, &probe)
+	probe.sketchProbeWork(probeOut.rows)
+	probe.aggWork(probeOut)
+	probe.serializeCPU()
 
 	mkNode := func(sketch *synopsesSketch) *plan.SketchJoin {
 		n := &plan.SketchJoin{
@@ -198,16 +209,6 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet) {
 		}
 		return n
 	}
-
-	// The probe side is the same in every candidate below, so it is costed
-	// once — like every other scan, zone pruning included, so the estimate
-	// charges the partitions exec will read — and each candidate starts
-	// from it. Sketch-join plans are costed as serial work (see planCost).
-	var probe planCost
-	probeOut := p.costFilteredJoinTree(probeQ, nil, &probe)
-	probe.sketchProbeWork(probeOut.rows)
-	probe.aggWork(scanEst{rows: probeOut.rows, width: probeOut.width})
-	probe.serializeCPU()
 
 	// Build-inline candidate.
 	buildPlan := mkNode(nil)
@@ -300,15 +301,4 @@ func probeJoins(q *Query, sh sketchShape) []JoinPred {
 		}
 	}
 	return out
-}
-
-// probeFilter returns the filter terms over probe tables.
-func probeFilter(q *Query, sh sketchShape) expr.Pred {
-	var keep expr.Pred
-	for _, t := range q.Filter {
-		if q.tableOf(t.Col) != sh.fact.Name {
-			keep = append(keep, t)
-		}
-	}
-	return keep
 }

@@ -3,61 +3,13 @@ package planner
 import (
 	"math"
 
-	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/storage"
 )
-
-// estimator provides cardinality and cost estimates over the query IR. It
-// mirrors what the physical engine charges (scan bytes, shuffle bytes, CPU
-// tuples) so estimated and measured simulated times track each other.
-type estimator struct {
-	model storage.CostModel
-}
 
 // scanEst describes one joined branch: cardinality and average row width.
 type scanEst struct {
 	rows  float64
 	width float64 // bytes per row
-}
-
-// tableEst returns the branch estimate for a filtered base table.
-func (e estimator) tableEst(t TableRef, filter expr.Pred) scanEst {
-	rows := float64(t.Table.NumRows()) * expr.Selectivity(filter, t.Table)
-	return scanEst{rows: rows, width: t.Table.AvgRowBytes()}
-}
-
-// joinEst estimates |L ⋈ R| with the textbook formula
-// |L|·|R| / max(d(Lkey), d(Rkey)), composed over multiple key pairs. The
-// left key's distinct count — a pass over the fact table's key column on a
-// new version — is counted only when it can decide the max: an Int64 key
-// whose zone-map span (max − min + 1) is at most d(Rkey) has at most that
-// many values, so the max is d(Rkey) without it. A foreign key into a
-// dense dimension key spans exactly the dimension's rows.
-func (e estimator) joinEst(q *Query, left scanEst, leftTables []string, right TableRef, rightFiltered scanEst) scanEst {
-	denom := 1.0
-	for _, j := range q.Joins {
-		var keyTable, keyCol, otherCol string
-		switch {
-		case j.RightTable == right.Name && contains(leftTables, j.LeftTable):
-			keyTable, keyCol, otherCol = j.LeftTable, j.LeftCol, j.RightCol
-		case j.LeftTable == right.Name && contains(leftTables, j.RightTable):
-			keyTable, keyCol, otherCol = j.RightTable, j.RightCol, j.LeftCol
-		default:
-			continue
-		}
-		d := right.Table.DistinctOf(otherCol)
-		if ref, ok := q.ref(keyTable); ok && !spanWithin(ref.Table, keyCol, d) {
-			d = max(d, ref.Table.DistinctOf(keyCol))
-		}
-		if d > 1 {
-			denom *= float64(d)
-		}
-	}
-	rows := left.rows * rightFiltered.rows / denom
-	if rows < 1 {
-		rows = 1
-	}
-	return scanEst{rows: rows, width: left.width + rightFiltered.width}
 }
 
 // spanWithin reports whether the Int64 column col of t takes at most n
@@ -71,15 +23,6 @@ func spanWithin(t *storage.Table, col string, n int) bool {
 	}
 	mn, mx, ok := t.Bounds(i)
 	return ok && uint64(mx.I)-uint64(mn.I) < uint64(n)
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // planCost accumulates the simulated-seconds cost of a candidate.

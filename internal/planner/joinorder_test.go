@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/tasterdb/taster/internal/exec"
@@ -223,5 +224,78 @@ func TestFromOrderDoesNotMoveTheAnswer(t *testing.T) {
 	}
 	if answers[0] != answers[1] || answers[0] == "" {
 		t.Fatalf("exact answers differ:\n%s\nvs\n%s", answers[0], answers[1])
+	}
+}
+
+// TestPlanSetRunsConcurrently: the candidates of one plan set share each
+// dimension's σ(base table) node, and a cached plan set is handed to
+// concurrent queries, so every candidate of a three-table set runs from
+// several goroutines at once (under `make race`), each run answering as a
+// lone run of the same candidate does.
+func TestPlanSetRunsConcurrently(t *testing.T) {
+	w := workload.TPCH(0.002, 1)
+	q, err := sqlparser.Parse(factSecond[1]+" ERROR WITHIN 10% AT CONFIDENCE 95%", w.Catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := planner.New(meta.NewStore(nil), warehouse.NewManager(1<<30, 1<<30, nil), storage.DefaultCostModel()).Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps.Candidates) < 2 {
+		t.Fatalf("%d candidates: nothing shares a node", len(ps.Candidates))
+	}
+	run := func(c planner.Candidate) (string, error) {
+		ctx := exec.NewContext(0.95)
+		ctx.Workers = 2
+		op, err := exec.Compile(c.Root, 7, ctx)
+		if err != nil {
+			return "", err
+		}
+		out, err := exec.Run(op)
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		for r := 0; r < out.Len(); r++ {
+			for _, v := range out.Vecs {
+				fmt.Fprintf(&sb, "%+v ", v.Get(r))
+			}
+			sb.WriteByte('\n')
+		}
+		return sb.String(), nil
+	}
+	const runs = 3
+	answers := make([][runs]string, len(ps.Candidates))
+	errs := make(chan error, runs*len(ps.Candidates))
+	var wg sync.WaitGroup
+	for i, c := range ps.Candidates {
+		for k := 0; k < runs; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a, err := run(c)
+				answers[i][k] = a
+				if err != nil {
+					errs <- fmt.Errorf("%s: %w", c.Desc, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i, c := range ps.Candidates {
+		lone, err := run(c)
+		if err != nil || lone == "" {
+			t.Fatalf("%s: alone: %q, %v", c.Desc, lone, err)
+		}
+		for k := 0; k < runs; k++ {
+			if answers[i][k] != lone {
+				t.Fatalf("%s: concurrent run %d answered\n%s\nalone\n%s", c.Desc, k, answers[i][k], lone)
+			}
+		}
 	}
 }

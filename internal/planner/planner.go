@@ -86,8 +86,6 @@ type Planner struct {
 	// default) admits only fully fresh synopses; negative disables the
 	// bound entirely (reuse regardless of staleness).
 	MaxStaleness float64
-
-	est estimator
 }
 
 // New returns a planner over the given metadata store and warehouse.
@@ -97,7 +95,6 @@ func New(store *meta.Store, wh *warehouse.Manager, model storage.CostModel) *Pla
 		WH:          wh,
 		Model:       model,
 		Parallelism: 1,
-		est:         estimator{model: model},
 	}
 }
 
@@ -117,10 +114,11 @@ func (p *Planner) PlanWith(q *Query, view *warehouse.View) (*PlanSet, error) {
 		return nil, err
 	}
 	q = q.factFirst()
-	exact, err := p.exactPlan(q)
+	jo, err := newJoinOrder(q)
 	if err != nil {
 		return nil, err
 	}
+	exact := p.exactPlan(q, jo)
 	ps := &PlanSet{Query: q, Exact: exact, wh: view}
 	ps.Candidates = append(ps.Candidates, exact)
 
@@ -128,9 +126,9 @@ func (p *Planner) PlanWith(q *Query, view *warehouse.View) (*PlanSet, error) {
 		return ps, nil
 	}
 
-	p.addBaseSampleCandidates(q, ps)
+	p.addBaseSampleCandidates(q, ps, jo)
 	if len(q.Tables) > 1 {
-		p.addSketchJoinCandidates(q, ps)
+		p.addSketchJoinCandidates(q, ps, jo)
 	}
 	return ps, nil
 }
@@ -336,23 +334,10 @@ func (p *Planner) feasibilityRows(k int) int {
 	return max(minCoverageRows, k/2)
 }
 
-// totalFilterSelectivity multiplies the per-table filter selectivities: the
-// fraction of fact rows that survive the whole query's predicates through
-// the joins (independence-assumption estimate).
-func (p *Planner) totalFilterSelectivity(q *Query) float64 {
-	sel := 1.0
-	for _, t := range q.Tables {
-		if f := q.filterForTable(t.Name); f != nil {
-			sel *= expr.Selectivity(f, t.Table)
-		}
-	}
-	return sel
-}
-
 // addBaseSampleCandidates generates position-A plans: the sampler pushed all
 // the way below the fact table's filter (paper §IV-A push-down), plus reuse
 // plans for every matching materialized sample of that base relation.
-func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
+func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet, jo joinOrder) {
 	fact := q.factTable()
 	factFilter := q.filterForTable(fact.Name)
 
@@ -387,9 +372,13 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		coverMinGroup = max(1, int(inRows)/coverGroups/2)
 	}
 	// Coverage must survive every filter in the query: probe-side filters
-	// thin the fact rows through the join just like fact-side ones.
-	selAll := p.totalFilterSelectivity(q)
-	sel := expr.Selectivity(factFilter, fact.Table)
+	// thin the fact rows through the join just like fact-side ones
+	// (independence-assumption estimate).
+	selAll := 1.0
+	for _, b := range jo.branches {
+		selAll *= b.sel
+	}
+	sel := jo.branches[0].sel
 	cfg := p.configureSampler(q, strat, inRows, selAll, func() int { return fact.Table.GroupCount(strat) }, coverMinGroup, coverGroups)
 	if !cfg.ok {
 		return
@@ -413,33 +402,26 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		Kind:  cfg.kind, P: cfg.p, Delta: cfg.delta,
 		StratCols: strat, Accuracy: q.Accuracy,
 	}
-	var branch plan.Node = synNode
+	var leaf plan.Node = synNode
 	if factFilter != nil {
-		branch = &plan.Filter{Child: branch, Pred: factFilter}
+		leaf = &plan.Filter{Child: leaf, Pred: factFilter}
 	}
-	root, err := p.joinTree(q, map[string]plan.Node{fact.Name: branch})
-	if err != nil {
-		return
-	}
-	full := p.finishPlan(q, root)
-
-	var cost planCost
-	overrides := map[string]scanEst{fact.Name: {rows: cfg.rows * sel, width: fact.Table.AvgRowBytes() + 8}}
 	// The fact table leads the join tree, so the sampler rides the
 	// morsel-parallel probe spine.
+	var cost planCost
 	cost.scanTable(fact)
 	cost.samplerWork(inRows)
-	out := p.costFilteredJoinTree(q, overrides, &cost)
+	root, out := joinOn(leaf, scanEst{rows: cfg.rows * sel, width: fact.Table.AvgRowBytes() + 8}, jo.dims, &cost)
 	cost.aggWork(out)
 	ps.Candidates = append(ps.Candidates, Candidate{
-		Root:    full,
+		Root:    p.finishPlan(q, root),
 		Cost:    cost.seconds(p.Model, p.Parallelism),
 		Creates: []CreateSpec{{Entry: entry, SampleNode: synNode}},
 		Desc:    fmt.Sprintf("build %s sample on %s", cfg.kind, fact.Name),
 	})
 
 	// Hypothetical reuse cost (drives the tuner's gain for this synopsis).
-	reuseCost := p.costBaseSampleReuse(q, fact, desc.EstSizeBytes, cfg.rows*sel)
+	reuseCost := p.costBaseSampleReuse(jo, fact, desc.EstSizeBytes, cfg.rows*sel)
 	ps.noteReuse(entry.Desc.ID, reuseCost)
 
 	// Reuse candidates for every matching materialized sample. The match
@@ -462,13 +444,14 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet) {
 		if !ok {
 			continue
 		}
-		p.addSampleReuse(q, ps, fact, b, m.CompensateFilter, sel, selAll, coverGroups)
+		p.addSampleReuse(q, ps, jo, b, m.CompensateFilter, selAll, coverGroups)
 	}
 }
 
 // addSampleReuse adds the candidate that answers the fact relation from
 // the stored sample b.
-func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, compensate expr.Pred, sel, selAll float64, coverGroups int) {
+func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, jo joinOrder, b bound, compensate expr.Pred, selAll float64, coverGroups int) {
+	fact := q.Tables[0]
 	var rcost planCost
 	if !b.inBuffer {
 		rcost.warehouseBytes += b.item.Size
@@ -491,22 +474,17 @@ func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, 
 	if err != nil {
 		return // backing file lost or corrupt; next round re-tastes
 	}
-	var rbranch plan.Node = &plan.SynopsisScan{
+	var leaf plan.Node = &plan.SynopsisScan{
 		SynopsisID: b.item.ID,
 		Sample:     smp,
 		Label:      fact.Name,
 		InBuffer:   b.inBuffer,
 	}
 	if compensate != nil {
-		rbranch = &plan.Filter{Child: rbranch, Pred: compensate}
-	}
-	rroot, err := p.joinTree(q, map[string]plan.Node{fact.Name: rbranch})
-	if err != nil {
-		return
+		leaf = &plan.Filter{Child: leaf, Pred: compensate}
 	}
 	rcost.cpuTuples += int64(sampleRows) // the spine leaf
-	rOverrides := map[string]scanEst{fact.Name: {rows: sampleRows * sel, width: fact.Table.AvgRowBytes() + 8}}
-	rout := p.costFilteredJoinTree(q, rOverrides, &rcost)
+	rroot, rout := joinOn(leaf, scanEst{rows: sampleRows * jo.branches[0].sel, width: fact.Table.AvgRowBytes() + 8}, jo.dims, &rcost)
 	rcost.aggWork(rout)
 	cost := rcost.seconds(p.Model, p.Parallelism) * p.stalenessPenalty(b.stale)
 	ps.Candidates = append(ps.Candidates, Candidate{
@@ -525,13 +503,13 @@ func (p *Planner) addSampleReuse(q *Query, ps *PlanSet, fact TableRef, b bound, 
 }
 
 // costBaseSampleReuse estimates what the query costs if the base sample
-// existed in the warehouse.
-func (p *Planner) costBaseSampleReuse(q *Query, fact TableRef, sizeBytes int64, outRows float64) float64 {
+// existed in the warehouse. No such sample exists to read, so the join tree
+// is priced over no leaf and dropped.
+func (p *Planner) costBaseSampleReuse(jo joinOrder, fact TableRef, sizeBytes int64, outRows float64) float64 {
 	var cost planCost
 	cost.warehouseBytes += sizeBytes
 	cost.cpuTuples += int64(outRows)
-	overrides := map[string]scanEst{fact.Name: {rows: math.Max(outRows, 1), width: fact.Table.AvgRowBytes() + 8}}
-	out := p.costFilteredJoinTree(q, overrides, &cost)
+	_, out := joinOn(nil, scanEst{rows: math.Max(outRows, 1), width: fact.Table.AvgRowBytes() + 8}, jo.dims, &cost)
 	cost.aggWork(out)
 	return cost.seconds(p.Model, p.Parallelism)
 }

@@ -36,13 +36,16 @@ func TestFilteredBranchChargeMatchesExecBuild(t *testing.T) {
 		Aggs:   []plan.AggSpec{{Kind: stats.Count}},
 	}
 	p, _, _ := testPlanner()
-	var cost planCost
-	p.costFilteredJoinTree(q, nil, &cost)
-
-	root, err := p.joinTree(q, nil)
+	jo, err := newJoinOrder(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Priced as the exact plan is: the fact leaf on the spine, then the one
+	// walk that builds and charges the join.
+	var cost planCost
+	fact := jo.branches[0]
+	fact.charge(&cost, false)
+	root, _ := joinOn(fact.node, fact.est, jo.dims, &cost)
 	build := root.(*plan.Join).Right.(*plan.Filter).Child.(*plan.Scan)
 	ctx := exec.NewContext(0.95)
 	ctx.TraceNodes = map[plan.Node]*obs.TraceNode{}

@@ -224,7 +224,7 @@ func (q *Query) factTable() TableRef {
 // a table already placed. A FROM order that starts with the fact table and
 // joins each table to those before it keeps exactly its order, and q itself
 // is returned. A table that joins none of the placed ones is placed next
-// anyway, and joinTree refuses it (cross joins are unsupported).
+// anyway, and newJoinOrder refuses it (cross joins are unsupported).
 func (q *Query) factFirst() *Query {
 	fact := q.factTable()
 	order := []TableRef{fact}
@@ -238,7 +238,7 @@ func (q *Query) factFirst() *Query {
 	for len(rest) > 0 {
 		next := 0
 		for i, t := range rest {
-			if joinsAny(q.Joins, t.Name, placed) {
+			if len(onto(q.Joins, t.Name, placed)) > 0 {
 				next = i
 				break
 			}
@@ -253,17 +253,6 @@ func (q *Query) factFirst() *Query {
 	bound := *q
 	bound.Tables = order
 	return &bound
-}
-
-// joinsAny reports whether some predicate joins table to one of placed.
-func joinsAny(joins []JoinPred, table string, placed []string) bool {
-	for _, j := range joins {
-		if (j.LeftTable == table && contains(placed, j.RightTable)) ||
-			(j.RightTable == table && contains(placed, j.LeftTable)) {
-			return true
-		}
-	}
-	return false
 }
 
 // aggCols returns the non-empty aggregate columns, deduped.

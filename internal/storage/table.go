@@ -864,6 +864,7 @@ type Builder struct {
 	name   string
 	schema Schema
 	cols   []*Vector
+	err    error // the first row AddRow refused
 }
 
 // NewBuilder returns a Builder for the schema.
@@ -875,14 +876,31 @@ func NewBuilder(name string, schema Schema) *Builder {
 	return &Builder{name: name, schema: schema, cols: cols}
 }
 
-// AddRow appends one row; values must match the schema order and types.
+// AddRow appends one row; values must match the schema order and types. A
+// row that does not is refused whole, and the first refusal is the error
+// TryBuild returns (Build panics with it).
 func (b *Builder) AddRow(vals ...Value) {
-	if len(vals) != len(b.cols) {
-		panic(fmt.Sprintf("storage: AddRow: %d values for %d columns", len(vals), len(b.cols)))
+	if err := b.checkRow(vals); err != nil {
+		if b.err == nil {
+			b.err = err
+		}
+		return
 	}
 	for i, v := range vals {
 		b.cols[i].Append(v)
 	}
+}
+
+func (b *Builder) checkRow(vals []Value) error {
+	if len(vals) != len(b.cols) {
+		return fmt.Errorf("storage: AddRow: %d values for %d columns", len(vals), len(b.cols))
+	}
+	for i, v := range vals {
+		if v.Typ != b.schema[i].Typ {
+			return fmt.Errorf("storage: AddRow: %s value for %s column %q", v.Typ, b.schema[i].Typ, b.schema[i].Name)
+		}
+	}
+	return nil
 }
 
 // Int appends an int64 to column i (fast path for generators).
@@ -908,8 +926,8 @@ func (b *Builder) Bool(i int, v bool) { b.cols[i].B = append(b.cols[i].B, v) }
 func (b *Builder) CopyFrom(i int, src *Vector, row int) { b.cols[i].AppendFrom(src, row) }
 
 // Build finalizes the table with the given partition count. It panics on a
-// malformed builder (ragged columns); entry points fed by user code should
-// use TryBuild instead.
+// malformed builder (a refused row, ragged columns); entry points fed by user
+// code should use TryBuild instead.
 func (b *Builder) Build(partitions int) *Table {
 	t, err := b.TryBuild(partitions)
 	if err != nil {
@@ -918,9 +936,13 @@ func (b *Builder) Build(partitions int) *Table {
 	return t
 }
 
-// TryBuild finalizes the table, returning an error for ragged columns —
-// an easy mistake with the per-column Int/Float/Str fast paths.
+// TryBuild finalizes the table, returning the first row AddRow refused, or
+// an error for ragged columns — an easy mistake with the per-column
+// Int/Float/Str fast paths.
 func (b *Builder) TryBuild(partitions int) (*Table, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	return NewTable(b.name, b.schema, b.cols, partitions)
 }
 

@@ -1,7 +1,9 @@
 package taster_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	taster "github.com/tasterdb/taster"
@@ -127,6 +129,53 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 	if err := eng.Hint("nowhere", nil, nil); err == nil {
 		t.Fatal("want unknown table error")
+	}
+}
+
+// TestTableBuilderRefusesBadRows: a row of the wrong arity or with a mistyped
+// value does not panic the caller. It is refused whole, the first refusal is
+// what TryBuild and Ingest return, and Build panics with it.
+func TestTableBuilderRefusesBadRows(t *testing.T) {
+	schema := taster.Schema{
+		{Name: "sales.cust", Typ: taster.Int64},
+		{Name: "sales.amount", Typ: taster.Float64},
+	}
+	good := []taster.Value{{Typ: taster.Int64, I: 1}, {Typ: taster.Float64, F: 2}}
+	for _, c := range []struct {
+		name string
+		row  []taster.Value
+		want string
+	}{
+		{"short row", good[:1], "1 values for 2 columns"},
+		{"long row", append(good[:2:2], good[0]), "3 values for 2 columns"},
+		{"mistyped value", []taster.Value{good[0], {Typ: taster.String, S: "x"}}, `VARCHAR value for DOUBLE column "sales.amount"`},
+	} {
+		b := taster.NewTableBuilder("sales", schema)
+		b.AddRow(good...)
+		b.AddRow(c.row...)
+		b.AddRow(good[0], good[0]) // a later refusal does not replace the first
+		if _, err := b.TryBuild(1); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: TryBuild error %v, want one naming %q", c.name, err, c.want)
+		}
+		eng := taster.MustOpen(demoCatalog(), taster.Options{})
+		if _, err := eng.Ingest("sales", b); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Ingest error %v, want one naming %q", c.name, err, c.want)
+		}
+		eng.Close()
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Fatalf("%s: Build panicked with %v, want %q", c.name, r, c.want)
+				}
+			}()
+			b.Build(1)
+		}()
+	}
+	b := taster.NewTableBuilder("sales", schema)
+	b.AddRow(good...)
+	tbl, err := b.TryBuild(1)
+	if err != nil || tbl.NumRows() != 1 {
+		t.Fatalf("a well-typed row: %v", err)
 	}
 }
 
