@@ -78,20 +78,19 @@ func BenchmarkExecuteServe(b *testing.B) {
 
 // TestExecuteServeAllocBudget is the CI allocation-regression tripwire: the
 // steady-state serving path must stay under an allocs/op budget. The budget
-// is 15 % above the measured figure (277 allocs/op with the engine-wide
-// vector pool, pooled selection vectors and row widths, the plan cache, the
-// join cache, a spine that slices only the columns a query reads, sinks
-// that keep their groups in slabs behind one group index or a table
-// version's own key-ordered group ids, and morsel
-// partials and filter scratch that a run's workers reuse), so it
-// tolerates workload drift but fails on a regression of the pooling or
+// is 15 % above the measured figure (193 allocs/op with the engine-wide
+// vector pool, the plan cache, the join cache, a spine that slices only the
+// columns a query reads, sinks that keep their groups in slabs behind one
+// group index or a table version's own key-ordered group ids, and morsel
+// partials, filter scratch and leaf cursors that a run's workers reuse), so
+// it tolerates workload drift but fails on a regression of the pooling or
 // caching machinery itself — one more Vector header per scanned batch is
 // already ~40 allocs/op.
 func TestExecuteServeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget benchmark skipped in -short mode")
 	}
-	const budget = 319 // allocs per served query, steady state
+	const budget = 222 // allocs per served query, steady state
 	res := testing.Benchmark(BenchmarkExecuteServe)
 	if got := res.AllocsPerOp(); got > budget {
 		t.Fatalf("serving fast path allocates %d allocs/op, budget is %d — pooled execution or plan caching regressed", got, budget)
