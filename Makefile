@@ -211,10 +211,13 @@ reach-check:
 # storage's lazily built per-version indexes and statistics (a fact table's
 # GroupIDs is first built under concurrent serving; a version's statistics
 # parts are first asked for by concurrent plans while an append races them),
-# and the planner's plan sets, whose candidates share their build-side nodes
-# and run concurrently once the plan cache hands the set out again.
+# the planner's plan sets, whose candidates share their build-side nodes
+# and run concurrently once the plan cache hands the set out again, and the
+# synopses, whose distinct samplers resolve strata in their worker's scratch
+# and whose stratified samples number their strata by a table version's
+# shared GroupIDs.
 race:
-	$(GO) test -race ./internal/core/ ./internal/exec/ ./internal/planner/ ./internal/storage/ .
+	$(GO) test -race ./internal/core/ ./internal/exec/ ./internal/planner/ ./internal/storage/ ./internal/synopses/ .
 
 # Every package under the race detector (CI's required race gate; the
 # `race` subset above stays as the fast local loop).

@@ -126,6 +126,7 @@ func checkSlabAgainstRowMajor(t *testing.T, name string, batches []*storage.Batc
 	global, part := newAggTable(spec), newAggTable(spec)
 	refGlobal, refPart := newRowMajorAgg(spec), newRowMajorAgg(spec)
 	ctx := NewContext(0.95)
+	sc := &foldScratch{groups: new(storage.ResolveScratch)}
 	var wantBytes int64
 	for m := 0; len(batches) > 0; m++ {
 		cut := 1 + rng.Intn(len(batches))
@@ -135,7 +136,7 @@ func checkSlabAgainstRowMajor(t *testing.T, name string, batches []*storage.Batc
 		}
 		for _, b := range batches[:cut] {
 			wantBytes += b.LiveWidth()
-			part.fold(b, ctx)
+			part.fold(b, ctx, sc)
 			refPart.observe(b)
 		}
 		global.merge(part)
@@ -219,10 +220,11 @@ func TestResetPartialFoldAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			part, ctx := newAggTable(spec), NewContext(0.95)
+			sc := &foldScratch{groups: new(storage.ResolveScratch)}
 			morsel := func() {
 				part.reset()
 				for _, b := range batches {
-					part.fold(b, ctx)
+					part.fold(b, ctx, sc)
 				}
 			}
 			morsel()

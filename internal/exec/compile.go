@@ -114,33 +114,36 @@ func newBuildSide(n plan.Node, where string, ctx *Context) (*buildSide, error) {
 
 // drain reads the build side: the prune-and-charge call (pipeline.open),
 // then one cursor over every row of the partitions it leaves, each batch
-// charged its scan's CPU tuples and refined by the filter. fn gets every
-// batch with a live row — the cursor's one batch, re-pointed for the next,
-// under its survivors' selection — and must be done with it when it
-// returns. A filter whose zone test prunes partitions prunes only bytes and
+// charged its scan's CPU tuples and refined by the filter, whose selection
+// buffer is borrowed from the run's pool for the drain. fn gets every batch
+// with a live row — the cursor's one batch, re-pointed for the next, under
+// its survivors' selection — and must be done with it when it returns. A filter whose zone test prunes partitions prunes only bytes and
 // tuples: their rows would all have failed it.
 func (s *buildSide) drain(ctx *Context, fn func(b *storage.Batch)) {
 	start := s.scan.now()
 	cur := s.table.cursor()
 	cur.Seek(0, s.table.leaf.NumRows(), s.table.open(ctx))
-	var leaf storage.Batch
+	var leaf, filtered storage.Batch
 	var sc expr.Scratch
+	if s.filter != nil {
+		filtered.Sel = ctx.Pool.GetSel(storage.BatchSize)
+	}
 	for cur.Next(&leaf) {
 		s.scan.since(start)
 		s.scan.count(&leaf)
 		ctx.Stats.CPUTuples += int64(leaf.Len())
 		b := &leaf
 		if s.filter != nil {
-			b = refine(b, s.filter, &sc, ctx)
+			b = refine(b, s.filter, &filtered, &sc, ctx)
 		}
 		s.kept.since(start)
 		if b != nil {
 			s.kept.count(b)
 			fn(b)
-			ctx.Pool.Release(b)
 		}
 		start = s.scan.now()
 	}
+	ctx.Pool.PutSel(filtered.Sel)
 	s.scan.since(start)
 	s.kept.since(start)
 }

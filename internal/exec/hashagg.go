@@ -117,18 +117,19 @@ func (t *aggTable) reset() {
 // selection the bytes are summed in the pass that counts the rows; a batch
 // without one charges what LiveWidth returns — its producer's WidthSum, or
 // one walk of its widths.
-func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
+func (t *aggTable) fold(b *storage.Batch, ctx *Context, sc *foldScratch) {
 	ctx.Stats.CPUTuples += int64(b.Rows())
 	if b.Sel == nil {
 		ctx.Stats.ShuffleBytes += b.LiveWidth()
-		t.observe(b, nil)
+		t.observe(b, nil, sc.groups)
 		return
 	}
-	ctx.Stats.ShuffleBytes += t.observe(b, b.Width)
+	ctx.Stats.ShuffleBytes += t.observe(b, b.Width, sc.groups)
 }
 
 // observe folds one batch — honoring its selection vector — into the table,
-// and returns Σ width over its live rows (0 for a nil width).
+// resolving its groups in sc, and returns Σ width over its live rows (0 for
+// a nil width).
 //
 // The folds are passes over the batch: group ids resolve first, then one
 // pass folds the cells every aggregate shares (stats.Terms.FoldCount) and
@@ -137,7 +138,7 @@ func (t *aggTable) fold(b *storage.Batch, ctx *Context) {
 // hoisted out of the row loops. Each cell still adds the same terms in row
 // order as a row-major fold of GroupAccumulators would, so the state is
 // bit-identical to it.
-func (t *aggTable) observe(b *storage.Batch, width []int32) int64 {
+func (t *aggTable) observe(b *storage.Batch, width []int32, sc *storage.ResolveScratch) int64 {
 	if b.Rows() == 0 {
 		return 0
 	}
@@ -145,11 +146,9 @@ func (t *aggTable) observe(b *storage.Batch, width []int32) int64 {
 	if t.spec.weightAt >= 0 {
 		r.W = b.Vecs[t.spec.weightAt].F64
 	}
-	var sc *storage.ResolveScratch
 	if len(t.spec.groupBy) == 0 {
 		t.groups.sole()
 	} else {
-		sc = storage.BorrowScratch(b.Rows(), len(t.spec.keys.cols))
 		r.IDs = t.groups.resolve(b, sc)
 	}
 	t.slab.Open(t.groups.len())
@@ -166,9 +165,6 @@ func (t *aggTable) observe(b *storage.Batch, width []int32) int64 {
 		case storage.Int64:
 			stats.Fold(t.spec.terms, &t.slab, k, r, v.I64)
 		}
-	}
-	if sc != nil {
-		storage.ReturnScratch(sc)
 	}
 	return bytes
 }

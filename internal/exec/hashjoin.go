@@ -158,24 +158,24 @@ func (t *joinTable) prefixMask(source *storage.Table, keys []int, n int) {
 }
 
 // joinProber is a Join stage's probe state, one per worker: it pairs whole
-// probe batches against a built joinTable into a chunk of at most
+// probe batches against a built joinTable into its chunk of at most
 // joinBatchRows joined rows, so a skewed key with huge fanout never inflates
-// a single output batch. The stage (morselWorker.probe) hands every chunk
-// that fills on up the spine; the partly filled one stays here, across
-// probe batches, until the next one fills it or the morsel ends.
+// a single output batch. The stage (morselWorker.probe) hands the chunk on
+// up the spine each time it fills and then empties it for the next; a
+// partly filled chunk stays here, across probe batches, until the next one
+// fills it or the morsel ends.
 type joinProber struct {
 	spec  *joinSpec
 	table *joinTable
-	pool  *storage.VecPool
 
-	out *storage.Batch // the partly filled chunk; nil: none
+	out *storage.Batch // the chunk, the worker's; empty: nothing pending
 
 	// lrows/mrows are one KeyIndex.Probe call's (probe row, build row) pairs,
 	// a build row being a row of the build table's source;
 	// flush gathers them into the chunk column-major, one type dispatch per
 	// column instead of one per value. lrows index the probe batch's live
 	// rows — the probe walks it under its selection and never gathers it —
-	// so the pairs are flushed before the batch is released.
+	// so the pairs are flushed while the batch is still valid.
 	lrows []int32
 	mrows []int32
 }
@@ -185,19 +185,11 @@ type joinProber struct {
 // comes from and whether the chunk is full; a chunk that is not full means
 // b is consumed.
 func (p *joinProber) fill(b *storage.Batch, at storage.ProbePos) (storage.ProbePos, bool) {
-	room := joinBatchRows
-	if p.out != nil {
-		room -= p.out.Len()
-	}
-	p.lrows, p.mrows, at = p.table.idx.Probe(b, p.spec.leftKeys, p.table.mask, at, room, p.lrows, p.mrows)
+	p.lrows, p.mrows, at = p.table.idx.Probe(b, p.spec.leftKeys, p.table.mask, at, joinBatchRows-p.out.Len(), p.lrows, p.mrows)
 	if len(p.lrows) > 0 {
-		if p.out == nil {
-			p.out = p.pool.GetBatch(p.spec.schema, joinBatchRows)
-			p.out.Width = p.pool.GetSel(joinBatchRows)
-		}
 		p.flush(b)
 	}
-	return at, p.out != nil && p.out.Len() == joinBatchRows
+	return at, p.out.Len() == joinBatchRows
 }
 
 // flush gathers the pairs of probe batch cur into the chunk column-major —

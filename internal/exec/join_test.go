@@ -102,7 +102,7 @@ func (s *chunkSink) outSchema() storage.Schema { return nil }
 func (s *chunkSink) prepare(*Context) error    { return nil }
 func (s *chunkSink) newPartial() partial       { return &chunkPartial{snk: s, morsels: make([][]chunk, 1)} }
 
-func (p *chunkPartial) fold(b *storage.Batch, _ *Context) {
+func (p *chunkPartial) fold(b *storage.Batch, _ *Context, _ *foldScratch) {
 	c := make(chunk, len(b.Vecs))
 	for j := range b.Rows() {
 		i := j

@@ -195,15 +195,14 @@ func (t *rowMajorAgg) observe(b *storage.Batch) {
 	row := *b
 	row.Sel = make([]int32, 1)
 	na := len(t.spec.aggs)
-	sc := storage.BorrowScratch(1, len(t.spec.keys.cols))
-	defer storage.ReturnScratch(sc)
+	var sc storage.ResolveScratch
 	for j := 0; j < b.Rows(); j++ {
 		i := j
 		if b.Sel != nil {
 			i = int(b.Sel[j])
 		}
 		row.Sel[0] = int32(i)
-		g := int(t.groups.resolve(&row, sc)[0])
+		g := int(t.groups.resolve(&row, &sc)[0])
 		t.open()
 		w := 1.0
 		if t.spec.weightAt >= 0 {
@@ -247,10 +246,11 @@ func benchObserve(b *testing.B, groupBy []string, weighted, hoisted bool) {
 		b.Fatal(err)
 	}
 	table, reference := newAggTable(spec), newRowMajorAgg(spec)
+	var sc storage.ResolveScratch
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if hoisted {
-			table.observe(batch, nil)
+			table.observe(batch, nil, &sc)
 		} else {
 			reference.observe(batch)
 		}
@@ -332,6 +332,7 @@ func benchMorselAgg(b *testing.B, groupBy []string, coded bool) {
 		b.Fatal(err)
 	}
 	perMorsel := DefaultMorselRows / storage.BatchSize
+	var sc storage.ResolveScratch // the worker's
 	b.ReportAllocs()
 	b.ResetTimer()
 	// One worker's run, as the executor does it: each morsel folds into the
@@ -344,7 +345,7 @@ func benchMorselAgg(b *testing.B, groupBy []string, coded bool) {
 				part.reset()
 			}
 			for _, sb := range batches[m*perMorsel : (m+1)*perMorsel] {
-				part.observe(sb, nil)
+				part.observe(sb, nil, &sc)
 			}
 			global.merge(part)
 		}

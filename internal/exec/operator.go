@@ -105,10 +105,12 @@ type Context struct {
 	// DefaultMorselRows. Changing it changes the per-morsel sampler streams,
 	// so it is part of a query's reproducibility key.
 	MorselRows int
-	// Pool recycles batch/vector memory between the stages of this run. Batches
-	// transfer ownership downstream; the final consumer releases after copying
-	// out (storage.VecPool documents the contract). A nil pool degrades every
-	// pool-aware stage to plain allocation, so results never depend on it.
+	// Pool lends a run's morsel workers and build sides the buffers their
+	// stages fill batch after batch, once when each starts and back when it
+	// is done (storage.VecPool documents the contract). Nil — the NewContext
+	// default — allocates them fresh, so results never depend on it; the
+	// engine threads its own pool, which keeps the memory warm across
+	// queries.
 	Pool *storage.VecPool
 	// Joins keeps built join tables across runs (see JoinCache). Nil — the
 	// NewContext default — builds every join's table per run; the engine
@@ -145,7 +147,6 @@ func NewContext(confidence float64) *Context {
 		Confidence:         confidence,
 		Stats:              &RunStats{},
 		MaterializeSamples: make(map[*plan.SynopsisOp]string),
-		Pool:               storage.NewVecPool(),
 		Clock:              obs.Frozen{},
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // relation is the oracle's only data structure: named columns over boxed
@@ -96,7 +97,10 @@ func scanRows(tbl *storage.Table, prune expr.Pred) relation {
 }
 
 // oracleEval answers a plan tree. Unknown node types fail the test: the
-// oracle covers exact plans, and nothing that samples or sketches.
+// oracle covers exact plans, and of what samples only a uniform sampler at
+// probability 1 over a scan, which keeps every row at weight 1 — the one
+// draw it can state without the executor's RNG streams. Nothing that
+// sketches.
 func oracleEval(t testing.TB, n plan.Node) relation {
 	t.Helper()
 	switch n := n.(type) {
@@ -126,6 +130,20 @@ func oracleEval(t testing.TB, n plan.Node) relation {
 			if len(idx) == 1 {
 				out.rows = append(out.rows, row)
 			}
+		}
+		return out
+
+	case *plan.SynopsisOp:
+		// The sampler looks at every row and widens each by its weight.
+		sc, ok := n.Child.(*plan.Scan)
+		if !ok || n.Kind != plan.UniformSample || n.P != 1 {
+			t.Fatalf("oracle: no rule for %s", n)
+		}
+		in := scanRows(sc.Table, nil)
+		out := relation{schema: synopses.SampleSchema(in.schema), cost: in.cost}
+		out.cost.cpu += int64(len(in.rows))
+		for _, row := range in.rows {
+			out.rows = append(out.rows, append(row, storage.FloatValue(1)))
 		}
 		return out
 

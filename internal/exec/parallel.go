@@ -164,8 +164,9 @@ type sink interface {
 // partial is one morsel's — and, merged, the whole run's — sink state.
 type partial interface {
 	// fold consumes one spine batch, honoring its selection vector, and
-	// charges the sink's per-batch cost to ctx. The caller releases b.
-	fold(b *storage.Batch, ctx *Context)
+	// charges the sink's per-batch cost to ctx. b is valid only for the
+	// call; sc is the folding worker's scratch.
+	fold(b *storage.Batch, ctx *Context, sc *foldScratch)
 	// merge folds o, a partial of the same sink, into the receiver. Both
 	// sinks sum floating-point state, so the order of merges is part of the
 	// result.
@@ -175,6 +176,15 @@ type partial interface {
 	reset()
 	// emit renders the groups in key order with row-aligned intervals.
 	emit(confidence float64) (*storage.Batch, [][]stats.Interval)
+}
+
+// foldScratch is a morsel worker's working memory for its sink's folds,
+// reused batch to batch: the group ids' resolution scratch and the sketch
+// sink's Probe pairs (row, payload row) and live rows' key counts.
+type foldScratch struct {
+	groups    *storage.ResolveScratch
+	pos, rows []int32
+	cnts      *storage.Vector // Float64
 }
 
 // pipelineJoinState is one join of the spine: its build side, the resolved
@@ -664,61 +674,85 @@ func (p *PipelineOp) Schema() storage.Schema { return p.sink.outSchema() }
 func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 
 // morselWorker is one pool worker of a run: the state its morsels' stages
-// run with. Across morsels it keeps its leaf cursor and the one batch the
-// cursor re-points at every leaf batch, its filters' kernel scratch —
-// selection buffers and the coded string leaves' truth tables, keyed by
-// leaf and dictionary, neither of which changes within a run — its distinct
-// sampler's strata numbering, an index of stratum keys that serves every
-// morsel the worker claims, and its probes' pair lists. Within a morsel it
-// holds the sink partial, the counters, the sampler instance with what it
-// draws, and each join's partly filled chunk.
+// run with. Every stage hands up a batch of its own, which stays valid until
+// the stage is asked again: the cursor's one leaf batch, re-pointed at every
+// leaf batch, a Filter's header over its input under a selection of its
+// own, the sampler's output batch, a Join's chunk. Across morsels the worker
+// keeps those, its filters' kernel scratch — selection buffers and the coded
+// string leaves' truth tables, keyed by leaf and dictionary, neither of
+// which changes within a run — its probes' pair lists, its sink's fold
+// scratch and its distinct sampler's strata numbering, an index of stratum
+// keys that serves every morsel the worker claims. Within a morsel it holds
+// the sink partial, the counters and the sampler instance with what it
+// draws.
 type morselWorker struct {
 	p       *PipelineOp
-	ctx     *Context         // the morsel's counters; the run's pool and metrics
+	ctx     *Context         // the morsel's counters; the run's metrics
 	cur     *storage.Cursor  // the leaf's reader
 	leaf    storage.Batch    // the leaf batch cur re-points
 	part    partial          // the morsel's sink partial
-	scratch []expr.Scratch   // by chain position: a Filter's kernel scratch
-	probes  []joinProber     // by chain position: a Join's probe state
+	stages  []stage          // by chain position
+	sampled *storage.Batch   // the sampler's output; nil without a sampler
+	fold    foldScratch      // the sink's
 	strata  *synopses.Strata // nil without a sampler
 	smp     synopses.Sampler // the morsel's sampler instance
 	drawn   *synopses.Drawn  // what it drew; nil unless the run keeps it
 	pass    []int32          // the sampler's passing rows, per batch
 }
 
+// stage is a worker's state for one chain position: a Filter's output
+// header and kernel scratch, a Join's probe state and chunk.
+type stage struct {
+	kept    storage.Batch
+	scratch expr.Scratch
+	probe   joinProber
+}
+
 // newWorker starts a worker over the run's built join tables. A worker
-// lives for the run, so its probes' pair lists come from the run's pool and
-// go back when it is done (close).
+// lives for the run, so the buffers its stages and its sink fill batch after
+// batch come from the run's pool once, here, and go back when it is done
+// (close).
 func (p *PipelineOp) newWorker() *morselWorker {
+	pool := p.ctx.Pool
 	w := &morselWorker{
-		p:       p,
-		ctx:     &Context{Confidence: p.ctx.Confidence, Pool: p.ctx.Pool, Obs: p.ctx.Obs},
-		cur:     p.pipe.cursor(),
-		scratch: make([]expr.Scratch, len(p.pipe.chain)),
-		probes:  make([]joinProber, len(p.pipe.chain)),
+		p:      p,
+		ctx:    &Context{Confidence: p.ctx.Confidence, Obs: p.ctx.Obs},
+		cur:    p.pipe.cursor(),
+		stages: make([]stage, len(p.pipe.chain)),
+		fold: foldScratch{groups: pool.GetScratch(), pos: pool.GetSel(storage.BatchSize), rows: pool.GetSel(storage.BatchSize),
+			cnts: pool.GetVector(storage.Float64, storage.BatchSize)},
 	}
 	joins := p.joins
 	for k, n := range p.pipe.chain {
-		if _, ok := n.(*plan.Join); ok {
-			w.probes[k] = joinProber{
-				spec: joins[0].spec, table: joins[0].table, pool: p.ctx.Pool,
-				lrows: p.ctx.Pool.GetSel(joinBatchRows), mrows: p.ctx.Pool.GetSel(joinBatchRows),
-			}
+		switch st := &w.stages[k]; n.(type) {
+		case *plan.SynopsisOp:
+			w.sampled, w.strata = pool.GetBatch(p.sampler.schema, storage.BatchSize), synopses.NewStrata(w.fold.groups)
+		case *plan.Filter:
+			st.kept.Sel = pool.GetSel(storage.BatchSize)
+		case *plan.Join:
+			st.probe = joinProber{spec: joins[0].spec, table: joins[0].table, out: pool.GetBatch(joins[0].spec.schema, joinBatchRows),
+				lrows: pool.GetSel(joinBatchRows), mrows: pool.GetSel(joinBatchRows)}
 			joins = joins[1:]
 		}
-	}
-	if p.sampler != nil {
-		w.strata = &synopses.Strata{}
 	}
 	return w
 }
 
-// close hands the probes' pair lists back to the pool.
+// close hands the worker's buffers back to the run's pool.
 func (w *morselWorker) close() {
-	for k := range w.probes {
-		w.ctx.Pool.PutSel(w.probes[k].lrows)
-		w.ctx.Pool.PutSel(w.probes[k].mrows)
+	pool := w.p.ctx.Pool
+	for k := range w.stages {
+		st := &w.stages[k]
+		pool.PutSel(st.kept.Sel)
+		pool.Release(st.probe.out)
+		pool.PutSel(st.probe.lrows)
+		pool.PutSel(st.probe.mrows)
 	}
+	pool.Release(w.sampled)
+	pool.PutScratch(w.fold.groups)
+	pool.PutSel(w.fold.pos)
+	pool.PutSel(w.fold.rows)
+	pool.PutVector(w.fold.cnts)
 }
 
 // run is the morsel loop: it executes morsel i of nMorsels — global rows
@@ -743,8 +777,8 @@ func (w *morselWorker) run(i, nMorsels, morselRows int, keep []bool, part partia
 		stats.CPUTuples += int64(w.leaf.Len())
 		w.push(&w.leaf, 0)
 	}
-	for k := range w.probes {
-		if w.probes[k].out != nil {
+	for k := range w.stages {
+		if out := w.stages[k].probe.out; out != nil && out.Len() > 0 {
 			w.emit(k)
 		}
 	}
@@ -759,11 +793,12 @@ func (w *morselWorker) run(i, nMorsels, morselRows int, keep []bool, part partia
 func (w *morselWorker) push(b *storage.Batch, k int) {
 	pipe := w.p.pipe
 	for ; k < len(pipe.chain); k++ {
+		st := &w.stages[k]
 		switch pipe.chain[k].(type) {
 		case *plan.SynopsisOp:
-			b, w.pass = w.p.sampler.draw(b, w.smp, w.drawn, w.pass, w.ctx)
+			b, w.pass = w.p.sampler.draw(b, w.smp, w.drawn, w.sampled, w.pass, w.ctx)
 		case *plan.Filter:
-			b = refine(b, pipe.filters[k], &w.scratch[k], w.ctx)
+			b = refine(b, pipe.filters[k], &st.kept, &st.scratch, w.ctx)
 		case *plan.Join:
 			w.probe(b, k)
 			return
@@ -772,35 +807,34 @@ func (w *morselWorker) push(b *storage.Batch, k int) {
 			return
 		}
 	}
-	w.part.fold(b, w.ctx)
-	w.ctx.Pool.Release(b)
+	w.part.fold(b, w.ctx, &w.fold)
 }
 
 // probe is the Join stage at chain position k: it charges b's rows their
-// exchange and pairs all of them into the stage's chunk, pushing each chunk
-// that fills on up the chain (emit); a partly filled one stays for the
-// next batch or the morsel's end. Over an empty table — only reached by a
-// run that materializes a sampler byproduct, plain empty joins short-circuit
-// before the pool starts — b is charged and dropped, so the sampler below
-// still sees its whole stream.
+// exchange and pairs all of them into the stage's chunk, pushing the chunk
+// on up the chain each time it fills (emit); a partly filled one stays for
+// the next batch or the morsel's end. Over an empty table — only reached by
+// a run that materializes a sampler byproduct, plain empty joins
+// short-circuit before the pool starts — b is charged and dropped, so the
+// sampler below still sees its whole stream.
 func (w *morselWorker) probe(b *storage.Batch, k int) {
-	pr := &w.probes[k]
+	pr := &w.stages[k].probe
 	w.ctx.Stats.ShuffleBytes += b.LiveWidth()
-	if !pr.table.empty() {
-		at, full := pr.fill(b, storage.ProbePos{})
-		for full {
-			w.emit(k)
-			at, full = pr.fill(b, at)
-		}
+	if pr.table.empty() {
+		return
 	}
-	w.ctx.Pool.Release(b)
+	at, full := pr.fill(b, storage.ProbePos{})
+	for full {
+		w.emit(k)
+		at, full = pr.fill(b, at)
+	}
 }
 
 // emit pushes join k's chunk on to position k+1, charging its rows' output
-// CPU.
+// CPU, and empties it once everything above is done with it.
 func (w *morselWorker) emit(k int) {
-	out := w.probes[k].out
-	w.probes[k].out = nil
+	out := w.stages[k].probe.out
 	w.ctx.Stats.CPUTuples += int64(out.Len())
 	w.push(out, k+1)
+	out.Reset()
 }

@@ -136,6 +136,66 @@ func TestJoinMatchesOracleExact(t *testing.T) {
 	}
 }
 
+// TestReusedStageBuffersMeetTheOracle pushes many morsels through one
+// worker, whose stages refill the same buffers batch after batch: a
+// sampler's output batch (a uniform sampler at probability 1, every row at
+// weight 1, so the oracle can state its draw), a filter's selection over
+// it, a join whose hot key fans out past a chunk of joinBatchRows
+// (storage.BatchSize) rows — so chunks fill mid-row, are handed up, emptied
+// and refilled, and a morsel's last one is flushed at its end — and a filter
+// over the chunks, whose selection is refilled with them. The string group
+// column rides the chunks coded, so a refilled chunk must take its
+// dictionary afresh. Answers and all four charges must equal the oracle's.
+func TestReusedStageBuffersMeetTheOracle(t *testing.T) {
+	fact := storage.NewBuilder("p", storage.Schema{
+		{Name: "p.k", Typ: storage.Int64},
+		{Name: "p.tag", Typ: storage.String},
+		{Name: "p.amount", Typ: storage.Int64},
+	})
+	for i := range 400 {
+		fact.Int(0, int64(i%7)) // key 0 is the hot one
+		fact.Str(1, []string{"red", "green", "blue"}[i%3])
+		fact.Int(2, int64(i%50))
+	}
+	build := storage.NewBuilder("dup", storage.Schema{
+		{Name: "dup.k", Typ: storage.Int64},
+		{Name: "dup.v", Typ: storage.Int64},
+	})
+	for i := range 1300 {
+		build.Int(0, 0)
+		build.Int(1, int64(i))
+	}
+	for k := 1; k < 5; k++ {
+		build.Int(0, int64(k))
+		build.Int(1, int64(k*10))
+	}
+	sampled := &plan.SynopsisOp{Child: &plan.Scan{Table: fact.Build(3)}, Kind: plan.UniformSample, P: 1}
+	agg := &plan.Aggregate{
+		Child: &plan.Filter{
+			Child: &plan.Join{
+				Left:     &plan.Filter{Child: sampled, Pred: expr.Pred{expr.Compare("p.amount", expr.GE, storage.IntValue(5))}},
+				Right:    &plan.Scan{Table: build.Build(2)},
+				LeftKeys: []string{"p.k"}, RightKeys: []string{"dup.k"},
+			},
+			Pred: expr.Pred{expr.Compare("dup.v", expr.GE, storage.IntValue(700))},
+		},
+		GroupBy: []string{"p.tag"},
+		Aggs: []plan.AggSpec{
+			{Kind: stats.Count},
+			{Kind: stats.Sum, Col: "dup.v"},
+			{Kind: stats.Avg, Col: "p.amount"},
+		},
+	}
+	want := oracleEval(t, agg)
+	for _, morselRows := range []int{16, 64} {
+		ctx := workerCtx(1, morselRows)
+		out, _ := engineRun(t, agg, ctx)
+		label := fmt.Sprintf("one worker, %d-row morsels", morselRows)
+		mustMatchOracle(t, label, want, out, 0)
+		mustChargeOracle(t, label, want.cost, ctx.Stats)
+	}
+}
+
 // TestMultiJoinMatchesOracleExact covers a two-join spine
 // (fact ⋈ dim ⋈ dim-of-dim) with a string join key on the second hop.
 func TestMultiJoinMatchesOracleExact(t *testing.T) {

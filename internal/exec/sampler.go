@@ -63,19 +63,18 @@ func (s *samplerStage) sampler(seed uint64, i, nMorsels int, strata *synopses.St
 	return ds
 }
 
-// draw runs the stage over b and returns the passing rows with their
-// weights, or nil — b released — when none passes. Decisions first, copies
-// second: one Decide call walks the batch's live rows in order — under the
-// selection, by physical index, so a filtered stream draws exactly as its
-// gathered equivalent did — collecting the passing rows and their weights
-// (recording them in drawn, the morsel's, when the run keeps them), and
-// each output column is then gathered once. A passing row's width grows by
-// the weight column's 8 bytes. pass is the worker's scratch; the grown one
-// is returned.
-func (s *samplerStage) draw(b *storage.Batch, smp synopses.Sampler, drawn *synopses.Drawn, pass []int32, ctx *Context) (*storage.Batch, []int32) {
-	n := b.Rows()
-	ctx.Stats.CPUTuples += int64(n)
-	out := ctx.Pool.GetBatch(s.schema, n/4+1)
+// draw runs the stage over b into out, the worker's batch of the stage's
+// schema, and returns it holding the passing rows with their weights, or
+// nil when none passes. Decisions first, copies second: one Decide call
+// walks the batch's live rows in order — under the selection, by physical
+// index, so a filtered stream draws exactly as its gathered equivalent did —
+// collecting the passing rows and their weights (recording them in drawn,
+// the morsel's, when the run keeps them), and each output column is then
+// gathered once. A passing row's width grows by the weight column's 8 bytes.
+// pass is the worker's scratch; the grown one is returned.
+func (s *samplerStage) draw(b *storage.Batch, smp synopses.Sampler, drawn *synopses.Drawn, out *storage.Batch, pass []int32, ctx *Context) (*storage.Batch, []int32) {
+	ctx.Stats.CPUTuples += int64(b.Rows())
+	out.Reset()
 	weights := out.Vecs[len(s.schema)-1]
 	if drawn != nil {
 		pass, weights.F64 = drawn.Draw(smp, b, pass[:0], weights.F64)
@@ -83,19 +82,13 @@ func (s *samplerStage) draw(b *storage.Batch, smp synopses.Sampler, drawn *synop
 		pass, weights.F64 = smp.Decide(b, pass[:0], weights.F64)
 	}
 	if len(pass) == 0 {
-		ctx.Pool.Release(out)
-		ctx.Pool.Release(b)
 		return nil, pass
 	}
 	for c, v := range b.Vecs {
 		out.Vecs[c].AppendGather(v, pass)
 	}
-	out.Width = ctx.Pool.GetSel(len(pass))
 	for _, i := range pass {
 		out.Width = append(out.Width, b.Width[i]+8)
 	}
-	// The passing rows are copied out, and a recorded draw holds table
-	// positions, not the batch, so the input batch can be recycled.
-	ctx.Pool.Release(b)
 	return out, pass
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/stats"
@@ -315,42 +316,36 @@ func (t *sketchTable) reset() {
 
 // fold implements partial: one CPU tuple per live probe row, and — unlike
 // the aggregate sink — no exchange: the payload is broadcast, the probe rows
-// stay where they are. Rows fold in passes, as aggTable.observe does: groups
-// resolve, one Probe call finds every live row's payload row, and the pair
-// pass folds the two sums every group carries; then each probe-side
+// stay where they are. Rows fold in passes, as aggTable.observe does, in the
+// worker's scratch sc: groups resolve, one Probe call finds every live row's
+// payload row, and the pair pass folds the two sums every group carries; then each probe-side
 // aggregate column folds in a loop of its own over a typed slice. The pair
 // pass skips a row no key matches: it would add zeros, and a sum that starts
 // at +0 never becomes −0, so adding +0 changes no bit. Every cell still adds
 // the same terms in row order, so the sums are bit-identical to a row-major
 // fold.
-func (t *sketchTable) fold(b *storage.Batch, ctx *Context) {
+func (t *sketchTable) fold(b *storage.Batch, ctx *Context, sc *foldScratch) {
 	s := t.sink
 	n := b.Rows()
 	ctx.Stats.CPUTuples += int64(n)
 	if n == 0 {
 		return
 	}
-	sc := storage.BorrowScratch(n, len(s.keys.cols))
-	defer storage.ReturnScratch(sc)
-	ids := t.groups.resolve(b, sc)
+	ids := t.groups.resolve(b, sc.groups)
 	t.slab.Open(t.groups.len())
 	// Each live row's key count, kept from the row pass for the
 	// per-aggregate column passes.
-	if cap(sc.Floats) < n {
-		sc.Floats = make([]float64, max(n, storage.BatchSize))
-	}
-	cnts := sc.Floats[:n]
+	sc.cnts.F64 = slices.Grow(sc.cnts.F64[:0], n)[:n]
+	cnts := sc.cnts.F64
 	clear(cnts)
-	pos, rows, _ := s.sketch.Index().Probe(b, s.probeKeyIdx, nil, storage.ProbePos{}, n, ctx.Pool.GetSel(n), ctx.Pool.GetSel(n))
-	for k, j := range pos {
-		cnt, sum := s.sketch.Row(rows[k])
+	sc.pos, sc.rows, _ = s.sketch.Index().Probe(b, s.probeKeyIdx, nil, storage.ProbePos{}, n, sc.pos[:0], sc.rows[:0])
+	for k, j := range sc.pos {
+		cnt, sum := s.sketch.Row(sc.rows[k])
 		g := t.slab.Row(ids[j])
 		cnts[j] = cnt
 		g[sjDen] += cnt
 		g[sjNum] += sum
 	}
-	ctx.Pool.PutSel(pos)
-	ctx.Pool.PutSel(rows)
 	for k, pi := range s.aggProbeIdx {
 		if pi < 0 {
 			continue

@@ -14,11 +14,12 @@
 // annotation. Results that are discarded outright, or bound to a local
 // that is only ever read, are exactly the leak shapes and are reported.
 //
-// Selection vectors ride the same contract as batches: the kernel filter
-// path hands survivors downstream as a (batch, sel) pair by storing the
-// pooled GetSel buffer into Batch.Sel — an assignment-into-field escape,
-// after which Release (which reclaims an attached Sel) owns the reclaim. A GetSel result that stays a read-only local is a
-// leaked sel buffer exactly like a leaked batch.
+// Selection vectors ride the same contract as batches: a morsel worker
+// borrows each filter's GetSel buffer once and stores it in its own fields
+// (a build side, in its drain's filter header) — an assignment-into-field
+// escape — and hands it back with PutSel when it is done. A GetSel result
+// that stays a read-only local is a leaked sel buffer exactly like a leaked
+// batch.
 package poolsafe
 
 import (

@@ -84,10 +84,12 @@ func onto(joins []JoinPred, table string, placed []string) []JoinPred {
 	return out
 }
 
-// joinSteps joins tables left-deep in order over joins: each table after the
-// first is a step keyed by the predicates joining it to the tables before
-// it. A table joining none of them would be a cross join, which is
-// unsupported.
+// joinSteps joins tables left-deep over joins, the first table first: it
+// places, in turn, the first remaining table in the given order that joins a
+// placed one, as a step keyed by the predicates joining it to the tables
+// placed before it — the given order itself whenever that order joins.
+// When no remaining table joins a placed one, the rest would be a cross
+// join, which is unsupported.
 //
 // A step's denominator is the textbook max(d(Lkey), d(Rkey)), composed over
 // its key pairs, so |L ⋈ R| = |L|·|R| / denom. The left key's distinct count
@@ -101,11 +103,26 @@ func joinSteps(tables []TableRef, branches []branch, joins []JoinPred) ([]joinSt
 	for i, t := range tables {
 		names[i] = t.Name
 	}
-	steps := make([]joinStep, 0, len(tables)-1)
+	placed := names[:1:1]
+	rest := make([]int, 0, len(tables)-1) // positions not yet placed, in order
 	for i := 1; i < len(tables); i++ {
+		rest = append(rest, i)
+	}
+	steps := make([]joinStep, 0, len(rest))
+	for len(rest) > 0 {
+		var on []JoinPred
+		next := slices.IndexFunc(rest, func(i int) bool {
+			on = onto(joins, names[i], placed)
+			return len(on) > 0
+		})
+		if next < 0 {
+			return nil, fmt.Errorf("planner: table %q does not join the preceding tables (cross joins unsupported)", names[rest[0]])
+		}
+		i := rest[next]
+		rest = slices.Delete(rest, next, next+1)
 		t := tables[i]
 		s := joinStep{branch: branches[i], denom: 1}
-		for _, j := range onto(joins, t.Name, names[:i]) {
+		for _, j := range on {
 			s.leftKeys = append(s.leftKeys, j.LeftCol)
 			s.rightKeys = append(s.rightKeys, j.RightCol)
 			left := tables[slices.Index(names, j.LeftTable)].Table
@@ -117,9 +134,7 @@ func joinSteps(tables []TableRef, branches []branch, joins []JoinPred) ([]joinSt
 				s.denom *= float64(d)
 			}
 		}
-		if len(s.leftKeys) == 0 {
-			return nil, fmt.Errorf("planner: table %q does not join the preceding tables (cross joins unsupported)", t.Name)
-		}
+		placed = append(placed, t.Name)
 		steps = append(steps, s)
 	}
 	return steps, nil

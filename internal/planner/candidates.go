@@ -15,11 +15,10 @@ import (
 // sketchShape captures a validated sketch-join opportunity.
 type sketchShape struct {
 	fact       TableRef
-	probe      []TableRef // remaining tables, connected among themselves
-	buildKeys  []string   // fact-side join columns
-	probeKeys  []string   // probe-side join columns (same order)
-	aggCol     string     // fact-side aggregate column ("" = COUNT only)
-	groupBy    []string   // grouping columns rewritten onto the probe side
+	buildKeys  []string // fact-side join columns
+	probeKeys  []string // probe-side join columns (same order)
+	aggCol     string   // fact-side aggregate column ("" = COUNT only)
+	groupBy    []string // grouping columns rewritten onto the probe side
 	factFilter expr.Pred
 }
 
@@ -56,22 +55,11 @@ func (p *Planner) sketchEligible(q *Query) (sketchShape, bool) {
 		}
 	}
 
-	// Probe side: every other table; they must interconnect without the
-	// fact table (star flakes like products⋈departments qualify; two
-	// dimensions only joinable through the fact do not).
-	for _, t := range q.Tables {
-		if t.Name != sh.fact.Name {
-			sh.probe = append(sh.probe, t)
-		}
-	}
-	if len(sh.probe) == 0 {
-		return sketchShape{}, false
-	}
-	if len(sh.probe) > 1 && !connected(sh.probe, q.Joins, sh.fact.Name) {
-		return sketchShape{}, false
-	}
-
-	// Fact↔probe join predicates become the sketch key.
+	// The probe side is every other table. Fact↔probe join predicates
+	// become the sketch key; the probe tables must also join among
+	// themselves without the fact table (star flakes like
+	// products⋈departments qualify; two dimensions only joinable through the
+	// fact do not), which addSketchJoinCandidates learns from joinSteps.
 	for _, j := range q.Joins {
 		switch {
 		case j.LeftTable == sh.fact.Name && j.RightTable != sh.fact.Name:
@@ -109,40 +97,6 @@ func (p *Planner) sketchEligible(q *Query) (sketchShape, bool) {
 	return sh, true
 }
 
-// connected reports whether the tables form a connected join graph using
-// only predicates that avoid the excluded table.
-func connected(tables []TableRef, joins []JoinPred, exclude string) bool {
-	if len(tables) <= 1 {
-		return true
-	}
-	adj := make(map[string][]string)
-	for _, j := range joins {
-		if j.LeftTable == exclude || j.RightTable == exclude {
-			continue
-		}
-		adj[j.LeftTable] = append(adj[j.LeftTable], j.RightTable)
-		adj[j.RightTable] = append(adj[j.RightTable], j.LeftTable)
-	}
-	seen := map[string]bool{tables[0].Name: true}
-	stack := []string{tables[0].Name}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range adj[cur] {
-			if !seen[nb] {
-				seen[nb] = true
-				stack = append(stack, nb)
-			}
-		}
-	}
-	for _, t := range tables {
-		if !seen[t.Name] {
-			return false
-		}
-	}
-	return true
-}
-
 // addSketchJoinCandidates generates sketch-join plans when eligible. The
 // paper prioritizes sketch-joins "due to the immense ratio of performance
 // gain to storage requirement" — the tuner sees that ratio through the
@@ -150,6 +104,13 @@ func connected(tables []TableRef, joins []JoinPred, exclude string) bool {
 func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet, jo joinOrder) {
 	sh, ok := p.sketchEligible(q)
 	if !ok {
+		return
+	}
+	// The probe side joins in the query's order as far as it joins
+	// (joinSteps). One that does not join is no sketch-join: nothing is
+	// counted or interned for it.
+	steps, err := joinSteps(q.Tables[1:], jo.branches[1:], probeJoins(q, sh))
+	if err != nil {
 		return
 	}
 	// Build-side subplan: σ(fact).
@@ -171,18 +132,15 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet, jo joinOrder) {
 	// instacart's ~10 items/order and ~600 purchases/product).
 	distinctKeys := sh.fact.Table.GroupCount(sh.buildKeys)
 	desc.EstSizeBytes = int64(distinctKeys)*(keyWidth(sh.fact.Table.Schema(), sh.buildKeys)+16) + 128
+
 	entry := p.Store.Intern(desc)
 
 	// Probe-side subplan: join of the remaining (filtered) tables over the
-	// predicates among them alone, in the query's order. It is the same in
-	// every candidate below, so it is built and costed once — like every
-	// other scan, zone pruning included, so the estimate charges the
-	// partitions exec will read — and each candidate starts from it.
-	// Sketch-join plans are costed as serial work (see planCost).
-	steps, err := joinSteps(q.Tables[1:], jo.branches[1:], probeJoins(q, sh))
-	if err != nil {
-		return
-	}
+	// predicates among them alone (steps). It is the same in every candidate
+	// below, so it is built and costed once — like every other scan, zone
+	// pruning included, so the estimate charges the partitions exec will
+	// read — and each candidate starts from it. Sketch-join plans are costed
+	// as serial work (see planCost).
 	var probe planCost
 	leaf := jo.branches[1]
 	leaf.charge(&probe, false)

@@ -307,7 +307,7 @@ func TestGroupIDsConcurrentFirstUse(t *testing.T) {
 
 // TestLiveWidthSum: a batch whose producer kept WidthSum is charged from it
 // while it has no selection, and from its live rows' widths once one is
-// attached; a pooled batch comes back with no sum.
+// attached; a lent batch comes back with no sum.
 func TestLiveWidthSum(t *testing.T) {
 	pool := NewVecPool()
 	b := pool.GetBatch(Schema{{Name: "x", Typ: Int64}}, 4)
@@ -323,6 +323,6 @@ func TestLiveWidthSum(t *testing.T) {
 	}
 	pool.Release(b)
 	if b := pool.GetBatch(Schema{{Name: "x", Typ: Int64}}, 4); b.WidthSum != 0 {
-		t.Fatalf("a pooled batch comes back with WidthSum %d", b.WidthSum)
+		t.Fatalf("a lent batch comes back with WidthSum %d", b.WidthSum)
 	}
 }

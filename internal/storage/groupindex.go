@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // GroupIndex is the engine's one exact numbering of key tuples — which rows
@@ -59,44 +58,35 @@ type GroupIndex struct {
 	to     [][]uint64 // scratch: Absorb's string code translations
 }
 
-// ResolveScratch is the working memory of one Resolve call: column c's word
-// of live row j at words[c*rows+j], the rows' dense positions when several
-// columns pack into one, and the ids handed back. A sink's partial folds one
-// morsel, is merged as soon as every earlier morsel has been, and is then
-// reset for the next morsel; up to a reorder window of partials is alive at
-// once, so the buffers are borrowed per batch from a pool the morsels — and
-// the queries — of a process share, not owned by each partial.
+// ResolveScratch is the working memory of Resolve: column c's word of live
+// row j at words[c*rows+j], the rows' dense positions when several columns
+// pack into one, and the ids handed back. It grows to the largest batch it
+// has resolved and is reused batch to batch by whoever owns it — a morsel
+// worker for its sink and its strata, borrowed from the run's pool
+// (VecPool.GetScratch), or a loop outside a run, which owns one. Its zero
+// value is ready to use.
 type ResolveScratch struct {
 	words []uint64
 	pos   []uint64
 	ids   []int32
-	// Floats is the borrower's own per-row scratch (the sketch sink keeps
-	// each row's key count between its passes).
-	Floats []float64
 }
 
-var resolveScratchPool = sync.Pool{New: func() any { return new(ResolveScratch) }}
-
-// BorrowScratch returns scratch for a batch of n live rows over nc group
-// columns; the caller hands it back with ReturnScratch once it has read the
-// ids.
-func BorrowScratch(n, nc int) *ResolveScratch {
-	sc := resolveScratchPool.Get().(*ResolveScratch)
+// grow makes room for n live rows over nc group columns.
+func (sc *ResolveScratch) grow(n, nc int) {
 	if cap(sc.ids) < n {
 		sc.ids = make([]int32, max(n, BatchSize))
 	}
 	if cap(sc.words) < n*nc {
 		sc.words = make([]uint64, max(n, BatchSize)*nc)
 	}
-	return sc
 }
 
-// IDs returns the scratch's id buffer for n rows (at most the n it was
-// borrowed for), for a holder that numbers a batch's rows itself.
-func (sc *ResolveScratch) IDs(n int) []int32 { return sc.ids[:n] }
-
-// ReturnScratch hands borrowed scratch back.
-func ReturnScratch(sc *ResolveScratch) { resolveScratchPool.Put(sc) }
+// IDs returns the scratch's id buffer for n rows, for a holder that numbers
+// a batch's rows itself.
+func (sc *ResolveScratch) IDs(n int) []int32 {
+	sc.grow(n, 0)
+	return sc.ids[:n]
+}
 
 const (
 	// denseIndexBits sizes the dense array (1 KB of int32 per partial): one
@@ -156,6 +146,7 @@ func (g *GroupIndex) Sole() { g.n = 1 }
 // opening groups as it meets them. The ids are sc's memory.
 func (g *GroupIndex) Resolve(b *Batch, sc *ResolveScratch) []int32 {
 	n, nc := b.Rows(), len(g.cols)
+	sc.grow(n, nc)
 	ids := sc.ids[:n]
 	if nc == 0 {
 		g.Sole()

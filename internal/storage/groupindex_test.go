@@ -236,9 +236,9 @@ func TestGroupIndexMatchesByteKeyGrouping(t *testing.T) {
 		g := NewGroupIndex(f.cols, f.schema)
 		o := &groupOracle{t: t, f: f, idOf: map[string]int32{}}
 		startedDense := g.dense != nil
+		var sc ResolveScratch // one for every batch, as a worker's is
 		for bi, b := range batches {
-			sc := BorrowScratch(b.Rows(), ngroup)
-			ids := g.Resolve(b, sc)
+			ids := g.Resolve(b, &sc)
 			if len(ids) != b.Rows() {
 				t.Fatalf("seed %d batch %d: %d ids for %d live rows", seed, bi, len(ids), b.Rows())
 			}
@@ -249,7 +249,6 @@ func TestGroupIndexMatchesByteKeyGrouping(t *testing.T) {
 				}
 				o.see(fmt.Sprintf("seed %d batch %d", seed, bi), rowOf[bi][i], id)
 			}
-			ReturnScratch(sc)
 		}
 		o.checkKeys(fmt.Sprintf("seed %d", seed), &g, sample)
 		switch {
@@ -271,8 +270,7 @@ func TestGroupIndexMatchesByteKeyGrouping(t *testing.T) {
 		local := make([][]string, len(parts)) // per partial: id → reference key
 		for bi, b := range batches {
 			p := bi % len(parts)
-			sc := BorrowScratch(b.Rows(), ngroup)
-			for j, id := range parts[p].Resolve(b, sc) {
+			for j, id := range parts[p].Resolve(b, &sc) {
 				i := j
 				if b.Sel != nil {
 					i = int(b.Sel[j])
@@ -282,7 +280,6 @@ func TestGroupIndexMatchesByteKeyGrouping(t *testing.T) {
 				}
 				local[p][id] = f.refKey(rowOf[bi][i])
 			}
-			ReturnScratch(sc)
 		}
 		global := NewGroupIndex(f.cols, f.schema)
 		mo := &groupOracle{t: t, f: f, idOf: map[string]int32{}}
@@ -437,10 +434,9 @@ func TestGroupIndexResetNumbersLikeFresh(t *testing.T) {
 			}
 			feed := func(g *GroupIndex, bs []*Batch) [][]int32 {
 				var all [][]int32
+				var sc ResolveScratch
 				for _, b := range bs {
-					sc := BorrowScratch(b.Rows(), len(cols))
-					all = append(all, append([]int32(nil), g.Resolve(b, sc)...))
-					ReturnScratch(sc)
+					all = append(all, append([]int32(nil), g.Resolve(b, &sc)...))
 				}
 				return all
 			}

@@ -6,27 +6,26 @@ import (
 	"github.com/tasterdb/taster/internal/obs"
 )
 
-// VecPool recycles vector backing arrays and batch headers within one query
-// execution. The hot serving path produces thousands of short-lived batches
-// per query (filter gathers, join probe output, sampler output); without
-// recycling every chunk allocates fresh slices, and under concurrent serving
-// the allocator becomes the serialization point. The pool is type-segregated
-// (one free list per vector type, so an int64 backing array is never reused
-// as a float64 one) and sync.Pool-backed, so morsel workers may Get/Release
-// concurrently without locking discipline of their own.
-//
-// Ownership contract: a batch obtained from GetBatch is owned by whoever
-// holds it; ownership transfers downstream with the batch. The final
-// consumer calls Release exactly once when it has copied out (or finished
-// observing) every value. Release on a batch that did not come from a pool
-// is a no-op, so consumers may release unconditionally — scans handing out
-// table-owned storage are never recycled. Pooled memory must never escape
-// past the result boundary: Batch.Row boxes values (copying scalars and
-// string headers, which stay valid after the backing []string is reused), so
-// result assembly is already a copy-out.
+// VecPool recycles vector backing arrays, batch headers and group
+// resolution scratch across the runs of one engine. A batch belongs to the
+// stage that filled it and stays valid until that stage is asked again: a
+// consumer that keeps anything copies it out (a sink folds, a join gathers,
+// a sampler records table positions), so no batch changes hands and nothing
+// is lent per batch. What a stage fills again and again — a filter's
+// selection, a sampler's output batch, a join's chunk, a sink's fold
+// scratch — is its morsel worker's, borrowed from the pool once when the
+// worker starts and handed back when it is done; a build side borrows its
+// filter's selection for the length of its drain. So memory stays warm
+// across queries without a pool call on the per-batch path. The pool is
+// type-segregated (one free list per vector type, so an int64 backing array
+// is never reused as a float64 one) and sync.Pool-backed, so the workers of
+// concurrent runs borrow and return without locking discipline of their own.
+// Pool memory never escapes past the result boundary: Batch.Row boxes values
+// (copying scalars and string headers, which stay valid after the backing
+// []string is reused), so result assembly is already a copy-out.
 //
 // All methods are nil-receiver safe: a nil *VecPool allocates fresh memory
-// and ignores releases, keeping pool-free paths (tests, tools) identical in
+// and ignores returns, keeping pool-free paths (tests, tools) identical in
 // behaviour.
 type VecPool struct {
 	i64     sync.Pool // *Vector with Typ Int64
@@ -36,6 +35,7 @@ type VecPool struct {
 	batches sync.Pool // *Batch with Vecs emptied
 	sels    sync.Pool // *[]int32 selection-vector scratch
 	holders sync.Pool // *[]int32 emptied by GetSel, for PutSel to fill
+	scratch sync.Pool // *ResolveScratch
 
 	// Obs counts pool traffic: batch gets/puts at batch granularity and
 	// allocation misses on the slow paths only, so the hot reuse path pays a
@@ -79,37 +79,26 @@ func (p *VecPool) GetVector(t Type, n int) *Vector {
 	return NewVector(t, n)
 }
 
-// putVector recycles one vector. Lengths reset to zero; String payloads are
-// cleared first so recycled arrays do not pin the strings of a previous
-// batch beyond their lifetime, and the vector forgets its dictionary — it
-// comes back uncoded, keeping only the code array's capacity — so it never
-// reads another column's codes as its own.
-func (p *VecPool) putVector(v *Vector) {
-	if p == nil || v == nil {
+// PutVector recycles a vector obtained from GetVector. Its length resets to
+// zero; a String payload is cleared first so a recycled array does not pin
+// the strings of a previous run beyond their lifetime, and the vector
+// forgets its dictionary — it comes back uncoded, keeping only the code
+// array's capacity — so it never reads another column's codes as its own.
+func (p *VecPool) PutVector(v *Vector) {
+	if p == nil || v == nil || p.poolFor(v.Typ) == nil {
 		return
 	}
-	switch v.Typ {
-	case Int64:
-		v.I64 = v.I64[:0]
-	case Float64:
-		v.F64 = v.F64[:0]
-	case String:
+	if v.Typ == String {
 		clear(v.Str)
-		v.Str = v.Str[:0]
-		v.dropCodes()
-	case Bool:
-		v.B = v.B[:0]
-	default:
-		return
 	}
+	v.truncate()
 	p.poolFor(v.Typ).Put(v)
 }
 
 // GetSel returns an empty selection-vector scratch buffer (capacity hint n
-// applies only to fresh allocations). The buffer follows the same ownership
-// contract as pooled vectors: attach it to a batch (Batch.Sel) and it is
-// reclaimed when the batch is released or materialized, or hand it back
-// directly with PutSel.
+// applies only to fresh allocations): a filter's selection, a lent batch's
+// widths, a probe's pair list. PutSel hands it back, or Release with the
+// batch.
 func (p *VecPool) GetSel(n int) []int32 {
 	if p == nil {
 		return make([]int32, 0, n)
@@ -140,66 +129,65 @@ func (p *VecPool) PutSel(sel []int32) {
 	p.sels.Put(h)
 }
 
-// GetBatch returns an empty batch for the schema whose vectors come from the
-// pool's free lists. The batch is marked pooled: Release will recycle it.
+// GetBatch returns an empty batch for the schema whose vectors and widths
+// come from the pool's free lists. The borrower fills and resets it
+// (Batch.Reset) for as long as it needs it and hands it back once with
+// Release.
 func (p *VecPool) GetBatch(schema Schema, n int) *Batch {
 	if p == nil {
 		return NewBatch(schema, n)
 	}
 	p.Obs.Get()
-	var b *Batch
-	if pb, ok := p.batches.Get().(*Batch); ok && pb != nil {
-		b = pb
-		b.Schema = schema
-		if cap(b.Vecs) < len(schema) {
-			b.Vecs = make([]*Vector, len(schema))
-		} else {
-			b.Vecs = b.Vecs[:len(schema)]
-		}
-	} else {
+	b, ok := p.batches.Get().(*Batch)
+	if !ok || b == nil {
 		p.Obs.Miss()
-		b = &Batch{Schema: schema, Vecs: make([]*Vector, len(schema))}
+		b = &Batch{}
 	}
+	b.Schema = schema
+	if cap(b.Vecs) < len(schema) {
+		b.Vecs = make([]*Vector, len(schema))
+	}
+	b.Vecs = b.Vecs[:len(schema)]
 	for i, c := range schema {
 		b.Vecs[i] = p.GetVector(c.Typ, n)
 	}
-	b.Sel, b.Width, b.WidthSum, b.Start = nil, nil, 0, 0
-	b.pooled = true
+	b.Width = p.GetSel(n)
 	return b
 }
 
-// Release recycles a pooled batch's vectors and header. Batches that did not
-// come from GetBatch (table-owned scan output, sink-emitted results)
-// keep their vectors, but an attached selection buffer is reclaimed either
-// way — filters attach pool-owned Sel buffers to table-owned scan batches,
-// and those must flow back like any pooled memory. Callers release every
-// consumed batch unconditionally. Double release is a defended no-op: the
-// pooled mark and Sel clear on first release.
+// Release takes back a batch GetBatch lent — its vectors, its widths and its
+// header — but no selection: a selection is the filter's that filled it.
+// Each lent batch is released exactly once, by its borrower.
 func (p *VecPool) Release(b *Batch) {
 	if p == nil || b == nil {
 		return
 	}
-	if b.Sel != nil {
-		p.PutSel(b.Sel)
-		b.Sel = nil
-	}
-	if !b.pooled {
-		return
-	}
-	b.pooled = false
-	// A pooled batch's widths are pool memory like its selection; scan output
-	// (not pooled) carries a view of the partition's own array.
 	p.PutSel(b.Width)
-	b.Width, b.WidthSum = nil, 0
 	p.Obs.Put()
 	for i, v := range b.Vecs {
-		p.putVector(v)
+		p.PutVector(v)
 		b.Vecs[i] = nil
 	}
-	b.Vecs = b.Vecs[:0]
-	b.Schema = nil
+	*b = Batch{Vecs: b.Vecs[:0]}
 	p.batches.Put(b)
 }
 
-// Pooled reports whether the batch is pool-owned (diagnostics and tests).
-func (b *Batch) Pooled() bool { return b.pooled }
+// GetScratch returns group resolution scratch (GroupIndex.Resolve), grown
+// to whatever an earlier borrower needed; PutScratch hands it back.
+func (p *VecPool) GetScratch() *ResolveScratch {
+	if p == nil {
+		return new(ResolveScratch)
+	}
+	if sc, ok := p.scratch.Get().(*ResolveScratch); ok && sc != nil {
+		return sc
+	}
+	p.Obs.Miss()
+	return new(ResolveScratch)
+}
+
+// PutScratch hands back scratch GetScratch returned.
+func (p *VecPool) PutScratch(sc *ResolveScratch) {
+	if p != nil && sc != nil {
+		p.scratch.Put(sc)
+	}
+}

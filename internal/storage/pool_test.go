@@ -17,22 +17,16 @@ func poolSchema() Schema {
 // TestVecPoolRecycle: a released batch's backing arrays come back on the next
 // GetBatch, empty and type-correct. The identity of the backing array is only
 // asserted without the race detector, under which sync.Pool drops Puts at
-// random; a batch recycled or fresh must be pooled, empty and typed alike.
+// random; a batch recycled or fresh must be empty and typed alike.
 func TestVecPoolRecycle(t *testing.T) {
 	p := NewVecPool()
 	b := p.GetBatch(poolSchema(), 8)
-	if !b.Pooled() {
-		t.Fatal("GetBatch must mark the batch pooled")
-	}
 	b.Vecs[0].I64 = append(b.Vecs[0].I64, 1, 2, 3)
 	b.Vecs[1].F64 = append(b.Vecs[1].F64, 1.5)
 	b.Vecs[2].Str = append(b.Vecs[2].Str, "x", "y")
 	b.Vecs[3].B = append(b.Vecs[3].B, true)
 	arr := &b.Vecs[0].I64[0]
 	p.Release(b)
-	if b.Pooled() {
-		t.Fatal("Release must clear the pooled mark")
-	}
 
 	b2 := p.GetBatch(poolSchema(), 8)
 	if b2.Len() != 0 {
@@ -49,43 +43,24 @@ func TestVecPoolRecycle(t *testing.T) {
 	}
 }
 
-// TestVecPoolNonPooledNoop: releasing a batch the pool never handed out must
-// leave it untouched (scan output is table-owned).
-func TestVecPoolNonPooledNoop(t *testing.T) {
-	p := NewVecPool()
-	b := NewBatch(poolSchema(), 4)
-	b.Vecs[0].I64 = append(b.Vecs[0].I64, 7)
-	p.Release(b)
-	if len(b.Vecs) != 4 || b.Vecs[0].I64[0] != 7 {
-		t.Fatal("Release mutated a non-pooled batch")
-	}
-}
-
-// TestVecPoolDoubleReleaseNoop: the second release of the same batch must not
-// put its vectors on the free list twice (which would alias two consumers).
-func TestVecPoolDoubleReleaseNoop(t *testing.T) {
-	p := NewVecPool()
-	b := p.GetBatch(Schema{{Name: "a", Typ: Int64}}, 4)
-	p.Release(b)
-	p.Release(b) // must be a no-op
-	v1 := p.GetVector(Int64, 4)
-	v2 := p.GetVector(Int64, 4)
-	if v1 == v2 {
-		t.Fatal("double release put the same vector on the free list twice")
-	}
-}
-
 // TestVecPoolNilSafe: all methods degrade to plain allocation on a nil pool.
 func TestVecPoolNilSafe(t *testing.T) {
 	var p *VecPool
 	b := p.GetBatch(poolSchema(), 4)
-	if b == nil || b.Pooled() {
-		t.Fatal("nil pool GetBatch must return a fresh non-pooled batch")
+	if b == nil || len(b.Vecs) != len(poolSchema()) {
+		t.Fatal("nil pool GetBatch must return a fresh batch")
 	}
 	p.Release(b) // must not panic
-	if v := p.GetVector(Int64, 4); v == nil || v.Typ != Int64 {
+	v := p.GetVector(Int64, 4)
+	if v == nil || v.Typ != Int64 {
 		t.Fatal("nil pool GetVector must allocate")
 	}
+	p.PutVector(v)
+	sc := p.GetScratch()
+	if sc == nil || len(sc.IDs(3)) != 3 {
+		t.Fatal("nil pool GetScratch must allocate usable scratch")
+	}
+	p.PutScratch(sc)
 }
 
 // TestVecPoolConcurrent: hammering Get/Release from many goroutines must be
@@ -115,8 +90,8 @@ func TestVecPoolConcurrent(t *testing.T) {
 }
 
 // TestReleaseTakesWidthsBack: a selection's live width sums only the
-// selected rows' widths, and releasing a pooled batch takes its selection
-// and its width buffer back.
+// selected rows' widths, and releasing a lent batch takes its width buffer
+// back and leaves no selection on it (the selection is its filter's).
 func TestReleaseTakesWidthsBack(t *testing.T) {
 	p := NewVecPool()
 	b := p.GetBatch(Schema{{Name: "t.x", Typ: Int64}}, 4)
@@ -160,6 +135,39 @@ func TestVecPoolRecycledVectorForgetsCodes(t *testing.T) {
 		}
 		checkCoded(t, "pooled, mixed", v)
 		p.Release(b)
+	}
+}
+
+// TestBatchResetFillsAsNew: a reset batch keeps its arrays but no row,
+// selection, width sum or table offset, and its string vector, uncoded
+// again, takes the next source's dictionary as a new vector would — so a
+// stage refilling its batch never reads the last fill's codes.
+func TestBatchResetFillsAsNew(t *testing.T) {
+	flags := strTable(t, "f", []string{"A", "N", "R", "N", "A"}, 1).Column(1)
+	modes := strTable(t, "m", []string{"AIR", "RAIL", "AIR"}, 1).Column(1)
+	b := NewBatch(Schema{{Name: "s", Typ: String}, {Name: "x", Typ: Int64}}, 4)
+	for round, src := range []*Vector{flags, modes, {Typ: String, Str: []string{"x", "y"}}, flags} {
+		v := b.Vecs[0]
+		v.AppendGather(src, []int32{0, 1})
+		b.Vecs[1].I64 = append(b.Vecs[1].I64, 1, 2)
+		b.Width = append(b.Width, 8, 9)
+		b.WidthSum, b.Sel, b.Start = 17, []int32{1}, 5
+		if v.Dict != src.Dict {
+			t.Fatalf("round %d: a reset vector did not take its source's dictionary", round)
+		}
+		checkCoded(t, "reset", v)
+		arr := &b.Vecs[1].I64[0]
+		b.Reset()
+		if b.Len() != 0 || len(b.Width) != 0 || b.Sel != nil || b.WidthSum != 0 || b.Start != 0 {
+			t.Fatalf("round %d: reset left %d rows, %d widths, sel %v, sum %d, start %d", round, b.Len(), len(b.Width), b.Sel, b.WidthSum, b.Start)
+		}
+		if v.Dict != nil || len(v.Code) != 0 {
+			t.Fatalf("round %d: reset vector still coded", round)
+		}
+		if b.Vecs[1].I64 = append(b.Vecs[1].I64, 3); &b.Vecs[1].I64[0] != arr {
+			t.Fatalf("round %d: reset dropped the int64 array", round)
+		}
+		b.Reset()
 	}
 }
 

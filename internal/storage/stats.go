@@ -221,15 +221,14 @@ func (t *Table) resolveGroups(cols []int, from int, f func(ids []int32, groups i
 	}
 	idx := NewGroupIndex(at, out)
 	b := &Batch{Vecs: make([]*Vector, len(cols))}
+	var sc ResolveScratch
 	for p, part := range t.parts {
 		for lo := max(from-t.offs[p], 0); lo < part.rows; lo += BatchSize {
 			hi := min(lo+BatchSize, part.rows)
 			for k, c := range cols {
 				b.Vecs[k] = part.cols[c].Slice(lo, hi)
 			}
-			sc := BorrowScratch(hi-lo, len(cols))
-			f(idx.Resolve(b, sc), idx.Len())
-			ReturnScratch(sc)
+			f(idx.Resolve(b, &sc), idx.Len())
 		}
 	}
 	return &idx

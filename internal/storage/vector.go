@@ -83,6 +83,14 @@ func (v *Vector) dropCodes() {
 	v.Code, v.Dict = v.Code[:0], nil
 }
 
+// truncate empties the vector, keeping its arrays' capacity; it comes back
+// uncoded, so the next source it copies from lends it its dictionary as a
+// new vector's would.
+func (v *Vector) truncate() {
+	v.I64, v.F64, v.Str, v.B = v.I64[:0], v.F64[:0], v.Str[:0], v.B[:0]
+	v.dropCodes()
+}
+
 // carriesCodes decides, before strings of src are appended onto v, whether
 // their codes come along: yes when src is coded and v either is still empty
 // (it adopts src's dictionary) or is coded under the same dictionary. In
@@ -268,19 +276,19 @@ func (v *Vector) Bytes() int64 {
 }
 
 // Batch is a horizontal slice of rows in columnar form: all vectors have the
-// same length. It is the unit passed between operators.
+// same length. It is the unit passed between the stages of a run, and it
+// belongs to the stage that filled it: it stays valid until that stage is
+// asked again, and a consumer that keeps anything copies it out.
 type Batch struct {
 	Schema Schema
 	Vecs   []*Vector
 	// Sel is the batch's selection vector: when non-nil, only the rows at
 	// the listed physical indices — in that order, always ascending — are
-	// live; the vectors still hold every physical row. Vectorized filters
-	// attach a Sel instead of gathering survivors into fresh vectors, so a
-	// selective predicate costs no per-batch copy. Every consumer of a
-	// filtered batch — the sinks' tables, the join prober, the sampler, a
-	// build side's drain — iterates under it. Sel buffers come from
-	// VecPool.GetSel and are reclaimed by Release exactly like pooled
-	// vectors.
+	// live; the vectors still hold every physical row. A vectorized filter
+	// hands up its input's vectors under a selection of its own instead of
+	// gathering survivors into fresh vectors, so a selective predicate costs
+	// no per-batch copy. Every consumer of a filtered batch — the sinks'
+	// tables, the join prober, a build side's drain — iterates under it.
 	Sel []int32
 	// Width is what each physical row costs to exchange: the payload bytes of
 	// the whole logical row the batch row stands for, whether or not every
@@ -289,24 +297,20 @@ type Batch struct {
 	// two sides; cost accounting sums it over live rows (LiveWidth) instead of
 	// walking the columns, so projecting a spine down to the columns a query
 	// reads moves no simulated byte. Nil on batches nothing charges for (sink
-	// output, sort output). On a pooled batch the buffer is pool memory
-	// (GetSel), reclaimed by Release; on scan output it is table-owned.
+	// output, sort output). On a batch VecPool.GetBatch lent the buffer is
+	// pool memory (GetSel), which Release takes back; on scan output it is
+	// table-owned.
 	Width []int32
 	// WidthSum is Σ Width over every physical row, kept by a producer that
 	// sums the widths as it writes them (a join's probe output); 0 when none
 	// did. LiveWidth returns it while Sel is nil: a selection attached later
-	// leaves it standing but unread. Pooled batches come out of GetBatch
-	// with it cleared.
+	// leaves it standing but unread. Reset clears it.
 	WidthSum int64
 	// Start is the table row of physical row 0 on a batch a table scan cut
 	// (Table.Scan, a Cursor): the partition's offset plus the row
 	// within it. Filters pass the batch on, so a join's build side reads its
 	// survivors' table rows from it (Table.KeyIndex). 0 on every other batch.
 	Start int
-	// pooled marks batches whose vectors come from a VecPool free list; only
-	// those are recycled by VecPool.Release (see pool.go for the ownership
-	// contract). Scan output handing out table-owned storage stays false.
-	pooled bool
 }
 
 // BatchSize is the default number of rows per batch produced by scans.
@@ -319,6 +323,16 @@ func NewBatch(schema Schema, n int) *Batch {
 		b.Vecs[i] = NewVector(c.Typ, n)
 	}
 	return b
+}
+
+// Reset empties the batch for the stage that fills it to fill again: every
+// vector and the widths keep their arrays' capacity, and no selection, width
+// sum or table offset is left.
+func (b *Batch) Reset() {
+	for _, v := range b.Vecs {
+		v.truncate()
+	}
+	b.Sel, b.Width, b.WidthSum, b.Start = nil, b.Width[:0], 0, 0
 }
 
 // Len returns the number of physical rows in the batch's vectors. Callers

@@ -92,10 +92,21 @@ type DistinctSampler struct {
 // counts[id] belongs to. Ids index nothing but counts, so sharing the
 // numbering changes no pass decision.
 type Strata struct {
-	index  *storage.GroupIndex // A's combinations, numbered on first sight
-	counts []uint64            // rows seen per stratum in its stamp's epoch
-	stamps []uint32            // the epoch of each stratum's count
+	index  *storage.GroupIndex     // A's combinations, numbered on first sight
+	sc     *storage.ResolveScratch // the index's resolution scratch
+	counts []uint64                // rows seen per stratum in its stamp's epoch
+	stamps []uint32                // the epoch of each stratum's count
 	epoch  uint32
+}
+
+// NewStrata returns strata that resolve their rows in sc, which they share
+// with whatever else their owner resolves between batches (a morsel
+// worker's sink); nil gives them scratch of their own.
+func NewStrata(sc *storage.ResolveScratch) *Strata {
+	if sc == nil {
+		sc = new(storage.ResolveScratch)
+	}
+	return &Strata{sc: sc}
 }
 
 // count counts one more row of stratum id in the current epoch and returns
@@ -150,7 +161,7 @@ func (s *DistinctSampler) Decide(b *storage.Batch, pass []int32, weights []float
 		return pass, weights
 	}
 	if s.strata == nil {
-		s.strata = &Strata{}
+		s.strata = NewStrata(nil)
 	}
 	st := s.strata
 	if st.index == nil {
@@ -161,9 +172,7 @@ func (s *DistinctSampler) Decide(b *storage.Batch, pass []int32, weights []float
 		idx := storage.NewGroupIndex(s.StratIdxs, out)
 		st.index = &idx
 	}
-	sc := storage.BorrowScratch(n, len(s.StratIdxs))
-	defer storage.ReturnScratch(sc)
-	ids := st.index.Resolve(b, sc)
+	ids := st.index.Resolve(b, st.sc)
 	if grown := st.index.Len() - len(st.counts); grown > 0 {
 		st.counts = append(st.counts, make([]uint64, grown)...)
 		st.stamps = append(st.stamps, make([]uint32, grown)...)
@@ -371,49 +380,28 @@ func StratifiedSample(name string, tbl *storage.Table, stratCols []string, cap i
 	if cap < 1 {
 		cap = 1
 	}
-	// Pass 1: group sizes, by the strata index's ids. Pass 2 re-resolves
-	// the same rows through the same index, so each gets its group's id back.
-	out := make(storage.Schema, len(idxs))
-	for k, i := range idxs {
-		out[k] = tbl.Schema()[i]
-	}
-	strata := storage.NewGroupIndex(idxs, out)
-	resolve := func(batch *storage.Batch, each func(i int, id int32)) {
-		sc := storage.BorrowScratch(batch.Len(), len(idxs))
-		for i, id := range strata.Resolve(batch, sc) {
-			each(i, id)
-		}
-		storage.ReturnScratch(sc)
-	}
-	var sizes []int
-	for p := 0; p < tbl.Partitions(); p++ {
-		for _, batch := range tbl.Scan(p, storage.BatchSize) {
-			resolve(batch, func(_ int, id int32) {
-				if int(id) == len(sizes) {
-					sizes = append(sizes, 0)
-				}
-				sizes[id]++
-			})
+	// The strata are the table version's own numbering of the columns (one
+	// stratum when there are none): one loop over the rows' ids counts each
+	// stratum's size, one more draws the rows in table order.
+	ids, sizes := make([]int64, tbl.NumRows()), []int{tbl.NumRows()}
+	if len(idxs) > 0 {
+		g := tbl.GroupIDs(idxs)
+		ids, sizes = g.ID.I64, make([]int, g.Len())
+		for _, id := range ids {
+			sizes[id]++
 		}
 	}
-	// Pass 2: draw each batch's taken rows and weights.
 	rnd := newRng(seed ^ 0xfeed)
-	var d Drawn
-	for p := 0; p < tbl.Partitions(); p++ {
-		for _, batch := range tbl.Scan(p, storage.BatchSize) {
-			d.Offered += batch.Len()
-			d.Through = batch.Start + batch.Len()
-			resolve(batch, func(i int, id int32) {
-				n := sizes[id]
-				if n <= cap {
-					d.Rows, d.Weights = append(d.Rows, int32(batch.Start+i)), append(d.Weights, 1)
-					return
-				}
-				pr := float64(cap) / float64(n)
-				if rnd.next() < pr {
-					d.Rows, d.Weights = append(d.Rows, int32(batch.Start+i)), append(d.Weights, 1/pr)
-				}
-			})
+	d := Drawn{Offered: tbl.NumRows(), Through: tbl.NumRows()}
+	for i, id := range ids {
+		n := sizes[id]
+		if n <= cap {
+			d.Rows, d.Weights = append(d.Rows, int32(i)), append(d.Weights, 1)
+			continue
+		}
+		pr := float64(cap) / float64(n)
+		if rnd.next() < pr {
+			d.Rows, d.Weights = append(d.Rows, int32(i)), append(d.Weights, 1/pr)
 		}
 	}
 	s, err := GatherSample(name, tbl, nil, d, tbl.Partitions())
