@@ -117,8 +117,9 @@ func newBuildSide(n plan.Node, where string, ctx *Context) (*buildSide, error) {
 // charged its scan's CPU tuples and refined by the filter, whose selection
 // buffer is borrowed from the run's pool for the drain. fn gets every batch
 // with a live row — the cursor's one batch, re-pointed for the next, under
-// its survivors' selection — and must be done with it when it returns. A filter whose zone test prunes partitions prunes only bytes and
-// tuples: their rows would all have failed it.
+// its survivors' selection — and must be done with it when it returns. A
+// filter whose zone test prunes partitions prunes only bytes and tuples:
+// their rows would all have failed it.
 func (s *buildSide) drain(ctx *Context, fn func(b *storage.Batch)) {
 	start := s.scan.now()
 	cur := s.table.cursor()

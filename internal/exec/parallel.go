@@ -793,8 +793,7 @@ func (w *morselWorker) run(i, nMorsels, morselRows int, keep []bool, part partia
 func (w *morselWorker) push(b *storage.Batch, k int) {
 	pipe := w.p.pipe
 	for ; k < len(pipe.chain); k++ {
-		st := &w.stages[k]
-		switch pipe.chain[k].(type) {
+		switch st := &w.stages[k]; pipe.chain[k].(type) {
 		case *plan.SynopsisOp:
 			b, w.pass = w.p.sampler.draw(b, w.smp, w.drawn, w.sampled, w.pass, w.ctx)
 		case *plan.Filter:

@@ -318,8 +318,9 @@ func (t *sketchTable) reset() {
 // the aggregate sink — no exchange: the payload is broadcast, the probe rows
 // stay where they are. Rows fold in passes, as aggTable.observe does, in the
 // worker's scratch sc: groups resolve, one Probe call finds every live row's
-// payload row, and the pair pass folds the two sums every group carries; then each probe-side
-// aggregate column folds in a loop of its own over a typed slice. The pair
+// payload row, and the pair pass folds the two sums every group carries;
+// then each probe-side aggregate column folds in a loop of its own over a
+// typed slice. The pair
 // pass skips a row no key matches: it would add zeros, and a sum that starts
 // at +0 never becomes −0, so adding +0 changes no bit. Every cell still adds
 // the same terms in row order, so the sums are bit-identical to a row-major

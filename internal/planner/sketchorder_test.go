@@ -1,9 +1,11 @@
 package planner_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
+	"github.com/tasterdb/taster/internal/exec"
 	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/sqlparser"
@@ -15,9 +17,10 @@ import (
 // TestSketchJoinProbeSideJoinsInAnyOrder: a sketch-join's probe side joins
 // its tables in the query's order as far as that order joins, so a text
 // whose next written table joins only a later one still gets the candidate,
-// exactly as the text with those joins written the other way round does —
-// and the store interns a sketch-join descriptor only for a plan set that
-// has a candidate building it: no entry is left that nothing can build.
+// exactly as the text with those joins written the other way round does,
+// and it answers what the exact plan answers. The store interns a
+// sketch-join descriptor only for a plan set that has a candidate building
+// it: no entry is left that nothing can build.
 func TestSketchJoinProbeSideJoinsInAnyOrder(t *testing.T) {
 	w := workload.TPCH(0.002, 3)
 	const head = "SELECT SUM(l_extendedprice) FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
@@ -44,8 +47,10 @@ func TestSketchJoinProbeSideJoinsInAnyOrder(t *testing.T) {
 				built[cs.Entry.Desc.ID] = true
 			}
 		}
-		if !slices.Contains(descs, "build sketch-join on lineitem") {
+		if i := slices.Index(descs, "build sketch-join on lineitem"); i < 0 {
 			t.Errorf("no sketch-join candidate: %v\nSQL: %s", descs, text)
+		} else if got, want := answer(t, ps.Candidates[i]), answer(t, ps.Exact); math.Abs(got-want) > 1e-9*math.Abs(want) {
+			t.Errorf("the sketch-join answers %v, the exact plan %v\nSQL: %s", got, want, text)
 		}
 		for _, e := range store.Entries() {
 			if !built[e.Desc.ID] {
@@ -53,4 +58,18 @@ func TestSketchJoinProbeSideJoinsInAnyOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// answer runs a candidate of a one-cell query and returns its cell.
+func answer(t *testing.T, c planner.Candidate) float64 {
+	t.Helper()
+	op, err := exec.Compile(c.Root, 1, exec.NewContext(0.95))
+	if err != nil {
+		t.Fatalf("%s: %v", c.Desc, err)
+	}
+	out, err := exec.Run(op)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Desc, err)
+	}
+	return out.Vecs[0].F64[0]
 }
