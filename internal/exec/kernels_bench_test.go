@@ -91,7 +91,8 @@ func filterBenchBatches() (coded, uncoded []*storage.Batch) {
 // leaves; the string cases run coded and, for contrast, uncoded; "and"
 // fuses two terms, the second refining the first one's survivors;
 // "between" is a lower and an upper bound on t.i, which run as one range
-// leaf.
+// leaf; "i64_in_3" is an int column IN three int literals, as q16's
+// p_size IN (…), and "mixed" the same list with one float literal.
 func BenchmarkFilterKernel(b *testing.B) {
 	i64 := func(op expr.CmpOp, c int64) expr.Pred {
 		return expr.Pred{expr.Compare("t.i", op, storage.IntValue(c))}
@@ -101,6 +102,8 @@ func BenchmarkFilterKernel(b *testing.B) {
 	)}
 	shipEq := expr.Pred{expr.Compare("t.s", expr.EQ, storage.StringValue("RAIL"))}
 	half := expr.Pred{expr.Compare("t.f", expr.LT, storage.FloatValue(0.5))}
+	sizeIn := expr.Pred{expr.In("t.i", storage.IntValue(7), storage.IntValue(316), storage.IntValue(642))}
+	mixedIn := expr.Pred{expr.In("t.i", storage.IntValue(7), storage.FloatValue(316), storage.IntValue(642))}
 	cases := []struct {
 		name    string
 		pred    expr.Pred
@@ -119,6 +122,9 @@ func BenchmarkFilterKernel(b *testing.B) {
 		{"and_i64_f64_25pct", append(i64(expr.GE, 500), half...), nil, false},
 		{"i64_between_10pct", append(i64(expr.GE, 450), i64(expr.LE, 549)...), nil, false},
 		{"i64_between_50pct_sel", append(i64(expr.GE, 250), i64(expr.LE, 749)...), half, false},
+		{"i64_in_3", sizeIn, nil, false},
+		{"i64_in_3_sel", sizeIn, half, false},
+		{"i64_in_mixed_3_sel", mixedIn, half, false},
 	}
 	coded, uncoded := filterBenchBatches()
 	for _, c := range cases {
