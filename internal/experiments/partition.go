@@ -63,6 +63,7 @@ func partitionTable(rows int, seed int64) *storage.Catalog {
 		{Name: "events.region", Typ: storage.Int64},
 		{Name: "events.amount", Typ: storage.Float64},
 	})
+	b.Grow(rows)
 	for i := 0; i < rows; i++ {
 		b.Int(0, int64(i*partitionDays/rows))
 		b.Int(1, int64(r.Intn(8)))

@@ -922,8 +922,42 @@ func (b *Builder) Str(i int, v string) {
 // Bool appends a bool to column i.
 func (b *Builder) Bool(i int, v bool) { b.cols[i].B = append(b.cols[i].B, v) }
 
-// CopyFrom appends the value at src[row] onto column i (same type).
-func (b *Builder) CopyFrom(i int, src *Vector, row int) { b.cols[i].AppendFrom(src, row) }
+// CopyFrom appends the value at src[row] onto column i (same type). The
+// first row a string column takes from a coded source makes it coded, and
+// its codes get the room its strings have (Grow).
+func (b *Builder) CopyFrom(i int, src *Vector, row int) {
+	c := b.cols[i]
+	if src.Dict != nil && len(c.Str) == 0 {
+		c.Code = slices.Grow(c.Code[:0], cap(c.Str))
+	}
+	c.AppendFrom(src, row)
+}
+
+// Grow reserves room for n more rows in every column, so the next n rows
+// move no column however they arrive: a loader that knows its row count
+// calls it before its fill loop, as strings.Builder.Grow before writes. A
+// string column that CopyFrom fills from a coded source reserves its codes
+// too. Grow panics if n is negative.
+func (b *Builder) Grow(n int) {
+	if n < 0 {
+		panic("storage: Builder.Grow: negative count")
+	}
+	for _, c := range b.cols {
+		switch c.Typ {
+		case Int64:
+			c.I64 = slices.Grow(c.I64, n)
+		case Float64:
+			c.F64 = slices.Grow(c.F64, n)
+		case String:
+			c.Str = slices.Grow(c.Str, n)
+			if c.Dict != nil {
+				c.Code = slices.Grow(c.Code, n)
+			}
+		case Bool:
+			c.B = slices.Grow(c.B, n)
+		}
+	}
+}
 
 // Build finalizes the table with the given partition count. It panics on a
 // malformed builder (a refused row, ragged columns); entry points fed by user

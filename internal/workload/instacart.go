@@ -39,6 +39,7 @@ func Instacart(scale float64, seed int64) *Workload {
 		{Name: "departments.department_id", Typ: storage.Int64},
 		{Name: "departments.d_department", Typ: storage.String},
 	})
+	db.Grow(nDepts)
 	for i, n := range departmentNames {
 		db.Int(0, int64(i))
 		db.Str(1, n)
@@ -50,6 +51,7 @@ func Instacart(scale float64, seed int64) *Workload {
 		{Name: "aisles.aisle_id", Typ: storage.Int64},
 		{Name: "aisles.a_aisle", Typ: storage.String},
 	})
+	ab.Grow(nAisles)
 	for i, n := range aisleNames {
 		ab.Int(0, int64(i))
 		ab.Str(1, n)
@@ -63,6 +65,7 @@ func Instacart(scale float64, seed int64) *Workload {
 		{Name: "products.p_aisle_id", Typ: storage.Int64},
 		{Name: "products.p_department_id", Typ: storage.Int64},
 	})
+	pb.Grow(nProducts)
 	for i := 0; i < nProducts; i++ {
 		pb.Int(0, int64(i))
 		pb.Str(1, fmt.Sprintf("product_%d", i%2000))
@@ -78,6 +81,7 @@ func Instacart(scale float64, seed int64) *Workload {
 		{Name: "orders.o_order_dow", Typ: storage.Int64},
 		{Name: "orders.o_order_hod", Typ: storage.Int64},
 	})
+	ob.Grow(nOrders)
 	for i := 0; i < nOrders; i++ {
 		ob.Int(0, int64(i))
 		ob.Int(1, int64(r.Intn(nOrders/10+1)))
@@ -93,6 +97,7 @@ func Instacart(scale float64, seed int64) *Workload {
 		{Name: "orderproducts.op_product_id", Typ: storage.Int64},
 		{Name: "orderproducts.op_reordered", Typ: storage.Int64},
 	})
+	opb.Grow(nOrderProducts)
 	for i := 0; i < nOrderProducts; i++ {
 		opb.Int(0, int64(i/10))
 		// Product popularity is heavy-tailed: square the uniform draw.

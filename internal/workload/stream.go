@@ -109,6 +109,7 @@ func (w *Workload) Stream(cfg StreamConfig) ([]StreamOp, error) {
 // append streams over any workload.
 func ResampleBatch(src *storage.Table, n int, r *rand.Rand) *storage.Table {
 	b := storage.NewBuilder(src.Name, src.Schema())
+	b.Grow(n)
 	for i := 0; i < n; i++ {
 		row := r.Intn(src.NumRows())
 		for c := 0; c < len(src.Schema()); c++ {

@@ -39,6 +39,7 @@ func TPCDS(sf float64, seed int64) *Workload {
 		{Name: "date_dim.d_moy", Typ: storage.Int64},
 		{Name: "date_dim.d_dow", Typ: storage.Int64},
 	})
+	db.Grow(nDates)
 	for i := 0; i < nDates; i++ {
 		db.Int(0, int64(i))
 		db.Int(1, int64(1998+i/365))
@@ -54,6 +55,7 @@ func TPCDS(sf float64, seed int64) *Workload {
 		{Name: "item.i_brand_id", Typ: storage.Int64},
 		{Name: "item.i_current_price", Typ: storage.Float64},
 	})
+	ib.Grow(nItems)
 	for i := 0; i < nItems; i++ {
 		ib.Int(0, int64(i))
 		ib.Str(1, pick(r, categories))
@@ -67,6 +69,7 @@ func TPCDS(sf float64, seed int64) *Workload {
 		{Name: "store.s_store_sk", Typ: storage.Int64},
 		{Name: "store.s_state", Typ: storage.String},
 	})
+	stb.Grow(nStores)
 	for i := 0; i < nStores; i++ {
 		stb.Int(0, int64(i))
 		stb.Str(1, pick(r, states))
@@ -82,6 +85,7 @@ func TPCDS(sf float64, seed int64) *Workload {
 		{Name: "store_sales.ss_sales_price", Typ: storage.Float64},
 		{Name: "store_sales.ss_net_profit", Typ: storage.Float64},
 	})
+	ssb.Grow(nSales)
 	for i := 0; i < nSales; i++ {
 		price := 1 + r.Float64()*99
 		qty := float64(r.Intn(20) + 1)

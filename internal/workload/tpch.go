@@ -39,6 +39,7 @@ func TPCH(sf float64, seed int64) *Workload {
 		{Name: "region.r_regionkey", Typ: storage.Int64},
 		{Name: "region.r_name", Typ: storage.String},
 	})
+	rb.Grow(len(regionNames))
 	for i, name := range regionNames {
 		rb.Int(0, int64(i))
 		rb.Str(1, name)
@@ -52,6 +53,7 @@ func TPCH(sf float64, seed int64) *Workload {
 		{Name: "nation.n_name", Typ: storage.String},
 		{Name: "nation.n_regionkey", Typ: storage.Int64},
 	})
+	nb.Grow(nNation)
 	for i, name := range nationNames {
 		nb.Int(0, int64(i))
 		nb.Str(1, name)
@@ -66,6 +68,7 @@ func TPCH(sf float64, seed int64) *Workload {
 		{Name: "supplier.s_nationkey", Typ: storage.Int64},
 		{Name: "supplier.s_acctbal", Typ: storage.Float64},
 	})
+	sb.Grow(nSupp)
 	for i := 0; i < nSupp; i++ {
 		sb.Int(0, int64(i))
 		sb.Int(1, int64(r.Intn(nNation)))
@@ -81,6 +84,7 @@ func TPCH(sf float64, seed int64) *Workload {
 		{Name: "customer.c_mktsegment", Typ: storage.String},
 		{Name: "customer.c_acctbal", Typ: storage.Float64},
 	})
+	cb.Grow(nCust)
 	for i := 0; i < nCust; i++ {
 		cb.Int(0, int64(i))
 		cb.Int(1, int64(r.Intn(nNation)))
@@ -99,6 +103,7 @@ func TPCH(sf float64, seed int64) *Workload {
 		{Name: "part.p_container", Typ: storage.String},
 		{Name: "part.p_retailprice", Typ: storage.Float64},
 	})
+	pb.Grow(nPart)
 	for i := 0; i < nPart; i++ {
 		pb.Int(0, int64(i))
 		pb.Str(1, pick(r, brands))
@@ -117,6 +122,7 @@ func TPCH(sf float64, seed int64) *Workload {
 		{Name: "partsupp.ps_availqty", Typ: storage.Int64},
 		{Name: "partsupp.ps_supplycost", Typ: storage.Float64},
 	})
+	psb.Grow(nPartSupp)
 	for i := 0; i < nPartSupp; i++ {
 		psb.Int(0, int64(i%nPart))
 		psb.Int(1, int64(r.Intn(nSupp)))
@@ -135,6 +141,7 @@ func TPCH(sf float64, seed int64) *Workload {
 		{Name: "orders.o_orderdate", Typ: storage.Int64},
 		{Name: "orders.o_orderpriority", Typ: storage.String},
 	})
+	ob.Grow(nOrders)
 	for i := 0; i < nOrders; i++ {
 		ob.Int(0, int64(i))
 		ob.Int(1, int64(r.Intn(nCust)))
@@ -159,6 +166,7 @@ func TPCH(sf float64, seed int64) *Workload {
 		{Name: "lineitem.l_shipdate", Typ: storage.Int64},
 		{Name: "lineitem.l_shipmode", Typ: storage.String},
 	})
+	lb.Grow(nLine)
 	for i := 0; i < nLine; i++ {
 		qty := float64(r.Intn(50) + 1)
 		lb.Int(0, int64(i/4)) // ~4 lines per order
