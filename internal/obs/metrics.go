@@ -138,32 +138,32 @@ func (o *JoinCacheObs) Resident(n int64) {
 	}
 }
 
-// PoolObs counts the vector pool's batch traffic. Gets/Puts are counted at
-// batch granularity (the per-vector fast path stays atomic-free); Misses
-// count fresh allocations on any pool slow path — vectors, selection
-// buffers or batch headers the free lists could not serve — where the
-// allocation already dwarfs the atomic add.
+// PoolObs counts the vector pool's borrows: BatchGets every borrow (a
+// batch header, a vector, a selection buffer, resolution scratch),
+// BatchPuts every return, and AllocMisses every borrow the free lists could
+// not serve, so AllocMisses/BatchGets is the pool's miss rate. The fields
+// keep their batch-era names, which the benchmark's probes read.
 type PoolObs struct {
 	BatchGets   Counter
 	BatchPuts   Counter
 	AllocMisses Counter
 }
 
-// Get records one pooled-batch acquisition.
+// Get records one borrow from the pool.
 func (o *PoolObs) Get() {
 	if o != nil {
 		o.BatchGets.Inc()
 	}
 }
 
-// Put records one pooled-batch release back to the free lists.
+// Put records one return to the free lists.
 func (o *PoolObs) Put() {
 	if o != nil {
 		o.BatchPuts.Inc()
 	}
 }
 
-// Miss records a fresh allocation the pool could not serve.
+// Miss records a borrow the free lists could not serve: a fresh allocation.
 func (o *PoolObs) Miss() {
 	if o != nil {
 		o.AllocMisses.Inc()
@@ -397,9 +397,9 @@ func (s MetricsSnapshot) Families() []Family {
 		c("taster_disk_read_bytes_total", "Payload bytes read from the disk tier.", s.DiskReadBytes),
 		g("taster_buffer_bytes", "In-memory synopsis buffer occupancy.", s.BufferBytes),
 		g("taster_warehouse_bytes", "Warehouse tier occupancy.", s.WarehouseBytes),
-		c("taster_pool_batch_gets_total", "Pooled batches acquired from the vector pool.", s.PoolBatchGets),
-		c("taster_pool_batch_puts_total", "Pooled batches released back to the vector pool.", s.PoolBatchPuts),
-		c("taster_pool_alloc_misses_total", "Fresh allocations the pool free lists could not serve.", s.PoolAllocMisses),
+		c("taster_pool_batch_gets_total", "Borrows from the vector pool: batch headers, vectors, selection buffers, scratch.", s.PoolBatchGets),
+		c("taster_pool_batch_puts_total", "Returns to the vector pool.", s.PoolBatchPuts),
+		c("taster_pool_alloc_misses_total", "Borrows the vector pool's free lists could not serve (fresh allocations).", s.PoolAllocMisses),
 		c("taster_exec_kernel_filter_batches_total", "Filter batches evaluated by the compiled selection-vector kernels.", s.KernelFilterBatches),
 		c("taster_exec_pruned_partitions_total", "Partitions skipped by zone-map pruning.", s.PrunedPartitions),
 	}

@@ -37,9 +37,12 @@ type VecPool struct {
 	holders sync.Pool // *[]int32 emptied by GetSel, for PutSel to fill
 	scratch sync.Pool // *ResolveScratch
 
-	// Obs counts pool traffic: batch gets/puts at batch granularity and
-	// allocation misses on the slow paths only, so the hot reuse path pays a
-	// single nil test. Write-only, nil-safe, never consulted by pool logic.
+	// Obs counts pool traffic: a get on every borrow (GetBatch's header,
+	// GetVector, GetSel, GetScratch), a put on every return, and a miss on
+	// every borrow the free lists could not serve, so misses over gets is
+	// the pool's miss rate. A worker borrows once per run, not per batch, so
+	// the atomic adds stay off the per-batch path. Write-only, nil-safe,
+	// never consulted by pool logic.
 	Obs *obs.PoolObs
 }
 
@@ -72,6 +75,7 @@ func (p *VecPool) GetVector(t Type, n int) *Vector {
 	if fl == nil {
 		return NewVector(t, n)
 	}
+	p.Obs.Get()
 	if v, ok := fl.Get().(*Vector); ok && v != nil {
 		return v
 	}
@@ -92,6 +96,7 @@ func (p *VecPool) PutVector(v *Vector) {
 		clear(v.Str)
 	}
 	v.truncate()
+	p.Obs.Put()
 	p.poolFor(v.Typ).Put(v)
 }
 
@@ -103,6 +108,7 @@ func (p *VecPool) GetSel(n int) []int32 {
 	if p == nil {
 		return make([]int32, 0, n)
 	}
+	p.Obs.Get()
 	if h, ok := p.sels.Get().(*[]int32); ok && h != nil {
 		s := (*h)[:0]
 		*h = nil
@@ -126,6 +132,7 @@ func (p *VecPool) PutSel(sel []int32) {
 		h = new([]int32)
 	}
 	*h = sel[:0]
+	p.Obs.Put()
 	p.sels.Put(h)
 }
 
@@ -178,6 +185,7 @@ func (p *VecPool) GetScratch() *ResolveScratch {
 	if p == nil {
 		return new(ResolveScratch)
 	}
+	p.Obs.Get()
 	if sc, ok := p.scratch.Get().(*ResolveScratch); ok && sc != nil {
 		return sc
 	}
@@ -188,6 +196,7 @@ func (p *VecPool) GetScratch() *ResolveScratch {
 // PutScratch hands back scratch GetScratch returned.
 func (p *VecPool) PutScratch(sc *ResolveScratch) {
 	if p != nil && sc != nil {
+		p.Obs.Put()
 		p.scratch.Put(sc)
 	}
 }

@@ -3,6 +3,8 @@ package storage
 import (
 	"sync"
 	"testing"
+
+	"github.com/tasterdb/taster/internal/obs"
 )
 
 func poolSchema() Schema {
@@ -186,5 +188,50 @@ func TestSelCycleAllocatesNothing(t *testing.T) {
 		p.PutSel(append(s, 1, 2, 3))
 	}); allocs != 0 {
 		t.Fatalf("a GetSel/PutSel pair allocates %.1f times", allocs)
+	}
+}
+
+// TestVecPoolCountsBorrows: every borrow counts one get and every return one
+// put, and a miss only when the free lists could not serve the borrow — so a
+// recycled borrow counts one get and no miss, and misses never outnumber
+// gets. Not under the race detector, where sync.Pool drops a share of Puts
+// and a dropped item is allocated again.
+func TestVecPoolCountsBorrows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	p := NewVecPool()
+	p.Obs = &obs.PoolObs{}
+	counts := func() (gets, puts, misses int64) {
+		return p.Obs.BatchGets.Value(), p.Obs.BatchPuts.Value(), p.Obs.AllocMisses.Value()
+	}
+	// Cold: every borrow misses. A batch is its header, one vector per
+	// column and its widths.
+	p.Release(p.GetBatch(poolSchema(), 8))
+	p.PutScratch(p.GetScratch())
+	gets, puts, misses := counts()
+	if want := int64(len(poolSchema()) + 2 + 1); gets != want || puts != want || misses != want {
+		t.Fatalf("cold: gets %d, puts %d, misses %d; want %d each", gets, puts, misses, want)
+	}
+	// Warm: each recycled borrow counts one get and no miss.
+	for _, borrow := range []struct {
+		name string
+		do   func()
+	}{
+		{"GetVector", func() { p.PutVector(p.GetVector(Float64, 8)) }},
+		{"GetSel", func() { p.PutSel(p.GetSel(8)) }},
+		{"GetScratch", func() { p.PutScratch(p.GetScratch()) }},
+		{"GetBatch", func() { p.Release(p.GetBatch(poolSchema(), 8)) }},
+	} {
+		g0, p0, m0 := counts()
+		borrow.do()
+		g1, p1, m1 := counts()
+		want := int64(1)
+		if borrow.name == "GetBatch" {
+			want = int64(len(poolSchema()) + 2)
+		}
+		if g1-g0 != want || p1-p0 != want || m1 != m0 {
+			t.Errorf("recycled %s: %d gets, %d puts, %d misses; want %d, %d, 0", borrow.name, g1-g0, p1-p0, m1-m0, want, want)
+		}
 	}
 }
