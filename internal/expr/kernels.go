@@ -665,7 +665,7 @@ func (n *inNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 {
 	case inF64:
 		return selIn(v.F64, n.f64s, in, out)
 	default:
-		return selI64InMixed(v.I64, n.i64s, n.f64s, in, out)
+		return selI64InMixed(v.I64, n, in, out)
 	}
 }
 
@@ -676,71 +676,120 @@ func (n *inNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 {
 // nothing, NaN list values match nothing).
 func selIn[T comparable](col []T, vals []T, in, out []int32) []int32 {
 	out, k := grow(out, len(col), in)
-	if in == nil {
-		for i, x := range col {
-			hit := 0
-			for _, c := range vals {
-				if x == c {
-					hit = 1
-				}
-			}
-			out[k] = int32(i)
-			k += hit
-		}
-		return out[:k]
+	if in != nil {
+		return out[:k+selInSel(out[k:], col, vals, in)]
 	}
+	return out[:k+selInDense(out[k:], col, vals)]
+}
+
+// selInSel is selIn's row loop under the selection in: it stores every
+// candidate at out[k], advancing k from 0 on a hit, and returns how many
+// hit. It stays a call of its own, so its loops have the registers to
+// themselves: inlined into selIn, the list loop reloaded its cursor and list
+// from the stack at every list value.
+//
+//go:noinline
+func selInSel[T comparable](out []int32, col []T, vals []T, in []int32) int {
+	k := 0
+	out = out[:len(in)] // one length bounds the candidates and the cursor
 	for _, i := range in {
 		x, hit := col[i], 0
+		out[k] = i
 		for _, c := range vals {
 			if x == c {
 				hit = 1
 			}
 		}
-		out[k] = i
 		k += hit
 	}
-	return out[:k]
+	return k
+}
+
+// selInDense is selIn's row loop over a whole column, a call of its own as
+// selInSel is.
+//
+//go:noinline
+func selInDense[T comparable](out []int32, col []T, vals []T) int {
+	k := 0
+	out = out[:len(col)]
+	for i, x := range col {
+		hit := 0
+		for _, c := range vals {
+			if x == c {
+				hit = 1
+			}
+		}
+		out[k] = int32(i)
+		k += hit
+	}
+	return k
 }
 
 // selI64InMixed is selIn for an int64 column whose list holds float
 // literals too: a row matches an int literal in integer domain and a float
 // literal through float64 coercion, as selOrd and selI64AsF64 compare it.
-func selI64InMixed(col []int64, ints []int64, floats []float64, in, out []int32) []int32 {
+// n holds the two lists: four slices would not all fit the row loops'
+// argument registers.
+func selI64InMixed(col []int64, n *inNode, in, out []int32) []int32 {
 	out, k := grow(out, len(col), in)
-	if in == nil {
-		for i, x := range col {
-			hit := 0
-			for _, c := range ints {
-				if x == c {
-					hit = 1
-				}
-			}
-			for _, c := range floats {
-				if float64(x) == c {
-					hit = 1
-				}
-			}
-			out[k] = int32(i)
-			k += hit
-		}
-		return out[:k]
+	if in != nil {
+		return out[:k+selI64InMixedSel(out[k:], col, n, in)]
 	}
-	for _, i := range in {
+	return out[:k+selI64InMixedDense(out[k:], col, n)]
+}
+
+// selI64InMixedSel is selI64InMixed's row loop under a selection, a call of
+// its own as selInSel is. Two lists leave it fewer registers than selInSel
+// has, so it copies the candidates into out and compacts them there, and
+// reads each list off n as its loop starts: the loops then hold no slice
+// of in and none of the other list.
+//
+//go:noinline
+func selI64InMixedSel(out []int32, col []int64, n *inNode, in []int32) int {
+	k := 0
+	out = out[:len(in)]
+	copy(out, in)
+	for _, i := range out { // out[k] trails the candidate read, k <= its position
 		x, hit := col[i], 0
+		xf := float64(x)
+		out[k] = i
+		for _, c := range n.i64s {
+			if x == c {
+				hit = 1
+			}
+		}
+		for _, c := range n.f64s {
+			if xf == c {
+				hit = 1
+			}
+		}
+		k += hit
+	}
+	return k
+}
+
+// selI64InMixedDense is selI64InMixed's row loop over a whole column.
+//
+//go:noinline
+func selI64InMixedDense(out []int32, col []int64, n *inNode) int {
+	ints, floats, k := n.i64s, n.f64s, 0
+	out = out[:len(col)]
+	for i, x := range col {
+		hit, xf := 0, float64(x)
 		for _, c := range ints {
 			if x == c {
 				hit = 1
 			}
 		}
 		for _, c := range floats {
-			if float64(x) == c {
+			if xf == c {
 				hit = 1
 			}
 		}
-		out[k] = i
+		out[k] = int32(i)
 		k += hit
 	}
-	return out[:k]
+	return k
 }
 
 // strNode is a string leaf: a comparison with a constant, or IN a list.
