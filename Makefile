@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke bench-trees bench-micro determinism parity reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
+.PHONY: all check fmt vet lint staticcheck govulncheck build test bench-harness bench-smoke bench-trees bench-compare bench-micro determinism parity reach reach-list reach-check race race-all test-race fuzz-smoke smoke-metrics
 
 all: check
 
@@ -153,6 +153,23 @@ bench-trees:
 		a=$$($(GO) tool nm -n "$$b/tasterbench" | awk '$$3 == "main.calibrate" { print $$1 }'); \
 		echo "bench-trees: $$t: main.calibrate at 0x$$a, ≡ $$(( 0x$$a % 64 )) mod 64"; \
 	done
+
+# The declared benchmark against another commit: `make bench-compare
+# BASE=<ref> [SEEDS=10] [WORKLOADS="dash_repeat explore_cold scan_exact"]`
+# builds base, padded base and this tree with bench-trees, runs the three
+# round-robin per seed and workload (the order rotating) and prints, per
+# workload and end-to-end metric, each binary's median and quartiles, the
+# change's median ratio and pairs won against each base, each binary's
+# main.calibrate address mod 64 and a verdict: "gain" or "loss" only when at
+# least 9 in 10 pairs and a median gap wider than base's quartile spread and
+# than the base/padded-base gap say so against both bases (see
+# scripts/bench-compare.sh). About 25 s a run, three runs per seed and
+# workload. Not in check or CI: the base ref is a local choice.
+SEEDS ?= 10
+WORKLOADS ?= dash_repeat explore_cold scan_exact
+bench-compare:
+	@test -n "$(BASE)" || { echo "bench-compare: set BASE=<git ref> [SEEDS=10] [WORKLOADS=...]"; exit 2; }; \
+	GO="$(GO)" bash scripts/bench-compare.sh "$(BASE)" "$(SEEDS)" "$(WORKLOADS)"
 
 # In-package microbenchmarks against another commit: `make bench-micro
 # BASE=<ref> PKG=<pkg> BENCH=<regex> [ROUNDS=10]` builds `go test -c` binaries
