@@ -60,8 +60,8 @@ run() {
 	else
 		echo "$1 $3 $4 _ok 0" >> "$dir/results"
 	fi
-	echo "$rec" | grep -o '"[a-z_]*":{"value":[-0-9.e+]*' |
-		sed 's/^"\([a-z_]*\)":{"value":\(.*\)$/\1 \2/' |
+	echo "$rec" | grep -o '"[a-z0-9_]*":{"value":[-0-9.e+]*' |
+		sed 's/^"\([a-z0-9_]*\)":{"value":\(.*\)$/\1 \2/' |
 		while read -r name value; do echo "$1 $3 $4 $name $value"; done >> "$dir/results"
 }
 
@@ -83,8 +83,8 @@ for s in $(seq 1 "$seeds"); do
 done
 
 # The end-to-end metrics in BENCHMARK.json order, with direction and bound.
-grep -o '"name": "[a-z_]*", "unit": "[^"]*", "better": "[a-z]*", "bound": [0-9.]*' BENCHMARK.json |
-	sed 's/"name": "\([a-z_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\)/\1 \2 \3/' > "$dir/metrics"
+grep -o '"name": "[a-z0-9_]*", "unit": "[^"]*", "better": "[a-z]*", "bound": [0-9.]*' BENCHMARK.json |
+	sed 's/"name": "\([a-z0-9_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\)/\1 \2 \3/' > "$dir/metrics"
 
 awk -v mb="${mods[0]}" -v mp="${mods[1]}" -v mc="${mods[2]}" -v workloads="$workloads" '
 function sortv(a, n,   i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j > 0 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t } }
@@ -116,7 +116,7 @@ END {
 			if (("change", w, i, "_ok") in v && !v["change", w, i, "_ok"]) bad = bad " change/" i
 		}
 		printf "\n%s: %d seeds; main.calibrate mod 64: base %d, padded base %d, change %d (aligned base: %s); runs not correct:true, failed:0:%s\n",
-			w, nseed, mb, mp, mc, aligned == "pad" ? "padded base" : "base", bad == "" ? " none" : bad
+			w, nseed, mb, mp, mc, (aligned == "pad" ? "padded base" : "base"), (bad == "" ? " none" : bad)
 		printf "%-20s %26s %26s %26s %7s %7s %7s %7s %9s  %s\n", "metric", "base median [q1, q3]", "padded base", "change", "c/b", "c/p", "won/b", "won/p", "vs bound", "verdict"
 		for (mi = 1; mi <= nm; mi++) {
 			m = order[mi]; dir = better_[m]
@@ -141,7 +141,7 @@ END {
 				bmed, stat("base", w, m, 0.25), stat("base", w, m, 0.75),
 				pmed, stat("pad", w, m, 0.25), stat("pad", w, m, 0.75),
 				cmed, stat("change", w, m, 0.25), stat("change", w, m, 0.75),
-				bmed == 0 ? 0 : cmed / bmed, pmed == 0 ? 0 : cmed / pmed, wb, n, wp, n, worse > 0 ? worse / bound[m] : 0, verdict
+				(bmed == 0 ? 0 : cmed / bmed), (pmed == 0 ? 0 : cmed / pmed), wb, n, wp, n, (worse > 0 ? worse / bound[m] : 0), verdict
 		}
 	}
 }' "$dir/metrics" "$dir/results"
