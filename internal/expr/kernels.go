@@ -694,7 +694,7 @@ func selInSel[T comparable](out []int32, col []T, vals []T, in []int32) int {
 	out = out[:len(in)] // one length bounds the candidates and the cursor
 	for _, i := range in {
 		x, hit := col[i], 0
-		out[k] = i
+		out[k] = i // stored first, so i is not live across the list loop
 		for _, c := range vals {
 			if x == c {
 				hit = 1
@@ -752,7 +752,7 @@ func selI64InMixedSel(out []int32, col []int64, n *inNode, in []int32) int {
 	for _, i := range out { // out[k] trails the candidate read, k <= its position
 		x, hit := col[i], 0
 		xf := float64(x)
-		out[k] = i
+		out[k] = i // stored first, as in selInSel
 		for _, c := range n.i64s {
 			if x == c {
 				hit = 1
