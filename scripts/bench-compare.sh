@@ -9,8 +9,11 @@
 # (default 10) and every workload in WORKLOADS (default: all three), it runs
 # the three binaries one after another at --seconds 18 --trace 0, in an order
 # that rotates from one (seed, workload) to the next, and reads each run's
-# last stdout line, the result record. Trees and builds go to DIR (default: a
-# temporary directory removed at exit); DIR/results keeps every value read.
+# last stdout line, the result record; a run that fails counts as not
+# correct and adds no values. Trees and builds go to DIR (default: a
+# temporary directory removed at exit; a given DIR must not hold base or
+# base-pad yet), and DIR/results keeps every value read. Run it from the
+# root of the checkout, as `make bench-compare` does.
 #
 # Per workload it prints each binary's main.calibrate address mod 64 and the
 # runs whose record was not correct:true, failed:0; then per end-to-end
@@ -54,7 +57,7 @@ mods=($(sed -n 's/.*≡ \([0-9]*\) mod 64$/\1/p' "$dir/trees.txt"))
 # its correctness appended to the results as "side workload seed name value".
 run() {
 	local rec
-	rec=$(cd "$2" && ./.bench_build/tasterbench --workload "$3" --seed "$4" --seconds 18 --trace 0 | tail -n 1)
+	rec=$(cd "$2" && ./.bench_build/tasterbench --workload "$3" --seed "$4" --seconds 18 --trace 0 | tail -n 1) || true
 	if echo "$rec" | grep -q '"correct":true' && echo "$rec" | grep -q '"failed":0[,}]'; then
 		echo "$1 $3 $4 _ok 1" >> "$dir/results"
 	else
