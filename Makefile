@@ -163,8 +163,9 @@ bench-trees:
 # main.calibrate address mod 64 and a verdict: "gain" or "loss" only when at
 # least 9 in 10 pairs and a median gap wider than base's quartile spread and
 # than the base/padded-base gap say so against both bases (see
-# scripts/bench-compare.sh). About 25 s a run, three runs per seed and
-# workload. Not in check or CI: the base ref is a local choice.
+# scripts/bench-compare.sh). Ten seeds of the three workloads, 90 runs,
+# take about 6 minutes on a 2-CPU container, builds included. Not in check
+# or CI: the base ref is a local choice.
 SEEDS ?= 10
 WORKLOADS ?= dash_repeat explore_cold scan_exact
 bench-compare:
