@@ -275,7 +275,8 @@ func New(cat *storage.Catalog, cfg Config) *Engine {
 // manifest (warm restart). Individually corrupt or truncated item files —
 // a crash mid-spill — are dropped to a consistent never-materialized
 // state, not errors; only an unopenable directory or an unreadable
-// manifest fails Open.
+// manifest fails Open. Open ends by faulting in the heap the next
+// collection cycle may grow into (touchHeadroom), so serving does not.
 func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 	if cfg.CostModel == (storage.CostModel{}) {
 		cfg.CostModel = storage.DefaultCostModel()
@@ -377,6 +378,7 @@ func Open(cat *storage.Catalog, cfg Config) (*Engine, error) {
 			}
 		}
 	}
+	touchHeadroom()
 	return e, nil
 }
 
