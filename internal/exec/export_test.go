@@ -119,3 +119,29 @@ func SpineChunkRows(spine plan.Node, reads []string, seed uint64, ctx *Context) 
 	}
 	return out, nil
 }
+
+// SpineRows runs spine as SpineChunkRows does and returns every live row its
+// top stage handed the sink — each one's Int64 columns, in the spine's
+// column order — in morsel order and, within a morsel, in the order the sink
+// was handed them.
+func SpineRows(spine plan.Node, reads []string, seed uint64, ctx *Context) ([][]int64, error) {
+	morsels, err := spineChunks(spine, reads, seed, ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out [][]int64
+	for _, chunks := range morsels {
+		for _, c := range chunks {
+			for r := range c.rows() {
+				var row []int64
+				for _, col := range c {
+					if col != nil {
+						row = append(row, col[r])
+					}
+				}
+				out = append(out, row)
+			}
+		}
+	}
+	return out, nil
+}

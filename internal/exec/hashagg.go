@@ -113,32 +113,30 @@ func (t *aggTable) reset() {
 }
 
 // fold implements partial: the aggregation exchange charges every live row's
-// bytes as shuffle plus one CPU tuple, then observes the batch. Under a
-// selection the bytes are summed in the pass that counts the rows; a batch
-// without one charges what LiveWidth returns — its producer's WidthSum, or
-// one walk of its widths.
+// bytes as shuffle plus one CPU tuple, then observes the batch. A batch
+// without a selection whose producer summed its widths (a join's) is charged
+// that sum; any other's widths are summed by the fold's own pass.
 func (t *aggTable) fold(b *storage.Batch, ctx *Context, sc *foldScratch) {
 	ctx.Stats.CPUTuples += int64(b.Rows())
-	if b.Sel == nil {
-		ctx.Stats.ShuffleBytes += b.LiveWidth()
-		t.observe(b, nil, sc.groups)
+	if b.Sel == nil && b.WidthSum != 0 {
+		ctx.Stats.ShuffleBytes += b.WidthSum
+		t.observe(b, nil, sc)
 		return
 	}
-	ctx.Stats.ShuffleBytes += t.observe(b, b.Width, sc.groups)
+	ctx.Stats.ShuffleBytes += t.observe(b, b.Width, sc)
 }
 
 // observe folds one batch — honoring its selection vector — into the table,
-// resolving its groups in sc, and returns Σ width over its live rows (0 for
-// a nil width).
+// in the folding worker's scratch sc, and returns Σ width over its live rows
+// (0 for a nil width).
 //
-// The folds are passes over the batch: group ids resolve first, then one
-// pass folds the cells every aggregate shares (stats.Terms.FoldCount) and
-// one typed loop each folds an aggregate's column into its own cells
-// (stats.Fold), the weight-column, column-type and selection dispatch
-// hoisted out of the row loops. Each cell still adds the same terms in row
-// order as a row-major fold of GroupAccumulators would, so the state is
-// bit-identical to it.
-func (t *aggTable) observe(b *storage.Batch, width []int32, sc *storage.ResolveScratch) int64 {
+// Group ids resolve first; then one stats.Terms.Fold folds every live row
+// into its group's cells, row-major — the weight-column, column-type and
+// selection dispatch hoisted out of the row loop or predictable in it. Each
+// cell still adds the same terms in row order as a fold of
+// GroupAccumulators one row at a time would, so the state is bit-identical
+// to it.
+func (t *aggTable) observe(b *storage.Batch, width []int32, sc *foldScratch) int64 {
 	if b.Rows() == 0 {
 		return 0
 	}
@@ -149,24 +147,20 @@ func (t *aggTable) observe(b *storage.Batch, width []int32, sc *storage.ResolveS
 	if len(t.spec.groupBy) == 0 {
 		t.groups.sole()
 	} else {
-		r.IDs = t.groups.resolve(b, sc)
+		r.IDs = t.groups.resolve(b, sc.groups)
 	}
 	t.slab.Open(t.groups.len())
-	bytes := t.spec.terms.FoldCount(&t.slab, r, width)
 	// resolveAggSpec binds only numeric columns, so the two typed arms are
-	// exhaustive; COUNT binds none.
-	for k, ci := range t.spec.aggIdx {
-		if ci < 0 {
-			continue
-		}
-		switch v := b.Vecs[ci]; v.Typ {
+	// exhaustive; a COUNT binds none, and its column is never asked for.
+	return t.spec.terms.Fold(&t.slab, r, func(k int) stats.Column {
+		switch v := b.Vecs[t.spec.aggIdx[k]]; v.Typ {
 		case storage.Float64:
-			stats.Fold(t.spec.terms, &t.slab, k, r, v.F64)
+			return stats.Column{F64: v.F64}
 		case storage.Int64:
-			stats.Fold(t.spec.terms, &t.slab, k, r, v.I64)
+			return stats.Column{I64: v.I64}
 		}
-	}
-	return bytes
+		return stats.Column{}
+	}, width, &sc.conv)
 }
 
 // merge implements partial. Merging sums floating-point cells, so callers

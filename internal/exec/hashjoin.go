@@ -157,33 +157,113 @@ func (t *joinTable) prefixMask(source *storage.Table, keys []int, n int) {
 	t.idx.Mark(t.mask, 0, nil, n)
 }
 
-// joinProber is a Join stage's probe state, one per worker: it pairs whole
-// probe batches against a built joinTable into its chunk of at most
-// joinBatchRows joined rows, so a skewed key with huge fanout never inflates
-// a single output batch. The stage (morselWorker.probe) hands the chunk on
-// up the spine each time it fills and then empties it for the next; a
-// partly filled chunk stays here, across probe batches, until the next one
-// fills it or the morsel ends.
+// joinProber is a Join stage's probe state, one per worker. A probe batch
+// reaches it by one of two paths:
+//
+//   - a lookup (lookup), when the table's index is unique dense and unmasked
+//     and the batch has no selection: every row of it finds its one build
+//     row, so the joined batch is the probe batch's own carried columns
+//     beside the build columns gathered by build row — look, handed on as
+//     it is;
+//   - pairs (fill) for any other batch, or one a key of which misses: its
+//     live rows' (probe row, build row) pairs are gathered into the chunk of
+//     at most joinBatchRows joined rows, so a skewed key with huge fanout
+//     never inflates a single output batch. The stage
+//     (morselWorker.probe) hands the chunk on up the spine each time it
+//     fills and then empties it for the next; a partly filled chunk stays
+//     here, across probe batches, until the next one fills it, a lookup
+//     batch is to go up after it, or the morsel ends.
 type joinProber struct {
 	spec  *joinSpec
 	table *joinTable
 
 	out *storage.Batch // the chunk, the worker's; empty: nothing pending
 
+	// look is a lookup's joined batch, a header the stage keeps: its leading
+	// columns are the probe batch's carried ones, re-pointed per batch, and
+	// the rest — the build columns and the group id — with its widths are
+	// built's, the worker's. Both are nil when the table admits no lookup.
+	look, built *storage.Batch
+
 	// lrows/mrows are one KeyIndex.Probe call's (probe row, build row) pairs,
 	// a build row being a row of the build table's source;
 	// flush gathers them into the chunk column-major, one type dispatch per
 	// column instead of one per value. lrows index the probe batch's live
 	// rows — the probe walks it under its selection and never gathers it —
-	// so the pairs are flushed while the batch is still valid.
+	// so the pairs are flushed while the batch is still valid. A lookup
+	// writes its build rows to mrows.
 	lrows []int32
 	mrows []int32
 }
 
+// newJoinProber is a worker's prober of join js, its buffers from pool and,
+// when the join admits lookups, its lookup batch's header look.
+func newJoinProber(js *pipelineJoinState, look *storage.Batch, pool *storage.VecPool) joinProber {
+	spec, table := js.spec, js.table
+	p := joinProber{spec: spec, table: table, out: pool.GetBatch(spec.schema, joinBatchRows),
+		lrows: pool.GetSel(joinBatchRows), mrows: pool.GetSel(joinBatchRows)}
+	if !table.empty() && table.mask == nil && table.idx.UniqueDense() {
+		p.built = pool.GetBatch(spec.schema[len(spec.leftCols):], joinBatchRows)
+		*look = storage.Batch{Schema: spec.schema, Vecs: append(make([]*storage.Vector, len(spec.leftCols), len(spec.schema)), p.built.Vecs...)}
+		p.look = look
+	}
+	return p
+}
+
+// release hands the prober's buffers back to pool.
+func (p *joinProber) release(pool *storage.VecPool) {
+	pool.Release(p.out)
+	pool.Release(p.built)
+	pool.PutSel(p.lrows)
+	pool.PutSel(p.mrows)
+}
+
+// lookup joins b as one batch when every row of it finds its build row, and
+// returns it with what b's rows cost to exchange; nil when b takes pairs —
+// it has a selection, the table admits no lookup, or a key misses. One pass
+// over the keys writes the build rows (KeyIndex.Lookup); one over the rows
+// sums b's widths and the joined rows', which it writes; then the build
+// columns and the group id are gathered, and b's carried columns are handed
+// on as they are.
+func (p *joinProber) lookup(b *storage.Batch) (*storage.Batch, int64) {
+	if p.built == nil || b.Sel != nil {
+		return nil, 0
+	}
+	var ok bool
+	if p.mrows, ok = p.table.idx.Lookup(b, p.spec.leftKeys, p.mrows); !ok {
+		return nil, 0
+	}
+	look, built, mrows := p.look, p.built, p.mrows
+	built.Reset()
+	built.Width = slices.Grow(built.Width, len(mrows))[:len(mrows)]
+	lwid, rwid, widths := b.Width[:len(mrows)], p.table.width, built.Width
+	var in, sum int64
+	for i, r := range mrows {
+		// A joined row is both its sides' rows side by side.
+		w := lwid[i] + rwid[r]
+		widths[i] = w
+		in += int64(lwid[i])
+		sum += int64(w)
+	}
+	for c, lc := range p.spec.leftCols {
+		look.Vecs[c] = b.Vecs[lc]
+	}
+	col := len(p.spec.leftCols)
+	for _, rc := range p.spec.rightCols {
+		look.Vecs[col].AppendGather(p.table.vecs[rc], mrows)
+		col++
+	}
+	if ids := p.spec.groupIDs; ids != nil {
+		look.Vecs[col].AppendGather(ids, mrows)
+	}
+	look.Width, look.WidthSum = widths, sum
+	return look, in
+}
+
 // fill pairs b's live rows from at on into the chunk, until the chunk is
 // full or b is consumed, in one Probe call. It returns where b's next pair
-// comes from and whether the chunk is full; a chunk that is not full means
-// b is consumed.
+// comes from — with the widths of b's live rows walked so far — and whether
+// the chunk is full; a chunk that is not full means b is consumed.
 func (p *joinProber) fill(b *storage.Batch, at storage.ProbePos) (storage.ProbePos, bool) {
 	p.lrows, p.mrows, at = p.table.idx.Probe(b, p.spec.leftKeys, p.table.mask, at, joinBatchRows-p.out.Len(), p.lrows, p.mrows)
 	if len(p.lrows) > 0 {

@@ -136,7 +136,10 @@ func wordVec(typ storage.Type, words []uint64) *storage.Vector {
 // time, each call resuming where the last stopped until one returns short of
 // its room — and holds the pairs to want, a row's expected matches: every
 // live row's, in live-row order, ascending within a row. Rooms of one to
-// three resume runs mid-fanout, at a run's end and at the batch's end.
+// three resume runs mid-fanout, at a run's end and at the batch's end. b's
+// rows get random widths, and the last call's position must carry their sum
+// over the live rows, each counted once however often a call resumed inside
+// its run. With no mask, the lookup is checked too (checkLookup).
 func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *storage.Batch, cols []int, want func(row int) []int32, rng *rand.Rand) {
 	t.Helper()
 	b.Sel = nil
@@ -148,7 +151,19 @@ func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *stor
 			}
 		}
 	}
+	b.Width = make([]int32, b.Len())
+	for i := range b.Width {
+		b.Width[i] = int32(1 + rng.Intn(100))
+	}
 	live := b.Rows()
+	var liveWidth int64
+	for j := 0; j < live; j++ {
+		row := j
+		if b.Sel != nil {
+			row = int(b.Sel[j])
+		}
+		liveWidth += int64(b.Width[row])
+	}
 	var exp, got [][2]int32
 	for j := 0; j < live; j++ {
 		row := j
@@ -178,6 +193,9 @@ func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *stor
 			if next.Row != live {
 				t.Fatalf("probe from %+v stopped short of room %d at %+v, not at the batch's end %d", at, room, next, live)
 			}
+			if next.Bytes != liveWidth {
+				t.Fatalf("probe summed %d bytes of live widths, want %d", next.Bytes, liveWidth)
+			}
 			break
 		}
 		at = next
@@ -189,6 +207,54 @@ func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *stor
 			}
 		}
 		t.Fatalf("%d pairs, want %d", len(got), len(exp))
+	}
+	if mask != nil {
+		return
+	}
+	checkLookup(t, x, b, cols, want)
+	// Again over the live rows that have one match each, so that a unique
+	// index's lookup succeeds too.
+	sel := b.Sel
+	b.Sel = []int32{}
+	for j := 0; j < live; j++ {
+		row := j
+		if sel != nil {
+			row = int(sel[j])
+		}
+		if len(want(row)) == 1 {
+			b.Sel = append(b.Sel, int32(row))
+		}
+	}
+	checkLookup(t, x, b, cols, want)
+	b.Sel = sel
+}
+
+// checkLookup holds the all-rows lookup of b's live rows (KeyIndex.Lookup)
+// to want, a row's matches in x: under a unique dense index it succeeds
+// exactly when every live row has one match — what Probe would pair it with
+// — and then finds that match for every live row, in live-row order; under
+// any other index it never succeeds.
+func checkLookup(t testing.TB, x *storage.KeyIndex, b *storage.Batch, cols []int, want func(row int) []int32) {
+	t.Helper()
+	var exp []int32
+	once := x.UniqueDense()
+	for j := range b.Rows() {
+		row := j
+		if b.Sel != nil {
+			row = int(b.Sel[j])
+		}
+		m := want(row)
+		once = once && len(m) == 1
+		if len(m) == 1 {
+			exp = append(exp, m[0])
+		}
+	}
+	rows, ok := x.Lookup(b, cols, nil)
+	if ok != once {
+		t.Fatalf("lookup of %d live rows reported %t, want %t (unique dense index: %t)", b.Rows(), ok, once, x.UniqueDense())
+	}
+	if ok && !slices.Equal(rows, exp) {
+		t.Fatalf("lookup found rows %v, want %v", rows, exp)
 	}
 }
 

@@ -252,7 +252,7 @@ func benchObserve(b *testing.B, groupBy []string, weighted, hoisted bool) {
 		b.Fatal(err)
 	}
 	table, reference := newAggTable(spec), newRowMajorAgg(spec)
-	var sc storage.ResolveScratch
+	sc := foldScratch{groups: new(storage.ResolveScratch)}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if hoisted {
@@ -338,7 +338,7 @@ func benchMorselAgg(b *testing.B, groupBy []string, coded bool) {
 		b.Fatal(err)
 	}
 	perMorsel := DefaultMorselRows / storage.BatchSize
-	var sc storage.ResolveScratch // the worker's
+	sc := foldScratch{groups: new(storage.ResolveScratch)} // the worker's
 	b.ReportAllocs()
 	b.ResetTimer()
 	// One worker's run, as the executor does it: each morsel folds into the
@@ -431,32 +431,14 @@ func BenchmarkJoinAggGroupThrough(b *testing.B) {
 		{"q8", &plan.Aggregate{Child: join(join(&plan.Scan{Table: f}, &plan.Scan{Table: o}, "f.orderkey", "o.orderkey"), small, "f.partkey", "p.partkey"),
 			GroupBy: []string{"o.priority"}, Aggs: []plan.AggSpec{{Kind: stats.Avg, Col: "f.price"}}}},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			joins, pool := NewJoinCache(1<<30), storage.NewVecPool()
-			run := func() {
-				ctx := NewContext(0.95)
-				ctx.Workers, ctx.Joins, ctx.Pool = 1, joins, pool
-				op, err := Compile(c.root, 1, ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := Run(op); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run() // build the joins, the tables' indexes and numberings
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-			reportPerRow(b, f.NumRows())
-		})
+		b.Run(c.name, func(b *testing.B) { benchServed(b, c.root, f.NumRows()) })
 	}
 }
 
-// BenchmarkAggLeafGrouped runs three exact aggregates grouped by a fact
-// column on one worker with every build cached, as serving runs them: q15,
+// BenchmarkAggLeafGrouped runs four exact aggregates grouped by fact
+// columns on one worker with every build cached, as serving runs them: q1,
+// most of a lineitem-shaped table grouped by its two coded flag columns,
+// with three SUM and AVG aggregates and a COUNT (q1Aggregate); q15,
 // a range of ship dates grouped by the 1 000 suppliers; q20, the facts
 // whose part passes a filter, grouped by supplier through the part join; and
 // orderkey, a range of ship dates that keeps 1 % of the facts grouped by
@@ -471,6 +453,7 @@ func BenchmarkAggLeafGrouped(b *testing.B) {
 		name string
 		root plan.Node
 	}{
+		{"q1", q1Aggregate(f.NumRows())},
 		{"q15", &plan.Aggregate{
 			Child: &plan.Filter{Child: &plan.Scan{Table: f}, Pred: expr.Pred{
 				expr.Compare("f.shipdate", expr.GE, storage.IntValue(1000)), expr.Compare("f.shipdate", expr.LE, storage.IntValue(1090)),
@@ -487,27 +470,132 @@ func BenchmarkAggLeafGrouped(b *testing.B) {
 			}},
 			GroupBy: []string{"f.orderkey"}, Aggs: sum}},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			joins, pool := NewJoinCache(1<<30), storage.NewVecPool()
-			run := func() {
-				ctx := NewContext(0.95)
-				ctx.Workers, ctx.Joins, ctx.Pool = 1, joins, pool
-				op, err := Compile(c.root, 1, ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := Run(op); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run() // build the joins, the tables' indexes and numberings
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-			reportPerRow(b, f.NumRows())
-		})
+		b.Run(c.name, func(b *testing.B) { benchServed(b, c.root, f.NumRows()) })
+	}
+}
+
+// benchServed runs root's exact plan on one worker with every build cached,
+// as serving runs it: one run off the clock builds the joins and the
+// tables' indexes and numberings, then each iteration compiles and runs it.
+// It reports ns per fact row (rows a run) and B/op.
+func benchServed(b *testing.B, root plan.Node, rows int) {
+	joins, pool := NewJoinCache(1<<30), storage.NewVecPool()
+	run := func() {
+		ctx := NewContext(0.95)
+		ctx.Workers, ctx.Joins, ctx.Pool = 1, joins, pool
+		op, err := Compile(root, 1, ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Run(op); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	reportPerRow(b, rows)
+}
+
+// q1Aggregate is TPC-H q1's shape over rows rows of a lineitem-like table:
+// the rows shipped by day 2 350 of 2 400, grouped by a return flag of three
+// values and a line status of two — both coded strings — with SUM(quantity),
+// SUM(price), AVG(discount) and COUNT(*).
+func q1Aggregate(rows int) *plan.Aggregate {
+	rng := rand.New(rand.NewSource(5))
+	lb := storage.NewBuilder("l", storage.Schema{
+		{Name: "l.quantity", Typ: storage.Float64}, {Name: "l.price", Typ: storage.Float64},
+		{Name: "l.discount", Typ: storage.Float64}, {Name: "l.returnflag", Typ: storage.String},
+		{Name: "l.linestatus", Typ: storage.String}, {Name: "l.shipdate", Typ: storage.Int64},
+	})
+	lb.Grow(rows)
+	for i := 0; i < rows; i++ {
+		lb.Float(0, float64(1+rng.Intn(50)))
+		lb.Float(1, 900+float64(rng.Intn(100_000))/100)
+		lb.Float(2, float64(rng.Intn(11))/100)
+		lb.Str(3, []string{"A", "N", "R"}[rng.Intn(3)])
+		lb.Str(4, []string{"F", "O"}[rng.Intn(2)])
+		lb.Int(5, int64(rng.Intn(2400)))
+	}
+	return &plan.Aggregate{
+		Child:   &plan.Filter{Child: &plan.Scan{Table: lb.Build(4)}, Pred: expr.Pred{expr.Compare("l.shipdate", expr.LE, storage.IntValue(2350))}},
+		GroupBy: []string{"l.returnflag", "l.linestatus"},
+		Aggs: []plan.AggSpec{{Kind: stats.Sum, Col: "l.quantity"}, {Kind: stats.Sum, Col: "l.price"},
+			{Kind: stats.Avg, Col: "l.discount"}, {Kind: stats.Count}},
+	}
+}
+
+// BenchmarkJoinChain runs two exact TPC-H join chains over a star of its
+// shape on one worker with every build cached (benchServed), reporting ns
+// per fact row:
+//
+//   - q8: every fact joins its order — an unfiltered dimension, so each fact
+//     batch takes the lookup — and then its part, a filtered dimension
+//     taken by pairs; grouped by the order's priority, carried through;
+//   - q10: the returned facts (a selection) join their orders of a date
+//     range by pairs, and the chunks that survive join their customer and
+//     the customer's nation, two unfiltered dimensions taken by lookups;
+//     grouped by the nation's name.
+func BenchmarkJoinChain(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	const facts, orders, parts, custs, nations = 200_000, 50_000, 10_000, 5_000, 25
+	fb := storage.NewBuilder("f", storage.Schema{
+		{Name: "f.orderkey", Typ: storage.Int64}, {Name: "f.partkey", Typ: storage.Int64},
+		{Name: "f.price", Typ: storage.Float64}, {Name: "f.returnflag", Typ: storage.String},
+	})
+	fb.Grow(facts)
+	for i := 0; i < facts; i++ {
+		fb.Int(0, int64(rng.Intn(orders)))
+		fb.Int(1, int64(rng.Intn(parts)))
+		fb.Float(2, 900+float64(rng.Intn(100_000))/100)
+		fb.Str(3, []string{"A", "N", "R"}[rng.Intn(3)])
+	}
+	ob := storage.NewBuilder("o", storage.Schema{
+		{Name: "o.orderkey", Typ: storage.Int64}, {Name: "o.custkey", Typ: storage.Int64},
+		{Name: "o.orderdate", Typ: storage.Int64}, {Name: "o.priority", Typ: storage.String},
+	})
+	for i := 0; i < orders; i++ {
+		ob.Int(0, int64(i))
+		ob.Int(1, int64(rng.Intn(custs)))
+		ob.Int(2, int64(rng.Intn(2400)))
+		ob.Str(3, []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"}[rng.Intn(5)])
+	}
+	pb := storage.NewBuilder("p", storage.Schema{{Name: "p.partkey", Typ: storage.Int64}, {Name: "p.type", Typ: storage.Int64}})
+	for i := 0; i < parts; i++ {
+		pb.Int(0, int64(i))
+		pb.Int(1, int64(rng.Intn(150)))
+	}
+	cb := storage.NewBuilder("c", storage.Schema{{Name: "c.custkey", Typ: storage.Int64}, {Name: "c.nationkey", Typ: storage.Int64}})
+	for i := 0; i < custs; i++ {
+		cb.Int(0, int64(i))
+		cb.Int(1, int64(rng.Intn(nations)))
+	}
+	nb := storage.NewBuilder("n", storage.Schema{{Name: "n.nationkey", Typ: storage.Int64}, {Name: "n.name", Typ: storage.String}})
+	for i := 0; i < nations; i++ {
+		nb.Int(0, int64(i))
+		nb.Str(1, fmt.Sprintf("NATION %02d", i))
+	}
+	f, o, p, c, n := fb.Build(4), ob.Build(1), pb.Build(1), cb.Build(1), nb.Build(1)
+	join := func(l, r plan.Node, lk, rk string) plan.Node {
+		return &plan.Join{Left: l, Right: r, LeftKeys: []string{lk}, RightKeys: []string{rk}}
+	}
+	oneType := &plan.Filter{Child: &plan.Scan{Table: p}, Pred: expr.Pred{expr.Compare("p.type", expr.EQ, storage.IntValue(7))}}
+	returned := &plan.Filter{Child: &plan.Scan{Table: f}, Pred: expr.Pred{expr.Compare("f.returnflag", expr.EQ, storage.StringValue("R"))}}
+	recent := &plan.Filter{Child: &plan.Scan{Table: o}, Pred: expr.Pred{expr.Compare("o.orderdate", expr.GE, storage.IntValue(1200))}}
+	for _, q := range []struct {
+		name string
+		root plan.Node
+	}{
+		{"q8", &plan.Aggregate{Child: join(join(&plan.Scan{Table: f}, &plan.Scan{Table: o}, "f.orderkey", "o.orderkey"), oneType, "f.partkey", "p.partkey"),
+			GroupBy: []string{"o.priority"}, Aggs: []plan.AggSpec{{Kind: stats.Avg, Col: "f.price"}}}},
+		{"q10", &plan.Aggregate{Child: join(join(join(returned, recent, "f.orderkey", "o.orderkey"), &plan.Scan{Table: c}, "o.custkey", "c.custkey"),
+			&plan.Scan{Table: n}, "c.nationkey", "n.nationkey"),
+			GroupBy: []string{"n.name"}, Aggs: []plan.AggSpec{{Kind: stats.Sum, Col: "f.price"}}}},
+	} {
+		b.Run(q.name, func(b *testing.B) { benchServed(b, q.root, f.NumRows()) })
 	}
 }
 

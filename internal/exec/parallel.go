@@ -179,10 +179,14 @@ type partial interface {
 }
 
 // foldScratch is a morsel worker's working memory for its sink's folds,
-// reused batch to batch: the group ids' resolution scratch and the sketch
-// sink's Probe pairs (row, payload row) and live rows' key counts.
+// reused batch to batch: the group ids' resolution scratch, the aggregate
+// fold's converted integer columns — the arrays of convs, the pool's — and
+// the sketch sink's Probe pairs (row, payload row) and live rows' key
+// counts.
 type foldScratch struct {
 	groups    *storage.ResolveScratch
+	conv      stats.FoldScratch
+	convs     [2]*storage.Vector // Float64
 	pos, rows []int32
 	cnts      *storage.Vector // Float64
 }
@@ -677,14 +681,15 @@ func (p *PipelineOp) Intervals() [][]stats.Interval { return p.intervals }
 // run with. Every stage hands up a batch of its own, which stays valid until
 // the stage is asked again: the cursor's one leaf batch, re-pointed at every
 // leaf batch, a Filter's header over its input under a selection of its
-// own, the sampler's output batch, a Join's chunk. Across morsels the worker
-// keeps those, its filters' kernel scratch — selection buffers and the coded
-// string leaves' truth tables, keyed by leaf and dictionary, neither of
-// which changes within a run — its probes' pair lists, its sink's fold
-// scratch and its distinct sampler's strata numbering, an index of stratum
-// keys that serves every morsel the worker claims. Within a morsel it holds
-// the sink partial, the counters and the sampler instance with what it
-// draws.
+// own, the sampler's output batch, a Join's chunk or its lookup batch (a
+// header over its input's carried columns and its gathered build columns).
+// Across morsels the worker keeps those, its filters' kernel scratch —
+// selection buffers and the coded string leaves' truth tables, keyed by
+// leaf and dictionary, neither of which changes within a run — its probes'
+// pair lists, its sink's fold scratch and its distinct sampler's strata
+// numbering, an index of stratum keys that serves every morsel the worker
+// claims. Within a morsel it holds the sink partial, the counters and the
+// sampler instance with what it draws.
 type morselWorker struct {
 	p       *PipelineOp
 	ctx     *Context         // the morsel's counters; the run's metrics
@@ -701,9 +706,9 @@ type morselWorker struct {
 }
 
 // stage is a worker's state for one chain position: a Filter's output
-// header and kernel scratch, a Join's probe state and chunk.
+// header and kernel scratch, a Join's probe state, chunk and lookup batch.
 type stage struct {
-	kept    storage.Batch
+	kept    storage.Batch // a Filter's output; a Join's lookup batch
 	scratch expr.Scratch
 	probe   joinProber
 }
@@ -722,6 +727,10 @@ func (p *PipelineOp) newWorker() *morselWorker {
 		fold: foldScratch{groups: pool.GetScratch(), pos: pool.GetSel(storage.BatchSize), rows: pool.GetSel(storage.BatchSize),
 			cnts: pool.GetVector(storage.Float64, storage.BatchSize)},
 	}
+	for i := range w.fold.convs {
+		w.fold.convs[i] = pool.GetVector(storage.Float64, storage.BatchSize)
+		w.fold.conv.Conv[i] = w.fold.convs[i].F64
+	}
 	joins := p.joins
 	for k, n := range p.pipe.chain {
 		switch st := &w.stages[k]; n.(type) {
@@ -730,8 +739,7 @@ func (p *PipelineOp) newWorker() *morselWorker {
 		case *plan.Filter:
 			st.kept.Sel = pool.GetSel(storage.BatchSize)
 		case *plan.Join:
-			st.probe = joinProber{spec: joins[0].spec, table: joins[0].table, out: pool.GetBatch(joins[0].spec.schema, joinBatchRows),
-				lrows: pool.GetSel(joinBatchRows), mrows: pool.GetSel(joinBatchRows)}
+			st.probe = newJoinProber(joins[0], &st.kept, pool)
 			joins = joins[1:]
 		}
 	}
@@ -744,15 +752,17 @@ func (w *morselWorker) close() {
 	for k := range w.stages {
 		st := &w.stages[k]
 		pool.PutSel(st.kept.Sel)
-		pool.Release(st.probe.out)
-		pool.PutSel(st.probe.lrows)
-		pool.PutSel(st.probe.mrows)
+		st.probe.release(pool)
 	}
 	pool.Release(w.sampled)
 	pool.PutScratch(w.fold.groups)
 	pool.PutSel(w.fold.pos)
 	pool.PutSel(w.fold.rows)
 	pool.PutVector(w.fold.cnts)
+	for i, v := range w.fold.convs {
+		v.F64 = w.fold.conv.Conv[i][:0]
+		pool.PutVector(v)
+	}
 }
 
 // run is the morsel loop: it executes morsel i of nMorsels — global rows
@@ -810,16 +820,27 @@ func (w *morselWorker) push(b *storage.Batch, k int) {
 }
 
 // probe is the Join stage at chain position k: it charges b's rows their
-// exchange and pairs all of them into the stage's chunk, pushing the chunk
-// on up the chain each time it fills (emit); a partly filled one stays for
-// the next batch or the morsel's end. Over an empty table — only reached by
-// a run that materializes a sampler byproduct, plain empty joins
-// short-circuit before the pool starts — b is charged and dropped, so the
-// sampler below still sees its whole stream.
+// exchange and joins all of them, as one lookup batch pushed on up the
+// chain whole — after the partly filled chunk, if any, so that rows climb in
+// their order — or as pairs into the stage's chunk, pushing the chunk on each
+// time it fills (emit); a partly filled one stays for the next batch or the
+// morsel's end. Either path sums b's widths as it reads b's keys. Over an
+// empty table — only reached by a run that materializes a sampler
+// byproduct, plain empty joins short-circuit before the pool starts — b is
+// charged and dropped, so the sampler below still sees its whole stream.
 func (w *morselWorker) probe(b *storage.Batch, k int) {
 	pr := &w.stages[k].probe
-	w.ctx.Stats.ShuffleBytes += b.LiveWidth()
 	if pr.table.empty() {
+		w.ctx.Stats.ShuffleBytes += b.LiveWidth()
+		return
+	}
+	if look, in := pr.lookup(b); look != nil {
+		w.ctx.Stats.ShuffleBytes += in
+		if pr.out.Len() > 0 {
+			w.emit(k)
+		}
+		w.ctx.Stats.CPUTuples += int64(look.Len())
+		w.push(look, k+1)
 		return
 	}
 	at, full := pr.fill(b, storage.ProbePos{})
@@ -827,6 +848,7 @@ func (w *morselWorker) probe(b *storage.Batch, k int) {
 		w.emit(k)
 		at, full = pr.fill(b, at)
 	}
+	w.ctx.Stats.ShuffleBytes += at.Bytes
 }
 
 // emit pushes join k's chunk on to position k+1, charging its rows' output

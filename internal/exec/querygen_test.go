@@ -216,7 +216,7 @@ func queryCatalogs() (w, retiled *workload.Workload) {
 // FuzzQuery: text that is a query of the grammar (grammarQuery) runs as
 // typed, EXACT; any other input is the generator's bytes (genQuery). Either
 // way the engine must meet the oracle. The corpus is seeded with every
-// TPC-H template's instances.
+// TPC-H template's instances and an unfiltered two-hop chain.
 func FuzzQuery(f *testing.F) {
 	w, retiled := queryCatalogs()
 	r := rand.New(rand.NewSource(1))
@@ -224,6 +224,9 @@ func FuzzQuery(f *testing.F) {
 		f.Add(tpl.Instantiate(r))
 	}
 	f.Add("\x01\x03\x00\x02\x05\x01\x07\x02\x01\x02\x03")
+	// An unfiltered two-hop chain: every fact batch joins both dimensions by
+	// lookup.
+	f.Add("SELECT n_name, SUM(l_extendedprice), COUNT(*) FROM lineitem JOIN supplier ON l_suppkey = s_suppkey JOIN nation ON s_nationkey = n_nationkey GROUP BY n_name")
 	f.Fuzz(func(t *testing.T, in string) {
 		sql := in + " EXACT"
 		if !grammarQuery(w.Catalog, sql) {

@@ -240,26 +240,41 @@ func TestDistinctStrataRestartEveryMorsel(t *testing.T) {
 
 // BenchmarkInlineSampleBuild times a lineitem query whose sampler's sample
 // is kept, as the tuner's inline builds run it — the spine's draws plus the
-// stored sample's materialization — reporting allocations: one uniform and
-// one distinct build over lineitem at sf 0.05 (300 000 rows), one worker.
+// stored sample's materialization — reporting allocations, one worker: one
+// uniform and one distinct build over lineitem at sf 0.05 (300 000 rows),
+// and q14's build at sf 0.1 (600 000 rows), a distinct sample of
+// l_partkey at δ = 1 and p = 0.1. Each of its 147 morsels keeps δ' = 1 row
+// of every stratum it meets (synopses.PartitionDelta), and l_partkey's
+// 20 000 strata are spread over all of them, so the sample keeps most of
+// the table at weight 1 (distinct_partkey, against uniform_p09, a uniform
+// build of the size p asks for).
 func BenchmarkInlineSampleBuild(b *testing.B) {
 	li, err := workload.TPCH(0.05, 3).Catalog.Table("lineitem")
 	if err != nil {
 		b.Fatal(err)
 	}
+	li01, err := workload.TPCH(0.1, 3).Catalog.Table("lineitem")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
+		tbl  *storage.Table
 		smp  plan.SynopsisOp
 	}{
-		{"uniform", plan.SynopsisOp{Kind: plan.UniformSample, P: 0.01}},
-		{"distinct", plan.SynopsisOp{Kind: plan.DistinctSample, P: 0.01, Delta: 100,
+		{"uniform", li, plan.SynopsisOp{Kind: plan.UniformSample, P: 0.01}},
+		{"distinct", li, plan.SynopsisOp{Kind: plan.DistinctSample, P: 0.01, Delta: 100,
 			StratCols: []string{"lineitem.l_returnflag", "lineitem.l_shipmode"}}},
+		{"distinct_partkey", li01, plan.SynopsisOp{Kind: plan.DistinctSample, P: 0.1, Delta: 1,
+			StratCols: []string{"lineitem.l_partkey"}}},
+		{"uniform_p09", li01, plan.SynopsisOp{Kind: plan.UniformSample, P: 0.09}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			smp := c.smp
-			smp.Child = &plan.Scan{Table: li}
+			smp.Child = &plan.Scan{Table: c.tbl}
 			agg := &plan.Aggregate{Child: &smp, GroupBy: []string{"lineitem.l_returnflag"},
 				Aggs: []plan.AggSpec{{Kind: stats.Sum, Col: "lineitem.l_quantity"}}}
+			var kept int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ctx := NewContext(0.95)
@@ -275,7 +290,9 @@ func BenchmarkInlineSampleBuild(b *testing.B) {
 				if len(ctx.Stats.BuiltSamples) != 1 {
 					b.Fatalf("built samples = %d", len(ctx.Stats.BuiltSamples))
 				}
+				kept = ctx.Stats.BuiltSamples[0].Sample.Rows.NumRows()
 			}
+			b.ReportMetric(float64(kept), "rows_kept")
 		})
 	}
 }

@@ -246,19 +246,206 @@ func (r *Rows) live() int {
 	return r.N
 }
 
-// FoldCount folds the cells every aggregate shares: each live row adds its
-// weight to Σw (1 on exact input) and, weighted, w(w−1) to Σw(w−1). When
-// width is set it also returns width summed over the live rows — integers,
-// exact in any order — in the same pass when the rows are grouped under a
-// selection.
-func (t *Terms) FoldCount(s *Slab, r Rows, width []int32) int64 {
-	cells, st := s.Cells, s.stride
+// Column is the column an aggregate folds, by position: F64 or I64 holds
+// it, the other is nil; both are nil for an aggregate that reads none
+// (COUNT).
+type Column struct {
+	F64 []float64
+	I64 []int64
+}
+
+// FoldScratch is a folder's working memory, reused batch to batch: the
+// integer columns of a row-major pass converted to float64 by position, a
+// buffer for each of a pass's two aggregates.
+type FoldScratch struct{ Conv [2][]float64 }
+
+// floats returns column c as float64s by position, over n positions: its
+// own values, or integers converted into buffer slot — float64(v), the
+// conversion a fold applies to every value.
+func (sc *FoldScratch) floats(slot int, c Column, n int) []float64 {
+	if c.F64 != nil {
+		return c.F64
+	}
+	out := slices.Grow(sc.Conv[slot][:0], n)[:n]
+	for i, v := range c.I64[:n] {
+		out[i] = float64(v)
+	}
+	sc.Conv[slot] = out
+	return out
+}
+
+// Fold folds a batch's live rows into their groups' cells — col(k) being
+// aggregate k's column, asked for only of an aggregate that reads one — and
+// returns width summed over the live rows
+// (integers, exact in any order; 0 for a nil width). Grouped rows fold
+// row-major (foldGrouped); a global aggregate's cells are few and fold
+// column by column, each sum kept in a register (foldSole). MIN and MAX
+// fold a column at a time either way.
+func (t *Terms) Fold(s *Slab, r Rows, col func(k int) Column, width []int32, sc *FoldScratch) int64 {
+	if r.IDs == nil {
+		t.foldSole(s, r, col)
+	} else {
+		t.foldGrouped(s, r, col, sc)
+	}
+	for k, a := range t.aggs {
+		if a.kind != Min && a.kind != Max {
+			continue
+		}
+		if c := col(k); c.F64 != nil {
+			foldExtremum(s, a.y, a.kind == Min, r, c.F64)
+		} else {
+			foldExtremum(s, a.y, a.kind == Min, r, c.I64)
+		}
+	}
+	if width == nil {
+		return 0
+	}
+	var bytes int64
+	if r.Sel == nil {
+		for _, w := range width[:r.N] {
+			bytes += int64(w)
+		}
+		return bytes
+	}
+	for _, i := range r.Sel {
+		bytes += int64(width[i])
+	}
+	return bytes
+}
+
+// rowPass is what one row-major pass folds: the shared cells when count is
+// set, and up to two SUM or AVG aggregates, each its column as float64s by
+// position and its cells y, yy and cy (yy and cy weighted only, cy −1 for a
+// SUM). A fold's cells are short dependency chains through memory, and a
+// pass's terms overlap only across its own cells, so folding a row's cells
+// in one pass beats a pass per aggregate when its groups are few (q1's
+// four). Each arity has a loop of its own: one loop over the aggregates
+// cost more than the passes it saved, in its own overhead and in the
+// registers it took from the row loop.
+type rowPass struct {
+	count     bool
+	n         int
+	col       [2][]float64
+	y, yy, cy [2]int
+}
+
+// foldGrouped folds grouped rows in row-major passes of up to two SUM and
+// AVG aggregates, the first of which also adds each live row's weight to Σw
+// (1 on exact input) and, weighted, w(w−1) to Σw(w−1). Every cell takes
+// the terms a GroupAccumulator observing the rows one at a time would (wy;
+// w(w−1)y²; w(w−1)y), by the same expressions, in row order.
+func (t *Terms) foldGrouped(s *Slab, r Rows, col func(k int) Column, sc *FoldScratch) {
+	k := 0 // the next aggregate a pass may take
+	for p := (rowPass{count: true}); ; p.count = false {
+		for p.n = 0; k < len(t.aggs) && p.n < 2; k++ {
+			if a := t.aggs[k]; a.kind == Sum || a.kind == Avg {
+				p.col[p.n], p.y[p.n], p.yy[p.n], p.cy[p.n] = sc.floats(p.n, col(k), r.N), a.y, a.yy, a.cy
+				p.n++
+			}
+		}
+		if !p.count && p.n == 0 {
+			return
+		}
+		if r.W == nil {
+			foldExact(s.Cells, s.stride, r.IDs, r.Sel, &p)
+		} else {
+			foldWeighted(s.Cells, s.stride, r, &p)
+		}
+	}
+}
+
+// foldExact is one row-major pass over exact grouped rows, ids in live-row
+// order and sel their positions (nil: 0..len(ids)−1). A pass after the
+// first adds +0 to Σw, which leaves a count — it starts at +0 — as it is.
+func foldExact(cells []float64, st int, ids, sel []int32, p *rowPass) {
+	one := 0.0
+	if p.count {
+		one = 1
+	}
+	c1, c2, y1, y2 := p.col[0], p.col[1], p.y[0], p.y[1]
 	switch {
-	case r.IDs == nil && r.W == nil:
-		// Adding 1 a row to an integer-valued float below 2⁵³ is exact, so
-		// one addition of the count rounds as the row-by-row ones do.
+	case p.n == 0:
+		for _, g := range ids {
+			cells[int(g)*st+cellW] += one
+		}
+	case p.n == 1 && sel == nil:
+		c1 = c1[:len(ids)]
+		for j, g := range ids {
+			at := int(g) * st
+			cells[at+cellW] += one
+			cells[at+y1] += c1[j]
+		}
+	case p.n == 1:
+		for j, g := range ids {
+			i, at := sel[j], int(g)*st
+			cells[at+cellW] += one
+			cells[at+y1] += c1[i]
+		}
+	case sel == nil:
+		c1, c2 = c1[:len(ids)], c2[:len(ids)]
+		for j, g := range ids {
+			at := int(g) * st
+			cells[at+cellW] += one
+			cells[at+y1] += c1[j]
+			cells[at+y2] += c2[j]
+		}
+	default:
+		for j, g := range ids {
+			i, at := sel[j], int(g)*st
+			cells[at+cellW] += one
+			cells[at+y1] += c1[i]
+			cells[at+y2] += c2[i]
+		}
+	}
+}
+
+// foldWeighted is one row-major pass over weighted grouped rows.
+func foldWeighted(cells []float64, st int, r Rows, p *rowPass) {
+	sel, ws, count := r.Sel, r.W, p.count
+	c1, c2 := p.col[0], p.col[1]
+	y1, yy1, cy1, y2, yy2, cy2 := p.y[0], p.yy[0], p.cy[0], p.y[1], p.yy[1], p.cy[1]
+	for j, g := range r.IDs {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		w := ws[i]
+		c := w * (w - 1)
+		row := cells[int(g)*st : int(g)*st+st]
+		if count {
+			row[cellW] += w
+			row[cellWC] += c
+		}
+		if p.n == 0 {
+			continue
+		}
+		y := c1[i]
+		row[y1] += w * y
+		row[yy1] += c * y * y
+		if cy1 >= 0 {
+			row[cy1] += c * y
+		}
+		if p.n == 1 {
+			continue
+		}
+		y = c2[i]
+		row[y2] += w * y
+		row[yy2] += c * y * y
+		if cy2 >= 0 {
+			row[cy2] += c * y
+		}
+	}
+}
+
+// foldSole is Fold over a global aggregate's one group: the shared cells in
+// one pass — on exact input one addition of the row count, which adding 1 a
+// row to an integer-valued float below 2⁵³ rounds to alike — then each SUM
+// and AVG column in a typed loop of its own (foldSum).
+func (t *Terms) foldSole(s *Slab, r Rows, col func(k int) Column) {
+	cells := s.Cells
+	if r.W == nil {
 		cells[cellW] += float64(r.live())
-	case r.IDs == nil:
+	} else {
 		n, c := cells[cellW], cells[cellWC]
 		for j := range r.live() {
 			w := r.W[r.at(j)]
@@ -266,57 +453,24 @@ func (t *Terms) FoldCount(s *Slab, r Rows, width []int32) int64 {
 			c += w * (w - 1)
 		}
 		cells[cellW], cells[cellWC] = n, c
-	case r.Sel != nil && width != nil:
-		var bytes int64
-		if r.W == nil {
-			for j, i := range r.Sel {
-				cells[int(r.IDs[j])*st+cellW]++
-				bytes += int64(width[i])
-			}
-			return bytes
+	}
+	for k, a := range t.aggs {
+		if a.kind != Sum && a.kind != Avg {
+			continue
 		}
-		for j, i := range r.Sel {
-			w := r.W[i]
-			row := cells[int(r.IDs[j])*st:]
-			row[cellW] += w
-			row[cellWC] += w * (w - 1)
-			bytes += int64(width[i])
-		}
-		return bytes
-	case r.W == nil:
-		for _, g := range r.IDs {
-			cells[int(g)*st+cellW]++
-		}
-	default:
-		for j, g := range r.IDs {
-			w := r.W[r.at(j)]
-			row := cells[int(g)*st:]
-			row[cellW] += w
-			row[cellWC] += w * (w - 1)
+		if c := col(k); c.F64 != nil {
+			foldSum(t.weighted, a, cells, r, c.F64)
+		} else {
+			foldSum(t.weighted, a, cells, r, c.I64)
 		}
 	}
-	if width == nil {
-		return 0
-	}
-	var bytes int64
-	for j := range r.live() {
-		bytes += int64(width[r.at(j)])
-	}
-	return bytes
 }
 
-// Fold folds column col into aggregate k's own cells, one typed loop per
-// aggregate writing all of them in one pass. COUNT holds no cell of its
-// own: FoldCount is its whole fold.
-func Fold[T Number](t *Terms, s *Slab, k int, r Rows, col []T) {
-	a := t.aggs[k]
-	switch {
-	case a.kind == Min || a.kind == Max:
-		foldExtremum(s, a.y, a.kind == Min, r, col)
-	case a.kind == Count:
-	case !t.weighted && r.IDs == nil:
-		cell := &s.Cells[a.y]
-		y := *cell
+// foldSum folds col into a global aggregate's SUM or AVG cells a, its sums
+// kept in registers across the rows.
+func foldSum[T Number](weighted bool, a aggCells, cells []float64, r Rows, col []T) {
+	if !weighted {
+		y := cells[a.y]
 		if r.Sel == nil {
 			for _, v := range col[:r.N] {
 				y += float64(v)
@@ -326,59 +480,25 @@ func Fold[T Number](t *Terms, s *Slab, k int, r Rows, col []T) {
 				y += float64(col[i])
 			}
 		}
-		*cell = y
-	case !t.weighted:
-		cells, st := s.Cells[a.y:], s.stride
-		if r.Sel == nil {
-			col = col[:len(r.IDs)]
-			for j, g := range r.IDs {
-				cells[int(g)*st] += float64(col[j])
-			}
-		} else {
-			for j, i := range r.Sel {
-				cells[int(r.IDs[j])*st] += float64(col[i])
-			}
-		}
-	case r.IDs == nil:
-		row := s.Cells
-		sy, syy := row[a.y], row[a.yy]
-		var scy float64
-		if a.cy >= 0 {
-			scy = row[a.cy]
-		}
-		for j := range r.live() {
-			i := r.at(j)
-			y, w := float64(col[i]), r.W[i]
-			sy += w * y
-			c := w * (w - 1)
-			syy += c * y * y
-			scy += c * y
-		}
-		row[a.y], row[a.yy] = sy, syy
-		if a.cy >= 0 {
-			row[a.cy] = scy
-		}
-	case a.cy < 0:
-		st := s.stride
-		for j, g := range r.IDs {
-			i := r.at(j)
-			y, w := float64(col[i]), r.W[i]
-			row := s.Cells[int(g)*st : int(g)*st+st]
-			row[a.y] += w * y
-			c := w * (w - 1)
-			row[a.yy] += c * y * y
-		}
-	default:
-		st := s.stride
-		for j, g := range r.IDs {
-			i := r.at(j)
-			y, w := float64(col[i]), r.W[i]
-			row := s.Cells[int(g)*st : int(g)*st+st]
-			row[a.y] += w * y
-			c := w * (w - 1)
-			row[a.yy] += c * y * y
-			row[a.cy] += c * y
-		}
+		cells[a.y] = y
+		return
+	}
+	sy, syy := cells[a.y], cells[a.yy]
+	var scy float64
+	if a.cy >= 0 {
+		scy = cells[a.cy]
+	}
+	for j := range r.live() {
+		i := r.at(j)
+		y, w := float64(col[i]), r.W[i]
+		sy += w * y
+		c := w * (w - 1)
+		syy += c * y * y
+		scy += c * y
+	}
+	cells[a.y], cells[a.yy] = sy, syy
+	if a.cy >= 0 {
+		cells[a.cy] = scy
 	}
 }
 

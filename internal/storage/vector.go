@@ -302,8 +302,8 @@ type Batch struct {
 	// table-owned.
 	Width []int32
 	// WidthSum is Σ Width over every physical row, kept by a producer that
-	// sums the widths as it writes them (a join's probe output); 0 when none
-	// did. LiveWidth returns it while Sel is nil: a selection attached later
+	// sums the widths as it writes them (a join's chunk or lookup batch); 0
+	// when none did. LiveWidth returns it while Sel is nil: a selection attached later
 	// leaves it standing but unread. Reset clears it.
 	WidthSum int64
 	// Start is the table row of physical row 0 on a batch a table scan cut
