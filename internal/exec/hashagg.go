@@ -114,12 +114,13 @@ func (t *aggTable) reset() {
 
 // fold implements partial: the aggregation exchange charges every live row's
 // bytes as shuffle plus one CPU tuple, then observes the batch. A batch
-// without a selection whose producer summed its widths (a join's) is charged
-// that sum; any other's widths are summed by the fold's own pass.
+// whose producer's width sum stands (Batch.SummedWidth: a join's, without a
+// selection) is charged that sum; any other's widths are summed by the
+// fold's own pass.
 func (t *aggTable) fold(b *storage.Batch, ctx *Context, sc *foldScratch) {
 	ctx.Stats.CPUTuples += int64(b.Rows())
-	if b.Sel == nil && b.WidthSum != 0 {
-		ctx.Stats.ShuffleBytes += b.WidthSum
+	if n, ok := b.SummedWidth(); ok {
+		ctx.Stats.ShuffleBytes += n
 		t.observe(b, nil, sc)
 		return
 	}

@@ -191,7 +191,7 @@ type joinProber struct {
 	// column instead of one per value. lrows index the probe batch's live
 	// rows — the probe walks it under its selection and never gathers it —
 	// so the pairs are flushed while the batch is still valid. A lookup
-	// writes its build rows to mrows.
+	// writes its build rows to mrows. Both are empty between calls.
 	lrows []int32
 	mrows []int32
 }
@@ -224,19 +224,21 @@ func (p *joinProber) release(pool *storage.VecPool) {
 // over the keys writes the build rows (KeyIndex.Lookup); one over the rows
 // sums b's widths and the joined rows', which it writes; then the build
 // columns and the group id are gathered, and b's carried columns are handed
-// on as they are.
+// on as they are. It leaves mrows empty, as fill expects it.
 func (p *joinProber) lookup(b *storage.Batch) (*storage.Batch, int64) {
 	if p.built == nil || b.Sel != nil {
 		return nil, 0
 	}
-	var ok bool
-	if p.mrows, ok = p.table.idx.Lookup(b, p.spec.leftKeys, p.mrows); !ok {
+	live := b.Len()
+	mrows, ok := p.table.idx.Lookup(b, p.spec.leftKeys, p.mrows)
+	p.mrows = mrows[:0]
+	if !ok {
 		return nil, 0
 	}
-	look, built, mrows := p.look, p.built, p.mrows
+	look, built := p.look, p.built
 	built.Reset()
-	built.Width = slices.Grow(built.Width, len(mrows))[:len(mrows)]
-	lwid, rwid, widths := b.Width[:len(mrows)], p.table.width, built.Width
+	built.Width = slices.Grow(built.Width, live)[:live]
+	lwid, rwid, widths := b.Width[:live], p.table.width, built.Width
 	var in, sum int64
 	for i, r := range mrows {
 		// A joined row is both its sides' rows side by side.
@@ -262,8 +264,8 @@ func (p *joinProber) lookup(b *storage.Batch) (*storage.Batch, int64) {
 
 // fill pairs b's live rows from at on into the chunk, until the chunk is
 // full or b is consumed, in one Probe call. It returns where b's next pair
-// comes from — with the widths of b's live rows walked so far — and whether
-// the chunk is full; a chunk that is not full means b is consumed.
+// comes from and whether the chunk is full; a chunk that is not full means b
+// is consumed.
 func (p *joinProber) fill(b *storage.Batch, at storage.ProbePos) (storage.ProbePos, bool) {
 	p.lrows, p.mrows, at = p.table.idx.Probe(b, p.spec.leftKeys, p.table.mask, at, joinBatchRows-p.out.Len(), p.lrows, p.mrows)
 	if len(p.lrows) > 0 {

@@ -136,10 +136,11 @@ func wordVec(typ storage.Type, words []uint64) *storage.Vector {
 // time, each call resuming where the last stopped until one returns short of
 // its room — and holds the pairs to want, a row's expected matches: every
 // live row's, in live-row order, ascending within a row. Rooms of one to
-// three resume runs mid-fanout, at a run's end and at the batch's end. b's
-// rows get random widths, and the last call's position must carry their sum
-// over the live rows, each counted once however often a call resumed inside
-// its run. With no mask, the lookup is checked too (checkLookup).
+// three resume runs mid-fanout, at a run's end and at the batch's end. With
+// no mask, the Join stage's lookup is checked too (checkLookup): over b as
+// drawn, over its live rows gathered into a batch without a selection, and
+// over those of them that have one match each, so that a unique index's
+// lookup succeeds too.
 func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *storage.Batch, cols []int, want func(row int) []int32, rng *rand.Rand) {
 	t.Helper()
 	b.Sel = nil
@@ -151,19 +152,7 @@ func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *stor
 			}
 		}
 	}
-	b.Width = make([]int32, b.Len())
-	for i := range b.Width {
-		b.Width[i] = int32(1 + rng.Intn(100))
-	}
 	live := b.Rows()
-	var liveWidth int64
-	for j := 0; j < live; j++ {
-		row := j
-		if b.Sel != nil {
-			row = int(b.Sel[j])
-		}
-		liveWidth += int64(b.Width[row])
-	}
 	var exp, got [][2]int32
 	for j := 0; j < live; j++ {
 		row := j
@@ -193,9 +182,6 @@ func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *stor
 			if next.Row != live {
 				t.Fatalf("probe from %+v stopped short of room %d at %+v, not at the batch's end %d", at, room, next, live)
 			}
-			if next.Bytes != liveWidth {
-				t.Fatalf("probe summed %d bytes of live widths, want %d", next.Bytes, liveWidth)
-			}
 			break
 		}
 		at = next
@@ -211,33 +197,51 @@ func checkProbe(t testing.TB, x *storage.KeyIndex, mask storage.KeyMask, b *stor
 	if mask != nil {
 		return
 	}
-	checkLookup(t, x, b, cols, want)
-	// Again over the live rows that have one match each, so that a unique
-	// index's lookup succeeds too.
-	sel := b.Sel
-	b.Sel = []int32{}
-	for j := 0; j < live; j++ {
-		row := j
-		if sel != nil {
-			row = int(sel[j])
-		}
-		if len(want(row)) == 1 {
-			b.Sel = append(b.Sel, int32(row))
-		}
+	b.Width = make([]int32, b.Len())
+	for i := range b.Width {
+		b.Width[i] = int32(1 + rng.Intn(100))
 	}
 	checkLookup(t, x, b, cols, want)
-	b.Sel = sel
+	var all, once []int32
+	for j := 0; j < live; j++ {
+		row := int32(j)
+		if b.Sel != nil {
+			row = b.Sel[j]
+		}
+		all = append(all, row)
+		if len(want(int(row))) == 1 {
+			once = append(once, row)
+		}
+	}
+	for _, rows := range [][]int32{all, once} {
+		g := &storage.Batch{Width: make([]int32, len(rows))}
+		for _, v := range b.Vecs {
+			gv := storage.NewVector(v.Typ, len(rows))
+			gv.AppendGather(v, rows)
+			g.Vecs = append(g.Vecs, gv)
+		}
+		for j, row := range rows {
+			g.Width[j] = b.Width[row]
+		}
+		checkLookup(t, x, g, cols, func(row int) []int32 { return want(int(rows[row])) })
+	}
+	b.Width = nil
 }
 
-// checkLookup holds the all-rows lookup of b's live rows (KeyIndex.Lookup)
-// to want, a row's matches in x: under a unique dense index it succeeds
-// exactly when every live row has one match — what Probe would pair it with
-// — and then finds that match for every live row, in live-row order; under
-// any other index it never succeeds.
+// checkLookup holds the Join stage's lookup of b (joinProber.lookup) over x,
+// unmasked, to want, a row's matches in x. A batch under a selection always
+// takes pairs. One without succeeds exactly when x is unique dense and every
+// row has one match — the pair Probe makes — and then its joined rows are
+// b's rows in order, each beside that build row, with b's width plus the
+// build row's and their sums; the input's sum is returned beside it. The
+// build table is one column of its rows' own numbers, row r of it r + 1000
+// bytes wide. Each lookup runs twice on one prober, which must leave its
+// pair lists empty, as the pair path expects them.
 func checkLookup(t testing.TB, x *storage.KeyIndex, b *storage.Batch, cols []int, want func(row int) []int32) {
 	t.Helper()
 	var exp []int32
-	once := x.UniqueDense()
+	once := x.UniqueDense() && b.Sel == nil
+	n := 1
 	for j := range b.Rows() {
 		row := j
 		if b.Sel != nil {
@@ -248,13 +252,48 @@ func checkLookup(t testing.TB, x *storage.KeyIndex, b *storage.Batch, cols []int
 		if len(m) == 1 {
 			exp = append(exp, m[0])
 		}
+		for _, r := range m {
+			n = max(n, int(r)+1)
+		}
 	}
-	rows, ok := x.Lookup(b, cols, nil)
-	if ok != once {
-		t.Fatalf("lookup of %d live rows reported %t, want %t (unique dense index: %t)", b.Rows(), ok, once, x.UniqueDense())
+	id := storage.NewVector(storage.Int64, n)
+	width := make([]int32, n)
+	for r := range n {
+		id.I64 = append(id.I64, int64(r))
+		width[r] = int32(r + 1000)
 	}
-	if ok && !slices.Equal(rows, exp) {
-		t.Fatalf("lookup found rows %v, want %v", rows, exp)
+	js := &pipelineJoinState{
+		spec:  &joinSpec{leftKeys: cols, rightCols: []int{0}, schema: storage.Schema{{Name: "id", Typ: storage.Int64}}},
+		table: &joinTable{vecs: []*storage.Vector{id}, width: width, idx: x, rows: n},
+	}
+	var look storage.Batch
+	p := newJoinProber(js, &look, storage.NewVecPool())
+	for range 2 {
+		got, in := p.lookup(b)
+		if len(p.lrows) != 0 || len(p.mrows) != 0 {
+			t.Fatalf("lookup left %d probe rows and %d build rows behind", len(p.lrows), len(p.mrows))
+		}
+		if (got != nil) != once {
+			t.Fatalf("lookup of %d live rows (selection: %t) succeeded: %t, want %t (unique dense index: %t)", b.Rows(), b.Sel != nil, got != nil, once, x.UniqueDense())
+		}
+		if got == nil {
+			continue
+		}
+		if !slices.EqualFunc(got.Vecs[0].I64, exp, func(g int64, r int32) bool { return g == int64(r) }) {
+			t.Fatalf("lookup found build rows %v, want %v", got.Vecs[0].I64, exp)
+		}
+		var wantIn, wantSum int64
+		for i, r := range exp {
+			w := b.Width[i] + width[r]
+			if got.Width[i] != w {
+				t.Fatalf("joined row %d is %d bytes wide, want %d", i, got.Width[i], w)
+			}
+			wantIn += int64(b.Width[i])
+			wantSum += int64(w)
+		}
+		if in != wantIn || got.WidthSum != wantSum || len(got.Width) != len(exp) {
+			t.Fatalf("lookup summed %d input and %d joined bytes over %d rows, want %d and %d over %d", in, got.WidthSum, len(got.Width), wantIn, wantSum, len(exp))
+		}
 	}
 }
 

@@ -12,17 +12,18 @@ import (
 	"github.com/tasterdb/taster/internal/storage"
 )
 
-// lookupFixture is a star for the lookup join: a 1 000-row fact table lf in
-// three partitions (334, 334, 332 rows, so some morsels are read as two
-// batches) whose lf.k refers to ld's unique dense key ld.k; ld.g refers to
-// ld2's key. A fact key in miss (by fact row) is replaced by 100, past ld's
-// span, or by 50, a key ld does not hold — a hole inside the span.
-func lookupFixture(miss map[int]int64) (fact, ld, ld2 *storage.Table) {
+// lookupFixture is a star for the lookup join: a fact table lf of rows rows
+// in parts partitions (1 000 in three: 334, 334 and 332 rows, so some
+// morsels are read as two batches) whose lf.k refers to ld's unique dense
+// key ld.k; ld.g refers to ld2's key. A fact key in miss (by fact row) is
+// replaced by 100, past ld's span, or by 50, a key ld does not hold — a hole
+// inside the span.
+func lookupFixture(rows, parts int, miss map[int]int64) (fact, ld, ld2 *storage.Table) {
 	fb := storage.NewBuilder("lf", storage.Schema{
 		{Name: "lf.id", Typ: storage.Int64}, {Name: "lf.k", Typ: storage.Int64},
 		{Name: "lf.x", Typ: storage.Int64}, {Name: "lf.flag", Typ: storage.Int64},
 	})
-	for i := range 1000 {
+	for i := range rows {
 		k := int64(i*7%100) | 1 // odd keys only: 50 is never one
 		if m, ok := miss[i]; ok {
 			k = m
@@ -48,7 +49,7 @@ func lookupFixture(miss map[int]int64) (fact, ld, ld2 *storage.Table) {
 		d2b.Int(0, int64(k))
 		d2b.Int(1, int64(10*k))
 	}
-	return fb.Build(3), db.Build(1), d2b.Build(1)
+	return fb.Build(parts), db.Build(1), d2b.Build(1)
 }
 
 // TestLookupJoinMeetsOracle holds the spine's two join paths — the lookup a
@@ -64,6 +65,11 @@ func lookupFixture(miss map[int]int64) (fact, ld, ld2 *storage.Table) {
 //     leave a partly filled chunk before the next batch's lookup: the
 //     chunk must go up first;
 //   - a pair join (a filtered build, masked) whose chunks feed a lookup;
+//   - a missing key in each of a morsel's first two batches, over morsels
+//     of two full batches, so that the second batch's pairs fill the chunk
+//     and the probe resumes; COUNT(*) and a build column's SUM by a build
+//     column, so the join carries no probe column and a chunk's length is
+//     its build columns';
 //   - each of those ending in a grouped aggregate and — the hop on a
 //     sketch-join's probe side — in the sketch-join sink.
 //
@@ -73,8 +79,8 @@ func TestLookupJoinMeetsOracle(t *testing.T) {
 	// Rows 330 and 340 lie in the 64-row morsel [320, 384), which the
 	// partition boundary at 334 reads as two batches; 8 and 600 are
 	// mid-batch at either morsel size.
-	fact, ld, ld2 := lookupFixture(nil)
-	missFact, _, _ := lookupFixture(map[int]int64{8: 100, 330: 50, 600: 50})
+	fact, ld, ld2 := lookupFixture(1000, 3, nil)
+	missFact, _, _ := lookupFixture(1000, 3, map[int]int64{8: 100, 330: 50, 600: 50})
 	hop := func(left plan.Node) *plan.Join {
 		return &plan.Join{Left: left, Right: &plan.Scan{Table: ld}, LeftKeys: []string{"lf.k"}, RightKeys: []string{"ld.k"}}
 	}
@@ -91,17 +97,26 @@ func TestLookupJoinMeetsOracle(t *testing.T) {
 		Right:    &plan.Scan{Table: ld2},
 		LeftKeys: []string{"ld.g"}, RightKeys: []string{"ld2.k"},
 	}
-	chunkThenLookup, _, _ := lookupFixture(map[int]int64{330: 50})
+	chunkThenLookup, _, _ := lookupFixture(1000, 3, map[int]int64{330: 50})
+	// Rows 100 and BatchSize+100 miss in the first morsel's two batches;
+	// BatchSize rows are joinBatchRows, a chunk's.
+	fullChunk, _, _ := lookupFixture(5*storage.BatchSize/2, 1, map[int]int64{100: 50, storage.BatchSize + 100: 100})
+	small := []int{16, 64}
 	for _, c := range []struct {
-		name  string
-		spine plan.Node
-		reads []string // the spine's columns the row-order check reads
+		name    string
+		spine   plan.Node
+		reads   []string // the spine's columns the row-order check reads
+		aggs    []plan.AggSpec
+		morsels []int
+		fact    *storage.Table // the sketch-join's build: a fact table holding every lf.id the spine does (nil: fact)
 	}{
-		{"dense hop", hop(&plan.Scan{Table: fact}), []string{"lf.id", "ld.v"}},
-		{"missing keys", hop(&plan.Scan{Table: missFact}), []string{"lf.id", "ld.v"}},
-		{"under a selection", hop(filtered(fact)), []string{"lf.id", "ld.v"}},
-		{"pending chunk", hop(&plan.Scan{Table: chunkThenLookup}), []string{"lf.id", "ld.v"}},
-		{"pairs then lookup", maskedThenLookup, []string{"lf.id", "ld2.r"}},
+		{"dense hop", hop(&plan.Scan{Table: fact}), []string{"lf.id", "ld.v"}, nil, small, nil},
+		{"missing keys", hop(&plan.Scan{Table: missFact}), []string{"lf.id", "ld.v"}, nil, small, nil},
+		{"under a selection", hop(filtered(fact)), []string{"lf.id", "ld.v"}, nil, small, nil},
+		{"pending chunk", hop(&plan.Scan{Table: chunkThenLookup}), []string{"lf.id", "ld.v"}, nil, small, nil},
+		{"pairs then lookup", maskedThenLookup, []string{"lf.id", "ld2.r"}, nil, small, nil},
+		{"full chunks, no probe column", hop(&plan.Scan{Table: fullChunk}), []string{"ld.v", "ld.g"},
+			[]plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "ld.v"}}, []int{2 * storage.BatchSize}, fullChunk},
 	} {
 		oracleJoin := oracleEval(t, c.spine)
 		cols := columnsOf(t, oracleJoin.schema, c.reads)
@@ -117,18 +132,24 @@ func TestLookupJoinMeetsOracle(t *testing.T) {
 		if c.name == "pairs then lookup" {
 			group = "ld2.r"
 		}
-		agg := &plan.Aggregate{Child: c.spine, GroupBy: []string{group}, Aggs: []plan.AggSpec{
-			{Kind: stats.Count}, {Kind: stats.Sum, Col: "lf.x"}, {Kind: stats.Avg, Col: "ld.v"},
-		}}
+		aggs := c.aggs
+		if aggs == nil {
+			aggs = []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "lf.x"}, {Kind: stats.Avg, Col: "ld.v"}}
+		}
+		agg := &plan.Aggregate{Child: c.spine, GroupBy: []string{group}, Aggs: aggs}
 		want := oracleEval(t, agg)
+		build := c.fact
+		if build == nil {
+			build = fact
+		}
 		sj := &plan.SketchJoin{
-			Probe: c.spine, ProbeKeys: []string{"lf.id"}, Build: &plan.Scan{Table: fact}, BuildKeys: []string{"lf.id"},
+			Probe: c.spine, ProbeKeys: []string{"lf.id"}, Build: &plan.Scan{Table: build}, BuildKeys: []string{"lf.id"},
 			AggCol: "lf.x", GroupBy: []string{group}, Aggs: []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "lf.x"}},
 		}
 		// Every probe row meets its own fact row: the sketch-join answers
 		// what the aggregate of the same spine answers.
 		wantSketch := oracleEval(t, &plan.Aggregate{Child: c.spine, GroupBy: sj.GroupBy, Aggs: sj.Aggs})
-		for _, morselRows := range []int{16, 64} {
+		for _, morselRows := range c.morsels {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s, %d-row morsels, workers=%d", c.name, morselRows, workers)
 				ctx := workerCtx(workers, morselRows)
@@ -142,7 +163,7 @@ func TestLookupJoinMeetsOracle(t *testing.T) {
 				// The sketch sink's charge: the probe spine's, one CPU tuple
 				// a probe row, and the inline build's scan and fold.
 				sketch := oracleJoin.cost.plus(oracleCost{
-					base: fact.Bytes(), cpu: int64(len(oracleJoin.rows) + 2*fact.NumRows()), out: int64(len(wantSketch.rows)),
+					base: build.Bytes(), cpu: int64(len(oracleJoin.rows) + 2*build.NumRows()), out: int64(len(wantSketch.rows)),
 				})
 				mustChargeOracle(t, label+", sketch-join", sketch, ctx.Stats)
 

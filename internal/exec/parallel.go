@@ -824,16 +824,13 @@ func (w *morselWorker) push(b *storage.Batch, k int) {
 // chain whole — after the partly filled chunk, if any, so that rows climb in
 // their order — or as pairs into the stage's chunk, pushing the chunk on each
 // time it fills (emit); a partly filled one stays for the next batch or the
-// morsel's end. Either path sums b's widths as it reads b's keys. Over an
-// empty table — only reached by a run that materializes a sampler
-// byproduct, plain empty joins short-circuit before the pool starts — b is
-// charged and dropped, so the sampler below still sees its whole stream.
+// morsel's end. A lookup sums b's widths in its own pass over the rows; a
+// batch that takes pairs is charged LiveWidth. Over an empty table — only
+// reached by a run that materializes a sampler byproduct, plain empty joins
+// short-circuit before the pool starts — b is charged and dropped, so the
+// sampler below still sees its whole stream.
 func (w *morselWorker) probe(b *storage.Batch, k int) {
 	pr := &w.stages[k].probe
-	if pr.table.empty() {
-		w.ctx.Stats.ShuffleBytes += b.LiveWidth()
-		return
-	}
 	if look, in := pr.lookup(b); look != nil {
 		w.ctx.Stats.ShuffleBytes += in
 		if pr.out.Len() > 0 {
@@ -843,12 +840,15 @@ func (w *morselWorker) probe(b *storage.Batch, k int) {
 		w.push(look, k+1)
 		return
 	}
+	w.ctx.Stats.ShuffleBytes += b.LiveWidth()
+	if pr.table.empty() {
+		return
+	}
 	at, full := pr.fill(b, storage.ProbePos{})
 	for full {
 		w.emit(k)
 		at, full = pr.fill(b, at)
 	}
-	w.ctx.Stats.ShuffleBytes += at.Bytes
 }
 
 // emit pushes join k's chunk on to position k+1, charging its rows' output

@@ -218,14 +218,8 @@ func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 }
 
 // ProbePos is where a Probe resumes inside its probe batch: the live row Row,
-// of whose matches the first Done have already been paired. Bytes is the
-// probe batch's Width summed over its live rows before Row — what they cost
-// to exchange — kept by the probe loops as they walk the keys, so a row a
-// resumed call finishes is counted once; 0 for a batch without widths.
-type ProbePos struct {
-	Row, Done int
-	Bytes     int64
-}
+// of whose matches the first Done have already been paired.
+type ProbePos struct{ Row, Done int }
 
 // Probe pairs the live rows of b from at on with the rows in mask (nil: every
 // row) whose key equals theirs over cols — columns typed as the indexed ones.
@@ -234,18 +228,16 @@ type ProbePos struct {
 // live-row order and ascending within a row, and stops once room pairs are
 // out or the batch is: it returns fewer than room pairs only with Row ==
 // b.Rows(). The position it returns is where the next call resumes —
-// mid-run when a row's matches outrun room — and carries on at.Bytes the
-// widths of the live rows it walked (ProbePos.Bytes). A unique dense index,
-// every join of the generated workloads, has one loop per mask shape
-// (probeUnique, probeUniqueMasked); every other index, dense runs or
-// numbered, has one loop that finds a row's run by address or by search
-// (probeRuns).
+// mid-run when a row's matches outrun room. A unique dense index, every join
+// of the generated workloads, has one loop per mask shape (probeUnique,
+// probeUniqueMasked); every other index, dense runs or numbered, has one loop
+// that finds a row's run by address or by search (probeRuns).
 func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	switch {
 	case x.rowOf != nil && mask == nil:
-		return x.probeUnique(b.Vecs[cols[0]].I64, b.Sel, b.Width, b.Rows(), at, room, pos, rows)
+		return x.probeUnique(b.Vecs[cols[0]].I64, b.Sel, b.Rows(), at, room, pos, rows)
 	case x.rowOf != nil:
-		return x.probeUniqueMasked(b.Vecs[cols[0]].I64, b.Sel, b.Width, b.Rows(), mask, at, room, pos, rows)
+		return x.probeUniqueMasked(b.Vecs[cols[0]].I64, b.Sel, b.Rows(), mask, at, room, pos, rows)
 	}
 	return x.probeRuns(b, cols, mask, at, room, pos, rows)
 }
@@ -253,25 +245,20 @@ func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room i
 // probeUnique is Probe's loop over a unique dense index: one rowOf load per
 // live row, a key below min wrapping to a k the bound refuses. A row pairs
 // at most once, so no run is ever cut and Done stays 0: room is checked once
-// per stretch of as many rows as there is room left, not per row. Each live
-// row's width (wid, nil: none) is summed as its key is read.
-func (x *KeyIndex) probeUnique(keys []int64, sel, wid []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+// per stretch of as many rows as there is room left, not per row.
+func (x *KeyIndex) probeUnique(keys []int64, sel []int32, live int, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
 	rowOf, base := x.rowOf, x.min
 	span := uint64(len(rowOf))
-	bytes := at.Bytes
 	for j := at.Row; j < live; {
 		if o == len(pos) {
-			return pos, rows, ProbePos{Row: j, Bytes: bytes}
+			return pos, rows, ProbePos{Row: j}
 		}
 		for end := min(live, j+len(pos)-o); j < end; j++ {
 			i := j
 			if sel != nil {
 				i = int(sel[j])
-			}
-			if wid != nil {
-				bytes += int64(wid[i])
 			}
 			k := uint64(keys[i]) - base
 			if k >= span {
@@ -283,29 +270,25 @@ func (x *KeyIndex) probeUnique(keys []int64, sel, wid []int32, live int, at Prob
 			}
 		}
 	}
-	return pos[:o], rows[:o], ProbePos{Row: live, Bytes: bytes}
+	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
 // probeUniqueMasked is probeUnique under a mask by key: a key the mask
 // refuses is skipped on its bit, before rowOf is read, and a key it holds
 // has a row.
-func (x *KeyIndex) probeUniqueMasked(keys []int64, sel, wid []int32, live int, byKey KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
+func (x *KeyIndex) probeUniqueMasked(keys []int64, sel []int32, live int, byKey KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
 	rowOf, base := x.rowOf, x.min
 	span := uint64(len(rowOf))
-	bytes := at.Bytes
 	for j := at.Row; j < live; {
 		if o == len(pos) {
-			return pos, rows, ProbePos{Row: j, Bytes: bytes}
+			return pos, rows, ProbePos{Row: j}
 		}
 		for end := min(live, j+len(pos)-o); j < end; j++ {
 			i := j
 			if sel != nil {
 				i = int(sel[j])
-			}
-			if wid != nil {
-				bytes += int64(wid[i])
 			}
 			k := uint64(keys[i]) - base
 			if k >= span || !byKey.has(k) {
@@ -315,7 +298,7 @@ func (x *KeyIndex) probeUniqueMasked(keys []int64, sel, wid []int32, live int, b
 			o++
 		}
 	}
-	return pos[:o], rows[:o], ProbePos{Row: live, Bytes: bytes}
+	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
 // probeRuns is Probe's loop over runs, dense or numbered, under a mask by
@@ -325,10 +308,10 @@ func (x *KeyIndex) probeUniqueMasked(keys []int64, sel, wid []int32, live int, b
 // k's run matchRows[offs[k]:offs[k+1]] is copied whole when no mask is kept
 // and it fits in the room left — one room check a row. Otherwise each match
 // the mask holds is written while there is room; when there is none, the
-// position returned resumes inside the run, at that match, and leaves the
-// row's width to the call that finishes it. The loop keeps the search out of
-// line, and the dense keys and the arrays in locals: with either inline,
-// spills made it a third slower per pair (BenchmarkJoinProbe/runs150k).
+// position returned resumes inside the run, at that match. The loop keeps
+// the search out of line, and the dense keys and the arrays in locals: with
+// either inline, spills made it a third slower per pair
+// (BenchmarkJoinProbe/runs150k).
 func (x *KeyIndex) probeRuns(b *Batch, cols []int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
@@ -337,20 +320,17 @@ func (x *KeyIndex) probeRuns(b *Batch, cols []int, byRow KeyMask, at ProbePos, r
 	for _, c := range cols {
 		probe = append(probe, b.Vecs[c])
 	}
-	offs, matchRows, sel, wid, min := x.offs, x.matchRows, b.Sel, b.Width, x.min
+	offs, matchRows, sel, min := x.offs, x.matchRows, b.Sel, x.min
 	var keys []int64 // the probe keys under dense runs, nil when numbered
 	if x.ids == nil {
 		keys = probe[0].I64
 	}
 	span := uint64(len(offs) - 1)
-	live, done, bytes := b.Rows(), at.Done, at.Bytes
+	live, done := b.Rows(), at.Done
 	for j := at.Row; j < live; j++ {
 		i := j
 		if sel != nil {
 			i = int(sel[j])
-		}
-		if wid != nil {
-			bytes += int64(wid[i])
 		}
 		var k uint64
 		if keys != nil {
@@ -377,40 +357,29 @@ func (x *KeyIndex) probeRuns(b *Batch, cols []int, byRow KeyMask, at ProbePos, r
 				continue
 			}
 			if o == len(pos) {
-				if wid != nil {
-					bytes -= int64(wid[i])
-				}
-				return pos, rows, ProbePos{Row: j, Done: lo - start, Bytes: bytes}
+				return pos, rows, ProbePos{Row: j, Done: lo - start}
 			}
 			pos[o], rows[o] = int32(j), r
 			o++
 		}
 	}
-	return pos[:o], rows[:o], ProbePos{Row: live, Bytes: bytes}
+	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
-// Lookup is Probe for a batch each live row of which has exactly one row:
-// under a unique dense index (UniqueDense) and with no mask, it writes live
-// row j's row to rows[j] in one pass over the keys and reports true — the
-// pairs (j, rows[j]) for every live row j are then exactly Probe's, in its
-// order. It reports false, and what it wrote means nothing, as soon as a live
-// row's key has no row, and at once under any other layout.
+// Lookup is Probe for a unique dense index (UniqueDense), no mask and a
+// batch b without a selection whose every row is to find its row: one pass
+// over the keys writes row j's row to rows[j] and reports true — the pairs
+// (j, rows[j]) are then exactly Probe's — or stops at the first key that
+// has no row and reports false with rows empty.
 func (x *KeyIndex) Lookup(b *Batch, cols []int, rows []int32) ([]int32, bool) {
-	if x.rowOf == nil {
-		return rows, false
-	}
-	keys, sel, live := b.Vecs[cols[0]].I64, b.Sel, b.Rows()
-	rows = grow(rows[:0], live)
+	keys := b.Vecs[cols[0]].I64[:b.Len()]
+	rows = grow(rows[:0], len(keys))
 	rowOf, base := x.rowOf, x.min
 	span := uint64(len(rowOf))
-	for j := range rows {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
-		}
-		k := uint64(keys[i]) - base
+	for j, key := range keys {
+		k := uint64(key) - base
 		if k >= span || rowOf[k] < 0 {
-			return rows, false
+			return rows[:0], false
 		}
 		rows[j] = rowOf[k]
 	}
@@ -418,7 +387,8 @@ func (x *KeyIndex) Lookup(b *Batch, cols []int, rows []int32) ([]int32, bool) {
 }
 
 // UniqueDense reports whether x finds every key by address and holds one row
-// a key — the layout Lookup serves.
+// a key (probeUnique's layout): a probe batch then pairs each live row at
+// most once.
 func (x *KeyIndex) UniqueDense() bool { return x.rowOf != nil }
 
 // find returns the id of row i of the probe key columns in a numbered

@@ -303,8 +303,9 @@ type Batch struct {
 	Width []int32
 	// WidthSum is Σ Width over every physical row, kept by a producer that
 	// sums the widths as it writes them (a join's chunk or lookup batch); 0
-	// when none did. LiveWidth returns it while Sel is nil: a selection attached later
-	// leaves it standing but unread. Reset clears it.
+	// when none did. It is read only while Sel is nil (SummedWidth): a
+	// selection attached later leaves it standing but unread. Reset clears
+	// it.
 	WidthSum int64
 	// Start is the table row of physical row 0 on a batch a table scan cut
 	// (Table.Scan, a Cursor): the partition's offset plus the row
@@ -357,14 +358,19 @@ func (b *Batch) Rows() int {
 	return b.Len()
 }
 
+// SummedWidth returns the batch's WidthSum and whether it is the live rows'
+// width: a producer kept one and no selection has been attached since.
+func (b *Batch) SummedWidth() (int64, bool) {
+	return b.WidthSum, b.Sel == nil && b.WidthSum != 0
+}
+
 // LiveWidth sums Width over the live rows: the bytes an exchange of this
 // batch moves. It equals the column-major sum of every live value's bytes
 // over the full-width row — the same integers added in another order. A
-// batch without a selection whose producer kept WidthSum is not walked
-// again.
+// batch whose producer's sum stands (SummedWidth) is not walked again.
 func (b *Batch) LiveWidth() int64 {
-	if b.Sel == nil && b.WidthSum != 0 {
-		return b.WidthSum
+	if n, ok := b.SummedWidth(); ok {
+		return n
 	}
 	var n int64
 	if b.Sel != nil {
