@@ -409,6 +409,54 @@ func TestIngestRepublishesStaleness(t *testing.T) {
 	}
 }
 
+// TestByproductFreshnessIsTheBoundVersion: a byproduct's freshness is the
+// row count of the table version its run bound (exec.Built.SourceRows), not
+// the catalog's at admission. The tuning mutex is held across the Execute
+// that builds a synopsis (serving never takes it) and across an append
+// straight to the catalog (Ingest would take it), so the service admits the
+// byproduct only after the catalog has moved on: the rows it never saw count
+// as staleness.
+func TestByproductFreshnessIsTheBoundVersion(t *testing.T) {
+	e := asyncTestEngine()
+	defer e.Close()
+	sales, err := e.Catalog().Table("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := int64(sales.NumRows())
+	var id uint64
+	for i := 0; i < 8 && id == 0; i++ {
+		e.tuneMu.Lock()
+		res, err := e.Execute(catQuery(e))
+		if err != nil {
+			e.tuneMu.Unlock()
+			t.Fatal(err)
+		}
+		if len(res.Report.CreatedSynopses) > 0 {
+			id = res.Report.CreatedSynopses[0]
+			if _, err := e.cat.Append("sales", salesDelta(1000, 40)); err != nil {
+				e.tuneMu.Unlock()
+				t.Fatal(err)
+			}
+		}
+		e.tuneMu.Unlock()
+		e.Drain()
+	}
+	if id == 0 {
+		t.Fatal("test setup: no query built a synopsis")
+	}
+	ent, ok := e.Store().Get(id)
+	if !ok || !e.wh.Has(id) {
+		t.Fatalf("synopsis #%d was not admitted", id)
+	}
+	if ent.Desc.BuildRows != bound {
+		t.Fatalf("synopsis #%d records %d build rows, want the bound version's %d", id, ent.Desc.BuildRows, bound)
+	}
+	if s := e.Store().Staleness(id); s <= 0 {
+		t.Fatalf("synopsis #%d staleness = %v after an append its build never saw, want > 0", id, s)
+	}
+}
+
 // TestDrainClearsDeepBacklog: Drain's contract is "every observation
 // enqueued before the call is tuned", even when the backlog is deeper than
 // one tuning round's maxBatch. The tuning mutex is held to stall the

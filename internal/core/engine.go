@@ -492,16 +492,8 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 		ctx.TraceNodes = make(map[plan.Node]*obs.TraceNode)
 		ctx.Clock = e.clock
 	}
-	matNames := make(map[*plan.SynopsisOp]uint64)
-	keepSketch := make(map[*plan.SketchJoin]uint64)
 	for _, cs := range dec.Materialize {
-		if cs.SampleNode != nil {
-			ctx.MaterializeSamples[cs.SampleNode] = fmt.Sprintf("synopsis_%d", cs.Entry.Desc.ID)
-			matNames[cs.SampleNode] = cs.Entry.Desc.ID
-		}
-		if cs.SketchNode != nil {
-			keepSketch[cs.SketchNode] = cs.Entry.Desc.ID
-		}
+		ctx.Materialize[cs.Node] = cs.Entry.Desc.ID
 	}
 	planTree := plan.Format(dec.Chosen.Root)
 	op, err := exec.Compile(dec.Chosen.Root, synopses.SeedFromString(planTree, e.cfg.Seed), ctx)
@@ -513,31 +505,15 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 		return nil, err
 	}
 
-	// Byproducts: freshness is read from the table version *bound into
-	// the executed plan*, not the current catalog, so an append racing
-	// between execution and admission registers as staleness instead of
-	// being silently absorbed (for samples and sketches alike; a sketch's
-	// source is its build side only — the probe tables are not summarized).
-	var built []builtSynopsis
-	for _, bs := range ctx.Stats.BuiltSamples {
-		id, ok := matNames[bs.Op]
-		if !ok {
-			continue
-		}
-		built = append(built, builtSynopsis{
-			item: warehouse.NewItem(id, bs.Sample), id: id, srcRows: scannedRows(bs.Op),
-		})
-		rep.CreatedSynopses = append(rep.CreatedSynopses, id)
-	}
-	for _, bk := range ctx.Stats.BuiltSketches {
-		id, ok := keepSketch[bk.Op]
-		if !ok {
-			continue
-		}
-		built = append(built, builtSynopsis{
-			item: warehouse.NewItem(id, bk.Sketch), id: id, srcRows: scannedRows(bk.Op.Build),
-		})
-		rep.CreatedSynopses = append(rep.CreatedSynopses, id)
+	// Byproducts: each carries the row count of the table version *bound
+	// into the executed plan* (exec.Built.SourceRows), not the current
+	// catalog's, so an append racing between execution and admission
+	// registers as staleness instead of being silently absorbed (for samples
+	// and sketches alike; a sketch's source is its build side only — the
+	// probe tables are not summarized).
+	built := ctx.Stats.Built
+	for _, b := range built {
+		rep.CreatedSynopses = append(rep.CreatedSynopses, b.ID)
 	}
 	if e.svc != nil {
 		// Asynchronous schedule: hand the byproducts and the plan observation
@@ -563,15 +539,6 @@ func (e *Engine) Execute(q *planner.Query) (res *Result, err error) {
 	res.Report.BufferBytes, res.Report.WarehouseBytes = e.wh.Usage()
 	res.Report.PlanTree = planTree
 	if ctx.TraceNodes != nil {
-		// Materialization counts attach per plan node after the run: rows for
-		// samples (the synopsis payload the node teed off), 1 per sketch.
-		built := make(map[plan.Node]int64)
-		for _, bs := range ctx.Stats.BuiltSamples {
-			built[bs.Op] += int64(bs.Sample.Rows.NumRows())
-		}
-		for _, bk := range ctx.Stats.BuiltSketches {
-			built[bk.Op]++
-		}
 		res.Trace = exec.BuildTraceTree(dec.Chosen.Root, ctx.TraceNodes, built).Render()
 	}
 	return res, nil
@@ -631,8 +598,8 @@ func (e *Engine) MetricsSnapshot() obs.MetricsSnapshot {
 // their immutable snapshot). Returns whether this build landed in a tier
 // (false when dropped for space or superseded by an at-least-as-fresh
 // stored copy) and whether it was a refresh replacement. srcRows is the
-// row count of the table the build plan scanned (see scannedRows); row
-// counts are monotone under append, so it orders builds.
+// row count of the table version the build scanned (exec.Built.SourceRows);
+// row counts are monotone under append, so it orders builds.
 func (e *Engine) admitLocked(it *warehouse.Item, id uint64, srcRows int64) (stored, refreshed bool) {
 	if ent, ok := e.store.Get(id); ok && e.wh.Has(id) {
 		if srcRows <= ent.Desc.BuildRows {
@@ -664,19 +631,6 @@ func (e *Engine) admitLocked(it *warehouse.Item, id uint64, srcRows int64) (stor
 	}
 	e.store.SetFreshness(id, srcRows)
 	return true, false
-}
-
-// scannedRows is the row count of the table version bound into a build
-// plan — the exact data the build summarized. A build plan is σ(one base
-// table), so it holds one Scan.
-func scannedRows(src plan.Node) int64 {
-	var rows int64
-	plan.Walk(src, func(n plan.Node) {
-		if s, ok := n.(*plan.Scan); ok {
-			rows = int64(s.Table.NumRows())
-		}
-	})
-	return rows
 }
 
 // Ingest appends a batch of rows to a base table (schema must match) — the

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tasterdb/taster/internal/exec"
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/tuner"
 	"github.com/tasterdb/taster/internal/warehouse"
@@ -78,14 +79,6 @@ func (e *Engine) publishLocked(keep map[uint64]bool, gains map[uint64]float64) {
 	})
 }
 
-// builtSynopsis is a byproduct built during execution, awaiting admission:
-// the item plus the row count of the table its build plan scanned.
-type builtSynopsis struct {
-	item    *warehouse.Item
-	id      uint64
-	srcRows int64
-}
-
 // observation is one served query's contribution to tuning: the window
 // record (plain values — the caller's Query may be legally reused by a
 // later Execute, so nothing of the plan set is retained past the query's
@@ -94,7 +87,7 @@ type builtSynopsis struct {
 type observation struct {
 	obs   tuner.Observation
 	uses  []uint64
-	built []builtSynopsis
+	built []exec.Built
 }
 
 // tuningService is the asynchronous schedule of the engine's tuning round:
@@ -291,9 +284,9 @@ func (e *Engine) roundLocked(batch []*observation, ps *planner.PlanSet) (dec tun
 // admitBuiltLocked admits one query's byproducts (see admitLocked), counting
 // them into the registry; it returns the ids that replaced a stale
 // stored copy. Caller holds tuneMu.
-func (e *Engine) admitBuiltLocked(built []builtSynopsis) (refreshed []uint64) {
+func (e *Engine) admitBuiltLocked(built []exec.Built) (refreshed []uint64) {
 	for _, b := range built {
-		stored, fresh := e.admitLocked(b.item, b.id, b.srcRows)
+		stored, fresh := e.admitLocked(warehouse.NewItem(b.ID, b.Synopsis), b.ID, b.SourceRows)
 		if stored && e.mx != nil {
 			e.mx.WarehouseAdmissions.Inc()
 		}
@@ -301,7 +294,7 @@ func (e *Engine) admitBuiltLocked(built []builtSynopsis) (refreshed []uint64) {
 			e.mx.WarehouseRefreshes.Inc()
 		}
 		if fresh {
-			refreshed = append(refreshed, b.id)
+			refreshed = append(refreshed, b.ID)
 		}
 	}
 	return refreshed

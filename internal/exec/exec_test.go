@@ -294,23 +294,30 @@ func TestSamplerMaterializesByproduct(t *testing.T) {
 		Kind:  plan.UniformSample,
 		P:     0.5,
 	}
-	ctx.MaterializeSamples[syn] = "orders_sample"
+	ctx.Materialize[syn] = 7
 	agg := &plan.Aggregate{
 		Child: syn,
 		Aggs:  []plan.AggSpec{{Kind: stats.Count}},
 	}
 	runPlan(t, agg, ctx)
-	if len(ctx.Stats.BuiltSamples) != 1 {
-		t.Fatalf("built samples = %d", len(ctx.Stats.BuiltSamples))
+	if len(ctx.Stats.Built) != 1 {
+		t.Fatalf("built synopses = %d", len(ctx.Stats.Built))
 	}
-	s := ctx.Stats.BuiltSamples[0].Sample
+	b := ctx.Stats.Built[0]
+	if b.Node != syn || b.ID != 7 || b.SourceRows != 1000 {
+		t.Fatalf("built = {node %v, id %d, source rows %d}, want {the sampler, 7, 1000}", b.Node, b.ID, b.SourceRows)
+	}
+	s, ok := b.Synopsis.(*synopses.Sample)
+	if !ok {
+		t.Fatalf("built synopsis is %T, want a sample", b.Synopsis)
+	}
 	if s.SourceRows != 1000 || s.Strategy != "uniform" {
 		t.Fatalf("sample = %+v", s)
 	}
 	if n := s.Rows.NumRows(); n < 400 || n > 600 {
 		t.Fatalf("sample rows = %d, want ≈500", n)
 	}
-	if s.Rows.Name != "orders_sample" {
+	if s.Rows.Name != "synopsis_7" {
 		t.Fatalf("sample name = %q", s.Rows.Name)
 	}
 }
@@ -383,7 +390,6 @@ func TestJoinOfSampledSideCarriesWeights(t *testing.T) {
 }
 
 func TestSketchJoinInlineBuild(t *testing.T) {
-	ctx := NewContext(0.95)
 	node := &plan.SketchJoin{
 		Probe:     &plan.Scan{Table: customersTable()},
 		Build:     &plan.Scan{Table: ordersTable()},
@@ -397,6 +403,14 @@ func TestSketchJoinInlineBuild(t *testing.T) {
 			{Kind: stats.Count, Col: "cust.region"}, // a probe-side string column: still the counts
 		},
 	}
+	// A build the run does not keep answers alike and records nothing.
+	unkept := NewContext(0.95)
+	runPlan(t, node, unkept)
+	if len(unkept.Stats.Built) != 0 {
+		t.Fatalf("an unkept inline build recorded %d synopses", len(unkept.Stats.Built))
+	}
+	ctx := NewContext(0.95)
+	ctx.Materialize[node] = 3
 	op, err := Compile(node, 5, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -429,10 +443,18 @@ func TestSketchJoinInlineBuild(t *testing.T) {
 			t.Fatalf("region %v = %v, want counts 500 and sum %v", r[0], r[1:], wantSum)
 		}
 	}
-	if len(ctx.Stats.BuiltSketches) != 1 {
-		t.Fatal("inline build must record the sketch for retention")
+	if len(ctx.Stats.Built) != 1 {
+		t.Fatal("a kept inline build must record the sketch for retention")
 	}
-	if n := ctx.Stats.BuiltSketches[0].Sketch.Rows.NumRows(); n != 10 {
+	b := ctx.Stats.Built[0]
+	if b.Node != node || b.ID != 3 || b.SourceRows != 1000 {
+		t.Fatalf("built = {node %v, id %d, source rows %d}, want {the sketch-join, 3, 1000}", b.Node, b.ID, b.SourceRows)
+	}
+	sk, ok := b.Synopsis.(*synopses.SketchJoin)
+	if !ok {
+		t.Fatalf("built synopsis is %T, want a sketch-join", b.Synopsis)
+	}
+	if n := sk.Rows.NumRows(); n != 10 {
 		t.Fatalf("the payload holds %d rows, want one per customer key (10)", n)
 	}
 	ivs := op.Intervals()
@@ -453,11 +475,12 @@ func TestSketchJoinInlineBuild(t *testing.T) {
 func builtSketch(t *testing.T, node *plan.SketchJoin) *synopses.SketchJoin {
 	t.Helper()
 	ctx := NewContext(0.95)
+	ctx.Materialize[node] = 1
 	runPlan(t, node, ctx)
-	if len(ctx.Stats.BuiltSketches) != 1 {
-		t.Fatalf("the inline build recorded %d sketches", len(ctx.Stats.BuiltSketches))
+	if len(ctx.Stats.Built) != 1 {
+		t.Fatalf("the inline build recorded %d synopses", len(ctx.Stats.Built))
 	}
-	return ctx.Stats.BuiltSketches[0].Sketch
+	return ctx.Stats.Built[0].Synopsis.(*synopses.SketchJoin)
 }
 
 func TestSketchJoinReuseMaterialized(t *testing.T) {
@@ -492,7 +515,7 @@ func TestSketchJoinReuseMaterialized(t *testing.T) {
 			t.Fatalf("region %v avg = %v, want %v", r[0], r[1].F, want)
 		}
 	}
-	if len(ctx.Stats.BuiltSketches) != 0 {
+	if len(ctx.Stats.Built) != 0 {
 		t.Fatal("reuse path must not record a new sketch")
 	}
 }

@@ -41,20 +41,21 @@ func hashOf(b []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// goldenRun executes root with every sampler in mat materializing, at the
+// goldenRun executes root with every node in mat keeping its synopsis, under
+// its position in mat as its id (a sample's table is synopsis_<id>), at the
 // seed the engine derives from the plan text, and renders one recording line.
 // It returns the run's stats so the caller can store what it built.
-func goldenRun(t *testing.T, label string, root plan.Node, mat []*plan.SynopsisOp, workers int) (string, *exec.RunStats) {
+func goldenRun(t *testing.T, label string, root plan.Node, mat []plan.Node, workers int) (string, *exec.RunStats) {
 	t.Helper()
 	ctx := workerCtx(workers, 0)
 	for i, n := range mat {
-		ctx.MaterializeSamples[n] = fmt.Sprintf("synopsis_%d", i)
+		ctx.Materialize[n] = uint64(i)
 	}
 	op, err := exec.Compile(root, synopses.SeedFromString(plan.Format(root), 42), ctx)
 	if err != nil {
 		t.Fatalf("%s: %v\n%s", label, err, plan.Format(root))
 	}
-	mustBeNarrow(t, label, root, op, ctx.MaterializeSamples)
+	mustBeNarrow(t, label, root, op, ctx.Materialize)
 	out, err := exec.Run(op)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -62,11 +63,13 @@ func goldenRun(t *testing.T, label string, root plan.Node, mat []*plan.SynopsisO
 	st := ctx.Stats
 	line := fmt.Sprintf("%s\tanswer=%s base=%d warehouse=%d cpu=%d shuffle=%d out=%d",
 		label, hashOf([]byte(renderAnswer(out, op))), st.BaseBytes, st.WarehouseBytes, st.CPUTuples, st.ShuffleBytes, st.OutputRows)
-	for _, bs := range st.BuiltSamples {
-		line += fmt.Sprintf(" sample[%d rows]=%s", bs.Sample.Rows.NumRows(), hashOf(persist.Encode(bs.Sample)))
-	}
-	for _, bk := range st.BuiltSketches {
-		line += " sketch=" + hashOf(persist.Encode(bk.Sketch))
+	for _, b := range st.Built {
+		switch syn := b.Synopsis.(type) {
+		case *synopses.Sample:
+			line += fmt.Sprintf(" sample[%d rows]=%s", syn.Rows.NumRows(), hashOf(persist.Encode(syn)))
+		case *synopses.SketchJoin:
+			line += " sketch=" + hashOf(persist.Encode(syn))
+		}
 	}
 	return line, st
 }
@@ -82,7 +85,7 @@ func goldenRun(t *testing.T, label string, root plan.Node, mat []*plan.SynopsisO
 // table's numbering: from that table up every join carries the group id
 // column, a group column only where something else reads it, and no join
 // below it carries the id.
-func mustBeNarrow(t *testing.T, label string, root plan.Node, op *exec.PipelineOp, mat map[*plan.SynopsisOp]string) {
+func mustBeNarrow(t *testing.T, label string, root plan.Node, op *exec.PipelineOp, mat map[plan.Node]uint64) {
 	t.Helper()
 	n := root
 	if s, ok := n.(*plan.Sort); ok {
@@ -226,18 +229,6 @@ func groupsThrough(spine []plan.Node, groupBy []string) int {
 	return at
 }
 
-// boundRows is the freshness record core.admitLocked keeps for a build: the
-// row count of the one base table under the built subplan.
-func boundRows(src plan.Node) int64 {
-	var rows int64
-	plan.Walk(src, func(n plan.Node) {
-		if s, ok := n.(*plan.Scan); ok {
-			rows = int64(s.Table.NumRows())
-		}
-	})
-	return rows
-}
-
 // goldenWorkload records every candidate of every template, cold, then
 // stores each build's byproduct and records the reuse candidates of a re-plan.
 func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
@@ -260,11 +251,9 @@ func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
 	for _, tpl := range w.Templates {
 		sql := tpl.Instantiate(r) + " ERROR WITHIN 10% AT CONFIDENCE 95%"
 		for ci, c := range planSet(sql).Candidates {
-			var mat []*plan.SynopsisOp
+			var mat []plan.Node
 			for _, cs := range c.Creates {
-				if cs.SampleNode != nil {
-					mat = append(mat, cs.SampleNode)
-				}
+				mat = append(mat, cs.Node)
 			}
 			label := fmt.Sprintf("%s/%s/cold%d %s", w.Name, tpl.Name, ci, c.Desc)
 			line, st := goldenRun(t, label, c.Root, mat, 4)
@@ -275,19 +264,10 @@ func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
 			kinds[family(c.Desc)]++
 			for _, cs := range c.Creates {
 				var it *warehouse.Item
-				var src plan.Node
-				switch {
-				case cs.SampleNode != nil:
-					for _, bs := range st.BuiltSamples {
-						if bs.Op == cs.SampleNode {
-							it, src = warehouse.NewItem(cs.Entry.Desc.ID, bs.Sample), cs.SampleNode
-						}
-					}
-				case cs.SketchNode != nil:
-					for _, bk := range st.BuiltSketches {
-						if bk.Op == cs.SketchNode {
-							it, src = warehouse.NewItem(cs.Entry.Desc.ID, bk.Sketch), cs.SketchNode.Build
-						}
+				var srcRows int64
+				for _, b := range st.Built {
+					if b.Node == cs.Node {
+						it, srcRows = warehouse.NewItem(cs.Entry.Desc.ID, b.Synopsis), b.SourceRows
 					}
 				}
 				if it == nil {
@@ -300,7 +280,7 @@ func goldenWorkload(t *testing.T, w *workload.Workload, lines *[]string) {
 					t.Fatal(err)
 				}
 				store.SetActualSize(cs.Entry.Desc.ID, it.Size)
-				store.SetFreshness(cs.Entry.Desc.ID, boundRows(src))
+				store.SetFreshness(cs.Entry.Desc.ID, srcRows)
 			}
 		}
 		for ci, c := range planSet(sql).Candidates {
@@ -334,7 +314,7 @@ func family(desc string) string {
 type goldenEdge struct {
 	name string
 	root plan.Node
-	mat  []*plan.SynopsisOp
+	mat  []plan.Node
 }
 
 // goldenEdges are spines over the TPC-H catalog, one per edge of the narrow

@@ -284,13 +284,13 @@ func TestGroupByLeafAppendedVersion(t *testing.T) {
 // materializing, and demands the two lowerings agree bit for bit: answers
 // and intervals, all five counters, and the persisted bytes of every sample
 // the run built. It returns the numbered run's built samples at workers 1.
-func keyedTwins(t *testing.T, label string, root *plan.Aggregate, mat ...*plan.SynopsisOp) []*exec.BuiltSample {
+func keyedTwins(t *testing.T, label string, root *plan.Aggregate, mat ...*plan.SynopsisOp) []exec.Built {
 	t.Helper()
-	var built []*exec.BuiltSample
-	run := func(workers int, compile func(*plan.Aggregate, uint64, *exec.Context) (*exec.PipelineOp, error)) (string, []*exec.BuiltSample) {
+	var built []exec.Built
+	run := func(workers int, compile func(*plan.Aggregate, uint64, *exec.Context) (*exec.PipelineOp, error)) (string, []exec.Built) {
 		ctx := workerCtx(workers, 0)
 		for i, n := range mat {
-			ctx.MaterializeSamples[n] = fmt.Sprintf("synopsis_%d", i)
+			ctx.Materialize[n] = uint64(i)
 		}
 		op, err := compile(root, 11, ctx)
 		if err != nil {
@@ -303,15 +303,13 @@ func keyedTwins(t *testing.T, label string, root *plan.Aggregate, mat ...*plan.S
 		st := ctx.Stats
 		line := fmt.Sprintf("%s base=%d warehouse=%d cpu=%d shuffle=%d out=%d", renderAnswer(out, op),
 			st.BaseBytes, st.WarehouseBytes, st.CPUTuples, st.ShuffleBytes, st.OutputRows)
-		var bs []*exec.BuiltSample
-		for i := range st.BuiltSamples {
-			bs = append(bs, &st.BuiltSamples[i])
-			line += fmt.Sprintf(" sample=%x", persist.Encode(st.BuiltSamples[i].Sample))
+		for _, b := range st.Built {
+			line += fmt.Sprintf(" sample=%x", persist.Encode(b.Synopsis))
 		}
 		if out.Len() == 0 {
 			t.Fatalf("%s: vacuous: no group", label)
 		}
-		return line, bs
+		return line, st.Built
 	}
 	compile := func(n *plan.Aggregate, seed uint64, ctx *exec.Context) (*exec.PipelineOp, error) {
 		return exec.Compile(n, seed, ctx)
@@ -370,7 +368,7 @@ func TestGroupThroughSampled(t *testing.T) {
 	if len(built) != 1 {
 		t.Fatalf("the uniform sampler built %d samples, want 1", len(built))
 	}
-	smp := built[0].Sample
+	smp := built[0].Synopsis.(*synopses.Sample)
 	if !smp.Rows.Schema().Equal(append(lineitem.Schema().Clone(), storage.Col{Name: synopses.WeightCol, Typ: storage.Float64})) {
 		t.Fatalf("the stored sample's schema is %v", smp.Rows.Schema().Names())
 	}

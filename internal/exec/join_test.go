@@ -330,12 +330,12 @@ func TestParallelJoinSampleMaterialization(t *testing.T) {
 		ctx := NewContext(0.95)
 		ctx.Workers = workers
 		ctx.MorselRows = 1000
-		ctx.MaterializeSamples[syn] = "orders_join_sample"
+		ctx.Materialize[syn] = 1
 		fingerprint(t, agg, ctx, 11)
-		if len(ctx.Stats.BuiltSamples) != 1 {
-			t.Fatalf("built samples = %d", len(ctx.Stats.BuiltSamples))
+		if len(ctx.Stats.Built) != 1 {
+			t.Fatalf("built samples = %d", len(ctx.Stats.Built))
 		}
-		return ctx.Stats.BuiltSamples[0].Sample
+		return ctx.Stats.Built[0].Synopsis.(*synopses.Sample)
 	}
 	s1, s8 := build(1), build(8)
 	if s1.Rows.NumRows() != s8.Rows.NumRows() || s1.Rows.Bytes() != s8.Rows.Bytes() {
@@ -369,16 +369,16 @@ func TestEmptyBuildStillMaterializesSampler(t *testing.T) {
 	}
 	ctx := NewContext(0.95)
 	ctx.Workers = 4
-	ctx.MaterializeSamples[syn] = "byproduct"
+	ctx.Materialize[syn] = 1
 	rows := allRows(runPlan(t, agg, ctx))
 	if len(rows) != 1 || rows[0][0].F != 0 {
 		t.Fatalf("empty-join aggregate = %v, want one zero row", rows)
 	}
-	if len(ctx.Stats.BuiltSamples) != 1 {
+	if len(ctx.Stats.Built) != 1 {
 		t.Fatalf("materializing run over empty build produced %d samples, want 1",
-			len(ctx.Stats.BuiltSamples))
+			len(ctx.Stats.Built))
 	}
-	s := ctx.Stats.BuiltSamples[0].Sample
+	s := ctx.Stats.Built[0].Synopsis.(*synopses.Sample)
 	if s.SourceRows != 20000 || s.Rows.NumRows() == 0 {
 		t.Fatalf("byproduct sample malformed: source=%d rows=%d", s.SourceRows, s.Rows.NumRows())
 	}
@@ -388,7 +388,7 @@ func TestEmptyBuildStillMaterializesSampler(t *testing.T) {
 	ctx2 := NewContext(0.95)
 	ctx2.Workers = 4
 	runPlan(t, agg, ctx2)
-	if len(ctx2.Stats.BuiltSamples) != 0 {
+	if len(ctx2.Stats.Built) != 0 {
 		t.Fatal("non-materializing run must not build samples")
 	}
 	if ctx2.Stats.BaseBytes >= fact.Bytes() {

@@ -333,17 +333,17 @@ func TestJoinCacheEmptyBuild(t *testing.T) {
 		t.Fatalf("resident tables hold %v survivors, want the one empty build", rows)
 	}
 
-	materialize := func(ctx *Context) { ctx.MaterializeSamples[syn] = "byproduct" }
+	materialize := func(ctx *Context) { ctx.Materialize[syn] = 1 }
 	wantMat, wantCtx := cachedRun(t, root, nil, materialize)
 	got, ctx := cachedRun(t, root, jc, materialize)
 	if got != wantMat {
 		t.Fatalf("materializing run over a cached empty build diverges:\n%s\nvs\n%s", got, wantMat)
 	}
-	if len(ctx.Stats.BuiltSamples) != 1 || len(wantCtx.Stats.BuiltSamples) != 1 {
+	if len(ctx.Stats.Built) != 1 || len(wantCtx.Stats.Built) != 1 {
 		t.Fatalf("built samples = %d (cached) / %d (uncached), want 1 each",
-			len(ctx.Stats.BuiltSamples), len(wantCtx.Stats.BuiltSamples))
+			len(ctx.Stats.Built), len(wantCtx.Stats.Built))
 	}
-	if a, b := ctx.Stats.BuiltSamples[0].Sample, wantCtx.Stats.BuiltSamples[0].Sample; a.Rows.NumRows() == 0 ||
+	if a, b := ctx.Stats.Built[0].Synopsis.(*synopses.Sample), wantCtx.Stats.Built[0].Synopsis.(*synopses.Sample); a.Rows.NumRows() == 0 ||
 		a.Rows.NumRows() != b.Rows.NumRows() || a.SourceRows != b.SourceRows {
 		t.Fatalf("byproduct sample over a cached empty build: %d rows of %d, uncached %d of %d",
 			a.Rows.NumRows(), a.SourceRows, b.Rows.NumRows(), b.SourceRows)

@@ -541,7 +541,8 @@ func (sh joinIndexShape) cols() []int {
 // the dimension's index (mask), all dense — plus the shapes they do not:
 // the numbered ones, as many Int64 keys with no locality (sparse), one coded
 // string column (str) and an (Int64, String) pair (int_str), every key
-// unique, and a dense key on four rows each (runs), laid out in dense runs.
+// unique, and a short-span key on four rows each (runs), numbered because it
+// repeats.
 func joinIndexShapes() []joinIndexShape {
 	rng := rand.New(rand.NewSource(29))
 	dense := make([]int64, 150_000)

@@ -629,6 +629,7 @@ func BenchmarkSketchJoinGrouped(b *testing.B) {
 			run := func(root plan.Node) *Context {
 				ctx := NewContext(0.95)
 				ctx.Workers, ctx.Joins, ctx.Pool = 1, joins, pool
+				ctx.Materialize[root] = 1 // an inline build keeps its payload
 				op, err := Compile(root, 1, ctx)
 				if err != nil {
 					b.Fatal(err)
@@ -640,7 +641,7 @@ func BenchmarkSketchJoinGrouped(b *testing.B) {
 			}
 			// Build the payload, the probe's join, index and numbering.
 			stored := *c.root
-			stored.Build, stored.Sketch = nil, run(c.root).Stats.BuiltSketches[0].Sketch
+			stored.Build, stored.Sketch = nil, run(c.root).Stats.Built[0].Synopsis.(*synopses.SketchJoin)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -59,20 +59,19 @@ type RunStats struct {
 	ShuffleBytes   int64 // full-width row bytes exchanged for joins/aggregations
 	OutputRows     int64
 
-	BuiltSamples  []BuiltSample
-	BuiltSketches []BuiltSketch
+	Built []Built // the byproducts the run kept (Context.Materialize)
 }
 
-// BuiltSample records a sample materialized during execution.
-type BuiltSample struct {
-	Op     *plan.SynopsisOp
-	Sample *synopses.Sample
-}
-
-// BuiltSketch records a sketch-join synopsis built during execution.
-type BuiltSketch struct {
-	Op     *plan.SketchJoin
-	Sketch *synopses.SketchJoin
+// Built records a synopsis the run built as a byproduct and kept: the node
+// that built it (a sampler or an inline sketch-join), its descriptor id, its
+// payload, and the row count of the table version the run bound for it —
+// the data it summarizes, which orders rebuilds of one synopsis by freshness
+// (row counts only grow under append).
+type Built struct {
+	Node       plan.Node
+	ID         uint64
+	Synopsis   synopses.Stored
+	SourceRows int64
 }
 
 // SimulatedSeconds converts the counters into simulated cluster time. The
@@ -92,11 +91,12 @@ func (s *RunStats) SimulatedSeconds(m storage.CostModel) float64 {
 type Context struct {
 	Confidence float64 // confidence level for reported intervals
 	Stats      *RunStats
-	// MaterializeSamples maps SynopsisOp nodes whose output the tuner chose
-	// to keep; the sampler stage records the rows it draws for each. The map
-	// is fully populated before Compile, which binds whether a sampler keeps
-	// its rows, and only read afterwards.
-	MaterializeSamples map[*plan.SynopsisOp]string // node → synopsis name
+	// Materialize maps each node whose synopsis the tuner chose to keep — a
+	// sampler or an inline sketch-join — to the synopsis' descriptor id; the
+	// run records what each builds in Stats.Built. The map is fully
+	// populated before Compile, which binds whether a node keeps its
+	// synopsis, and only read afterwards.
+	Materialize map[plan.Node]uint64
 	// Workers is the intra-query parallelism degree of the morsel-driven
 	// executor; 0 means runtime.NumCPU(). Results are byte-identical for any
 	// value, whichever sink the plan ends in (see PipelineOp).
@@ -144,9 +144,9 @@ func NewContext(confidence float64) *Context {
 		confidence = stats.DefaultAccuracy.Confidence
 	}
 	return &Context{
-		Confidence:         confidence,
-		Stats:              &RunStats{},
-		MaterializeSamples: make(map[*plan.SynopsisOp]string),
-		Clock:              obs.Frozen{},
+		Confidence:  confidence,
+		Stats:       &RunStats{},
+		Materialize: make(map[plan.Node]uint64),
+		Clock:       obs.Frozen{},
 	}
 }

@@ -623,8 +623,8 @@ func (p *PipelineOp) run() (*storage.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.ctx.Stats.BuiltSamples = append(p.ctx.Stats.BuiltSamples,
-			BuiltSample{Op: p.sampler.node, Sample: sample})
+		p.ctx.Stats.Built = append(p.ctx.Stats.Built, Built{Node: p.sampler.node, ID: p.sampler.id,
+			Synopsis: sample, SourceRows: int64(p.pipe.leaf.NumRows())})
 	}
 
 	return p.emit(merges.global), nil
@@ -652,7 +652,7 @@ func (p *PipelineOp) gatherSample(drawn []*synopses.Drawn, nMorsels int) (*synop
 		}
 	}
 	node := p.sampler.node
-	sample, err := synopses.GatherSample(p.ctx.MaterializeSamples[node], p.pipe.leaf, p.sampler.sampler(p.seed, 0, nMorsels, nil), all, 1)
+	sample, err := synopses.GatherSample(fmt.Sprintf("synopsis_%d", p.sampler.id), p.pipe.leaf, p.sampler.sampler(p.seed, 0, nMorsels, nil), all, 1)
 	if err != nil {
 		return nil, err
 	}

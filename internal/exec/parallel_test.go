@@ -151,18 +151,18 @@ func TestParallelAggDeterministicAcrossWorkerCounts(t *testing.T) {
 				ctx.Workers = workers
 				ctx.MorselRows = geo.morselRows
 				if tc.sampler != nil {
-					ctx.MaterializeSamples[tc.sampler] = "sample"
+					ctx.Materialize[tc.sampler] = 1
 				}
 				fp := fingerprint(t, tc.node, ctx, 42)
 				var sample string
 				if tc.sampler != nil {
-					if len(ctx.Stats.BuiltSamples) != 1 {
-						t.Fatalf("built samples = %d, want 1", len(ctx.Stats.BuiltSamples))
+					if len(ctx.Stats.Built) != 1 {
+						t.Fatalf("built samples = %d, want 1", len(ctx.Stats.Built))
 					}
-					sample = tableBits(ctx.Stats.BuiltSamples[0].Sample.Rows)
+					sample = tableBits(ctx.Stats.Built[0].Synopsis.(*synopses.Sample).Rows)
 				}
 				st := *ctx.Stats
-				st.BuiltSamples = nil
+				st.Built = nil
 				if workers == 1 {
 					base, baseSample, baseStats = fp, sample, st
 					continue
@@ -215,12 +215,12 @@ func TestParallelAggMergesMaterializedSample(t *testing.T) {
 		ctx := NewContext(0.95)
 		ctx.Workers = workers
 		ctx.MorselRows = 1000
-		ctx.MaterializeSamples[syn] = "orders_sample"
+		ctx.Materialize[syn] = 1
 		fingerprint(t, agg, ctx, 11)
-		if len(ctx.Stats.BuiltSamples) != 1 {
-			t.Fatalf("built samples = %d", len(ctx.Stats.BuiltSamples))
+		if len(ctx.Stats.Built) != 1 {
+			t.Fatalf("built samples = %d", len(ctx.Stats.Built))
 		}
-		return ctx.Stats.BuiltSamples[0].Sample
+		return ctx.Stats.Built[0].Synopsis.(*synopses.Sample)
 	}
 
 	s1 := build(1)
@@ -231,7 +231,7 @@ func TestParallelAggMergesMaterializedSample(t *testing.T) {
 	if s1.Strategy != "distinct" || s1.Delta != 12 {
 		t.Fatalf("merged sample config = %s δ=%d, want distinct δ=12", s1.Strategy, s1.Delta)
 	}
-	if s1.Rows.Name != "orders_sample" {
+	if s1.Rows.Name != "synopsis_1" {
 		t.Fatalf("sample name = %q", s1.Rows.Name)
 	}
 	if s1.Rows.NumRows() != s8.Rows.NumRows() || s1.Rows.Bytes() != s8.Rows.Bytes() {
@@ -333,11 +333,12 @@ func TestMorselStateDoesNotScaleWithMorsels(t *testing.T) {
 	}
 	aggs := []plan.AggSpec{{Kind: stats.Count}, {Kind: stats.Sum, Col: "m.v"}, {Kind: stats.Avg, Col: "m.v"}}
 	// The sketch-joins probe a stored payload, d's one row per key.
-	built := NewContext(0.95)
-	runPlan(t, &plan.SketchJoin{Probe: &plan.Scan{Table: tbl}, ProbeKeys: []string{"m.k"}, Build: &plan.Scan{Table: dim}, BuildKeys: []string{"d.k"},
-		Aggs: []plan.AggSpec{{Kind: stats.Count}}}, built)
+	built, build := NewContext(0.95), &plan.SketchJoin{Probe: &plan.Scan{Table: tbl}, ProbeKeys: []string{"m.k"}, Build: &plan.Scan{Table: dim}, BuildKeys: []string{"d.k"},
+		Aggs: []plan.AggSpec{{Kind: stats.Count}}}
+	built.Materialize[build] = 1
+	runPlan(t, build, built)
 	sketch := func(probe plan.Node, groupBy ...string) plan.Node {
-		return &plan.SketchJoin{Probe: probe, ProbeKeys: []string{"m.k"}, Sketch: built.Stats.BuiltSketches[0].Sketch, BuildKeys: []string{"d.k"},
+		return &plan.SketchJoin{Probe: probe, ProbeKeys: []string{"m.k"}, Sketch: built.Stats.Built[0].Synopsis.(*synopses.SketchJoin), BuildKeys: []string{"d.k"},
 			GroupBy: groupBy, Aggs: aggs}
 	}
 	for _, c := range []struct {

@@ -659,19 +659,20 @@ func TestSketchJoinDeterministicAcrossWorkerCounts(t *testing.T) {
 				var baseStats exec.RunStats
 				for _, workers := range geo.workers {
 					ctx := workerCtx(workers, geo.morselRows)
+					ctx.Materialize[node] = 1
 					out, fp := engineRun(t, node, ctx)
 					var sketch string
 					if inline {
-						if len(ctx.Stats.BuiltSketches) != 1 || ctx.Stats.BuiltSketches[0].Op != node {
-							t.Fatalf("%s workers=%d: built sketches = %+v", where, workers, ctx.Stats.BuiltSketches)
+						if len(ctx.Stats.Built) != 1 || ctx.Stats.Built[0].Node != node {
+							t.Fatalf("%s workers=%d: built sketches = %+v", where, workers, ctx.Stats.Built)
 						}
-						stored = ctx.Stats.BuiltSketches[0].Sketch
+						stored = ctx.Stats.Built[0].Synopsis.(*synopses.SketchJoin)
 						sketch = string(persist.Encode(stored))
-					} else if len(ctx.Stats.BuiltSketches) != 0 {
+					} else if len(ctx.Stats.Built) != 0 {
 						t.Fatalf("%s workers=%d: reuse recorded a built sketch", where, workers)
 					}
 					st := *ctx.Stats
-					st.BuiltSamples, st.BuiltSketches = nil, nil
+					st.Built = nil
 					if workers == 1 {
 						mustMatchOracle(t, where, want, out, 1e-9)
 						base, baseSketch, baseStats = fp, sketch, st
@@ -734,18 +735,23 @@ func TestOracleMeetsTheCatalogs(t *testing.T) {
 			retiled.Catalog.Repartition(797)
 			r := rand.New(rand.NewSource(11))
 			joins, sorts, emptyBuilds := 0, 0, 0
+			var count func(n plan.Node)
+			count = func(n plan.Node) {
+				switch n.(type) {
+				case *plan.Join:
+					joins++
+				case *plan.Sort:
+					sorts++
+				}
+				for _, c := range n.Children() {
+					count(c)
+				}
+			}
 			for _, tpl := range w.Templates {
 				for i := 0; i < 2; i++ {
 					sql := tpl.Instantiate(r) + " EXACT"
 					root, want := mustMeetOracle(t, tpl.Name, w.Catalog, retiled.Catalog, sql)
-					plan.Walk(root, func(n plan.Node) {
-						switch n.(type) {
-						case *plan.Join:
-							joins++
-						case *plan.Sort:
-							sorts++
-						}
-					})
+					count(root)
 					if want.cost.shuffle == 0 {
 						emptyBuilds++
 					}
@@ -892,6 +898,7 @@ func mustSketchMeetOracle(t *testing.T, label string, sj *plan.SketchJoin) {
 		var base string
 		for _, workers := range []int{1, 4, 8} {
 			ctx := workerCtx(workers, 0)
+			ctx.Materialize[node] = 1
 			op, err := exec.Compile(node, 7, ctx)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -914,7 +921,7 @@ func mustSketchMeetOracle(t *testing.T, label string, sj *plan.SketchJoin) {
 				t.Fatalf("%s: workers=%d answer differs from workers=1", label, workers)
 			}
 			if node == sj && workers == 1 {
-				stored, err := persist.Decode(persist.Encode(ctx.Stats.BuiltSketches[0].Sketch))
+				stored, err := persist.Decode(persist.Encode(ctx.Stats.Built[0].Synopsis.(*synopses.SketchJoin)))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

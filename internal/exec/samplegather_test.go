@@ -92,12 +92,12 @@ func TestInlineSampleKeepsDictionaryRule(t *testing.T) {
 				where := fmt.Sprintf("%s seed=%d filtered=%v workers=%d", smp.String(), r.seed, filtered, workers)
 				ctx := NewContext(0.95)
 				ctx.Workers, ctx.MorselRows = workers, morselRows
-				ctx.MaterializeSamples[&smp] = "d_sample"
+				ctx.Materialize[&smp] = 1
 				fingerprint(t, agg, ctx, r.seed)
-				if len(ctx.Stats.BuiltSamples) != 1 {
-					t.Fatalf("%s: built samples = %d", where, len(ctx.Stats.BuiltSamples))
+				if len(ctx.Stats.Built) != 1 {
+					t.Fatalf("%s: built samples = %d", where, len(ctx.Stats.Built))
 				}
-				got := ctx.Stats.BuiltSamples[0].Sample
+				got := ctx.Stats.Built[0].Synopsis.(*synopses.Sample)
 				enc := got.Encode()
 				if first == nil {
 					first = enc
@@ -106,7 +106,7 @@ func TestInlineSampleKeepsDictionaryRule(t *testing.T) {
 				}
 
 				ids, weights := got.Rows.Column(0).I64, got.Rows.Column(3).F64
-				ref := storage.NewBuilder("d_sample", got.Rows.Schema())
+				ref := storage.NewBuilder("synopsis_1", got.Rows.Schema())
 				for k, id := range ids {
 					for c := range tbl.Schema() {
 						ref.CopyFrom(c, tbl.Column(c), int(id))
@@ -210,9 +210,9 @@ func TestDistinctStrataRestartEveryMorsel(t *testing.T) {
 		agg := &plan.Aggregate{Child: smp, Aggs: []plan.AggSpec{{Kind: stats.Count}}}
 		ctx := NewContext(0.95)
 		ctx.Workers, ctx.MorselRows = workers, morselRows
-		ctx.MaterializeSamples[smp] = "one_sample"
+		ctx.Materialize[smp] = 1
 		fingerprint(t, agg, ctx, 3)
-		s := ctx.Stats.BuiltSamples[0].Sample
+		s := ctx.Stats.Built[0].Synopsis.(*synopses.Sample)
 		ids, weights := s.Rows.Column(0).I64, s.Rows.Column(2).F64
 		whole := make([]int, morsels)
 		for k, id := range ids {
@@ -279,7 +279,7 @@ func BenchmarkInlineSampleBuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctx := NewContext(0.95)
 				ctx.Workers = 1
-				ctx.MaterializeSamples[&smp] = "li_sample"
+				ctx.Materialize[&smp] = 1
 				op, err := Compile(agg, 1, ctx)
 				if err != nil {
 					b.Fatal(err)
@@ -287,10 +287,10 @@ func BenchmarkInlineSampleBuild(b *testing.B) {
 				if _, err := Run(op); err != nil {
 					b.Fatal(err)
 				}
-				if len(ctx.Stats.BuiltSamples) != 1 {
-					b.Fatalf("built samples = %d", len(ctx.Stats.BuiltSamples))
+				if len(ctx.Stats.Built) != 1 {
+					b.Fatalf("built samples = %d", len(ctx.Stats.Built))
 				}
-				kept = ctx.Stats.BuiltSamples[0].Sample.Rows.NumRows()
+				kept = ctx.Stats.Built[0].Synopsis.(*synopses.Sample).Rows.NumRows()
 			}
 			b.ReportMetric(float64(kept), "rows_kept")
 		})

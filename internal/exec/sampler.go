@@ -21,7 +21,8 @@ import (
 type samplerStage struct {
 	node   *plan.SynopsisOp
 	strat  []int          // a distinct sampler's stratification columns, by leaf position
-	keep   bool           // the run keeps the drawn rows (Context.MaterializeSamples)
+	keep   bool           // the run keeps the drawn rows (Context.Materialize)
+	id     uint64         // the kept sample's descriptor id
 	schema storage.Schema // the leaf's columns and the weight column
 }
 
@@ -43,7 +44,7 @@ func newSamplerStage(node *plan.SynopsisOp, in storage.Schema, ctx *Context) (*s
 	default:
 		return nil, fmt.Errorf("exec: sampler: unsupported synopsis kind %s", node.Kind)
 	}
-	_, s.keep = ctx.MaterializeSamples[node]
+	s.id, s.keep = ctx.Materialize[node]
 	return s, nil
 }
 

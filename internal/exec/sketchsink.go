@@ -26,11 +26,14 @@ type sketchSink struct {
 
 	// The inline build, nil when node.Sketch is already materialized: the
 	// lowered build side, its key columns and its aggregate column (-1:
-	// counts only).
+	// counts only), and whether the run keeps the payload, under which
+	// descriptor id (Context.Materialize).
 	build       *buildSide
 	buildKeyIdx []int
 	buildKeys   storage.Schema
 	buildAggIdx int
+	keep        bool
+	id          uint64
 
 	// sketch is what every probe row reads, set by prepare.
 	sketch *synopses.SketchJoin
@@ -114,6 +117,7 @@ func newSketchSink(node *plan.SketchJoin, in storage.Schema, src *groupSource, c
 		}
 	}
 	s.build = build
+	s.id, s.keep = ctx.Materialize[node]
 	return s, nil
 }
 
@@ -140,7 +144,7 @@ func (s *sketchSink) outSchema() storage.Schema { return s.schema }
 // shared table, so there is nothing for morsels to split. The cell is the
 // key's place in the scanned table (keySpace), and one fold counts at it
 // whichever place that is (buildPayload). The finished payload is recorded
-// for the tuner to keep.
+// when the run keeps it.
 func (s *sketchSink) prepare(ctx *Context) error {
 	s.sketch = s.node.Sketch
 	if s.build == nil {
@@ -152,7 +156,10 @@ func (s *sketchSink) prepare(ctx *Context) error {
 		return err
 	}
 	s.sketch = sk
-	ctx.Stats.BuiltSketches = append(ctx.Stats.BuiltSketches, BuiltSketch{Op: s.node, Sketch: sk})
+	if s.keep {
+		ctx.Stats.Built = append(ctx.Stats.Built, Built{Node: s.node, ID: s.id,
+			Synopsis: sk, SourceRows: int64(s.build.table.leaf.NumRows())})
+	}
 	return nil
 }
 

@@ -37,13 +37,13 @@ func newSortSpec(n *plan.Sort, out storage.Schema, ctx *Context) (*sortSpec, err
 // intervals alongside. Every row sorted is one CPU tuple.
 func (s *sortSpec) apply(b *storage.Batch, intervals [][]stats.Interval, ctx *Context) (*storage.Batch, [][]stats.Interval) {
 	n := b.Len()
-	idx := make([]int, n)
+	idx := make([]int32, n)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
 	sort.SliceStable(idx, func(x, y int) bool {
 		for k, c := range s.byIdx {
-			vx, vy := b.Vecs[c].Get(idx[x]), b.Vecs[c].Get(idx[y])
+			vx, vy := b.Vecs[c].Get(int(idx[x])), b.Vecs[c].Get(int(idx[y]))
 			if vx.Equal(vy) {
 				continue
 			}
@@ -63,5 +63,9 @@ func (s *sortSpec) apply(b *storage.Batch, intervals [][]stats.Interval, ctx *Co
 		ivs[i] = intervals[j]
 	}
 	ctx.Stats.CPUTuples += int64(n)
-	return b.Gather(idx), ivs
+	out := storage.NewBatch(b.Schema, len(idx))
+	for c, v := range b.Vecs {
+		out.Vecs[c].AppendGather(v, idx)
+	}
+	return out, ivs
 }

@@ -87,7 +87,7 @@ func TestStackedJoinChunks(t *testing.T) {
 			label := fmt.Sprintf("%s p=%g, %d-row morsels", sampler.Kind, sampler.P, morselRows)
 			ctxFor := func(smp *plan.SynopsisOp, workers int) *exec.Context {
 				ctx := workerCtx(workers, morselRows)
-				ctx.MaterializeSamples[smp] = "stacked"
+				ctx.Materialize[smp] = 1
 				return ctx
 			}
 			// Each join's chunks, seen as what its spine hands the sink.
@@ -130,10 +130,10 @@ func TestStackedJoinChunks(t *testing.T) {
 				if sampler.P == 1 {
 					mustMatchOracle(t, fmt.Sprintf("%s, workers=%d", label, workers), want, out, 0)
 				}
-				if len(ctx.Stats.BuiltSamples) != 1 {
-					t.Fatalf("%s, workers=%d: built %d samples, want 1", label, workers, len(ctx.Stats.BuiltSamples))
+				if len(ctx.Stats.Built) != 1 {
+					t.Fatalf("%s, workers=%d: built %d samples, want 1", label, workers, len(ctx.Stats.Built))
 				}
-				sample := ctx.Stats.BuiltSamples[0].Sample.Encode()
+				sample := ctx.Stats.Built[0].Synopsis.Encode()
 				if base == "" {
 					base, baseSample = got, sample
 					continue

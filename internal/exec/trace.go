@@ -6,6 +6,7 @@ import (
 	"github.com/tasterdb/taster/internal/obs"
 	"github.com/tasterdb/taster/internal/plan"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
 )
 
 // tracer records one plan node's per-query trace counters: the batches it
@@ -63,15 +64,25 @@ func (t *tracer) count(b *storage.Batch) {
 
 // BuildTraceTree assembles the per-query trace tree for a compiled plan:
 // every node Compile traced carries its recorded counters; nodes whose work
-// ran inside a morsel pipeline appear as fused stubs. built counts the
-// synopses materialized per plan node (attached after the run, from
-// RunStats). RowsIn derives from the traced children's output.
-func BuildTraceTree(root plan.Node, nodes map[plan.Node]*obs.TraceNode, built map[plan.Node]int64) *obs.TraceNode {
+// ran inside a morsel pipeline appear as fused stubs. A node that built a
+// synopsis the run kept (built, RunStats.Built) counts it as materialized:
+// a sample's rows, 1 for a sketch. RowsIn derives from the traced
+// children's output.
+func BuildTraceTree(root plan.Node, nodes map[plan.Node]*obs.TraceNode, built []Built) *obs.TraceNode {
 	tn := nodes[root]
 	if tn == nil {
 		tn = &obs.TraceNode{Name: root.String(), Fused: true}
 	}
-	tn.Materialized += built[root]
+	for _, b := range built {
+		if b.Node != root {
+			continue
+		}
+		if s, ok := b.Synopsis.(*synopses.Sample); ok {
+			tn.Materialized += int64(s.Rows.NumRows())
+		} else {
+			tn.Materialized++
+		}
+	}
 	for _, c := range root.Children() {
 		child := BuildTraceTree(c, nodes, built)
 		tn.Children = append(tn.Children, child)

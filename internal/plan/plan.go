@@ -243,11 +243,3 @@ func Format(n Node) string {
 	walk(n, 0)
 	return sb.String()
 }
-
-// Walk visits every node of the tree in pre-order.
-func Walk(n Node, visit func(Node)) {
-	visit(n)
-	for _, c := range n.Children() {
-		Walk(c, visit)
-	}
-}

@@ -44,15 +44,6 @@ func samplePlan() (*Aggregate, *storage.Table, *storage.Table) {
 	return agg, r, s
 }
 
-func TestWalkVisitsEveryNode(t *testing.T) {
-	agg, _, _ := samplePlan()
-	count := 0
-	Walk(agg, func(Node) { count++ })
-	if count != 5 { // agg, join, filter, scan r, scan s
-		t.Fatalf("walk visited %d nodes", count)
-	}
-}
-
 func TestFormatShowsTree(t *testing.T) {
 	agg, _, _ := samplePlan()
 	out := Format(agg)

@@ -21,7 +21,7 @@ type branch struct {
 }
 
 func newBranch(q *Query, t TableRef) branch {
-	f := q.filterForTable(t.Name)
+	f := q.FilterForTable(t.Name)
 	b := branch{node: &plan.Scan{Table: t.Table}, filtered: f != nil, sel: expr.Selectivity(f, t.Table)}
 	if b.filtered {
 		b.node = &plan.Filter{Child: b.node, Pred: f}

@@ -38,7 +38,7 @@ func (p *Planner) sketchEligible(q *Query) (sketchShape, bool) {
 			return sketchShape{}, false
 		}
 	}
-	sh := sketchShape{fact: q.factTable()}
+	sh := sketchShape{fact: q.FactTable()}
 
 	// Exactly zero or one distinct fact-side aggregate column.
 	factAggs := p.aggColsOn(q, sh.fact.Name)
@@ -50,7 +50,7 @@ func (p *Planner) sketchEligible(q *Query) (sketchShape, bool) {
 	}
 	// Any other aggregate columns must live on the probe side.
 	for _, c := range q.aggCols() {
-		if q.tableOf(c) == "" {
+		if q.TableOf(c) == "" {
 			return sketchShape{}, false
 		}
 	}
@@ -77,7 +77,7 @@ func (p *Planner) sketchEligible(q *Query) (sketchShape, bool) {
 	// Grouping columns: rewrite fact-side group keys to their probe-side
 	// join equivalents; anything else on the fact side disqualifies.
 	for _, g := range q.GroupBy {
-		if q.tableOf(g) != sh.fact.Name {
+		if q.TableOf(g) != sh.fact.Name {
 			sh.groupBy = append(sh.groupBy, g)
 			continue
 		}
@@ -93,7 +93,7 @@ func (p *Planner) sketchEligible(q *Query) (sketchShape, bool) {
 		}
 		sh.groupBy = append(sh.groupBy, rewritten)
 	}
-	sh.factFilter = q.filterForTable(sh.fact.Name)
+	sh.factFilter = q.FilterForTable(sh.fact.Name)
 	return sh, true
 }
 
@@ -177,7 +177,7 @@ func (p *Planner) addSketchJoinCandidates(q *Query, ps *PlanSet, jo joinOrder) {
 	ps.Candidates = append(ps.Candidates, Candidate{
 		Root:    buildPlan,
 		Cost:    cost.seconds(p.Model, p.Parallelism),
-		Creates: []CreateSpec{{Entry: entry, SketchNode: buildPlan}},
+		Creates: []CreateSpec{{Entry: entry, Node: buildPlan}},
 		Desc:    fmt.Sprintf("build sketch-join on %s", sh.fact.Name),
 	})
 

@@ -13,6 +13,7 @@ import (
 	"github.com/tasterdb/taster/internal/planner"
 	"github.com/tasterdb/taster/internal/sqlparser"
 	"github.com/tasterdb/taster/internal/storage"
+	"github.com/tasterdb/taster/internal/synopses"
 	"github.com/tasterdb/taster/internal/warehouse"
 	"github.com/tasterdb/taster/internal/workload"
 )
@@ -150,9 +151,7 @@ func storeBuilt(t *testing.T, label string, c planner.Candidate, store *meta.Sto
 	}
 	ctx := exec.NewContext(0.95)
 	for _, cs := range c.Creates {
-		if cs.SampleNode != nil {
-			ctx.MaterializeSamples[cs.SampleNode] = "s"
-		}
+		ctx.Materialize[cs.Node] = cs.Entry.Desc.ID
 	}
 	op, err := exec.Compile(c.Root, 1, ctx)
 	if err != nil {
@@ -161,20 +160,14 @@ func storeBuilt(t *testing.T, label string, c planner.Candidate, store *meta.Sto
 	if _, err := exec.Run(op); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	var items []*warehouse.Item
-	for _, cs := range c.Creates {
-		for _, bs := range ctx.Stats.BuiltSamples {
-			if bs.Op == cs.SampleNode {
-				items = append(items, warehouse.NewItem(cs.Entry.Desc.ID, bs.Sample))
-			}
+	for _, b := range ctx.Stats.Built {
+		if smp, ok := b.Synopsis.(*synopses.Sample); ok {
+			// A reuse plan is priced at the sample's encoded size, which
+			// holds its table's name: testdata/plan_costs.txt was pinned
+			// over samples named s.
+			smp.Rows.Name = "s"
 		}
-		for _, bk := range ctx.Stats.BuiltSketches {
-			if bk.Op == cs.SketchNode {
-				items = append(items, warehouse.NewItem(cs.Entry.Desc.ID, bk.Sketch))
-			}
-		}
-	}
-	for _, it := range items {
+		it := warehouse.NewItem(b.ID, b.Synopsis)
 		if wh.Has(it.ID) {
 			continue
 		}

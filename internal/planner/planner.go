@@ -18,12 +18,9 @@ import (
 // byproduct of its execution.
 type CreateSpec struct {
 	Entry *meta.Entry
-	// SampleNode is the sampler operator whose output is materialized
-	// (sample synopses).
-	SampleNode *plan.SynopsisOp
-	// SketchNode is the sketch-join node whose inline-built sketch is
-	// retained (sketch synopses).
-	SketchNode *plan.SketchJoin
+	// Node builds the synopsis: the sampler whose drawn rows are kept, or
+	// the sketch-join whose inline-built payload is (exec.Context.Materialize).
+	Node plan.Node
 }
 
 // Candidate is one executable plan with its estimated cost and the synopses
@@ -312,7 +309,7 @@ func (p *Planner) stalenessPenalty(s float64) float64 {
 func (p *Planner) requiredK(q *Query) int {
 	cv := 0.0
 	for _, c := range q.aggCols() {
-		t := q.tableOf(c)
+		t := q.TableOf(c)
 		if ref, ok := q.ref(t); ok {
 			if i := ref.Table.Schema().Index(c); i >= 0 {
 				if v := ref.Table.ColumnMoments(i).CV(); v > cv {
@@ -338,8 +335,8 @@ func (p *Planner) feasibilityRows(k int) int {
 // the way below the fact table's filter (paper §IV-A push-down), plus reuse
 // plans for every matching materialized sample of that base relation.
 func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet, jo joinOrder) {
-	fact := q.factTable()
-	factFilter := q.filterForTable(fact.Name)
+	fact := q.FactTable()
+	factFilter := q.FilterForTable(fact.Name)
 
 	strat := expr.DedupCols(append(append(
 		q.groupColsOn(fact.Name),
@@ -358,7 +355,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet, jo joinOrder) {
 		coverMinGroup = fact.Table.MinGroupOf(factCover)
 	}
 	for _, g := range q.GroupBy {
-		owner := q.tableOf(g)
+		owner := q.TableOf(g)
 		if owner == fact.Name || owner == "" {
 			continue
 		}
@@ -416,7 +413,7 @@ func (p *Planner) addBaseSampleCandidates(q *Query, ps *PlanSet, jo joinOrder) {
 	ps.Candidates = append(ps.Candidates, Candidate{
 		Root:    p.finishPlan(q, root),
 		Cost:    cost.seconds(p.Model, p.Parallelism),
-		Creates: []CreateSpec{{Entry: entry, SampleNode: synNode}},
+		Creates: []CreateSpec{{Entry: entry, Node: synNode}},
 		Desc:    fmt.Sprintf("build %s sample on %s", cfg.kind, fact.Name),
 	})
 
@@ -518,7 +515,7 @@ func (p *Planner) costBaseSampleReuse(jo joinOrder, fact TableRef, sizeBytes int
 func (p *Planner) aggColsOn(q *Query, table string) []string {
 	var out []string
 	for _, c := range q.aggCols() {
-		if q.tableOf(c) == table {
+		if q.TableOf(c) == table {
 			out = append(out, c)
 		}
 	}

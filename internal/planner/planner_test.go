@@ -146,19 +146,19 @@ func TestValidate(t *testing.T) {
 func TestQueryHelpers(t *testing.T) {
 	q := joinQuery()
 	q.Filter = expr.Pred{expr.Compare("sales.amount", expr.GT, storage.IntValue(10))}
-	if q.tableOf("sales.amount") != "sales" || q.tableOf("bogus") != "" {
-		t.Fatal("tableOf")
+	if q.TableOf("sales.amount") != "sales" || q.TableOf("bogus") != "" {
+		t.Fatal("TableOf")
 	}
-	if f := q.filterForTable("sales"); f == nil {
+	if f := q.FilterForTable("sales"); f == nil {
 		t.Fatal("sales filter missing")
 	}
-	if f := q.filterForTable("products"); f != nil {
+	if f := q.FilterForTable("products"); f != nil {
 		t.Fatal("products filter must be empty")
 	}
 	if got := q.joinKeysOf("sales"); len(got) != 1 || got[0] != "sales.product" {
 		t.Fatalf("joinKeysOf = %v", got)
 	}
-	if q.factTable().Name != "sales" {
+	if q.FactTable().Name != "sales" {
 		t.Fatal("fact table must follow the aggregate column")
 	}
 	if got := q.groupColsOn("products"); len(got) != 1 {
@@ -176,7 +176,7 @@ func TestQueryHelpers(t *testing.T) {
 func TestFactTableForCountStar(t *testing.T) {
 	q := joinQuery()
 	q.Aggs = []plan.AggSpec{{Kind: stats.Count}}
-	if q.factTable().Name != "sales" {
+	if q.FactTable().Name != "sales" {
 		t.Fatal("COUNT(*) fact must be the largest table")
 	}
 }

@@ -98,7 +98,7 @@ func (q *Query) Validate() error {
 		if a.Col == "" {
 			continue // COUNT(*); exec refuses any other column-less aggregate
 		}
-		typ, err := q.colType(q.tableOf(a.Col), a.Col)
+		typ, err := q.colType(q.TableOf(a.Col), a.Col)
 		if err != nil {
 			return fmt.Errorf("planner: %s(%s): %w", a.Kind, a.Col, err)
 		}
@@ -110,7 +110,7 @@ func (q *Query) Validate() error {
 	// term against its table's schema. CompileFilter's error already names
 	// the term and the reason.
 	for _, t := range q.Filter {
-		ref, ok := q.ref(q.tableOf(t.Col))
+		ref, ok := q.ref(q.TableOf(t.Col))
 		if !ok {
 			return fmt.Errorf("planner: filter %s: column %q belongs to no table of the query", t, t.Col)
 		}
@@ -135,17 +135,8 @@ func (q *Query) colType(table, col string) (storage.Type, error) {
 	return sch[i].Typ, nil
 }
 
-// FactTable exposes the fact-table choice to other packages (baselines).
-func (q *Query) FactTable() TableRef { return q.factTable() }
-
-// TableOf exposes column ownership resolution.
-func (q *Query) TableOf(col string) string { return q.tableOf(col) }
-
-// FilterForTable exposes a table's filter conjunction.
-func (q *Query) FilterForTable(name string) expr.Pred { return q.filterForTable(name) }
-
-// tableOf returns the table owning a qualified column name, or "".
-func (q *Query) tableOf(col string) string {
+// TableOf returns the table owning a qualified column name, or "".
+func (q *Query) TableOf(col string) string {
 	i := strings.IndexByte(col, '.')
 	if i <= 0 {
 		return ""
@@ -169,12 +160,12 @@ func (q *Query) ref(name string) (TableRef, bool) {
 	return TableRef{}, false
 }
 
-// filterForTable returns the terms on the given table's columns, in query
+// FilterForTable returns the terms on the given table's columns, in query
 // order; nil when none applies.
-func (q *Query) filterForTable(name string) expr.Pred {
+func (q *Query) FilterForTable(name string) expr.Pred {
 	var keep expr.Pred
 	for _, t := range q.Filter {
-		if q.tableOf(t.Col) == name {
+		if q.TableOf(t.Col) == name {
 			keep = append(keep, t)
 		}
 	}
@@ -196,13 +187,13 @@ func (q *Query) joinKeysOf(name string) []string {
 	return expr.DedupCols(out)
 }
 
-// factTable picks the relation "on which the aggregation takes place"
+// FactTable picks the relation "on which the aggregation takes place"
 // (paper §IV-A): the table owning the first aggregate column; for pure
 // COUNT(*) queries, the largest table (the side worth summarizing).
-func (q *Query) factTable() TableRef {
+func (q *Query) FactTable() TableRef {
 	for _, a := range q.Aggs {
 		if a.Col != "" {
-			if t := q.tableOf(a.Col); t != "" {
+			if t := q.TableOf(a.Col); t != "" {
 				ref, _ := q.ref(t)
 				return ref
 			}
@@ -226,7 +217,7 @@ func (q *Query) factTable() TableRef {
 // is returned. A table that joins none of the placed ones is placed next
 // anyway, and newJoinOrder refuses it (cross joins are unsupported).
 func (q *Query) factFirst() *Query {
-	fact := q.factTable()
+	fact := q.FactTable()
 	order := []TableRef{fact}
 	placed := []string{fact.Name}
 	var rest []TableRef
@@ -282,7 +273,7 @@ func (q *Query) approximableAggs() bool {
 func (q *Query) groupColsOn(name string) []string {
 	var out []string
 	for _, g := range q.GroupBy {
-		if q.tableOf(g) == name {
+		if q.TableOf(g) == name {
 			out = append(out, g)
 		}
 	}
@@ -293,7 +284,7 @@ func (q *Query) groupColsOn(name string) []string {
 // value distribution is skewed — the columns the push-down rule adds to the
 // stratification set (paper §IV-A).
 func (q *Query) skewedEqFilterCols(t TableRef) []string {
-	f := q.filterForTable(t.Name)
+	f := q.FilterForTable(t.Name)
 	if f == nil {
 		return nil
 	}

@@ -117,11 +117,12 @@ func TestVectorCodesSurviveRandomCopies(t *testing.T) {
 			case 3:
 				dst.Extend(src)
 			case 4:
-				idx := make([]int, r.Intn(20))
+				idx := make([]int32, r.Intn(20))
 				for i := range idx {
-					idx[i] = r.Intn(src.Len())
+					idx[i] = int32(r.Intn(src.Len()))
 				}
-				g := src.Gather(idx)
+				g := NewVector(String, len(idx))
+				g.AppendGather(src, idx)
 				checkCoded(t, where+" gather", g)
 				live = append(live, g)
 			case 5:

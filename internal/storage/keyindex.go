@@ -7,18 +7,15 @@ import (
 
 // KeyIndex finds rows by key. It is built once over the key columns of a
 // table version (Table.KeyIndex) and returns, for any key, the ascending rows
-// that carry it, through one of three layouts, and it finds a key in one of
-// two ways: by address or by its version's numbering. A key that is one Int64
-// column over a short span (DenseSpan) is dense, found by its position
-// key − min: when every key turns out to have one row — a dimension's primary
-// key, a sketch-join payload — that position indexes rowOf, the key's row or
-// −1 (unique dense); otherwise it indexes an offset array behind which the
-// key's rows sit as one contiguous run of matchRows (dense runs). Every other
-// key is numbered: the version's own GroupIDs over the key columns gives each
-// distinct key an id in key order, a probe finds a key's id by binary search
-// over the numbering's keys, and id's run sits behind an offset array indexed
-// by id. A probe reads every run, dense or numbered, through one loop; only
-// the unique layout has loops of its own. It keeps no hash table. The build
+// that carry it, through one of two layouts. A key that is one Int64 column
+// over a short span (DenseSpan) whose every value turns out to have one row —
+// a dimension's primary key, a sketch-join payload — is unique dense, found
+// by its address: its position key − min indexes rowOf, the key's row or −1.
+// Every other key is numbered: the version's own GroupIDs over the key
+// columns gives each distinct key an id in key order, a probe finds a key's
+// id by binary search over the numbering's keys, and the key's rows sit
+// behind an offset array indexed by id as one contiguous run of matchRows.
+// Each layout has its own probe loops. It keeps no hash table. The build
 // is serial, so the index is the same whatever runs beside it; once built it
 // is immutable and safe for concurrent probes. A join's build side and a
 // sketch-join's per-key table are both found through one, a probe batch at a
@@ -39,12 +36,12 @@ type KeyIndex struct {
 	// and id g's key is row g of the key-ordered ids.Keys.
 	ids *GroupIDs
 
-	// rowOf is a unique dense index's only array: position k's row, or −1
-	// when no row carries the key (nil for the other two layouts).
+	// rowOf is a dense index's only array: position k's row, or −1 when no
+	// row carries the key (nil for a numbered index).
 	rowOf []int32
-	// matchRows holds every key's run of rows back to back; key k's run is
-	// matchRows[offs[k]:offs[k+1]], k being the key's position (dense runs) or
-	// the key's id (numbered). Both are nil under rowOf.
+	// matchRows holds a numbered index's runs of rows back to back; the run
+	// of the key with id k is matchRows[offs[k]:offs[k+1]]. Both are nil
+	// under rowOf.
 	matchRows []int32
 	offs      []int32
 	keys      int // distinct keys
@@ -64,21 +61,20 @@ const (
 
 // newKeyIndex indexes every row of t by its key over the columns at
 // positions cols: dense when the key is one Int64 column whose span
-// DenseSpan admits for its rows — unique or in runs, as the rows turn out —
-// and otherwise numbered by t's own GroupIDs, whose ids are laid out in
-// runs.
+// DenseSpan admits for its rows and no value of which repeats, and otherwise
+// numbered by t's own GroupIDs, whose ids are laid out in runs.
 func newKeyIndex(t *Table, cols []int) *KeyIndex {
 	x := &KeyIndex{}
 	if len(cols) == 1 && t.schema[cols[0]].Typ == Int64 {
 		kv := t.Column(cols[0])
-		if min, nk, ok := denseSpan(kv.I64); ok {
+		if min, nk, ok := denseSpan(kv.I64); ok && x.buildDense(kv.I64, min, nk) {
 			x.key = kv
-			x.buildDenseIndex(kv.I64, min, nk)
 			return x
 		}
 	}
 	x.ids = t.GroupIDs(cols)
-	x.buildRuns(x.ids.ID.I64, x.ids.Len())
+	x.keys = x.ids.Len() // every id is some row's
+	x.buildRuns(x.ids.ID.I64, x.keys)
 	return x
 }
 
@@ -113,43 +109,34 @@ func denseSpan(keys []int64) (uint64, int, bool) {
 	return 0, 0, false
 }
 
-// buildDenseIndex lays the keys out by position uint64(k) − min: in rowOf
-// while every position holds one row; in runs (buildRuns), in position
-// order, once one holds a second.
-func (x *KeyIndex) buildDenseIndex(keys []int64, min uint64, nk int) {
-	x.min = min
+// buildDense lays the keys out by position uint64(k) − min in rowOf and
+// reports true, or gives up at a key's second row, leaving x as it was, and
+// reports false: a repeating key is numbered.
+func (x *KeyIndex) buildDense(keys []int64, min uint64, nk int) bool {
 	rowOf := make([]int32, nk)
 	for k := range rowOf {
 		rowOf[k] = -1
 	}
 	for i, k := range keys {
 		p := uint64(k) - min
-		if rowOf[p] < 0 {
-			rowOf[p] = int32(i)
-			continue
+		if rowOf[p] >= 0 {
+			return false
 		}
-		pos := make([]int64, len(keys))
-		for i, k := range keys {
-			pos[i] = int64(uint64(k) - min)
-		}
-		x.buildRuns(pos, nk)
-		return
+		rowOf[p] = int32(i)
 	}
-	x.rowOf, x.keys = rowOf, len(keys)
+	x.min, x.rowOf, x.keys = min, rowOf, len(keys)
+	return true
 }
 
-// buildRuns lays out the runs of rows whose keys have positions pos, each
-// below nk, behind offs: ascending row order within every run falls out of
-// the forward fill pass. Count position k into offs[k+2], then prefix-sum,
+// buildRuns lays out the runs of rows whose keys have ids pos, each below
+// nk, behind offs: ascending row order within every run falls out of
+// the forward fill pass. Count id k into offs[k+2], then prefix-sum,
 // leaving offs[k+1] at the start of k's run; the fill goes through
 // offs[k+1], which walks it to the end of k's run — the start of k+1's — so
 // the array finishes as the exclusive offsets with no cursor copy.
 func (x *KeyIndex) buildRuns(pos []int64, nk int) {
 	offs := make([]int32, nk+2)
 	for _, k := range pos {
-		if offs[k+2] == 0 {
-			x.keys++
-		}
 		offs[k+2]++
 	}
 	for k := 2; k < len(offs); k++ {
@@ -165,9 +152,9 @@ func (x *KeyIndex) buildRuns(pos []int64, nk int) {
 
 // A KeyMask is a set of the rows a KeyIndex indexes — a join build side's
 // survivors — kept in the index's own coordinates (NewMask, Mark): one bit
-// per key position under a unique dense index, so a probe row the mask
-// refuses costs one bit test before its row is loaded; one bit per row
-// otherwise, tested per candidate match.
+// per key position under a dense index, so a probe row the mask refuses
+// costs one bit test before its row is loaded; one bit per row under a
+// numbered one, tested per candidate match.
 // A nil mask is every row.
 type KeyMask []uint64
 
@@ -175,24 +162,20 @@ func (m KeyMask) has(i uint64) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 
 func (m KeyMask) set(i uint64) { m[i>>6] |= 1 << (i & 63) }
 
-// byKey reports whether a mask over x has a bit per key position rather than
-// per row: under a unique dense index.
-func (x *KeyIndex) byKey() bool { return x.rowOf != nil }
-
 // NewMask returns an empty mask over x's rows: as many bits as the dense
-// span when masks are by key (byKey), as rows otherwise.
+// span under a dense index (UniqueDense), as rows otherwise.
 func (x *KeyIndex) NewMask() KeyMask {
 	n := len(x.matchRows)
-	if x.byKey() {
+	if x.UniqueDense() {
 		n = len(x.rowOf)
 	}
 	return make(KeyMask, (n+63)/64)
 }
 
 // Mark adds rows to m: lo+sel[j] for every j, or lo..lo+n−1 when sel is nil.
-// A row's bit is its key − min when masks are by key, the row otherwise.
+// A row's bit is its key − min under a dense index, the row otherwise.
 func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
-	if x.byKey() {
+	if x.UniqueDense() {
 		// Every join of the generated workloads: one subtraction per row.
 		keys, min := x.key.I64, x.min
 		if sel == nil {
@@ -228,10 +211,10 @@ type ProbePos struct{ Row, Done int }
 // live-row order and ascending within a row, and stops once room pairs are
 // out or the batch is: it returns fewer than room pairs only with Row ==
 // b.Rows(). The position it returns is where the next call resumes —
-// mid-run when a row's matches outrun room. A unique dense index, every join
-// of the generated workloads, has one loop per mask shape (probeUnique,
-// probeUniqueMasked); every other index, dense runs or numbered, has one loop
-// that finds a row's run by address or by search (probeRuns).
+// mid-run when a row's matches outrun room. A dense index, every join of the
+// generated workloads, has one loop per mask shape (probeUnique,
+// probeUniqueMasked); a numbered index has one loop that finds a row's run by
+// search (probeRuns).
 func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	switch {
 	case x.rowOf != nil && mask == nil:
@@ -301,17 +284,14 @@ func (x *KeyIndex) probeUniqueMasked(keys []int64, sel []int32, live int, byKey 
 	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
-// probeRuns is Probe's loop over runs, dense or numbered, under a mask by
-// row or none. A live row's run position k is, under dense runs, its key −
-// min, a key below min wrapping to a k the bound refuses; under a numbered
-// index, its key's id (find). A key no indexed row carries matches nothing.
-// k's run matchRows[offs[k]:offs[k+1]] is copied whole when no mask is kept
-// and it fits in the room left — one room check a row. Otherwise each match
-// the mask holds is written while there is room; when there is none, the
-// position returned resumes inside the run, at that match. The loop keeps
-// the search out of line, and the dense keys and the arrays in locals: with
-// either inline, spills made it a third slower per pair
-// (BenchmarkJoinProbe/runs150k).
+// probeRuns is Probe's loop over a numbered index's runs, under a mask by
+// row or none. A live row's run is its key's id k (find); a key no indexed
+// row carries has the id past every run and matches nothing. k's run
+// matchRows[offs[k]:offs[k+1]] is copied whole when no mask is kept and it
+// fits in the room left — one room check a row. Otherwise each match the
+// mask holds is written while there is room; when there is none, the
+// position returned resumes inside the run, at that match. The search stays
+// out of line (find) and the arrays in locals.
 func (x *KeyIndex) probeRuns(b *Batch, cols []int, byRow KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	o := len(pos)
 	pos, rows = grow(pos, room), grow(rows, room)
@@ -320,11 +300,7 @@ func (x *KeyIndex) probeRuns(b *Batch, cols []int, byRow KeyMask, at ProbePos, r
 	for _, c := range cols {
 		probe = append(probe, b.Vecs[c])
 	}
-	offs, matchRows, sel, min := x.offs, x.matchRows, b.Sel, x.min
-	var keys []int64 // the probe keys under dense runs, nil when numbered
-	if x.ids == nil {
-		keys = probe[0].I64
-	}
+	offs, matchRows, sel := x.offs, x.matchRows, b.Sel
 	span := uint64(len(offs) - 1)
 	live, done := b.Rows(), at.Done
 	for j := at.Row; j < live; j++ {
@@ -332,12 +308,7 @@ func (x *KeyIndex) probeRuns(b *Batch, cols []int, byRow KeyMask, at ProbePos, r
 		if sel != nil {
 			i = int(sel[j])
 		}
-		var k uint64
-		if keys != nil {
-			k = uint64(keys[i]) - min
-		} else {
-			k = x.find(probe, i)
-		}
+		k := x.find(probe, i)
 		if k >= span {
 			continue
 		}

@@ -8,16 +8,15 @@ import (
 	"testing"
 )
 
-// TestKeyIndexLayout pins which of the three layouts each key shape takes —
+// TestKeyIndexLayout pins which of the two layouts each key shape takes —
 // unique dense (rowOf) for one Int64 column under the span rule whose keys
 // each have one row (surrogate keys, a selective filter's survivors under
-// the span floor, a range straddling zero); dense runs for such a column
-// with duplicates; numbered for every other key (Int64 keys with no
-// locality, float64, bool, strings, tuples) — that Keys counts distinct keys
-// in all three, and what Bytes reports for each: the join cache bounds its
-// pinned bytes by it. A dense layout's arrays are pinned exactly; a numbered
-// index adds its version's GroupIDs — 8 bytes a row and the key columns — to
-// its runs. Whether the lookups answer like a Go map is exec's
+// the span floor, a range straddling zero); numbered for every other key
+// (such a column with duplicates, Int64 keys with no locality, float64,
+// bool, strings, tuples) — that Keys counts distinct keys in both, and what
+// Bytes reports for each: the join cache bounds its pinned bytes by it. The
+// dense layout's array is pinned exactly; a numbered index adds its
+// version's GroupIDs — 8 bytes a row and the key columns — to its runs. Whether the lookups answer like a Go map is exec's
 // TestJoinIndexMatchesMap and FuzzJoinIndex.
 func TestKeyIndexLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -55,7 +54,6 @@ func TestKeyIndexLayout(t *testing.T) {
 
 	const (
 		unique   = "unique dense"
-		runs     = "dense runs"
 		numbered = "numbered"
 	)
 	for _, c := range []struct {
@@ -66,7 +64,7 @@ func TestKeyIndexLayout(t *testing.T) {
 		keys   int
 	}{
 		{"dense surrogate keys", []*Vector{ints(surrogate...)}, []int{0}, unique, 5000},
-		{"span 1800 over 6000 rows", []*Vector{ints(gaps...)}, []int{0}, runs, countDistinct(gaps)},
+		{"span 1800 over 6000 rows", []*Vector{ints(gaps...)}, []int{0}, numbered, countDistinct(gaps)},
 		{"straddling zero", []*Vector{ints(zero...)}, []int{0}, unique, 4001},
 		{"random 63-bit keys", []*Vector{ints(sparse...)}, []int{0}, numbered, 4000},
 		{"MinInt64 and MaxInt64 together", []*Vector{ints(math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64)}, []int{0}, numbered, 5},
@@ -83,10 +81,8 @@ func TestKeyIndexLayout(t *testing.T) {
 		switch {
 		case x.key != nil && x.rowOf != nil && x.offs == nil && x.matchRows == nil && x.ids == nil:
 			layout = unique
-		case x.key != nil && x.rowOf == nil && x.offs != nil && x.ids == nil:
-			layout = runs
 		case x.key != nil || x.rowOf != nil || x.ids == nil:
-			layout = "none of the three"
+			layout = "neither of the two"
 		}
 		if layout != c.layout {
 			t.Errorf("%s: laid out %s, want %s", c.name, layout, c.layout)
@@ -97,7 +93,7 @@ func TestKeyIndexLayout(t *testing.T) {
 		}
 		rows := int64(c.vecs[0].Len())
 		var span int64
-		if c.layout != numbered && rows > 0 {
+		if c.layout == unique && rows > 0 {
 			span = int64(slices.Max(c.vecs[0].I64)-slices.Min(c.vecs[0].I64)) + 1
 		}
 		var keyBytes int64
@@ -109,8 +105,6 @@ func TestKeyIndexLayout(t *testing.T) {
 		switch n := x.Bytes(); {
 		case c.layout == unique && n != 4*span:
 			t.Errorf("%s: %d bytes, want 4 per position of a span of %d", c.name, n, span)
-		case c.layout == runs && n != 4*(rows+span+1):
-			t.Errorf("%s: %d bytes, want 4 per row and per offset over a span of %d", c.name, n, span)
 		case c.layout == numbered && (keyBytes == 0 || n != 4*(rows+int64(c.keys)+1)+8*rows+keyBytes):
 			t.Errorf("%s: %d bytes, want 4 per row and per offset, 8 per row for its ids and its %d key bytes", c.name, n, keyBytes)
 		}

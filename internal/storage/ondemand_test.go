@@ -24,8 +24,8 @@ func sampleKinds(ps *planner.PlanSet) []plan.SynopsisKind {
 	var out []plan.SynopsisKind
 	for _, c := range ps.Candidates {
 		for _, cr := range c.Creates {
-			if cr.SampleNode != nil {
-				out = append(out, cr.SampleNode.Kind)
+			if smp, ok := cr.Node.(*plan.SynopsisOp); ok {
+				out = append(out, smp.Kind)
 			}
 		}
 	}

@@ -209,7 +209,8 @@ func TestVectorGatherSlice(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		v.I64 = append(v.I64, i)
 	}
-	g := v.Gather([]int{9, 0, 5})
+	g := NewVector(Int64, 3)
+	g.AppendGather(v, []int32{9, 0, 5})
 	if g.I64[0] != 9 || g.I64[1] != 0 || g.I64[2] != 5 {
 		t.Fatalf("gather = %v", g.I64)
 	}
@@ -222,7 +223,10 @@ func TestVectorGatherSlice(t *testing.T) {
 func TestBatchGather(t *testing.T) {
 	tbl := buildTestTable(t, 10)
 	b := tbl.Scan(0, 100)[0]
-	g := b.Gather([]int{2, 0})
+	g := NewBatch(b.Schema, 2)
+	for c, v := range b.Vecs {
+		g.Vecs[c].AppendGather(v, []int32{2, 0})
+	}
 	if g.Len() != 2 || g.Row(0)[0].I != 2 || g.Row(1)[0].I != 0 {
 		t.Fatalf("batch gather wrong: %v", g.Row(0))
 	}

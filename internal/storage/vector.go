@@ -226,36 +226,6 @@ func (v *Vector) view(src *Vector, lo, hi int) {
 	}
 }
 
-// Gather returns a new vector containing v[idx[0]], v[idx[1]], ...
-func (v *Vector) Gather(idx []int) *Vector {
-	out := NewVector(v.Typ, len(idx))
-	switch v.Typ {
-	case Int64:
-		for _, i := range idx {
-			out.I64 = append(out.I64, v.I64[i])
-		}
-	case Float64:
-		for _, i := range idx {
-			out.F64 = append(out.F64, v.F64[i])
-		}
-	case String:
-		if v.Dict != nil {
-			out.Code, out.Dict = make([]uint32, 0, len(idx)), v.Dict
-			for _, i := range idx {
-				out.Code = append(out.Code, v.Code[i])
-			}
-		}
-		for _, i := range idx {
-			out.Str = append(out.Str, v.Str[i])
-		}
-	case Bool:
-		for _, i := range idx {
-			out.B = append(out.B, v.B[i])
-		}
-	}
-	return out
-}
-
 // Bytes returns the in-memory size of the vector payload in bytes.
 func (v *Vector) Bytes() int64 {
 	switch v.Typ {
@@ -390,15 +360,6 @@ func (b *Batch) Row(i int) []Value {
 	out := make([]Value, len(b.Vecs))
 	for c, v := range b.Vecs {
 		out[c] = v.Get(i)
-	}
-	return out
-}
-
-// Gather returns a new batch with only the rows at idx, preserving order.
-func (b *Batch) Gather(idx []int) *Batch {
-	out := &Batch{Schema: b.Schema, Vecs: make([]*Vector, len(b.Vecs))}
-	for c, v := range b.Vecs {
-		out.Vecs[c] = v.Gather(idx)
 	}
 	return out
 }
