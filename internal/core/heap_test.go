@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
@@ -28,13 +31,42 @@ func allocated(f func()) uint64 {
 	return m1.TotalAlloc - m0.TotalAlloc
 }
 
+// touchChildEnv marks the test binary TestTouchHeadroom starts as its child.
+const touchChildEnv = "TASTER_TOUCH_HEADROOM_CHILD"
+
 // TestTouchHeadroom: over a live set the heap has never grown past,
 // touchHeadroom leaves one cycle's room mapped behind it, and a later
-// call, before or after the chunks are collected, touches nothing.
+// call, before or after the chunks are collected, touches nothing. The
+// test reads process-wide heap metrics, so anything else that allocates
+// between its two touches — a goroutine an earlier test's engine left
+// running — would move the room the second one computes: its body runs in
+// a child process of the test binary, which runs it alone, and the test
+// reports what the child reported.
 func TestTouchHeadroom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a 96 MiB live set")
 	}
+	if os.Getenv(touchChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestTouchHeadroom$", "-test.count", "1", "-test.v")
+		cmd.Env = append(os.Environ(), touchChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("the child running the test alone: %v\n%s", err, out)
+		}
+		switch {
+		case bytes.Contains(out, []byte("--- SKIP: TestTouchHeadroom")):
+			t.Skipf("the child skipped:\n%s", out)
+		case !bytes.Contains(out, []byte("--- PASS: TestTouchHeadroom")):
+			t.Fatalf("the child ran no test:\n%s", out)
+		}
+		return
+	}
+	touchHeadroomAlone(t)
+}
+
+// touchHeadroomAlone is TestTouchHeadroom's body, run in a process of its
+// own.
+func touchHeadroomAlone(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(100))
 	live := make([]byte, 96<<20)
 	for i := range len(live) / touchStride {

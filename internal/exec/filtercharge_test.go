@@ -34,7 +34,7 @@ func TestFilterChargesEvaluatedRows(t *testing.T) {
 	var out storage.Batch
 	survived := 0
 	for _, b := range []*storage.Batch{mk(10, 11, 12, 13), mk(10, 1, 2), mk(1, 2, 3, 4, 5)} {
-		if b = refine(b, prog, &out, &sc, ctx); b != nil {
+		if b = refine(b, prog, nil, &out, &sc, ctx); b != nil {
 			survived += b.Rows()
 		}
 	}

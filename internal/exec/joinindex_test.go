@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -36,6 +37,56 @@ func checkJoinIndex(t testing.TB, kv *storage.Vector, absent []uint64, keep uint
 		return ref[storage.FixedWord(probe.Vecs[0], row)]
 	}, rng)
 	checkMasked(t, []*storage.Vector{kv}, []int{0}, keep, probe, rng)
+	checkRange(t, keyIndex(t, []*storage.Vector{kv}, []int{0}), kv, words, rng)
+}
+
+// checkRange holds KeyIndex.Range to a scan of the keys kv: for intervals
+// drawn from words — empty ones, one key's, unbounded on either side or
+// both, outside the column and at random — a numbered one-column Int64
+// index returns every row whose key lies in the interval, grouped by key in
+// key order and ascending within a key; any other index refuses.
+func checkRange(t testing.TB, x *storage.KeyIndex, kv *storage.Vector, words []uint64, rng *rand.Rand) {
+	t.Helper()
+	if _, ok := x.Range(0, 0); ok != (kv.Typ == storage.Int64 && !x.UniqueDense()) {
+		t.Fatalf("Range over a %s index (unique dense %v) reports ok=%v", kv.Typ, x.UniqueDense(), ok)
+	}
+	if kv.Typ != storage.Int64 || x.UniqueDense() || kv.Len() == 0 {
+		return
+	}
+	keys := kv.I64
+	byKey := make([]int32, len(keys))
+	for i := range byKey {
+		byKey[i] = int32(i)
+	}
+	slices.SortStableFunc(byKey, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	lo, hi := slices.Min(keys), slices.Max(keys)
+	k := keys[rng.Intn(len(keys))]
+	ivs := [][2]int64{
+		{k, k}, {k, k - 1}, {hi, lo - 1}, {math.MinInt64, k}, {k, math.MaxInt64}, {math.MinInt64, math.MaxInt64},
+		{lo, hi}, {math.MaxInt64, math.MinInt64},
+	}
+	if hi < math.MaxInt64 {
+		ivs = append(ivs, [2]int64{hi + 1, math.MaxInt64})
+	}
+	if lo > math.MinInt64 {
+		ivs = append(ivs, [2]int64{math.MinInt64, lo - 1})
+	}
+	for range 8 {
+		a, b := int64(words[rng.Intn(len(words))]), int64(words[rng.Intn(len(words))])
+		ivs = append(ivs, [2]int64{min(a, b), max(a, b)})
+	}
+	for _, iv := range ivs {
+		var want []int32
+		for _, r := range byKey {
+			if iv[0] <= keys[r] && keys[r] <= iv[1] {
+				want = append(want, r)
+			}
+		}
+		got, ok := x.Range(iv[0], iv[1])
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("Range(%d, %d) = %v (ok %v), want %v", iv[0], iv[1], got, ok, want)
+		}
+	}
 }
 
 // checkMasked is the survivor mask's property: over the index of every row

@@ -754,3 +754,62 @@ func BenchmarkSketchJoinBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKeyedRangeSweep is the sweep that sets keyedRatio: one leaf read
+// of a 600 000-row table whose Int64 column repeats 2 400 values at random
+// (l_shipdate's shape at sf 0.1), filtered by a range holding a share of its
+// rows from 0.5 % to 50 %, read both ways a Filter over a leaf can read it —
+// the range kernel over every batch (scan), or the rows of the column's key
+// index marked in a row bitmap and each batch's candidates taken from it
+// (index; the index itself is built once per version, before the timer).
+// ns/row is per table row: `go test ./internal/exec -run NONE -bench
+// BenchmarkKeyedRangeSweep -cpu 1`. The index read wins up to 30 % and
+// loses at 50 %; keyedRatio says why R is 8, not the break-even.
+func BenchmarkKeyedRangeSweep(b *testing.B) {
+	const days = 2400
+	rng := rand.New(rand.NewSource(47))
+	tb := storage.NewBuilder("t", storage.Schema{{Name: "t.d", Typ: storage.Int64}})
+	tb.Grow(filterBenchRows)
+	for i := 0; i < filterBenchRows; i++ {
+		tb.Int(0, int64(rng.Intn(days)))
+	}
+	tbl := tb.Build(10)
+	x := tbl.KeyIndex([]int{0})
+	for _, pct := range []float64{0.5, 1, 2, 5, 10, 12.5, 15, 20, 30, 50} {
+		hi := int64(pct*days/100) - 1
+		pred := expr.Pred{expr.Compare("t.d", expr.GE, storage.IntValue(0)), expr.Compare("t.d", expr.LE, storage.IntValue(hi))}
+		prog, err := expr.CompileFilter(pred, tbl.Schema())
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool := storage.NewVecPool()
+		for _, mode := range []string{"scan", "index"} {
+			b.Run(fmt.Sprintf("%s/%g%%", mode, pct), func(b *testing.B) {
+				ctx := NewContext(0.95)
+				cur := tbl.NewCursor(storage.BatchSize, nil, nil, nil)
+				out := storage.Batch{Sel: make([]int32, 0, storage.BatchSize)}
+				var leaf storage.Batch
+				var sc expr.Scratch
+				for i := 0; i < b.N; i++ {
+					var rows storage.KeyMask
+					if mode == "index" {
+						in, _ := x.Range(0, hi)
+						rows = pool.GetBits(tbl.NumRows())
+						rows.MarkRows(in)
+					}
+					p := prog
+					if rows != nil {
+						p = nil
+					}
+					for cur.Seek(0, tbl.NumRows(), nil); cur.Next(&leaf); {
+						if k := refine(&leaf, p, rows, &out, &sc, ctx); k != nil {
+							benchJoinSink += k.Rows()
+						}
+					}
+					pool.PutBits(rows)
+				}
+				reportPerRow(b, tbl.NumRows())
+			})
+		}
+	}
+}

@@ -410,7 +410,7 @@ func TestMorselLeafReadAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep := p.pipe.open(ctx)
+	keep := p.pipe.open(ctx).keep
 	w := p.newWorker()
 	defer w.close()
 	var spans [][2]int

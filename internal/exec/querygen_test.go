@@ -216,7 +216,8 @@ func queryCatalogs() (w, retiled *workload.Workload) {
 // FuzzQuery: text that is a query of the grammar (grammarQuery) runs as
 // typed, EXACT; any other input is the generator's bytes (genQuery). Either
 // way the engine must meet the oracle. The corpus is seeded with every
-// TPC-H template's instances and an unfiltered two-hop chain.
+// TPC-H template's instances, an unfiltered two-hop chain and Int64 ranges
+// on either side of the key index's rule.
 func FuzzQuery(f *testing.F) {
 	w, retiled := queryCatalogs()
 	r := rand.New(rand.NewSource(1))
@@ -227,6 +228,18 @@ func FuzzQuery(f *testing.F) {
 	// An unfiltered two-hop chain: every fact batch joins both dimensions by
 	// lookup.
 	f.Add("SELECT n_name, SUM(l_extendedprice), COUNT(*) FROM lineitem JOIN supplier ON l_suppkey = s_suppkey JOIN nation ON s_nationkey = n_nationkey GROUP BY n_name")
+	// Int64 ranges either side of the key index's rule, on the fact table's
+	// leaf and on a join's build side: a selective one (read through the
+	// column's key index), an empty one and an unselective one (read by the
+	// range kernel).
+	for _, where := range []string{
+		"l_shipdate BETWEEN 1000 AND 1060 AND l_discount > 0.04", "l_shipdate > 1500 AND l_shipdate < 1501", "l_shipdate >= 200",
+	} {
+		f.Add("SELECT l_returnflag, SUM(l_extendedprice), COUNT(*) FROM lineitem WHERE " + where + " GROUP BY l_returnflag")
+	}
+	for _, where := range []string{"o_orderdate BETWEEN 700 AND 760", "o_orderdate BETWEEN 900 AND 899", "o_orderdate <= 2000"} {
+		f.Add("SELECT o_orderpriority, SUM(l_extendedprice) FROM lineitem JOIN orders ON l_orderkey = o_orderkey WHERE " + where + " GROUP BY o_orderpriority")
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		sql := in + " EXACT"
 		if !grammarQuery(w.Catalog, sql) {

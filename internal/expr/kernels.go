@@ -100,8 +100,11 @@ func CompileFilter(p Pred, s storage.Schema) (*Filter, error) {
 
 // Refine runs the program over one batch: in lists the candidate physical
 // rows (ascending; nil = all rows), survivors are appended to out and
-// returned. sc lends intermediate buffers and the string leaves' truth
-// tables; it may be shared across calls but not across goroutines.
+// returned. out may be in's own buffer, in[:0]: every leaf writes a
+// candidate at or behind the one it reads, and a conjunction's terms before
+// the last write to scratch. sc lends intermediate buffers and the string
+// leaves' truth tables; it may be shared across calls but not across
+// goroutines.
 func (f *Filter) Refine(b *storage.Batch, in, out []int32, sc *Scratch) []int32 {
 	return f.root.refine(b, in, out, sc)
 }
@@ -594,21 +597,63 @@ type rangeNode struct {
 // newRangeNode is the range leaf of a lower and an upper bound on one column,
 // both made inclusive.
 func newRangeNode(a, b *cmpNode) *rangeNode {
-	r := &rangeNode{col: a.col}
-	for _, c := range []*cmpNode{a, b} {
-		switch c.op {
-		case GE:
-			r.lo = c.i64
-		case GT:
-			r.lo, r.none = c.i64+1, r.none || c.i64 == math.MaxInt64
-		case LE:
-			r.hi = c.i64
-		case LT:
-			r.hi, r.none = c.i64-1, r.none || c.i64 == math.MinInt64
+	iv := allInts.narrow(a.op, a.i64).narrow(b.op, b.i64)
+	return &rangeNode{col: a.col, lo: iv.From, hi: iv.To, none: iv.Empty}
+}
+
+// Interval is an inclusive interval of Int64 values, [From, To]; an Empty
+// one holds none, whatever its ends read.
+type Interval struct {
+	From, To int64
+	Empty    bool
+}
+
+// allInts is the interval no bound has narrowed: every Int64.
+var allInts = Interval{From: math.MinInt64, To: math.MaxInt64}
+
+// narrow returns iv cut by the bound x op c, made inclusive as the range
+// leaf makes it (see the file comment): > c is >= c+1, < c is <= c−1, = c
+// is both >= c and <= c; > MaxInt64 and < MinInt64 hold nothing, and
+// neither does an interval whose low end passes its high end.
+func (iv Interval) narrow(op CmpOp, c int64) Interval {
+	switch op {
+	case EQ:
+		iv.From, iv.To = max(iv.From, c), min(iv.To, c)
+	case GE:
+		iv.From = max(iv.From, c)
+	case GT:
+		iv.From, iv.Empty = max(iv.From, c+1), iv.Empty || c == math.MaxInt64
+	case LE:
+		iv.To = min(iv.To, c)
+	case LT:
+		iv.To, iv.Empty = min(iv.To, c-1), iv.Empty || c == math.MinInt64
+	}
+	iv.Empty = iv.Empty || iv.From > iv.To
+	return iv
+}
+
+// IntRange splits p over schema s into a range and the rest: the first
+// column some term bounds as an Int64 column by an Int64 literal (=, <, <=,
+// >, >=: the comparisons the kernels run in integer domain), the inclusive
+// interval every such bound on that column leaves — narrowed as the range
+// leaf narrows its pair — and the terms that remain, in their order (nil:
+// none). A row satisfies p exactly when its value in column col lies in the
+// interval and it satisfies rest. ok is false when no term is such a bound.
+func IntRange(p Pred, s storage.Schema) (col int, iv Interval, rest Pred, ok bool) {
+	col, iv = -1, allInts
+	for _, t := range p {
+		c := s.Index(t.Col)
+		bound := c >= 0 && t.Op < IN && t.Op != NE && s[c].Typ == storage.Int64 && t.Val.Typ == storage.Int64
+		if bound && col < 0 {
+			col = c
+		}
+		if bound && c == col {
+			iv = iv.narrow(t.Op, t.Val.I)
+		} else {
+			rest = append(rest, t)
 		}
 	}
-	r.none = r.none || r.lo > r.hi
-	return r
+	return col, iv, rest, col >= 0
 }
 
 func (n *rangeNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 {

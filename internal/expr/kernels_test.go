@@ -72,9 +72,11 @@ func codedCopy(b *storage.Batch) *storage.Batch {
 }
 
 // checkKernel compiles p and compares Refine against the oracle, both dense
-// (in = nil) and under a sparse candidate selection, over b's uncoded string
-// columns and over a coded copy of the same rows: string leaves take the
-// per-code path on one and compare every row on the other.
+// (in = nil) and under a sparse candidate selection — into a buffer of its
+// own and in place, over the candidates' own buffer — over b's uncoded
+// string columns and over a coded copy of the same rows: string leaves take
+// the per-code path on one and compare every row on the other. It also
+// holds IntRange's split to p (checkIntRange).
 func checkKernel(t testing.TB, p Pred, b *storage.Batch) {
 	t.Helper()
 	f, err := CompileFilter(p, b.Schema)
@@ -93,6 +95,83 @@ func checkKernel(t testing.TB, p Pred, b *storage.Batch) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s (in=%v, coded=%v): kernel %v, oracle %v", p, in, k == 1, got, want)
 			}
+			if in == nil {
+				continue
+			}
+			buf := slices.Clone(in)
+			if got := f.Refine(batch, buf, buf[:0], &sc); !slices.Equal(got, want) {
+				t.Fatalf("%s (in=%v, coded=%v, in place): kernel %v, oracle %v", p, in, k == 1, got, want)
+			}
+		}
+	}
+	checkIntRange(t, p, b)
+}
+
+// checkIntRange holds IntRange's split of p to p itself: the rows of b
+// whose value in the range's column lies in its interval and that the rest
+// of the terms select are exactly the rows p selects. A range's rows are
+// the candidates the rest then runs on in place, as a leaf read served by a
+// key index runs them.
+func checkIntRange(t testing.TB, p Pred, b *storage.Batch) {
+	t.Helper()
+	col, iv, rest, ok := IntRange(p, b.Schema)
+	if !ok {
+		return
+	}
+	in := []int32{}
+	for i, x := range b.Vecs[col].I64 {
+		if !iv.Empty && iv.From <= x && x <= iv.To {
+			in = append(in, int32(i))
+		}
+	}
+	got := in
+	if len(rest) > 0 {
+		f, err := CompileFilter(rest, b.Schema)
+		if err != nil {
+			t.Fatalf("CompileFilter(%s), the rest of %s: %v", rest, p, err)
+		}
+		var sc Scratch
+		got = f.Refine(b, in, in[:0], &sc)
+	}
+	if want := oracleSelect(t, p, b, nil); !slices.Equal(got, want) && len(got)+len(want) > 0 {
+		t.Fatalf("%s split as %s in %+v and %s: %v, oracle %v", p, b.Schema[col].Name, iv, rest, got, want)
+	}
+}
+
+// TestIntRangeSplit pins which terms IntRange folds into the interval: every
+// Int64-literal bound on the first Int64 column so bounded, = included, and
+// nothing else — a float literal, <>, IN, a bound on a float column or on a
+// second Int64 column stays in the rest, in its order.
+func TestIntRangeSplit(t *testing.T) {
+	s := storage.Schema{{Name: "i", Typ: storage.Int64}, {Name: "j", Typ: storage.Int64}, {Name: "f", Typ: storage.Float64}}
+	i := func(op CmpOp, v int64) Term { return Compare("i", op, storage.IntValue(v)) }
+	j5 := Compare("j", LT, storage.IntValue(5))
+	f1 := Compare("f", GT, storage.IntValue(1))
+	iF := Compare("i", GE, storage.FloatValue(2.5))
+	iNE := Compare("i", NE, storage.IntValue(4))
+	iIn := In("i", storage.IntValue(3))
+	for _, c := range []struct {
+		name string
+		p    Pred
+		col  int
+		iv   Interval
+		rest Pred
+		ok   bool
+	}{
+		{"between", Pred{i(GE, 3), i(LE, 9)}, 0, Interval{From: 3, To: 9}, nil, true},
+		{"strict bounds", Pred{i(GT, 3), i(LT, 9)}, 0, Interval{From: 4, To: 8}, nil, true},
+		{"equality", Pred{i(EQ, 7)}, 0, Interval{From: 7, To: 7}, nil, true},
+		{"one side", Pred{i(LE, 9)}, 0, Interval{From: math.MinInt64, To: 9}, nil, true},
+		{"three bounds", Pred{i(GE, 3), i(LE, 9), i(GT, 5)}, 0, Interval{From: 6, To: 9}, nil, true},
+		{"crossed", Pred{i(GE, 9), i(LE, 3)}, 0, Interval{From: 9, To: 3, Empty: true}, nil, true},
+		{"past MaxInt64", Pred{i(GT, math.MaxInt64)}, 0, Interval{From: math.MinInt64, To: math.MaxInt64, Empty: true}, nil, true},
+		{"below MinInt64", Pred{i(LT, math.MinInt64)}, 0, Interval{From: math.MinInt64, To: math.MaxInt64, Empty: true}, nil, true},
+		{"the first column", Pred{f1, j5, i(GE, 3), iF, iNE, iIn}, 1, Interval{From: math.MinInt64, To: 4}, Pred{f1, i(GE, 3), iF, iNE, iIn}, true},
+		{"no Int64 bound", Pred{f1, iF, iNE, iIn, Compare("zz", LT, storage.IntValue(1))}, -1, allInts, Pred{f1, iF, iNE, iIn, Compare("zz", LT, storage.IntValue(1))}, false},
+	} {
+		col, iv, rest, ok := IntRange(c.p, s)
+		if col != c.col || iv != c.iv || rest.String() != c.rest.String() || len(rest) != len(c.rest) || ok != c.ok {
+			t.Errorf("%s: IntRange(%s) = %d, %+v, %s, %v; want %d, %+v, %s, %v", c.name, c.p, col, iv, rest, ok, c.col, c.iv, c.rest, c.ok)
 		}
 	}
 }

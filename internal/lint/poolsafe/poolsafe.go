@@ -6,7 +6,7 @@
 // per-batch allocations the pool exists to remove.
 //
 // The pass is an escape check, not a full path-sensitive proof: for every
-// `p.GetBatch(...)` / `p.GetVector(...)` / `p.GetSel(...)` call on a
+// `p.GetBatch(...)` / `p.GetVector(...)` / `p.GetSel(...)` / `p.GetBits(...)` call on a
 // VecPool it demands that the result either escapes the function (call
 // argument — which covers Release, PutSel and copy-out helpers —, return
 // statement, assignment into a field/element/outer variable, composite
@@ -38,7 +38,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 // getMethods are the pool's allocation entry points.
-var getMethods = map[string]bool{"GetBatch": true, "GetVector": true, "GetSel": true}
+var getMethods = map[string]bool{"GetBatch": true, "GetVector": true, "GetSel": true, "GetBits": true}
 
 func run(pass *lint.Pass) {
 	for _, f := range pass.Files {

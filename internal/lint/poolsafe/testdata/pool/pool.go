@@ -28,6 +28,12 @@ func (p *VecPool) GetSel(n int) []int32 { return make([]int32, 0, n) }
 // PutSel returns a selection buffer to the pool.
 func (p *VecPool) PutSel(sel []int32) {}
 
+// GetBits vends a pooled row bitmap.
+func (p *VecPool) GetBits(rows int) []uint64 { return make([]uint64, (rows+63)/64) }
+
+// PutBits returns a row bitmap to the pool.
+func (p *VecPool) PutBits(m []uint64) {}
+
 // Release returns a batch to the pool.
 func (p *VecPool) Release(b *Batch) {}
 
@@ -114,4 +120,23 @@ func attachSel(p *VecPool, b *Batch) {
 func refineAndPut(p *VecPool) {
 	sel := p.GetSel(4)
 	p.PutSel(sel)
+}
+
+// Bad: a row bitmap that stays a read-only local leaks like a selection.
+func leakBits(p *VecPool) int {
+	m := p.GetBits(128) // want `pooled GetBits result m never escapes this function`
+	n := 0
+	for _, w := range m {
+		n += int(w & 1)
+	}
+	return n
+}
+
+// Good: a bitmap marked, read and handed back.
+func bitsAndPut(p *VecPool) int {
+	m := p.GetBits(128)
+	m[0] |= 1
+	n := int(m[0])
+	p.PutBits(m)
+	return n
 }

@@ -22,6 +22,7 @@ func fixtureSnapshot() obs.MetricsSnapshot {
 	m.PlanCache.Hit()
 	m.PlanCache.Miss()
 	m.Exec.Pruned(7)
+	m.Exec.KeyIndexed(5000)
 	m.WarehouseAdmissions.Add(4)
 	m.WarehouseRefreshes.Inc()
 	m.WarehouseEvictions.Add(2)
@@ -49,6 +50,8 @@ func TestWritePromGolden(t *testing.T) {
 		"taster_plan_cache_hits_total 2\n",
 		"taster_plan_cache_misses_total 1\n",
 		"taster_exec_pruned_partitions_total 7\n",
+		"# HELP taster_exec_key_index_reads_total Leaf reads whose filter took its candidate rows from a key index.\n# TYPE taster_exec_key_index_reads_total counter\ntaster_exec_key_index_reads_total 1\n",
+		"taster_exec_key_index_spared_rows_total 5000\n",
 		"# HELP taster_warehouse_evictions_total Synopses evicted by tuning rounds and storage-budget shrinks.\n# TYPE taster_warehouse_evictions_total counter\ntaster_warehouse_evictions_total 2\n",
 		"taster_warehouse_admissions_total 4\n",
 		"taster_warehouse_refreshes_total 1\n",

@@ -171,13 +171,17 @@ func (o *PoolObs) Miss() {
 }
 
 // ExecObs counts executor work: how many batches the filters' compiled
-// selection-vector kernels evaluated, and how many partitions zone-map
-// pruning skipped. Counters only — the executor's outputs must not depend on
-// the metrics layer, and these are written from morsel workers concurrently
-// (atomics make that safe).
+// selection-vector kernels evaluated, how many partitions zone-map pruning
+// skipped, and the leaf reads whose filter took its candidates from a key
+// index (KeyIndexReads) with the rows of them no kernel evaluated
+// (KeyIndexSparedRows). Counters only — the executor's outputs must not
+// depend on the metrics layer, and these are written from morsel workers
+// concurrently (atomics make that safe).
 type ExecObs struct {
 	KernelFilterBatches Counter
 	PrunedPartitions    Counter
+	KeyIndexReads       Counter
+	KeyIndexSparedRows  Counter
 }
 
 // Kernel records one filter batch evaluated by the compiled kernels.
@@ -191,6 +195,15 @@ func (o *ExecObs) Kernel() {
 func (o *ExecObs) Pruned(n int64) {
 	if o != nil && n > 0 {
 		o.PrunedPartitions.Add(n)
+	}
+}
+
+// KeyIndexed records one leaf read whose filter took its candidates from a
+// key index, and the spared rows of it no kernel evaluated.
+func (o *ExecObs) KeyIndexed(spared int64) {
+	if o != nil {
+		o.KeyIndexReads.Inc()
+		o.KeyIndexSparedRows.Add(spared)
 	}
 }
 
@@ -271,6 +284,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		PoolAllocMisses:      m.Pool.AllocMisses.Value(),
 		KernelFilterBatches:  m.Exec.KernelFilterBatches.Value(),
 		PrunedPartitions:     m.Exec.PrunedPartitions.Value(),
+		KeyIndexReads:        m.Exec.KeyIndexReads.Value(),
+		KeyIndexSparedRows:   m.Exec.KeyIndexSparedRows.Value(),
 	}
 }
 
@@ -329,6 +344,8 @@ type MetricsSnapshot struct {
 	// it for exec.kernel_filter_share; a benchmark PR removes both.
 	FallbackFilterBatches int64
 	PrunedPartitions      int64
+	KeyIndexReads         int64
+	KeyIndexSparedRows    int64
 }
 
 // Kind distinguishes exported series types.
@@ -402,5 +419,7 @@ func (s MetricsSnapshot) Families() []Family {
 		c("taster_pool_alloc_misses_total", "Borrows the vector pool's free lists could not serve (fresh allocations).", s.PoolAllocMisses),
 		c("taster_exec_kernel_filter_batches_total", "Filter batches evaluated by the compiled selection-vector kernels.", s.KernelFilterBatches),
 		c("taster_exec_pruned_partitions_total", "Partitions skipped by zone-map pruning.", s.PrunedPartitions),
+		c("taster_exec_key_index_reads_total", "Leaf reads whose filter took its candidate rows from a key index.", s.KeyIndexReads),
+		c("taster_exec_key_index_spared_rows_total", "Leaf rows of key-index reads that no filter kernel evaluated.", s.KeyIndexSparedRows),
 	}
 }

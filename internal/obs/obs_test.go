@@ -109,6 +109,8 @@ func TestHookGroups(t *testing.T) {
 	m.Exec.Kernel()
 	m.Exec.Pruned(4)
 	m.Exec.Pruned(0) // no-op: nothing pruned
+	m.Exec.KeyIndexed(900)
+	m.Exec.KeyIndexed(0) // a read whose kernels saw every row
 	m.Disk.ItemWrite(100)
 	m.Disk.ItemRead(40)
 	m.Disk.Manifest(7)
@@ -132,6 +134,8 @@ func TestHookGroups(t *testing.T) {
 		{"PoolAllocMisses", s.PoolAllocMisses, 1},
 		{"KernelFilterBatches", s.KernelFilterBatches, 1},
 		{"PrunedPartitions", s.PrunedPartitions, 4},
+		{"KeyIndexReads", s.KeyIndexReads, 2},
+		{"KeyIndexSparedRows", s.KeyIndexSparedRows, 900},
 		{"WarehouseSpills", s.WarehouseSpills, 1},
 		{"WarehouseFaultIns", s.WarehouseFaultIns, 1},
 		{"ManifestWrites", s.ManifestWrites, 1},
@@ -168,8 +172,8 @@ func TestClocks(t *testing.T) {
 // in the httpexport golden test.
 func TestFamiliesStable(t *testing.T) {
 	fams := MetricsSnapshot{}.Families()
-	if len(fams) != 38 {
-		t.Fatalf("Families() returned %d series, want 38", len(fams))
+	if len(fams) != 40 {
+		t.Fatalf("Families() returned %d series, want 40", len(fams))
 	}
 	seen := make(map[string]bool, len(fams))
 	for _, f := range fams {
@@ -189,6 +193,8 @@ func TestFamiliesStable(t *testing.T) {
 		"taster_warehouse_refreshes_total",
 		"taster_warehouse_evictions_total",
 		"taster_warehouse_promotions_total",
+		"taster_exec_key_index_reads_total",
+		"taster_exec_key_index_spared_rows_total",
 	} {
 		if !seen[name] {
 			t.Errorf("family %s missing", name)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -13,8 +14,11 @@ import (
 // by its address: its position key − min indexes rowOf, the key's row or −1.
 // Every other key is numbered: the version's own GroupIDs over the key
 // columns gives each distinct key an id in key order, a probe finds a key's
-// id by binary search over the numbering's keys, and the key's rows sit
-// behind an offset array indexed by id as one contiguous run of matchRows.
+// id by address when the key is one Int64 column over a span DenseSpan
+// admits (rank) and by binary search over the numbering's keys otherwise,
+// and the key's rows sit behind an offset array indexed by id as one
+// contiguous run of matchRows. Ids run in key order, so the rows of an
+// interval of one Int64 column's keys are one slice of matchRows (Range).
 // Each layout has its own probe loops. It keeps no hash table. The build
 // is serial, so the index is the same whatever runs beside it; once built it
 // is immutable and safe for concurrent probes. A join's build side and a
@@ -27,9 +31,9 @@ type KeyIndex struct {
 	// key is the indexed column of a dense index (nil for a numbered one):
 	// Mark reads a row's key from it. It is the version's column, not a copy.
 	key *Vector
-	// min is a dense index's smallest key as a word: a key's position is
-	// its word − min, which wraps a key below min to a position past every
-	// bound (DenseSpan).
+	// min is the smallest key as a word of a dense index or of a numbered
+	// one that keeps rank: a key's position is its word − min, which wraps a
+	// key below min to a position past every bound (DenseSpan).
 	min uint64
 	// ids is a numbered index's numbering, its version's GroupIDs over the
 	// key columns (nil for a dense one): row i's key has id ids.ID.I64[i],
@@ -44,7 +48,12 @@ type KeyIndex struct {
 	// under rowOf.
 	matchRows []int32
 	offs      []int32
-	keys      int // distinct keys
+	// rank is a numbered index's ids by position, kept when the key is one
+	// Int64 column whose span DenseSpan admits (nil otherwise): position p
+	// holds the id of the key min + p, or, when no row carries that key,
+	// ^g, g being the number of keys below it.
+	rank []int32
+	keys int // distinct keys
 }
 
 const (
@@ -62,19 +71,28 @@ const (
 // newKeyIndex indexes every row of t by its key over the columns at
 // positions cols: dense when the key is one Int64 column whose span
 // DenseSpan admits for its rows and no value of which repeats, and otherwise
-// numbered by t's own GroupIDs, whose ids are laid out in runs.
+// numbered by t's own GroupIDs, whose ids are laid out in runs — with the
+// ids by position (rank) when the key is such a column whose values repeat.
 func newKeyIndex(t *Table, cols []int) *KeyIndex {
 	x := &KeyIndex{}
+	min, nk := uint64(0), -1
 	if len(cols) == 1 && t.schema[cols[0]].Typ == Int64 {
 		kv := t.Column(cols[0])
-		if min, nk, ok := denseSpan(kv.I64); ok && x.buildDense(kv.I64, min, nk) {
+		lo, n, ok := denseSpan(kv.I64)
+		if ok && x.buildDense(kv.I64, lo, n) {
 			x.key = kv
 			return x
+		}
+		if ok {
+			min, nk = lo, n
 		}
 	}
 	x.ids = t.GroupIDs(cols)
 	x.keys = x.ids.Len() // every id is some row's
 	x.buildRuns(x.ids.ID.I64, x.keys)
+	if nk >= 0 {
+		x.buildRank(min, nk)
+	}
 	return x
 }
 
@@ -150,6 +168,25 @@ func (x *KeyIndex) buildRuns(pos []int64, nk int) {
 	x.offs = offs[:nk+1]
 }
 
+// buildRank lays a numbered one-column Int64 index's ids out by position
+// key − min over the nk positions from its smallest key to its largest: the
+// numbering's Keys run in key order, so one pass over them fills every
+// position, a key's with its id and a gap's with ^ the id of the key above.
+func (x *KeyIndex) buildRank(min uint64, nk int) {
+	keys := x.ids.Keys[0].I64
+	rank := make([]int32, nk)
+	g := 0
+	for p := range rank {
+		if g < len(keys) && uint64(keys[g])-min == uint64(p) {
+			rank[p] = int32(g)
+			g++
+		} else {
+			rank[p] = ^int32(g)
+		}
+	}
+	x.min, x.rank = min, rank
+}
+
 // A KeyMask is a set of the rows a KeyIndex indexes — a join build side's
 // survivors — kept in the index's own coordinates (NewMask, Mark): one bit
 // per key position under a dense index, so a probe row the mask refuses
@@ -200,6 +237,36 @@ func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 	}
 }
 
+// MarkRows adds rows to m, a mask by row (a numbered index's, or a table
+// version's rows).
+func (m KeyMask) MarkRows(rows []int32) {
+	for _, r := range rows {
+		m.set(uint64(r))
+	}
+}
+
+// AppendRows appends to out, ascending, i − lo for every row i in
+// [lo, lo+n) that m, a mask by row, holds: a word of the mask at a time,
+// each of its set bits in turn.
+func (m KeyMask) AppendRows(out []int32, lo, n int) []int32 {
+	o, hi := len(out), lo+n
+	out = grow(out, n)
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := m[w]
+		if w<<6 < lo {
+			word &= ^uint64(0) << (lo & 63)
+		}
+		if end := (w + 1) << 6; end > hi {
+			word &= ^uint64(0) >> (end - hi)
+		}
+		for ; word != 0; word &= word - 1 {
+			out[o] = int32(w<<6 + bits.TrailingZeros64(word) - lo)
+			o++
+		}
+	}
+	return out[:o]
+}
+
 // ProbePos is where a Probe resumes inside its probe batch: the live row Row,
 // of whose matches the first Done have already been paired.
 type ProbePos struct{ Row, Done int }
@@ -214,7 +281,7 @@ type ProbePos struct{ Row, Done int }
 // mid-run when a row's matches outrun room. A dense index, every join of the
 // generated workloads, has one loop per mask shape (probeUnique,
 // probeUniqueMasked); a numbered index has one loop that finds a row's run by
-// search (probeRuns).
+// its id, at its address or by search (probeRuns).
 func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	switch {
 	case x.rowOf != nil && mask == nil:
@@ -285,8 +352,9 @@ func (x *KeyIndex) probeUniqueMasked(keys []int64, sel []int32, live int, byKey 
 }
 
 // probeRuns is Probe's loop over a numbered index's runs, under a mask by
-// row or none. A live row's run is its key's id k (find); a key no indexed
-// row carries has the id past every run and matches nothing. k's run
+// row or none. A live row's run is its key's id k — read from rank at the
+// key's position when the index keeps one, found by find otherwise; a key
+// no indexed row carries has the id past every run and matches nothing. k's run
 // matchRows[offs[k]:offs[k+1]] is copied whole when no mask is kept and it
 // fits in the room left — one room check a row. Otherwise each match the
 // mask holds is written while there is room; when there is none, the
@@ -302,13 +370,28 @@ func (x *KeyIndex) probeRuns(b *Batch, cols []int, byRow KeyMask, at ProbePos, r
 	}
 	offs, matchRows, sel := x.offs, x.matchRows, b.Sel
 	span := uint64(len(offs) - 1)
+	rank, base := x.rank, x.min
+	var keys []int64
+	if rank != nil {
+		keys = probe[0].I64
+	}
 	live, done := b.Rows(), at.Done
 	for j := at.Row; j < live; j++ {
 		i := j
 		if sel != nil {
 			i = int(sel[j])
 		}
-		k := x.find(probe, i)
+		var k uint64
+		if rank != nil {
+			k = span
+			if p := uint64(keys[i]) - base; p < uint64(len(rank)) {
+				if r := rank[p]; r >= 0 {
+					k = uint64(r)
+				}
+			}
+		} else {
+			k = x.find(probe, i)
+		}
 		if k >= span {
 			continue
 		}
@@ -376,6 +459,49 @@ func (x *KeyIndex) find(probe []*Vector, i int) uint64 {
 	return uint64(id)
 }
 
+// Range returns the rows whose key lies in [lo, hi] — none when lo > hi —
+// under a numbered index over one Int64 column: the keys of an interval
+// have consecutive ids, so their runs sit back to back in matchRows, and
+// the rows come as one slice of it, grouped by key in key order and
+// ascending within a key, with no copy. Both ends are read from rank when
+// the index keeps one, found by binary search over the numbering's keys
+// otherwise. ok is false for any other index: a unique dense one, or a key
+// that is not one Int64 column.
+func (x *KeyIndex) Range(lo, hi int64) (rows []int32, ok bool) {
+	if x.ids == nil || len(x.ids.Keys) != 1 || x.ids.Keys[0].Typ != Int64 {
+		return nil, false
+	}
+	if lo > hi {
+		return nil, true
+	}
+	return x.matchRows[x.offs[x.keysBelow(lo, false)]:x.offs[x.keysBelow(hi, true)]], true
+}
+
+// keysBelow returns how many keys of a numbered one-column Int64 index lie
+// below v, counting v's own when with is set: the id of the first key past
+// the interval's end.
+func (x *KeyIndex) keysBelow(v int64, with bool) int {
+	keys := x.ids.Keys[0].I64
+	if x.rank == nil {
+		return sort.Search(len(keys), func(g int) bool { return keys[g] > v || !with && keys[g] == v })
+	}
+	if v < int64(x.min) {
+		return 0
+	}
+	p := uint64(v) - x.min
+	if p >= uint64(len(x.rank)) {
+		return len(keys)
+	}
+	r := x.rank[p]
+	switch {
+	case r < 0:
+		return int(^r)
+	case with:
+		return int(r) + 1
+	}
+	return int(r)
+}
+
 // grow extends s by room entries: a probe loop writes its pairs in place and
 // cuts pos and rows back to what it wrote.
 func grow(s []int32, room int) []int32 { return slices.Grow(s, room)[:len(s)+room] }
@@ -384,10 +510,10 @@ func grow(s []int32, room int) []int32 { return slices.Grow(s, room)[:len(s)+roo
 func (x *KeyIndex) Keys() int { return x.keys }
 
 // Bytes estimates the index's resident size: its arrays — rowOf, or
-// matchRows and offs — and a numbered index's GroupIDs, 8 bytes a row plus
-// the key columns.
+// matchRows, offs and any rank — and a numbered index's GroupIDs, 8 bytes a
+// row plus the key columns.
 func (x *KeyIndex) Bytes() int64 {
-	n := int64(len(x.rowOf)+len(x.matchRows)+len(x.offs)) * 4
+	n := int64(len(x.rowOf)+len(x.matchRows)+len(x.offs)+len(x.rank)) * 4
 	if g := x.ids; g != nil {
 		n += g.ID.Bytes()
 		for _, k := range g.Keys {

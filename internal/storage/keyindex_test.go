@@ -16,8 +16,10 @@ import (
 // bool, strings, tuples) — that Keys counts distinct keys in both, and what
 // Bytes reports for each: the join cache bounds its pinned bytes by it. The
 // dense layout's array is pinned exactly; a numbered index adds its
-// version's GroupIDs — 8 bytes a row and the key columns — to its runs. Whether the lookups answer like a Go map is exec's
-// TestJoinIndexMatchesMap and FuzzJoinIndex.
+// version's GroupIDs — 8 bytes a row and the key columns — to its runs, and
+// a ranked one (a repeating one-column Int64 key under the span rule) 4
+// bytes a position of its span for its ids by address. Whether the lookups
+// answer like a Go map is exec's TestJoinIndexMatchesMap and FuzzJoinIndex.
 func TestKeyIndexLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ints := func(keys ...int64) *Vector { return &Vector{Typ: Int64, I64: keys} }
@@ -55,6 +57,7 @@ func TestKeyIndexLayout(t *testing.T) {
 	const (
 		unique   = "unique dense"
 		numbered = "numbered"
+		ranked   = "numbered, ranked"
 	)
 	for _, c := range []struct {
 		name   string
@@ -64,7 +67,7 @@ func TestKeyIndexLayout(t *testing.T) {
 		keys   int
 	}{
 		{"dense surrogate keys", []*Vector{ints(surrogate...)}, []int{0}, unique, 5000},
-		{"span 1800 over 6000 rows", []*Vector{ints(gaps...)}, []int{0}, numbered, countDistinct(gaps)},
+		{"span 1800 over 6000 rows", []*Vector{ints(gaps...)}, []int{0}, ranked, countDistinct(gaps)},
 		{"straddling zero", []*Vector{ints(zero...)}, []int{0}, unique, 4001},
 		{"random 63-bit keys", []*Vector{ints(sparse...)}, []int{0}, numbered, 4000},
 		{"MinInt64 and MaxInt64 together", []*Vector{ints(math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64)}, []int{0}, numbered, 5},
@@ -79,10 +82,12 @@ func TestKeyIndexLayout(t *testing.T) {
 		x := tableOf(t, c.vecs...).KeyIndex(c.cols)
 		layout := numbered
 		switch {
-		case x.key != nil && x.rowOf != nil && x.offs == nil && x.matchRows == nil && x.ids == nil:
+		case x.key != nil && x.rowOf != nil && x.offs == nil && x.matchRows == nil && x.ids == nil && x.rank == nil:
 			layout = unique
 		case x.key != nil || x.rowOf != nil || x.ids == nil:
 			layout = "neither of the two"
+		case x.rank != nil:
+			layout = ranked
 		}
 		if layout != c.layout {
 			t.Errorf("%s: laid out %s, want %s", c.name, layout, c.layout)
@@ -93,7 +98,7 @@ func TestKeyIndexLayout(t *testing.T) {
 		}
 		rows := int64(c.vecs[0].Len())
 		var span int64
-		if c.layout == unique && rows > 0 {
+		if c.layout != numbered && rows > 0 {
 			span = int64(slices.Max(c.vecs[0].I64)-slices.Min(c.vecs[0].I64)) + 1
 		}
 		var keyBytes int64
@@ -107,6 +112,8 @@ func TestKeyIndexLayout(t *testing.T) {
 			t.Errorf("%s: %d bytes, want 4 per position of a span of %d", c.name, n, span)
 		case c.layout == numbered && (keyBytes == 0 || n != 4*(rows+int64(c.keys)+1)+8*rows+keyBytes):
 			t.Errorf("%s: %d bytes, want 4 per row and per offset, 8 per row for its ids and its %d key bytes", c.name, n, keyBytes)
+		case c.layout == ranked && (keyBytes == 0 || n != 4*(rows+int64(c.keys)+1+span)+8*rows+keyBytes):
+			t.Errorf("%s: %d bytes, want 4 per row, per offset and per position of a span of %d, 8 per row for its ids and its %d key bytes", c.name, n, span, keyBytes)
 		}
 	}
 }
@@ -239,6 +246,71 @@ func probePairs(x *KeyIndex, b *Batch, cols []int) [][2]int32 {
 		}
 		if len(pos) < 3 {
 			return out
+		}
+	}
+}
+
+// TestKeyMaskRows: a mask by row marked through MarkRows reads back through
+// AppendRows exactly the marked rows of any window — on and off word
+// boundaries, empty, one row, the whole mask — as offsets from the window's
+// start, ascending, after whatever the output held; and a bitmap the pool
+// recycles comes back clear, at the length asked for.
+func TestKeyMaskRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 1000
+	pool := NewVecPool()
+	for round := 0; round < 3; round++ {
+		m := pool.GetBits(n - round)
+		if len(m) != (n-round+63)/64 || slices.ContainsFunc(m, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("round %d: GetBits(%d) lent %d words, not all clear", round, n-round, len(m))
+		}
+		marked := make([]bool, n)
+		var rows []int32
+		for range rng.Intn(n) {
+			r := rng.Intn(n - round)
+			marked[r] = true
+			rows = append(rows, int32(r))
+		}
+		m.MarkRows(rows)
+		windows := [][2]int{{0, n - round}, {0, 0}, {63, 1}, {64, 64}, {1, 127}, {130, 0}}
+		for range 50 {
+			lo := rng.Intn(n - round)
+			windows = append(windows, [2]int{lo, rng.Intn(n - round - lo + 1)})
+		}
+		for _, w := range windows {
+			want := []int32{-1}
+			for i := w[0]; i < w[0]+w[1]; i++ {
+				if marked[i] {
+					want = append(want, int32(i-w[0]))
+				}
+			}
+			if got := m.AppendRows([]int32{-1}, w[0], w[1]); !slices.Equal(got, want) {
+				t.Fatalf("round %d: AppendRows over [%d, %d) = %v, want %v", round, w[0], w[0]+w[1], got, want)
+			}
+		}
+		pool.PutBits(m)
+	}
+}
+
+// TestRankedIndexRange pins the ranked layout's interval ends where a scan
+// is easy to state: keys 10, 12, 12, 15 (ids 0, 1, 2) over the span 10..15.
+func TestRankedIndexRange(t *testing.T) {
+	x := tableOf(t, &Vector{Typ: Int64, I64: []int64{12, 15, 10, 12}}).KeyIndex([]int{0})
+	if x.rank == nil {
+		t.Fatal("a repeating short-span key keeps no rank")
+	}
+	if want := []int32{0, ^int32(1), 1, ^int32(2), ^int32(2), 2}; !slices.Equal(x.rank, want) {
+		t.Fatalf("rank %v, want %v", x.rank, want)
+	}
+	for _, c := range []struct {
+		lo, hi int64
+		want   []int32
+	}{
+		{11, 14, []int32{0, 3}}, {12, 12, []int32{0, 3}}, {13, 14, nil}, {10, 15, []int32{2, 0, 3, 1}},
+		{math.MinInt64, 10, []int32{2}}, {15, math.MaxInt64, []int32{1}}, {16, 99, nil}, {-5, 9, nil}, {14, 11, nil},
+	} {
+		if got, ok := x.Range(c.lo, c.hi); !ok || !slices.Equal(got, c.want) {
+			t.Errorf("Range(%d, %d) = %v (ok %v), want %v", c.lo, c.hi, got, ok, c.want)
 		}
 	}
 }

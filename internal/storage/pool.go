@@ -36,11 +36,13 @@ type VecPool struct {
 	sels    sync.Pool // *[]int32 selection-vector scratch
 	holders sync.Pool // *[]int32 emptied by GetSel, for PutSel to fill
 	scratch sync.Pool // *ResolveScratch
+	bits    sync.Pool // *KeyMask row bitmaps
+	bitsFor sync.Pool // *KeyMask emptied by GetBits, for PutBits to fill
 
 	// Obs counts pool traffic: a get on every borrow (GetBatch's header,
-	// GetVector, GetSel, GetScratch), a put on every return, and a miss on
-	// every borrow the free lists could not serve, so misses over gets is
-	// the pool's miss rate. A worker borrows once per run, not per batch, so
+	// GetVector, GetSel, GetScratch, GetBits), a put on every return, and a
+	// miss on every borrow the free lists could not serve, so misses over
+	// gets is the pool's miss rate. A worker borrows once per run, not per batch, so
 	// the atomic adds stay off the per-batch path. Write-only, nil-safe,
 	// never consulted by pool logic.
 	Obs *obs.PoolObs
@@ -199,4 +201,42 @@ func (p *VecPool) PutScratch(sc *ResolveScratch) {
 		p.Obs.Put()
 		p.scratch.Put(sc)
 	}
+}
+
+// GetBits returns an empty row bitmap of rows bits — a KeyMask by row, all
+// clear — reusing a recycled one that is long enough: a run's key-index
+// candidates, borrowed once per leaf read. PutBits hands it back.
+func (p *VecPool) GetBits(rows int) KeyMask {
+	words := (rows + 63) / 64
+	if p == nil {
+		return make(KeyMask, words)
+	}
+	p.Obs.Get()
+	if h, ok := p.bits.Get().(*KeyMask); ok && h != nil {
+		m := *h
+		*h = nil
+		p.bitsFor.Put(h)
+		if cap(m) >= words {
+			m = m[:words]
+			clear(m)
+			return m
+		}
+	}
+	p.Obs.Miss()
+	return make(KeyMask, words)
+}
+
+// PutBits recycles a bitmap GetBits returned, in a holder GetBits emptied,
+// as PutSel does.
+func (p *VecPool) PutBits(m KeyMask) {
+	if p == nil || m == nil {
+		return
+	}
+	h, _ := p.bitsFor.Get().(*KeyMask)
+	if h == nil {
+		h = new(KeyMask)
+	}
+	*h = m
+	p.Obs.Put()
+	p.bits.Put(h)
 }
