@@ -255,7 +255,8 @@ test-race: race
 # per key for any key words and aggregate values), an Int64 column's group
 # statistics (counted by key − min or through a GroupIndex, the same
 # Distinct, MinGroup, MaxGroup and Skewed for any key words, on a version and
-# its append), the filter kernels — the only filter
+# its append, and the column's key index laid out from those counts — unique
+# or repeating — probing and ranging as a Go map does), the filter kernels — the only filter
 # evaluator — against the row-at-a-time EvalBool oracle over random term
 # lists (int columns against float literals and mixed IN lists included), the
 # SQL front door (arbitrary bytes parse, validate, plan and compile without

@@ -694,13 +694,16 @@ func (sh joinIndexShape) mask(x *storage.KeyIndex) storage.KeyMask {
 }
 
 // BenchmarkJoinBuild times a join's build, reporting ns per row: the key
-// index alone over each joinIndexShapes shape (the span pass, or the
-// version's numbering, GroupIDs, then the CSR passes), the one a table
-// version builds once per key column set (orders/index, Table.KeyIndex over
-// orders' key) — each on a fresh table version made off the clock — and a
-// whole build side as
-// runBuild runs it on a miss — σ(orders) scanned, filtered and drained into
-// its survivor mask over that index (orders/mask, per source row).
+// index alone over each joinIndexShapes shape (the unique layout's one
+// pass; a dense repeating key's counts, rank and fill; or the version's
+// numbering, GroupIDs, then the CSR passes), the one a table version builds
+// once per key column set (orders/index, Table.KeyIndex over orders' key),
+// and an l_shipdate-shaped range index — 600 000 rows over 2 400 values —
+// on a fresh 9-partition version (shipdate/fresh) and on the version a
+// 3 000-row Append makes of an indexed one (shipdate/append) — each on a
+// table version made off the clock — and a whole build side as runBuild
+// runs it on a miss — σ(orders) scanned, filtered and drained into its
+// survivor mask over that index (orders/mask, per source row).
 func BenchmarkJoinBuild(b *testing.B) {
 	for _, sh := range joinIndexShapes() {
 		b.Run(sh.name, func(b *testing.B) {
@@ -737,6 +740,43 @@ func BenchmarkJoinBuild(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*orders.NumRows()), "ns/row")
 	})
+	ship := func(n, parts int) *storage.Table {
+		rng := rand.New(rand.NewSource(int64(n)))
+		days := make([]int64, n)
+		for i := range days {
+			days[i] = int64(rng.Intn(2400)) + 1
+		}
+		tbl, err := storage.NewTable("l", storage.Schema{{Name: "l.shipdate", Typ: storage.Int64}}, []*storage.Vector{int64Vec(days)}, parts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tbl
+	}
+	// A version made by Append keeps no whole-column view, as a loaded or
+	// ingested one: the fresh one appends no rows to a never-indexed table.
+	for _, c := range []struct {
+		name  string
+		delta *storage.Table
+	}{{"shipdate/fresh", ship(0, 1)}, {"shipdate/append", ship(3000, 1)}} {
+		b.Run(c.name, func(b *testing.B) {
+			base := ship(600_000, 9)
+			if c.delta.NumRows() > 0 {
+				base.KeyIndex([]int{0})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				v, err := base.Append(c.delta)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				v.KeyIndex([]int{0})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*base.NumRows()), "ns/row")
+		})
+	}
 	b.Run("orders/mask", func(b *testing.B) {
 		ctx := NewContext(0.95)
 		probe := storage.Schema{{Name: "lineitem.l_orderkey", Typ: storage.Int64}}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/tasterdb/taster/internal/plan"
@@ -165,23 +164,22 @@ func (s *sketchSink) prepare(ctx *Context) error {
 
 // keySpace picks where a build row counts, one of n places. A dense key —
 // one Int64 column whose bounds over the scanned table, its partitions' zone
-// maps, span densely for the table's rows (storage.DenseSpan, the rule a
-// KeyIndex applies to the keys it holds) in positions an int32 holds —
-// counts at its address key − lo, and ids is nil: every key a build batch
-// carries is one of the table's, so it lies within the bounds. Any other key
-// counts at its row's id in the scanned table's own numbering of the build
-// keys, ids, which the version builds once and shares with its KeyIndex and
-// every sink grouping by those columns.
+// maps, span densely for the table's rows (Table.DenseSpan, the rule its
+// KeyIndex and its group statistics lay the key out by) — counts at its
+// address key − lo, and ids is nil: every key a build batch carries is one
+// of the table's, so it lies within the bounds. Any other key counts at its
+// row's id in the scanned table's own numbering of the build keys, ids,
+// which the version builds once and shares with its KeyIndex and every sink
+// grouping by those columns.
 func (s *sketchSink) keySpace() (lo int64, n int, ids *storage.GroupIDs) {
 	t := s.build.table.leaf
 	cols := make([]int, len(s.buildKeys))
 	for c, k := range s.buildKeys {
 		cols[c] = t.Schema().Index(k.Name)
 	}
-	if len(cols) == 1 && s.buildKeys[0].Typ == storage.Int64 {
-		mn, mx, _ := t.Bounds(cols[0])
-		if n, ok := storage.DenseSpan(mn.I, mx.I, t.NumRows()); ok && n <= math.MaxInt32 {
-			return mn.I, n, nil
+	if len(cols) == 1 {
+		if lo, n, ok := t.DenseSpan(cols[0]); ok {
+			return lo, n, nil
 		}
 	}
 	ids = t.GroupIDs(cols)

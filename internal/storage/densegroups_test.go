@@ -2,8 +2,11 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -33,7 +36,7 @@ func groupCountsOracle(tbl *Table, i int) GroupStats {
 func checkColumnGroups(t testing.TB, tbl *Table, where string) (dense bool) {
 	t.Helper()
 	want := groupCountsOracle(tbl, 0)
-	dense = tbl.denseCounts(0) != nil
+	_, _, dense = tbl.DenseSpan(0)
 	if got := tbl.ColumnGroups(0); got != want {
 		t.Fatalf("%s (by position %t): ColumnGroups %+v, groupCounts %+v", where, dense, got, want)
 	}
@@ -63,7 +66,7 @@ func keyTable(t testing.TB, keys []int64, parts int) *Table {
 }
 
 // TestColumnGroupsByPosition holds an Int64 column's group part, counted at
-// its address key − min when DenseSpan admits its bounds, to the GroupIndex
+// its address key − min when Table.DenseSpan admits it, to the GroupIndex
 // count field by field, over key shapes on both sides of the span rule, in
 // one and several partitions, with an empty partition and over an append;
 // each shape takes the counting the rule gives it.
@@ -150,12 +153,116 @@ func TestColumnGroupsByPosition(t *testing.T) {
 	})
 }
 
-// FuzzColumnGroups drives the counting by position from arbitrary bytes:
-// each 8-byte word is one row's key, base plus the word shifted right by
-// shift mod 64, so the fuzzer reaches both sides of the span rule, ranges
-// straddling zero and the int64 extremes. The first split rows make a table
-// of 1 + parts mod 4 partitions and the rest, when any, an appended version;
-// each version's group part must equal the GroupIndex count's.
+// TestGroupStatsOfASet: GroupCount and MinGroupOf of a two-column set, asked
+// in both column orders, equal a map count of the set's groups on a
+// 3-partition version and on a version appended to it, and each version
+// counts the set once.
+func TestGroupStatsOfASet(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	schema := Schema{{Name: "g.k", Typ: Int64}, {Name: "g.s", Typ: String}}
+	build := func(n int, parts int) *Table {
+		b := NewBuilder("g", schema)
+		for range n {
+			b.Int(0, 10+rng.Int63n(30))
+			b.Str(1, fmt.Sprintf("s%d", rng.Intn(6)))
+		}
+		return b.Build(parts)
+	}
+	tbl := build(3000, 3)
+	next, err := tbl.Append(build(700, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Table{tbl, next} {
+		type key struct {
+			k int64
+			s string
+		}
+		count := make(map[key]int)
+		for i := range v.NumRows() {
+			count[key{v.Column(0).I64[i], v.Column(1).Str[i]}]++
+		}
+		smallest := slices.Min(slices.Collect(maps.Values(count)))
+		for _, cols := range [][]string{{"g.k", "g.s"}, {"g.s", "g.k"}} {
+			if g, m := v.GroupCount(cols), v.MinGroupOf(cols); g != len(count) || m != smallest {
+				t.Fatalf("epoch %d, %v: %d groups, smallest %d; the map %d and %d", v.Epoch(), cols, g, m, len(count), smallest)
+			}
+		}
+		if _, _, sets := v.Computed(); !slices.Equal(sets, []string{"g.k,g.s"}) {
+			t.Fatalf("epoch %d: counted sets %q, want the one set", v.Epoch(), sets)
+		}
+	}
+}
+
+// checkKeyIndex holds tbl's KeyIndex over column 0 to a Go map from key to
+// ascending rows: the pairs Probe returns for every key of the dense span
+// and the one on each side of it — for a key that is not dense, every key
+// and its two neighbours — and, when the index serves ranges, the rows
+// Range returns for intervals drawn by rng: a unique dense index alone may
+// refuse one.
+func checkKeyIndex(t testing.TB, tbl *Table, where string, rng *rand.Rand) {
+	t.Helper()
+	rowsOf := make(map[int64][]int32)
+	for i, k := range tbl.Column(0).I64 {
+		rowsOf[k] = append(rowsOf[k], int32(i))
+	}
+	keys := slices.Sorted(maps.Keys(rowsOf))
+	var probe []int64
+	if lo, n, ok := tbl.DenseSpan(0); ok {
+		for p := -1; p <= n; p++ {
+			probe = append(probe, int64(uint64(lo)+uint64(p)))
+		}
+	} else {
+		for _, k := range keys {
+			probe = append(probe, k-1, k, k+1)
+		}
+	}
+	x := tbl.KeyIndex([]int{0})
+	var want [][2]int32
+	for j, k := range probe {
+		for _, r := range rowsOf[k] {
+			want = append(want, [2]int32{int32(j), r})
+		}
+	}
+	if got := probePairs(x, &Batch{Vecs: []*Vector{{Typ: Int64, I64: probe}}}, []int{0}); !slices.Equal(got, want) {
+		t.Fatalf("%s: Probe paired %v, the map %v", where, got, want)
+	}
+	if x.Keys() != len(keys) {
+		t.Fatalf("%s: %d keys, the map %d", where, x.Keys(), len(keys))
+	}
+	ends := []int64{math.MinInt64, math.MaxInt64}
+	for _, k := range keys {
+		ends = append(ends, k-1, k, k+1)
+	}
+	for range 16 {
+		lo, hi := ends[rng.Intn(len(ends))], ends[rng.Intn(len(ends))]
+		got, ok := x.Range(lo, hi)
+		if !ok {
+			if !x.UniqueDense() {
+				t.Fatalf("%s: Range(%d, %d) refused by an index with runs", where, lo, hi)
+			}
+			continue
+		}
+		var want []int32
+		for _, k := range keys {
+			if lo <= k && k <= hi {
+				want = append(want, rowsOf[k]...)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: Range(%d, %d) = %v, the map %v", where, lo, hi, got, want)
+		}
+	}
+}
+
+// FuzzColumnGroups drives the counting by position, and the key index laid
+// out from it, from arbitrary bytes: each 8-byte word is one row's key, base
+// plus the word shifted right by shift mod 64, so the fuzzer reaches both
+// sides of the span rule, keys unique and repeating, ranges straddling zero
+// and the int64 extremes. The first split rows make a table of 1 + parts
+// mod 4 partitions and the rest, when any, an appended version; each
+// version's group part must equal the GroupIndex count's, and its KeyIndex
+// over the column must answer as a map (checkKeyIndex).
 func FuzzColumnGroups(f *testing.F) {
 	words := func(ws ...uint64) []byte {
 		var b []byte
@@ -168,6 +275,8 @@ func FuzzColumnGroups(f *testing.F) {
 	f.Add(words(1<<63, 1<<62, 0, 5, 5), uint8(48), int64(-1<<15), uint8(3), uint8(2))
 	f.Add(words(0, 1<<16, 5), uint8(0), int64(math.MaxInt64-1<<16), uint8(2), uint8(1))
 	f.Add(words(math.MaxUint64, 0, 7), uint8(0), int64(0), uint8(0), uint8(3))
+	f.Add(words(4, 9, 2, 7, 5, 1), uint8(0), int64(-3), uint8(2), uint8(3))
+	f.Add(words(6, 6, 2, 9, 2, 0, 11, 6), uint8(0), int64(0), uint8(3), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, shift uint8, base int64, parts, split uint8) {
 		n := len(data) / 8
 		if n == 0 {
@@ -177,15 +286,18 @@ func FuzzColumnGroups(f *testing.F) {
 		for i := range keys {
 			keys[i] = base + int64(binary.LittleEndian.Uint64(data[8*i:])>>(shift%64))
 		}
+		rng := rand.New(rand.NewSource(base ^ int64(n)))
 		at := 1 + int(split)%n
 		tbl := keyTable(t, keys[:at], 1+int(parts%4))
 		checkColumnGroups(t, tbl, "the first version")
+		checkKeyIndex(t, tbl, "the first version", rng)
 		if at < n {
 			grown, err := tbl.Append(keyTable(t, keys[at:], 1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkColumnGroups(t, grown, "the appended version")
+			checkKeyIndex(t, grown, "the appended version", rng)
 		}
 	})
 }

@@ -1,8 +1,8 @@
 package storage
 
 import (
-	"maps"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -16,24 +16,34 @@ var (
 
 // Computed lists the statistics this version has computed so far: the
 // columns whose group part and whose moment part were asked for, and the
-// column sets shapeOf counted, each set's names joined by "," in sorted
-// order. It reads the caches without their Once, so call it only when
-// nothing is computing on the version.
+// column sets of several columns whose group part was, each set's names
+// sorted and joined by ",". It reads the caches without their Once, so call
+// it only when nothing is computing on the version.
 func (t *Table) Computed() (groups, moments, sets []string) {
 	for i := range t.stats {
-		c := &t.stats[i]
-		if c.groups != nil {
-			groups = append(groups, t.schema[i].Name)
-		}
-		if c.moments != nil {
+		if t.stats[i].moments != nil {
 			moments = append(moments, t.schema[i].Name)
 		}
 	}
-	t.groupsMu.Lock()
-	defer t.groupsMu.Unlock()
-	for _, key := range slices.Sorted(maps.Keys(t.groups)) {
-		sets = append(sets, strings.ReplaceAll(key, "\x00", ","))
+	t.keyIdxMu.Lock()
+	defer t.keyIdxMu.Unlock()
+	for key, e := range t.keyIdx {
+		if e.stats == nil {
+			continue
+		}
+		var names []string
+		for _, f := range strings.Fields(strings.Trim(key, "[]")) {
+			c, _ := strconv.Atoi(f)
+			names = append(names, t.schema[c].Name)
+		}
+		if len(names) == 1 {
+			groups = append(groups, names[0])
+		} else {
+			sets = append(sets, strings.Join(slices.Sorted(slices.Values(names)), ","))
+		}
 	}
+	slices.Sort(groups)
+	slices.Sort(sets)
 	return groups, moments, sets
 }
 

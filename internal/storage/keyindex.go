@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -8,50 +9,53 @@ import (
 
 // KeyIndex finds rows by key. It is built once over the key columns of a
 // table version (Table.KeyIndex) and returns, for any key, the ascending rows
-// that carry it, through one of two layouts. A key that is one Int64 column
-// over a short span (DenseSpan) whose every value turns out to have one row —
-// a dimension's primary key, a sketch-join payload — is unique dense, found
-// by its address: its position key − min indexes rowOf, the key's row or −1.
-// Every other key is numbered: the version's own GroupIDs over the key
-// columns gives each distinct key an id in key order, a probe finds a key's
-// id by address when the key is one Int64 column over a span DenseSpan
-// admits (rank) and by binary search over the numbering's keys otherwise,
-// and the key's rows sit behind an offset array indexed by id as one
-// contiguous run of matchRows. Ids run in key order, so the rows of an
-// interval of one Int64 column's keys are one slice of matchRows (Range).
-// Each layout has its own probe loops. It keeps no hash table. The build
-// is serial, so the index is the same whatever runs beside it; once built it
-// is immutable and safe for concurrent probes. A join's build side and a
-// sketch-join's per-key table are both found through one, a probe batch at a
-// time (Probe), and the rows a query's build side keeps are a KeyMask over
-// it.
+// that carry it. A key that is one Int64 column over a span Table.DenseSpan
+// admits is dense, found by its address: its position key − min. When every
+// such key has one row — a dimension's primary key, a sketch-join payload —
+// the index is unique dense, one array rowOf of the key's row or −1 by
+// position. When a key repeats, rank holds its id by position — the number
+// of keys below it — and the key's rows sit behind an offset array indexed
+// by id as one contiguous run of matchRows, all three laid out from the
+// keys' counts by position. Every other key is numbered: the version's own
+// GroupIDs over the key columns gives each distinct key an id in key order,
+// a probe finds a key's id by binary search over the numbering's keys, and
+// the runs are laid out by id as a dense one's are. Ids run in key order, so
+// the rows of an interval of one Int64 column's keys are one slice of
+// matchRows (Range). Each layout has its own probe loops. It keeps no hash
+// table. The build is serial, so the index is the same whatever runs beside
+// it; once built it is immutable and safe for concurrent probes. A join's
+// build side and a sketch-join's per-key table are both found through one, a
+// probe batch at a time (Probe), and the rows a query's build side keeps are
+// a KeyMask over it.
 //
 //taster:immutable
 type KeyIndex struct {
-	// key is the indexed column of a dense index (nil for a numbered one):
-	// Mark reads a row's key from it. It is the version's column, not a copy.
-	key *Vector
-	// min is the smallest key as a word of a dense index or of a numbered
-	// one that keeps rank: a key's position is its word − min, which wraps a
-	// key below min to a position past every bound (DenseSpan).
+	// parts is a unique dense index's key column, partition by partition,
+	// and starts the table row each partition starts at, one past the last
+	// partition's end at the end (nil for any other index): Mark reads a
+	// row's key from them. They are the version's own, not copies.
+	parts  []*Vector
+	starts []int
+	// min is a dense index's smallest key as a word: a key's position is its
+	// word − min, which wraps a key below min to a position past every bound
+	// (denseSpan).
 	min uint64
 	// ids is a numbered index's numbering, its version's GroupIDs over the
 	// key columns (nil for a dense one): row i's key has id ids.ID.I64[i],
 	// and id g's key is row g of the key-ordered ids.Keys.
 	ids *GroupIDs
 
-	// rowOf is a dense index's only array: position k's row, or −1 when no
-	// row carries the key (nil for a numbered index).
+	// rowOf is a unique dense index's only array: position k's row, or −1
+	// when no row carries the key (nil for any other index).
 	rowOf []int32
-	// matchRows holds a numbered index's runs of rows back to back; the run
-	// of the key with id k is matchRows[offs[k]:offs[k+1]]. Both are nil
-	// under rowOf.
+	// matchRows holds the runs of rows of a dense index whose keys repeat or
+	// of a numbered one, back to back; the run of the key with id k is
+	// matchRows[offs[k]:offs[k+1]]. Both are nil under rowOf.
 	matchRows []int32
 	offs      []int32
-	// rank is a numbered index's ids by position, kept when the key is one
-	// Int64 column whose span DenseSpan admits (nil otherwise): position p
-	// holds the id of the key min + p, or, when no row carries that key,
-	// ^g, g being the number of keys below it.
+	// rank is a dense index's ids by position when its keys repeat (nil
+	// otherwise): position p holds the id of the key min + p, or, when no
+	// row carries that key, ^g, g being the number of keys below it.
 	rank []int32
 	keys int // distinct keys
 }
@@ -69,39 +73,55 @@ const (
 )
 
 // newKeyIndex indexes every row of t by its key over the columns at
-// positions cols: dense when the key is one Int64 column whose span
-// DenseSpan admits for its rows and no value of which repeats, and otherwise
-// numbered by t's own GroupIDs, whose ids are laid out in runs — with the
-// ids by position (rank) when the key is such a column whose values repeat.
+// positions cols. A key that is one Int64 column whose span Table.DenseSpan
+// admits is laid out by address: one pass tries the unique layout
+// (buildUnique); at a key's second row the array it filled is cleared and
+// becomes the keys' row counts by position (countDense, the count the
+// column's group statistics take), from which the runs are laid out
+// (buildRanked). Any other key is numbered by t's own GroupIDs, whose ids
+// are laid out in runs.
 func newKeyIndex(t *Table, cols []int) *KeyIndex {
-	x := &KeyIndex{}
-	min, nk := uint64(0), -1
-	if len(cols) == 1 && t.schema[cols[0]].Typ == Int64 {
-		kv := t.Column(cols[0])
-		lo, n, ok := denseSpan(kv.I64)
-		if ok && x.buildDense(kv.I64, lo, n) {
-			x.key = kv
+	if len(cols) == 1 {
+		if lo, n, ok := t.DenseSpan(cols[0]); ok {
+			x, at := &KeyIndex{min: uint64(lo)}, make([]int32, n)
+			if !x.buildUnique(t, cols[0], at) {
+				clear(at)
+				t.countDense(cols[0], x.min, at)
+				x.buildRanked(t, cols[0], at)
+			}
 			return x
 		}
-		if ok {
-			min, nk = lo, n
-		}
 	}
-	x.ids = t.GroupIDs(cols)
+	x := &KeyIndex{ids: t.GroupIDs(cols)}
 	x.keys = x.ids.Len() // every id is some row's
 	x.buildRuns(x.ids.ID.I64, x.keys)
-	if nk >= 0 {
-		x.buildRank(min, nk)
-	}
 	return x
 }
 
-// DenseSpan is the one rule for laying an Int64 key out by key − min: keys
-// from lo to hi (lo ≤ hi) over rows rows are dense when the span is under
-// denseSpanFactor× the rows or under denseSpanFloor, and then n is the
-// number of positions from lo to hi. A KeyIndex applies it to the keys it
-// indexes; a sketch-join's inline build to the bounds of the table it scans.
-func DenseSpan(lo, hi int64, rows int) (n int, ok bool) {
+// DenseSpan is the one rule for laying a key out by its address: column
+// col's keys are dense when it is an Int64 column whose bounds over the
+// version's zone maps (Bounds), lo to hi, span under denseSpanFactor× the
+// version's rows or under denseSpanFloor, in positions an int32 holds; n is
+// then the number of positions from lo to hi. No rows is an empty dense
+// span. The key index, the group statistics and a sketch-join's inline
+// build all lay a key out by it.
+func (t *Table) DenseSpan(col int) (lo int64, n int, ok bool) {
+	if t.schema[col].Typ != Int64 {
+		return 0, 0, false
+	}
+	mn, mx, has := t.Bounds(col)
+	if !has {
+		return 0, 0, true
+	}
+	if n, ok = denseSpan(mn.I, mx.I, t.rows); !ok || n > math.MaxInt32 {
+		return 0, 0, false
+	}
+	return mn.I, n, true
+}
+
+// denseSpan applies the span rule to keys from lo to hi (lo ≤ hi) over rows
+// rows: n is the number of positions from lo to hi.
+func denseSpan(lo, hi int64, rows int) (n int, ok bool) {
 	// Two's-complement subtraction is exact for lo ≤ hi: the span of
 	// MinInt64..MaxInt64 is 2^64−1, with no overflow.
 	if span := uint64(hi) - uint64(lo); span < uint64(rows)*denseSpanFactor || span < denseSpanFloor {
@@ -110,40 +130,61 @@ func DenseSpan(lo, hi int64, rows int) (n int, ok bool) {
 	return 0, false
 }
 
-// denseSpan returns the smallest key, as a word, and the number of positions
-// from it to the largest, and whether DenseSpan lays the keys out densely.
-// No rows is an empty dense range.
-func denseSpan(keys []int64) (uint64, int, bool) {
-	if len(keys) == 0 {
-		return 0, 0, true
-	}
-	lo, hi := keys[0], keys[0]
-	for _, k := range keys[1:] {
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	if nk, ok := DenseSpan(lo, hi, len(keys)); ok {
-		return uint64(lo), nk, true
-	}
-	return 0, 0, false
-}
-
-// buildDense lays the keys out by position uint64(k) − min in rowOf and
-// reports true, or gives up at a key's second row, leaving x as it was, and
-// reports false: a repeating key is numbered.
-func (x *KeyIndex) buildDense(keys []int64, min uint64, nk int) bool {
-	rowOf := make([]int32, nk)
+// buildUnique lays column col's keys out by position in rowOf and reports
+// true, or gives up at a key's second row, leaving x as it was, and reports
+// false.
+func (x *KeyIndex) buildUnique(t *Table, col int, rowOf []int32) bool {
 	for k := range rowOf {
 		rowOf[k] = -1
 	}
-	for i, k := range keys {
-		p := uint64(k) - min
-		if rowOf[p] >= 0 {
-			return false
+	base := x.min
+	parts := make([]*Vector, len(t.parts))
+	for p, part := range t.parts {
+		parts[p] = part.cols[col]
+		r := int32(t.offs[p])
+		for _, k := range parts[p].I64 {
+			if rowOf[uint64(k)-base] >= 0 {
+				return false
+			}
+			rowOf[uint64(k)-base] = r
+			r++
 		}
-		rowOf[p] = int32(i)
 	}
-	x.min, x.rowOf, x.keys = min, rowOf, len(keys)
+	x.rowOf, x.keys, x.parts, x.starts = rowOf, t.rows, parts, t.offs
 	return true
+}
+
+// buildRanked lays column col's rows out in runs from counts, their keys'
+// row counts by position. One walk over the positions turns counts into rank
+// in place — a present key's id, a gap's ^ the number of keys below it —
+// and appends each key's run end to the offsets; one pass over the
+// partitions then fills each row into its key's run, in row order. offs[k+1]
+// holds the start of k's run until the fill walks it to the run's end — the
+// start of k+1's — so the array finishes as the exclusive offsets.
+func (x *KeyIndex) buildRanked(t *Table, col int, counts []int32) {
+	offs := make([]int32, 2, min(len(counts), t.rows)+2)
+	for p, c := range counts {
+		g := int32(len(offs) - 2)
+		if c == 0 {
+			counts[p] = ^g
+			continue
+		}
+		counts[p] = g
+		offs = append(offs, offs[len(offs)-1]+c)
+	}
+	rank, base := counts, x.min
+	matchRows := make([]int32, t.rows)
+	for p, part := range t.parts {
+		r := int32(t.offs[p])
+		for _, k := range part.cols[col].I64 {
+			g := rank[uint64(k)-base]
+			matchRows[offs[g+1]] = r
+			offs[g+1]++
+			r++
+		}
+	}
+	x.keys = len(offs) - 2
+	x.rank, x.offs, x.matchRows = rank, offs[:x.keys+1], matchRows
 }
 
 // buildRuns lays out the runs of rows whose keys have ids pos, each below
@@ -168,30 +209,11 @@ func (x *KeyIndex) buildRuns(pos []int64, nk int) {
 	x.offs = offs[:nk+1]
 }
 
-// buildRank lays a numbered one-column Int64 index's ids out by position
-// key − min over the nk positions from its smallest key to its largest: the
-// numbering's Keys run in key order, so one pass over them fills every
-// position, a key's with its id and a gap's with ^ the id of the key above.
-func (x *KeyIndex) buildRank(min uint64, nk int) {
-	keys := x.ids.Keys[0].I64
-	rank := make([]int32, nk)
-	g := 0
-	for p := range rank {
-		if g < len(keys) && uint64(keys[g])-min == uint64(p) {
-			rank[p] = int32(g)
-			g++
-		} else {
-			rank[p] = ^int32(g)
-		}
-	}
-	x.min, x.rank = min, rank
-}
-
 // A KeyMask is a set of the rows a KeyIndex indexes — a join build side's
 // survivors — kept in the index's own coordinates (NewMask, Mark): one bit
-// per key position under a dense index, so a probe row the mask refuses
-// costs one bit test before its row is loaded; one bit per row under a
-// numbered one, tested per candidate match.
+// per key position under a unique dense index, so a probe row the mask
+// refuses costs one bit test before its row is loaded; one bit per row under
+// any other, tested per candidate match.
 // A nil mask is every row.
 type KeyMask []uint64
 
@@ -200,7 +222,7 @@ func (m KeyMask) has(i uint64) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 func (m KeyMask) set(i uint64) { m[i>>6] |= 1 << (i & 63) }
 
 // NewMask returns an empty mask over x's rows: as many bits as the dense
-// span under a dense index (UniqueDense), as rows otherwise.
+// span under a unique dense index (UniqueDense), as rows otherwise.
 func (x *KeyIndex) NewMask() KeyMask {
 	n := len(x.matchRows)
 	if x.UniqueDense() {
@@ -210,19 +232,27 @@ func (x *KeyIndex) NewMask() KeyMask {
 }
 
 // Mark adds rows to m: lo+sel[j] for every j, or lo..lo+n−1 when sel is nil.
-// A row's bit is its key − min under a dense index, the row otherwise.
+// A row's bit is its key − min under a unique dense index, the row
+// otherwise. Under a selection the rows lie in one partition, as a scanned
+// batch's do, and lo is one of them.
 func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 	if x.UniqueDense() {
 		// Every join of the generated workloads: one subtraction per row.
-		keys, min := x.key.I64, x.min
-		if sel == nil {
-			for _, k := range keys[lo : lo+n] {
-				m.set(uint64(k) - min)
+		base := x.min
+		if sel != nil {
+			keys := x.keysFrom(lo)
+			for _, i := range sel {
+				m.set(uint64(keys[i]) - base)
 			}
 			return
 		}
-		for _, i := range sel {
-			m.set(uint64(keys[lo+int(i)]) - min)
+		for hi := lo + n; lo < hi; {
+			keys := x.keysFrom(lo)
+			keys = keys[:min(len(keys), hi-lo)]
+			for _, k := range keys {
+				m.set(uint64(k) - base)
+			}
+			lo += len(keys)
 		}
 		return
 	}
@@ -235,6 +265,13 @@ func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 	for _, i := range sel {
 		m.set(uint64(lo + int(i)))
 	}
+}
+
+// keysFrom returns a unique dense index's keys of the rows from table row r
+// to the end of r's partition.
+func (x *KeyIndex) keysFrom(r int) []int64 {
+	p := sort.SearchInts(x.starts, r+1) - 1
+	return x.parts[p].I64[r-x.starts[p]:]
 }
 
 // MarkRows adds rows to m, a mask by row (a numbered index's, or a table
@@ -278,9 +315,9 @@ type ProbePos struct{ Row, Done int }
 // live-row order and ascending within a row, and stops once room pairs are
 // out or the batch is: it returns fewer than room pairs only with Row ==
 // b.Rows(). The position it returns is where the next call resumes —
-// mid-run when a row's matches outrun room. A dense index, every join of the
-// generated workloads, has one loop per mask shape (probeUnique,
-// probeUniqueMasked); a numbered index has one loop that finds a row's run by
+// mid-run when a row's matches outrun room. A unique dense index, every join
+// of the generated workloads, has one loop per mask shape (probeUnique,
+// probeUniqueMasked); any other index has one loop that finds a row's run by
 // its id, at its address or by search (probeRuns).
 func (x *KeyIndex) Probe(b *Batch, cols []int, mask KeyMask, at ProbePos, room int, pos, rows []int32) ([]int32, []int32, ProbePos) {
 	switch {
@@ -351,9 +388,10 @@ func (x *KeyIndex) probeUniqueMasked(keys []int64, sel []int32, live int, byKey 
 	return pos[:o], rows[:o], ProbePos{Row: live}
 }
 
-// probeRuns is Probe's loop over a numbered index's runs, under a mask by
-// row or none. A live row's run is its key's id k — read from rank at the
-// key's position when the index keeps one, found by find otherwise; a key
+// probeRuns is Probe's loop over the runs of a dense index whose keys repeat
+// or of a numbered one, under a mask by row or none. A live row's run is its
+// key's id k — read from rank at the key's position under a dense index,
+// found by find under a numbered one; a key
 // no indexed row carries has the id past every run and matches nothing. k's run
 // matchRows[offs[k]:offs[k+1]] is copied whole when no mask is kept and it
 // fits in the room left — one room check a row. Otherwise each match the
@@ -460,15 +498,15 @@ func (x *KeyIndex) find(probe []*Vector, i int) uint64 {
 }
 
 // Range returns the rows whose key lies in [lo, hi] — none when lo > hi —
-// under a numbered index over one Int64 column: the keys of an interval
-// have consecutive ids, so their runs sit back to back in matchRows, and
-// the rows come as one slice of it, grouped by key in key order and
-// ascending within a key, with no copy. Both ends are read from rank when
-// the index keeps one, found by binary search over the numbering's keys
-// otherwise. ok is false for any other index: a unique dense one, or a key
-// that is not one Int64 column.
+// under an index whose keys repeat over one Int64 column, dense or
+// numbered: the keys of an interval have consecutive ids, so their runs sit
+// back to back in matchRows, and the rows come as one slice of it, grouped
+// by key in key order and ascending within a key, with no copy. Both ends
+// are read from rank under a dense index, found by binary search over the
+// numbering's keys under a numbered one. ok is false for any other index: a
+// unique dense one, or a key that is not one Int64 column.
 func (x *KeyIndex) Range(lo, hi int64) (rows []int32, ok bool) {
-	if x.ids == nil || len(x.ids.Keys) != 1 || x.ids.Keys[0].Typ != Int64 {
+	if x.rank == nil && (x.ids == nil || len(x.ids.Keys) != 1 || x.ids.Keys[0].Typ != Int64) {
 		return nil, false
 	}
 	if lo > hi {
@@ -477,12 +515,12 @@ func (x *KeyIndex) Range(lo, hi int64) (rows []int32, ok bool) {
 	return x.matchRows[x.offs[x.keysBelow(lo, false)]:x.offs[x.keysBelow(hi, true)]], true
 }
 
-// keysBelow returns how many keys of a numbered one-column Int64 index lie
+// keysBelow returns how many keys of a one-column Int64 index with runs lie
 // below v, counting v's own when with is set: the id of the first key past
 // the interval's end.
 func (x *KeyIndex) keysBelow(v int64, with bool) int {
-	keys := x.ids.Keys[0].I64
 	if x.rank == nil {
+		keys := x.ids.Keys[0].I64
 		return sort.Search(len(keys), func(g int) bool { return keys[g] > v || !with && keys[g] == v })
 	}
 	if v < int64(x.min) {
@@ -490,7 +528,7 @@ func (x *KeyIndex) keysBelow(v int64, with bool) int {
 	}
 	p := uint64(v) - x.min
 	if p >= uint64(len(x.rank)) {
-		return len(keys)
+		return x.keys
 	}
 	r := x.rank[p]
 	switch {
@@ -510,8 +548,8 @@ func grow(s []int32, room int) []int32 { return slices.Grow(s, room)[:len(s)+roo
 func (x *KeyIndex) Keys() int { return x.keys }
 
 // Bytes estimates the index's resident size: its arrays — rowOf, or
-// matchRows, offs and any rank — and a numbered index's GroupIDs, 8 bytes a
-// row plus the key columns.
+// matchRows, offs and a dense index's rank — and a numbered index's
+// GroupIDs, 8 bytes a row plus the key columns.
 func (x *KeyIndex) Bytes() int64 {
 	n := int64(len(x.rowOf)+len(x.matchRows)+len(x.offs)+len(x.rank)) * 4
 	if g := x.ids; g != nil {

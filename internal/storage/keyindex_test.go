@@ -8,18 +8,19 @@ import (
 	"testing"
 )
 
-// TestKeyIndexLayout pins which of the two layouts each key shape takes —
+// TestKeyIndexLayout pins which of the three layouts each key shape takes —
 // unique dense (rowOf) for one Int64 column under the span rule whose keys
 // each have one row (surrogate keys, a selective filter's survivors under
-// the span floor, a range straddling zero); numbered for every other key
-// (such a column with duplicates, Int64 keys with no locality, float64,
-// bool, strings, tuples) — that Keys counts distinct keys in both, and what
-// Bytes reports for each: the join cache bounds its pinned bytes by it. The
-// dense layout's array is pinned exactly; a numbered index adds its
-// version's GroupIDs — 8 bytes a row and the key columns — to its runs, and
-// a ranked one (a repeating one-column Int64 key under the span rule) 4
-// bytes a position of its span for its ids by address. Whether the lookups
-// answer like a Go map is exec's TestJoinIndexMatchesMap and FuzzJoinIndex.
+// the span floor, a range straddling zero); dense repeating (rank and runs)
+// for such a column with duplicates; numbered for every other key (Int64
+// keys with no locality, float64, bool, strings, tuples) — that Keys counts
+// distinct keys in all three, and what Bytes reports for each: the join
+// cache bounds its pinned bytes by it. The unique layout's array is pinned
+// exactly; a dense repeating one holds 4 bytes a row, an offset and a
+// position of its span, and no numbering; a numbered index adds its
+// version's GroupIDs — 8 bytes a row and the key columns — to its runs.
+// Whether the lookups answer like a Go map is exec's TestJoinIndexMatchesMap
+// and FuzzJoinIndex, and this package's FuzzColumnGroups.
 func TestKeyIndexLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ints := func(keys ...int64) *Vector { return &Vector{Typ: Int64, I64: keys} }
@@ -55,9 +56,9 @@ func TestKeyIndexLayout(t *testing.T) {
 	}
 
 	const (
-		unique   = "unique dense"
-		numbered = "numbered"
-		ranked   = "numbered, ranked"
+		unique    = "unique dense"
+		repeating = "dense repeating"
+		numbered  = "numbered"
 	)
 	for _, c := range []struct {
 		name   string
@@ -67,7 +68,7 @@ func TestKeyIndexLayout(t *testing.T) {
 		keys   int
 	}{
 		{"dense surrogate keys", []*Vector{ints(surrogate...)}, []int{0}, unique, 5000},
-		{"span 1800 over 6000 rows", []*Vector{ints(gaps...)}, []int{0}, ranked, countDistinct(gaps)},
+		{"span 1800 over 6000 rows", []*Vector{ints(gaps...)}, []int{0}, repeating, countDistinct(gaps)},
 		{"straddling zero", []*Vector{ints(zero...)}, []int{0}, unique, 4001},
 		{"random 63-bit keys", []*Vector{ints(sparse...)}, []int{0}, numbered, 4000},
 		{"MinInt64 and MaxInt64 together", []*Vector{ints(math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64)}, []int{0}, numbered, 5},
@@ -80,14 +81,14 @@ func TestKeyIndexLayout(t *testing.T) {
 		{"no rows", []*Vector{ints()}, []int{0}, unique, 0},
 	} {
 		x := tableOf(t, c.vecs...).KeyIndex(c.cols)
-		layout := numbered
+		layout := "none of the three"
 		switch {
-		case x.key != nil && x.rowOf != nil && x.offs == nil && x.matchRows == nil && x.ids == nil && x.rank == nil:
+		case x.parts != nil && x.rowOf != nil && x.offs == nil && x.matchRows == nil && x.ids == nil && x.rank == nil:
 			layout = unique
-		case x.key != nil || x.rowOf != nil || x.ids == nil:
-			layout = "neither of the two"
-		case x.rank != nil:
-			layout = ranked
+		case x.parts == nil && x.rowOf == nil && x.offs != nil && x.matchRows != nil && x.ids == nil && x.rank != nil:
+			layout = repeating
+		case x.parts == nil && x.rowOf == nil && x.offs != nil && x.matchRows != nil && x.ids != nil && x.rank == nil:
+			layout = numbered
 		}
 		if layout != c.layout {
 			t.Errorf("%s: laid out %s, want %s", c.name, layout, c.layout)
@@ -112,8 +113,8 @@ func TestKeyIndexLayout(t *testing.T) {
 			t.Errorf("%s: %d bytes, want 4 per position of a span of %d", c.name, n, span)
 		case c.layout == numbered && (keyBytes == 0 || n != 4*(rows+int64(c.keys)+1)+8*rows+keyBytes):
 			t.Errorf("%s: %d bytes, want 4 per row and per offset, 8 per row for its ids and its %d key bytes", c.name, n, keyBytes)
-		case c.layout == ranked && (keyBytes == 0 || n != 4*(rows+int64(c.keys)+1+span)+8*rows+keyBytes):
-			t.Errorf("%s: %d bytes, want 4 per row, per offset and per position of a span of %d, 8 per row for its ids and its %d key bytes", c.name, n, span, keyBytes)
+		case c.layout == repeating && n != 4*(rows+int64(c.keys)+1+span):
+			t.Errorf("%s: %d bytes, want 4 per row, per offset and per position of a span of %d", c.name, n, span)
 		}
 	}
 }
@@ -144,13 +145,17 @@ func tableOf(t testing.TB, vecs ...*Vector) *Table {
 // TestKeyIndexOneNumbering: a numbered KeyIndex is its version's own
 // GroupIDs plus runs — for a string key and an (Int64, String) key, the
 // index and GroupIDs hold one numbering, whichever is asked for first, so the
-// version numbers its rows by the set once.
+// version numbers its rows by the set once. A dense repeating Int64 key is
+// laid out from its counts and numbers nothing — its set's entry keeps no
+// GroupIDs — and neither it nor a unique one concatenates a multi-partition
+// version's column.
 func TestKeyIndexOneNumbering(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	strs, ints := &Vector{Typ: String}, &Vector{Typ: Int64}
+	strs, ints, dense := &Vector{Typ: String}, &Vector{Typ: Int64}, &Vector{Typ: Int64}
 	for i := 0; i < 3000; i++ {
 		strs.Str = append(strs.Str, fmt.Sprintf("s%03d", rng.Intn(700)))
 		ints.I64 = append(ints.I64, rng.Int63())
+		dense.I64 = append(dense.I64, 1000+rng.Int63n(700))
 	}
 	for _, cols := range [][]int{{0}, {1, 0}} {
 		tbl := tableOf(t, strs, ints)
@@ -164,59 +169,87 @@ func TestKeyIndexOneNumbering(t *testing.T) {
 			t.Fatalf("cols %v: an index built after GroupIDs numbered the rows again", cols)
 		}
 	}
+	unique := &Vector{Typ: Int64}
+	for _, p := range rng.Perm(3000) {
+		unique.I64 = append(unique.I64, int64(p))
+	}
+	tbl, err := NewTable("k", Schema{{Name: "k.d", Typ: Int64}, {Name: "k.u", Typ: Int64}}, []*Vector{dense, unique}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.colsView = nil // NewTable's columns double as the view; forget them
+	if x := tbl.KeyIndex([]int{0}); x.rank == nil || x.ids != nil {
+		t.Fatal("a dense repeating key is not laid out by its address")
+	}
+	if tbl.colIndexes([]int{0}).groups != nil {
+		t.Fatal("a dense repeating key's index numbered the rows")
+	}
+	if !tbl.KeyIndex([]int{1}).UniqueDense() {
+		t.Fatal("a dense unique key is not laid out by its address")
+	}
+	if tbl.colsView != nil {
+		t.Fatal("a dense key's index concatenated the version's columns")
+	}
 }
 
-// TestKeyIndexOnAppendedVersion: a numbered index on a version made by
-// Append — its numbering extended from the old version's — pairs probe rows
-// with build rows exactly as an index on a fresh table over the same rows,
-// for a sparse Int64 key, a string key and an (Int64, String) key, across
-// deltas whose keys are new below, between and above the old ones, and one
-// with no new key. The probe holds every key of every version and keys no
-// version carries.
+// TestKeyIndexOnAppendedVersion: an index on a version made by Append pairs
+// probe rows with build rows exactly as an index on a fresh table over the
+// same rows — a numbered one (its numbering extended from the old
+// version's) for a sparse Int64 key, a string key and an (Int64, String)
+// key, and a dense repeating one (laid out anew from its counts) for a
+// short-span Int64 key — across deltas whose keys are new below, between
+// and above the old ones, and one with no new key. The probe holds every
+// key of every version and keys no version carries.
 func TestKeyIndexOnAppendedVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	schema := Schema{{Name: "a.i", Typ: Int64}, {Name: "a.s", Typ: String}}
-	build := func(ints []int64, strs []string, n int) *Table {
+	schema := Schema{{Name: "a.i", Typ: Int64}, {Name: "a.s", Typ: String}, {Name: "a.d", Typ: Int64}}
+	build := func(ints []int64, strs []string, dense []int64, n int) *Table {
 		b := NewBuilder("a", schema)
 		for i := 0; i < n; i++ {
 			b.Int(0, ints[rng.Intn(len(ints))])
 			b.Str(1, strs[rng.Intn(len(strs))])
+			b.Int(2, dense[rng.Intn(len(dense))])
 		}
 		return b.Build(2)
 	}
 	const m = 1_000_000_000 // keys m apart are never dense
-	tbl := build([]int64{10 * m, 12 * m, 14 * m}, []string{"d", "f", "h"}, 400)
+	tbl := build([]int64{10 * m, 12 * m, 14 * m}, []string{"d", "f", "h"}, []int64{100, 105, 120, 140}, 400)
 	deltas := []struct {
-		ints []int64
-		strs []string
+		ints  []int64
+		strs  []string
+		dense []int64
 	}{
-		{[]int64{1 * m, 13 * m, 90 * m, 12 * m}, []string{"a", "e", "z", "f"}}, // new below, between and above
-		{[]int64{10 * m, 14 * m}, []string{"d", "h"}},                          // none new
+		{[]int64{1 * m, 13 * m, 90 * m, 12 * m}, []string{"a", "e", "z", "f"}, []int64{95, 110, 170, 105}}, // new below, between and above
+		{[]int64{10 * m, 14 * m}, []string{"d", "h"}, []int64{100, 140}},                                   // none new
 	}
-	probe := &Batch{Vecs: []*Vector{{Typ: Int64}, {Typ: String}}}
+	probe := &Batch{Vecs: []*Vector{{Typ: Int64}, {Typ: String}, {Typ: Int64}}}
 	for _, k := range []int64{0, 1 * m, 10 * m, 11 * m, 12 * m, 13 * m, 14 * m, 90 * m, 91 * m} {
 		for _, s := range []string{"", "a", "d", "e", "f", "g", "h", "z", "zz"} {
-			probe.Vecs[0].I64 = append(probe.Vecs[0].I64, k)
-			probe.Vecs[1].Str = append(probe.Vecs[1].Str, s)
+			for _, d := range []int64{0, 94, 95, 96, 100, 105, 110, 120, 140, 170, 171} {
+				probe.Vecs[0].I64 = append(probe.Vecs[0].I64, k)
+				probe.Vecs[1].Str = append(probe.Vecs[1].Str, s)
+				probe.Vecs[2].I64 = append(probe.Vecs[2].I64, d)
+			}
 		}
 	}
-	sets := [][]int{{0}, {1}, {0, 1}}
+	sets := [][]int{{0}, {1}, {0, 1}, {2}}
 	for _, cols := range sets {
 		tbl.KeyIndex(cols)
 	}
 	for v, d := range deltas {
-		next, err := tbl.Append(build(d.ints, d.strs, 150))
+		next, err := tbl.Append(build(d.ints, d.strs, d.dense, 150))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := tableOf(t, next.Column(0), next.Column(1))
+		fresh := tableOf(t, next.Column(0), next.Column(1), next.Column(2))
 		for _, cols := range sets {
-			if next.colIndexes(cols).prev == nil {
-				t.Fatalf("delta %d cols %v: vacuous, the appended version does not start from the old numbering", v, cols)
+			dense := cols[0] == 2
+			if numbered := next.colIndexes(cols).prev != nil; numbered == dense {
+				t.Fatalf("delta %d cols %v: the appended version starts from an old numbering %t, want %t", v, cols, numbered, !dense)
 			}
 			x := next.KeyIndex(cols)
-			if x.ids == nil {
-				t.Fatalf("delta %d cols %v: the index is dense", v, cols)
+			if dense && (x.rank == nil || x.ids != nil) || !dense && x.ids == nil {
+				t.Fatalf("delta %d cols %v: laid out by address %t, want %t", v, cols, x.ids == nil, dense)
 			}
 			got, want := probePairs(x, probe, cols), probePairs(fresh.KeyIndex(cols), probe, cols)
 			if len(want) == 0 {

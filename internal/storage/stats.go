@@ -3,15 +3,15 @@ package storage
 import (
 	"math"
 	"slices"
-	"strings"
 	"sync"
 )
 
-// GroupStats is the part of a column's statistics its value groups give,
-// counted by one pass over the column (Table.ColumnGroups). The planner
-// decides between uniform and distinct sampling by it and detects skew when
-// pushing synopses under filters (paper §IV-A: skewed predicate columns
-// join the stratification set).
+// GroupStats is the part of a column set's statistics its value groups
+// give, counted by one pass over the set's columns (Table.ColumnGroups for
+// one column, GroupCount and MinGroupOf for a set). The planner decides
+// between uniform and distinct sampling by it and detects skew when pushing
+// synopses under filters (paper §IV-A: skewed predicate columns join the
+// stratification set).
 type GroupStats struct {
 	Distinct int  // exact number of distinct values
 	MinGroup int  // size of the smallest value group
@@ -55,11 +55,10 @@ type TableStats struct {
 	Columns []ColumnStats
 }
 
-// lazyColumnStats holds one column's two parts on a table version, each
-// computed on its first ask; nil until then.
+// lazyColumnStats holds one column's moment part on a table version,
+// computed on its first ask; nil until then. Group parts are kept per
+// column set beside the set's indexes (Table.groupsOf).
 type lazyColumnStats struct {
-	groupsOnce  sync.Once
-	groups      *GroupStats
 	momentsOnce sync.Once
 	moments     *Moments
 }
@@ -68,14 +67,7 @@ type lazyColumnStats struct {
 // This is the "statistics of the dataset ... calculated on-the-fly during
 // the first access to any table" behaviour from paper §III, per column and
 // per part: a version counts only the groups a plan reads.
-func (t *Table) ColumnGroups(i int) GroupStats {
-	c := &t.stats[i]
-	c.groupsOnce.Do(func() {
-		g := t.groupStats(i)
-		c.groups = &g
-	})
-	return *c.groups
-}
+func (t *Table) ColumnGroups(i int) GroupStats { return t.groupsOf([]int{i}) }
 
 // ColumnMoments returns column i's moment part, folding it on first call.
 func (t *Table) ColumnMoments(i int) Moments {
@@ -105,46 +97,55 @@ func (t *Table) Stats() *TableStats {
 // give a number.
 const skewRatio = 3.0
 
-// groupStats counts column i's group part. Its value groups are GROUP BY's,
-// so -0.0, +0.0 and each NaN payload are one group apiece, exactly as a
-// query over the column would answer. An Int64 column whose bounds over the
-// partitions' zone maps span densely for the version's rows (DenseSpan, the
-// rule a KeyIndex lays a key out by) is counted at its address key − min
-// (denseCounts); every other column through a GroupIndex (groupCounts).
-func (t *Table) groupStats(i int) GroupStats {
+// groupsOf returns the group part of the columns at positions cols, counted
+// on first ask and cached on the version in the set's entry beside its
+// indexes (colIndexes), under the sorted positions: a set's groups do not
+// depend on its columns' order, so a GROUP BY's columns and a
+// stratification set naming the same columns count once.
+func (t *Table) groupsOf(cols []int) GroupStats {
+	cols = slices.Sorted(slices.Values(cols))
+	e := t.colIndexes(cols)
+	e.statsOnce.Do(func() {
+		g := t.groupStats(cols)
+		e.stats = &g
+	})
+	return *e.stats
+}
+
+// groupStats counts the group part of the columns at positions cols. Its
+// value groups are GROUP BY's, so -0.0, +0.0 and each NaN payload are one
+// group apiece, exactly as a query over the columns would answer. One Int64
+// column whose keys span densely (Table.DenseSpan, the rule a KeyIndex lays
+// a key out by) is counted at its address key − min (countDense); every
+// other set through a GroupIndex (groupCounts).
+func (t *Table) groupStats(cols []int) GroupStats {
 	if t.rows == 0 {
 		return GroupStats{}
 	}
-	if counts := t.denseCounts(i); counts != nil {
-		return groupSizes(counts, t.rows)
-	}
-	return groupSizes(t.groupCounts([]int{i}), t.rows)
-}
-
-// denseCounts counts column i's rows into an int32 array by key − min, one
-// loop per partition, when the column is Int64 and DenseSpan admits its
-// bounds for the version's rows; nil otherwise. A cell is a key's row
-// count, zero for a key no row holds.
-func (t *Table) denseCounts(i int) []int32 {
-	if t.schema[i].Typ != Int64 {
-		return nil
-	}
-	lo, hi, _ := t.Bounds(i)
-	n, ok := DenseSpan(lo.I, hi.I, t.rows)
-	if !ok {
-		return nil
-	}
-	counts := make([]int32, n)
-	for _, part := range t.parts {
-		for _, k := range part.cols[i].I64 {
-			counts[uint64(k)-uint64(lo.I)]++
+	if len(cols) == 1 {
+		if lo, n, ok := t.DenseSpan(cols[0]); ok {
+			counts := make([]int32, n)
+			t.countDense(cols[0], uint64(lo), counts)
+			return groupSizes(counts, t.rows)
 		}
 	}
-	return counts
+	return groupSizes(t.groupCounts(cols), t.rows)
 }
 
-// groupSizes reads the group part of a column of rows rows off its groups'
-// row counts; a zero count is no group.
+// countDense adds every row of column col, an Int64 column whose keys lie in
+// the len(counts) positions from lo, to its key's count at position key −
+// lo, one loop per partition: a cell ends as the key's row count, zero for a
+// key no row holds.
+func (t *Table) countDense(col int, lo uint64, counts []int32) {
+	for _, part := range t.parts {
+		for _, k := range part.cols[col].I64 {
+			counts[uint64(k)-lo]++
+		}
+	}
+}
+
+// groupSizes reads the group part of a column set over rows rows off its
+// groups' row counts; a zero count is no group.
 func groupSizes[T int | int32](counts []T, rows int) GroupStats {
 	st := GroupStats{MinGroup: rows}
 	for _, c := range counts {
@@ -237,90 +238,48 @@ func (t *Table) resolveGroups(cols []int, from int, f func(ids []int32, groups i
 // DistinctOf returns the distinct count of the named column, or 0 when the
 // column is unknown. Convenience wrapper used by the planner.
 func (t *Table) DistinctOf(col string) int {
-	i := t.schema.Index(col)
-	if i < 0 {
-		return 0
-	}
-	return t.ColumnGroups(i).Distinct
+	g, _ := t.groupsByName([]string{col})
+	return g.Distinct
 }
 
 // GroupCount returns the exact number of distinct combinations of the given
 // columns — the planner's estimate for "number of groups" of a GROUP BY over
-// the base table. For a single column it reuses per-column stats.
+// the base table: 1 for no columns or an unknown one, and at least 1 for one
+// column.
 func (t *Table) GroupCount(cols []string) int {
 	if len(cols) == 0 {
 		return 1
 	}
-	if len(cols) == 1 {
-		if d := t.DistinctOf(cols[0]); d > 0 {
-			return d
-		}
+	g, ok := t.groupsByName(cols)
+	if !ok || len(cols) == 1 && g.Distinct == 0 {
 		return 1
 	}
-	sh, ok := t.shapeOf(cols)
-	if !ok {
-		return 1
-	}
-	return sh.groups
+	return g.Distinct
 }
 
 // MinGroupOf returns the size of the smallest group for the given column
 // set: the quantity that determines whether uniform sampling can guarantee
-// k rows per group (paper §IV-A).
+// k rows per group (paper §IV-A). No columns, no rows or an unknown column
+// give the row count.
 func (t *Table) MinGroupOf(cols []string) int {
 	if len(cols) == 0 || t.rows == 0 {
 		return t.rows
 	}
-	if len(cols) == 1 {
-		i := t.schema.Index(cols[0])
-		if i < 0 {
-			return t.rows
-		}
-		return t.ColumnGroups(i).MinGroup
-	}
-	sh, ok := t.shapeOf(cols)
+	g, ok := t.groupsByName(cols)
 	if !ok {
 		return t.rows
 	}
-	return sh.minGroup
+	return g.MinGroup
 }
 
-// groupShape is a column set's number of groups and smallest group size.
-type groupShape struct{ groups, minGroup int }
-
-// shapeOf counts the groups of a column set once per table version: a
-// version's rows never change, so the shape is cached on it beside the
-// column statistics and dies with it. The shape does not depend on the
-// columns' order, so the cache key is the sorted set: a GROUP BY's columns
-// and a stratification set naming the same columns count once. ok is false
-// when a column is unknown.
-//
-//taster:mutator lazy cache under groupsMu: a shape is computed outside the lock from the version's frozen rows and published once per column set; readers see absent-then-final
-func (t *Table) shapeOf(cols []string) (sh groupShape, ok bool) {
-	cols = slices.Sorted(slices.Values(cols))
-	key := strings.Join(cols, "\x00")
-	t.groupsMu.Lock()
-	sh, ok = t.groups[key]
-	t.groupsMu.Unlock()
-	if ok {
-		return sh, true
-	}
-	idx := make([]int, len(cols))
+// groupsByName is groupsOf over the named columns; ok is false when one is
+// unknown.
+func (t *Table) groupsByName(cols []string) (GroupStats, bool) {
+	at := make([]int, len(cols))
 	for k, c := range cols {
-		if idx[k] = t.schema.Index(c); idx[k] < 0 {
-			return groupShape{}, false
+		if at[k] = t.schema.Index(c); at[k] < 0 {
+			return GroupStats{}, false
 		}
 	}
-	counts := t.groupCounts(idx)
-	sh = groupShape{groups: len(counts), minGroup: t.rows}
-	for _, f := range counts {
-		sh.minGroup = min(sh.minGroup, f)
-	}
-	t.groupsMu.Lock()
-	if t.groups == nil {
-		t.groups = make(map[string]groupShape)
-	}
-	t.groups[key] = sh
-	t.groupsMu.Unlock()
-	return sh, true
+	return t.groupsOf(at), true
 }

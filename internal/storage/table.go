@@ -121,19 +121,14 @@ type Table struct {
 	widthsOnce sync.Once
 	widthsView []int32 // lazily concatenated whole-table row widths
 
-	// keyIdx caches, per column set, the set's KeyIndex and GroupIDs, keyed
-	// by the column positions.
+	// keyIdx caches, per column set, the set's KeyIndex, GroupIDs and group
+	// statistics, keyed by the column positions.
 	keyIdxMu sync.Mutex
 	keyIdx   map[string]*lazyColIndexes
 
-	// stats holds each column's statistics, both parts computed on demand
-	// (ColumnGroups, ColumnMoments).
+	// stats holds each column's moment part, computed on demand
+	// (ColumnMoments).
 	stats []lazyColumnStats
-
-	// groups caches GroupCount and MinGroupOf per multi-column set, keyed by
-	// the names (groupShape).
-	groupsMu sync.Mutex
-	groups   map[string]groupShape
 }
 
 // NewTable builds a table from fully populated column vectors. All vectors
@@ -364,10 +359,10 @@ func (t *Table) Repartition(partRows int) *Table {
 // tables the whole-column view is concatenated lazily on first use and
 // cached, every column at once, and lives as long as the version. Scans
 // never use this view, but the engine reads through it: every join table
-// gathers its build rows from it (exec.drainBuild), and a dense KeyIndex
-// keeps its key column from it, so a multi-partition version pays the
-// concatenation on its first join. Row-at-a-time consumers (workload
-// resampling) read it too.
+// gathers its build rows from it (exec.drainBuild), so a multi-partition
+// version pays the concatenation on its first join. A KeyIndex reads the
+// partitions instead. Row-at-a-time consumers (workload resampling) read it
+// too.
 //
 //taster:mutator sync.Once-guarded lazy cache: the single winning writer publishes via Once's happens-before edge, readers only ever see nil-then-frozen
 func (t *Table) Column(i int) *Vector {
@@ -414,11 +409,13 @@ func (t *Table) RowWidths() []int32 {
 	return t.widthsView
 }
 
-// lazyColIndexes is what a table version indexes by one column set, each
-// built once on first use. groups is written under keyIdxMu too, so Append
-// may read it from another goroutine. prev is, on a version made by Append,
-// the set's numbering on the version appended to, when that one had built
-// it: GroupIDs extends it over the delta (extendGroups) and drops it.
+// lazyColIndexes is what a table version indexes and counts by one column
+// set, each built once on first use. groups is written under keyIdxMu too,
+// so Append may read it from another goroutine. prev is, on a version made
+// by Append, the set's numbering on the version appended to, when that one
+// had built it: GroupIDs extends it over the delta (extendGroups) and drops
+// it. stats is the set's group statistics (groupsOf), kept under its sorted
+// positions.
 type lazyColIndexes struct {
 	keyOnce sync.Once
 	key     *KeyIndex
@@ -426,6 +423,9 @@ type lazyColIndexes struct {
 	groupOnce sync.Once
 	groups    *GroupIDs
 	prev      *GroupIDs
+
+	statsOnce sync.Once
+	stats     *GroupStats
 }
 
 // numberings returns, for every column set this version has numbered, a
@@ -469,10 +469,11 @@ func (t *Table) colIndexes(cols []int) *lazyColIndexes {
 // the columns at positions cols (newKeyIndex), built on first use and cached
 // per column set: a version's rows never change, so every join whose build
 // side reads it probes the one index, and a query's build side is a KeyMask
-// over it. A key that is not dense is found through the set's GroupIDs, the
-// one numbering of the set that the version holds. An appended version builds
-// its own index, its numbering extended from the old version's; an old
-// version keeps its index as long as something holds the old version.
+// over it. A dense key is laid out from its own column (DenseSpan); any other
+// is found through the set's GroupIDs, the one numbering of the set that the
+// version holds. An appended version builds its own index, its numbering
+// extended from the old version's; an old version keeps its index as long as
+// something holds the old version.
 func (t *Table) KeyIndex(cols []int) *KeyIndex {
 	e := t.colIndexes(cols)
 	e.keyOnce.Do(func() { e.key = newKeyIndex(t, cols) })
