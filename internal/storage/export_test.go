@@ -32,7 +32,7 @@ func (t *Table) Computed() (groups, moments, sets []string) {
 			continue
 		}
 		var names []string
-		for _, f := range strings.Fields(strings.Trim(key, "[]")) {
+		for _, f := range strings.Split(strings.TrimSuffix(key, ","), ",") {
 			c, _ := strconv.Atoi(f)
 			names = append(names, t.schema[c].Name)
 		}

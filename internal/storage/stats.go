@@ -103,7 +103,9 @@ const skewRatio = 3.0
 // depend on its columns' order, so a GROUP BY's columns and a
 // stratification set naming the same columns count once.
 func (t *Table) groupsOf(cols []int) GroupStats {
-	cols = slices.Sorted(slices.Values(cols))
+	if len(cols) > 1 {
+		cols = slices.Sorted(slices.Values(cols))
+	}
 	e := t.colIndexes(cols)
 	e.statsOnce.Do(func() {
 		g := t.groupStats(cols)

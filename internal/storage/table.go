@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -447,20 +448,25 @@ func (t *Table) numberings() map[string]*lazyColIndexes {
 }
 
 // colIndexes returns the cache entry of the columns at positions cols,
-// publishing an empty one on first sight.
+// publishing an empty one on first sight. The key is the positions, each
+// followed by a comma, built on the stack: the planner asks per statistic.
 //
 //taster:mutator lazy cache under keyIdxMu: an entry is published once per column set; what it holds is built once under its own sync.Once from the version's frozen rows
 func (t *Table) colIndexes(cols []int) *lazyColIndexes {
-	key := fmt.Sprint(cols)
+	var buf [32]byte
+	key := buf[:0]
+	for _, c := range cols {
+		key = append(strconv.AppendInt(key, int64(c), 10), ',')
+	}
 	t.keyIdxMu.Lock()
 	defer t.keyIdxMu.Unlock()
-	e := t.keyIdx[key]
+	e := t.keyIdx[string(key)]
 	if e == nil {
 		if t.keyIdx == nil {
 			t.keyIdx = make(map[string]*lazyColIndexes)
 		}
 		e = &lazyColIndexes{}
-		t.keyIdx[key] = e
+		t.keyIdx[string(key)] = e
 	}
 	return e
 }
