@@ -10,23 +10,20 @@ import (
 // KeyIndex finds rows by key. It is built once over the key columns of a
 // table version (Table.KeyIndex) and returns, for any key, the ascending rows
 // that carry it. A key that is one Int64 column over a span Table.DenseSpan
-// admits is dense, found by its address: its position key − min. When every
-// such key has one row — a dimension's primary key, a sketch-join payload —
-// the index is unique dense, one array rowOf of the key's row or −1 by
-// position. When a key repeats, rank holds its id by position — the number
-// of keys below it — and the key's rows sit behind an offset array indexed
-// by id as one contiguous run of matchRows, all three laid out from the
-// keys' counts by position. Every other key is numbered: the version's own
-// GroupIDs over the key columns gives each distinct key an id in key order,
-// a probe finds a key's id by binary search over the numbering's keys, and
-// the runs are laid out by id as a dense one's are. Ids run in key order, so
-// the rows of an interval of one Int64 column's keys are one slice of
-// matchRows (Range). Each layout has its own probe loops. It keeps no hash
-// table. The build is serial, so the index is the same whatever runs beside
-// it; once built it is immutable and safe for concurrent probes. A join's
-// build side and a sketch-join's per-key table are both found through one, a
-// probe batch at a time (Probe), and the rows a query's build side keeps are
-// a KeyMask over it.
+// admits is dense, found at its position key − min: when every key has one
+// row — a dimension's primary key, a sketch-join payload — through rowOf, the
+// key's row or −1 by position; when keys repeat, through rank, the key's id
+// by position, laid out from the keys' counts. Every other key is numbered:
+// the version's own GroupIDs over the key columns gives each distinct key an
+// id in key order, found by binary search over the numbering's keys. A key's
+// rows sit behind an offset array indexed by id as one contiguous run of
+// matchRows; ids run in key order, so the rows of an interval of one Int64
+// column's keys are one slice of matchRows (Range). Each layout has its own
+// probe loops. It keeps no hash table. The build is serial, so the index is
+// the same whatever runs beside it; once built it is immutable and safe for
+// concurrent probes. A join's build side and a sketch-join's per-key table
+// are both found through one, a probe batch at a time (Probe), and the rows
+// a query's build side keeps are a KeyMask over it.
 //
 //taster:immutable
 type KeyIndex struct {
@@ -98,13 +95,11 @@ func newKeyIndex(t *Table, cols []int) *KeyIndex {
 	return x
 }
 
-// DenseSpan is the one rule for laying a key out by its address: column
-// col's keys are dense when it is an Int64 column whose bounds over the
-// version's zone maps (Bounds), lo to hi, span under denseSpanFactor× the
-// version's rows or under denseSpanFloor, in positions an int32 holds; n is
-// then the number of positions from lo to hi. No rows is an empty dense
-// span. The key index, the group statistics and a sketch-join's inline
-// build all lay a key out by it.
+// DenseSpan is the one rule for laying a key out by its address, which the
+// key index, the group statistics and a sketch-join's inline build share:
+// Int64 column col is dense when its bounds over the zone maps (Bounds), lo
+// to hi, span under denseSpanFactor× the rows or denseSpanFloor, in n ≤
+// MaxInt32 positions. No rows is an empty dense span.
 func (t *Table) DenseSpan(col int) (lo int64, n int, ok bool) {
 	if t.schema[col].Typ != Int64 {
 		return 0, 0, false

@@ -453,8 +453,7 @@ func (t *Table) numberings() map[string]*lazyColIndexes {
 //
 //taster:mutator lazy cache under keyIdxMu: an entry is published once per column set; what it holds is built once under its own sync.Once from the version's frozen rows
 func (t *Table) colIndexes(cols []int) *lazyColIndexes {
-	var buf [32]byte
-	key := buf[:0]
+	key := make([]byte, 0, 32)
 	for _, c := range cols {
 		key = append(strconv.AppendInt(key, int64(c), 10), ',')
 	}
