@@ -228,7 +228,11 @@ reach-check:
 # the concurrent serving path, the partitioned ingest/query/spill storm, and
 # storage's lazily built per-version indexes and statistics (a fact table's
 # GroupIDs is first built under concurrent serving; a version's statistics
-# parts are first asked for by concurrent plans while an append races them),
+# parts are first asked for by concurrent plans while an append races them;
+# a column set's key index, numbering and group part share one cache entry
+# under keyIdxMu, a one-column set's entry also read lock-free off its
+# column, and a partition's column bounds are each computed under their own
+# sync.Once),
 # the planner's plan sets, whose candidates share their build-side nodes
 # and run concurrently once the plan cache hands the set out again, and the
 # synopses, whose distinct samplers resolve strata in their worker's scratch

@@ -163,8 +163,7 @@ func (s *sketchSink) prepare(ctx *Context) error {
 }
 
 // keySpace picks where a build row counts, one of n places. A dense key —
-// one Int64 column whose bounds over the scanned table, its partitions' zone
-// maps, span densely for the table's rows (Table.DenseSpan, the rule its
+// one Int64 column whose bounds over the scanned table span densely for the table's rows (Table.DenseSpan, the rule its
 // KeyIndex and its group statistics lay the key out by) — counts at its
 // address key − lo, and ids is nil: every key a build batch carries is one
 // of the table's, so it lies within the bounds. Any other key counts at its

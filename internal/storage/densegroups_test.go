@@ -197,7 +197,8 @@ func TestGroupStatsOfASet(t *testing.T) {
 // checkKeyIndex holds tbl's KeyIndex over column 0 to a Go map from key to
 // ascending rows: the pairs Probe returns for every key of the dense span
 // and the one on each side of it — for a key that is not dense, every key
-// and its two neighbours — and, when the index serves ranges, the rows
+// and its two neighbours — alone and under a mask marked across partitions
+// (Mark), and, when the index serves ranges, the rows
 // Range returns for intervals drawn by rng: a unique dense index alone may
 // refuse one.
 func checkKeyIndex(t testing.TB, tbl *Table, where string, rng *rand.Rand) {
@@ -224,8 +225,31 @@ func checkKeyIndex(t testing.TB, tbl *Table, where string, rng *rand.Rand) {
 			want = append(want, [2]int32{int32(j), r})
 		}
 	}
-	if got := probePairs(x, &Batch{Vecs: []*Vector{{Typ: Int64, I64: probe}}}, []int{0}); !slices.Equal(got, want) {
+	b := &Batch{Vecs: []*Vector{{Typ: Int64, I64: probe}}}
+	if got := probePairs(x, b, []int{0}, nil); !slices.Equal(got, want) {
 		t.Fatalf("%s: Probe paired %v, the map %v", where, got, want)
+	}
+	// A mask marked through a selection from a random first row over every
+	// partition, and through a window, keeps exactly the pairs of the rows
+	// it names.
+	lo := rng.Intn(tbl.NumRows())
+	keep := make([]bool, tbl.NumRows())
+	var sel []int32
+	for r := lo; r < tbl.NumRows(); r++ {
+		if rng.Intn(2) == 0 {
+			sel, keep[r] = append(sel, int32(r-lo)), true
+		}
+	}
+	m := x.NewMask()
+	x.Mark(m, lo, sel, len(sel))
+	from := rng.Intn(lo + 1)
+	x.Mark(m, from, nil, lo-from)
+	for r := from; r < lo; r++ {
+		keep[r] = true
+	}
+	kept := slices.DeleteFunc(slices.Clone(want), func(p [2]int32) bool { return !keep[p[1]] })
+	if got := probePairs(x, b, []int{0}, m); !slices.Equal(got, kept) {
+		t.Fatalf("%s: Probe under a mask of rows %d.. by selection and %d..%d paired %v, the map %v", where, lo, from, lo, got, kept)
 	}
 	if x.Keys() != len(keys) {
 		t.Fatalf("%s: %d keys, the map %d", where, x.Keys(), len(keys))

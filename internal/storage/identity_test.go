@@ -96,6 +96,34 @@ func BenchmarkTableStats(b *testing.B) {
 	})
 }
 
+// BenchmarkTableStatsAsk times a warm ask, as the planner makes one per
+// term of every query on a version whose statistics are counted already:
+// DistinctOf one TPC-H sf 0.01 lineitem column (One) and GroupCount of
+// three (Three).
+func BenchmarkTableStatsAsk(b *testing.B) {
+	tbl, err := workload.TPCH(0.01, 1).Catalog.Table("lineitem")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := []string{"lineitem.l_returnflag", "lineitem.l_linestatus", "lineitem.l_orderkey"}
+	b.Run("One", func(b *testing.B) {
+		tbl.DistinctOf(cols[2])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			tbl.DistinctOf(cols[2])
+		}
+	})
+	b.Run("Three", func(b *testing.B) {
+		tbl.GroupCount(cols)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			tbl.GroupCount(cols)
+		}
+	})
+}
+
 // BenchmarkTableZone times the zone maps of a fresh TPC-H sf 0.1 lineitem
 // version (600 000 rows): vectorBounds over every column of every
 // partition. Every iteration reads a repartitioned copy — new partitions,

@@ -35,7 +35,7 @@ type KeyIndex struct {
 	starts []int
 	// min is a dense index's smallest key as a word: a key's position is its
 	// word − min, which wraps a key below min to a position past every bound
-	// (denseSpan).
+	// (DenseSpan).
 	min uint64
 	// ids is a numbered index's numbering, its version's GroupIDs over the
 	// key columns (nil for a dense one): row i's key has id ids.ID.I64[i],
@@ -97,9 +97,9 @@ func newKeyIndex(t *Table, cols []int) *KeyIndex {
 
 // DenseSpan is the one rule for laying a key out by its address, which the
 // key index, the group statistics and a sketch-join's inline build share:
-// Int64 column col is dense when its bounds over the zone maps (Bounds), lo
-// to hi, span under denseSpanFactor× the rows or denseSpanFloor, in n ≤
-// MaxInt32 positions. No rows is an empty dense span.
+// Int64 column col is dense when its bounds (Bounds, the column's alone in
+// each partition), lo to hi, span under denseSpanFactor× the rows or
+// denseSpanFloor, in n ≤ MaxInt32 positions. No rows is an empty dense span.
 func (t *Table) DenseSpan(col int) (lo int64, n int, ok bool) {
 	if t.schema[col].Typ != Int64 {
 		return 0, 0, false
@@ -108,30 +108,20 @@ func (t *Table) DenseSpan(col int) (lo int64, n int, ok bool) {
 	if !has {
 		return 0, 0, true
 	}
-	if n, ok = denseSpan(mn.I, mx.I, t.rows); !ok || n > math.MaxInt32 {
-		return 0, 0, false
-	}
-	return mn.I, n, true
-}
-
-// denseSpan applies the span rule to keys from lo to hi (lo ≤ hi) over rows
-// rows: n is the number of positions from lo to hi.
-func denseSpan(lo, hi int64, rows int) (n int, ok bool) {
 	// Two's-complement subtraction is exact for lo ≤ hi: the span of
 	// MinInt64..MaxInt64 is 2^64−1, with no overflow.
-	if span := uint64(hi) - uint64(lo); span < uint64(rows)*denseSpanFactor || span < denseSpanFloor {
-		return int(span) + 1, true
+	span := uint64(mx.I) - uint64(mn.I)
+	if span >= uint64(t.rows)*denseSpanFactor && span >= denseSpanFloor || span >= math.MaxInt32 {
+		return 0, 0, false
 	}
-	return 0, false
+	return mn.I, int(span) + 1, true
 }
 
 // buildUnique lays column col's keys out by position in rowOf and reports
 // true, or gives up at a key's second row, leaving x as it was, and reports
 // false.
 func (x *KeyIndex) buildUnique(t *Table, col int, rowOf []int32) bool {
-	for k := range rowOf {
-		rowOf[k] = -1
-	}
+	fill(rowOf, -1)
 	base := x.min
 	parts := make([]*Vector, len(t.parts))
 	for p, part := range t.parts {
@@ -147,6 +137,18 @@ func (x *KeyIndex) buildUnique(t *Table, col int, rowOf []int32) bool {
 	}
 	x.rowOf, x.keys, x.parts, x.starts = rowOf, t.rows, parts, t.offs
 	return true
+}
+
+// fill sets every entry of s to v: one store, then the filled prefix
+// doubled by copy, which moves the array a vector at a time.
+func fill(s []int32, v int32) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
+	}
 }
 
 // buildRanked lays column col's rows out in runs from counts, their keys'
@@ -228,26 +230,32 @@ func (x *KeyIndex) NewMask() KeyMask {
 
 // Mark adds rows to m: lo+sel[j] for every j, or lo..lo+n−1 when sel is nil.
 // A row's bit is its key − min under a unique dense index, the row
-// otherwise. Under a selection the rows lie in one partition, as a scanned
-// batch's do, and lo is one of them.
+// otherwise.
 func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 	if x.UniqueDense() {
-		// Every join of the generated workloads: one subtraction per row.
+		// Every join of the generated workloads: one subtraction per row,
+		// its key read from the partition that holds it — a scanned batch's
+		// rows all lie in one.
 		base := x.min
 		if sel != nil {
-			keys := x.keysFrom(lo)
+			var keys []int64
+			from, to := 0, 0
 			for _, i := range sel {
-				m.set(uint64(keys[i]) - base)
+				r := lo + int(i)
+				if r < from || r >= to {
+					keys, from, to = x.partOf(r)
+				}
+				m.set(uint64(keys[r-from]) - base)
 			}
 			return
 		}
 		for hi := lo + n; lo < hi; {
-			keys := x.keysFrom(lo)
-			keys = keys[:min(len(keys), hi-lo)]
-			for _, k := range keys {
+			keys, from, to := x.partOf(lo)
+			to = min(to, hi)
+			for _, k := range keys[lo-from : to-from] {
 				m.set(uint64(k) - base)
 			}
-			lo += len(keys)
+			lo = to
 		}
 		return
 	}
@@ -262,11 +270,11 @@ func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 	}
 }
 
-// keysFrom returns a unique dense index's keys of the rows from table row r
-// to the end of r's partition.
-func (x *KeyIndex) keysFrom(r int) []int64 {
+// partOf returns the key column of the partition that holds table row r
+// under a unique dense index and the table rows [from, to) it holds.
+func (x *KeyIndex) partOf(r int) (keys []int64, from, to int) {
 	p := sort.SearchInts(x.starts, r+1) - 1
-	return x.parts[p].I64[r-x.starts[p]:]
+	return x.parts[p].I64, x.starts[p], x.starts[p+1]
 }
 
 // MarkRows adds rows to m, a mask by row (a numbered index's, or a table

@@ -251,7 +251,7 @@ func TestKeyIndexOnAppendedVersion(t *testing.T) {
 			if dense && (x.rank == nil || x.ids != nil) || !dense && x.ids == nil {
 				t.Fatalf("delta %d cols %v: laid out by address %t, want %t", v, cols, x.ids == nil, dense)
 			}
-			got, want := probePairs(x, probe, cols), probePairs(fresh.KeyIndex(cols), probe, cols)
+			got, want := probePairs(x, probe, cols, nil), probePairs(fresh.KeyIndex(cols), probe, cols, nil)
 			if len(want) == 0 {
 				t.Fatalf("delta %d cols %v: vacuous, no probe row matched", v, cols)
 			}
@@ -267,13 +267,14 @@ func TestKeyIndexOnAppendedVersion(t *testing.T) {
 	}
 }
 
-// probePairs probes every row of b through x, three pairs of room at a time
-// so that runs resume mid-way, and returns the (probe row, build row) pairs.
-func probePairs(x *KeyIndex, b *Batch, cols []int) [][2]int32 {
+// probePairs probes every row of b through x under mask (nil: every row),
+// three pairs of room at a time so that runs resume mid-way, and returns
+// the (probe row, build row) pairs.
+func probePairs(x *KeyIndex, b *Batch, cols []int, mask KeyMask) [][2]int32 {
 	var out [][2]int32
 	var pos, rows []int32
 	for at := (ProbePos{}); ; {
-		pos, rows, at = x.Probe(b, cols, nil, at, 3, pos[:0], rows[:0])
+		pos, rows, at = x.Probe(b, cols, mask, at, 3, pos[:0], rows[:0])
 		for k := range pos {
 			out = append(out, [2]int32{pos[k], rows[k]})
 		}

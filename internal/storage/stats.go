@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // GroupStats is the part of a column set's statistics its value groups
@@ -57,10 +58,13 @@ type TableStats struct {
 
 // lazyColumnStats holds one column's moment part on a table version,
 // computed on its first ask; nil until then. Group parts are kept per
-// column set beside the set's indexes (Table.groupsOf).
+// column set beside the set's indexes (Table.groupsOf); set is the column's
+// own set's entry once published (colIndexes), so the planner's per-term
+// asks of one column find it with one atomic load.
 type lazyColumnStats struct {
 	momentsOnce sync.Once
 	moments     *Moments
+	set         atomic.Pointer[lazyColIndexes]
 }
 
 // ColumnGroups returns column i's group part, counting it on first call.
@@ -240,8 +244,11 @@ func (t *Table) resolveGroups(cols []int, from int, f func(ids []int32, groups i
 // DistinctOf returns the distinct count of the named column, or 0 when the
 // column is unknown. Convenience wrapper used by the planner.
 func (t *Table) DistinctOf(col string) int {
-	g, _ := t.groupsByName([]string{col})
-	return g.Distinct
+	i := t.schema.Index(col)
+	if i < 0 {
+		return 0
+	}
+	return t.ColumnGroups(i).Distinct
 }
 
 // GroupCount returns the exact number of distinct combinations of the given
@@ -275,13 +282,16 @@ func (t *Table) MinGroupOf(cols []string) int {
 }
 
 // groupsByName is groupsOf over the named columns; ok is false when one is
-// unknown.
+// unknown. Up to four positions stay on the stack.
 func (t *Table) groupsByName(cols []string) (GroupStats, bool) {
-	at := make([]int, len(cols))
-	for k, c := range cols {
-		if at[k] = t.schema.Index(c); at[k] < 0 {
+	var buf [4]int
+	at := buf[:0]
+	for _, c := range cols {
+		i := t.schema.Index(c)
+		if i < 0 {
 			return GroupStats{}, false
 		}
+		at = append(at, i)
 	}
 	return t.groupsOf(at), true
 }

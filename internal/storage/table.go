@@ -23,6 +23,9 @@ type Partition struct {
 	zoneOnce sync.Once
 	zone     *ZoneMap
 
+	boundsOnce sync.Once
+	bounds     []colBounds
+
 	bytesOnce sync.Once
 	bytes     int64
 
@@ -128,7 +131,7 @@ type Table struct {
 	keyIdx   map[string]*lazyColIndexes
 
 	// stats holds each column's moment part, computed on demand
-	// (ColumnMoments).
+	// (ColumnMoments), and its one-column set's keyIdx entry once published.
 	stats []lazyColumnStats
 }
 
@@ -449,10 +452,17 @@ func (t *Table) numberings() map[string]*lazyColIndexes {
 
 // colIndexes returns the cache entry of the columns at positions cols,
 // publishing an empty one on first sight. The key is the positions, each
-// followed by a comma, built on the stack: the planner asks per statistic.
+// followed by a comma, built on the stack; a one-column set's entry is also
+// published on the column (lazyColumnStats.set), where the planner's
+// per-statistic asks read it without the key or the lock.
 //
 //taster:mutator lazy cache under keyIdxMu: an entry is published once per column set; what it holds is built once under its own sync.Once from the version's frozen rows
 func (t *Table) colIndexes(cols []int) *lazyColIndexes {
+	if len(cols) == 1 {
+		if e := t.stats[cols[0]].set.Load(); e != nil {
+			return e
+		}
+	}
 	key := make([]byte, 0, 32)
 	for _, c := range cols {
 		key = append(strconv.AppendInt(key, int64(c), 10), ',')
@@ -466,6 +476,9 @@ func (t *Table) colIndexes(cols []int) *lazyColIndexes {
 		}
 		e = &lazyColIndexes{}
 		t.keyIdx[string(key)] = e
+	}
+	if len(cols) == 1 {
+		t.stats[cols[0]].set.Store(e)
 	}
 	return e
 }

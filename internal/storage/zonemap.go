@@ -1,6 +1,9 @@
 package storage
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // ZoneMap summarizes one partition for predicate pruning: the per-column
 // minimum and maximum value plus the row count. A scan consults the zone
@@ -25,7 +28,8 @@ type ZoneMap struct {
 	HasNaN []bool
 }
 
-// Zone returns the zone map of partition p, computing it on first call.
+// Zone returns the zone map of partition p, computing it on first call from
+// its columns' bounds.
 //
 //taster:mutator sync.Once-guarded lazy cache: the zone map is built privately and cached once; the ZoneMap writes fill the fresh object before it is stored
 func (t *Table) Zone(p int) *ZoneMap {
@@ -37,27 +41,47 @@ func (t *Table) Zone(p int) *ZoneMap {
 			Max:    make([]Value, len(part.cols)),
 			HasNaN: make([]bool, len(part.cols)),
 		}
-		for i, c := range part.cols {
-			z.Min[i], z.Max[i], z.HasNaN[i] = vectorBounds(c)
+		for i := range part.cols {
+			b := part.bound(i)
+			z.Min[i], z.Max[i], z.HasNaN[i] = b.min, b.max, b.hasNaN
 		}
 		part.zone = z
 	})
 	return part.zone
 }
 
+// colBounds is one column's bounds over a partition (vectorBounds),
+// computed on first ask, so a read of one column's bounds — a key index's
+// span, a range term's selectivity — costs that column's pass alone.
+type colBounds struct {
+	once     sync.Once
+	min, max Value
+	hasNaN   bool
+}
+
+// bound returns column i's bounds over p, computing them on first call.
+//
+//taster:mutator sync.Once-guarded lazy cache: the array and each column's bounds are written once under their own Once before any read
+func (p *Partition) bound(i int) *colBounds {
+	p.boundsOnce.Do(func() { p.bounds = make([]colBounds, len(p.cols)) })
+	b := &p.bounds[i]
+	b.once.Do(func() { b.min, b.max, b.hasNaN = vectorBounds(p.cols[i]) })
+	return b
+}
+
 // Bounds returns the smallest and largest value of column i over the
-// version's partitions, from their zone maps under Value.Less. Empty
-// partitions and all-NaN ones (NaN bounds) give none, so a float column's
-// bounds skip its NaN rows as its moments' Min and Max do, and of equal
-// bounds the first partition's is kept (-0 or +0, as the rows show it
+// version's partitions, from their bounds of the column under Value.Less.
+// Empty partitions and all-NaN ones (NaN bounds) give none, so a float
+// column's bounds skip its NaN rows as its moments' Min and Max do, and of
+// equal bounds the first partition's is kept (-0 or +0, as the rows show it
 // first). ok is false when no partition gives bounds. The planner reads a
-// range term's selectivity from these; the zone maps are the ones pruning
-// builds on the version's first filtered read.
+// range term's selectivity from these; they are the bounds the partitions'
+// zone maps hold, each column's computed once whichever asks first.
 func (t *Table) Bounds(i int) (mn, mx Value, ok bool) {
-	for p := range t.parts {
-		z := t.Zone(p)
-		lo, hi := z.Min[i], z.Max[i]
-		if z.Rows == 0 || lo.Typ == Float64 && math.IsNaN(lo.F) {
+	for _, part := range t.parts {
+		b := part.bound(i)
+		lo, hi := b.min, b.max
+		if part.rows == 0 || lo.Typ == Float64 && math.IsNaN(lo.F) {
 			continue
 		}
 		if !ok {
