@@ -249,7 +249,8 @@ race-all:
 test-race: race
 
 # Ten-second smoke runs of the coverage-guided fuzz targets: the
-# persistence decoders (arbitrary bytes must never panic), the one sample
+# persistence decoders (arbitrary bytes must never panic; a filter or a
+# manifest entry they accept round-trips), the one sample
 # constructor (a sample gathered from random tables, appended partitions and
 # drawn rows equals the row-at-a-time reference, keeps exactly the string
 # codes a batch-by-batch copy kept, and round-trips), the join key index (a batch
@@ -272,6 +273,7 @@ test-race: race
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzDecodeExpr$$' -fuzztime 10s ./internal/persist
+	$(GO) test -run NONE -fuzz 'FuzzManifest$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run NONE -fuzz 'FuzzGatherSample$$' -fuzztime 10s ./internal/synopses
 	$(GO) test -run NONE -fuzz 'FuzzJoinIndex$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzSketchPayload$$' -fuzztime 10s ./internal/exec

@@ -3,15 +3,14 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"github.com/tasterdb/taster/internal/expr"
 	"github.com/tasterdb/taster/internal/meta"
 	"github.com/tasterdb/taster/internal/persist"
 	"github.com/tasterdb/taster/internal/plan"
@@ -286,83 +285,37 @@ func TestCrashRecoveryTruncatedSpill(t *testing.T) {
 	}
 }
 
-// TestRecoveryDropsPartitionScopedEntry: a v2 manifest written before
-// synopses were whole-table only may carry a sample scoped to one partition
-// ("partition": n). Restored under today's whole-table descriptors it would
-// answer whole-table aggregates from one partition's rows, so recovery must
-// leave the entry out, remove its payload and open normally; the next query
-// re-tastes.
-func TestRecoveryDropsPartitionScopedEntry(t *testing.T) {
-	dir := t.TempDir()
-	cat := testCatalog()
-	e1, err := persistEngine(cat, dir, true)
+// dirFiles reads every file of a warehouse directory, by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := pinSalesHint(t, e1, synopses.NewUniformSampler(0.05, 3))
-	if _, ok := runsOn(t, e1, id); !ok {
-		t.Fatal("test setup: the pinned sample must serve the query before the restart")
+	out := make(map[string]string, len(des))
+	for _, de := range des {
+		b, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[de.Name()] = string(b)
 	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	item := filepath.Join(dir, fmt.Sprintf("item_%d.syn", id))
-	if _, err := os.Stat(item); err != nil {
-		t.Fatalf("test setup: pinned payload not on disk: %v", err)
-	}
-
-	// Rewrite the manifest by hand: the pinned entry becomes partition 2's.
-	// Item rows carry "tier" after the id, so the pattern names the entry.
-	path := filepath.Join(dir, "MANIFEST.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from := fmt.Sprintf(`{"id":%d,"kind":`, id)
-	if n := strings.Count(string(raw), from); n != 1 {
-		t.Fatalf("test setup: %d manifest entries match %s, want 1", n, from)
-	}
-	scoped := strings.Replace(string(raw), from, fmt.Sprintf(`{"id":%d,"partition":2,"kind":`, id), 1)
-	if err := os.WriteFile(path, []byte(scoped), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, err := persistEngine(cat, dir, true)
-	if err != nil {
-		t.Fatalf("open over a manifest with a partition-scoped entry: %v", err)
-	}
-	defer e2.Close()
-	if _, ok := e2.Store().Get(id); ok {
-		t.Fatalf("partition-scoped entry #%d was restored", id)
-	}
-	if e2.Warehouse().Has(id) {
-		t.Fatalf("partition-scoped item #%d was restored", id)
-	}
-	if _, err := os.Stat(item); !os.IsNotExist(err) {
-		t.Fatalf("partition-scoped payload file survived recovery (%v)", err)
-	}
-	res, ok := runsOn(t, e2, id)
-	if ok || !strings.HasPrefix(res.Report.PlanDesc, "build ") {
-		t.Fatalf("query after recovery must re-taste, got plan %q using %v",
-			res.Report.PlanDesc, res.Report.UsedSynopses)
-	}
+	return out
 }
 
-// TestRecoveryDropsJoinResultSample: an older manifest may hold a sample of
-// a join result (sig_tables lists more than one table), from before a sample
-// lived only on the fact table's scan; meta.Store never forgets a descriptor,
-// so every checkpoint carried them. No plan reads one any more, and a
-// descriptor names one table. Restored, it would still collect the recovered
-// window's reuse gain and take a place in S*, so recovery must leave the
-// entry out, remove its payload and open normally.
-func TestRecoveryDropsJoinResultSample(t *testing.T) {
+// TestOpenRefusesOlderManifest: a directory written in manifest version 2 —
+// its entries naming their table as sig_tables — is read by no build of
+// version 3. Open fails with an error naming both versions, and every file
+// of the directory, item files included, is left byte for byte as it was:
+// the directory is the user's to remove for a cold start.
+func TestOpenRefusesOlderManifest(t *testing.T) {
 	dir := t.TempDir()
 	cat := testCatalog()
 	e1, err := persistEngine(cat, dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		if _, err := e1.Execute(persistQuery(e1, i)); err != nil {
 			t.Fatal(err)
 		}
@@ -370,122 +323,6 @@ func TestRecoveryDropsJoinResultSample(t *testing.T) {
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Add the join-result sample by hand: an entry over sales⋈products, its
-	// payload, and a reuse cost in every window record cheap enough that a
-	// restored entry would enter S*.
-	db, err := persist.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok, err := db.LoadManifest()
-	if err != nil || !ok || len(m.History) == 0 {
-		t.Fatalf("test setup: manifest ok=%v err=%v window records=%d", ok, err, len(m.History))
-	}
-	m.NextSynopsisID++ // the last id assigned
-	id := m.NextSynopsisID
-	sales, _ := cat.Table("sales")
-	products, _ := cat.Table("products")
-	smp := synopses.BuildSampleFromTable("join", sales, synopses.NewUniformSampler(0.05, 3), nil)
-	payload := persist.Encode(smp)
-	if err := db.WriteItem(id, payload); err != nil {
-		t.Fatal(err)
-	}
-	m.Entries = append(m.Entries, persist.EntryRecord{
-		ID: id, Kind: uint8(plan.UniformSample),
-		SigTables: []string{"products", "sales"},
-		P:         0.05, AggCols: []string{"sales.qty"},
-		RelError: stats.DefaultAccuracy.RelError, Confidence: stats.DefaultAccuracy.Confidence,
-		EstSize: int64(len(payload)), ActualSize: int64(len(payload)),
-		BuildRows: int64(sales.NumRows() + products.NumRows()),
-	})
-	m.Items = append(m.Items, persist.ItemRecord{
-		ID: id, Tier: persist.TierWarehouse,
-		Size: int64(len(payload)), Rows: int64(smp.Rows.NumRows()),
-	})
-	for i := range m.History {
-		m.History[i].Reuse = append(m.History[i].Reuse, planner.ReuseCost{ID: id, Cost: 1e-9})
-	}
-	if err := db.WriteManifest(m); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, err := persistEngine(cat, dir, true)
-	if err != nil {
-		t.Fatalf("open over a manifest with a join-result sample: %v", err)
-	}
-	defer e2.Close()
-	if _, ok := e2.Store().Get(id); ok {
-		t.Fatalf("join-result sample entry #%d was restored", id)
-	}
-	if e2.Warehouse().Has(id) {
-		t.Fatalf("join-result sample item #%d was restored", id)
-	}
-	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("item_%d.syn", id))); !os.IsNotExist(err) {
-		t.Fatalf("join-result sample payload survived recovery (%v)", err)
-	}
-	if dec := e2.tn.Retune(); dec.Keep[id] {
-		t.Fatalf("join-result sample #%d is in S* after recovery", id)
-	}
-	if _, err := e2.Execute(persistQuery(e2, 0)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOldManifestRestores: a v2 manifest from before a descriptor was (table,
-// filter, configuration) carries, per entry, the subplan's filter conjuncts
-// and output columns (sig_filters, sig_output) and its freshness twice, as a
-// summed epoch and per-table rows (build_epoch, built_by); one from before
-// the catalog was the only record of a table's size also carries observed
-// table versions (tables); and one from before a stored synopsis was its
-// payload names each item row's kind (kind). Decoding ignores them all, so
-// a filtered sketch-join and a sample restore under their ids as fresh as
-// the catalog says — whatever the tables map claims — re-planning their
-// queries interns onto those ids, and an append makes them exactly as stale
-// as the per-table record and the catalog say: unseen / (built + unseen).
-func TestOldManifestRestores(t *testing.T) {
-	dir := t.TempDir()
-	cat := testCatalog()
-	e1, err := persistEngine(cat, dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qty := expr.Compare("sales.qty", expr.GT, storage.FloatValue(2))
-	price := expr.Compare("sales.price", expr.LT, storage.FloatValue(80))
-	filtered := func(e *Engine) *planner.Query {
-		q := persistQuery(e, 0)
-		q.Filter = expr.Pred{qty, price}
-		return q
-	}
-	var sketchID, sampleID uint64
-	for i := 0; i < 8 && (sketchID == 0 || sampleID == 0); i++ {
-		for _, q := range []*planner.Query{filtered(e1), persistQuery(e1, 2)} {
-			if _, err := e1.Execute(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, ent := range storedEntries(t, e1) {
-			switch {
-			case ent.Desc.Kind == plan.SketchJoinSynopsis && ent.Desc.FilterPred != nil:
-				sketchID = ent.Desc.ID
-			case ent.Desc.Kind != plan.SketchJoinSynopsis:
-				sampleID = ent.Desc.ID
-			}
-		}
-	}
-	if sketchID == 0 || sampleID == 0 {
-		t.Fatalf("test setup: materialized sketch-join #%d, sample #%d; want both", sketchID, sampleID)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite every entry the way the old writer wrote it.
-	sales, _ := cat.Table("sales")
-	output := append([]string(nil), sales.Schema().Names()...)
-	sort.Strings(output)
-	conjuncts := []string{qty.String(), price.String()}
-	sort.Strings(conjuncts)
 	path := filepath.Join(dir, "MANIFEST.json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -495,134 +332,52 @@ func TestOldManifestRestores(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := m["entries"].([]any)
-	for _, x := range entries {
+	m["version"] = 2
+	for _, x := range m["entries"].([]any) {
 		rec := x.(map[string]any)
-		if tables, _ := rec["sig_tables"].([]any); len(tables) != 1 || tables[0] != "sales" {
-			continue
-		}
-		rec["sig_output"] = output
-		if rec["filter"] != nil {
-			rec["sig_filters"] = conjuncts
-		}
-		if rows, ok := rec["build_rows"].(float64); ok {
-			rec["build_epoch"] = sales.Epoch()
-			rec["built_by"] = map[string]int64{"sales": int64(rows)}
-		}
+		rec["sig_tables"] = []any{rec["table"]}
+		delete(rec, "table")
 	}
-	// Item rows named their kind beside the entry's.
-	itemKind := make(map[float64]string)
-	for _, x := range entries {
-		rec := x.(map[string]any)
-		itemKind[rec["id"].(float64)] = "sample"
-		if rec["kind"] == float64(plan.SketchJoinSynopsis) {
-			itemKind[rec["id"].(float64)] = "sketch"
-		}
-	}
-	for _, x := range m["items"].([]any) {
-		ir := x.(map[string]any)
-		ir["kind"] = itemKind[ir["id"].(float64)]
-	}
-	// A table version the catalog never had: honoured, it would report
-	// both synopses stale from the first query on.
-	m["tables"] = map[string]any{"sales": map[string]any{"epoch": sales.Epoch() + 7, "rows": 2 * sales.NumRows()}}
 	old, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"sig_filters"`, `"sig_output"`, `"build_epoch"`, `"built_by"`, `"tables"`, `"kind":"sample"`, `"kind":"sketch"`} {
-		if !strings.Contains(string(old), field) {
-			t.Fatalf("test setup: the rewritten manifest carries no %s", field)
-		}
-	}
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before := dirFiles(t, dir)
+	if n := len(before); n < 2 {
+		t.Fatalf("test setup: %d files in the directory, want the manifest and item files", n)
+	}
 
 	e2, err := persistEngine(cat, dir, true)
-	if err != nil {
-		t.Fatalf("open over an old-shaped manifest: %v", err)
+	if err == nil {
+		e2.Close()
+		t.Fatal("Open accepted a version-2 manifest")
 	}
-	defer e2.Close()
-	built := make(map[uint64]int64)
-	for _, id := range []uint64{sketchID, sampleID} {
-		ent, ok := e2.Store().Get(id)
-		if !ok || !e2.wh.Has(id) || ent.Staleness() != 0 {
-			t.Fatalf("synopsis #%d after recovery: present %t, entry %+v", id, ok, ent)
-		}
-		built[id] = ent.Desc.BuildRows
+	if !strings.Contains(err.Error(), "manifest version 2, want 3") {
+		t.Fatalf("Open over a version-2 manifest: %v; want the version error", err)
 	}
-	entries0 := len(e2.Store().Entries())
-	uses := make(map[uint64]bool)
-	for _, q := range []*planner.Query{filtered(e2), persistQuery(e2, 2)} {
-		ps, err := e2.pl.PlanWith(q, e2.snap.Load().wh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range ps.Candidates {
-			for _, id := range c.Uses {
-				uses[id] = true
-			}
-		}
-	}
-	if n := len(e2.Store().Entries()); n != entries0 {
-		t.Fatalf("re-planning interned %d new descriptors", n-entries0)
-	}
-	if !uses[sketchID] || !uses[sampleID] {
-		t.Fatalf("re-planned candidates use %v, want the restored #%d and #%d", uses, sketchID, sampleID)
-	}
-
-	const added = 15000
-	delta := storage.NewBuilder("sales", sales.Schema())
-	for i := 0; i < added; i++ {
-		delta.Int(0, int64(i%40))
-		delta.Float(1, 3)
-		delta.Float(2, 9.5)
-	}
-	if _, err := e2.Ingest("sales", delta.Build(1)); err != nil {
-		t.Fatal(err)
-	}
-	for id, rows := range built {
-		want := float64(added) / float64(rows+added)
-		if got := e2.Store().Staleness(id); got != want {
-			t.Fatalf("synopsis #%d staleness after ingest = %v, want %v", id, got, want)
-		}
+	if after := dirFiles(t, dir); !maps.Equal(after, before) {
+		t.Fatal("the refused Open removed or rewrote a file")
 	}
 }
 
-// TestOldManifestSketchJoinsCollapse: a manifest from before a sketch-join
-// was named without an accuracy can hold two entries of one exact synopsis
-// that differ only in the accuracy of the queries that built them, each
-// with a payload. They are one synopsis now: recovery restores the lower id
-// with its item, leaves the other entry out and removes its payload, and
-// re-planning the query reuses the lower id.
-func TestOldManifestSketchJoinsCollapse(t *testing.T) {
+// TestRecoveryRefusesDuplicateIdentity: a manifest names each synopsis once.
+// A second entry of one identity under another id is refused by
+// meta.Store.Restore — Open fails and the directory is left as it was —
+// never merged into the first.
+func TestRecoveryRefusesDuplicateIdentity(t *testing.T) {
 	dir := t.TempDir()
 	cat := testCatalog()
 	e1, err := persistEngine(cat, dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var low uint64
-	for i := 0; i < 8 && low == 0; i++ {
-		if _, err := e1.Execute(persistQuery(e1, i)); err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range storedEntries(t, e1) {
-			if ent.Desc.Kind == plan.SketchJoinSynopsis {
-				low = ent.Desc.ID
-			}
-		}
-	}
-	if low == 0 {
-		t.Fatal("test setup: no sketch-join stored")
-	}
+	id := pinSalesHint(t, e1, synopses.NewUniformSampler(0.05, 3))
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Write the entry the way the old writer did, with the building query's
-	// accuracy, and add a second one built under a stricter clause.
 	db, err := persist.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -631,61 +386,38 @@ func TestOldManifestSketchJoinsCollapse(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("test setup: manifest ok=%v err=%v", ok, err)
 	}
-	i := slices.IndexFunc(m.Entries, func(r persist.EntryRecord) bool { return r.ID == low })
-	j := slices.IndexFunc(m.Items, func(r persist.ItemRecord) bool { return r.ID == low })
-	if i < 0 || j < 0 {
-		t.Fatalf("test setup: manifest holds entry %d, item %d of #%d", i, j, low)
+	i := slices.IndexFunc(m.Entries, func(r persist.EntryRecord) bool { return r.ID == id })
+	if i < 0 {
+		t.Fatalf("test setup: no entry for the pinned sample #%d", id)
 	}
-	m.Entries[i].RelError, m.Entries[i].Confidence = 0.10, 0.95
 	m.NextSynopsisID++
-	high := m.NextSynopsisID
-	dup, item := m.Entries[i], m.Items[j]
-	dup.ID, dup.RelError, dup.Confidence = high, 0.05, 0.99
-	item.ID = high
+	dup := m.Entries[i]
+	dup.ID = m.NextSynopsisID
 	m.Entries = append(m.Entries, dup)
-	m.Items = append(m.Items, item)
-	payload, err := db.ReadItem(low)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WriteItem(high, payload); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.WriteManifest(m); err != nil {
 		t.Fatal(err)
 	}
+	before := dirFiles(t, dir)
 
 	e2, err := persistEngine(cat, dir, true)
-	if err != nil {
-		t.Fatalf("open over two sketch-joins of one identity: %v", err)
+	if err == nil {
+		e2.Close()
+		t.Fatalf("Open restored two entries of one identity (#%d, #%d)", id, dup.ID)
 	}
-	defer e2.Close()
-	if ent, ok := e2.Store().Get(low); !ok || !e2.wh.Has(low) || ent.Desc.Accuracy != (stats.AccuracySpec{}) {
-		t.Fatalf("sketch-join #%d after recovery: entry %v (ok %t), stored %t", low, ent, ok, e2.wh.Has(low))
+	if want := fmt.Sprintf("identity of #%d already held by #%d", dup.ID, id); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open over a duplicate identity: %v; want %q", err, want)
 	}
-	if _, ok := e2.Store().Get(high); ok || e2.wh.Has(high) {
-		t.Fatalf("the duplicate sketch-join #%d was restored", high)
-	}
-	if _, err := os.Stat(db.ItemPath(high)); !os.IsNotExist(err) {
-		t.Fatalf("the duplicate's payload survived recovery (%v)", err)
-	}
-	res, err := e2.Execute(persistQuery(e2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Contains(res.Report.UsedSynopses, low) {
-		t.Fatalf("re-planned query ran %q using %v, want #%d", res.Report.PlanDesc, res.Report.UsedSynopses, low)
+	if after := dirFiles(t, dir); !maps.Equal(after, before) {
+		t.Fatal("the refused Open removed or rewrote a file")
 	}
 }
 
-// TestOldManifestLayoutFromItemRows: a v2 manifest written while the
-// metadata store mirrored the warehouse carries, per entry, a location and a
-// pin beside the item rows' tier and pin. Recovery reads the layout from the
-// item rows alone: tiers and pins match them, an entry that claims the
-// warehouse (and a pin) with no item row stays a candidate outside S*,
-// re-planning interns onto the restored ids, and the next checkpoint writes
-// neither field.
-func TestOldManifestLayoutFromItemRows(t *testing.T) {
+// TestRecoveryLayoutFromItemRows: where a synopsis lives, and whether it is
+// pinned, is read from the manifest's item rows alone. A pinned hint in the
+// warehouse tier and a byproduct in the buffer come back in their tiers with
+// their pins, an entry with no item row stays a candidate outside S*, and
+// re-planning interns onto the restored ids.
+func TestRecoveryLayoutFromItemRows(t *testing.T) {
 	dir := t.TempDir()
 	cat := testCatalog()
 	e1, err := persistEngine(cat, dir, false) // the buffer keeps the byproduct
@@ -712,71 +444,51 @@ func TestOldManifestLayoutFromItemRows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the manifest the way the mirroring writer wrote it, plus one
-	// entry that claims the warehouse and a pin but has no item row.
-	path := filepath.Join(dir, "MANIFEST.json")
-	raw, err := os.ReadFile(path)
+	// Add an entry with no item row.
+	db, err := persist.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
+	m, ok, err := db.LoadManifest()
+	if err != nil || !ok {
+		t.Fatalf("test setup: manifest ok=%v err=%v", ok, err)
 	}
-	type row struct {
-		buffer, pinned bool
+	rows := make(map[uint64]persist.ItemRecord)
+	for _, ir := range m.Items {
+		rows[ir.ID] = ir
 	}
-	rows := make(map[uint64]row)
-	for _, x := range m["items"].([]any) {
-		ir := x.(map[string]any)
-		pinned, _ := ir["pinned"].(bool)
-		rows[uint64(ir["id"].(float64))] = row{buffer: ir["tier"] == persist.TierBuffer, pinned: pinned}
-	}
-	if len(rows) != 2 || !rows[hint].pinned || rows[hint].buffer || !rows[built].buffer || rows[built].pinned {
+	if len(rows) != 2 || !rows[hint].Pinned || rows[hint].Tier != persist.TierWarehouse ||
+		rows[built].Pinned || rows[built].Tier != persist.TierBuffer {
 		t.Fatalf("test setup: item rows %v, want pinned warehouse #%d and buffer #%d", rows, hint, built)
 	}
-	entries := m["entries"].([]any)
-	for _, x := range entries {
-		rec := x.(map[string]any)
-		if r, ok := rows[uint64(rec["id"].(float64))]; ok {
-			rec["location"] = map[bool]int{true: 1, false: 2}[r.buffer]
-			rec["pinned"] = r.pinned
-		}
-	}
-	claim := uint64(m["next_synopsis_id"].(float64)) + 1
-	m["next_synopsis_id"] = claim
-	m["entries"] = append(entries, map[string]any{
-		"id": claim, "kind": uint8(plan.UniformSample), "sig_tables": []string{"sales"},
-		"strat_cols": []string{"sales.qty"}, "agg_cols": []string{"sales.qty"},
-		"rel_error": 0.1, "confidence": 0.95, "est_size": 100, "location": 2, "pinned": true,
+	m.NextSynopsisID++
+	rowless := m.NextSynopsisID
+	m.Entries = append(m.Entries, persist.EntryRecord{
+		ID: rowless, Kind: uint8(plan.UniformSample), Table: "sales",
+		StratCols: []string{"sales.qty"}, AggCols: []string{"sales.qty"},
+		RelError: 0.1, Confidence: 0.95, EstSize: 100,
 	})
-	old, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, old, 0o644); err != nil {
+	if err := db.WriteManifest(m); err != nil {
 		t.Fatal(err)
 	}
 
 	e2, err := persistEngine(cat, dir, false)
 	if err != nil {
-		t.Fatalf("open over a manifest with entry locations: %v", err)
+		t.Fatal(err)
 	}
+	defer e2.Close()
 	for id, r := range rows {
 		it, inBuffer, ok := e2.wh.Get(id)
-		if !ok || inBuffer != r.buffer || it.Pinned != r.pinned {
-			t.Fatalf("item #%d after recovery: stored %t, buffer %t, pinned %t; want buffer %t, pinned %t",
-				id, ok, inBuffer, ok && it.Pinned, r.buffer, r.pinned)
+		if !ok || inBuffer != (r.Tier == persist.TierBuffer) || it.Pinned != r.Pinned {
+			t.Fatalf("item #%d after recovery: stored %t, buffer %t, pinned %t; want row %+v",
+				id, ok, inBuffer, ok && it.Pinned, r)
 		}
 	}
-	if _, ok := e2.store.Get(claim); !ok || e2.wh.Has(claim) {
-		t.Fatalf("row-less entry #%d after recovery: present %t, stored %t; want a candidate", claim, ok, e2.wh.Has(claim))
+	if _, ok := e2.store.Get(rowless); !ok || e2.wh.Has(rowless) {
+		t.Fatalf("row-less entry #%d after recovery: present %t, stored %t; want a candidate", rowless, ok, e2.wh.Has(rowless))
 	}
-	if n := len(e2.Synopses()); n != len(rows) {
-		t.Fatalf("Synopses lists %d, want the %d item rows", n, len(rows))
-	}
-	if e2.tn.Retune().Keep[claim] || e2.snap.Load().keep[claim] {
-		t.Fatalf("row-less entry #%d is in S*", claim)
+	if e2.tn.Retune().Keep[rowless] || e2.snap.Load().keep[rowless] {
+		t.Fatalf("row-less entry #%d is in S*", rowless)
 	}
 	entries0 := len(e2.store.Entries())
 	ps, err := e2.pl.PlanWith(persistQuery(e2, 2), e2.snap.Load().wh)
@@ -786,32 +498,8 @@ func TestOldManifestLayoutFromItemRows(t *testing.T) {
 	if n := len(e2.store.Entries()); n != entries0 {
 		t.Fatalf("re-planning interned %d new descriptors", n-entries0)
 	}
-	reused := false
-	for _, c := range ps.Candidates {
-		reused = reused || slices.Contains(c.Uses, built)
-	}
-	if !reused {
+	if !slices.ContainsFunc(ps.Candidates, func(c planner.Candidate) bool { return slices.Contains(c.Uses, built) }) {
 		t.Fatalf("re-planned candidates do not reuse the restored #%d", built)
-	}
-
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if raw, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var next struct {
-		Entries []map[string]any `json:"entries"`
-	}
-	if err := json.Unmarshal(raw, &next); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range next.Entries {
-		for _, field := range []string{"location", "pinned"} {
-			if _, ok := rec[field]; ok {
-				t.Fatalf("checkpointed entry #%v carries %q", rec["id"], field)
-			}
-		}
 	}
 }
 

@@ -22,8 +22,10 @@ import (
 // garbage-collected. Where a synopsis lives, and whether it is pinned, is
 // read from the item rows alone. Items whose payload was cached at
 // checkpoint time are reloaded eagerly so post-restart plan costs match the
-// uninterrupted engine's. Returns the number of items restored. Called from
-// Open before the engine escapes.
+// uninterrupted engine's. A manifest of another format version fails
+// LoadManifest before anything in the directory is removed or rewritten.
+// Returns the number of items restored. Called from Open before the engine
+// escapes.
 func (e *Engine) recoverLocked() (int, error) {
 	m, ok, err := e.db.LoadManifest()
 	if err != nil {
@@ -43,36 +45,12 @@ func (e *Engine) recoverLocked() (int, error) {
 		return 0, nil
 	}
 
-	// Two kinds of entry an older manifest may hold have no home any more,
-	// so recovery leaves the entry out and drops its item below, as for a
-	// torn spill (an item row naming no restored entry drops the same way):
-	//   - a sample scoped to one partition (from before synopses were
-	//     whole-table only), which would answer whole-table aggregates from
-	//     one partition's rows;
-	//   - a synopsis spanning more than one table — a sample of a join
-	//     result, from before a sample lived only on the fact table's scan.
-	//     No plan reads one, but restored it would still collect reuse gain
-	//     from the recovered window and hold a place — and quota — in S*.
-	// A third collapses: an older manifest names a sketch-join by the
-	// accuracy of the query that built it, so two entries may hold one exact
-	// synopsis. Entry drops that accuracy; the manifest lists entries by id,
-	// so the lowest keeps the identity and the others are left out the same
-	// way.
-	sketchJoins := make(map[string]bool)
+	// A manifest names each synopsis once: two entries of one identity are
+	// refused by Restore, not merged.
 	for _, rec := range m.Entries {
-		if rec.Partition != 0 || len(rec.SigTables) > 1 {
-			continue
-		}
 		d, err := rec.Entry()
 		if err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)
-		}
-		if d.Kind == plan.SketchJoinSynopsis {
-			key := d.IdentityKey()
-			if sketchJoins[key] {
-				continue
-			}
-			sketchJoins[key] = true
 		}
 		if err := e.store.Restore(d); err != nil {
 			return 0, fmt.Errorf("core: recovering warehouse: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,7 +24,6 @@ func fixturePreds() []expr.Pred {
 		{expr.Compare("sales.region", expr.EQ, storage.StringValue("west"))},
 		{expr.Compare("sales.flag", expr.EQ, storage.BoolValue(true))},
 		{expr.In("sales.region", storage.StringValue("east"), storage.StringValue("west"))},
-		{expr.In("sales.cat")},
 		{
 			expr.Compare("sales.price", expr.GT, storage.FloatValue(5)),
 			expr.Compare("sales.store", expr.NE, storage.IntValue(3)),
@@ -236,55 +236,59 @@ func TestExprCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExprCodecWritesTheTreeFormat pins the bytes of a conjunction: a
-// left-deep chain of AND nodes over Cmp(Col, Const) and In(Col, values) —
-// the tree an older writer produced for the same filter, so a warehouse it
-// wrote recovers. The decoder flattens any AND nesting (the parser once
-// nested BETWEEN to the right) and refuses the retired node shapes.
-func TestExprCodecWritesTheTreeFormat(t *testing.T) {
-	col := func(name string) []byte { return storage.AppendStr([]byte{exprCol}, name) }
-	cmp := func(op expr.CmpOp, name string, v int64) []byte {
-		b := append([]byte{exprCmp, byte(op)}, col(name)...)
-		return appendValue(append(b, exprConst), storage.IntValue(v))
+// TestExprCodecWritesTheFlatFormat pins the bytes of a conjunction — the
+// term count, then per term its operator, column, value count and values —
+// and the shapes both halves of the codec refuse.
+func TestExprCodecWritesTheFlatFormat(t *testing.T) {
+	// head is a term's operator, column and value count.
+	head := func(op expr.CmpOp, name string, k uint32) []byte {
+		return storage.AppendU32(storage.AppendStr([]byte{byte(op)}, name), k)
 	}
-	in := append(append([]byte{exprIn}, col("t.c")...), 1, 0, 0, 0)
-	in = appendValue(in, storage.StringValue("x"))
-	cat := func(parts ...[]byte) []byte {
-		var out []byte
-		for _, p := range parts {
-			out = append(out, p...)
+	term := func(op expr.CmpOp, name string, vals ...storage.Value) []byte {
+		b := head(op, name, uint32(len(vals)))
+		for _, v := range vals {
+			b = appendValue(b, v)
 		}
-		return out
+		return b
 	}
-	and := []byte{exprLogic, logicAnd}
-	a, ge, le := cmp(expr.EQ, "t.a", 1), cmp(expr.GE, "t.b", 2), cmp(expr.LE, "t.b", 9)
+	count := func(n uint32) []byte { return storage.AppendU32(nil, n) }
+	a := term(expr.EQ, "t.a", storage.IntValue(1))
 	p := expr.Pred{
 		expr.Compare("t.a", expr.EQ, storage.IntValue(1)),
 		expr.Compare("t.b", expr.GE, storage.IntValue(2)),
-		expr.Compare("t.b", expr.LE, storage.IntValue(9)),
-		expr.In("t.c", storage.StringValue("x")),
+		expr.In("t.c", storage.StringValue("x"), storage.StringValue("y")),
 	}
+	want := slices.Concat(count(3), a, term(expr.GE, "t.b", storage.IntValue(2)),
+		term(expr.IN, "t.c", storage.StringValue("x"), storage.StringValue("y")))
 	got, err := EncodeExpr(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cat(and, and, and, a, ge, le, in); !bytes.Equal(got, want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("encoding\n got %x\nwant %x", got, want)
 	}
-	rightNested := cat(and, and, a, and, ge, le, in) // ((a AND (ge AND le)) AND in)
-	if dec, err := DecodeExpr(rightNested); err != nil || !reflect.DeepEqual(dec, p) {
-		t.Fatalf("right-nested AND decoded to %v, %v; want %v", dec, err, p)
+	if got, err := EncodeExpr(nil, nil); err != nil || !bytes.Equal(got, count(0)) {
+		t.Fatalf("no filter encodes to %x, %v; want %x", got, err, count(0))
+	}
+	for name, p := range map[string]expr.Pred{
+		"IN without values": {expr.In("t.c")},
+		"unknown operator":  {{Col: "t.a", Op: expr.IN + 1, Val: storage.IntValue(1)}},
+	} {
+		if b, err := EncodeExpr(nil, p); err == nil {
+			t.Errorf("%s: encoded to %x, want an error", name, b)
+		}
 	}
 	refused := map[string][]byte{
-		"arithmetic":        cat([]byte{exprCmp, byte(expr.LT), exprBin, 0}, col("t.a"), []byte{exprConst}, appendValue(nil, storage.IntValue(1))),
-		"OR":                cat([]byte{exprLogic, 1}, a, ge),
-		"NOT":               cat([]byte{exprNot}, a),
-		"constant first":    cat([]byte{exprCmp, byte(expr.LT), exprConst}, appendValue(nil, storage.IntValue(1)), col("t.a")),
-		"two columns":       cat([]byte{exprCmp, byte(expr.LT)}, col("t.a"), col("t.b")),
-		"IN over a literal": cat([]byte{exprIn, exprConst}, appendValue(nil, storage.IntValue(1)), []byte{0, 0, 0, 0}),
-		"nil under AND":     cat(and, a, []byte{exprNil}),
-		"bare column":       col("t.a"),
-		"nil then bytes":    {exprNil, exprNil},
+		"empty payload":            {},
+		"term count past payload":  slices.Concat(count(2), a),
+		"value count past payload": slices.Concat(count(1), head(expr.IN, "t.c", 1<<30)),
+		"unknown operator":         slices.Concat(count(1), term(expr.IN+1, "t.a", storage.IntValue(1))),
+		"comparison, two values":   slices.Concat(count(1), term(expr.LT, "t.a", storage.IntValue(1), storage.IntValue(2))),
+		"comparison, no value":     slices.Concat(count(1), term(expr.LT, "t.a")),
+		"IN without values":        slices.Concat(count(1), term(expr.IN, "t.c")),
+		"trailing bytes":           slices.Concat(count(1), a, []byte{0}),
+		"boolean byte 2":           slices.Concat(count(1), head(expr.EQ, "t.f", 1), []byte{byte(storage.Bool), 2}),
+		"unknown value type":       slices.Concat(count(1), head(expr.EQ, "t.a", 1), []byte{0xff}),
 	}
 	for name, b := range refused {
 		if dec, err := DecodeExpr(b); err == nil {

@@ -12,179 +12,84 @@ import (
 // checks on it), so recovering a warehouse from disk must recover the terms
 // too: the canonical string form is display-oriented and has no parser.
 //
-// The format is a tree of one-byte node tags, which a Pred fills in one
-// fixed shape: a left-deep chain of AND nodes over its terms, in order —
-// t1, AND(t1, t2), AND(AND(t1, t2), t3) — where a comparison term is
-// Cmp(Col, Const) and an IN term is In(Col, values). Tags:
-//
-//	0 nil, 1 Col, 2 Const, 3 retired (arithmetic), 4 Cmp, 5 Logic,
-//	6 retired (NOT), 7 In
-//
-// The decoder flattens any AND nesting into terms. It refuses as corrupt
-// tags 3 and 6, a Logic node other than AND, and an operand other than the
-// column first and the literal second — shapes an older writer's expression
-// tree allowed and no query could build.
+// A filter is its list of terms: a u32 term count, then per term a u8
+// operator (expr.CmpOp), the column as a u32-length-prefixed string, a u32
+// value count and the values (appendValue). A comparison carries exactly one
+// value and an IN list at least one, as the parser builds them; no filter is
+// a count of 0. Every count is checked against the bytes left before
+// anything is read or allocated for it.
 
-const (
-	exprNil   byte = 0
-	exprCol   byte = 1
-	exprConst byte = 2
-	exprBin   byte = 3
-	exprCmp   byte = 4
-	exprLogic byte = 5
-	exprNot   byte = 6
-	exprIn    byte = 7
-)
-
-// logicAnd is the Logic node's AND operator byte.
-const logicAnd byte = 0
-
-// maxExprDepth bounds decoder recursion so corrupt input cannot overflow
-// the stack; real predicates are a handful of levels deep.
-const maxExprDepth = 256
-
-// EncodeExpr appends p's binary encoding to dst (nil encodes as one tag
-// byte, so "no filter" round-trips).
+// EncodeExpr appends p's binary encoding to dst.
 func EncodeExpr(dst []byte, p expr.Pred) ([]byte, error) {
-	if len(p) == 0 {
-		return append(dst, exprNil), nil
-	}
-	for range p[1:] {
-		dst = append(dst, exprLogic, logicAnd)
-	}
+	dst = storage.AppendU32(dst, uint32(len(p)))
 	for _, t := range p {
+		vals := t.List
 		switch {
-		case t.Op == expr.IN:
-			dst = appendCol(append(dst, exprIn), t.Col)
-			dst = storage.AppendU32(dst, uint32(len(t.List)))
-			for _, v := range t.List {
-				dst = appendValue(dst, v)
-			}
+		case t.Op == expr.IN && len(vals) > 0:
 		case t.Op <= expr.GE:
-			dst = appendCol(append(dst, exprCmp, byte(t.Op)), t.Col)
-			dst = appendValue(append(dst, exprConst), t.Val)
+			vals = []storage.Value{t.Val}
 		default:
-			return dst, fmt.Errorf("persist: cannot encode operator %d of a filter on %q", t.Op, t.Col)
+			return dst, fmt.Errorf("persist: cannot encode operator %d with %d values in a filter on %q", t.Op, len(t.List), t.Col)
+		}
+		dst = storage.AppendStr(append(dst, byte(t.Op)), t.Col)
+		dst = storage.AppendU32(dst, uint32(len(vals)))
+		for _, v := range vals {
+			dst = appendValue(dst, v)
 		}
 	}
 	return dst, nil
 }
 
-func appendCol(dst []byte, name string) []byte {
-	return storage.AppendStr(append(dst, exprCol), name)
-}
-
 // DecodeExpr reverses EncodeExpr over a whole payload.
 func DecodeExpr(b []byte) (expr.Pred, error) {
-	if len(b) == 1 && b[0] == exprNil {
-		return nil, nil
-	}
 	r := storage.NewReader(b)
-	var p expr.Pred
-	if err := decodeTerms(r, 0, &p); err != nil {
+	n, err := r.U32()
+	if err == nil && int(n) > r.Remaining() {
+		err = fmt.Errorf("persist: filter term count %d exceeds payload", n)
+	}
+	if err != nil {
 		return nil, err
 	}
+	var p expr.Pred
+	for range n {
+		op, err := r.U8()
+		if err != nil {
+			return nil, err
+		}
+		col, err := r.Str()
+		if err != nil {
+			return nil, err
+		}
+		k, err := r.U32()
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case expr.CmpOp(op) > expr.IN:
+			return nil, fmt.Errorf("persist: unknown filter operator %d", op)
+		case int(k) > r.Remaining():
+			return nil, fmt.Errorf("persist: filter value count %d exceeds payload", k)
+		case expr.CmpOp(op) == expr.IN && k == 0:
+			return nil, fmt.Errorf("persist: IN list on %q without values", col)
+		case expr.CmpOp(op) < expr.IN && k != 1:
+			return nil, fmt.Errorf("persist: comparison on %q with %d values", col, k)
+		}
+		vals := make([]storage.Value, k)
+		for i := range vals {
+			if vals[i], err = readValue(r); err != nil {
+				return nil, err
+			}
+		}
+		if expr.CmpOp(op) == expr.IN {
+			p = append(p, expr.In(col, vals...))
+		} else {
+			p = append(p, expr.Compare(col, expr.CmpOp(op), vals[0]))
+		}
+	}
 	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes after expression", r.Remaining())
+		return nil, fmt.Errorf("persist: %d trailing bytes after filter", r.Remaining())
 	}
 	return p, nil
-}
-
-// decodeTerms appends the terms of one node — a term, or an AND of two
-// nodes — to p.
-func decodeTerms(r *storage.Reader, depth int, p *expr.Pred) error {
-	if depth > maxExprDepth {
-		return fmt.Errorf("persist: expression nesting exceeds %d", maxExprDepth)
-	}
-	tag, err := r.U8()
-	if err != nil {
-		return err
-	}
-	switch tag {
-	case exprLogic:
-		op, err := r.U8()
-		if err != nil {
-			return err
-		}
-		if op != logicAnd {
-			return fmt.Errorf("persist: logic op %d in a filter; only AND joins terms", op)
-		}
-		if err := decodeTerms(r, depth+1, p); err != nil {
-			return err
-		}
-		return decodeTerms(r, depth+1, p)
-	case exprCmp:
-		op, err := r.U8()
-		if err != nil {
-			return err
-		}
-		if expr.CmpOp(op) > expr.GE {
-			return fmt.Errorf("persist: unknown comparison op %d", op)
-		}
-		col, err := readCol(r)
-		if err != nil {
-			return err
-		}
-		if err := readOperand(r, exprConst); err != nil {
-			return err
-		}
-		v, err := readValue(r)
-		if err != nil {
-			return err
-		}
-		*p = append(*p, expr.Compare(col, expr.CmpOp(op), v))
-		return nil
-	case exprIn:
-		col, err := readCol(r)
-		if err != nil {
-			return err
-		}
-		n, err := r.U32()
-		if err != nil {
-			return err
-		}
-		if int(n) > r.Remaining() {
-			return fmt.Errorf("persist: IN list length %d exceeds payload", n)
-		}
-		var vals []storage.Value
-		for range n {
-			v, err := readValue(r)
-			if err != nil {
-				return err
-			}
-			vals = append(vals, v)
-		}
-		*p = append(*p, expr.In(col, vals...))
-		return nil
-	case exprBin:
-		return fmt.Errorf("persist: arithmetic node in a filter")
-	case exprNot:
-		return fmt.Errorf("persist: NOT node in a filter")
-	case exprNil, exprCol, exprConst:
-		return fmt.Errorf("persist: expression tag %d where a filter term belongs", tag)
-	}
-	return fmt.Errorf("persist: unknown expression tag %d", tag)
-}
-
-// readCol reads a term's column operand.
-func readCol(r *storage.Reader) (string, error) {
-	if err := readOperand(r, exprCol); err != nil {
-		return "", err
-	}
-	return r.Str()
-}
-
-// readOperand reads a term operand's tag, refusing any but want: a term is
-// the column first and the literal second.
-func readOperand(r *storage.Reader, want byte) error {
-	tag, err := r.U8()
-	if err != nil {
-		return err
-	}
-	if tag != want {
-		return fmt.Errorf("persist: expression tag %d as a term operand; a term compares a column with a literal", tag)
-	}
-	return nil
 }
 
 // appendValue writes a typed scalar: u8 type + payload.
@@ -223,6 +128,9 @@ func readValue(r *storage.Reader) (storage.Value, error) {
 		return storage.StringValue(s), err
 	case storage.Bool:
 		b, err := r.U8()
+		if err == nil && b > 1 {
+			err = fmt.Errorf("persist: boolean byte %d", b)
+		}
 		return storage.BoolValue(b != 0), err
 	}
 	return storage.Value{}, fmt.Errorf("persist: unknown value type %d", tb)

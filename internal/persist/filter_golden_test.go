@@ -21,9 +21,8 @@ const filtersGolden = "testdata/template_filters.golden"
 // TestTemplateFilterBytes pins the persisted bytes and the rendering of every
 // filter a workload template gives a synopsis descriptor — the fact table's
 // filter, which samples and sketch-joins record — for three instantiations
-// of each TPC-H, TPC-DS and Instacart template. The recording was taken
-// from the expression-tree codec this one replaced, so a warehouse written
-// by either recovers on the other.
+// of each TPC-H, TPC-DS and Instacart template. Only a change of the format,
+// which comes with a new ManifestVersion, re-records it (-update-filters).
 func TestTemplateFilterBytes(t *testing.T) {
 	var sb strings.Builder
 	for _, w := range []*workload.Workload{

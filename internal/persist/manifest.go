@@ -9,8 +9,10 @@ import (
 	"github.com/tasterdb/taster/internal/stats"
 )
 
-// ManifestVersion is the current manifest format version.
-const ManifestVersion = 2
+// ManifestVersion is the manifest format version: the one this build writes
+// and the only one it reads. A directory written in another layout fails
+// LoadManifest, and with it core.Open, and is left as it was.
+const ManifestVersion = 3
 
 // Manifest is the engine checkpoint the warehouse directory carries: the
 // warehouse item index plus everything a restarted engine needs to keep
@@ -18,8 +20,7 @@ const ManifestVersion = 2
 // (each with the rows its build saw; staleness compares them with the
 // catalog's), the sliding window with each query's reuse costs (the tuner's
 // gain inputs), and the query-id high-water mark. Payload bytes live in the
-// per-item files; the manifest only indexes them. An older manifest also
-// carries observed table versions (tables); decoding ignores them.
+// per-item files; the manifest only indexes them.
 type Manifest struct {
 	Version int `json:"version"`
 	// NextSynopsisID seeds the metadata store's id allocator so descriptors
@@ -57,8 +58,8 @@ const (
 )
 
 // ItemRecord is one materialized synopsis's warehouse metadata. Its kind is
-// its entry's (EntryRecord.Kind) and its payload's envelope; an older v2
-// manifest also carries kind ("sample" or "sketch"), which decoding ignores.
+// its entry's (EntryRecord.Kind) and its payload's envelope. Where a synopsis
+// lives, and whether it is pinned, is read from these rows alone.
 type ItemRecord struct {
 	ID     uint64 `json:"id"`
 	Tier   string `json:"tier"`
@@ -71,38 +72,27 @@ type ItemRecord struct {
 	Loaded bool `json:"loaded,omitempty"`
 }
 
-// EntryRecord is the wire form of one metadata-store entry. An older v2
-// manifest also carries sig_joins, sig_filters, sig_output, build_epoch,
-// built_by, location and pinned; decoding ignores them — the filter is
-// Filter, the output every column of the table, freshness BuildRows, and
-// tier and pin are the item rows' (ItemRecord.Tier / Pinned).
+// EntryRecord is the wire form of one metadata-store entry: the descriptor
+// field for field, its filter in the binary filter encoding. Its freshness
+// is BuildRows; its tier and pin are its item row's.
 type EntryRecord struct {
-	ID   uint64 `json:"id"`
-	Kind uint8  `json:"kind"`
-	// SigTables names the summarized base table: one name. An older
-	// manifest may list several (a join-result sample); recovery drops such
-	// an entry.
-	SigTables []string `json:"sig_tables,omitempty"`
-	// Filter is the binary expression encoding of the descriptor's filter
-	// predicate (EncodeExpr); empty means no filter.
-	Filter    []byte   `json:"filter,omitempty"`
-	StratCols []string `json:"strat_cols,omitempty"`
-	P         float64  `json:"p,omitempty"`
-	Delta     int      `json:"delta,omitempty"`
-	BuildKeys []string `json:"build_keys,omitempty"`
-	AggCol    string   `json:"agg_col,omitempty"`
-	AggCols   []string `json:"agg_cols,omitempty"`
-	// Partition is decode-only: no engine writes it any more, but an older
-	// v2 manifest may carry a sample scoped to one partition of its base
-	// relation (1-based). Recovery must not restore such an entry — every
-	// descriptor is whole-table now, so it would answer whole-table
-	// aggregates from one partition's rows.
-	Partition  int     `json:"partition,omitempty"`
-	RelError   float64 `json:"rel_error,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
-	EstSize    int64   `json:"est_size,omitempty"`
-	ActualSize int64   `json:"actual_size,omitempty"`
-	BuildRows  int64   `json:"build_rows,omitempty"`
+	ID    uint64 `json:"id"`
+	Kind  uint8  `json:"kind"`
+	Table string `json:"table"`
+	// Filter is the binary encoding of the descriptor's filter predicate
+	// (EncodeExpr); empty means no filter.
+	Filter     []byte   `json:"filter,omitempty"`
+	StratCols  []string `json:"strat_cols,omitempty"`
+	P          float64  `json:"p,omitempty"`
+	Delta      int      `json:"delta,omitempty"`
+	BuildKeys  []string `json:"build_keys,omitempty"`
+	AggCol     string   `json:"agg_col,omitempty"`
+	AggCols    []string `json:"agg_cols,omitempty"`
+	RelError   float64  `json:"rel_error,omitempty"`
+	Confidence float64  `json:"confidence,omitempty"`
+	EstSize    int64    `json:"est_size,omitempty"`
+	ActualSize int64    `json:"actual_size,omitempty"`
+	BuildRows  int64    `json:"build_rows,omitempty"`
 }
 
 // EntryRecordOf converts a metadata-store entry snapshot to its wire form.
@@ -111,7 +101,7 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 	rec := EntryRecord{
 		ID:         d.ID,
 		Kind:       uint8(d.Kind),
-		SigTables:  []string{d.Table},
+		Table:      d.Table,
 		StratCols:  d.StratCols,
 		P:          d.P,
 		Delta:      d.Delta,
@@ -135,10 +125,7 @@ func EntryRecordOf(e *meta.Entry) (EntryRecord, error) {
 }
 
 // Entry converts the wire form back to a descriptor, ready for
-// meta.Store.Restore. The table is SigTables' first name: recovery has
-// dropped every record that lists more. A sketch-join is exact and named
-// without an accuracy; an older manifest's rel_error and confidence on one
-// are dropped, so two such records of one synopsis decode to one identity.
+// meta.Store.Restore.
 func (r EntryRecord) Entry() (meta.Descriptor, error) {
 	if r.Kind > uint8(plan.SketchJoinSynopsis) {
 		return meta.Descriptor{}, fmt.Errorf("persist: entry #%d: unknown synopsis kind %d", r.ID, r.Kind)
@@ -146,6 +133,7 @@ func (r EntryRecord) Entry() (meta.Descriptor, error) {
 	d := meta.Descriptor{
 		ID:           r.ID,
 		Kind:         plan.SynopsisKind(r.Kind),
+		Table:        r.Table,
 		StratCols:    r.StratCols,
 		P:            r.P,
 		Delta:        r.Delta,
@@ -156,12 +144,6 @@ func (r EntryRecord) Entry() (meta.Descriptor, error) {
 		EstSizeBytes: r.EstSize,
 		ActualSize:   r.ActualSize,
 		BuildRows:    r.BuildRows,
-	}
-	if d.Kind == plan.SketchJoinSynopsis {
-		d.Accuracy = stats.AccuracySpec{}
-	}
-	if len(r.SigTables) > 0 {
-		d.Table = r.SigTables[0]
 	}
 	if len(r.Filter) > 0 {
 		e, err := DecodeExpr(r.Filter)

@@ -194,17 +194,24 @@ func (s *Store) LoadManifest() (m *Manifest, ok bool, err error) {
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
-	if err != nil {
-		return nil, false, err
+	if err == nil {
+		m, err = DecodeManifest(b)
 	}
-	m = &Manifest{}
+	return m, err == nil, err
+}
+
+// DecodeManifest parses a manifest file's bytes, refusing any version but
+// ManifestVersion. The bytes come from outside the program: a torn or
+// foreign file is an error, never a panic.
+func DecodeManifest(b []byte) (*Manifest, error) {
+	m := &Manifest{}
 	if err := json.Unmarshal(b, m); err != nil {
-		return nil, false, fmt.Errorf("persist: corrupt manifest: %w", err)
+		return nil, fmt.Errorf("persist: corrupt manifest: %w", err)
 	}
 	if m.Version != ManifestVersion {
-		return nil, false, fmt.Errorf("persist: manifest version %d, want %d", m.Version, ManifestVersion)
+		return nil, fmt.Errorf("persist: manifest version %d, want %d", m.Version, ManifestVersion)
 	}
-	return m, true, nil
+	return m, nil
 }
 
 // writeDurably implements write-temp-fsync-rename, the crash-safe publish

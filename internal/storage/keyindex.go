@@ -228,21 +228,23 @@ func (x *KeyIndex) NewMask() KeyMask {
 	return make(KeyMask, (n+63)/64)
 }
 
-// Mark adds rows to m: lo+sel[j] for every j, or lo..lo+n−1 when sel is nil.
+// Mark adds rows to m: lo+sel[j] for every j of an ascending selection, or
+// lo..lo+n−1 when sel is nil.
 // A row's bit is its key − min under a unique dense index, the row
 // otherwise.
 func (x *KeyIndex) Mark(m KeyMask, lo int, sel []int32, n int) {
 	if x.UniqueDense() {
 		// Every join of the generated workloads: one subtraction per row,
 		// its key read from the partition that holds it — a scanned batch's
-		// rows all lie in one.
+		// rows all lie in one. A selection ascends, so only a row past the
+		// current partition's end looks its partition up again.
 		base := x.min
 		if sel != nil {
 			var keys []int64
 			from, to := 0, 0
 			for _, i := range sel {
 				r := lo + int(i)
-				if r < from || r >= to {
+				if r >= to {
 					keys, from, to = x.partOf(r)
 				}
 				m.set(uint64(keys[r-from]) - base)
