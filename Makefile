@@ -263,8 +263,10 @@ test-race: race
 # its append, and the column's key index laid out from those counts — unique
 # or repeating — probing and ranging as a Go map does), the filter kernels — the only filter
 # evaluator — against the row-at-a-time EvalBool oracle over random term
-# lists (int columns against float literals and mixed IN lists included), the
-# SQL front door (arbitrary bytes parse, validate, plan and compile without
+# lists (int columns against float literals and mixed IN lists included),
+# filter implication against the same oracle (whenever Implies says a
+# implies b, every row a admits b admits, literals at float64's rounding
+# edges on an Int64 and a Float64 column), the SQL front door (arbitrary bytes parse, validate, plan and compile without
 # a panic), generated EXACT queries over the TPC-H catalog against the
 # row-at-a-time oracle (answers and charges at workers 1/4/8 and retiled),
 # and the tuner's lazy set selection against the eager greedy it
@@ -280,6 +282,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzColumnGroups$$' -fuzztime 10s ./internal/storage
 	$(GO) test -run NONE -fuzz 'FuzzQuery$$' -fuzztime 10s ./internal/exec
 	$(GO) test -run NONE -fuzz 'FuzzKernelTerms$$' -fuzztime 10s ./internal/expr
+	$(GO) test -run NONE -fuzz 'FuzzImplies$$' -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/sqlparser
 	$(GO) test -run NONE -fuzz 'FuzzSelectSet$$' -fuzztime 10s ./internal/tuner
 

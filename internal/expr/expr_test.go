@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -119,7 +121,20 @@ func TestConjuncts(t *testing.T) {
 	}
 }
 
+// impliesSchema types the columns the implication tests name: x, y and c
+// are Int64, f is Float64 and s is String. A column it does not hold is
+// untyped.
+var impliesSchema = storage.Schema{
+	{Name: "x", Typ: storage.Int64},
+	{Name: "y", Typ: storage.Int64},
+	{Name: "c", Typ: storage.Int64},
+	{Name: "f", Typ: storage.Float64},
+	{Name: "s", Typ: storage.String},
+}
+
 func TestImpliesBasics(t *testing.T) {
+	f := func(op CmpOp, v float64) Term { return Compare("f", op, storage.FloatValue(v)) }
+	xf := func(op CmpOp, v float64) Term { return Compare("x", op, storage.FloatValue(v)) }
 	cases := []struct {
 		name string
 		a, b Pred
@@ -155,9 +170,31 @@ func TestImpliesBasics(t *testing.T) {
 		// float64(2^53) == 2^53 but not 2^53+1; a float literal past float64's
 		// exact integer range pins no int.
 		{"float beyond 2^53 pins no int", Pred{In("x", storage.FloatValue(1<<53))}, Pred{eq("x", 1<<53+1)}, false},
+		// An Int64 column reasons in integers, exactly above 2^53 too.
+		{"le 2^53+1 fails le 2^53", Pred{le("x", 1<<53+1)}, Pred{le("x", 1<<53)}, false},
+		{"eq 2^53+1 fails eq 2^53", Pred{eq("x", 1<<53+1)}, Pred{eq("x", 1<<53)}, false},
+		{"nanosecond lt", Pred{lt("x", 1700000000000000002)}, Pred{lt("x", 1700000000000000001)}, false},
+		{"nanosecond lt, tighter", Pred{lt("x", 1700000000000000001)}, Pred{lt("x", 1700000000000000002)}, true},
+		{"int lt implies le one less", Pred{lt("x", 11)}, Pred{le("x", 10)}, true},
+		{"strict int bounds pin eq", Pred{gt("x", 4), lt("x", 6)}, Pred{eq("x", 5)}, true},
+		{"int eq implies float IN", Pred{eq("x", 5)}, Pred{In("x", storage.FloatValue(5))}, true},
+		{"float 2.5 on int column is x >= 3", Pred{xf(GT, 2.5)}, Pred{ge("x", 3)}, true},
+		{"x >= 3 is float 2.5 on int column", Pred{ge("x", 3)}, Pred{xf(GT, 2.5)}, true},
+		{"float 2^53 admits 2^53+1", Pred{xf(EQ, 1<<53)}, Pred{le("x", 1<<53)}, false},
+		{"int 2^53 implies float 2^53", Pred{eq("x", 1<<53)}, Pred{xf(EQ, 1<<53)}, true},
+		{"int 2^53+1 implies float 2^53", Pred{eq("x", 1<<53+1)}, Pred{xf(EQ, 1<<53)}, true},
+		{"NaN on int column implies nothing else", Pred{xf(NE, math.NaN())}, Pred{ne("x", 1)}, false},
+		{"int eq implies ne float", Pred{eq("x", 3)}, Pred{xf(NE, 3.5)}, true},
+		// A Float64 column compares float64(literal), as its kernel does.
+		{"float column lt", Pred{f(LT, 5)}, Pred{f(LE, 5)}, true},
+		{"float column le fails lt", Pred{f(LE, 5)}, Pred{f(LT, 5)}, false},
+		{"float column int literal", Pred{Compare("f", LT, storage.IntValue(1<<53+1))}, Pred{f(LE, 1<<53)}, true},
+		// An untyped column implies only an identical term.
+		{"untyped self", Pred{eq("u", 1)}, Pred{eq("u", 1)}, true},
+		{"untyped tighter range", Pred{lt("u", 5)}, Pred{lt("u", 10)}, false},
 	}
 	for _, tc := range cases {
-		if got := Implies(tc.a, tc.b); got != tc.want {
+		if got := Implies(tc.a, tc.b, impliesSchema); got != tc.want {
 			t.Errorf("%s: Implies=%v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -215,7 +252,7 @@ func TestImpliesConsistentWithEvalQuick(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		tight, loose := Pred{lt("c", lo)}, Pred{lt("c", hi)}
-		if !Implies(tight, loose) {
+		if !Implies(tight, loose, impliesSchema) {
 			return false
 		}
 		// If Implies claims tight⇒loose, any value passing tight passes loose.
@@ -237,5 +274,146 @@ func TestExprStringsAreCanonical(t *testing.T) {
 	in2 := inList("s", "a", "b").String()
 	if in1 != in2 {
 		t.Fatalf("IN rendering must sort values: %q vs %q", in1, in2)
+	}
+}
+
+// impliesLits are FuzzImplies' literals: integers and floats near ±2^53,
+// where float64 values start to lie 2 apart, at a rounding tie (2^62+512),
+// at the ends of int64 and past them (±2^63), nanosecond timestamps, and
+// the IEEE specials.
+var impliesLits = []storage.Value{
+	storage.IntValue(0), storage.IntValue(1), storage.IntValue(-1),
+	storage.IntValue(1<<53 - 1), storage.IntValue(1 << 53), storage.IntValue(1<<53 + 1), storage.IntValue(1<<53 + 2),
+	storage.IntValue(-(1 << 53)), storage.IntValue(-(1 << 53) - 1), storage.IntValue(1<<62 + 512),
+	storage.IntValue(math.MaxInt64), storage.IntValue(math.MaxInt64 - 1), storage.IntValue(math.MinInt64), storage.IntValue(math.MinInt64 + 1),
+	storage.IntValue(1700000000000000001), storage.IntValue(1700000000000000002),
+	storage.FloatValue(0), storage.FloatValue(math.Copysign(0, -1)), storage.FloatValue(2.5), storage.FloatValue(-2.5),
+	storage.FloatValue(1<<53 - 1), storage.FloatValue(1 << 53), storage.FloatValue(1<<53 + 2), storage.FloatValue(-(1 << 53)),
+	storage.FloatValue(1 << 62), storage.FloatValue(0x1p63), storage.FloatValue(-0x1p63), storage.FloatValue(0x1p63 - 1024),
+	storage.FloatValue(math.NaN()), storage.FloatValue(math.Inf(1)), storage.FloatValue(math.Inf(-1)), storage.FloatValue(1.7e18),
+}
+
+// impliesPred decodes a predicate of at most two terms over impliesSchema's
+// Int64 column x and Float64 column f, three bytes a term: the column (low
+// bit) and operator (the rest, IN included) and two literal indexes, the
+// second read only by IN.
+func impliesPred(data []byte) Pred {
+	var p Pred
+	for len(data) >= 3 && len(p) < 2 {
+		col := [2]string{"x", "f"}[data[0]&1]
+		op := CmpOp(data[0] >> 1 % 7)
+		v, w := impliesLits[int(data[1])%len(impliesLits)], impliesLits[int(data[2])%len(impliesLits)]
+		if op == IN {
+			p = append(p, In(col, v, w))
+		} else {
+			p = append(p, Compare(col, op, v))
+		}
+		data = data[3:]
+	}
+	return p
+}
+
+// impliesSeed encodes one term for impliesPred: col op impliesLits[lit].
+func impliesSeed(col string, op CmpOp, lit int) []byte {
+	b := byte(op) << 1
+	if col == "f" {
+		b |= 1
+	}
+	return []byte{b, byte(lit), byte(lit)}
+}
+
+// impliesProbes returns rows over impliesSchema at every edge the
+// predicates' literals draw: for x, the ends of every interval a literal's
+// comparisons admit (termInts) and their neighbours, and the int64 ends;
+// for f, each literal as a float and its neighbours, ±0, ±Inf and NaN. A
+// row one predicate admits and another does not lies on such an edge.
+func impliesProbes(ps ...Pred) *storage.Batch {
+	xs := []int64{0, math.MinInt64, math.MaxInt64}
+	fs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, p := range ps {
+		for _, t := range p {
+			for _, v := range append([]storage.Value{t.Val}, t.List...) {
+				for op := EQ; op < IN; op++ {
+					if iv := termInts(op, v); !iv.Empty {
+						xs = append(xs, iv.From-1, iv.From, iv.From+1, iv.To-1, iv.To, iv.To+1)
+					}
+				}
+				if v.Typ.Numeric() {
+					c := v.AsFloat()
+					fs = append(fs, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+				}
+			}
+		}
+	}
+	slices.Sort(xs)
+	xs = slices.Compact(xs)
+	b := storage.NewBatch(impliesSchema, len(xs)*len(fs))
+	for _, x := range xs {
+		for _, f := range fs {
+			b.Vecs[0].I64 = append(b.Vecs[0].I64, x)
+			b.Vecs[1].I64 = append(b.Vecs[1].I64, 0)
+			b.Vecs[2].I64 = append(b.Vecs[2].I64, 0)
+			b.Vecs[3].F64 = append(b.Vecs[3].F64, f)
+			b.Vecs[4].Str = append(b.Vecs[4].Str, "")
+		}
+	}
+	return b
+}
+
+// checkImplies holds Implies to soundness: when it says a implies b, every
+// probe row a admits, b admits too.
+func checkImplies(t testing.TB, a, b Pred) {
+	t.Helper()
+	if !Implies(a, b, impliesSchema) {
+		return
+	}
+	rows := impliesProbes(a, b)
+	ra, err := EvalBool(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := EvalBool(b, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range ra {
+		if _, ok := slices.BinarySearch(rb, i); !ok {
+			t.Fatalf("Implies(%s, %s) holds, but row x=%d f=%v passes the first and not the second",
+				a, b, rows.Vecs[0].I64[i], rows.Vecs[3].F64[i])
+		}
+	}
+}
+
+// FuzzImplies: Implies is sound over random one- and two-term predicates
+// on an Int64 and a Float64 column, every literal at a float64 rounding
+// edge (impliesLits). The seeds are the implications float64 reasoning
+// claimed: x <= 2^53+1 ⇒ x <= 2^53 and x = 2^53+1 ⇒ x = 2^53.
+func FuzzImplies(f *testing.F) {
+	lit := func(v storage.Value) int {
+		return slices.IndexFunc(impliesLits, func(w storage.Value) bool { return w.Typ == v.Typ && w.String() == v.String() })
+	}
+	two53, two53p1 := lit(storage.IntValue(1<<53)), lit(storage.IntValue(1<<53+1))
+	f.Add(impliesSeed("x", LE, two53p1), impliesSeed("x", LE, two53))
+	f.Add(impliesSeed("x", EQ, two53p1), impliesSeed("x", EQ, two53))
+	f.Add(impliesSeed("x", LT, lit(storage.IntValue(1700000000000000002))), impliesSeed("x", LT, lit(storage.IntValue(1700000000000000001))))
+	f.Add(impliesSeed("x", EQ, lit(storage.FloatValue(1<<53))), impliesSeed("x", LE, two53))
+	f.Add(append(impliesSeed("x", GE, two53), impliesSeed("f", LT, lit(storage.FloatValue(2.5)))...), impliesSeed("f", LE, lit(storage.FloatValue(2.5))))
+	f.Add(impliesSeed("f", IN, lit(storage.FloatValue(math.NaN()))), impliesSeed("f", NE, lit(storage.FloatValue(0))))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		checkImplies(t, impliesPred(a), impliesPred(b))
+	})
+}
+
+// TestImpliesSoundAtEdges runs FuzzImplies' property over every pair of
+// one-term predicates on x, any operators and literals.
+func TestImpliesSoundAtEdges(t *testing.T) {
+	for opA := EQ; opA <= IN; opA++ {
+		for opB := EQ; opB <= IN; opB++ {
+			for i := range impliesLits {
+				for j := range impliesLits {
+					checkImplies(t, impliesPred([]byte{byte(opA) << 1, byte(i), byte(j)}), impliesPred([]byte{byte(opB) << 1, byte(j), byte(i)}))
+				}
+			}
+		}
 	}
 }

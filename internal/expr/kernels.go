@@ -27,15 +27,20 @@ import (
 // sits outside the row loop, and an IN list is folded without a short
 // circuit.
 //
-// Range leaves: a lower bound (>, >=) and an upper bound (<, <=) on the same
-// Int64 column, both with Int64 literals — every BETWEEN is such a pair —
-// run as one leaf, not two passes. Strict bounds become inclusive ones (> c
-// is >= c+1, < c is <= c−1; > MaxInt64 and < MinInt64 select nothing, as
-// does a range whose low end passes its high end), and the two comparisons
-// become one unsigned one: lo <= x <= hi exactly when uint64(x)−uint64(lo)
-// <= uint64(hi−lo), so the leaf keeps the branch-free form,
+// Range leaves: a run of Int64 values (an Interval) is one leaf. A lower
+// bound (>, >=) and an upper bound (<, <=) on the same Int64 column, both
+// with Int64 literals — every BETWEEN is such a pair — run as one leaf, not
+// two passes. Strict bounds become inclusive ones (> c is >= c+1, < c is
+// <= c−1; > MaxInt64 and < MinInt64 select nothing, as does a range whose
+// low end passes its high end), and the two comparisons become one unsigned
+// one: lo <= x <= hi exactly when uint64(x)−uint64(lo) <= uint64(hi−lo), so
+// the leaf keeps the branch-free form,
 // `out[k] = i; if uint64(x)-uint64(lo) <= span { k++ }`. Only the program
 // fuses: the Pred keeps both terms, and so does everything that reads it.
+// An Int64 column's comparison with a float literal is the same leaf over
+// the integers the literal admits (termInts); for <> they wrap past
+// MaxInt64 to MinInt64 (lo > hi), which the unsigned subtraction covers as
+// it stands.
 //
 // Coded string leaves: a string comparison or IN over a dictionary-coded
 // vector (storage.Vector.Code / Dict) decides the predicate once per code
@@ -56,11 +61,15 @@ import (
 //
 // Semantics contract: a compiled Filter selects exactly the rows EvalBool
 // selects, bit-for-bit, including the IEEE edge cases — NaN compares false
-// under every operator except <>, int64-vs-int64 comparisons stay in integer
-// domain (never coerced through float64, which would fold values above
-// 2^53), and col IN (v...) holds iff col = v holds for some v. EvalBool runs
-// in no query: it is the oracle this file's table tests and fuzzers (and
-// zone_test.go) hold the kernels to.
+// under every operator except <>, and col IN (v...) holds iff col = v holds
+// for some v. A term is read in its column's type: an Int64 column compares
+// in integer domain, never coerced through float64, which would fold values
+// above 2^53 — against a float literal c it selects the integers x with
+// float64(x) op c, which termInts finds once at compile time; a Float64
+// column compares with float64(literal); a String column byte-wise. Zone
+// refutation (zone.go) and implication (pred.go) read a numeric term the
+// same way. EvalBool runs in no query: it is the oracle this file's table
+// tests and fuzzers (and zone_test.go) hold the kernels to.
 //
 // Selection-vector convention, shared with the exec package: a selection is
 // an ascending list of physical row indices; nil means "every row of the
@@ -243,13 +252,14 @@ func compileCmp(t Term, ci int, typ storage.Type, slots *int) (selNode, error) {
 	}
 	n := &cmpNode{col: ci, op: t.Op}
 	// The kind dispatch mirrors the oracle's: int64-vs-int64 compares in
-	// integer domain, any numeric mix compares as float64, string-vs-string
-	// lexicographic.
+	// integer domain, a float column against float64(literal), strings
+	// lexicographic. An int64 column against a float literal selects the
+	// integers that literal admits (termInts): one range leaf.
 	switch {
 	case typ == storage.Int64 && c.Typ == storage.Int64:
 		n.kind, n.i64 = cmpI64, c.I
 	case typ == storage.Int64:
-		n.kind, n.f64 = cmpI64F64, c.F
+		return rangeLeaf(ci, termInts(t.Op, c)), nil
 	case typ == storage.Float64:
 		n.kind, n.f64 = cmpF64, c.AsFloat()
 	default:
@@ -262,7 +272,8 @@ func compileCmp(t Term, ci int, typ storage.Type, slots *int) (selNode, error) {
 
 // compileIn compiles col IN (v...) as the disjunction of col = v: every
 // literal is compared as a comparison with it would be, so IN (2.0) and = 2.0
-// select the same rows of an int64 column.
+// select the same rows of an int64 column — a float literal on one stands
+// for the integers it equals (appendEqInts).
 func compileIn(t Term, ci int, typ storage.Type, slots *int) (selNode, error) {
 	// A list with no value of the column's type class (strings against a
 	// number, or an empty list) is a typing mistake, not an empty answer.
@@ -281,14 +292,7 @@ func compileIn(t Term, ci int, typ storage.Type, slots *int) (selNode, error) {
 	case storage.Int64:
 		n.kind = inI64
 		for _, v := range vals {
-			if v.Typ == storage.Int64 {
-				n.i64s = append(n.i64s, v.I)
-			} else {
-				n.f64s = append(n.f64s, v.F)
-			}
-		}
-		if n.f64s != nil {
-			n.kind = inI64Mixed
+			n.i64s = appendEqInts(n.i64s, v)
 		}
 	case storage.Float64:
 		n.kind = inF64
@@ -310,9 +314,8 @@ func compileIn(t Term, ci int, typ storage.Type, slots *int) (selNode, error) {
 type cmpKind uint8
 
 const (
-	cmpI64    cmpKind = iota // int64 column vs int64 constant, integer compare
-	cmpF64                   // float64 column vs numeric constant, float compare
-	cmpI64F64                // int64 column vs float constant, coerced to float
+	cmpI64 cmpKind = iota // int64 column vs int64 constant, integer compare
+	cmpF64                // float64 column vs numeric constant, float compare
 )
 
 // cmpNode is a numeric comparison with a constant.
@@ -326,14 +329,10 @@ type cmpNode struct {
 
 func (n *cmpNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 {
 	v := b.Vecs[n.col]
-	switch n.kind {
-	case cmpI64:
+	if n.kind == cmpI64 {
 		return selOrd(v.I64, n.i64, n.op, in, out)
-	case cmpF64:
-		return selOrd(v.F64, n.f64, n.op, in, out)
-	default:
-		return selI64AsF64(v.I64, n.f64, n.op, in, out)
 	}
+	return selOrd(v.F64, n.f64, n.op, in, out)
 }
 
 // grow makes room in out for every candidate — the rows of in, or all n
@@ -454,105 +453,6 @@ func selOrd[T int64 | float64 | string](col []T, c T, op CmpOp, in, out []int32)
 	return out[:k]
 }
 
-// selI64AsF64 is selOrd for the mixed-numeric case: an int64 column compared
-// against a float constant goes through float64 coercion per row, exactly as
-// the oracle compares it.
-func selI64AsF64(col []int64, c float64, op CmpOp, in, out []int32) []int32 {
-	out, k := grow(out, len(col), in)
-	if in == nil {
-		switch op {
-		case EQ:
-			for i, x := range col {
-				out[k] = int32(i)
-				if float64(x) == c {
-					k++
-				}
-			}
-		case NE:
-			for i, x := range col {
-				out[k] = int32(i)
-				if float64(x) != c {
-					k++
-				}
-			}
-		case LT:
-			for i, x := range col {
-				out[k] = int32(i)
-				if float64(x) < c {
-					k++
-				}
-			}
-		case LE:
-			for i, x := range col {
-				out[k] = int32(i)
-				if float64(x) <= c {
-					k++
-				}
-			}
-		case GT:
-			for i, x := range col {
-				out[k] = int32(i)
-				if float64(x) > c {
-					k++
-				}
-			}
-		case GE:
-			for i, x := range col {
-				out[k] = int32(i)
-				if float64(x) >= c {
-					k++
-				}
-			}
-		}
-		return out[:k]
-	}
-	switch op {
-	case EQ:
-		for _, i := range in {
-			out[k] = i
-			if float64(col[i]) == c {
-				k++
-			}
-		}
-	case NE:
-		for _, i := range in {
-			out[k] = i
-			if float64(col[i]) != c {
-				k++
-			}
-		}
-	case LT:
-		for _, i := range in {
-			out[k] = i
-			if float64(col[i]) < c {
-				k++
-			}
-		}
-	case LE:
-		for _, i := range in {
-			out[k] = i
-			if float64(col[i]) <= c {
-				k++
-			}
-		}
-	case GT:
-		for _, i := range in {
-			out[k] = i
-			if float64(col[i]) > c {
-				k++
-			}
-		}
-	case GE:
-		for _, i := range in {
-			out[k] = i
-			if float64(col[i]) >= c {
-				k++
-			}
-		}
-	}
-	return out[:k]
-}
-
 // fuseRanges pairs each Int64 lower bound (>, >= an Int64 literal) with the
 // first unpaired Int64 upper bound (<, <=) on the same column after it, or
 // each such upper bound with the first lower bound after it, into one range
@@ -586,69 +486,175 @@ func intBound(n selNode) (*cmpNode, bool) {
 
 func lowerBound(op CmpOp) bool { return op == GT || op == GE }
 
-// rangeNode selects the rows of an Int64 column within [lo, hi]; none: no
-// row at all.
+// rangeNode selects the rows of an Int64 column within [lo, hi], wrapping
+// past MaxInt64 to MinInt64 when lo > hi as a <> term's interval does;
+// none: no row at all.
 type rangeNode struct {
 	col    int
 	lo, hi int64
 	none   bool
 }
 
+// rangeLeaf is the leaf selecting the rows of column col whose value iv
+// holds.
+func rangeLeaf(col int, iv Interval) *rangeNode {
+	return &rangeNode{col: col, lo: iv.From, hi: iv.To, none: iv.Empty}
+}
+
 // newRangeNode is the range leaf of a lower and an upper bound on one column,
 // both made inclusive.
 func newRangeNode(a, b *cmpNode) *rangeNode {
-	iv := allInts.narrow(a.op, a.i64).narrow(b.op, b.i64)
-	return &rangeNode{col: a.col, lo: iv.From, hi: iv.To, none: iv.Empty}
+	return rangeLeaf(a.col, termInts(a.op, storage.IntValue(a.i64)).and(termInts(b.op, storage.IntValue(b.i64))))
 }
 
-// Interval is an inclusive interval of Int64 values, [From, To]; an Empty
-// one holds none, whatever its ends read.
+// Interval is an inclusive run of Int64 values, [From, To]; an Empty one
+// holds none, whatever its ends read. A non-empty one whose From passes its
+// To wraps: it holds [From, MaxInt64] and [MinInt64, To]. Only a <> term's
+// interval wraps (termInts); IntRange never returns one.
 type Interval struct {
 	From, To int64
 	Empty    bool
 }
 
-// allInts is the interval no bound has narrowed: every Int64.
-var allInts = Interval{From: math.MinInt64, To: math.MaxInt64}
+var (
+	allInts = Interval{From: math.MinInt64, To: math.MaxInt64} // every Int64
+	noInts  = Interval{Empty: true}
+)
 
-// narrow returns iv cut by the bound x op c, made inclusive as the range
-// leaf makes it (see the file comment): > c is >= c+1, < c is <= c−1, = c
-// is both >= c and <= c; > MaxInt64 and < MinInt64 hold nothing, and
-// neither does an interval whose low end passes its high end.
-func (iv Interval) narrow(op CmpOp, c int64) Interval {
+// termInts returns the Int64 values x for which x op v holds as EvalBool
+// decides it, op a comparison. Against an Int64 literal that is integer
+// order, made inclusive as the range leaf makes it (see the file comment):
+// > c is >= c+1, < c is <= c−1, and > MaxInt64 and < MinInt64 hold nothing.
+// Against a Float64 literal it is float64(x) op v: int64→float64 conversion
+// is monotone, so the values form one run too, whose ends a binary search
+// for the first x with float64(x) >= v and the first with float64(x) > v
+// finds — the same comparison, so the run matches it bit for bit at every
+// rounding tie, at ±2^63 and at ±Inf. A NaN literal is unordered and admits
+// nothing (everything, under <>); a literal of another class admits nothing.
+func termInts(op CmpOp, v storage.Value) Interval {
+	var ge, gt Interval // the x with x >= v, with x > v
+	switch {
+	case v.Typ == storage.Int64:
+		c := v.I
+		switch op {
+		case EQ:
+			return Interval{From: c, To: c}
+		case NE:
+			return Interval{From: c + 1, To: c - 1}
+		case LT:
+			return Interval{From: math.MinInt64, To: c - 1, Empty: c == math.MinInt64}
+		case LE:
+			return Interval{From: math.MinInt64, To: c}
+		case GT:
+			return Interval{From: c + 1, To: math.MaxInt64, Empty: c == math.MaxInt64}
+		}
+		return Interval{From: c, To: math.MaxInt64}
+	case v.Typ == storage.Float64 && !math.IsNaN(v.F):
+		ge = intsFrom(func(x int64) bool { return float64(x) >= v.F })
+		gt = intsFrom(func(x int64) bool { return float64(x) > v.F })
+	case v.Typ == storage.Float64 && op == NE:
+		return allInts
+	default:
+		return noInts
+	}
 	switch op {
 	case EQ:
-		iv.From, iv.To = max(iv.From, c), min(iv.To, c)
-	case GE:
-		iv.From = max(iv.From, c)
-	case GT:
-		iv.From, iv.Empty = max(iv.From, c+1), iv.Empty || c == math.MaxInt64
-	case LE:
-		iv.To = min(iv.To, c)
+		return ge.and(gt.not())
+	case NE:
+		return ge.and(gt.not()).not()
 	case LT:
-		iv.To, iv.Empty = min(iv.To, c-1), iv.Empty || c == math.MinInt64
+		return ge.not()
+	case LE:
+		return gt.not()
+	case GT:
+		return gt
 	}
-	iv.Empty = iv.Empty || iv.From > iv.To
+	return ge
+}
+
+// intsFrom returns [x, MaxInt64] for the least x ok holds for, ok being
+// false and then true in int64 order, or none when ok holds for no int64.
+func intsFrom(ok func(int64) bool) Interval {
+	if !ok(math.MaxInt64) {
+		return noInts
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for lo < hi { // ok(hi) holds, and ok(lo−1) does not
+		mid := lo + int64((uint64(hi)-uint64(lo))/2)
+		if ok(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return Interval{From: lo, To: math.MaxInt64}
+}
+
+// and returns the values both iv and o hold; neither may wrap.
+func (iv Interval) and(o Interval) Interval {
+	iv.From, iv.To = max(iv.From, o.From), min(iv.To, o.To)
+	iv.Empty = iv.Empty || o.Empty || iv.From > iv.To
 	return iv
 }
 
+// not returns the values iv does not hold.
+func (iv Interval) not() Interval {
+	switch {
+	case iv.Empty:
+		return allInts
+	case iv == allInts:
+		return noInts
+	}
+	return Interval{From: iv.To + 1, To: iv.From - 1}
+}
+
+// meets reports whether iv holds a value of [lo, hi], lo <= hi.
+func (iv Interval) meets(lo, hi int64) bool {
+	switch {
+	case iv.Empty:
+		return false
+	case iv.From <= iv.To:
+		return iv.From <= hi && lo <= iv.To
+	}
+	return lo <= iv.To || iv.From <= hi
+}
+
+// within reports whether every value iv holds, iv not wrapping, o holds.
+func (iv Interval) within(o Interval) bool {
+	return iv.Empty || !o.not().meets(iv.From, iv.To)
+}
+
+// appendEqInts appends the Int64 values x = v admits (termInts(EQ, v)):
+// v itself for an Int64 literal; for a float literal none when it is
+// fractional, NaN or infinite, one below 2^53, and from 2^53 up, where
+// float64 values lie 2 or more apart, the at most 1 025 integers that round
+// to it.
+func appendEqInts(dst []int64, v storage.Value) []int64 {
+	iv := termInts(EQ, v)
+	for x := iv.From; !iv.Empty; x++ {
+		dst = append(dst, x)
+		iv.Empty = x == iv.To
+	}
+	return dst
+}
+
 // IntRange splits p over schema s into a range and the rest: the first
-// column some term bounds as an Int64 column by an Int64 literal (=, <, <=,
-// >, >=: the comparisons the kernels run in integer domain), the inclusive
-// interval every such bound on that column leaves — narrowed as the range
-// leaf narrows its pair — and the terms that remain, in their order (nil:
-// none). A row satisfies p exactly when its value in column col lies in the
-// interval and it satisfies rest. ok is false when no term is such a bound.
+// Int64 column some term bounds by a numeric literal (=, <, <=, >, >=), the
+// inclusive interval every such bound on that column leaves (termInts, as
+// the range leaf narrows its pair) and the terms that remain, in their
+// order (nil: none). A row satisfies p exactly when its value in column col
+// lies in the interval and it satisfies rest. ok is false when no term is
+// such a bound.
 func IntRange(p Pred, s storage.Schema) (col int, iv Interval, rest Pred, ok bool) {
 	col, iv = -1, allInts
 	for _, t := range p {
 		c := s.Index(t.Col)
-		bound := c >= 0 && t.Op < IN && t.Op != NE && s[c].Typ == storage.Int64 && t.Val.Typ == storage.Int64
+		bound := c >= 0 && t.Op < IN && t.Op != NE && s[c].Typ == storage.Int64 && t.Val.Typ.Numeric()
 		if bound && col < 0 {
 			col = c
 		}
 		if bound && c == col {
-			iv = iv.narrow(t.Op, t.Val.I)
+			iv = iv.and(termInts(t.Op, t.Val))
 		} else {
 			rest = append(rest, t)
 		}
@@ -689,9 +695,8 @@ func selRange(col []int64, lo int64, span uint64, in, out []int32) []int32 {
 type inKind uint8
 
 const (
-	inI64      inKind = iota // int64 column, int64 literals
-	inF64                    // float64 column, literals as float64
-	inI64Mixed               // int64 column, some float literals
+	inI64 inKind = iota // int64 column, the integers its literals admit
+	inF64               // float64 column, literals as float64
 )
 
 // inNode is a numeric column IN a literal list.
@@ -704,14 +709,10 @@ type inNode struct {
 
 func (n *inNode) refine(b *storage.Batch, in, out []int32, _ *Scratch) []int32 {
 	v := b.Vecs[n.col]
-	switch n.kind {
-	case inI64:
+	if n.kind == inI64 {
 		return selIn(v.I64, n.i64s, in, out)
-	case inF64:
-		return selIn(v.F64, n.f64s, in, out)
-	default:
-		return selI64InMixed(v.I64, n, in, out)
 	}
+	return selIn(v.F64, n.f64s, in, out)
 }
 
 // selIn appends the indices whose column value equals any list value,
@@ -761,73 +762,6 @@ func selInDense[T comparable](out []int32, col []T, vals []T) int {
 		hit := 0
 		for _, c := range vals {
 			if x == c {
-				hit = 1
-			}
-		}
-		out[k] = int32(i)
-		k += hit
-	}
-	return k
-}
-
-// selI64InMixed is selIn for an int64 column whose list holds float
-// literals too: a row matches an int literal in integer domain and a float
-// literal through float64 coercion, as selOrd and selI64AsF64 compare it.
-// n holds the two lists: four slices would not all fit the row loops'
-// argument registers.
-func selI64InMixed(col []int64, n *inNode, in, out []int32) []int32 {
-	out, k := grow(out, len(col), in)
-	if in != nil {
-		return out[:k+selI64InMixedSel(out[k:], col, n, in)]
-	}
-	return out[:k+selI64InMixedDense(out[k:], col, n)]
-}
-
-// selI64InMixedSel is selI64InMixed's row loop under a selection, a call of
-// its own as selInSel is. Two lists leave it fewer registers than selInSel
-// has, so it copies the candidates into out and compacts them there, and
-// reads each list off n as its loop starts: the loops then hold no slice
-// of in and none of the other list.
-//
-//go:noinline
-func selI64InMixedSel(out []int32, col []int64, n *inNode, in []int32) int {
-	k := 0
-	out = out[:len(in)]
-	copy(out, in)
-	for _, i := range out { // out[k] trails the candidate read, k <= its position
-		x, hit := col[i], 0
-		xf := float64(x)
-		out[k] = i // stored first, as in selInSel
-		for _, c := range n.i64s {
-			if x == c {
-				hit = 1
-			}
-		}
-		for _, c := range n.f64s {
-			if xf == c {
-				hit = 1
-			}
-		}
-		k += hit
-	}
-	return k
-}
-
-// selI64InMixedDense is selI64InMixed's row loop over a whole column.
-//
-//go:noinline
-func selI64InMixedDense(out []int32, col []int64, n *inNode) int {
-	ints, floats, k := n.i64s, n.f64s, 0
-	out = out[:len(col)]
-	for i, x := range col {
-		hit, xf := 0, float64(x)
-		for _, c := range ints {
-			if x == c {
-				hit = 1
-			}
-		}
-		for _, c := range floats {
-			if xf == c {
 				hit = 1
 			}
 		}

@@ -40,6 +40,20 @@ func edgeBatch() *storage.Batch {
 	)
 }
 
+// intEdges are Int64 values at float64's rounding edges: around ±2^53,
+// where float64 values start to lie 2 apart, around 2^62, where they lie
+// 1 024 apart and 2^62+512 is a tie, and at the ends of int64, which
+// float64 rounds to ±2^63.
+var intEdges = []int64{0, 1, -1, 2, 3,
+	1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<53 + 2, 1<<53 + 3, -(1 << 53), -(1 << 53) - 1, -(1 << 53) - 2,
+	1<<62 - 1, 1 << 62, 1<<62 + 511, 1<<62 + 512, 1<<62 + 513, 1<<62 + 1024, 1<<62 + 1536,
+	math.MaxInt64 - 512, math.MaxInt64 - 511, math.MaxInt64, math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 512}
+
+// floatEdges are float literals at the same edges — 2^53+1 and 2^62+512
+// round to 2^53 and 2^62 as literals too — and the IEEE specials.
+var floatEdges = []float64{1<<53 - 1, 1 << 53, 1<<53 + 2, -(1 << 53), 1 << 62, 1<<62 + 1024, 0x1p63, 0x1p63 - 1024, -0x1p63,
+	2.5, -2.5, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+
 // oracleSelect is the row-at-a-time reference: EvalBool's rows restricted
 // to the candidate rows.
 func oracleSelect(t testing.TB, p Pred, b *storage.Batch, in []int32) []int32 {
@@ -139,15 +153,17 @@ func checkIntRange(t testing.TB, p Pred, b *storage.Batch) {
 }
 
 // TestIntRangeSplit pins which terms IntRange folds into the interval: every
-// Int64-literal bound on the first Int64 column so bounded, = included, and
-// nothing else — a float literal, <>, IN, a bound on a float column or on a
-// second Int64 column stays in the rest, in its order.
+// numeric-literal bound on the first Int64 column so bounded, = included —
+// a float literal as the integers it admits — and nothing else: <>, IN, a
+// bound on a float column or on a second Int64 column stays in the rest, in
+// its order.
 func TestIntRangeSplit(t *testing.T) {
 	s := storage.Schema{{Name: "i", Typ: storage.Int64}, {Name: "j", Typ: storage.Int64}, {Name: "f", Typ: storage.Float64}}
 	i := func(op CmpOp, v int64) Term { return Compare("i", op, storage.IntValue(v)) }
 	j5 := Compare("j", LT, storage.IntValue(5))
 	f1 := Compare("f", GT, storage.IntValue(1))
 	iF := Compare("i", GE, storage.FloatValue(2.5))
+	fl := func(op CmpOp, v float64) Term { return Compare("i", op, storage.FloatValue(v)) }
 	iNE := Compare("i", NE, storage.IntValue(4))
 	iIn := In("i", storage.IntValue(3))
 	for _, c := range []struct {
@@ -167,7 +183,18 @@ func TestIntRangeSplit(t *testing.T) {
 		{"past MaxInt64", Pred{i(GT, math.MaxInt64)}, 0, Interval{From: math.MinInt64, To: math.MaxInt64, Empty: true}, nil, true},
 		{"below MinInt64", Pred{i(LT, math.MinInt64)}, 0, Interval{From: math.MinInt64, To: math.MaxInt64, Empty: true}, nil, true},
 		{"the first column", Pred{f1, j5, i(GE, 3), iF, iNE, iIn}, 1, Interval{From: math.MinInt64, To: 4}, Pred{f1, i(GE, 3), iF, iNE, iIn}, true},
-		{"no Int64 bound", Pred{f1, iF, iNE, iIn, Compare("zz", LT, storage.IntValue(1))}, -1, allInts, Pred{f1, iF, iNE, iIn, Compare("zz", LT, storage.IntValue(1))}, false},
+		{"no Int64 bound", Pred{f1, iNE, iIn, Compare("zz", LT, storage.IntValue(1))}, -1, allInts, Pred{f1, iNE, iIn, Compare("zz", LT, storage.IntValue(1))}, false},
+		{"float literal", Pred{f1, iF, iNE, iIn}, 0, Interval{From: 3, To: math.MaxInt64}, Pred{f1, iNE, iIn}, true},
+		{"float between", Pred{fl(GT, -0.5), fl(LT, 2.5)}, 0, Interval{From: 0, To: 2}, nil, true},
+		{"float equality", Pred{fl(EQ, math.Copysign(0, -1))}, 0, Interval{From: 0, To: 0}, nil, true},
+		// float64(2^53+1) rounds to 2^53 (ties to even), so <= 2^53 keeps it.
+		{"float past 2^53", Pred{fl(LE, 1<<53)}, 0, Interval{From: math.MinInt64, To: 1<<53 + 1}, nil, true},
+		// float64(2^62+512) ties to 2^62; 2^62+1024 is the next float.
+		{"float tie at 2^62+512", Pred{fl(LE, 1<<62+512)}, 0, Interval{From: math.MinInt64, To: 1<<62 + 512}, nil, true},
+		{"float 2^63", Pred{fl(GE, 1<<63)}, 0, Interval{From: math.MaxInt64 - 511, To: math.MaxInt64}, nil, true},
+		{"float -2^63", Pred{fl(LT, -(1 << 63))}, 0, Interval{Empty: true}, nil, true},
+		{"float +Inf", Pred{fl(LT, math.Inf(1))}, 0, allInts, nil, true},
+		{"float NaN", Pred{fl(LE, math.NaN())}, 0, Interval{Empty: true}, nil, true},
 	} {
 		col, iv, rest, ok := IntRange(c.p, s)
 		if col != c.col || iv != c.iv || rest.String() != c.rest.String() || len(rest) != len(c.rest) || ok != c.ok {
@@ -195,6 +222,40 @@ func TestKernelCmpAllOpsAllTypes(t *testing.T) {
 		checkKernel(t, term("i", op, storage.FloatValue(9007199254740992)), b)
 		checkKernel(t, term("i", op, storage.FloatValue(1.5)), b)
 		checkKernel(t, term("f", op, storage.IntValue(1)), b)
+	}
+}
+
+// TestKernelIntColumnFloatEdges: an Int64 column against a float literal at
+// every rounding edge, under every operator and IN, selects what EvalBool's
+// float64(x) op c selects, and termInts holds exactly those integers at
+// the ends of its interval and beyond them.
+func TestKernelIntColumnFloatEdges(t *testing.T) {
+	n := len(intEdges)
+	b := kernelBatch(intEdges, make([]float64, n), make([]string, n), make([]bool, n))
+	for _, c := range floatEdges {
+		for op := EQ; op < IN; op++ {
+			checkKernel(t, term("i", op, storage.FloatValue(c)), b)
+			checkTermInts(t, op, c)
+		}
+		checkKernel(t, Pred{In("i", storage.FloatValue(c))}, b)
+		checkKernel(t, Pred{In("i", storage.FloatValue(c), storage.IntValue(1<<53+1), storage.FloatValue(0x1p63))}, b)
+	}
+}
+
+// checkTermInts holds termInts(op, c) to the comparison float64(x) op c at
+// the int64 ends, at intEdges and at each end of the interval and one past
+// it: the interval is one run, so agreeing there is agreeing everywhere.
+func checkTermInts(t testing.TB, op CmpOp, c float64) {
+	t.Helper()
+	iv := termInts(op, storage.FloatValue(c))
+	probes := slices.Clone(intEdges)
+	if !iv.Empty {
+		probes = append(probes, iv.From-1, iv.From, iv.To, iv.To+1)
+	}
+	for _, x := range probes {
+		if got, want := iv.meets(x, x), satisfies(storage.IntValue(x), op, storage.FloatValue(c)); got != want {
+			t.Fatalf("termInts(%s, %v) = %+v holds %d: %v, float64(x) %s c: %v", op, c, iv, x, got, op, want)
+		}
 	}
 }
 
@@ -483,7 +544,14 @@ func TestKernelRangeFusion(t *testing.T) {
 				ranges = append(ranges, r)
 			}
 		}
+		// A fused pair is one range leaf, and so is an Int64 column's
+		// comparison with a float literal.
 		wantRanges := len(c.p) - c.leaves
+		for _, term := range c.p {
+			if term.Col == "i" && term.Val.Typ == storage.Float64 {
+				wantRanges++
+			}
+		}
 		if len(leaves) != c.leaves || len(ranges) != wantRanges {
 			t.Fatalf("%s: %d leaves, %d of them ranges; want %d and %d", c.name, len(leaves), len(ranges), c.leaves, wantRanges)
 		}
@@ -550,26 +618,35 @@ func FuzzKernelCmpF64(f *testing.F) {
 	})
 }
 
+// FuzzKernelCmpI64: an Int64 column against an int literal c, against c
+// as a float and against a float literal fc, under one operator and in IN
+// lists, over fuzzed rows and intEdges. The seeds put c and fc at every
+// rounding edge (intEdges, floatEdges) under every operator.
 func FuzzKernelCmpI64(f *testing.F) {
-	f.Add(int64(0), byte(0), []byte("\xff\xff\xff\xff\xff\xff\xff\x7f"))
-	f.Add(int64(math.MinInt64), byte(4), make([]byte, 32))
-	f.Fuzz(func(t *testing.T, c int64, opb byte, data []byte) {
-		var is []int64
+	f.Add(int64(0), uint64(0), byte(0), []byte("\xff\xff\xff\xff\xff\xff\xff\x7f"))
+	f.Add(int64(math.MinInt64), math.Float64bits(2.5), byte(4), make([]byte, 32))
+	for k, fc := range floatEdges {
+		f.Add(intEdges[k%len(intEdges)], math.Float64bits(fc), byte(k), []byte{})
+		f.Add(intEdges[(k+7)%len(intEdges)], math.Float64bits(fc), byte(k+3), []byte{})
+	}
+	f.Fuzz(func(t *testing.T, c int64, fbits uint64, opb byte, data []byte) {
+		is := slices.Clone(intEdges)
 		for len(data) >= 8 {
 			is = append(is, int64(binary.LittleEndian.Uint64(data[:8])))
 			data = data[8:]
 		}
-		if len(is) == 0 {
-			is = []int64{0}
-		}
 		n := len(is)
 		b := kernelBatch(is, make([]float64, n), make([]string, n), make([]bool, n))
+		fc := math.Float64frombits(fbits)
 		checkKernel(t, term("i", fuzzOp(opb), storage.IntValue(c)), b)
-		// Mixed numeric: the same constant as a float, exercising coercion
-		// above 2^53.
+		// Float literals on the Int64 column: c as a float, above 2^53 a
+		// rounded one, and fc.
 		checkKernel(t, term("i", fuzzOp(opb), storage.FloatValue(float64(c))), b)
+		checkKernel(t, term("i", fuzzOp(opb), storage.FloatValue(fc)), b)
+		checkTermInts(t, fuzzOp(opb), fc)
 		checkKernel(t, Pred{In("i", storage.IntValue(c), storage.IntValue(is[0]))}, b)
 		checkKernel(t, Pred{In("i", storage.FloatValue(float64(c)), storage.IntValue(is[0]))}, b)
+		checkKernel(t, Pred{In("i", storage.FloatValue(fc), storage.FloatValue(float64(c)))}, b)
 	})
 }
 
@@ -609,6 +686,12 @@ func FuzzKernelTerms(f *testing.F) {
 	// empty one.
 	f.Add(uint64(0x628), byte(1), int64(-1), int64(42), math.Float64bits(0), "")
 	f.Add(uint64(0x410), byte(1), int64(42), int64(-1), math.Float64bits(0), "")
+	// An Int64 column against a float literal at each rounding edge, one
+	// term a seed, every operator and IN.
+	for k, fc := range floatEdges {
+		f.Add(uint64(1|(k%6)<<3), byte(0), intEdges[k%len(intEdges)], int64(0), math.Float64bits(fc), "")
+		f.Add(uint64(5), byte(0), intEdges[(k+3)%len(intEdges)], int64(0), math.Float64bits(fc), "")
+	}
 	f.Fuzz(func(t *testing.T, shape uint64, n byte, ic, ic2 int64, fbits uint64, sv string) {
 		b := edgeBatch()
 		fc := math.Float64frombits(fbits)

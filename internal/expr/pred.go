@@ -20,17 +20,14 @@ func CanonicalPredicate(p Pred) string {
 	return strings.Join(parts, " AND ")
 }
 
-// colConstraint is the region a source predicate confines one column to:
-// a numeric interval and/or a finite set of admissible values.
+// colConstraint is the region the terms of a predicate on one Float64 or
+// String column confine it to: a numeric interval and/or a finite set of
+// admissible values.
 type colConstraint struct {
 	hasRange       bool
 	lo, hi         float64
 	loOpen, hiOpen bool
 	eq             []storage.Value // if non-empty: value ∈ eq (IN / string EQ)
-}
-
-func newColConstraint() *colConstraint {
-	return &colConstraint{lo: math.Inf(-1), hi: math.Inf(1)}
 }
 
 func (c *colConstraint) tightenLo(v float64, open bool) {
@@ -47,14 +44,12 @@ func (c *colConstraint) tightenHi(v float64, open bool) {
 	}
 }
 
-// constraintsOf folds the terms of a predicate into per-column constraints.
-func constraintsOf(p Pred) map[string]*colConstraint {
-	out := make(map[string]*colConstraint)
+// constraintOf folds the terms of p on column col into its constraint.
+func constraintOf(p Pred, col string) colConstraint {
+	cc := colConstraint{lo: math.Inf(-1), hi: math.Inf(1)}
 	for _, t := range p {
-		cc := out[t.Col]
-		if cc == nil {
-			cc = newColConstraint()
-			out[t.Col] = cc
+		if t.Col != col {
+			continue
 		}
 		switch t.Op {
 		case IN:
@@ -84,16 +79,17 @@ func constraintsOf(p Pred) map[string]*colConstraint {
 			}
 		}
 	}
-	return out
+	return cc
 }
 
-// sameValue reports that a column equal to a is provably equal to b too,
-// under the comparison's equality: numeric values compare across int64 and
-// float64 (within float64's exact integer range), strings with strings.
-// NaN equals nothing.
+// sameValue reports that a Float64 or String column equal to literal a is
+// equal to literal b too: numeric literals compare as float64, as the
+// column's kernel compares them, strings with strings. NaN equals nothing.
 func sameValue(a, b storage.Value) bool {
-	c, ok := zoneCmp(a, b)
-	return ok && c == 0
+	if a.Typ.Numeric() && b.Typ.Numeric() {
+		return a.AsFloat() == b.AsFloat()
+	}
+	return a.Typ == storage.String && b.Typ == storage.String && a.S == b.S
 }
 
 // mergeEqSets intersects two admissible-value sets; a nil set means
@@ -120,43 +116,80 @@ func mergeEqSets(a, b []storage.Value) []storage.Value {
 	return out
 }
 
-// Implies reports whether predicate a logically implies predicate b, using a
-// conservative, sound analysis over their terms. nil b is TRUE (always
-// implied); nil a implies only nil b.
+// Implies reports whether predicate a logically implies predicate b over
+// the columns of schema s, using a conservative, sound analysis over their
+// terms. A term of b is implied when a holds an identical term (the same
+// rendering), or when the terms of a on its column confine that column to
+// values the term admits: an Int64 column in exact integer intervals
+// (intsImply), a Float64 or String column by its colConstraint. A term on a
+// column s cannot type is implied only by an identical term. nil b is TRUE
+// (always implied); nil a implies only nil b.
 //
 // This is the subsumption direction the planner needs: a stored synopsis with
 // filter F_s can serve a query with filter F_q when F_q ⇒ F_s (the synopsis
 // retained at least the rows the query needs; a compensating filter removes
 // the rest).
-func Implies(a, b Pred) bool {
+func Implies(a, b Pred, s storage.Schema) bool {
 	if len(b) == 0 {
 		return true
 	}
 	if len(a) == 0 {
 		return false
 	}
-	if CanonicalPredicate(a) == CanonicalPredicate(b) {
-		return true
-	}
-	src := constraintsOf(a)
-	aRendered := make(map[string]bool, len(a))
-	for _, t := range a {
-		aRendered[t.String()] = true
+	rendered := make([]string, len(a))
+	for i, t := range a {
+		rendered[i] = t.String()
 	}
 	for _, t := range b {
-		if aRendered[t.String()] {
+		if slices.Contains(rendered, t.String()) {
 			continue // identical term present in a
 		}
-		cc := src[t.Col]
-		if cc == nil || !impliedBy(cc, t) {
+		ci, ok := s.Index(t.Col), false
+		switch {
+		case ci < 0:
+		case s[ci].Typ == storage.Int64:
+			ok = intsImply(a, t)
+		case s[ci].Typ == storage.Float64 || s[ci].Typ == storage.String:
+			cc := constraintOf(a, t.Col)
+			ok = cc.implies(t)
+		}
+		if !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// impliedBy reports whether every value admitted by cc satisfies t.
-func impliedBy(cc *colConstraint, t Term) bool {
+// intsImply reports whether the terms of a on t's Int64 column confine it
+// to integers t admits (termInts; an IN term's, one of its literals'): the
+// interval a's comparisons other than <> leave does, or, for one IN term of
+// a, each of its literals' integers within that interval do.
+func intsImply(a Pred, t Term) bool {
+	admits := func(x Interval) bool {
+		if t.Op != IN {
+			return x.within(termInts(t.Op, t.Val))
+		}
+		return slices.ContainsFunc(t.List, func(v storage.Value) bool { return x.within(termInts(EQ, v)) })
+	}
+	iv := allInts
+	for _, u := range a {
+		if u.Col == t.Col && u.Op != IN && u.Op != NE {
+			iv = iv.and(termInts(u.Op, u.Val))
+		}
+	}
+	if admits(iv) {
+		return true
+	}
+	for _, u := range a {
+		if u.Col == t.Col && u.Op == IN && !slices.ContainsFunc(u.List, func(v storage.Value) bool { return !admits(termInts(EQ, v).and(iv)) }) {
+			return true
+		}
+	}
+	return false
+}
+
+// implies reports whether every value admitted by cc satisfies t.
+func (cc *colConstraint) implies(t Term) bool {
 	switch t.Op {
 	case IN:
 		return eqSubset(cc.eq, t.List)
@@ -169,8 +202,8 @@ func impliedBy(cc *colConstraint, t Term) bool {
 	case NE:
 		if len(cc.eq) > 0 {
 			for _, v := range cc.eq {
-				if c, ok := zoneCmp(v, t.Val); !ok || c == 0 {
-					return false // v may equal the excluded value
+				if sameValue(v, t.Val) {
+					return false // v equals the excluded value
 				}
 			}
 			return true

@@ -3,6 +3,7 @@ package expr
 import (
 	"cmp"
 	"math"
+	"slices"
 
 	"github.com/tasterdb/taster/internal/storage"
 )
@@ -70,11 +71,20 @@ func Prune(pred Pred, t *storage.Table) (keep []bool, bytes, rows int64) {
 
 // termExcludes reports whether the term is false for every row the zone
 // admits — a single excluding term of a conjunction prunes the whole
-// partition. hasNaN widens the admitted set beyond [mn, mx] for float
-// columns: a NaN row compares false under every ordered operator and under
-// == (so EQ/IN/range exclusion stays sound), but true under !=, which makes
-// NE exclusion unsound the moment one NaN row exists.
+// partition. An Int64 column's zone is excluded when the integers the term
+// admits (termInts; an IN term's, each literal's) miss [mn, mx]. A Float64
+// column's bounds compare with float64(literal), as its kernel does, and a
+// String column's byte-wise. hasNaN widens the admitted set beyond [mn, mx]
+// for float columns: a NaN row compares false under every ordered operator
+// and under == (so EQ/IN/range exclusion stays sound), but true under !=,
+// which makes NE exclusion unsound the moment one NaN row exists.
 func termExcludes(t Term, mn, mx storage.Value, hasNaN bool) bool {
+	if mn.Typ == storage.Int64 {
+		if t.Op != IN {
+			return !termInts(t.Op, t.Val).meets(mn.I, mx.I)
+		}
+		return !slices.ContainsFunc(t.List, func(v storage.Value) bool { return termInts(EQ, v).meets(mn.I, mx.I) })
+	}
 	switch t.Op {
 	case IN:
 		for _, v := range t.List {
@@ -112,50 +122,29 @@ func termExcludes(t Term, mn, mx storage.Value, hasNaN bool) bool {
 
 // valueOutside reports that v provably lies outside [mn, mx].
 func valueOutside(v, mn, mx storage.Value) bool {
-	if c, ok := zoneCmp(v, mn); ok && c < 0 {
+	if c, ok := zoneCmp(mn, v); ok && c > 0 {
 		return true
 	}
-	if c, ok := zoneCmp(v, mx); ok && c > 0 {
+	if c, ok := zoneCmp(mx, v); ok && c < 0 {
 		return true
 	}
 	return false
 }
 
-// maxExactInt bounds the int64 range float64 represents exactly (2^53);
-// mixed int/float comparisons beyond it are declared incomparable rather
-// than risking an off-by-one-ulp unsound prune.
-const maxExactInt = int64(1) << 53
-
-// zoneCmp is a three-way comparison of two values for pruning purposes.
-// ok is false when the pair cannot be compared soundly: a boolean, types of
-// different classes, NaN, or a mixed int/float pair outside float64's exact
-// integer range.
-func zoneCmp(a, b storage.Value) (c int, ok bool) {
+// zoneCmp is a three-way comparison of a Float64 or String column's zone
+// bound b with a literal v, as the column's kernel compares them: a float
+// bound with float64(v). ok is false when the pair cannot be compared
+// soundly: NaN, or a literal of another class.
+func zoneCmp(b, v storage.Value) (c int, ok bool) {
 	switch {
-	case a.Typ == storage.Int64 && b.Typ == storage.Int64:
-		return cmp.Compare(a.I, b.I), true
-	case a.Typ == storage.Float64 && b.Typ == storage.Float64:
-		if math.IsNaN(a.F) || math.IsNaN(b.F) {
+	case b.Typ == storage.Float64 && v.Typ.Numeric():
+		x, y := b.F, v.AsFloat()
+		if math.IsNaN(x) || math.IsNaN(y) {
 			return 0, false
 		}
-		return cmp.Compare(a.F, b.F), true
-	case a.Typ == storage.Int64 && b.Typ == storage.Float64:
-		return cmpIntFloat(a.I, b.F)
-	case a.Typ == storage.Float64 && b.Typ == storage.Int64:
-		c, ok := cmpIntFloat(b.I, a.F)
-		return -c, ok
-	case a.Typ == storage.String && b.Typ == storage.String:
-		return cmp.Compare(a.S, b.S), true
+		return cmp.Compare(x, y), true
+	case b.Typ == storage.String && v.Typ == storage.String:
+		return cmp.Compare(b.S, v.S), true
 	}
 	return 0, false
-}
-
-func cmpIntFloat(i int64, f float64) (int, bool) {
-	if math.IsNaN(f) {
-		return 0, false
-	}
-	if i > maxExactInt || i < -maxExactInt {
-		return 0, false
-	}
-	return cmp.Compare(float64(i), f), true
 }

@@ -11,10 +11,12 @@ import (
 // Zone-map pruning soundness, held as a property over random tables and
 // random predicates: whenever ZonePrunes says a partition can be skipped,
 // scanning that partition and evaluating the predicate row by row must
-// select nothing. The generator mixes the comparisons the analysis can
-// refute with ones it must decline (int columns against float literals,
-// mixed IN lists, empty IN lists) — a false "prune" on any of them is
-// exactly the bug this test exists to catch.
+// select nothing. The generator mixes every shape of term — int columns
+// against float literals, mixed IN lists, empty IN lists, and int columns
+// near float64's rounding edges (intEdges) against float literals there
+// (floatEdges), where an Int64 zone is refuted by the integers a float
+// literal admits — and a false "prune" on any of them is exactly the bug
+// this test exists to catch.
 
 // zoneTestSchema mirrors a fact table corner: one int, one float, one string
 // column.
@@ -29,12 +31,17 @@ var zoneStrings = []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 // randZoneTable builds a random table over zoneTestSchema, split into a
 // random number of partitions. Values are drawn from tight domains so random
 // predicates exclude whole partitions often enough for the property to bite;
-// occasional NaN floats exercise the incomparable paths.
+// occasional NaN floats exercise the incomparable paths. One table in four
+// holds its ints around a rounding edge instead of around 0.
 func randZoneTable(r *rand.Rand) *storage.Table {
 	b := storage.NewBuilder("z", zoneTestSchema)
 	rows := r.Intn(200)
+	edge := int64(0)
+	if r.Intn(4) == 0 {
+		edge = intEdges[r.Intn(len(intEdges))]
+	}
 	for i := 0; i < rows; i++ {
-		b.Int(0, int64(r.Intn(41)-20))
+		b.Int(0, edge+int64(r.Intn(41)-20))
 		if r.Intn(40) == 0 {
 			b.Float(1, math.NaN())
 		} else {
@@ -58,7 +65,7 @@ func randZonePred(r *rand.Rand) Pred {
 func randZoneTerm(r *rand.Rand) Term {
 	ops := []CmpOp{EQ, NE, LT, LE, GT, GE}
 	op := ops[r.Intn(len(ops))]
-	switch r.Intn(6) {
+	switch r.Intn(7) {
 	case 0: // int col vs int literal
 		return Compare("z.i", op, storage.IntValue(int64(r.Intn(61)-30)))
 	case 1: // float col vs numeric literal (mixed int/float comparisons included)
@@ -70,6 +77,14 @@ func randZoneTerm(r *rand.Rand) Term {
 		return Compare("z.s", op, storage.StringValue(zoneStrings[r.Intn(len(zoneStrings))]))
 	case 3: // int col vs float literal, integral or not
 		return Compare("z.i", op, storage.FloatValue(float64(r.Intn(61)-30)/2))
+	case 4: // int col vs a float literal at a rounding edge, or IN a list of them
+		if r.Intn(3) == 0 {
+			return In("z.i", storage.FloatValue(floatEdges[r.Intn(len(floatEdges))]), storage.FloatValue(float64(intEdges[r.Intn(len(intEdges))]+int64(r.Intn(41)-20))))
+		}
+		if r.Intn(2) == 0 {
+			return Compare("z.i", op, storage.FloatValue(floatEdges[r.Intn(len(floatEdges))]))
+		}
+		return Compare("z.i", op, storage.FloatValue(float64(intEdges[r.Intn(len(intEdges))]+int64(r.Intn(41)-20))))
 	default: // IN list, int or mixed (possibly empty: an empty IN excludes everything)
 		vals := make([]storage.Value, r.Intn(4))
 		for i := range vals {
@@ -241,5 +256,28 @@ func TestZonePrunesSoundPropertyNaNHeavy(t *testing.T) {
 	}
 	if pruned < 100 {
 		t.Fatalf("pruning fired only %d times in %d trials; property coverage is vacuous", pruned, trials)
+	}
+}
+
+// TestZonePrunesPastExactFloats: an Int64 zone above 2^53 is refuted by the
+// integers a float literal admits, as its kernel selects them: [2^53+2,
+// 2^53+40] holds no x with float64(x) <= 2^53, while 2^53+1, which rounds
+// onto 2^53, keeps [2^53+1, 2^53+40].
+func TestZonePrunesPastExactFloats(t *testing.T) {
+	zone := func(lo int64) *storage.ZoneMap {
+		b := storage.NewBuilder("z", zoneTestSchema)
+		for x := lo; x <= 1<<53+40; x++ {
+			b.Int(0, x)
+			b.Float(1, 0)
+			b.Str(2, "alpha")
+		}
+		return b.Build(1).Zone(0)
+	}
+	le := Pred{Compare("z.i", LE, storage.FloatValue(1<<53))}
+	if !ZonePrunes(le, zoneTestSchema, zone(1<<53+2)) {
+		t.Fatalf("%s kept [2^53+2, 2^53+40]", le)
+	}
+	if ZonePrunes(le, zoneTestSchema, zone(1<<53+1)) {
+		t.Fatalf("%s pruned [2^53+1, 2^53+40], whose 2^53+1 it selects", le)
 	}
 }

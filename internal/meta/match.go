@@ -42,19 +42,21 @@ type Match struct {
 // supplies the same base relation; a synopsis keeps every column of its
 // table, so any projection is covered. The rest:
 //
-//  1. synopsis filter weaker than or equal to the query filter,
+//  1. synopsis filter weaker than or equal to the query filter, implication
+//     reasoned over the types of the table's columns,
 //  2. synopsis stratification ⊇ the query's stratification (group coverage),
 //  3. aggregated columns covered (sample sized for their variance; COUNT(*)
 //     is always covered: every weighted sample estimates cardinalities),
 //  4. synopsis accuracy at least as strict as the query's.
 func (s *Store) MatchSamples(req Requirements, has func(uint64) bool) []Match {
 	var out []Match
-	for _, e := range s.lookupTable(req.Table, has) {
+	es, sch := s.lookupTable(req.Table, has)
+	for _, e := range es {
 		d := &e.Desc
 		if d.Kind != plan.UniformSample && d.Kind != plan.DistinctSample {
 			continue
 		}
-		if !expr.Implies(req.Filter, d.FilterPred) {
+		if !expr.Implies(req.Filter, d.FilterPred, sch) {
 			continue
 		}
 		if !superset(d.StratCols, req.StratCols) || !superset(d.AggCols, req.AggCols) {
@@ -64,7 +66,7 @@ func (s *Store) MatchSamples(req Requirements, has func(uint64) bool) []Match {
 			continue
 		}
 		m := Match{Entry: e}
-		if !filtersEquivalent(req.Filter, d.FilterPred) {
+		if !expr.Implies(d.FilterPred, req.Filter, sch) { // the filters are not equivalent
 			m.CompensateFilter = req.Filter
 		}
 		out = append(out, m)
@@ -79,12 +81,13 @@ func (s *Store) MatchSamples(req Requirements, has func(uint64) bool) []Match {
 // payload is exact, so it serves any accuracy: req.Accuracy is not read.
 func (s *Store) MatchSketchJoins(req Requirements, buildKeys []string, aggCol string, has func(uint64) bool) []Match {
 	var out []Match
-	for _, e := range s.lookupTable(req.Table, has) {
+	es, sch := s.lookupTable(req.Table, has)
+	for _, e := range es {
 		d := &e.Desc
 		if d.Kind != plan.SketchJoinSynopsis {
 			continue
 		}
-		if !filtersEquivalent(req.Filter, d.FilterPred) {
+		if !expr.Implies(req.Filter, d.FilterPred, sch) || !expr.Implies(d.FilterPred, req.Filter, sch) {
 			continue
 		}
 		if !sameCols(d.BuildKeys, buildKeys) || d.AggCol != aggCol {
@@ -109,10 +112,6 @@ func superset(sup, sub []string) bool {
 		}
 	}
 	return true
-}
-
-func filtersEquivalent(a, b expr.Pred) bool {
-	return expr.Implies(a, b) && expr.Implies(b, a)
 }
 
 func sameCols(a, b []string) bool {

@@ -167,18 +167,24 @@ func NewStore(cat *storage.Catalog) *Store {
 	}
 }
 
+// table returns the catalog's current version of the named table: nil
+// without a catalog or for a table it does not hold.
+func (s *Store) table(name string) *storage.Table {
+	if s.cat == nil {
+		return nil
+	}
+	t, _ := s.cat.Table(name)
+	return t
+}
+
 // rows returns the catalog's current row count of table: 0 without a
 // catalog or for a table it does not hold, which leaves every synopsis
 // over it fresh.
 func (s *Store) rows(table string) int64 {
-	if s.cat == nil {
-		return 0
+	if t := s.table(table); t != nil {
+		return int64(t.NumRows())
 	}
-	t, err := s.cat.Table(table)
-	if err != nil {
-		return 0
-	}
-	return int64(t.NumRows())
+	return 0
 }
 
 // Intern registers a candidate descriptor, returning a snapshot of the
@@ -339,20 +345,25 @@ func (s *Store) snapAll(es []*Entry) []*Entry {
 
 // lookupTable returns the entries over a base table that has reports
 // stored — the index that "effectively limits the search space" (paper
-// §IV-A, which also keys join attributes; no synopsis here spans a join).
-// Candidates never built are dropped before they are copied, and has runs
-// outside the store's lock.
-func (s *Store) lookupTable(table string, has func(uint64) bool) []*Entry {
+// §IV-A, which also keys join attributes; no synopsis here spans a join) —
+// and the table's schema, which types the columns their filters name (nil
+// when the catalog does not hold the table). Candidates never built are
+// dropped before they are copied, and has runs outside the store's lock.
+func (s *Store) lookupTable(table string, has func(uint64) bool) ([]*Entry, storage.Schema) {
 	s.mu.RLock()
 	ids := append([]uint64(nil), s.byTable[table]...)
 	s.mu.RUnlock()
 	ids = slices.DeleteFunc(ids, func(id uint64) bool { return !has(id) })
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rows := s.rows(table)
+	var rows int64
+	var sch storage.Schema
+	if t := s.table(table); t != nil {
+		rows, sch = int64(t.NumRows()), t.Schema()
+	}
 	out := make([]*Entry, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, snap(s.byID[id], rows))
 	}
-	return out
+	return out, sch
 }
